@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race bench bench-quick bench-hot bench-scrub experiments experiments-quick json-smoke telemetry-smoke lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke examples clean
+.PHONY: all ci build vet test race bench-harness loc bench bench-quick bench-hot bench-scrub experiments experiments-quick json-smoke telemetry-smoke lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke examples clean
 
 all: build vet test
 
@@ -31,8 +31,9 @@ all: build vet test
 # sweep smoke (the continuous scrub scheduler's budget, starvation,
 # priority, cursor-resume, and determinism tests plus E26's batched
 # anti-entropy invariants — >= 3x fewer maintenance messages per key than
-# the per-key baseline with byte-identical reports at workers 1 vs 8).
-ci: build vet test race json-smoke telemetry-smoke lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke
+# the per-key baseline with byte-identical reports at workers 1 vs 8), and
+# the benchmark harness's own vet + tests (bench-harness).
+ci: build vet test race bench-harness json-smoke telemetry-smoke lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke
 
 # Run the instrumented experiment (E20) with -json and re-parse the report
 # with the strict validator (unknown fields rejected): the telemetry section
@@ -147,6 +148,23 @@ test:
 race:
 	$(GO) test -race ./...
 
+# benchmark/ is its own module (godosn/benchmark), so `go test ./...` at the
+# root never compiles it: vet and test it here so a change that breaks the
+# frozen harness surface fails CI, not the next benchmark run.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Go line counts per internal/ package, non-test and test, with a total —
+# the before/after number simplicity PRs report.
+loc:
+	@find internal -name '*.go' | sort | xargs wc -l | awk ' \
+		$$2 == "total" { next } \
+		{ d = $$2; sub(/\/[^\/]*$$/, "", d); if (!(d in seen)) { seen[d] = 1; order[++n] = d } \
+		  if ($$2 ~ /_test\.go$$/) { t[d] += $$1; tt += $$1 } else { c[d] += $$1; ct += $$1 } } \
+		END { printf "%-40s %9s %9s\n", "package", "non-test", "test"; \
+		      for (i = 1; i <= n; i++) printf "%-40s %9d %9d\n", order[i], c[order[i]], t[order[i]]; \
+		      printf "%-40s %9d %9d\n", "total", ct, tt }'
+
 # Raw testing.B numbers for every experiment family.
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -155,7 +173,7 @@ bench-quick:
 	$(GO) test -bench=. -benchtime=10x -run='^$$' .
 
 # Hot-path microbenchmarks: per-scheme group Encrypt/Add/Remove (serial vs
-# pool), DHT Put/Get (serial vs fanout), symmetric seal/open alloc deltas,
+# pool), DHT Put/Get, symmetric seal/open alloc deltas,
 # and the sharded cache (hit/miss/coalesced/contended).
 bench-hot:
 	$(GO) test -bench=. -benchmem -run='^$$' \

@@ -134,7 +134,7 @@ func All() []Experiment {
 		{ID: "e15", Description: "Vis-a-vis location tree region-query scalability", Run: E15LocationTree},
 		{ID: "e16", Description: "replica placement policy ablation (random/friends/proxies)", Run: E16PlacementAblation},
 		{ID: "e17", Description: "resilience layer: availability and cost under loss + churn", Run: E17Resilience},
-		{ID: "e18", Description: "parallel execution: serial vs worker-pool revocation and replica writes", Run: E18Parallelism},
+		{ID: "e18", Description: "parallel execution: serial vs worker-pool revocation", Run: E18Parallelism},
 		{ID: "e19", Description: "integrity scrubber: corruption containment under loss + churn + Byzantine replies", Run: E19ChaosScrub},
 		{ID: "e20", Description: "telemetry: per-phase latency breakdown (lookup/verify/repair) under E17/E19 conditions", Run: E20PhaseBreakdown},
 		{ID: "e21", Description: "hot-path read caches: cold vs warm Zipf workload, coherence under writes/faults/revocation", Run: E21CacheAcceleration},

@@ -95,8 +95,8 @@ func E22FlashCrowd(quick bool) (*Table, error) {
 	}
 
 	// Determinism gate first: the full three-arm run, twice, at both worker
-	// counts. Per-node overload accounting must not depend on the store
-	// fan-out schedule.
+	// counts. Single-key operations contact replicas serially at any
+	// FanoutWorkers, so per-node overload accounting must not move.
 	var runs [2]e22Run
 	for i, workers := range []int{1, 8} {
 		a, err := runE22(workers, ticks)
@@ -218,8 +218,8 @@ func runE22(workers, ticks int) (e22Run, error) {
 
 // runE22Arm drives the flash crowd over one arm. Lookups run serially (the
 // crowd's arrival order at the hot node is the experiment's identity);
-// workers exercise the store fan-out path only, which touches distinct
-// replicas and must not perturb any per-node accounting.
+// workers sets dht.Config.FanoutWorkers, which must not perturb any
+// per-node accounting.
 func runE22Arm(mode e22Mode, workers, ticks int) (e22Arm, error) {
 	const seed = int64(2217)
 	const peers = 20
@@ -227,8 +227,7 @@ func runE22Arm(mode e22Mode, workers, ticks int) (e22Arm, error) {
 	perTick := int(e22HotFactor*float64(e22Capacity) + 0.5)
 
 	// Lossless and jitter-free: the capacity model is the only source of
-	// delay variation, and the simnet draws no randomness per message — so
-	// concurrent store fan-out cannot reorder RNG draws between runs.
+	// delay variation, and the simnet draws no randomness per message.
 	net := simnet.New(simnet.Config{Seed: seed, BaseLatency: 10 * time.Millisecond})
 	reg := telemetry.NewRegistry()
 	net.SetTelemetry(reg)

@@ -6,37 +6,29 @@ import (
 	"fmt"
 	"time"
 
-	"godosn/internal/overlay/dht"
-	"godosn/internal/overlay/simnet"
 	"godosn/internal/parallel"
 	"godosn/internal/social/identity"
 	"godosn/internal/social/privacy"
 )
 
 // E18Parallelism measures what the worker-pool fan-out (internal/parallel)
-// buys on the framework's hottest O(members)/O(archive) loops: hybrid-group
+// buys on the framework's hottest O(members)/O(archive) loop: hybrid-group
 // revocation (per-member ECIES re-wrap + archive re-seal) run serially vs
-// on the pool, and k-replica DHT writes contacted serially vs concurrently.
+// on the pool.
 //
-// Every serial/parallel pair is checked for identical outputs: the group
-// runs digest the post-revocation membership, epoch, and every decrypted
-// archive plaintext; the DHT runs digest every value read back. Wall-clock
-// speedup is hardware-dependent (reported with the host CPU count); the
-// replica-write row additionally reports the simulated store latency, where
-// concurrent contact charges the slowest branch instead of the sum — a
-// hardware-independent model improvement.
+// The serial/parallel pair is checked for identical outputs: the runs digest
+// the post-revocation membership, epoch, and every decrypted archive
+// plaintext. Wall-clock speedup is hardware-dependent (reported with the
+// host CPU count).
 func E18Parallelism(quick bool) (*Table, error) {
 	members, archive, reps := 256, 512, 3
-	nodes, writes := 64, 200
 	if quick {
 		members, archive, reps = 32, 48, 1
-		nodes, writes = 24, 40
 	}
 	workers := parallel.DefaultWorkers()
 	if workers < 4 {
 		workers = 4
 	}
-	const replicas = 3
 
 	t := &Table{
 		ID:     "E18",
@@ -68,36 +60,8 @@ func E18Parallelism(quick bool) (*Table, error) {
 	t.AddMetric("hybrid_revoke_parallel_ns_op", "ns/op", float64(parT))
 	t.AddMetric("hybrid_revoke_speedup", "x", revokeSpeedup)
 
-	// --- k-replica DHT writes --------------------------------------------
-	serial, err := runE18Replicas(nodes, writes, replicas, 1)
-	if err != nil {
-		return nil, err
-	}
-	par, err := runE18Replicas(nodes, writes, replicas, replicas)
-	if err != nil {
-		return nil, err
-	}
-	if serial.digest != par.digest {
-		return nil, fmt.Errorf("bench: e18 replica outputs diverge: serial %s != parallel %s", serial.digest, par.digest)
-	}
-	latSpeedup := serial.storeLat / par.storeLat
-	t.AddRow(
-		fmt.Sprintf("dht store k=%d sim-latency/op (n=%d, %d writes)", replicas, nodes, writes),
-		fmt.Sprintf("%.1fms", serial.storeLat),
-		fmt.Sprintf("%.1fms", par.storeLat),
-		fmt.Sprintf("%.2fx", latSpeedup),
-		"yes",
-	)
-	t.AddMetric("replica_store_ops", "count", float64(writes))
-	t.AddMetric("replica_store_msg_op", "msg/op", par.msgPerOp)
-	t.AddMetric("replica_store_bytes_op", "bytes/op", par.bytesPerOp)
-	t.AddMetric("replica_store_lat_serial_ms", "ms/op", serial.storeLat)
-	t.AddMetric("replica_store_lat_parallel_ms", "ms/op", par.storeLat)
-	t.AddMetric("replica_store_lat_speedup", "x", latSpeedup)
-
-	t.AddNote("revocation digest = sha256(members, epoch, every archive plaintext decrypted by a surviving member); dht digest = sha256(every value read back) — parallel.Map's index-ordered collection keeps them identical at any worker count")
+	t.AddNote("revocation digest = sha256(members, epoch, every archive plaintext decrypted by a surviving member) — parallel.Map's index-ordered collection keeps it identical at any worker count")
 	t.AddNote("revocation wall-clock scales with host CPUs (serial and parallel are identical work; on a 1-CPU host the ratio is ~1x)")
-	t.AddNote(fmt.Sprintf("dht store latency is simulated: serial contact pays k=%d round trips in sequence, concurrent contact pays the slowest; messages/bytes are identical (%.1f msg/op)", replicas, par.msgPerOp))
 	return t, nil
 }
 
@@ -187,53 +151,4 @@ func hybridDigest(g *privacy.HybridGroup, reader *identity.User) (string, error)
 		h.Write(pt)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:8]), nil
-}
-
-// e18ReplicaRun is one DHT write-phase measurement.
-type e18ReplicaRun struct {
-	storeLat   float64 // simulated ms per store
-	msgPerOp   float64
-	bytesPerOp float64
-	digest     string
-}
-
-// runE18Replicas writes `writes` keys into a k-replicated DHT at the given
-// fan-out bound, reads them all back, and digests the values. The network
-// is lossless, so the run is deterministic at any fan-out.
-func runE18Replicas(nodes, writes, replicas, fanout int) (e18ReplicaRun, error) {
-	net := simnet.New(simnet.DefaultConfig(1808))
-	names := make([]simnet.NodeID, nodes)
-	for i := range names {
-		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
-	}
-	d, err := dht.New(net, names, dht.Config{ReplicationFactor: replicas, FanoutWorkers: fanout})
-	if err != nil {
-		return e18ReplicaRun{}, err
-	}
-	client := string(names[0])
-	var lat, msgs, bytes float64
-	for i := 0; i < writes; i++ {
-		st, err := d.Store(client, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("value-%04d", i)))
-		if err != nil {
-			return e18ReplicaRun{}, fmt.Errorf("bench: e18 store: %w", err)
-		}
-		lat += ms(st.Latency)
-		msgs += float64(st.Messages)
-		bytes += float64(st.Bytes)
-	}
-	h := sha256.New()
-	for i := 0; i < writes; i++ {
-		v, _, err := d.Lookup(client, fmt.Sprintf("k%d", i))
-		if err != nil {
-			return e18ReplicaRun{}, fmt.Errorf("bench: e18 lookup: %w", err)
-		}
-		h.Write(v)
-	}
-	w := float64(writes)
-	return e18ReplicaRun{
-		storeLat:   lat / w,
-		msgPerOp:   msgs / w,
-		bytesPerOp: bytes / w,
-		digest:     hex.EncodeToString(h.Sum(nil)[:8]),
-	}, nil
 }

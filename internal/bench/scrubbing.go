@@ -221,7 +221,7 @@ func runE19Arm(protected bool, peers, keys, ops, scrubEvery, rotEvery int) (e19R
 			}
 			total.Add(rep.Stats)
 			res.detected += rep.CorruptCopies
-			res.repaired += rep.Repaired
+			res.repaired += rep.RepairedWrites
 		}
 
 		key := allKeys[i%len(allKeys)]

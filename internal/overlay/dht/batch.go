@@ -40,8 +40,7 @@ import (
 // charges the slowest group (and, within a group, the serial chain of
 // replica probes). The model is independent of Config.FanoutWorkers — the
 // worker count changes wall-clock only — so batch stats and results are
-// byte-identical at any parallelism level (unlike single-key fan-out, whose
-// serial path sums latency).
+// byte-identical at any parallelism level.
 //
 // Per-key fault isolation: routing failures, unreachable replica groups,
 // and misses are reported in the affected slots only; a batch never fails

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -28,9 +29,32 @@ func batchKeys(n int) ([]string, [][]byte) {
 func TestBatchMatchesSequentialAcrossWorkers(t *testing.T) {
 	keys, vals := batchKeys(96)
 	var prevPut, prevGet overlay.OpStats
+	var prevSingle []overlay.OpStats
 	for wi, workers := range []int{1, 8} {
 		d, _, names := buildDHT(t, 48, Config{ReplicationFactor: 3, FanoutWorkers: workers})
 		client := string(names[0])
+		// Single-key Store/Lookup contact replicas one after another at any
+		// FanoutWorkers, so their stats agree in every field, Latency
+		// included. They run before the batch calls, whose concurrent
+		// groups reorder the jitter draws.
+		var single []overlay.OpStats
+		for i := 0; i < 16; i++ {
+			key := fmt.Sprintf("single-key-%03d", i)
+			st, err := d.Store(client, key, []byte(key))
+			if err != nil {
+				t.Fatalf("Store(%s): %v", key, err)
+			}
+			single = append(single, st)
+			v, st, err := d.Lookup(client, key)
+			if err != nil || string(v) != key {
+				t.Fatalf("Lookup(%s) = %q, %v", key, v, err)
+			}
+			single = append(single, st)
+		}
+		if wi > 0 && !reflect.DeepEqual(single, prevSingle) {
+			t.Fatalf("single-key stats differ across workers:\n%+v\nvs\n%+v", single, prevSingle)
+		}
+		prevSingle = single
 		errs, putSt, err := d.PutBatch(client, keys, vals)
 		if err != nil {
 			t.Fatalf("PutBatch: %v", err)

@@ -16,12 +16,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"godosn/internal/cache"
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
-	"godosn/internal/parallel"
 	"godosn/internal/resilience/load"
 	"godosn/internal/telemetry"
 )
@@ -71,16 +69,11 @@ var _ overlay.KV = (*DHT)(nil)
 type Config struct {
 	// ReplicationFactor is the number of successor replicas per key (>= 1).
 	ReplicationFactor int
-	// FanoutWorkers bounds concurrent replica contact in Store/Lookup.
-	// 0 or 1 (the default) preserves the serial loop: replicas are
-	// contacted one after another and a Lookup stops at the first hit.
-	// With more workers all replicas are contacted concurrently: message,
-	// byte, and hop accounting is unchanged (sums), while the operation's
-	// simulated latency charges the slowest concurrent branch (max) instead
-	// of the serial sum. On a lossy network the assignment of rng-driven
-	// drops to individual messages becomes scheduling-dependent (the
-	// aggregate loss rate is unchanged), so seeded fault experiments should
-	// keep the serial default.
+	// FanoutWorkers bounds the replica groups PutBatch/GetBatch contact
+	// concurrently (batch.go); 0 or 1 is serial. It changes wall-clock only:
+	// every OpStats field is identical at any worker count. Single-key
+	// Store/Lookup always contact replicas one after another, and a Lookup
+	// stops at the first hit.
 	FanoutWorkers int
 	// RouteCache memoizes key → successor-root resolution (routecache.go).
 	// The zero value (Capacity 0) disables it, preserving the exact RPC
@@ -124,9 +117,6 @@ func New(net *simnet.Network, nodes []simnet.NodeID, cfg Config) (*DHT, error) {
 		routes:     cache.New[uint64](cfg.RouteCache),
 		gates:      newNodeGates(cfg.NodeGate, nodes),
 	}
-	// A memoized route is the key string plus an 8-byte root — the charge
-	// against any shared byte budget (cache.Config.Budget).
-	d.routes.SetSizer(func(key string, _ uint64) int { return len(key) + 8 })
 	for _, name := range nodes {
 		id := hashID(string(name))
 		for {
@@ -409,44 +399,32 @@ func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (o
 	d.mu.RLock()
 	replicas := d.placementOf(root, d.replica)
 	d.mu.RUnlock()
-	// Contact the replica set on the configured fan-out (serial by default,
-	// concurrent with FanoutWorkers > 1). Each contact charges its own
-	// trace; mergeFanout folds them into tr with the latency model matching
-	// the fan-out shape. Per-replica spans are built detached (workers must
-	// not append to sp concurrently) and adopted in replica order below.
-	outcomes, _ := parallel.Map(d.fanout, replicas, func(_ int, rid uint64) (replicaOutcome, error) {
+	// Write the replica set in placement order, one store RPC each; any ack
+	// makes the store succeed.
+	stored := 0
+	var lastErr, ackLost error
+	for _, rid := range replicas {
 		d.mu.RLock()
 		rn := d.byID[rid]
 		d.mu.RUnlock()
-		rtr := &simnet.Trace{}
-		_, err := d.net.RPC(rtr, simnet.NodeID(origin), rn.name, simnet.Message{
+		str := &simnet.Trace{}
+		ssp := sp.Child("store")
+		ssp.Tag("replica", string(rn.name))
+		_, err := d.net.RPC(str, simnet.NodeID(origin), rn.name, simnet.Message{
 			Kind:    kindStore,
 			Payload: storeReq{Key: key, Value: value},
 			Size:    len(key) + len(value),
 		})
-		var rsp *telemetry.Span
-		if sp != nil {
-			rsp = telemetry.NewSpan("store")
-			rsp.Tag("replica", string(rn.name))
-			rsp.AddLatency(rtr.Latency)
-			rsp.End(spanOutcome(err))
-		}
-		return replicaOutcome{tr: *rtr, err: err, span: rsp}, nil
-	})
-	d.mergeFanout(tr, outcomes)
-	for _, o := range outcomes {
-		sp.Adopt(o.span)
-	}
-	stored := 0
-	var lastErr, ackLost error
-	for _, o := range outcomes {
-		if o.err == nil {
+		tr.Add(str)
+		ssp.AddLatency(str.Latency)
+		ssp.End(spanOutcome(err))
+		if err == nil {
 			stored++
-		} else {
-			lastErr = o.err
-			if ackLost == nil && errors.Is(o.err, simnet.ErrReplyLost) {
-				ackLost = o.err
-			}
+			continue
+		}
+		lastErr = err
+		if ackLost == nil && errors.Is(err, simnet.ErrReplyLost) {
+			ackLost = err
 		}
 	}
 	if stored == 0 {
@@ -490,94 +468,40 @@ func (d *DHT) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overla
 	d.mu.RLock()
 	replicas := d.successorsOf(root, d.replica)
 	d.mu.RUnlock()
-	if d.fanout <= 1 {
-		// Serial path: probe replicas in ring order, stop at the first hit.
-		var lastErr error = overlay.ErrUnavailable
-		for _, rid := range replicas {
-			d.mu.RLock()
-			rn := d.byID[rid]
-			d.mu.RUnlock()
-			ftr := &simnet.Trace{}
-			fsp := sp.Child("fetch")
-			fsp.Tag("replica", string(rn.name))
-			reply, err := d.net.RPC(ftr, simnet.NodeID(origin), rn.name, simnet.Message{
-				Kind:    kindFetch,
-				Payload: fetchReq{Key: key},
-				Size:    len(key),
-			})
-			tr.Add(ftr)
-			fsp.AddLatency(ftr.Latency)
-			if err != nil {
-				fsp.End(spanOutcome(err))
-				lastErr = err
-				continue
-			}
-			resp, ok := reply.Payload.(fetchResp)
-			if !ok {
-				fsp.End("error")
-				return nil, stats(tr), fmt.Errorf("dht: bad fetch reply")
-			}
-			if resp.Found {
-				fsp.End("ok")
-				return resp.Value, stats(tr), nil
-			}
-			fsp.End("miss")
-			lastErr = overlay.ErrNotFound
-		}
-		return nil, stats(tr), lastErr
-	}
-	// Concurrent path: fetch from the whole replica set at once and take
-	// the first hit in ring order, so the answer is independent of
-	// goroutine scheduling. Costs more messages than the serial early-exit
-	// but the operation completes in one (slowest-branch) round trip.
-	// Per-replica spans are built detached and adopted in replica order.
-	outcomes, _ := parallel.Map(d.fanout, replicas, func(_ int, rid uint64) (replicaOutcome, error) {
+	// Probe replicas in ring order, stop at the first hit.
+	var lastErr error = overlay.ErrUnavailable
+	for _, rid := range replicas {
 		d.mu.RLock()
 		rn := d.byID[rid]
 		d.mu.RUnlock()
-		rtr := &simnet.Trace{}
-		reply, err := d.net.RPC(rtr, simnet.NodeID(origin), rn.name, simnet.Message{
+		ftr := &simnet.Trace{}
+		fsp := sp.Child("fetch")
+		fsp.Tag("replica", string(rn.name))
+		reply, err := d.net.RPC(ftr, simnet.NodeID(origin), rn.name, simnet.Message{
 			Kind:    kindFetch,
 			Payload: fetchReq{Key: key},
 			Size:    len(key),
 		})
-		var rsp *telemetry.Span
-		if sp != nil {
-			rsp = telemetry.NewSpan("fetch")
-			rsp.Tag("replica", string(rn.name))
-			rsp.AddLatency(rtr.Latency)
-			rsp.End(spanOutcome(err))
-		}
-		return replicaOutcome{tr: *rtr, reply: reply, err: err, span: rsp}, nil
-	})
-	d.mergeFanout(tr, outcomes)
-	for _, o := range outcomes {
-		sp.Adopt(o.span)
-	}
-	var lastErr error = overlay.ErrUnavailable
-	for _, o := range outcomes {
-		if o.err != nil {
-			lastErr = o.err
+		tr.Add(ftr)
+		fsp.AddLatency(ftr.Latency)
+		if err != nil {
+			fsp.End(spanOutcome(err))
+			lastErr = err
 			continue
 		}
-		resp, ok := o.reply.Payload.(fetchResp)
+		resp, ok := reply.Payload.(fetchResp)
 		if !ok {
+			fsp.End("error")
 			return nil, stats(tr), fmt.Errorf("dht: bad fetch reply")
 		}
 		if resp.Found {
+			fsp.End("ok")
 			return resp.Value, stats(tr), nil
 		}
+		fsp.End("miss")
 		lastErr = overlay.ErrNotFound
 	}
 	return nil, stats(tr), lastErr
-}
-
-// replicaOutcome is one replica contact's result during a fan-out.
-type replicaOutcome struct {
-	tr    simnet.Trace
-	reply simnet.Message
-	err   error
-	span  *telemetry.Span // detached per-replica span; nil when untraced
 }
 
 // spanOutcome renders an operation error as a span outcome tag.
@@ -602,24 +526,6 @@ func spanOutcome(err error) string {
 	default:
 		return "error"
 	}
-}
-
-// mergeFanout folds per-replica traces into the operation trace. Message,
-// byte, and hop counts always sum; latency sums on the serial path but
-// charges only the slowest branch when replicas were contacted concurrently.
-func (d *DHT) mergeFanout(tr *simnet.Trace, outcomes []replicaOutcome) {
-	var maxLat time.Duration
-	for _, o := range outcomes {
-		tr.Hops += o.tr.Hops
-		tr.Messages += o.tr.Messages
-		tr.Bytes += o.tr.Bytes
-		if d.fanout <= 1 {
-			tr.Latency += o.tr.Latency
-		} else if o.tr.Latency > maxLat {
-			maxLat = o.tr.Latency
-		}
-	}
-	tr.Latency += maxLat
 }
 
 func stats(tr *simnet.Trace) overlay.OpStats {

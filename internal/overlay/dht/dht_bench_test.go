@@ -1,8 +1,7 @@
 package dht
 
 // Microbenchmarks for the DHT hot path: Put (Store) and Get (Lookup) on a
-// lossless simulated network, at serial replica contact and at concurrent
-// fan-out (FanoutWorkers = ReplicationFactor).
+// lossless simulated network.
 
 import (
 	"fmt"
@@ -17,57 +16,45 @@ const (
 	benchPreload  = 256
 )
 
-func newBenchDHT(b *testing.B, fanout int) (*DHT, []simnet.NodeID) {
+func newBenchDHT(b *testing.B) (*DHT, []simnet.NodeID) {
 	b.Helper()
 	net := simnet.New(simnet.DefaultConfig(4242))
 	names := make([]simnet.NodeID, benchNodes)
 	for i := range names {
 		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
 	}
-	d, err := New(net, names, Config{ReplicationFactor: benchReplicas, FanoutWorkers: fanout})
+	d, err := New(net, names, Config{ReplicationFactor: benchReplicas})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return d, names
 }
 
-func benchFanouts() map[string]int {
-	return map[string]int{"serial": 1, "fanout": benchReplicas}
-}
-
 func BenchmarkDHTPut(b *testing.B) {
-	for label, fanout := range benchFanouts() {
-		b.Run(label, func(b *testing.B) {
-			d, names := newBenchDHT(b, fanout)
-			client := string(names[0])
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Store(client, fmt.Sprintf("k%d", i), []byte("benchmark value payload")); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	d, names := newBenchDHT(b)
+	client := string(names[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Store(client, fmt.Sprintf("k%d", i), []byte("benchmark value payload")); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkDHTGet(b *testing.B) {
-	for label, fanout := range benchFanouts() {
-		b.Run(label, func(b *testing.B) {
-			d, names := newBenchDHT(b, fanout)
-			client := string(names[0])
-			for i := 0; i < benchPreload; i++ {
-				if _, err := d.Store(client, fmt.Sprintf("k%d", i), []byte("benchmark value payload")); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := d.Lookup(client, fmt.Sprintf("k%d", i%benchPreload)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	d, names := newBenchDHT(b)
+	client := string(names[0])
+	for i := 0; i < benchPreload; i++ {
+		if _, err := d.Store(client, fmt.Sprintf("k%d", i), []byte("benchmark value payload")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := d.Lookup(client, fmt.Sprintf("k%d", i%benchPreload)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -45,14 +45,6 @@ func (d *DHT) InvalidateRoutes() {
 	d.bumpRoutes()
 }
 
-// TickRoutes advances the route cache's logical TTL clock one step
-// (cache.Config.TTLTicks): memoized routes older than the TTL are swept, a
-// second staleness bound alongside the generation bumps. No-op without a
-// route cache or a TTL.
-func (d *DHT) TickRoutes() {
-	d.routes.Tick()
-}
-
 // RouteCacheStats returns the route cache's counters (zero Stats when the
 // cache is disabled).
 func (d *DHT) RouteCacheStats() cache.Stats {

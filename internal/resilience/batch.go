@@ -148,7 +148,9 @@ func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, over
 			}
 			switch {
 			case r.Err == nil:
-				k.values.Put(key, append([]byte(nil), r.Value...))
+				if k.values != nil {
+					k.values.Put(key, append([]byte(nil), r.Value...))
+				}
 				assign(key, r)
 			case errors.Is(r.Err, overlay.ErrNotFound):
 				// Every replica in the group answered: a definitive miss.
@@ -168,7 +170,9 @@ func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, over
 			assign(key, overlay.BatchResult{Err: err})
 			continue
 		}
-		k.values.Put(key, append([]byte(nil), v...))
+		if k.values != nil {
+			k.values.Put(key, append([]byte(nil), v...))
+		}
 		assign(key, overlay.BatchResult{Value: v})
 	}
 	rescued := len(fallback)

@@ -16,14 +16,6 @@ type BreakerConfig struct {
 	// single half-open probe is let through. A failed probe re-opens the
 	// circuit for another cooldown.
 	Cooldown int
-	// MaxQuarantined caps how many nodes count as quarantined for replica
-	// placement at once (0 = uncapped). A mass-quarantine event — a
-	// detector bug, a correlated corruption burst — must not exclude so
-	// many nodes that placement starves; beyond the cap, the *oldest*
-	// quarantines (by entry order) keep their placement exclusion and the
-	// rest stay circuit-open-and-tainted but placeable. The choice is
-	// deterministic, so runs reproduce.
-	MaxQuarantined int
 }
 
 // DefaultBreakerConfig opens after 3 consecutive failures and probes after
@@ -38,7 +30,6 @@ type Breaker struct {
 
 	mu         sync.Mutex
 	nodes      map[string]*breakerState
-	seq        int               // next quarantine sequence number
 	events     *telemetry.Log    // nil until SetEvents
 	quarantine func(node string) // nil until SetQuarantineHook
 }
@@ -66,7 +57,6 @@ type breakerState struct {
 	open    bool // circuit open: node presumed down
 	skips   int  // Allow refusals remaining before a probe
 	tainted bool // a failure was a corruption verdict, not mere loss
-	quarSeq int  // quarantine entry order, for the MaxQuarantined cap
 }
 
 // NewBreaker creates a breaker with the given config.
@@ -125,8 +115,6 @@ func (b *Breaker) Report(node string, ok bool) {
 			b.events.Emit("breaker.open", telemetry.A("node", node))
 			if s.tainted {
 				b.events.Emit("breaker.quarantine", telemetry.A("node", node))
-				s.quarSeq = b.seq
-				b.seq++
 				quarantined = b.quarantine
 			}
 		}
@@ -160,8 +148,6 @@ func (b *Breaker) ReportCorrupt(node string) {
 		// Already open for loss; the corruption verdict upgrades it to
 		// quarantine without a fresh open transition.
 		b.events.Emit("breaker.quarantine", telemetry.A("node", node))
-		s.quarSeq = b.seq
-		b.seq++
 		quarantined = b.quarantine
 	}
 	s.tainted = true
@@ -173,33 +159,12 @@ func (b *Breaker) ReportCorrupt(node string) {
 }
 
 // Quarantined reports whether the node is excluded from replica placement:
-// circuit-open, corruption-tainted, and — when MaxQuarantined caps the
-// exclusion set — among the oldest MaxQuarantined quarantines.
+// circuit-open and corruption-tainted.
 func (b *Breaker) Quarantined(node string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.quarantinedLocked(node)
-}
-
-// quarantinedLocked is Quarantined with b.mu held.
-func (b *Breaker) quarantinedLocked(node string) bool {
 	s := b.nodes[node]
-	if s == nil || !s.open || !s.tainted {
-		return false
-	}
-	if b.cfg.MaxQuarantined <= 0 {
-		return true
-	}
-	// The node stays excluded only while fewer than MaxQuarantined nodes
-	// entered quarantine before it — newest quarantines yield first, so a
-	// mass-quarantine event cannot starve placement.
-	earlier := 0
-	for _, o := range b.nodes {
-		if o.open && o.tainted && o.quarSeq < s.quarSeq {
-			earlier++
-		}
-	}
-	return earlier < b.cfg.MaxQuarantined
+	return s != nil && s.open && s.tainted
 }
 
 // Unquarantine is the operator override for a false or stale corruption
@@ -250,14 +215,14 @@ func (b *Breaker) OpenNodes() []string {
 	return out
 }
 
-// QuarantinedNodes lists the nodes currently excluded from placement,
-// sorted — open + tainted, within the MaxQuarantined cap.
+// QuarantinedNodes lists the nodes currently excluded from placement
+// (open + tainted), sorted.
 func (b *Breaker) QuarantinedNodes() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var out []string
-	for name := range b.nodes {
-		if b.quarantinedLocked(name) {
+	for name, s := range b.nodes {
+		if s.open && s.tainted {
 			out = append(out, name)
 		}
 	}

@@ -282,9 +282,6 @@ func Wrap(inner overlay.KV, cfg Config) *KV {
 		}
 	}
 	k.values = cachepkg.New[[]byte](cfg.Cache)
-	// A cached verified value costs its key plus its bytes — the charge
-	// against any shared byte budget (cache.Config.Budget).
-	k.values.SetSizer(func(key string, val []byte) int { return len(key) + len(val) })
 	if k.values != nil || cfg.Quarantine {
 		// A quarantine changes which copies are trustworthy and where new
 		// ones land: cached verified values and memoized routes must not
@@ -304,14 +301,12 @@ func Wrap(inner overlay.KV, cfg Config) *KV {
 func (k *KV) Name() string { return k.inner.Name() + "+resilient" }
 
 // Tick advances the decorator's simulated clock one step: the admission
-// gate refills its token budget, the verified-value cache sweeps entries
-// past their TTL, and the replica-health tracker decays idle scores toward
-// baseline (each a no-op when its feature is unconfigured). Experiments
-// drive it from the same loop that ticks simnet fault schedules and
-// capacity windows.
+// gate refills its token budget and the replica-health tracker decays idle
+// scores toward baseline (each a no-op when its feature is unconfigured).
+// Experiments drive it from the same loop that ticks simnet fault schedules
+// and capacity windows.
 func (k *KV) Tick() {
 	k.gate.Tick()
-	k.values.Tick()
 	k.health.Tick()
 }
 

@@ -40,19 +40,18 @@ func TestClassifyOverload(t *testing.T) {
 
 // TestBackoffScheduleByFaultClass pins which backoff schedule each fault
 // class retries on: FaultOverload grows a full-jitter ceiling by
-// OverloadMultiplier, every other class keeps the standard exponential
+// overloadMultiplier, every other class keeps the standard exponential
 // schedule.
 func TestBackoffScheduleByFaultClass(t *testing.T) {
 	p := Policy{
-		MaxAttempts:        5,
-		BaseDelay:          10 * time.Millisecond,
-		MaxDelay:           200 * time.Millisecond,
-		Multiplier:         2,
-		JitterFrac:         0, // standard schedule exact
-		OverloadMultiplier: 4,
+		MaxAttempts: 5,
+		BaseDelay:   10 * time.Millisecond,
+		MaxDelay:    200 * time.Millisecond,
+		Multiplier:  2,
+		JitterFrac:  0, // standard schedule exact
 	}
-	standard := []time.Duration{10, 20, 40, 80}   // base × 2^(retry-1), ms
-	overload := []time.Duration{10, 40, 160, 200} // base × 4^(retry-1), capped, ms
+	standard := []time.Duration{10, 20, 40, 80}  // base × 2^(retry-1), ms
+	overload := []time.Duration{10, 30, 90, 200} // base × 3^(retry-1), capped, ms
 	cases := []struct {
 		fault Fault
 		want  []time.Duration
@@ -278,35 +277,5 @@ func TestBreakerUnquarantine(t *testing.T) {
 	b.ReportCorrupt("n")
 	if !b.Quarantined("n") {
 		t.Fatalf("node not re-quarantined after fresh corruption")
-	}
-}
-
-func TestBreakerMaxQuarantinedCap(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 4, MaxQuarantined: 2})
-	for _, n := range []string{"q0", "q1", "q2", "q3"} {
-		b.ReportCorrupt(n)
-	}
-	// Oldest quarantines keep the exclusion; the mass event cannot starve
-	// placement by excluding all four.
-	want := []string{"q0", "q1"}
-	got := b.QuarantinedNodes()
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("quarantined %v, want oldest two %v", got, want)
-	}
-	for _, n := range []string{"q2", "q3"} {
-		if b.Quarantined(n) {
-			t.Fatalf("%s excluded beyond the cap", n)
-		}
-		if !b.Open(n) {
-			t.Fatalf("%s should stay circuit-open even while placeable", n)
-		}
-	}
-	// Rehabilitating an excluded node promotes the next-oldest into the cap.
-	if !b.Unquarantine("q0") {
-		t.Fatalf("Unquarantine q0 reported no-op")
-	}
-	got = b.QuarantinedNodes()
-	if len(got) != 2 || got[0] != "q1" || got[1] != "q2" {
-		t.Fatalf("after rehabilitation quarantined %v, want [q1 q2]", got)
 	}
 }

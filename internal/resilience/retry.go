@@ -28,15 +28,6 @@ type Policy struct {
 	// LatencyBudget caps the total backoff charged per operation; a retry
 	// whose backoff would exceed it is not attempted (0 = uncapped).
 	LatencyBudget time.Duration
-	// OverloadMultiplier grows the backoff *ceiling* per retry after a
-	// FaultOverload, which backs off on a separate, more aggressive
-	// schedule: multiplicative growth with full jitter (the delay is drawn
-	// uniformly from [0, ceiling], not ±JitterFrac around a midpoint).
-	// Overloaded nodes recover only when offered load actually falls, so
-	// retries must both spread out (full jitter decorrelates the retrying
-	// crowd) and slow down faster than loss retries (a bigger multiplier
-	// than the transient schedule's). < 1 falls back to max(Multiplier, 2).
-	OverloadMultiplier float64
 }
 
 // DefaultPolicy retries up to 4 times beyond the first attempt, starting at
@@ -44,13 +35,12 @@ type Policy struct {
 // retries grow their full-jitter ceiling 3x per step.
 func DefaultPolicy() Policy {
 	return Policy{
-		MaxAttempts:        5,
-		BaseDelay:          20 * time.Millisecond,
-		MaxDelay:           200 * time.Millisecond,
-		Multiplier:         2,
-		JitterFrac:         0.2,
-		LatencyBudget:      time.Second,
-		OverloadMultiplier: 3,
+		MaxAttempts:   5,
+		BaseDelay:     20 * time.Millisecond,
+		MaxDelay:      200 * time.Millisecond,
+		Multiplier:    2,
+		JitterFrac:    0.2,
+		LatencyBudget: time.Second,
 	}
 }
 
@@ -84,24 +74,22 @@ func (p Policy) Backoff(rng *rand.Rand, retry int) time.Duration {
 	return time.Duration(d)
 }
 
+// overloadMultiplier grows the FaultOverload backoff ceiling per retry.
+// Overloaded nodes recover only when offered load actually falls, so these
+// retries slow down faster than the transient schedule's Multiplier.
+const overloadMultiplier = 3
+
 // overloadBackoff is the FaultOverload schedule: the ceiling grows by
-// OverloadMultiplier per retry (from BaseDelay, capped at MaxDelay) and the
+// overloadMultiplier per retry (from BaseDelay, capped at MaxDelay) and the
 // delay is drawn uniformly from [0, ceiling] — full jitter, so a crowd of
 // shed clients decorrelates instead of returning in synchronized waves.
 func (p Policy) overloadBackoff(rng *rand.Rand, retry int) time.Duration {
 	if retry < 1 {
 		return 0
 	}
-	mult := p.OverloadMultiplier
-	if mult < 1 {
-		mult = p.Multiplier
-		if mult < 2 {
-			mult = 2
-		}
-	}
 	ceiling := float64(p.BaseDelay)
 	for i := 1; i < retry; i++ {
-		ceiling *= mult
+		ceiling *= overloadMultiplier
 		if p.MaxDelay > 0 && ceiling > float64(p.MaxDelay) {
 			break
 		}

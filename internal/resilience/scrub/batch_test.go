@@ -78,6 +78,7 @@ type stubBatchKV struct {
 	replicas []string
 	data     map[string]map[string][]byte // replica -> key -> record
 	badKeys  map[string]bool              // per-slot StoreBatchTo failures
+	lost     map[string]bool              // replicas whose FetchBatchFrom slots all error
 	stores   int                          // StoreBatchTo envelopes sent
 }
 
@@ -118,7 +119,9 @@ func (s *stubBatchKV) StoreTo(origin, key string, value []byte, replica string) 
 func (s *stubBatchKV) FetchBatchFrom(origin string, keys []string, replica string) ([]overlay.BatchResult, overlay.OpStats, error) {
 	out := make([]overlay.BatchResult, len(keys))
 	for i, k := range keys {
-		if v, ok := s.data[replica][k]; ok {
+		if s.lost[replica] {
+			out[i].Err = fmt.Errorf("stub: slot read failed for %s", k)
+		} else if v, ok := s.data[replica][k]; ok {
 			out[i].Value = v
 		} else {
 			out[i].Err = overlay.ErrNotFound
@@ -179,6 +182,38 @@ func TestScrubRepairCoalescingIsolatesFailures(t *testing.T) {
 	}
 	if _, ok := kv.data["r2"]["k1"]; ok {
 		t.Fatal("refused slot k1 reported stored")
+	}
+}
+
+// TestScrubSlotErrorIsUnreachableNotMissing pins the per-slot read-error
+// contract of the column fetch: a slot error other than not-found inside a
+// delivered envelope leaves that copy's state unknown — it is counted
+// unreachable, exactly as the per-key path classifies a failed LookupFrom,
+// and no repair is pushed over it.
+func TestScrubSlotErrorIsUnreachableNotMissing(t *testing.T) {
+	kv := &stubBatchKV{
+		replicas: []string{"r0", "r1", "r2"},
+		data:     map[string]map[string][]byte{"r0": {}, "r1": {}, "r2": {}},
+		lost:     map[string]bool{"r2": true},
+	}
+	keys := []string{"k0", "k1"}
+	for _, k := range keys {
+		if _, err := kv.Store("c", k, Seal(k, []byte("payload-"+k))); err != nil {
+			t.Fatalf("Store: %v", err)
+		}
+	}
+	rep, err := New(kv, DefaultConfig("c")).Scrub(keys)
+	if err != nil {
+		t.Fatalf("Scrub: %v", err)
+	}
+	if rep.MissingCopies != 0 || rep.UnreachableHolders != 2 {
+		t.Fatalf("missing=%d unreachable=%d, want 0/2", rep.MissingCopies, rep.UnreachableHolders)
+	}
+	if kv.stores != 0 || rep.RepairedWrites != 0 {
+		t.Fatalf("repair pushed over a copy of unknown state: envelopes=%d repairedWrites=%d", kv.stores, rep.RepairedWrites)
+	}
+	if rep.CleanKeys != 2 || rep.DivergentKeys != 0 || rep.Failed != 0 {
+		t.Fatalf("clean=%d divergent=%d failed=%d, want 2/0/0", rep.CleanKeys, rep.DivergentKeys, rep.Failed)
 	}
 }
 

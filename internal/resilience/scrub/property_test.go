@@ -243,8 +243,8 @@ func runPropertyCase(t *testing.T, g privacy.Group, reader *identity.User, fault
 	// victim, placement routes around it, and the scrubber also populates
 	// the replacement replica.)
 	if fault == "bit-rot" {
-		if rep.Repaired < 1 {
-			t.Fatalf("repaired = %d, want >= 1", rep.Repaired)
+		if rep.RepairedWrites < 1 {
+			t.Fatalf("repaired = %d, want >= 1", rep.RepairedWrites)
 		}
 		v, _, err := d.LookupFrom(client, key, victim)
 		if err != nil || Check(key, v) != nil {

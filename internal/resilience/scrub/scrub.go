@@ -27,13 +27,6 @@ type Config struct {
 	// drops to individual messages scheduling-dependent; seeded experiments
 	// keep the serial default.
 	Workers int
-	// Repair pushes the verified canonical copy over condemned or missing
-	// replicas (requires the overlay to implement overlay.RepairKV).
-	Repair bool
-	// Recheck re-fetches a condemned copy once before issuing a corruption
-	// verdict, so one-off wire corruption is not blamed on the node. The
-	// refetch is charged to the report's stats.
-	Recheck bool
 	// PerKey forces the per-key maintenance RPC path (one digest exchange
 	// per group, one fetch per key per replica, one repair push per copy)
 	// even when the overlay implements the batched contracts
@@ -42,10 +35,9 @@ type Config struct {
 	PerKey bool
 }
 
-// DefaultConfig scrubs serially from origin with record verification,
-// repair, and recheck enabled.
+// DefaultConfig scrubs serially from origin with record verification.
 func DefaultConfig(origin string) Config {
-	return Config{Origin: origin, Verify: Check, Workers: 1, Repair: true, Recheck: true}
+	return Config{Origin: origin, Verify: Check, Workers: 1}
 }
 
 // Report summarizes one scrub pass.
@@ -80,12 +72,6 @@ type Report struct {
 	// with a delivery error during drill-down — the copy's state is
 	// unknown, and liveness is the healer's job, not the scrubber's.
 	UnreachableHolders int
-	// Repaired mirrors RepairedWrites — kept as a thin view for callers
-	// of the pre-split accounting.
-	Repaired int
-	// Unrepairable mirrors RepairWriteFailures — kept as a thin view for
-	// callers of the pre-split accounting.
-	Unrepairable int
 	// Failed is the number of keys that could not be scrubbed: replica
 	// resolution failed, or no copy verified (no trusted value to repair
 	// from).
@@ -471,8 +457,6 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 		}
 	}
 	report.Digest = fp.Root()
-	report.Repaired = report.RepairedWrites
-	report.Unrepairable = report.RepairWriteFailures
 	s.notePass(report)
 }
 
@@ -512,7 +496,7 @@ func (s *Scrubber) digestPhase(sp *telemetry.Span, nonce uint64, groups []group,
 		return nil
 	}
 	idx := make(map[string][]int) // replica -> participating group indices
-	var order []string           // first-appearance replica order
+	var order []string            // first-appearance replica order
 	for gi := range groups {
 		if len(groups[gi].replicas) < 2 {
 			continue
@@ -616,11 +600,8 @@ func (s *Scrubber) WorstCaseMessages(groups []Group) int {
 		}
 	}
 	for _, g := range groups {
-		phases := 1 // column / per-key fetch
-		if s.cfg.Recheck {
-			phases++
-		}
-		if s.cfg.Repair && (s.repair != nil || s.brepair != nil) {
+		phases := 2 // column / per-key fetch, recheck
+		if s.repair != nil || s.brepair != nil {
 			phases++
 		}
 		if s.batchData() {
@@ -803,10 +784,9 @@ func (s *Scrubber) electKey(o *keyOutcome, replicas []string, values map[string]
 // per-key slot error affects only that key, and a failed repair push never
 // fails its envelope siblings.
 func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResult) {
-	// Phase 1: column fetch — one envelope per replica.
-	colVals := make([][][]byte, len(g.replicas))
-	colHeld := make([][]bool, len(g.replicas))
-	colReach := make([]bool, len(g.replicas))
+	// Phase 1: column fetch — one envelope per replica. A nil column means
+	// the whole envelope failed.
+	cols := make([][]overlay.BatchResult, len(g.replicas))
 	for ri, name := range g.replicas {
 		fsp := gsp.Child("fetch")
 		fsp.Tag("replica", name)
@@ -821,36 +801,27 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 			continue
 		}
 		fsp.End("ok")
-		colReach[ri] = true
-		colHeld[ri] = make([]bool, len(g.keys))
-		colVals[ri] = make([][]byte, len(g.keys))
-		for ki := range g.keys {
-			if res[ki].Err == nil {
-				colHeld[ri][ki] = true
-				colVals[ri][ki] = res[ki].Value
-			} else if !errors.Is(res[ki].Err, overlay.ErrNotFound) {
-				// A per-key delivery-ish error inside a delivered envelope:
-				// treat the copy as unreachable, exactly as the per-key
-				// path classifies a failed LookupFrom.
-				colHeld[ri][ki] = false
-				colVals[ri][ki] = nil
-			}
-		}
+		cols[ri] = res
 	}
 
 	// Phase 2: per-key election over the columns — local, zero messages.
+	// Slots classify exactly as the per-key path classifies a LookupFrom:
+	// not-found is a missing copy, any other error leaves the copy's state
+	// unknown (unreachable, never repaired over).
 	outs := make([]keyOutcome, len(g.keys))
 	for ki, key := range g.keys {
 		o := keyOutcome{key: key, states: make(map[string]copyState, len(g.replicas))}
 		values := make(map[string][]byte, len(g.replicas))
 		for ri, name := range g.replicas {
 			switch {
-			case !colReach[ri]:
+			case cols[ri] == nil:
 				o.states[name] = copyUnreachable
-			case !colHeld[ri][ki]:
+			case cols[ri][ki].Err == nil:
+				values[name] = cols[ri][ki].Value
+			case errors.Is(cols[ri][ki].Err, overlay.ErrNotFound):
 				o.states[name] = copyMissing
 			default:
-				values[name] = colVals[ri][ki]
+				o.states[name] = copyUnreachable
 			}
 		}
 		vsp := gsp.Child("verify")
@@ -870,40 +841,38 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 	// Phase 3: coalesced recheck — one refetch envelope per replica over
 	// its condemned keys, so a one-off wire corruption is not blamed on
 	// the node (same contract as the per-key recheck).
-	if s.cfg.Recheck {
-		for _, name := range g.replicas {
-			var cidx []int
-			for ki := range g.keys {
-				if outs[ki].found && outs[ki].states[name] == copyCondemned {
-					cidx = append(cidx, ki)
-				}
+	for _, name := range g.replicas {
+		var cidx []int
+		for ki := range g.keys {
+			if outs[ki].found && outs[ki].states[name] == copyCondemned {
+				cidx = append(cidx, ki)
 			}
-			if len(cidx) == 0 {
-				continue
-			}
-			rkeys := make([]string, len(cidx))
-			for j, ki := range cidx {
-				rkeys[j] = g.keys[ki]
-			}
-			rsp := gsp.Child("recheck")
-			rsp.Tag("replica", name)
-			rsp.Tag("keys", strconv.Itoa(len(cidx)))
-			res, st, err := s.brepair.FetchBatchFrom(s.cfg.Origin, rkeys, name)
-			r.stats.Add(st)
-			r.batchRPCs++
-			r.batchMsgs += st.Messages
-			rsp.AddLatency(st.Latency)
-			if err != nil {
-				rsp.End("error")
-				continue
-			}
-			rsp.End("ok")
-			for j, ki := range cidx {
-				o := &outs[ki]
-				if res[j].Err == nil && s.cfg.Verify(o.key, res[j].Value) == nil &&
-					overlay.CopyLeaf(o.key, res[j].Value, true) == o.best {
-					o.states[name] = copyCanonical
-				}
+		}
+		if len(cidx) == 0 {
+			continue
+		}
+		rkeys := make([]string, len(cidx))
+		for j, ki := range cidx {
+			rkeys[j] = g.keys[ki]
+		}
+		rsp := gsp.Child("recheck")
+		rsp.Tag("replica", name)
+		rsp.Tag("keys", strconv.Itoa(len(cidx)))
+		res, st, err := s.brepair.FetchBatchFrom(s.cfg.Origin, rkeys, name)
+		r.stats.Add(st)
+		r.batchRPCs++
+		r.batchMsgs += st.Messages
+		rsp.AddLatency(st.Latency)
+		if err != nil {
+			rsp.End("error")
+			continue
+		}
+		rsp.End("ok")
+		for j, ki := range cidx {
+			o := &outs[ki]
+			if res[j].Err == nil && s.cfg.Verify(o.key, res[j].Value) == nil &&
+				overlay.CopyLeaf(o.key, res[j].Value, true) == o.best {
+				o.states[name] = copyCanonical
 			}
 		}
 	}
@@ -912,70 +881,68 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 	// carrying every condemned or missing copy it needs, instead of one
 	// StoreTo per copy. Push outcomes are recorded per key and re-sorted
 	// into (key, replica) order so event emission matches the per-key path.
-	if s.cfg.Repair && s.brepair != nil {
-		type pushRec struct {
-			ki, ri int
-			ok     bool
-		}
-		var recs []pushRec
-		for ri, name := range g.replicas {
-			var kis []int
-			for ki := range g.keys {
-				o := &outs[ki]
-				if !o.found {
-					continue
-				}
-				if st := o.states[name]; st == copyCondemned || st == copyMissing {
-					kis = append(kis, ki)
-				}
-			}
-			if len(kis) == 0 {
+	type pushRec struct {
+		ki, ri int
+		ok     bool
+	}
+	var recs []pushRec
+	for ri, name := range g.replicas {
+		var kis []int
+		for ki := range g.keys {
+			o := &outs[ki]
+			if !o.found {
 				continue
 			}
-			rkeys := make([]string, len(kis))
-			rvals := make([][]byte, len(kis))
-			for j, ki := range kis {
-				rkeys[j] = g.keys[ki]
-				rvals[j] = outs[ki].canonical
+			if st := o.states[name]; st == copyCondemned || st == copyMissing {
+				kis = append(kis, ki)
 			}
-			psp := gsp.Child("repair")
-			psp.Tag("to", name)
-			psp.Tag("keys", strconv.Itoa(len(kis)))
-			errs, st, err := s.brepair.StoreBatchTo(s.cfg.Origin, rkeys, rvals, name)
-			r.stats.Add(st)
-			r.batchRPCs++
-			r.batchMsgs += st.Messages
-			r.repairBatches++
-			if len(kis) > 1 {
-				r.coalesced += len(kis)
-			}
-			psp.AddLatency(st.Latency)
-			if err != nil {
-				psp.End("error")
+		}
+		if len(kis) == 0 {
+			continue
+		}
+		rkeys := make([]string, len(kis))
+		rvals := make([][]byte, len(kis))
+		for j, ki := range kis {
+			rkeys[j] = g.keys[ki]
+			rvals[j] = outs[ki].canonical
+		}
+		psp := gsp.Child("repair")
+		psp.Tag("to", name)
+		psp.Tag("keys", strconv.Itoa(len(kis)))
+		errs, st, err := s.brepair.StoreBatchTo(s.cfg.Origin, rkeys, rvals, name)
+		r.stats.Add(st)
+		r.batchRPCs++
+		r.batchMsgs += st.Messages
+		r.repairBatches++
+		if len(kis) > 1 {
+			r.coalesced += len(kis)
+		}
+		psp.AddLatency(st.Latency)
+		if err != nil {
+			psp.End("error")
+		} else {
+			psp.End("ok")
+		}
+		for j, ki := range kis {
+			ok := err == nil && errs[j] == nil
+			if ok {
+				r.repaired++
 			} else {
-				psp.End("ok")
+				r.unrepair++
 			}
-			for j, ki := range kis {
-				ok := err == nil && errs[j] == nil
-				if ok {
-					r.repaired++
-				} else {
-					r.unrepair++
-				}
-				recs = append(recs, pushRec{ki: ki, ri: ri, ok: ok})
-			}
+			recs = append(recs, pushRec{ki: ki, ri: ri, ok: ok})
 		}
-		sort.Slice(recs, func(a, b int) bool {
-			if recs[a].ki != recs[b].ki {
-				return recs[a].ki < recs[b].ki
-			}
-			return recs[a].ri < recs[b].ri
+	}
+	sort.Slice(recs, func(a, b int) bool {
+		if recs[a].ki != recs[b].ki {
+			return recs[a].ki < recs[b].ki
+		}
+		return recs[a].ri < recs[b].ri
+	})
+	for _, rec := range recs {
+		r.pushes = append(r.pushes, repairPush{
+			key: g.keys[rec.ki], to: g.replicas[rec.ri], ok: rec.ok,
 		})
-		for _, rec := range recs {
-			r.pushes = append(r.pushes, repairPush{
-				key: g.keys[rec.ki], to: g.replicas[rec.ri], ok: rec.ok,
-			})
-		}
 	}
 	r.outcomes = outs
 }
@@ -992,7 +959,7 @@ func anyDivergent(o *keyOutcome) bool {
 
 // scrubKey fetches every replica's copy of one key, verifies them, and
 // elects the canonical value (electKey). Condemnations are
-// recheck-confirmed when configured.
+// recheck-confirmed.
 func (s *Scrubber) scrubKey(gsp *telemetry.Span, key string, replicas []string, stats *overlay.OpStats) keyOutcome {
 	o := keyOutcome{key: key, states: make(map[string]copyState, len(replicas))}
 	vsp := gsp.Child("verify")
@@ -1020,17 +987,15 @@ func (s *Scrubber) scrubKey(gsp *telemetry.Span, key string, replicas []string, 
 
 	// Recheck: condemned copies are re-fetched once before the verdict
 	// stands, so a one-off wire corruption is not blamed on the node.
-	if s.cfg.Recheck {
-		for _, name := range replicas {
-			if o.states[name] != copyCondemned {
-				continue
-			}
-			v, st, err := s.kv.LookupFrom(s.cfg.Origin, key, name)
-			stats.Add(st)
-			vsp.AddLatency(st.Latency)
-			if err == nil && s.cfg.Verify(key, v) == nil && overlay.CopyLeaf(key, v, true) == o.best {
-				o.states[name] = copyCanonical
-			}
+	for _, name := range replicas {
+		if o.states[name] != copyCondemned {
+			continue
+		}
+		v, st, err := s.kv.LookupFrom(s.cfg.Origin, key, name)
+		stats.Add(st)
+		vsp.AddLatency(st.Latency)
+		if err == nil && s.cfg.Verify(key, v) == nil && overlay.CopyLeaf(key, v, true) == o.best {
+			o.states[name] = copyCanonical
 		}
 	}
 	if anyDivergent(&o) {
@@ -1043,7 +1008,7 @@ func (s *Scrubber) scrubKey(gsp *telemetry.Span, key string, replicas []string, 
 
 // repairKey pushes the canonical value over condemned and missing copies.
 func (s *Scrubber) repairKey(gsp *telemetry.Span, o *keyOutcome, replicas []string, r *groupResult) {
-	if !s.cfg.Repair || s.repair == nil {
+	if s.repair == nil {
 		return
 	}
 	for _, name := range replicas {

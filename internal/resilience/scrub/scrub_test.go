@@ -69,7 +69,7 @@ func TestScrubCleanStateTakesDigestFastPath(t *testing.T) {
 	if rep.DigestClean != rep.Groups || rep.Groups == 0 {
 		t.Fatalf("DigestClean = %d of %d groups; clean state must short-circuit every group", rep.DigestClean, rep.Groups)
 	}
-	if rep.KeysCompared != 0 || rep.Repaired != 0 || rep.CorruptCopies != 0 || rep.Failed != 0 {
+	if rep.KeysCompared != 0 || rep.RepairedWrites != 0 || rep.CorruptCopies != 0 || rep.Failed != 0 {
 		t.Fatalf("clean state did work: %+v", rep)
 	}
 	// The pass fingerprint is deterministic.
@@ -103,8 +103,8 @@ func TestScrubDetectsAndRepairsStoredBitRot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
-	if rep.CorruptCopies != 1 || rep.Repaired != 1 || rep.DivergentKeys != 1 {
-		t.Fatalf("corrupt=%d repaired=%d divergent=%d, want 1/1/1", rep.CorruptCopies, rep.Repaired, rep.DivergentKeys)
+	if rep.CorruptCopies != 1 || rep.RepairedWrites != 1 || rep.DivergentKeys != 1 {
+		t.Fatalf("corrupt=%d repaired=%d divergent=%d, want 1/1/1", rep.CorruptCopies, rep.RepairedWrites, rep.DivergentKeys)
 	}
 	if len(verdicts) != 1 || verdicts[0] != victim {
 		t.Fatalf("verdicts = %v, want exactly [%s]", verdicts, victim)
@@ -139,8 +139,8 @@ func TestScrubOverwritesDivergentValidReplica(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
-	if rep.CorruptCopies != 1 || rep.Repaired != 1 {
-		t.Fatalf("corrupt=%d repaired=%d, want 1/1", rep.CorruptCopies, rep.Repaired)
+	if rep.CorruptCopies != 1 || rep.RepairedWrites != 1 {
+		t.Fatalf("corrupt=%d repaired=%d, want 1/1", rep.CorruptCopies, rep.RepairedWrites)
 	}
 	v, _, err := f.d.LookupFrom(f.client, key, victim)
 	if err != nil || bytes.Equal(v, stale) {
@@ -164,8 +164,8 @@ func TestScrubRestoresCopiesLostToCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
-	if rep.MissingCopies == 0 || rep.Repaired < rep.MissingCopies {
-		t.Fatalf("missing=%d repaired=%d; crash losses not restored", rep.MissingCopies, rep.Repaired)
+	if rep.MissingCopies == 0 || rep.RepairedWrites < rep.MissingCopies {
+		t.Fatalf("missing=%d repaired=%d; crash losses not restored", rep.MissingCopies, rep.RepairedWrites)
 	}
 	rep2, err := s.Scrub(f.keys)
 	if err != nil {
@@ -240,8 +240,8 @@ func TestScrubWorkersProduceIdenticalReports(t *testing.T) {
 	}
 	r1, v1 := run(1)
 	r4, v4 := run(4)
-	if r1.CorruptCopies != 3 || r1.Repaired != 3 {
-		t.Fatalf("serial pass: corrupt=%d repaired=%d, want 3/3", r1.CorruptCopies, r1.Repaired)
+	if r1.CorruptCopies != 3 || r1.RepairedWrites != 3 {
+		t.Fatalf("serial pass: corrupt=%d repaired=%d, want 3/3", r1.CorruptCopies, r1.RepairedWrites)
 	}
 	if !reflect.DeepEqual(r1, r4) {
 		t.Fatalf("reports diverge across worker counts:\n  1: %+v\n  4: %+v", r1, r4)
@@ -268,8 +268,8 @@ func TestScrubEmptyAndUnknownKeys(t *testing.T) {
 	if rep.KeysScanned != 1 {
 		t.Fatalf("KeysScanned = %d", rep.KeysScanned)
 	}
-	if rep.Repaired != 0 {
-		t.Fatalf("repaired %d copies of a key that never existed", rep.Repaired)
+	if rep.RepairedWrites != 0 {
+		t.Fatalf("repaired %d copies of a key that never existed", rep.RepairedWrites)
 	}
 }
 
@@ -324,7 +324,7 @@ func TestScrubNonceCatchesDigestReplayWithinOnePass(t *testing.T) {
 	if rep2.KeysCompared != 1 || rep2.CorruptCopies != 1 {
 		t.Fatalf("drill-down did not condemn the rotten copy: %+v", rep2)
 	}
-	if rep2.RepairedWrites != 1 || rep2.Repaired != 1 {
+	if rep2.RepairedWrites != 1 {
 		t.Fatalf("rotten copy not repaired within the pass: %+v", rep2)
 	}
 	if len(condemned) != 1 || condemned[0] != replayer {
@@ -367,9 +367,6 @@ func TestScrubReportSplitsRepairAccounting(t *testing.T) {
 	}
 	if rep.UnreachableHolders == 0 {
 		t.Fatalf("offline replica not counted unreachable: %+v", rep)
-	}
-	if rep.Repaired != rep.RepairedWrites || rep.Unrepairable != rep.RepairWriteFailures {
-		t.Fatalf("view fields diverge from split counters: %+v", rep)
 	}
 }
 

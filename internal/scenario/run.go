@@ -33,7 +33,7 @@ import (
 // DeepEqual, including the telemetry snapshot and the per-read latency
 // sequence. Reads stay worker-independent because the resilience layer
 // fetches replicas serially in health-ranked order and the runtime pins the
-// DHT to serial fan-out.
+// DHT's batch groups serial (FanoutWorkers 1).
 
 // RunConfig parameterizes one execution of a scenario.
 type RunConfig struct {
@@ -340,8 +340,8 @@ func Run(sc *Scenario, rc RunConfig) (*Result, error) {
 	net.SetTelemetry(reg)
 	d, err := dht.New(net, names, dht.Config{
 		ReplicationFactor: sc.Replication,
-		// Serial replica fan-out: concurrent fan-out on a lossy network
-		// makes seeded drop assignment scheduling-dependent.
+		// Serial batch groups: concurrent groups on a lossy network make
+		// seeded drop assignment scheduling-dependent.
 		FanoutWorkers: 1,
 		NodeGate: load.GateConfig{
 			PerTick:     sc.GatePerTick,

@@ -19,8 +19,8 @@
 // scenario seed — no wall clock, no crypto/rand in any counted result.
 // Run-twice must DeepEqual, and the privacy re-encryption worker count
 // (RunConfig.Workers) must not change a single result field. The runtime
-// pins the DHT to serial replica fan-out: concurrent fan-out on a lossy
-// network makes the assignment of seeded drops scheduling-dependent (see
+// pins the DHT's batch groups serial: concurrent groups on a lossy network
+// make the assignment of seeded drops scheduling-dependent (see
 // dht.Config.FanoutWorkers), which would break replay.
 package scenario
 

@@ -29,15 +29,6 @@ type envelopeKeyCache struct {
 // preserves the exact uncached decrypt behavior.
 func (c *envelopeKeyCache) SetKeyCache(cfg cache.Config) {
 	c.keyCache = cache.New[[]byte](cfg)
-	// Unwrapped keys are small; the cache key (reader + epoch/tag) often
-	// dominates — charge both against any shared byte budget.
-	c.keyCache.SetSizer(func(key string, val []byte) int { return len(key) + len(val) })
-}
-
-// TickKeyCache advances the envelope-key cache's logical TTL clock one step
-// (no-op without a cache or without Config.TTLTicks).
-func (c *envelopeKeyCache) TickKeyCache() {
-	c.keyCache.Tick()
 }
 
 // KeyCacheStats returns the cache's counters (zero when disabled).

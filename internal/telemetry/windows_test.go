@@ -184,50 +184,3 @@ func TestWindowsNilSafe(t *testing.T) {
 		t.Fatal("nil collector snapshot should be empty")
 	}
 }
-
-func TestWindowsSamplerInteraction(t *testing.T) {
-	// A sampler feeding the same registry must not perturb window deltas of
-	// unrelated instruments, and its own counters land in the window where
-	// the sampled root was recorded.
-	reg := NewRegistry()
-	s := NewSampler(Config{SampleEvery: 2})
-	s.SetTelemetry(reg)
-	c := reg.Counter("ops_total")
-	w := NewWindows(reg, WindowsConfig{Width: 1})
-
-	c.Inc()
-	s.Root("lookup") // sampled (1st)
-	s.Root("lookup") // skipped (every 2nd)
-	w.Tick()
-	c.Inc()
-	w.Tick()
-
-	snap := w.Snapshot()
-	if len(snap.Windows) != 2 {
-		t.Fatalf("windows = %d, want 2", len(snap.Windows))
-	}
-	w0 := snap.Windows[0]
-	var sampled, skipped, ops int64
-	for _, cv := range w0.Counters {
-		switch cv.Name {
-		case "ops_total":
-			ops = cv.Value
-		case "telemetry_spans_sampled_total":
-			sampled = cv.Value
-		case "telemetry_spans_skipped_total":
-			skipped = cv.Value
-		}
-	}
-	if ops != 1 {
-		t.Fatalf("window 0 ops delta = %d, want 1", ops)
-	}
-	if sampled+skipped != 2 {
-		t.Fatalf("window 0 sampler accounting = %d sampled + %d skipped, want 2 total", sampled, skipped)
-	}
-	// Window 1 saw no sampler activity: only ops_total moves.
-	for _, cv := range snap.Windows[1].Counters {
-		if cv.Name != "ops_total" {
-			t.Fatalf("window 1 unexpected counter delta %s", cv.Name)
-		}
-	}
-}
