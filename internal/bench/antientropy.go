@@ -9,6 +9,7 @@ import (
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
 	"godosn/internal/resilience/scrub"
+	"godosn/internal/stack"
 )
 
 // E26BatchedAntiEntropy measures the maintenance plane's batched RPC paths
@@ -124,16 +125,19 @@ type e26Result struct {
 func runE26Arm(perKeyArm bool, workers, peers, keys int) (e26Result, error) {
 	const seed = int64(2601)
 	res := e26Result{}
-	net := simnet.New(simnet.DefaultConfig(seed))
-	names := make([]simnet.NodeID, peers)
-	for i := range names {
-		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
-	}
-	d, err := dht.New(net, names, dht.Config{ReplicationFactor: 3, PerKeyHeal: perKeyArm})
+	scfg := scrub.DefaultConfig("")
+	scfg.PerKey = perKeyArm
+	scfg.Workers = workers
+	st, err := stack.Build(stack.Spec{
+		Names: benchNames(peers),
+		Net:   simnet.DefaultConfig(seed),
+		DHT:   dht.Config{ReplicationFactor: 3, PerKeyHeal: perKeyArm},
+		Scrub: &scfg,
+	})
 	if err != nil {
 		return res, err
 	}
-	client := string(names[0])
+	net, d, names, client := st.Net, st.DHT, st.Names, st.Client
 
 	allKeys := make([]string, keys)
 	for i := range allKeys {
@@ -195,10 +199,7 @@ func runE26Arm(perKeyArm bool, workers, peers, keys int) (e26Result, error) {
 		groups[gi].Keys = append(groups[gi].Keys, key)
 	}
 
-	cfg := scrub.DefaultConfig(client)
-	cfg.PerKey = perKeyArm
-	cfg.Workers = workers
-	rep, err := scrub.New(d, cfg).ScrubResolved(groups)
+	rep, err := st.Scrub.ScrubResolved(groups)
 	if err != nil {
 		return res, fmt.Errorf("bench: e26 scrub: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"godosn/internal/cache"
@@ -18,6 +17,7 @@ import (
 	"godosn/internal/resilience/scrub"
 	"godosn/internal/social/identity"
 	"godosn/internal/social/privacy"
+	"godosn/internal/stack"
 	"godosn/internal/workload"
 )
 
@@ -160,23 +160,22 @@ type e21Result struct {
 func runE21Arm(cached bool, peers, keys, ops int) (e21Result, error) {
 	const seed = int64(2117)
 	res := e21Result{}
-	net := simnet.New(simnet.DefaultConfig(seed))
-	names := make([]simnet.NodeID, peers)
-	for i := range names {
-		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
-	}
 	dcfg := dht.Config{ReplicationFactor: 3}
 	rcfg := resilience.DefaultConfig(seed)
 	if cached {
 		dcfg.RouteCache = cache.Config{Capacity: 4 * peers, Shards: 8, Seed: seed}
 		rcfg.Cache = cache.Config{Capacity: 2 * keys, Shards: 8, Seed: seed}
 	}
-	d, err := dht.New(net, names, dcfg)
+	st, err := stack.Build(stack.Spec{
+		Names:      benchNames(peers),
+		Net:        simnet.DefaultConfig(seed),
+		DHT:        dcfg,
+		Resilience: &rcfg,
+	})
 	if err != nil {
 		return res, err
 	}
-	kv := resilience.Wrap(d, rcfg)
-	client := string(names[0])
+	kv, client := st.KV, st.Client
 
 	expected := make(map[string][]byte, keys)
 	for i := 0; i < keys; i++ {
@@ -227,7 +226,7 @@ func runE21Arm(cached bool, peers, keys, ops int) (e21Result, error) {
 	res.msgPerOp = float64(total.Messages) / float64(ops)
 	res.latPerOp = float64(total.Latency) / float64(ops) / float64(time.Millisecond)
 	res.digest = hex.EncodeToString(h.Sum(nil))
-	res.routeStats = d.RouteCacheStats()
+	res.routeStats = st.DHT.RouteCacheStats()
 	res.valueStats = kv.ValueCacheStats()
 	return res, nil
 }
@@ -241,19 +240,13 @@ type e21Fault struct {
 // runE21FaultArm re-runs the E17/E19 conditions — loss, churn, a 100%-rate
 // bit-flipping Byzantine responder, and seeded stored bit rot — through the
 // full protected stack (record verification, scrubbing, quarantine), with
-// or without the read caches. The scrubber's invalidator and the breaker's
-// quarantine hook are the coherence paths under test.
+// or without the read caches. The scrubber's value-cache invalidator and
+// the breaker's quarantine hook are the coherence paths under test.
 func runE21FaultArm(cached bool, quick bool) (e21Fault, error) {
 	const seed = int64(2119)
 	peers, keys, ops, scrubEvery, rotEvery := 60, 40, 200, 25, 10
 	if quick {
 		peers, keys, ops, scrubEvery, rotEvery = 40, 20, 80, 20, 8
-	}
-	res := e21Fault{}
-	net := simnet.New(simnet.DefaultConfig(seed))
-	names := make([]simnet.NodeID, peers)
-	for i := range names {
-		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
 	}
 	dcfg := dht.Config{ReplicationFactor: 3}
 	rcfg := resilience.DefaultConfig(seed)
@@ -262,91 +255,27 @@ func runE21FaultArm(cached bool, quick bool) (e21Fault, error) {
 		dcfg.RouteCache = cache.Config{Capacity: 4 * peers, Shards: 8, Seed: seed}
 		rcfg.Cache = cache.Config{Capacity: 2 * keys, Shards: 8, Seed: seed}
 	}
-	d, err := dht.New(net, names, dcfg)
-	if err != nil {
-		return res, err
-	}
-	kv := resilience.Wrap(d, rcfg)
-	client := string(names[0])
-
-	scr := scrub.New(d, scrub.DefaultConfig(client))
-	scr.SetVerdict(func(node string, ok bool) {
-		if ok {
-			kv.Breaker().Report(node, true)
-		} else {
-			kv.Breaker().ReportCorrupt(node)
-		}
-	})
-	// The coherence path under test: a scrub verdict against a key drops its
-	// cached value so the next read re-verifies the repaired state.
-	scr.SetInvalidator(kv.InvalidateValue)
-
-	allKeys := make([]string, keys)
-	expected := make(map[string][]byte, keys)
-	for i := range allKeys {
-		key := fmt.Sprintf("k%d", i)
-		allKeys[i] = key
-		rec := scrub.Seal(key, []byte(fmt.Sprintf("post-%d", i)))
-		expected[key] = rec
-		if _, err := kv.Store(client, key, rec); err != nil {
-			return res, fmt.Errorf("bench: e21 fault store: %w", err)
-		}
-	}
-
-	net.SetLossRate(0.10)
-	sched, err := simnet.NewFaultSchedule(net, names[1:], simnet.ChurnConfig{
-		Seed: seed, Uptime: 0.7, MeanOnline: 20,
+	scfg := scrub.DefaultConfig("")
+	st, err := stack.Build(stack.Spec{
+		Names:      benchNames(peers),
+		Net:        simnet.DefaultConfig(seed),
+		DHT:        dcfg,
+		Resilience: &rcfg,
+		Scrub:      &scfg,
+		Verdicts:   true,
 	})
 	if err != nil {
-		return res, err
+		return e21Fault{}, err
 	}
-	defer sched.Restore()
-	if err := net.SetByzantine(names[peers/2], simnet.ByzantineConfig{Mode: simnet.ByzBitFlip, Rate: 1, Seed: seed}); err != nil {
-		return res, err
+	run, err := soak{
+		name: "e21 fault", seed: seed, keys: keys, ops: ops,
+		loss: 0.10, uptime: 0.7, byz: []byzFault{{peers / 2, simnet.ByzBitFlip, 1}},
+		rotEvery: rotEvery, rotSalt: 0x5ca1ab1e, scrubEvery: scrubEvery,
+	}.run(st)
+	if err != nil {
+		return e21Fault{}, err
 	}
-	rotRng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
-
-	ok := 0
-	for i := 0; i < ops; i++ {
-		sched.Tick()
-		if i%rotEvery == 0 {
-			key := allKeys[rotRng.Intn(len(allKeys))]
-			pick := rotRng.Intn(peers)
-			pos := rotRng.Intn(1 << 16)
-			var holders []string
-			for _, nm := range names {
-				if d.Holds(string(nm), key) {
-					holders = append(holders, string(nm))
-				}
-			}
-			if len(holders) > 0 {
-				d.CorruptStored(holders[pick%len(holders)], key, func(b []byte) []byte {
-					if len(b) > 0 {
-						b[pos%len(b)] ^= 0x01
-					}
-					return b
-				})
-			}
-		}
-		if _, err := kv.Heal(); err != nil {
-			return res, err
-		}
-		if i%scrubEvery == scrubEvery-1 {
-			if _, err := scr.Scrub(allKeys); err != nil {
-				return res, err
-			}
-		}
-		key := allKeys[i%len(allKeys)]
-		v, _, err := kv.Lookup(client, key)
-		if err == nil {
-			ok++
-			if !bytes.Equal(v, expected[key]) {
-				res.surfaced++
-			}
-		}
-	}
-	res.okRate = float64(ok) / float64(ops)
-	return res, nil
+	return e21Fault{okRate: run.okRate(ops), surfaced: run.surfaced}, nil
 }
 
 // e21Revoke is the mid-stream revocation probe's outcome.

@@ -11,6 +11,7 @@ import (
 	"godosn/internal/overlay/simnet"
 	"godosn/internal/resilience"
 	"godosn/internal/resilience/load"
+	"godosn/internal/stack"
 	"godosn/internal/telemetry"
 )
 
@@ -226,25 +227,12 @@ func runE22Arm(mode e22Mode, workers, ticks int) (e22Arm, error) {
 	arm := e22Arm{}
 	perTick := int(e22HotFactor*float64(e22Capacity) + 0.5)
 
-	// Lossless and jitter-free: the capacity model is the only source of
-	// delay variation, and the simnet draws no randomness per message.
-	net := simnet.New(simnet.Config{Seed: seed, BaseLatency: 10 * time.Millisecond})
-	reg := telemetry.NewRegistry()
-	net.SetTelemetry(reg)
-	names := make([]simnet.NodeID, peers)
-	for i := range names {
-		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
-	}
 	// The route cache keeps resolution off the hot node after the first
 	// lookup: the flash crowd contends on data fetches, not on routing.
 	dcfg := dht.Config{
 		ReplicationFactor: 3,
 		FanoutWorkers:     workers,
 		RouteCache:        cache.Config{Capacity: 64, Shards: 1, Seed: seed},
-	}
-	d, err := dht.New(net, names, dcfg)
-	if err != nil {
-		return arm, err
 	}
 	rcfg := resilience.DefaultConfig(seed)
 	// No value cache in any arm: repeat reads of the hot key must hit the
@@ -254,11 +242,23 @@ func runE22Arm(mode e22Mode, workers, ticks int) (e22Arm, error) {
 		rcfg.Health = load.DefaultTrackerConfig()
 		rcfg.Admission = load.GateConfig{PerTick: perTick, QueueDepth: 0}
 	}
-	kv := resilience.Wrap(d, rcfg)
-	kv.SetTelemetry(reg)
+	reg := telemetry.NewRegistry()
+	st, err := stack.Build(stack.Spec{
+		Names: benchNames(peers),
+		// Lossless and jitter-free: the capacity model is the only source of
+		// delay variation, and the simnet draws no randomness per message.
+		Net:        simnet.Config{Seed: seed, BaseLatency: 10 * time.Millisecond},
+		DHT:        dcfg,
+		Resilience: &rcfg,
+		Registry:   reg,
+	})
+	if err != nil {
+		return arm, err
+	}
+	net, d, kv, names := st.Net, st.DHT, st.KV, st.Names
 
 	const hotKey = "celebrity-profile"
-	seedClient := string(names[0])
+	seedClient := st.Client
 	if _, err := kv.Store(seedClient, hotKey, []byte("celebrity-post")); err != nil {
 		return arm, fmt.Errorf("bench: e22 store: %w", err)
 	}

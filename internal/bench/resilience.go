@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"godosn/internal/overlay"
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
 	"godosn/internal/resilience"
+	"godosn/internal/stack"
 )
 
 // E17Resilience measures what the recovery layer buys: the same DHT, the
@@ -66,58 +66,25 @@ func E17Resilience(quick bool) (*Table, error) {
 // operation.
 func runE17Cell(loss, uptime float64, peers, keys, ops, replicas int, resilient bool) (float64, float64, float64, error) {
 	seed := int64(911) + int64(loss*1000) + int64(uptime*10)
-	net := simnet.New(simnet.DefaultConfig(seed))
-	names := make([]simnet.NodeID, peers)
-	for i := range names {
-		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
+	spec := stack.Spec{
+		Names: benchNames(peers),
+		Net:   simnet.DefaultConfig(seed),
+		DHT:   dht.Config{ReplicationFactor: replicas},
 	}
-	d, err := dht.New(net, names, dht.Config{ReplicationFactor: replicas})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var kv overlay.KV = d
-	var rkv *resilience.KV
 	if resilient {
-		rkv = resilience.Wrap(d, resilience.DefaultConfig(seed))
-		kv = rkv
+		rcfg := resilience.DefaultConfig(seed)
+		spec.Resilience = &rcfg
 	}
-	// Populate on a healthy network: the sweep isolates read-path recovery.
-	client := string(names[0])
-	for i := 0; i < keys; i++ {
-		if _, err := kv.Store(client, fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-			return 0, 0, 0, fmt.Errorf("bench: e17 store: %w", err)
-		}
-	}
-	// Fault injection: loss from now on, churn over everyone but the client.
-	net.SetLossRate(loss)
-	sched, err := simnet.NewFaultSchedule(net, names[1:], simnet.ChurnConfig{
-		Seed: seed, Uptime: uptime, MeanOnline: 20,
-	})
+	st, err := stack.Build(spec)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	defer sched.Restore()
-
-	var (
-		success int
-		total   overlay.OpStats
-	)
-	for i := 0; i < ops; i++ {
-		sched.Tick()
-		if resilient {
-			report, err := rkv.Heal()
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			total.Add(report.Stats)
-		}
-		_, st, err := kv.Lookup(client, fmt.Sprintf("k%d", i%keys))
-		total.Add(st)
-		if err == nil {
-			success++
-		}
+	// Loss from the first lookup on, churn over everyone but the client; no
+	// rot and no scrubber — the sweep isolates read-path recovery.
+	res, err := soak{name: "e17", seed: seed, keys: keys, ops: ops, loss: loss, uptime: uptime}.run(st)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	msgPerOp := float64(total.Messages) / float64(ops)
-	latPerOp := float64(total.Latency) / float64(ops) / float64(time.Millisecond)
-	return float64(success) / float64(ops), msgPerOp, latPerOp, nil
+	latPerOp := float64(res.total.Latency) / float64(ops) / float64(time.Millisecond)
+	return res.okRate(ops), res.msgPerOp(ops), latPerOp, nil
 }

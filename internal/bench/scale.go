@@ -14,6 +14,7 @@ import (
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
 	"godosn/internal/resilience"
+	"godosn/internal/stack"
 	"godosn/internal/telemetry"
 	"godosn/internal/workload"
 )
@@ -225,33 +226,32 @@ func runE23Arm(users, ops, batch, workers int, batched, measure bool) (e23Stats,
 	}
 	s := e23Stats{Users: users, Ops: ops}
 
-	// Lossless and jitter-free: no retries fire, so the seeded retry RNG is
-	// never drawn and the counted costs are schedule-independent.
-	net := simnet.New(simnet.Config{Seed: seed, BaseLatency: 10 * time.Millisecond})
+	// No value cache in either arm: repeat reads must hit the network, or
+	// the comparison would measure the cache (E21's subject), not the
+	// transport.
+	rcfg := resilience.DefaultConfig(seed)
 	reg := telemetry.NewRegistry()
-	net.SetTelemetry(reg)
-	names := make([]simnet.NodeID, peers)
-	for i := range names {
-		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
-	}
-	d, err := dht.New(net, names, dht.Config{
-		ReplicationFactor: 3,
-		FanoutWorkers:     workers,
-		RouteCache:        cache.Config{Capacity: 4096, Shards: 1, Seed: seed},
+	st, err := stack.Build(stack.Spec{
+		Names: benchNames(peers),
+		// Lossless and jitter-free: no retries fire, so the seeded retry RNG
+		// is never drawn and the counted costs are schedule-independent.
+		Net: simnet.Config{Seed: seed, BaseLatency: 10 * time.Millisecond},
+		DHT: dht.Config{
+			ReplicationFactor: 3,
+			FanoutWorkers:     workers,
+			RouteCache:        cache.Config{Capacity: 4096, Shards: 1, Seed: seed},
+		},
+		Resilience: &rcfg,
+		Registry:   reg,
 	})
 	if err != nil {
 		return s, 0, nil, err
 	}
-	// No value cache in either arm: repeat reads must hit the network, or
-	// the comparison would measure the cache (E21's subject), not the
-	// transport.
-	kv := resilience.Wrap(d, resilience.DefaultConfig(seed))
-	kv.SetTelemetry(reg)
+	kv, client := st.KV, st.Client
 	stream, err := workload.NewStream(workload.StreamConfig{Users: users, Ops: ops, Seed: 23})
 	if err != nil {
 		return s, 0, nil, err
 	}
-	client := string(names[0])
 
 	digest := fnv.New64a()
 	foldRead := func(key string, val []byte, miss bool) {
@@ -423,7 +423,7 @@ func runE23Arm(users, ops, batch, workers int, batched, measure bool) (e23Stats,
 		sn := reg.Snapshot()
 		snap = &sn
 	}
-	runtime.KeepAlive(d)
+	runtime.KeepAlive(st)
 	runtime.KeepAlive(stream)
 	return s, heap, snap, nil
 }

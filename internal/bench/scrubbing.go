@@ -1,15 +1,13 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
 
-	"godosn/internal/overlay"
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
 	"godosn/internal/resilience"
 	"godosn/internal/resilience/scrub"
+	"godosn/internal/stack"
 )
 
 // E19ChaosScrub is the chaos soak for the integrity layer: the same DHT
@@ -92,7 +90,6 @@ func E19ChaosScrub(quick bool) (*Table, error) {
 
 // e19Result is one arm's outcome.
 type e19Result struct {
-	ok          int
 	okRate      float64
 	corrupted   int // replies the network corrupted (simnet counter)
 	injected    int // stored bit-rot events injected
@@ -104,141 +101,48 @@ type e19Result struct {
 }
 
 // runE19Arm runs one arm of the soak. Both arms share every seed, so they
-// face the same churn schedule and the same corruption pressure.
+// face the same churn schedule and the same corruption pressure, and both
+// heal (re-replication after churn) — the ablation isolates the integrity
+// discipline, not loss recovery.
 func runE19Arm(protected bool, peers, keys, ops, scrubEvery, rotEvery int) (e19Result, error) {
 	const seed = int64(1913)
-	res := e19Result{}
-	net := simnet.New(simnet.DefaultConfig(seed))
-	names := make([]simnet.NodeID, peers)
-	for i := range names {
-		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
+	rcfg := resilience.DefaultConfig(seed)
+	spec := stack.Spec{
+		Names:      benchNames(peers),
+		Net:        simnet.DefaultConfig(seed),
+		DHT:        dht.Config{ReplicationFactor: 3},
+		Resilience: &rcfg,
+		Verdicts:   true,
 	}
-	d, err := dht.New(net, names, dht.Config{ReplicationFactor: 3})
-	if err != nil {
-		return res, err
-	}
-	cfg := resilience.DefaultConfig(seed)
 	if protected {
-		cfg.Verify = scrub.Check
+		rcfg.Verify = scrub.Check
+		scfg := scrub.DefaultConfig("")
+		spec.Scrub = &scfg
 	} else {
-		cfg.Quarantine = false
+		rcfg.Quarantine = false
 	}
-	kv := resilience.Wrap(d, cfg)
-	client := string(names[0])
-
-	var scr *scrub.Scrubber
-	if protected {
-		scr = scrub.New(d, scrub.DefaultConfig(client))
-		scr.SetVerdict(func(node string, ok bool) {
-			if ok {
-				kv.Breaker().Report(node, true)
-			} else {
-				kv.Breaker().ReportCorrupt(node)
-			}
-		})
-	}
-
-	// Populate on a healthy network: every value a sealed record, so both
-	// arms store identical bytes and the out-of-band surfaced check is the
-	// same comparison.
-	allKeys := make([]string, keys)
-	expected := make(map[string][]byte, keys)
-	for i := range allKeys {
-		key := fmt.Sprintf("k%d", i)
-		allKeys[i] = key
-		rec := scrub.Seal(key, []byte(fmt.Sprintf("post-%d", i)))
-		expected[key] = rec
-		if _, err := kv.Store(client, key, rec); err != nil {
-			return res, fmt.Errorf("bench: e19 store: %w", err)
-		}
-	}
-
-	// Fault injection: loss + churn (the client is exempt), mixed-mode
-	// Byzantine responders at 5%, one node corrupting every reply, and
-	// periodic seeded bit rot on stored copies.
-	net.SetLossRate(0.10)
-	sched, err := simnet.NewFaultSchedule(net, names[1:], simnet.ChurnConfig{
-		Seed: seed, Uptime: 0.7, MeanOnline: 20,
-	})
+	st, err := stack.Build(spec)
 	if err != nil {
-		return res, err
+		return e19Result{}, err
 	}
-	defer sched.Restore()
-	modes := []simnet.ByzMode{simnet.ByzBitFlip, simnet.ByzTruncate, simnet.ByzReplay, simnet.ByzEquivocate}
-	for j, idx := range []int{7, 13, 19, 25} {
-		if err := net.SetByzantine(names[idx], simnet.ByzantineConfig{Mode: modes[j], Rate: 0.05, Seed: seed}); err != nil {
-			return res, err
-		}
+	// Loss + churn (the client is exempt), mixed-mode Byzantine responders,
+	// and periodic seeded bit rot on stored copies.
+	run, err := soak{
+		name: "e19", seed: seed, keys: keys, ops: ops,
+		loss: 0.10, uptime: 0.7, byz: e19Byzantine,
+		rotEvery: rotEvery, rotSalt: 0x5ca1ab1e, scrubEvery: scrubEvery,
+	}.run(st)
+	if err != nil {
+		return e19Result{}, err
 	}
-	if err := net.SetByzantine(names[31], simnet.ByzantineConfig{Mode: simnet.ByzBitFlip, Rate: 1, Seed: seed}); err != nil {
-		return res, err
-	}
-	rotRng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
-
-	var total overlay.OpStats
-	for i := 0; i < ops; i++ {
-		sched.Tick()
-
-		// Seeded bit rot: flip a byte in one stored copy of one key. All
-		// RNG draws happen unconditionally so both arms inject identically.
-		if i%rotEvery == 0 {
-			key := allKeys[rotRng.Intn(len(allKeys))]
-			pick := rotRng.Intn(peers)
-			pos := rotRng.Intn(1 << 16)
-			var holders []string
-			for _, nm := range names {
-				if d.Holds(string(nm), key) {
-					holders = append(holders, string(nm))
-				}
-			}
-			if len(holders) > 0 {
-				victim := holders[pick%len(holders)]
-				if d.CorruptStored(victim, key, func(b []byte) []byte {
-					if len(b) > 0 {
-						b[pos%len(b)] ^= 0x01
-					}
-					return b
-				}) {
-					res.injected++
-				}
-			}
-		}
-
-		// Both arms heal (re-replication after churn) — the ablation
-		// isolates the integrity discipline, not loss recovery. Note heal
-		// trusts local copies: without the scrubber it can propagate rot.
-		report, err := kv.Heal()
-		if err != nil {
-			return res, err
-		}
-		total.Add(report.Stats)
-
-		// Protected arm: periodic anti-entropy scrub pass.
-		if protected && i%scrubEvery == scrubEvery-1 {
-			rep, err := scr.Scrub(allKeys)
-			if err != nil {
-				return res, err
-			}
-			total.Add(rep.Stats)
-			res.detected += rep.CorruptCopies
-			res.repaired += rep.RepairedWrites
-		}
-
-		key := allKeys[i%len(allKeys)]
-		v, st, err := kv.Lookup(client, key)
-		total.Add(st)
-		if err == nil {
-			res.ok++
-			if !bytes.Equal(v, expected[key]) {
-				res.surfaced++
-			}
-		}
-	}
-
-	res.detected += kv.Metrics().CorruptReads
-	res.quarantined = len(kv.Breaker().QuarantinedNodes())
-	res.okRate = float64(res.ok) / float64(ops)
-	res.msgPerOp = float64(total.Messages) / float64(ops)
-	res.corrupted = net.CorruptedReplies()
-	return res, nil
+	return e19Result{
+		okRate:      run.okRate(ops),
+		corrupted:   st.Net.CorruptedReplies(),
+		injected:    run.injected,
+		surfaced:    run.surfaced,
+		detected:    run.detected + st.KV.Metrics().CorruptReads,
+		repaired:    run.repaired,
+		quarantined: len(st.KV.Breaker().QuarantinedNodes()),
+		msgPerOp:    run.msgPerOp(ops),
+	}, nil
 }

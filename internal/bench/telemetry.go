@@ -1,15 +1,14 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
 	"godosn/internal/resilience"
 	"godosn/internal/resilience/scrub"
+	"godosn/internal/stack"
 	"godosn/internal/telemetry"
 )
 
@@ -38,7 +37,6 @@ type e20Arm struct {
 	ops     int
 	latency map[string]time.Duration // phase -> simulated latency
 	spans   map[string]int           // phase -> span count
-	sample  string                   // rendered trace of one eventful lookup
 }
 
 // addTree folds one span tree's exclusive latencies into the arm.
@@ -136,134 +134,33 @@ func E20PhaseBreakdown(quick bool) (*Table, error) {
 func runE20Arm(name string, byz bool, reg *telemetry.Registry, peers, keys, ops, scrubEvery, rotEvery int) (*e20Arm, error) {
 	const seed = int64(2020)
 	arm := &e20Arm{name: name, ops: ops, latency: make(map[string]time.Duration), spans: make(map[string]int)}
-	net := simnet.New(simnet.DefaultConfig(seed))
-	net.SetTelemetry(reg)
-	names := make([]simnet.NodeID, peers)
-	for i := range names {
-		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
+	rcfg := resilience.DefaultConfig(seed)
+	spec := stack.Spec{
+		Names:      benchNames(peers),
+		Net:        simnet.DefaultConfig(seed),
+		DHT:        dht.Config{ReplicationFactor: 3},
+		Resilience: &rcfg,
+		Verdicts:   true,
+		Registry:   reg,
 	}
-	d, err := dht.New(net, names, dht.Config{ReplicationFactor: 3})
+	run := soak{
+		name: "e20", seed: seed, keys: keys, ops: ops, loss: 0.10, uptime: 0.7,
+		onSpan: arm.addTree,
+	}
+	if byz {
+		rcfg.Verify = scrub.Check
+		rcfg.ReadRepair = true
+		scfg := scrub.DefaultConfig("")
+		spec.Scrub = &scfg
+		run.byz = e19Byzantine
+		run.rotEvery, run.rotSalt, run.scrubEvery = rotEvery, 0x7e1e, scrubEvery
+	}
+	st, err := stack.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	cfg := resilience.DefaultConfig(seed)
-	if byz {
-		cfg.Verify = scrub.Check
-		cfg.ReadRepair = true
-	}
-	kv := resilience.Wrap(d, cfg)
-	kv.SetTelemetry(reg)
-	client := string(names[0])
-
-	var scr *scrub.Scrubber
-	if byz {
-		scr = scrub.New(d, scrub.DefaultConfig(client))
-		scr.SetTelemetry(reg)
-		scr.SetVerdict(func(node string, ok bool) {
-			if ok {
-				kv.Breaker().Report(node, true)
-			} else {
-				kv.Breaker().ReportCorrupt(node)
-			}
-		})
-	}
-
-	allKeys := make([]string, keys)
-	for i := range allKeys {
-		key := fmt.Sprintf("k%d", i)
-		allKeys[i] = key
-		rec := scrub.Seal(key, []byte(fmt.Sprintf("post-%d", i)))
-		sp := telemetry.NewSpan("put")
-		if _, err := kv.StoreSpan(sp, client, key, rec); err != nil {
-			return nil, fmt.Errorf("bench: e20 store: %w", err)
-		}
-		arm.addTree(sp)
-	}
-
-	net.SetLossRate(0.10)
-	sched, err := simnet.NewFaultSchedule(net, names[1:], simnet.ChurnConfig{
-		Seed: seed, Uptime: 0.7, MeanOnline: 20,
-	})
-	if err != nil {
+	if _, err := run.run(st); err != nil {
 		return nil, err
-	}
-	defer sched.Restore()
-	if byz {
-		modes := []simnet.ByzMode{simnet.ByzBitFlip, simnet.ByzTruncate, simnet.ByzReplay, simnet.ByzEquivocate}
-		for j, idx := range []int{7, 13, 19, 25} {
-			if err := net.SetByzantine(names[idx], simnet.ByzantineConfig{Mode: modes[j], Rate: 0.05, Seed: seed}); err != nil {
-				return nil, err
-			}
-		}
-		if err := net.SetByzantine(names[31], simnet.ByzantineConfig{Mode: simnet.ByzBitFlip, Rate: 1, Seed: seed}); err != nil {
-			return nil, err
-		}
-	}
-	rotRng := rand.New(rand.NewSource(seed ^ 0x7e1e))
-
-	for i := 0; i < ops; i++ {
-		sched.Tick()
-
-		if byz && i%rotEvery == 0 {
-			key := allKeys[rotRng.Intn(len(allKeys))]
-			pick := rotRng.Intn(peers)
-			pos := rotRng.Intn(1 << 16)
-			var holders []string
-			for _, nm := range names {
-				if d.Holds(string(nm), key) {
-					holders = append(holders, string(nm))
-				}
-			}
-			if len(holders) > 0 {
-				d.CorruptStored(holders[pick%len(holders)], key, func(b []byte) []byte {
-					if len(b) > 0 {
-						b[pos%len(b)] ^= 0x01
-					}
-					return b
-				})
-			}
-		}
-
-		hsp := telemetry.NewSpan("heal")
-		if _, err := kv.HealSpan(hsp); err != nil {
-			return nil, err
-		}
-		arm.addTree(hsp)
-
-		if byz && i%scrubEvery == scrubEvery-1 {
-			ssp := telemetry.NewSpan("scrub")
-			if _, err := scr.ScrubSpan(ssp, allKeys); err != nil {
-				return nil, err
-			}
-			arm.addTree(ssp)
-		}
-
-		sp := telemetry.NewSpan("get")
-		_, _, _ = kv.LookupSpan(sp, client, allKeys[i%len(allKeys)])
-		arm.addTree(sp)
-		if arm.sample == "" && eventfulTrace(sp) {
-			var buf bytes.Buffer
-			sp.Render(&buf)
-			arm.sample = buf.String()
-		}
 	}
 	return arm, nil
-}
-
-// eventfulTrace reports whether a lookup's span tree shows recovery at
-// work — a hedge, a condemned read, or a read-repair — making it worth
-// keeping as the arm's sample trace.
-func eventfulTrace(sp *telemetry.Span) bool {
-	found := false
-	sp.Walk(func(_ int, s *telemetry.Span) {
-		switch s.Name {
-		case "hedge", "read-repair":
-			found = true
-		case "verify":
-			if s.Outcome == "corruption" {
-				found = true
-			}
-		}
-	})
-	return found
 }

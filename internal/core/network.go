@@ -32,6 +32,7 @@ import (
 	"godosn/internal/social/graph"
 	"godosn/internal/social/identity"
 	"godosn/internal/social/privacy"
+	"godosn/internal/stack"
 	"godosn/internal/telemetry"
 )
 
@@ -158,7 +159,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n := &Network{
 		Registry:    identity.NewRegistry(),
 		Graph:       graph.New(),
-		Sim:         simnet.New(simnet.DefaultConfig(cfg.Seed)),
 		Telemetry:   telemetry.NewRegistry(),
 		kind:        cfg.Overlay,
 		nodes:       make(map[string]*Node),
@@ -187,21 +187,32 @@ func NewNetwork(cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("core: friendship %s-%s: %w", f.A, f.B, err)
 		}
 	}
-	kv, err := n.buildOverlay(cfg, names)
-	if err != nil {
-		return nil, err
+	spec := stack.Spec{
+		Names:    names,
+		Net:      simnet.DefaultConfig(cfg.Seed),
+		DHT:      dht.Config{ReplicationFactor: cfg.ReplicationFactor},
+		Registry: n.Telemetry,
 	}
-	n.Sim.SetTelemetry(n.Telemetry)
+	if cfg.Overlay != OverlayDHT {
+		spec.Overlay = func(net *simnet.Network, names []simnet.NodeID) (overlay.KV, error) {
+			return n.buildOverlay(cfg, net, names)
+		}
+	}
 	if cfg.Resilience != nil {
 		rcfg := *cfg.Resilience
 		if rcfg.Seed == 0 {
 			rcfg.Seed = cfg.Seed
 		}
-		rkv := resilience.Wrap(kv, rcfg)
-		rkv.SetTelemetry(n.Telemetry)
-		kv = rkv
+		spec.Resilience = &rcfg
 	}
-	n.KV = kv
+	st, err := stack.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	n.Sim, n.KV = st.Net, st.Overlay
+	if st.KV != nil {
+		n.KV = st.KV
+	}
 	for _, u := range cfg.Users {
 		if _, err := n.addUser(u); err != nil {
 			return nil, err
@@ -210,14 +221,14 @@ func NewNetwork(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-func (n *Network) buildOverlay(cfg Config, names []simnet.NodeID) (overlay.KV, error) {
+// buildOverlay constructs the non-DHT architectures on the stack's network;
+// the DHT is stack.Build's default overlay.
+func (n *Network) buildOverlay(cfg Config, net *simnet.Network, names []simnet.NodeID) (overlay.KV, error) {
 	switch cfg.Overlay {
-	case OverlayDHT:
-		return dht.New(n.Sim, names, dht.Config{ReplicationFactor: cfg.ReplicationFactor})
 	case OverlayGossip:
-		return gossip.New(n.Sim, names, gossip.DefaultConfig())
+		return gossip.New(net, names, gossip.DefaultConfig())
 	case OverlaySuperPeer:
-		return superpeer.New(n.Sim, names, superpeer.DefaultConfig())
+		return superpeer.New(net, names, superpeer.DefaultConfig())
 	case OverlayHybrid:
 		friends := make(map[simnet.NodeID][]simnet.NodeID, len(names))
 		for _, name := range names {
@@ -227,9 +238,9 @@ func (n *Network) buildOverlay(cfg Config, names []simnet.NodeID) (overlay.KV, e
 		}
 		hcfg := hybrid.DefaultConfig()
 		hcfg.DHT.ReplicationFactor = cfg.ReplicationFactor
-		return hybrid.New(n.Sim, names, friends, hcfg)
+		return hybrid.New(net, names, friends, hcfg)
 	case OverlayFederation:
-		return federation.New(n.Sim, names, federation.DefaultConfig())
+		return federation.New(net, names, federation.DefaultConfig())
 	default:
 		return nil, fmt.Errorf("core: unknown overlay kind %d", cfg.Overlay)
 	}

@@ -16,6 +16,7 @@ import (
 	"godosn/internal/resilience/scrub"
 	"godosn/internal/social/identity"
 	"godosn/internal/social/privacy"
+	"godosn/internal/stack"
 	"godosn/internal/telemetry"
 	"godosn/internal/workload"
 )
@@ -162,15 +163,6 @@ func foldStr(h uint64, s string) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// nodeNames renders the simnet population; node 0 is the client origin.
-func nodeNames(n int) []simnet.NodeID {
-	out := make([]simnet.NodeID, n)
-	for i := range out {
-		out[i] = simnet.NodeID(fmt.Sprintf("n%03d", i))
-	}
-	return out
 }
 
 // pickNodes selects the event's deterministic node subset: a seeded shuffle
@@ -335,29 +327,42 @@ func Run(sc *Scenario, rc RunConfig) (*Result, error) {
 			telemetry.A("seed", fmt.Sprintf("%d", sc.Seed)),
 			telemetry.A("workers", fmt.Sprintf("%d", workers)))
 	}
-	names := nodeNames(sc.Nodes)
-	net := simnet.New(simnet.Config{Seed: sc.Seed, BaseLatency: 10 * time.Millisecond})
-	net.SetTelemetry(reg)
-	d, err := dht.New(net, names, dht.Config{
-		ReplicationFactor: sc.Replication,
-		// Serial batch groups: concurrent groups on a lossy network make
-		// seeded drop assignment scheduling-dependent.
-		FanoutWorkers: 1,
-		NodeGate: load.GateConfig{
-			PerTick:     sc.GatePerTick,
-			QueueDepth:  sc.GateQueue,
-			WaitPerSlot: 10 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.SetTelemetry(reg)
 	kcfg := resilience.DefaultConfig(sc.Seed + 7)
 	kcfg.Verify = scrub.Check
 	kcfg.Health = load.TrackerConfig{Alpha: 0.3, HalfLife: 8}
-	kv := resilience.Wrap(d, kcfg)
-	kv.SetTelemetry(reg)
+	spec := stack.Spec{
+		Names: stack.NodeNames("n%03d", sc.Nodes), // node 0 is the client origin
+		Net:   simnet.Config{Seed: sc.Seed, BaseLatency: 10 * time.Millisecond},
+		DHT: dht.Config{
+			ReplicationFactor: sc.Replication,
+			// Serial batch groups: concurrent groups on a lossy network make
+			// seeded drop assignment scheduling-dependent.
+			FanoutWorkers: 1,
+			NodeGate: load.GateConfig{
+				PerTick:     sc.GatePerTick,
+				QueueDepth:  sc.GateQueue,
+				WaitPerSlot: 10 * time.Millisecond,
+			},
+		},
+		Resilience: &kcfg,
+		Registry:   reg,
+	}
+	if sc.SweepChunk > 0 {
+		// Continuous scrub: one budgeted sweeper tick per scenario tick over
+		// the written keyspace, planned through the DHT's network-free
+		// replica view. Scrub workers stay at 1; scrub results are
+		// worker-count independent by contract, but the scenario runtime
+		// keeps every knob that could matter pinned. Verdicts stay unwired
+		// (stack.Spec.Verdicts).
+		scfg := scrub.DefaultConfig("")
+		spec.Scrub = &scfg
+		spec.Sweep = &scrub.SweepConfig{Budget: sc.SweepBudget, ChunkKeys: sc.SweepChunk}
+	}
+	built, err := stack.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	net, d, kv := built.Net, built.DHT, built.KV
 
 	weighting := workload.WeightZipf
 	if sc.GraphWeighted {
@@ -378,32 +383,19 @@ func Run(sc *Scenario, rc RunConfig) (*Result, error) {
 		net:      net,
 		d:        d,
 		kv:       kv,
-		names:    names,
-		client:   string(names[0]),
+		names:    built.Names,
+		client:   built.Client,
 		stream:   stream,
 		res:      &Result{Digest: fnvOffset64, ServerShedsByNode: map[string]int64{}},
 		celebRng: rand.New(rand.NewSource(sc.Seed + 11)),
 		written:  make(map[string]bool),
+		sweeper:  built.Sweep,
 	}
 	if sc.Readers > 0 {
 		if err := st.setupPrivacy(workers); err != nil {
 			return nil, err
 		}
 	}
-	if sc.SweepChunk > 0 {
-		// Continuous scrub: one budgeted sweeper tick per scenario tick over
-		// the written keyspace, planned through the DHT's network-free
-		// replica view. Scrub workers stay at 1; scrub results are
-		// worker-count independent by contract, but the scenario runtime
-		// keeps every knob that could matter pinned.
-		scfg := scrub.DefaultConfig(st.client)
-		st.sweeper = scrub.NewSweeper(scrub.New(d, scfg), d, nil, scrub.SweepConfig{
-			Budget:    sc.SweepBudget,
-			ChunkKeys: sc.SweepChunk,
-		})
-		st.sweeper.SetTelemetry(reg)
-	}
-
 	events := append([]Event(nil), sc.Events...)
 	sortEvents(events)
 	st.eventsSorted = events

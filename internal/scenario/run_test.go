@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"godosn/internal/stack"
 )
 
 // chaosScenario exercises every fault family plus the privacy track in one
@@ -133,7 +135,7 @@ func TestEventSubsetsIndexIndependent(t *testing.T) {
 	// pickNodes must depend only on (seed, tick, kind): dropping other
 	// events from the schedule must not change which nodes an event hits —
 	// the property delta debugging relies on.
-	names := nodeNames(12)
+	names := stack.NodeNames("n%03d", 12)
 	e := Event{Tick: 7, Kind: KindChurn, Frac: 0.4, Dur: 3}
 	a := pickNodes(99, e, names)
 	b := pickNodes(99, e, names)
