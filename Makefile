@@ -2,45 +2,56 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race bench-harness loc bench bench-quick bench-hot bench-scrub experiments experiments-quick json-smoke telemetry-smoke lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke examples clean
+.PHONY: all ci build vet test race bench-harness bench-gate loc bench bench-quick bench-hot bench-scrub experiments experiments-quick smoke lint-print lint-wallclock examples clean
 
 all: build vet test
 
-# Full verification gate: compile, vet, tests, the race detector over the
-# concurrent paths (worker pool, simnet RPC, resilience decorator, breaker),
-# a smoke check that dosnbench -json emits a valid report, a telemetry smoke
-# check (E20 instrumented run validated against the strict v2 schema), a
-# print-hygiene lint, a short-mode chaos soak proving corruption
-# containment under loss + churn + Byzantine replies (E19's invariants fail
-# the run if the protected arm ever surfaces a corrupted read or loses
-# availability), and a cache smoke run (E21's invariants fail the run if the
-# warm arm never hits, diverges byte-wise from the cold arm, or lets a
-# revoked reader's warm cache open post-revocation content), and an
-# overload soak (E22's invariants fail the run if the load-aware arm ever
-# drops below 99% success or 3x-baseline p99 under a flash crowd, if the
-# bare arm fails to degrade, or if back-to-back runs diverge), and a scale
-# smoke (E23's invariants fail the run if batched transport saves < 3x
-# messages/op, if the two arms' read outcomes diverge byte-wise, if memory
-# grows with the streamed population, or if runs differ across repeats or
-# worker counts), and a scenario smoke (every committed chaos scenario in
-# scenarios/ replayed deterministically — run-twice and workers 1 vs 8
-# DeepEqual, calibrated invariants held, expect digest and counters exact),
-# and a window smoke (E25 guilty-window localization plus the windowed
-# replay report and the socket/OTLP sink round-trips) with a wall-clock
-# lint (no time.Now in the deterministic telemetry/scenario layers), and a
-# sweep smoke (the continuous scrub scheduler's budget, starvation,
-# priority, cursor-resume, and determinism tests plus E26's batched
-# anti-entropy invariants — >= 3x fewer maintenance messages per key than
-# the per-key baseline with byte-identical reports at workers 1 vs 8), and
-# the benchmark harness's own vet + tests (bench-harness).
-ci: build vet test race bench-harness json-smoke telemetry-smoke lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke
+# Full verification gate: compile, vet, tests, the race detector, the
+# benchmark harness's own vet + tests, the two hygiene lints, and the smoke
+# list below.
+ci: build vet test race bench-harness lint-print lint-wallclock smoke
 
-# Run the instrumented experiment (E20) with -json and re-parse the report
-# with the strict validator (unknown fields rejected): the telemetry section
-# — counters sorted, histograms internally consistent — must round-trip.
-telemetry-smoke:
-	$(GO) run ./cmd/dosnbench -quick -exp e20 -json /tmp/godosn-telemetry-ci.json >/dev/null
-	$(GO) run ./cmd/dosnbench -validate /tmp/godosn-telemetry-ci.json
+# One smoke gate: dosnbench is built once (into .smoke/, ignored), then every command in SMOKE runs
+# in order; the first failure prints that command's output and stops. Each
+# experiment enforces its own invariants in-run and exits non-zero on a
+# violation, so "it ran" is the check. What each line guards:
+#   e19        zero surfaced corruption at >= 99% availability under loss + churn + Byzantine replies
+#   e21        warm caches hit, match the cold arm byte for byte, never serve a revoked reader
+#   cache -race  the sharded cache's concurrent hammer and eviction-order determinism
+#   e22        load-aware arm >= 99% served at <= 3x baseline p99 while the bare arm degrades
+#   e23        batching saves >= 3x msg/op at digest-identical reads and flat live heap
+#   scenarios  every committed scenario: run-twice + workers 1v8 DeepEqual, invariants, pinned digest
+#   e25 + -scenario-report + window/sink tests  guilty-window localisation, the per-window table, socket/OTLP sinks
+#   TestSweep + e26  sweeper budget/starvation/priority/cursor; batched anti-entropy >= 3x cheaper, same repairs
+#   e20 -json  the instrumented report round-trips the strict v2 validator (telemetry section included)
+#   e3,e18 -json  the plain report does too
+SMOKE_OUT := .smoke
+BENCH_BIN := $(SMOKE_OUT)/dosnbench
+define SMOKE
+$(BENCH_BIN) -quick -exp e19
+$(BENCH_BIN) -quick -exp e21
+$(GO) test -race -count=1 -run 'TestCacheRaceHammer|TestCacheEvictionOrderShardedWorkers1vs8' ./internal/cache/
+$(BENCH_BIN) -quick -exp e22
+$(BENCH_BIN) -quick -exp e23
+$(BENCH_BIN) -scenario 'scenarios/*.scenario'
+$(BENCH_BIN) -quick -exp e25
+$(BENCH_BIN) -scenario scenarios/flash-crowd.scenario -scenario-report
+$(GO) test -count=1 -run 'TestWindows|TestSocketSink|TestWindowStats|TestWindowedSeries|TestLocalize|TestReplayLocalizes|TestTraceSink' ./internal/telemetry/ ./internal/scenario/
+$(GO) test -count=1 -run 'TestSweep' ./internal/resilience/scrub/
+$(BENCH_BIN) -quick -exp e26
+$(BENCH_BIN) -quick -exp e20 -json $(SMOKE_OUT)/telemetry.json
+$(BENCH_BIN) -validate $(SMOKE_OUT)/telemetry.json
+$(BENCH_BIN) -quick -exp e3,e18 -json $(SMOKE_OUT)/report.json
+$(BENCH_BIN) -validate $(SMOKE_OUT)/report.json
+endef
+export SMOKE
+
+smoke:
+	$(GO) build -o $(BENCH_BIN) ./cmd/dosnbench
+	@echo "$$SMOKE" | while IFS= read -r cmd; do \
+		echo "smoke: $$cmd"; \
+		out=$$(sh -c "$$cmd" 2>&1) || { echo "$$out"; echo "smoke: FAILED: $$cmd"; exit 1; }; \
+	done
 
 # Library code reports through the telemetry registry (or t.Log in tests),
 # never stdout; only the bench harness renders tables. Fails on any
@@ -53,71 +64,6 @@ lint-print:
 		exit 1; \
 	fi
 
-# Short-mode chaos soak: E19 quick arm under combined loss, churn, and
-# Byzantine reply corruption. The experiment enforces its own invariants
-# and exits non-zero if the integrity layer ever lets corruption through.
-chaos-soak:
-	$(GO) run ./cmd/dosnbench -quick -exp e19 >/dev/null
-
-# Cache smoke: E21 quick arms (cold vs warm, fault soak, revocation probe)
-# — the experiment asserts hit rate > 0, byte-identical arms, the ≥2x warm
-# speedup, and revoked-reader denial — plus the sharded cache's concurrent
-# hammer under the race detector.
-cache-smoke:
-	$(GO) run ./cmd/dosnbench -quick -exp e21 >/dev/null
-	$(GO) test -race -run 'TestCacheRaceHammer|TestCacheEvictionOrderShardedWorkers1vs8' -count=1 ./internal/cache/
-
-# Overload soak: E22 quick flash crowd (one replica at 5x capacity). The
-# experiment enforces its own invariants in-run — load-aware arm >= 99%
-# served with bounded p99, bare arm demonstrably collapsing, shed/queue
-# evidence present in telemetry, DeepEqual determinism at workers 1 and 8
-# — and exits non-zero on any violation.
-overload-soak:
-	$(GO) run ./cmd/dosnbench -quick -exp e22 >/dev/null
-
-# Scale smoke: E23 quick streaming sweep (10k -> 100k users, same action
-# stream through sequential and batched transport). The experiment enforces
-# its own invariants in-run — >= 3x messages/op saved by batching, digest-
-# identical read outcomes between arms, flat live heap across the 10x user
-# growth, zero batch-key rescues on the lossless network, DeepEqual
-# determinism back to back and at FanoutWorkers 1 vs 8 — and exits non-zero
-# on any violation. The full (non-quick) run adds the in-harness 1M-user
-# point.
-scale-smoke:
-	$(GO) run ./cmd/dosnbench -quick -exp e23 >/dev/null
-
-# Scenario smoke: replay the committed chaos-scenario library. Each file is
-# run twice at workers 1 and once at workers 8 (DeepEqual all three),
-# checked against its calibrated invariants, and pinned to its recorded
-# digest and counters; any drift fails the gate.
-scenario-smoke:
-	$(GO) run ./cmd/dosnbench -scenario 'scenarios/*.scenario' >/dev/null
-
-# Window smoke: the tick-windowed telemetry stack end to end. E25 injects a
-# mid-run byzantine fault into the calibrated flash-crowd scenario and fails
-# unless the replay report localizes the violation to a window overlapping
-# the injected ticks, byte-identically across replays and with zero extra
-# runs. The replay of a committed scenario with -scenario-report must render
-# its per-window breakdown, and the focused sink/window tests re-run the
-# socket round-trip, backpressure-drop, and run-twice/workers-1v8 window
-# determinism checks.
-window-smoke:
-	$(GO) run ./cmd/dosnbench -quick -exp e25 >/dev/null
-	$(GO) run ./cmd/dosnbench -scenario scenarios/flash-crowd.scenario -scenario-report >/dev/null
-	$(GO) test -count=1 -run 'TestWindows|TestSocketSink|TestWindowStats|TestWindowedSeries|TestLocalize|TestReplayLocalizes|TestTraceSink' \
-		./internal/telemetry/ ./internal/scenario/
-
-# Sweep smoke: the continuous scrub scheduler under test — the per-tick
-# message budget is never exceeded (enforced by worst-case pre-charge, so
-# it holds by construction), oversized chunks starve visibly instead of
-# wedging the sweep, bad verdicts and suspect nodes re-queue their chunks,
-# the cursor survives a save/restore restart, and reports are DeepEqual at
-# scrub workers 1 vs 8 — then E26's quick run enforces the batched
-# anti-entropy invariants end to end.
-sweep-smoke:
-	$(GO) test -count=1 -run 'TestSweep' ./internal/resilience/scrub/
-	$(GO) run ./cmd/dosnbench -quick -exp e26 >/dev/null
-
 # The windowed series and scenario clocks are tick-driven by contract: a
 # wall-clock read anywhere in those layers would silently break run-twice
 # and workers-1v8 byte-identity. Fails on any new time.Now outside the
@@ -129,12 +75,6 @@ lint-wallclock:
 		echo "$$bad"; \
 		exit 1; \
 	fi
-
-# Write a quick machine-readable report and re-parse it with the strict
-# validator; fails the gate if the JSON schema ever drifts or breaks.
-json-smoke:
-	$(GO) run ./cmd/dosnbench -quick -exp e3,e18 -json /tmp/godosn-ci.json >/dev/null
-	$(GO) run ./cmd/dosnbench -validate /tmp/godosn-ci.json
 
 build:
 	$(GO) build ./...
@@ -153,6 +93,19 @@ race:
 # frozen harness surface fails CI, not the next benchmark run.
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The ledger gate (ROADMAP bookkeeping): run the full four-workload benchmark
+# at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
+# compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
+# before the first one exists). -compare exits non-zero on any `worse` row.
+BENCH_PR := 16
+bench-gate:
+	bash benchmark/run.sh -all -seed 11
+	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
+	@prev=$$(ls BENCH_*.json | sed 's/^BENCH_\(.*\)\.json$$/\1/' | sort -n | awk '$$1 < $(BENCH_PR)' | tail -1); \
+	if [ -n "$$prev" ]; then prev=BENCH_$$prev.json; else prev=benchmark/baseline.json; fi; \
+	echo "bench-gate: $$prev -> BENCH_$(BENCH_PR).json"; \
+	bash benchmark/run.sh -compare $$prev BENCH_$(BENCH_PR).json
 
 # Go line counts per internal/ package, non-test and test, with a total —
 # the before/after number simplicity PRs report.
@@ -202,3 +155,4 @@ examples:
 
 clean:
 	$(GO) clean ./...
+	rm -rf $(SMOKE_OUT)

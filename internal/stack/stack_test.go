@@ -1,0 +1,278 @@
+package stack
+
+import (
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"reflect"
+	"testing"
+
+	"godosn/internal/cache"
+	"godosn/internal/overlay"
+	"godosn/internal/overlay/dht"
+	"godosn/internal/overlay/simnet"
+	"godosn/internal/resilience"
+	"godosn/internal/resilience/load"
+	"godosn/internal/resilience/scrub"
+	"godosn/internal/telemetry"
+)
+
+const testSeed = int64(1601)
+
+// handAssembled is the reference wiring, kept here on purpose: the layer
+// constructors called directly in the order every experiment used before
+// Build existed. Build must be indistinguishable from it.
+func handAssembled(t *testing.T, names []simnet.NodeID, rcfg *resilience.Config, scrubbed bool) *Stack {
+	t.Helper()
+	net := simnet.New(simnet.DefaultConfig(testSeed))
+	d, err := dht.New(net, names, dht.Config{ReplicationFactor: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Stack{Names: names, Client: string(names[0]), Net: net, Overlay: d, DHT: d}
+	if rcfg != nil {
+		s.KV = resilience.Wrap(d, *rcfg)
+	}
+	if scrubbed {
+		s.Scrub = scrub.New(d, scrub.DefaultConfig(s.Client))
+		kv := s.KV
+		s.Scrub.SetVerdict(func(node string, ok bool) {
+			if ok {
+				kv.Breaker().Report(node, true)
+			} else {
+				kv.Breaker().ReportCorrupt(node)
+			}
+		})
+		s.Scrub.SetInvalidator(kv.InvalidateValue)
+	}
+	return s
+}
+
+// streamOutcome is everything the fixed op stream observes.
+type streamOutcome struct {
+	Stats   overlay.OpStats
+	Digest  uint64
+	Metrics resilience.Metrics
+}
+
+// driveStream runs a fixed 200-op stream over a stack: sealed records stored
+// on a healthy network, then loss, one always-corrupting Byzantine node, a
+// rotted stored copy every 10th op, a heal per op and a scrub pass every
+// 50th (when those layers exist), and one lookup per op folded into a digest.
+func driveStream(t *testing.T, s *Stack) streamOutcome {
+	t.Helper()
+	var front overlay.KV = s.Overlay
+	if s.KV != nil {
+		front = s.KV
+	}
+	var out streamOutcome
+	keys := make([]string, 20)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		st, err := front.Store(s.Client, keys[i], scrub.Seal(keys[i], []byte(fmt.Sprintf("post-%d", i))))
+		if err != nil {
+			t.Fatalf("store %s: %v", keys[i], err)
+		}
+		out.Stats.Add(st)
+	}
+	s.Net.SetLossRate(0.10)
+	if err := s.Net.SetByzantine(s.Names[5], simnet.ByzantineConfig{Mode: simnet.ByzBitFlip, Rate: 1, Seed: testSeed}); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for i := 0; i < 200; i++ {
+		key := keys[i%len(keys)]
+		if i%10 == 0 {
+			for _, name := range s.DHT.PlanReplicas(key) {
+				if s.DHT.CorruptStored(name, key, func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }) {
+					break
+				}
+			}
+		}
+		if s.KV != nil {
+			rep, err := s.KV.Heal()
+			if err != nil {
+				t.Fatalf("heal: %v", err)
+			}
+			out.Stats.Add(rep.Stats)
+		}
+		if s.Scrub != nil && i%50 == 49 {
+			rep, err := s.Scrub.Scrub(keys)
+			if err != nil {
+				t.Fatalf("scrub: %v", err)
+			}
+			out.Stats.Add(rep.Stats)
+		}
+		v, st, err := front.Lookup(s.Client, key)
+		out.Stats.Add(st)
+		fmt.Fprintf(h, "%s|%x|%v\n", key, v, err)
+	}
+	out.Digest = h.Sum64()
+	if s.KV != nil {
+		out.Metrics = s.KV.Metrics()
+	}
+	return out
+}
+
+// TestBuildMatchesHandAssembly: for each layer combination the experiments
+// use, a stack from Build and the hand-assembled reference must produce
+// DeepEqual cost, read digest and recovery metrics over the same op stream.
+func TestBuildMatchesHandAssembly(t *testing.T) {
+	verified := resilience.DefaultConfig(testSeed)
+	verified.Verify = scrub.Check
+	plain := resilience.DefaultConfig(testSeed)
+	for _, tc := range []struct {
+		name     string
+		rcfg     *resilience.Config
+		scrubbed bool
+	}{
+		{"bare DHT", nil, false},
+		{"resilient", &plain, false},
+		{"resilient+scrub+verdicts", &verified, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			names := NodeNames("node-%d", 24)
+			spec := Spec{
+				Names:      names,
+				Net:        simnet.DefaultConfig(testSeed),
+				DHT:        dht.Config{ReplicationFactor: 3},
+				Resilience: tc.rcfg,
+				Verdicts:   true,
+			}
+			if tc.scrubbed {
+				scfg := scrub.DefaultConfig("")
+				spec.Scrub = &scfg
+			}
+			built, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := driveStream(t, built)
+			want := driveStream(t, handAssembled(t, names, tc.rcfg, tc.scrubbed))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Build diverges from hand assembly:\n got %+v\nwant %+v", got, want)
+			}
+			if tc.scrubbed && got.Metrics.CorruptReads == 0 {
+				t.Fatal("stream exercised no corruption: the comparison proves nothing about the verify path")
+			}
+		})
+	}
+}
+
+// TestBuildOptionalLayersAreNil: every layer the Spec leaves out is nil, and
+// a stack built without a registry runs.
+func TestBuildOptionalLayersAreNil(t *testing.T) {
+	s, err := Build(Spec{Names: NodeNames("node-%d", 8), Net: simnet.DefaultConfig(1), DHT: dht.Config{ReplicationFactor: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.KV != nil || s.Scrub != nil || s.Sweep != nil {
+		t.Fatalf("unrequested layers built: kv=%v scrub=%v sweep=%v", s.KV, s.Scrub, s.Sweep)
+	}
+	if s.DHT == nil || s.Overlay != overlay.KV(s.DHT) || s.Client != "node-0" {
+		t.Fatalf("default overlay not the DHT: %+v", s)
+	}
+	if _, err := s.DHT.Store(s.Client, "k", []byte("v")); err != nil {
+		t.Fatalf("store on registry-less stack: %v", err)
+	}
+
+	scfg := scrub.DefaultConfig("")
+	s, err = Build(Spec{
+		Names: NodeNames("node-%d", 8), Net: simnet.DefaultConfig(1), DHT: dht.Config{ReplicationFactor: 2},
+		Scrub: &scfg, Sweep: &scrub.SweepConfig{ChunkKeys: 4}, Verdicts: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.KV != nil || s.Scrub == nil || s.Sweep == nil {
+		t.Fatalf("scrub-only stack: kv=%v scrub=%v sweep=%v", s.KV, s.Scrub, s.Sweep)
+	}
+	// Verdicts without a decorator has nothing to report to: a pass must
+	// simply run.
+	if _, err := s.Scrub.Scrub([]string{"k"}); err != nil {
+		t.Fatalf("scrub without decorator: %v", err)
+	}
+}
+
+// TestBuildRejectsBadSpecs: malformed specs are errors, never panics.
+func TestBuildRejectsBadSpecs(t *testing.T) {
+	if _, err := Build(Spec{}); !errors.Is(err, overlay.ErrNoNodes) {
+		t.Fatalf("empty Names: err = %v, want ErrNoNodes", err)
+	}
+	dup := []simnet.NodeID{"a", "b", "a"}
+	if _, err := Build(Spec{Names: dup}); !errors.Is(err, simnet.ErrDuplicateNode) {
+		t.Fatalf("duplicate Names: err = %v, want ErrDuplicateNode", err)
+	}
+	if _, err := Build(Spec{Names: NodeNames("n%d", 3), Sweep: &scrub.SweepConfig{}}); err == nil {
+		t.Fatal("sweeper without scrubber accepted")
+	}
+	// An overlay that cannot address replicas cannot be scrubbed.
+	scfg := scrub.DefaultConfig("")
+	_, err := Build(Spec{
+		Names: NodeNames("n%d", 3), Scrub: &scfg,
+		Overlay: func(*simnet.Network, []simnet.NodeID) (overlay.KV, error) { return plainKV{}, nil },
+	})
+	if err == nil {
+		t.Fatal("scrubber over a replica-less overlay accepted")
+	}
+}
+
+// plainKV is an overlay with no replica addressing.
+type plainKV struct{}
+
+func (plainKV) Name() string { return "plain" }
+func (plainKV) Store(string, string, []byte) (overlay.OpStats, error) {
+	return overlay.OpStats{}, nil
+}
+func (plainKV) Lookup(string, string) ([]byte, overlay.OpStats, error) {
+	return nil, overlay.OpStats{}, overlay.ErrNotFound
+}
+
+// TestBuildRegistersEveryLayer is the telemetry-drift regression: a stack
+// with a route cache, server gates and a registry must expose the DHT's own
+// instruments, not just simnet's and the decorator's. (The E22/E23 and
+// core.Network wiring registered the registry on simnet and the KV only.)
+func TestBuildRegistersEveryLayer(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	rcfg := resilience.DefaultConfig(7)
+	scfg := scrub.DefaultConfig("")
+	s, err := Build(Spec{
+		Names: NodeNames("node-%d", 12),
+		Net:   simnet.DefaultConfig(7),
+		DHT: dht.Config{
+			ReplicationFactor: 3,
+			RouteCache:        cache.Config{Capacity: 64, Shards: 1, Seed: 7},
+			NodeGate:          load.GateConfig{PerTick: 4, QueueDepth: 2},
+		},
+		Resilience: &rcfg,
+		Scrub:      &scfg,
+		Sweep:      &scrub.SweepConfig{ChunkKeys: 4},
+		Registry:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.KV.Store(s.Client, "k", scrub.Seal("k", []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := s.KV.Lookup(s.Client, "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counters := map[string]int64{}
+	for _, c := range reg.Snapshot().Counters {
+		counters[c.Name] = c.Value
+	}
+	for _, name := range []string{
+		"simnet_rpcs_total", "dht_route_cache_hits_total", "dht_gate_sheds_total",
+		"resilience_ops_total", "scrub_passes_total", "scrub_sweep_ticks_total",
+	} {
+		if _, ok := counters[name]; !ok {
+			t.Errorf("registry is missing %s", name)
+		}
+	}
+	if counters["dht_route_cache_hits_total"] == 0 {
+		t.Error("repeat lookups recorded no route-cache hits in the registry")
+	}
+}

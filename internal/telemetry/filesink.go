@@ -51,12 +51,15 @@ type sinkRecord struct {
 }
 
 // FileSink streams telemetry records to a file (or any writer) as JSON
-// lines. Safe for concurrent use; every method is nil-receiver safe so an
-// optional sink threads through as a single pointer.
+// lines, either in the native record form above or, for a sink opened with
+// an "otlp+" spec, in the OTLP-shaped mapping (otlp.go). Safe for
+// concurrent use; every method is nil-receiver safe so an optional sink
+// threads through as a single pointer.
 type FileSink struct {
 	mu       sync.Mutex
 	file     *os.File // nil for writer-backed sinks
 	w        *bufio.Writer
+	otlp     *otlpState // non-nil when encoding OTLP-shaped records
 	records  int64
 	dropped  int64
 	written  int64 // bytes accepted so far (max-bytes accounting)
@@ -114,11 +117,19 @@ func (s *FileSink) write(rec sinkRecord) {
 	if s == nil {
 		return
 	}
-	b, merr := json.Marshal(rec)
+	var b []byte
+	var merr error
+	if s.otlp == nil { // fixed at construction, so readable unlocked
+		b, merr = json.Marshal(rec)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return
+	}
+	if s.otlp != nil {
+		// The OTLP encoder advances the sink's span-id sequence.
+		b, merr = otlpMarshal(rec, s.otlp)
 	}
 	if merr != nil {
 		s.err = merr

@@ -1,11 +1,8 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 	"time"
 )
 
@@ -281,128 +278,3 @@ func otlpMarshal(rec sinkRecord, st *otlpState) ([]byte, error) {
 	}
 	return json.Marshal(obj)
 }
-
-// OTLPFileSink streams OTLP-shaped JSON lines to a file. Safe for
-// concurrent use; nil-receiver safe on every emission method.
-type OTLPFileSink struct {
-	mu      sync.Mutex
-	file    *os.File
-	w       *bufio.Writer
-	st      otlpState
-	records int64
-	err     error
-}
-
-// NewOTLPFileSink creates (truncating) path and returns an OTLP-shaped
-// sink writing to it.
-func NewOTLPFileSink(path string) (*OTLPFileSink, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: otlp sink: %w", err)
-	}
-	return &OTLPFileSink{file: f, w: bufio.NewWriter(f)}, nil
-}
-
-// write renders and appends one record, retaining the first error.
-func (s *OTLPFileSink) write(rec sinkRecord) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	b, err := otlpMarshal(rec, &s.st)
-	if err != nil {
-		s.err = err
-		return
-	}
-	if _, err := s.w.Write(append(b, '\n')); err != nil {
-		s.err = err
-		return
-	}
-	s.records++
-}
-
-// Event exports one event record.
-func (s *OTLPFileSink) Event(e Event) { s.write(sinkRecord{Type: "event", Event: &e}) }
-
-// Span exports one span tree record.
-func (s *OTLPFileSink) Span(root *Span) {
-	if s == nil || root == nil {
-		return
-	}
-	s.write(sinkRecord{Type: "span", Span: spanToJSON(root)})
-}
-
-// Snapshot exports a full registry snapshot record.
-func (s *OTLPFileSink) Snapshot(snap Snapshot) {
-	s.write(sinkRecord{Type: "snapshot", Snapshot: &snap})
-}
-
-// Windows exports a windowed time-series snapshot record.
-func (s *OTLPFileSink) Windows(ws WindowsSnapshot) {
-	s.write(sinkRecord{Type: "windows", Windows: &ws})
-}
-
-// Note exports a free-form marker record.
-func (s *OTLPFileSink) Note(name string, attrs ...Attr) {
-	s.write(sinkRecord{Type: "note", Name: name, Attrs: attrs})
-}
-
-// Records reports how many records were written so far.
-func (s *OTLPFileSink) Records() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.records
-}
-
-// Dropped reports discarded records (always 0: the file sink blocks on the
-// OS, it does not queue).
-func (s *OTLPFileSink) Dropped() int64 { return 0 }
-
-// Err returns the first write error, if any.
-func (s *OTLPFileSink) Err() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// SetTelemetry is a no-op: the OTLP file sink never drops.
-func (s *OTLPFileSink) SetTelemetry(*Registry) {}
-
-// Close flushes, fsyncs, and closes the file.
-func (s *OTLPFileSink) Close() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ferr := s.w.Flush(); s.err == nil {
-		s.err = ferr
-	}
-	if s.file != nil {
-		if serr := s.file.Sync(); s.err == nil {
-			s.err = serr
-		}
-		if cerr := s.file.Close(); s.err == nil {
-			s.err = cerr
-		}
-		s.file = nil
-	}
-	return s.err
-}
-
-// Interface conformance.
-var (
-	_ Sink = (*FileSink)(nil)
-	_ Sink = (*SocketSink)(nil)
-	_ Sink = (*OTLPFileSink)(nil)
-)

@@ -152,9 +152,9 @@ func TestOTLPNoteMapsToLogRecord(t *testing.T) {
 
 func TestOTLPFileSinkWritesParsableLines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.otlp.jsonl")
-	s, err := NewOTLPFileSink(path)
+	s, err := OpenSink("otlp+file://" + path)
 	if err != nil {
-		t.Fatalf("NewOTLPFileSink: %v", err)
+		t.Fatalf("OpenSink: %v", err)
 	}
 	reg := NewRegistry()
 	reg.Counter("n").Inc()
@@ -174,10 +174,13 @@ func TestOTLPFileSinkWritesParsableLines(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("wrote %d lines, want 2", len(lines))
 	}
-	for i, line := range lines {
+	for i, top := range []string{"resourceLogs", "resourceMetrics"} {
 		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		if err := json.Unmarshal([]byte(lines[i]), &rec); err != nil {
 			t.Fatalf("line %d not JSON: %v", i, err)
+		}
+		if _, ok := rec[top]; !ok {
+			t.Fatalf("line %d is not OTLP-shaped (no %s): %s", i, top, lines[i])
 		}
 	}
 }

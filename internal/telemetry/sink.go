@@ -52,6 +52,12 @@ type Sink interface {
 	Close() error
 }
 
+// Interface conformance.
+var (
+	_ Sink = (*FileSink)(nil)
+	_ Sink = (*SocketSink)(nil)
+)
+
 // SinkDroppedCounter is the registry counter name every sink mirrors its
 // drop count into when SetTelemetry wired a registry.
 const SinkDroppedCounter = "telemetry_sink_dropped_total"
@@ -93,9 +99,13 @@ func OpenSink(spec string) (Sink, error) {
 		spec = strings.TrimPrefix(spec, "file://")
 		fallthrough
 	default:
-		if otlp {
-			return NewOTLPFileSink(spec)
+		s, err := NewFileSink(spec)
+		if err != nil {
+			return nil, err
 		}
-		return NewFileSink(spec)
+		if otlp {
+			s.otlp = &otlpState{}
+		}
+		return s, nil
 	}
 }

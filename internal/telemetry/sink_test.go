@@ -115,13 +115,14 @@ func TestOpenSinkSpecs(t *testing.T) {
 		}
 	}
 
-	// otlp+ prefix on a file path yields the OTLP-shaped file sink.
+	// otlp+ prefix on a file path yields the same file sink with the
+	// OTLP-shaped encoder.
 	s, err := OpenSink("otlp+" + filepath.Join(dir, "c.jsonl"))
 	if err != nil {
 		t.Fatalf("OpenSink otlp+file: %v", err)
 	}
-	if _, ok := s.(*OTLPFileSink); !ok {
-		t.Fatalf("OpenSink otlp+file = %T, want *OTLPFileSink", s)
+	if fs, ok := s.(*FileSink); !ok || fs.otlp == nil {
+		t.Fatalf("OpenSink otlp+file = %T, want an OTLP-encoding *FileSink", s)
 	}
 	_ = s.Close()
 
