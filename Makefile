@@ -98,7 +98,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 16
+BENCH_PR := 17
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -126,7 +126,7 @@ bench-quick:
 	$(GO) test -bench=. -benchtime=10x -run='^$$' .
 
 # Hot-path microbenchmarks: per-scheme group Encrypt/Add/Remove (serial vs
-# pool), DHT Put/Get, symmetric seal/open alloc deltas,
+# pool), DHT Put/Get/Heal, symmetric seal/open alloc deltas,
 # and the sharded cache (hit/miss/coalesced/contended).
 bench-hot:
 	$(GO) test -bench=. -benchmem -run='^$$' \

@@ -125,7 +125,7 @@ type shard[V any] struct {
 
 // call is one in-flight fill, shared by coalesced waiters.
 type call[V any] struct {
-	done    chan struct{}
+	done    chan struct{} // made by the first waiter, under flightMu; nil = nobody waits
 	val     V
 	err     error
 	noStore bool // key invalidated while the fill ran: do not cache
@@ -316,7 +316,8 @@ func (c *Cache[V]) putGen(key string, val V, gen uint64) {
 		return
 	}
 	s := c.shardOf(key)
-	var evicted []string
+	var evicted string
+	overflow := false
 	s.mu.Lock()
 	// Re-check under the shard lock: a concurrent bump between the check
 	// above and acquiring the lock must still win. A bump taken after this
@@ -330,23 +331,28 @@ func (c *Cache[V]) putGen(key string, val V, gen uint64) {
 		e.gen = gen
 		s.moveToFront(e)
 	} else {
-		e := &entry[V]{key: key, val: val, gen: gen}
+		// A full shard (it never holds more than cap) displaces exactly its
+		// least-recently-used entry, whose node carries the incoming key.
+		var e *entry[V]
+		if overflow = len(s.entries) >= s.cap; overflow {
+			e = s.tail
+			evicted = e.key
+			s.remove(e)
+		} else {
+			e = &entry[V]{}
+		}
+		e.key, e.val, e.gen = key, val, gen
 		s.entries[key] = e
 		s.pushFront(e)
-		for len(s.entries) > s.cap {
-			tail := s.tail
-			s.remove(tail)
-			evicted = append(evicted, tail.key)
-		}
 	}
 	s.mu.Unlock()
-	for _, k := range evicted {
+	if overflow {
 		c.count(&c.evictions, func(t *cacheTelemetry) *telemetry.Counter { return t.evictions })
 		c.evictMu.Lock()
 		fn := c.onEvict
 		c.evictMu.Unlock()
 		if fn != nil {
-			fn(k)
+			fn(evicted)
 		}
 	}
 }
@@ -404,12 +410,16 @@ func (c *Cache[V]) Do(key string, fill func() (V, error)) (V, Outcome, error) {
 	}
 	c.flightMu.Lock()
 	if cl, ok := c.flight[key]; ok {
+		if cl.done == nil {
+			cl.done = make(chan struct{})
+		}
+		done := cl.done
 		c.flightMu.Unlock()
-		<-cl.done
+		<-done
 		c.count(&c.coalesced, func(t *cacheTelemetry) *telemetry.Counter { return t.coalesced })
 		return cl.val, Coalesced, cl.err
 	}
-	cl := &call[V]{done: make(chan struct{})}
+	cl := &call[V]{}
 	c.flight[key] = cl
 	gen := c.gen.Load()
 	c.flightMu.Unlock()
@@ -418,9 +428,11 @@ func (c *Cache[V]) Do(key string, fill func() (V, error)) (V, Outcome, error) {
 
 	c.flightMu.Lock()
 	delete(c.flight, key)
-	noStore := cl.noStore
+	noStore, done := cl.noStore, cl.done
 	c.flightMu.Unlock()
-	close(cl.done)
+	if done != nil {
+		close(done)
+	}
 	if cl.err == nil && !noStore {
 		c.putGen(key, cl.val, gen)
 	}

@@ -332,6 +332,8 @@ func (d *DHT) findSuccessor(tr *simnet.Trace, origin simnet.NodeID, key uint64) 
 		return succ, nil
 	}
 	target := cur.closestPrecedingFinger(key)
+	// One request serves the whole walk: boxed into the payload once.
+	req := simnet.Message{Kind: kindFindSuccessor, Payload: findSuccessorReq{Key: key}, Size: 16}
 	for step := 0; step < 2*ringBits; step++ {
 		d.mu.RLock()
 		targetNode := d.byID[target]
@@ -339,11 +341,7 @@ func (d *DHT) findSuccessor(tr *simnet.Trace, origin simnet.NodeID, key uint64) 
 		if targetNode == nil {
 			return 0, overlay.ErrUnavailable
 		}
-		reply, err := d.net.RPC(tr, origin, targetNode.name, simnet.Message{
-			Kind:    kindFindSuccessor,
-			Payload: findSuccessorReq{Key: key},
-			Size:    16,
-		})
+		reply, err := d.net.RPC(tr, origin, targetNode.name, req)
 		if err != nil {
 			// Route around an unreachable hop: fall back to its ring
 			// successor, as Chord's failure handling would after a timeout.
@@ -382,16 +380,14 @@ func (d *DHT) Store(origin, key string, value []byte) (overlay.OpStats, error) {
 
 // StoreSpan implements overlay.SpanKV: Store with the routing step and each
 // replica write attributed to child spans of sp (nil sp: identical untraced
-// operation).
+// operation). One trace accumulates the whole operation; a child span's
+// latency is what its step added to it.
 func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (overlay.OpStats, error) {
 	sp.Tag("key", key)
 	tr := &simnet.Trace{}
-	kid := hashID(key)
-	rtr := &simnet.Trace{}
 	route := sp.Child("route")
-	root, err := d.resolveRoot(rtr, route, simnet.NodeID(origin), key, kid)
-	tr.Add(rtr)
-	route.AddLatency(rtr.Latency)
+	root, err := d.resolveRoot(tr, route, simnet.NodeID(origin), key, hashID(key))
+	route.AddLatency(tr.Latency)
 	route.End(spanOutcome(err))
 	if err != nil {
 		return stats(tr), err
@@ -400,23 +396,19 @@ func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (o
 	replicas := d.placementOf(root, d.replica)
 	d.mu.RUnlock()
 	// Write the replica set in placement order, one store RPC each; any ack
-	// makes the store succeed.
+	// makes the store succeed. Every replica gets the same request.
+	req := simnet.Message{Kind: kindStore, Payload: storeReq{Key: key, Value: value}, Size: len(key) + len(value)}
 	stored := 0
 	var lastErr, ackLost error
 	for _, rid := range replicas {
 		d.mu.RLock()
 		rn := d.byID[rid]
 		d.mu.RUnlock()
-		str := &simnet.Trace{}
+		before := tr.Latency
 		ssp := sp.Child("store")
 		ssp.Tag("replica", string(rn.name))
-		_, err := d.net.RPC(str, simnet.NodeID(origin), rn.name, simnet.Message{
-			Kind:    kindStore,
-			Payload: storeReq{Key: key, Value: value},
-			Size:    len(key) + len(value),
-		})
-		tr.Add(str)
-		ssp.AddLatency(str.Latency)
+		_, err := d.net.RPC(tr, simnet.NodeID(origin), rn.name, req)
+		ssp.AddLatency(tr.Latency - before)
 		ssp.End(spanOutcome(err))
 		if err == nil {
 			stored++
@@ -451,16 +443,13 @@ func (d *DHT) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
 
 // LookupSpan implements overlay.SpanKV: Lookup with the routing step and
 // each replica fetch attributed to child spans of sp (nil sp: identical
-// untraced operation).
+// untraced operation), accounted on one trace as in StoreSpan.
 func (d *DHT) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overlay.OpStats, error) {
 	sp.Tag("key", key)
 	tr := &simnet.Trace{}
-	kid := hashID(key)
-	rtr := &simnet.Trace{}
 	route := sp.Child("route")
-	root, err := d.resolveRoot(rtr, route, simnet.NodeID(origin), key, kid)
-	tr.Add(rtr)
-	route.AddLatency(rtr.Latency)
+	root, err := d.resolveRoot(tr, route, simnet.NodeID(origin), key, hashID(key))
+	route.AddLatency(tr.Latency)
 	route.End(spanOutcome(err))
 	if err != nil {
 		return nil, stats(tr), err
@@ -469,21 +458,17 @@ func (d *DHT) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overla
 	replicas := d.successorsOf(root, d.replica)
 	d.mu.RUnlock()
 	// Probe replicas in ring order, stop at the first hit.
+	req := simnet.Message{Kind: kindFetch, Payload: fetchReq{Key: key}, Size: len(key)}
 	var lastErr error = overlay.ErrUnavailable
 	for _, rid := range replicas {
 		d.mu.RLock()
 		rn := d.byID[rid]
 		d.mu.RUnlock()
-		ftr := &simnet.Trace{}
+		before := tr.Latency
 		fsp := sp.Child("fetch")
 		fsp.Tag("replica", string(rn.name))
-		reply, err := d.net.RPC(ftr, simnet.NodeID(origin), rn.name, simnet.Message{
-			Kind:    kindFetch,
-			Payload: fetchReq{Key: key},
-			Size:    len(key),
-		})
-		tr.Add(ftr)
-		fsp.AddLatency(ftr.Latency)
+		reply, err := d.net.RPC(tr, simnet.NodeID(origin), rn.name, req)
+		fsp.AddLatency(tr.Latency - before)
 		if err != nil {
 			fsp.End(spanOutcome(err))
 			lastErr = err

@@ -1,10 +1,12 @@
 package dht
 
 // Microbenchmarks for the DHT hot path: Put (Store) and Get (Lookup) on a
-// lossless simulated network.
+// lossless simulated network, and the anti-entropy pass (Heal) over a
+// loaded ring.
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"godosn/internal/overlay/simnet"
@@ -56,5 +58,79 @@ func BenchmarkDHTGet(b *testing.B) {
 		if _, _, err := d.Lookup(client, fmt.Sprintf("k%d", i%benchPreload)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// healRing builds a 48-node k=3 ring holding keys fully replicated keys,
+// written straight into the placement's stores (no routing cost in set-up).
+func healRing(tb testing.TB, keys int) (*DHT, []simnet.NodeID) {
+	tb.Helper()
+	net := simnet.New(simnet.DefaultConfig(4242))
+	names := make([]simnet.NodeID, 48)
+	for i := range names {
+		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
+	}
+	d, err := New(net, names, Config{ReplicationFactor: benchReplicas})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("k%d", i)
+		for _, rid := range d.successorsOf(hashID(key), d.replica) {
+			d.byID[rid].data[key] = []byte("benchmark value payload")
+		}
+	}
+	return d, names
+}
+
+// BenchmarkHeal measures one anti-entropy pass over a 48-node ring: with
+// nothing to repair (the scan alone), and with three nodes that each
+// missed every sixth key they should hold — about 3 % of all keys short of
+// one copy, the shape of a heal after three offline nodes return.
+func BenchmarkHeal(b *testing.B) {
+	for _, keys := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("keys=%d/healthy", keys), func(b *testing.B) {
+			d, _ := healRing(b, keys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if report, err := d.Heal(); err != nil || report.Repaired != 0 {
+					b.Fatalf("heal: %+v %v", report, err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("keys=%d/returning=3", keys), func(b *testing.B) {
+			d, names := healRing(b, keys)
+			returning := []*node{d.names[names[7]], d.names[names[19]], d.names[names[31]]}
+			missed := make([][]string, len(returning))
+			for i, n := range returning {
+				held := make([]string, 0, len(n.data))
+				for key := range n.data {
+					held = append(held, key)
+				}
+				sort.Strings(held)
+				for j := 0; j < len(held); j += 6 {
+					missed[i] = append(missed[i], held[j])
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				want := 0
+				for j, n := range returning {
+					for _, key := range missed[j] {
+						if _, held := n.data[key]; held {
+							delete(n.data, key)
+							want++
+						}
+					}
+				}
+				b.StartTimer()
+				if report, err := d.Heal(); err != nil || report.Repaired != want {
+					b.Fatalf("heal: %+v %v, want %d repaired", report, err, want)
+				}
+			}
+		})
 	}
 }

@@ -199,3 +199,32 @@ func TestNameLabel(t *testing.T) {
 		t.Fatal("empty overlay name")
 	}
 }
+
+func TestSingleKeyOpAllocations(t *testing.T) {
+	// One Trace and one boxed request per operation or walk, not per RPC:
+	// what is left is one reply payload per routing hop, the replica-set
+	// slice, and the value copies the replicas and the reader own. With the
+	// per-RPC traces and boxings back, a 6-hop store costs 17, not 10.
+	d, _, names := buildDHT(t, 48, Config{ReplicationFactor: 3})
+	origin := string(names[0])
+	value := []byte("a stored value")
+	for i := 0; i < 8; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		st, err := d.StoreSpan(nil, origin, key, value)
+		if err != nil {
+			t.Fatalf("Store(%s): %v", key, err)
+		}
+		stores := testing.AllocsPerRun(50, func() { _, _ = d.StoreSpan(nil, origin, key, value) })
+		if max := float64(4 + st.Hops); stores > max {
+			t.Errorf("StoreSpan(%s), %d hops: %v allocs/op, want <= %v", key, st.Hops, stores, max)
+		}
+		_, lst, err := d.LookupSpan(nil, origin, key)
+		if err != nil {
+			t.Fatalf("Lookup(%s): %v", key, err)
+		}
+		lookups := testing.AllocsPerRun(50, func() { _, _, _ = d.LookupSpan(nil, origin, key) })
+		if max := float64(5 + lst.Hops); lookups > max {
+			t.Errorf("LookupSpan(%s), %d hops: %v allocs/op, want <= %v", key, lst.Hops, lookups, max)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
+	"godosn/internal/parallel"
 	"godosn/internal/telemetry"
 )
 
@@ -133,25 +134,6 @@ func (d *DHT) LookupFrom(origin, key, replica string) ([]byte, overlay.OpStats, 
 	return resp.Value, stats(tr), nil
 }
 
-// liveTargets returns the first k online successors of the key's root,
-// walking past offline canonical replicas — the set Heal replicates to and
-// ReplicasFor extends into.
-func (d *DHT) liveTargets(root uint64, k int) []*node {
-	out := make([]*node, 0, k)
-	i := sort.Search(len(d.ring), func(i int) bool { return d.ring[i] >= root })
-	for walked := 0; walked < len(d.ring) && len(out) < k; walked++ {
-		if i == len(d.ring) {
-			i = 0
-		}
-		n := d.byID[d.ring[i]]
-		i++
-		if d.net.Online(n.name) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Heal implements overlay.Healer: one anti-entropy pass. Every online
 // node's local store is scanned (a node-local operation, free of network
 // cost); each key whose live replica set is incomplete is pushed, by an
@@ -161,81 +143,184 @@ func (d *DHT) Heal() (overlay.HealReport, error) {
 	return d.HealSpan(nil)
 }
 
+// healPush is one planned re-replication copy.
+type healPush struct {
+	key   string
+	value []byte
+	src   simnet.NodeID
+	dst   simnet.NodeID
+}
+
+// healView is the frozen world one heal pass plans against: the ring, who
+// is online, and each ring segment's live target set — the first k online
+// successors of the segment's root, walking past offline canonical
+// replicas, which is where Heal replicates to and ReplicasFor extends into.
+// Every key hashing into segment i (ring[i-1], ring[i]] shares targets[i],
+// so the sets are computed once per pass instead of once per key.
+type healView struct {
+	ring    []uint64
+	online  []*node   // online nodes in ring order
+	targets [][]*node // per ring segment
+}
+
+// healViewLocked snapshots ring and liveness; call with d.mu held.
+func (d *DHT) healViewLocked() *healView {
+	v := &healView{ring: d.ring, targets: make([][]*node, len(d.ring))}
+	nodes := make([]*node, len(d.ring))
+	up := make([]bool, len(d.ring))
+	for i, rid := range d.ring {
+		nodes[i] = d.byID[rid]
+		if up[i] = d.net.Online(nodes[i].name); up[i] {
+			v.online = append(v.online, nodes[i])
+		}
+	}
+	k := d.replica
+	if k > len(v.online) {
+		k = len(v.online)
+	}
+	flat := make([]*node, 0, k*len(d.ring))
+	for i := range d.ring {
+		start := len(flat)
+		for j := i; len(flat)-start < k; j = (j + 1) % len(d.ring) {
+			if up[j] {
+				flat = append(flat, nodes[j])
+			}
+		}
+		v.targets[i] = flat[start:len(flat):len(flat)]
+	}
+	return v
+}
+
+// targetsOf returns the live target set of key's ring segment.
+func (v *healView) targetsOf(key string) []*node {
+	kid := hashID(key)
+	i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= kid })
+	if i == len(v.ring) {
+		i = 0
+	}
+	return v.targets[i]
+}
+
+// healScan is one node's share of a heal pass.
+type healScan struct {
+	checked   int      // keys this node is the checker of
+	deficient []string // of those, the ones some target lacks
+	orphans   []string // keys this non-target node holds and no target does
+}
+
+// scan walks n's store against the view. A key's checker is the first of
+// its targets that holds it: it alone counts the key, and reports it when
+// any target (earlier, so n is not first, or later) lacks a copy. Every
+// other holder stops at the first earlier target it finds holding the key,
+// so a fully replicated key costs k hashes and k+1 store probes across its
+// holders and allocates nothing. A holder outside the target set reports
+// the key only when no target holds it (several may: merged by the caller).
+// Stores are read without locks: planHeal holds every online node's.
+func (v *healView) scan(n *node) healScan {
+	var out healScan
+keys:
+	for key := range n.data {
+		targets := v.targetsOf(key)
+		for j, t := range targets {
+			if t == n {
+				out.checked++
+				if j > 0 || !heldByAll(targets[j+1:], key) {
+					out.deficient = append(out.deficient, key)
+				}
+				continue keys
+			}
+			if _, held := t.data[key]; held {
+				continue keys
+			}
+		}
+		out.orphans = append(out.orphans, key)
+	}
+	return out
+}
+
+// heldByAll reports whether every node holds key (node locks held).
+func heldByAll(nodes []*node, key string) bool {
+	for _, n := range nodes {
+		if _, held := n.data[key]; !held {
+			return false
+		}
+	}
+	return true
+}
+
+// planHeal finds every under-replicated key and plans its pushes, in key
+// order: the lowest-ring-id online holder pushes to each online target
+// missing a copy, in target order. Node-local, free of network cost. It
+// returns the number of distinct keys online nodes hold and the plan.
+func (d *DHT) planHeal() (int, []healPush) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	v := d.healViewLocked()
+	// Freeze the online stores for the pass (ring order; every other path
+	// takes one node lock at a time, or holds d.mu exclusively), so the
+	// per-node scans below are independent lock-free reads.
+	for _, n := range v.online {
+		n.mu.Lock()
+	}
+	defer func() {
+		for _, n := range v.online {
+			n.mu.Unlock()
+		}
+	}()
+	scans, _ := parallel.Map(0, v.online, func(_ int, n *node) (healScan, error) {
+		return v.scan(n), nil
+	})
+	scanned := 0
+	var keys, orphans []string
+	for _, s := range scans {
+		scanned += s.checked
+		keys = append(keys, s.deficient...)
+		orphans = append(orphans, s.orphans...)
+	}
+	sort.Strings(orphans)
+	for i, key := range orphans {
+		if i == 0 || key != orphans[i-1] {
+			scanned++
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys) // deterministic pass order
+
+	var plan []healPush
+	for _, key := range keys {
+		var src *node
+		var value []byte
+		for _, n := range v.online {
+			if stored, held := n.data[key]; held {
+				src, value = n, append([]byte(nil), stored...)
+				break
+			}
+		}
+		for _, target := range v.targetsOf(key) {
+			if _, held := target.data[key]; !held {
+				plan = append(plan, healPush{key: key, value: value, src: src.name, dst: target.name})
+			}
+		}
+	}
+	return scanned, plan
+}
+
 // HealSpan implements overlay.SpanHealer: Heal with each re-replication
 // push attributed to a "repair" child span of sp (nil sp: identical
 // untraced pass).
 func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
-	d.mu.RLock()
-	// Snapshot key -> online holders from node-local scans.
-	holders := make(map[string][]*node)
-	for _, rid := range d.ring {
-		n := d.byID[rid]
-		if !d.net.Online(n.name) {
-			continue
-		}
-		n.mu.Lock()
-		for key := range n.data {
-			holders[key] = append(holders[key], n)
-		}
-		n.mu.Unlock()
-	}
-	d.mu.RUnlock()
-
-	keys := make([]string, 0, len(holders))
-	for key := range holders {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys) // deterministic pass order
-
+	scanned, flat := d.planHeal() // key-major plan order (the per-key baseline order)
 	tr := &simnet.Trace{}
-	report := overlay.HealReport{KeysScanned: len(keys)}
+	report := overlay.HealReport{KeysScanned: scanned}
 
-	// Plan every push first (node-local, free of network cost): for each
-	// under-replicated key, the lowest-id online holder pushes to each
-	// online successor missing a copy. The plan is then either executed
-	// per key (PerKeyHeal: one store RPC per push, the measured baseline)
-	// or coalesced per (holder, target) pair into store_batch envelopes —
-	// one message pair moves every key that pair shares.
-	type healPush struct {
-		key   string
-		value []byte
-		src   simnet.NodeID
-		dst   simnet.NodeID
-	}
+	// The plan is either executed per key (PerKeyHeal: one store RPC per
+	// push, the measured baseline) or coalesced per (holder, target) pair
+	// into store_batch envelopes — one message pair moves every key that
+	// pair shares.
 	type healPair struct{ src, dst simnet.NodeID }
-	var flat []healPush // key-major plan order (the per-key baseline order)
 	var pairOrder []healPair
 	planned := make(map[healPair][]healPush)
 	failed := make(map[string]bool)
-	for _, key := range keys {
-		hs := holders[key]
-		hasCopy := make(map[simnet.NodeID]bool, len(hs))
-		for _, h := range hs {
-			hasCopy[h.name] = true
-		}
-		d.mu.RLock()
-		targets := d.liveTargets(hashID(key), d.replica)
-		d.mu.RUnlock()
-		src := hs[0]
-		var value []byte
-		for _, target := range targets {
-			if hasCopy[target.name] {
-				continue
-			}
-			if value == nil {
-				src.mu.Lock()
-				value = append([]byte(nil), src.data[key]...)
-				src.mu.Unlock()
-			}
-			p := healPush{key: key, value: value, src: src.name, dst: target.name}
-			flat = append(flat, p)
-			pk := healPair{src: src.name, dst: target.name}
-			if _, ok := planned[pk]; !ok {
-				pairOrder = append(pairOrder, pk)
-			}
-			planned[pk] = append(planned[pk], p)
-		}
-	}
 	if d.perKeyHeal {
 		// One store RPC per copy, in key-major order; a drop leaves the
 		// key for the next pass rather than failing the whole heal.
@@ -258,7 +343,14 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 				failed[p.key] = true
 			}
 		}
-		pairOrder = nil
+	} else {
+		for _, p := range flat {
+			pk := healPair{src: p.src, dst: p.dst}
+			if _, ok := planned[pk]; !ok {
+				pairOrder = append(pairOrder, pk)
+			}
+			planned[pk] = append(planned[pk], p)
+		}
 	}
 	for _, pk := range pairOrder {
 		pushes := planned[pk]
@@ -293,11 +385,7 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 			}
 		}
 	}
-	for _, key := range keys {
-		if failed[key] {
-			report.Unrepairable++
-		}
-	}
+	report.Unrepairable = len(failed)
 	report.Stats = stats(tr)
 	if report.Repaired > 0 {
 		// Copies moved: memoized routes may predate the repaired layout.

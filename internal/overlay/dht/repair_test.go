@@ -4,11 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
 	"testing"
+	"time"
 
+	"godosn/internal/cache"
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
 	"godosn/internal/resilience"
+	"godosn/internal/telemetry"
 )
 
 // replicaNames returns the canonical replica set of a key.
@@ -256,4 +263,382 @@ func TestLookupFromErrors(t *testing.T) {
 	if _, _, err := d.LookupFrom("a", "missing", "b"); !errors.Is(err, overlay.ErrNotFound) {
 		t.Fatalf("LookupFrom missing key: got %v", err)
 	}
+}
+
+// liveTargets is the per-key target computation referenceHeal plans with:
+// the first k online successors of the key's root.
+func (d *DHT) liveTargets(root uint64, k int) []*node {
+	out := make([]*node, 0, k)
+	i := sort.Search(len(d.ring), func(i int) bool { return d.ring[i] >= root })
+	for walked := 0; walked < len(d.ring) && len(out) < k; walked++ {
+		if i == len(d.ring) {
+			i = 0
+		}
+		n := d.byID[d.ring[i]]
+		i++
+		if d.net.Online(n.name) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// referenceHeal is the heal pass as it stood before the probe-based scan,
+// kept verbatim as the model HealSpan is checked against: it builds the
+// global key → online holders map, sorts every key, and plans each key from
+// its own liveTargets walk.
+func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
+	d.mu.RLock()
+	// Snapshot key -> online holders from node-local scans.
+	holders := make(map[string][]*node)
+	for _, rid := range d.ring {
+		n := d.byID[rid]
+		if !d.net.Online(n.name) {
+			continue
+		}
+		n.mu.Lock()
+		for key := range n.data {
+			holders[key] = append(holders[key], n)
+		}
+		n.mu.Unlock()
+	}
+	d.mu.RUnlock()
+
+	keys := make([]string, 0, len(holders))
+	for key := range holders {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys) // deterministic pass order
+
+	tr := &simnet.Trace{}
+	report := overlay.HealReport{KeysScanned: len(keys)}
+
+	// Plan every push first (node-local, free of network cost): for each
+	// under-replicated key, the lowest-id online holder pushes to each
+	// online successor missing a copy. The plan is then either executed
+	// per key (PerKeyHeal: one store RPC per push, the measured baseline)
+	// or coalesced per (holder, target) pair into store_batch envelopes —
+	// one message pair moves every key that pair shares.
+	type healPush struct {
+		key   string
+		value []byte
+		src   simnet.NodeID
+		dst   simnet.NodeID
+	}
+	type healPair struct{ src, dst simnet.NodeID }
+	var flat []healPush // key-major plan order (the per-key baseline order)
+	var pairOrder []healPair
+	planned := make(map[healPair][]healPush)
+	failed := make(map[string]bool)
+	for _, key := range keys {
+		hs := holders[key]
+		hasCopy := make(map[simnet.NodeID]bool, len(hs))
+		for _, h := range hs {
+			hasCopy[h.name] = true
+		}
+		d.mu.RLock()
+		targets := d.liveTargets(hashID(key), d.replica)
+		d.mu.RUnlock()
+		src := hs[0]
+		var value []byte
+		for _, target := range targets {
+			if hasCopy[target.name] {
+				continue
+			}
+			if value == nil {
+				src.mu.Lock()
+				value = append([]byte(nil), src.data[key]...)
+				src.mu.Unlock()
+			}
+			p := healPush{key: key, value: value, src: src.name, dst: target.name}
+			flat = append(flat, p)
+			pk := healPair{src: src.name, dst: target.name}
+			if _, ok := planned[pk]; !ok {
+				pairOrder = append(pairOrder, pk)
+			}
+			planned[pk] = append(planned[pk], p)
+		}
+	}
+	if d.perKeyHeal {
+		// One store RPC per copy, in key-major order; a drop leaves the
+		// key for the next pass rather than failing the whole heal.
+		for _, p := range flat {
+			ptr := &simnet.Trace{}
+			psp := sp.Child("repair")
+			psp.Tag("key", p.key)
+			psp.Tag("to", string(p.dst))
+			_, err := d.net.RPC(ptr, p.src, p.dst, simnet.Message{
+				Kind:    kindStore,
+				Payload: storeReq{Key: p.key, Value: p.value},
+				Size:    len(p.key) + len(p.value),
+			})
+			tr.Add(ptr)
+			psp.AddLatency(ptr.Latency)
+			psp.End(spanOutcome(err))
+			if err == nil {
+				report.Repaired++
+			} else {
+				failed[p.key] = true
+			}
+		}
+		pairOrder = nil
+	}
+	for _, pk := range pairOrder {
+		pushes := planned[pk]
+		req := storeBatchReq{
+			Keys:   make([]string, len(pushes)),
+			Values: make([][]byte, len(pushes)),
+		}
+		size := batchEnvelopeOverhead
+		for i, p := range pushes {
+			req.Keys[i] = p.key
+			req.Values[i] = p.value
+			size += len(p.key) + len(p.value) + batchItemOverhead
+		}
+		ptr := &simnet.Trace{}
+		psp := sp.Child("repair")
+		psp.Tag("to", string(pk.dst))
+		psp.Tag("keys", fmt.Sprintf("%d", len(pushes)))
+		_, err := d.net.RPC(ptr, pk.src, pk.dst, simnet.Message{
+			Kind:    kindStoreBatch,
+			Payload: req,
+			Size:    size,
+		})
+		tr.Add(ptr)
+		psp.AddLatency(ptr.Latency)
+		psp.End(spanOutcome(err))
+		if err == nil {
+			report.Repaired += len(pushes)
+		} else {
+			// A dropped envelope leaves its keys for the next pass.
+			for _, p := range pushes {
+				failed[p.key] = true
+			}
+		}
+	}
+	for _, key := range keys {
+		if failed[key] {
+			report.Unrepairable++
+		}
+	}
+	report.Stats = stats(tr)
+	if report.Repaired > 0 {
+		// Copies moved: memoized routes may predate the repaired layout.
+		d.bumpRoutes()
+	}
+	return report, nil
+}
+
+// healOutcome is everything a heal schedule leaves observable.
+type healOutcome struct {
+	reports []overlay.HealReport
+	totals  simnet.Trace
+	stores  map[simnet.NodeID]map[string]string
+}
+
+// runHealSchedule builds a ring from seed, drives a seeded random schedule
+// of faults and writes over it, and runs heal at the schedule's heal points.
+// Every choice comes from the schedule's own RNG and the names it tracks,
+// never from the world's state, so two runs with different heal functions
+// see the same schedule for as long as they behave the same.
+func runHealSchedule(t *testing.T, seed int64, heal func(*DHT) (overlay.HealReport, error)) healOutcome {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	net := simnet.New(simnet.Config{Seed: seed, BaseLatency: time.Millisecond, JitterLatency: 5 * time.Millisecond})
+	names := make([]simnet.NodeID, 4+rng.Intn(20))
+	for i := range names {
+		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
+	}
+	d, err := New(net, names, Config{
+		ReplicationFactor: 1 + rng.Intn(4),
+		PerKeyHeal:        rng.Intn(2) == 0,
+		RouteCache:        cache.Config{Capacity: rng.Intn(2) * 16, Shards: 2, Seed: seed},
+	})
+	if err != nil {
+		t.Fatalf("seed %d: New: %v", seed, err)
+	}
+	var out healOutcome
+	pick := func() simnet.NodeID { return names[rng.Intn(len(names))] }
+	key := func() string { return fmt.Sprintf("k%d", rng.Intn(48)) }
+	value := func() []byte {
+		v := make([]byte, rng.Intn(24))
+		rng.Read(v)
+		return v
+	}
+	store := func(n *node, key string, v []byte) {
+		n.mu.Lock()
+		if v == nil {
+			delete(n.data, key)
+		} else {
+			n.data[key] = v
+		}
+		n.mu.Unlock()
+	}
+	joined := 0
+	for step, steps := 0, 40+rng.Intn(40); step < steps; step++ {
+		// Errors from faulted operations are part of the schedule: a store
+		// through an offline origin fails the same way in both runs.
+		switch op := rng.Intn(100); {
+		case op < 40: // store or overwrite through routing
+			_, _ = d.Store(string(pick()), key(), value())
+		case op < 48: // offline / online flip
+			_ = net.SetOnline(pick(), rng.Intn(3) > 0)
+		case op < 52: // crash-restart: the node comes back empty
+			victim := pick()
+			_ = net.Crash(victim)
+			_ = net.SetOnline(victim, true)
+		case op < 56: // partition flip
+			_ = net.SetPartition(pick(), rng.Intn(2))
+		case op < 59:
+			joined++
+			name := simnet.NodeID(fmt.Sprintf("joiner-%d", joined))
+			if err := d.Join(name); err != nil {
+				t.Fatalf("seed %d: Join: %v", seed, err)
+			}
+			names = append(names, name)
+		case op < 62:
+			if len(names) > 2 {
+				i := rng.Intn(len(names))
+				if err := d.Leave(names[i]); err != nil {
+					t.Fatalf("seed %d: Leave: %v", seed, err)
+				}
+				names = append(names[:i], names[i+1:]...)
+			}
+		case op < 66: // placement filter on a seeded subset, or off
+			if rng.Intn(3) == 0 {
+				d.SetPlacementFilter(nil)
+			} else {
+				salt := rng.Uint64()
+				d.SetPlacementFilter(func(node string) bool { return (hashID(node)^salt)%4 != 0 })
+			}
+		case op < 72: // stale extension copy on an arbitrary node
+			d.mu.RLock()
+			n := d.names[pick()]
+			d.mu.RUnlock()
+			store(n, key(), value())
+		case op < 76: // a key no live target holds: only strays keep it
+			k := key()
+			d.mu.RLock()
+			targets := d.liveTargets(hashID(k), d.replica)
+			stray := d.names[pick()]
+			d.mu.RUnlock()
+			for _, target := range targets {
+				store(target, k, nil)
+			}
+			store(stray, k, value())
+		case op < 79: // fewer online nodes than k
+			keep := rng.Intn(3)
+			for i, name := range names {
+				_ = net.SetOnline(name, i < keep)
+			}
+		case op < 82: // everyone back
+			for _, name := range names {
+				_ = net.SetOnline(name, true)
+				_ = net.SetPartition(name, 0)
+			}
+		case op < 86: // lossy pushes on / off
+			net.SetLossRate(float64(rng.Intn(2)) * 0.3)
+		default:
+			report, err := heal(d)
+			if err != nil {
+				t.Fatalf("seed %d: heal: %v", seed, err)
+			}
+			out.reports = append(out.reports, report)
+		}
+	}
+	report, err := heal(d)
+	if err != nil {
+		t.Fatalf("seed %d: heal: %v", seed, err)
+	}
+	out.reports = append(out.reports, report)
+	out.totals = net.Totals()
+	out.stores = make(map[simnet.NodeID]map[string]string)
+	d.mu.RLock()
+	for name, n := range d.names {
+		n.mu.Lock()
+		out.stores[name] = make(map[string]string, len(n.data))
+		for k, v := range n.data {
+			out.stores[name][k] = string(v)
+		}
+		n.mu.Unlock()
+	}
+	d.mu.RUnlock()
+	return out
+}
+
+func TestHealMatchesReferenceModel(t *testing.T) {
+	// The probe-based scan must be indistinguishable from the global-map
+	// pass it replaced: same report, same RPCs in the same order (so the
+	// same loss and jitter draws, hence identical network totals) and the
+	// same bytes on every node — at any scan parallelism.
+	reference := func(d *DHT) (overlay.HealReport, error) { return referenceHeal(d, nil) }
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		for seed := int64(1); seed <= 240; seed++ {
+			want := runHealSchedule(t, seed, reference)
+			got := runHealSchedule(t, seed, (*DHT).Heal)
+			if !reflect.DeepEqual(got.reports, want.reports) {
+				t.Fatalf("GOMAXPROCS %d seed %d: reports differ\n got %+v\nwant %+v", procs, seed, got.reports, want.reports)
+			}
+			if got.totals != want.totals {
+				t.Fatalf("GOMAXPROCS %d seed %d: network totals differ: got %+v want %+v", procs, seed, got.totals, want.totals)
+			}
+			if !reflect.DeepEqual(got.stores, want.stores) {
+				t.Fatalf("GOMAXPROCS %d seed %d: node stores differ", procs, seed)
+			}
+		}
+	}
+}
+
+func TestHealWithNothingToRepairAllocatesPerRingNotPerKey(t *testing.T) {
+	// A pass that finds every key fully replicated builds the ring view
+	// and the per-node scan results and nothing else: no global map, no
+	// key list, no per-key set.
+	var allocs [2]float64
+	for i, keys := range []int{500, 4000} {
+		d, _ := healRing(t, keys)
+		allocs[i] = testing.AllocsPerRun(5, func() {
+			if report, err := d.Heal(); err != nil || report.KeysScanned != keys || report.Repaired != 0 {
+				t.Fatalf("heal over %d healthy keys: %+v %v", keys, report, err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] || allocs[0] > 32 {
+		t.Fatalf("healthy heal allocates %v at 500 keys and %v at 4000, want equal and <= 32", allocs[0], allocs[1])
+	}
+}
+
+func TestHealConcurrentWithStores(t *testing.T) {
+	// Heal freezes the online stores while other goroutines write through
+	// the same nodes: the pass must neither race nor deadlock with them.
+	d, net, names := buildDHT(t, 12, Config{ReplicationFactor: 3})
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := fmt.Sprintf("w%d-k%d", w, i%64)
+				_, _ = d.Store(string(names[w]), key, []byte(key))
+				_, _, _ = d.Lookup(string(names[w]), key)
+			}
+		}(w)
+	}
+	for round := 0; round < 20; round++ {
+		victim := names[2+round%10]
+		_ = net.Crash(victim)
+		_ = net.SetOnline(victim, true)
+		if _, err := d.Heal(); err != nil {
+			t.Errorf("Heal: %v", err)
+		}
+	}
+	close(stop)
+	<-done
+	<-done
 }

@@ -676,7 +676,10 @@ func (k *KV) hedgedLookup(sp *telemetry.Span, origin, key string, total *overlay
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	allowed := names[:0:0]
+	// Filter in place: names is the callee's fresh slice and is not read
+	// again — except by the fallback below, which runs only when nothing
+	// has been written over it.
+	allowed := names[:0]
 	skips := 0
 	for _, name := range names {
 		if k.breaker.Allow(name) {
