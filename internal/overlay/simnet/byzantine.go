@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 )
 
 // This file implements seeded Byzantine reply corruption: per-node fault
@@ -74,9 +75,11 @@ type ByzantineConfig struct {
 	Seed int64
 }
 
-// byzState is one node's corruption state.
+// byzState is one node's corruption state. mu serialises the node's seeded
+// stream and its replay memory between concurrent callers.
 type byzState struct {
 	cfg       ByzantineConfig
+	mu        sync.Mutex
 	rng       *rand.Rand
 	lastReply map[string]Message // per RPC kind, deep-copied (ByzReplay)
 }
@@ -84,79 +87,50 @@ type byzState struct {
 // SetByzantine configures (or, with ByzNone, clears) a node's Byzantine
 // corruption mode. Unregistered nodes are rejected, mirroring SetOnline.
 func (n *Network) SetByzantine(id NodeID, cfg ByzantineConfig) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.nodes[id]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
+	s, err := n.node(id)
+	if err != nil {
+		return err
 	}
 	if cfg.Mode == ByzNone || cfg.Rate <= 0 {
-		delete(n.byz, id)
+		s.byz.Store(nil)
 		return nil
 	}
-	if n.byz == nil {
-		n.byz = make(map[NodeID]*byzState)
-	}
-	n.byz[id] = &byzState{
+	s.byz.Store(&byzState{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(n.cfg.Seed ^ labelHash(string(id)) ^ cfg.Seed)),
 		lastReply: make(map[string]Message),
-	}
+	})
 	return nil
 }
 
 // ByzantineMode reports a node's configured corruption mode (ByzNone when
 // unconfigured or unknown).
 func (n *Network) ByzantineMode(id NodeID) ByzMode {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s, ok := n.byz[id]; ok {
-		return s.cfg.Mode
+	if s := n.table()[id]; s != nil {
+		if b := s.byz.Load(); b != nil {
+			return b.cfg.Mode
+		}
 	}
 	return ByzNone
 }
 
-// noteCorrupted counts one corrupted reply in the network counter and, when
-// telemetry is wired, the registry. Call with n.mu held.
-func (n *Network) noteCorrupted() {
-	n.corrupted++
-	if n.tel != nil {
-		n.tel.corrupted.Inc()
-	}
-}
-
-// CorruptedReplies reports how many replies the network has corrupted since
-// the last ResetTotals — the injected-fault count experiments compare
-// against how many corruptions *surfaced* to the application.
-func (n *Network) CorruptedReplies() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.corrupted
-}
-
-// maybeCorrupt applies the responder's Byzantine mode to a reply, returning
-// the (possibly replaced) message. Called with n.mu NOT held.
-func (n *Network) maybeCorrupt(from, to NodeID, reply Message) Message {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s := n.byz[to]
-	if s == nil {
-		return reply
-	}
+// corrupt applies the responder's Byzantine mode to a reply from node to to
+// caller from, returning the (possibly replaced) message and whether it now
+// lies.
+func (s *byzState) corrupt(netSeed int64, from, to NodeID, reply Message) (Message, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch s.cfg.Mode {
 	case ByzBitFlip, ByzTruncate:
 		if s.rng.Float64() >= s.cfg.Rate {
-			return reply
+			return reply, false
 		}
-		out, mutated := mutatePayload(reply, func(b []byte) []byte {
+		return mutatePayload(reply, func(b []byte) []byte {
 			if s.cfg.Mode == ByzTruncate {
 				return truncateBytes(s.rng, b)
 			}
 			return flipBit(s.rng, b)
 		})
-		if mutated {
-			n.noteCorrupted()
-		}
-		return out
 
 	case ByzReplay:
 		// Record the honest reply (deep copy) for future replays, then
@@ -164,32 +138,27 @@ func (n *Network) maybeCorrupt(from, to NodeID, reply Message) Message {
 		stale, have := s.lastReply[reply.Kind]
 		s.lastReply[reply.Kind], _ = mutatePayload(reply, copyBytes)
 		if !have || s.rng.Float64() >= s.cfg.Rate {
-			return reply
+			return reply, false
 		}
 		// Serve a copy of the stale reply so later replays stay pristine
 		// even if the caller mutates what it received.
 		out, _ := mutatePayload(stale, copyBytes)
 		if !payloadEqual(out, reply) {
-			n.noteCorrupted()
-			return out
+			return out, true
 		}
-		return reply
+		return reply, false
 
 	case ByzEquivocate:
 		// The lie is a deterministic function of the caller identity: the
 		// same caller always sees the same (corrupted or honest) behaviour.
-		pair := labelHash(string(to)+"\x00"+string(from)) ^ n.cfg.Seed ^ s.cfg.Seed
+		pair := labelHash(string(to)+"\x00"+string(from)) ^ netSeed ^ s.cfg.Seed
 		if float64(uint64(pair)%1000)/1000 >= s.cfg.Rate {
-			return reply
+			return reply, false
 		}
 		flipRng := rand.New(rand.NewSource(pair))
-		out, mutated := mutatePayload(reply, func(b []byte) []byte { return flipBit(flipRng, b) })
-		if mutated {
-			n.noteCorrupted()
-		}
-		return out
+		return mutatePayload(reply, func(b []byte) []byte { return flipBit(flipRng, b) })
 	}
-	return reply
+	return reply, false
 }
 
 // flipBit returns a copy of b with one random bit flipped (nil-safe).

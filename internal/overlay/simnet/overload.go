@@ -46,7 +46,7 @@ type CapacityConfig struct {
 }
 
 // capacityState is one node's admission bookkeeping for the current tick
-// window.
+// window. served is guarded by the node's loadMu.
 type capacityState struct {
 	cfg    CapacityConfig
 	served int // requests admitted (fast + queued) this window
@@ -69,13 +69,12 @@ type OverloadStats struct {
 // SetCapacity configures (or, with PerTick <= 0, removes) a node's service
 // capacity. Unregistered nodes are rejected, mirroring SetOnline.
 func (n *Network) SetCapacity(id NodeID, cfg CapacityConfig) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.nodes[id]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
+	s, err := n.node(id)
+	if err != nil {
+		return err
 	}
 	if cfg.PerTick <= 0 {
-		delete(n.capacity, id)
+		s.capacity.Store(nil)
 		return nil
 	}
 	if cfg.QueueDepth < 0 {
@@ -84,10 +83,7 @@ func (n *Network) SetCapacity(id NodeID, cfg CapacityConfig) error {
 	if cfg.ServiceTime <= 0 {
 		cfg.ServiceTime = n.cfg.BaseLatency
 	}
-	if n.capacity == nil {
-		n.capacity = make(map[NodeID]*capacityState)
-	}
-	n.capacity[id] = &capacityState{cfg: cfg}
+	s.capacity.Store(&capacityState{cfg: cfg})
 	return nil
 }
 
@@ -98,10 +94,14 @@ func (n *Network) SetCapacity(id NodeID, cfg CapacityConfig) error {
 // OnTick hooks (windowed telemetry, scenario annotation) ride the same
 // clock and fire after the window opens, outside the network lock.
 func (n *Network) TickCapacity() {
-	n.mu.Lock()
-	for _, st := range n.capacity {
-		st.served = 0
+	for _, s := range n.table() {
+		if c := s.capacity.Load(); c != nil {
+			s.loadMu.Lock()
+			c.served = 0
+			s.loadMu.Unlock()
+		}
 	}
+	n.mu.Lock()
 	n.tick++
 	tick := n.tick
 	hooks := n.onTick
@@ -132,21 +132,32 @@ func (n *Network) Tick() int {
 	return n.tick
 }
 
-// Overload returns the overload accounting since the last ResetTotals.
+// Overload returns the overload accounting since the last ResetTotals,
+// merged over the nodes that kept it: counts and delay sum, the peak is the
+// deepest any node saw.
 func (n *Network) Overload() OverloadStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.overload
+	var sum OverloadStats
+	for _, s := range n.table() {
+		s.loadMu.Lock()
+		o := s.overload
+		s.loadMu.Unlock()
+		sum.Queued += o.Queued
+		sum.Sheds += o.Sheds
+		sum.QueueDelay += o.QueueDelay
+		if o.PeakQueueDepth > sum.PeakQueueDepth {
+			sum.PeakQueueDepth = o.PeakQueueDepth
+		}
+	}
+	return sum
 }
 
 // admitCapacity applies the destination's capacity model to one request.
 // It returns the queueing delay to charge, or ErrOverloaded when the
-// request is shed. Call with n.mu held.
-func (n *Network) admitCapacity(to NodeID) (time.Duration, error) {
-	st := n.capacity[to]
-	if st == nil {
-		return 0, nil
-	}
+// request is shed.
+func (n *Network) admitCapacity(dst *nodeState, st *capacityState) (time.Duration, error) {
+	tel := n.tel.Load()
+	dst.loadMu.Lock()
+	defer dst.loadMu.Unlock()
 	st.served++
 	if st.served <= st.cfg.PerTick {
 		return 0, nil
@@ -154,24 +165,22 @@ func (n *Network) admitCapacity(to NodeID) (time.Duration, error) {
 	qpos := st.served - st.cfg.PerTick
 	if qpos > st.cfg.QueueDepth {
 		st.served-- // shed requests occupy no service slot
-		n.overload.Sheds++
-		if n.tel != nil {
-			n.tel.sheds.Inc()
+		dst.overload.Sheds++
+		if tel != nil {
+			tel.sheds.Inc()
 		}
-		return 0, fmt.Errorf("%w: %s", ErrOverloaded, to)
+		return 0, fmt.Errorf("%w: %s", ErrOverloaded, dst.id)
 	}
 	delay := time.Duration(qpos) * st.cfg.ServiceTime
-	n.overload.Queued++
-	n.overload.QueueDelay += delay
-	if qpos > n.overload.PeakQueueDepth {
-		n.overload.PeakQueueDepth = qpos
+	dst.overload.Queued++
+	dst.overload.QueueDelay += delay
+	if qpos > dst.overload.PeakQueueDepth {
+		dst.overload.PeakQueueDepth = qpos
 	}
-	if n.tel != nil {
-		n.tel.queued.Inc()
-		n.tel.queueDelay.ObserveDuration(delay)
-		if float64(qpos) > n.tel.queueDepth.Value() {
-			n.tel.queueDepth.Set(float64(qpos))
-		}
+	if tel != nil {
+		tel.queued.Inc()
+		tel.queueDelay.ObserveDuration(delay)
+		tel.queueDepth.SetMax(float64(qpos))
 	}
 	return delay, nil
 }

@@ -13,8 +13,10 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"godosn/internal/telemetry"
@@ -104,32 +106,56 @@ func DefaultConfig(seed int64) Config {
 }
 
 // Network is the simulated network. It is safe for concurrent use.
+//
+// Nothing on the message path is network-wide. RPC and Cast read the node
+// table through an atomically published immutable map, test each endpoint's
+// fault state with atomic loads, and write only the initiating node's
+// account (account.go), so callers at different origins share no written
+// memory on a lossless, uncapped, honest network. mu is the control-plane
+// lock: it serialises Register, hooks and the tick clock, never a message.
 type Network struct {
-	mu        sync.Mutex
-	cfg       Config
-	rng       *rand.Rand
-	nodes     map[NodeID]Handler
-	offline   map[NodeID]bool
-	partOf    map[NodeID]int // partition group; 0 = default
-	onCrash   map[NodeID]func()
-	byz       map[NodeID]*byzState // Byzantine reply corruption (byzantine.go)
-	corrupted int                  // replies corrupted since last reset
-	capacity  map[NodeID]*capacityState
-	overload  OverloadStats
-	totals    Trace
-	rpcCount  int
-	tel       *netTelemetry // nil until SetTelemetry
+	cfg  Config        // immutable after New; the loss rate in effect is loss
+	loss atomic.Uint64 // math.Float64bits of the current loss probability
 
+	nodes    atomic.Pointer[map[NodeID]*nodeState] // immutable; Register publishes a copy
+	tel      atomic.Pointer[netTelemetry]          // nil until SetTelemetry
+	stranger *nodeState                            // stands in for senders that never registered
+
+	mu     sync.Mutex
 	tick   int              // tick-clock position (advanced by TickCapacity)
 	onTick []func(tick int) // tick hooks, invoked outside the lock
 }
 
-// netTelemetry holds the network's registry-backed counters, resolved once
-// at SetTelemetry so the RPC path pays pointer loads, not map lookups.
+// nodeState is everything the network keeps about one registered node. The
+// fault fields are read on every message that touches the node and written
+// only by the fault injectors; what the message path writes lives in acct.
+type nodeState struct {
+	id      NodeID
+	hash    uint64 // id hashed once; seeds this node's link draws
+	handler Handler
+
+	offline   atomic.Bool
+	partition atomic.Int64                  // partition group; 0 = default
+	capacity  atomic.Pointer[capacityState] // nil = uncapped (overload.go)
+	byz       atomic.Pointer[byzState]      // nil = honest (byzantine.go)
+
+	loadMu   sync.Mutex // guards capacity's window count and overload
+	overload OverloadStats
+
+	onCrash func() // guarded by Network.mu
+
+	acct *account
+}
+
+// netTelemetry holds the network's registry-backed instruments, resolved
+// once at SetTelemetry so the RPC path pays pointer loads, not map lookups.
+// The four per-message instruments are the parents every account's
+// trafficTelemetry hangs off; the rest count faults and are shared.
 type netTelemetry struct {
 	rpcs       *telemetry.Counter
 	messages   *telemetry.Counter
 	bytes      *telemetry.Counter
+	delay      *telemetry.Histogram
 	dropped    *telemetry.Counter
 	offline    *telemetry.Counter
 	partition  *telemetry.Counter
@@ -138,7 +164,6 @@ type netTelemetry struct {
 	sheds      *telemetry.Counter
 	queued     *telemetry.Counter
 	queueDepth *telemetry.Gauge
-	delay      *telemetry.Histogram
 	queueDelay *telemetry.Histogram
 }
 
@@ -155,47 +180,72 @@ type netTelemetry struct {
 func (n *Network) SetTelemetry(reg *telemetry.Registry) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if reg == nil {
-		n.tel = nil
-		return
+	var t *netTelemetry
+	if reg != nil {
+		t = &netTelemetry{
+			rpcs:       reg.Counter("simnet_rpcs_total"),
+			messages:   reg.Counter("simnet_messages_total"),
+			bytes:      reg.Counter("simnet_bytes_total"),
+			delay:      reg.Histogram("simnet_delay_ms", "ms", telemetry.LatencyBuckets()),
+			dropped:    reg.Counter("simnet_dropped_total"),
+			offline:    reg.Counter("simnet_offline_refusals_total"),
+			partition:  reg.Counter("simnet_partition_refusals_total"),
+			replyLost:  reg.Counter("simnet_replies_lost_total"),
+			corrupted:  reg.Counter("simnet_corrupted_replies_total"),
+			sheds:      reg.Counter("simnet_overload_sheds_total"),
+			queued:     reg.Counter("simnet_overload_queued_total"),
+			queueDepth: reg.Gauge("simnet_overload_queue_depth_peak"),
+			queueDelay: reg.Histogram("simnet_overload_queue_delay_ms", "ms", telemetry.LatencyBuckets()),
+		}
 	}
-	n.tel = &netTelemetry{
-		rpcs:       reg.Counter("simnet_rpcs_total"),
-		messages:   reg.Counter("simnet_messages_total"),
-		bytes:      reg.Counter("simnet_bytes_total"),
-		dropped:    reg.Counter("simnet_dropped_total"),
-		offline:    reg.Counter("simnet_offline_refusals_total"),
-		partition:  reg.Counter("simnet_partition_refusals_total"),
-		replyLost:  reg.Counter("simnet_replies_lost_total"),
-		corrupted:  reg.Counter("simnet_corrupted_replies_total"),
-		sheds:      reg.Counter("simnet_overload_sheds_total"),
-		queued:     reg.Counter("simnet_overload_queued_total"),
-		queueDepth: reg.Gauge("simnet_overload_queue_depth_peak"),
-		delay:      reg.Histogram("simnet_delay_ms", "ms", telemetry.LatencyBuckets()),
-		queueDelay: reg.Histogram("simnet_overload_queue_delay_ms", "ms", telemetry.LatencyBuckets()),
+	n.tel.Store(t)
+	n.stranger.acct.setTelemetry(t)
+	for _, s := range n.table() {
+		s.acct.setTelemetry(t)
 	}
 }
 
 // New creates an empty network.
 func New(cfg Config) *Network {
-	return &Network{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		nodes:   make(map[NodeID]Handler),
-		offline: make(map[NodeID]bool),
-		partOf:  make(map[NodeID]int),
-		onCrash: make(map[NodeID]func()),
+	n := &Network{cfg: cfg, stranger: newNodeState("", nil)}
+	n.loss.Store(math.Float64bits(cfg.LossRate))
+	n.nodes.Store(&map[NodeID]*nodeState{})
+	return n
+}
+
+func newNodeState(id NodeID, h Handler) *nodeState {
+	hash := mix64(uint64(labelHash(string(id))))
+	return &nodeState{id: id, hash: hash, handler: h, acct: &account{hash: hash}}
+}
+
+// table returns the current node table. The map is never written after it
+// is published.
+func (n *Network) table() map[NodeID]*nodeState { return *n.nodes.Load() }
+
+// node resolves a registered node.
+func (n *Network) node(id NodeID) (*nodeState, error) {
+	if s := n.table()[id]; s != nil {
+		return s, nil
 	}
+	return nil, fmt.Errorf("%w: %s", ErrUnknownNode, id)
 }
 
 // Register adds a node with its RPC handler.
 func (n *Network) Register(id NodeID, h Handler) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, ok := n.nodes[id]; ok {
+	old := n.table()
+	if _, ok := old[id]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicateNode, id)
 	}
-	n.nodes[id] = h
+	s := newNodeState(id, h)
+	s.acct.setTelemetry(n.tel.Load())
+	next := make(map[NodeID]*nodeState, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	next[id] = s
+	n.nodes.Store(&next)
 	return nil
 }
 
@@ -203,24 +253,24 @@ func (n *Network) Register(id NodeID, h Handler) error {
 // Unregistered nodes are rejected: silently recording liveness for a node
 // that does not exist would leave it pre-churned when it later registers.
 func (n *Network) SetOnline(id NodeID, online bool) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.nodes[id]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
+	s, err := n.node(id)
+	if err != nil {
+		return err
 	}
-	n.offline[id] = !online
+	s.offline.Store(!online)
 	return nil
 }
 
 // OnCrash registers a hook invoked when the node crashes (Crash): the hook
 // models volatile-state loss, e.g. a DHT node dropping its stored keys.
 func (n *Network) OnCrash(id NodeID, hook func()) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.nodes[id]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
+	s, err := n.node(id)
+	if err != nil {
+		return err
 	}
-	n.onCrash[id] = hook
+	n.mu.Lock()
+	s.onCrash = hook
+	n.mu.Unlock()
 	return nil
 }
 
@@ -229,13 +279,13 @@ func (n *Network) OnCrash(id NodeID, hook func()) error {
 // in-memory state is lost. Bring the node back with SetOnline(id, true);
 // it restarts empty.
 func (n *Network) Crash(id NodeID) error {
-	n.mu.Lock()
-	if _, ok := n.nodes[id]; !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
+	s, err := n.node(id)
+	if err != nil {
+		return err
 	}
-	n.offline[id] = true
-	hook := n.onCrash[id]
+	s.offline.Store(true)
+	n.mu.Lock()
+	hook := s.onCrash
 	n.mu.Unlock()
 	if hook != nil {
 		hook()
@@ -245,134 +295,126 @@ func (n *Network) Crash(id NodeID) error {
 
 // Online reports whether a node is registered and online.
 func (n *Network) Online(id NodeID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_, ok := n.nodes[id]
-	return ok && !n.offline[id]
+	s := n.table()[id]
+	return s != nil && !s.offline.Load()
 }
 
 // SetPartition assigns a registered node to a partition group; nodes in
 // different groups cannot exchange messages. Group 0 is the default
 // connected group. Unregistered nodes are rejected (see SetOnline).
 func (n *Network) SetPartition(id NodeID, group int) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.nodes[id]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
+	s, err := n.node(id)
+	if err != nil {
+		return err
 	}
-	n.partOf[id] = group
+	s.partition.Store(int64(group))
 	return nil
 }
 
 // SetLossRate changes the message loss probability at runtime (flaky-window
 // injection by fault schedules).
-func (n *Network) SetLossRate(rate float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cfg.LossRate = rate
-}
+func (n *Network) SetLossRate(rate float64) { n.loss.Store(math.Float64bits(rate)) }
 
 // CurrentLossRate reports the loss probability currently in effect.
-func (n *Network) CurrentLossRate() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cfg.LossRate
-}
+func (n *Network) CurrentLossRate() float64 { return math.Float64frombits(n.loss.Load()) }
 
 // Nodes returns all registered node IDs (online and offline).
 func (n *Network) Nodes() []NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]NodeID, 0, len(n.nodes))
-	for id := range n.nodes {
+	nodes := n.table()
+	out := make([]NodeID, 0, len(nodes))
+	for id := range nodes {
 		out = append(out, id)
 	}
 	return out
 }
 
-// Totals returns the accumulated network-wide traffic counters.
-func (n *Network) Totals() Trace {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.totals
-}
+// carry moves one message of a call that the owner of acct initiated: it
+// checks deliverability, draws loss and jitter from the link's own sequence
+// (account.go), and charges the message to tr and to acct. Only the request
+// leg enters the destination's capacity model — replies ride back without
+// re-entering the receiver's admission queue — and only it counts a hop.
+func (n *Network) carry(tr *Trace, acct *account, src, dst *nodeState, from, to NodeID, size int, leg int) error {
+	if dst.offline.Load() {
+		if t := n.tel.Load(); t != nil {
+			t.offline.Inc()
+		}
+		return fmt.Errorf("%w: %s", ErrNodeOffline, to)
+	}
+	if src.offline.Load() {
+		if t := n.tel.Load(); t != nil {
+			t.offline.Inc()
+		}
+		return fmt.Errorf("%w: %s (sender)", ErrNodeOffline, from)
+	}
+	if src.partition.Load() != dst.partition.Load() {
+		if t := n.tel.Load(); t != nil {
+			t.partition.Inc()
+		}
+		return fmt.Errorf("%w: %s / %s", ErrPartitioned, from, to)
+	}
+	delay := n.cfg.BaseLatency
+	peer := src
+	if leg == legRequest {
+		peer = dst
+		if c := dst.capacity.Load(); c != nil {
+			queueDelay, err := n.admitCapacity(dst, c)
+			if err != nil {
+				return err
+			}
+			delay += queueDelay
+		}
+	}
+	loss := n.CurrentLossRate()
 
-// ResetTotals zeroes the network-wide counters (between experiment runs).
-func (n *Network) ResetTotals() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.totals = Trace{}
-	n.rpcCount = 0
-	n.corrupted = 0
-	n.overload = OverloadStats{}
-}
-
-// RPCCount returns the number of RPC invocations since the last reset.
-func (n *Network) RPCCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rpcCount
-}
-
-// admit checks deliverability and charges one message to the trace and
-// totals. It returns the handler to invoke. serving marks the request
-// direction: only then does the destination's capacity model apply —
-// replies ride back without re-entering the receiver's admission queue.
-func (n *Network) admit(tr *Trace, from, to NodeID, size int, serving bool) (Handler, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h, ok := n.nodes[to]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-	}
-	if n.offline[to] {
-		if n.tel != nil {
-			n.tel.offline.Inc()
+	acct.mu.Lock()
+	if loss > 0 || n.cfg.JitterLatency > 0 {
+		h := acct.draw(uint64(n.cfg.Seed), peer, leg)
+		if loss > 0 && unitFloat(h) < loss {
+			acct.mu.Unlock()
+			if t := n.tel.Load(); t != nil {
+				t.dropped.Inc()
+			}
+			return fmt.Errorf("%w: %s -> %s", ErrDropped, from, to)
 		}
-		return nil, fmt.Errorf("%w: %s", ErrNodeOffline, to)
-	}
-	if n.offline[from] {
-		if n.tel != nil {
-			n.tel.offline.Inc()
+		if n.cfg.JitterLatency > 0 {
+			delay += jitterOf(h, n.cfg.JitterLatency)
 		}
-		return nil, fmt.Errorf("%w: %s (sender)", ErrNodeOffline, from)
-	}
-	if n.partOf[from] != n.partOf[to] {
-		if n.tel != nil {
-			n.tel.partition.Inc()
-		}
-		return nil, fmt.Errorf("%w: %s / %s", ErrPartitioned, from, to)
-	}
-	var queueDelay time.Duration
-	if serving {
-		var err error
-		queueDelay, err = n.admitCapacity(to)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if n.cfg.LossRate > 0 && n.rng.Float64() < n.cfg.LossRate {
-		if n.tel != nil {
-			n.tel.dropped.Inc()
-		}
-		return nil, fmt.Errorf("%w: %s -> %s", ErrDropped, from, to)
-	}
-	delay := n.cfg.BaseLatency + queueDelay
-	if n.cfg.JitterLatency > 0 {
-		delay += time.Duration(n.rng.Int63n(int64(n.cfg.JitterLatency)))
 	}
 	tr.Messages++
 	tr.Bytes += size
 	tr.Latency += delay
-	n.totals.Messages++
-	n.totals.Bytes += size
-	n.totals.Latency += delay
-	if n.tel != nil {
-		n.tel.messages.Inc()
-		n.tel.bytes.Add(int64(size))
-		n.tel.delay.ObserveDuration(delay)
+	acct.totals.Messages++
+	acct.totals.Bytes += size
+	acct.totals.Latency += delay
+	if leg == legRequest {
+		tr.Hops++
+		acct.totals.Hops++
+		acct.rpcs++
 	}
-	return h, nil
+	if t := acct.tel; t != nil {
+		t.messages.Inc()
+		t.bytes.Add(int64(size))
+		t.delay.ObserveDuration(delay)
+		if leg == legRequest {
+			t.rpcs.Inc()
+		}
+	}
+	acct.mu.Unlock()
+	return nil
+}
+
+// endpoints resolves both ends of a call. An unknown destination is an
+// error; an unregistered sender is carried by the stranger state (never
+// offline, default partition), as it always could send but not be replied to.
+func (n *Network) endpoints(from, to NodeID) (src, dst *nodeState, err error) {
+	nodes := n.table()
+	if dst = nodes[to]; dst == nil {
+		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownNode, to)
+	}
+	if src = nodes[from]; src == nil {
+		src = n.stranger
+	}
+	return src, dst, nil
 }
 
 // RPC sends a request from one node to another and returns the reply. Both
@@ -381,35 +423,38 @@ func (n *Network) RPC(tr *Trace, from, to NodeID, msg Message) (Message, error) 
 	if tr == nil {
 		tr = &Trace{}
 	}
-	h, err := n.admit(tr, from, to, msg.Size, true)
+	src, dst, err := n.endpoints(from, to)
 	if err != nil {
 		return Message{}, err
 	}
-	n.mu.Lock()
-	n.rpcCount++
-	tr.Hops++
-	n.totals.Hops++
-	if n.tel != nil {
-		n.tel.rpcs.Inc()
+	if err := n.carry(tr, src.acct, src, dst, from, to, msg.Size, legRequest); err != nil {
+		return Message{}, err
 	}
-	n.mu.Unlock()
-
-	reply, err := h.HandleRPC(tr, from, msg)
+	reply, err := dst.handler.HandleRPC(tr, from, msg)
 	if err != nil {
 		return Message{}, fmt.Errorf("simnet: rpc %s->%s %q: %w", from, to, msg.Kind, err)
 	}
 	// A Byzantine responder may silently corrupt the reply (byzantine.go);
 	// no error is produced — detection is the caller's problem.
-	reply = n.maybeCorrupt(from, to, reply)
+	if b := dst.byz.Load(); b != nil {
+		var lied bool
+		if reply, lied = b.corrupt(n.cfg.Seed, from, to, reply); lied {
+			n.noteCorrupted(src.acct)
+		}
+	}
 	// Charge the reply direction. A failure here is NOT equivalent to the
 	// request being lost: the handler has already run, so the caller must
 	// learn that the operation may have been applied.
-	if _, aerr := n.admit(tr, to, from, reply.Size, false); aerr != nil {
-		n.mu.Lock()
-		if n.tel != nil {
-			n.tel.replyLost.Inc()
+	var aerr error
+	if src == n.stranger {
+		aerr = fmt.Errorf("%w: %s", ErrUnknownNode, from)
+	} else {
+		aerr = n.carry(tr, src.acct, dst, src, to, from, reply.Size, legReply)
+	}
+	if aerr != nil {
+		if t := n.tel.Load(); t != nil {
+			t.replyLost.Inc()
 		}
-		n.mu.Unlock()
 		return Message{}, fmt.Errorf("%w: %s->%s: %w", ErrReplyLost, to, from, aerr)
 	}
 	return reply, nil
@@ -421,19 +466,14 @@ func (n *Network) Cast(tr *Trace, from, to NodeID, msg Message) error {
 	if tr == nil {
 		tr = &Trace{}
 	}
-	h, err := n.admit(tr, from, to, msg.Size, true)
+	src, dst, err := n.endpoints(from, to)
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	n.rpcCount++
-	tr.Hops++
-	n.totals.Hops++
-	if n.tel != nil {
-		n.tel.rpcs.Inc()
+	if err := n.carry(tr, src.acct, src, dst, from, to, msg.Size, legRequest); err != nil {
+		return err
 	}
-	n.mu.Unlock()
-	if _, err := h.HandleRPC(tr, from, msg); err != nil {
+	if _, err := dst.handler.HandleRPC(tr, from, msg); err != nil {
 		return fmt.Errorf("simnet: cast %s->%s %q: %w", from, to, msg.Kind, err)
 	}
 	return nil

@@ -64,6 +64,17 @@ type Gauge struct {
 // Set records the current value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
+// SetMax raises the gauge to v unless it already holds at least v — a
+// high-water mark that stays correct when several goroutines report at once.
+func (g *Gauge) SetMax(v float64) {
+	for {
+		old := g.bits.Load()
+		if math.Float64frombits(old) >= v || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Value returns the last recorded value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
