@@ -51,7 +51,8 @@ type link struct {
 	seq  [2]uint64
 }
 
-// trafficTelemetry is one account's handles on the per-message instruments.
+// trafficTelemetry is one account's own shards of the per-message
+// instruments: same metric names, no shared cache line.
 type trafficTelemetry struct {
 	rpcs     *telemetry.Counter
 	messages *telemetry.Counter
@@ -59,8 +60,8 @@ type trafficTelemetry struct {
 	delay    *telemetry.Histogram
 }
 
-// setTelemetry points the account at t's per-message instruments (nil
-// detaches).
+// setTelemetry gives the account a shard of each of t's per-message
+// instruments (nil detaches).
 func (a *account) setTelemetry(t *netTelemetry) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -68,7 +69,12 @@ func (a *account) setTelemetry(t *netTelemetry) {
 		a.tel = nil
 		return
 	}
-	a.tel = &trafficTelemetry{rpcs: t.rpcs, messages: t.messages, bytes: t.bytes, delay: t.delay}
+	a.tel = &trafficTelemetry{
+		rpcs:     t.rpcs.Shard(),
+		messages: t.messages.Shard(),
+		bytes:    t.bytes.Shard(),
+		delay:    t.delay.Shard(),
+	}
 }
 
 // draw returns the next 64 random bits of the (owner, peer, leg) sequence —

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,8 +201,13 @@ func (n *Network) SetTelemetry(reg *telemetry.Registry) {
 	}
 	n.tel.Store(t)
 	n.stranger.acct.setTelemetry(t)
-	for _, s := range n.table() {
-		s.acct.setTelemetry(t)
+	// Shards fold in creation order and float sums do not commute bit for
+	// bit, so hand them out in id order, not map order.
+	nodes := n.table()
+	ids := n.Nodes()
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		nodes[id].acct.setTelemetry(t)
 	}
 }
 

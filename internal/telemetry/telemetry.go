@@ -32,11 +32,45 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
+
+// cacheLine is the padding unit that keeps shards out of each other's cache
+// lines.
+const cacheLine = 64
 
 // Counter is a monotonically increasing (resettable) integer metric.
 type Counter struct {
 	v atomic.Int64
+
+	mu     sync.Mutex
+	shards []*Counter // children, in creation order
+}
+
+// counterShard pads a child counter to whole cache lines, which also aligns
+// it to one.
+type counterShard struct {
+	Counter
+	_ [cacheLine - unsafe.Sizeof(Counter{})%cacheLine]byte
+}
+
+// Shard returns a child counter on a cache line of its own. A writer that
+// owns its shard never contends with the owners of the others; Value and
+// Reset on the parent fold the children in, so the metric reads the same as
+// if every increment had landed on the parent.
+func (c *Counter) Shard() *Counter {
+	s := &new(counterShard).Counter
+	c.mu.Lock()
+	c.shards = append(c.shards, s)
+	c.mu.Unlock()
+	return s
+}
+
+// children returns the shard list as of now.
+func (c *Counter) children() []*Counter {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.shards
 }
 
 // Inc adds 1.
@@ -49,11 +83,22 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value returns the current count, shards included.
+func (c *Counter) Value() int64 {
+	sum := c.v.Load()
+	for _, s := range c.children() {
+		sum += s.Value()
+	}
+	return sum
+}
 
-// Reset zeroes the counter (between experiment phases).
-func (c *Counter) Reset() { c.v.Store(0) }
+// Reset zeroes the counter and its shards (between experiment phases).
+func (c *Counter) Reset() {
+	c.v.Store(0)
+	for _, s := range c.children() {
+		s.Reset()
+	}
+}
 
 // Gauge is a last-value-wins float metric (e.g. nodes currently
 // quarantined).
@@ -91,6 +136,37 @@ type Histogram struct {
 	count    int64
 	sum      float64
 	max      float64
+	shards   []*Histogram // children, in creation order
+}
+
+// histogramShard pads a child histogram like counterShard.
+type histogramShard struct {
+	Histogram
+	_ [cacheLine - unsafe.Sizeof(Histogram{})%cacheLine]byte
+}
+
+// newHistogram fills in h. pad rounds the bucket array up to whole cache
+// lines, so that two shards' arrays never share one.
+func newHistogram(h *Histogram, unit string, bounds []float64, pad bool) *Histogram {
+	n := len(bounds)
+	if pad {
+		const perLine = cacheLine / 8
+		n = (n + perLine - 1) / perLine * perLine
+	}
+	h.unit, h.bounds, h.counts = unit, bounds, make([]int64, len(bounds), n)
+	return h
+}
+
+// Shard returns a child histogram with the same unit and bounds, behind a
+// lock and on cache lines of its own. Count, Sum, Snapshot and Reset on the
+// parent fold the children in, in creation order, so the metric reads the
+// same as if every observation had landed on the parent.
+func (h *Histogram) Shard() *Histogram {
+	s := newHistogram(&new(histogramShard).Histogram, h.unit, h.bounds, true)
+	h.mu.Lock()
+	h.shards = append(h.shards, s)
+	h.mu.Unlock()
+	return s
 }
 
 // Observe records one value.
@@ -117,19 +193,54 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d) / float64(time.Millisecond))
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
+// value snapshots the histogram with its shards folded in.
+func (h *Histogram) value(name string) HistogramValue {
+	hv := HistogramValue{Name: name, Unit: h.unit, Buckets: make([]BucketValue, len(h.bounds))}
+	for i, b := range h.bounds {
+		hv.Buckets[i].LE = b
+	}
+	h.addTo(&hv)
+	return hv
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
+// addTo accumulates h, then its shards, into hv.
+func (h *Histogram) addTo(hv *HistogramValue) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
+	hv.Count += h.count
+	hv.Sum += h.sum
+	if h.max > hv.Max {
+		hv.Max = h.max
+	}
+	hv.Overflow += h.overflow
+	for i, c := range h.counts {
+		hv.Buckets[i].Count += c
+	}
+	shards := h.shards
+	h.mu.Unlock()
+	for _, s := range shards {
+		s.addTo(hv)
+	}
 }
+
+// reset zeroes the histogram and its shards.
+func (h *Histogram) reset() {
+	h.mu.Lock()
+	for i := range h.counts {
+		h.counts[i] = 0
+	}
+	h.overflow, h.count, h.sum, h.max = 0, 0, 0, 0
+	shards := h.shards
+	h.mu.Unlock()
+	for _, s := range shards {
+		s.reset()
+	}
+}
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 { return h.value("").Count }
+
+// Sum returns the sum of all observed values.
+func (h *Histogram) Sum() float64 { return h.value("").Sum }
 
 // LatencyBuckets returns the standard millisecond bucket bounds used for
 // simulated-latency histograms.
@@ -190,11 +301,7 @@ func (r *Registry) Histogram(name, unit string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &Histogram{
-			unit:   unit,
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]int64, len(bounds)),
-		}
+		h = newHistogram(new(Histogram), unit, append([]float64(nil), bounds...), false)
 		r.hists[name] = h
 	}
 	return h
@@ -215,12 +322,7 @@ func (r *Registry) Reset() {
 		g.Set(0)
 	}
 	for _, h := range r.hists {
-		h.mu.Lock()
-		for i := range h.counts {
-			h.counts[i] = 0
-		}
-		h.overflow, h.count, h.sum, h.max = 0, 0, 0, 0
-		h.mu.Unlock()
+		h.reset()
 	}
 	r.events.Reset()
 }
@@ -305,16 +407,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].Name < snap.Gauges[j].Name })
 	for name, h := range r.hists {
-		h.mu.Lock()
-		hv := HistogramValue{
-			Name: name, Unit: h.unit, Count: h.count, Sum: h.sum, Max: h.max,
-			Buckets: make([]BucketValue, len(h.bounds)), Overflow: h.overflow,
-		}
-		for i, b := range h.bounds {
-			hv.Buckets[i] = BucketValue{LE: b, Count: h.counts[i]}
-		}
-		h.mu.Unlock()
-		snap.Histograms = append(snap.Histograms, hv)
+		snap.Histograms = append(snap.Histograms, h.value(name))
 	}
 	sort.Slice(snap.Histograms, func(i, j int) bool { return snap.Histograms[i].Name < snap.Histograms[j].Name })
 	snap.Events = r.events.Counts()
