@@ -279,9 +279,7 @@ func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, 
 	if len(keys) == 0 {
 		return nil, overlay.OpStats{}, nil
 	}
-	d.mu.RLock()
-	known := d.names[simnet.NodeID(origin)] != nil
-	d.mu.RUnlock()
+	known := d.view().names[simnet.NodeID(origin)] != nil
 	if !known {
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: %w: %s", overlay.ErrUnknownOrigin, origin)
 	}
@@ -319,9 +317,8 @@ func (d *DHT) putGroup(origin simnet.NodeID, g batchGroup, keys []string, values
 		req.Values[i] = values[idx]
 		size += len(keys[idx]) + len(values[idx]) + batchItemOverhead
 	}
-	d.mu.RLock()
-	replicas := d.placementOf(g.root, d.replica)
-	d.mu.RUnlock()
+	v := d.view()
+	replicas := v.placementOf(g.root, d.replica)
 	out := groupOutcome{}
 	var (
 		stored  int
@@ -330,9 +327,7 @@ func (d *DHT) putGroup(origin simnet.NodeID, g batchGroup, keys []string, values
 		maxLat  time.Duration
 	)
 	for _, rid := range replicas {
-		d.mu.RLock()
-		rn := d.byID[rid]
-		d.mu.RUnlock()
+		rn := v.byID[rid]
 		rtr := &simnet.Trace{}
 		_, err := d.net.RPC(rtr, origin, rn.name, simnet.Message{
 			Kind:    kindStoreBatch,
@@ -377,9 +372,7 @@ func (d *DHT) GetBatch(origin string, keys []string) ([]overlay.BatchResult, ove
 	if len(keys) == 0 {
 		return nil, overlay.OpStats{}, nil
 	}
-	d.mu.RLock()
-	known := d.names[simnet.NodeID(origin)] != nil
-	d.mu.RUnlock()
+	known := d.view().names[simnet.NodeID(origin)] != nil
 	if !known {
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: %w: %s", overlay.ErrUnknownOrigin, origin)
 	}
@@ -414,9 +407,8 @@ func (d *DHT) GetBatch(origin string, keys []string) ([]overlay.BatchResult, ove
 // so latency sums across probes; delivery failures and misses stay pinned
 // to the keys that experienced them.
 func (d *DHT) getGroup(origin simnet.NodeID, g batchGroup, keys []string) groupOutcome {
-	d.mu.RLock()
-	replicas := d.successorsOf(g.root, d.replica)
-	d.mu.RUnlock()
+	v := d.view()
+	replicas := v.successorsOf(g.root, d.replica)
 	out := groupOutcome{
 		errs: make(map[int]error, len(g.idxs)),
 		vals: make(map[int][]byte, len(g.idxs)),
@@ -432,9 +424,7 @@ func (d *DHT) getGroup(origin simnet.NodeID, g batchGroup, keys []string) groupO
 		if len(pending) == 0 {
 			break
 		}
-		d.mu.RLock()
-		rn := d.byID[rid]
-		d.mu.RUnlock()
+		rn := v.byID[rid]
 		*reqKeys = (*reqKeys)[:0]
 		size := batchEnvelopeOverhead
 		for _, idx := range pending {

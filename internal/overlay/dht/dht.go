@@ -14,8 +14,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"godosn/internal/cache"
 	"godosn/internal/overlay"
@@ -33,11 +33,10 @@ func hashID(s string) uint64 {
 	return binary.BigEndian.Uint64(h[:8])
 }
 
-// node is one DHT participant.
+// node is one DHT participant. Its routing state lives in the ringView.
 type node struct {
-	id     uint64
-	name   simnet.NodeID
-	finger []uint64 // finger[i] = id of successor(id + 2^i)
+	id   uint64
+	name simnet.NodeID
 
 	mu   sync.Mutex
 	data map[string][]byte
@@ -51,12 +50,8 @@ type DHT struct {
 	fanout     int
 	perKeyHeal bool
 
-	mu         sync.RWMutex
-	byID       map[uint64]*node
-	ring       []uint64 // sorted node ids
-	names      map[simnet.NodeID]*node
-	allowPlace func(node string) bool        // placement veto (integrity.go); nil = canonical
-	rankRepl   func(names []string) []string // replica-selection order (repair.go); nil = ring order
+	mu   sync.Mutex               // serialises the writers of ring, and Heal's planning against them
+	ring atomic.Pointer[ringView] // membership, fingers, filter, ranker (ring.go); read lock-free
 
 	routes    *cache.Cache[uint64] // key → successor root (routecache.go); nil = uncached
 	ownership ownershipCache       // learned successor intervals (ownership.go)
@@ -112,74 +107,29 @@ func New(net *simnet.Network, nodes []simnet.NodeID, cfg Config) (*DHT, error) {
 		replica:    cfg.ReplicationFactor,
 		fanout:     cfg.FanoutWorkers,
 		perKeyHeal: cfg.PerKeyHeal,
-		byID:       make(map[uint64]*node, len(nodes)),
-		names:      make(map[simnet.NodeID]*node, len(nodes)),
 		routes:     cache.New[uint64](cfg.RouteCache),
 		gates:      newNodeGates(cfg.NodeGate, nodes),
 	}
+	members := make([]*node, 0, len(nodes))
+	taken := make(map[uint64]*node, len(nodes))
 	for _, name := range nodes {
-		id := hashID(string(name))
-		for {
-			if _, dup := d.byID[id]; !dup {
-				break
-			}
-			id++ // resolve improbable collisions deterministically
-		}
-		n := &node{id: id, name: name, data: make(map[string][]byte)}
-		d.byID[id] = n
-		d.names[name] = n
-		d.ring = append(d.ring, id)
+		n := &node{id: freeID(hashID(string(name)), taken), name: name, data: make(map[string][]byte)}
+		taken[n.id] = n
+		members = append(members, n)
 		if err := net.Register(name, d.handlerFor(n)); err != nil {
 			return nil, fmt.Errorf("dht: registering %s: %w", name, err)
 		}
 		registerCrashHook(net, n)
 	}
-	sort.Slice(d.ring, func(i, j int) bool { return d.ring[i] < d.ring[j] })
-	d.rebuildFingers()
+	d.ring.Store(newRingView(members, nil, nil))
 	return d, nil
 }
 
+// view returns the current ring snapshot.
+func (d *DHT) view() *ringView { return d.ring.Load() }
+
 // Name implements overlay.KV.
 func (d *DHT) Name() string { return "structured-dht" }
-
-// rebuildFingers recomputes every node's finger table from the global ring
-// view, as simulators conventionally do in place of the incremental Chord
-// join protocol.
-func (d *DHT) rebuildFingers() {
-	for _, n := range d.byID {
-		n.finger = make([]uint64, ringBits)
-		for i := 0; i < ringBits; i++ {
-			target := n.id + (uint64(1) << uint(i))
-			n.finger[i] = d.successorID(target)
-		}
-	}
-}
-
-// successorID returns the first ring node id clockwise from target.
-func (d *DHT) successorID(target uint64) uint64 {
-	i := sort.Search(len(d.ring), func(i int) bool { return d.ring[i] >= target })
-	if i == len(d.ring) {
-		i = 0
-	}
-	return d.ring[i]
-}
-
-// successorsOf returns up to k distinct node ids clockwise from target.
-func (d *DHT) successorsOf(target uint64, k int) []uint64 {
-	if k > len(d.ring) {
-		k = len(d.ring)
-	}
-	i := sort.Search(len(d.ring), func(i int) bool { return d.ring[i] >= target })
-	out := make([]uint64, 0, k)
-	for len(out) < k {
-		if i == len(d.ring) {
-			i = 0
-		}
-		out = append(out, d.ring[i])
-		i++
-	}
-	return out
-}
 
 // inInterval reports whether x lies in the half-open clockwise interval
 // (a, b] on the ring.
@@ -191,17 +141,6 @@ func inInterval(x, a, b uint64) bool {
 		return x > a || x <= b
 	}
 	return true // a == b: full circle
-}
-
-// closestPrecedingFinger returns the node's best routing step toward key.
-func (n *node) closestPrecedingFinger(key uint64) uint64 {
-	for i := ringBits - 1; i >= 0; i-- {
-		f := n.finger[i]
-		if f != n.id && inInterval(f, n.id, key-1) {
-			return f
-		}
-	}
-	return n.id
 }
 
 // RPC message kinds.
@@ -247,13 +186,12 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 			if !ok {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
-			d.mu.RLock()
-			succ := d.successorID(n.id + 1)
-			d.mu.RUnlock()
+			v := d.view()
+			succ := v.successorID(n.id + 1)
 			if inInterval(req.Key, n.id, succ) {
 				return simnet.Message{Kind: msg.Kind, Payload: findSuccessorResp{Done: true, Node: succ}, Size: 24}, nil
 			}
-			next := n.closestPrecedingFinger(req.Key)
+			next := v.closestPrecedingFinger(n.id, req.Key)
 			if next == n.id {
 				return simnet.Message{Kind: msg.Kind, Payload: findSuccessorResp{Done: true, Node: succ}, Size: 24}, nil
 			}
@@ -318,26 +256,24 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 // findSuccessor runs the iterative Chord lookup from the origin node,
 // charging each routing step to the trace.
 func (d *DHT) findSuccessor(tr *simnet.Trace, origin simnet.NodeID, key uint64) (uint64, error) {
-	d.mu.RLock()
-	cur := d.names[origin]
-	d.mu.RUnlock()
+	v := d.view()
+	cur := v.names[origin]
 	if cur == nil {
 		return 0, fmt.Errorf("dht: %w: %s", overlay.ErrUnknownOrigin, origin)
 	}
 	// Local shortcut: origin answers from its own routing state first.
-	d.mu.RLock()
-	succ := d.successorID(cur.id + 1)
-	d.mu.RUnlock()
+	succ := v.successorID(cur.id + 1)
 	if inInterval(key, cur.id, succ) {
 		return succ, nil
 	}
-	target := cur.closestPrecedingFinger(key)
+	target := v.closestPrecedingFinger(cur.id, key)
 	// One request serves the whole walk: boxed into the payload once.
 	req := simnet.Message{Kind: kindFindSuccessor, Payload: findSuccessorReq{Key: key}, Size: 16}
 	for step := 0; step < 2*ringBits; step++ {
-		d.mu.RLock()
-		targetNode := d.byID[target]
-		d.mu.RUnlock()
+		// Each hop is resolved against the ring as it is now: the replies
+		// that steer the walk come from handlers reading the current view.
+		v = d.view()
+		targetNode := v.byID[target]
 		if targetNode == nil {
 			return 0, overlay.ErrUnavailable
 		}
@@ -345,9 +281,7 @@ func (d *DHT) findSuccessor(tr *simnet.Trace, origin simnet.NodeID, key uint64) 
 		if err != nil {
 			// Route around an unreachable hop: fall back to its ring
 			// successor, as Chord's failure handling would after a timeout.
-			d.mu.RLock()
-			next := d.successorID(target + 1)
-			d.mu.RUnlock()
+			next := v.successorID(target + 1)
 			if next == target {
 				return 0, overlay.ErrUnavailable
 			}
@@ -392,18 +326,15 @@ func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (o
 	if err != nil {
 		return stats(tr), err
 	}
-	d.mu.RLock()
-	replicas := d.placementOf(root, d.replica)
-	d.mu.RUnlock()
+	v := d.view()
+	replicas := v.placementOf(root, d.replica)
 	// Write the replica set in placement order, one store RPC each; any ack
 	// makes the store succeed. Every replica gets the same request.
 	req := simnet.Message{Kind: kindStore, Payload: storeReq{Key: key, Value: value}, Size: len(key) + len(value)}
 	stored := 0
 	var lastErr, ackLost error
 	for _, rid := range replicas {
-		d.mu.RLock()
-		rn := d.byID[rid]
-		d.mu.RUnlock()
+		rn := v.byID[rid]
 		before := tr.Latency
 		ssp := sp.Child("store")
 		ssp.Tag("replica", string(rn.name))
@@ -454,16 +385,13 @@ func (d *DHT) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overla
 	if err != nil {
 		return nil, stats(tr), err
 	}
-	d.mu.RLock()
-	replicas := d.successorsOf(root, d.replica)
-	d.mu.RUnlock()
+	v := d.view()
+	replicas := v.successorsOf(root, d.replica)
 	// Probe replicas in ring order, stop at the first hit.
 	req := simnet.Message{Kind: kindFetch, Payload: fetchReq{Key: key}, Size: len(key)}
 	var lastErr error = overlay.ErrUnavailable
 	for _, rid := range replicas {
-		d.mu.RLock()
-		rn := d.byID[rid]
-		d.mu.RUnlock()
+		rn := v.byID[rid]
 		before := tr.Latency
 		fsp := sp.Child("fetch")
 		fsp.Tag("replica", string(rn.name))

@@ -76,8 +76,8 @@ func healRing(tb testing.TB, keys int) (*DHT, []simnet.NodeID) {
 	}
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("k%d", i)
-		for _, rid := range d.successorsOf(hashID(key), d.replica) {
-			d.byID[rid].data[key] = []byte("benchmark value payload")
+		for _, rid := range d.view().successorsOf(hashID(key), d.replica) {
+			d.view().byID[rid].data[key] = []byte("benchmark value payload")
 		}
 	}
 	return d, names
@@ -101,7 +101,7 @@ func BenchmarkHeal(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("keys=%d/returning=3", keys), func(b *testing.B) {
 			d, names := healRing(b, keys)
-			returning := []*node{d.names[names[7]], d.names[names[19]], d.names[names[31]]}
+			returning := []*node{d.view().names[names[7]], d.view().names[names[19]], d.view().names[names[31]]}
 			missed := make([][]string, len(returning))
 			for i, n := range returning {
 				held := make([]string, 0, len(n.data))

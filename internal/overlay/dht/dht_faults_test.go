@@ -113,7 +113,7 @@ func TestPartitionIsolatesLookups(t *testing.T) {
 	if _, _, err := d.Lookup(string(names[5]), "k"); err == nil {
 		// Only acceptable if node-5 itself holds the key locally.
 		kid := hashID("k")
-		if d.byID[d.successorID(kid)].name != names[5] {
+		if d.view().byID[d.view().successorID(kid)].name != names[5] {
 			t.Fatal("partitioned node resolved a remote key")
 		}
 	}

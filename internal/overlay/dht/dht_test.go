@@ -115,7 +115,7 @@ func TestReplicationSurvivesPrimaryFailure(t *testing.T) {
 	}
 	// Kill the key's primary successor.
 	kid := hashID(key)
-	primary := d.byID[d.successorID(kid)]
+	primary := d.view().byID[d.view().successorID(kid)]
 	net.SetOnline(primary.name, false)
 
 	origin := names[0]
@@ -138,7 +138,7 @@ func TestNoReplicationFailsOnPrimaryLoss(t *testing.T) {
 		t.Fatalf("Store: %v", err)
 	}
 	kid := hashID(key)
-	primary := d.byID[d.successorID(kid)]
+	primary := d.view().byID[d.view().successorID(kid)]
 	net.SetOnline(primary.name, false)
 	origin := names[0]
 	if origin == primary.name {

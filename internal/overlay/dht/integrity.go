@@ -2,7 +2,6 @@ package dht
 
 import (
 	"fmt"
-	"sort"
 
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
@@ -45,9 +44,7 @@ type digestResp struct {
 // replica only, bypassing routing and placement.
 func (d *DHT) StoreTo(origin, key string, value []byte, replica string) (overlay.OpStats, error) {
 	tr := &simnet.Trace{}
-	d.mu.RLock()
-	rn := d.names[simnet.NodeID(replica)]
-	d.mu.RUnlock()
+	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
 		return stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
@@ -64,9 +61,7 @@ func (d *DHT) StoreTo(origin, key string, value []byte, replica string) (overlay
 // keys, in the given order.
 func (d *DHT) DigestFrom(origin string, keys []string, nonce uint64, replica string) (overlay.Digest, overlay.OpStats, error) {
 	tr := &simnet.Trace{}
-	d.mu.RLock()
-	rn := d.names[simnet.NodeID(replica)]
-	d.mu.RUnlock()
+	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
 		return overlay.Digest{}, stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
@@ -112,52 +107,17 @@ func localDigest(n *node, keys []string, nonce uint64) digestResp {
 // placement). Reads and direct repairs are unaffected.
 func (d *DHT) SetPlacementFilter(allow func(node string) bool) {
 	d.mu.Lock()
-	d.allowPlace = allow
+	v := *d.view()
+	v.allowPlace = allow
+	d.ring.Store(&v)
 	d.mu.Unlock()
 	d.bumpRoutes() // placement changed under memoized routes
-}
-
-// placementAllowed consults the filter; call with d.mu held.
-func (d *DHT) placementAllowed(name simnet.NodeID) bool {
-	return d.allowPlace == nil || d.allowPlace(string(name))
-}
-
-// placementOf returns the replica placement for a key root: the first k
-// successors passing the placement filter, walking past vetoed nodes. With
-// no filter this is exactly successorsOf. A filter that vetoes every node
-// falls back to the canonical set — an unusable filter must not brick
-// writes. Call with d.mu held (as successorsOf).
-func (d *DHT) placementOf(root uint64, k int) []uint64 {
-	if d.allowPlace == nil {
-		return d.successorsOf(root, k)
-	}
-	if k > len(d.ring) {
-		k = len(d.ring)
-	}
-	out := make([]uint64, 0, k)
-	i := sort.Search(len(d.ring), func(i int) bool { return d.ring[i] >= root })
-	for walked := 0; walked < len(d.ring) && len(out) < k; walked++ {
-		if i == len(d.ring) {
-			i = 0
-		}
-		rid := d.ring[i]
-		i++
-		if d.placementAllowed(d.byID[rid].name) {
-			out = append(out, rid)
-		}
-	}
-	if len(out) == 0 {
-		return d.successorsOf(root, k)
-	}
-	return out
 }
 
 // Holds reports whether the named node currently holds a local copy of key
 // — test and experiment introspection, free of network cost.
 func (d *DHT) Holds(name, key string) bool {
-	d.mu.RLock()
-	n := d.names[simnet.NodeID(name)]
-	d.mu.RUnlock()
+	n := d.view().names[simnet.NodeID(name)]
 	if n == nil {
 		return false
 	}
@@ -172,9 +132,7 @@ func (d *DHT) Holds(name, key string) bool {
 // free of network cost. The second result reports whether the node holds
 // the key at all.
 func (d *DHT) StoredCopy(name, key string) ([]byte, bool) {
-	d.mu.RLock()
-	n := d.names[simnet.NodeID(name)]
-	d.mu.RUnlock()
+	n := d.view().names[simnet.NodeID(name)]
 	if n == nil {
 		return nil, false
 	}
@@ -192,9 +150,7 @@ func (d *DHT) StoredCopy(name, key string) ([]byte, bool) {
 // node held the key. The mutation happens on the stored bytes themselves
 // (that is the point: the scrubber must find and repair it).
 func (d *DHT) CorruptStored(name, key string, mutate func([]byte) []byte) bool {
-	d.mu.RLock()
-	n := d.names[simnet.NodeID(name)]
-	d.mu.RUnlock()
+	n := d.view().names[simnet.NodeID(name)]
 	if n == nil {
 		return false
 	}

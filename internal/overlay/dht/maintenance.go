@@ -66,9 +66,7 @@ func handleDigestBatch(n *node, req digestBatchReq) (simnet.Message, error) {
 // failure (unreachable, corrupt reply) is the top-level error.
 func (d *DHT) FetchBatchFrom(origin string, keys []string, replica string) ([]overlay.BatchResult, overlay.OpStats, error) {
 	tr := &simnet.Trace{}
-	d.mu.RLock()
-	rn := d.names[simnet.NodeID(replica)]
-	d.mu.RUnlock()
+	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
 		return nil, stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
@@ -107,9 +105,7 @@ func (d *DHT) StoreBatchTo(origin string, keys []string, values [][]byte, replic
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: StoreBatchTo: %d keys but %d values", len(keys), len(values))
 	}
 	tr := &simnet.Trace{}
-	d.mu.RLock()
-	rn := d.names[simnet.NodeID(replica)]
-	d.mu.RUnlock()
+	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
 		return nil, stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
@@ -133,9 +129,7 @@ func (d *DHT) StoreBatchTo(origin string, keys []string, values [][]byte, replic
 // replica, all bound to nonce.
 func (d *DHT) DigestBatchFrom(origin string, groups [][]string, nonce uint64, replica string) ([]overlay.Digest, overlay.OpStats, error) {
 	tr := &simnet.Trace{}
-	d.mu.RLock()
-	rn := d.names[simnet.NodeID(replica)]
-	d.mu.RUnlock()
+	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
 		return nil, stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
@@ -178,7 +172,5 @@ func (d *DHT) DigestBatchFrom(origin string, groups [][]string, nonce uint64, re
 // state is stale, in which case the scrub pass degrades to extra
 // drill-downs, never to a false clean.
 func (d *DHT) PlanReplicas(key string) []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.replicaPlanLocked(hashID(key))
+	return d.replicaPlan(hashID(key))
 }

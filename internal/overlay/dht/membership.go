@@ -2,7 +2,6 @@ package dht
 
 import (
 	"fmt"
-	"sort"
 
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
@@ -19,34 +18,25 @@ import (
 func (d *DHT) Join(name simnet.NodeID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.names[name]; ok {
+	old := d.view()
+	if _, ok := old.names[name]; ok {
 		return fmt.Errorf("dht: %s already joined", name)
 	}
-	id := hashID(string(name))
-	for {
-		if _, dup := d.byID[id]; !dup {
-			break
-		}
-		id++
-	}
-	n := &node{id: id, name: name, data: make(map[string][]byte)}
+	n := &node{id: freeID(hashID(string(name)), old.byID), name: name, data: make(map[string][]byte)}
 	if err := d.net.Register(name, d.handlerFor(n)); err != nil {
 		return fmt.Errorf("dht: registering %s: %w", name, err)
 	}
 	registerCrashHook(d.net, n)
-	d.byID[id] = n
-	d.names[name] = n
-	d.ring = append(d.ring, id)
-	sort.Slice(d.ring, func(i, j int) bool { return d.ring[i] < d.ring[j] })
+	v := newRingView(append(old.members(), n), old.allowPlace, old.rankRepl)
 
 	// Key handoff: the new node takes keys from its successor that now
-	// hash into its range (predecessor, id].
-	succID := d.successorID(id + 1)
-	if succ := d.byID[succID]; succ != nil && succ != n {
-		pred := d.predecessorID(id)
+	// hash into its range (predecessor, id]. It is filled before the view
+	// that makes it routable is published.
+	if succ := v.byID[v.successorID(n.id+1)]; succ != n {
+		pred := v.predecessorID(n.id)
 		succ.mu.Lock()
 		for key, value := range succ.data {
-			if inInterval(hashID(key), pred, id) {
+			if inInterval(hashID(key), pred, n.id) {
 				n.mu.Lock()
 				// Copy on handoff: the two nodes' stores must never alias
 				// the same backing array.
@@ -57,7 +47,7 @@ func (d *DHT) Join(name simnet.NodeID) error {
 		}
 		succ.mu.Unlock()
 	}
-	d.rebuildFingers()
+	d.ring.Store(v)
 	d.bumpRoutes() // memoized routes predate the new node's range
 	return nil
 }
@@ -68,49 +58,36 @@ func (d *DHT) Join(name simnet.NodeID) error {
 func (d *DHT) Leave(name simnet.NodeID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n, ok := d.names[name]
+	old := d.view()
+	n, ok := old.names[name]
 	if !ok {
 		return fmt.Errorf("dht: %s not in ring", name)
 	}
-	if len(d.ring) == 1 {
+	if len(old.ring) == 1 {
 		return overlay.ErrNoNodes
 	}
-	// Remove from the ring first so the successor computation skips it.
-	idx := sort.Search(len(d.ring), func(i int) bool { return d.ring[i] >= n.id })
-	d.ring = append(d.ring[:idx], d.ring[idx+1:]...)
-	delete(d.byID, n.id)
-	delete(d.names, name)
-
-	succID := d.successorID(n.id)
-	if succ := d.byID[succID]; succ != nil {
-		n.mu.Lock()
-		succ.mu.Lock()
-		for key, value := range n.data {
-			succ.data[key] = append([]byte(nil), value...)
+	// The successor is computed on the ring without the leaver.
+	rest := make([]*node, 0, len(old.ring)-1)
+	for _, m := range old.members() {
+		if m != n {
+			rest = append(rest, m)
 		}
-		succ.mu.Unlock()
-		n.data = make(map[string][]byte)
-		n.mu.Unlock()
 	}
+	v := newRingView(rest, old.allowPlace, old.rankRepl)
+	succ := v.byID[v.successorID(n.id)]
+	n.mu.Lock()
+	succ.mu.Lock()
+	for key, value := range n.data {
+		succ.data[key] = append([]byte(nil), value...)
+	}
+	succ.mu.Unlock()
+	n.data = make(map[string][]byte)
+	n.mu.Unlock()
 	d.net.SetOnline(name, false)
-	d.rebuildFingers()
+	d.ring.Store(v)
 	d.bumpRoutes() // memoized routes may point at the departed node
 	return nil
 }
 
-// predecessorID returns the first ring node id counter-clockwise from
-// target (exclusive).
-func (d *DHT) predecessorID(target uint64) uint64 {
-	i := sort.Search(len(d.ring), func(i int) bool { return d.ring[i] >= target })
-	if i == 0 {
-		return d.ring[len(d.ring)-1]
-	}
-	return d.ring[i-1]
-}
-
 // Size returns the current ring size.
-func (d *DHT) Size() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.ring)
-}
+func (d *DHT) Size() int { return len(d.view().ring) }

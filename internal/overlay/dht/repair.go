@@ -30,7 +30,9 @@ var (
 // membership of the candidate set is still ring position and liveness.
 func (d *DHT) SetReplicaRanker(rank func(names []string) []string) {
 	d.mu.Lock()
-	d.rankRepl = rank
+	v := *d.view()
+	v.rankRepl = rank
+	d.ring.Store(&v)
 	d.mu.Unlock()
 }
 
@@ -54,21 +56,20 @@ func (d *DHT) ReplicasFor(origin, key string) ([]string, overlay.OpStats, error)
 	if err != nil {
 		return nil, stats(tr), err
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.replicaPlanLocked(root), stats(tr), nil
+	return d.replicaPlan(root), stats(tr), nil
 }
 
-// replicaPlanLocked computes the candidate list for a resolved root: the
+// replicaPlan computes the candidate list for a resolved root: the
 // canonical replica set, the online extension walk, and the health ranking.
 // Shared by ReplicasFor (routed root) and PlanReplicas (local hash root —
-// successorsOf lands on the same successor either way). Call with d.mu held.
-func (d *DHT) replicaPlanLocked(root uint64) []string {
+// successorsOf lands on the same successor either way).
+func (d *DHT) replicaPlan(root uint64) []string {
+	v := d.view()
 	names := make([]string, 0, 2*d.replica)
 	seen := make(map[uint64]bool, 2*d.replica)
-	for _, rid := range d.successorsOf(root, d.replica) {
+	for _, rid := range v.successorsOf(root, d.replica) {
 		seen[rid] = true
-		names = append(names, string(d.byID[rid].name))
+		names = append(names, string(v.byID[rid].name))
 	}
 	// Extend past the canonical set until d.replica online candidates are
 	// found (or the ring is exhausted), mirroring where Heal re-replicates.
@@ -77,31 +78,31 @@ func (d *DHT) replicaPlanLocked(root uint64) []string {
 	// the extension reaches the nodes placement actually chose around them.
 	online := 0
 	for _, name := range names {
-		if d.net.Online(simnet.NodeID(name)) && d.placementAllowed(simnet.NodeID(name)) {
+		if d.net.Online(simnet.NodeID(name)) && v.placementAllowed(simnet.NodeID(name)) {
 			online++
 		}
 	}
-	i := sort.Search(len(d.ring), func(i int) bool { return d.ring[i] >= root })
-	for walked := 0; walked < len(d.ring) && online < d.replica && len(names) < 2*d.replica; walked++ {
-		if i == len(d.ring) {
+	i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= root })
+	for walked := 0; walked < len(v.ring) && online < d.replica && len(names) < 2*d.replica; walked++ {
+		if i == len(v.ring) {
 			i = 0
 		}
-		rid := d.ring[i]
+		rid := v.ring[i]
 		i++
 		if seen[rid] {
 			continue
 		}
 		seen[rid] = true
-		n := d.byID[rid]
+		n := v.byID[rid]
 		if d.net.Online(n.name) {
 			names = append(names, string(n.name))
-			if d.placementAllowed(n.name) {
+			if v.placementAllowed(n.name) {
 				online++
 			}
 		}
 	}
-	if d.rankRepl != nil {
-		names = d.rankRepl(names)
+	if v.rankRepl != nil {
+		names = v.rankRepl(names)
 	}
 	return names
 }
@@ -110,9 +111,7 @@ func (d *DHT) replicaPlanLocked(root uint64) []string {
 // named replica, without walking the rest of the replica set.
 func (d *DHT) LookupFrom(origin, key, replica string) ([]byte, overlay.OpStats, error) {
 	tr := &simnet.Trace{}
-	d.mu.RLock()
-	rn := d.names[simnet.NodeID(replica)]
-	d.mu.RUnlock()
+	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
 		return nil, stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
@@ -163,13 +162,14 @@ type healView struct {
 	targets [][]*node // per ring segment
 }
 
-// healViewLocked snapshots ring and liveness; call with d.mu held.
+// healViewLocked snapshots ring and liveness; call with d.mu held, so the
+// membership cannot change under the pass.
 func (d *DHT) healViewLocked() *healView {
-	v := &healView{ring: d.ring, targets: make([][]*node, len(d.ring))}
-	nodes := make([]*node, len(d.ring))
-	up := make([]bool, len(d.ring))
-	for i, rid := range d.ring {
-		nodes[i] = d.byID[rid]
+	rv := d.view()
+	ring, nodes := rv.ring, rv.members()
+	v := &healView{ring: ring, targets: make([][]*node, len(ring))}
+	up := make([]bool, len(ring))
+	for i := range ring {
 		if up[i] = d.net.Online(nodes[i].name); up[i] {
 			v.online = append(v.online, nodes[i])
 		}
@@ -178,10 +178,10 @@ func (d *DHT) healViewLocked() *healView {
 	if k > len(v.online) {
 		k = len(v.online)
 	}
-	flat := make([]*node, 0, k*len(d.ring))
-	for i := range d.ring {
+	flat := make([]*node, 0, k*len(ring))
+	for i := range ring {
 		start := len(flat)
-		for j := i; len(flat)-start < k; j = (j + 1) % len(d.ring) {
+		for j := i; len(flat)-start < k; j = (j + 1) % len(ring) {
 			if up[j] {
 				flat = append(flat, nodes[j])
 			}
@@ -253,11 +253,11 @@ func heldByAll(nodes []*node, key string) bool {
 // missing a copy, in target order. Node-local, free of network cost. It
 // returns the number of distinct keys online nodes hold and the plan.
 func (d *DHT) planHeal() (int, []healPush) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	v := d.healViewLocked()
 	// Freeze the online stores for the pass (ring order; every other path
-	// takes one node lock at a time, or holds d.mu exclusively), so the
+	// takes one node lock at a time, or holds d.mu as this one does), so the
 	// per-node scans below are independent lock-free reads.
 	for _, n := range v.online {
 		n.mu.Lock()
@@ -397,11 +397,8 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 // LiveCopies reports how many online nodes currently hold key — test and
 // experiment introspection, free of network cost.
 func (d *DHT) LiveCopies(key string) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	count := 0
-	for _, rid := range d.ring {
-		n := d.byID[rid]
+	for _, n := range d.view().members() {
 		if !d.net.Online(n.name) {
 			continue
 		}

@@ -20,12 +20,10 @@ import (
 
 // replicaNames returns the canonical replica set of a key.
 func replicaNames(d *DHT, key string) []simnet.NodeID {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	ids := d.successorsOf(hashID(key), d.replica)
+	ids := d.view().successorsOf(hashID(key), d.replica)
 	out := make([]simnet.NodeID, len(ids))
 	for i, id := range ids {
-		out[i] = d.byID[id].name
+		out[i] = d.view().byID[id].name
 	}
 	return out
 }
@@ -73,9 +71,7 @@ func TestStoreIdempotentUnderAckLoss(t *testing.T) {
 			t.Fatalf("seed %d: value corrupted by retries: %q", seed, got)
 		}
 		for _, name := range replicaNames(d, "k") {
-			d.mu.RLock()
-			n := d.names[name]
-			d.mu.RUnlock()
+			n := d.view().names[name]
 			n.mu.Lock()
 			v, ok := n.data["k"]
 			n.mu.Unlock()
@@ -269,12 +265,13 @@ func TestLookupFromErrors(t *testing.T) {
 // the first k online successors of the key's root.
 func (d *DHT) liveTargets(root uint64, k int) []*node {
 	out := make([]*node, 0, k)
-	i := sort.Search(len(d.ring), func(i int) bool { return d.ring[i] >= root })
-	for walked := 0; walked < len(d.ring) && len(out) < k; walked++ {
-		if i == len(d.ring) {
+	v := d.view()
+	i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= root })
+	for walked := 0; walked < len(v.ring) && len(out) < k; walked++ {
+		if i == len(v.ring) {
 			i = 0
 		}
-		n := d.byID[d.ring[i]]
+		n := v.byID[v.ring[i]]
 		i++
 		if d.net.Online(n.name) {
 			out = append(out, n)
@@ -288,11 +285,9 @@ func (d *DHT) liveTargets(root uint64, k int) []*node {
 // global key → online holders map, sorts every key, and plans each key from
 // its own liveTargets walk.
 func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
-	d.mu.RLock()
 	// Snapshot key -> online holders from node-local scans.
 	holders := make(map[string][]*node)
-	for _, rid := range d.ring {
-		n := d.byID[rid]
+	for _, n := range d.view().members() {
 		if !d.net.Online(n.name) {
 			continue
 		}
@@ -302,7 +297,6 @@ func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
 		}
 		n.mu.Unlock()
 	}
-	d.mu.RUnlock()
 
 	keys := make([]string, 0, len(holders))
 	for key := range holders {
@@ -336,9 +330,7 @@ func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
 		for _, h := range hs {
 			hasCopy[h.name] = true
 		}
-		d.mu.RLock()
 		targets := d.liveTargets(hashID(key), d.replica)
-		d.mu.RUnlock()
 		src := hs[0]
 		var value []byte
 		for _, target := range targets {
@@ -512,16 +504,12 @@ func runHealSchedule(t *testing.T, seed int64, heal func(*DHT) (overlay.HealRepo
 				d.SetPlacementFilter(func(node string) bool { return (hashID(node)^salt)%4 != 0 })
 			}
 		case op < 72: // stale extension copy on an arbitrary node
-			d.mu.RLock()
-			n := d.names[pick()]
-			d.mu.RUnlock()
+			n := d.view().names[pick()]
 			store(n, key(), value())
 		case op < 76: // a key no live target holds: only strays keep it
 			k := key()
-			d.mu.RLock()
 			targets := d.liveTargets(hashID(k), d.replica)
-			stray := d.names[pick()]
-			d.mu.RUnlock()
+			stray := d.view().names[pick()]
 			for _, target := range targets {
 				store(target, k, nil)
 			}
@@ -553,8 +541,7 @@ func runHealSchedule(t *testing.T, seed int64, heal func(*DHT) (overlay.HealRepo
 	out.reports = append(out.reports, report)
 	out.totals = net.Totals()
 	out.stores = make(map[simnet.NodeID]map[string]string)
-	d.mu.RLock()
-	for name, n := range d.names {
+	for name, n := range d.view().names {
 		n.mu.Lock()
 		out.stores[name] = make(map[string]string, len(n.data))
 		for k, v := range n.data {
@@ -562,7 +549,6 @@ func runHealSchedule(t *testing.T, seed int64, heal func(*DHT) (overlay.HealRepo
 		}
 		n.mu.Unlock()
 	}
-	d.mu.RUnlock()
 	return out
 }
 
