@@ -18,6 +18,7 @@ ci: build vet test race bench-harness lint-print lint-wallclock smoke
 #   e19        zero surfaced corruption at >= 99% availability under loss + churn + Byzantine replies
 #   e21        warm caches hit, match the cold arm byte for byte, never serve a revoked reader
 #   cache -race  the sharded cache's concurrent hammer and eviction-order determinism
+#   simnet -race  ten callers against every fault injector with exact ledgers; link draws independent of other links' traffic
 #   e22        load-aware arm >= 99% served at <= 3x baseline p99 while the bare arm degrades
 #   e23        batching saves >= 3x msg/op at digest-identical reads and flat live heap
 #   scenarios  every committed scenario: run-twice + workers 1v8 DeepEqual, invariants, pinned digest
@@ -31,6 +32,7 @@ define SMOKE
 $(BENCH_BIN) -quick -exp e19
 $(BENCH_BIN) -quick -exp e21
 $(GO) test -race -count=1 -run 'TestCacheRaceHammer|TestCacheEvictionOrderShardedWorkers1vs8' ./internal/cache/
+$(GO) test -race -count=1 -run 'TestHammerKeepsLedgersExact|TestLinkDrawsIgnoreOtherLinks' ./internal/overlay/simnet/
 $(BENCH_BIN) -quick -exp e22
 $(BENCH_BIN) -quick -exp e23
 $(BENCH_BIN) -scenario 'scenarios/*.scenario'
@@ -98,7 +100,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 17
+BENCH_PR := 18
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -127,11 +129,12 @@ bench-quick:
 
 # Hot-path microbenchmarks: per-scheme group Encrypt/Add/Remove (serial vs
 # pool), DHT Put/Get/Heal, symmetric seal/open alloc deltas,
-# and the sharded cache (hit/miss/coalesced/contended).
+# the sharded cache (hit/miss/coalesced/contended), and one simnet echo RPC
+# as one of 1 and of 2 callers sees it.
 bench-hot:
 	$(GO) test -bench=. -benchmem -run='^$$' \
 		./internal/social/privacy/ ./internal/overlay/dht/ ./internal/crypto/symmetric/ \
-		./internal/cache/
+		./internal/cache/ ./internal/overlay/simnet/
 
 # Anti-entropy cost curve: batched vs per-key scrub at 1k/10k/100k keys
 # (10% corruption, k=3). Reported msg/op is the simulated message count

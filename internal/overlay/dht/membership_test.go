@@ -2,6 +2,7 @@ package dht
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"godosn/internal/overlay/simnet"
@@ -97,5 +98,73 @@ func TestLeaveUnknownAndLast(t *testing.T) {
 	}
 	if err := d.Leave(names[1]); err == nil {
 		t.Fatal("last node allowed to leave")
+	}
+}
+
+// TestMembershipChangesRaceWithTraffic is the regression test for the
+// finger-table race: Join and Leave used to rewrite every node's fingers in
+// place while routing read them unlocked. Four clients store and read while
+// a fifth goroutine cycles two extra nodes in and out of the ring; under
+// -race this fails at the parent commit. Every acknowledged key must still
+// be readable once the ring is quiet.
+func TestMembershipChangesRaceWithTraffic(t *testing.T) {
+	d, _, names := buildDHT(t, 16, Config{ReplicationFactor: 3})
+	const clients, perClient = 4, 300
+	acked := make([][]string, clients)
+	var traffic sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		traffic.Add(1)
+		go func(c int) {
+			defer traffic.Done()
+			origin := string(names[c])
+			for i := 0; i < perClient; i++ {
+				key := fmt.Sprintf("c%d-k%d", c, i)
+				if _, err := d.Store(origin, key, []byte(key)); err == nil {
+					acked[c] = append(acked[c], key)
+				}
+				if i > 0 {
+					_, _, _ = d.Lookup(origin, fmt.Sprintf("c%d-k%d", c, i/2))
+				}
+			}
+		}(c)
+	}
+	stop := make(chan struct{})
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for cycle := 0; ; cycle++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Fresh names each cycle: a departed node stays registered
+			// (offline) with the network and cannot join again.
+			a := simnet.NodeID(fmt.Sprintf("extra-%d-a", cycle))
+			b := simnet.NodeID(fmt.Sprintf("extra-%d-b", cycle))
+			for _, step := range []error{d.Join(a), d.Join(b), d.Leave(a), d.Leave(b)} {
+				if step != nil {
+					t.Errorf("cycle %d: %v", cycle, step)
+					return
+				}
+			}
+		}
+	}()
+	traffic.Wait()
+	close(stop)
+	<-churned
+	if d.Size() != 16 {
+		t.Fatalf("Size = %d after every extra node left, want 16", d.Size())
+	}
+	for c, keys := range acked {
+		if len(keys) == 0 {
+			t.Fatalf("client %d had no store acknowledged", c)
+		}
+		for _, key := range keys {
+			got, _, err := d.Lookup(string(names[(c+5)%16]), key)
+			if err != nil || string(got) != key {
+				t.Fatalf("acked key %s unreadable after churn: %q, %v", key, got, err)
+			}
+		}
 	}
 }
