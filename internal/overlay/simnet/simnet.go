@@ -91,7 +91,8 @@ func (t *Trace) Add(other *Trace) {
 
 // Config parameterizes the simulated network.
 type Config struct {
-	// Seed makes loss and latency jitter deterministic.
+	// Seed makes loss and latency jitter deterministic: every link draws
+	// from its own sequence derived from it (account.go).
 	Seed int64
 	// BaseLatency is the fixed one-way delay between any two nodes.
 	BaseLatency time.Duration
