@@ -335,12 +335,13 @@ func (n *Network) Nodes() []NodeID {
 	return out
 }
 
-// carry moves one message of a call that the owner of acct initiated: it
-// checks deliverability, draws loss and jitter from the link's own sequence
-// (account.go), and charges the message to tr and to acct. Only the request
-// leg enters the destination's capacity model — replies ride back without
-// re-entering the receiver's admission queue — and only it counts a hop.
-func (n *Network) carry(tr *Trace, acct *account, src, dst *nodeState, from, to NodeID, size int, leg int) error {
+// carry moves one message src → dst: it checks deliverability, draws loss
+// and jitter from the link's own sequence (account.go), and charges the
+// message to tr and to the account of the call's initiator — src on the
+// request leg, dst on the reply leg. Only the request leg enters the
+// destination's capacity model — replies ride back without re-entering the
+// receiver's admission queue — and only it counts a hop.
+func (n *Network) carry(tr *Trace, src, dst *nodeState, from, to NodeID, size int, leg int) error {
 	if dst.offline.Load() {
 		if t := n.tel.Load(); t != nil {
 			t.offline.Inc()
@@ -360,9 +361,9 @@ func (n *Network) carry(tr *Trace, acct *account, src, dst *nodeState, from, to 
 		return fmt.Errorf("%w: %s / %s", ErrPartitioned, from, to)
 	}
 	delay := n.cfg.BaseLatency
-	peer := src
+	initiator, peer := dst, src
 	if leg == legRequest {
-		peer = dst
+		initiator, peer = src, dst
 		if c := dst.capacity.Load(); c != nil {
 			queueDelay, err := n.admitCapacity(dst, c)
 			if err != nil {
@@ -373,6 +374,7 @@ func (n *Network) carry(tr *Trace, acct *account, src, dst *nodeState, from, to 
 	}
 	loss := n.CurrentLossRate()
 
+	acct := initiator.acct
 	acct.mu.Lock()
 	if loss > 0 || n.cfg.JitterLatency > 0 {
 		h := acct.draw(uint64(n.cfg.Seed), peer, leg)
@@ -434,7 +436,7 @@ func (n *Network) RPC(tr *Trace, from, to NodeID, msg Message) (Message, error) 
 	if err != nil {
 		return Message{}, err
 	}
-	if err := n.carry(tr, src.acct, src, dst, from, to, msg.Size, legRequest); err != nil {
+	if err := n.carry(tr, src, dst, from, to, msg.Size, legRequest); err != nil {
 		return Message{}, err
 	}
 	reply, err := dst.handler.HandleRPC(tr, from, msg)
@@ -456,7 +458,7 @@ func (n *Network) RPC(tr *Trace, from, to NodeID, msg Message) (Message, error) 
 	if src == n.stranger {
 		aerr = fmt.Errorf("%w: %s", ErrUnknownNode, from)
 	} else {
-		aerr = n.carry(tr, src.acct, dst, src, to, from, reply.Size, legReply)
+		aerr = n.carry(tr, dst, src, to, from, reply.Size, legReply)
 	}
 	if aerr != nil {
 		if t := n.tel.Load(); t != nil {
@@ -477,7 +479,7 @@ func (n *Network) Cast(tr *Trace, from, to NodeID, msg Message) error {
 	if err != nil {
 		return err
 	}
-	if err := n.carry(tr, src.acct, src, dst, from, to, msg.Size, legRequest); err != nil {
+	if err := n.carry(tr, src, dst, from, to, msg.Size, legRequest); err != nil {
 		return err
 	}
 	if _, err := dst.handler.HandleRPC(tr, from, msg); err != nil {
