@@ -4,7 +4,11 @@
 //
 // Encryption is ECIES-style hybrid: an ephemeral ECDH key agreement on P-256
 // derives (via the prf package) an AES-GCM key that encrypts the payload.
-// Signatures are Ed25519. Both use only the Go standard library.
+// Both ends can keep what they agreed: a Sender wraps to a recipient it has
+// met with one symmetric seal, and a key pair remembers the senders it has
+// authenticated, so a (sender, recipient) pair pays for one agreement, not
+// one per ciphertext. Signatures are Ed25519. Both use only the Go standard
+// library.
 package pubkey
 
 import (
@@ -13,8 +17,8 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"sync"
 
-	"godosn/internal/crypto/prf"
 	"godosn/internal/crypto/symmetric"
 )
 
@@ -25,12 +29,20 @@ var (
 	ErrNilKey           = errors.New("pubkey: nil key")
 )
 
-// encContext labels ECIES key derivation.
-const encContext = "godosn/pubkey/ecies-v1"
+// encContext labels ECIES key derivation; the ephemeral and the recipient
+// public keys follow it in the KDF info (see agree).
+const encContext = "godosn/pubkey/ecies-v2"
 
 // EncryptionKeyPair holds a P-256 ECDH keypair used for hybrid encryption.
+// It is safe for concurrent use and must not be copied.
 type EncryptionKeyPair struct {
 	private *ecdh.PrivateKey
+
+	// memo keeps the AEAD agreed with each sender ephemeral key that has
+	// authenticated a ciphertext, so a reader pays one ECDH per sender. It
+	// holds nothing the private key could not recompute.
+	mu   sync.Mutex
+	memo aeadTable
 }
 
 // EncryptionPublicKey is the public half of an EncryptionKeyPair.
@@ -83,59 +95,50 @@ func ParseEncryptionPublicKey(data []byte) (*EncryptionPublicKey, error) {
 }
 
 // Encrypt encrypts plaintext to the holder of pk using ephemeral ECDH +
-// AES-GCM. The ciphertext layout is: ephemeral public key || sealed payload.
+// AES-GCM: a Sender used once, for callers with no repeated audience. The
+// ciphertext layout is: ephemeral public key || sealed payload.
 func Encrypt(pk *EncryptionPublicKey, plaintext []byte) ([]byte, error) {
-	if pk == nil || pk.public == nil {
-		return nil, ErrNilKey
-	}
-	eph, err := ecdh.P256().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("pubkey: generating ephemeral key: %w", err)
-	}
-	shared, err := eph.ECDH(pk.public)
-	if err != nil {
-		return nil, fmt.Errorf("pubkey: ECDH: %w", err)
-	}
-	key, err := prf.Derive(shared, encContext, symmetric.KeySize)
-	if err != nil {
-		return nil, fmt.Errorf("pubkey: deriving key: %w", err)
-	}
-	ephBytes := eph.PublicKey().Bytes()
-	// Seal directly into the output buffer after the ephemeral key: one
-	// allocation for the whole ciphertext instead of seal-then-copy.
-	out := make([]byte, 0, len(ephBytes)+symmetric.SealedLen(len(plaintext)))
-	out = append(out, ephBytes...)
-	out, err = symmetric.SealTo(out, key, plaintext, ephBytes)
-	if err != nil {
-		return nil, fmt.Errorf("pubkey: sealing payload: %w", err)
-	}
-	return out, nil
+	return NewSender().Encrypt(pk, plaintext)
 }
 
 // ephPubLen is the length of an uncompressed P-256 point encoding.
 const ephPubLen = 65
 
-// Decrypt reverses Encrypt using the private key.
+// Decrypt reverses Encrypt (one-shot or through a Sender) using the private
+// key. The first ciphertext from a sender ephemeral key pays the ECDH; once
+// it has authenticated, later ones from that key are one AES-GCM open.
 func (kp *EncryptionKeyPair) Decrypt(ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) < ephPubLen {
 		return nil, ErrCiphertextFormat
 	}
 	ephBytes, sealed := ciphertext[:ephPubLen], ciphertext[ephPubLen:]
-	ephPub, err := ecdh.P256().NewPublicKey(ephBytes)
-	if err != nil {
-		return nil, fmt.Errorf("pubkey: parsing ephemeral key: %w", err)
+	from := pointOf(ephBytes)
+	kp.mu.Lock()
+	opener, known := kp.memo[from]
+	kp.mu.Unlock()
+	if !known {
+		ephPub, err := ecdh.P256().NewPublicKey(ephBytes)
+		if err != nil {
+			return nil, fmt.Errorf("pubkey: parsing ephemeral key: %w", err)
+		}
+		opener, err = agree(kp.private, ephPub, ephBytes, kp.private.PublicKey().Bytes())
+		if err != nil {
+			return nil, err
+		}
 	}
-	shared, err := kp.private.ECDH(ephPub)
-	if err != nil {
-		return nil, fmt.Errorf("pubkey: ECDH: %w", err)
-	}
-	key, err := prf.Derive(shared, encContext, symmetric.KeySize)
-	if err != nil {
-		return nil, fmt.Errorf("pubkey: deriving key: %w", err)
-	}
-	plaintext, err := symmetric.Open(key, sealed, ephBytes)
+	plaintext, err := opener.Open(sealed, ephBytes)
 	if err != nil {
 		return nil, fmt.Errorf("pubkey: opening payload: %w", err)
+	}
+	if !known {
+		// Only now: the tag proved the sender knows the pairwise key, so
+		// forged ephemerals cannot churn the table.
+		kp.mu.Lock()
+		if kp.memo == nil {
+			kp.memo = make(aeadTable)
+		}
+		kp.memo.put(receiverMemoBound, from, opener)
+		kp.mu.Unlock()
 	}
 	return plaintext, nil
 }
