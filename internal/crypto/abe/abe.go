@@ -86,6 +86,15 @@ type PublicParams struct {
 	Verification pubkey.VerificationKey
 }
 
+// Current reports whether a snapshot taken earlier still equals what
+// PublicParams would return now. Attributes are never removed and their keys
+// change only with the epoch, so the epoch and the attribute count decide.
+func (a *Authority) Current(p *PublicParams) bool {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return p.Epoch == a.epoch && len(p.Attrs) == len(a.attrs)
+}
+
 // PublicParams returns a snapshot of the authority's public parameters.
 func (a *Authority) PublicParams() *PublicParams {
 	a.mu.RLock()
@@ -177,8 +186,10 @@ func (c *Ciphertext) Size() int {
 const seedContext = "godosn/abe/seed-v1"
 
 // Encrypt encrypts plaintext under the access policy using the public
-// parameters. Any party holding PublicParams can encrypt (standard CP-ABE).
-func Encrypt(params *PublicParams, policy *Policy, plaintext []byte) (*Ciphertext, error) {
+// parameters. Any party holding PublicParams can encrypt (standard CP-ABE);
+// the leaf-share wraps go through the encryptor's sender context, so only an
+// attribute parameter it has not wrapped to before costs a key agreement.
+func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaintext []byte) (*Ciphertext, error) {
 	if err := policy.Validate(); err != nil {
 		return nil, err
 	}
@@ -201,7 +212,7 @@ func Encrypt(params *PublicParams, policy *Policy, plaintext []byte) (*Ciphertex
 		Shares: make(map[uint32][]byte),
 	}
 	var nextIdx uint32 = 1
-	if err := shareTree(params, policy, seed, ct, &nextIdx); err != nil {
+	if err := shareTree(sender, params, policy, seed, ct, &nextIdx); err != nil {
 		return nil, err
 	}
 	key, err := seedToKey(seed)
@@ -220,12 +231,12 @@ func Encrypt(params *PublicParams, policy *Policy, plaintext []byte) (*Ciphertex
 // leaf shares to the leaf attribute parameters. Leaf share indices are
 // assigned depth-first and recorded in ct.Shares; internal structure is
 // reproducible from the public policy, so only leaf wraps are stored.
-func shareTree(params *PublicParams, node *Policy, secret *big.Int, ct *Ciphertext, nextIdx *uint32) error {
+func shareTree(sender *pubkey.Sender, params *PublicParams, node *Policy, secret *big.Int, ct *Ciphertext, nextIdx *uint32) error {
 	if node.Kind == GateLeaf {
 		idx := *nextIdx
 		*nextIdx++
 		pk := params.Attrs[node.Attribute]
-		wrapped, err := pubkey.Encrypt(pk, secret.Bytes())
+		wrapped, err := sender.Encrypt(pk, secret.Bytes())
 		if err != nil {
 			return fmt.Errorf("abe: wrapping share for %q: %w", node.Attribute, err)
 		}
@@ -237,7 +248,7 @@ func shareTree(params *PublicParams, node *Policy, secret *big.Int, ct *Cipherte
 		return fmt.Errorf("abe: sharing at gate: %w", err)
 	}
 	for i, child := range node.Children {
-		if err := shareTree(params, child, shares[i].Y, ct, nextIdx); err != nil {
+		if err := shareTree(sender, params, child, shares[i].Y, ct, nextIdx); err != nil {
 			return err
 		}
 	}

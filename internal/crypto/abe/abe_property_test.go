@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"godosn/internal/crypto/pubkey"
 )
 
 // TestQuickDecryptIffSatisfied is the core ABE correctness property: for
@@ -29,7 +31,7 @@ func TestQuickDecryptIffSatisfied(t *testing.T) {
 				attrs = append(attrs, a)
 			}
 		}
-		ct, err := Encrypt(params, policy, []byte("payload"))
+		ct, err := Encrypt(pubkey.NewSender(), params, policy, []byte("payload"))
 		if err != nil {
 			return false
 		}
@@ -94,7 +96,7 @@ func TestQuickKPDecryptIffSatisfied(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ct, err := EncryptKP(params, labels, []byte("payload"))
+		ct, err := EncryptKP(pubkey.NewSender(), params, labels, []byte("payload"))
 		if err != nil {
 			return false
 		}
@@ -130,7 +132,7 @@ func TestDeepNestedPolicies(t *testing.T) {
 		{[]string{"a", "d"}, false},
 	}
 	for _, tc := range cases {
-		ct, err := Encrypt(params, policy, []byte("x"))
+		ct, err := Encrypt(pubkey.NewSender(), params, policy, []byte("x"))
 		if err != nil {
 			t.Fatalf("Encrypt: %v", err)
 		}

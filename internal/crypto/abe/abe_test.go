@@ -3,6 +3,8 @@ package abe
 import (
 	"bytes"
 	"testing"
+
+	"godosn/internal/crypto/pubkey"
 )
 
 func newTestAuthority(t *testing.T) *Authority {
@@ -36,7 +38,7 @@ func TestCPABERoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ParsePolicy: %v", err)
 			}
-			ct, err := Encrypt(params, pol, []byte("come to my party"))
+			ct, err := Encrypt(pubkey.NewSender(), params, pol, []byte("come to my party"))
 			if err != nil {
 				t.Fatalf("Encrypt: %v", err)
 			}
@@ -70,7 +72,7 @@ func TestCPABEUnsatisfiedFails(t *testing.T) {
 	}
 	for _, tt := range tests {
 		pol, _ := ParsePolicy(tt.policy)
-		ct, err := Encrypt(params, pol, []byte("secret"))
+		ct, err := Encrypt(pubkey.NewSender(), params, pol, []byte("secret"))
 		if err != nil {
 			t.Fatalf("Encrypt: %v", err)
 		}
@@ -88,7 +90,7 @@ func TestCPABEUnknownAttributeRejected(t *testing.T) {
 	auth := newTestAuthority(t)
 	params := auth.PublicParams()
 	pol, _ := ParsePolicy("martian")
-	if _, err := Encrypt(params, pol, []byte("x")); err == nil {
+	if _, err := Encrypt(pubkey.NewSender(), params, pol, []byte("x")); err == nil {
 		t.Fatal("encrypted under unknown attribute")
 	}
 	if _, err := auth.IssueKey([]string{"martian"}); err == nil {
@@ -104,8 +106,11 @@ func TestRevocationBlocksNewCiphertexts(t *testing.T) {
 		t.Fatalf("IssueKey: %v", err)
 	}
 	pol, _ := ParsePolicy("relative")
+	// One sender context across the re-key, as a group owner has: the old
+	// parameter's pairwise key is warm when the new one is first wrapped to.
+	sender := pubkey.NewSender()
 
-	oldCt, err := Encrypt(oldParams, pol, []byte("before revocation"))
+	oldCt, err := Encrypt(sender, oldParams, pol, []byte("before revocation"))
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}
@@ -120,9 +125,12 @@ func TestRevocationBlocksNewCiphertexts(t *testing.T) {
 		t.Fatalf("epoch did not advance")
 	}
 	newParams := auth.PublicParams()
-	newCt, err := Encrypt(newParams, pol, []byte("after revocation"))
+	newCt, err := Encrypt(sender, newParams, pol, []byte("after revocation"))
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
+	}
+	if got := sender.Agreements(); got != 2 {
+		t.Fatalf("sender made %d agreements, want one per attribute parameter", got)
 	}
 	// The revoked key must not open post-revocation ciphertexts...
 	if _, err := oldKey.Decrypt(newCt); err == nil {
@@ -156,7 +164,7 @@ func TestRevokedAttributeORBranchStillWorks(t *testing.T) {
 	// Key's doctor attribute is still valid; (relative OR doctor) under the
 	// new params must decrypt via the doctor branch.
 	pol, _ := ParsePolicy("(relative OR doctor)")
-	ct, err := Encrypt(auth.PublicParams(), pol, []byte("still visible"))
+	ct, err := Encrypt(pubkey.NewSender(), auth.PublicParams(), pol, []byte("still visible"))
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}
@@ -172,11 +180,11 @@ func TestCiphertextSizeGrowsWithPolicy(t *testing.T) {
 	small, _ := ParsePolicy("relative")
 	big, _ := ParsePolicy("(relative AND doctor AND painter AND friend AND colleague)")
 	pt := []byte("same payload")
-	ctSmall, err := Encrypt(params, small, pt)
+	ctSmall, err := Encrypt(pubkey.NewSender(), params, small, pt)
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}
-	ctBig, err := Encrypt(params, big, pt)
+	ctBig, err := Encrypt(pubkey.NewSender(), params, big, pt)
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}
@@ -188,7 +196,7 @@ func TestCiphertextSizeGrowsWithPolicy(t *testing.T) {
 func TestTamperedCiphertextFails(t *testing.T) {
 	auth := newTestAuthority(t)
 	pol, _ := ParsePolicy("relative")
-	ct, err := Encrypt(auth.PublicParams(), pol, []byte("payload"))
+	ct, err := Encrypt(pubkey.NewSender(), auth.PublicParams(), pol, []byte("payload"))
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}
@@ -219,7 +227,7 @@ func TestKPABERoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IssueKPKey: %v", err)
 	}
-	ct, err := EncryptKP(params, []string{"relative", "doctor", "painter"}, []byte("kp message"))
+	ct, err := EncryptKP(pubkey.NewSender(), params, []string{"relative", "doctor", "painter"}, []byte("kp message"))
 	if err != nil {
 		t.Fatalf("EncryptKP: %v", err)
 	}
@@ -237,7 +245,7 @@ func TestKPABEPolicyNotSatisfied(t *testing.T) {
 	params := auth.PublicParams()
 	pol, _ := ParsePolicy("(relative AND doctor)")
 	key, _ := auth.IssueKPKey(pol)
-	ct, err := EncryptKP(params, []string{"relative", "painter"}, []byte("x"))
+	ct, err := EncryptKP(pubkey.NewSender(), params, []string{"relative", "painter"}, []byte("x"))
 	if err != nil {
 		t.Fatalf("EncryptKP: %v", err)
 	}
@@ -253,7 +261,7 @@ func TestKPABEForgedPolicyRejected(t *testing.T) {
 	key, _ := auth.IssueKPKey(narrow)
 	// Attacker widens the certified policy without a matching signature.
 	key.Policy, _ = ParsePolicy("(relative OR doctor)")
-	ct, _ := EncryptKP(params, []string{"relative"}, []byte("x"))
+	ct, _ := EncryptKP(pubkey.NewSender(), params, []string{"relative"}, []byte("x"))
 	if _, err := key.Decrypt(params, ct); err == nil {
 		t.Fatal("forged key policy accepted")
 	}
@@ -262,7 +270,7 @@ func TestKPABEForgedPolicyRejected(t *testing.T) {
 func TestKPABEUnknownAttribute(t *testing.T) {
 	auth := newTestAuthority(t)
 	params := auth.PublicParams()
-	if _, err := EncryptKP(params, []string{"martian"}, []byte("x")); err == nil {
+	if _, err := EncryptKP(pubkey.NewSender(), params, []string{"martian"}, []byte("x")); err == nil {
 		t.Fatal("encrypted with unknown attribute label")
 	}
 	pol, _ := ParsePolicy("martian")
@@ -273,7 +281,7 @@ func TestKPABEUnknownAttribute(t *testing.T) {
 
 func TestKPABEEmptyAttributes(t *testing.T) {
 	auth := newTestAuthority(t)
-	if _, err := EncryptKP(auth.PublicParams(), nil, []byte("x")); err == nil {
+	if _, err := EncryptKP(pubkey.NewSender(), auth.PublicParams(), nil, []byte("x")); err == nil {
 		t.Fatal("encrypted with empty attribute set")
 	}
 }

@@ -88,8 +88,9 @@ func (c *KPCiphertext) Size() int {
 	return n
 }
 
-// EncryptKP encrypts plaintext labeled with the given attribute set.
-func EncryptKP(params *PublicParams, attributes []string, plaintext []byte) (*KPCiphertext, error) {
+// EncryptKP encrypts plaintext labeled with the given attribute set, wrapping
+// the seed through the encryptor's sender context like Encrypt.
+func EncryptKP(sender *pubkey.Sender, params *PublicParams, attributes []string, plaintext []byte) (*KPCiphertext, error) {
 	if len(attributes) == 0 {
 		return nil, ErrEmptyPolicy
 	}
@@ -108,7 +109,7 @@ func EncryptKP(params *PublicParams, attributes []string, plaintext []byte) (*KP
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownAttr, attr)
 		}
-		wrapped, err := pubkey.Encrypt(pk, seed.Bytes())
+		wrapped, err := sender.Encrypt(pk, seed.Bytes())
 		if err != nil {
 			return nil, fmt.Errorf("abe: wrapping seed for %q: %w", attr, err)
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"godosn/internal/crypto/pubkey"
 )
 
 // The two-phase decrypt API: RecoverKey then OpenBody must compose to
@@ -19,7 +21,7 @@ func TestRecoverKeyOpenBodyCompose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePolicy: %v", err)
 	}
-	ct, err := Encrypt(auth.PublicParams(), pol, []byte("two-phase"))
+	ct, err := Encrypt(pubkey.NewSender(), auth.PublicParams(), pol, []byte("two-phase"))
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}
@@ -52,7 +54,7 @@ func TestRecoverKeyUnsatisfiedAndRevoked(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePolicy: %v", err)
 	}
-	ct, err := Encrypt(auth.PublicParams(), pol, []byte("guarded"))
+	ct, err := Encrypt(pubkey.NewSender(), auth.PublicParams(), pol, []byte("guarded"))
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}
@@ -72,7 +74,7 @@ func TestRecoverKeyUnsatisfiedAndRevoked(t *testing.T) {
 	if err := auth.Revoke([]string{"relative", "doctor"}); err != nil {
 		t.Fatalf("Revoke: %v", err)
 	}
-	fresh, err := Encrypt(auth.PublicParams(), pol, []byte("post-rekey"))
+	fresh, err := Encrypt(pubkey.NewSender(), auth.PublicParams(), pol, []byte("post-rekey"))
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}

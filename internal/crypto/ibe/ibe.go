@@ -16,10 +16,11 @@
 // keys through a public directory operation (DirectoryLookup) — senders need
 // no interaction with the recipient, preserving the IBE usage model — and
 // issues private keys to authenticated identity owners (Extract). IBBE
-// ciphertexts wrap a session key per recipient, so ciphertext size is
-// O(recipients) rather than Delerablée's O(1); EXPERIMENTS.md reports the
-// measured growth and flags the deviation. Recipient *removal* remains free,
-// matching the survey's claim.
+// ciphertexts wrap a session key per recipient through the broadcaster's
+// pubkey.Sender (one key agreement per recipient, then symmetric wraps), so
+// ciphertext size is O(recipients) rather than Delerablée's O(1);
+// EXPERIMENTS.md reports the measured growth and flags the deviation.
+// Recipient *removal* remains free, matching the survey's claim.
 package ibe
 
 import (
@@ -32,7 +33,6 @@ import (
 	"godosn/internal/crypto/prf"
 	"godosn/internal/crypto/pubkey"
 	"godosn/internal/crypto/symmetric"
-	"godosn/internal/parallel"
 )
 
 // Errors returned by this package.
@@ -176,16 +176,11 @@ func (b *Broadcast) Size() int {
 	return n
 }
 
-// EncryptBroadcast encrypts plaintext to every listed identity, fanning the
-// per-recipient session-key wraps out over all CPUs.
-func (p *PKG) EncryptBroadcast(recipients []string, plaintext []byte) (*Broadcast, error) {
-	return p.EncryptBroadcastWorkers(recipients, plaintext, 0)
-}
-
-// EncryptBroadcastWorkers is EncryptBroadcast with an explicit worker bound
-// for the per-recipient wraps (0 = all CPUs, 1 = serial). The broadcast is
-// identical at any setting: wraps are collected in recipient order.
-func (p *PKG) EncryptBroadcastWorkers(recipients []string, plaintext []byte, workers int) (*Broadcast, error) {
+// EncryptBroadcast encrypts plaintext to every listed identity. The wraps of
+// the session key go through the broadcaster's sender context, so only an
+// identity the sender has not wrapped to before costs a key agreement; the
+// PKG stays a directory and takes no part in the encryption.
+func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plaintext []byte) (*Broadcast, error) {
 	if len(recipients) == 0 {
 		return nil, ErrNoRecipients
 	}
@@ -193,21 +188,15 @@ func (p *PKG) EncryptBroadcastWorkers(recipients []string, plaintext []byte, wor
 	if err != nil {
 		return nil, fmt.Errorf("ibe: generating session key: %w", err)
 	}
-	// Each wrap is an independent directory lookup (concurrency-safe) plus
-	// an ECIES encryption — the O(recipients) cost of the broadcast.
-	wraps, err := parallel.Map(workers, recipients, func(_ int, id string) ([]byte, error) {
+	wraps := make([][]byte, len(recipients))
+	for i, id := range recipients {
 		pk, err := p.DirectoryLookup(id)
 		if err != nil {
 			return nil, err
 		}
-		w, err := pubkey.Encrypt(pk, session)
-		if err != nil {
+		if wraps[i], err = sender.Encrypt(pk, session); err != nil {
 			return nil, fmt.Errorf("ibe: wrapping session key for %q: %w", id, err)
 		}
-		return w, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	body, err := symmetric.Seal(session, plaintext, nil)
 	if err != nil {

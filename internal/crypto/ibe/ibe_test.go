@@ -3,6 +3,8 @@ package ibe
 import (
 	"bytes"
 	"testing"
+
+	"godosn/internal/crypto/pubkey"
 )
 
 func newTestPKG(t *testing.T) *PKG {
@@ -85,7 +87,7 @@ func TestArbitraryStringIdentities(t *testing.T) {
 func TestBroadcastRoundTrip(t *testing.T) {
 	pkg := newTestPKG(t)
 	recipients := []string{"alice", "bob", "carol"}
-	b, err := pkg.EncryptBroadcast(recipients, []byte("party on friday"))
+	b, err := pkg.EncryptBroadcast(pubkey.NewSender(), recipients, []byte("party on friday"))
 	if err != nil {
 		t.Fatalf("EncryptBroadcast: %v", err)
 	}
@@ -103,7 +105,7 @@ func TestBroadcastRoundTrip(t *testing.T) {
 
 func TestBroadcastNonRecipientFails(t *testing.T) {
 	pkg := newTestPKG(t)
-	b, _ := pkg.EncryptBroadcast([]string{"alice", "bob"}, []byte("secret"))
+	b, _ := pkg.EncryptBroadcast(pubkey.NewSender(), []string{"alice", "bob"}, []byte("secret"))
 	eveKey, _ := pkg.Extract("eve")
 	if _, err := eveKey.DecryptBroadcast(b); err == nil {
 		t.Fatal("non-recipient decrypted broadcast")
@@ -114,9 +116,11 @@ func TestBroadcastRecipientRemovalIsFree(t *testing.T) {
 	// The paper: "Removing a recipient from the list would then have no
 	// extra cost" — a new broadcast simply omits the identity; no re-keying
 	// of remaining members is needed.
-	pkg := newTestPKG(t)
-	before, _ := pkg.EncryptBroadcast([]string{"alice", "bob", "carol"}, []byte("v1"))
-	after, err := pkg.EncryptBroadcast([]string{"alice", "carol"}, []byte("v2"))
+	// One sender context for both: bob's pairwise key with it is still
+	// warm when he is left off the list.
+	pkg, sender := newTestPKG(t), pubkey.NewSender()
+	before, _ := pkg.EncryptBroadcast(sender, []string{"alice", "bob", "carol"}, []byte("v1"))
+	after, err := pkg.EncryptBroadcast(sender, []string{"alice", "carol"}, []byte("v2"))
 	if err != nil {
 		t.Fatalf("EncryptBroadcast: %v", err)
 	}
@@ -137,12 +141,12 @@ func TestBroadcastRecipientRemovalIsFree(t *testing.T) {
 
 func TestBroadcastSizeGrowsWithRecipients(t *testing.T) {
 	pkg := newTestPKG(t)
-	small, _ := pkg.EncryptBroadcast([]string{"a"}, []byte("m"))
+	small, _ := pkg.EncryptBroadcast(pubkey.NewSender(), []string{"a"}, []byte("m"))
 	var many []string
 	for i := 0; i < 16; i++ {
 		many = append(many, string(rune('a'+i)))
 	}
-	large, _ := pkg.EncryptBroadcast(many, []byte("m"))
+	large, _ := pkg.EncryptBroadcast(pubkey.NewSender(), many, []byte("m"))
 	if large.Size() <= small.Size() {
 		t.Fatal("broadcast size did not grow with recipient count")
 	}
@@ -150,7 +154,7 @@ func TestBroadcastSizeGrowsWithRecipients(t *testing.T) {
 
 func TestBroadcastEmptyRecipients(t *testing.T) {
 	pkg := newTestPKG(t)
-	if _, err := pkg.EncryptBroadcast(nil, []byte("m")); err == nil {
+	if _, err := pkg.EncryptBroadcast(pubkey.NewSender(), nil, []byte("m")); err == nil {
 		t.Fatal("accepted empty recipient list")
 	}
 }
@@ -161,7 +165,7 @@ func TestBroadcastMalformed(t *testing.T) {
 	if _, err := key.DecryptBroadcast(nil); err == nil {
 		t.Fatal("accepted nil broadcast")
 	}
-	b, _ := pkg.EncryptBroadcast([]string{"alice"}, []byte("m"))
+	b, _ := pkg.EncryptBroadcast(pubkey.NewSender(), []string{"alice"}, []byte("m"))
 	b.WrappedKeys = nil
 	if _, err := key.DecryptBroadcast(b); err == nil {
 		t.Fatal("accepted broadcast with missing wraps")

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"godosn/internal/crypto/pubkey"
 )
 
 // The two-phase broadcast API: UnwrapSession then OpenBroadcast must compose
@@ -15,7 +17,7 @@ func TestUnwrapSessionOpenBroadcastCompose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPKG: %v", err)
 	}
-	b, err := pkg.EncryptBroadcast([]string{"alice", "bob"}, []byte("two-phase"))
+	b, err := pkg.EncryptBroadcast(pubkey.NewSender(), []string{"alice", "bob"}, []byte("two-phase"))
 	if err != nil {
 		t.Fatalf("EncryptBroadcast: %v", err)
 	}
@@ -44,7 +46,7 @@ func TestUnwrapSessionNonRecipient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPKG: %v", err)
 	}
-	b, err := pkg.EncryptBroadcast([]string{"alice"}, []byte("private"))
+	b, err := pkg.EncryptBroadcast(pubkey.NewSender(), []string{"alice"}, []byte("private"))
 	if err != nil {
 		t.Fatalf("EncryptBroadcast: %v", err)
 	}

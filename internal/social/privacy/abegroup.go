@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"godosn/internal/crypto/abe"
+	"godosn/internal/crypto/pubkey"
 	"godosn/internal/parallel"
 	"godosn/internal/social/identity"
 )
@@ -26,10 +27,10 @@ type ABEGroup struct {
 	// key per ciphertext (SetKeyCache); Remove bumps its generation on rekey.
 	envelopeKeyCache
 
-	name      string
-	authority *abe.Authority
-	policy    *abe.Policy
-	members   memberSet
+	name string
+	abeEncryptor
+	policy  *abe.Policy
+	members memberSet
 	// attrs records each member's attribute set; keys are the issued
 	// decryption keys (held here in-process; conceptually each member's).
 	attrs map[string][]string
@@ -43,6 +44,42 @@ type ABEGroup struct {
 }
 
 var _ Group = (*ABEGroup)(nil)
+
+// abeEncryptor is what a group owner keeps to encrypt under an authority's
+// parameters (CP- and KP-ABE alike): its own ECIES sender context — one key
+// agreement per attribute parameter, then symmetric leaf wraps — and a
+// snapshot of the public parameters, so a post does not rebuild the
+// attribute map.
+type abeEncryptor struct {
+	authority *abe.Authority
+	sender    *pubkey.Sender
+	snapshot  *abe.PublicParams
+}
+
+func newABEEncryptor(authority *abe.Authority) abeEncryptor {
+	return abeEncryptor{authority: authority, sender: pubkey.NewSender()}
+}
+
+// params returns the authority's current public parameters, re-reading them
+// only when the epoch or the attribute set moved — which any group sharing
+// the authority may have caused. A parameter the new snapshot replaced was
+// re-keyed by a revocation: its pairwise key leaves the sender context with
+// it.
+func (e *abeEncryptor) params() *abe.PublicParams {
+	stale := e.snapshot
+	if stale != nil && e.authority.Current(stale) {
+		return stale
+	}
+	e.snapshot = e.authority.PublicParams()
+	if stale != nil {
+		for attr, old := range stale.Attrs {
+			if e.snapshot.Attrs[attr] != old {
+				e.sender.Forget(old)
+			}
+		}
+	}
+	return e.snapshot
+}
 
 // NewABEGroup creates a group guarded by the given policy string (e.g.
 // "(relative AND doctor)"). All policy attributes are registered with the
@@ -58,12 +95,12 @@ func NewABEGroup(name string, authority *abe.Authority, policyExpr string) (*ABE
 		}
 	}
 	return &ABEGroup{
-		name:      name,
-		authority: authority,
-		policy:    policy,
-		members:   newMemberSet(),
-		attrs:     make(map[string][]string),
-		keys:      make(map[string]*abe.UserKey),
+		name:         name,
+		abeEncryptor: newABEEncryptor(authority),
+		policy:       policy,
+		members:      newMemberSet(),
+		attrs:        make(map[string][]string),
+		keys:         make(map[string]*abe.UserKey),
 	}, nil
 }
 
@@ -128,6 +165,7 @@ func (g *ABEGroup) Remove(member string) (RevocationReport, error) {
 	// entries in particular must not survive.
 	g.keyCache.BumpGeneration()
 	report := RevocationReport{}
+	agreed := g.sender.Agreements()
 	// Re-issue keys to remaining members who held a revoked attribute.
 	revoked := make(map[string]bool, len(revokedAttrs))
 	for _, a := range revokedAttrs {
@@ -160,10 +198,11 @@ func (g *ABEGroup) Remove(member string) (RevocationReport, error) {
 	report.RekeyedMembers = len(needsRekey)
 	// Re-encrypt the archive under the new parameters — independent ABE
 	// encryptions over a shared read-only snapshot, the O(archive) cost the
-	// paper calls "an extra overhead".
-	params := g.authority.PublicParams()
+	// paper calls "an extra overhead". The first wrap to each re-keyed
+	// parameter is a key agreement, the rest are symmetric.
+	params := g.params()
 	cts, err := parallel.Map(g.workers, g.plaintexts, func(_ int, pt []byte) (*abe.Ciphertext, error) {
-		ct, err := abe.Encrypt(params, g.policy, pt)
+		ct, err := abe.Encrypt(g.sender, params, g.policy, pt)
 		if err != nil {
 			return nil, fmt.Errorf("privacy: re-encrypting archive: %w", err)
 		}
@@ -176,7 +215,7 @@ func (g *ABEGroup) Remove(member string) (RevocationReport, error) {
 		g.archive[i] = g.wrap(ct)
 	}
 	report.ReencryptedEnvelopes = len(cts)
-	report.PublicKeyOps += len(cts) * len(g.policy.Attributes())
+	report.PublicKeyOps = int(g.sender.Agreements() - agreed)
 	return report, nil
 }
 
@@ -196,7 +235,7 @@ func (g *ABEGroup) Encrypt(plaintext []byte) (Envelope, error) {
 	if g.members.len() == 0 {
 		return Envelope{}, ErrNoMembers
 	}
-	ct, err := abe.Encrypt(g.authority.PublicParams(), g.policy, plaintext)
+	ct, err := abe.Encrypt(g.sender, g.params(), g.policy, plaintext)
 	if err != nil {
 		return Envelope{}, fmt.Errorf("privacy: ABE encrypting for %q: %w", g.name, err)
 	}

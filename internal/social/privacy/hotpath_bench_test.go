@@ -81,9 +81,7 @@ func (env *benchEnv) buildGroup(b *testing.B, scheme string, workers int) Group 
 		if err != nil {
 			b.Fatal(err)
 		}
-		ig := NewIBBEGroup("bench", pkg)
-		ig.SetWorkers(workers)
-		g = ig
+		g = NewIBBEGroup("bench", pkg)
 	case "hybrid":
 		owner, err := pubkey.NewSigningKeyPair()
 		if err != nil {

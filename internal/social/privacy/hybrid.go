@@ -32,8 +32,12 @@ type HybridGroup struct {
 	epoch    uint64
 	registry *identity.Registry
 	owner    *pubkey.SigningKeyPair
-	// workers bounds the fan-out on rekey/re-encryption (0 = all CPUs,
-	// 1 = serial); see SetWorkers.
+	// sender is the owner's ECIES context for the data-key wraps: one key
+	// agreement per member, after which a rekey wraps the new data key to
+	// each remaining member with a symmetric seal.
+	sender *pubkey.Sender
+	// workers bounds the archive re-encryption fan-out on Remove (0 = all
+	// CPUs, 1 = serial); see SetWorkers.
 	workers int
 
 	dataKey symmetric.Key
@@ -69,6 +73,7 @@ func NewHybridGroup(name string, registry *identity.Registry, owner *pubkey.Sign
 		epoch:    1,
 		registry: registry,
 		owner:    owner,
+		sender:   pubkey.NewSender(),
 		dataKey:  key,
 		keyWraps: make(map[string][]byte),
 		members:  newMemberSet(),
@@ -105,10 +110,9 @@ func (g *HybridGroup) Members() []string { return g.members.sorted() }
 // Epoch returns the current key epoch.
 func (g *HybridGroup) Epoch() uint64 { return g.epoch }
 
-// SetWorkers bounds the worker pool used for the per-member key wraps and
-// archive re-encryption on Remove: 0 (the default) uses all CPUs, 1 forces
-// the serial path. Outputs are identical at any setting (parallel.Map
-// collects index-ordered).
+// SetWorkers bounds the worker pool used for the archive re-encryption on
+// Remove: 0 (the default) uses all CPUs, 1 forces the serial path. Outputs
+// are identical at any setting (parallel.Map collects index-ordered).
 func (g *HybridGroup) SetWorkers(n int) { g.workers = n }
 
 func (g *HybridGroup) signACL() {
@@ -116,9 +120,14 @@ func (g *HybridGroup) signACL() {
 	g.aclSig = g.owner.Sign(root[:])
 }
 
-// wrapFor wraps the current data key to one member.
+// wrapFor wraps the current data key to one member through the sender
+// context: a key agreement on first contact, a symmetric seal afterwards.
 func (g *HybridGroup) wrapFor(member string) error {
-	wrap, err := g.registry.EncryptTo(member, g.dataKey)
+	id, err := g.registry.Lookup(member)
+	if err != nil {
+		return err
+	}
+	wrap, err := g.sender.Encrypt(id.Encryption, g.dataKey)
 	if err != nil {
 		return fmt.Errorf("privacy: wrapping data key for %q: %w", member, err)
 	}
@@ -167,25 +176,18 @@ func (g *HybridGroup) Remove(member string) (RevocationReport, error) {
 	// in particular must not survive.
 	g.keyCache.BumpGeneration()
 	report := RevocationReport{}
-	// Public-key phase: the per-member wraps are independent ECIES
-	// operations — the dominant O(members) cost — so fan them out. Group
-	// state is only mutated after Map returns, on this goroutine.
-	members := g.members.sorted()
-	wraps, err := parallel.Map(g.workers, members, func(_ int, m string) ([]byte, error) {
-		wrap, err := g.registry.EncryptTo(m, g.dataKey)
-		if err != nil {
-			return nil, fmt.Errorf("privacy: wrapping data key for %q: %w", m, err)
+	// Public-key phase: wrap the new data key to every remaining member
+	// under the pairwise key the sender context already shares with it — no
+	// agreement unless the table lost one. The revoked member holds none of
+	// those keys.
+	agreed := g.sender.Agreements()
+	for _, m := range g.members.sorted() {
+		if err := g.wrapFor(m); err != nil {
+			return report, err
 		}
-		return wrap, nil
-	})
-	if err != nil {
-		return report, err
 	}
-	for i, m := range members {
-		g.keyWraps[m] = wraps[i]
-	}
-	report.RekeyedMembers = len(members)
-	report.PublicKeyOps = len(members)
+	report.RekeyedMembers = g.members.len()
+	report.PublicKeyOps = int(g.sender.Agreements() - agreed)
 	// Symmetric phase: archive envelopes re-seal independently under the
 	// new data key.
 	envs, err := parallel.Map(g.workers, g.plaintexts, func(_ int, pt []byte) (Envelope, error) {

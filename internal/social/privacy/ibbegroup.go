@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"godosn/internal/crypto/ibe"
+	"godosn/internal/crypto/pubkey"
 	"godosn/internal/social/identity"
 )
 
@@ -17,16 +18,18 @@ type IBBEGroup struct {
 	// session key per ciphertext (SetKeyCache); Remove bumps its generation.
 	envelopeKeyCache
 
-	name    string
-	pkg     *ibe.PKG
+	name string
+	pkg  *ibe.PKG
+	// sender is the broadcaster's ECIES context: one key agreement per
+	// member identity, then every broadcast wraps its session key to that
+	// member with a symmetric seal. It belongs to the group owner, not to
+	// the PKG, which stays a public directory.
+	sender  *pubkey.Sender
 	members memberSet
 	// keys caches each member's extracted identity key (conceptually held
 	// by the member after authenticating to the PKG).
 	keys    map[string]*ibe.IdentityKey
 	archive []Envelope
-	// workers bounds the per-recipient wrap fan-out in Encrypt (0 = all
-	// CPUs, 1 = serial); see SetWorkers.
-	workers int
 }
 
 var _ Group = (*IBBEGroup)(nil)
@@ -36,6 +39,7 @@ func NewIBBEGroup(name string, pkg *ibe.PKG) *IBBEGroup {
 	return &IBBEGroup{
 		name:    name,
 		pkg:     pkg,
+		sender:  pubkey.NewSender(),
 		members: newMemberSet(),
 		keys:    make(map[string]*ibe.IdentityKey),
 	}
@@ -49,10 +53,6 @@ func (g *IBBEGroup) Name() string { return g.name }
 
 // Members implements Group.
 func (g *IBBEGroup) Members() []string { return g.members.sorted() }
-
-// SetWorkers bounds the worker pool for Encrypt's per-recipient broadcast
-// wraps: 0 (the default) uses all CPUs, 1 forces the serial path.
-func (g *IBBEGroup) SetWorkers(n int) { g.workers = n }
 
 // Add implements Group: any string identity joins without pre-registered
 // key material — the PKG extracts the member's key on demand.
@@ -70,7 +70,9 @@ func (g *IBBEGroup) Add(member string) error {
 }
 
 // Remove implements Group: zero cost — future broadcasts just exclude the
-// identity.
+// identity. The remaining members' pairwise keys with the sender context are
+// untouched (the removed member knows only its own), so nothing is re-keyed;
+// the removed member's is dropped.
 func (g *IBBEGroup) Remove(member string) (RevocationReport, error) {
 	if err := g.members.remove(member); err != nil {
 		return RevocationReport{}, err
@@ -79,6 +81,11 @@ func (g *IBBEGroup) Remove(member string) (RevocationReport, error) {
 	// The revocation itself is free, but the revoked member's memoized
 	// session keys must not survive it.
 	g.keyCache.BumpGeneration()
+	pk, err := g.pkg.DirectoryLookup(member)
+	if err != nil {
+		return RevocationReport{}, fmt.Errorf("privacy: looking up removed identity %q: %w", member, err)
+	}
+	g.sender.Forget(pk)
 	return RevocationReport{Free: true}, nil
 }
 
@@ -87,7 +94,7 @@ func (g *IBBEGroup) Encrypt(plaintext []byte) (Envelope, error) {
 	if g.members.len() == 0 {
 		return Envelope{}, ErrNoMembers
 	}
-	b, err := g.pkg.EncryptBroadcastWorkers(g.members.sorted(), plaintext, g.workers)
+	b, err := g.pkg.EncryptBroadcast(g.sender, g.members.sorted(), plaintext)
 	if err != nil {
 		return Envelope{}, fmt.Errorf("privacy: IBBE broadcast for %q: %w", g.name, err)
 	}

@@ -19,12 +19,12 @@ import (
 // control over a content taxonomy, which the plain Group interface (one
 // audience per envelope) cannot express — hence the dedicated type.
 type KPABEGroup struct {
-	name      string
-	authority *abe.Authority
-	members   memberSet
-	policies  map[string]string
-	keys      map[string]*abe.KPKey
-	archive   []Envelope
+	name string
+	abeEncryptor
+	members  memberSet
+	policies map[string]string
+	keys     map[string]*abe.KPKey
+	archive  []Envelope
 	// labeled and plain retain each archive entry's labels and plaintext so
 	// revocation can re-encrypt (the group owner knows its own content).
 	labeled [][]string
@@ -34,11 +34,11 @@ type KPABEGroup struct {
 // NewKPABEGroup creates a KP-ABE group using the given authority.
 func NewKPABEGroup(name string, authority *abe.Authority) *KPABEGroup {
 	return &KPABEGroup{
-		name:      name,
-		authority: authority,
-		members:   newMemberSet(),
-		policies:  make(map[string]string),
-		keys:      make(map[string]*abe.KPKey),
+		name:         name,
+		abeEncryptor: newABEEncryptor(authority),
+		members:      newMemberSet(),
+		policies:     make(map[string]string),
+		keys:         make(map[string]*abe.KPKey),
 	}
 }
 
@@ -97,6 +97,7 @@ func (g *KPABEGroup) Revoke(member string) (RevocationReport, error) {
 		return RevocationReport{}, err
 	}
 	report := RevocationReport{}
+	agreed := g.sender.Agreements()
 	// Re-issue keys to all remaining members (their policies may share the
 	// re-keyed attributes).
 	for _, m := range g.members.sorted() {
@@ -111,7 +112,7 @@ func (g *KPABEGroup) Revoke(member string) (RevocationReport, error) {
 		g.keys[m] = key
 		report.RekeyedMembers++
 	}
-	params := g.authority.PublicParams()
+	params := g.params()
 	for i := range g.archive {
 		env, err := g.encryptStored(params, i)
 		if err != nil {
@@ -120,6 +121,7 @@ func (g *KPABEGroup) Revoke(member string) (RevocationReport, error) {
 		g.archive[i] = env
 		report.ReencryptedEnvelopes++
 	}
+	report.PublicKeyOps = int(g.sender.Agreements() - agreed)
 	return report, nil
 }
 
@@ -133,7 +135,7 @@ func (g *KPABEGroup) EncryptLabeled(labels []string, plaintext []byte) (Envelope
 			return Envelope{}, err
 		}
 	}
-	ct, err := abe.EncryptKP(g.authority.PublicParams(), labels, plaintext)
+	ct, err := abe.EncryptKP(g.sender, g.params(), labels, plaintext)
 	if err != nil {
 		return Envelope{}, fmt.Errorf("privacy: KP encrypting: %w", err)
 	}
@@ -178,7 +180,7 @@ func (g *KPABEGroup) Archive() []Envelope {
 
 // encryptStored re-encrypts archive entry i from its retained plaintext.
 func (g *KPABEGroup) encryptStored(params *abe.PublicParams, i int) (Envelope, error) {
-	ct, err := abe.EncryptKP(params, g.labeled[i], g.plain[i])
+	ct, err := abe.EncryptKP(g.sender, params, g.labeled[i], g.plain[i])
 	if err != nil {
 		return Envelope{}, fmt.Errorf("privacy: re-encrypting archive: %w", err)
 	}

@@ -74,7 +74,9 @@ type RevocationReport struct {
 	RekeyedMembers int
 	// ReencryptedEnvelopes counts archive envelopes that were re-encrypted.
 	ReencryptedEnvelopes int
-	// PublicKeyOps counts asymmetric operations performed.
+	// PublicKeyOps counts the key agreements the removal performed, as the
+	// scheme's sender context counted them: a wrap under a pairwise key the
+	// context already holds is a symmetric seal and is not counted.
 	PublicKeyOps int
 }
 
