@@ -19,6 +19,7 @@ ci: build vet test race bench-harness lint-print lint-wallclock smoke
 #   e21        warm caches hit, match the cold arm byte for byte, never serve a revoked reader
 #   cache -race  the sharded cache's concurrent hammer and eviction-order determinism
 #   simnet -race  ten callers against every fault injector with exact ledgers; link draws independent of other links' traffic
+#   pubkey -race  ten goroutines on one ECIES Sender (shared and own recipients, Forget, ephemeral replacement) and on one key pair's memoised Decrypt
 #   e22        load-aware arm >= 99% served at <= 3x baseline p99 while the bare arm degrades
 #   e23        batching saves >= 3x msg/op at digest-identical reads and flat live heap
 #   scenarios  every committed scenario: run-twice + workers 1v8 DeepEqual, invariants, pinned digest
@@ -33,6 +34,7 @@ $(BENCH_BIN) -quick -exp e19
 $(BENCH_BIN) -quick -exp e21
 $(GO) test -race -count=1 -run 'TestCacheRaceHammer|TestCacheEvictionOrderShardedWorkers1vs8' ./internal/cache/
 $(GO) test -race -count=1 -run 'TestHammerKeepsLedgersExact|TestLinkDrawsIgnoreOtherLinks' ./internal/overlay/simnet/
+$(GO) test -race -count=1 -run 'TestSenderHammer|TestDecryptHammer' ./internal/crypto/pubkey/
 $(BENCH_BIN) -quick -exp e22
 $(BENCH_BIN) -quick -exp e23
 $(BENCH_BIN) -scenario 'scenarios/*.scenario'
@@ -100,7 +102,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 18
+BENCH_PR := 19
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -128,13 +130,14 @@ bench-quick:
 	$(GO) test -bench=. -benchtime=10x -run='^$$' .
 
 # Hot-path microbenchmarks: per-scheme group Encrypt/Add/Remove (serial vs
-# pool), DHT Put/Get/Heal, symmetric seal/open alloc deltas,
+# pool), DHT Put/Get/Heal, symmetric seal/open alloc deltas, ECIES
+# Sender.Encrypt first-contact vs warm and Decrypt memo miss vs hit,
 # the sharded cache (hit/miss/coalesced/contended), and one simnet echo RPC
 # as one of 1 and of 2 callers sees it.
 bench-hot:
 	$(GO) test -bench=. -benchmem -run='^$$' \
 		./internal/social/privacy/ ./internal/overlay/dht/ ./internal/crypto/symmetric/ \
-		./internal/cache/ ./internal/overlay/simnet/
+		./internal/crypto/pubkey/ ./internal/cache/ ./internal/overlay/simnet/
 
 # Anti-entropy cost curve: batched vs per-key scrub at 1k/10k/100k keys
 # (10% corruption, k=3). Reported msg/op is the simulated message count
