@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race bench-harness bench-gate loc bench bench-quick bench-hot bench-scrub experiments experiments-quick smoke lint-print lint-wallclock examples clean
+.PHONY: all ci build vet test race fuzz-smoke bench-harness bench-gate loc bench bench-quick bench-hot bench-scrub experiments experiments-quick smoke lint-print lint-wallclock examples clean
 
 all: build vet test
 
-# Full verification gate: compile, vet, tests, the race detector, the
-# benchmark harness's own vet + tests, the two hygiene lints, and the smoke
-# list below.
-ci: build vet test race bench-harness lint-print lint-wallclock smoke
+# Full verification gate: compile, vet, tests, the race detector, a short
+# fuzz of every Fuzz* target, the benchmark harness's own vet + tests, the two
+# hygiene lints, and the smoke list below.
+ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock smoke
 
 # One smoke gate: dosnbench is built once (into .smoke/, ignored), then every command in SMOKE runs
 # in order; the first failure prints that command's output and stops. Each
@@ -92,6 +92,24 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Every Fuzz* target for a fixed small budget, one `go test -fuzz` each (the
+# flag takes one target in one package). A crasher is written to the
+# package's testdata/fuzz and fails the run.
+FUZZ_TIME := 5s
+define FUZZ_TARGETS
+./internal/social/privacy/ FuzzUnmarshal
+./internal/crypto/abe/ FuzzParsePolicy
+./internal/crypto/pubkey/ FuzzDecrypt
+./internal/overlay/dht/ FuzzStoreOps
+endef
+export FUZZ_TARGETS
+
+fuzz-smoke:
+	@echo "$$FUZZ_TARGETS" | while read -r pkg target; do \
+		echo "fuzz-smoke: $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZ_TIME) $$pkg || exit 1; \
+	done
+
 # benchmark/ is its own module (godosn/benchmark), so `go test ./...` at the
 # root never compiles it: vet and test it here so a change that breaks the
 # frozen harness surface fails CI, not the next benchmark run.
@@ -102,7 +120,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 19
+BENCH_PR := 20
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json

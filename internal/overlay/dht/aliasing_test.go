@@ -140,3 +140,145 @@ func TestMembershipHandoffNeverAliasesStores(t *testing.T) {
 		})
 	}
 }
+
+func TestReadsSurviveOverwriteAndCompaction(t *testing.T) {
+	// Bytes a read returned belong to the reader: neither an overwrite of
+	// the key nor the log rewrite that enough overwrites force may reach
+	// them, whichever read path handed them out.
+	d, names, _ := aliasDHT(t, 12)
+	client := string(names[0])
+	orig := bytes.Repeat([]byte("first version "), 3000) // 42 KB: over one chunk
+	if _, err := d.Store(client, "k", orig); err != nil {
+		t.Fatalf("Store: %v", err)
+	}
+	replicas := replicaNames(d, "k")
+	var reads [][]byte
+	v, _, err := d.Lookup(client, "k")
+	if err != nil {
+		t.Fatalf("Lookup: %v", err)
+	}
+	reads = append(reads, v)
+	for _, r := range replicas {
+		rv, _, err := d.LookupFrom(client, "k", string(r))
+		if err != nil {
+			t.Fatalf("LookupFrom(%s): %v", r, err)
+		}
+		reads = append(reads, rv)
+	}
+	batch, _, err := d.GetBatch(client, []string{"k", "absent"})
+	if err != nil || batch[0].Err != nil {
+		t.Fatalf("GetBatch: %v %v", err, batch[0].Err)
+	}
+	reads = append(reads, batch[0].Value)
+
+	// Each overwrite leaves 42 KB dead on every replica; from the second on
+	// the dead bytes outweigh both the live record and a chunk, so every
+	// replica rewrites its log at least once.
+	rewritten := make(map[simnet.NodeID]bool)
+	for round := 0; round < 4; round++ {
+		next := bytes.Repeat([]byte{byte('a' + round)}, len(orig))
+		if _, err := d.Store(client, "k", next); err != nil {
+			t.Fatalf("Store: %v", err)
+		}
+		for _, r := range replicas {
+			n := d.view().names[r]
+			n.mu.Lock()
+			if n.data.logged == n.data.live {
+				rewritten[r] = true
+			}
+			n.mu.Unlock()
+		}
+	}
+	if len(rewritten) != len(replicas) {
+		t.Fatalf("only %d of %d replicas rewrote their log; the test proves nothing about compaction", len(rewritten), len(replicas))
+	}
+	for i, got := range reads {
+		if !bytes.Equal(got, orig) {
+			t.Fatalf("read %d changed after the key was overwritten and the log rewritten", i)
+		}
+	}
+}
+
+func TestCorruptStoredTouchesOneReplicaOnly(t *testing.T) {
+	d, names, _ := aliasDHT(t, 12)
+	orig := []byte("replicated value")
+	if _, err := d.Store(string(names[0]), "k", orig); err != nil {
+		t.Fatalf("Store: %v", err)
+	}
+	replicas := replicaNames(d, "k")
+	if len(replicas) != 3 {
+		t.Fatalf("want 3 replicas, got %v", replicas)
+	}
+	before, _ := d.StoredCopy(string(replicas[0]), "k")
+	if !d.CorruptStored(string(replicas[0]), "k", func(b []byte) []byte {
+		for i := range b {
+			b[i] ^= 0xFF
+		}
+		return b
+	}) {
+		t.Fatal("CorruptStored: victim does not hold the key")
+	}
+	if !bytes.Equal(before, orig) {
+		t.Fatal("CorruptStored reached a StoredCopy taken earlier")
+	}
+	if got, _ := d.StoredCopy(string(replicas[0]), "k"); bytes.Equal(got, orig) {
+		t.Fatal("CorruptStored left the victim's copy intact")
+	}
+	for _, r := range replicas[1:] {
+		if got, ok := d.StoredCopy(string(r), "k"); !ok || !bytes.Equal(got, orig) {
+			t.Fatalf("corrupting %s changed %s's copy to %q", replicas[0], r, got)
+		}
+	}
+}
+
+func TestFetchCopiesWhileStoreBatchAppends(t *testing.T) {
+	// The fetch handlers copy a value out of the log after releasing the
+	// node lock, while store_batch appends to the same chunk, overwrites the
+	// very key and forces log rewrites: a reader must see one whole version
+	// (run under -race, this is also the data-race check on the log).
+	d, names, _ := aliasDHT(t, 4)
+	n := d.view().names[names[1]]
+	handle := d.handlerFor(n)
+	version := func(b byte) []byte { return bytes.Repeat([]byte{b}, 3000) }
+	n.data.put("hot", version(0))
+
+	const writes = 400
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= writes; i++ {
+			req := storeBatchReq{
+				Keys:   []string{"hot", fmt.Sprintf("cold-%d", i%7)},
+				Values: [][]byte{version(byte(i)), version(byte(i))},
+			}
+			if _, err := handle(&simnet.Trace{}, names[0], simnet.Message{Kind: kindStoreBatch, Payload: req}); err != nil {
+				t.Errorf("store_batch: %v", err)
+				return
+			}
+		}
+	}()
+	whole := func(v []byte) bool {
+		return len(v) == 3000 && bytes.Count(v, v[:1]) == len(v)
+	}
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		reply, err := handle(&simnet.Trace{}, names[0], simnet.Message{Kind: kindFetch, Payload: fetchReq{Key: "hot"}})
+		if err != nil {
+			t.Fatalf("fetch: %v", err)
+		}
+		if resp := reply.Payload.(fetchResp); !resp.Found || !whole(resp.Value) {
+			t.Fatal("fetch returned a torn value")
+		}
+		reply, err = handle(&simnet.Trace{}, names[0], simnet.Message{Kind: kindFetchBatch, Payload: fetchBatchReq{Keys: []string{"hot", "cold-3"}}})
+		if err != nil {
+			t.Fatalf("fetch_batch: %v", err)
+		}
+		if resp := reply.Payload.(fetchBatchResp); !resp.Found[0] || !whole(resp.Values[0]) || (resp.Found[1] && !whole(resp.Values[1])) {
+			t.Fatal("fetch_batch returned a torn value")
+		}
+	}
+}

@@ -27,12 +27,15 @@ import (
 //     travel to each replica in ONE message instead of one per key, so the
 //     message cost of a batch scales with the number of replica groups
 //     touched, not the number of keys.
-//  3. Value copies are arena-allocated. A batch handler copies all incoming
-//     (or outgoing) values into a single backing array instead of one
-//     allocation per key, and envelope key lists are drawn from a sync.Pool
-//     that recycles them across replica probes (pool lifetime rules in
-//     DESIGN.md §10: pooled buffers never outlive the RPC that borrowed
-//     them — simnet RPCs are synchronous, so reuse after return is safe).
+//  3. Value copies are shared allocations. An incoming envelope's keys and
+//     values are copied straight into the node's record log (store.go) with
+//     no allocation per key; an outgoing reply's values are copied into a
+//     single backing array; and envelope key lists are drawn from a
+//     sync.Pool that recycles them across replica probes (lifetime rules in
+//     DESIGN.md §10: log bytes are immutable once written and whatever
+//     leaves a node is a copy; pooled buffers never outlive the RPC that
+//     borrowed them — simnet RPCs are synchronous, so reuse after return is
+//     safe).
 //
 // Cost model (the batch determinism contract): a batch is one logical
 // operation whose per-root groups proceed as independent concurrent
@@ -90,58 +93,48 @@ func returnKeyList(s *[]string) {
 	keyListPool.Put(s)
 }
 
-// handleStoreBatch executes the replica-side batch write: every value is
-// copied into one arena allocation (one backing array for the whole
-// envelope instead of one per key) and stored under the current map.
+// handleStoreBatch executes the replica-side batch write: the store's put
+// copies each key and value into the node's log, so the envelope's slices
+// stay the sender's.
 func handleStoreBatch(n *node, req storeBatchReq) (simnet.Message, error) {
 	if len(req.Keys) != len(req.Values) {
 		return simnet.Message{}, fmt.Errorf("dht: store_batch: %d keys, %d values", len(req.Keys), len(req.Values))
 	}
-	total := 0
-	for _, v := range req.Values {
-		total += len(v)
-	}
-	arena := make([]byte, 0, total)
 	n.mu.Lock()
 	for i, key := range req.Keys {
-		off := len(arena)
-		arena = append(arena, req.Values[i]...)
-		// Three-index slice: a later append through one key's view can
-		// never clobber a neighbour's bytes.
-		n.data[key] = arena[off:len(arena):len(arena)]
+		n.data.put(key, req.Values[i])
 	}
 	n.mu.Unlock()
 	return simnet.Message{Kind: kindStoreBatch, Size: batchEnvelopeOverhead}, nil
 }
 
-// handleFetchBatch executes the replica-side batch read: found values are
-// copied into one arena allocation and answered positionally.
+// handleFetchBatch executes the replica-side batch read, answered
+// positionally. Each key is resolved once, under the lock; the found values
+// are then copied out of the log into one arena allocation after it is
+// released (log bytes never change).
 func handleFetchBatch(n *node, req fetchBatchReq) (simnet.Message, error) {
 	resp := fetchBatchResp{
 		Found:  make([]bool, len(req.Keys)),
 		Values: make([][]byte, len(req.Keys)),
 	}
-	size := batchEnvelopeOverhead
-	n.mu.Lock()
 	total := 0
-	for _, key := range req.Keys {
-		total += len(n.data[key])
-	}
-	arena := make([]byte, 0, total)
+	n.mu.Lock()
 	for i, key := range req.Keys {
-		v, found := n.data[key]
-		resp.Found[i] = found
-		if found {
-			off := len(arena)
-			arena = append(arena, v...)
-			resp.Values[i] = arena[off:len(arena):len(arena)]
-			size += len(v) + 1
-		} else {
-			size++
-		}
+		resp.Values[i], resp.Found[i] = n.data.get(key)
+		total += len(resp.Values[i])
 	}
 	n.mu.Unlock()
-	return simnet.Message{Kind: kindFetchBatch, Payload: resp, Size: size}, nil
+	arena := make([]byte, 0, total)
+	for i, v := range resp.Values {
+		if resp.Found[i] {
+			off := len(arena)
+			arena = append(arena, v...)
+			// Three-index slice: a later append through one key's view can
+			// never clobber a neighbour's bytes.
+			resp.Values[i] = arena[off:len(arena):len(arena)]
+		}
+	}
+	return simnet.Message{Kind: kindFetchBatch, Payload: resp, Size: batchEnvelopeOverhead + len(req.Keys) + total}, nil
 }
 
 // batchRoots resolves every key's successor root with one amortized pass:

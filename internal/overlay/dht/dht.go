@@ -39,7 +39,7 @@ type node struct {
 	name simnet.NodeID
 
 	mu   sync.Mutex
-	data map[string][]byte
+	data store // store.go
 }
 
 // DHT is a Chord ring over a simnet. It is safe for concurrent use after
@@ -113,7 +113,7 @@ func New(net *simnet.Network, nodes []simnet.NodeID, cfg Config) (*DHT, error) {
 	members := make([]*node, 0, len(nodes))
 	taken := make(map[uint64]*node, len(nodes))
 	for _, name := range nodes {
-		n := &node{id: freeID(hashID(string(name)), taken), name: name, data: make(map[string][]byte)}
+		n := &node{id: freeID(hashID(string(name)), taken), name: name}
 		taken[n.id] = n
 		members = append(members, n)
 		if err := net.Register(name, d.handlerFor(n)); err != nil {
@@ -203,7 +203,7 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
 			n.mu.Lock()
-			n.data[req.Key] = append([]byte(nil), req.Value...)
+			n.data.put(req.Key, req.Value)
 			n.mu.Unlock()
 			return simnet.Message{Kind: msg.Kind, Size: 8}, nil
 
@@ -213,7 +213,7 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
 			n.mu.Lock()
-			v, found := n.data[req.Key]
+			v, found := n.data.get(req.Key)
 			n.mu.Unlock()
 			resp := fetchResp{Found: found}
 			if found {

@@ -77,7 +77,7 @@ func healRing(tb testing.TB, keys int) (*DHT, []simnet.NodeID) {
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("k%d", i)
 		for _, rid := range d.view().successorsOf(hashID(key), d.replica) {
-			d.view().byID[rid].data[key] = []byte("benchmark value payload")
+			d.view().byID[rid].data.put(key, []byte("benchmark value payload"))
 		}
 	}
 	return d, names
@@ -104,10 +104,8 @@ func BenchmarkHeal(b *testing.B) {
 			returning := []*node{d.view().names[names[7]], d.view().names[names[19]], d.view().names[names[31]]}
 			missed := make([][]string, len(returning))
 			for i, n := range returning {
-				held := make([]string, 0, len(n.data))
-				for key := range n.data {
-					held = append(held, key)
-				}
+				held := make([]string, 0, n.data.len())
+				n.data.each(func(key string, _ []byte) { held = append(held, key) })
 				sort.Strings(held)
 				for j := 0; j < len(held); j += 6 {
 					missed[i] = append(missed[i], held[j])
@@ -120,8 +118,7 @@ func BenchmarkHeal(b *testing.B) {
 				want := 0
 				for j, n := range returning {
 					for _, key := range missed[j] {
-						if _, held := n.data[key]; held {
-							delete(n.data, key)
+						if n.data.del(key) {
 							want++
 						}
 					}

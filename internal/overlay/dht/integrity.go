@@ -93,7 +93,7 @@ func localDigest(n *node, keys []string, nonce uint64) digestResp {
 	leaves := make([][32]byte, 0, len(keys))
 	n.mu.Lock()
 	for _, key := range keys {
-		v, ok := n.data[key]
+		v, ok := n.data.get(key)
 		leaves = append(leaves, overlay.CopyLeaf(key, v, ok))
 	}
 	n.mu.Unlock()
@@ -123,8 +123,7 @@ func (d *DHT) Holds(name, key string) bool {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	_, ok := n.data[key]
-	return ok
+	return n.data.has(key)
 }
 
 // StoredCopy returns a copy of the named node's stored bytes for key —
@@ -138,7 +137,7 @@ func (d *DHT) StoredCopy(name, key string) ([]byte, bool) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	v, ok := n.data[key]
+	v, ok := n.data.get(key)
 	if !ok {
 		return nil, false
 	}
@@ -156,10 +155,10 @@ func (d *DHT) CorruptStored(name, key string, mutate func([]byte) []byte) bool {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	v, ok := n.data[key]
+	v, ok := n.data.get(key)
 	if !ok {
 		return false
 	}
-	n.data[key] = mutate(append([]byte(nil), v...))
+	n.data.put(key, mutate(append([]byte(nil), v...)))
 	return true
 }

@@ -22,7 +22,7 @@ func (d *DHT) Join(name simnet.NodeID) error {
 	if _, ok := old.names[name]; ok {
 		return fmt.Errorf("dht: %s already joined", name)
 	}
-	n := &node{id: freeID(hashID(string(name)), old.byID), name: name, data: make(map[string][]byte)}
+	n := &node{id: freeID(hashID(string(name)), old.byID), name: name}
 	if err := d.net.Register(name, d.handlerFor(n)); err != nil {
 		return fmt.Errorf("dht: registering %s: %w", name, err)
 	}
@@ -35,15 +35,20 @@ func (d *DHT) Join(name simnet.NodeID) error {
 	if succ := v.byID[v.successorID(n.id+1)]; succ != n {
 		pred := v.predecessorID(n.id)
 		succ.mu.Lock()
-		for key, value := range succ.data {
+		n.mu.Lock()
+		// The walk must not see the store change, so the moved keys leave
+		// the successor after it; put copies, so the two stores never share
+		// a backing array.
+		var moved []string
+		succ.data.each(func(key string, value []byte) {
 			if inInterval(hashID(key), pred, n.id) {
-				n.mu.Lock()
-				// Copy on handoff: the two nodes' stores must never alias
-				// the same backing array.
-				n.data[key] = append([]byte(nil), value...)
-				n.mu.Unlock()
-				delete(succ.data, key)
+				n.data.put(key, value)
+				moved = append(moved, key)
 			}
+		})
+		n.mu.Unlock()
+		for _, key := range moved {
+			succ.data.del(key)
 		}
 		succ.mu.Unlock()
 	}
@@ -77,11 +82,9 @@ func (d *DHT) Leave(name simnet.NodeID) error {
 	succ := v.byID[v.successorID(n.id)]
 	n.mu.Lock()
 	succ.mu.Lock()
-	for key, value := range n.data {
-		succ.data[key] = append([]byte(nil), value...)
-	}
+	n.data.each(succ.data.put)
 	succ.mu.Unlock()
-	n.data = make(map[string][]byte)
+	n.data.reset()
 	n.mu.Unlock()
 	d.net.SetOnline(name, false)
 	d.ring.Store(v)

@@ -41,7 +41,7 @@ func (d *DHT) SetReplicaRanker(rank func(names []string) []string) {
 func registerCrashHook(net *simnet.Network, n *node) {
 	_ = net.OnCrash(n.name, func() {
 		n.mu.Lock()
-		n.data = make(map[string][]byte)
+		n.data.reset()
 		n.mu.Unlock()
 	})
 }
@@ -218,8 +218,7 @@ type healScan struct {
 // Stores are read without locks: planHeal holds every online node's.
 func (v *healView) scan(n *node) healScan {
 	var out healScan
-keys:
-	for key := range n.data {
+	n.data.each(func(key string, _ []byte) {
 		targets := v.targetsOf(key)
 		for j, t := range targets {
 			if t == n {
@@ -227,21 +226,21 @@ keys:
 				if j > 0 || !heldByAll(targets[j+1:], key) {
 					out.deficient = append(out.deficient, key)
 				}
-				continue keys
+				return
 			}
-			if _, held := t.data[key]; held {
-				continue keys
+			if t.data.has(key) {
+				return
 			}
 		}
 		out.orphans = append(out.orphans, key)
-	}
+	})
 	return out
 }
 
 // heldByAll reports whether every node holds key (node locks held).
 func heldByAll(nodes []*node, key string) bool {
 	for _, n := range nodes {
-		if _, held := n.data[key]; !held {
+		if !n.data.has(key) {
 			return false
 		}
 	}
@@ -291,13 +290,14 @@ func (d *DHT) planHeal() (int, []healPush) {
 		var src *node
 		var value []byte
 		for _, n := range v.online {
-			if stored, held := n.data[key]; held {
-				src, value = n, append([]byte(nil), stored...)
+			if stored, held := n.data.get(key); held {
+				// The log's own bytes: immutable, and the target's put copies.
+				src, value = n, stored
 				break
 			}
 		}
 		for _, target := range v.targetsOf(key) {
-			if _, held := target.data[key]; !held {
+			if !target.data.has(key) {
 				plan = append(plan, healPush{key: key, value: value, src: src.name, dst: target.name})
 			}
 		}
@@ -403,11 +403,10 @@ func (d *DHT) LiveCopies(key string) int {
 			continue
 		}
 		n.mu.Lock()
-		_, ok := n.data[key]
-		n.mu.Unlock()
-		if ok {
+		if n.data.has(key) {
 			count++
 		}
+		n.mu.Unlock()
 	}
 	return count
 }

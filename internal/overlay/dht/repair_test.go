@@ -73,7 +73,7 @@ func TestStoreIdempotentUnderAckLoss(t *testing.T) {
 		for _, name := range replicaNames(d, "k") {
 			n := d.view().names[name]
 			n.mu.Lock()
-			v, ok := n.data["k"]
+			v, ok := n.data.get("k")
 			n.mu.Unlock()
 			if ok && !bytes.Equal(v, value) {
 				t.Fatalf("seed %d: replica %s holds corrupted copy %q", seed, name, v)
@@ -292,9 +292,7 @@ func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
 			continue
 		}
 		n.mu.Lock()
-		for key := range n.data {
-			holders[key] = append(holders[key], n)
-		}
+		n.data.each(func(key string, _ []byte) { holders[key] = append(holders[key], n) })
 		n.mu.Unlock()
 	}
 
@@ -339,7 +337,8 @@ func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
 			}
 			if value == nil {
 				src.mu.Lock()
-				value = append([]byte(nil), src.data[key]...)
+				stored, _ := src.data.get(key)
+				value = append([]byte(nil), stored...)
 				src.mu.Unlock()
 			}
 			p := healPush{key: key, value: value, src: src.name, dst: target.name}
@@ -460,9 +459,9 @@ func runHealSchedule(t *testing.T, seed int64, heal func(*DHT) (overlay.HealRepo
 	store := func(n *node, key string, v []byte) {
 		n.mu.Lock()
 		if v == nil {
-			delete(n.data, key)
+			n.data.del(key)
 		} else {
-			n.data[key] = v
+			n.data.put(key, v)
 		}
 		n.mu.Unlock()
 	}
@@ -543,10 +542,8 @@ func runHealSchedule(t *testing.T, seed int64, heal func(*DHT) (overlay.HealRepo
 	out.stores = make(map[simnet.NodeID]map[string]string)
 	for name, n := range d.view().names {
 		n.mu.Lock()
-		out.stores[name] = make(map[string]string, len(n.data))
-		for k, v := range n.data {
-			out.stores[name][k] = string(v)
-		}
+		out.stores[name] = make(map[string]string, n.data.len())
+		n.data.each(func(k string, v []byte) { out.stores[name][k] = string(v) })
 		n.mu.Unlock()
 	}
 	return out

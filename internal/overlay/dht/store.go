@@ -1,0 +1,274 @@
+package dht
+
+import (
+	"hash/maphash"
+	"unsafe"
+)
+
+// store is one node's key → value table, laid out so that the collector
+// sees a handful of pointer-free objects however many keys the node holds:
+//
+//   - the record log: append-only byte chunks holding key ‖ value per record.
+//     Log bytes are immutable once written — an overwrite appends a new
+//     record and leaves the old one dead, compaction copies into fresh chunks
+//     and reset drops the chunks without reusing them — so a slice get
+//     returned, or a key string each handed out, stays valid and unchanged
+//     for as long as someone holds it, with or without the node lock;
+//   - refs: one 16-byte record reference per live key, dense, in insertion
+//     order, swap-removed on delete;
+//   - slots: an open-addressing, linear-probe index of 8-byte slots, each the
+//     low 32 bits of the key's hash and the record's reference number plus
+//     one (zero is the empty slot). Growing re-seats slots from the hash bits
+//     they carry and never touches a key.
+//
+// put copies key and value into the log, so callers hand over their own
+// slices without copying first; whatever leaves a node is copied by the
+// handler that sends it. All methods run under the owning node's mutex.
+type store struct {
+	chunks [][]byte
+	refs   []recRef
+	slots  []uint64
+	live   int // bytes of the records refs points at
+	logged int // bytes written into chunks: live plus dead
+	spare  int // the closed chunk with the most room left, as far as room saw
+}
+
+// recRef locates one record: chunks[chunk][off:off+klen] is the key, the
+// vlen bytes after it the value.
+type recRef struct {
+	chunk, off, klen, vlen uint32
+}
+
+// Layout constants: fixed, not tunable. CHANGES.md (PR 20) has the
+// BenchmarkNodeStore rows (20 k keys of 300 B) and the feed-private heap
+// readings behind each.
+//
+//   - Chunks double from chunkMin to chunkMax, so a node holding a few
+//     hundred keys carries a tail of a few kilobytes. put-fresh costs the
+//     same from 16 KB to 256 KB chunks, so the cap is set by memory: a node
+//     wastes half a chunk of tail on average and may keep a chunk of dead
+//     bytes. feed-private's live heap (48 nodes of about 500 KB each) reads
+//     59.3 MB at 64 KB, 58.7 at 32 KB and at 16 KB, 59.1 at 8 KB.
+//   - The index doubles at 3/4 full. At 1/2 the 20 k-key table is twice the
+//     size (+26 B per put-fresh) for a get-miss 8 ns faster and an equal
+//     get-hit.
+const (
+	chunkMin       = 1 << 10
+	chunkDoublings = 5
+	chunkMax       = chunkMin << chunkDoublings
+	slotsMin       = 16
+)
+
+// storeSeed keys the index hash. It differs between processes, which moves
+// nothing observable: the hash picks probe positions only, and each walks
+// refs.
+var storeSeed = maphash.MakeSeed()
+
+func hashKey(key string) uint32 { return uint32(maphash.String(storeSeed, key)) }
+
+func (s *store) len() int { return len(s.refs) }
+
+// reset drops every record. The chunks are released, not reused: bytes
+// handed out earlier stay intact.
+func (s *store) reset() { *s = store{} }
+
+func (s *store) keyBytes(r recRef) []byte {
+	return s.chunks[r.chunk][r.off : r.off+r.klen]
+}
+
+func (s *store) value(r recRef) []byte {
+	lo, hi := r.off+r.klen, r.off+r.klen+r.vlen
+	return s.chunks[r.chunk][lo:hi:hi]
+}
+
+// find returns the slot and the reference number of key's record, or -1, -1.
+func (s *store) find(key string, h uint32) (slot, ref int) {
+	if len(s.slots) == 0 {
+		return -1, -1
+	}
+	mask := uint32(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		sl := s.slots[i]
+		if sl == 0 {
+			return -1, -1
+		}
+		if uint32(sl>>32) == h {
+			n := int(uint32(sl)) - 1
+			if string(s.keyBytes(s.refs[n])) == key {
+				return int(i), n
+			}
+		}
+	}
+}
+
+// get returns the stored bytes themselves: immutable, so the caller may read
+// them after releasing the node lock, and must copy before handing them to
+// anyone who might write.
+func (s *store) get(key string) ([]byte, bool) {
+	_, n := s.find(key, hashKey(key))
+	if n < 0 {
+		return nil, false
+	}
+	return s.value(s.refs[n]), true
+}
+
+func (s *store) has(key string) bool {
+	_, n := s.find(key, hashKey(key))
+	return n >= 0
+}
+
+// put stores a copy of val under a copy of key.
+func (s *store) put(key string, val []byte) {
+	h := hashKey(key)
+	_, n := s.find(key, h)
+	need := len(key) + len(val)
+	ci := s.room(need)
+	c := s.chunks[ci]
+	r := recRef{chunk: uint32(ci), off: uint32(len(c)), klen: uint32(len(key)), vlen: uint32(len(val))}
+	s.chunks[ci] = append(append(c, key...), val...)
+	s.live += need
+	s.logged += need
+	if n >= 0 {
+		s.live -= int(s.refs[n].klen + s.refs[n].vlen)
+		s.refs[n] = r
+		s.compactIfMostlyDead()
+		return
+	}
+	if len(s.refs) == cap(s.refs) {
+		// Doubling by hand (from the smallest index's size): append's 1.25×
+		// steps would reallocate a large node's references five times over
+		// instead of twice.
+		grown := make([]recRef, len(s.refs), max(2*len(s.refs), slotsMin))
+		copy(grown, s.refs)
+		s.refs = grown
+	}
+	s.refs = append(s.refs, r)
+	if 4*len(s.refs) > 3*len(s.slots) {
+		s.growIndex()
+	}
+	s.seat(uint64(h)<<32 | uint64(len(s.refs)))
+}
+
+// del removes key and reports whether it was present.
+func (s *store) del(key string) bool {
+	slot, n := s.find(key, hashKey(key))
+	if n < 0 {
+		return false
+	}
+	s.unseat(uint32(slot))
+	s.live -= int(s.refs[n].klen + s.refs[n].vlen)
+	// Swap-remove: the last reference takes the freed number, and the slot
+	// that named it is renumbered (found through its key's hash).
+	last := len(s.refs) - 1
+	if n != last {
+		moved := s.refs[last]
+		h := uint32(maphash.Bytes(storeSeed, s.keyBytes(moved)))
+		mask := uint32(len(s.slots) - 1)
+		i := h & mask
+		for uint32(s.slots[i]) != uint32(last+1) {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = uint64(h)<<32 | uint64(n+1)
+		s.refs[n] = moved
+	}
+	s.refs = s.refs[:last]
+	s.compactIfMostlyDead()
+	return true
+}
+
+// each calls fn for every record, in insertion order as perturbed by del's
+// swap-removes — a deterministic order, unlike a map's, and every consumer
+// sorts what it keeps. The key is a string over the log bytes themselves
+// (no allocation per key): sound because those bytes are never written
+// again, and the string keeps its chunk reachable if it outlives the walk.
+// fn must not modify the store.
+func (s *store) each(fn func(key string, val []byte)) {
+	for _, r := range s.refs {
+		k := s.keyBytes(r)
+		fn(unsafe.String(unsafe.SliceData(k), len(k)), s.value(r))
+	}
+}
+
+// room returns the number of the chunk the next need bytes go into: the
+// log's last chunk; else the spare, so that a small record fills the gap a
+// large one left behind when it did not fit; else a new chunk, twice the
+// size of the one before up to chunkMax (a record larger than that gets a
+// chunk of its own size).
+func (s *store) room(need int) int {
+	last := len(s.chunks) - 1
+	if last >= 0 {
+		lastFree := cap(s.chunks[last]) - len(s.chunks[last])
+		if lastFree >= need {
+			return last
+		}
+		spareFree := cap(s.chunks[s.spare]) - len(s.chunks[s.spare])
+		if spareFree >= need {
+			return s.spare
+		}
+		if lastFree > spareFree {
+			s.spare = last
+		}
+	}
+	size := chunkMin << min(len(s.chunks), chunkDoublings)
+	s.chunks = append(s.chunks, make([]byte, 0, max(size, need)))
+	return last + 1
+}
+
+// compactIfMostlyDead rewrites the live records into fresh chunks once dead
+// bytes outweigh both the live bytes and one full chunk, which keeps the log
+// at or under 2 × live + chunkMax bytes and a rewrite's cost under the bytes
+// that died to cause it. The old chunks are left to whoever still reads
+// from them.
+func (s *store) compactIfMostlyDead() {
+	dead := s.logged - s.live
+	if dead <= s.live || dead <= chunkMax {
+		return
+	}
+	old := s.chunks
+	s.chunks, s.spare = nil, 0
+	for i, r := range s.refs {
+		rec := old[r.chunk][r.off : r.off+r.klen+r.vlen]
+		ci := s.room(len(rec))
+		c := s.chunks[ci]
+		s.refs[i].chunk, s.refs[i].off = uint32(ci), uint32(len(c))
+		s.chunks[ci] = append(c, rec...)
+	}
+	s.logged = s.live
+}
+
+// seat places a slot at the first free position of its probe sequence.
+func (s *store) seat(sl uint64) {
+	mask := uint32(len(s.slots) - 1)
+	i := uint32(sl>>32) & mask
+	for s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = sl
+}
+
+// growIndex doubles the index, re-seating every slot from the hash bits it
+// carries.
+func (s *store) growIndex() {
+	old := s.slots
+	s.slots = make([]uint64, max(2*len(old), slotsMin))
+	for _, sl := range old {
+		if sl != 0 {
+			s.seat(sl)
+		}
+	}
+}
+
+// unseat empties slot i and closes the gap: each later slot of the run moves
+// back when its home position lies at or before the gap, so no probe
+// sequence is cut and no tombstone is left.
+func (s *store) unseat(i uint32) {
+	mask := uint32(len(s.slots) - 1)
+	for j := (i + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
+		home := uint32(s.slots[j]>>32) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			s.slots[i] = s.slots[j]
+			i = j
+		}
+	}
+	s.slots[i] = 0
+}

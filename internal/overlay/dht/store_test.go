@@ -1,0 +1,353 @@
+package dht
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// storeModel drives a store and the map[string][]byte it replaced through
+// the same operations and fails on the first difference. It also holds on to
+// slices get returned earlier and checks they never change (the log's
+// immutability rule), and checks the log bound at every step.
+type storeModel struct {
+	t           testing.TB
+	s           store
+	m           map[string][]byte
+	held        [64]heldBytes
+	nheld       int
+	compactions int
+}
+
+type heldBytes struct{ got, want []byte }
+
+func newStoreModel(t testing.TB) *storeModel {
+	return &storeModel{t: t, m: make(map[string][]byte)}
+}
+
+// after runs the checks every mutation shares. dead is the dead byte count
+// from before the mutation: it only ever falls when the log is rewritten.
+func (c *storeModel) after(op string, dead int) {
+	c.t.Helper()
+	s := &c.s
+	if s.len() != len(c.m) {
+		c.t.Fatalf("%s: len %d, model %d", op, s.len(), len(c.m))
+	}
+	if s.logged > 2*s.live+chunkMax {
+		c.t.Fatalf("%s: log holds %d bytes for %d live: over 2 × live + one chunk", op, s.logged, s.live)
+	}
+	if s.logged-s.live >= dead {
+		return
+	}
+	c.compactions++
+	if s.logged != s.live {
+		c.t.Fatalf("%s: compaction left %d dead bytes", op, s.logged-s.live)
+	}
+	allocated, live := 0, 0
+	for _, chunk := range s.chunks {
+		allocated += cap(chunk)
+	}
+	for _, v := range c.m {
+		live += len(v)
+	}
+	for k := range c.m {
+		live += len(k)
+	}
+	if s.live != live {
+		c.t.Fatalf("%s: store counts %d live bytes, model holds %d", op, s.live, live)
+	}
+	if allocated > 2*live+chunkMax {
+		c.t.Fatalf("%s: compaction allocated %d bytes for %d live", op, allocated, live)
+	}
+}
+
+func (c *storeModel) put(key string, val []byte) {
+	c.t.Helper()
+	dead := c.s.logged - c.s.live
+	c.s.put(key, val)
+	c.m[key] = append([]byte(nil), val...)
+	c.after("put "+key, dead)
+}
+
+func (c *storeModel) del(key string) {
+	c.t.Helper()
+	dead := c.s.logged - c.s.live
+	_, want := c.m[key]
+	if got := c.s.del(key); got != want {
+		c.t.Fatalf("del %s: reported %v, model %v", key, got, want)
+	}
+	delete(c.m, key)
+	c.after("del "+key, dead)
+}
+
+func (c *storeModel) get(key string) {
+	c.t.Helper()
+	got, ok := c.s.get(key)
+	want, wantOK := c.m[key]
+	if ok != wantOK || !bytes.Equal(got, want) || c.s.has(key) != wantOK {
+		c.t.Fatalf("get %s: %d bytes found=%v, model %d bytes found=%v", key, len(got), ok, len(want), wantOK)
+	}
+	if ok {
+		if cap(got) != len(got) {
+			c.t.Fatalf("get %s: slice has %d spare capacity into the log", key, cap(got)-len(got))
+		}
+		c.held[c.nheld%len(c.held)] = heldBytes{got: got, want: append([]byte(nil), got...)}
+		c.nheld++
+	}
+}
+
+// sweep compares a full each walk with the model, then every held slice
+// with what it read when it was handed out.
+func (c *storeModel) sweep() {
+	c.t.Helper()
+	seen := make(map[string]bool, len(c.m))
+	c.s.each(func(key string, val []byte) {
+		want, ok := c.m[key]
+		if !ok || seen[key] || !bytes.Equal(val, want) {
+			c.t.Fatalf("each: key %s (in model %v, seen before %v) carries %d bytes, model %d", key, ok, seen[key], len(val), len(want))
+		}
+		seen[key] = true
+	})
+	if len(seen) != len(c.m) {
+		c.t.Fatalf("each: walked %d keys, model holds %d", len(seen), len(c.m))
+	}
+	for _, h := range c.held {
+		if !bytes.Equal(h.got, h.want) {
+			c.t.Fatal("bytes a get returned changed afterwards")
+		}
+	}
+}
+
+func TestStoreMatchesMapModel(t *testing.T) {
+	steps := 400_000
+	if testing.Short() {
+		steps = 40_000
+	}
+	rng := rand.New(rand.NewSource(20))
+	c := newStoreModel(t)
+	value := func() []byte {
+		n := rng.Intn(2001)
+		if rng.Intn(5000) == 0 {
+			n = chunkMax + 1 + rng.Intn(chunkMax) // a record with a chunk of its own
+		}
+		v := make([]byte, n)
+		rng.Read(v)
+		return v
+	}
+	for step := 0; step < steps; step++ {
+		// The key space breathes: 400 keys grow the index through several
+		// doublings, 6 keys drain the store to empty and make most deletes
+		// hit the last reference.
+		space := 400
+		if step/20_000%2 == 1 {
+			space = 6
+		}
+		key := fmt.Sprintf("key-%d", rng.Intn(space))
+		switch op := rng.Intn(100); {
+		case op < 45:
+			c.put(key, value())
+		case op < 70:
+			c.del(key)
+		case op < 75: // insert then delete at once: always the last reference
+			c.put(key, value())
+			c.del(key)
+		default:
+			c.get(key)
+		}
+		if step%997 == 0 {
+			c.sweep()
+		}
+	}
+	c.sweep()
+	if c.compactions < 5 {
+		t.Fatalf("only %d compactions in %d steps; the schedule proves nothing about them", c.compactions, steps)
+	}
+	dead := c.s.logged - c.s.live
+	c.s.reset()
+	c.m = make(map[string][]byte)
+	c.after("reset", dead)
+	c.put("after-reset", []byte("v"))
+	c.sweep()
+}
+
+func TestStoreChunksStartSmall(t *testing.T) {
+	// A lightly loaded node must not carry a full-size chunk: 200 keys of
+	// 100 B sit in chunks that double from chunkMin, never over twice the bytes.
+	var s store
+	for i := 0; i < 200; i++ {
+		s.put(fmt.Sprintf("key-%03d", i), make([]byte, 100))
+	}
+	allocated := 0
+	for _, chunk := range s.chunks {
+		allocated += cap(chunk)
+	}
+	if allocated > 2*s.live {
+		t.Fatalf("%d live bytes sit in %d bytes of chunks", s.live, allocated)
+	}
+}
+
+// runStoreScript decodes data into store operations — one opcode byte, one
+// key byte, and for a put two length bytes — and runs them against the model.
+func runStoreScript(t testing.TB, data []byte) {
+	c := newStoreModel(t)
+	fill := byte(0)
+	for len(data) >= 2 {
+		op, key := data[0], fmt.Sprintf("k%d", data[1]%48)
+		data = data[2:]
+		switch op % 8 {
+		case 0, 1, 2:
+			if len(data) < 2 {
+				return
+			}
+			n := int(binary.LittleEndian.Uint16(data)) % 3000
+			if op == 0xF0 {
+				n += chunkMax // a record larger than a chunk
+			}
+			data = data[2:]
+			fill++
+			c.put(key, bytes.Repeat([]byte{fill}, n))
+		case 3, 4:
+			c.del(key)
+		case 5, 6:
+			c.get(key)
+		default:
+			c.sweep()
+		}
+	}
+	c.sweep()
+}
+
+// FuzzStoreOps runs arbitrary scripts against the model; the committed corpus
+// (testdata/fuzz/FuzzStoreOps) holds the shapes the store's corners need:
+// overwrites up to a log rewrite, deletes that swap the last reference in,
+// records larger than a chunk, and small records backfilling a large one's gap.
+func FuzzStoreOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 10, 0, 5, 1, 3, 1, 5, 1, 7, 0})
+	f.Fuzz(func(t *testing.T, data []byte) { runStoreScript(t, data) })
+}
+
+// mapArena is the node store as it was before the log — a Go map whose
+// values are three-index slices of one arena per 256-key envelope — kept as
+// BenchmarkNodeStore's reference arm.
+type mapArena struct {
+	m     map[string][]byte
+	arena []byte
+}
+
+func (a *mapArena) put(key string, val []byte) {
+	if cap(a.arena)-len(a.arena) < len(val) {
+		a.arena = make([]byte, 0, 256*len(val))
+	}
+	off := len(a.arena)
+	a.arena = append(a.arena, val...)
+	a.m[key] = a.arena[off:len(a.arena):len(a.arena)]
+}
+
+var storeSink int
+
+// BenchmarkNodeStore prices the node store against the map it replaced at
+// one loaded node's size: 20 k keys of 300 B. put-fresh builds a table from
+// empty (growth included), put-overwrite rewrites a full one (the store's
+// compactions included), each is one full walk.
+func BenchmarkNodeStore(b *testing.B) {
+	const keys, valueLen = 20_000, 300
+	present, absent := make([]string, keys), make([]string, keys)
+	for i := range present {
+		present[i] = fmt.Sprintf("user/%07d/post/%03d", i*37, i%500)
+		absent[i] = fmt.Sprintf("user/%07d/gone/%03d", i*37, i%500)
+	}
+	val := bytes.Repeat([]byte{0xAB}, valueLen)
+	fullStore := func() *store {
+		s := &store{}
+		for _, k := range present {
+			s.put(k, val)
+		}
+		return s
+	}
+	fullMap := func() *mapArena {
+		a := &mapArena{m: make(map[string][]byte)}
+		for _, k := range present {
+			a.put(k, val)
+		}
+		return a
+	}
+	b.Run("put-fresh/store", func(b *testing.B) {
+		b.ReportAllocs()
+		s := &store{}
+		for i := 0; i < b.N; i++ {
+			if i%keys == 0 {
+				s = &store{}
+			}
+			s.put(present[i%keys], val)
+		}
+	})
+	b.Run("put-fresh/map", func(b *testing.B) {
+		b.ReportAllocs()
+		a := &mapArena{}
+		for i := 0; i < b.N; i++ {
+			if i%keys == 0 {
+				a = &mapArena{m: make(map[string][]byte)}
+			}
+			a.put(present[i%keys], val)
+		}
+	})
+	b.Run("put-overwrite/store", func(b *testing.B) {
+		s := fullStore()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.put(present[i%keys], val)
+		}
+	})
+	b.Run("put-overwrite/map", func(b *testing.B) {
+		a := fullMap()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a.put(present[i%keys], val)
+		}
+	})
+	for _, arm := range []struct {
+		name string
+		keys []string
+	}{{"get-hit", present}, {"get-miss", absent}} {
+		b.Run(arm.name+"/store", func(b *testing.B) {
+			s := fullStore()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, _ := s.get(arm.keys[i%keys])
+				storeSink += len(v)
+			}
+		})
+		b.Run(arm.name+"/map", func(b *testing.B) {
+			a := fullMap()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				storeSink += len(a.m[arm.keys[i%keys]])
+			}
+		})
+	}
+	b.Run("each/store", func(b *testing.B) {
+		s := fullStore()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.each(func(key string, val []byte) { storeSink += len(key) + len(val) })
+		}
+	})
+	b.Run("each/map", func(b *testing.B) {
+		a := fullMap()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for key, val := range a.m {
+				storeSink += len(key) + len(val)
+			}
+		}
+	})
+}
