@@ -23,7 +23,7 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock smoke
 #   e22        load-aware arm >= 99% served at <= 3x baseline p99 while the bare arm degrades
 #   e23        batching saves >= 3x msg/op at digest-identical reads and flat live heap
 #   scenarios  every committed scenario: run-twice + workers 1v8 DeepEqual, invariants, pinned digest
-#   e25 + -scenario-report + window/sink tests  guilty-window localisation, the per-window table, socket/OTLP sinks
+#   e25 + -scenario-report + window/sink tests  guilty-window localisation, the per-window table, the sink contract on both transports
 #   TestSweep + e26  sweeper budget/starvation/priority/cursor; batched anti-entropy >= 3x cheaper, same repairs
 #   e20 -json  the instrumented report round-trips the strict v2 validator (telemetry section included)
 #   e3,e18 -json  the plain report does too
@@ -40,7 +40,7 @@ $(BENCH_BIN) -quick -exp e23
 $(BENCH_BIN) -scenario 'scenarios/*.scenario'
 $(BENCH_BIN) -quick -exp e25
 $(BENCH_BIN) -scenario scenarios/flash-crowd.scenario -scenario-report
-$(GO) test -count=1 -run 'TestWindows|TestSocketSink|TestWindowStats|TestWindowedSeries|TestLocalize|TestReplayLocalizes|TestTraceSink' ./internal/telemetry/ ./internal/scenario/
+$(GO) test -count=1 -run 'TestWindows|TestSink|TestSocketSink|TestFileSink|TestOpenSink|TestWindowStats|TestWindowedSeries|TestLocalize|TestReplayLocalizes|TestTraceSink' ./internal/telemetry/ ./internal/scenario/
 $(GO) test -count=1 -run 'TestSweep' ./internal/resilience/scrub/
 $(BENCH_BIN) -quick -exp e26
 $(BENCH_BIN) -quick -exp e20 -json $(SMOKE_OUT)/telemetry.json
@@ -101,6 +101,7 @@ define FUZZ_TARGETS
 ./internal/crypto/abe/ FuzzParsePolicy
 ./internal/crypto/pubkey/ FuzzDecrypt
 ./internal/overlay/dht/ FuzzStoreOps
+./internal/telemetry/ FuzzSinkEncode
 endef
 export FUZZ_TARGETS
 

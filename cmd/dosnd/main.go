@@ -112,14 +112,13 @@ func run() int {
 	// log, and ride the simnet tick clock for windowed deltas — the session
 	// advances one tick per phase, so each window is one phase's worth of
 	// registry movement.
-	var sink telemetry.Sink
+	var sink *telemetry.Sink // nil (no -trace-out) is inert
 	if *traceFlag != "" {
-		s, err := telemetry.OpenSink(*traceFlag)
-		if err != nil {
+		var err error
+		if sink, err = telemetry.OpenSink(*traceFlag); err != nil {
 			fmt.Fprintf(os.Stderr, "dosnd: trace sink: %v\n", err)
 			return 2
 		}
-		sink = s
 		// dosnd has no determinism contract, so drop accounting may live in
 		// the registry where -metrics will show it.
 		sink.SetTelemetry(net.Telemetry)
@@ -129,9 +128,7 @@ func run() int {
 	net.Sim.OnTick(func(int) { win.Tick() })
 	phase := func(name string) {
 		net.Sim.TickCapacity() // advance the shared tick clock: close a window
-		if sink != nil {
-			sink.Note("phase", telemetry.A("name", name))
-		}
+		sink.Note("phase", telemetry.A("name", name))
 	}
 
 	fmt.Printf("booted %d-user DOSN on %s overlay (kv: %s)\n", len(users), net.OverlayKind(), net.KV.Name())

@@ -27,7 +27,7 @@ type RunConfig struct {
 	// Trace, when set, receives the run's event stream, one traced lookup
 	// span per tick, the windowed time-series, and the final registry
 	// snapshot. Any telemetry.Sink works: file, socket, OTLP-shaped.
-	Trace telemetry.Sink
+	Trace *telemetry.Sink
 	// WindowTicks is the time-series window width in ticks; <= 0 defaults
 	// to max(1, Ticks/20), giving about twenty windows per run.
 	WindowTicks int

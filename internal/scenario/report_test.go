@@ -248,7 +248,7 @@ func TestTraceSinkBackpressureDoesNotPerturbRun(t *testing.T) {
 	// Traced run against a stalled reader: a 1-deep queue with nothing
 	// draining it, so nearly every record drops.
 	client, server := net.Pipe()
-	sink := telemetry.NewSocketSink(client, telemetry.SocketSinkConfig{QueueLen: 1})
+	sink := telemetry.NewConnSink(client, 1)
 	traced, err := Run(chaosScenario(), RunConfig{Workers: 1, Trace: sink})
 	server.Close() // unblock the writer goroutine
 	_ = sink.Close()

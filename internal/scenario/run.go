@@ -329,7 +329,7 @@ func (st *runState) revertEnded(tick int) {
 // workloadTick issues OpsPerTick actions. The first read of a tick is
 // traced into the sink when one is attached (span trees never perturb
 // outcomes — they are nil-safe annotations on the same code path).
-func (st *runState) workloadTick(tick int, sink telemetry.Sink) error {
+func (st *runState) workloadTick(tick int, sink *telemetry.Sink) error {
 	res := st.res
 	tracedRead := false
 	for i := 0; i < st.sc.OpsPerTick; i++ {
