@@ -1,34 +1,33 @@
 // Secure social search: Alice wants to find her old friend Carol and read
 // her profile without the relationship being disclosed "to service provider,
 // or in the case of DOSN, to the intermediate nodes participating in the
-// search" (paper Section I). This example composes all four Table-I search
-// mechanisms:
+// search" (paper Section I). This example drives securesearch.Engine, the
+// one path that composes all four Table-I search mechanisms:
 //
-//  1. searcher privacy   — the query travels through trusted friends
+//  1. owner privacy      — the index exposes resource handles, not data
 //
-//  2. owner privacy      — the index exposes resource handles, not data
+//  2. trusted results    — candidates are trust-chain ranked
 //
-//  3. access proof       — Alice dereferences pseudonymously with a ZKP
+//  3. searcher privacy   — the request travels through trusted friends
 //
-//  4. trusted results    — candidates are trust-chain ranked
+//  4. access proof       — Alice dereferences pseudonymously with a ZKP
 //
 //     go run ./examples/securesearch
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
-	"godosn/internal/search/friendnet"
-	"godosn/internal/search/handles"
-	"godosn/internal/search/trustrank"
+	"godosn/internal/search/securesearch"
 	"godosn/internal/search/zkpauth"
 	"godosn/internal/social/graph"
 )
 
 func main() {
-	// Social graph: alice -- bob -- {carol, carla, carol2}, with varying
-	// trust; three candidates match the name search "carol".
+	// Social graph: alice -- {bob, dana} -- {carol, carla, carol2}, with
+	// varying trust; three candidates match the name search "car".
 	g := graph.New()
 	for _, u := range []string{"alice", "bob", "dana", "carol", "carla", "carol2"} {
 		g.AddUser(u)
@@ -39,81 +38,59 @@ func main() {
 	g.Befriend("dana", "carla", 0.9)
 	g.Befriend("dana", "carol2", 0.2)
 
-	// Step 1 — handle index (owner privacy, V-C): owners decide what is
-	// searchable. Carol publishes a handle, not her data.
-	ix := handles.NewIndex()
-	ix.Publish("carol:profile", "carol — privacy researcher, likes hiking",
-		func(requester string) bool { return requester != "" }) // gate below via ZKP
-	ix.Publish("carla:profile", "carla — photographer", nil)
-	ix.Publish("carol2:profile", "carol2 — crypto spam", nil)
+	// Owners decide what is searchable: each publishes a handle; the
+	// content stays behind the owner's ZKP whitelist (owner privacy, V-C).
+	e := securesearch.New(g)
+	e.Publish("carol", "profile", "carol — privacy researcher, likes hiking")
+	e.Publish("carla", "profile", "carla — photographer")
+	e.Publish("carol2", "profile", "carol2 — crypto spam")
+	e.Ranker().SetPopularity("carol", 120)
+	e.Ranker().SetPopularity("carla", 80)
+	e.Ranker().SetPopularity("carol2", 3000) // spammy but popular
 
-	fmt.Println("alice searches the handle index for \"car\":")
-	hits := ix.Search("car")
-	for _, h := range hits {
-		fmt.Printf("  found handle: %s\n", h)
-	}
-
-	// Step 2 — trusted search result (V-D): rank the candidates by chained
-	// trust from alice.
-	ranker := trustrank.New(g, trustrank.DefaultConfig())
-	ranker.SetPopularity("carol", 120)
-	ranker.SetPopularity("carla", 80)
-	ranker.SetPopularity("carol2", 3000) // spammy but popular
-	ranked := ranker.Rank("alice", []string{"carol", "carla", "carol2"})
-	fmt.Println("\ntrust-chain ranking of candidates:")
-	for i, c := range ranked {
-		fmt.Printf("  %d. %-7s score=%.3f  chain=%v (trust %.2f)\n",
-			i+1, c.User, c.Score, c.Chain, c.ChainTrust)
-	}
-	best := ranked[0].User
-
-	// Step 3 — searcher privacy (V-B): route the profile request to the
-	// best candidate through trusted friends; record who learned what.
-	fn := friendnet.New(g)
-	fn.Publish(best, "profile-location", "node-42/carol-profile")
-	res, err := fn.Query("alice", best, "profile-location", 0)
+	// Steps 1+2 — search returns handles, never content, ranked by chained
+	// trust from alice (trusted search result, V-D).
+	results, err := e.Search("alice", "car")
 	if err != nil {
-		log.Fatalf("friend routing: %v", err)
+		log.Fatalf("search: %v", err)
 	}
-	fmt.Printf("\nfriend-routed request to %s (%d hops):\n", best, res.Hops)
-	for _, obs := range res.Observations {
-		fmt.Printf("  %-6s saw the request coming from %q\n", obs.Node, obs.SawRequestFrom)
+	fmt.Println("alice searches the handle index for \"car\"; trust-chain ranking of the owners:")
+	for i, r := range results {
+		fmt.Printf("  %d. %-15s score=%.3f  chain=%v\n", i+1, r.Handle, r.Score, r.Chain)
 	}
-	fmt.Printf("  nodes able to identify alice as the searcher: %v\n",
-		friendnet.SearcherVisibleTo(res, "alice"))
+	best := results[0]
 
-	// Step 4 — pseudonymous dereference with a ZKP (V-B + V-C): alice holds
-	// a credential carol authorized for her friends; she proves possession
-	// without revealing which friend she is.
-	owner := zkpauth.NewOwner()
-	owner.Publish("carol:profile", "carol — privacy researcher, likes hiking")
+	// Steps 3+4 — alice holds a credential carol authorized for her
+	// friends. The request is routed through trusted friends (V-B) and
+	// dereferenced under a pseudonym with a zero-knowledge proof of
+	// possession (V-B + V-C); the outcome records what each party saw.
 	aliceCred, err := zkpauth.NewCredential()
 	if err != nil {
 		log.Fatalf("credential: %v", err)
 	}
-	owner.Authorize(aliceCred.Statement())
-
-	req, err := aliceCred.NewRequest("carol:profile")
+	if err := e.Authorize(best.Owner, aliceCred); err != nil {
+		log.Fatalf("authorize: %v", err)
+	}
+	out, err := e.Fetch("alice", best, aliceCred, 0)
 	if err != nil {
-		log.Fatalf("request: %v", err)
+		log.Fatalf("fetch: %v", err)
 	}
-	profile, err := owner.Serve(req)
+	fmt.Printf("\nfriend-routed request to %s (%d hops):\n", best.Owner, len(out.RouteObservations))
+	for _, obs := range out.RouteObservations {
+		fmt.Printf("  %-6s saw the request coming from %q\n", obs.Node, obs.SawRequestFrom)
+	}
+	fmt.Printf("  nodes able to identify alice as the searcher: %v\n", out.SearcherVisibleTo)
+	fmt.Printf("\npseudonymous dereference as %q succeeded:\n  %s\n", out.Pseudonym, out.Content)
+
+	// Dana sits on the same friend graph but carol never authorized her
+	// credential: the route works, the dereference does not.
+	danaCred, err := zkpauth.NewCredential()
 	if err != nil {
-		log.Fatalf("serve: %v", err)
+		log.Fatalf("credential: %v", err)
 	}
-	fmt.Printf("\npseudonymous dereference as %q succeeded:\n  %s\n", req.Pseudonym, profile)
-
-	// An eavesdropper who learned the whitelisted statement cannot forge.
-	eve, _ := zkpauth.NewCredential()
-	forged, _ := eve.NewRequest("carol:profile")
-	forged.Statement = aliceCred.Statement()
-	if _, err := owner.Serve(forged); err != nil {
-		fmt.Printf("eve replaying alice's public credential image: rejected (%v)\n", err)
+	denied, err := e.Fetch("dana", best, danaCred, 0)
+	if !errors.Is(err, securesearch.ErrNoAccess) {
+		log.Fatalf("unauthorized fetch: got %v, want %v", err, securesearch.ErrNoAccess)
 	}
-
-	fmt.Println("\ncarol's view of the accesses (pseudonyms + credential images only):")
-	for _, obs := range owner.Observations() {
-		fmt.Printf("  %s used credential %s... granted=%v\n",
-			obs.Pseudonym, obs.StatementHex[:12], obs.Granted)
-	}
+	fmt.Printf("\ndana's unauthorized dereference as %q: rejected (%v)\n", denied.Pseudonym, err)
 }

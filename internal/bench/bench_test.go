@@ -131,6 +131,31 @@ func TestE7Shapes(t *testing.T) {
 	}
 }
 
+// The composed row's leakage cells are computed from the Engine's audit, so
+// on E8's chain graph alice–f1–f2–carol they must name f1 as the only party
+// that saw alice, and carol as the only place the content sat.
+func TestE8ComposedRowLeakageComesFromOutcome(t *testing.T) {
+	tb, err := E8SearchSchemes(true)
+	if err != nil {
+		t.Fatalf("E8: %v", err)
+	}
+	row := tb.Rows[len(tb.Rows)-1]
+	if !strings.HasPrefix(row[0], "composed flow") {
+		t.Fatalf("last row is %q, want the composed flow", row[0])
+	}
+	if row[2] != "f1 (first relay)" {
+		t.Errorf("searcher visible to = %q, want only the first relay f1", row[2])
+	}
+	if row[3] != "carol, served to a pseudonym" {
+		t.Errorf("content visible to = %q, want the owner and a pseudonymous reader", row[3])
+	}
+	for _, other := range []string{"alice", "f2"} {
+		if strings.Contains(row[2]+row[3], other) {
+			t.Errorf("leakage cells %q / %q name %s", row[2], row[3], other)
+		}
+	}
+}
+
 func TestE6Shapes(t *testing.T) {
 	tb, err := E6OverlayLookup(true)
 	if err != nil {

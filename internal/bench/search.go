@@ -3,12 +3,14 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"godosn/internal/search/blindsub"
 	"godosn/internal/search/friendnet"
 	"godosn/internal/search/handles"
 	"godosn/internal/search/proxy"
+	"godosn/internal/search/securesearch"
 	"godosn/internal/search/trustrank"
 	"godosn/internal/search/zkpauth"
 	"godosn/internal/social/graph"
@@ -120,8 +122,54 @@ func E8SearchSchemes(quick bool) (*Table, error) {
 		}
 	}
 	t.AddRow("blind-sig subscription (V-A)", per(start, queries), "publisher (blinded)", "subscribers only")
+
+	// The composed flow over the same chain graph: handle search, trust
+	// ranking, friend routing and the ZKP dereference through the one
+	// Engine. Its leakage cells are the audit the Engine returned.
+	eng := securesearch.New(g)
+	eng.Publish("carol", "profile", "carol-data")
+	if err := eng.Authorize("carol", cred); err != nil {
+		return nil, err
+	}
+	var out *securesearch.Outcome
+	start = time.Now()
+	for i := 0; i < queries; i++ {
+		if out, err = eng.SearchAndFetch("alice", "profile", cred, 0); err != nil {
+			return nil, err
+		}
+	}
+	searcherSeenBy, contentSeenBy := composedLeakage(out, "alice")
+	t.AddRow("composed flow (V-B+V-C+V-D)", per(start, queries), searcherSeenBy, contentSeenBy)
 	t.AddNote("leakage columns record which party learns the searcher's identity / the content, per the mechanism's design")
 	return t, nil
+}
+
+// composedLeakage renders E8's two leakage cells from a composed search's
+// audit: every node that saw the request arrive from the searcher, with its
+// place on the route, and where the content went — it never leaves the
+// route's end point except to the identity the dereference ran under.
+func composedLeakage(out *securesearch.Outcome, searcher string) (searcherSeenBy, contentSeenBy string) {
+	place := make(map[string]string, len(out.RouteObservations))
+	for i, obs := range out.RouteObservations {
+		switch {
+		case obs.ForwardedTo == "":
+			place[obs.Node] = "owner"
+		case i == 0:
+			place[obs.Node] = "first relay"
+		default:
+			place[obs.Node] = fmt.Sprintf("relay %d", i+1)
+		}
+	}
+	seen := make([]string, 0, len(out.SearcherVisibleTo))
+	for _, n := range out.SearcherVisibleTo {
+		seen = append(seen, fmt.Sprintf("%s (%s)", n, place[n]))
+	}
+	reader := "a pseudonym"
+	if out.Pseudonym == searcher {
+		reader = "the searcher by name"
+	}
+	owner := out.RouteObservations[len(out.RouteObservations)-1].Node
+	return strings.Join(seen, ", "), fmt.Sprintf("%s, served to %s", owner, reader)
 }
 
 func per(start time.Time, n int) string {

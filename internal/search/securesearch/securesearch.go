@@ -11,8 +11,9 @@
 //  4. dereferencing requires a pseudonymous zero-knowledge access proof
 //     (searcher privacy + owner control, V-B/V-C — internal/search/zkpauth).
 //
-// The Outcome records what every involved party observed, so callers (and
-// experiment E8) can audit the leakage surface of a complete search.
+// The Outcome records what every involved party observed, so callers
+// (examples/securesearch, experiment E8's composed row) can audit the
+// leakage surface of a complete search.
 package securesearch
 
 import (
@@ -35,7 +36,6 @@ var (
 
 // Engine wires the four mechanisms over one social graph.
 type Engine struct {
-	graph   *graph.Graph
 	index   *handles.Index
 	ranker  *trustrank.Ranker
 	routing *friendnet.Network
@@ -43,12 +43,12 @@ type Engine struct {
 	owners map[string]*zkpauth.Owner
 }
 
-// New creates an engine over the social graph.
-func New(g *graph.Graph, cfg trustrank.Config) *Engine {
+// New creates an engine over the social graph, ranking with
+// trustrank.DefaultConfig.
+func New(g *graph.Graph) *Engine {
 	return &Engine{
-		graph:   g,
 		index:   handles.NewIndex(),
-		ranker:  trustrank.New(g, cfg),
+		ranker:  trustrank.New(g, trustrank.DefaultConfig()),
 		routing: friendnet.New(g),
 		owners:  make(map[string]*zkpauth.Owner),
 	}

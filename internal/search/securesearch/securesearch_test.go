@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"godosn/internal/search/trustrank"
 	"godosn/internal/search/zkpauth"
 	"godosn/internal/social/graph"
 )
@@ -19,7 +18,7 @@ func buildEngine(t *testing.T) (*Engine, *graph.Graph) {
 	g.Befriend("alice", "dana", 0.4)
 	g.Befriend("bob", "carol", 0.9)
 	g.Befriend("dana", "carla", 0.9)
-	e := New(g, trustrank.DefaultConfig())
+	e := New(g)
 	e.Publish("carol", "profile", "carol's profile data")
 	e.Publish("carla", "profile", "carla's profile data")
 	e.Publish("island", "profile", "unreachable data")
