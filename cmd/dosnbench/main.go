@@ -1,5 +1,5 @@
 // Command dosnbench runs the experiment harness: every experiment of
-// DESIGN.md's per-experiment index (E1–E25), printed as aligned tables.
+// DESIGN.md's per-experiment index (E1–E26), printed as aligned tables.
 //
 // Usage:
 //
@@ -9,11 +9,6 @@
 //	dosnbench -parallel 4       # run independent experiments concurrently
 //	dosnbench -json out.json    # also write machine-readable metrics
 //	dosnbench -validate f.json  # smoke-parse a previously written report
-//	dosnbench -zipf-s 1.5       # E21 read-popularity Zipf skew (> 1)
-//	dosnbench -hotset 16        # E21 hot-set size (0 = full key space)
-//	dosnbench -hotnode 5        # E22 flash-crowd load factor on the hot node (>= 3)
-//	dosnbench -capacity 2       # E22 hot-node capacity in requests/tick (>= 1)
-//	dosnbench -batch 256        # E23 read/write batch size ([2, 4096])
 //	dosnbench -list             # list experiments
 //
 // Chaos-scenario modes (mutually exclusive with each other; see
@@ -66,11 +61,6 @@ func run() int {
 		parallelFlag = flag.Int("parallel", 1, "number of experiments to run concurrently (0 = all CPUs)")
 		jsonFlag     = flag.String("json", "", "write machine-readable per-experiment metrics to this file")
 		validateFlag = flag.String("validate", "", "validate a -json report file and exit")
-		zipfFlag     = flag.Float64("zipf-s", 1.2, "E21 read-popularity Zipf skew (must be > 1)")
-		hotsetFlag   = flag.Int("hotset", 0, "E21 hot-set size: restrict reads to the first N keys (0 = full key space)")
-		hotnodeFlag  = flag.Float64("hotnode", 5, "E22 flash-crowd load factor on the hot node, as a multiple of its capacity (must be >= 3)")
-		capacityFlag = flag.Int("capacity", 2, "E22 hot-node capacity in full-speed requests per tick (must be >= 1)")
-		batchFlag    = flag.Int("batch", 256, "E23 read/write batch size (must be in [2, 4096])")
 
 		scenarioFlag      = flag.String("scenario", "", "replay .scenario files (comma-separated paths/globs) and enforce their invariants")
 		recordLibraryFlag = flag.String("scenario-record-library", "", "record the builtin scenario library into this directory")
@@ -106,19 +96,6 @@ func run() int {
 	}
 	if *minimizeFlag != "" {
 		return minimizeScenario(*minimizeFlag)
-	}
-
-	if err := bench.SetE21Workload(*zipfFlag, *hotsetFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "dosnbench: %v\n", err)
-		return 2
-	}
-	if err := bench.SetE22Workload(*hotnodeFlag, *capacityFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "dosnbench: %v\n", err)
-		return 2
-	}
-	if err := bench.SetE23Workload(*batchFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "dosnbench: %v\n", err)
-		return 2
 	}
 
 	if *validateFlag != "" {

@@ -21,27 +21,9 @@ import (
 	"godosn/internal/workload"
 )
 
-// E21 workload knobs, overridable from dosnbench via SetE21Workload
-// (-zipf-s / -hotset flags).
-var (
-	e21ZipfS  = 1.2
-	e21HotSet = 0
-)
-
-// SetE21Workload overrides E21's read-popularity parameters: zipfS is the
-// Zipf skew (must be > 1; dosnbench's -zipf-s), hotset restricts reads to
-// the first hotset keys (0 = the full key space; dosnbench's -hotset). It
-// validates strictly and leaves the previous values untouched on error.
-func SetE21Workload(zipfS float64, hotset int) error {
-	if zipfS <= 1 {
-		return fmt.Errorf("bench: zipf skew must be > 1, got %g", zipfS)
-	}
-	if hotset < 0 {
-		return fmt.Errorf("bench: hot-set size must be >= 0, got %d", hotset)
-	}
-	e21ZipfS, e21HotSet = zipfS, hotset
-	return nil
-}
+// e21ZipfS is E21's read-popularity Zipf skew; reads draw from the full key
+// space (the table's "hotset=0").
+const e21ZipfS = 1.2
 
 // E21CacheAcceleration measures the hot-path read caches end to end: the
 // same resilient DHT under the same Zipf(s) read-mostly workload, once cold
@@ -133,7 +115,7 @@ func E21CacheAcceleration(quick bool) (*Table, error) {
 	t.AddNote("both arms returned byte-identical read sequences (running sha256 compared); warm speedup %.1fx (sim latency), %.1fx (messages)", speedup, cold.msgPerOp/warm.msgPerOp)
 	t.AddNote("fault soak (10%% loss, 70%% uptime churn, 100%%-rate bit-flip Byzantine responder, stored bit rot, scrub wired to value-cache invalidation): ok %.1f%%→%.1f%% bare→cached, surfaced 0→0", bareFault.okRate*100, cachedFault.okRate*100)
 	t.AddNote("revocation probe: hybrid group, reader revoked mid-stream with a warm envelope-key cache (%d hits) — revoked reader denied, remaining reader byte-correct across the rekey", rv.hits)
-	t.AddNote("hotset=%d (0 = full key space); tune with dosnbench -zipf-s / -hotset", e21HotSet)
+	t.AddNote("hotset=0 (0 = full key space); tune with dosnbench -zipf-s / -hotset")
 	t.AddMetric("e21_speedup_latency", "x", speedup)
 	t.AddMetric("e21_speedup_messages", "x", cold.msgPerOp/warm.msgPerOp)
 	t.AddMetric("e21_route_hit_rate", "ratio", warm.routeStats.HitRate())
@@ -187,11 +169,7 @@ func runE21Arm(cached bool, peers, keys, ops int) (e21Result, error) {
 		expected[key] = val
 	}
 
-	domain := keys
-	if e21HotSet > 0 && e21HotSet < keys {
-		domain = e21HotSet
-	}
-	zipf, err := workload.NewZipf(domain, e21ZipfS, seed)
+	zipf, err := workload.NewZipf(keys, e21ZipfS, seed)
 	if err != nil {
 		return res, err
 	}

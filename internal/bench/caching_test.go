@@ -21,53 +21,3 @@ func TestE21Deterministic(t *testing.T) {
 		t.Fatalf("E21 is not deterministic:\nrun1: %+v\nrun2: %+v", first, second)
 	}
 }
-
-func TestSetE21WorkloadValidation(t *testing.T) {
-	t.Cleanup(func() {
-		if err := SetE21Workload(1.2, 0); err != nil {
-			t.Fatalf("restoring defaults: %v", err)
-		}
-	})
-	if err := SetE21Workload(1.0, 0); err == nil {
-		t.Fatalf("zipf skew 1.0 should be rejected")
-	}
-	if err := SetE21Workload(1.2, -1); err == nil {
-		t.Fatalf("negative hot-set should be rejected")
-	}
-	// A rejected call must leave the previous values untouched.
-	if e21ZipfS != 1.2 || e21HotSet != 0 {
-		t.Fatalf("failed SetE21Workload mutated state: s=%g hotset=%d", e21ZipfS, e21HotSet)
-	}
-	if err := SetE21Workload(1.5, 8); err != nil {
-		t.Fatalf("valid SetE21Workload: %v", err)
-	}
-	if e21ZipfS != 1.5 || e21HotSet != 8 {
-		t.Fatalf("SetE21Workload did not apply: s=%g hotset=%d", e21ZipfS, e21HotSet)
-	}
-}
-
-// TestE21HotSetRestrictsReads: with a hot set smaller than the key space,
-// the warm arm's hit rate can only improve (fewer distinct keys to cache).
-func TestE21HotSetRestrictsReads(t *testing.T) {
-	t.Cleanup(func() {
-		if err := SetE21Workload(1.2, 0); err != nil {
-			t.Fatalf("restoring defaults: %v", err)
-		}
-	})
-	if err := SetE21Workload(1.2, 4); err != nil {
-		t.Fatalf("SetE21Workload: %v", err)
-	}
-	tbl, err := E21CacheAcceleration(true)
-	if err != nil {
-		t.Fatalf("E21 with hotset: %v", err)
-	}
-	var hitRate float64
-	for _, m := range tbl.Metrics {
-		if m.Name == "e21_value_hit_rate" {
-			hitRate = m.Value
-		}
-	}
-	if hitRate < 0.8 {
-		t.Fatalf("hotset=4 value hit rate = %.2f; want >= 0.8", hitRate)
-	}
-}

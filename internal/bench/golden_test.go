@@ -58,7 +58,7 @@ func TestQuickTablesGolden(t *testing.T) {
 		}
 		if e.ID == "e23" {
 			for _, batched := range []bool{false, true} {
-				s, _, _, err := runE23Arm(10_000, 5_000, 256, 1, batched, false)
+				s, _, _, err := runE23Arm(10_000, 5_000, 1, batched, false)
 				if err != nil {
 					t.Fatalf("e23 arm: %v", err)
 				}

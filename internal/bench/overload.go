@@ -15,29 +15,15 @@ import (
 	"godosn/internal/telemetry"
 )
 
-// E22 workload knobs, overridable from dosnbench via SetE22Workload
-// (-hotnode / -capacity flags).
-var (
+// E22's flash crowd: the offered load on the hot node as a multiple of its
+// capacity (its queue holds 1x capacity, so below 3x nothing would shed),
+// that capacity in full-speed requests per tick, and so the requests offered
+// to the hot key every tick.
+const (
 	e22HotFactor = 5.0
 	e22Capacity  = 2
+	e22PerTick   = int(e22HotFactor * e22Capacity)
 )
-
-// SetE22Workload overrides E22's flash-crowd parameters: hotFactor is the
-// offered load on the hot node as a multiple of its capacity (dosnbench's
-// -hotnode; must be >= 3 so the crowd actually overruns the hot node's
-// queue), capacity is the hot node's full-speed requests per tick
-// (dosnbench's -capacity; must be >= 1). It validates strictly and leaves
-// the previous values untouched on error.
-func SetE22Workload(hotFactor float64, capacity int) error {
-	if hotFactor < 3 {
-		return fmt.Errorf("bench: hot-node load factor must be >= 3 (its queue holds 1x capacity, so below 3x nothing sheds), got %g", hotFactor)
-	}
-	if capacity < 1 {
-		return fmt.Errorf("bench: hot-node capacity must be >= 1 request/tick, got %d", capacity)
-	}
-	e22HotFactor, e22Capacity = hotFactor, capacity
-	return nil
-}
 
 // e22Mode selects an arm's stack.
 type e22Mode int
@@ -115,7 +101,7 @@ func E22FlashCrowd(quick bool) (*Table, error) {
 	}
 	r := runs[0]
 
-	basePer := float64(ticks) * e22HotFactor * float64(e22Capacity)
+	basePer := float64(ticks * e22PerTick)
 	okRate := func(a e22Arm) float64 { return float64(a.OK) / basePer }
 	baseP99 := pctlMS(r.Baseline.Latencies, 0.99)
 	bareP99 := pctlMS(r.Bare.Latencies, 0.99)
@@ -225,7 +211,6 @@ func runE22Arm(mode e22Mode, workers, ticks int) (e22Arm, error) {
 	const seed = int64(2217)
 	const peers = 20
 	arm := e22Arm{}
-	perTick := int(e22HotFactor*float64(e22Capacity) + 0.5)
 
 	// The route cache keeps resolution off the hot node after the first
 	// lookup: the flash crowd contends on data fetches, not on routing.
@@ -240,7 +225,7 @@ func runE22Arm(mode e22Mode, workers, ticks int) (e22Arm, error) {
 	// mitigation is E21's subject, not this experiment's).
 	if mode == e22Protected {
 		rcfg.Health = load.DefaultTrackerConfig()
-		rcfg.Admission = load.GateConfig{PerTick: perTick, QueueDepth: 0}
+		rcfg.Admission = load.GateConfig{PerTick: e22PerTick, QueueDepth: 0}
 	}
 	reg := telemetry.NewRegistry()
 	st, err := stack.Build(stack.Spec{
@@ -298,7 +283,7 @@ func runE22Arm(mode e22Mode, workers, ticks int) (e22Arm, error) {
 	for tick := 0; tick < ticks; tick++ {
 		net.TickCapacity()
 		kv.Tick()
-		for j := 0; j < perTick; j++ {
+		for j := 0; j < e22PerTick; j++ {
 			_, st, err := kv.Lookup(client, hotKey)
 			arm.Latencies = append(arm.Latencies, st.Latency)
 			if err != nil {

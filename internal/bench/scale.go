@@ -19,21 +19,9 @@ import (
 	"godosn/internal/workload"
 )
 
-// e23Batch is the E23 read/write batch size, overridable from dosnbench
-// via SetE23Workload (-batch flag).
-var e23Batch = 256
-
-// SetE23Workload overrides E23's batch size (dosnbench's -batch; must be
-// in [2, 4096] — 1 is just the sequential arm, and past the ring size the
-// grouping gain has long saturated). It validates strictly and leaves the
-// previous value untouched on error.
-func SetE23Workload(batch int) error {
-	if batch < 2 || batch > 4096 {
-		return fmt.Errorf("bench: batch size must be in [2, 4096], got %d", batch)
-	}
-	e23Batch = batch
-	return nil
-}
+// e23Batch is the E23 read/write batch size (1 would be the sequential arm
+// again; past the ring size the grouping gain has long saturated).
+const e23Batch = 256
 
 // e23Stats is one arm's complete transport outcome at one sweep point.
 // Every field is part of the determinism contract: two runs with the same
@@ -77,8 +65,6 @@ func E23ScaleSweep(quick bool) (*Table, error) {
 		sweep = []int{10_000, 100_000}
 		ops = 5_000
 	}
-	batch := e23Batch
-
 	points := make([]e23Point, 0, len(sweep))
 	var snap *telemetry.Snapshot
 	for _, users := range sweep {
@@ -90,18 +76,18 @@ func E23ScaleSweep(quick bool) (*Table, error) {
 		}{{false, &p.seq, &p.seqHeap}, {true, &p.bat, &p.batHeap}} {
 			// Determinism gate: the measured run, a back-to-back repeat, and
 			// a FanoutWorkers=8 run must all agree on every counted field.
-			a, heap, sn, err := runE23Arm(users, ops, batch, 1, arm.batched, true)
+			a, heap, sn, err := runE23Arm(users, ops, 1, arm.batched, true)
 			if err != nil {
 				return nil, err
 			}
-			b, _, _, err := runE23Arm(users, ops, batch, 1, arm.batched, false)
+			b, _, _, err := runE23Arm(users, ops, 1, arm.batched, false)
 			if err != nil {
 				return nil, err
 			}
 			if !reflect.DeepEqual(a, b) {
 				return nil, fmt.Errorf("bench: e23 invariant violated: back-to-back runs differ (users=%d batched=%v)", users, arm.batched)
 			}
-			c, _, _, err := runE23Arm(users, ops, batch, 8, arm.batched, false)
+			c, _, _, err := runE23Arm(users, ops, 8, arm.batched, false)
 			if err != nil {
 				return nil, err
 			}
@@ -154,7 +140,7 @@ func E23ScaleSweep(quick bool) (*Table, error) {
 
 	t := &Table{
 		ID:     "E23",
-		Title:  fmt.Sprintf("scale: streaming workload sweep, sequential vs batched transport (batch=%d, %d ops/point, DHT k=3)", batch, ops),
+		Title:  fmt.Sprintf("scale: streaming workload sweep, sequential vs batched transport (batch=%d, %d ops/point, DHT k=3)", e23Batch, ops),
 		Header: []string{"users", "arm", "msg/op", "bytes/op", "msgs", "misses", "live heap", "B/user"},
 	}
 	for _, p := range points {
@@ -194,7 +180,7 @@ func E23ScaleSweep(quick bool) (*Table, error) {
 		t.AddMetric("e23_bat_heap_"+u, "bytes", float64(p.batHeap))
 		t.AddMetric("e23_bat_bytes_per_user_"+u, "B/user", float64(p.batHeap)/float64(p.users))
 	}
-	t.AddMetric("e23_batch_size", "keys", float64(batch))
+	t.AddMetric("e23_batch_size", "keys", float64(e23Batch))
 	t.AddMetric("e23_deterministic", "bool", 1)
 	t.Telemetry = snap
 	return t, nil
@@ -214,7 +200,7 @@ func e23MsgPerOp(s e23Stats) float64 {
 // sequential arm byte for byte. When measure is set, the live heap
 // (post-GC, stack still referenced) and the telemetry snapshot are
 // captured.
-func runE23Arm(users, ops, batch, workers int, batched, measure bool) (e23Stats, int64, *telemetry.Snapshot, error) {
+func runE23Arm(users, ops, workers int, batched, measure bool) (e23Stats, int64, *telemetry.Snapshot, error) {
 	const seed = int64(2319)
 	const peers = 48
 	var baseHeap uint64
@@ -339,7 +325,7 @@ func runE23Arm(users, ops, batch, workers int, batched, measure bool) (e23Stats,
 		wKeys = append(wKeys, key)
 		wVals = append(wVals, val)
 		wSet[key] = struct{}{}
-		if len(wKeys) >= batch {
+		if len(wKeys) >= e23Batch {
 			return flushWrites()
 		}
 		return nil
@@ -369,7 +355,7 @@ func runE23Arm(users, ops, batch, workers int, batched, measure bool) (e23Stats,
 		}
 		rKeys = append(rKeys, key)
 		rSet[key] = struct{}{}
-		if len(rKeys) >= batch {
+		if len(rKeys) >= e23Batch {
 			return flushReads()
 		}
 		return nil

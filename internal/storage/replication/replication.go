@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"godosn/internal/parallel"
 	"godosn/internal/storage/store"
 )
 
@@ -76,9 +75,6 @@ type Manager struct {
 	order    []string // deterministic iteration order
 	friends  map[string][]string
 	replicas map[store.Ref][]string
-	// workers bounds the replica-write fan-out in Place (0 = all CPUs,
-	// 1 = serial); see SetWorkers.
-	workers int
 }
 
 // NewManager creates a manager with a deterministic RNG seed.
@@ -90,12 +86,6 @@ func NewManager(seed int64) *Manager {
 		replicas: make(map[store.Ref][]string),
 	}
 }
-
-// SetWorkers bounds the worker pool used when Place writes an object to its
-// k chosen replicas: 0 (the default) uses all CPUs, 1 forces the serial
-// loop. Replica choice happens before the fan-out on the caller's RNG, so
-// placement stays deterministic at any setting.
-func (m *Manager) SetWorkers(n int) { m.workers = n }
 
 // AddPeer registers a peer (online, non-proxy by default).
 func (m *Manager) AddPeer(name string) *Peer {
@@ -153,13 +143,10 @@ func (m *Manager) Place(owner string, obj store.Object, k int, policy PlacementP
 	m.rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
 	chosen := candidates[:k]
 	sort.Strings(chosen)
-	// Fan the replica writes out: each Put verifies the object's content
-	// address (a hash over the payload) against an independent store, so
-	// the k writes parallelize cleanly.
-	if err := parallel.ForEach(m.workers, chosen, func(_ int, name string) error {
-		return m.peers[name].Store.Put(obj)
-	}); err != nil {
-		return nil, err
+	for _, name := range chosen {
+		if err := m.peers[name].Store.Put(obj); err != nil {
+			return nil, err
+		}
 	}
 	set := append([]string{owner}, chosen...)
 	m.replicas[obj.Ref] = set
@@ -216,11 +203,6 @@ func (m *Manager) Retrieve(ref store.Ref) (store.Object, string, error) {
 	return store.Object{}, "", ErrNoneOnline
 }
 
-// ReplicaSet returns the peers holding an object.
-func (m *Manager) ReplicaSet(ref store.Ref) []string {
-	return append([]string(nil), m.replicas[ref]...)
-}
-
 // ApplyChurn samples each non-proxy peer's liveness from uptime (probability
 // of being online); proxies stay online. Deterministic given the manager's
 // seed and call sequence.
@@ -233,20 +215,6 @@ func (m *Manager) ApplyChurn(uptime float64) {
 		}
 		p.Online = m.rng.Float64() < uptime
 	}
-}
-
-// OnlineFraction reports the currently online fraction of peers.
-func (m *Manager) OnlineFraction() float64 {
-	if len(m.order) == 0 {
-		return 0
-	}
-	online := 0
-	for _, name := range m.order {
-		if m.peers[name].Online {
-			online++
-		}
-	}
-	return float64(online) / float64(len(m.order))
 }
 
 // Availability runs trials retrievals of ref under repeated churn sampling

@@ -160,18 +160,6 @@ func TestAvailabilityIncreasesWithUptime(t *testing.T) {
 	}
 }
 
-func TestOnlineFraction(t *testing.T) {
-	m := newManager(t, 4)
-	if got := m.OnlineFraction(); got != 1.0 {
-		t.Fatalf("OnlineFraction = %f", got)
-	}
-	m.SetOnline("peer-0", false)
-	m.SetOnline("peer-1", false)
-	if got := m.OnlineFraction(); got != 0.5 {
-		t.Fatalf("OnlineFraction = %f", got)
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	for _, p := range []PlacementPolicy{RandomPeers, FriendPeers, ProxyPeers, PlacementPolicy(9)} {
 		if p.String() == "" {

@@ -67,7 +67,9 @@ type sinkRecord struct {
 // count into when SetTelemetry wired a registry.
 const SinkDroppedCounter = "telemetry_sink_dropped_total"
 
-// defaultQueueLen bounds a connection sink's in-flight records.
+// defaultQueueLen bounds a connection sink's in-flight records: several
+// whole scenario traces (the largest committed one is under 200 records),
+// so a reader that keeps up at all never causes a drop.
 const defaultQueueLen = 1024
 
 // errRefused marks a record the sink or its transport declined (queue

@@ -62,13 +62,19 @@ func openFileRig(t *testing.T, otlp bool) rig {
 	if err != nil {
 		t.Fatalf("OpenSink(%q): %v", spec, err)
 	}
-	return rig{s, func() []string {
+	return rig{s, fileLines(t, path)}
+}
+
+// fileLines returns a reader of the JSON-lines artifact at path.
+func fileLines(t *testing.T, path string) func() []string {
+	return func() []string {
+		t.Helper()
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("read back: %v", err)
 		}
 		return splitLines(t, data)
-	}}
+	}
 }
 
 func openConnRig(t *testing.T, otlp bool) rig {
@@ -582,8 +588,9 @@ func listenFrames(t *testing.T, network, addr string) (string, func() []string) 
 	return ln.Addr().String(), func() []string { <-accepted; return frames() }
 }
 
-// roundTrip sends one note through spec and checks it arrives as one frame.
-func roundTrip(t *testing.T, spec string, frames func() []string) {
+// roundTrip sends one note through OpenSink(spec) and checks that exactly
+// it was delivered, as a record with the top-level key its encoding uses.
+func roundTrip(t *testing.T, spec string, delivered func() []string, wantKey string) {
 	t.Helper()
 	s, err := OpenSink(spec)
 	if err != nil {
@@ -593,12 +600,13 @@ func roundTrip(t *testing.T, spec string, frames func() []string) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	got := frames()
+	got := delivered()
 	if len(got) != 1 || s.Records() != 1 {
-		t.Fatalf("decoded %d frames, Records() = %d, want 1/1", len(got), s.Records())
+		t.Fatalf("delivered %d records, Records() = %d, want 1/1", len(got), s.Records())
 	}
-	if rec := decode(t, got[0]); rec["type"] != "note" || rec["name"] != "hello" {
-		t.Fatalf("frame = %v, want the hello note", rec)
+	rec := decode(t, got[0])
+	if _, ok := rec[wantKey]; !ok || (wantKey == "type" && (rec["type"] != "note" || rec["name"] != "hello")) {
+		t.Fatalf("record = %s, want the hello note under %q", got[0], wantKey)
 	}
 }
 
@@ -606,63 +614,32 @@ func TestDialSocketSinkTCPRoundTrip(t *testing.T) {
 	// In-process TCP listener: the same path dosnbench -trace-out
 	// tcp://addr exercises.
 	addr, frames := listenFrames(t, "tcp", "127.0.0.1:0")
-	roundTrip(t, "tcp://"+addr, frames)
+	roundTrip(t, "tcp://"+addr, frames, "type")
 }
 
 func TestSocketSinkRoundTrip(t *testing.T) {
 	addr, frames := listenFrames(t, "unix", filepath.Join(t.TempDir(), "t.sock"))
-	roundTrip(t, "unix://"+addr, frames)
+	roundTrip(t, "unix://"+addr, frames, "type")
 }
 
 func TestOpenSinkSpecs(t *testing.T) {
 	dir := t.TempDir()
 	// Each spec form, plain and with the otlp+ prefix, delivers one note in
 	// the encoding it names over the transport it names.
-	for _, tc := range []struct {
-		name    string
-		network string // "" for the file transport
-		spec    func(target string) string
-	}{
-		{"bare-path", "", func(p string) string { return p }},
-		{"file", "", func(p string) string { return "file://" + p }},
-		{"tcp", "tcp", func(a string) string { return "tcp://" + a }},
-		{"unix", "unix", func(a string) string { return "unix://" + a }},
+	for _, tc := range []struct{ name, scheme string }{
+		{"bare-path", ""}, {"file", "file://"}, {"tcp", "tcp://"}, {"unix", "unix://"},
 	} {
-		for _, otlp := range []bool{false, true} {
-			name, prefix, wantKey := tc.name, "", "type"
-			if otlp {
-				name, prefix, wantKey = "otlp+"+tc.name, "otlp+", "resourceLogs"
-			}
-			t.Run(name, func(t *testing.T) {
-				target := filepath.Join(dir, name+".jsonl")
-				delivered := func() []string {
-					data, err := os.ReadFile(target)
-					if err != nil {
-						t.Fatalf("read back: %v", err)
-					}
-					return splitLines(t, data)
-				}
-				switch tc.network {
+		for _, enc := range []struct{ prefix, wantKey string }{{"", "type"}, {"otlp+", "resourceLogs"}} {
+			t.Run(enc.prefix+tc.name, func(t *testing.T) {
+				target := filepath.Join(dir, enc.prefix+tc.name+".jsonl")
+				delivered := fileLines(t, target)
+				switch tc.name {
 				case "tcp":
 					target, delivered = listenFrames(t, "tcp", "127.0.0.1:0")
 				case "unix":
-					target, delivered = listenFrames(t, "unix", filepath.Join(dir, name+".sock"))
+					target, delivered = listenFrames(t, "unix", filepath.Join(dir, enc.prefix+"t.sock"))
 				}
-				s, err := OpenSink(prefix + tc.spec(target))
-				if err != nil {
-					t.Fatalf("OpenSink: %v", err)
-				}
-				s.Note("x")
-				if err := s.Close(); err != nil {
-					t.Fatalf("close: %v", err)
-				}
-				got := delivered()
-				if len(got) != 1 || s.Records() != 1 {
-					t.Fatalf("delivered %d records, Records() = %d, want 1/1", len(got), s.Records())
-				}
-				if _, ok := decode(t, got[0])[wantKey]; !ok {
-					t.Fatalf("record has no %q key: %s", wantKey, got[0])
-				}
+				roundTrip(t, enc.prefix+tc.scheme+target, delivered, enc.wantKey)
 			})
 		}
 	}
