@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race fuzz-smoke bench-harness bench-gate loc bench bench-quick bench-hot bench-scrub experiments experiments-quick smoke lint-print lint-wallclock examples clean
+.PHONY: all ci build vet test race fuzz-smoke bench-harness bench-gate loc bench bench-quick bench-hot experiments experiments-quick smoke lint-print lint-wallclock examples clean
 
 all: build vet test
 
@@ -121,7 +121,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 20
+BENCH_PR := 22
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -152,16 +152,14 @@ bench-quick:
 # pool), DHT Put/Get/Heal, symmetric seal/open alloc deltas, ECIES
 # Sender.Encrypt first-contact vs warm and Decrypt memo miss vs hit,
 # the sharded cache (hit/miss/coalesced/contended), and one simnet echo RPC
-# as one of 1 and of 2 callers sees it.
+# as one of 1 and of 2 callers sees it. Then the anti-entropy cost curve:
+# batched vs per-key scrub at 1k/10k/100k keys (10% corruption, k=3), one
+# pass each; its msg/op is the simulated message count per scrubbed key,
+# the number E26 pins.
 bench-hot:
 	$(GO) test -bench=. -benchmem -run='^$$' \
 		./internal/social/privacy/ ./internal/overlay/dht/ ./internal/crypto/symmetric/ \
 		./internal/crypto/pubkey/ ./internal/cache/ ./internal/overlay/simnet/
-
-# Anti-entropy cost curve: batched vs per-key scrub at 1k/10k/100k keys
-# (10% corruption, k=3). Reported msg/op is the simulated message count
-# per scrubbed key, the number E26 pins.
-bench-scrub:
 	$(GO) test -bench='BenchmarkScrub' -benchtime=1x -run='^$$' .
 
 # Regenerate the E1–E26 experiment tables (EXPERIMENTS.md).
