@@ -45,7 +45,7 @@ func checksum(key string, payload []byte) [32]byte {
 	h.Write([]byte(key))
 	h.Write(payload)
 	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
@@ -68,19 +68,20 @@ func Seal(key string, payload []byte) []byte {
 // envelope, so accidental corruption is detected, but authenticity
 // requires OpenKeyed with the owner's MAC key.
 func Open(key string, record []byte) ([]byte, error) {
-	payload, err := openOuter(key, record)
+	payload, err := verifyOuter(key, record)
 	if err != nil {
 		return nil, err
 	}
 	if isKeyedEnvelope(payload) {
-		return payload[len(keyedMagic)+macSize:], nil
+		payload = payload[len(keyedMagic)+macSize:]
 	}
-	return payload, nil
+	return append([]byte(nil), payload...), nil
 }
 
-// openOuter verifies framing and checksum and returns the outer payload as
-// a fresh copy — the shared half of Open and OpenKeyed.
-func openOuter(key string, record []byte) ([]byte, error) {
+// verifyOuter verifies framing and checksum and returns the outer payload
+// as a view into record — the shared half of every open and check. Callers
+// that return a payload copy it first.
+func verifyOuter(key string, record []byte) ([]byte, error) {
 	if len(record) < len(recordMagic)+32 || !bytes.Equal(record[:len(recordMagic)], recordMagic) {
 		return nil, fmt.Errorf("%w: key %q: bad framing (%d bytes)", ErrRecord, key, len(record))
 	}
@@ -90,7 +91,7 @@ func openOuter(key string, record []byte) ([]byte, error) {
 	if checksum(key, payload) != sum {
 		return nil, fmt.Errorf("%w: key %q: checksum mismatch", ErrRecord, key)
 	}
-	return append([]byte(nil), payload...), nil
+	return payload, nil
 }
 
 // Check verifies a sealed record without returning the payload — the
@@ -102,7 +103,7 @@ func openOuter(key string, record []byte) ([]byte, error) {
 // (the keyless checksum) only. Deployments that hold the MAC key gate the
 // stronger check in by configuring CheckKeyed instead.
 func Check(key string, record []byte) error {
-	_, err := Open(key, record)
+	_, err := verifyOuter(key, record)
 	return err
 }
 
@@ -136,7 +137,7 @@ func macSum(mackey []byte, key string, payload []byte) [macSize]byte {
 	h.Write([]byte(key))
 	h.Write(payload)
 	var out [macSize]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
@@ -174,7 +175,17 @@ func SealKeyed(mackey []byte, key string, payload []byte) []byte {
 // payload. A plain (unkeyed) record, a wrong MAC key, or a
 // tampered-and-resealed envelope all return ErrRecord.
 func OpenKeyed(mackey []byte, key string, record []byte) ([]byte, error) {
-	outer, err := openOuter(key, record)
+	payload, err := verifyKeyed(mackey, key, record)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), payload...), nil
+}
+
+// verifyKeyed is OpenKeyed without the copy: the payload it returns is a
+// view into record.
+func verifyKeyed(mackey []byte, key string, record []byte) ([]byte, error) {
+	outer, err := verifyOuter(key, record)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +211,7 @@ func OpenKeyed(mackey []byte, key string, record []byte) ([]byte, error) {
 // tampered and re-sealed is condemned exactly like a checksum mismatch.
 func CheckKeyed(mackey []byte) resilience.VerifyFunc {
 	return func(key string, record []byte) error {
-		_, err := OpenKeyed(mackey, key, record)
+		_, err := verifyKeyed(mackey, key, record)
 		return err
 	}
 }

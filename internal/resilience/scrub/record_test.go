@@ -112,10 +112,11 @@ func TestKeyedCheckCatchesTamperAndReseal(t *testing.T) {
 	// The adversary tampers with the payload inside the envelope and
 	// RE-SEALS the outer checksum — exactly the gap Seal leaves open. The
 	// keyless check is fooled; only the MAC catches it.
-	outer, err := openOuter("key-1", rec)
+	view, err := verifyOuter("key-1", rec)
 	if err != nil {
-		t.Fatalf("openOuter: %v", err)
+		t.Fatalf("verifyOuter: %v", err)
 	}
+	outer := append([]byte(nil), view...)
 	outer[len(outer)-1] ^= 0x01 // flip a payload byte, keep the old MAC
 	forged := Seal("key-1", outer)
 	if err := Check("key-1", forged); err != nil {
@@ -182,5 +183,20 @@ func TestTimelineCheckCatchesForgeryTheChecksumCannot(t *testing.T) {
 	mallory := TimelineCheck(reg, func(string) string { return "mallory" })
 	if err := mallory(key, rec); !errors.Is(err, ErrRecord) {
 		t.Fatalf("wrong owner: got %v, want ErrRecord", err)
+	}
+}
+
+// TestCheckDoesNotCopy pins the verify-only path: every replica fetch runs
+// it, and it needs the payload's checksum, not the payload.
+func TestCheckDoesNotCopy(t *testing.T) {
+	key := "wall/alice/a-key-longer-than-any-small-string-buffer/000042"
+	rec := Seal(key, bytes.Repeat([]byte("p"), 4096))
+	got := testing.AllocsPerRun(100, func() {
+		if err := Check(key, rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 1 {
+		t.Errorf("Check: %v allocs per record, budget 1", got)
 	}
 }

@@ -262,8 +262,7 @@ func (g *ABEGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("privacy: malformed ABE payload")
 	}
-	cacheKey := fmt.Sprintf("%s/%d/%s", user.Name, ct.Epoch, contentTag(ct.Body))
-	sym, _, err := g.keyCache.Do(cacheKey, func() ([]byte, error) {
+	sym, _, err := g.keyCache.Do(epochContentKey(user.Name, ct.Epoch, ct.Body), func() ([]byte, error) {
 		k, err := key.RecoverKey(ct)
 		if err != nil {
 			return nil, err

@@ -1,11 +1,11 @@
 package privacy
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"godosn/internal/crypto/abe"
 	"godosn/internal/crypto/ibe"
@@ -16,11 +16,18 @@ import (
 // are indeed another kind of service provider" (paper Section I) must be
 // able to store and forward envelopes they cannot read. Marshal/Unmarshal
 // cover every scheme's payload with a tagged, length-prefixed binary format.
+//
+// Both directions cost a constant number of allocations per envelope, not
+// one per field: Marshal sizes its output first and writes into one buffer,
+// Unmarshal takes one private copy of its input and hands out views of it.
 
 // codec framing constants.
 const (
 	codecMagic   = "gdsn"
 	codecVersion = byte(1)
+	// headerSize is magic, version, two length prefixes (scheme, group), the
+	// epoch and the payload tag — the fixed part of every envelope.
+	headerSize = len(codecMagic) + 1 + 4 + 4 + 8 + 1
 )
 
 // payload type tags.
@@ -39,89 +46,167 @@ var ErrCodec = errors.New("privacy: envelope codec error")
 // Marshal serializes an envelope for replication. The result contains only
 // ciphertext and public routing metadata.
 func Marshal(env Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(codecMagic)
-	buf.WriteByte(codecVersion)
-	writeString(&buf, string(env.Scheme))
-	writeString(&buf, env.Group)
-	var epoch [8]byte
-	binary.BigEndian.PutUint64(epoch[:], env.Epoch)
-	buf.Write(epoch[:])
+	// An ABE policy renders to its surface syntax; do it once for both passes.
+	var policy string
+	if ct, ok := env.Payload.(*abe.Ciphertext); ok {
+		policy = ct.Policy.String()
+	}
+	size, err := payloadSize(env.Payload, policy)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 0, headerSize+len(env.Scheme)+len(env.Group)+size)
+	buf = append(buf, codecMagic...)
+	buf = append(buf, codecVersion)
+	buf = appendField(buf, env.Scheme)
+	buf = appendField(buf, env.Group)
+	buf = binary.BigEndian.AppendUint64(buf, env.Epoch)
 
 	switch p := env.Payload.(type) {
 	case []byte:
-		buf.WriteByte(tagBytes)
-		writeBytes(&buf, p)
+		buf = append(buf, tagBytes)
+		buf = appendField(buf, p)
 	case subPayload:
-		buf.WriteByte(tagSub)
-		writeBytes(&buf, p.fake)
-		writeBytes(&buf, p.sealedIndex)
+		buf = append(buf, tagSub)
+		buf = appendField(buf, p.fake)
+		buf = appendField(buf, p.sealedIndex)
 	case pkPayload:
-		buf.WriteByte(tagPK)
-		writeUint32(&buf, uint32(len(p.wraps)))
-		for _, member := range sortedKeys(p.wraps) {
-			writeString(&buf, member)
-			writeBytes(&buf, p.wraps[member])
-		}
-		writeBytes(&buf, p.body)
+		buf = append(buf, tagPK)
+		buf = appendWraps(buf, p.wraps)
+		buf = appendField(buf, p.body)
 	case *abe.Ciphertext:
-		buf.WriteByte(tagABE)
-		var e [8]byte
-		binary.BigEndian.PutUint64(e[:], p.Epoch)
-		buf.Write(e[:])
-		writeString(&buf, p.Policy.String())
-		writeUint32(&buf, uint32(len(p.Shares)))
-		for _, idx := range sortedShareIdx(p.Shares) {
-			writeUint32(&buf, idx)
-			writeBytes(&buf, p.Shares[idx])
+		buf = append(buf, tagABE)
+		buf = binary.BigEndian.AppendUint64(buf, p.Epoch)
+		buf = appendField(buf, policy)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Shares)))
+		// Policies have a handful of leaves; their indices sort on the stack.
+		var few [16]uint32
+		idxs := few[:0]
+		for idx := range p.Shares {
+			idxs = append(idxs, idx)
 		}
-		writeBytes(&buf, p.Body)
+		slices.Sort(idxs)
+		for _, idx := range idxs {
+			buf = binary.BigEndian.AppendUint32(buf, idx)
+			buf = appendField(buf, p.Shares[idx])
+		}
+		buf = appendField(buf, p.Body)
 	case *abe.KPCiphertext:
-		buf.WriteByte(tagKPABE)
-		var e [8]byte
-		binary.BigEndian.PutUint64(e[:], p.Epoch)
-		buf.Write(e[:])
-		writeUint32(&buf, uint32(len(p.Attributes)))
+		buf = append(buf, tagKPABE)
+		buf = binary.BigEndian.AppendUint64(buf, p.Epoch)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Attributes)))
 		for _, a := range p.Attributes {
-			writeString(&buf, a)
+			buf = appendField(buf, a)
 		}
-		writeUint32(&buf, uint32(len(p.Wraps)))
-		for _, attr := range sortedKeys(p.Wraps) {
-			writeString(&buf, attr)
-			writeBytes(&buf, p.Wraps[attr])
-		}
-		writeBytes(&buf, p.Body)
+		buf = appendWraps(buf, p.Wraps)
+		buf = appendField(buf, p.Body)
 	case *ibe.Broadcast:
-		buf.WriteByte(tagIBBE)
-		if len(p.Recipients) != len(p.WrappedKeys) {
-			return nil, fmt.Errorf("%w: inconsistent broadcast", ErrCodec)
-		}
-		writeUint32(&buf, uint32(len(p.Recipients)))
+		buf = append(buf, tagIBBE)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Recipients)))
 		for i, r := range p.Recipients {
-			writeString(&buf, r)
-			writeBytes(&buf, p.WrappedKeys[i])
+			buf = appendField(buf, r)
+			buf = appendField(buf, p.WrappedKeys[i])
 		}
-		writeBytes(&buf, p.Body)
-	default:
-		return nil, fmt.Errorf("%w: unsupported payload %T", ErrCodec, env.Payload)
-	}
-	return buf.Bytes(), nil
+		buf = appendField(buf, p.Body)
+	} // payloadSize rejected every other type
+	return buf, nil
 }
 
+// payloadSize returns the exact encoded size of a payload after its tag, and
+// rejects what Marshal cannot encode.
+func payloadSize(payload any, policy string) (int, error) {
+	switch p := payload.(type) {
+	case []byte:
+		return 4 + len(p), nil
+	case subPayload:
+		return 8 + len(p.fake) + len(p.sealedIndex), nil
+	case pkPayload:
+		return wrapsSize(p.wraps) + 4 + len(p.body), nil
+	case *abe.Ciphertext:
+		n := 8 + 4 + len(policy) + 4 + 4 + len(p.Body)
+		for _, s := range p.Shares {
+			n += 8 + len(s)
+		}
+		return n, nil
+	case *abe.KPCiphertext:
+		n := 8 + 4 + wrapsSize(p.Wraps) + 4 + len(p.Body)
+		for _, a := range p.Attributes {
+			n += 4 + len(a)
+		}
+		return n, nil
+	case *ibe.Broadcast:
+		if len(p.Recipients) != len(p.WrappedKeys) {
+			return 0, fmt.Errorf("%w: inconsistent broadcast", ErrCodec)
+		}
+		n := 4 + 4 + len(p.Body)
+		for i, r := range p.Recipients {
+			n += 8 + len(r) + len(p.WrappedKeys[i])
+		}
+		return n, nil
+	default:
+		return 0, fmt.Errorf("%w: unsupported payload %T", ErrCodec, payload)
+	}
+}
+
+// --- encoding helpers --------------------------------------------------------
+
+// appendField writes a length-prefixed string or byte field.
+func appendField[T ~string | ~[]byte](buf []byte, v T) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(v)))
+	return append(buf, v...)
+}
+
+// appendWraps writes a name -> wrap table in sorted name order, so equal
+// envelopes marshal to equal bytes.
+func appendWraps(buf []byte, wraps map[string][]byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(wraps)))
+	names := make([]string, 0, len(wraps))
+	for name := range wraps {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		buf = appendField(buf, name)
+		buf = appendField(buf, wraps[name])
+	}
+	return buf
+}
+
+func wrapsSize(wraps map[string][]byte) int {
+	n := 4
+	for name, wrap := range wraps {
+		n += 8 + len(name) + len(wrap)
+	}
+	return n
+}
+
+// --- decoding ----------------------------------------------------------------
+
+// Minimum encoded sizes of one element of each counted list: a declared
+// count is checked against the bytes that remain before anything is sized
+// from it, so a hostile count costs nothing.
+const (
+	minName = 4     // one length-prefixed string
+	minWrap = 4 + 4 // a name or share index, plus a length-prefixed wrap
+)
+
 // Unmarshal reverses Marshal. The envelope's WireSize is set to the actual
-// serialized length.
+// serialized length. The envelope shares no memory with data: Unmarshal
+// takes one private copy, and every field of the result is a view of that
+// copy (see Envelope).
 func Unmarshal(data []byte) (Envelope, error) {
-	r := &reader{data: data}
-	if string(r.take(4)) != codecMagic {
+	r := reader{buf: slices.Clone(data)}
+	r.names.Grow(nameBytes(r.buf))
+	if string(r.take(len(codecMagic))) != codecMagic {
 		return Envelope{}, fmt.Errorf("%w: bad magic", ErrCodec)
 	}
 	if v := r.takeByte(); v != codecVersion {
 		return Envelope{}, fmt.Errorf("%w: unsupported version %d", ErrCodec, v)
 	}
 	env := Envelope{WireSize: len(data)}
-	env.Scheme = Scheme(r.str())
+	env.Scheme = r.scheme()
 	env.Group = r.str()
-	env.Epoch = binary.BigEndian.Uint64(r.take(8))
+	env.Epoch = r.uint64()
 
 	switch tag := r.takeByte(); tag {
 	case tagBytes:
@@ -129,128 +214,175 @@ func Unmarshal(data []byte) (Envelope, error) {
 	case tagSub:
 		env.Payload = subPayload{fake: r.bytes(), sealedIndex: r.bytes()}
 	case tagPK:
-		n := r.uint32()
-		p := pkPayload{wraps: make(map[string][]byte, n)}
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			member := r.str()
-			p.wraps[member] = r.bytes()
-		}
-		p.body = r.bytes()
-		env.Payload = p
+		env.Payload = pkPayload{wraps: r.wraps(), body: r.bytes()}
 	case tagABE:
-		ct := &abe.Ciphertext{Shares: make(map[uint32][]byte)}
-		ct.Epoch = binary.BigEndian.Uint64(r.take(8))
+		ct := &abe.Ciphertext{Epoch: r.uint64()}
 		policy, err := abe.ParsePolicy(r.str())
 		if err != nil {
 			return Envelope{}, fmt.Errorf("%w: policy: %v", ErrCodec, err)
 		}
 		ct.Policy = policy
-		n := r.uint32()
-		for i := uint32(0); i < n && r.err == nil; i++ {
+		n := r.count(minWrap)
+		ct.Shares = make(map[uint32][]byte, n)
+		for i := 0; i < n && r.err == nil; i++ {
 			idx := r.uint32()
 			ct.Shares[idx] = r.bytes()
 		}
 		ct.Body = r.bytes()
 		env.Payload = ct
 	case tagKPABE:
-		ct := &abe.KPCiphertext{Wraps: make(map[string][]byte)}
-		ct.Epoch = binary.BigEndian.Uint64(r.take(8))
-		n := r.uint32()
-		for i := uint32(0); i < n && r.err == nil; i++ {
+		ct := &abe.KPCiphertext{Epoch: r.uint64()}
+		n := r.count(minName)
+		ct.Attributes = make([]string, 0, n)
+		for i := 0; i < n && r.err == nil; i++ {
 			ct.Attributes = append(ct.Attributes, r.str())
 		}
-		n = r.uint32()
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			attr := r.str()
-			ct.Wraps[attr] = r.bytes()
-		}
+		ct.Wraps = r.wraps()
 		ct.Body = r.bytes()
 		env.Payload = ct
 	case tagIBBE:
-		b := &ibe.Broadcast{}
-		n := r.uint32()
-		for i := uint32(0); i < n && r.err == nil; i++ {
+		n := r.count(minWrap)
+		b := &ibe.Broadcast{Recipients: make([]string, 0, n), WrappedKeys: make([][]byte, 0, n)}
+		for i := 0; i < n && r.err == nil; i++ {
 			b.Recipients = append(b.Recipients, r.str())
 			b.WrappedKeys = append(b.WrappedKeys, r.bytes())
 		}
 		b.Body = r.bytes()
 		env.Payload = b
 	default:
-		return Envelope{}, fmt.Errorf("%w: unknown payload tag %d", ErrCodec, tag)
+		if r.err == nil {
+			r.err = fmt.Errorf("%w: unknown payload tag %d", ErrCodec, tag)
+		}
 	}
 	if r.err != nil {
 		return Envelope{}, r.err
 	}
-	if len(r.data) != 0 {
-		return Envelope{}, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(r.data))
+	if rest := len(r.buf) - r.off; rest != 0 {
+		return Envelope{}, fmt.Errorf("%w: %d trailing bytes", ErrCodec, rest)
 	}
 	return env, nil
 }
 
-// --- encoding helpers --------------------------------------------------------
-
-func writeUint32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeBytes(buf *bytes.Buffer, b []byte) {
-	writeUint32(buf, uint32(len(b)))
-	buf.Write(b)
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeBytes(buf, []byte(s))
-}
-
-func sortedKeys(m map[string][]byte) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedShareIdx(m map[uint32][]byte) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// reader is a bounds-checked sequential decoder.
+// reader is a bounds-checked sequential decoder over one private buffer.
+// Byte fields are cap-limited sub-slices of buf; string fields are
+// substrings of names. After the first error every read returns zero values.
 type reader struct {
-	data []byte
-	err  error
+	buf   []byte
+	off   int
+	names strings.Builder
+	err   error
 }
 
+// take returns the next n bytes as a view whose capacity ends with it, so an
+// append to one field cannot reach the next.
 func (r *reader) take(n int) []byte {
-	if r.err != nil || len(r.data) < n {
-		r.err = fmt.Errorf("%w: truncated", ErrCodec)
-		return make([]byte, n)
-	}
-	out := r.data[:n]
-	r.data = r.data[n:]
-	return out
-}
-
-func (r *reader) takeByte() byte { return r.take(1)[0] }
-
-func (r *reader) uint32() uint32 {
-	return binary.BigEndian.Uint32(r.take(4))
-}
-
-func (r *reader) bytes() []byte {
-	n := r.uint32()
-	if r.err != nil || uint32(len(r.data)) < n {
-		r.err = fmt.Errorf("%w: truncated", ErrCodec)
+	if r.err != nil || n > len(r.buf)-r.off {
+		if r.err == nil {
+			r.err = fmt.Errorf("%w: truncated", ErrCodec)
+		}
 		return nil
 	}
-	return append([]byte(nil), r.take(int(n))...)
+	out := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return out
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
+func (r *reader) takeByte() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *reader) uint32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *reader) uint64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
+	}
+	return 0
+}
+
+// count reads the declared length of a list whose elements encode to at
+// least minElem bytes each. A count the remaining bytes cannot hold is a
+// truncated envelope, reported before the caller sizes anything from it.
+func (r *reader) count(minElem int) int {
+	n := r.uint32()
+	if r.err == nil && uint64(n) > uint64((len(r.buf)-r.off)/minElem) {
+		r.err = fmt.Errorf("%w: truncated", ErrCodec)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *reader) bytes() []byte { return r.take(r.count(1)) }
+
+// str copies the next field into the shared builder and returns that part
+// of it. A builder that has to grow leaves earlier strings on its old
+// buffer, which stays valid.
+func (r *reader) str() string {
+	b := r.bytes()
+	start := r.names.Len()
+	r.names.Write(b)
+	return r.names.String()[start:]
+}
+
+// scheme reads a Scheme, returning the package constant for a known one.
+func (r *reader) scheme() Scheme {
+	b := r.bytes()
+	for _, s := range [...]Scheme{SchemeSubstitution, SchemeSymmetric, SchemePublicKey, SchemeABE, SchemeIBBE, SchemeHybrid} {
+		if string(b) == string(s) {
+			return s
+		}
+	}
+	return Scheme(b)
+}
+
+// wraps reads a name -> wrap table.
+func (r *reader) wraps() map[string][]byte {
+	n := r.count(minWrap)
+	m := make(map[string][]byte, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		name := r.str()
+		m[name] = r.bytes()
+	}
+	return m
+}
+
+// nameBytes walks a well-formed envelope's layout and returns the total
+// length of its string fields other than the scheme, so that one builder
+// allocation holds them all. It is a sizing hint only: on a malformed
+// envelope it returns some number no larger than len(buf), and the decoding
+// pass reports the error.
+func nameBytes(buf []byte) int {
+	r := reader{buf: buf}
+	r.take(len(codecMagic) + 1)
+	r.bytes() // scheme: interned, not built
+	total := len(r.bytes())
+	r.take(8)
+	tag := r.takeByte()
+	switch tag {
+	case tagABE:
+		r.take(8)
+		total += len(r.bytes()) // policy
+	case tagKPABE:
+		r.take(8)
+		for n := r.count(minName); n > 0; n-- {
+			total += len(r.bytes())
+		}
+	}
+	if tag == tagPK || tag == tagKPABE || tag == tagIBBE {
+		for n := r.count(minWrap); n > 0; n-- {
+			total += len(r.bytes())
+			r.bytes()
+		}
+	}
+	return total
+}

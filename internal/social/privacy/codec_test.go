@@ -2,8 +2,16 @@ package privacy
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"godosn/internal/crypto/abe"
+	"godosn/internal/crypto/ibe"
 )
 
 // TestCodecRoundTripAllSchemes serializes and deserializes an envelope from
@@ -130,7 +138,238 @@ func TestQuickCodecNeverPanics(t *testing.T) {
 	}
 }
 
+// hotMembers and hotPost are the private read path's shape in the benchmark
+// harness: 8-member groups, 200-byte posts.
+var (
+	hotMembers = []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
+	hotPost    = bytes.Repeat([]byte("p"), 200)
+)
+
+// hotGroups returns a full group of each scheme the private read path serves.
+func hotGroups(t testing.TB) (*fixture, []keyCached) {
+	t.Helper()
+	f := newFixture(t, hotMembers...)
+	groups := []keyCached{buildHybrid(t, f), buildABE(t), buildIBBE(t)}
+	for _, g := range groups {
+		for _, m := range hotMembers {
+			if err := g.Add(m); err != nil {
+				t.Fatalf("%s: Add(%s): %v", g.Scheme(), m, err)
+			}
+		}
+	}
+	return f, groups
+}
+
+// hotEnvelopes returns one post from each of hotGroups.
+func hotEnvelopes(t testing.TB) map[Scheme]Envelope {
+	t.Helper()
+	_, groups := hotGroups(t)
+	out := make(map[Scheme]Envelope)
+	for _, g := range groups {
+		env, err := g.Encrypt(hotPost)
+		if err != nil {
+			t.Fatalf("%s: Encrypt: %v", g.Scheme(), err)
+		}
+		out[g.Scheme()] = env
+	}
+	return out
+}
+
+// TestCodecAllocationBudget pins the codec at a constant number of
+// allocations per envelope: the output buffer one way; the private copy, the
+// string builder and the payload's own containers the other.
+func TestCodecAllocationBudget(t *testing.T) {
+	envs := hotEnvelopes(t)
+	for _, tc := range []struct {
+		scheme             Scheme
+		marshal, unmarshal float64
+	}{
+		{SchemeHybrid, 1, 3},
+		{SchemeABE, 1, 7},
+		{SchemeIBBE, 1, 5},
+	} {
+		env := envs[tc.scheme]
+		wire, err := Marshal(env)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", tc.scheme, err)
+		}
+		if len(wire) != cap(wire) {
+			t.Errorf("%s: Marshal sized its buffer %d for %d bytes", tc.scheme, cap(wire), len(wire))
+		}
+		m := testing.AllocsPerRun(100, func() {
+			if _, err := Marshal(env); err != nil {
+				t.Fatal(err)
+			}
+		})
+		u := testing.AllocsPerRun(100, func() {
+			if _, err := Unmarshal(wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if m > tc.marshal || u > tc.unmarshal {
+			t.Errorf("%s: Marshal %v allocs (budget %v), Unmarshal %v allocs (budget %v)", tc.scheme, m, tc.marshal, u, tc.unmarshal)
+		}
+		t.Logf("%s: %d bytes, Marshal %v allocs, Unmarshal %v allocs", tc.scheme, len(wire), m, u)
+	}
+}
+
+// byteFields returns every []byte an unmarshaled envelope hands out, tables
+// in key order.
+func byteFields(env Envelope) [][]byte {
+	switch p := env.Payload.(type) {
+	case []byte:
+		return [][]byte{p}
+	case subPayload:
+		return [][]byte{p.fake, p.sealedIndex}
+	case pkPayload:
+		return append(sortedValues(p.wraps), p.body)
+	case *abe.Ciphertext:
+		return append(sortedValues(p.Shares), p.Body)
+	case *abe.KPCiphertext:
+		return append(sortedValues(p.Wraps), p.Body)
+	case *ibe.Broadcast:
+		return append(slices.Clone(p.WrappedKeys), p.Body)
+	}
+	return nil
+}
+
+func sortedValues[K cmp.Ordered](m map[K][]byte) [][]byte {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := make([][]byte, 0, len(keys)+1)
+	for _, k := range keys {
+		out = append(out, m[k])
+	}
+	return out
+}
+
+// TestUnmarshalOwnership checks the envelope's ownership rule from both
+// sides: it shares no memory with the input, and its byte fields, though
+// views of one buffer, cannot reach each other — not even through append.
+func TestUnmarshalOwnership(t *testing.T) {
+	var wires [][]byte
+	for _, sc := range allSchemes() {
+		f := newFixture(t, "alice", "bob")
+		g := sc.build(t, f)
+		g.Add("alice")
+		g.Add("bob")
+		env, err := g.Encrypt([]byte("whose bytes are these"))
+		if err != nil {
+			t.Fatalf("%s: Encrypt: %v", sc.name, err)
+		}
+		wire, err := Marshal(env)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", sc.name, err)
+		}
+		wires = append(wires, wire)
+	}
+	kp, _ := newKPFixture(t)
+	kp.Grant("alice", "(family)")
+	env, err := kp.EncryptLabeled([]string{"family", "photos"}, []byte("kp content"))
+	if err != nil {
+		t.Fatalf("EncryptLabeled: %v", err)
+	}
+	wire, err := Marshal(env)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	wires = append(wires, wire)
+
+	for _, wire := range wires {
+		pristine, err := Unmarshal(wire)
+		if err != nil {
+			t.Fatalf("Unmarshal: %v", err)
+		}
+		scheme := pristine.Scheme
+
+		// Input -> envelope: scribbling over data changes no field.
+		data := bytes.Clone(wire)
+		env, _ := Unmarshal(data)
+		for i := range data {
+			data[i] ^= 0xA5
+		}
+		if !reflect.DeepEqual(env, pristine) {
+			t.Errorf("%s: mutating the input changed the envelope", scheme)
+		}
+
+		// Envelope -> input and field -> sibling: overwrite and append to each
+		// field in turn; the input and every other field stay as they were.
+		data = bytes.Clone(wire)
+		env, _ = Unmarshal(data)
+		fields, want := byteFields(env), byteFields(pristine)
+		if len(fields) == 0 {
+			t.Fatalf("%s: no byte fields", scheme)
+		}
+		for i, f := range fields {
+			if cap(f) != len(f) {
+				t.Errorf("%s: field %d has %d spare bytes of capacity", scheme, i, cap(f)-len(f))
+			}
+			for j := range f {
+				f[j] ^= 0xFF
+			}
+			_ = append(f, "overrun-overrun-overrun-overrun!"...)
+			for j, sib := range fields {
+				if j > i && !bytes.Equal(sib, want[j]) {
+					t.Errorf("%s: writing field %d changed field %d", scheme, i, j)
+				}
+			}
+		}
+		if !bytes.Equal(data, wire) {
+			t.Errorf("%s: mutating the envelope changed the input", scheme)
+		}
+	}
+}
+
+// hostileHeader is a well-formed envelope up to its payload tag; hostile28 is
+// the 28-byte envelope whose public-key payload declares 2^26 wraps and ends.
+const (
+	hostileHeader = codecMagic + "\x01" + "\x00\x00\x00\x01x" + "\x00\x00\x00\x01g" + "\x00\x00\x00\x00\x00\x00\x00\x00"
+	hostile28     = hostileHeader + "\x03" + "\x04\x00\x00\x00"
+)
+
+// TestUnmarshalHostileCounts feeds every counted list a declared length the
+// remaining bytes cannot hold. Envelope bytes arrive from untrusted replicas,
+// so a declared length must cost nothing until the bytes behind it are there.
+func TestUnmarshalHostileCounts(t *testing.T) {
+	const epoch, max = "\x00\x00\x00\x00\x00\x00\x00\x00", "\xff\xff\xff\xff"
+	cases := map[string]string{
+		"pk wraps 2^26":        hostile28,
+		"pk wraps 2^32-1":      hostileHeader + "\x03" + max,
+		"abe shares":           hostileHeader + "\x04" + epoch + "\x00\x00\x00\x01a" + max,
+		"kpabe attributes":     hostileHeader + "\x05" + epoch + max,
+		"kpabe wraps":          hostileHeader + "\x05" + epoch + "\x00\x00\x00\x00" + max,
+		"ibbe recipients":      hostileHeader + "\x06" + max,
+		"ibbe one short":       hostileHeader + "\x06" + "\x00\x00\x00\x02" + epoch + "\x00\x00\x00\x00",
+		"bytes field 2^32-1":   hostileHeader + "\x01" + max,
+		"group name past end":  codecMagic + "\x01" + "\x00\x00\x00\x00" + "\x7f\xff\xff\xff",
+		"scheme name past end": codecMagic + "\x01" + max,
+	}
+	if len(hostile28) != 28 {
+		t.Fatalf("regression input is %d bytes, want 28", len(hostile28))
+	}
+	for name, data := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal([]byte(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: err = %v, want ErrCodec", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: %d-byte input allocated %d bytes", name, len(data), got)
+		}
+	}
+}
+
 func FuzzUnmarshal(f *testing.F) {
+	for _, env := range hotEnvelopes(f) {
+		if wire, err := Marshal(env); err == nil {
+			f.Add(wire)
+		}
+	}
 	g, _ := NewSymmetricGroup("g")
 	g.Add("a")
 	env, _ := g.Encrypt([]byte("seed"))
@@ -139,23 +378,26 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	f.Add([]byte(codecMagic))
 	f.Add([]byte{})
+	f.Add([]byte(hostile28))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Unmarshal(data)
 		if err != nil {
 			return
 		}
-		// Anything that parses must re-marshal without error.
+		// Anything that parses re-marshals, and the canonical bytes parse back
+		// to the same envelope. They may differ from the input — a table entry
+		// repeated on the wire is stored once — so compare envelopes, not bytes.
 		re, err := Marshal(env)
 		if err != nil {
 			t.Fatalf("re-marshal of parsed envelope failed: %v", err)
 		}
-		if !bytes.Equal(re, data) {
-			// Canonical ordering may normalize byte layout; re-parse and
-			// compare metadata instead of raw bytes.
-			env2, err := Unmarshal(re)
-			if err != nil || env2.Scheme != env.Scheme || env2.Group != env.Group {
-				t.Fatalf("canonicalization broke the envelope")
-			}
+		env2, err := Unmarshal(re)
+		if err != nil {
+			t.Fatalf("canonical bytes do not parse: %v", err)
+		}
+		env.WireSize = len(re)
+		if !reflect.DeepEqual(env2, env) {
+			t.Fatalf("canonicalization changed the envelope:\n got %+v\nwant %+v", env2, env)
 		}
 	})
 }

@@ -3,12 +3,15 @@ package privacy
 // Microbenchmarks for the hot paths the worker pool (internal/parallel)
 // fans out: per-scheme Encrypt, Add, and Remove. Remove is reported at
 // workers=1 (serial) and workers=0 (all CPUs) so the pool's effect is
-// visible directly in `make bench-hot` output.
+// visible directly in `make bench-hot` output. The private read path —
+// envelope codec, then Decrypt with the key cache warm or absent — is
+// measured on the harness's shape (hotGroups).
 
 import (
 	"fmt"
 	"testing"
 
+	"godosn/internal/cache"
 	"godosn/internal/crypto/abe"
 	"godosn/internal/crypto/ibe"
 	"godosn/internal/crypto/pubkey"
@@ -161,6 +164,70 @@ func BenchmarkGroupRemove(b *testing.B) {
 					}
 					b.StartTimer()
 					if _, err := g.Remove(env.names[0]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkEnvelopeCodec(b *testing.B) {
+	envs := hotEnvelopes(b)
+	for _, scheme := range []Scheme{SchemeHybrid, SchemeABE, SchemeIBBE} {
+		env := envs[scheme]
+		wire, err := Marshal(env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("marshal/"+string(scheme), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(wire)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Marshal(env); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("unmarshal/"+string(scheme), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(wire)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Unmarshal(wire); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGroupDecrypt opens one post as one member: warm with the
+// envelope-key cache installed (the symmetric phase only), cold without a
+// cache (the public-key phase every time).
+func BenchmarkGroupDecrypt(b *testing.B) {
+	f, groups := hotGroups(b)
+	reader := f.users[hotMembers[3]]
+	for _, g := range groups {
+		env, err := g.Encrypt(hotPost)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, arm := range []struct {
+			name string
+			cfg  cache.Config
+		}{
+			{"warm", cache.Config{Capacity: 64, Seed: 11}},
+			{"cold", cache.Config{}},
+		} {
+			b.Run(string(g.Scheme())+"/"+arm.name, func(b *testing.B) {
+				g.SetKeyCache(arm.cfg)
+				if _, err := g.Decrypt(reader, env); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := g.Decrypt(reader, env); err != nil {
 						b.Fatal(err)
 					}
 				}

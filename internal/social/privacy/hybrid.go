@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"crypto/subtle"
 	"fmt"
 
 	"godosn/internal/crypto/pad"
@@ -246,7 +247,7 @@ func (g *HybridGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error)
 	if env.Epoch != g.epoch {
 		return nil, fmt.Errorf("%w: envelope epoch %d, key epoch %d", ErrStaleEpoch, env.Epoch, g.epoch)
 	}
-	key, _, err := g.keyCache.Do(fmt.Sprintf("%s/%d", user.Name, g.epoch), func() ([]byte, error) {
+	key, _, err := g.keyCache.Do(epochKey(user.Name, g.epoch), func() ([]byte, error) {
 		k, err := user.Decrypt(wrap)
 		if err != nil {
 			return nil, fmt.Errorf("privacy: unwrapping data key: %w", err)
@@ -260,7 +261,16 @@ func (g *HybridGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error)
 	if !ok {
 		return nil, fmt.Errorf("privacy: malformed hybrid payload")
 	}
-	pt, err := symmetric.Open(key, ct, g.ad())
+	// The member proved possession by unwrapping its own wrap; when what it
+	// holds is the current data key, the group's prepared AEAD opens the body
+	// without building a throw-away one. Any other key takes the one-shot path
+	// and fails closed there.
+	var pt []byte
+	if subtle.ConstantTimeCompare(key, g.dataKey) == 1 {
+		pt, err = g.sealer.Open(ct, g.ad())
+	} else {
+		pt, err = symmetric.Open(key, ct, g.ad())
+	}
 	if err != nil {
 		return nil, fmt.Errorf("privacy: opening body: %w", err)
 	}

@@ -125,7 +125,7 @@ func (g *IBBEGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("privacy: malformed IBBE payload")
 	}
-	session, _, err := g.keyCache.Do(user.Name+"/"+contentTag(b.Body), func() ([]byte, error) {
+	session, _, err := g.keyCache.Do(contentKey(user.Name, b.Body), func() ([]byte, error) {
 		return key.UnwrapSession(b)
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package privacy
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"strconv"
 
 	"godosn/internal/cache"
 	"godosn/internal/telemetry"
@@ -42,9 +43,42 @@ func (c *envelopeKeyCache) SetKeyCacheTelemetry(reg *telemetry.Registry, prefix 
 	c.keyCache.SetTelemetry(reg, prefix)
 }
 
-// contentTag returns a short content address (sha256 prefix) used to key
-// cached session keys to one specific ciphertext.
-func contentTag(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
+// The cache key of a reader's unwrapped key. Each is built in a stack buffer
+// and converted to a string once; the strings themselves decide the cache's
+// shard placement and eviction order, so their format is fixed:
+//
+//	epochKey         "<reader>/<epoch>"        hybrid: one data key per epoch
+//	contentKey       "<reader>/<tag>"          IBBE: one session key per broadcast
+//	epochContentKey  "<reader>/<epoch>/<tag>"  ABE: one payload key per ciphertext
+//
+// where <tag> is a short content address (sha256 prefix, hex) that keys the
+// entry to one specific ciphertext body.
+
+// keyBufSize holds a cache key for any reader name of ordinary length; a
+// longer name spills to the heap through append.
+const keyBufSize = 96
+
+func epochKey(reader string, epoch uint64) string {
+	var buf [keyBufSize]byte
+	return string(strconv.AppendUint(appendReader(buf[:0], reader), epoch, 10))
+}
+
+func contentKey(reader string, body []byte) string {
+	var buf [keyBufSize]byte
+	return string(appendContentTag(appendReader(buf[:0], reader), body))
+}
+
+func epochContentKey(reader string, epoch uint64, body []byte) string {
+	var buf [keyBufSize]byte
+	b := strconv.AppendUint(appendReader(buf[:0], reader), epoch, 10)
+	return string(appendContentTag(append(b, '/'), body))
+}
+
+func appendReader(b []byte, reader string) []byte {
+	return append(append(b, reader...), '/')
+}
+
+func appendContentTag(b, body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return hex.AppendEncode(b, sum[:8])
 }

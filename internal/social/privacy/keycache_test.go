@@ -2,14 +2,19 @@ package privacy
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"godosn/internal/cache"
 	"godosn/internal/crypto/abe"
 	"godosn/internal/crypto/ibe"
 	"godosn/internal/crypto/pubkey"
+	"godosn/internal/crypto/symmetric"
 	"godosn/internal/telemetry"
 )
 
@@ -21,7 +26,7 @@ func keyCacheConfig(seed int64) cache.Config {
 	return cache.Config{Capacity: 64, Shards: 4, Seed: seed}
 }
 
-func buildHybrid(t *testing.T, f *fixture) *HybridGroup {
+func buildHybrid(t testing.TB, f *fixture) *HybridGroup {
 	t.Helper()
 	owner, err := pubkey.NewSigningKeyPair()
 	if err != nil {
@@ -34,7 +39,7 @@ func buildHybrid(t *testing.T, f *fixture) *HybridGroup {
 	return g
 }
 
-func buildIBBE(t *testing.T) *IBBEGroup {
+func buildIBBE(t testing.TB) *IBBEGroup {
 	t.Helper()
 	pkg, err := ibe.NewPKG()
 	if err != nil {
@@ -43,7 +48,7 @@ func buildIBBE(t *testing.T) *IBBEGroup {
 	return NewIBBEGroup("ibbe", pkg)
 }
 
-func buildABE(t *testing.T) *ABEGroup {
+func buildABE(t testing.TB) *ABEGroup {
 	t.Helper()
 	auth, err := abe.NewAuthority()
 	if err != nil {
@@ -262,5 +267,83 @@ func TestKeyCacheTelemetryCounters(t *testing.T) {
 	}
 	if got["privacy_hybrid_key_cache_hits_total"] != 2 || got["privacy_hybrid_key_cache_misses_total"] != 1 {
 		t.Fatalf("key cache counters not mirrored: %v", got)
+	}
+}
+
+// TestKeyCacheKeyFormat pins the three cache-key builders to the strings the
+// schemes have always used: the cache hashes the key to pick a shard, so a
+// different spelling would move placement, eviction order and hit ratio.
+func TestKeyCacheKeyFormat(t *testing.T) {
+	legacyTag := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:8])
+	}
+	readers := []string{"", "bob", "g07-m3", "a/b", strings.Repeat("long-name-", 20)}
+	epochs := []uint64{0, 1, 42, math.MaxUint64}
+	bodies := [][]byte{nil, []byte("body"), bytes.Repeat([]byte{0xEE}, 300)}
+	for _, r := range readers {
+		for _, e := range epochs {
+			if got, want := epochKey(r, e), fmt.Sprintf("%s/%d", r, e); got != want {
+				t.Errorf("epochKey = %q, want %q", got, want)
+			}
+			for _, b := range bodies {
+				if got, want := epochContentKey(r, e, b), fmt.Sprintf("%s/%d/%s", r, e, legacyTag(b)); got != want {
+					t.Errorf("epochContentKey = %q, want %q", got, want)
+				}
+			}
+		}
+		for _, b := range bodies {
+			if got, want := contentKey(r, b), r+"/"+legacyTag(b); got != want {
+				t.Errorf("contentKey = %q, want %q", got, want)
+			}
+		}
+	}
+}
+
+// TestHybridForeignKeyTakesOneShotPath gives one member a wrap of some other
+// key. What it unwraps is not the data key, so the group's prepared AEAD must
+// not serve it: group posts fail closed for it, and only a body actually
+// sealed under its own key opens — through the one-shot path.
+func TestHybridForeignKeyTakesOneShotPath(t *testing.T) {
+	f := newFixture(t, "alice", "bob")
+	g := buildHybrid(t, f)
+	g.SetKeyCache(keyCacheConfig(73))
+	for _, m := range []string{"alice", "bob"} {
+		if err := g.Add(m); err != nil {
+			t.Fatalf("Add(%s): %v", m, err)
+		}
+	}
+	foreign := symmetric.MustNewKey()
+	id, err := f.registry.Lookup("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.keyWraps["bob"], err = g.sender.Encrypt(id.Encryption, foreign); err != nil {
+		t.Fatal(err)
+	}
+
+	env, err := g.Encrypt([]byte("group post"))
+	if err != nil {
+		t.Fatalf("Encrypt: %v", err)
+	}
+	for i := 0; i < 2; i++ { // cold, then with bob's foreign key cached
+		if pt, err := g.Decrypt(f.users["bob"], env); err == nil {
+			t.Fatalf("read %d: holder of a foreign key opened a group post: %q", i, pt)
+		}
+	}
+	if pt, err := g.Decrypt(f.users["alice"], env); err != nil || string(pt) != "group post" {
+		t.Fatalf("alice: %q, %v", pt, err)
+	}
+
+	ct, err := symmetric.Seal(foreign, []byte("sealed elsewhere"), g.ad())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Payload = ct
+	if pt, err := g.Decrypt(f.users["bob"], env); err != nil || string(pt) != "sealed elsewhere" {
+		t.Fatalf("one-shot path: %q, %v", pt, err)
+	}
+	if _, err := g.Decrypt(f.users["alice"], env); err == nil {
+		t.Fatal("the data key opened a body sealed under another key")
 	}
 }

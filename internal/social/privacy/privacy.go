@@ -44,8 +44,14 @@ var (
 )
 
 // Envelope is scheme-tagged ciphertext plus routing metadata. Payload holds
-// the scheme-specific ciphertext structure; envelopes stay in memory (the
-// simulated network ships sizes, not serialized bytes).
+// the scheme-specific ciphertext structure; Marshal and Unmarshal (codec.go)
+// carry it to and from the bytes that replicas store and serve.
+//
+// Ownership: an envelope returned by Unmarshal owns one private copy of the
+// bytes it was decoded from, and every byte field of its payload is a view
+// of that copy (every string a part of one shared string). It shares no
+// memory with the decoder's input, but its fields are read-only: decrypt
+// them, marshal them, copy them — do not write through them.
 type Envelope struct {
 	// Scheme produced this envelope.
 	Scheme Scheme
@@ -55,7 +61,8 @@ type Envelope struct {
 	Epoch uint64
 	// Payload is the scheme-specific ciphertext.
 	Payload any
-	// WireSize approximates the serialized size in bytes.
+	// WireSize approximates the serialized size in bytes; Unmarshal sets it
+	// to the exact length it decoded.
 	WireSize int
 }
 

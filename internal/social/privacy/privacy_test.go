@@ -17,7 +17,7 @@ type fixture struct {
 	users    map[string]*identity.User
 }
 
-func newFixture(t *testing.T, names ...string) *fixture {
+func newFixture(t testing.TB, names ...string) *fixture {
 	t.Helper()
 	f := &fixture{registry: identity.NewRegistry(), users: make(map[string]*identity.User)}
 	for _, n := range names {
