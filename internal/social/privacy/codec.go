@@ -108,7 +108,9 @@ func Marshal(env Envelope) ([]byte, error) {
 			buf = appendField(buf, p.WrappedKeys[i])
 		}
 		buf = appendField(buf, p.Body)
-	} // payloadSize rejected every other type
+	default: // a type payloadSize sizes and this switch does not write
+		return nil, fmt.Errorf("%w: unsupported payload %T", ErrCodec, env.Payload)
+	}
 	return buf, nil
 }
 

@@ -246,10 +246,10 @@ func sortedValues[K cmp.Ordered](m map[K][]byte) [][]byte {
 	return out
 }
 
-// TestUnmarshalOwnership checks the envelope's ownership rule from both
-// sides: it shares no memory with the input, and its byte fields, though
-// views of one buffer, cannot reach each other — not even through append.
-func TestUnmarshalOwnership(t *testing.T) {
+// allWires returns one marshaled envelope per payload type: the six schemes
+// and KP-ABE.
+func allWires(t *testing.T) [][]byte {
+	t.Helper()
 	var wires [][]byte
 	for _, sc := range allSchemes() {
 		f := newFixture(t, "alice", "bob")
@@ -277,8 +277,55 @@ func TestUnmarshalOwnership(t *testing.T) {
 		t.Fatalf("Marshal: %v", err)
 	}
 	wires = append(wires, wire)
+	return wires
+}
 
-	for _, wire := range wires {
+// stringFields returns every string an unmarshaled envelope hands out other
+// than its Scheme, which is a package constant.
+func stringFields(env Envelope) []string {
+	out := []string{env.Group}
+	wraps := map[string][]byte{}
+	switch p := env.Payload.(type) {
+	case pkPayload:
+		wraps = p.wraps
+	case *abe.Ciphertext:
+		out = append(out, p.Policy.String())
+	case *abe.KPCiphertext:
+		out, wraps = append(out, p.Attributes...), p.Wraps
+	case *ibe.Broadcast:
+		out = append(out, p.Recipients...)
+	}
+	for name := range wraps {
+		out = append(out, name)
+	}
+	return out
+}
+
+// TestNameBytesIsExact holds the builder's sizing walk to the decoding pass:
+// for every payload type it returns exactly the string bytes Unmarshal builds,
+// so the builder never regrows. A layout change made in one and not the other
+// shows here rather than as a slow drift in allocation counts.
+func TestNameBytesIsExact(t *testing.T) {
+	for _, wire := range allWires(t) {
+		env, err := Unmarshal(wire)
+		if err != nil {
+			t.Fatalf("Unmarshal: %v", err)
+		}
+		want := 0
+		for _, s := range stringFields(env) {
+			want += len(s)
+		}
+		if got := nameBytes(wire); got != want {
+			t.Errorf("%s: nameBytes = %d, the envelope's strings take %d", env.Scheme, got, want)
+		}
+	}
+}
+
+// TestUnmarshalOwnership checks the envelope's ownership rule from both
+// sides: it shares no memory with the input, and its byte fields, though
+// views of one buffer, cannot reach each other — not even through append.
+func TestUnmarshalOwnership(t *testing.T) {
+	for _, wire := range allWires(t) {
 		pristine, err := Unmarshal(wire)
 		if err != nil {
 			t.Fatalf("Unmarshal: %v", err)
@@ -303,16 +350,20 @@ func TestUnmarshalOwnership(t *testing.T) {
 		if len(fields) == 0 {
 			t.Fatalf("%s: no byte fields", scheme)
 		}
+		for i := range want {
+			want[i] = bytes.Clone(want[i]) // scribbled in step with fields below
+		}
 		for i, f := range fields {
 			if cap(f) != len(f) {
 				t.Errorf("%s: field %d has %d spare bytes of capacity", scheme, i, cap(f)-len(f))
 			}
 			for j := range f {
 				f[j] ^= 0xFF
+				want[i][j] ^= 0xFF
 			}
 			_ = append(f, "overrun-overrun-overrun-overrun!"...)
 			for j, sib := range fields {
-				if j > i && !bytes.Equal(sib, want[j]) {
+				if !bytes.Equal(sib, want[j]) {
 					t.Errorf("%s: writing field %d changed field %d", scheme, i, j)
 				}
 			}

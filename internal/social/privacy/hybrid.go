@@ -261,16 +261,12 @@ func (g *HybridGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error)
 	if !ok {
 		return nil, fmt.Errorf("privacy: malformed hybrid payload")
 	}
-	// The member proved possession by unwrapping its own wrap; when what it
-	// holds is the current data key, the group's prepared AEAD opens the body
-	// without building a throw-away one. Any other key takes the one-shot path
-	// and fails closed there.
-	var pt []byte
-	if subtle.ConstantTimeCompare(key, g.dataKey) == 1 {
-		pt, err = g.sealer.Open(ct, g.ad())
-	} else {
-		pt, err = symmetric.Open(key, ct, g.ad())
+	// The member proves possession by unwrapping its own wrap: only the
+	// current data key lets the group's prepared AEAD open the body for it.
+	if subtle.ConstantTimeCompare(key, g.dataKey) != 1 {
+		return nil, fmt.Errorf("privacy: opening body: unwrapped key is not the data key")
 	}
+	pt, err := g.sealer.Open(ct, g.ad())
 	if err != nil {
 		return nil, fmt.Errorf("privacy: opening body: %w", err)
 	}

@@ -51,7 +51,8 @@ var (
 // bytes it was decoded from, and every byte field of its payload is a view
 // of that copy (every string a part of one shared string). It shares no
 // memory with the decoder's input, but its fields are read-only: decrypt
-// them, marshal them, copy them — do not write through them.
+// them, marshal them, copy them — do not write through them. A field that is
+// empty on the wire decodes as an empty view, not nil.
 type Envelope struct {
 	// Scheme produced this envelope.
 	Scheme Scheme
