@@ -121,7 +121,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 23
+BENCH_PR := 24
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -149,7 +149,8 @@ bench-quick:
 	$(GO) test -bench=. -benchtime=10x -run='^$$' .
 
 # Hot-path microbenchmarks: per-scheme group Encrypt/Add/Remove (serial vs
-# pool), DHT Put/Get/Heal, symmetric seal/open alloc deltas, ECIES
+# pool), DHT Put/Get/Heal and the single-key Store/Lookup under a missing
+# route cache, symmetric seal/open alloc deltas, ECIES
 # Sender.Encrypt first-contact vs warm and Decrypt memo miss vs hit,
 # the sharded cache (hit/miss/coalesced/contended), and one simnet echo RPC
 # as one of 1 and of 2 callers sees it. Then the anti-entropy cost curve:

@@ -146,6 +146,7 @@ type Cache[V any] struct {
 
 	flightMu sync.Mutex
 	flight   map[string]*call[V]
+	idle     []*call[V] // finished calls nobody waited on, for the next fills
 
 	tel atomic.Pointer[cacheTelemetry] // nil until SetTelemetry
 
@@ -419,24 +420,38 @@ func (c *Cache[V]) Do(key string, fill func() (V, error)) (V, Outcome, error) {
 		c.count(&c.coalesced, func(t *cacheTelemetry) *telemetry.Counter { return t.coalesced })
 		return cl.val, Coalesced, cl.err
 	}
-	cl := &call[V]{}
+	var cl *call[V]
+	if n := len(c.idle); n > 0 {
+		cl, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		cl = &call[V]{}
+	}
 	c.flight[key] = cl
 	gen := c.gen.Load()
 	c.flightMu.Unlock()
 
-	cl.val, cl.err = fill()
+	val, err := fill()
 
 	c.flightMu.Lock()
 	delete(c.flight, key)
 	noStore, done := cl.noStore, cl.done
+	if done == nil {
+		// Nobody attached, and off the flight map nobody can: the record is
+		// this caller's alone and serves a later fill. One a waiter holds is
+		// left to it.
+		*cl = call[V]{}
+		c.idle = append(c.idle, cl)
+	} else {
+		cl.val, cl.err = val, err
+	}
 	c.flightMu.Unlock()
 	if done != nil {
 		close(done)
 	}
-	if cl.err == nil && !noStore {
-		c.putGen(key, cl.val, gen)
+	if err == nil && !noStore {
+		c.putGen(key, val, gen)
 	}
-	return cl.val, Filled, cl.err
+	return val, Filled, err
 }
 
 // String renders the cache for debugging.

@@ -150,6 +150,75 @@ func TestCacheDoCoalescesConcurrentMisses(t *testing.T) {
 	}
 }
 
+func TestCacheDoNeverReusesACallAWaiterHolds(t *testing.T) {
+	// A finished call nobody waited on serves the next fill; one a waiter
+	// attached to must not, because the waiter reads its result after the
+	// owner has moved on. The owner's next fill is already in flight (and
+	// would be writing into the same record) when the waiter wakes up.
+	c := New[int](Config{Capacity: 8})
+	if _, _, err := c.Do("warm", func() (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.idle) != 1 {
+		t.Fatalf("an unwatched call was not kept for reuse: %d idle", len(c.idle))
+	}
+	unwatched := c.idle[0]
+
+	attached := func(key string) bool {
+		c.flightMu.Lock()
+		defer c.flightMu.Unlock()
+		cl := c.flight[key]
+		return cl != nil && cl.done != nil
+	}
+	inFill := make(chan *call[int], 1)
+	release := make(chan struct{})
+	waiter := make(chan int, 1)
+	ownerDone := make(chan struct{})
+	go func() {
+		defer close(ownerDone)
+		v, _, _ := c.Do("shared", func() (int, error) {
+			c.flightMu.Lock()
+			inFill <- c.flight["shared"]
+			c.flightMu.Unlock()
+			<-release
+			return 7, nil
+		})
+		if v != 7 {
+			t.Errorf("owner read %d, want 7", v)
+		}
+		// The owner's next fill, on another key, while the waiter may not
+		// have read its result yet.
+		v, _, _ = c.Do("next", func() (int, error) { return 99, nil })
+		if v != 99 {
+			t.Errorf("owner's next fill read %d, want 99", v)
+		}
+	}()
+	watched := <-inFill
+	if watched != unwatched {
+		t.Fatalf("the idle call was not the one reused")
+	}
+	go func() {
+		v, o, _ := c.Do("shared", func() (int, error) { return -1, nil })
+		if o != Coalesced {
+			t.Errorf("waiter outcome %v, want coalesced", o)
+		}
+		waiter <- v
+	}()
+	for !attached("shared") {
+		runtime.Gosched()
+	}
+	close(release)
+	<-ownerDone
+	if got := <-waiter; got != 7 {
+		t.Fatalf("coalesced waiter read %d, want 7", got)
+	}
+	for _, cl := range c.idle {
+		if cl == watched {
+			t.Fatal("a call a waiter attached to went back on the idle list")
+		}
+	}
+}
+
 func TestCacheDoErrorNotCached(t *testing.T) {
 	c := New[int](Config{Capacity: 8})
 	boom := errors.New("boom")

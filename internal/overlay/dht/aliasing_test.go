@@ -3,8 +3,11 @@ package dht
 import (
 	"bytes"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
+	"godosn/internal/cache"
 	"godosn/internal/overlay/simnet"
 )
 
@@ -78,6 +81,87 @@ func TestLookupAndLookupFromReturnDetachedBytes(t *testing.T) {
 			t.Fatalf("mutating a LookupFrom result corrupted replica %s: %v %q", r, err, rv)
 		}
 	}
+}
+
+func TestReturnedValuesOutliveTheirFrame(t *testing.T) {
+	// The frame an operation borrowed is zeroed and handed to the next one
+	// — on one goroutine, the very same frame. Bytes a read returned must be
+	// nothing a later operation's requests or replies are written over.
+	d, names, _ := aliasDHT(t, 12)
+	client := string(names[0])
+	orig := []byte("bytes that belong to the reader")
+	if _, err := d.Store(client, "k", orig); err != nil {
+		t.Fatalf("Store: %v", err)
+	}
+	v, _, err := d.Lookup(client, "k")
+	if err != nil {
+		t.Fatalf("Lookup: %v", err)
+	}
+	rv, _, err := d.LookupFrom(client, "k", string(replicaNames(d, "k")[1]))
+	if err != nil {
+		t.Fatalf("LookupFrom: %v", err)
+	}
+	for i := 0; i < 1000; i++ {
+		key := fmt.Sprintf("other-%d", i%40)
+		if _, err := d.Store(client, key, []byte(fmt.Sprintf("another value, number %d", i))); err != nil {
+			t.Fatalf("Store(%s): %v", key, err)
+		}
+		if _, _, err := d.Lookup(client, key); err != nil {
+			t.Fatalf("Lookup(%s): %v", key, err)
+		}
+		if _, _, err := d.LookupFrom(client, key, string(replicaNames(d, key)[0])); err != nil {
+			t.Fatalf("LookupFrom(%s): %v", key, err)
+		}
+	}
+	if !bytes.Equal(v, orig) || !bytes.Equal(rv, orig) {
+		t.Fatalf("1000 later operations changed returned values: %q / %q", v, rv)
+	}
+}
+
+func TestConcurrentOperationsNeverShareAReply(t *testing.T) {
+	// Two clients on one DHT, over a route cache small enough that they keep
+	// filling and coalescing on each other's keys: every value read must be
+	// the one stored under the key asked for. Under -race this is also the
+	// check that no frame or call record is ever in two hands.
+	d, _, names := buildDHT(t, 16, Config{ReplicationFactor: 3, RouteCache: cache.Config{Capacity: 8}})
+	valueOf := func(key string) []byte { return []byte(strings.Repeat(key+"|", 4)) }
+	keys := make([]string, 48)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("shared-%d", i)
+		if _, err := d.Store(string(names[0]), keys[i], valueOf(keys[i])); err != nil {
+			t.Fatalf("Store: %v", err)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			client := string(names[1+c])
+			for i := 0; i < 2000; i++ {
+				key := keys[(i*(5+2*c)+c)%len(keys)]
+				want := valueOf(key)
+				if v, _, err := d.Lookup(client, key); err != nil || !bytes.Equal(v, want) {
+					t.Errorf("client %d: Lookup(%s) = %q, %v", c, key, v, err)
+					return
+				}
+				replicas, _, err := d.ReplicasFor(client, key)
+				if err != nil {
+					t.Errorf("client %d: ReplicasFor(%s): %v", c, key, err)
+					return
+				}
+				if v, _, err := d.LookupFrom(client, key, replicas[i%len(replicas)]); err != nil || !bytes.Equal(v, want) {
+					t.Errorf("client %d: LookupFrom(%s) = %q, %v", c, key, v, err)
+					return
+				}
+				if _, err := d.Store(client, key, want); err != nil {
+					t.Errorf("client %d: Store(%s): %v", c, key, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }
 
 func TestMembershipHandoffNeverAliasesStores(t *testing.T) {
@@ -266,11 +350,11 @@ func TestFetchCopiesWhileStoreBatchAppends(t *testing.T) {
 			reading = false
 		default:
 		}
-		reply, err := handle(&simnet.Trace{}, names[0], simnet.Message{Kind: kindFetch, Payload: fetchReq{Key: "hot"}})
+		reply, err := handle(&simnet.Trace{}, names[0], simnet.Message{Kind: kindFetch, Payload: &fetchReq{Key: "hot"}})
 		if err != nil {
 			t.Fatalf("fetch: %v", err)
 		}
-		if resp := reply.Payload.(fetchResp); !resp.Found || !whole(resp.Value) {
+		if resp := reply.Payload.(*fetchResp); !resp.Found || !whole(resp.Value) {
 			t.Fatal("fetch returned a torn value")
 		}
 		reply, err = handle(&simnet.Trace{}, names[0], simnet.Message{Kind: kindFetchBatch, Payload: fetchBatchReq{Keys: []string{"hot", "cold-3"}}})

@@ -159,6 +159,9 @@ func (d *DHT) batchRoots(origin simnet.NodeID, keys []string) (roots []uint64, e
 		pending = append(pending, pend{idx: i, kid: hashID(key)})
 	}
 	sort.Slice(pending, func(a, b int) bool { return pending[a].kid < pending[b].kid })
+	// One frame serves every walk of the batch; each starts on a zero trace.
+	f := borrowFrame()
+	defer returnFrame(f)
 	var (
 		lastKid, lastRoot uint64
 		haveLast          bool
@@ -182,8 +185,9 @@ func (d *DHT) batchRoots(origin simnet.NodeID, keys []string) (roots []uint64, e
 			lastKid, lastRoot, haveLast = p.kid, root, true
 			continue
 		}
-		rtr := &simnet.Trace{}
-		root, err := d.findSuccessor(rtr, origin, p.kid)
+		f.tr = simnet.Trace{}
+		rtr := &f.tr
+		root, err := d.findSuccessor(f, origin, p.kid)
 		tr.Hops += rtr.Hops
 		tr.Messages += rtr.Messages
 		tr.Bytes += rtr.Bytes
@@ -311,7 +315,8 @@ func (d *DHT) putGroup(origin simnet.NodeID, g batchGroup, keys []string, values
 		size += len(keys[idx]) + len(values[idx]) + batchItemOverhead
 	}
 	v := d.view()
-	replicas := v.placementOf(g.root, d.replica)
+	var ids replicaIDs
+	replicas := v.placementOf(ids[:0], g.root, d.replica)
 	out := groupOutcome{}
 	var (
 		stored  int
@@ -401,7 +406,8 @@ func (d *DHT) GetBatch(origin string, keys []string) ([]overlay.BatchResult, ove
 // to the keys that experienced them.
 func (d *DHT) getGroup(origin simnet.NodeID, g batchGroup, keys []string) groupOutcome {
 	v := d.view()
-	replicas := v.successorsOf(g.root, d.replica)
+	var ids replicaIDs
+	replicas := v.successorsOf(ids[:0], g.root, d.replica)
 	out := groupOutcome{
 		errs: make(map[int]error, len(g.idxs)),
 		vals: make(map[int][]byte, len(g.idxs)),

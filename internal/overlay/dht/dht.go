@@ -150,7 +150,15 @@ const (
 	kindFetch         = "dht.fetch"
 )
 
-type findSuccessorReq struct{ Key uint64 }
+// Single-key payloads travel as pointers. A request that has an answer
+// carries the slot the handler writes it into, and the reply message points
+// at that slot: the pointer is valid until the operation owning the request
+// returns. Callers still read the answer from reply.Payload, never from the
+// slot, so what a Byzantine responder substitutes is what they see.
+type findSuccessorReq struct {
+	Key   uint64
+	reply findSuccessorResp
+}
 type findSuccessorResp struct {
 	// Done reports the successor was found; otherwise Next is the closest
 	// preceding node to continue the iterative lookup at.
@@ -162,10 +170,36 @@ type storeReq struct {
 	Key   string
 	Value []byte
 }
-type fetchReq struct{ Key string }
+type fetchReq struct {
+	Key   string
+	reply fetchResp
+}
 type fetchResp struct {
 	Found bool
 	Value []byte
+}
+
+// opFrame is everything one single-key operation puts on the wire: its
+// trace, one request of each kind (reused for every hop and every replica),
+// and the replica ids it walks. Operations borrow a frame for their
+// duration, so the message path allocates nothing of its own; the frame is
+// zeroed on return, and a value handed to the caller is the handler's copy,
+// which the frame no longer references.
+type opFrame struct {
+	tr    simnet.Trace
+	find  findSuccessorReq
+	store storeReq
+	fetch fetchReq
+	ids   replicaIDs
+}
+
+var framePool = sync.Pool{New: func() any { return new(opFrame) }}
+
+func borrowFrame() *opFrame { return framePool.Get().(*opFrame) }
+
+func returnFrame(f *opFrame) {
+	*f = opFrame{}
+	framePool.Put(f)
 }
 
 // handlerFor builds the simnet handler executing node-local RPC logic.
@@ -182,24 +216,23 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 		}
 		switch msg.Kind {
 		case kindFindSuccessor:
-			req, ok := msg.Payload.(findSuccessorReq)
-			if !ok {
+			req, ok := msg.Payload.(*findSuccessorReq)
+			if !ok || req == nil {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
 			v := d.view()
 			succ := v.successorID(n.id + 1)
-			if inInterval(req.Key, n.id, succ) {
-				return simnet.Message{Kind: msg.Kind, Payload: findSuccessorResp{Done: true, Node: succ}, Size: 24}, nil
+			req.reply = findSuccessorResp{Done: true, Node: succ}
+			if !inInterval(req.Key, n.id, succ) {
+				if next := v.closestPrecedingFinger(n.id, req.Key); next != n.id {
+					req.reply = findSuccessorResp{Next: next}
+				}
 			}
-			next := v.closestPrecedingFinger(n.id, req.Key)
-			if next == n.id {
-				return simnet.Message{Kind: msg.Kind, Payload: findSuccessorResp{Done: true, Node: succ}, Size: 24}, nil
-			}
-			return simnet.Message{Kind: msg.Kind, Payload: findSuccessorResp{Next: next}, Size: 24}, nil
+			return simnet.Message{Kind: msg.Kind, Payload: &req.reply, Size: 24}, nil
 
 		case kindStore:
-			req, ok := msg.Payload.(storeReq)
-			if !ok {
+			req, ok := msg.Payload.(*storeReq)
+			if !ok || req == nil {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
 			n.mu.Lock()
@@ -208,18 +241,18 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 			return simnet.Message{Kind: msg.Kind, Size: 8}, nil
 
 		case kindFetch:
-			req, ok := msg.Payload.(fetchReq)
-			if !ok {
+			req, ok := msg.Payload.(*fetchReq)
+			if !ok || req == nil {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
 			n.mu.Lock()
 			v, found := n.data.get(req.Key)
 			n.mu.Unlock()
-			resp := fetchResp{Found: found}
+			req.reply = fetchResp{Found: found}
 			if found {
-				resp.Value = append([]byte(nil), v...)
+				req.reply.Value = append([]byte(nil), v...)
 			}
-			return simnet.Message{Kind: msg.Kind, Payload: resp, Size: 8 + len(resp.Value)}, nil
+			return simnet.Message{Kind: msg.Kind, Payload: &req.reply, Size: 8 + len(req.reply.Value)}, nil
 
 		case kindDigest:
 			req, ok := msg.Payload.(digestReq)
@@ -254,8 +287,8 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 }
 
 // findSuccessor runs the iterative Chord lookup from the origin node,
-// charging each routing step to the trace.
-func (d *DHT) findSuccessor(tr *simnet.Trace, origin simnet.NodeID, key uint64) (uint64, error) {
+// charging each routing step to the frame's trace.
+func (d *DHT) findSuccessor(f *opFrame, origin simnet.NodeID, key uint64) (uint64, error) {
 	v := d.view()
 	cur := v.names[origin]
 	if cur == nil {
@@ -267,8 +300,9 @@ func (d *DHT) findSuccessor(tr *simnet.Trace, origin simnet.NodeID, key uint64) 
 		return succ, nil
 	}
 	target := v.closestPrecedingFinger(cur.id, key)
-	// One request serves the whole walk: boxed into the payload once.
-	req := simnet.Message{Kind: kindFindSuccessor, Payload: findSuccessorReq{Key: key}, Size: 16}
+	// One request serves the whole walk.
+	f.find.Key = key
+	req := simnet.Message{Kind: kindFindSuccessor, Payload: &f.find, Size: 16}
 	for step := 0; step < 2*ringBits; step++ {
 		// Each hop is resolved against the ring as it is now: the replies
 		// that steer the walk come from handlers reading the current view.
@@ -277,7 +311,7 @@ func (d *DHT) findSuccessor(tr *simnet.Trace, origin simnet.NodeID, key uint64) 
 		if targetNode == nil {
 			return 0, overlay.ErrUnavailable
 		}
-		reply, err := d.net.RPC(tr, origin, targetNode.name, req)
+		reply, err := d.net.RPC(&f.tr, origin, targetNode.name, req)
 		if err != nil {
 			// Route around an unreachable hop: fall back to its ring
 			// successor, as Chord's failure handling would after a timeout.
@@ -294,8 +328,8 @@ func (d *DHT) findSuccessor(tr *simnet.Trace, origin simnet.NodeID, key uint64) 
 			target = next
 			continue
 		}
-		resp, ok := reply.Payload.(findSuccessorResp)
-		if !ok {
+		resp, ok := reply.Payload.(*findSuccessorResp)
+		if !ok || resp == nil {
 			return 0, fmt.Errorf("dht: bad find_successor reply")
 		}
 		if resp.Done {
@@ -318,19 +352,22 @@ func (d *DHT) Store(origin, key string, value []byte) (overlay.OpStats, error) {
 // latency is what its step added to it.
 func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (overlay.OpStats, error) {
 	sp.Tag("key", key)
-	tr := &simnet.Trace{}
+	f := borrowFrame()
+	defer returnFrame(f)
+	tr := &f.tr
 	route := sp.Child("route")
-	root, err := d.resolveRoot(tr, route, simnet.NodeID(origin), key, hashID(key))
+	root, err := d.resolveRoot(f, route, simnet.NodeID(origin), key, hashID(key))
 	route.AddLatency(tr.Latency)
 	route.End(spanOutcome(err))
 	if err != nil {
 		return stats(tr), err
 	}
 	v := d.view()
-	replicas := v.placementOf(root, d.replica)
+	replicas := v.placementOf(f.ids[:0], root, d.replica)
 	// Write the replica set in placement order, one store RPC each; any ack
 	// makes the store succeed. Every replica gets the same request.
-	req := simnet.Message{Kind: kindStore, Payload: storeReq{Key: key, Value: value}, Size: len(key) + len(value)}
+	f.store = storeReq{Key: key, Value: value}
+	req := simnet.Message{Kind: kindStore, Payload: &f.store, Size: len(key) + len(value)}
 	stored := 0
 	var lastErr, ackLost error
 	for _, rid := range replicas {
@@ -377,18 +414,21 @@ func (d *DHT) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
 // untraced operation), accounted on one trace as in StoreSpan.
 func (d *DHT) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overlay.OpStats, error) {
 	sp.Tag("key", key)
-	tr := &simnet.Trace{}
+	f := borrowFrame()
+	defer returnFrame(f)
+	tr := &f.tr
 	route := sp.Child("route")
-	root, err := d.resolveRoot(tr, route, simnet.NodeID(origin), key, hashID(key))
+	root, err := d.resolveRoot(f, route, simnet.NodeID(origin), key, hashID(key))
 	route.AddLatency(tr.Latency)
 	route.End(spanOutcome(err))
 	if err != nil {
 		return nil, stats(tr), err
 	}
 	v := d.view()
-	replicas := v.successorsOf(root, d.replica)
+	replicas := v.successorsOf(f.ids[:0], root, d.replica)
 	// Probe replicas in ring order, stop at the first hit.
-	req := simnet.Message{Kind: kindFetch, Payload: fetchReq{Key: key}, Size: len(key)}
+	f.fetch.Key = key
+	req := simnet.Message{Kind: kindFetch, Payload: &f.fetch, Size: len(key)}
 	var lastErr error = overlay.ErrUnavailable
 	for _, rid := range replicas {
 		rn := v.byID[rid]
@@ -402,8 +442,8 @@ func (d *DHT) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overla
 			lastErr = err
 			continue
 		}
-		resp, ok := reply.Payload.(fetchResp)
-		if !ok {
+		resp, ok := reply.Payload.(*fetchResp)
+		if !ok || resp == nil {
 			fsp.End("error")
 			return nil, stats(tr), fmt.Errorf("dht: bad fetch reply")
 		}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"godosn/internal/cache"
 	"godosn/internal/overlay/simnet"
 )
 
@@ -61,6 +62,55 @@ func BenchmarkDHTGet(b *testing.B) {
 	}
 }
 
+// singleKeyRing is the benchmark harness's per-key shape: 48 nodes, k=3 and
+// a 4096-entry route cache under 100 k keys, so nearly every operation
+// walks the ring and fills the cache. Keys are built outside the timer.
+func singleKeyRing(b *testing.B) (*DHT, string, []string) {
+	b.Helper()
+	net := simnet.New(simnet.DefaultConfig(4242))
+	names := make([]simnet.NodeID, 48)
+	for i := range names {
+		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
+	}
+	d, err := New(net, names, Config{ReplicationFactor: benchReplicas, RouteCache: cache.Config{Capacity: 4096}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]string, 100_000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	return d, string(names[0]), keys
+}
+
+func BenchmarkSingleKeyStore(b *testing.B) {
+	d, client, keys := singleKeyRing(b)
+	value := []byte("benchmark value payload")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Store(client, keys[i%len(keys)], value); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSingleKeyLookup(b *testing.B) {
+	d, client, keys := singleKeyRing(b)
+	for _, key := range keys {
+		if _, err := d.Store(client, key, []byte("benchmark value payload")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := d.Lookup(client, keys[i%len(keys)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // healRing builds a 48-node k=3 ring holding keys fully replicated keys,
 // written straight into the placement's stores (no routing cost in set-up).
 func healRing(tb testing.TB, keys int) (*DHT, []simnet.NodeID) {
@@ -76,7 +126,7 @@ func healRing(tb testing.TB, keys int) (*DHT, []simnet.NodeID) {
 	}
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("k%d", i)
-		for _, rid := range d.view().successorsOf(hashID(key), d.replica) {
+		for _, rid := range d.view().successorsOf(nil, hashID(key), d.replica) {
 			d.view().byID[rid].data.put(key, []byte("benchmark value payload"))
 		}
 	}

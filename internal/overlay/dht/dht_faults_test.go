@@ -1,7 +1,9 @@
 package dht
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"godosn/internal/overlay/simnet"
@@ -121,5 +123,69 @@ func TestPartitionIsolatesLookups(t *testing.T) {
 	net.SetPartition(names[5], 0)
 	if _, _, err := d.Lookup(string(names[5]), "k"); err != nil {
 		t.Fatalf("lookup after healing: %v", err)
+	}
+}
+
+func TestByzantineReplicaLiesOnACopyOfTheFrame(t *testing.T) {
+	// A fetch reply points into the caller's frame. A bit-flipping replica
+	// must still get its lie through to whoever reads reply.Payload, and the
+	// lie must live in a private copy: the frame's slot and the replica's
+	// store keep the honest bytes.
+	d, net, names := buildDHT(t, 12, Config{ReplicationFactor: 3})
+	client := names[0]
+	orig := []byte("the honest stored value")
+	if _, err := d.Store(string(client), "k", orig); err != nil {
+		t.Fatalf("Store: %v", err)
+	}
+	liar := replicaNames(d, "k")[0]
+	if err := net.SetByzantine(liar, simnet.ByzantineConfig{Mode: simnet.ByzBitFlip, Rate: 1}); err != nil {
+		t.Fatalf("SetByzantine: %v", err)
+	}
+	f := borrowFrame()
+	defer returnFrame(f)
+	f.fetch.Key = "k"
+	reply, err := net.RPC(&f.tr, client, liar, simnet.Message{Kind: kindFetch, Payload: &f.fetch, Size: 1})
+	if err != nil {
+		t.Fatalf("RPC: %v", err)
+	}
+	resp, ok := reply.Payload.(*fetchResp)
+	if !ok || resp == nil || resp == &f.fetch.reply {
+		t.Fatalf("reply payload %T (own slot: %v), want a private *fetchResp", reply.Payload, resp == &f.fetch.reply)
+	}
+	if !resp.Found || len(resp.Value) != len(orig) || bytes.Equal(resp.Value, orig) {
+		t.Fatalf("rate-1 bit flip delivered %q", resp.Value)
+	}
+	if !bytes.Equal(f.fetch.reply.Value, orig) {
+		t.Fatal("the lie was written into the caller's frame")
+	}
+	if stored, _ := d.StoredCopy(string(liar), "k"); !bytes.Equal(stored, orig) {
+		t.Fatal("the lie was written into the replica's store")
+	}
+	// And through the operations themselves: both read paths deliver it.
+	if v, _, err := d.Lookup(string(client), "k"); err != nil || bytes.Equal(v, orig) {
+		t.Fatalf("Lookup through a lying root returned %q, %v", v, err)
+	}
+	if v, _, err := d.LookupFrom(string(client), "k", string(liar)); err != nil || bytes.Equal(v, orig) {
+		t.Fatalf("LookupFrom the liar returned %q, %v", v, err)
+	}
+	if got := net.CorruptedReplies(); got != 3 {
+		t.Fatalf("CorruptedReplies = %d, want 3", got)
+	}
+}
+
+func TestHandlerRejectsPayloadsThatAreNotRequestPointers(t *testing.T) {
+	d, _, names := buildDHT(t, 4, Config{ReplicationFactor: 1})
+	handle := d.handlerFor(d.view().names[names[1]])
+	for kind, payloads := range map[string][]any{
+		kindFindSuccessor: {findSuccessorReq{Key: 1}, (*findSuccessorReq)(nil), nil},
+		kindStore:         {storeReq{Key: "k"}, (*storeReq)(nil), nil},
+		kindFetch:         {fetchReq{Key: "k"}, (*fetchReq)(nil), &storeReq{Key: "k"}},
+	} {
+		for _, payload := range payloads {
+			_, err := handle(&simnet.Trace{}, names[0], simnet.Message{Kind: kind, Payload: payload})
+			if err == nil || !strings.Contains(err.Error(), "bad payload for "+kind) {
+				t.Errorf("%s with a %T payload: %v, want the bad-payload error", kind, payload, err)
+			}
+		}
 	}
 }

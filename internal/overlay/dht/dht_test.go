@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"godosn/internal/cache"
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
 )
@@ -201,30 +202,65 @@ func TestNameLabel(t *testing.T) {
 }
 
 func TestSingleKeyOpAllocations(t *testing.T) {
-	// One Trace and one boxed request per operation or walk, not per RPC:
-	// what is left is one reply payload per routing hop, the replica-set
-	// slice, and the value copies the replicas and the reader own. With the
-	// per-RPC traces and boxings back, a 6-hop store costs 17, not 10.
-	d, _, names := buildDHT(t, 48, Config{ReplicationFactor: 3})
-	origin := string(names[0])
-	value := []byte("a stored value")
-	for i := 0; i < 8; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		st, err := d.StoreSpan(nil, origin, key, value)
-		if err != nil {
-			t.Fatalf("Store(%s): %v", key, err)
-		}
-		stores := testing.AllocsPerRun(50, func() { _, _ = d.StoreSpan(nil, origin, key, value) })
-		if max := float64(4 + st.Hops); stores > max {
-			t.Errorf("StoreSpan(%s), %d hops: %v allocs/op, want <= %v", key, st.Hops, stores, max)
-		}
-		_, lst, err := d.LookupSpan(nil, origin, key)
-		if err != nil {
-			t.Fatalf("Lookup(%s): %v", key, err)
-		}
-		lookups := testing.AllocsPerRun(50, func() { _, _, _ = d.LookupSpan(nil, origin, key) })
-		if max := float64(5 + lst.Hops); lookups > max {
-			t.Errorf("LookupSpan(%s), %d hops: %v allocs/op, want <= %v", key, lst.Hops, lookups, max)
-		}
+	// An operation borrows one frame: trace, requests and reply slots serve
+	// every hop and every replica, so what it allocates does not grow with
+	// the walk. What is left is what leaves the DHT: the value copy a reader
+	// owns and the candidate list ReplicasFor hands out. With a one-entry
+	// route cache the two keys of a pair evict each other, so every
+	// operation also takes the cache's fill path.
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"uncached", Config{ReplicationFactor: 3}},
+		{"route-cache-fills", Config{ReplicationFactor: 3, RouteCache: cache.Config{Capacity: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, _, names := buildDHT(t, 48, tc.cfg)
+			origin := string(names[0])
+			value := []byte("a stored value")
+			longest := 0
+			for i := 0; i < 8; i++ {
+				pair := [2]string{fmt.Sprintf("key-%d", i), fmt.Sprintf("key-%d", i+8)}
+				var replica [2]string
+				for j, key := range pair {
+					st, err := d.StoreSpan(nil, origin, key, value)
+					if err != nil {
+						t.Fatalf("Store(%s): %v", key, err)
+					}
+					if st.Hops > longest {
+						longest = st.Hops
+					}
+					replica[j] = string(replicaNames(d, key)[0])
+				}
+				perOp := func(op func(j int, key string)) float64 {
+					return testing.AllocsPerRun(50, func() {
+						for j, key := range pair {
+							op(j, key)
+						}
+					}) / 2
+				}
+				for _, c := range []struct {
+					op   string
+					max  float64
+					call func(j int, key string)
+				}{
+					{"StoreSpan", 1, func(_ int, key string) { _, _ = d.StoreSpan(nil, origin, key, value) }},
+					{"LookupSpan", 2, func(_ int, key string) { _, _, _ = d.LookupSpan(nil, origin, key) }},
+					{"ReplicasFor", 2, func(_ int, key string) { _, _, _ = d.ReplicasFor(origin, key) }},
+					{"LookupFrom", 1, func(j int, key string) { _, _, _ = d.LookupFrom(origin, key, replica[j]) }},
+				} {
+					if got := perOp(c.call); got > c.max {
+						t.Errorf("%s(%s): %v allocs/op, want <= %v", c.op, pair, got, c.max)
+					}
+				}
+			}
+			if longest < d.replica+3 {
+				t.Fatalf("longest store took %d hops: no walk long enough to show the count is hop-independent", longest)
+			}
+			if st := d.RouteCacheStats(); st.Hits != 0 {
+				t.Fatalf("route cache served %d hits: the fill path was not what ran", st.Hits)
+			}
+		})
 	}
 }

@@ -43,17 +43,19 @@ type digestResp struct {
 // StoreTo implements overlay.RepairKV: write key=value onto one named
 // replica only, bypassing routing and placement.
 func (d *DHT) StoreTo(origin, key string, value []byte, replica string) (overlay.OpStats, error) {
-	tr := &simnet.Trace{}
 	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
-		return stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
+		return overlay.OpStats{}, fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
-	_, err := d.net.RPC(tr, simnet.NodeID(origin), rn.name, simnet.Message{
+	f := borrowFrame()
+	defer returnFrame(f)
+	f.store = storeReq{Key: key, Value: value}
+	_, err := d.net.RPC(&f.tr, simnet.NodeID(origin), rn.name, simnet.Message{
 		Kind:    kindStore,
-		Payload: storeReq{Key: key, Value: value},
+		Payload: &f.store,
 		Size:    len(key) + len(value),
 	})
-	return stats(tr), err
+	return stats(&f.tr), err
 }
 
 // DigestFrom implements overlay.DigestKV: one RPC retrieving the Merkle

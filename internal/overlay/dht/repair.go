@@ -51,12 +51,13 @@ func registerCrashHook(net *simnet.Network, n *node) {
 // successors, so hedged reads have live candidates even when canonical
 // replicas are down. At most 2× the replication factor names are returned.
 func (d *DHT) ReplicasFor(origin, key string) ([]string, overlay.OpStats, error) {
-	tr := &simnet.Trace{}
-	root, err := d.resolveRoot(tr, nil, simnet.NodeID(origin), key, hashID(key))
+	f := borrowFrame()
+	defer returnFrame(f)
+	root, err := d.resolveRoot(f, nil, simnet.NodeID(origin), key, hashID(key))
 	if err != nil {
-		return nil, stats(tr), err
+		return nil, stats(&f.tr), err
 	}
-	return d.replicaPlan(root), stats(tr), nil
+	return d.replicaPlan(root), stats(&f.tr), nil
 }
 
 // replicaPlan computes the candidate list for a resolved root: the
@@ -67,7 +68,8 @@ func (d *DHT) replicaPlan(root uint64) []string {
 	v := d.view()
 	names := make([]string, 0, 2*d.replica)
 	seen := make(map[uint64]bool, 2*d.replica)
-	for _, rid := range v.successorsOf(root, d.replica) {
+	var ids replicaIDs
+	for _, rid := range v.successorsOf(ids[:0], root, d.replica) {
 		seen[rid] = true
 		names = append(names, string(v.byID[rid].name))
 	}
@@ -110,21 +112,24 @@ func (d *DHT) replicaPlan(root uint64) []string {
 // LookupFrom implements overlay.ReplicaKV: a single direct fetch from one
 // named replica, without walking the rest of the replica set.
 func (d *DHT) LookupFrom(origin, key, replica string) ([]byte, overlay.OpStats, error) {
-	tr := &simnet.Trace{}
 	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
-		return nil, stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
+		return nil, overlay.OpStats{}, fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
+	f := borrowFrame()
+	defer returnFrame(f)
+	tr := &f.tr
+	f.fetch.Key = key
 	reply, err := d.net.RPC(tr, simnet.NodeID(origin), rn.name, simnet.Message{
 		Kind:    kindFetch,
-		Payload: fetchReq{Key: key},
+		Payload: &f.fetch,
 		Size:    len(key),
 	})
 	if err != nil {
 		return nil, stats(tr), err
 	}
-	resp, ok := reply.Payload.(fetchResp)
-	if !ok {
+	resp, ok := reply.Payload.(*fetchResp)
+	if !ok || resp == nil {
 		return nil, stats(tr), fmt.Errorf("dht: bad fetch reply")
 	}
 	if !resp.Found {
@@ -331,7 +336,7 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 			psp.Tag("to", string(p.dst))
 			_, err := d.net.RPC(ptr, p.src, p.dst, simnet.Message{
 				Kind:    kindStore,
-				Payload: storeReq{Key: p.key, Value: p.value},
+				Payload: &storeReq{Key: p.key, Value: p.value},
 				Size:    len(p.key) + len(p.value),
 			})
 			tr.Add(ptr)

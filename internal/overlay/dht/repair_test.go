@@ -20,7 +20,7 @@ import (
 
 // replicaNames returns the canonical replica set of a key.
 func replicaNames(d *DHT, key string) []simnet.NodeID {
-	ids := d.view().successorsOf(hashID(key), d.replica)
+	ids := d.view().successorsOf(nil, hashID(key), d.replica)
 	out := make([]simnet.NodeID, len(ids))
 	for i, id := range ids {
 		out[i] = d.view().byID[id].name
@@ -360,7 +360,7 @@ func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
 			psp.Tag("to", string(p.dst))
 			_, err := d.net.RPC(ptr, p.src, p.dst, simnet.Message{
 				Kind:    kindStore,
-				Payload: storeReq{Key: p.key, Value: p.value},
+				Payload: &storeReq{Key: p.key, Value: p.value},
 				Size:    len(p.key) + len(p.value),
 			})
 			tr.Add(ptr)

@@ -90,14 +90,19 @@ func (v *ringView) predecessorID(target uint64) uint64 {
 	return v.ring[i-1]
 }
 
-// successorsOf returns up to k distinct node ids clockwise from target.
-func (v *ringView) successorsOf(target uint64, k int) []uint64 {
+// replicaIDs is the room callers give successorsOf and placementOf: in an
+// operation frame or on the stack, a replica set of up to eight costs no
+// allocation, and a larger one spills to the heap by append.
+type replicaIDs [8]uint64
+
+// successorsOf appends up to k distinct node ids clockwise from target to
+// out (a replicaIDs' [:0]).
+func (v *ringView) successorsOf(out []uint64, target uint64, k int) []uint64 {
 	if k > len(v.ring) {
 		k = len(v.ring)
 	}
 	i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= target })
-	out := make([]uint64, 0, k)
-	for len(out) < k {
+	for ; k > 0; k-- {
 		if i == len(v.ring) {
 			i = 0
 		}
@@ -125,19 +130,18 @@ func (v *ringView) placementAllowed(name simnet.NodeID) bool {
 	return v.allowPlace == nil || v.allowPlace(string(name))
 }
 
-// placementOf returns the replica placement for a key root: the first k
-// successors passing the placement filter, walking past vetoed nodes. With
-// no filter this is exactly successorsOf. A filter that vetoes every node
-// falls back to the canonical set — an unusable filter must not brick
-// writes.
-func (v *ringView) placementOf(root uint64, k int) []uint64 {
+// placementOf appends to out (empty, as for successorsOf) the replica
+// placement for a key root: the first k successors passing the placement
+// filter, walking past vetoed nodes. With no filter this is exactly
+// successorsOf. A filter that vetoes every node falls back to the canonical
+// set — an unusable filter must not brick writes.
+func (v *ringView) placementOf(out []uint64, root uint64, k int) []uint64 {
 	if v.allowPlace == nil {
-		return v.successorsOf(root, k)
+		return v.successorsOf(out, root, k)
 	}
 	if k > len(v.ring) {
 		k = len(v.ring)
 	}
-	out := make([]uint64, 0, k)
 	i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= root })
 	for walked := 0; walked < len(v.ring) && len(out) < k; walked++ {
 		if i == len(v.ring) {
@@ -150,7 +154,7 @@ func (v *ringView) placementOf(root uint64, k int) []uint64 {
 		}
 	}
 	if len(out) == 0 {
-		return v.successorsOf(root, k)
+		return v.successorsOf(out, root, k)
 	}
 	return out
 }

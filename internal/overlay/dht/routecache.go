@@ -22,16 +22,16 @@ import (
 var _ overlay.RouteCached = (*DHT)(nil)
 
 // resolveRoot resolves key's successor root, through the route cache when
-// one is configured. A cache hit charges nothing to tr (that is the point);
-// a miss runs the iterative lookup and caches a successful result unless
-// the cache was invalidated mid-fill. When routing happens under a span, a
-// "cache" child records how the resolution was served.
-func (d *DHT) resolveRoot(tr *simnet.Trace, route *telemetry.Span, origin simnet.NodeID, key string, kid uint64) (uint64, error) {
+// one is configured. A cache hit charges nothing to the frame's trace (that
+// is the point); a miss runs the iterative lookup and caches a successful
+// result unless the cache was invalidated mid-fill. When routing happens
+// under a span, a "cache" child records how the resolution was served.
+func (d *DHT) resolveRoot(f *opFrame, route *telemetry.Span, origin simnet.NodeID, key string, kid uint64) (uint64, error) {
 	if d.routes == nil {
-		return d.findSuccessor(tr, origin, kid)
+		return d.findSuccessor(f, origin, kid)
 	}
 	root, outcome, err := d.routes.Do(key, func() (uint64, error) {
-		return d.findSuccessor(tr, origin, kid)
+		return d.findSuccessor(f, origin, kid)
 	})
 	csp := route.Child("cache")
 	csp.End(outcome.String())

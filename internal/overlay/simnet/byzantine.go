@@ -20,7 +20,9 @@ import (
 // (e.g. a DHT fetchResp.Value); replies without byte payloads — routing
 // messages, plain acks — pass through untouched. Mutations always operate
 // on fresh copies, so a handler's stored state is never aliased into the
-// corrupted reply.
+// corrupted reply. A payload that is a pointer to a struct points into
+// memory its sender will reuse (a DHT operation frame): whatever is mutated,
+// recorded or replayed is a private copy of the struct, never the pointer.
 
 // ByzMode selects a node's Byzantine corruption behaviour.
 type ByzMode int
@@ -189,8 +191,10 @@ func copyBytes(b []byte) []byte { return append([]byte(nil), b...) }
 // batch replies carrying many values are as corruptible as single-value
 // replies — operating on a fresh copy of the payload struct. It reports
 // whether any field was visited. Payloads that are themselves []byte are
-// handled directly; payloads without byte fields (routing replies, acks)
-// pass through unchanged.
+// handled directly; value payloads without byte fields (routing replies,
+// acks) pass through unchanged. A non-nil pointer to a struct is treated as
+// the struct and always comes back as a pointer to the private copy, visited
+// or not, so nothing kept from the result aliases the sender's memory.
 func mutatePayload(msg Message, mut func([]byte) []byte) (Message, bool) {
 	if msg.Payload == nil {
 		return msg, false
@@ -203,10 +207,18 @@ func mutatePayload(msg Message, mut func([]byte) []byte) (Message, bool) {
 		return msg, true
 	}
 	v := reflect.ValueOf(msg.Payload)
+	byPointer := v.Kind() == reflect.Pointer
+	if byPointer {
+		if v.IsNil() {
+			return msg, false
+		}
+		v = v.Elem()
+	}
 	if v.Kind() != reflect.Struct {
 		return msg, false
 	}
-	cp := reflect.New(v.Type()).Elem()
+	private := reflect.New(v.Type())
+	cp := private.Elem()
 	cp.Set(v)
 	mutated := false
 	for i := 0; i < cp.NumField(); i++ {
@@ -245,6 +257,10 @@ func mutatePayload(msg Message, mut func([]byte) []byte) (Message, bool) {
 		}
 		f.Set(reflect.ValueOf(mut(b)))
 		mutated = true
+	}
+	if byPointer {
+		msg.Payload = private.Interface()
+		return msg, mutated
 	}
 	if !mutated {
 		return msg, false

@@ -124,6 +124,107 @@ func TestByzantineReplayServesStaleReply(t *testing.T) {
 	}
 }
 
+// slotReq mirrors a DHT single-key request: the handler answers into the
+// request's own slot and replies with a pointer to it, and the caller sends
+// the same request again for its next message.
+type slotReq struct {
+	reply blobResp
+	hop   hopResp
+}
+
+// hopResp mirrors a routing reply: nothing in it is corruptible.
+type hopResp struct{ Next uint64 }
+
+func TestByzantineBitFlipOnPointerReplyCorruptsAPrivateCopy(t *testing.T) {
+	n := New(DefaultConfig(1))
+	state := []byte("the honest stored value")
+	orig := append([]byte(nil), state...)
+	n.Register("a", echoHandler())
+	n.Register("b", HandlerFunc(func(tr *Trace, from NodeID, msg Message) (Message, error) {
+		req := msg.Payload.(*slotReq)
+		req.reply = blobResp{Found: true, Value: state}
+		return Message{Kind: msg.Kind, Payload: &req.reply, Size: len(state)}, nil
+	}))
+	if err := n.SetByzantine("b", ByzantineConfig{Mode: ByzBitFlip, Rate: 1}); err != nil {
+		t.Fatalf("SetByzantine: %v", err)
+	}
+	req := &slotReq{}
+	reply, err := n.RPC(nil, "a", "b", Message{Kind: "fetch", Payload: req, Size: 1})
+	if err != nil {
+		t.Fatalf("RPC: %v", err)
+	}
+	got, ok := reply.Payload.(*blobResp)
+	if !ok || got == nil {
+		t.Fatalf("reply payload %T, want a *blobResp", reply.Payload)
+	}
+	if got == &req.reply {
+		t.Fatal("the corrupted reply is the caller's own slot")
+	}
+	if !got.Found || len(got.Value) != len(orig) || bytes.Equal(got.Value, orig) {
+		t.Fatalf("rate-1 bit flip delivered %+v", got)
+	}
+	if !bytes.Equal(req.reply.Value, orig) || !bytes.Equal(state, orig) {
+		t.Fatal("the lie reached the caller's slot or the handler's state")
+	}
+	if n.CorruptedReplies() != 1 {
+		t.Fatalf("CorruptedReplies = %d, want 1", n.CorruptedReplies())
+	}
+}
+
+func TestByzantineReplayServesTheRecordedPointerReply(t *testing.T) {
+	n := New(DefaultConfig(3))
+	var hop uint64
+	n.Register("a", echoHandler())
+	n.Register("b", HandlerFunc(func(tr *Trace, from NodeID, msg Message) (Message, error) {
+		req := msg.Payload.(*slotReq)
+		hop++
+		req.hop = hopResp{Next: hop}
+		return Message{Kind: msg.Kind, Payload: &req.hop, Size: 8}, nil
+	}))
+	if err := n.SetByzantine("b", ByzantineConfig{Mode: ByzReplay, Rate: 1}); err != nil {
+		t.Fatalf("SetByzantine: %v", err)
+	}
+	// One request for the whole walk, as the DHT sends it: by the time a
+	// reply is replayed the slot it was recorded from reads differently. A
+	// replayer that kept the pointer would serve the slot's current value,
+	// find it equal to the honest reply, and never lie.
+	req := &slotReq{}
+	for call, want := range []uint64{1, 1, 2, 3} {
+		reply, err := n.RPC(nil, "a", "b", Message{Kind: "route", Payload: req, Size: 8})
+		if err != nil {
+			t.Fatalf("RPC: %v", err)
+		}
+		got, ok := reply.Payload.(*hopResp)
+		if !ok || got == nil {
+			t.Fatalf("reply payload %T, want a *hopResp", reply.Payload)
+		}
+		if got.Next != want {
+			t.Fatalf("call %d served Next=%d, want %d (slot now reads %d)", call+1, got.Next, want, req.hop.Next)
+		}
+		if call > 0 && got == &req.hop {
+			t.Fatalf("call %d: the replay is the caller's own slot", call+1)
+		}
+	}
+	if n.CorruptedReplies() != 3 {
+		t.Fatalf("CorruptedReplies = %d, want 3 (every replay differed from the honest reply)", n.CorruptedReplies())
+	}
+}
+
+func TestMutatePayloadPassesOddPointersThrough(t *testing.T) {
+	flips := 0
+	flip := func(b []byte) []byte { flips++; return b }
+	keys := []string{"k"}
+	for _, payload := range []any{(*blobResp)(nil), &keys, new(int)} {
+		out, visited := mutatePayload(Message{Kind: "k", Payload: payload}, flip)
+		if visited || out.Payload != payload {
+			t.Errorf("%T: visited=%v payload %v, want it handed back untouched", payload, visited, out.Payload)
+		}
+	}
+	if flips != 0 {
+		t.Fatalf("mutator ran %d times on payloads with nothing to corrupt", flips)
+	}
+}
+
 func TestByzantineEquivocatePinsLiesToCallers(t *testing.T) {
 	n := New(DefaultConfig(4))
 	state := []byte("consistent answer")

@@ -307,6 +307,40 @@ func TestQuietRPCAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestOfflineRPCAllocatesNothing: a down node's two errors are built when
+// it registers, with the text the per-message Errorf used to produce, so
+// refusing a message costs no allocation either.
+func TestOfflineRPCAllocatesNothing(t *testing.T) {
+	n := New(Config{Seed: 1, BaseLatency: 10 * time.Millisecond})
+	n.SetTelemetry(telemetry.NewRegistry())
+	echoRing(t, n, 2)
+	if err := n.SetOnline("node-1", false); err != nil {
+		t.Fatal(err)
+	}
+	_, toDown := n.RPC(nil, "node-0", "node-1", Message{Kind: "echo"})
+	_, fromDown := n.RPC(nil, "node-1", "node-0", Message{Kind: "echo"})
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{toDown, fmt.Sprintf("%s: %s", ErrNodeOffline, NodeID("node-1"))},
+		{fromDown, fmt.Sprintf("%s: %s (sender)", ErrNodeOffline, NodeID("node-1"))},
+	} {
+		if c.err == nil || c.err.Error() != c.want || !errors.Is(c.err, ErrNodeOffline) {
+			t.Fatalf("error %q, want %q wrapping ErrNodeOffline", c.err, c.want)
+		}
+	}
+	tr := &Trace{}
+	msg := Message{Kind: "echo", Size: 64}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if _, err := n.RPC(tr, "node-0", "node-1", msg); err == nil {
+			t.Fatal("RPC to an offline node succeeded")
+		}
+	}); avg != 0 {
+		t.Fatalf("RPC to an offline node allocates %.1f objects, want 0", avg)
+	}
+}
+
 // TestOverloadMergesAcrossNodes: counts and delay sum over the capped
 // nodes, the peak is the deepest any one of them saw.
 func TestOverloadMergesAcrossNodes(t *testing.T) {

@@ -137,6 +137,8 @@ type nodeState struct {
 	handler Handler
 
 	offline   atomic.Bool
+	errDown   error                         // ErrNodeOffline naming this node as receiver
+	errDownTx error                         // ... and as sender
 	partition atomic.Int64                  // partition group; 0 = default
 	capacity  atomic.Pointer[capacityState] // nil = uncapped (overload.go)
 	byz       atomic.Pointer[byzState]      // nil = honest (byzantine.go)
@@ -222,7 +224,12 @@ func New(cfg Config) *Network {
 
 func newNodeState(id NodeID, h Handler) *nodeState {
 	hash := mix64(uint64(labelHash(string(id))))
-	return &nodeState{id: id, hash: hash, handler: h, acct: &account{hash: hash}}
+	return &nodeState{
+		id: id, hash: hash, handler: h, acct: &account{hash: hash},
+		// Built once: a down node answers every message with these.
+		errDown:   fmt.Errorf("%w: %s", ErrNodeOffline, id),
+		errDownTx: fmt.Errorf("%w: %s (sender)", ErrNodeOffline, id),
+	}
 }
 
 // table returns the current node table. The map is never written after it
@@ -346,13 +353,13 @@ func (n *Network) carry(tr *Trace, src, dst *nodeState, from, to NodeID, size in
 		if t := n.tel.Load(); t != nil {
 			t.offline.Inc()
 		}
-		return fmt.Errorf("%w: %s", ErrNodeOffline, to)
+		return dst.errDown
 	}
 	if src.offline.Load() {
 		if t := n.tel.Load(); t != nil {
 			t.offline.Inc()
 		}
-		return fmt.Errorf("%w: %s (sender)", ErrNodeOffline, from)
+		return src.errDownTx
 	}
 	if src.partition.Load() != dst.partition.Load() {
 		if t := n.tel.Load(); t != nil {

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // This file is the streaming workload driver: it generates a social
@@ -153,18 +154,47 @@ func (s *Stream) sampleActor() int {
 	return s.zipf.Next()
 }
 
+// appendUserName appends prefix and the canonical name of user i ("user-"
+// and the index zero-padded to four digits) to buf. A negative index takes
+// Sprintf's padding, which counts the sign.
+func appendUserName(buf []byte, prefix string, i int) []byte {
+	buf = append(buf, prefix...)
+	if i < 0 {
+		return fmt.Appendf(buf, "user-%04d", i)
+	}
+	buf = append(buf, "user-"...)
+	for pad := 1000; pad > i && pad > 1; pad /= 10 {
+		buf = append(buf, '0')
+	}
+	return strconv.AppendInt(buf, int64(i), 10)
+}
+
+// contentKey renders "<prefix>user-NNNN/<n>" in a stack buffer: the string
+// is the key's one allocation.
+func contentKey(prefix string, user int, n uint32) string {
+	var arr [48]byte
+	buf := append(appendUserName(arr[:0], prefix, user), '/')
+	return string(strconv.AppendUint(buf, uint64(n), 10))
+}
+
 // UserName renders the canonical name for a user index, matching UserNames
 // without materializing the list.
-func UserName(i int) string { return fmt.Sprintf("user-%04d", i) }
+func UserName(i int) string {
+	var arr [32]byte
+	return string(appendUserName(arr[:0], "", i))
+}
 
 // PostKey is the content key of a user's n-th post.
-func PostKey(user int, n uint32) string { return fmt.Sprintf("post/%s/%d", UserName(user), n) }
+func PostKey(user int, n uint32) string { return contentKey("post/", user, n) }
 
 // CommentKey is the content key of a user's n-th comment.
-func CommentKey(user int, n uint32) string { return fmt.Sprintf("comment/%s/%d", UserName(user), n) }
+func CommentKey(user int, n uint32) string { return contentKey("comment/", user, n) }
 
 // SearchKey is the index key a search for a user's content consults.
-func SearchKey(user int) string { return fmt.Sprintf("search/%s", UserName(user)) }
+func SearchKey(user int) string {
+	var arr [32]byte
+	return string(appendUserName(arr[:0], "search/", user))
+}
 
 // TrackedUsers reports how many distinct users the stream currently keeps
 // state for — the stream's entire growing footprint, bounded by

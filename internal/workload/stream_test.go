@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -124,6 +125,42 @@ func TestStreamUserNameMatchesUserNames(t *testing.T) {
 		}
 	}
 }
+
+// The key helpers build in a stack buffer; the Sprintf forms they replaced
+// are the specification, at every padding boundary and for the negative
+// indices that keep the Sprintf path.
+func TestKeyHelpersMatchSprintfForms(t *testing.T) {
+	for _, i := range []int{0, 9, 10, 999, 1000, 9999, 10000, 123456, 1<<31 - 1, -1, -12345} {
+		user := fmt.Sprintf("user-%04d", i)
+		if got := UserName(i); got != user {
+			t.Errorf("UserName(%d) = %q, want %q", i, got, user)
+		}
+		if got, want := SearchKey(i), fmt.Sprintf("search/%s", user); got != want {
+			t.Errorf("SearchKey(%d) = %q, want %q", i, got, want)
+		}
+		for _, n := range []uint32{0, 7, 1<<32 - 1} {
+			if got, want := PostKey(i, n), fmt.Sprintf("post/%s/%d", user, n); got != want {
+				t.Errorf("PostKey(%d, %d) = %q, want %q", i, n, got, want)
+			}
+			if got, want := CommentKey(i, n), fmt.Sprintf("comment/%s/%d", user, n); got != want {
+				t.Errorf("CommentKey(%d, %d) = %q, want %q", i, n, got, want)
+			}
+		}
+	}
+	user, n := 123456, uint32(789) // variables: a constant argument would fold away
+	for name, build := range map[string]func() string{
+		"UserName":   func() string { return UserName(user) },
+		"SearchKey":  func() string { return SearchKey(user) },
+		"PostKey":    func() string { return PostKey(user, n) },
+		"CommentKey": func() string { return CommentKey(user, n) },
+	} {
+		if avg := testing.AllocsPerRun(200, func() { sinkKey = build() }); avg != 1 {
+			t.Errorf("%s allocates %v objects, want 1 (the string)", name, avg)
+		}
+	}
+}
+
+var sinkKey string
 
 func TestStreamBadParams(t *testing.T) {
 	if _, err := NewStream(StreamConfig{Users: 0, Ops: 10}); !errors.Is(err, ErrBadParams) {
