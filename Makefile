@@ -100,6 +100,7 @@ define FUZZ_TARGETS
 ./internal/social/privacy/ FuzzUnmarshal
 ./internal/crypto/abe/ FuzzParsePolicy
 ./internal/crypto/pubkey/ FuzzDecrypt
+./internal/crypto/prf/ FuzzDerive
 ./internal/overlay/dht/ FuzzStoreOps
 ./internal/telemetry/ FuzzSinkEncode
 endef
@@ -121,7 +122,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 24
+BENCH_PR := 25
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -151,7 +152,8 @@ bench-quick:
 # Hot-path microbenchmarks: per-scheme group Encrypt/Add/Remove (serial vs
 # pool), DHT Put/Get/Heal and the single-key Store/Lookup under a missing
 # route cache, symmetric seal/open alloc deltas, ECIES
-# Sender.Encrypt first-contact vs warm and Decrypt memo miss vs hit,
+# Sender.Encrypt first-contact vs warm and Decrypt memo miss vs hit, one
+# pooled HKDF-Expand (prf.Derive),
 # the sharded cache (hit/miss/coalesced/contended), and one simnet echo RPC
 # as one of 1 and of 2 callers sees it. Then the anti-entropy cost curve:
 # batched vs per-key scrub at 1k/10k/100k keys (10% corruption, k=3), one
@@ -160,7 +162,7 @@ bench-quick:
 bench-hot:
 	$(GO) test -bench=. -benchmem -run='^$$' \
 		./internal/social/privacy/ ./internal/overlay/dht/ ./internal/crypto/symmetric/ \
-		./internal/crypto/pubkey/ ./internal/cache/ ./internal/overlay/simnet/
+		./internal/crypto/pubkey/ ./internal/crypto/prf/ ./internal/cache/ ./internal/overlay/simnet/
 	$(GO) test -bench='BenchmarkScrub' -benchtime=1x -run='^$$' .
 
 # Regenerate the E1–E26 experiment tables (EXPERIMENTS.md).

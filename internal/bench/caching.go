@@ -115,7 +115,7 @@ func E21CacheAcceleration(quick bool) (*Table, error) {
 	t.AddNote("both arms returned byte-identical read sequences (running sha256 compared); warm speedup %.1fx (sim latency), %.1fx (messages)", speedup, cold.msgPerOp/warm.msgPerOp)
 	t.AddNote("fault soak (10%% loss, 70%% uptime churn, 100%%-rate bit-flip Byzantine responder, stored bit rot, scrub wired to value-cache invalidation): ok %.1f%%→%.1f%% bare→cached, surfaced 0→0", bareFault.okRate*100, cachedFault.okRate*100)
 	t.AddNote("revocation probe: hybrid group, reader revoked mid-stream with a warm envelope-key cache (%d hits) — revoked reader denied, remaining reader byte-correct across the rekey", rv.hits)
-	t.AddNote("hotset=0 (0 = full key space); tune with dosnbench -zipf-s / -hotset")
+	t.AddNote("reads draw Zipf(s=%.2g) over the full key space (hotset=0); both are fixed constants", e21ZipfS)
 	t.AddMetric("e21_speedup_latency", "x", speedup)
 	t.AddMetric("e21_speedup_messages", "x", cold.msgPerOp/warm.msgPerOp)
 	t.AddMetric("e21_route_hit_rate", "ratio", warm.routeStats.HitRate())

@@ -170,7 +170,7 @@ func E22FlashCrowd(quick bool) (*Table, error) {
 	t.AddNote("every tick offers %.0fx the hot node's capacity against the hot key; the bare arm lines up behind the hot node's queue (and sheds past it), the load-aware arm demotes the hot node after its first slow/shed observations and reads its siblings", e22HotFactor)
 	t.AddNote("the client admission gate is sized to the offered rate: zero steady-state client sheds by construction (gate shedding and queueing are pinned by the load package's unit tests)")
 	t.AddNote("determinism: the full three-arm run is DeepEqual-identical back to back at FanoutWorkers=1 and =8 (per-lookup latencies, overload counters, health snapshots, telemetry registries)")
-	t.AddNote("tune with dosnbench -hotnode (load factor, >= 3) and -capacity (hot node requests/tick, >= 1)")
+	t.AddNote("hot-node load factor %.0fx and capacity %d requests/tick are fixed constants", e22HotFactor, e22Capacity)
 	t.AddMetric("e22_hot_factor", "x", e22HotFactor)
 	t.AddMetric("e22_capacity", "req/tick", float64(e22Capacity))
 	t.AddMetric("e22_baseline_p99", "ms", baseP99)

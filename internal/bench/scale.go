@@ -171,7 +171,7 @@ func E23ScaleSweep(quick bool) (*Table, error) {
 		t.AddNote("the 1M-user point runs in-harness: the streaming driver needs no per-user state, so a million users cost the same memory as ten thousand")
 	}
 	t.AddNote("determinism: each arm is DeepEqual-identical back to back and at FanoutWorkers=1 vs =8 (message/byte/hop counts, outcome counts, read digest); latency and heap are excluded by design")
-	t.AddNote("tune with dosnbench -batch (read/write batch size, [2, 4096])")
+	t.AddNote("read/write batch size %d keys is a fixed constant", e23Batch)
 	for _, p := range points {
 		u := e23Users(p.users)
 		t.AddMetric("e23_seq_msg_per_op_"+u, "msg/op", e23MsgPerOp(p.seq))

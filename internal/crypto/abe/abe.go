@@ -236,7 +236,8 @@ func shareTree(sender *pubkey.Sender, params *PublicParams, node *Policy, secret
 		idx := *nextIdx
 		*nextIdx++
 		pk := params.Attrs[node.Attribute]
-		wrapped, err := sender.Encrypt(pk, secret.Bytes())
+		var buf [fieldBytes]byte
+		wrapped, err := sender.Encrypt(pk, minimalBytes(secret, &buf))
 		if err != nil {
 			return fmt.Errorf("abe: wrapping share for %q: %w", node.Attribute, err)
 		}
@@ -368,9 +369,26 @@ func (p *Policy) leafCount() uint32 {
 	return n
 }
 
+// fieldBytes is the encoded size of the largest element of the Shamir field,
+// whose prime is just below 2^256.
+const fieldBytes = 32
+
+// minimalBytes writes v into buf and returns the bytes v.Bytes() would
+// allocate: big-endian, no leading zeros. Only a value outside the field is
+// longer — a share someone wrapped by hand to a public attribute parameter —
+// and it takes Bytes' allocation.
+func minimalBytes(v *big.Int, buf *[fieldBytes]byte) []byte {
+	n := (v.BitLen() + 7) / 8
+	if n > fieldBytes {
+		return v.Bytes()
+	}
+	return v.FillBytes(buf[:n])
+}
+
 // seedToKey derives the payload AES key from the shared seed.
 func seedToKey(seed *big.Int) (symmetric.Key, error) {
-	h := sha256.Sum256(seed.Bytes())
+	var buf [fieldBytes]byte
+	h := sha256.Sum256(minimalBytes(seed, &buf))
 	key, err := prf.Derive(h[:], seedContext, symmetric.KeySize)
 	if err != nil {
 		return nil, fmt.Errorf("abe: deriving payload key: %w", err)

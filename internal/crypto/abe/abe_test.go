@@ -2,9 +2,14 @@ package abe
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"math/big"
 	"testing"
 
+	"godosn/internal/crypto/prf"
 	"godosn/internal/crypto/pubkey"
+	"godosn/internal/crypto/shamir"
+	"godosn/internal/crypto/symmetric"
 )
 
 func newTestAuthority(t *testing.T) *Authority {
@@ -283,5 +288,56 @@ func TestKPABEEmptyAttributes(t *testing.T) {
 	auth := newTestAuthority(t)
 	if _, err := EncryptKP(pubkey.NewSender(), auth.PublicParams(), nil, []byte("x")); err == nil {
 		t.Fatal("encrypted with empty attribute set")
+	}
+}
+
+// TestMinimalBytesMatchesBytes: the stack encoding seedToKey and shareTree
+// use is byte for byte what big.Int.Bytes returns, across the field and past
+// it.
+func TestMinimalBytesMatchesBytes(t *testing.T) {
+	top := new(big.Int).Sub(shamir.Prime(), big.NewInt(1))
+	for _, v := range []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(255), big.NewInt(256),
+		new(big.Int).Lsh(big.NewInt(1), 248), new(big.Int).Lsh(big.NewInt(1), 255), top,
+		new(big.Int).Lsh(big.NewInt(1), 256), new(big.Int).Lsh(big.NewInt(3), 300),
+	} {
+		var buf [fieldBytes]byte
+		if got := minimalBytes(v, &buf); !bytes.Equal(got, v.Bytes()) {
+			t.Fatalf("minimalBytes(%v) = %x, Bytes = %x", v, got, v.Bytes())
+		}
+	}
+}
+
+// TestOversizedLeafShareOpens: attribute parameters are public, so anyone
+// can seal a single-leaf ciphertext whose share lies outside the Shamir
+// field. It opens under the same key derivation as before, without a panic.
+func TestOversizedLeafShareOpens(t *testing.T) {
+	auth := newTestAuthority(t)
+	params := auth.PublicParams()
+	pol, err := ParsePolicy("relative")
+	if err != nil {
+		t.Fatalf("ParsePolicy: %v", err)
+	}
+	raw := bytes.Repeat([]byte{0xff}, 40)
+	share, err := pubkey.Encrypt(params.Attrs["relative"], raw)
+	if err != nil {
+		t.Fatalf("wrapping the share: %v", err)
+	}
+	h := sha256.Sum256(raw)
+	key, err := prf.Derive(h[:], seedContext, symmetric.KeySize)
+	if err != nil {
+		t.Fatalf("Derive: %v", err)
+	}
+	body, err := symmetric.Seal(key, []byte("outside the field"), []byte(pol.String()))
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	ct := &Ciphertext{Epoch: params.Epoch, Policy: pol, Shares: map[uint32][]byte{1: share}, Body: body}
+	userKey, err := auth.IssueKey([]string{"relative"})
+	if err != nil {
+		t.Fatalf("IssueKey: %v", err)
+	}
+	if got, err := userKey.Decrypt(ct); err != nil || string(got) != "outside the field" {
+		t.Fatalf("Decrypt = %q, %v", got, err)
 	}
 }

@@ -179,7 +179,10 @@ func (b *Broadcast) Size() int {
 // EncryptBroadcast encrypts plaintext to every listed identity. The wraps of
 // the session key go through the broadcaster's sender context, so only an
 // identity the sender has not wrapped to before costs a key agreement; the
-// PKG stays a directory and takes no part in the encryption.
+// PKG stays a directory and takes no part in the encryption. All wraps are
+// written into one buffer; each WrappedKeys entry is a view into it whose
+// capacity ends where the wrap does, so appending to one reallocates rather
+// than overwriting the next.
 func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plaintext []byte) (*Broadcast, error) {
 	if len(recipients) == 0 {
 		return nil, ErrNoRecipients
@@ -188,15 +191,18 @@ func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plain
 	if err != nil {
 		return nil, fmt.Errorf("ibe: generating session key: %w", err)
 	}
+	buf := make([]byte, 0, len(recipients)*(pubkey.CiphertextOverhead()+len(session)))
 	wraps := make([][]byte, len(recipients))
 	for i, id := range recipients {
 		pk, err := p.DirectoryLookup(id)
 		if err != nil {
 			return nil, err
 		}
-		if wraps[i], err = sender.Encrypt(pk, session); err != nil {
+		start := len(buf)
+		if buf, err = sender.EncryptTo(buf, pk, session); err != nil {
 			return nil, fmt.Errorf("ibe: wrapping session key for %q: %w", id, err)
 		}
+		wraps[i] = buf[start:len(buf):len(buf)]
 	}
 	body, err := symmetric.Seal(session, plaintext, nil)
 	if err != nil {

@@ -2,7 +2,9 @@ package ibe
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"godosn/internal/crypto/pubkey"
 )
@@ -169,5 +171,61 @@ func TestBroadcastMalformed(t *testing.T) {
 	b.WrappedKeys = nil
 	if _, err := key.DecryptBroadcast(b); err == nil {
 		t.Fatal("accepted broadcast with missing wraps")
+	}
+}
+
+// TestBroadcastWrapsShareOneBuffer pins the wrap layout: one buffer of
+// len(recipients) wraps of CiphertextOverhead()+32 bytes, each WrappedKeys
+// entry a view whose capacity ends with it, so a caller appending to one
+// wrap changes neither the next wrap nor the body. Every member opens, with
+// its key pair's sender memo cold and then warm.
+func TestBroadcastWrapsShareOneBuffer(t *testing.T) {
+	pkg := newTestPKG(t)
+	recipients := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
+	b, err := pkg.EncryptBroadcast(pubkey.NewSender(), recipients, []byte("eight wraps"))
+	if err != nil {
+		t.Fatalf("EncryptBroadcast: %v", err)
+	}
+	wrapLen := pubkey.CiphertextOverhead() + 32
+	size := len(b.Body)
+	for i, w := range b.WrappedKeys {
+		if len(w) != wrapLen || cap(w) != wrapLen {
+			t.Fatalf("wrap %d: len %d cap %d, want both %d", i, len(w), cap(w), wrapLen)
+		}
+		if i > 0 && uintptr(unsafe.Pointer(unsafe.SliceData(w)))-uintptr(unsafe.Pointer(unsafe.SliceData(b.WrappedKeys[i-1]))) != uintptr(wrapLen) {
+			t.Fatalf("wrap %d does not follow wrap %d in one buffer", i, i-1)
+		}
+		size += len(recipients[i]) + wrapLen
+	}
+	if b.Size() != size {
+		t.Fatalf("Size() = %d, want %d", b.Size(), size)
+	}
+
+	snapshot := func() [][]byte {
+		out := [][]byte{bytes.Clone(b.Body)}
+		for _, w := range b.WrappedKeys {
+			out = append(out, bytes.Clone(w))
+		}
+		return out
+	}
+	before := snapshot()
+	for i := range b.WrappedKeys {
+		grown := append(b.WrappedKeys[i], 0xff, 0xff, 0xff)
+		grown[0] ^= 0xff // the grown copy is the caller's, not the broadcast's
+	}
+	if after := snapshot(); !reflect.DeepEqual(before, after) {
+		t.Fatal("appending to a wrap changed another wrap or the body")
+	}
+
+	for _, phase := range []string{"cold", "warm"} {
+		for _, id := range recipients {
+			key, err := pkg.Extract(id)
+			if err != nil {
+				t.Fatalf("Extract(%s): %v", id, err)
+			}
+			if got, err := key.DecryptBroadcast(b); err != nil || string(got) != "eight wraps" {
+				t.Fatalf("%s: %s read: %q, %v", phase, id, got, err)
+			}
+		}
 	}
 }

@@ -9,12 +9,13 @@
 package prf
 
 import (
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
+	"sync"
 )
 
 // SecretSize is the size in bytes of a PRF secret.
@@ -43,9 +44,13 @@ func Eval(s Secret, x []byte) ([]byte, error) {
 	if len(s) == 0 {
 		return nil, ErrEmptySecret
 	}
-	mac := hmac.New(sha256.New, s)
-	mac.Write(x)
-	return mac.Sum(nil), nil
+	st := acquire(s)
+	st.msg = append(st.msg[:0], x...)
+	st.mac()
+	out := make([]byte, OutputSize)
+	copy(out, st.sum[:])
+	st.release()
+	return out, nil
 }
 
 // Derive expands a seed into length bytes of key material bound to the given
@@ -57,17 +62,95 @@ func Derive(seed []byte, context string, length int) ([]byte, error) {
 	if length <= 0 || length > 255*OutputSize {
 		return nil, fmt.Errorf("prf: invalid derive length %d", length)
 	}
-	var (
-		out  = make([]byte, 0, length)
-		prev []byte
-	)
-	for counter := byte(1); len(out) < length; counter++ {
-		mac := hmac.New(sha256.New, seed)
-		mac.Write(prev)
-		mac.Write([]byte(context))
-		mac.Write([]byte{counter})
-		prev = mac.Sum(nil)
-		out = append(out, prev...)
+	out := make([]byte, length)
+	st := acquire(seed)
+	for counter, off := byte(1), 0; off < length; counter++ {
+		// T(i) = HMAC(seed, T(i-1) || context || i), T(0) empty.
+		st.msg = st.msg[:0]
+		if counter > 1 {
+			st.msg = append(st.msg, st.sum[:]...)
+		}
+		st.msg = append(st.msg, context...)
+		st.msg = append(st.msg, counter)
+		st.mac()
+		off += copy(out[off:], st.sum[:])
 	}
-	return out[:length], nil
+	st.release()
+	return out, nil
+}
+
+// state is the scratch of one HMAC-SHA256 computation (RFC 2104): the two
+// digests, the key XORed into the inner and outer pad blocks, the last MAC,
+// and the message being MACed. States are pooled, so a Derive or Eval
+// allocates only the output it returns; every key-derived byte is zeroed
+// before a state goes back to the pool.
+type state struct {
+	inner, outer hash.Hash
+	ipad, opad   [sha256.BlockSize]byte
+	sum          [sha256.Size]byte
+	msg          []byte
+}
+
+// maxPooledMsg bounds the message buffer a pooled state keeps: a caller with
+// a very long context or input does not pin that much memory in the pool.
+const maxPooledMsg = 1 << 10
+
+var states = sync.Pool{New: func() any {
+	return &state{inner: sha256.New(), outer: sha256.New()}
+}}
+
+// acquire takes a state from the pool keyed for HMAC under key. A key longer
+// than a block is replaced by its hash, as RFC 2104 requires.
+func acquire(key []byte) *state {
+	st := states.Get().(*state)
+	if len(key) > sha256.BlockSize {
+		st.sum = sha256.Sum256(key)
+		key = st.sum[:]
+	}
+	// Both pads are all zero here (fresh or released), so the key bytes
+	// followed by zeros are XORed with the pad constants.
+	copy(st.ipad[:], key)
+	copy(st.opad[:], key)
+	for i := range st.ipad {
+		st.ipad[i] ^= 0x36
+		st.opad[i] ^= 0x5c
+	}
+	return st
+}
+
+// mac sets st.sum to HMAC(key, st.msg).
+func (st *state) mac() {
+	st.inner.Reset()
+	st.inner.Write(st.ipad[:])
+	st.inner.Write(st.msg)
+	st.inner.Sum(st.sum[:0])
+	st.outer.Reset()
+	st.outer.Write(st.opad[:])
+	st.outer.Write(st.sum[:])
+	st.outer.Sum(st.sum[:0])
+}
+
+// zeros is written through a digest to overwrite its block buffer.
+var zeros [sha256.BlockSize]byte
+
+// release zeroes everything the key or the message reached and returns the
+// state to the pool. A digest's block buffer still holds the tail of its last
+// message (the inner one part of st.msg, the outer one the inner MAC), and
+// Reset does not clear it: one byte, then the rest of a block, fills all of
+// it with zeros.
+func (st *state) release() {
+	clear(st.ipad[:])
+	clear(st.opad[:])
+	clear(st.sum[:])
+	clear(st.msg[:cap(st.msg)])
+	if cap(st.msg) > maxPooledMsg {
+		st.msg = nil
+	}
+	for _, h := range [...]hash.Hash{st.inner, st.outer} {
+		h.Reset()
+		h.Write(zeros[:1])
+		h.Write(zeros[1:])
+		h.Reset()
+	}
+	states.Put(st)
 }

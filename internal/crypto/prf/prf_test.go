@@ -2,6 +2,9 @@ package prf
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -105,5 +108,117 @@ func TestQuickEvalInjectivityOnInputs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pattern returns n bytes that differ with n and tag, so no two test inputs
+// of one length coincide.
+func pattern(n int, tag byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = tag + byte(i*7+n)
+	}
+	return b
+}
+
+func TestEvalMatchesHMAC(t *testing.T) {
+	for _, keyLen := range []int{1, 32, 63, 64, 65, 200} {
+		for _, msgLen := range []int{0, 1, 16, 55, 56, 64, 65, 300} {
+			key, msg := pattern(keyLen, 3), pattern(msgLen, 4)
+			got, err := Eval(key, msg)
+			if err != nil {
+				t.Fatalf("Eval: %v", err)
+			}
+			mac := hmac.New(sha256.New, key)
+			mac.Write(msg)
+			if want := mac.Sum(nil); !bytes.Equal(got, want) {
+				t.Fatalf("Eval(key %d B, msg %d B) differs from crypto/hmac", keyLen, msgLen)
+			}
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
+func TestDeriveAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops states at random under the race detector")
+	}
+	seed := pattern(32, 5)
+	Derive(seed, "godosn/abe/seed-v1", 32) // fill the pool
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := Derive(seed, "godosn/abe/seed-v1", 32); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Fatalf("Derive: %v allocs/op, want at most 1 (the output)", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := Eval(seed, seed); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Fatalf("Eval: %v allocs/op, want at most 1 (the output)", got)
+	}
+}
+
+// digestBuffer reads a SHA-256 digest's block buffer by reflection; ok is
+// false when the standard library's layout no longer has one named x.
+func digestBuffer(h any) (buf []byte, ok bool) {
+	v := reflect.ValueOf(h)
+	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
+		return nil, false
+	}
+	x := v.Elem().FieldByName("x")
+	if !x.IsValid() || x.Kind() != reflect.Array || x.Type().Elem().Kind() != reflect.Uint8 {
+		return nil, false
+	}
+	for i := 0; i < x.Len(); i++ {
+		buf = append(buf, byte(x.Index(i).Uint()))
+	}
+	return buf, true
+}
+
+// TestDeriveWipesPooledState takes states back out of the pool after Derive
+// and Eval with long keys and contexts: pads, sum, message buffer and the
+// digests' block buffers must hold only zeros.
+func TestDeriveWipesPooledState(t *testing.T) {
+	zero := func(b []byte) bool { return bytes.Count(b, []byte{0}) == len(b) }
+	reused := 0
+	for i := 0; i < 100 && reused < 10; i++ {
+		if i%2 == 0 {
+			Derive(pattern(100, byte(i)), string(pattern(150, 6)), 100)
+		} else {
+			Eval(pattern(40, byte(i)), pattern(90, 7))
+		}
+		st := states.Get().(*state)
+		if !zero(st.ipad[:]) || !zero(st.opad[:]) || !zero(st.sum[:]) || !zero(st.msg[:cap(st.msg)]) {
+			t.Fatalf("pooled state holds key-derived bytes: ipad %x opad %x sum %x msg %x", st.ipad, st.opad, st.sum, st.msg[:cap(st.msg)])
+		}
+		for name, h := range map[string]any{"inner": st.inner, "outer": st.outer} {
+			if buf, ok := digestBuffer(h); ok && !zero(buf) {
+				t.Fatalf("pooled %s digest's block buffer holds %x", name, buf)
+			} else if !ok && i == 0 {
+				t.Logf("%T has no block buffer named x; digest wipe not checked", h)
+			}
+		}
+		if cap(st.msg) > 0 {
+			reused++
+		}
+		states.Put(st)
+	}
+	if reused == 0 {
+		t.Fatal("never got a used state back from the pool")
+	}
+}
+
+func BenchmarkDerive(b *testing.B) {
+	seed := pattern(32, 8)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Derive(seed, "godosn/abe/seed-v1", 32); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -105,6 +105,46 @@ func TestSenderRoundTripAndLayout(t *testing.T) {
 	}
 }
 
+// TestEncryptTo appends a wrap after bytes already in dst, with and without
+// spare capacity: those bytes stay as they were, the appended wrap opens with
+// Decrypt, and Encrypt's own result is exactly one wrap long.
+func TestEncryptTo(t *testing.T) {
+	kp, s := newTestKeyPair(t), NewSender()
+	pt := []byte("session key")
+	prefix := []byte("already here")
+	for _, spare := range []int{0, CiphertextOverhead() + len(pt), 1000} {
+		dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
+		out, err := s.EncryptTo(dst, kp.Public(), pt)
+		if err != nil {
+			t.Fatalf("spare %d: EncryptTo: %v", spare, err)
+		}
+		if !bytes.Equal(dst, prefix) || !bytes.Equal(out[:len(prefix)], prefix) {
+			t.Fatalf("spare %d: EncryptTo changed the bytes already in dst", spare)
+		}
+		if len(out) != len(prefix)+CiphertextOverhead()+len(pt) {
+			t.Fatalf("spare %d: appended %d bytes, want %d", spare, len(out)-len(prefix), CiphertextOverhead()+len(pt))
+		}
+		if got, err := kp.Decrypt(out[len(prefix):]); err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("spare %d: Decrypt = %q, %v", spare, got, err)
+		}
+	}
+	ct := mustEncrypt(t, s, kp, pt)
+	if want := CiphertextOverhead() + len(pt); len(ct) != want || cap(ct) != want {
+		t.Fatalf("Encrypt: len %d cap %d, want both %d", len(ct), cap(ct), want)
+	}
+	if _, err := s.EncryptTo(nil, nil, pt); err != ErrNilKey {
+		t.Fatalf("EncryptTo to a nil key: %v", err)
+	}
+	buf := make([]byte, 0, CiphertextOverhead()+len(pt))
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := s.EncryptTo(buf[:0], kp.Public(), pt); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("warm EncryptTo with room in dst: %v allocs/op, want 0", got)
+	}
+}
+
 // TestDecryptKnownCiphertext opens a ciphertext recorded when the v2 key
 // derivation landed: a change to the layout or the KDF info fails here
 // before it strands stored wraps.

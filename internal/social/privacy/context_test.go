@@ -224,16 +224,17 @@ func TestABERevokedReaderWithWarmContext(t *testing.T) {
 }
 
 // TestContextEncryptAllocations pins what a post costs once the sender
-// context is warm: per-recipient wraps are one buffer each, and the ABE
-// group no longer rebuilds the authority's attribute map.
+// context is warm: an IBBE post writes its 8 wraps into one buffer, the
+// payload key derivation allocates only the key, and the ABE group no longer
+// rebuilds the authority's attribute map.
 func TestContextEncryptAllocations(t *testing.T) {
 	names := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
 	for _, tc := range []struct {
 		g       Group
 		ceiling float64
 	}{
-		{buildIBBE(t), 18}, // 8 wraps + session key, body, broadcast and envelope bookkeeping
-		{buildABE(t), 26},
+		{buildIBBE(t), 10}, // session key, wrap buffer and its views, body, broadcast and envelope bookkeeping
+		{buildABE(t), 17},
 	} {
 		for _, m := range names {
 			if err := tc.g.Add(m); err != nil {
@@ -250,5 +251,37 @@ func TestContextEncryptAllocations(t *testing.T) {
 			t.Fatalf("%s Encrypt at %d members: %v allocs/op, ceiling %v", tc.g.Scheme(), len(names), got, tc.ceiling)
 		}
 		t.Logf("%s Encrypt at %d members: %v allocs/op", tc.g.Scheme(), len(names), got)
+	}
+}
+
+// TestABEColdOpenAllocations pins a reader's open without a key cache once
+// its attribute secret's memo is warm: the share unwrap, the payload key
+// derivation and the body open.
+func TestABEColdOpenAllocations(t *testing.T) {
+	g := buildABE(t)
+	for _, m := range hotMembers {
+		if err := g.Add(m); err != nil {
+			t.Fatalf("Add(%s): %v", m, err)
+		}
+	}
+	env, err := g.Encrypt(hotPost)
+	if err != nil {
+		t.Fatalf("Encrypt: %v", err)
+	}
+	ct, key := env.Payload.(*abe.Ciphertext), g.keys[hotMembers[3]]
+	open := func() {
+		sym, err := key.RecoverKey(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt, err := abe.OpenBody(sym, ct); err != nil || !bytes.Equal(pt, hotPost) {
+			t.Fatalf("OpenBody = %d bytes, %v", len(pt), err)
+		}
+	}
+	open() // the attribute secret authenticates the group's sender once
+	if got := testing.AllocsPerRun(100, open); got > 11 {
+		t.Fatalf("ABE cold open: %v allocs/op, ceiling 11", got)
+	} else {
+		t.Logf("ABE cold open: %v allocs/op", got)
 	}
 }
