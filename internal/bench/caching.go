@@ -183,7 +183,7 @@ func runE21Arm(cached bool, peers, keys, ops int) (e21Result, error) {
 			// cache's hottest entries keep getting invalidated.
 			val := []byte(fmt.Sprintf("v-%s-rot-%d", key, i))
 			st, err := kv.Store(client, key, val)
-			total.Add(st)
+			total.Add(&st)
 			if err != nil {
 				return res, fmt.Errorf("bench: e21 rotating store: %w", err)
 			}
@@ -192,7 +192,7 @@ func runE21Arm(cached bool, peers, keys, ops int) (e21Result, error) {
 			continue
 		}
 		v, st, err := kv.Lookup(client, key)
-		total.Add(st)
+		total.Add(&st)
 		if err != nil {
 			return res, fmt.Errorf("bench: e21 lookup %s: %w", key, err)
 		}

@@ -158,7 +158,7 @@ func (s soak) run(st *stack.Stack) (soakResult, error) {
 			if err != nil {
 				return res, err
 			}
-			res.total.Add(report.Stats)
+			res.total.Add(&report.Stats)
 			s.done(sp)
 		}
 
@@ -168,7 +168,7 @@ func (s soak) run(st *stack.Stack) (soakResult, error) {
 			if err != nil {
 				return res, err
 			}
-			res.total.Add(rep.Stats)
+			res.total.Add(&rep.Stats)
 			res.detected += rep.CorruptCopies
 			res.repaired += rep.RepairedWrites
 			s.done(sp)
@@ -177,7 +177,7 @@ func (s soak) run(st *stack.Stack) (soakResult, error) {
 		key := allKeys[i%len(allKeys)]
 		sp := s.span("get")
 		v, stats, err := front.LookupSpan(sp, st.Client, key)
-		res.total.Add(stats)
+		res.total.Add(&stats)
 		if err == nil {
 			res.ok++
 			if !bytes.Equal(v, expected[key]) {

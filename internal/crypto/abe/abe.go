@@ -230,14 +230,16 @@ func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaint
 // shareTree recursively Shamir-shares secret down the policy tree, wrapping
 // leaf shares to the leaf attribute parameters. Leaf share indices are
 // assigned depth-first and recorded in ct.Shares; internal structure is
-// reproducible from the public policy, so only leaf wraps are stored.
+// reproducible from the public policy, so only leaf wraps are stored. Every
+// share is wrapped as a full field element, so a ciphertext's size depends on
+// its policy and plaintext only, never on the share values.
 func shareTree(sender *pubkey.Sender, params *PublicParams, node *Policy, secret *big.Int, ct *Ciphertext, nextIdx *uint32) error {
 	if node.Kind == GateLeaf {
 		idx := *nextIdx
 		*nextIdx++
 		pk := params.Attrs[node.Attribute]
 		var buf [fieldBytes]byte
-		wrapped, err := sender.Encrypt(pk, minimalBytes(secret, &buf))
+		wrapped, err := sender.Encrypt(pk, secret.FillBytes(buf[:]))
 		if err != nil {
 			return fmt.Errorf("abe: wrapping share for %q: %w", node.Attribute, err)
 		}
@@ -374,9 +376,9 @@ func (p *Policy) leafCount() uint32 {
 const fieldBytes = 32
 
 // minimalBytes writes v into buf and returns the bytes v.Bytes() would
-// allocate: big-endian, no leading zeros. Only a value outside the field is
-// longer — a share someone wrapped by hand to a public attribute parameter —
-// and it takes Bytes' allocation.
+// allocate: big-endian, no leading zeros; seedToKey hashes it, so it defines
+// the keys. Only a value outside the field is longer — a share someone wrapped
+// by hand to a public attribute parameter — and it takes Bytes' allocation.
 func minimalBytes(v *big.Int, buf *[fieldBytes]byte) []byte {
 	n := (v.BitLen() + 7) / 8
 	if n > fieldBytes {

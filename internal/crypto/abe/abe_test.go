@@ -291,9 +291,73 @@ func TestKPABEEmptyAttributes(t *testing.T) {
 	}
 }
 
-// TestMinimalBytesMatchesBytes: the stack encoding seedToKey and shareTree
-// use is byte for byte what big.Int.Bytes returns, across the field and past
-// it.
+// TestShortShareWrapsFullWidth: a share with leading zero bytes is wrapped as
+// a 32-byte field element and still recovers the secret it encodes.
+func TestShortShareWrapsFullWidth(t *testing.T) {
+	auth := newTestAuthority(t)
+	pol, err := ParsePolicy("relative")
+	if err != nil {
+		t.Fatalf("ParsePolicy: %v", err)
+	}
+	secret := new(big.Int).Lsh(big.NewInt(1), 247) // below 2^248: one leading zero byte
+	ct := &Ciphertext{Epoch: auth.PublicParams().Epoch, Policy: pol, Shares: make(map[uint32][]byte)}
+	var nextIdx uint32 = 1
+	if err := shareTree(pubkey.NewSender(), auth.PublicParams(), pol, secret, ct, &nextIdx); err != nil {
+		t.Fatalf("shareTree: %v", err)
+	}
+	key, err := auth.IssueKey([]string{"relative"})
+	if err != nil {
+		t.Fatalf("IssueKey: %v", err)
+	}
+	raw, err := key.secrets["relative"].Decrypt(ct.Shares[1])
+	if err != nil {
+		t.Fatalf("unwrapping the share: %v", err)
+	}
+	if len(raw) != fieldBytes {
+		t.Fatalf("share wrapped as %d bytes, want %d", len(raw), fieldBytes)
+	}
+	nextIdx = 1
+	got, err := recoverTree(key, pol, ct, &nextIdx)
+	if err != nil || got.Cmp(secret) != 0 {
+		t.Fatalf("recovered %v, %v; want %v", got, err, secret)
+	}
+}
+
+// TestCiphertextSizeIsFixed: one policy and plaintext give one ciphertext
+// size, whatever the sampled seed and shares, in both ABE flavours. Shares
+// are uniform in the field, so about 1 in 256 has a leading zero byte; 200
+// encryptions of four shares each would meet one almost surely.
+func TestCiphertextSizeIsFixed(t *testing.T) {
+	auth := newTestAuthority(t)
+	params := auth.PublicParams()
+	pol, err := ParsePolicy("(relative AND doctor AND painter AND friend)")
+	if err != nil {
+		t.Fatalf("ParsePolicy: %v", err)
+	}
+	sender := pubkey.NewSender()
+	attrs := []string{"relative", "doctor", "painter", "friend"}
+	pt := []byte("same payload")
+	var cpSize, kpSize int
+	for i := 0; i < 200; i++ {
+		ct, err := Encrypt(sender, params, pol, pt)
+		if err != nil {
+			t.Fatalf("Encrypt: %v", err)
+		}
+		kct, err := EncryptKP(sender, params, attrs, pt)
+		if err != nil {
+			t.Fatalf("EncryptKP: %v", err)
+		}
+		if i == 0 {
+			cpSize, kpSize = ct.Size(), kct.Size()
+		}
+		if ct.Size() != cpSize || kct.Size() != kpSize {
+			t.Fatalf("encryption %d: sizes %d/%d, want %d/%d", i, ct.Size(), kct.Size(), cpSize, kpSize)
+		}
+	}
+}
+
+// TestMinimalBytesMatchesBytes: the encoding seedToKey hashes is byte for
+// byte what big.Int.Bytes returns, across the field and past it.
 func TestMinimalBytesMatchesBytes(t *testing.T) {
 	top := new(big.Int).Sub(shamir.Prime(), big.NewInt(1))
 	for _, v := range []*big.Int{

@@ -103,13 +103,15 @@ func EncryptKP(sender *pubkey.Sender, params *PublicParams, attributes []string,
 	seed := new(big.Int).SetBytes(seedKey)
 	seed.Mod(seed, shamir.Prime())
 
+	var buf [fieldBytes]byte
+	seed.FillBytes(buf[:]) // full width, as shareTree wraps shares
 	wraps := make(map[string][]byte, len(attrs))
 	for _, attr := range attrs {
 		pk, ok := params.Attrs[attr]
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownAttr, attr)
 		}
-		wrapped, err := sender.Encrypt(pk, seed.Bytes())
+		wrapped, err := sender.Encrypt(pk, buf[:])
 		if err != nil {
 			return nil, fmt.Errorf("abe: wrapping seed for %q: %w", attr, err)
 		}

@@ -202,13 +202,13 @@ func (o *Overlay) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
 			if resp, ok := reply.Payload.(probeResp); ok && resp.Found {
 				o.recordDemand(key)
 				o.maybePush(tr, n, key, resp.Value)
-				return resp.Value, stats(tr), nil
+				return resp.Value, *tr, nil
 			}
 		}
 	}
 	// Structured fallback for rare items.
 	value, dhtStats, err := o.dht.Lookup(origin, key)
-	total := stats(tr)
+	total := *tr
 	total.Hops += dhtStats.Hops
 	total.Messages += dhtStats.Messages
 	total.Bytes += dhtStats.Bytes
@@ -258,8 +258,4 @@ func (o *Overlay) maybePush(tr *simnet.Trace, n *node, key string, value []byte)
 			Kind: kindPush, Payload: pushReq{Key: key, Value: value}, Size: len(key) + len(value),
 		})
 	}
-}
-
-func stats(tr *simnet.Trace) overlay.OpStats {
-	return overlay.OpStats{Hops: tr.Hops, Messages: tr.Messages, Bytes: tr.Bytes, Latency: tr.Latency}
 }

@@ -295,7 +295,7 @@ func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, 
 			}
 		}
 	}
-	return errs, stats(tr), nil
+	return errs, *tr, nil
 }
 
 // putGroup writes one root group's keys to the group's replica set: one
@@ -396,7 +396,7 @@ func (d *DHT) GetBatch(origin string, keys []string) ([]overlay.BatchResult, ove
 			results[idx].Err = err
 		}
 	}
-	return results, stats(tr), nil
+	return results, *tr, nil
 }
 
 // getGroup reads one root group's keys: replicas in ring order, one shared

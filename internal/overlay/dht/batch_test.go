@@ -115,7 +115,7 @@ func TestBatchCheaperThanSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Store(%s): %v", key, err)
 		}
-		seqPut.Add(st)
+		seqPut.Add(&st)
 	}
 	_, batPut, err := batD.PutBatch(string(batNames[0]), keys, vals)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestBatchCheaperThanSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Lookup(%s): %v", key, err)
 		}
-		seqGet.Add(st)
+		seqGet.Add(&st)
 	}
 	_, batGet, err := batD.GetBatch(string(batNames[1]), keys)
 	if err != nil {

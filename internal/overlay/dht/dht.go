@@ -154,7 +154,8 @@ const (
 // carries the slot the handler writes it into, and the reply message points
 // at that slot: the pointer is valid until the operation owning the request
 // returns. Callers still read the answer from reply.Payload, never from the
-// slot, so what a Byzantine responder substitutes is what they see.
+// slot, so what a Byzantine responder substitutes is what they see; the
+// substitute is a private copy (byzantine.go), never the slot itself.
 type findSuccessorReq struct {
 	Key   uint64
 	reply findSuccessorResp
@@ -360,7 +361,7 @@ func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (o
 	route.AddLatency(tr.Latency)
 	route.End(spanOutcome(err))
 	if err != nil {
-		return stats(tr), err
+		return *tr, err
 	}
 	v := d.view()
 	replicas := v.placementOf(f.ids[:0], root, d.replica)
@@ -393,14 +394,14 @@ func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (o
 		// operation as possibly landed (stores are idempotent, so
 		// retrying is safe).
 		if ackLost != nil {
-			return stats(tr), fmt.Errorf("dht: store unacked, may have been applied: %w", ackLost)
+			return *tr, fmt.Errorf("dht: store unacked, may have been applied: %w", ackLost)
 		}
 		if lastErr != nil {
-			return stats(tr), fmt.Errorf("%w: %w", overlay.ErrUnavailable, lastErr)
+			return *tr, fmt.Errorf("%w: %w", overlay.ErrUnavailable, lastErr)
 		}
-		return stats(tr), overlay.ErrUnavailable
+		return *tr, overlay.ErrUnavailable
 	}
-	return stats(tr), nil
+	return *tr, nil
 }
 
 // Lookup implements overlay.KV: it routes to the key's successor and falls
@@ -422,7 +423,7 @@ func (d *DHT) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overla
 	route.AddLatency(tr.Latency)
 	route.End(spanOutcome(err))
 	if err != nil {
-		return nil, stats(tr), err
+		return nil, *tr, err
 	}
 	v := d.view()
 	replicas := v.successorsOf(f.ids[:0], root, d.replica)
@@ -445,16 +446,16 @@ func (d *DHT) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overla
 		resp, ok := reply.Payload.(*fetchResp)
 		if !ok || resp == nil {
 			fsp.End("error")
-			return nil, stats(tr), fmt.Errorf("dht: bad fetch reply")
+			return nil, *tr, fmt.Errorf("dht: bad fetch reply")
 		}
 		if resp.Found {
 			fsp.End("ok")
-			return resp.Value, stats(tr), nil
+			return resp.Value, *tr, nil
 		}
 		fsp.End("miss")
 		lastErr = overlay.ErrNotFound
 	}
-	return nil, stats(tr), lastErr
+	return nil, *tr, lastErr
 }
 
 // spanOutcome renders an operation error as a span outcome tag.
@@ -479,8 +480,4 @@ func spanOutcome(err error) string {
 	default:
 		return "error"
 	}
-}
-
-func stats(tr *simnet.Trace) overlay.OpStats {
-	return overlay.OpStats{Hops: tr.Hops, Messages: tr.Messages, Bytes: tr.Bytes, Latency: tr.Latency}
 }

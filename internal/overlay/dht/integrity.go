@@ -30,11 +30,10 @@ type digestReq struct {
 	Nonce uint64
 }
 
-// digestResp carries the roots as byte slices (not arrays) deliberately: a
-// Byzantine responder can then corrupt them like any other payload, which
-// makes the scrubber drill down to full value comparison instead of
-// trusting a lying summary. Fresh is the nonce-bound root, State the
-// nonce-free one (overlay.Digest).
+// digestResp carries the nonce-bound root (Fresh) and the nonce-free one
+// (State) of overlay.Digest. Both are corruptible (byzantine.go), so a lying
+// summary makes the scrubber drill down to full value comparison instead of
+// being trusted.
 type digestResp struct {
 	Fresh []byte
 	State []byte
@@ -55,7 +54,7 @@ func (d *DHT) StoreTo(origin, key string, value []byte, replica string) (overlay
 		Payload: &f.store,
 		Size:    len(key) + len(value),
 	})
-	return stats(&f.tr), err
+	return f.tr, err
 }
 
 // DigestFrom implements overlay.DigestKV: one RPC retrieving the Merkle
@@ -65,7 +64,7 @@ func (d *DHT) DigestFrom(origin string, keys []string, nonce uint64, replica str
 	tr := &simnet.Trace{}
 	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
-		return overlay.Digest{}, stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
+		return overlay.Digest{}, *tr, fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
 	size := 8
 	for _, k := range keys {
@@ -77,16 +76,16 @@ func (d *DHT) DigestFrom(origin string, keys []string, nonce uint64, replica str
 		Size:    size,
 	})
 	if err != nil {
-		return overlay.Digest{}, stats(tr), err
+		return overlay.Digest{}, *tr, err
 	}
 	resp, ok := reply.Payload.(digestResp)
 	if !ok || len(resp.Fresh) != 32 || len(resp.State) != 32 {
-		return overlay.Digest{}, stats(tr), fmt.Errorf("dht: bad digest reply")
+		return overlay.Digest{}, *tr, fmt.Errorf("dht: bad digest reply")
 	}
 	var dg overlay.Digest
 	copy(dg.Fresh[:], resp.Fresh)
 	copy(dg.State[:], resp.State)
-	return dg, stats(tr), nil
+	return dg, *tr, nil
 }
 
 // localDigest computes a node's digests over its copies of keys —

@@ -33,13 +33,11 @@ type digestBatchReq struct {
 	Nonce  uint64
 }
 
-// digestBatchResp carries one root pair per group as [][]byte deliberately
-// — the same reasoning as digestResp: byte-slice fields are corruptible by
-// Byzantine reply mutation, and simnet mutates every element of a batch
-// value list, so a lying batch summary corrupts every group's digest and
-// causes drill-downs across the board instead of being trusted (a flat
-// concatenation would let a single bit flip hide in one group while the
-// rest short-circuit as clean).
+// digestBatchResp carries one root pair per group. Each group's roots are
+// corrupted on their own (byzantine.go), so a lying batch summary corrupts
+// every group's digest and causes drill-downs across the board instead of
+// being trusted (a flat concatenation would let a single bit flip hide in
+// one group while the rest short-circuit as clean).
 type digestBatchResp struct {
 	Fresh [][]byte
 	State [][]byte
@@ -68,7 +66,7 @@ func (d *DHT) FetchBatchFrom(origin string, keys []string, replica string) ([]ov
 	tr := &simnet.Trace{}
 	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
-		return nil, stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
+		return nil, *tr, fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
 	size := batchEnvelopeOverhead
 	for _, k := range keys {
@@ -80,11 +78,11 @@ func (d *DHT) FetchBatchFrom(origin string, keys []string, replica string) ([]ov
 		Size:    size,
 	})
 	if err != nil {
-		return nil, stats(tr), err
+		return nil, *tr, err
 	}
 	resp, ok := reply.Payload.(fetchBatchResp)
 	if !ok || len(resp.Found) != len(keys) || len(resp.Values) != len(keys) {
-		return nil, stats(tr), fmt.Errorf("dht: bad fetch_batch reply")
+		return nil, *tr, fmt.Errorf("dht: bad fetch_batch reply")
 	}
 	results := make([]overlay.BatchResult, len(keys))
 	for i := range keys {
@@ -94,7 +92,7 @@ func (d *DHT) FetchBatchFrom(origin string, keys []string, replica string) ([]ov
 			results[i].Err = overlay.ErrNotFound
 		}
 	}
-	return results, stats(tr), nil
+	return results, *tr, nil
 }
 
 // StoreBatchTo implements overlay.BatchRepairKV: one store_batch envelope
@@ -107,7 +105,7 @@ func (d *DHT) StoreBatchTo(origin string, keys []string, values [][]byte, replic
 	tr := &simnet.Trace{}
 	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
-		return nil, stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
+		return nil, *tr, fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
 	size := batchEnvelopeOverhead
 	for i := range keys {
@@ -119,9 +117,9 @@ func (d *DHT) StoreBatchTo(origin string, keys []string, values [][]byte, replic
 		Size:    size,
 	})
 	if err != nil {
-		return nil, stats(tr), err
+		return nil, *tr, err
 	}
-	return make([]error, len(keys)), stats(tr), nil
+	return make([]error, len(keys)), *tr, nil
 }
 
 // DigestBatchFrom implements overlay.BatchDigestKV: one digest_batch
@@ -131,7 +129,7 @@ func (d *DHT) DigestBatchFrom(origin string, groups [][]string, nonce uint64, re
 	tr := &simnet.Trace{}
 	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
-		return nil, stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
+		return nil, *tr, fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
 	size := batchEnvelopeOverhead + 8
 	for _, keys := range groups {
@@ -146,21 +144,21 @@ func (d *DHT) DigestBatchFrom(origin string, groups [][]string, nonce uint64, re
 		Size:    size,
 	})
 	if err != nil {
-		return nil, stats(tr), err
+		return nil, *tr, err
 	}
 	resp, ok := reply.Payload.(digestBatchResp)
 	if !ok || len(resp.Fresh) != len(groups) || len(resp.State) != len(groups) {
-		return nil, stats(tr), fmt.Errorf("dht: bad digest_batch reply")
+		return nil, *tr, fmt.Errorf("dht: bad digest_batch reply")
 	}
 	out := make([]overlay.Digest, len(groups))
 	for i := range groups {
 		if len(resp.Fresh[i]) != 32 || len(resp.State[i]) != 32 {
-			return nil, stats(tr), fmt.Errorf("dht: bad digest_batch reply")
+			return nil, *tr, fmt.Errorf("dht: bad digest_batch reply")
 		}
 		copy(out[i].Fresh[:], resp.Fresh[i])
 		copy(out[i].State[:], resp.State[i])
 	}
-	return out, stats(tr), nil
+	return out, *tr, nil
 }
 
 // PlanReplicas returns the replica candidate set for key from the DHT's own

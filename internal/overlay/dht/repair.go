@@ -55,9 +55,9 @@ func (d *DHT) ReplicasFor(origin, key string) ([]string, overlay.OpStats, error)
 	defer returnFrame(f)
 	root, err := d.resolveRoot(f, nil, simnet.NodeID(origin), key, hashID(key))
 	if err != nil {
-		return nil, stats(&f.tr), err
+		return nil, f.tr, err
 	}
-	return d.replicaPlan(root), stats(&f.tr), nil
+	return d.replicaPlan(root), f.tr, nil
 }
 
 // replicaPlan computes the candidate list for a resolved root: the
@@ -126,16 +126,16 @@ func (d *DHT) LookupFrom(origin, key, replica string) ([]byte, overlay.OpStats, 
 		Size:    len(key),
 	})
 	if err != nil {
-		return nil, stats(tr), err
+		return nil, *tr, err
 	}
 	resp, ok := reply.Payload.(*fetchResp)
 	if !ok || resp == nil {
-		return nil, stats(tr), fmt.Errorf("dht: bad fetch reply")
+		return nil, *tr, fmt.Errorf("dht: bad fetch reply")
 	}
 	if !resp.Found {
-		return nil, stats(tr), overlay.ErrNotFound
+		return nil, *tr, overlay.ErrNotFound
 	}
-	return resp.Value, stats(tr), nil
+	return resp.Value, *tr, nil
 }
 
 // Heal implements overlay.Healer: one anti-entropy pass. Every online
@@ -391,7 +391,7 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 		}
 	}
 	report.Unrepairable = len(failed)
-	report.Stats = stats(tr)
+	report.Stats = *tr
 	if report.Repaired > 0 {
 		// Copies moved: memoized routes may predate the repaired layout.
 		d.bumpRoutes()

@@ -412,7 +412,7 @@ func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
 			report.Unrepairable++
 		}
 	}
-	report.Stats = stats(tr)
+	report.Stats = *tr
 	if report.Repaired > 0 {
 		// Copies moved: memoized routes may predate the repaired layout.
 		d.bumpRoutes()

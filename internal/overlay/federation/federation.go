@@ -169,7 +169,7 @@ func (f *Federation) Store(origin, key string, value []byte) (overlay.OpStats, e
 		Payload: putReq{Key: key, Value: value},
 		Size:    len(key) + len(value),
 	})
-	return stats(tr), err
+	return *tr, err
 }
 
 // Lookup implements overlay.KV.
@@ -185,16 +185,16 @@ func (f *Federation) Lookup(origin, key string) ([]byte, overlay.OpStats, error)
 		Size:    len(key),
 	})
 	if err != nil {
-		return nil, stats(tr), err
+		return nil, *tr, err
 	}
 	resp, ok := reply.Payload.(getResp)
 	if !ok {
-		return nil, stats(tr), fmt.Errorf("federation: bad get reply")
+		return nil, *tr, fmt.Errorf("federation: bad get reply")
 	}
 	if !resp.Found {
-		return nil, stats(tr), overlay.ErrNotFound
+		return nil, *tr, overlay.ErrNotFound
 	}
-	return resp.Value, stats(tr), nil
+	return resp.Value, *tr, nil
 }
 
 // ServerNames returns the synthetic server node IDs (for churn injection).
@@ -204,8 +204,4 @@ func (f *Federation) ServerNames() []simnet.NodeID {
 		out[i] = s.name
 	}
 	return out
-}
-
-func stats(tr *simnet.Trace) overlay.OpStats {
-	return overlay.OpStats{Hops: tr.Hops, Messages: tr.Messages, Bytes: tr.Bytes, Latency: tr.Latency}
 }

@@ -239,18 +239,14 @@ func (g *Gossip) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
 			continue
 		}
 		if resp, ok := reply.Payload.(queryResp); ok && resp.Found {
-			return resp.Value, stats(tr), nil
+			return resp.Value, *tr, nil
 		}
 	}
-	return nil, stats(tr), overlay.ErrNotFound
+	return nil, *tr, overlay.ErrNotFound
 }
 
 func (g *Gossip) forgetQuery(qid string) {
 	g.seenMu.Lock()
 	delete(g.querySeen, qid)
 	g.seenMu.Unlock()
-}
-
-func stats(tr *simnet.Trace) overlay.OpStats {
-	return overlay.OpStats{Hops: tr.Hops, Messages: tr.Messages, Bytes: tr.Bytes, Latency: tr.Latency}
 }

@@ -183,13 +183,13 @@ func (o *Overlay) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
 		}
 		if resp, ok := reply.Payload.(probeResp); ok && resp.Found {
 			o.cachePut(n, key, resp.Value)
-			return resp.Value, stats(tr), nil
+			return resp.Value, *tr, nil
 		}
 	}
 
 	// DHT fallback.
 	value, dhtStats, err := o.dht.Lookup(origin, key)
-	total := stats(tr)
+	total := *tr
 	total.Hops += dhtStats.Hops
 	total.Messages += dhtStats.Messages
 	total.Bytes += dhtStats.Bytes
@@ -222,7 +222,3 @@ var (
 	_ overlay.ReplicaKV = (*Overlay)(nil)
 	_ overlay.Healer    = (*Overlay)(nil)
 )
-
-func stats(tr *simnet.Trace) overlay.OpStats {
-	return overlay.OpStats{Hops: tr.Hops, Messages: tr.Messages, Bytes: tr.Bytes, Latency: tr.Latency}
-}

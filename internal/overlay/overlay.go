@@ -10,7 +10,8 @@ package overlay
 
 import (
 	"errors"
-	"time"
+
+	"godosn/internal/overlay/simnet"
 )
 
 // Errors shared by overlay implementations.
@@ -23,25 +24,9 @@ var (
 	ErrUnknownOrigin = errors.New("overlay: origin not in overlay")
 )
 
-// OpStats reports the cost of one overlay operation.
-type OpStats struct {
-	// Hops is the number of RPC edges traversed.
-	Hops int
-	// Messages is the number of simulated messages exchanged.
-	Messages int
-	// Bytes is the simulated traffic volume.
-	Bytes int
-	// Latency is the simulated end-to-end delay.
-	Latency time.Duration
-}
-
-// Add accumulates another operation's costs into s.
-func (s *OpStats) Add(other OpStats) {
-	s.Hops += other.Hops
-	s.Messages += other.Messages
-	s.Bytes += other.Bytes
-	s.Latency += other.Latency
-}
+// OpStats reports the cost of one overlay operation: the simnet trace that
+// accumulated it (hops, messages, bytes, simulated latency).
+type OpStats = simnet.Trace
 
 // KV is the storage interface every overlay provides: store a value under a
 // key from the perspective of an originating node, and look it up again.

@@ -14,15 +14,17 @@ import (
 // receives wrong bytes and must detect them itself (checksummed records,
 // signed chains, the integrity scrubber of internal/resilience/scrub).
 // Requests are never corrupted: the model is a Byzantine *responder*, not a
-// Byzantine wire.
-//
-// Corruption applies to the exported []byte fields of a reply payload
-// (e.g. a DHT fetchResp.Value); replies without byte payloads — routing
-// messages, plain acks — pass through untouched. Mutations always operate
-// on fresh copies, so a handler's stored state is never aliased into the
-// corrupted reply. A payload that is a pointer to a struct points into
-// memory its sender will reuse (a DHT operation frame): whatever is mutated,
-// recorded or replayed is a private copy of the struct, never the pointer.
+// Byzantine wire. Only a reply whose type implements Corruptible can lie; any
+// other payload passes every mode untouched.
+
+// Corruptible is a reply payload a Byzantine responder can lie through.
+// Corrupt returns a private copy of the payload, sharing no memory with it (a
+// handler's state or a frame its sender will reuse), with mut applied to each
+// non-empty byte field in a fixed order, and reports whether mut ran. The
+// seeded mutation stream draws in that order. mut returns a fresh slice.
+type Corruptible interface {
+	Corrupt(mut func([]byte) []byte) (any, bool)
+}
 
 // ByzMode selects a node's Byzantine corruption behaviour.
 type ByzMode int
@@ -83,7 +85,8 @@ type byzState struct {
 	cfg       ByzantineConfig
 	mu        sync.Mutex
 	rng       *rand.Rand
-	lastReply map[string]Message // per RPC kind, deep-copied (ByzReplay)
+	mut       func([]byte) []byte // BitFlip/Truncate mutation over rng, bound once
+	lastReply map[string]Message  // per RPC kind, private copies (ByzReplay)
 }
 
 // SetByzantine configures (or, with ByzNone, clears) a node's Byzantine
@@ -97,11 +100,18 @@ func (n *Network) SetByzantine(id NodeID, cfg ByzantineConfig) error {
 		s.byz.Store(nil)
 		return nil
 	}
-	s.byz.Store(&byzState{
+	b := &byzState{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(n.cfg.Seed ^ labelHash(string(id)) ^ cfg.Seed)),
 		lastReply: make(map[string]Message),
-	})
+	}
+	// Bound here rather than per lie: a closure built per reply escapes
+	// through the Corrupt call and costs an allocation each time.
+	b.mut = func(p []byte) []byte { return flipBit(b.rng, p) }
+	if cfg.Mode == ByzTruncate {
+		b.mut = func(p []byte) []byte { return truncateBytes(b.rng, p) }
+	}
+	s.byz.Store(b)
 	return nil
 }
 
@@ -127,28 +137,24 @@ func (s *byzState) corrupt(netSeed int64, from, to NodeID, reply Message) (Messa
 		if s.rng.Float64() >= s.cfg.Rate {
 			return reply, false
 		}
-		return mutatePayload(reply, func(b []byte) []byte {
-			if s.cfg.Mode == ByzTruncate {
-				return truncateBytes(s.rng, b)
-			}
-			return flipBit(s.rng, b)
-		})
+		return mutatePayload(reply, s.mut)
 
 	case ByzReplay:
-		// Record the honest reply (deep copy) for future replays, then
-		// decide whether to serve a previously recorded one instead.
+		// Record a private copy of the honest reply for future replays, then
+		// decide whether to serve the one recorded before it instead. Every
+		// reply draws, Corruptible or not, so the stream does not depend on
+		// which kinds carry payloads.
 		stale, have := s.lastReply[reply.Kind]
-		s.lastReply[reply.Kind], _ = mutatePayload(reply, copyBytes)
+		s.lastReply[reply.Kind] = privateCopy(reply)
 		if !have || s.rng.Float64() >= s.cfg.Rate {
+			return reply, false
+		}
+		if stale.Payload == nil || payloadEqual(stale, reply) {
 			return reply, false
 		}
 		// Serve a copy of the stale reply so later replays stay pristine
 		// even if the caller mutates what it received.
-		out, _ := mutatePayload(stale, copyBytes)
-		if !payloadEqual(out, reply) {
-			return out, true
-		}
-		return reply, false
+		return privateCopy(stale), true
 
 	case ByzEquivocate:
 		// The lie is a deterministic function of the caller identity: the
@@ -182,91 +188,30 @@ func truncateBytes(rng *rand.Rand, b []byte) []byte {
 	return append([]byte(nil), b[:rng.Intn(len(b))]...)
 }
 
-// copyBytes is the identity mutation: it deep-copies a byte field, used to
-// detach recorded or replayed messages from caller-visible slices.
+// copyBytes is the identity mutation: replay records and serves copies.
 func copyBytes(b []byte) []byte { return append([]byte(nil), b...) }
 
-// mutatePayload applies mut to every exported non-empty []byte field of the
-// message payload — including each element of exported [][]byte fields, so
-// batch replies carrying many values are as corruptible as single-value
-// replies — operating on a fresh copy of the payload struct. It reports
-// whether any field was visited. Payloads that are themselves []byte are
-// handled directly; value payloads without byte fields (routing replies,
-// acks) pass through unchanged. A non-nil pointer to a struct is treated as
-// the struct and always comes back as a pointer to the private copy, visited
-// or not, so nothing kept from the result aliases the sender's memory.
+// mutatePayload applies mut through msg's Corruptible payload, reporting
+// whether it ran. Any other payload comes back untouched.
 func mutatePayload(msg Message, mut func([]byte) []byte) (Message, bool) {
-	if msg.Payload == nil {
+	c, ok := msg.Payload.(Corruptible)
+	if !ok {
 		return msg, false
 	}
-	if b, ok := msg.Payload.([]byte); ok {
-		if len(b) == 0 {
-			return msg, false
-		}
-		msg.Payload = mut(b)
-		return msg, true
+	var mutated bool
+	msg.Payload, mutated = c.Corrupt(mut)
+	return msg, mutated
+}
+
+// privateCopy returns msg with a private copy of its payload, or with none
+// when that is not Corruptible: a replayer keeps nothing it cannot copy.
+func privateCopy(msg Message) Message {
+	if c, ok := msg.Payload.(Corruptible); ok {
+		msg.Payload, _ = c.Corrupt(copyBytes)
+	} else {
+		msg.Payload = nil
 	}
-	v := reflect.ValueOf(msg.Payload)
-	byPointer := v.Kind() == reflect.Pointer
-	if byPointer {
-		if v.IsNil() {
-			return msg, false
-		}
-		v = v.Elem()
-	}
-	if v.Kind() != reflect.Struct {
-		return msg, false
-	}
-	private := reflect.New(v.Type())
-	cp := private.Elem()
-	cp.Set(v)
-	mutated := false
-	for i := 0; i < cp.NumField(); i++ {
-		f := cp.Field(i)
-		if !f.CanSet() || f.Kind() != reflect.Slice {
-			continue
-		}
-		// [][]byte: mutate each non-empty element (batch value lists).
-		if f.Type().Elem().Kind() == reflect.Slice && f.Type().Elem().Elem().Kind() == reflect.Uint8 {
-			vs, ok := f.Interface().([][]byte)
-			if !ok || len(vs) == 0 {
-				continue
-			}
-			out := make([][]byte, len(vs))
-			touched := false
-			for j, b := range vs {
-				if len(b) == 0 {
-					out[j] = b
-					continue
-				}
-				out[j] = mut(b)
-				touched = true
-			}
-			if touched {
-				f.Set(reflect.ValueOf(out))
-				mutated = true
-			}
-			continue
-		}
-		if f.Type().Elem().Kind() != reflect.Uint8 {
-			continue
-		}
-		b, ok := f.Interface().([]byte)
-		if !ok || len(b) == 0 {
-			continue
-		}
-		f.Set(reflect.ValueOf(mut(b)))
-		mutated = true
-	}
-	if byPointer {
-		msg.Payload = private.Interface()
-		return msg, mutated
-	}
-	if !mutated {
-		return msg, false
-	}
-	msg.Payload = cp.Interface()
-	return msg, true
+	return msg
 }
 
 // payloadEqual reports whether two messages carry deeply equal payloads —

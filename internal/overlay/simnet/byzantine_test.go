@@ -14,6 +14,15 @@ type blobResp struct {
 	Value []byte
 }
 
+// Corrupt implements Corruptible over Value.
+func (r blobResp) Corrupt(mut func([]byte) []byte) (any, bool) {
+	if len(r.Value) == 0 {
+		return r, false
+	}
+	r.Value = mut(r.Value)
+	return r, true
+}
+
 // blobHandler serves a fixed value; state captures the handler's own slice
 // so tests can prove corruption never mutates it.
 func blobHandler(state []byte) HandlerFunc {
@@ -124,104 +133,35 @@ func TestByzantineReplayServesStaleReply(t *testing.T) {
 	}
 }
 
-// slotReq mirrors a DHT single-key request: the handler answers into the
-// request's own slot and replies with a pointer to it, and the caller sends
-// the same request again for its next message.
-type slotReq struct {
-	reply blobResp
-	hop   hopResp
-}
+// opaqueResp carries bytes but does not implement Corruptible, so no mode
+// may touch it.
+type opaqueResp struct{ Value []byte }
 
-// hopResp mirrors a routing reply: nothing in it is corruptible.
-type hopResp struct{ Next uint64 }
-
-func TestByzantineBitFlipOnPointerReplyCorruptsAPrivateCopy(t *testing.T) {
-	n := New(DefaultConfig(1))
-	state := []byte("the honest stored value")
-	orig := append([]byte(nil), state...)
-	n.Register("a", echoHandler())
-	n.Register("b", HandlerFunc(func(tr *Trace, from NodeID, msg Message) (Message, error) {
-		req := msg.Payload.(*slotReq)
-		req.reply = blobResp{Found: true, Value: state}
-		return Message{Kind: msg.Kind, Payload: &req.reply, Size: len(state)}, nil
-	}))
-	if err := n.SetByzantine("b", ByzantineConfig{Mode: ByzBitFlip, Rate: 1}); err != nil {
-		t.Fatalf("SetByzantine: %v", err)
-	}
-	req := &slotReq{}
-	reply, err := n.RPC(nil, "a", "b", Message{Kind: "fetch", Payload: req, Size: 1})
-	if err != nil {
-		t.Fatalf("RPC: %v", err)
-	}
-	got, ok := reply.Payload.(*blobResp)
-	if !ok || got == nil {
-		t.Fatalf("reply payload %T, want a *blobResp", reply.Payload)
-	}
-	if got == &req.reply {
-		t.Fatal("the corrupted reply is the caller's own slot")
-	}
-	if !got.Found || len(got.Value) != len(orig) || bytes.Equal(got.Value, orig) {
-		t.Fatalf("rate-1 bit flip delivered %+v", got)
-	}
-	if !bytes.Equal(req.reply.Value, orig) || !bytes.Equal(state, orig) {
-		t.Fatal("the lie reached the caller's slot or the handler's state")
-	}
-	if n.CorruptedReplies() != 1 {
-		t.Fatalf("CorruptedReplies = %d, want 1", n.CorruptedReplies())
-	}
-}
-
-func TestByzantineReplayServesTheRecordedPointerReply(t *testing.T) {
-	n := New(DefaultConfig(3))
-	var hop uint64
-	n.Register("a", echoHandler())
-	n.Register("b", HandlerFunc(func(tr *Trace, from NodeID, msg Message) (Message, error) {
-		req := msg.Payload.(*slotReq)
-		hop++
-		req.hop = hopResp{Next: hop}
-		return Message{Kind: msg.Kind, Payload: &req.hop, Size: 8}, nil
-	}))
-	if err := n.SetByzantine("b", ByzantineConfig{Mode: ByzReplay, Rate: 1}); err != nil {
-		t.Fatalf("SetByzantine: %v", err)
-	}
-	// One request for the whole walk, as the DHT sends it: by the time a
-	// reply is replayed the slot it was recorded from reads differently. A
-	// replayer that kept the pointer would serve the slot's current value,
-	// find it equal to the honest reply, and never lie.
-	req := &slotReq{}
-	for call, want := range []uint64{1, 1, 2, 3} {
-		reply, err := n.RPC(nil, "a", "b", Message{Kind: "route", Payload: req, Size: 8})
-		if err != nil {
-			t.Fatalf("RPC: %v", err)
+func TestByzantineLeavesNonCorruptiblePayloadsAlone(t *testing.T) {
+	for _, mode := range []ByzMode{ByzBitFlip, ByzTruncate, ByzReplay, ByzEquivocate} {
+		n := New(DefaultConfig(1))
+		calls := 0
+		n.Register("a", echoHandler())
+		n.Register("b", HandlerFunc(func(tr *Trace, from NodeID, msg Message) (Message, error) {
+			// A different answer each call, so a replay would show.
+			calls++
+			return Message{Kind: msg.Kind, Payload: &opaqueResp{Value: []byte(fmt.Sprintf("answer %d", calls))}, Size: 8}, nil
+		}))
+		if err := n.SetByzantine("b", ByzantineConfig{Mode: mode, Rate: 1}); err != nil {
+			t.Fatalf("SetByzantine: %v", err)
 		}
-		got, ok := reply.Payload.(*hopResp)
-		if !ok || got == nil {
-			t.Fatalf("reply payload %T, want a *hopResp", reply.Payload)
+		for call := 1; call <= 3; call++ {
+			reply, err := n.RPC(nil, "a", "b", Message{Kind: "fetch", Size: 1})
+			if err != nil {
+				t.Fatalf("%v: RPC: %v", mode, err)
+			}
+			if got := reply.Payload.(*opaqueResp); string(got.Value) != fmt.Sprintf("answer %d", call) {
+				t.Fatalf("%v: call %d served %q", mode, call, got.Value)
+			}
 		}
-		if got.Next != want {
-			t.Fatalf("call %d served Next=%d, want %d (slot now reads %d)", call+1, got.Next, want, req.hop.Next)
+		if n.CorruptedReplies() != 0 {
+			t.Fatalf("%v: CorruptedReplies = %d, want 0", mode, n.CorruptedReplies())
 		}
-		if call > 0 && got == &req.hop {
-			t.Fatalf("call %d: the replay is the caller's own slot", call+1)
-		}
-	}
-	if n.CorruptedReplies() != 3 {
-		t.Fatalf("CorruptedReplies = %d, want 3 (every replay differed from the honest reply)", n.CorruptedReplies())
-	}
-}
-
-func TestMutatePayloadPassesOddPointersThrough(t *testing.T) {
-	flips := 0
-	flip := func(b []byte) []byte { flips++; return b }
-	keys := []string{"k"}
-	for _, payload := range []any{(*blobResp)(nil), &keys, new(int)} {
-		out, visited := mutatePayload(Message{Kind: "k", Payload: payload}, flip)
-		if visited || out.Payload != payload {
-			t.Errorf("%T: visited=%v payload %v, want it handed back untouched", payload, visited, out.Payload)
-		}
-	}
-	if flips != 0 {
-		t.Fatalf("mutator ran %d times on payloads with nothing to corrupt", flips)
 	}
 }
 

@@ -225,17 +225,17 @@ func (o *Overlay) Store(origin, key string, value []byte) (overlay.OpStats, erro
 			h.mu.Lock()
 			h.index[key] = append([]byte(nil), value...)
 			h.mu.Unlock()
-			return stats(tr), nil
+			return *tr, nil
 		}
 		if _, err := o.net.RPC(tr, entry, owner.name, msg); err != nil {
-			return stats(tr), err
+			return *tr, err
 		}
-		return stats(tr), nil
+		return *tr, nil
 	}
 	if _, err := o.net.RPC(tr, simnet.NodeID(origin), entry, msg); err != nil {
-		return stats(tr), err
+		return *tr, err
 	}
-	return stats(tr), nil
+	return *tr, nil
 }
 
 // Lookup implements overlay.KV.
@@ -254,25 +254,25 @@ func (o *Overlay) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
 			v, found := h.index[key]
 			h.mu.Unlock()
 			if !found {
-				return nil, stats(tr), overlay.ErrNotFound
+				return nil, *tr, overlay.ErrNotFound
 			}
-			return append([]byte(nil), v...), stats(tr), nil
+			return append([]byte(nil), v...), *tr, nil
 		}
 		reply, err = o.net.RPC(tr, entry, owner.name, simnet.Message{Kind: kindForward, Payload: getReq{Key: key}, Size: len(key)})
 	} else {
 		reply, err = o.net.RPC(tr, simnet.NodeID(origin), entry, simnet.Message{Kind: kindGet, Payload: getReq{Key: key}, Size: len(key)})
 	}
 	if err != nil {
-		return nil, stats(tr), err
+		return nil, *tr, err
 	}
 	resp, ok := reply.Payload.(getResp)
 	if !ok {
-		return nil, stats(tr), fmt.Errorf("superpeer: bad get reply")
+		return nil, *tr, fmt.Errorf("superpeer: bad get reply")
 	}
 	if !resp.Found {
-		return nil, stats(tr), overlay.ErrNotFound
+		return nil, *tr, overlay.ErrNotFound
 	}
-	return resp.Value, stats(tr), nil
+	return resp.Value, *tr, nil
 }
 
 // Ping records an uptime observation of origin at its super-peer, feeding
@@ -284,12 +284,12 @@ func (o *Overlay) Ping(origin string) (overlay.OpStats, error) {
 		return overlay.OpStats{}, err
 	}
 	if isSuper {
-		return stats(tr), nil
+		return *tr, nil
 	}
 	if _, err := o.net.RPC(tr, simnet.NodeID(origin), entry, simnet.Message{Kind: kindPing, Size: 4}); err != nil {
-		return stats(tr), err
+		return *tr, err
 	}
-	return stats(tr), nil
+	return *tr, nil
 }
 
 // UptimeOf reports the uptime observed for a node at its super-peer.
@@ -304,8 +304,4 @@ func (o *Overlay) UptimeOf(name string) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.uptime[simnet.NodeID(name)]
-}
-
-func stats(tr *simnet.Trace) overlay.OpStats {
-	return overlay.OpStats{Hops: tr.Hops, Messages: tr.Messages, Bytes: tr.Bytes, Latency: tr.Latency}
 }

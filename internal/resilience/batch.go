@@ -59,7 +59,7 @@ func (k *KV) PutBatch(origin string, keys []string, values [][]byte) ([]error, o
 	errs := make([]error, len(keys))
 	if k.batch != nil {
 		berrs, st, err := k.batch.PutBatch(origin, keys, values)
-		total.Add(st)
+		total.Add(&st)
 		if err != nil {
 			return nil, total, err
 		}
@@ -135,7 +135,7 @@ func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, over
 	fallback := need[:0:0]
 	if k.batch != nil && len(need) > 0 {
 		brs, st, err := k.batch.GetBatch(origin, need)
-		total.Add(st)
+		total.Add(&st)
 		if err != nil {
 			return nil, total, err
 		}

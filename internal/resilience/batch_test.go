@@ -59,7 +59,7 @@ func TestResilientBatchMatchesSequential(t *testing.T) {
 				if !bytes.Equal(v, vals[i]) {
 					t.Fatalf("Lookup(%s) = %q, want %q", key, v, vals[i])
 				}
-				seq.Add(st)
+				seq.Add(&st)
 			}
 			results, bat, err := kv.GetBatch(origin, keys)
 			if err != nil {

@@ -450,7 +450,7 @@ func (k *KV) storeRetry(sp *telemetry.Span, origin, key string, value []byte, to
 		} else {
 			st, err = k.inner.Store(origin, key, value)
 		}
-		total.Add(st)
+		total.Add(&st)
 		asp.AddLatency(st.Latency)
 		asp.End(outcomeOf(err))
 		return err
@@ -561,7 +561,7 @@ func (k *KV) lookupRetry(sp *telemetry.Span, origin, key string, total *overlay.
 			} else {
 				v, st, err = k.inner.Lookup(origin, key)
 			}
-			total.Add(st)
+			total.Add(&st)
 			asp.AddLatency(st.Latency)
 			if err == nil {
 				err = k.verifyValue(key, v)
@@ -670,7 +670,7 @@ func (k *KV) fetchFrom(sp *telemetry.Span, spanName, origin, key, name string) (
 func (k *KV) hedgedLookup(sp *telemetry.Span, origin, key string, total *overlay.OpStats) ([]byte, int, int, error) {
 	rsp := sp.Child("resolve")
 	names, st, err := k.replicas.ReplicasFor(origin, key)
-	total.Add(st)
+	total.Add(&st)
 	rsp.AddLatency(st.Latency)
 	rsp.End(outcomeOf(err))
 	if err != nil {
@@ -701,7 +701,7 @@ func (k *KV) hedgedLookup(sp *telemetry.Span, origin, key string, total *overlay
 
 	// Primary read (verified).
 	v, st, err := k.fetchFrom(sp, "fetch", origin, key, allowed[0])
-	total.Add(st)
+	total.Add(&st)
 	if err == nil {
 		return v, 0, skips, nil
 	}
@@ -785,7 +785,7 @@ func (k *KV) readRepair(sp *telemetry.Span, origin, key string, value []byte, co
 		psp := sp.Child("read-repair")
 		psp.Tag("to", name)
 		st, err := k.repair.StoreTo(origin, key, value, name)
-		total.Add(st)
+		total.Add(&st)
 		psp.AddLatency(st.Latency)
 		psp.End(outcomeOf(err))
 		if err == nil {

@@ -200,3 +200,55 @@ func TestCheckDoesNotCopy(t *testing.T) {
 		t.Errorf("Check: %v allocs per record, budget 1", got)
 	}
 }
+
+// FuzzOpen drives arbitrary records, keys, payloads and MAC keys through the
+// record codec: nothing panics, Open succeeds exactly when Check does, both
+// seal forms round-trip, a keyed record fails under any other MAC key, and
+// flipping any one bit of a sealed record fails Check. A plain payload that
+// begins with the keyed envelope framing opens to what follows the envelope:
+// that is the documented ambiguity of Open, asserted here rather than
+// skipped. Seeds: testdata/fuzz/FuzzOpen.
+func FuzzOpen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, key string, record, payload, mackey []byte) {
+		_, err := Open(key, record)
+		if cerr := Check(key, record); (err == nil) != (cerr == nil) {
+			t.Fatalf("Open err=%v but Check err=%v", err, cerr)
+		}
+		if err != nil && !errors.Is(err, ErrRecord) {
+			t.Fatalf("Open error %v is not ErrRecord", err)
+		}
+
+		if len(payload) > 128 {
+			payload = payload[:128] // bounds the bit-flip sweep below
+		}
+		want := payload
+		if isKeyedEnvelope(payload) {
+			want = payload[len(keyedMagic)+macSize:]
+		}
+		sealed := Seal(key, payload)
+		if got, err := Open(key, sealed); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Open(Seal(%q)) = %q, %v; want %q", payload, got, err, want)
+		}
+		keyed := SealKeyed(mackey, key, payload)
+		if got, err := OpenKeyed(mackey, key, keyed); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("OpenKeyed(SealKeyed(%q)) = %q, %v", payload, got, err)
+		}
+		other := []byte{1}
+		if len(mackey) > 0 {
+			other = append([]byte(nil), mackey...)
+			other[0] ^= 0xFF
+		}
+		if _, err := OpenKeyed(other, key, keyed); !errors.Is(err, ErrRecord) {
+			t.Fatalf("OpenKeyed under another MAC key: %v, want ErrRecord", err)
+		}
+		for _, rec := range [][]byte{sealed, keyed} {
+			for bit := 0; bit < 8*len(rec); bit++ {
+				rec[bit/8] ^= 1 << (bit % 8)
+				if err := Check(key, rec); err == nil {
+					t.Fatalf("Check accepted a record with bit %d flipped", bit)
+				}
+				rec[bit/8] ^= 1 << (bit % 8)
+			}
+		}
+	})
+}

@@ -311,7 +311,7 @@ func (s *Scrubber) ScrubSpan(sp *telemetry.Span, keys []string) (Report, error) 
 	bySet := make(map[string]*group)
 	var setOrder []string
 	for _, r := range res {
-		report.Stats.Add(r.stats)
+		report.Stats.Add(&r.stats)
 		if r.err != nil || len(r.replicas) == 0 {
 			report.Failed++
 			continue
@@ -396,7 +396,7 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 	fp := &merkle.Tree{}
 	for _, r := range results {
 		sp.Adopt(r.span)
-		report.Stats.Add(r.stats)
+		report.Stats.Add(&r.stats)
 		report.RepairedWrites += r.repaired
 		report.RepairWriteFailures += r.unrepair
 		report.BatchRPCs += r.batchRPCs
@@ -551,7 +551,7 @@ func (s *Scrubber) digestPhase(sp *telemetry.Span, nonce uint64, groups []group,
 	})
 	for _, c := range cols {
 		sp.Adopt(c.span)
-		report.Stats.Add(c.st)
+		report.Stats.Add(&c.st)
 		report.BatchRPCs++
 		report.BatchMsgs += c.st.Messages
 		if c.err != nil {
@@ -682,7 +682,7 @@ func (s *Scrubber) scrubGroup(gsp *telemetry.Span, nonce uint64, g group, dg *gr
 			dsp := gsp.Child("digest")
 			dsp.Tag("replica", name)
 			root, st, err := s.digests.DigestFrom(s.cfg.Origin, g.keys, nonce, name)
-			r.stats.Add(st)
+			r.stats.Add(&st)
 			dsp.AddLatency(st.Latency)
 			if err != nil {
 				dsp.End("error")
@@ -792,7 +792,7 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 		fsp.Tag("replica", name)
 		fsp.Tag("keys", strconv.Itoa(len(g.keys)))
 		res, st, err := s.brepair.FetchBatchFrom(s.cfg.Origin, g.keys, name)
-		r.stats.Add(st)
+		r.stats.Add(&st)
 		r.batchRPCs++
 		r.batchMsgs += st.Messages
 		fsp.AddLatency(st.Latency)
@@ -859,7 +859,7 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 		rsp.Tag("replica", name)
 		rsp.Tag("keys", strconv.Itoa(len(cidx)))
 		res, st, err := s.brepair.FetchBatchFrom(s.cfg.Origin, rkeys, name)
-		r.stats.Add(st)
+		r.stats.Add(&st)
 		r.batchRPCs++
 		r.batchMsgs += st.Messages
 		rsp.AddLatency(st.Latency)
@@ -910,7 +910,7 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 		psp.Tag("to", name)
 		psp.Tag("keys", strconv.Itoa(len(kis)))
 		errs, st, err := s.brepair.StoreBatchTo(s.cfg.Origin, rkeys, rvals, name)
-		r.stats.Add(st)
+		r.stats.Add(&st)
 		r.batchRPCs++
 		r.batchMsgs += st.Messages
 		r.repairBatches++
@@ -967,7 +967,7 @@ func (s *Scrubber) scrubKey(gsp *telemetry.Span, key string, replicas []string, 
 	values := make(map[string][]byte, len(replicas))
 	for _, name := range replicas {
 		v, st, err := s.kv.LookupFrom(s.cfg.Origin, key, name)
-		stats.Add(st)
+		stats.Add(&st)
 		vsp.AddLatency(st.Latency)
 		switch {
 		case err == nil:
@@ -992,7 +992,7 @@ func (s *Scrubber) scrubKey(gsp *telemetry.Span, key string, replicas []string, 
 			continue
 		}
 		v, st, err := s.kv.LookupFrom(s.cfg.Origin, key, name)
-		stats.Add(st)
+		stats.Add(&st)
 		vsp.AddLatency(st.Latency)
 		if err == nil && s.cfg.Verify(key, v) == nil && overlay.CopyLeaf(key, v, true) == o.best {
 			o.states[name] = copyCanonical
@@ -1020,7 +1020,7 @@ func (s *Scrubber) repairKey(gsp *telemetry.Span, o *keyOutcome, replicas []stri
 		psp.Tag("key", o.key)
 		psp.Tag("to", name)
 		pst, err := s.repair.StoreTo(s.cfg.Origin, o.key, o.canonical, name)
-		r.stats.Add(pst)
+		r.stats.Add(&pst)
 		psp.AddLatency(pst.Latency)
 		if err == nil {
 			psp.End("ok")

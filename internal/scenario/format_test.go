@@ -77,6 +77,33 @@ func TestParseStrictErrors(t *testing.T) {
 	}
 }
 
+// hostileBase is a minimal valid scenario the hostile lines are appended to.
+const hostileBase = "# godosn scenario v1\nscenario hostile\nseed 1\nticks 20\nnodes 8\nreplication 2\nusers 10\nops-per-tick 2\nreaders 4\n"
+
+// hostileLines each parse as numbers but must not validate: a NaN passes
+// every range comparison (and a NaN invariant can never fail), and a window
+// or revoke total that overflows int wraps past its bound.
+var hostileLines = []string{
+	"invariant lookup-success-min NaN",
+	"invariant p99-max-ms NaN",
+	"invariant p99-max-ms +Inf",
+	"event 2 byzantine frac=NaN mode=bit-flip rate=NaN dur=3",
+	"event 2 loss rate=NaN dur=3",
+	"event 2 churn frac=0.5 dur=9223372036854775807",
+	"event 2 revoke count=4611686018427387904\nevent 3 revoke count=4611686018427387904",
+}
+
+func TestParseRejectsNonFiniteAndOverflowingValues(t *testing.T) {
+	if _, err := Parse([]byte(hostileBase)); err != nil {
+		t.Fatalf("base scenario rejected: %v", err)
+	}
+	for _, line := range hostileLines {
+		if s, err := Parse([]byte(hostileBase + line + "\n")); !errors.Is(err, ErrScenario) {
+			t.Errorf("%q: got %v, %v; want ErrScenario", line, s, err)
+		}
+	}
+}
+
 func TestParseTolerantOfCommentsAndBlanks(t *testing.T) {
 	s := validScenario()
 	lines := strings.Split(strings.TrimRight(string(s.Format()), "\n"), "\n")
@@ -88,4 +115,34 @@ func TestParseTolerantOfCommentsAndBlanks(t *testing.T) {
 	if !bytes.Equal(parsed.Format(), s.Format()) {
 		t.Fatalf("comment-tolerant parse drifted")
 	}
+}
+
+// FuzzParse: Parse never panics, every error it returns is ErrScenario, an
+// accepted input passes Validate, and Format of the result re-parses to the
+// same bytes. Seeds: the committed library (testdata/fuzz/FuzzParse) and the
+// hostile lines above.
+func FuzzParse(f *testing.F) {
+	for _, line := range hostileLines {
+		f.Add([]byte(hostileBase + line + "\n"))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			if !errors.Is(err, ErrScenario) {
+				t.Fatalf("error %v is not tagged ErrScenario", err)
+			}
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("Parse accepted a scenario Validate rejects: %v", err)
+		}
+		canon := s.Format()
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("canonical form does not parse: %v\n%s", err, canon)
+		}
+		if out := again.Format(); !bytes.Equal(out, canon) {
+			t.Fatalf("Format is not a fixed point:\n%s\nvs\n%s", canon, out)
+		}
+	})
 }

@@ -27,6 +27,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 	"regexp"
 	"sort"
 )
@@ -329,6 +330,10 @@ func (s *Scenario) Validate() error {
 		}
 		seen[key] = true
 		if e.Kind == KindRevoke {
+			// Compared with what is left, so a huge count cannot wrap the total.
+			if e.Count >= s.Readers-revokeTotal {
+				return fail("revoke total %d + %d must leave at least one of %d readers", revokeTotal, e.Count, s.Readers)
+			}
 			revokeTotal += e.Count
 			continue
 		}
@@ -349,9 +354,6 @@ func (s *Scenario) Validate() error {
 			return fail("overlapping %s windows at ticks %d and %d", a.fam, a.tick, b.tick)
 		}
 	}
-	if revokeTotal > 0 && revokeTotal >= s.Readers {
-		return fail("revoke total %d must leave at least one of %d readers", revokeTotal, s.Readers)
-	}
 
 	invSeen := make(map[InvariantKind]bool)
 	for _, inv := range s.Invariants {
@@ -362,6 +364,9 @@ func (s *Scenario) Validate() error {
 			return fail("duplicate invariant %s", inv.Kind)
 		}
 		invSeen[inv.Kind] = true
+		if !finite(inv.Value) {
+			return fail("%s value %g is not a finite number", inv.Kind, inv.Value)
+		}
 		switch inv.Kind {
 		case InvLookupSuccessMin:
 			if inv.Value <= 0 || inv.Value > 1 {
@@ -424,6 +429,9 @@ func (s *Scenario) validateEvent(e Event) error {
 	if e.Tick < 0 || e.Tick >= s.Ticks {
 		return fail("%s tick %d out of [0, %d)", e.Kind, e.Tick, s.Ticks)
 	}
+	if !finite(e.Frac) || !finite(e.Rate) {
+		return fail("%s event carries a non-finite number", e.Kind)
+	}
 	// Shape: unused fields must be zero.
 	if !sh.dur && e.Dur != 0 ||
 		!sh.frac && e.Frac != 0 ||
@@ -439,8 +447,9 @@ func (s *Scenario) validateEvent(e Event) error {
 		if e.Dur < 1 {
 			return fail("%s dur %d must be >= 1", e.Kind, e.Dur)
 		}
-		if e.End() > s.Ticks {
-			return fail("%s window [%d, %d) exceeds ticks %d", e.Kind, e.Tick, e.End(), s.Ticks)
+		// Compared as a length, so a huge dur cannot wrap Tick+Dur.
+		if e.Dur > s.Ticks-e.Tick {
+			return fail("%s window of %d ticks from tick %d exceeds ticks %d", e.Kind, e.Dur, e.Tick, s.Ticks)
 		}
 	}
 	if sh.frac && (e.Frac <= 0 || e.Frac > 1) {
@@ -486,6 +495,10 @@ func (s *Scenario) validateEvent(e Event) error {
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite. A NaN fails every
+// comparison, so it slips past range checks and, as a threshold, never fails.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // sortEvents orders the schedule canonically: by tick, then kind. Validate
 // forbids duplicate (tick, kind) pairs, so the order is total.

@@ -73,7 +73,7 @@ func driveStream(t *testing.T, s *Stack) streamOutcome {
 		if err != nil {
 			t.Fatalf("store %s: %v", keys[i], err)
 		}
-		out.Stats.Add(st)
+		out.Stats.Add(&st)
 	}
 	s.Net.SetLossRate(0.10)
 	if err := s.Net.SetByzantine(s.Names[5], simnet.ByzantineConfig{Mode: simnet.ByzBitFlip, Rate: 1, Seed: testSeed}); err != nil {
@@ -94,17 +94,17 @@ func driveStream(t *testing.T, s *Stack) streamOutcome {
 			if err != nil {
 				t.Fatalf("heal: %v", err)
 			}
-			out.Stats.Add(rep.Stats)
+			out.Stats.Add(&rep.Stats)
 		}
 		if s.Scrub != nil && i%50 == 49 {
 			rep, err := s.Scrub.Scrub(keys)
 			if err != nil {
 				t.Fatalf("scrub: %v", err)
 			}
-			out.Stats.Add(rep.Stats)
+			out.Stats.Add(&rep.Stats)
 		}
 		v, st, err := front.Lookup(s.Client, key)
-		out.Stats.Add(st)
+		out.Stats.Add(&st)
 		fmt.Fprintf(h, "%s|%x|%v\n", key, v, err)
 	}
 	out.Digest = h.Sum64()
