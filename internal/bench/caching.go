@@ -240,7 +240,6 @@ func runE21FaultArm(cached bool, quick bool) (e21Fault, error) {
 		DHT:        dcfg,
 		Resilience: &rcfg,
 		Scrub:      &scfg,
-		Verdicts:   true,
 	})
 	if err != nil {
 		return e21Fault{}, err

@@ -112,14 +112,11 @@ func runE19Arm(protected bool, peers, keys, ops, scrubEvery, rotEvery int) (e19R
 		Net:        simnet.DefaultConfig(seed),
 		DHT:        dht.Config{ReplicationFactor: 3},
 		Resilience: &rcfg,
-		Verdicts:   true,
 	}
 	if protected {
 		rcfg.Verify = scrub.Check
 		scfg := scrub.DefaultConfig("")
 		spec.Scrub = &scfg
-	} else {
-		rcfg.Quarantine = false
 	}
 	st, err := stack.Build(spec)
 	if err != nil {

@@ -140,7 +140,6 @@ func runE20Arm(name string, byz bool, reg *telemetry.Registry, peers, keys, ops,
 		Net:        simnet.DefaultConfig(seed),
 		DHT:        dht.Config{ReplicationFactor: 3},
 		Resilience: &rcfg,
-		Verdicts:   true,
 		Registry:   reg,
 	}
 	run := soak{

@@ -104,8 +104,8 @@ func localDigest(n *node, keys []string, nonce uint64) digestResp {
 }
 
 // SetPlacementFilter implements overlay.PlacementFilterable: allow vetoes
-// nodes from future Store placement (nil restores canonical successor
-// placement). Reads and direct repairs are unaffected.
+// nodes from future Store placement and from Heal's targets (nil restores
+// canonical successor placement). Reads and direct repairs are unaffected.
 func (d *DHT) SetPlacementFilter(allow func(node string) bool) {
 	d.mu.Lock()
 	v := *d.view()

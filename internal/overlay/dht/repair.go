@@ -157,10 +157,11 @@ type healPush struct {
 
 // healView is the frozen world one heal pass plans against: the ring, who
 // is online, and each ring segment's live target set — the first k online
-// successors of the segment's root, walking past offline canonical
-// replicas, which is where Heal replicates to and ReplicasFor extends into.
-// Every key hashing into segment i (ring[i-1], ring[i]] shares targets[i],
-// so the sets are computed once per pass instead of once per key.
+// successors of the segment's root that placement allows, walking past
+// offline and quarantined canonical replicas, which is where Heal
+// replicates to and ReplicasFor extends into. Every key hashing into
+// segment i (ring[i-1], ring[i]] shares targets[i], so the sets are
+// computed once per pass instead of once per key.
 type healView struct {
 	ring    []uint64
 	online  []*node   // online nodes in ring order
@@ -168,26 +169,34 @@ type healView struct {
 }
 
 // healViewLocked snapshots ring and liveness; call with d.mu held, so the
-// membership cannot change under the pass.
+// membership cannot change under the pass. As in placementOf, a filter that
+// vetoes every online node falls back to all of them: it cannot brick heal.
 func (d *DHT) healViewLocked() *healView {
 	rv := d.view()
 	ring, nodes := rv.ring, rv.members()
 	v := &healView{ring: ring, targets: make([][]*node, len(ring))}
 	up := make([]bool, len(ring))
+	target := make([]bool, len(ring)) // online and allowed by placement
+	k := 0
 	for i := range ring {
 		if up[i] = d.net.Online(nodes[i].name); up[i] {
 			v.online = append(v.online, nodes[i])
+			if target[i] = rv.placementAllowed(nodes[i].name); target[i] {
+				k++
+			}
 		}
 	}
-	k := d.replica
-	if k > len(v.online) {
-		k = len(v.online)
+	if k == 0 {
+		target, k = up, len(v.online)
+	}
+	if k > d.replica {
+		k = d.replica
 	}
 	flat := make([]*node, 0, k*len(ring))
 	for i := range ring {
 		start := len(flat)
 		for j := i; len(flat)-start < k; j = (j + 1) % len(ring) {
-			if up[j] {
+			if target[j] {
 				flat = append(flat, nodes[j])
 			}
 		}

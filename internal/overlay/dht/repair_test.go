@@ -246,6 +246,67 @@ pick:
 	}
 }
 
+// wipedReplica stores "k" on a 12-node ring, then crash-restarts its first
+// canonical replica, which comes back online with an empty store. It
+// returns the ring's first four successors of the key.
+func wipedReplica(t *testing.T) (*DHT, []simnet.NodeID) {
+	t.Helper()
+	d, net, names := buildDHT(t, 12, Config{ReplicationFactor: 3})
+	if _, err := d.Store(string(names[0]), "k", []byte("v")); err != nil {
+		t.Fatalf("Store: %v", err)
+	}
+	var succ []simnet.NodeID
+	for _, id := range d.view().successorsOf(nil, hashID("k"), 4) {
+		succ = append(succ, d.view().byID[id].name)
+	}
+	if err := net.Crash(succ[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetOnline(succ[0], true); err != nil {
+		t.Fatal(err)
+	}
+	return d, succ
+}
+
+func TestHealSkipsPlacementVetoedHolder(t *testing.T) {
+	// A quarantined canonical replica is online but vetoed by placement:
+	// heal treats it as Store does and re-replicates onto the next allowed
+	// successor instead.
+	d, succ := wipedReplica(t)
+	d.SetPlacementFilter(func(node string) bool { return node != string(succ[0]) })
+	report, err := d.Heal()
+	if err != nil {
+		t.Fatalf("Heal: %v", err)
+	}
+	if report.Repaired != 1 {
+		t.Fatalf("heal repaired %d copies, want 1", report.Repaired)
+	}
+	if d.Holds(string(succ[0]), "k") {
+		t.Fatalf("heal pushed onto the placement-vetoed node %s", succ[0])
+	}
+	if !d.Holds(string(succ[3]), "k") {
+		t.Fatalf("next allowed successor %s got no copy", succ[3])
+	}
+}
+
+func TestHealFallsBackWhenPlacementVetoesEveryNode(t *testing.T) {
+	// A filter that vetoes every online node must not brick heal: targets
+	// fall back to the online successors, as placementOf falls back for
+	// writes.
+	d, succ := wipedReplica(t)
+	d.SetPlacementFilter(func(string) bool { return false })
+	report, err := d.Heal()
+	if err != nil {
+		t.Fatalf("Heal: %v", err)
+	}
+	if report.Repaired != 1 || !d.Holds(string(succ[0]), "k") {
+		t.Fatalf("heal with every node vetoed: %+v, wiped replica holds k = %v", report, d.Holds(string(succ[0]), "k"))
+	}
+	if got := d.LiveCopies("k"); got != 3 {
+		t.Fatalf("after heal %d live copies, want 3", got)
+	}
+}
+
 func TestLookupFromErrors(t *testing.T) {
 	net := simnet.New(simnet.Config{Seed: 31})
 	names := []simnet.NodeID{"a", "b", "c"}
@@ -262,22 +323,29 @@ func TestLookupFromErrors(t *testing.T) {
 }
 
 // liveTargets is the per-key target computation referenceHeal plans with:
-// the first k online successors of the key's root.
+// the first k online successors of the key's root that placement allows,
+// or the first k online ones when placement allows no online node.
 func (d *DHT) liveTargets(root uint64, k int) []*node {
-	out := make([]*node, 0, k)
 	v := d.view()
-	i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= root })
-	for walked := 0; walked < len(v.ring) && len(out) < k; walked++ {
-		if i == len(v.ring) {
-			i = 0
+	walk := func(eligible func(*node) bool) []*node {
+		out := make([]*node, 0, k)
+		i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= root })
+		for walked := 0; walked < len(v.ring) && len(out) < k; walked++ {
+			if i == len(v.ring) {
+				i = 0
+			}
+			n := v.byID[v.ring[i]]
+			i++
+			if d.net.Online(n.name) && eligible(n) {
+				out = append(out, n)
+			}
 		}
-		n := v.byID[v.ring[i]]
-		i++
-		if d.net.Online(n.name) {
-			out = append(out, n)
-		}
+		return out
 	}
-	return out
+	if out := walk(func(n *node) bool { return v.placementAllowed(n.name) }); len(out) > 0 {
+		return out
+	}
+	return walk(func(*node) bool { return true })
 }
 
 // referenceHeal is the heal pass as it stood before the probe-based scan,

@@ -40,11 +40,6 @@ type Config struct {
 	// and are retried against other replicas when the overlay can address
 	// them.
 	Verify VerifyFunc
-	// Quarantine excludes nodes with open circuits from future replica
-	// placement, when the wrapped overlay supports placement filtering
-	// (overlay.PlacementFilterable). Persistently corrupting nodes are
-	// thereby both skipped on reads and starved of new copies.
-	Quarantine bool
 	// ReadRepair, when set, pushes the verified value a lookup elected
 	// over any replica that served a corrupt copy during the same lookup
 	// (requires the overlay to implement overlay.RepairKV). Off by
@@ -81,9 +76,9 @@ type Config struct {
 }
 
 // DefaultConfig hedges across 2 extra replicas with the default retry
-// policy and breaker, and quarantines circuit-open nodes from placement.
+// policy and breaker.
 func DefaultConfig(seed int64) Config {
-	return Config{Policy: DefaultPolicy(), Hedge: 2, Breaker: DefaultBreakerConfig(), Seed: seed, Quarantine: true}
+	return Config{Policy: DefaultPolicy(), Hedge: 2, Breaker: DefaultBreakerConfig(), Seed: seed}
 }
 
 // Metrics counts what the resilience layer did — the measurable overhead
@@ -271,29 +266,24 @@ func Wrap(inner overlay.KV, cfg Config) *KV {
 	if s, ok := inner.(overlay.SpanKV); ok {
 		k.spanInner = s
 	}
-	if cfg.Quarantine {
-		if pf, ok := inner.(overlay.PlacementFilterable); ok {
-			// Placement consults live breaker state: a node quarantined for
-			// persistent corruption stops receiving new copies until a
-			// half-open probe rehabilitates it. Only corruption-tainted open
-			// circuits veto placement — loss-driven ones route reads around
-			// a node but never exclude it from holding data.
-			pf.SetPlacementFilter(func(node string) bool { return !k.breaker.Quarantined(node) })
-		}
+	if pf, ok := inner.(overlay.PlacementFilterable); ok {
+		// Placement consults live breaker state: a node quarantined for
+		// persistent corruption stops receiving new copies, from writes and
+		// heal alike, until a half-open probe rehabilitates it. Only
+		// corruption-tainted open circuits veto placement — loss-driven ones
+		// route reads around a node but never exclude it from holding data.
+		pf.SetPlacementFilter(func(node string) bool { return !k.breaker.Quarantined(node) })
 	}
 	k.values = cachepkg.New[[]byte](cfg.Cache)
-	if k.values != nil || cfg.Quarantine {
-		// A quarantine changes which copies are trustworthy and where new
-		// ones land: cached verified values and memoized routes must not
-		// outlive it.
-		rc, _ := inner.(overlay.RouteCached)
-		k.breaker.SetQuarantineHook(func(string) {
-			k.values.BumpGeneration()
-			if rc != nil {
-				rc.InvalidateRoutes()
-			}
-		})
-	}
+	// A quarantine changes which copies are trustworthy and where new ones
+	// land: cached verified values and memoized routes must not outlive it.
+	rc, _ := inner.(overlay.RouteCached)
+	k.breaker.SetQuarantineHook(func(string) {
+		k.values.BumpGeneration()
+		if rc != nil {
+			rc.InvalidateRoutes()
+		}
+	})
 	return k
 }
 

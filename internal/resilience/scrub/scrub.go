@@ -198,11 +198,13 @@ func (s *Scrubber) batchDigests() bool { return s.bdigest != nil && !s.cfg.PerKe
 // recheck and repair) is active.
 func (s *Scrubber) batchData() bool { return s.brepair != nil && !s.cfg.PerKey }
 
-// SetVerdict installs the corruption-verdict sink: ok=false means the node
-// served a condemned copy, ok=true means it served the canonical one. Wire
-// a resilience breaker in (Breaker.ReportCorrupt / Breaker.Report) to
-// quarantine persistent corrupters. Verdicts are applied in deterministic
-// key order regardless of Workers.
+// SetVerdict installs the corruption-verdict sink, called once per node per
+// pass after the merge, in first-appearance order (group, then replica)
+// regardless of Workers: ok=false means the node served a condemned copy,
+// ok=true that every copy it served was canonical; missing and unreachable
+// copies give none. Wired to a resilience breaker (Breaker.ReportCorrupt /
+// Report), a rate-1 liar is quarantined after Threshold passes, while a rot
+// burst on an honest node is one strike that its next clean pass clears.
 func (s *Scrubber) SetVerdict(fn func(node string, ok bool)) { s.verdict = fn }
 
 // SetInvalidator installs a per-key cache-invalidation sink, called during
@@ -394,6 +396,8 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 	// spans, and the pass fingerprint all follow group formation order
 	// (sorted keys within a group), independent of Workers.
 	fp := &merkle.Tree{}
+	clean := make(map[string]bool) // node -> served only canonical copies
+	var judged []string            // nodes with a verdict, first appearance first
 	for _, r := range results {
 		sp.Adopt(r.span)
 		report.Stats.Add(&r.stats)
@@ -414,6 +418,9 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 			}
 			continue
 		}
+		if s.verdict != nil {
+			judged = judge(clean, judged, &r)
+		}
 		for _, o := range r.outcomes {
 			report.KeysCompared++
 			if o.failed {
@@ -428,12 +435,9 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 			divergent := false
 			for _, name := range r.g.replicas {
 				switch o.states[name] {
-				case copyCanonical:
-					s.sayVerdict(name, true)
 				case copyCondemned:
 					report.CorruptCopies++
 					divergent = true
-					s.sayVerdict(name, false)
 					s.emit("scrub.condemned", telemetry.A("key", o.key), telemetry.A("node", name))
 				case copyMissing:
 					report.MissingCopies++
@@ -458,6 +462,32 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 	}
 	report.Digest = fp.Root()
 	s.notePass(report)
+	for _, name := range judged { // one verdict per node per pass (SetVerdict)
+		s.verdict(name, clean[name])
+	}
+}
+
+// judge folds one drilled group's copy states into the pass's per-node
+// verdicts and returns order extended by the nodes judged for the first
+// time, in replica order. A node that served any condemned copy is judged
+// corrupt, one that served only canonical copies clean; missing and
+// unreachable copies, and keys the pass could not elect, judge nobody.
+func judge(clean map[string]bool, order []string, r *groupResult) []string {
+	for _, name := range r.g.replicas {
+		for _, o := range r.outcomes {
+			st := o.states[name]
+			if o.failed || (st != copyCanonical && st != copyCondemned) {
+				continue
+			}
+			prev, seen := clean[name]
+			if !seen {
+				order = append(order, name)
+				prev = true
+			}
+			clean[name] = prev && st == copyCanonical
+		}
+	}
+	return order
 }
 
 // groupDigests carries one group's per-replica digest columns, fetched by
@@ -639,12 +669,6 @@ func (s *Scrubber) notePass(r *Report) {
 func (s *Scrubber) emit(name string, attrs ...telemetry.Attr) {
 	if s.tel != nil {
 		s.tel.events.Emit(name, attrs...)
-	}
-}
-
-func (s *Scrubber) sayVerdict(node string, ok bool) {
-	if s.verdict != nil {
-		s.verdict(node, ok)
 	}
 }
 

@@ -176,14 +176,10 @@ func TestScrubRestoresCopiesLostToCrash(t *testing.T) {
 	}
 }
 
-func TestScrubVerdictsQuarantineByzantineReplica(t *testing.T) {
-	f := newFixture(t, 105, 16, 30)
-	liar := string(f.names[4])
-	if err := f.net.SetByzantine(simnet.NodeID(liar), simnet.ByzantineConfig{Mode: simnet.ByzBitFlip, Rate: 1}); err != nil {
-		t.Fatalf("SetByzantine: %v", err)
-	}
+// breakerVerdicts wires s's verdicts into a default breaker, as the stack
+// does.
+func breakerVerdicts(s *Scrubber) *resilience.Breaker {
 	breaker := resilience.NewBreaker(resilience.DefaultBreakerConfig())
-	s := New(f.d, DefaultConfig(f.client))
 	s.SetVerdict(func(node string, ok bool) {
 		if ok {
 			breaker.Report(node, true)
@@ -191,26 +187,76 @@ func TestScrubVerdictsQuarantineByzantineReplica(t *testing.T) {
 			breaker.ReportCorrupt(node)
 		}
 	})
+	return breaker
+}
+
+func TestScrubVerdictsQuarantineByzantineReplica(t *testing.T) {
+	f := newFixture(t, 105, 16, 30)
+	liar := string(f.names[4])
+	if err := f.net.SetByzantine(simnet.NodeID(liar), simnet.ByzantineConfig{Mode: simnet.ByzBitFlip, Rate: 1}); err != nil {
+		t.Fatalf("SetByzantine: %v", err)
+	}
+	s := New(f.d, DefaultConfig(f.client))
+	breaker := breakerVerdicts(s)
+	// One verdict per node per pass: the liar takes one strike a pass and
+	// reaches the breaker's threshold on the third.
+	threshold := resilience.DefaultBreakerConfig().Threshold
+	for pass := 1; pass <= threshold; pass++ {
+		if breaker.Quarantined(liar) {
+			t.Fatalf("liar quarantined before pass %d", pass)
+		}
+		rep, err := s.Scrub(f.keys)
+		if err != nil {
+			t.Fatalf("Scrub: %v", err)
+		}
+		if rep.CorruptCopies == 0 {
+			t.Fatalf("pass %d: rate-1 corrupter condemned nowhere", pass)
+		}
+		// The lying node corrupts *replies*; its stored state is intact —
+		// detection must not manufacture divergence where the disks agree.
+		// (Repairs pushed to it are allowed; its store accepts them
+		// honestly.)
+		if rep.Failed != 0 {
+			t.Fatalf("pass %d: %d keys failed outright; majority election should survive one liar", pass, rep.Failed)
+		}
+	}
+	// Only the liar: honest replicas collect no corruption verdicts.
+	if q := breaker.QuarantinedNodes(); len(q) != 1 || q[0] != liar {
+		t.Fatalf("QuarantinedNodes after %d passes = %v, want [%s]", threshold, q, liar)
+	}
+}
+
+// TestRotBurstDoesNotQuarantineHonestHolder: at-rest rot on several copies
+// held by one honest node is one strike in one pass, not a quarantine. (With
+// one verdict per condemned copy, three rotted copies adjacent in key order
+// reached the breaker's threshold in a single pass.)
+func TestRotBurstDoesNotQuarantineHonestHolder(t *testing.T) {
+	f := newFixture(t, 107, 16, 40)
+	holder := f.replicasOf(t, f.keys[0])[0]
+	rotted := 0
+	for _, key := range f.keys {
+		if f.d.CorruptStored(holder, key, func(b []byte) []byte {
+			b[len(b)/2] ^= 0x02
+			return b
+		}) {
+			rotted++
+		}
+	}
+	threshold := resilience.DefaultBreakerConfig().Threshold
+	if rotted < threshold {
+		t.Fatalf("holder %s held %d keys, want >= %d for the burst to matter", holder, rotted, threshold)
+	}
+	s := New(f.d, DefaultConfig(f.client))
+	breaker := breakerVerdicts(s)
 	rep, err := s.Scrub(f.keys)
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
-	if rep.CorruptCopies == 0 {
-		t.Fatal("rate-1 corrupter condemned nowhere")
+	if rep.CorruptCopies != rotted || rep.RepairedWrites != rotted {
+		t.Fatalf("corrupt=%d repaired=%d, want %d/%d", rep.CorruptCopies, rep.RepairedWrites, rotted, rotted)
 	}
-	if !breaker.Quarantined(liar) {
-		t.Fatalf("liar not quarantined after one pass (%d condemnations total)", rep.CorruptCopies)
-	}
-	// Only the liar: honest replicas collect no corruption verdicts.
-	if q := breaker.QuarantinedNodes(); len(q) != 1 || q[0] != liar {
-		t.Fatalf("QuarantinedNodes = %v, want [%s]", q, liar)
-	}
-	// The lying node corrupts *replies*; its stored state is intact, so
-	// nothing needed repair — detection must not manufacture divergence
-	// where the disks agree. (Repairs pushed to it are allowed; its store
-	// accepts them honestly.)
-	if rep.Failed != 0 {
-		t.Fatalf("%d keys failed outright; majority election should survive one liar", rep.Failed)
+	if breaker.Quarantined(holder) || len(breaker.QuarantinedNodes()) != 0 {
+		t.Fatalf("rot burst of %d copies quarantined %v; want nobody", rotted, breaker.QuarantinedNodes())
 	}
 }
 

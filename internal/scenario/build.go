@@ -136,8 +136,8 @@ func newRunState(sc *Scenario, rc RunConfig, reg *telemetry.Registry, workers in
 		// the written keyspace, planned through the DHT's network-free
 		// replica view. Scrub workers stay at 1; scrub results are
 		// worker-count independent by contract, but the scenario runtime
-		// keeps every knob that could matter pinned. Verdicts stay unwired
-		// (stack.Spec.Verdicts).
+		// keeps every knob that could matter pinned. The scrubber's per-node
+		// verdicts feed the decorator's breaker, as in every stack.
 		scfg := scrub.DefaultConfig("")
 		spec.Scrub = &scfg
 		spec.Sweep = &scrub.SweepConfig{Budget: sc.SweepBudget, ChunkKeys: sc.SweepChunk}

@@ -38,16 +38,13 @@ type Spec struct {
 	// Resilience, when non-nil, wraps the overlay in the recovery decorator.
 	Resilience *resilience.Config
 	// Scrub, when non-nil, builds an integrity scrubber over the overlay
-	// (which must address replicas). An empty Origin means the client.
+	// (which must address replicas). An empty Origin means the client. With
+	// Resilience also set, its per-node verdicts feed the decorator's
+	// breaker.
 	Scrub *scrub.Config
 	// Sweep, when non-nil, builds the continuous sweeper over the scrubber,
 	// planning replica groups through the overlay; requires Scrub.
 	Sweep *scrub.SweepConfig
-	// Verdicts routes scrub verdicts into the resilience breaker: a
-	// condemned copy taints its holder, a clean one counts as a success.
-	// The scenario runtime leaves it off — with verdicts wired an at-rest
-	// rot burst quarantines honest holders (ROADMAP aim 3, defect i).
-	Verdicts bool
 	// Registry, when non-nil, receives the telemetry of every layer built.
 	Registry *telemetry.Registry
 }
@@ -82,8 +79,11 @@ func NodeNames(format string, n int) []simnet.NodeID {
 }
 
 // Build assembles the stack bottom-up. The order is part of the contract:
-// resilience.Wrap installs its placement filter and replica ranker on the
-// overlay it is handed, and the scrubber's hooks close over the decorator.
+// resilience.Wrap installs its placement filter (quarantine) and replica
+// ranker on the overlay it is handed, and when a scrubber and a decorator
+// coexist the scrubber's invalidator and verdict hooks close over the
+// decorator, so one breaker decides quarantine for reads, scrub passes,
+// writes and heal alike.
 func Build(spec Spec) (*Stack, error) {
 	if len(spec.Names) == 0 {
 		return nil, overlay.ErrNoNodes
@@ -128,18 +128,17 @@ func Build(spec Spec) (*Stack, error) {
 		s.Scrub.SetTelemetry(reg)
 		if s.KV != nil {
 			// A scrub verdict against a key drops its cached value, so the
-			// next read re-verifies the repaired state.
+			// next read re-verifies the repaired state; a verdict against a
+			// node (one per pass) feeds the breaker that decides quarantine.
 			s.Scrub.SetInvalidator(s.KV.InvalidateValue)
-			if spec.Verdicts {
-				breaker := s.KV.Breaker()
-				s.Scrub.SetVerdict(func(node string, ok bool) {
-					if ok {
-						breaker.Report(node, true)
-					} else {
-						breaker.ReportCorrupt(node)
-					}
-				})
-			}
+			breaker := s.KV.Breaker()
+			s.Scrub.SetVerdict(func(node string, ok bool) {
+				if ok {
+					breaker.Report(node, true)
+				} else {
+					breaker.ReportCorrupt(node)
+				}
+			})
 		}
 	}
 

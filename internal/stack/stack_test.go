@@ -137,7 +137,6 @@ func TestBuildMatchesHandAssembly(t *testing.T) {
 				Net:        simnet.DefaultConfig(testSeed),
 				DHT:        dht.Config{ReplicationFactor: 3},
 				Resilience: tc.rcfg,
-				Verdicts:   true,
 			}
 			if tc.scrubbed {
 				scfg := scrub.DefaultConfig("")
@@ -179,7 +178,7 @@ func TestBuildOptionalLayersAreNil(t *testing.T) {
 	scfg := scrub.DefaultConfig("")
 	s, err = Build(Spec{
 		Names: NodeNames("node-%d", 8), Net: simnet.DefaultConfig(1), DHT: dht.Config{ReplicationFactor: 2},
-		Scrub: &scfg, Sweep: &scrub.SweepConfig{ChunkKeys: 4}, Verdicts: true,
+		Scrub: &scfg, Sweep: &scrub.SweepConfig{ChunkKeys: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,10 +186,56 @@ func TestBuildOptionalLayersAreNil(t *testing.T) {
 	if s.KV != nil || s.Scrub == nil || s.Sweep == nil {
 		t.Fatalf("scrub-only stack: kv=%v scrub=%v sweep=%v", s.KV, s.Scrub, s.Sweep)
 	}
-	// Verdicts without a decorator has nothing to report to: a pass must
-	// simply run.
+	// Without a decorator, verdicts have no breaker to report to: a pass
+	// must simply run.
 	if _, err := s.Scrub.Scrub([]string{"k"}); err != nil {
 		t.Fatalf("scrub without decorator: %v", err)
+	}
+}
+
+// TestBuildWiresScrubVerdictsIntoTheBreaker: a stack with a decorator and a
+// scrubber quarantines a rate-1 liar from scrub passes alone, one strike per
+// pass, and nobody else.
+func TestBuildWiresScrubVerdictsIntoTheBreaker(t *testing.T) {
+	rcfg := resilience.DefaultConfig(testSeed)
+	rcfg.Verify = scrub.Check
+	scfg := scrub.DefaultConfig("")
+	st, err := Build(Spec{
+		Names:      NodeNames("node-%d", 16),
+		Net:        simnet.DefaultConfig(testSeed),
+		DHT:        dht.Config{ReplicationFactor: 3},
+		Resilience: &rcfg,
+		Scrub:      &scfg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 30)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		if _, err := st.KV.Store(st.Client, keys[i], scrub.Seal(keys[i], []byte(keys[i]))); err != nil {
+			t.Fatalf("store %s: %v", keys[i], err)
+		}
+	}
+	liar := string(st.Names[4])
+	if err := st.Net.SetByzantine(st.Names[4], simnet.ByzantineConfig{Mode: simnet.ByzBitFlip, Rate: 1, Seed: testSeed}); err != nil {
+		t.Fatal(err)
+	}
+	breaker := st.KV.Breaker()
+	for pass := 1; pass <= rcfg.Breaker.Threshold; pass++ {
+		if breaker.Quarantined(liar) {
+			t.Fatalf("liar quarantined before pass %d", pass)
+		}
+		rep, err := st.Scrub.Scrub(keys)
+		if err != nil {
+			t.Fatalf("scrub: %v", err)
+		}
+		if rep.CorruptCopies == 0 {
+			t.Fatalf("pass %d condemned no copy of the liar", pass)
+		}
+	}
+	if q := breaker.QuarantinedNodes(); len(q) != 1 || q[0] != liar {
+		t.Fatalf("QuarantinedNodes after %d passes = %v, want [%s]", rcfg.Breaker.Threshold, q, liar)
 	}
 }
 
