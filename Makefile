@@ -20,6 +20,7 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock smoke
 #   cache -race  the sharded cache's concurrent hammer and eviction-order determinism
 #   simnet -race  ten callers against every fault injector with exact ledgers; link draws independent of other links' traffic
 #   pubkey -race  ten goroutines on one ECIES Sender (shared and own recipients, Forget, ephemeral replacement) and on one key pair's memoised Decrypt
+#   e7,e16     placed sealed copies on the DHT match 1-(1-u)^(k+1) within 4 sigma + 0.01, monotone in k and uptime; proxies >= 0.99
 #   e22        load-aware arm >= 99% served at <= 3x baseline p99 while the bare arm degrades
 #   e23        batching saves >= 3x msg/op at digest-identical reads and flat live heap
 #   scenarios  every committed scenario: run-twice + workers 1v8 DeepEqual, invariants, pinned digest
@@ -36,6 +37,7 @@ $(BENCH_BIN) -quick -exp e21
 $(GO) test -race -count=1 -run 'TestCacheRaceHammer|TestCacheEvictionOrderShardedWorkers1vs8' ./internal/cache/
 $(GO) test -race -count=1 -run 'TestHammerKeepsLedgersExact|TestLinkDrawsIgnoreOtherLinks' ./internal/overlay/simnet/
 $(GO) test -race -count=1 -run 'TestSenderHammer|TestDecryptHammer' ./internal/crypto/pubkey/
+$(BENCH_BIN) -quick -exp e7,e16
 $(BENCH_BIN) -quick -exp e22
 $(BENCH_BIN) -quick -exp e23
 $(BENCH_BIN) -scenario 'scenarios/*.scenario'
@@ -126,7 +128,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 27
+BENCH_PR := 28
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json

@@ -9,7 +9,8 @@ package godosn
 //	E4  BenchmarkIntegrity*
 //	E5  BenchmarkForkDetection
 //	E6  BenchmarkLookup*
-//	E7  BenchmarkAvailabilityTrial
+//	E7  BenchmarkAvailabilityTrial, in internal/bench: it drives the
+//	    unexported placement world E7 and E16 share (one draw, one probe per op)
 //	E8  BenchmarkSearch*
 //	E9  BenchmarkTrustRank
 //	E10 BenchmarkHummingbird*
@@ -41,8 +42,6 @@ import (
 	"godosn/internal/social/identity"
 	"godosn/internal/social/integrity"
 	"godosn/internal/social/privacy"
-	"godosn/internal/storage/replication"
-	"godosn/internal/storage/store"
 	"godosn/internal/workload"
 )
 
@@ -401,24 +400,6 @@ func BenchmarkLookupFederation(b *testing.B) {
 		b.Fatal(err)
 	}
 	lookupBench(b, kv, names, false)
-}
-
-// --- E7: availability trials --------------------------------------------------
-
-func BenchmarkAvailabilityTrial(b *testing.B) {
-	m := replication.NewManager(11)
-	for i := 0; i < 60; i++ {
-		m.AddPeer(fmt.Sprintf("p%d", i))
-	}
-	obj := store.NewObject([]byte("content"))
-	if _, err := m.Place("p0", obj, 3, replication.RandomPeers); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ApplyChurn(0.5)
-		m.Retrieve(obj.Ref) //nolint:errcheck // failures are the datum
-	}
 }
 
 // --- E8/E9: search ------------------------------------------------------------

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -107,26 +108,115 @@ func TestE2Shapes(t *testing.T) {
 }
 
 func TestE7Shapes(t *testing.T) {
-	tb, err := E7Availability(true)
-	if err != nil {
-		t.Fatalf("E7: %v", err)
+	for _, quick := range []bool{true, false} {
+		tb, err := E7Availability(quick)
+		if err != nil {
+			t.Fatalf("E7 quick=%v: %v", quick, err)
+		}
+		_, cells := availabilityCells(t, tb)
+		// Every added replica buys availability at the lowest uptime.
+		for i := 1; i < len(cells)-1; i++ {
+			if cells[i][0] <= cells[i-1][0] {
+				t.Errorf("quick=%v: %s replicas serve %.2f, not more than %s replicas' %.2f",
+					quick, tb.Rows[i][0], cells[i][0], tb.Rows[i-1][0], cells[i-1][0])
+			}
+		}
+		// Last row is the proxy row: available regardless of uptime.
+		for _, a := range cells[len(cells)-1] {
+			if a < 0.99 {
+				t.Errorf("quick=%v: proxy availability %.2f < 1", quick, a)
+			}
+		}
 	}
+}
+
+// availabilityCells parses an E7/E16 table: each column's uptime and each
+// row's served fractions.
+func availabilityCells(t *testing.T, tb *Table) ([]float64, [][]float64) {
+	t.Helper()
 	parse := func(s string) float64 {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
-			t.Fatalf("bad float %q", s)
+			t.Fatalf("%s: bad number %q", tb.ID, s)
 		}
 		return v
 	}
-	// First row (1 replica) vs second (3 replicas) at the lowest uptime.
-	if parse(tb.Rows[1][1]) <= parse(tb.Rows[0][1]) {
-		t.Error("availability did not increase with replication")
+	var uptimes []float64
+	for _, h := range tb.Header[1:] {
+		uptimes = append(uptimes, parse(strings.TrimSuffix(strings.TrimPrefix(h, "uptime="), "%"))/100)
 	}
-	// Last row is the proxy row: available regardless of uptime.
-	proxyRow := tb.Rows[len(tb.Rows)-1]
-	for _, c := range proxyRow[1:] {
-		if parse(c) < 0.99 {
-			t.Errorf("proxy availability %s < 1", c)
+	cells := make([][]float64, len(tb.Rows))
+	for i, row := range tb.Rows {
+		for _, c := range row[1:] {
+			cells[i] = append(cells[i], parse(c))
+		}
+	}
+	return uptimes, cells
+}
+
+// TestAvailabilityMatchesClosedForm checks E7 and E16 against an independent
+// model: a record on h holders that churn independently at uptime u is
+// served with probability 1−(1−u)^h, and a proxy never churns. Every random
+// and friend cell must lie within 4σ + 0.01 of it, σ = √(p(1−p)/trials); every
+// row must be non-decreasing in uptime, every E7 column non-decreasing in k,
+// and every proxy row at least 0.99.
+func TestAvailabilityMatchesClosedForm(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		trials := 400
+		if quick {
+			trials = 100
+		}
+		e7, err := E7Availability(quick)
+		if err != nil {
+			t.Fatalf("E7 quick=%v: %v", quick, err)
+		}
+		e16, err := E16PlacementAblation(quick)
+		if err != nil {
+			t.Fatalf("E16 quick=%v: %v", quick, err)
+		}
+		// holders maps a row label to its holder count (owner included); 0
+		// marks a proxy row.
+		for _, c := range []struct {
+			tb      *Table
+			holders func(label string) int
+		}{
+			{e7, func(label string) int {
+				if k, err := strconv.Atoi(label); err == nil {
+					return k + 1
+				}
+				return 0
+			}},
+			{e16, func(label string) int {
+				if label == "proxies" {
+					return 0
+				}
+				return 3 + 1
+			}},
+		} {
+			uptimes, cells := availabilityCells(t, c.tb)
+			for i, row := range cells {
+				label := c.tb.Rows[i][0]
+				h := c.holders(label)
+				for j, a := range row {
+					u := uptimes[j]
+					if h == 0 {
+						if a < 0.99 {
+							t.Errorf("quick=%v %s %q at %.0f%%: proxy row serves %.2f < 0.99", quick, c.tb.ID, label, u*100, a)
+						}
+					} else {
+						p := 1 - math.Pow(1-u, float64(h))
+						if tol := 4*math.Sqrt(p*(1-p)/float64(trials)) + 0.01; math.Abs(a-p) > tol {
+							t.Errorf("quick=%v %s %q at %.0f%%: served %.2f, closed form %.3f ± %.3f", quick, c.tb.ID, label, u*100, a, p, tol)
+						}
+					}
+					if j > 0 && a < row[j-1] {
+						t.Errorf("quick=%v %s %q: %.2f at %.0f%% below %.2f at %.0f%%", quick, c.tb.ID, label, a, u*100, row[j-1], uptimes[j-1]*100)
+					}
+					if c.tb == e7 && h > 0 && i > 0 && a < cells[i-1][j] {
+						t.Errorf("quick=%v E7 at %.0f%%: %s replicas serve %.2f, below %s replicas' %.2f", quick, u*100, label, a, c.tb.Rows[i-1][0], cells[i-1][j])
+					}
+				}
+			}
 		}
 	}
 }

@@ -10,8 +10,6 @@ import (
 	"godosn/internal/overlay/hybrid"
 	"godosn/internal/overlay/simnet"
 	"godosn/internal/overlay/superpeer"
-	"godosn/internal/storage/replication"
-	"godosn/internal/storage/store"
 	"godosn/internal/workload"
 )
 
@@ -104,66 +102,4 @@ func E6OverlayLookup(quick bool) (*Table, error) {
 	}
 	t.AddNote("paper shapes: structured resolves in O(log n) steps; flooding messages grow with n; super-peer and federation are constant-hop; hybrid amortizes via caching")
 	return t, nil
-}
-
-// E7Availability sweeps replication factor against node uptime and reports
-// retrieval success — the paper's core availability claim for DOSNs.
-func E7Availability(quick bool) (*Table, error) {
-	replicas := []int{1, 2, 3, 5}
-	uptimes := []float64{0.3, 0.5, 0.7, 0.9}
-	trials := 400
-	peers := 60
-	if quick {
-		replicas = []int{1, 3}
-		uptimes = []float64{0.3, 0.7}
-		trials = 100
-		peers = 30
-	}
-	t := &Table{
-		ID:     "E7",
-		Title:  "availability vs replication factor and uptime (random placement)",
-		Header: append([]string{"replicas"}, uptimeHeader(uptimes)...),
-	}
-	for _, k := range replicas {
-		row := []string{fmt.Sprint(k)}
-		for _, up := range uptimes {
-			m := replication.NewManager(int64(k*1000) + int64(up*100))
-			for i := 0; i < peers; i++ {
-				m.AddPeer(fmt.Sprintf("p%d", i))
-			}
-			obj := store.NewObject([]byte("content"))
-			if _, err := m.Place("p0", obj, k, replication.RandomPeers); err != nil {
-				return nil, err
-			}
-			avail := m.Availability(obj.Ref, up, trials)
-			row = append(row, fmt.Sprintf("%.2f", avail))
-		}
-		t.AddRow(row...)
-	}
-	// Proxy placement row: the paper's "proxy nodes can be used for storing
-	// users' data and keeping them available".
-	m := replication.NewManager(99)
-	for i := 0; i < peers; i++ {
-		m.AddPeer(fmt.Sprintf("p%d", i))
-	}
-	m.AddProxy("proxy-0")
-	obj := store.NewObject([]byte("content"))
-	if _, err := m.Place("p0", obj, 1, replication.ProxyPeers); err != nil {
-		return nil, err
-	}
-	row := []string{"1 proxy"}
-	for _, up := range uptimes {
-		row = append(row, fmt.Sprintf("%.2f", m.Availability(obj.Ref, up, trials)))
-	}
-	t.AddRow(row...)
-	t.AddNote("paper claim: replication and caching ensure availability; proxies give availability independent of peer uptime")
-	return t, nil
-}
-
-func uptimeHeader(uptimes []float64) []string {
-	out := make([]string, len(uptimes))
-	for i, u := range uptimes {
-		out[i] = fmt.Sprintf("uptime=%.0f%%", u*100)
-	}
-	return out
 }

@@ -9,7 +9,7 @@ import (
 // deterministicIDs are experiments whose rendered output contains no
 // wall-clock measurement — everything in their tables derives from seeded
 // RNGs and simulated costs — so two runs must be byte-identical.
-var deterministicIDs = []string{"e3", "e6", "e7", "e17", "e19", "e20"}
+var deterministicIDs = []string{"e3", "e6", "e7", "e16", "e17", "e19", "e20"}
 
 func selectExperiments(t *testing.T, ids []string) []Experiment {
 	t.Helper()
