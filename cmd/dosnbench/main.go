@@ -10,6 +10,7 @@
 //	dosnbench -json out.json    # also write machine-readable metrics
 //	dosnbench -validate f.json  # smoke-parse a previously written report
 //	dosnbench -list             # list experiments
+//	dosnbench -exp e23 -memprofile m.out -cpuprofile c.out  # runtime/pprof profiles, written at exit
 //
 // Chaos-scenario modes (mutually exclusive with each other; see
 // internal/scenario):
@@ -53,7 +54,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		expFlag      = flag.String("exp", "", "comma-separated experiment ids (default: all)")
 		quickFlag    = flag.Bool("quick", false, "reduced parameters for a fast smoke run")
@@ -67,8 +68,23 @@ func run() int {
 		minimizeFlag      = flag.String("scenario-minimize", "", "minimize a failing .scenario file, writing <name>.min.scenario next to it")
 		traceOutFlag      = flag.String("trace-out", "", "emit a telemetry trace of a single -scenario replay: file path, tcp://host:port, unix:///path, optional otlp+ prefix")
 		scenarioRptFlag   = flag.Bool("scenario-report", false, "with -scenario: print each replay's per-window time-series breakdown")
+
+		cpuProfileFlag = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfileFlag = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProfileFlag, *memProfileFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dosnbench: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "dosnbench: %v\n", err)
+			code = max(code, 1)
+		}
+	}()
 
 	scenarioModes := 0
 	for _, f := range []string{*scenarioFlag, *recordLibraryFlag, *minimizeFlag} {

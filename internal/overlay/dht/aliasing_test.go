@@ -331,7 +331,7 @@ func TestFetchCopiesWhileStoreBatchAppends(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 1; i <= writes; i++ {
-			req := storeBatchReq{
+			req := &storeBatchReq{
 				Keys:   []string{"hot", fmt.Sprintf("cold-%d", i%7)},
 				Values: [][]byte{version(byte(i)), version(byte(i))},
 			}
@@ -357,11 +357,11 @@ func TestFetchCopiesWhileStoreBatchAppends(t *testing.T) {
 		if resp := reply.Payload.(*fetchResp); !resp.Found || !whole(resp.Value) {
 			t.Fatal("fetch returned a torn value")
 		}
-		reply, err = handle(&simnet.Trace{}, names[0], simnet.Message{Kind: kindFetchBatch, Payload: fetchBatchReq{Keys: []string{"hot", "cold-3"}}})
+		reply, err = handle(&simnet.Trace{}, names[0], simnet.Message{Kind: kindFetchBatch, Payload: &fetchBatchReq{Keys: []string{"hot", "cold-3"}}})
 		if err != nil {
 			t.Fatalf("fetch_batch: %v", err)
 		}
-		if resp := reply.Payload.(fetchBatchResp); !resp.Found[0] || !whole(resp.Values[0]) || (resp.Found[1] && !whole(resp.Values[1])) {
+		if resp := reply.Payload.(*fetchBatchResp); !resp.Found[0] || !whole(resp.Values[0]) || (resp.Found[1] && !whole(resp.Values[1])) {
 			t.Fatal("fetch_batch returned a torn value")
 		}
 	}

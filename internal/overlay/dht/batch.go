@@ -1,10 +1,10 @@
 package dht
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"godosn/internal/overlay"
@@ -27,15 +27,18 @@ import (
 //     travel to each replica in ONE message instead of one per key, so the
 //     message cost of a batch scales with the number of replica groups
 //     touched, not the number of keys.
-//  3. Value copies are shared allocations. An incoming envelope's keys and
-//     values are copied straight into the node's record log (store.go) with
-//     no allocation per key; an outgoing reply's values are copied into a
-//     single backing array; and envelope key lists are drawn from a
-//     sync.Pool that recycles them across replica probes (lifetime rules in
-//     DESIGN.md §10: log bytes are immutable once written and whatever
-//     leaves a node is a copy; pooled buffers never outlive the RPC that
-//     borrowed them — simnet RPCs are synchronous, so reuse after return is
-//     safe).
+//  3. Allocations are per batch, not per group or key. A batch borrows one
+//     operation frame (opFrame, dht.go) for its routing walks and its plan —
+//     per-key roots, every routed position sorted by root, each group a
+//     sub-slice — and each group borrows one for its envelopes, its trace
+//     and its replica ids, so concurrent groups never share one. An incoming
+//     envelope's keys and values are copied straight into the node's record
+//     log (store.go); an outgoing reply's values are copied into one fresh
+//     backing array per probe, because they leave the DHT. Lifetime rules
+//     are in DESIGN.md §10: log bytes are immutable once written, whatever
+//     leaves a node is a copy, and a pooled frame never outlives the
+//     operation that borrowed it (simnet RPCs are synchronous, so reuse
+//     after return is safe).
 //
 // Cost model (the batch determinism contract): a batch is one logical
 // operation whose per-root groups proceed as independent concurrent
@@ -57,6 +60,9 @@ const (
 	kindFetchBatch = "dht.fetch_batch"
 )
 
+// Batch payloads travel as pointers into the sender's frame, like the
+// single-key ones (dht.go).
+
 // storeBatchReq carries every key the destination replica holds for this
 // batch, in one envelope.
 type storeBatchReq struct {
@@ -64,14 +70,38 @@ type storeBatchReq struct {
 	Values [][]byte
 }
 
-type fetchBatchReq struct{ Keys []string }
+// fetchBatchReq carries the keys to read and the slot the handler answers in.
+type fetchBatchReq struct {
+	Keys  []string
+	reply fetchBatchResp
+}
 
 // fetchBatchResp answers positionally: Found[i]/Values[i] correspond to
-// req.Keys[i].
+// req.Keys[i]. The headers are the request's slot; the value bytes are the
+// handler's fresh copy.
 type fetchBatchResp struct {
 	Found  []bool
 	Values [][]byte
 }
+
+// reset empties the request for refilling, keeping its arrays but none of
+// what they referenced.
+func (r *storeBatchReq) reset() {
+	clear(r.Keys)
+	clear(r.Values)
+	r.Keys, r.Values = r.Keys[:0], r.Values[:0]
+}
+
+// reset empties the request and its reply slot for refilling, keeping their
+// arrays but none of what they referenced.
+func (r *fetchBatchReq) reset() {
+	clear(r.Keys)
+	clear(r.reply.Values)
+	r.Keys, r.reply.Found, r.reply.Values = r.Keys[:0], r.reply.Found[:0], r.reply.Values[:0]
+}
+
+// errBadFetchBatchReply rejects a fetch_batch reply of the wrong shape.
+var errBadFetchBatchReply = errors.New("dht: bad fetch_batch reply")
 
 // batchEnvelopeOverhead models the fixed framing of a batch envelope, and
 // batchItemOverhead the per-item length prefix, for wire-size accounting.
@@ -80,23 +110,10 @@ const (
 	batchItemOverhead     = 4
 )
 
-// keyListPool recycles envelope key lists across replica probes and groups.
-// Borrowed slices are returned as soon as the last RPC using them has
-// completed; they never escape into handler or reply state (handlers copy
-// what they keep).
-var keyListPool = sync.Pool{New: func() any { s := make([]string, 0, 64); return &s }}
-
-func borrowKeyList() *[]string { return keyListPool.Get().(*[]string) }
-
-func returnKeyList(s *[]string) {
-	*s = (*s)[:0]
-	keyListPool.Put(s)
-}
-
 // handleStoreBatch executes the replica-side batch write: the store's put
 // copies each key and value into the node's log, so the envelope's slices
 // stay the sender's.
-func handleStoreBatch(n *node, req storeBatchReq) (simnet.Message, error) {
+func handleStoreBatch(n *node, req *storeBatchReq) (simnet.Message, error) {
 	if len(req.Keys) != len(req.Values) {
 		return simnet.Message{}, fmt.Errorf("dht: store_batch: %d keys, %d values", len(req.Keys), len(req.Values))
 	}
@@ -108,20 +125,21 @@ func handleStoreBatch(n *node, req storeBatchReq) (simnet.Message, error) {
 	return simnet.Message{Kind: kindStoreBatch, Size: batchEnvelopeOverhead}, nil
 }
 
-// handleFetchBatch executes the replica-side batch read, answered
-// positionally. Each key is resolved once, under the lock; the found values
-// are then copied out of the log into one arena allocation after it is
-// released (log bytes never change).
-func handleFetchBatch(n *node, req fetchBatchReq) (simnet.Message, error) {
-	resp := fetchBatchResp{
-		Found:  make([]bool, len(req.Keys)),
-		Values: make([][]byte, len(req.Keys)),
-	}
+// handleFetchBatch executes the replica-side batch read into the request's
+// slot, answered positionally. Each key is resolved once, under the lock;
+// the found values are then copied out of the log into one arena allocation
+// after it is released (log bytes never change).
+func handleFetchBatch(n *node, req *fetchBatchReq) (simnet.Message, error) {
+	resp := &req.reply
+	resp.Found = slices.Grow(resp.Found[:0], len(req.Keys))
+	resp.Values = slices.Grow(resp.Values[:0], len(req.Keys))
 	total := 0
 	n.mu.Lock()
-	for i, key := range req.Keys {
-		resp.Values[i], resp.Found[i] = n.data.get(key)
-		total += len(resp.Values[i])
+	for _, key := range req.Keys {
+		v, found := n.data.get(key)
+		resp.Found = append(resp.Found, found)
+		resp.Values = append(resp.Values, v)
+		total += len(v)
 	}
 	n.mu.Unlock()
 	arena := make([]byte, 0, total)
@@ -137,129 +155,146 @@ func handleFetchBatch(n *node, req fetchBatchReq) (simnet.Message, error) {
 	return simnet.Message{Kind: kindFetchBatch, Payload: resp, Size: batchEnvelopeOverhead + len(req.Keys) + total}, nil
 }
 
-// batchRoots resolves every key's successor root with one amortized pass:
-// route-cache hits are free; misses are sorted by ring position and each
-// iterative lookup's result covers every following key inside the resolved
-// successor's ownership interval. Resolutions are modeled as concurrent
-// pipelines (messages sum, latency charges the slowest walk). Per-key
-// routing failures land in errs; the corresponding roots entry is invalid.
-func (d *DHT) batchRoots(origin simnet.NodeID, keys []string) (roots []uint64, errs []error, tr simnet.Trace) {
-	roots = make([]uint64, len(keys))
-	errs = make([]error, len(keys))
-	type pend struct {
-		idx int
-		kid uint64
-	}
-	pending := make([]pend, 0, len(keys))
+// batchPlan is a batch's routing and grouping state, kept in the batch's
+// frame: each key's root or routing failure, the walks still to run, and
+// every routed position sorted by root with each group a sub-slice of it.
+type batchPlan struct {
+	roots   []uint64
+	errs    []error
+	pending []pendingKey
+	order   []int
+	groups  []batchGroup
+}
+
+// pendingKey is a key the route cache did not answer: its batch position
+// and ring id.
+type pendingKey struct {
+	idx int
+	kid uint64
+}
+
+// batchGroup is one per-root work unit and its outcome: the batch positions
+// whose keys resolved to root, in input order; the group's network cost;
+// and, for PutBatch, the error every key of the group shares (the envelope
+// is all-or-nothing per replica).
+type batchGroup struct {
+	root uint64
+	idxs []int
+	tr   simnet.Trace
+	err  error
+}
+
+// reset empties the plan for the next batch, keeping its arrays but none of
+// the errors they referenced.
+func (p *batchPlan) reset() {
+	clear(p.errs)
+	clear(p.groups)
+	p.roots, p.errs, p.pending, p.order, p.groups = p.roots[:0], p.errs[:0], p.pending[:0], p.order[:0], p.groups[:0]
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when it is
+// large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// batchRoots resolves every key's successor root into f's plan with one
+// amortized pass: route-cache hits are free; misses are sorted by ring
+// position and each iterative lookup's result covers every following key
+// inside the resolved successor's ownership interval. Resolutions are
+// modeled as concurrent pipelines (messages sum, latency charges the
+// slowest walk). Per-key routing failures land in the plan's errs; the
+// corresponding roots entry is invalid.
+func (d *DHT) batchRoots(f *opFrame, origin simnet.NodeID, keys []string) (tr simnet.Trace) {
+	p := &f.plan
+	p.roots = zeroed(p.roots, len(keys))
+	p.errs = zeroed(p.errs, len(keys))
 	for i, key := range keys {
 		if root, ok := d.routes.Get(key); ok {
-			roots[i] = root
+			p.roots[i] = root
 			continue
 		}
-		pending = append(pending, pend{idx: i, kid: hashID(key)})
+		p.pending = append(p.pending, pendingKey{idx: i, kid: hashID(key)})
 	}
-	sort.Slice(pending, func(a, b int) bool { return pending[a].kid < pending[b].kid })
-	// One frame serves every walk of the batch; each starts on a zero trace.
-	f := borrowFrame()
-	defer returnFrame(f)
+	slices.SortFunc(p.pending, func(a, b pendingKey) int { return cmp.Compare(a.kid, b.kid) })
 	var (
 		lastKid, lastRoot uint64
 		haveLast          bool
 		maxLat            time.Duration
 	)
-	for _, p := range pending {
+	for _, pk := range p.pending {
 		// Ownership shortcut: kid == lastKid is the same point; otherwise a
 		// kid strictly inside (lastKid, lastRoot] shares lastRoot. The
 		// lastKid == lastRoot corner (key hashing exactly onto the root)
 		// would make the interval the whole ring, so only equality applies.
-		if haveLast && (p.kid == lastKid || (lastKid != lastRoot && inInterval(p.kid, lastKid, lastRoot))) {
-			roots[p.idx] = lastRoot
-			d.routes.Put(keys[p.idx], lastRoot)
+		if haveLast && (pk.kid == lastKid || (lastKid != lastRoot && inInterval(pk.kid, lastKid, lastRoot))) {
+			p.roots[pk.idx] = lastRoot
+			d.routes.Put(keys[pk.idx], lastRoot)
 			continue
 		}
 		// Cross-batch shortcut: an interval learned by any earlier walk
 		// (this batch or a previous one) resolves the key without routing.
-		if root, ok := d.ownership.lookup(p.kid); ok {
-			roots[p.idx] = root
-			d.routes.Put(keys[p.idx], root)
-			lastKid, lastRoot, haveLast = p.kid, root, true
+		if root, ok := d.ownership.lookup(pk.kid); ok {
+			p.roots[pk.idx] = root
+			d.routes.Put(keys[pk.idx], root)
+			lastKid, lastRoot, haveLast = pk.kid, root, true
 			continue
 		}
+		// Every walk of the batch starts on a zero trace.
 		f.tr = simnet.Trace{}
-		rtr := &f.tr
-		root, err := d.findSuccessor(f, origin, p.kid)
-		tr.Hops += rtr.Hops
-		tr.Messages += rtr.Messages
-		tr.Bytes += rtr.Bytes
-		if rtr.Latency > maxLat {
-			maxLat = rtr.Latency
-		}
+		root, err := d.findSuccessor(f, origin, pk.kid)
+		tr.Hops += f.tr.Hops
+		tr.Messages += f.tr.Messages
+		tr.Bytes += f.tr.Bytes
+		maxLat = max(maxLat, f.tr.Latency)
 		if err != nil {
-			errs[p.idx] = err
+			p.errs[pk.idx] = err
 			continue
 		}
-		roots[p.idx] = root
-		d.routes.Put(keys[p.idx], root)
-		d.ownership.learn(p.kid, root)
-		lastKid, lastRoot, haveLast = p.kid, root, true
+		p.roots[pk.idx] = root
+		d.routes.Put(keys[pk.idx], root)
+		d.ownership.learn(pk.kid, root)
+		lastKid, lastRoot, haveLast = pk.kid, root, true
 	}
 	tr.Latency = maxLat
-	return roots, errs, tr
+	return tr
 }
 
-// batchGroup is one per-root work unit: the batch positions whose keys
-// resolved to the same successor root, in input order.
-type batchGroup struct {
-	root uint64
-	idxs []int
-}
-
-// groupByRoot buckets successfully routed keys by root, ordered by ring
+// group buckets the successfully routed positions by root: one sort of the
+// positions by (root, position), groups as sub-slices of it, ordered by ring
 // position — a deterministic work list for the group fan-out.
-func groupByRoot(roots []uint64, errs []error) []batchGroup {
-	byRoot := make(map[uint64]*batchGroup)
-	order := make([]uint64, 0, 8)
-	for i := range roots {
-		if errs[i] != nil {
-			continue
+func (p *batchPlan) group() {
+	for i, err := range p.errs {
+		if err == nil {
+			p.order = append(p.order, i)
 		}
-		g := byRoot[roots[i]]
-		if g == nil {
-			g = &batchGroup{root: roots[i]}
-			byRoot[roots[i]] = g
-			order = append(order, roots[i])
+	}
+	slices.SortFunc(p.order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(p.roots[a], p.roots[b]), cmp.Compare(a, b))
+	})
+	for start := 0; start < len(p.order); {
+		root := p.roots[p.order[start]]
+		end := start + 1
+		for end < len(p.order) && p.roots[p.order[end]] == root {
+			end++
 		}
-		g.idxs = append(g.idxs, i)
+		p.groups = append(p.groups, batchGroup{root: root, idxs: p.order[start:end:end]})
+		start = end
 	}
-	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	out := make([]batchGroup, len(order))
-	for i, root := range order {
-		out[i] = *byRoot[root]
-	}
-	return out
 }
 
-// groupOutcome is one group's merged result: its network trace plus either
-// a shared error (Put: the envelope is all-or-nothing per replica) or
-// per-position results (Get).
-type groupOutcome struct {
-	tr   simnet.Trace
-	err  error          // PutBatch: applies to every key in the group
-	errs map[int]error  // GetBatch: per-position failures
-	vals map[int][]byte // GetBatch: per-position values
-}
-
-// mergeGroupOutcomes folds per-group traces into the batch trace under the
+// mergeGroups folds the per-group traces into the batch trace under the
 // pipelined cost model: counts sum, latency charges the slowest group.
-func mergeGroupOutcomes(tr *simnet.Trace, outcomes []groupOutcome) {
+func (p *batchPlan) mergeGroups(tr *simnet.Trace) {
 	var maxLat time.Duration
-	for _, o := range outcomes {
-		tr.Hops += o.tr.Hops
-		tr.Messages += o.tr.Messages
-		tr.Bytes += o.tr.Bytes
-		if o.tr.Latency > maxLat {
-			maxLat = o.tr.Latency
-		}
+	for i := range p.groups {
+		g := &p.groups[i].tr
+		tr.Hops += g.Hops
+		tr.Messages += g.Messages
+		tr.Bytes += g.Bytes
+		maxLat = max(maxLat, g.Latency)
 	}
 	tr.Latency += maxLat
 }
@@ -280,22 +315,25 @@ func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, 
 	if !known {
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: %w: %s", overlay.ErrUnknownOrigin, origin)
 	}
-	roots, errs, rtr := d.batchRoots(simnet.NodeID(origin), keys)
-	tr := &simnet.Trace{}
-	tr.Add(&rtr)
-	groups := groupByRoot(roots, errs)
-	outcomes, _ := parallel.Map(d.fanout, groups, func(_ int, g batchGroup) (groupOutcome, error) {
-		return d.putGroup(simnet.NodeID(origin), g, keys, values), nil
+	f := borrowFrame()
+	defer returnFrame(f)
+	p := &f.plan
+	tr := d.batchRoots(f, simnet.NodeID(origin), keys)
+	p.group()
+	_ = parallel.ForEach(d.fanout, p.groups, func(i int, _ batchGroup) error {
+		d.putGroup(simnet.NodeID(origin), &p.groups[i], keys, values)
+		return nil
 	})
-	mergeGroupOutcomes(tr, outcomes)
-	for gi, o := range outcomes {
-		if o.err != nil {
-			for _, idx := range groups[gi].idxs {
-				errs[idx] = o.err
+	p.mergeGroups(&tr)
+	errs := slices.Clone(p.errs) // the caller's, not the frame's
+	for _, g := range p.groups {
+		if g.err != nil {
+			for _, idx := range g.idxs {
+				errs[idx] = g.err
 			}
 		}
 	}
-	return errs, *tr, nil
+	return errs, tr, nil
 }
 
 // putGroup writes one root group's keys to the group's replica set: one
@@ -303,21 +341,19 @@ func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, 
 // (latency charges the slowest). Success and ack-lost semantics mirror
 // Store: one acknowledged replica suffices; with none, a lost ack is
 // surfaced as possibly-applied.
-func (d *DHT) putGroup(origin simnet.NodeID, g batchGroup, keys []string, values [][]byte) groupOutcome {
-	req := storeBatchReq{
-		Keys:   make([]string, len(g.idxs)),
-		Values: make([][]byte, len(g.idxs)),
-	}
+func (d *DHT) putGroup(origin simnet.NodeID, g *batchGroup, keys []string, values [][]byte) {
+	f := borrowFrame()
+	defer returnFrame(f)
+	req := &f.storeBatch
 	size := batchEnvelopeOverhead
-	for i, idx := range g.idxs {
-		req.Keys[i] = keys[idx]
-		req.Values[i] = values[idx]
+	for _, idx := range g.idxs {
+		req.Keys = append(req.Keys, keys[idx])
+		req.Values = append(req.Values, values[idx])
 		size += len(keys[idx]) + len(values[idx]) + batchItemOverhead
 	}
 	v := d.view()
-	var ids replicaIDs
-	replicas := v.placementOf(ids[:0], g.root, d.replica)
-	out := groupOutcome{}
+	replicas := v.placementOf(f.ids[:0], g.root, d.replica)
+	msg := simnet.Message{Kind: kindStoreBatch, Payload: req, Size: size}
 	var (
 		stored  int
 		lastErr error
@@ -325,19 +361,12 @@ func (d *DHT) putGroup(origin simnet.NodeID, g batchGroup, keys []string, values
 		maxLat  time.Duration
 	)
 	for _, rid := range replicas {
-		rn := v.byID[rid]
-		rtr := &simnet.Trace{}
-		_, err := d.net.RPC(rtr, origin, rn.name, simnet.Message{
-			Kind:    kindStoreBatch,
-			Payload: req,
-			Size:    size,
-		})
-		out.tr.Hops += rtr.Hops
-		out.tr.Messages += rtr.Messages
-		out.tr.Bytes += rtr.Bytes
-		if rtr.Latency > maxLat {
-			maxLat = rtr.Latency
-		}
+		f.tr = simnet.Trace{}
+		_, err := d.net.RPC(&f.tr, origin, v.byID[rid].name, msg)
+		g.tr.Hops += f.tr.Hops
+		g.tr.Messages += f.tr.Messages
+		g.tr.Bytes += f.tr.Bytes
+		maxLat = max(maxLat, f.tr.Latency)
 		if err == nil {
 			stored++
 		} else {
@@ -347,18 +376,17 @@ func (d *DHT) putGroup(origin simnet.NodeID, g batchGroup, keys []string, values
 			}
 		}
 	}
-	out.tr.Latency = maxLat
+	g.tr.Latency = maxLat
 	if stored == 0 {
 		switch {
 		case ackLost != nil:
-			out.err = fmt.Errorf("dht: batch store unacked, may have been applied: %w", ackLost)
+			g.err = fmt.Errorf("dht: batch store unacked, may have been applied: %w", ackLost)
 		case lastErr != nil:
-			out.err = fmt.Errorf("%w: %w", overlay.ErrUnavailable, lastErr)
+			g.err = fmt.Errorf("%w: %w", overlay.ErrUnavailable, lastErr)
 		default:
-			out.err = overlay.ErrUnavailable
+			g.err = overlay.ErrUnavailable
 		}
 	}
-	return out
 }
 
 // GetBatch implements overlay.BatchKV. Keys sharing a root share one fetch
@@ -374,100 +402,76 @@ func (d *DHT) GetBatch(origin string, keys []string) ([]overlay.BatchResult, ove
 	if !known {
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: %w: %s", overlay.ErrUnknownOrigin, origin)
 	}
+	f := borrowFrame()
+	defer returnFrame(f)
+	p := &f.plan
+	tr := d.batchRoots(f, simnet.NodeID(origin), keys)
 	results := make([]overlay.BatchResult, len(keys))
-	roots, errs, rtr := d.batchRoots(simnet.NodeID(origin), keys)
-	tr := &simnet.Trace{}
-	tr.Add(&rtr)
-	groups := groupByRoot(roots, errs)
-	outcomes, _ := parallel.Map(d.fanout, groups, func(_ int, g batchGroup) (groupOutcome, error) {
-		return d.getGroup(simnet.NodeID(origin), g, keys), nil
+	for i, err := range p.errs {
+		results[i].Err = err
+	}
+	p.group()
+	// Groups own disjoint positions, so each writes its results in place.
+	_ = parallel.ForEach(d.fanout, p.groups, func(i int, _ batchGroup) error {
+		d.getGroup(simnet.NodeID(origin), &p.groups[i], keys, results)
+		return nil
 	})
-	mergeGroupOutcomes(tr, outcomes)
-	for i := range keys {
-		if errs[i] != nil {
-			results[i].Err = errs[i]
-		}
-	}
-	for _, o := range outcomes {
-		for idx, v := range o.vals {
-			results[idx].Value = v
-		}
-		for idx, err := range o.errs {
-			results[idx].Err = err
-		}
-	}
-	return results, *tr, nil
+	p.mergeGroups(&tr)
+	return results, tr, nil
 }
 
-// getGroup reads one root group's keys: replicas in ring order, one shared
-// envelope per probe carrying only the still-unresolved keys. Within the
-// group the probe chain is serial (each fallback needs the previous reply),
-// so latency sums across probes; delivery failures and misses stay pinned
-// to the keys that experienced them.
-func (d *DHT) getGroup(origin simnet.NodeID, g batchGroup, keys []string) groupOutcome {
+// getGroup reads one root group's keys into results: replicas in ring
+// order, one shared envelope per probe carrying only the still-unresolved
+// keys. Within the group the probe chain is serial (each fallback needs the
+// previous reply), so latency sums across probes. Every key still pending
+// after a probe shares that probe's fault — the delivery error, a bad reply,
+// or a miss — so one error stands for all of them.
+func (d *DHT) getGroup(origin simnet.NodeID, g *batchGroup, keys []string, results []overlay.BatchResult) {
+	f := borrowFrame()
+	defer returnFrame(f)
 	v := d.view()
-	var ids replicaIDs
-	replicas := v.successorsOf(ids[:0], g.root, d.replica)
-	out := groupOutcome{
-		errs: make(map[int]error, len(g.idxs)),
-		vals: make(map[int][]byte, len(g.idxs)),
-	}
-	pending := append([]int(nil), g.idxs...)
-	lastErr := make(map[int]error, len(g.idxs))
-	for _, idx := range pending {
-		lastErr[idx] = overlay.ErrUnavailable
-	}
-	reqKeys := borrowKeyList()
-	defer returnKeyList(reqKeys)
+	replicas := v.successorsOf(f.ids[:0], g.root, d.replica)
+	req := &f.fetchBatch
+	msg := simnet.Message{Kind: kindFetchBatch, Payload: req}
+	// The group's positions are compacted in place as keys resolve: the
+	// group owns them, and nothing reads them after the group is done.
+	pending := g.idxs
+	var lastErr error = overlay.ErrUnavailable
 	for _, rid := range replicas {
 		if len(pending) == 0 {
 			break
 		}
-		rn := v.byID[rid]
-		*reqKeys = (*reqKeys)[:0]
-		size := batchEnvelopeOverhead
+		req.reset()
+		msg.Size = batchEnvelopeOverhead
 		for _, idx := range pending {
-			*reqKeys = append(*reqKeys, keys[idx])
-			size += len(keys[idx]) + batchItemOverhead
+			req.Keys = append(req.Keys, keys[idx])
+			msg.Size += len(keys[idx]) + batchItemOverhead
 		}
-		rtr := &simnet.Trace{}
-		reply, err := d.net.RPC(rtr, origin, rn.name, simnet.Message{
-			Kind:    kindFetchBatch,
-			Payload: fetchBatchReq{Keys: *reqKeys},
-			Size:    size,
-		})
-		out.tr.Hops += rtr.Hops
-		out.tr.Messages += rtr.Messages
-		out.tr.Bytes += rtr.Bytes
-		out.tr.Latency += rtr.Latency
+		f.tr = simnet.Trace{}
+		reply, err := d.net.RPC(&f.tr, origin, v.byID[rid].name, msg)
+		g.tr.Add(&f.tr)
 		if err != nil {
 			// The whole envelope failed to this replica: every pending key
 			// records the fault and rides to the next replica.
-			for _, idx := range pending {
-				lastErr[idx] = err
-			}
+			lastErr = err
 			continue
 		}
-		resp, ok := reply.Payload.(fetchBatchResp)
-		if !ok || len(resp.Found) != len(pending) || len(resp.Values) != len(pending) {
-			for _, idx := range pending {
-				lastErr[idx] = fmt.Errorf("dht: bad fetch_batch reply")
-			}
+		resp, ok := reply.Payload.(*fetchBatchResp)
+		if !ok || resp == nil || len(resp.Found) != len(pending) || len(resp.Values) != len(pending) {
+			lastErr = errBadFetchBatchReply
 			continue
 		}
 		next := pending[:0]
 		for j, idx := range pending {
 			if resp.Found[j] {
-				out.vals[idx] = resp.Values[j]
+				results[idx].Value = resp.Values[j]
 			} else {
-				lastErr[idx] = overlay.ErrNotFound
 				next = append(next, idx)
 			}
 		}
-		pending = next
+		pending, lastErr = next, overlay.ErrNotFound
 	}
 	for _, idx := range pending {
-		out.errs[idx] = lastErr[idx]
+		results[idx].Err = lastErr
 	}
-	return out
 }

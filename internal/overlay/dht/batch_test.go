@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -366,6 +367,167 @@ func TestOwnershipInvalidatedOnMembershipChange(t *testing.T) {
 		if !bytes.Equal(r.Value, vals[i]) {
 			t.Fatalf("key %s after Leave = %q, want %q", keys[i], r.Value, vals[i])
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
+// A batch borrows one frame for its plan and one per replica group for its
+// envelopes, trace and replica ids, so it allocates per batch, not per group
+// or key. What PutBatch allocates is the caller's error slice, the fan-out's
+// closures and the chunks the replicas' record logs fill as keys are
+// overwritten; GetBatch adds its results and one value arena per probe, since
+// the values leave the DHT.
+func TestBatchOpAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops frames at random under the race detector")
+	}
+	d, _, names := buildDHT(t, 48, Config{ReplicationFactor: 3})
+	origin := string(names[0])
+	keys, vals := batchKeys(256)
+	roots := map[uint64]bool{}
+	for _, key := range keys {
+		roots[d.view().successorsOf(nil, hashID(key), 1)[0]] = true
+	}
+	if len(roots) < 32 {
+		t.Fatalf("the batch touches %d groups: too few to tell per-batch from per-group", len(roots))
+	}
+	// The first batch walks to every root; the ownership cache answers every
+	// later one, so what is measured is the data plane alone.
+	if _, _, err := d.PutBatch(origin, keys, vals); err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+	if errs, st, err := d.PutBatch(origin, keys, vals); err != nil || st.Messages != 2*d.replica*len(roots) {
+		t.Fatalf("warm PutBatch: %v, %d messages, want %d (one envelope per replica of %d groups)", err, st.Messages, 2*d.replica*len(roots), len(roots))
+	} else {
+		for i, e := range errs {
+			if e != nil {
+				t.Fatalf("PutBatch(%s): %v", keys[i], e)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() { _, _, _ = d.PutBatch(origin, keys, vals) }); got > 16 {
+		t.Errorf("PutBatch of %d keys in %d groups: %v allocs, want <= 16", len(keys), len(roots), got)
+	}
+	_, st, err := d.GetBatch(origin, keys)
+	if err != nil {
+		t.Fatalf("GetBatch: %v", err)
+	}
+	probes := st.Messages / 2
+	if got, limit := testing.AllocsPerRun(20, func() { _, _, _ = d.GetBatch(origin, keys) }), float64(4*probes+8); got > limit {
+		t.Errorf("GetBatch of %d keys in %d probes: %v allocs, want <= %v", len(keys), probes, got, limit)
+	}
+}
+
+// Each group's frame is emptied and lent to the next group, batch and
+// worker. Nothing a later round writes into a frame may reach the bytes an
+// earlier round stored or returned, and a replaying replica must serve the
+// reply it recorded, not whatever the frame it was written into holds now.
+func TestBatchFrameReuseNeverReachesStoredOrReturnedBytes(t *testing.T) {
+	value := func(r, i int) []byte { return []byte(fmt.Sprintf("value %02d written in round %d", i, r)) }
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			d, net, names := buildDHT(t, 24, Config{ReplicationFactor: 3, FanoutWorkers: workers})
+			client := string(names[0])
+			rootOf := func(key string) simnet.NodeID { return replicaNames(d, key)[0] }
+			// Round two's keys are new, but as many of them are rooted at the
+			// replayer as in round one: its recorded reply then has the shape
+			// of the honest one, and only its bytes tell them apart.
+			keys1, vals1 := make([]string, 64), make([][]byte, 64)
+			for i := range keys1 {
+				keys1[i], vals1[i] = fmt.Sprintf("round-1-key-%02d", i), value(1, i)
+			}
+			liar := rootOf(keys1[0])
+			atLiar := 0
+			for _, key := range keys1 {
+				if rootOf(key) == liar {
+					atLiar++
+				}
+			}
+			var keys2 []string
+			var vals2 [][]byte
+			for c, want := 0, [2]int{len(keys1) - atLiar, atLiar}; len(keys2) < len(keys1); c++ {
+				key := fmt.Sprintf("round-2-key-%02d", c)
+				at := 0
+				if rootOf(key) == liar {
+					at = 1
+				}
+				if want[at] > 0 {
+					want[at]--
+					keys2, vals2 = append(keys2, key), append(vals2, value(2, c))
+				}
+			}
+			// Teach the ownership cache both rounds' roots first, so no routing
+			// walk crosses the replayer: only its data-plane replies lie.
+			if _, _, err := d.GetBatch(client, append(append([]string(nil), keys1...), keys2...)); err != nil {
+				t.Fatalf("warm-up GetBatch: %v", err)
+			}
+			if err := net.SetByzantine(liar, simnet.ByzantineConfig{Mode: simnet.ByzReplay, Rate: 1}); err != nil {
+				t.Fatalf("SetByzantine: %v", err)
+			}
+			put := func(keys []string, vals [][]byte) {
+				errs, _, err := d.PutBatch(client, keys, vals)
+				if err != nil {
+					t.Fatalf("PutBatch: %v", err)
+				}
+				for i, e := range errs {
+					if e != nil {
+						t.Fatalf("PutBatch(%s): %v", keys[i], e)
+					}
+				}
+			}
+			get := func(keys []string) []overlay.BatchResult {
+				res, _, err := d.GetBatch(client, keys)
+				if err != nil {
+					t.Fatalf("GetBatch: %v", err)
+				}
+				return res
+			}
+
+			// Round one: the replayer has recorded nothing yet, so it answers
+			// its one fetch_batch honestly.
+			put(keys1, vals1)
+			res1 := get(keys1)
+			for i, r := range res1 {
+				if r.Err != nil || !bytes.Equal(r.Value, vals1[i]) {
+					t.Fatalf("round 1: GetBatch(%s) = %q, %v", keys1[i], r.Value, r.Err)
+				}
+			}
+
+			// Round two reuses every frame. The replayer serves round one's
+			// recorded reply in place of the honest one, so its keys read
+			// round one's values.
+			put(keys2, vals2)
+			res2 := get(keys2)
+			if got := net.CorruptedReplies(); got != 1 {
+				t.Fatalf("CorruptedReplies = %d, want 1: the replayer's record of round 1 reads as round 2's reply", got)
+			}
+			replayed := 0
+			for i, r := range res2 {
+				switch {
+				case r.Err == nil && bytes.Equal(r.Value, vals2[i]):
+				case r.Err == nil && rootOf(keys2[i]) == liar && slices.ContainsFunc(vals1, func(v []byte) bool { return bytes.Equal(r.Value, v) }):
+					replayed++
+				default:
+					t.Fatalf("round 2: GetBatch(%s) = %q, %v: neither its value nor a replayed one", keys2[i], r.Value, r.Err)
+				}
+			}
+			if replayed != atLiar {
+				t.Fatalf("%d of the replayer's %d keys read a replayed value", replayed, atLiar)
+			}
+
+			for i, key := range keys1 {
+				if !bytes.Equal(res1[i].Value, vals1[i]) {
+					t.Fatalf("round 2 changed the value round 1 returned for %s to %q", key, res1[i].Value)
+				}
+				for _, holder := range replicaNames(d, key) {
+					if stored, ok := d.StoredCopy(string(holder), key); !ok || !bytes.Equal(stored, vals1[i]) {
+						t.Fatalf("round 2 changed %s's stored copy of %s to %q", holder, key, stored)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -14,7 +14,7 @@ var (
 	_ simnet.Corruptible = (*findSuccessorResp)(nil)
 	_ simnet.Corruptible = (*fetchResp)(nil)
 	_ simnet.Corruptible = digestResp{}
-	_ simnet.Corruptible = fetchBatchResp{}
+	_ simnet.Corruptible = (*fetchBatchResp)(nil)
 	_ simnet.Corruptible = digestBatchResp{}
 )
 
@@ -39,10 +39,12 @@ func (r digestResp) Corrupt(mut func([]byte) []byte) (any, bool) {
 	return r, fresh || state
 }
 
-// Corrupt implements simnet.Corruptible over each found value.
-func (r fetchBatchResp) Corrupt(mut func([]byte) []byte) (any, bool) {
-	r.Found = slices.Clone(r.Found)
-	return r, corruptEach(&r.Values, mut)
+// Corrupt implements simnet.Corruptible over each found value. The copy's
+// headers are its own too: the reply's are the caller's frame.
+func (r *fetchBatchResp) Corrupt(mut func([]byte) []byte) (any, bool) {
+	c := *r
+	c.Found = slices.Clone(c.Found)
+	return &c, corruptEach(&c.Values, mut)
 }
 
 // Corrupt implements simnet.Corruptible over each Fresh root, then each
@@ -65,9 +67,6 @@ func corrupt(b *[]byte, mut func([]byte) []byte) bool {
 
 // corruptEach runs corrupt over every element of a fresh copy of *vs.
 func corruptEach(vs *[][]byte, mut func([]byte) []byte) bool {
-	if len(*vs) == 0 {
-		return false
-	}
 	*vs = slices.Clone(*vs)
 	ran := false
 	for i := range *vs {

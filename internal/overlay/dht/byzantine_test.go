@@ -33,8 +33,8 @@ func TestEveryReplyWithAPayloadIsCorruptible(t *testing.T) {
 		{Kind: kindFetch, Payload: &fetchReq{Key: "absent"}},
 		{Kind: kindDigest, Payload: digestReq{Keys: []string{"k", "absent"}, Nonce: 7}},
 		{Kind: kindDigestBatch, Payload: digestBatchReq{Groups: [][]string{{"k"}, {"absent"}}, Nonce: 7}},
-		{Kind: kindStoreBatch, Payload: storeBatchReq{Keys: []string{"k3"}, Values: [][]byte{[]byte("v")}}},
-		{Kind: kindFetchBatch, Payload: fetchBatchReq{Keys: []string{"k", "absent"}}},
+		{Kind: kindStoreBatch, Payload: &storeBatchReq{Keys: []string{"k3"}, Values: [][]byte{[]byte("v")}}},
+		{Kind: kindFetchBatch, Payload: &fetchBatchReq{Keys: []string{"k", "absent"}}},
 	} {
 		reply, err := handle(&simnet.Trace{}, names[0], req)
 		if err != nil {

@@ -180,18 +180,24 @@ type fetchResp struct {
 	Value []byte
 }
 
-// opFrame is everything one single-key operation puts on the wire: its
-// trace, one request of each kind (reused for every hop and every replica),
-// and the replica ids it walks. Operations borrow a frame for their
-// duration, so the message path allocates nothing of its own; the frame is
-// zeroed on return, and a value handed to the caller is the handler's copy,
-// which the frame no longer references.
+// opFrame is everything one operation puts on the wire: its trace, one
+// request of each kind (reused for every hop and every replica), and the
+// replica ids it walks; a batch also keeps its plan here (batch.go). A
+// single-key operation borrows a frame for its duration, and so do a batch
+// and each of its replica groups, so the message path allocates nothing of
+// its own. On return the frame is zeroed, except that the batch requests and
+// the plan keep their emptied arrays for the next borrower to append into.
+// A value handed to the caller is the handler's copy, which the frame never
+// references.
 type opFrame struct {
-	tr    simnet.Trace
-	find  findSuccessorReq
-	store storeReq
-	fetch fetchReq
-	ids   replicaIDs
+	tr         simnet.Trace
+	find       findSuccessorReq
+	store      storeReq
+	fetch      fetchReq
+	storeBatch storeBatchReq
+	fetchBatch fetchBatchReq
+	ids        replicaIDs
+	plan       batchPlan
 }
 
 var framePool = sync.Pool{New: func() any { return new(opFrame) }}
@@ -199,7 +205,10 @@ var framePool = sync.Pool{New: func() any { return new(opFrame) }}
 func borrowFrame() *opFrame { return framePool.Get().(*opFrame) }
 
 func returnFrame(f *opFrame) {
-	*f = opFrame{}
+	f.storeBatch.reset()
+	f.fetchBatch.reset()
+	f.plan.reset()
+	*f = opFrame{storeBatch: f.storeBatch, fetchBatch: f.fetchBatch, plan: f.plan}
 	framePool.Put(f)
 }
 
@@ -270,15 +279,15 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 			return handleDigestBatch(n, req)
 
 		case kindStoreBatch:
-			req, ok := msg.Payload.(storeBatchReq)
-			if !ok {
+			req, ok := msg.Payload.(*storeBatchReq)
+			if !ok || req == nil {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
 			return handleStoreBatch(n, req)
 
 		case kindFetchBatch:
-			req, ok := msg.Payload.(fetchBatchReq)
-			if !ok {
+			req, ok := msg.Payload.(*fetchBatchReq)
+			if !ok || req == nil {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
 			return handleFetchBatch(n, req)

@@ -163,6 +163,8 @@ func TestHandlerRejectsPayloadsThatAreNotRequestPointers(t *testing.T) {
 		kindFindSuccessor: {findSuccessorReq{Key: 1}, (*findSuccessorReq)(nil), nil},
 		kindStore:         {storeReq{Key: "k"}, (*storeReq)(nil), nil},
 		kindFetch:         {fetchReq{Key: "k"}, (*fetchReq)(nil), &storeReq{Key: "k"}},
+		kindStoreBatch:    {storeBatchReq{Keys: []string{"k"}, Values: [][]byte{nil}}, (*storeBatchReq)(nil), nil},
+		kindFetchBatch:    {fetchBatchReq{Keys: []string{"k"}}, (*fetchBatchReq)(nil), &storeBatchReq{}},
 	} {
 		for _, payload := range payloads {
 			_, err := handle(&simnet.Trace{}, names[0], simnet.Message{Kind: kind, Payload: payload})

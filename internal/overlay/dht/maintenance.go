@@ -63,26 +63,30 @@ func handleDigestBatch(n *node, req digestBatchReq) (simnet.Message, error) {
 // not hold carries overlay.ErrNotFound in its slot; an envelope-level
 // failure (unreachable, corrupt reply) is the top-level error.
 func (d *DHT) FetchBatchFrom(origin string, keys []string, replica string) ([]overlay.BatchResult, overlay.OpStats, error) {
-	tr := &simnet.Trace{}
 	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
-		return nil, *tr, fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
+		return nil, overlay.OpStats{}, fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
+	f := borrowFrame()
+	defer returnFrame(f)
+	// Copied, not adopted: the frame clears its own arrays on return.
+	req := &f.fetchBatch
+	req.Keys = append(req.Keys, keys...)
 	size := batchEnvelopeOverhead
 	for _, k := range keys {
 		size += len(k) + batchItemOverhead
 	}
-	reply, err := d.net.RPC(tr, simnet.NodeID(origin), rn.name, simnet.Message{
+	reply, err := d.net.RPC(&f.tr, simnet.NodeID(origin), rn.name, simnet.Message{
 		Kind:    kindFetchBatch,
-		Payload: fetchBatchReq{Keys: keys},
+		Payload: req,
 		Size:    size,
 	})
 	if err != nil {
-		return nil, *tr, err
+		return nil, f.tr, err
 	}
-	resp, ok := reply.Payload.(fetchBatchResp)
-	if !ok || len(resp.Found) != len(keys) || len(resp.Values) != len(keys) {
-		return nil, *tr, fmt.Errorf("dht: bad fetch_batch reply")
+	resp, ok := reply.Payload.(*fetchBatchResp)
+	if !ok || resp == nil || len(resp.Found) != len(keys) || len(resp.Values) != len(keys) {
+		return nil, f.tr, errBadFetchBatchReply
 	}
 	results := make([]overlay.BatchResult, len(keys))
 	for i := range keys {
@@ -92,7 +96,7 @@ func (d *DHT) FetchBatchFrom(origin string, keys []string, replica string) ([]ov
 			results[i].Err = overlay.ErrNotFound
 		}
 	}
-	return results, *tr, nil
+	return results, f.tr, nil
 }
 
 // StoreBatchTo implements overlay.BatchRepairKV: one store_batch envelope
@@ -102,24 +106,29 @@ func (d *DHT) StoreBatchTo(origin string, keys []string, values [][]byte, replic
 	if len(keys) != len(values) {
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: StoreBatchTo: %d keys but %d values", len(keys), len(values))
 	}
-	tr := &simnet.Trace{}
 	rn := d.view().names[simnet.NodeID(replica)]
 	if rn == nil {
-		return nil, *tr, fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
+		return nil, overlay.OpStats{}, fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
+	f := borrowFrame()
+	defer returnFrame(f)
+	// Copied, not adopted: the frame clears its own arrays on return.
+	req := &f.storeBatch
+	req.Keys = append(req.Keys, keys...)
+	req.Values = append(req.Values, values...)
 	size := batchEnvelopeOverhead
 	for i := range keys {
 		size += len(keys[i]) + len(values[i]) + batchItemOverhead
 	}
-	_, err := d.net.RPC(tr, simnet.NodeID(origin), rn.name, simnet.Message{
+	_, err := d.net.RPC(&f.tr, simnet.NodeID(origin), rn.name, simnet.Message{
 		Kind:    kindStoreBatch,
-		Payload: storeBatchReq{Keys: keys, Values: values},
+		Payload: req,
 		Size:    size,
 	})
 	if err != nil {
-		return nil, *tr, err
+		return nil, f.tr, err
 	}
-	return make([]error, len(keys)), *tr, nil
+	return make([]error, len(keys)), f.tr, nil
 }
 
 // DigestBatchFrom implements overlay.BatchDigestKV: one digest_batch

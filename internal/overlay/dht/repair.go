@@ -335,21 +335,25 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 	var pairOrder []healPair
 	planned := make(map[healPair][]healPush)
 	failed := make(map[string]bool)
+	// One frame carries every push of the pass, one RPC at a time.
+	f := borrowFrame()
+	defer returnFrame(f)
 	if d.perKeyHeal {
 		// One store RPC per copy, in key-major order; a drop leaves the
 		// key for the next pass rather than failing the whole heal.
 		for _, p := range flat {
-			ptr := &simnet.Trace{}
+			f.tr = simnet.Trace{}
+			f.store = storeReq{Key: p.key, Value: p.value}
 			psp := sp.Child("repair")
 			psp.Tag("key", p.key)
 			psp.Tag("to", string(p.dst))
-			_, err := d.net.RPC(ptr, p.src, p.dst, simnet.Message{
+			_, err := d.net.RPC(&f.tr, p.src, p.dst, simnet.Message{
 				Kind:    kindStore,
-				Payload: &storeReq{Key: p.key, Value: p.value},
+				Payload: &f.store,
 				Size:    len(p.key) + len(p.value),
 			})
-			tr.Add(ptr)
-			psp.AddLatency(ptr.Latency)
+			tr.Add(&f.tr)
+			psp.AddLatency(f.tr.Latency)
 			psp.End(spanOutcome(err))
 			if err == nil {
 				report.Repaired++
@@ -366,29 +370,27 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 			planned[pk] = append(planned[pk], p)
 		}
 	}
+	req := &f.storeBatch
 	for _, pk := range pairOrder {
 		pushes := planned[pk]
-		req := storeBatchReq{
-			Keys:   make([]string, len(pushes)),
-			Values: make([][]byte, len(pushes)),
-		}
+		req.reset()
 		size := batchEnvelopeOverhead
-		for i, p := range pushes {
-			req.Keys[i] = p.key
-			req.Values[i] = p.value
+		for _, p := range pushes {
+			req.Keys = append(req.Keys, p.key)
+			req.Values = append(req.Values, p.value)
 			size += len(p.key) + len(p.value) + batchItemOverhead
 		}
-		ptr := &simnet.Trace{}
+		f.tr = simnet.Trace{}
 		psp := sp.Child("repair")
 		psp.Tag("to", string(pk.dst))
 		psp.Tag("keys", fmt.Sprintf("%d", len(pushes)))
-		_, err := d.net.RPC(ptr, pk.src, pk.dst, simnet.Message{
+		_, err := d.net.RPC(&f.tr, pk.src, pk.dst, simnet.Message{
 			Kind:    kindStoreBatch,
 			Payload: req,
 			Size:    size,
 		})
-		tr.Add(ptr)
-		psp.AddLatency(ptr.Latency)
+		tr.Add(&f.tr)
+		psp.AddLatency(f.tr.Latency)
 		psp.End(spanOutcome(err))
 		if err == nil {
 			report.Repaired += len(pushes)

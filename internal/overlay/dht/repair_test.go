@@ -444,7 +444,7 @@ func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
 	}
 	for _, pk := range pairOrder {
 		pushes := planned[pk]
-		req := storeBatchReq{
+		req := &storeBatchReq{
 			Keys:   make([]string, len(pushes)),
 			Values: make([][]byte, len(pushes)),
 		}

@@ -106,17 +106,23 @@ func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, over
 	}
 	results := make([]overlay.BatchResult, len(keys))
 	// Collapse duplicates: one resolution per distinct key, fanned back to
-	// every position that asked for it.
-	slots := make(map[string][]int, len(keys))
+	// every position that asked for it. last holds a key's latest position
+	// and prev chains each position to the one before it with the same key
+	// (-1 ends the chain): one map entry per distinct key, no slice per key.
+	last := make(map[string]int, len(keys))
+	prev := make([]int, len(keys))
 	uniq := make([]string, 0, len(keys))
 	for i, key := range keys {
-		if _, seen := slots[key]; !seen {
+		j, seen := last[key]
+		if !seen {
+			j = -1
 			uniq = append(uniq, key)
 		}
-		slots[key] = append(slots[key], i)
+		prev[i] = j
+		last[key] = i
 	}
 	assign := func(key string, r overlay.BatchResult) {
-		for _, i := range slots[key] {
+		for i := last[key]; i >= 0; i = prev[i] {
 			results[i] = r
 		}
 	}

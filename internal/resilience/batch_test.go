@@ -61,16 +61,20 @@ func TestResilientBatchMatchesSequential(t *testing.T) {
 				}
 				seq.Add(&st)
 			}
-			results, bat, err := kv.GetBatch(origin, keys)
+			// Repeated keys collapse to one resolution that every position
+			// asking for the key receives.
+			probe := append(append([]string(nil), keys...), keys[5], keys[0], keys[5])
+			want := append(append([][]byte(nil), vals...), vals[5], vals[0], vals[5])
+			results, bat, err := kv.GetBatch(origin, probe)
 			if err != nil {
 				t.Fatalf("GetBatch: %v", err)
 			}
 			for i, r := range results {
 				if r.Err != nil {
-					t.Fatalf("GetBatch key %s: %v", keys[i], r.Err)
+					t.Fatalf("GetBatch key %s: %v", probe[i], r.Err)
 				}
-				if !bytes.Equal(r.Value, vals[i]) {
-					t.Fatalf("GetBatch key %s = %q, want %q", keys[i], r.Value, vals[i])
+				if !bytes.Equal(r.Value, want[i]) {
+					t.Fatalf("GetBatch key %s at %d = %q, want %q", probe[i], i, r.Value, want[i])
 				}
 			}
 			if seq.Messages < 3*bat.Messages {
@@ -78,8 +82,8 @@ func TestResilientBatchMatchesSequential(t *testing.T) {
 					float64(seq.Messages)/float64(bat.Messages), seq.Messages, bat.Messages)
 			}
 			m := kv.Metrics()
-			if m.Batches != 2 || m.BatchKeys != 2*len(keys) {
-				t.Fatalf("batch accounting %+v, want 2 batches over %d keys", m, 2*len(keys))
+			if m.Batches != 2 || m.BatchKeys != len(keys)+len(probe) {
+				t.Fatalf("batch accounting %+v, want 2 batches over %d keys", m, len(keys)+len(probe))
 			}
 			if m.BatchFallbacks != 0 {
 				t.Fatalf("%d fallbacks on a lossless network", m.BatchFallbacks)
