@@ -128,7 +128,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 29
+BENCH_PR := 30
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -160,15 +160,17 @@ bench-quick:
 # route cache, symmetric seal/open alloc deltas, ECIES
 # Sender.Encrypt first-contact vs warm and Decrypt memo miss vs hit, one
 # pooled HKDF-Expand (prf.Derive),
-# the sharded cache (hit/miss/coalesced/contended), and one simnet echo RPC
-# as one of 1 and of 2 callers sees it. Then the anti-entropy cost curve:
+# the sharded cache (hit/miss/coalesced/contended), one simnet echo RPC
+# as one of 1 and of 2 callers sees it, and one verified read (hedged
+# Lookup gated by scrub.Check, then scrub.Open). Then the anti-entropy cost curve:
 # batched vs per-key scrub at 1k/10k/100k keys (10% corruption, k=3), one
 # pass each; its msg/op is the simulated message count per scrubbed key,
 # the number E26 pins.
 bench-hot:
 	$(GO) test -bench=. -benchmem -run='^$$' \
 		./internal/social/privacy/ ./internal/overlay/dht/ ./internal/crypto/symmetric/ \
-		./internal/crypto/pubkey/ ./internal/crypto/prf/ ./internal/cache/ ./internal/overlay/simnet/
+		./internal/crypto/pubkey/ ./internal/crypto/prf/ ./internal/cache/ ./internal/overlay/simnet/ \
+		./internal/resilience/
 	$(GO) test -bench='BenchmarkScrub' -benchtime=1x -run='^$$' .
 
 # Regenerate the E1–E26 experiment tables (EXPERIMENTS.md).

@@ -121,7 +121,7 @@ func New(net *simnet.Network, nodes []simnet.NodeID, cfg Config) (*DHT, error) {
 		}
 		registerCrashHook(net, n)
 	}
-	d.ring.Store(newRingView(members, nil, nil))
+	d.ring.Store(newRingView(members, d.replica, nil, nil))
 	return d, nil
 }
 

@@ -205,9 +205,11 @@ func TestSingleKeyOpAllocations(t *testing.T) {
 	// An operation borrows one frame: trace, requests and reply slots serve
 	// every hop and every replica, so what it allocates does not grow with
 	// the walk. What is left is what leaves the DHT: the value copy a reader
-	// owns and the candidate list ReplicasFor hands out. With a one-entry
-	// route cache the two keys of a pair evict each other, so every
-	// operation also takes the cache's fill path.
+	// owns. On a healthy ring ReplicasFor hands out the view's shared
+	// canonical slice and allocates nothing; with a canonical holder offline
+	// it builds the extended list in a fresh slice. With a one-entry route
+	// cache the two keys of a pair evict each other, so every operation also
+	// takes the cache's fill path.
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -216,7 +218,7 @@ func TestSingleKeyOpAllocations(t *testing.T) {
 		{"route-cache-fills", Config{ReplicationFactor: 3, RouteCache: cache.Config{Capacity: 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, _, names := buildDHT(t, 48, tc.cfg)
+			d, net, names := buildDHT(t, 48, tc.cfg)
 			origin := string(names[0])
 			value := []byte("a stored value")
 			longest := 0
@@ -247,7 +249,7 @@ func TestSingleKeyOpAllocations(t *testing.T) {
 				}{
 					{"StoreSpan", 1, func(_ int, key string) { _, _ = d.StoreSpan(nil, origin, key, value) }},
 					{"LookupSpan", 2, func(_ int, key string) { _, _, _ = d.LookupSpan(nil, origin, key) }},
-					{"ReplicasFor", 2, func(_ int, key string) { _, _, _ = d.ReplicasFor(origin, key) }},
+					{"ReplicasFor", 0, func(_ int, key string) { _, _, _ = d.ReplicasFor(origin, key) }},
 					{"LookupFrom", 1, func(j int, key string) { _, _, _ = d.LookupFrom(origin, key, replica[j]) }},
 				} {
 					if got := perOp(c.call); got > c.max {
@@ -260,6 +262,22 @@ func TestSingleKeyOpAllocations(t *testing.T) {
 			}
 			if st := d.RouteCacheStats(); st.Hits != 0 {
 				t.Fatalf("route cache served %d hits: the fill path was not what ran", st.Hits)
+			}
+
+			// One canonical holder offline: the plan extends past it, so it
+			// is no longer the shared canonical slice.
+			key := "key-0"
+			canonical := replicaNames(d, key)
+			if err := net.SetOnline(canonical[1], false); err != nil {
+				t.Fatal(err)
+			}
+			defer net.SetOnline(canonical[1], true)
+			plan, _, err := d.ReplicasFor(origin, key)
+			if err != nil || len(plan) != d.replica+1 {
+				t.Fatalf("ReplicasFor with %s offline = %v, %v: want the %d canonical names and one extension", canonical[1], plan, err, d.replica)
+			}
+			if got := testing.AllocsPerRun(50, func() { _, _, _ = d.ReplicasFor(origin, key) }); got > 1 {
+				t.Errorf("ReplicasFor with a canonical holder offline: %v allocs/op, want <= 1", got)
 			}
 		})
 	}

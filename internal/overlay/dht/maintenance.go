@@ -177,7 +177,8 @@ func (d *DHT) DigestBatchFrom(origin string, groups [][]string, nonce uint64, re
 // groups and bound their per-tick message budget before spending a single
 // message. The set can drift from a routed ReplicasFor only while routing
 // state is stale, in which case the scrub pass degrades to extra
-// drill-downs, never to a false clean.
+// drill-downs, never to a false clean. Like ReplicasFor's, the slice may be
+// shared and must not be written.
 func (d *DHT) PlanReplicas(key string) []string {
 	return d.replicaPlan(hashID(key))
 }

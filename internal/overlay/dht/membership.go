@@ -27,7 +27,7 @@ func (d *DHT) Join(name simnet.NodeID) error {
 		return fmt.Errorf("dht: registering %s: %w", name, err)
 	}
 	registerCrashHook(d.net, n)
-	v := newRingView(append(old.members(), n), old.allowPlace, old.rankRepl)
+	v := newRingView(append(old.members(), n), d.replica, old.allowPlace, old.rankRepl)
 
 	// Key handoff: the new node takes keys from its successor that now
 	// hash into its range (predecessor, id]. It is filled before the view
@@ -78,7 +78,7 @@ func (d *DHT) Leave(name simnet.NodeID) error {
 			rest = append(rest, m)
 		}
 	}
-	v := newRingView(rest, old.allowPlace, old.rankRepl)
+	v := newRingView(rest, d.replica, old.allowPlace, old.rankRepl)
 	succ := v.byID[v.successorID(n.id)]
 	n.mu.Lock()
 	succ.mu.Lock()

@@ -49,7 +49,8 @@ func registerCrashHook(net *simnet.Network, n *node) {
 // ReplicasFor implements overlay.ReplicaKV: it routes to the key's root and
 // returns the canonical replica set followed by additional currently-online
 // successors, so hedged reads have live candidates even when canonical
-// replicas are down. At most 2× the replication factor names are returned.
+// replicas are down. At most 2× the replication factor names are returned,
+// in a slice that may be shared and must not be written (replicaPlan).
 func (d *DHT) ReplicasFor(origin, key string) ([]string, overlay.OpStats, error) {
 	f := borrowFrame()
 	defer returnFrame(f)
@@ -63,39 +64,32 @@ func (d *DHT) ReplicasFor(origin, key string) ([]string, overlay.OpStats, error)
 // replicaPlan computes the candidate list for a resolved root: the
 // canonical replica set, the online extension walk, and the health ranking.
 // Shared by ReplicasFor (routed root) and PlanReplicas (local hash root —
-// successorsOf lands on the same successor either way).
+// segmentOf lands on the same successor either way). When every canonical
+// holder is online and allowed by placement and no ranker is set, the walk
+// would add nothing, and the plan is the view's shared canonical slice: a
+// read on a healthy ring allocates no plan. The result is read-only either
+// way (overlay.ReplicaKV).
 func (d *DHT) replicaPlan(root uint64) []string {
 	v := d.view()
-	names := make([]string, 0, 2*d.replica)
-	seen := make(map[uint64]bool, 2*d.replica)
-	var ids replicaIDs
-	for _, rid := range v.successorsOf(ids[:0], root, d.replica) {
-		seen[rid] = true
-		names = append(names, string(v.byID[rid].name))
-	}
-	// Extend past the canonical set until d.replica online candidates are
-	// found (or the ring is exhausted), mirroring where Heal re-replicates.
+	i := v.segmentOf(root)
+	canon := v.canonicalNames(i)
 	// Placement-vetoed (quarantined) nodes stay in the returned list — they
 	// may hold older copies — but do not count toward the online target, so
 	// the extension reaches the nodes placement actually chose around them.
 	online := 0
-	for _, name := range names {
+	for _, name := range canon {
 		if d.net.Online(simnet.NodeID(name)) && v.placementAllowed(simnet.NodeID(name)) {
 			online++
 		}
 	}
-	i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= root })
-	for walked := 0; walked < len(v.ring) && online < d.replica && len(names) < 2*d.replica; walked++ {
-		if i == len(v.ring) {
-			i = 0
-		}
-		rid := v.ring[i]
-		i++
-		if seen[rid] {
-			continue
-		}
-		seen[rid] = true
-		n := v.byID[rid]
+	if online == len(canon) && v.rankRepl == nil {
+		return canon
+	}
+	// Extend past the canonical set until d.replica online candidates are
+	// found (or the ring is exhausted), mirroring where Heal re-replicates.
+	names := append(make([]string, 0, 2*d.replica), canon...)
+	for j := len(canon); j < len(v.ring) && online < d.replica && len(names) < 2*d.replica; j++ {
+		n := v.byID[v.ring[(i+j)%len(v.ring)]]
 		if d.net.Online(n.name) {
 			names = append(names, string(n.name))
 			if v.placementAllowed(n.name) {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -319,6 +320,189 @@ func TestLookupFromErrors(t *testing.T) {
 	}
 	if _, _, err := d.LookupFrom("a", "missing", "b"); !errors.Is(err, overlay.ErrNotFound) {
 		t.Fatalf("LookupFrom missing key: got %v", err)
+	}
+}
+
+// referencePlan is replicaPlan as it stood before the view kept each
+// segment's canonical names, kept verbatim as the model ReplicasFor and
+// PlanReplicas are checked against: a fresh slice and seen-set per call.
+func referencePlan(d *DHT, root uint64) []string {
+	v := d.view()
+	names := make([]string, 0, 2*d.replica)
+	seen := make(map[uint64]bool, 2*d.replica)
+	var ids replicaIDs
+	for _, rid := range v.successorsOf(ids[:0], root, d.replica) {
+		seen[rid] = true
+		names = append(names, string(v.byID[rid].name))
+	}
+	// Extend past the canonical set until d.replica online candidates are
+	// found (or the ring is exhausted), mirroring where Heal re-replicates.
+	// Placement-vetoed (quarantined) nodes stay in the returned list — they
+	// may hold older copies — but do not count toward the online target, so
+	// the extension reaches the nodes placement actually chose around them.
+	online := 0
+	for _, name := range names {
+		if d.net.Online(simnet.NodeID(name)) && v.placementAllowed(simnet.NodeID(name)) {
+			online++
+		}
+	}
+	i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= root })
+	for walked := 0; walked < len(v.ring) && online < d.replica && len(names) < 2*d.replica; walked++ {
+		if i == len(v.ring) {
+			i = 0
+		}
+		rid := v.ring[i]
+		i++
+		if seen[rid] {
+			continue
+		}
+		seen[rid] = true
+		n := v.byID[rid]
+		if d.net.Online(n.name) {
+			names = append(names, string(n.name))
+			if v.placementAllowed(n.name) {
+				online++
+			}
+		}
+	}
+	if v.rankRepl != nil {
+		names = v.rankRepl(names)
+	}
+	return names
+}
+
+func TestReplicaPlanMatchesReference(t *testing.T) {
+	// The shared canonical slice must be exactly what the old per-call
+	// builder returned, in every world the builder distinguishes: holders
+	// offline, vetoed by placement (some or all), a ranker on or off, and k
+	// below, at and above what the ring can hold. A caller appending to a
+	// plan it got must not reach the next caller's.
+	const ringSize = 48
+	reverse := func(in []string) []string {
+		out := make([]string, len(in))
+		for i, name := range in {
+			out[len(in)-1-i] = name
+		}
+		return out
+	}
+	filters := []struct {
+		name  string
+		allow func(string) bool
+	}{
+		{"no-filter", nil},
+		{"some-vetoed", func(node string) bool { return hashID(node)%5 != 0 }},
+		{"all-vetoed", func(string) bool { return false }},
+	}
+	for _, k := range []int{1, 3, ringSize + 1} {
+		d, net, names := buildDHT(t, ringSize, Config{ReplicationFactor: k})
+		origin := string(names[0])
+		// One key per ring segment, so every canonical slice is handed out.
+		v := d.view()
+		keys := make([]string, len(v.ring))
+		for covered, i := 0, 0; covered < len(v.ring); i++ {
+			key := fmt.Sprintf("seg-%d", i)
+			if seg := v.segmentOf(hashID(key)); keys[seg] == "" {
+				keys[seg] = key
+				covered++
+			}
+		}
+		check := func(what string, got, want []string) {
+			t.Helper()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d %s: got %v, want %v", k, what, got, want)
+			}
+			_ = append(got, "intruder")
+		}
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			for i, name := range names {
+				// The origin stays up; seed 0 is the healthy ring.
+				_ = net.SetOnline(name, i == 0 || seed == 0 || rng.Intn(10) < 7)
+			}
+			for _, filter := range filters {
+				d.SetPlacementFilter(filter.allow)
+				for _, ranked := range []bool{false, true} {
+					d.SetReplicaRanker(nil)
+					if ranked {
+						d.SetReplicaRanker(reverse)
+					}
+					what := fmt.Sprintf("seed %d %s ranked=%v", seed, filter.name, ranked)
+					for _, key := range keys {
+						for round := 0; round < 2; round++ {
+							check(what+" PlanReplicas("+key+")", d.PlanReplicas(key), referencePlan(d, hashID(key)))
+							f := borrowFrame()
+							root, err := d.findSuccessor(f, simnet.NodeID(origin), hashID(key))
+							returnFrame(f)
+							if err != nil {
+								t.Fatalf("k=%d %s: routing %s: %v", k, what, key, err)
+							}
+							plan, _, err := d.ReplicasFor(origin, key)
+							if err != nil {
+								t.Fatalf("k=%d %s: ReplicasFor(%s): %v", k, what, key, err)
+							}
+							check(what+" ReplicasFor("+key+")", plan, referencePlan(d, root))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSharedPlansSurviveConcurrentMembershipChanges(t *testing.T) {
+	// Hedged reads share the view's canonical slices while another goroutine
+	// takes holders offline, vetoes and un-vetoes placement, and joins
+	// nodes. Under -race this is the check that nobody writes through a
+	// plan; every read that succeeds must return the value stored.
+	d, net, names := buildDHT(t, 24, Config{ReplicationFactor: 3})
+	kv := resilience.Wrap(d, resilience.Config{Hedge: 2, Breaker: resilience.DefaultBreakerConfig(), Seed: 1})
+	valueOf := func(key string) []byte { return []byte("value of " + key) }
+	keys := make([]string, 32)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("hammer-%d", i)
+		if _, err := d.Store(string(names[0]), keys[i], valueOf(keys[i])); err != nil {
+			t.Fatalf("Store: %v", err)
+		}
+	}
+	var readers sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		readers.Add(1)
+		go func(c int) {
+			defer readers.Done()
+			for i := 0; i < 1500; i++ {
+				key := keys[(i*(3+2*c)+c)%len(keys)]
+				if v, _, err := kv.Lookup(string(names[c]), key); err == nil && !bytes.Equal(v, valueOf(key)) {
+					t.Errorf("client %d: Lookup(%s) = %q", c, key, v)
+					return
+				}
+			}
+		}(c)
+	}
+	done := make(chan struct{})
+	go func() { readers.Wait(); close(done) }()
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; ; round++ {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		victim := names[2+rng.Intn(len(names)-2)]
+		_ = net.SetOnline(victim, false)
+		switch round % 3 {
+		case 0:
+			d.SetPlacementFilter(func(node string) bool { return node != string(victim) })
+		case 1:
+			d.SetPlacementFilter(nil)
+		default:
+			if round < 60 {
+				if err := d.Join(simnet.NodeID(fmt.Sprintf("joiner-%d", round))); err != nil {
+					t.Errorf("Join: %v", err)
+				}
+			}
+		}
+		runtime.Gosched()
+		_ = net.SetOnline(victim, true)
 	}
 }
 

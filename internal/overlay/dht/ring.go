@@ -7,30 +7,36 @@ import (
 )
 
 // ringView is an immutable snapshot of everything routing and placement
-// read: membership, the sorted ring, every node's finger table, the
-// placement filter and the replica ranker. The writers (New, Join, Leave,
-// SetPlacementFilter, SetReplicaRanker, serialised by DHT.mu) build a new
-// view and publish it by atomic pointer; readers load it without a lock and
-// never see a half-updated ring or a finger table under rewrite. A node's
-// stored keys are not part of the view — they stay behind node.mu.
+// read: membership, the sorted ring, every node's finger table, each ring
+// segment's canonical replica names, the placement filter and the replica
+// ranker. The writers (New, Join, Leave, SetPlacementFilter,
+// SetReplicaRanker, serialised by DHT.mu) build a new view and publish it by
+// atomic pointer; readers load it without a lock and never see a
+// half-updated ring or a finger table under rewrite. The two setters copy
+// the view and so share its tables, which only a membership change rebuilds.
+// A node's stored keys are not part of the view — they stay behind node.mu.
 type ringView struct {
 	ring       []uint64 // sorted node ids
 	byID       map[uint64]*node
 	names      map[simnet.NodeID]*node
 	fingers    map[uint64][]uint64           // node id → finger[i] = successor(id + 2^i)
+	ringNames  []string                      // member names in ring order, wrapped by k-1 (canonicalNames)
+	k          int                           // canonical replica set size: min(replication factor, members)
 	allowPlace func(node string) bool        // placement veto (integrity.go); nil = canonical
 	rankRepl   func(names []string) []string // replica-selection order (repair.go); nil = ring order
 }
 
-// newRingView builds the view of a ring with exactly these members. Finger
-// tables are computed from the global membership, as simulators
-// conventionally do in place of the incremental Chord join protocol.
-func newRingView(nodes []*node, allowPlace func(string) bool, rankRepl func([]string) []string) *ringView {
+// newRingView builds the view of a ring with exactly these members and
+// replication factor replica. Finger tables are computed from the global
+// membership, as simulators conventionally do in place of the incremental
+// Chord join protocol.
+func newRingView(nodes []*node, replica int, allowPlace func(string) bool, rankRepl func([]string) []string) *ringView {
 	v := &ringView{
 		ring:       make([]uint64, 0, len(nodes)),
 		byID:       make(map[uint64]*node, len(nodes)),
 		names:      make(map[simnet.NodeID]*node, len(nodes)),
 		fingers:    make(map[uint64][]uint64, len(nodes)),
+		k:          min(replica, len(nodes)),
 		allowPlace: allowPlace,
 		rankRepl:   rankRepl,
 	}
@@ -48,7 +54,19 @@ func newRingView(nodes []*node, allowPlace func(string) bool, rankRepl func([]st
 		}
 		v.fingers[id] = finger
 	}
+	v.ringNames = make([]string, 0, len(v.ring)+v.k-1)
+	for i := 0; i < len(v.ring)+v.k-1; i++ {
+		v.ringNames = append(v.ringNames, string(v.byID[v.ring[i%len(v.ring)]].name))
+	}
 	return v
+}
+
+// canonicalNames returns the names of the first k successors of ring
+// segment i (keys in (ring[i-1], ring[i]]), in ring order. The slice is
+// shared by every caller and capacity-capped, so an append copies instead of
+// writing over the next segment's names; nobody may write through it.
+func (v *ringView) canonicalNames(i int) []string {
+	return v.ringNames[i : i+v.k : i+v.k]
 }
 
 // members returns the view's nodes in ring order.
@@ -71,13 +89,19 @@ func freeID(id uint64, taken map[uint64]*node) uint64 {
 	}
 }
 
-// successorID returns the first ring node id clockwise from target.
-func (v *ringView) successorID(target uint64) uint64 {
+// segmentOf returns the ring index of target's successor: the segment i
+// with target in (ring[i-1], ring[i]].
+func (v *ringView) segmentOf(target uint64) int {
 	i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= target })
 	if i == len(v.ring) {
 		i = 0
 	}
-	return v.ring[i]
+	return i
+}
+
+// successorID returns the first ring node id clockwise from target.
+func (v *ringView) successorID(target uint64) uint64 {
+	return v.ring[v.segmentOf(target)]
 }
 
 // predecessorID returns the first ring node id counter-clockwise from
@@ -101,13 +125,11 @@ func (v *ringView) successorsOf(out []uint64, target uint64, k int) []uint64 {
 	if k > len(v.ring) {
 		k = len(v.ring)
 	}
-	i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= target })
-	for ; k > 0; k-- {
-		if i == len(v.ring) {
+	for i := v.segmentOf(target); k > 0; k-- {
+		out = append(out, v.ring[i])
+		if i++; i == len(v.ring) {
 			i = 0
 		}
-		out = append(out, v.ring[i])
-		i++
 	}
 	return out
 }

@@ -47,8 +47,9 @@ type ReplicaKV interface {
 	KV
 	// ReplicasFor resolves the node names expected to hold key, in
 	// preference order, favoring currently-reachable candidates. The slice
-	// is the caller's to reorder or filter in place. The stats charge the
-	// routing cost of the resolution.
+	// is read-only and may be shared with other callers: copy it before
+	// reordering or filtering. The stats charge the routing cost of the
+	// resolution.
 	ReplicasFor(origin string, key string) ([]string, OpStats, error)
 	// LookupFrom fetches key directly from one named replica.
 	LookupFrom(origin string, key string, replica string) ([]byte, OpStats, error)

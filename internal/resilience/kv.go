@@ -666,16 +666,19 @@ func (k *KV) hedgedLookup(sp *telemetry.Span, origin, key string, total *overlay
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	// Filter in place: names is the callee's fresh slice and is not read
-	// again — except by the fallback below, which runs only when nothing
-	// has been written over it.
-	allowed := names[:0]
+	// names is read-only (overlay.ReplicaKV): it is read as given until the
+	// breaker skips a name, and only then filtered into a fresh slice.
+	allowed := names
 	skips := 0
-	for _, name := range names {
-		if k.breaker.Allow(name) {
-			allowed = append(allowed, name)
-		} else {
+	for i, name := range names {
+		switch {
+		case !k.breaker.Allow(name):
+			if skips == 0 {
+				allowed = append(make([]string, 0, len(names)-1), names[:i]...)
+			}
 			skips++
+		case skips > 0:
+			allowed = append(allowed, name)
 		}
 	}
 	if len(allowed) == 0 {

@@ -60,13 +60,15 @@ func Seal(key string, payload []byte) []byte {
 	return out
 }
 
-// Open verifies a sealed record against its key and returns the payload
-// (a fresh copy — never aliased into the record). Any mismatch returns
-// ErrRecord: detect-or-fail, no partial results. Open accepts both plain
-// and keyed records: for a keyed record the MAC envelope is stripped and
-// the inner payload returned — the outer checksum still covers the whole
-// envelope, so accidental corruption is detected, but authenticity
-// requires OpenKeyed with the owner's MAC key.
+// Open verifies a sealed record against its key and returns the payload as
+// a view into record: it allocates nothing and leaves record unchanged, and
+// the payload is the caller's exactly as far as the record is (writing
+// through one changes the other).
+// Any mismatch returns ErrRecord: detect-or-fail, no partial results. Open
+// accepts both plain and keyed records: for a keyed record the MAC envelope
+// is stripped and the inner payload returned — the outer checksum still
+// covers the whole envelope, so accidental corruption is detected, but
+// authenticity requires OpenKeyed with the owner's MAC key.
 func Open(key string, record []byte) ([]byte, error) {
 	payload, err := verifyOuter(key, record)
 	if err != nil {
@@ -75,19 +77,20 @@ func Open(key string, record []byte) ([]byte, error) {
 	if isKeyedEnvelope(payload) {
 		payload = payload[len(keyedMagic)+macSize:]
 	}
-	return append([]byte(nil), payload...), nil
+	return payload, nil
 }
 
 // verifyOuter verifies framing and checksum and returns the outer payload
-// as a view into record — the shared half of every open and check. Callers
-// that return a payload copy it first.
+// as a view into record — the shared half of every open and check.
 func verifyOuter(key string, record []byte) ([]byte, error) {
 	if len(record) < len(recordMagic)+32 || !bytes.Equal(record[:len(recordMagic)], recordMagic) {
 		return nil, fmt.Errorf("%w: key %q: bad framing (%d bytes)", ErrRecord, key, len(record))
 	}
 	var sum [32]byte
 	copy(sum[:], record[len(recordMagic):])
-	payload := record[len(recordMagic)+32:]
+	// Capacity-capped: appending to a payload copies rather than writing
+	// into whatever follows the record in its backing array.
+	payload := record[len(recordMagic)+32 : len(record) : len(record)]
 	if checksum(key, payload) != sum {
 		return nil, fmt.Errorf("%w: key %q: checksum mismatch", ErrRecord, key)
 	}
@@ -172,19 +175,10 @@ func SealKeyed(mackey []byte, key string, payload []byte) []byte {
 }
 
 // OpenKeyed verifies a keyed record's checksum and MAC and returns the
-// payload. A plain (unkeyed) record, a wrong MAC key, or a
-// tampered-and-resealed envelope all return ErrRecord.
+// payload as a view into record, under Open's ownership rule. A plain
+// (unkeyed) record, a wrong MAC key, or a tampered-and-resealed envelope all
+// return ErrRecord.
 func OpenKeyed(mackey []byte, key string, record []byte) ([]byte, error) {
-	payload, err := verifyKeyed(mackey, key, record)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), payload...), nil
-}
-
-// verifyKeyed is OpenKeyed without the copy: the payload it returns is a
-// view into record.
-func verifyKeyed(mackey []byte, key string, record []byte) ([]byte, error) {
 	outer, err := verifyOuter(key, record)
 	if err != nil {
 		return nil, err
@@ -211,7 +205,7 @@ func verifyKeyed(mackey []byte, key string, record []byte) ([]byte, error) {
 // tampered and re-sealed is condemned exactly like a checksum mismatch.
 func CheckKeyed(mackey []byte) resilience.VerifyFunc {
 	return func(key string, record []byte) error {
-		_, err := verifyKeyed(mackey, key, record)
+		_, err := OpenKeyed(mackey, key, record)
 		return err
 	}
 }

@@ -13,6 +13,7 @@ import (
 func TestSealOpenRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{0xAB}, 4096)} {
 		rec := Seal("key-1", payload)
+		before := append([]byte(nil), rec...)
 		got, err := Open("key-1", rec)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
@@ -20,12 +21,19 @@ func TestSealOpenRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("payload mismatch: %q vs %q", got, payload)
 		}
-		// The returned payload must be detached from the record.
-		if len(got) > 0 {
-			got[0] ^= 0xFF
-			if again, err := Open("key-1", rec); err != nil || (len(again) > 0 && again[0] == got[0]) {
-				t.Fatal("Open aliased the record's bytes")
-			}
+		// The ownership rule: Open returns a view into the caller's record,
+		// leaves the record as it was, and the view re-seals to it.
+		if !bytes.Equal(rec, before) {
+			t.Fatal("Open changed the record")
+		}
+		if len(got) > 0 && &got[len(got)-1] != &rec[len(rec)-1] {
+			t.Fatal("Open returned a copy, not a view into the record")
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("Open's view has capacity %d past its %d bytes: an append would write past the record", cap(got), len(got))
+		}
+		if !bytes.Equal(Seal("key-1", got), rec) {
+			t.Fatal("Seal(key, Open(key, record)) differs from the record")
 		}
 		if err := Check("key-1", rec); err != nil {
 			t.Fatalf("Check: %v", err)
@@ -86,8 +94,13 @@ func TestKeyedSealOpenRoundTrip(t *testing.T) {
 		t.Fatalf("plain Open on keyed record: %v (%q)", err, got)
 	}
 	// The keyed verifier recovers the payload and the authenticity claim.
-	if got, err := OpenKeyed(alice, "key-1", rec); err != nil || !bytes.Equal(got, payload) {
+	got, err := OpenKeyed(alice, "key-1", rec)
+	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("OpenKeyed: %v (%q)", err, got)
+	}
+	// Open's ownership rule holds for the keyed form: a view, not a copy.
+	if &got[len(got)-1] != &rec[len(rec)-1] || !bytes.Equal(SealKeyed(alice, "key-1", got), rec) {
+		t.Fatal("OpenKeyed's payload is not a view that re-seals to the record")
 	}
 	// Wrong owner key, unkeyed record, and cross-key replay all condemn.
 	if _, err := OpenKeyed(bob, "key-1", rec); !errors.Is(err, ErrRecord) {

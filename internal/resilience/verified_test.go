@@ -1,0 +1,121 @@
+package resilience_test
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"godosn/internal/overlay/dht"
+	"godosn/internal/overlay/simnet"
+	"godosn/internal/resilience"
+	"godosn/internal/resilience/scrub"
+)
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
+// verifiedRing stores a sealed record for each of keys on a 48-node DHT and
+// wraps it the way a verified deployment reads: hedged, with scrub.Check as
+// the integrity gate.
+func verifiedRing(tb testing.TB, breaker resilience.BreakerConfig, keys int) (*resilience.KV, *dht.DHT, string, []string) {
+	tb.Helper()
+	net := simnet.New(simnet.DefaultConfig(1))
+	names := make([]simnet.NodeID, 48)
+	for i := range names {
+		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
+	}
+	d, err := dht.New(net, names, dht.Config{ReplicationFactor: 3})
+	if err != nil {
+		tb.Fatalf("dht.New: %v", err)
+	}
+	cfg := resilience.DefaultConfig(1)
+	cfg.Breaker = breaker
+	cfg.Verify = scrub.Check
+	kv := resilience.Wrap(d, cfg)
+	origin := string(names[0])
+	out := make([]string, keys)
+	for i := range out {
+		out[i] = fmt.Sprintf("post-%d", i)
+		if _, err := kv.Store(origin, out[i], scrub.Seal(out[i], payloadOf(out[i]))); err != nil {
+			tb.Fatalf("Store(%s): %v", out[i], err)
+		}
+	}
+	return kv, d, origin, out
+}
+
+func payloadOf(key string) []byte { return []byte("the content of " + key) }
+
+// openRead is one verified read as a reader does it: a hedged lookup that
+// scrub.Check gates, then the record opened to its payload.
+func openRead(kv *resilience.KV, origin, key string) ([]byte, error) {
+	rec, _, err := kv.Lookup(origin, key)
+	if err != nil {
+		return nil, err
+	}
+	return scrub.Open(key, rec)
+}
+
+func TestVerifiedLookupAllocations(t *testing.T) {
+	// A verified read on a healthy ring allocates the value the fetch
+	// handler copies out for the reader and nothing else: the replica plan
+	// is the ring view's shared slice, the breaker filter reads it as given,
+	// and Open returns a view into the record.
+	perRead := func(t *testing.T, kv *resilience.KV, origin string, keys []string) float64 {
+		if raceEnabled {
+			t.Skip("sync.Pool drops frames at random under the race detector")
+		}
+		return testing.AllocsPerRun(50, func() {
+			for _, key := range keys {
+				_, _ = openRead(kv, origin, key)
+			}
+		}) / float64(len(keys))
+	}
+	t.Run("healthy", func(t *testing.T) {
+		kv, _, origin, keys := verifiedRing(t, resilience.DefaultBreakerConfig(), 8)
+		for _, key := range keys {
+			if got, err := openRead(kv, origin, key); err != nil || !bytes.Equal(got, payloadOf(key)) {
+				t.Fatalf("read %s = %q, %v", key, got, err)
+			}
+		}
+		if got := perRead(t, kv, origin, keys); got > 1 {
+			t.Errorf("Lookup + scrub.Open: %v allocs per read, want <= 1", got)
+		}
+	})
+	t.Run("breaker-open", func(t *testing.T) {
+		// An open circuit on a canonical holder makes the read filter the
+		// plan, which it does into a fresh slice (one more allocation): the
+		// shared plan the DHT hands every other caller is left as it was.
+		kv, d, origin, keys := verifiedRing(t, resilience.BreakerConfig{Threshold: 1, Cooldown: 1 << 30}, 1)
+		key := keys[0]
+		plan := append([]string(nil), d.PlanReplicas(key)...)
+		kv.Breaker().Report(plan[0], false)
+		for i := 0; i < 3; i++ {
+			if got, err := openRead(kv, origin, key); err != nil || !bytes.Equal(got, payloadOf(key)) {
+				t.Fatalf("read %s with %s's circuit open = %q, %v", key, plan[0], got, err)
+			}
+		}
+		if got := kv.Metrics().BreakerSkips; got != 3 {
+			t.Fatalf("%d breaker skips over 3 reads, want 3", got)
+		}
+		if got := d.PlanReplicas(key); !reflect.DeepEqual(got, plan) {
+			t.Fatalf("PlanReplicas(%s) = %v after filtered reads, want %v", key, got, plan)
+		}
+		if got := perRead(t, kv, origin, keys); got > 2 {
+			t.Errorf("Lookup + scrub.Open with a circuit open: %v allocs per read, want <= 2", got)
+		}
+	})
+}
+
+// BenchmarkVerifiedLookup is one verified read on a healthy 48-node ring:
+// a hedged Lookup gated by scrub.Check, then scrub.Open.
+func BenchmarkVerifiedLookup(b *testing.B) {
+	kv, _, origin, keys := verifiedRing(b, resilience.DefaultBreakerConfig(), 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := openRead(kv, origin, keys[i%len(keys)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
