@@ -17,7 +17,7 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock smoke
 # violation, so "it ran" is the check. What each line guards:
 #   e19        zero surfaced corruption at >= 99% availability under loss + churn + Byzantine replies
 #   e21        warm caches hit, match the cold arm byte for byte, never serve a revoked reader
-#   cache -race  the sharded cache's concurrent hammer and eviction-order determinism
+#   cache -race  the sharded cache's concurrent hammers (no fill outlives an Invalidate) and eviction-order determinism
 #   simnet -race  ten callers against every fault injector with exact ledgers; link draws independent of other links' traffic
 #   pubkey -race  ten goroutines on one ECIES Sender (shared and own recipients, Forget, ephemeral replacement) and on one key pair's memoised Decrypt
 #   e7,e16     placed sealed copies on the DHT match 1-(1-u)^(k+1) within 4 sigma + 0.01, monotone in k and uptime; proxies >= 0.99
@@ -34,7 +34,7 @@ BENCH_BIN := $(SMOKE_OUT)/dosnbench
 define SMOKE
 $(BENCH_BIN) -quick -exp e19
 $(BENCH_BIN) -quick -exp e21
-$(GO) test -race -count=1 -run 'TestCacheRaceHammer|TestCacheEvictionOrderShardedWorkers1vs8' ./internal/cache/
+$(GO) test -race -count=1 -run 'TestCacheRaceHammer|TestCacheFillNeverOutlivesInvalidate|TestCacheEvictionOrderShardedWorkers1vs8' ./internal/cache/
 $(GO) test -race -count=1 -run 'TestHammerKeepsLedgersExact|TestLinkDrawsIgnoreOtherLinks' ./internal/overlay/simnet/
 $(GO) test -race -count=1 -run 'TestSenderHammer|TestDecryptHammer' ./internal/crypto/pubkey/
 $(BENCH_BIN) -quick -exp e7,e16
@@ -128,7 +128,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 30
+BENCH_PR := 31
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -160,7 +160,7 @@ bench-quick:
 # route cache, symmetric seal/open alloc deltas, ECIES
 # Sender.Encrypt first-contact vs warm and Decrypt memo miss vs hit, one
 # pooled HKDF-Expand (prf.Derive),
-# the sharded cache (hit/miss/coalesced/contended), one simnet echo RPC
+# the sharded cache (hit/miss/contended), one simnet echo RPC
 # as one of 1 and of 2 callers sees it, and one verified read (hedged
 # Lookup gated by scrub.Check, then scrub.Open). Then the anti-entropy cost curve:
 # batched vs per-key scrub at 1k/10k/100k keys (10% corruption, k=3), one

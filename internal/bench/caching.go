@@ -27,9 +27,9 @@ const e21ZipfS = 1.2
 
 // E21CacheAcceleration measures the hot-path read caches end to end: the
 // same resilient DHT under the same Zipf(s) read-mostly workload, once cold
-// (no caches) and once warm (route cache + verified-value cache +
-// singleflight), with a write every 10th operation rotating the stored
-// value so the run itself proves invalidation. Three invariants are
+// (no caches) and once warm (route cache + verified-value cache), with a
+// write every 10th operation rotating the stored value so the run itself
+// proves invalidation. Three invariants are
 // enforced, not just reported: both arms must return byte-identical results
 // (running digest compared in-run), the warm arm must cut simulated lookup
 // latency by at least 2x, and the E17/E19 headline properties — full
@@ -95,7 +95,7 @@ func E21CacheAcceleration(quick bool) (*Table, error) {
 	t := &Table{
 		ID:     "E21",
 		Title:  fmt.Sprintf("hot-path read caches: cold vs warm under Zipf(%.2g) read-mostly workload (DHT+resilience, k=3)", e21ZipfS),
-		Header: []string{"arm", "ops", "msg/op", "lat/op", "route hit%", "value hit%", "coalesced"},
+		Header: []string{"arm", "ops", "msg/op", "lat/op", "route hit%", "value hit%"},
 	}
 	for _, row := range []struct {
 		name string
@@ -108,7 +108,6 @@ func E21CacheAcceleration(quick bool) (*Table, error) {
 			fmt.Sprintf("%.1fms", row.r.latPerOp),
 			fmt.Sprintf("%.1f", row.r.routeStats.HitRate()*100),
 			fmt.Sprintf("%.1f", row.r.valueStats.HitRate()*100),
-			fmt.Sprintf("%d", row.r.routeStats.Coalesced+row.r.valueStats.Coalesced),
 		)
 	}
 	t.AddNote("every 10th op overwrites the Zipf-chosen key with a rotating value; each arm asserts in-run that every read returns the latest write (a stale cache fails the experiment)")

@@ -1,7 +1,7 @@
 // Package cache implements the framework's hot-path read acceleration: a
 // generic, race-safe, sharded LRU with generation-based invalidation and a
-// built-in singleflight group that coalesces concurrent misses for the same
-// key into one inner call.
+// fenced fill path: Do runs the caller's fill on a miss and caches its value
+// only if neither the generation nor the key's shard fence moved meanwhile.
 //
 // Real DOSN workloads are heavily skewed toward a small hot set of popular
 // profiles (LibreSocial reports read-mostly, Zipf-like access in its P2P
@@ -26,7 +26,6 @@
 package cache
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -67,9 +66,6 @@ type Stats struct {
 	// Invalidations counts entries dropped by Invalidate plus whole-cache
 	// generation bumps (each bump counts once).
 	Invalidations int64
-	// Coalesced counts Do calls that piggy-backed on another caller's
-	// in-flight fill instead of issuing their own.
-	Coalesced int64
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 with no traffic.
@@ -90,20 +86,14 @@ const (
 	Hit Outcome = iota
 	// Filled: this caller invoked the fill function.
 	Filled
-	// Coalesced: another caller's in-flight fill supplied the result.
-	Coalesced
 )
 
 // String renders the outcome as a span/event tag.
 func (o Outcome) String() string {
-	switch o {
-	case Hit:
+	if o == Hit {
 		return "hit"
-	case Coalesced:
-		return "coalesced"
-	default:
-		return "fill"
 	}
+	return "fill"
 }
 
 // entry is one resident value on a shard's LRU list.
@@ -121,15 +111,14 @@ type shard[V any] struct {
 	// head is most-recently used, tail least-recently used.
 	head, tail *entry[V]
 	cap        int
+	// fence counts Invalidate calls on this shard. Do reads it with its
+	// lookup and caches the fill only if it has not moved since: exact for
+	// the invalidated key, conservative for the keys sharing its shard.
+	fence uint64
 }
 
-// call is one in-flight fill, shared by coalesced waiters.
-type call[V any] struct {
-	done    chan struct{} // made by the first waiter, under flightMu; nil = nobody waits
-	val     V
-	err     error
-	noStore bool // key invalidated while the fill ran: do not cache
-}
+// unfenced is the fence a plain Put passes: no shard's count exceeds it.
+const unfenced = ^uint64(0)
 
 // Cache is a sharded LRU over string keys. All methods are safe for
 // concurrent use and safe on a nil receiver (disabled cache).
@@ -142,11 +131,6 @@ type Cache[V any] struct {
 	misses        atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
-	coalesced     atomic.Int64
-
-	flightMu sync.Mutex
-	flight   map[string]*call[V]
-	idle     []*call[V] // finished calls nobody waited on, for the next fills
 
 	tel atomic.Pointer[cacheTelemetry] // nil until SetTelemetry
 
@@ -156,7 +140,7 @@ type Cache[V any] struct {
 
 // cacheTelemetry holds resolved registry counters mirroring Stats.
 type cacheTelemetry struct {
-	hits, misses, evictions, invalidations, coalesced *telemetry.Counter
+	hits, misses, evictions, invalidations *telemetry.Counter
 }
 
 // New creates a cache, or returns nil (a valid, disabled cache) when the
@@ -174,7 +158,6 @@ func New[V any](cfg Config) *Cache[V] {
 	c := &Cache[V]{
 		shards: make([]*shard[V], cfg.Shards),
 		seed:   uint64(cfg.Seed),
-		flight: make(map[string]*call[V]),
 	}
 	per := cfg.Capacity / cfg.Shards
 	extra := cfg.Capacity % cfg.Shards
@@ -204,7 +187,6 @@ func (c *Cache[V]) SetTelemetry(reg *telemetry.Registry, prefix string) {
 		misses:        reg.Counter(prefix + "_misses_total"),
 		evictions:     reg.Counter(prefix + "_evictions_total"),
 		invalidations: reg.Counter(prefix + "_invalidations_total"),
-		coalesced:     reg.Counter(prefix + "_coalesced_total"),
 	})
 }
 
@@ -238,7 +220,6 @@ func (c *Cache[V]) Stats() Stats {
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
-		Coalesced:     c.coalesced.Load(),
 	}
 }
 
@@ -276,13 +257,19 @@ func (c *Cache[V]) shardOf(key string) *shard[V] {
 // Get returns the cached value for key. Entries from an older generation
 // are purged and miss. Nil-safe (always a miss, uncounted).
 func (c *Cache[V]) Get(key string) (V, bool) {
-	var zero V
 	if c == nil {
+		var zero V
 		return zero, false
 	}
-	gen := c.gen.Load()
-	s := c.shardOf(key)
+	v, ok, _ := c.lookup(c.shardOf(key), key, c.gen.Load())
+	return v, ok
+}
+
+// lookup is Get on key's shard s under generation gen. It also returns the
+// shard's fence, read under the same lock, for a fill's put to check.
+func (c *Cache[V]) lookup(s *shard[V], key string, gen uint64) (V, bool, uint64) {
 	s.mu.Lock()
+	fence := s.fence
 	e, ok := s.entries[key]
 	if ok && e.gen != gen {
 		s.remove(e)
@@ -291,13 +278,14 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	if !ok {
 		s.mu.Unlock()
 		c.count(&c.misses, func(t *cacheTelemetry) *telemetry.Counter { return t.misses })
-		return zero, false
+		var zero V
+		return zero, false, fence
 	}
 	s.moveToFront(e)
 	v := e.val
 	s.mu.Unlock()
 	c.count(&c.hits, func(t *cacheTelemetry) *telemetry.Counter { return t.hits })
-	return v, true
+	return v, true, fence
 }
 
 // Put inserts or refreshes key under the current generation, evicting the
@@ -306,24 +294,25 @@ func (c *Cache[V]) Put(key string, val V) {
 	if c == nil {
 		return
 	}
-	c.putGen(key, val, c.gen.Load())
+	c.put(c.shardOf(key), key, val, c.gen.Load(), unfenced)
 }
 
-// putGen inserts key=val tagged with gen, dropping the write silently when
-// the cache has moved past gen — the fence that keeps a fill started before
-// an invalidation from resurrecting stale data after it.
-func (c *Cache[V]) putGen(key string, val V, gen uint64) {
+// put inserts key=val on its shard s tagged with gen, dropping the write
+// silently when the cache has moved past gen or s has been invalidated past
+// fence — the fences that keep a fill started before an invalidation from
+// resurrecting stale data after it.
+func (c *Cache[V]) put(s *shard[V], key string, val V, gen, fence uint64) {
 	if c.gen.Load() != gen {
 		return
 	}
-	s := c.shardOf(key)
 	var evicted string
 	overflow := false
 	s.mu.Lock()
 	// Re-check under the shard lock: a concurrent bump between the check
 	// above and acquiring the lock must still win. A bump taken after this
-	// point invalidates the entry lazily via its gen tag.
-	if c.gen.Load() != gen {
+	// point invalidates the entry lazily via its gen tag; an Invalidate
+	// taken after it removes the entry.
+	if c.gen.Load() != gen || s.fence > fence {
 		s.mu.Unlock()
 		return
 	}
@@ -358,25 +347,21 @@ func (c *Cache[V]) putGen(key string, val V, gen uint64) {
 	}
 }
 
-// Invalidate drops key's entry, and marks any in-flight fill for key so its
-// result is not cached — a lookup racing a store can complete, but its
-// possibly-stale value never lands. Nil-safe (no-op).
+// Invalidate drops key's entry and advances its shard's fence, so no fill
+// in flight on that shard is cached — a lookup racing a store can complete,
+// but its possibly-stale value never lands. Nil-safe (no-op).
 func (c *Cache[V]) Invalidate(key string) {
 	if c == nil {
 		return
 	}
 	s := c.shardOf(key)
 	s.mu.Lock()
+	s.fence++
 	e, ok := s.entries[key]
 	if ok {
 		s.remove(e)
 	}
 	s.mu.Unlock()
-	c.flightMu.Lock()
-	if cl, inflight := c.flight[key]; inflight {
-		cl.noStore = true
-	}
-	c.flightMu.Unlock()
 	if ok {
 		c.count(&c.invalidations, func(t *cacheTelemetry) *telemetry.Counter { return t.invalidations })
 	}
@@ -394,72 +379,27 @@ func (c *Cache[V]) BumpGeneration() {
 	c.count(&c.invalidations, func(t *cacheTelemetry) *telemetry.Counter { return t.invalidations })
 }
 
-// Do returns the cached value for key, or coalesces concurrent misses into
-// one fill call: the first caller runs fill, every concurrent caller for
-// the same key waits for that result. A successful fill's value is cached
-// unless the key (or the whole cache) was invalidated while the fill ran.
-// Fill errors are returned to every waiter and never cached. On a nil
-// cache Do simply invokes fill. The returned Outcome says how this call
-// was served.
+// Do returns the cached value for key, or runs fill on a miss and caches a
+// successful result — unless the generation was bumped, or key's shard was
+// invalidated, while fill ran. Concurrent misses on one key each run their
+// own fill and get their own value. Fill errors are returned and never
+// cached. On a nil cache Do simply invokes fill. The returned Outcome says
+// how this call was served.
 func (c *Cache[V]) Do(key string, fill func() (V, error)) (V, Outcome, error) {
 	if c == nil {
 		v, err := fill()
 		return v, Filled, err
 	}
-	if v, ok := c.Get(key); ok {
+	gen, s := c.gen.Load(), c.shardOf(key)
+	v, ok, fence := c.lookup(s, key, gen)
+	if ok {
 		return v, Hit, nil
 	}
-	c.flightMu.Lock()
-	if cl, ok := c.flight[key]; ok {
-		if cl.done == nil {
-			cl.done = make(chan struct{})
-		}
-		done := cl.done
-		c.flightMu.Unlock()
-		<-done
-		c.count(&c.coalesced, func(t *cacheTelemetry) *telemetry.Counter { return t.coalesced })
-		return cl.val, Coalesced, cl.err
+	v, err := fill()
+	if err == nil {
+		c.put(s, key, v, gen, fence)
 	}
-	var cl *call[V]
-	if n := len(c.idle); n > 0 {
-		cl, c.idle = c.idle[n-1], c.idle[:n-1]
-	} else {
-		cl = &call[V]{}
-	}
-	c.flight[key] = cl
-	gen := c.gen.Load()
-	c.flightMu.Unlock()
-
-	val, err := fill()
-
-	c.flightMu.Lock()
-	delete(c.flight, key)
-	noStore, done := cl.noStore, cl.done
-	if done == nil {
-		// Nobody attached, and off the flight map nobody can: the record is
-		// this caller's alone and serves a later fill. One a waiter holds is
-		// left to it.
-		*cl = call[V]{}
-		c.idle = append(c.idle, cl)
-	} else {
-		cl.val, cl.err = val, err
-	}
-	c.flightMu.Unlock()
-	if done != nil {
-		close(done)
-	}
-	if err == nil && !noStore {
-		c.putGen(key, val, gen)
-	}
-	return val, Filled, err
-}
-
-// String renders the cache for debugging.
-func (c *Cache[V]) String() string {
-	if c == nil {
-		return "cache(disabled)"
-	}
-	return fmt.Sprintf("cache(shards=%d len=%d gen=%d)", len(c.shards), c.Len(), c.gen.Load())
+	return v, Filled, err
 }
 
 // ---- intrusive LRU list (call with shard lock held) ----

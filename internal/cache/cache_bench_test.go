@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 )
 
@@ -38,29 +37,6 @@ func BenchmarkCacheMiss(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCacheCoalescedMiss measures Do under contention for one cold
-// key: GOMAXPROCS goroutines racing, one fill winning per generation.
-func BenchmarkCacheCoalescedMiss(b *testing.B) {
-	c := New[int](Config{Capacity: 64, Shards: 8, Seed: 1})
-	var fills atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if i%64 == 0 {
-				c.Invalidate("cold")
-			}
-			_, _, _ = c.Do("cold", func() (int, error) {
-				fills.Add(1)
-				return i, nil
-			})
-			i++
-		}
-	})
-	b.ReportMetric(float64(fills.Load())/float64(b.N), "fills/op")
 }
 
 // BenchmarkCacheShardedContention measures Get/Put throughput with

@@ -81,8 +81,9 @@ type Config struct {
 	// every node's data-plane RPCs (store/fetch and batch forms): requests
 	// beyond the per-tick budget queue, then shed with load.ErrShed —
 	// FaultOverload to the resilience layer, so callers retry elsewhere.
-	// Routing and digest RPCs are exempt. Advance the gates with
-	// TickGates. The zero value (PerTick 0) disables server-side gating.
+	// Routing and digest RPCs are exempt. Advance the gates with Tick
+	// (overlay.Ticker). The zero value (PerTick 0) disables server-side
+	// gating.
 	NodeGate load.GateConfig
 	// PerKeyHeal forces Heal to push every re-replicated copy in its own
 	// store RPC (the pre-batching behavior) instead of coalescing pushes

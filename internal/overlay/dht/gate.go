@@ -26,8 +26,8 @@ import (
 //
 // Determinism: token consumption commutes (load.Gate), per-node shed counts
 // depend only on how many data requests reach each node per tick window —
-// worker-count independent under serial fan-out — and TickGates advances
-// gates in sorted node order.
+// worker-count independent under serial fan-out — and Tick advances gates
+// in sorted node order.
 
 // nodeGates is the per-node gate set; a nil *nodeGates admits everything.
 type nodeGates struct {
@@ -127,16 +127,11 @@ func (g *nodeGates) setTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// TickGates advances every node's admission gate one tick window (sorted
-// node order). No-op when Config.NodeGate is disabled.
-func (d *DHT) TickGates() {
-	d.gates.tick()
-}
-
-// Tick implements overlay.Ticker: the DHT's per-tick state is its
-// server-side admission gates.
+// Tick implements overlay.Ticker: it advances every node's admission gate
+// one tick window (sorted node order). No-op when Config.NodeGate is
+// disabled.
 func (d *DHT) Tick() {
-	d.TickGates()
+	d.gates.tick()
 }
 
 // NodeSheds returns each node's server-side shed count (empty map when

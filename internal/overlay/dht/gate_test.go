@@ -37,7 +37,7 @@ func TestNodeGateDisabledAdmitsEverything(t *testing.T) {
 	if sheds := d.NodeSheds(); len(sheds) != 0 {
 		t.Fatalf("ungated NodeSheds non-empty: %v", sheds)
 	}
-	d.TickGates() // must be a no-op, not a panic
+	d.Tick() // must be a no-op, not a panic
 }
 
 func TestNodeGateShedsBeyondBudget(t *testing.T) {
@@ -61,9 +61,9 @@ func TestNodeGateShedsBeyondBudget(t *testing.T) {
 	}
 
 	// Refilled gates admit again.
-	d.TickGates()
+	d.Tick()
 	if _, err := d.Store(string(names[0]), "after-tick", []byte("y")); err != nil {
-		t.Fatalf("store after TickGates: %v", err)
+		t.Fatalf("store after Tick: %v", err)
 	}
 }
 

@@ -488,10 +488,10 @@ func (k *KV) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
 // resolution, primary fetch, hedge fetch, read-repair push, and backoff
 // attributed to child spans of sp (nil sp: identical untraced operation).
 // With a value cache configured (Config.Cache) repeat lookups are served
-// from memory — a hit or a coalesced fill charges no messages and no
-// simulated latency, and a "cache" child span records how the read was
-// served. Cache hits are not counted in Metrics.Ops (no attempt ran); the
-// cache's own counters carry that accounting.
+// from memory — a hit charges no messages and no simulated latency, and a
+// "cache" child span records how the read was served. Cache hits are not
+// counted in Metrics.Ops (no attempt ran); the cache's own counters carry
+// that accounting.
 func (k *KV) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overlay.OpStats, error) {
 	sp.Tag("key", key)
 	if k.values == nil {
@@ -511,7 +511,7 @@ func (k *KV) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overlay
 	csp := sp.Child("cache")
 	csp.End(outcome.String())
 	if err != nil {
-		// st is the leader's real cost; coalesced waiters charge nothing.
+		// st is the failed fill's real cost.
 		return nil, st, err
 	}
 	return append([]byte(nil), v...), st, nil

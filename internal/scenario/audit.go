@@ -99,9 +99,7 @@ func (st *runState) finish(rc RunConfig, reg *telemetry.Registry) *Result {
 	res.ClientSheds = kv.Metrics().ClientSheds
 	res.DetectedCorruption = kv.Metrics().CorruptReads
 	res.ServerShedsByNode = d.NodeSheds()
-	for _, v := range res.ServerShedsByNode {
-		res.ServerSheds += v
-	}
+	res.ServerSheds = d.NodeShedTotal()
 	st.win.CloseFinal()
 	res.Windows = st.win.Snapshot()
 	res.Telemetry = reg.Snapshot()

@@ -143,7 +143,7 @@ func Run(sc *Scenario, rc RunConfig) (*Result, error) {
 		}
 		net.TickCapacity()
 		kv.Tick()
-		d.TickGates()
+		d.Tick()
 		if sc.HealEvery > 0 && t > 0 && t%sc.HealEvery == 0 {
 			rep, err := kv.Heal()
 			if err != nil {
