@@ -11,7 +11,7 @@ all: build vet test
 # hygiene lints, and the smoke list below.
 ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock smoke
 
-# One smoke gate: dosnbench is built once (into .smoke/, ignored), then every command in SMOKE runs
+# One smoke gate: dosnbench and dosnd are built once (into .smoke/, ignored), then every command in SMOKE runs
 # in order; the first failure prints that command's output and stops. Each
 # experiment enforces its own invariants in-run and exits non-zero on a
 # violation, so "it ran" is the check. What each line guards:
@@ -29,8 +29,11 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock smoke
 #   quarantine tests  one scrub verdict per node per pass (rot burst spares an honest holder, a liar needs Threshold passes); heal targets obey the placement veto
 #   e20 -json  the instrumented report round-trips the strict v2 validator (telemetry section included)
 #   e3,e18 -json  the plain report does too
+#   dosnd -resilient  the resilient DHT session completes under 10% loss and prints its metrics
+#   dosnd hybrid  a session on the hybrid overlay completes end to end
 SMOKE_OUT := .smoke
 BENCH_BIN := $(SMOKE_OUT)/dosnbench
+DOSND_BIN := $(SMOKE_OUT)/dosnd
 define SMOKE
 $(BENCH_BIN) -quick -exp e19
 $(BENCH_BIN) -quick -exp e21
@@ -51,11 +54,14 @@ $(BENCH_BIN) -quick -exp e20 -json $(SMOKE_OUT)/telemetry.json
 $(BENCH_BIN) -validate $(SMOKE_OUT)/telemetry.json
 $(BENCH_BIN) -quick -exp e3,e18 -json $(SMOKE_OUT)/report.json
 $(BENCH_BIN) -validate $(SMOKE_OUT)/report.json
+$(DOSND_BIN) -users 16 -resilient -loss 0.1 -metrics
+$(DOSND_BIN) -users 16 -overlay hybrid
 endef
 export SMOKE
 
 smoke:
 	$(GO) build -o $(BENCH_BIN) ./cmd/dosnbench
+	$(GO) build -o $(DOSND_BIN) ./cmd/dosnd
 	@echo "$$SMOKE" | while IFS= read -r cmd; do \
 		echo "smoke: $$cmd"; \
 		out=$$(sh -c "$$cmd" 2>&1) || { echo "$$out"; echo "smoke: FAILED: $$cmd"; exit 1; }; \
@@ -128,7 +134,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 31
+BENCH_PR := 32
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json

@@ -138,7 +138,7 @@ func All() []Experiment {
 		{ID: "e19", Description: "integrity scrubber: corruption containment under loss + churn + Byzantine replies", Run: E19ChaosScrub},
 		{ID: "e20", Description: "telemetry: per-phase latency breakdown (lookup/verify/repair) under E17/E19 conditions", Run: E20PhaseBreakdown},
 		{ID: "e21", Description: "hot-path read caches: cold vs warm Zipf workload, coherence under writes/faults/revocation", Run: E21CacheAcceleration},
-		{ID: "e22", Description: "overload: flash crowd on one replica — bare stack vs load-aware selection + admission control", Run: E22FlashCrowd},
+		{ID: "e22", Description: "overload: flash crowd on one replica — bare stack vs health-ranked replica selection", Run: E22FlashCrowd},
 		{ID: "e23", Description: "scale: streaming 10k→1M-user workload — sequential vs route-grouped batched transport, flat-memory check", Run: E23ScaleSweep},
 		{ID: "e24", Description: "chaos scenarios: record/replay library sweep with invariants, delta-debugging minimizer convergence", Run: E24ScenarioLibrary},
 		{ID: "e25", Description: "windowed telemetry: guilty-window localization of an injected mid-run byzantine fault, byte-identical report", Run: E25GuiltyWindow},

@@ -31,7 +31,7 @@ type e22Mode int
 const (
 	e22Baseline  e22Mode = iota // no capacity limit: the uncontended floor
 	e22Bare                     // hot node capped; stock stack (retries + hedges, canonical order)
-	e22Protected                // hot node capped; + health-ranked selection + client admission gate
+	e22Protected                // hot node capped; + health-ranked selection
 )
 
 func (m e22Mode) String() string {
@@ -41,20 +41,19 @@ func (m e22Mode) String() string {
 	case e22Bare:
 		return "bare (canonical order)"
 	default:
-		return "load-aware (rank+admission)"
+		return "load-aware (health-ranked)"
 	}
 }
 
 // e22Arm is one arm's complete outcome. Every field is part of the
 // determinism contract: two runs with the same knobs must DeepEqual.
 type e22Arm struct {
-	Latencies   []time.Duration // per-lookup simulated latency, issue order
-	OK          int
-	Failed      int
-	ClientSheds int
-	Overload    simnet.OverloadStats
-	Health      []load.NodeScore
-	Snap        telemetry.Snapshot
+	Latencies []time.Duration // per-lookup simulated latency, issue order
+	OK        int
+	Failed    int
+	Overload  simnet.OverloadStats
+	Health    []load.NodeScore
+	Snap      telemetry.Snapshot
 }
 
 // e22Run is one full three-arm execution at a fixed worker count.
@@ -67,8 +66,8 @@ type e22Run struct {
 // measures three arms: the uncontended baseline, the stock stack (retries +
 // hedges in canonical replica order, so every read lines up behind the hot
 // node's queue), and the load-aware stack (EWMA health-ranked replica
-// selection + client-side admission gate), which sheds early, reroutes to
-// the hot node's siblings, and holds tail latency at the baseline.
+// selection), which reroutes to the hot node's siblings and holds tail
+// latency at the baseline.
 // Invariants are enforced in-run, partly from the telemetry registry: the
 // protected arm must serve >= 99% with p99 <= 3x baseline while the bare
 // arm degrades beyond that bound; the hot node must demonstrably shed
@@ -127,9 +126,6 @@ func E22FlashCrowd(quick bool) (*Table, error) {
 	if v, ok := counterOf(r.Protected.Snap, "simnet_overload_queued_total"); !ok || v == 0 {
 		return nil, fmt.Errorf("bench: e22 invariant violated: protected arm recorded no hot-node queueing in telemetry (%d)", v)
 	}
-	if _, ok := counterOf(r.Protected.Snap, "resilience_client_sheds_total"); !ok {
-		return nil, fmt.Errorf("bench: e22 invariant violated: admission-gate counters missing from telemetry")
-	}
 	healthGauges := 0
 	for _, g := range r.Protected.Snap.Gauges {
 		if len(g.Name) > 18 && g.Name[:18] == "load_health_score_" {
@@ -146,7 +142,7 @@ func E22FlashCrowd(quick bool) (*Table, error) {
 	t := &Table{
 		ID:     "E22",
 		Title:  fmt.Sprintf("overload: flash crowd at %.0fx capacity on one replica (DHT k=3, capacity %d/tick)", e22HotFactor, e22Capacity),
-		Header: []string{"arm", "ok%", "p50", "p99", "p99/base", "queued", "shed", "client-shed"},
+		Header: []string{"arm", "ok%", "p50", "p99", "p99/base", "queued", "shed"},
 	}
 	for _, arm := range []struct {
 		name string
@@ -164,11 +160,9 @@ func E22FlashCrowd(quick bool) (*Table, error) {
 			fmt.Sprintf("%.1fx", pctlMS(arm.a.Latencies, 0.99)/baseP99),
 			fmt.Sprintf("%d", arm.a.Overload.Queued),
 			fmt.Sprintf("%d", arm.a.Overload.Sheds),
-			fmt.Sprintf("%d", arm.a.ClientSheds),
 		)
 	}
 	t.AddNote("every tick offers %.0fx the hot node's capacity against the hot key; the bare arm lines up behind the hot node's queue (and sheds past it), the load-aware arm demotes the hot node after its first slow/shed observations and reads its siblings", e22HotFactor)
-	t.AddNote("the client admission gate is sized to the offered rate: zero steady-state client sheds by construction (gate shedding and queueing are pinned by the load package's unit tests)")
 	t.AddNote("determinism: the full three-arm run is DeepEqual-identical back to back at FanoutWorkers=1 and =8 (per-lookup latencies, overload counters, health snapshots, telemetry registries)")
 	t.AddNote("hot-node load factor %.0fx and capacity %d requests/tick are fixed constants", e22HotFactor, e22Capacity)
 	t.AddMetric("e22_hot_factor", "x", e22HotFactor)
@@ -225,7 +219,6 @@ func runE22Arm(mode e22Mode, workers, ticks int) (e22Arm, error) {
 	// mitigation is E21's subject, not this experiment's).
 	if mode == e22Protected {
 		rcfg.Health = load.DefaultTrackerConfig()
-		rcfg.Admission = load.GateConfig{PerTick: e22PerTick, QueueDepth: 0}
 	}
 	reg := telemetry.NewRegistry()
 	st, err := stack.Build(stack.Spec{
@@ -248,7 +241,7 @@ func runE22Arm(mode e22Mode, workers, ticks int) (e22Arm, error) {
 		return arm, fmt.Errorf("bench: e22 store: %w", err)
 	}
 	for i := 0; i < 8; i++ {
-		kv.Tick() // keep the admission gate refilled during setup
+		kv.Tick()
 		if _, err := kv.Store(seedClient, fmt.Sprintf("bg-%d", i), []byte("filler")); err != nil {
 			return arm, fmt.Errorf("bench: e22 store: %w", err)
 		}
@@ -293,7 +286,6 @@ func runE22Arm(mode e22Mode, workers, ticks int) (e22Arm, error) {
 			}
 		}
 	}
-	arm.ClientSheds = kv.Metrics().ClientSheds
 	arm.Overload = net.Overload()
 	arm.Health = kv.HealthSnapshot()
 	arm.Snap = reg.Snapshot()

@@ -110,9 +110,7 @@ func (s soak) run(st *stack.Stack) (soakResult, error) {
 	}
 
 	st.Net.SetLossRate(s.loss)
-	sched, err := simnet.NewFaultSchedule(st.Net, st.Names[1:], simnet.ChurnConfig{
-		Seed: s.seed, Uptime: s.uptime, MeanOnline: 20,
-	})
+	sched, err := simnet.NewFaultSchedule(st.Net, st.Names[1:], simnet.ChurnConfig{Seed: s.seed, Uptime: s.uptime})
 	if err != nil {
 		return res, err
 	}

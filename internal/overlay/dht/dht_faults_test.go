@@ -12,7 +12,8 @@ import (
 // buildLossyDHT creates a DHT over a network with the given loss rate.
 func buildLossyDHT(t *testing.T, n int, loss float64, replicas int) (*DHT, []simnet.NodeID) {
 	t.Helper()
-	net := simnet.New(simnet.Config{Seed: 21, LossRate: loss})
+	net := simnet.New(simnet.Config{Seed: 21})
+	net.SetLossRate(loss)
 	names := make([]simnet.NodeID, n)
 	for i := range names {
 		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))

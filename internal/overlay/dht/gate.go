@@ -13,11 +13,10 @@ import (
 // This file wires server-side admission control: a per-node load.Gate in
 // front of the data-plane RPC kinds (store, fetch, and their batch forms),
 // so a node sheds by its own policy instead of only by the simnet's
-// simulated capacity. The client-side gate (resilience Config.Admission)
-// protects the network from one client; these gates protect each node from
-// every client. A shed surfaces as load.ErrShed through the RPC error
-// chain, which the resilience layer already classifies as FaultOverload —
-// retryable against another replica, never quarantined.
+// simulated capacity, protecting each node from every client. A shed
+// surfaces as load.ErrShed through the RPC error chain, which the
+// resilience layer already classifies as FaultOverload — retryable against
+// another replica, never quarantined.
 //
 // Routing (find-successor) and digest traffic is exempt: an overloaded node
 // must still answer "who owns this key" and anti-entropy digests, or

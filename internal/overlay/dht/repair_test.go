@@ -35,7 +35,8 @@ func TestStoreIdempotentUnderAckLoss(t *testing.T) {
 	// final state is exactly one copy per replica with the right bytes.
 	sawAckLost := false
 	for seed := int64(0); seed < 60; seed++ {
-		net := simnet.New(simnet.Config{Seed: seed, LossRate: 0.35})
+		net := simnet.New(simnet.Config{Seed: seed})
+		net.SetLossRate(0.35)
 		names := make([]simnet.NodeID, 16)
 		for i := range names {
 			names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
@@ -455,7 +456,7 @@ func TestSharedPlansSurviveConcurrentMembershipChanges(t *testing.T) {
 	// nodes. Under -race this is the check that nobody writes through a
 	// plan; every read that succeeds must return the value stored.
 	d, net, names := buildDHT(t, 24, Config{ReplicationFactor: 3})
-	kv := resilience.Wrap(d, resilience.Config{Hedge: 2, Breaker: resilience.DefaultBreakerConfig(), Seed: 1})
+	kv := resilience.Wrap(d, resilience.DefaultConfig(1))
 	valueOf := func(key string) []byte { return []byte("value of " + key) }
 	keys := make([]string, 32)
 	for i := range keys {

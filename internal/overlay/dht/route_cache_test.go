@@ -257,7 +257,7 @@ func TestRouteCacheNeverServesStaleHolderUnderChurn(t *testing.T) {
 			churned = append(churned, n)
 		}
 	}
-	churn := simnet.ChurnConfig{Seed: 99, Uptime: 0.7, MeanOnline: 5}
+	churn := simnet.ChurnConfig{Seed: 99, Uptime: 0.7}
 	csched, err := simnet.NewFaultSchedule(cnet, churned, churn)
 	if err != nil {
 		t.Fatalf("NewFaultSchedule: %v", err)

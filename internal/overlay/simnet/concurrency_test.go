@@ -161,7 +161,8 @@ type linkOutcome struct {
 func observeLink(t *testing.T, procs int, noise bool) []linkOutcome {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	n := New(Config{Seed: 9, BaseLatency: time.Millisecond, JitterLatency: 5 * time.Millisecond, LossRate: 0.2})
+	n := New(Config{Seed: 9, BaseLatency: time.Millisecond, JitterLatency: 5 * time.Millisecond})
+	n.SetLossRate(0.2)
 	for _, id := range []NodeID{"a", "b", "c", "d"} {
 		if err := n.Register(id, echoHandler()); err != nil {
 			t.Fatalf("Register: %v", err)
@@ -233,7 +234,8 @@ func TestDrawQuality(t *testing.T) {
 	const draws = 200_000
 	const jitter = 5 * time.Millisecond
 	run := func() (drops int, jittered time.Duration) {
-		n := New(Config{Seed: 21, JitterLatency: jitter, LossRate: 0.1})
+		n := New(Config{Seed: 21, JitterLatency: jitter})
+		n.SetLossRate(0.1)
 		echoRing(t, n, 2)
 		for i := 0; i < draws; i++ {
 			tr := &Trace{}

@@ -5,11 +5,14 @@ import (
 	"math/rand"
 )
 
-// This file implements seeded fault schedules: deterministic churn
-// (up/down windows per node, optionally crash-restart with state loss) and
-// flaky windows (temporarily elevated loss rate), driven in discrete ticks
-// between operations. Experiments advance the schedule themselves so the
-// exact fault pattern is reproducible from the seed alone.
+// This file implements seeded fault schedules: deterministic churn (up/down
+// windows per node), driven in discrete ticks between operations.
+// Experiments advance the schedule themselves so the exact fault pattern is
+// reproducible from the seed alone.
+
+// meanOnline is the mean length, in ticks, of one online window
+// (geometric). Offline window lengths follow from ChurnConfig.Uptime.
+const meanOnline = 20
 
 // ChurnConfig parameterizes a FaultSchedule.
 type ChurnConfig struct {
@@ -19,38 +22,20 @@ type ChurnConfig struct {
 	// Uptime is the steady-state fraction of ticks each node is online,
 	// in (0, 1]. 1 disables churn.
 	Uptime float64
-	// MeanOnline is the mean length, in ticks, of one online window
-	// (geometric; >= 1). Offline window lengths follow from Uptime.
-	MeanOnline int
-	// CrashRestart makes every down transition a Crash (volatile state is
-	// lost via the node's OnCrash hook) instead of a plain offline mark.
-	CrashRestart bool
-	// FlakyFraction is the probability that any given tick falls in a
-	// flaky window, during which the loss rate is raised to FlakyLoss.
-	FlakyFraction float64
-	// FlakyLoss is the loss rate in effect during flaky windows.
-	FlakyLoss float64
 }
 
-// DefaultChurnConfig returns a 70%-uptime schedule with mean online
-// windows of 20 ticks and no flaky windows.
-func DefaultChurnConfig(seed int64) ChurnConfig {
-	return ChurnConfig{Seed: seed, Uptime: 0.7, MeanOnline: 20}
-}
-
-// FaultSchedule applies a deterministic churn/flakiness pattern to a
-// network, one tick at a time. It is not safe for concurrent use; drive it
-// from the experiment loop.
+// FaultSchedule applies a deterministic churn pattern to a network, one
+// tick at a time. It is not safe for concurrent use; drive it from the
+// experiment loop.
 type FaultSchedule struct {
-	net      *Network
-	cfg      ChurnConfig
-	rng      *rand.Rand
-	nodes    []NodeID
-	online   map[NodeID]bool
-	baseLoss float64
-	pDown    float64
-	pUp      float64
-	ticks    int
+	net    *Network
+	cfg    ChurnConfig
+	rng    *rand.Rand
+	nodes  []NodeID
+	online map[NodeID]bool
+	pDown  float64
+	pUp    float64
+	ticks  int
 }
 
 // NewFaultSchedule builds a schedule over the given nodes (all must be
@@ -60,20 +45,16 @@ func NewFaultSchedule(net *Network, nodes []NodeID, cfg ChurnConfig) (*FaultSche
 	if cfg.Uptime <= 0 || cfg.Uptime > 1 {
 		return nil, fmt.Errorf("simnet: churn uptime %v out of (0,1]", cfg.Uptime)
 	}
-	if cfg.MeanOnline < 1 {
-		cfg.MeanOnline = 1
-	}
 	s := &FaultSchedule{
-		net:      net,
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		nodes:    append([]NodeID(nil), nodes...),
-		online:   make(map[NodeID]bool, len(nodes)),
-		baseLoss: net.CurrentLossRate(),
+		net:    net,
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		nodes:  append([]NodeID(nil), nodes...),
+		online: make(map[NodeID]bool, len(nodes)),
 	}
-	// Two-state Markov chain per node: P(down|online) = 1/MeanOnline and
+	// Two-state Markov chain per node: P(down|online) = 1/meanOnline and
 	// P(up|offline) chosen so the stationary online fraction equals Uptime.
-	s.pDown = 1 / float64(cfg.MeanOnline)
+	s.pDown = 1.0 / meanOnline
 	if cfg.Uptime < 1 {
 		s.pUp = s.pDown * cfg.Uptime / (1 - cfg.Uptime)
 		if s.pUp > 1 {
@@ -89,9 +70,8 @@ func NewFaultSchedule(net *Network, nodes []NodeID, cfg ChurnConfig) (*FaultSche
 	return s, nil
 }
 
-// Tick advances the schedule by one step, applying up/down transitions and
-// the flaky-window loss rate. It returns the number of state transitions
-// applied this tick.
+// Tick advances the schedule by one step, applying up/down transitions. It
+// returns the number of state transitions applied this tick.
 func (s *FaultSchedule) Tick() int {
 	s.ticks++
 	transitions := 0
@@ -99,11 +79,7 @@ func (s *FaultSchedule) Tick() int {
 		for _, id := range s.nodes {
 			if s.online[id] {
 				if s.rng.Float64() < s.pDown {
-					if s.cfg.CrashRestart {
-						_ = s.net.Crash(id)
-					} else {
-						_ = s.net.SetOnline(id, false)
-					}
+					_ = s.net.SetOnline(id, false)
 					s.online[id] = false
 					transitions++
 				}
@@ -114,24 +90,16 @@ func (s *FaultSchedule) Tick() int {
 			}
 		}
 	}
-	if s.cfg.FlakyFraction > 0 {
-		if s.rng.Float64() < s.cfg.FlakyFraction {
-			s.net.SetLossRate(s.cfg.FlakyLoss)
-		} else {
-			s.net.SetLossRate(s.baseLoss)
-		}
-	}
 	return transitions
 }
 
-// Restore brings every scheduled node back online and resets the loss rate
-// to its pre-schedule value (end-of-experiment cleanup).
+// Restore brings every scheduled node back online (end-of-experiment
+// cleanup).
 func (s *FaultSchedule) Restore() {
 	for _, id := range s.nodes {
 		_ = s.net.SetOnline(id, true)
 		s.online[id] = true
 	}
-	s.net.SetLossRate(s.baseLoss)
 }
 
 // OnlineCount reports how many scheduled nodes the schedule currently

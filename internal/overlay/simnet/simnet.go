@@ -98,8 +98,6 @@ type Config struct {
 	BaseLatency time.Duration
 	// JitterLatency is the maximum additional random one-way delay.
 	JitterLatency time.Duration
-	// LossRate is the probability in [0,1) that a message is dropped.
-	LossRate float64
 }
 
 // DefaultConfig returns a deterministic lossless network configuration.
@@ -116,8 +114,8 @@ func DefaultConfig(seed int64) Config {
 // memory on a lossless, uncapped, honest network. mu is the control-plane
 // lock: it serialises Register, hooks and the tick clock, never a message.
 type Network struct {
-	cfg  Config        // immutable after New; the loss rate in effect is loss
-	loss atomic.Uint64 // math.Float64bits of the current loss probability
+	cfg  Config        // immutable after New
+	loss atomic.Uint64 // math.Float64bits of the loss probability; 0 until SetLossRate
 
 	nodes    atomic.Pointer[map[NodeID]*nodeState] // immutable; Register publishes a copy
 	tel      atomic.Pointer[netTelemetry]          // nil until SetTelemetry
@@ -217,7 +215,6 @@ func (n *Network) SetTelemetry(reg *telemetry.Registry) {
 // New creates an empty network.
 func New(cfg Config) *Network {
 	n := &Network{cfg: cfg, stranger: newNodeState("", nil)}
-	n.loss.Store(math.Float64bits(cfg.LossRate))
 	n.nodes.Store(&map[NodeID]*nodeState{})
 	return n
 }
@@ -325,8 +322,8 @@ func (n *Network) SetPartition(id NodeID, group int) error {
 	return nil
 }
 
-// SetLossRate changes the message loss probability at runtime (flaky-window
-// injection by fault schedules).
+// SetLossRate sets the probability in [0,1) that a message is dropped. A
+// new network is lossless.
 func (n *Network) SetLossRate(rate float64) { n.loss.Store(math.Float64bits(rate)) }
 
 // CurrentLossRate reports the loss probability currently in effect.

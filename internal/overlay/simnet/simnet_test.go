@@ -100,8 +100,8 @@ func TestPartition(t *testing.T) {
 }
 
 func TestLossRate(t *testing.T) {
-	cfg := Config{Seed: 7, LossRate: 0.5}
-	n := New(cfg)
+	n := New(Config{Seed: 7})
+	n.SetLossRate(0.5)
 	n.Register("a", echoHandler())
 	n.Register("b", echoHandler())
 	drops := 0
@@ -122,8 +122,8 @@ func TestLossRate(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() (int, Trace) {
-		cfg := Config{Seed: 42, LossRate: 0.3, BaseLatency: time.Millisecond, JitterLatency: 10 * time.Millisecond}
-		n := New(cfg)
+		n := New(Config{Seed: 42, BaseLatency: time.Millisecond, JitterLatency: 10 * time.Millisecond})
+		n.SetLossRate(0.3)
 		n.Register("a", echoHandler())
 		n.Register("b", echoHandler())
 		fails := 0

@@ -8,21 +8,19 @@ import (
 )
 
 // This file is the pipelined multi-key path through the resilience layer.
-// A batch is one logical operation: the admission gate is charged once (a
-// feed read of 200 keys is one user action, not 200), duplicate keys are
-// collapsed before any message is sent (Zipf workloads repeat hot keys
-// within a single batch), the verified-value cache absorbs keys it already
-// holds, and the remainder rides the overlay's route-grouped batch
-// transport. Faults stay per-key: a corrupt value, an unreachable replica
-// group, or a shed probe condemns only its own slot — the affected keys
-// are rescued one at a time through the full single-key resilient pipeline
-// (hedged, breaker-steered, retried), while every other key's result
-// stands. Fallbacks run in key order so retry jitter draws from the seeded
-// RNG deterministically.
+// A batch is one logical operation: duplicate keys are collapsed before any
+// message is sent (Zipf workloads repeat hot keys within a single batch),
+// the verified-value cache absorbs keys it already holds, and the remainder
+// rides the overlay's route-grouped batch transport. Faults stay per-key: a
+// corrupt value, an unreachable replica group, or a shed probe condemns
+// only its own slot — the affected keys are rescued one at a time through
+// the full single-key resilient pipeline (hedged, breaker-steered,
+// retried), while every other key's result stands. Fallbacks run in key
+// order so retry jitter draws from the seeded RNG deterministically.
 //
 // Without a batch-capable overlay the decorator still satisfies
-// overlay.BatchKV: every key takes the single-key path (admission still
-// charged once), so callers can program against batches unconditionally.
+// overlay.BatchKV: every key takes the single-key path, so callers can
+// program against batches unconditionally.
 
 var _ overlay.BatchKV = (*KV)(nil)
 
@@ -40,11 +38,11 @@ func (k *KV) recordBatch(nkeys, fallbacks int) {
 	}
 }
 
-// PutBatch implements overlay.BatchKV. The batch is admitted as one
-// operation, written through the overlay's shared-envelope transport, and
-// any key whose replica group failed is retried through the single-key
-// store path (idempotent, so ack-lost keys are safe to re-store). Every
-// key's cached value is invalidated — even a failed write may have landed.
+// PutBatch implements overlay.BatchKV. The batch is written through the
+// overlay's shared-envelope transport, and any key whose replica group
+// failed is retried through the single-key store path (idempotent, so
+// ack-lost keys are safe to re-store). Every key's cached value is
+// invalidated — even a failed write may have landed.
 func (k *KV) PutBatch(origin string, keys []string, values [][]byte) ([]error, overlay.OpStats, error) {
 	if len(keys) != len(values) {
 		return nil, overlay.OpStats{}, fmt.Errorf("resilience: PutBatch: %d keys but %d values", len(keys), len(values))
@@ -53,9 +51,6 @@ func (k *KV) PutBatch(origin string, keys []string, values [][]byte) ([]error, o
 		return nil, overlay.OpStats{}, nil
 	}
 	var total overlay.OpStats
-	if err := k.admitOp(nil, &total); err != nil {
-		return nil, total, err
-	}
 	errs := make([]error, len(keys))
 	if k.batch != nil {
 		berrs, st, err := k.batch.PutBatch(origin, keys, values)
@@ -87,23 +82,19 @@ func (k *KV) PutBatch(origin string, keys []string, values [][]byte) ([]error, o
 	return errs, total, nil
 }
 
-// GetBatch implements overlay.BatchKV. One admission charge covers the
-// batch; duplicate keys collapse to one resolution; cached verified values
-// are served without a message; the remainder is fetched through the
-// overlay's batch transport and verified key by key. A key whose bytes
-// fail verification — or whose replica group was unreachable — falls back
-// to the single-key hedged lookup, which attributes the fault to the
-// serving replica (breaker, health tracker) and steers the retry
-// elsewhere. A clean miss (every replica answered not-found) is
-// definitive and never retried.
+// GetBatch implements overlay.BatchKV. Duplicate keys collapse to one
+// resolution; cached verified values are served without a message; the
+// remainder is fetched through the overlay's batch transport and verified
+// key by key. A key whose bytes fail verification — or whose replica group
+// was unreachable — falls back to the single-key hedged lookup, which
+// attributes the fault to the serving replica (breaker, health tracker) and
+// steers the retry elsewhere. A clean miss (every replica answered
+// not-found) is definitive and never retried.
 func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, overlay.OpStats, error) {
 	if len(keys) == 0 {
 		return nil, overlay.OpStats{}, nil
 	}
 	var total overlay.OpStats
-	if err := k.admitOp(nil, &total); err != nil {
-		return nil, total, err
-	}
 	results := make([]overlay.BatchResult, len(keys))
 	// Collapse duplicates: one resolution per distinct key, fanned back to
 	// every position that asked for it. last holds a key's latest position

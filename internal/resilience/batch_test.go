@@ -9,7 +9,6 @@ import (
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
-	"godosn/internal/resilience/load"
 )
 
 func batchFixture(n int) ([]string, [][]byte) {
@@ -175,37 +174,6 @@ func TestBatchFaultIsolationCorruptAndOverloaded(t *testing.T) {
 	}
 	if net.Overload().Sheds == 0 {
 		t.Fatal("overloaded node shed nothing; capacity fixture proves nothing")
-	}
-}
-
-// A batch is one user action: the admission gate is charged once no matter
-// how many keys ride inside, and an over-budget batch is shed before any
-// message is sent.
-func TestBatchAdmissionChargedOnce(t *testing.T) {
-	keys, vals := batchFixture(64)
-	d, net, names := buildDHT(t, 24, 53, 0, 3)
-	cfg := DefaultConfig(53)
-	cfg.Admission = load.GateConfig{PerTick: 1, QueueDepth: 0}
-	kv := Wrap(d, cfg)
-	origin := string(names[0])
-	if _, _, err := kv.PutBatch(origin, keys, vals); err != nil {
-		t.Fatalf("PutBatch: %v", err) // 64 writes, one token
-	}
-	kv.Tick()
-	if _, _, err := kv.GetBatch(origin, keys); err != nil {
-		t.Fatalf("budgeted GetBatch: %v", err) // 64 reads, one token
-	}
-	before := net.Totals().Messages
-	_, _, err := kv.GetBatch(origin, keys)
-	if !errors.Is(err, load.ErrShed) {
-		t.Fatalf("over-budget GetBatch: %v, want a client shed", err)
-	}
-	if after := net.Totals().Messages; after != before {
-		t.Fatalf("shed batch sent %d messages, want none", after-before)
-	}
-	kv.Tick()
-	if _, _, err := kv.GetBatch(origin, keys); err != nil {
-		t.Fatalf("post-tick GetBatch: %v", err)
 	}
 }
 

@@ -42,9 +42,9 @@ func TestClassifyCorruption(t *testing.T) {
 }
 
 func TestBreakerCorruptionTaint(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: 4})
+	b := NewBreaker()
 	// Loss-driven failures open the circuit but never quarantine.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		b.Report("lossy", false)
 	}
 	if !b.Open("lossy") {
@@ -54,7 +54,7 @@ func TestBreakerCorruptionTaint(t *testing.T) {
 		t.Fatal("loss-driven open circuit reported quarantined")
 	}
 	// Corruption verdicts taint: open + tainted = quarantined.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		b.ReportCorrupt("liar")
 	}
 	if !b.Open("liar") || !b.Quarantined("liar") {

@@ -7,27 +7,19 @@ import (
 	"godosn/internal/telemetry"
 )
 
-// BreakerConfig parameterizes the per-node circuit breaker.
-type BreakerConfig struct {
-	// Threshold is the number of consecutive failures that opens a node's
-	// circuit (<= 0 disables the breaker: Allow always true).
-	Threshold int
-	// Cooldown is how many Allow calls are refused while open before a
-	// single half-open probe is let through. A failed probe re-opens the
-	// circuit for another cooldown.
-	Cooldown int
-}
-
-// DefaultBreakerConfig opens after 3 consecutive failures and probes after
-// 8 refused calls.
-func DefaultBreakerConfig() BreakerConfig { return BreakerConfig{Threshold: 3, Cooldown: 8} }
+// The circuit breaker opens a node's circuit after breakerThreshold
+// consecutive failures, then refuses breakerCooldown Allow calls before it
+// lets a single half-open probe through; a failed probe re-opens the circuit
+// for another cooldown.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 8
+)
 
 // Breaker is a per-node health tracker: a circuit breaker over node names.
 // Nodes observed down are skipped (Allow returns false) until a half-open
 // probe succeeds. It is safe for concurrent use.
 type Breaker struct {
-	cfg BreakerConfig
-
 	mu         sync.Mutex
 	nodes      map[string]*breakerState
 	events     *telemetry.Log    // nil until SetEvents
@@ -59,18 +51,15 @@ type breakerState struct {
 	tainted bool // a failure was a corruption verdict, not mere loss
 }
 
-// NewBreaker creates a breaker with the given config.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg, nodes: make(map[string]*breakerState)}
+// NewBreaker creates a breaker with every circuit closed.
+func NewBreaker() *Breaker {
+	return &Breaker{nodes: make(map[string]*breakerState)}
 }
 
 // Allow reports whether the node should be tried. While a circuit is open
-// it refuses Cooldown calls, then admits one half-open probe; the probe's
-// Report decides whether the circuit closes or re-opens.
+// it refuses breakerCooldown calls, then admits one half-open probe; the
+// probe's Report decides whether the circuit closes or re-opens.
 func (b *Breaker) Allow(node string) bool {
-	if b.cfg.Threshold <= 0 {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := b.nodes[node]
@@ -88,9 +77,6 @@ func (b *Breaker) Allow(node string) bool {
 // and clears the failure count; failure increments it and opens the
 // circuit at the threshold (or re-opens it after a failed probe).
 func (b *Breaker) Report(node string, ok bool) {
-	if b.cfg.Threshold <= 0 {
-		return
-	}
 	var quarantined func(string)
 	b.mu.Lock()
 	s := b.nodes[node]
@@ -110,7 +96,7 @@ func (b *Breaker) Report(node string, ok bool) {
 		return
 	}
 	s.fails++
-	if s.fails >= b.cfg.Threshold {
+	if s.fails >= breakerThreshold {
 		if !s.open {
 			b.events.Emit("breaker.open", telemetry.A("node", node))
 			if s.tainted {
@@ -119,7 +105,7 @@ func (b *Breaker) Report(node string, ok bool) {
 			}
 		}
 		s.open = true
-		s.skips = b.cfg.Cooldown
+		s.skips = breakerCooldown
 	}
 	b.mu.Unlock()
 	if quarantined != nil {
@@ -134,9 +120,6 @@ func (b *Breaker) Report(node string, ok bool) {
 // lossy-but-honest nodes are circuit-broken (reads route around them) but
 // keep receiving copies.
 func (b *Breaker) ReportCorrupt(node string) {
-	if b.cfg.Threshold <= 0 {
-		return
-	}
 	var quarantined func(string)
 	b.mu.Lock()
 	s := b.nodes[node]

@@ -6,12 +6,19 @@ import (
 	"testing"
 )
 
+// openCircuit reports threshold failures against node.
+func openCircuit(b *Breaker, node string) {
+	for i := 0; i < breakerThreshold; i++ {
+		b.Report(node, false)
+	}
+}
+
 func TestBreakerOpensAtThresholdAndProbes(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: 2})
-	for i := 0; i < 2; i++ {
+	b := NewBreaker()
+	for i := 0; i < breakerThreshold-1; i++ {
 		b.Report("n", false)
 		if b.Open("n") {
-			t.Fatalf("circuit open after %d failures, threshold 3", i+1)
+			t.Fatalf("circuit open after %d failures, threshold %d", i+1, breakerThreshold)
 		}
 	}
 	b.Report("n", false)
@@ -19,19 +26,20 @@ func TestBreakerOpensAtThresholdAndProbes(t *testing.T) {
 		t.Fatal("circuit not open at threshold")
 	}
 	// Cooldown refusals, then one half-open probe.
-	if b.Allow("n") || b.Allow("n") {
-		t.Fatal("open circuit allowed a call during cooldown")
+	for i := 0; i < breakerCooldown; i++ {
+		if b.Allow("n") {
+			t.Fatalf("open circuit allowed call %d of the cooldown", i+1)
+		}
 	}
 	if !b.Allow("n") {
 		t.Fatal("half-open probe refused after cooldown")
 	}
-	// Failed probe re-opens for another cooldown.
+	// Failed probe re-opens for another full cooldown.
 	b.Report("n", false)
-	if b.Allow("n") {
-		t.Fatal("failed probe did not re-open the circuit")
-	}
-	if b.Allow("n") {
-		t.Fatal("cooldown after failed probe too short")
+	for i := 0; i < breakerCooldown; i++ {
+		if b.Allow("n") {
+			t.Fatalf("failed probe's circuit allowed call %d of the cooldown", i+1)
+		}
 	}
 	if !b.Allow("n") {
 		t.Fatal("second probe refused")
@@ -46,19 +54,9 @@ func TestBreakerOpensAtThresholdAndProbes(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(BreakerConfig{})
-	for i := 0; i < 10; i++ {
-		b.Report("n", false)
-	}
-	if !b.Allow("n") || b.Open("n") {
-		t.Fatal("disabled breaker tracked state")
-	}
-}
-
 func TestBreakerIndependentPerNode(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 100})
-	b.Report("down", false)
+	b := NewBreaker()
+	openCircuit(b, "down")
 	if !b.Open("down") {
 		t.Fatal("node not open")
 	}
@@ -70,7 +68,7 @@ func TestBreakerIndependentPerNode(t *testing.T) {
 func TestBreakerConcurrent(t *testing.T) {
 	// Exercised with -race in CI: concurrent Allow/Report on overlapping
 	// nodes must be safe and converge to a consistent state.
-	b := NewBreaker(DefaultBreakerConfig())
+	b := NewBreaker()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -95,8 +93,8 @@ func TestBreakerConcurrent(t *testing.T) {
 }
 
 func TestBreakerReset(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 5})
-	b.Report("n", false)
+	b := NewBreaker()
+	openCircuit(b, "n")
 	if !b.Open("n") {
 		t.Fatal("not open")
 	}

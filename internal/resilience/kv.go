@@ -22,16 +22,14 @@ var ErrNoHealer = errors.New("resilience: overlay does not support healing")
 // the KV treats it as a FaultCorruption and never surfaces the bytes.
 type VerifyFunc func(key string, value []byte) error
 
-// Config parameterizes the resilient KV decorator.
+// hedgeWidth is the number of additional replicas raced when the primary
+// read fails or misses. Only effective when the wrapped overlay implements
+// overlay.ReplicaKV.
+const hedgeWidth = 2
+
+// Config parameterizes the resilient KV decorator. The retry policy
+// (retry.go), the hedge width and the breaker (health.go) are fixed.
 type Config struct {
-	// Policy is the retry policy for Store and Lookup.
-	Policy Policy
-	// Hedge is the number of additional replicas raced when the primary
-	// read fails or misses (0 disables hedged reads). Only effective when
-	// the wrapped overlay implements overlay.ReplicaKV.
-	Hedge int
-	// Breaker configures the per-node health tracker.
-	Breaker BreakerConfig
 	// Seed drives retry jitter deterministically.
 	Seed int64
 	// Verify, when set, is applied to every value read before it is
@@ -65,20 +63,12 @@ type Config struct {
 	// zero value (Alpha 0) disables ranking entirely, preserving the exact
 	// replica order of an unranked KV.
 	Health load.TrackerConfig
-	// Admission configures the client-side token-bucket gate (load.Gate):
-	// operations beyond the per-tick budget are queued (their wait charged
-	// to simulated latency) and, beyond the queue, shed locally with
-	// load.ErrShed before a single message is sent — backpressure at the
-	// source instead of one more request on an overloaded replica's queue.
-	// Drive the bucket with KV.Tick. The zero value (PerTick 0) disables
-	// admission control.
-	Admission load.GateConfig
 }
 
-// DefaultConfig hedges across 2 extra replicas with the default retry
-// policy and breaker.
+// DefaultConfig is the decorator with no verification, read repair, value
+// cache or health ranking: retries, hedged reads and the breaker only.
 func DefaultConfig(seed int64) Config {
-	return Config{Policy: DefaultPolicy(), Hedge: 2, Breaker: DefaultBreakerConfig(), Seed: seed}
+	return Config{Seed: seed}
 }
 
 // Metrics counts what the resilience layer did — the measurable overhead
@@ -97,17 +87,10 @@ type Metrics struct {
 	// CorruptReads counts replica reads whose bytes failed verification —
 	// every one was detected and rejected, never returned to the caller.
 	CorruptReads int
-	// ClientSheds counts operations refused by the client-side admission
-	// gate (Config.Admission) before any message was sent.
-	ClientSheds int
-	// AdmissionWait is the total queueing delay the admission gate charged
-	// to operations it absorbed over budget.
-	AdmissionWait time.Duration
 	// ReadRepairs counts verified values pushed over corrupt copies during
 	// lookups (Config.ReadRepair).
 	ReadRepairs int
-	// Batches counts PutBatch/GetBatch calls served (each charged one
-	// admission slot regardless of key count).
+	// Batches counts PutBatch/GetBatch calls served.
 	Batches int
 	// BatchKeys is the total keys carried by those batches.
 	BatchKeys int
@@ -138,7 +121,6 @@ type KV struct {
 	rng       *rand.Rand              // jitter source; safe via lockedSource
 	values    *cachepkg.Cache[[]byte] // verified-value cache (cache.go); nil = uncached
 	health    *load.Tracker           // replica-health ranking; nil = canonical order
-	gate      *load.Gate              // client-side admission; nil = admit everything
 
 	mu      sync.Mutex
 	metrics Metrics
@@ -162,7 +144,6 @@ type kvTelemetry struct {
 	breakerSkips *telemetry.Counter
 	corruptReads *telemetry.Counter
 	readRepairs  *telemetry.Counter
-	clientSheds  *telemetry.Counter
 	failures     *telemetry.Counter
 	batches      *telemetry.Counter
 	batchKeys    *telemetry.Counter
@@ -180,12 +161,10 @@ func (k *KV) SetTelemetry(reg *telemetry.Registry) {
 		k.breaker.SetEvents(nil)
 		k.values.SetTelemetry(nil, "resilience_value_cache")
 		k.health.SetTelemetry(nil)
-		k.gate.SetTelemetry(nil)
 		return
 	}
 	k.values.SetTelemetry(reg, "resilience_value_cache")
 	k.health.SetTelemetry(reg)
-	k.gate.SetTelemetry(reg)
 	k.tel = &kvTelemetry{
 		ops:          reg.Counter("resilience_ops_total"),
 		attempts:     reg.Counter("resilience_attempts_total"),
@@ -194,7 +173,6 @@ func (k *KV) SetTelemetry(reg *telemetry.Registry) {
 		breakerSkips: reg.Counter("resilience_breaker_skips_total"),
 		corruptReads: reg.Counter("resilience_corrupt_reads_total"),
 		readRepairs:  reg.Counter("resilience_read_repairs_total"),
-		clientSheds:  reg.Counter("resilience_client_sheds_total"),
 		failures:     reg.Counter("resilience_failures_total"),
 		batches:      reg.Counter("resilience_batches_total"),
 		batchKeys:    reg.Counter("resilience_batch_keys_total"),
@@ -232,16 +210,12 @@ func (s *lockedSource) Seed(seed int64) {
 // healing activate automatically when the overlay implements
 // overlay.ReplicaKV / overlay.Healer.
 func Wrap(inner overlay.KV, cfg Config) *KV {
-	if cfg.Policy.MaxAttempts < 1 {
-		cfg.Policy = DefaultPolicy()
-	}
 	k := &KV{
 		inner:   inner,
 		cfg:     cfg,
-		breaker: NewBreaker(cfg.Breaker),
+		breaker: NewBreaker(),
 		rng:     rand.New(&lockedSource{src: rand.NewSource(cfg.Seed).(rand.Source64)}),
 		health:  load.NewTracker(cfg.Health),
-		gate:    load.NewGate(cfg.Admission),
 	}
 	if k.health != nil {
 		if rr, ok := inner.(overlay.ReplicaRankable); ok {
@@ -290,13 +264,11 @@ func Wrap(inner overlay.KV, cfg Config) *KV {
 // Name implements overlay.KV.
 func (k *KV) Name() string { return k.inner.Name() + "+resilient" }
 
-// Tick advances the decorator's simulated clock one step: the admission
-// gate refills its token budget and the replica-health tracker decays idle
-// scores toward baseline (each a no-op when its feature is unconfigured).
-// Experiments drive it from the same loop that ticks simnet fault schedules
-// and capacity windows.
+// Tick advances the decorator's simulated clock one step: the replica-health
+// tracker decays idle scores toward baseline (a no-op without
+// Config.Health). Experiments drive it from the same loop that ticks simnet
+// fault schedules and capacity windows.
 func (k *KV) Tick() {
-	k.gate.Tick()
 	k.health.Tick()
 }
 
@@ -307,41 +279,6 @@ var _ overlay.Ticker = (*KV)(nil)
 // HealthSnapshot returns the replica-health tracker's per-node scores,
 // sorted by node (nil without Config.Health).
 func (k *KV) HealthSnapshot() []load.NodeScore { return k.health.Snapshot() }
-
-// admitOp applies the client-side admission gate to one network-bound
-// operation. An over-budget operation absorbed by the queue is charged its
-// wait as simulated latency (an "admission" child span makes the phase
-// visible in traces); beyond the queue it is shed before any message is
-// sent, and the shed is the operation's outcome — FaultOverload, counted
-// as a failure and a ClientShed.
-func (k *KV) admitOp(sp *telemetry.Span, total *overlay.OpStats) error {
-	wait, err := k.gate.Admit()
-	if err != nil {
-		k.mu.Lock()
-		k.metrics.Ops++
-		k.metrics.Failures++
-		k.metrics.ClientSheds++
-		if t := k.tel; t != nil {
-			t.ops.Inc()
-			t.failures.Inc()
-			t.clientSheds.Inc()
-		}
-		k.mu.Unlock()
-		asp := sp.Child("admission")
-		asp.End("overload")
-		return err
-	}
-	if wait > 0 {
-		total.Latency += wait
-		k.mu.Lock()
-		k.metrics.AdmissionWait += wait
-		k.mu.Unlock()
-		asp := sp.Child("admission")
-		asp.AddLatency(wait)
-		asp.End("queued")
-	}
-	return nil
-}
 
 // Inner returns the wrapped overlay.
 func (k *KV) Inner() overlay.KV { return k.inner }
@@ -418,18 +355,14 @@ func (k *KV) Store(origin, key string, value []byte) (overlay.OpStats, error) {
 func (k *KV) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (overlay.OpStats, error) {
 	sp.Tag("key", key)
 	var total overlay.OpStats
-	if err := k.admitOp(sp, &total); err != nil {
-		return total, err
-	}
 	err := k.storeRetry(sp, origin, key, value, &total)
 	return total, err
 }
 
-// storeRetry is the admission-free retrying store: the body of StoreSpan
-// after the gate, also used by the batch pipeline's per-key fallback (a
-// batch charges admission once, not once per rescued key).
+// storeRetry is the retrying store, charging its cost to total: the body of
+// StoreSpan, also used by the batch pipeline's per-key fallback.
 func (k *KV) storeRetry(sp *telemetry.Span, origin, key string, value []byte, total *overlay.OpStats) error {
-	out, err := Do(k.cfg.Policy, k.rng, true, func(n int) error {
+	out, err := Do(k.rng, true, func(n int) error {
 		asp := k.attemptSpan(sp, n)
 		var (
 			st  overlay.OpStats
@@ -495,12 +428,13 @@ func (k *KV) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
 func (k *KV) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overlay.OpStats, error) {
 	sp.Tag("key", key)
 	if k.values == nil {
-		return k.lookupUncached(sp, origin, key)
+		var total overlay.OpStats
+		v, err := k.lookupRetry(sp, origin, key, &total)
+		return v, total, err
 	}
 	var st overlay.OpStats
 	v, outcome, err := k.values.Do(key, func() ([]byte, error) {
-		vv, s, err := k.lookupUncached(sp, origin, key)
-		st = s
+		vv, err := k.lookupRetry(sp, origin, key, &st)
 		if err != nil {
 			return nil, err
 		}
@@ -517,21 +451,9 @@ func (k *KV) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overlay
 	return append([]byte(nil), v...), st, nil
 }
 
-// lookupUncached is the cache-free lookup path: retries around either the
-// plain overlay lookup or the hedged replica read.
-func (k *KV) lookupUncached(sp *telemetry.Span, origin, key string) ([]byte, overlay.OpStats, error) {
-	var total overlay.OpStats
-	if err := k.admitOp(sp, &total); err != nil {
-		return nil, total, err
-	}
-	v, err := k.lookupRetry(sp, origin, key, &total)
-	return v, total, err
-}
-
-// lookupRetry is the admission-free retrying (optionally hedged) lookup:
-// the body of lookupUncached after the gate, also used by the batch
-// pipeline's per-key fallback (a batch charges admission once, not once per
-// rescued key).
+// lookupRetry is the cache-free lookup, charging its cost to total: retries
+// around either the plain overlay lookup or the hedged replica read. The
+// batch pipeline's per-key fallback uses it too.
 func (k *KV) lookupRetry(sp *telemetry.Span, origin, key string, total *overlay.OpStats) ([]byte, error) {
 	var (
 		value  []byte
@@ -577,7 +499,7 @@ func (k *KV) lookupRetry(sp *telemetry.Span, origin, key string, total *overlay.
 	if k.replicas != nil {
 		retryable = func(f Fault) bool { return RetryableElsewhere(f, true) }
 	}
-	out, err := DoWith(k.cfg.Policy, k.rng, retryable, op)
+	out, err := DoWith(k.rng, retryable, op)
 	total.Latency += out.Backoff
 	k.backoffSpan(sp, out.Backoff)
 	k.record(out, hedges, skips, err != nil)
@@ -714,8 +636,8 @@ func (k *KV) hedgedLookup(sp *telemetry.Span, origin, key string, total *overlay
 	// Hedge wave: race the next replicas in parallel (simulated), first
 	// verified value in replica order wins.
 	wave := allowed[1:]
-	if k.cfg.Hedge >= 0 && len(wave) > k.cfg.Hedge {
-		wave = wave[:k.cfg.Hedge]
+	if len(wave) > hedgeWidth {
+		wave = wave[:hedgeWidth]
 	}
 	var (
 		found   []byte

@@ -15,7 +15,8 @@ import (
 // buildDHT constructs a DHT over a fresh simnet with the given loss rate.
 func buildDHT(t *testing.T, n int, seed int64, loss float64, replicas int) (*dht.DHT, *simnet.Network, []simnet.NodeID) {
 	t.Helper()
-	net := simnet.New(simnet.Config{Seed: seed, LossRate: loss})
+	net := simnet.New(simnet.Config{Seed: seed})
+	net.SetLossRate(loss)
 	names := make([]simnet.NodeID, n)
 	for i := range names {
 		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
@@ -88,7 +89,7 @@ func TestResilientStoreRetriesAckLoss(t *testing.T) {
 
 func TestHedgedReadServesFromSurvivingReplica(t *testing.T) {
 	d, net, names := buildDHT(t, 24, 5, 0, 3)
-	kv := Wrap(d, Config{Policy: DefaultPolicy(), Hedge: 2, Breaker: DefaultBreakerConfig(), Seed: 5})
+	kv := Wrap(d, DefaultConfig(5))
 	if _, err := kv.Store(string(names[0]), "k", []byte("v")); err != nil {
 		t.Fatalf("Store: %v", err)
 	}
@@ -119,12 +120,7 @@ func TestHedgedReadServesFromSurvivingReplica(t *testing.T) {
 
 func TestBreakerSkipsNodeObservedDown(t *testing.T) {
 	d, net, names := buildDHT(t, 24, 9, 0, 3)
-	kv := Wrap(d, Config{
-		Policy:  Policy{MaxAttempts: 2, BaseDelay: 0},
-		Hedge:   2,
-		Breaker: BreakerConfig{Threshold: 2, Cooldown: 50},
-		Seed:    9,
-	})
+	kv := Wrap(d, DefaultConfig(9))
 	if _, err := kv.Store(string(names[0]), "k", []byte("v")); err != nil {
 		t.Fatalf("Store: %v", err)
 	}

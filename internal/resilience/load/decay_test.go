@@ -7,13 +7,12 @@ import (
 )
 
 // The idle-decay curve: with HalfLife H, a node's failure/shed EWMAs halve
-// every H ticks and its latency EWMA halves its distance to BaseLatency —
+// every H ticks and its latency EWMA halves its distance to the 10ms prior —
 // all without a single new observation.
 func TestTrackerIdleDecayCurve(t *testing.T) {
 	const halfLife = 10
 	cfg := TrackerConfig{
 		Alpha:        1, // each observation sets the EWMA exactly
-		BaseLatency:  10 * time.Millisecond,
 		ErrorPenalty: 4,
 		ShedPenalty:  8,
 		HalfLife:     halfLife,
@@ -83,7 +82,7 @@ func TestTrackerDecayRehabilitatesRanking(t *testing.T) {
 
 // HalfLife 0 disables decay entirely; nil trackers are safe to tick.
 func TestTrackerNoDecayWithoutHalfLife(t *testing.T) {
-	tr := NewTracker(TrackerConfig{Alpha: 1, BaseLatency: 10 * time.Millisecond})
+	tr := NewTracker(TrackerConfig{Alpha: 1})
 	tr.Observe("n", 0, OutcomeShed)
 	for i := 0; i < 100; i++ {
 		tr.Tick()

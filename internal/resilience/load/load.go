@@ -1,13 +1,13 @@
 // Package load supplies the overload-robustness primitives of the
-// resilience layer: a deterministic token-bucket admission gate (client-side
-// rate limiting with a bounded queue) and an EWMA health tracker that ranks
-// replicas by observed latency and error/shed rate.
+// resilience layer: a deterministic token-bucket admission gate (the DHT's
+// per-node server-side gate, with a bounded queue) and an EWMA health
+// tracker that ranks replicas by observed latency and error/shed rate.
 //
 // The paper's availability argument assumes replicas can absorb the traffic
 // directed at them; a flash crowd on a celebrity profile breaks that
 // assumption without taking any node offline. This package makes overload a
-// managed condition instead of an emergent collapse: the gate sheds excess
-// client load early and explicitly (ErrShed, classified as FaultOverload by
+// managed condition instead of an emergent collapse: a node's gate sheds
+// excess load early and explicitly (ErrShed, classified as FaultOverload by
 // the resilience layer), and the tracker steers hedged reads toward
 // lightly-loaded healthy replicas — the destination-selection idea of
 // sshproxy's HostChecker, fed from the framework's own per-fetch
@@ -33,28 +33,25 @@ import (
 )
 
 // ErrShed reports that the admission gate refused an operation because its
-// token bucket was empty and its queue full: the client is offering more
-// load than it is configured to put on the network. Shedding locally is
-// deliberate — it is cheaper than adding one more request to an overloaded
-// replica's queue and failing slower.
+// token bucket was empty and its queue full: the node is offered more load
+// than it is configured to serve. Shedding is deliberate — it is cheaper
+// than adding one more request to an overloaded queue and failing slower.
 var ErrShed = errors.New("load: admission queue full, operation shed")
 
-// GateConfig parameterizes the client-side admission gate.
+// waitPerSlot is the simulated delay the gate charges per queue position.
+const waitPerSlot = 10 * time.Millisecond
+
+// GateConfig parameterizes the admission gate.
 type GateConfig struct {
 	// PerTick is the number of tokens added per Tick — the steady-state
-	// operation budget per simulated time step (<= 0 disables the gate:
-	// Admit always passes free).
+	// operation budget per simulated time step — and the most the bucket
+	// holds (<= 0 disables the gate: Admit always passes free).
 	PerTick int
-	// Burst caps accumulated tokens (< PerTick treated as PerTick): how far
-	// an idle client may run ahead of its steady-state budget.
-	Burst int
 	// QueueDepth is the number of operations absorbed when the bucket is
 	// empty; each is admitted with a queueing delay of its position times
-	// WaitPerSlot, and consumes a token from a future tick. Beyond it,
+	// waitPerSlot, and consumes a token from a future tick. Beyond it,
 	// Admit sheds with ErrShed.
 	QueueDepth int
-	// WaitPerSlot is the simulated delay charged per queue position.
-	WaitPerSlot time.Duration
 }
 
 // Gate is a deterministic token-bucket admission controller. It is safe for
@@ -66,9 +63,6 @@ type Gate struct {
 
 	mu     sync.Mutex
 	tokens int // may go negative: queued ops borrow from future ticks
-	sheds  *telemetry.Counter
-	queued *telemetry.Counter
-	wait   *telemetry.Histogram
 }
 
 // NewGate builds a gate; a nil gate (or PerTick <= 0) admits everything.
@@ -76,44 +70,21 @@ func NewGate(cfg GateConfig) *Gate {
 	if cfg.PerTick <= 0 {
 		return nil
 	}
-	if cfg.Burst < cfg.PerTick {
-		cfg.Burst = cfg.PerTick
-	}
 	if cfg.QueueDepth < 0 {
 		cfg.QueueDepth = 0
 	}
-	return &Gate{cfg: cfg, tokens: cfg.Burst}
-}
-
-// SetTelemetry mirrors the gate's shed/queue accounting into reg (nil
-// detaches). Nil-safe.
-func (g *Gate) SetTelemetry(reg *telemetry.Registry) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if reg == nil {
-		g.sheds, g.queued, g.wait = nil, nil, nil
-		return
-	}
-	g.sheds = reg.Counter("load_gate_sheds_total")
-	g.queued = reg.Counter("load_gate_queued_total")
-	g.wait = reg.Histogram("load_gate_wait_ms", "ms", telemetry.LatencyBuckets())
+	return &Gate{cfg: cfg, tokens: cfg.PerTick}
 }
 
 // Tick advances the simulated clock one step: PerTick tokens are added,
-// capped at Burst. Nil-safe.
+// capped at PerTick. Nil-safe.
 func (g *Gate) Tick() {
 	if g == nil {
 		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.tokens += g.cfg.PerTick
-	if g.tokens > g.cfg.Burst {
-		g.tokens = g.cfg.Burst
-	}
+	g.tokens = min(g.tokens+g.cfg.PerTick, g.cfg.PerTick)
 }
 
 // Admit asks to start one operation. A token admits it immediately; an
@@ -132,29 +103,10 @@ func (g *Gate) Admit() (time.Duration, error) {
 	}
 	qpos := -g.tokens + 1
 	if qpos > g.cfg.QueueDepth {
-		if g.sheds != nil {
-			g.sheds.Inc()
-		}
 		return 0, fmt.Errorf("%w: queue depth %d", ErrShed, g.cfg.QueueDepth)
 	}
 	g.tokens-- // borrow a future token; Tick repays it
-	delay := time.Duration(qpos) * g.cfg.WaitPerSlot
-	if g.queued != nil {
-		g.queued.Inc()
-		g.wait.ObserveDuration(delay)
-	}
-	return delay, nil
-}
-
-// Tokens reports the current token balance (negative = queued borrowings);
-// 0 for a nil gate.
-func (g *Gate) Tokens() int {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.tokens
+	return time.Duration(qpos) * waitPerSlot, nil
 }
 
 // Outcome classifies one replica observation for the health tracker.
@@ -177,9 +129,6 @@ type TrackerConfig struct {
 	// Alpha is the EWMA smoothing factor in (0, 1]: the weight of the
 	// newest observation. <= 0 disables the tracker.
 	Alpha float64
-	// BaseLatency seeds an unseen node's latency estimate, so never-tried
-	// nodes compete on equal terms with proven-fast ones (default 10ms).
-	BaseLatency time.Duration
 	// ErrorPenalty scales how strongly the failure EWMA inflates a node's
 	// score (default 4: a node failing every observation scores 1+4 = 5x
 	// its latency).
@@ -190,7 +139,7 @@ type TrackerConfig struct {
 	ShedPenalty float64
 	// HalfLife rehabilitates idle nodes: every Tick multiplies each node's
 	// failure and shed EWMAs by 0.5^(1/HalfLife) and relaxes its latency
-	// EWMA toward BaseLatency by the same factor, so a demoted node's score
+	// EWMA toward baseLatencyMS by the same factor, so a demoted node's score
 	// halves its distance to baseline every HalfLife ticks even when no
 	// probe traffic reaches it — without decay, a flash-crowded replica
 	// that sheds hard is ranked last forever, because being ranked last is
@@ -202,8 +151,12 @@ type TrackerConfig struct {
 // DefaultTrackerConfig returns the standard health-tracking parameters:
 // EWMA smoothing 0.3 with a 50-tick rehabilitation half-life.
 func DefaultTrackerConfig() TrackerConfig {
-	return TrackerConfig{Alpha: 0.3, BaseLatency: 10 * time.Millisecond, ErrorPenalty: 4, ShedPenalty: 8, HalfLife: 50}
+	return TrackerConfig{Alpha: 0.3, ErrorPenalty: 4, ShedPenalty: 8, HalfLife: 50}
 }
+
+// baseLatencyMS seeds an unseen node's latency estimate, in milliseconds,
+// so never-tried nodes compete on equal terms with proven-fast ones.
+const baseLatencyMS = 10.0
 
 // nodeHealth is one node's EWMA state.
 type nodeHealth struct {
@@ -235,9 +188,6 @@ func NewTracker(cfg TrackerConfig) *Tracker {
 	if cfg.Alpha > 1 {
 		cfg.Alpha = 1
 	}
-	if cfg.BaseLatency <= 0 {
-		cfg.BaseLatency = 10 * time.Millisecond
-	}
 	if cfg.ErrorPenalty < 0 {
 		cfg.ErrorPenalty = 0
 	}
@@ -253,7 +203,7 @@ func NewTracker(cfg TrackerConfig) *Tracker {
 
 // Tick applies one step of idle decay (TrackerConfig.HalfLife) to every
 // tracked node: failure and shed EWMAs shrink by the per-tick half-life
-// factor and the latency EWMA relaxes toward BaseLatency, so demotion is
+// factor and the latency EWMA relaxes toward baseLatencyMS, so demotion is
 // always temporary — absent fresh evidence, a node's score converges back
 // to the unseen-node prior. Nodes are visited in sorted-name order (the
 // floating-point updates commute anyway, but determinism is cheap). Nil-
@@ -262,7 +212,6 @@ func (t *Tracker) Tick() {
 	if t == nil || t.decay >= 1 {
 		return
 	}
-	base := float64(t.cfg.BaseLatency) / float64(time.Millisecond)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	names := make([]string, 0, len(t.nodes))
@@ -274,7 +223,7 @@ func (t *Tracker) Tick() {
 		h := t.nodes[name]
 		h.failRate *= t.decay
 		h.shedRate *= t.decay
-		h.latencyMS = base + (h.latencyMS-base)*t.decay
+		h.latencyMS = baseLatencyMS + (h.latencyMS-baseLatencyMS)*t.decay
 		if t.obs != nil {
 			t.reg.Gauge("load_health_score_" + name).Set(t.scoreLocked(h))
 		}
@@ -309,7 +258,7 @@ func (t *Tracker) Observe(node string, latency time.Duration, outcome Outcome) {
 	defer t.mu.Unlock()
 	h := t.nodes[node]
 	if h == nil {
-		h = &nodeHealth{latencyMS: float64(t.cfg.BaseLatency) / float64(time.Millisecond)}
+		h = &nodeHealth{latencyMS: baseLatencyMS}
 		t.nodes[node] = h
 	}
 	a := t.cfg.Alpha
@@ -347,7 +296,7 @@ func (t *Tracker) Score(node string) float64 {
 	defer t.mu.Unlock()
 	h := t.nodes[node]
 	if h == nil {
-		return float64(t.cfg.BaseLatency) / float64(time.Millisecond)
+		return baseLatencyMS
 	}
 	return t.scoreLocked(h)
 }
@@ -367,7 +316,7 @@ func (t *Tracker) Rank(names []string) []string {
 	cands := make([]cand, len(names))
 	t.mu.Lock()
 	for i, name := range names {
-		score := float64(t.cfg.BaseLatency) / float64(time.Millisecond)
+		score := baseLatencyMS
 		if h := t.nodes[name]; h != nil {
 			score = t.scoreLocked(h)
 		}

@@ -10,9 +10,9 @@ import (
 )
 
 func TestGateAdmitsQueuesThenSheds(t *testing.T) {
-	g := NewGate(GateConfig{PerTick: 2, QueueDepth: 2, WaitPerSlot: 5 * time.Millisecond})
+	g := NewGate(GateConfig{PerTick: 2, QueueDepth: 2})
 	// Tokens 1-2: free. 3-4: queued at positions 1, 2. 5+: shed.
-	wantWaits := []time.Duration{0, 0, 5 * time.Millisecond, 10 * time.Millisecond}
+	wantWaits := []time.Duration{0, 0, waitPerSlot, 2 * waitPerSlot}
 	for i, want := range wantWaits {
 		wait, err := g.Admit()
 		if err != nil {
@@ -27,14 +27,10 @@ func TestGateAdmitsQueuesThenSheds(t *testing.T) {
 			t.Fatalf("over-budget admit: %v, want ErrShed", err)
 		}
 	}
-	// Two queued borrowings drove the balance to -2; sheds borrow nothing.
-	if g.Tokens() != -2 {
-		t.Fatalf("tokens %d, want -2 (two borrowed, sheds borrow nothing)", g.Tokens())
-	}
 }
 
 func TestGateTickRepaysBorrowedTokens(t *testing.T) {
-	g := NewGate(GateConfig{PerTick: 1, QueueDepth: 1, WaitPerSlot: time.Millisecond})
+	g := NewGate(GateConfig{PerTick: 1, QueueDepth: 1})
 	if _, err := g.Admit(); err != nil { // token
 		t.Fatalf("admit 1: %v", err)
 	}
@@ -47,7 +43,7 @@ func TestGateTickRepaysBorrowedTokens(t *testing.T) {
 	// One tick repays the borrowed token but leaves the bucket empty: the
 	// next admit queues again rather than passing free.
 	g.Tick()
-	if wait, err := g.Admit(); err != nil || wait != time.Millisecond {
+	if wait, err := g.Admit(); err != nil || wait != waitPerSlot {
 		t.Fatalf("post-tick admit: wait %v err %v, want queued at position 1", wait, err)
 	}
 	// Two more ticks repay the debt and refill: admission is free again.
@@ -58,28 +54,12 @@ func TestGateTickRepaysBorrowedTokens(t *testing.T) {
 	}
 }
 
-func TestGateBurstCapsAccumulation(t *testing.T) {
-	g := NewGate(GateConfig{PerTick: 1, Burst: 2, QueueDepth: 0})
-	for i := 0; i < 10; i++ {
-		g.Tick()
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := g.Admit(); err != nil {
-			t.Fatalf("burst admit %d: %v", i+1, err)
-		}
-	}
-	if _, err := g.Admit(); !errors.Is(err, ErrShed) {
-		t.Fatalf("beyond burst: %v, want ErrShed", err)
-	}
-}
-
 func TestGateNilAndDisabled(t *testing.T) {
 	if g := NewGate(GateConfig{}); g != nil {
 		t.Fatalf("PerTick 0 should disable the gate, got %+v", g)
 	}
 	var g *Gate
 	g.Tick()
-	g.SetTelemetry(nil)
 	for i := 0; i < 100; i++ {
 		if wait, err := g.Admit(); err != nil || wait != 0 {
 			t.Fatalf("nil gate must admit free, got wait %v err %v", wait, err)
@@ -95,22 +75,6 @@ func counterValue(snap telemetry.Snapshot, name string) int64 {
 		}
 	}
 	return -1
-}
-
-func TestGateTelemetry(t *testing.T) {
-	g := NewGate(GateConfig{PerTick: 1, QueueDepth: 1, WaitPerSlot: 2 * time.Millisecond})
-	reg := telemetry.NewRegistry()
-	g.SetTelemetry(reg)
-	g.Admit() // free
-	g.Admit() // queued
-	g.Admit() // shed
-	snap := reg.Snapshot()
-	if got := counterValue(snap, "load_gate_queued_total"); got != 1 {
-		t.Fatalf("queued counter %d, want 1", got)
-	}
-	if got := counterValue(snap, "load_gate_sheds_total"); got != 1 {
-		t.Fatalf("sheds counter %d, want 1", got)
-	}
 }
 
 func TestTrackerScoresAndRanks(t *testing.T) {

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -43,15 +42,8 @@ func TestClassifyOverload(t *testing.T) {
 // overloadMultiplier, every other class keeps the standard exponential
 // schedule.
 func TestBackoffScheduleByFaultClass(t *testing.T) {
-	p := Policy{
-		MaxAttempts: 5,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    200 * time.Millisecond,
-		Multiplier:  2,
-		JitterFrac:  0, // standard schedule exact
-	}
-	standard := []time.Duration{10, 20, 40, 80}  // base × 2^(retry-1), ms
-	overload := []time.Duration{10, 30, 90, 200} // base × 3^(retry-1), capped, ms
+	standard := []time.Duration{20, 40, 80, 160}  // base × 2^(retry-1), ms
+	overload := []time.Duration{20, 60, 180, 200} // base × 3^(retry-1), capped, ms
 	cases := []struct {
 		fault Fault
 		want  []time.Duration
@@ -67,7 +59,7 @@ func TestBackoffScheduleByFaultClass(t *testing.T) {
 		for retry, want := range tc.want {
 			// nil rng: the overload schedule returns its ceiling, the
 			// standard schedule its jitterless value — both exact.
-			got := p.BackoffFor(nil, retry+1, tc.fault)
+			got := backoffFor(nil, retry+1, tc.fault)
 			if got != want*time.Millisecond {
 				t.Errorf("%v retry %d: backoff %v, want %v", tc.fault, retry+1, got, want*time.Millisecond)
 			}
@@ -78,11 +70,11 @@ func TestBackoffScheduleByFaultClass(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	low, high := 0, 0
 	for i := 0; i < 200; i++ {
-		d := p.BackoffFor(rng, 2, FaultOverload)
-		if d < 0 || d > 40*time.Millisecond {
-			t.Fatalf("overload jitter %v outside [0, 40ms]", d)
+		d := backoffFor(rng, 2, FaultOverload)
+		if d < 0 || d > 60*time.Millisecond {
+			t.Fatalf("overload jitter %v outside [0, 60ms]", d)
 		}
-		if d < 20*time.Millisecond {
+		if d < 30*time.Millisecond {
 			low++
 		} else {
 			high++
@@ -91,14 +83,12 @@ func TestBackoffScheduleByFaultClass(t *testing.T) {
 	if low == 0 || high == 0 {
 		t.Fatalf("overload jitter not spread over the ceiling: %d low / %d high", low, high)
 	}
-	// The standard schedule jitters ±JitterFrac around the midpoint — never
+	// The standard schedule jitters ±jitterFrac around the midpoint — never
 	// down to zero — so the two schedules are genuinely different shapes.
-	pj := p
-	pj.JitterFrac = 0.2
 	for i := 0; i < 200; i++ {
-		d := pj.BackoffFor(rng, 2, FaultTransient)
-		if d < 16*time.Millisecond || d > 24*time.Millisecond {
-			t.Fatalf("transient jitter %v outside ±20%% of 20ms", d)
+		d := backoffFor(rng, 2, FaultTransient)
+		if d < 32*time.Millisecond || d > 48*time.Millisecond {
+			t.Fatalf("transient jitter %v outside ±20%% of 40ms", d)
 		}
 	}
 }
@@ -170,38 +160,6 @@ func TestShedDoesNotPoisonValueCache(t *testing.T) {
 	}
 }
 
-// TestClientAdmissionGateSheds proves client-side backpressure: operations
-// beyond the gate's budget are shed locally as FaultOverload before any
-// message is sent, counted in ClientSheds, and a Tick re-admits.
-func TestClientAdmissionGateSheds(t *testing.T) {
-	d, net, names := buildDHT(t, 12, 11, 0, 3)
-	cfg := DefaultConfig(11)
-	cfg.Admission = load.GateConfig{PerTick: 2, QueueDepth: 0}
-	kv := Wrap(d, cfg)
-	if _, err := kv.Store(string(names[0]), "key", []byte("v")); err != nil {
-		t.Fatalf("store: %v", err)
-	}
-	if _, _, err := kv.Lookup(string(names[1]), "key"); err != nil {
-		t.Fatalf("budgeted lookup: %v", err)
-	}
-	before := net.Totals().Messages
-	_, _, err := kv.Lookup(string(names[1]), "key")
-	if Classify(err) != FaultOverload || !errors.Is(err, load.ErrShed) {
-		t.Fatalf("over-budget lookup: %v, want a client shed", err)
-	}
-	if after := net.Totals().Messages; after != before {
-		t.Fatalf("client shed sent %d messages, want none", after-before)
-	}
-	m := kv.Metrics()
-	if m.ClientSheds != 1 || m.Failures != 1 {
-		t.Fatalf("metrics %+v, want 1 client shed counted as 1 failure", m)
-	}
-	kv.Tick()
-	if _, _, err := kv.Lookup(string(names[1]), "key"); err != nil {
-		t.Fatalf("post-tick lookup: %v", err)
-	}
-}
-
 // TestHealthRankingSteersAwayFromHotNode drives the full loop: a capacity-
 // limited replica sheds, the tracker hears it, and subsequent hedged reads
 // demote the hot node so lookups keep succeeding off its siblings.
@@ -245,16 +203,17 @@ func TestHealthRankingSteersAwayFromHotNode(t *testing.T) {
 }
 
 func TestBreakerUnquarantine(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: 4})
+	b := NewBreaker()
 	hooked := 0
 	b.SetQuarantineHook(func(string) { hooked++ })
 	if b.Unquarantine("n") {
 		t.Fatalf("unquarantining a clean node reported work done")
 	}
-	b.ReportCorrupt("n")
-	b.ReportCorrupt("n")
+	for i := 0; i < breakerThreshold; i++ {
+		b.ReportCorrupt("n")
+	}
 	if !b.Quarantined("n") {
-		t.Fatalf("node not quarantined after %d corruption verdicts", 2)
+		t.Fatalf("node not quarantined after %d corruption verdicts", breakerThreshold)
 	}
 	if hooked != 1 {
 		t.Fatalf("quarantine hook fired %d times, want 1", hooked)
@@ -273,8 +232,9 @@ func TestBreakerUnquarantine(t *testing.T) {
 	}
 	// A fresh corruption streak re-quarantines: the override is not an
 	// immunity grant.
-	b.ReportCorrupt("n")
-	b.ReportCorrupt("n")
+	for i := 0; i < breakerThreshold; i++ {
+		b.ReportCorrupt("n")
+	}
 	if !b.Quarantined("n") {
 		t.Fatalf("node not re-quarantined after fresh corruption")
 	}

@@ -13,12 +13,12 @@
 //     retrying, Permanent ones are not, and AckLost means the operation may
 //     have been applied even though the caller saw an error — retry-safe
 //     only for idempotent operations;
-//   - deterministic retry policies (Policy, Do): exponential backoff with
-//     seeded jitter, charged to the simulated latency so recovery cost
-//     stays measurable;
-//   - a KV decorator (Wrap) adding retries, hedged reads across the
-//     replica set, and a per-node circuit breaker (Breaker) that skips
-//     nodes observed down until a probe succeeds;
+//   - one deterministic retry policy (Do): five attempts with exponential
+//     backoff and seeded jitter, a harder schedule for overload, all
+//     charged to the simulated latency so recovery cost stays measurable;
+//   - a KV decorator (Wrap) adding retries, hedged reads across two more
+//     replicas, and a per-node circuit breaker (Breaker) that skips nodes
+//     observed down until a probe succeeds;
 //   - pass-through to the overlay's anti-entropy self-healing
 //     (overlay.Healer), so repair is driven through the same handle.
 //
@@ -59,11 +59,11 @@ const (
 	// which is what RetryableElsewhere expresses. A corruption verdict also
 	// counts as a breaker failure, so persistent corrupters are quarantined.
 	FaultCorruption
-	// FaultOverload means a node (or the client's own admission gate) shed
-	// the operation because the offered load exceeded capacity. The node is
-	// online and honest — shed ≠ Byzantine, so overload never taints the
-	// breaker's quarantine state — and the request had no side effects, so
-	// retrying is always safe. But retrying *immediately against the same
+	// FaultOverload means a node (its simulated capacity or its DHT
+	// admission gate) shed the operation because the offered load exceeded
+	// capacity. The node is online and honest — shed ≠ Byzantine, so
+	// overload never taints the breaker's quarantine state — and the request
+	// had no side effects, so retrying is always safe. But retrying *immediately against the same
 	// node* is exactly how overload cascades: recovery must either go
 	// elsewhere (a sibling replica has spare capacity) or back off harder
 	// than for loss, which is what the overload backoff schedule does.
@@ -127,7 +127,7 @@ func Classify(err error) Fault {
 // re-applying the operation is harmless (required for AckLost retries).
 // FaultCorruption is NOT retryable here: the same node will serve the same
 // bad bytes. FaultOverload is retryable — a shed has no side effects — but
-// retries must use the harder overload backoff schedule (BackoffFor).
+// retries use the harder overload backoff schedule (overloadBackoff).
 func Retryable(f Fault, idempotent bool) bool {
 	switch f {
 	case FaultTransient, FaultOverload:

@@ -6,96 +6,57 @@ import (
 	"time"
 )
 
-// Policy is a deterministic retry policy: exponential backoff with seeded
-// jitter, bounded by per-operation attempt and latency budgets. Backoff is
-// simulated time — callers charge it to the operation's OpStats.Latency so
-// the cost of recovering stays measurable, exactly like a message's
-// propagation delay.
-type Policy struct {
-	// MaxAttempts bounds tries per operation, first attempt included
-	// (>= 1; 1 disables retries).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry.
-	BaseDelay time.Duration
-	// MaxDelay caps a single backoff step (0 = uncapped).
-	MaxDelay time.Duration
-	// Multiplier grows the backoff per retry (< 1 treated as 1).
-	Multiplier float64
-	// JitterFrac randomizes each step by ±JitterFrac of itself, in [0,1];
-	// the jitter source is the caller's seeded RNG, keeping runs
-	// reproducible.
-	JitterFrac float64
-	// LatencyBudget caps the total backoff charged per operation; a retry
-	// whose backoff would exceed it is not attempted (0 = uncapped).
-	LatencyBudget time.Duration
-}
+// The retry policy: up to 4 retries beyond the first attempt, with
+// exponential backoff from 20ms doubling per retry, ±20% seeded jitter, and
+// a 200ms cap per step; overload retries grow their full-jitter ceiling 3x
+// per step under the same cap. Backoff is simulated time — callers charge it
+// to the operation's OpStats.Latency so the cost of recovering stays
+// measurable, exactly like a message's propagation delay. The worst
+// per-operation total, taking the larger schedule at each retry, is
+// 24 + 60 + 180 + 200 = 464ms.
+const (
+	maxAttempts        = 5
+	baseDelay          = 20 * time.Millisecond
+	maxDelay           = 200 * time.Millisecond
+	backoffMultiplier  = 2
+	jitterFrac         = 0.2
+	overloadMultiplier = 3 // overloaded nodes recover only when offered load falls
+)
 
-// DefaultPolicy retries up to 4 times beyond the first attempt, starting at
-// 20ms and doubling, capped at 200ms per step and 1s total; overload
-// retries grow their full-jitter ceiling 3x per step.
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxAttempts:   5,
-		BaseDelay:     20 * time.Millisecond,
-		MaxDelay:      200 * time.Millisecond,
-		Multiplier:    2,
-		JitterFrac:    0.2,
-		LatencyBudget: time.Second,
-	}
-}
-
-// Backoff returns the simulated delay before retry number retry (1-based),
-// drawing jitter from rng.
-func (p Policy) Backoff(rng *rand.Rand, retry int) time.Duration {
+// backoff returns the standard simulated delay before retry number retry
+// (1-based), drawing jitter from rng (nil: no jitter).
+func backoff(rng *rand.Rand, retry int) time.Duration {
 	if retry < 1 {
 		return 0
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 1
+	d := float64(baseDelay)
+	for i := 1; i < retry && d < float64(maxDelay); i++ {
+		d *= backoffMultiplier
 	}
-	d := float64(p.BaseDelay)
-	for i := 1; i < retry; i++ {
-		d *= mult
-		if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
+	if d > float64(maxDelay) {
+		d = float64(maxDelay)
 	}
-	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if p.JitterFrac > 0 && rng != nil {
-		d += d * p.JitterFrac * (2*rng.Float64() - 1)
-	}
-	if d < 0 {
-		d = 0
+	if rng != nil {
+		d += d * jitterFrac * (2*rng.Float64() - 1)
 	}
 	return time.Duration(d)
 }
 
-// overloadMultiplier grows the FaultOverload backoff ceiling per retry.
-// Overloaded nodes recover only when offered load actually falls, so these
-// retries slow down faster than the transient schedule's Multiplier.
-const overloadMultiplier = 3
-
 // overloadBackoff is the FaultOverload schedule: the ceiling grows by
-// overloadMultiplier per retry (from BaseDelay, capped at MaxDelay) and the
+// overloadMultiplier per retry (from baseDelay, capped at maxDelay) and the
 // delay is drawn uniformly from [0, ceiling] — full jitter, so a crowd of
-// shed clients decorrelates instead of returning in synchronized waves.
-func (p Policy) overloadBackoff(rng *rand.Rand, retry int) time.Duration {
+// shed clients decorrelates instead of returning in synchronized waves. A
+// nil rng returns the ceiling.
+func overloadBackoff(rng *rand.Rand, retry int) time.Duration {
 	if retry < 1 {
 		return 0
 	}
-	ceiling := float64(p.BaseDelay)
-	for i := 1; i < retry; i++ {
+	ceiling := float64(baseDelay)
+	for i := 1; i < retry && ceiling < float64(maxDelay); i++ {
 		ceiling *= overloadMultiplier
-		if p.MaxDelay > 0 && ceiling > float64(p.MaxDelay) {
-			break
-		}
 	}
-	if p.MaxDelay > 0 && ceiling > float64(p.MaxDelay) {
-		ceiling = float64(p.MaxDelay)
+	if ceiling > float64(maxDelay) {
+		ceiling = float64(maxDelay)
 	}
 	if rng == nil {
 		return time.Duration(ceiling)
@@ -103,15 +64,15 @@ func (p Policy) overloadBackoff(rng *rand.Rand, retry int) time.Duration {
 	return time.Duration(rng.Float64() * ceiling)
 }
 
-// BackoffFor returns the simulated delay before retry number retry
+// backoffFor returns the simulated delay before retry number retry
 // (1-based) after a failure of class fault: FaultOverload backs off on the
 // multiplicative full-jitter schedule, every other retryable class keeps
 // the standard exponential schedule.
-func (p Policy) BackoffFor(rng *rand.Rand, retry int, fault Fault) time.Duration {
+func backoffFor(rng *rand.Rand, retry int, fault Fault) time.Duration {
 	if fault == FaultOverload {
-		return p.overloadBackoff(rng, retry)
+		return overloadBackoff(rng, retry)
 	}
-	return p.Backoff(rng, retry)
+	return backoff(rng, retry)
 }
 
 // Outcome reports what a retried operation cost beyond its own attempts.
@@ -125,40 +86,32 @@ type Outcome struct {
 	Fault Fault
 }
 
-// Do runs op under the policy: it retries while the returned error
-// classifies as retryable (given idempotency) and the attempt and latency
-// budgets allow. The attempt index passed to op is 1-based. Do returns the
-// last error with the outcome; callers charge Outcome.Backoff to their
-// operation's simulated latency.
-func Do(p Policy, rng *rand.Rand, idempotent bool, op func(attempt int) error) (Outcome, error) {
-	return DoWith(p, rng, func(f Fault) bool { return Retryable(f, idempotent) }, op)
+// Do runs op under the retry policy: it retries while the returned error
+// classifies as retryable (given idempotency) and attempts remain. The
+// attempt index passed to op is 1-based. Do returns the last error with the
+// outcome; callers charge Outcome.Backoff to their operation's simulated
+// latency.
+func Do(rng *rand.Rand, idempotent bool, op func(attempt int) error) (Outcome, error) {
+	return DoWith(rng, func(f Fault) bool { return Retryable(f, idempotent) }, op)
 }
 
 // DoWith is Do with an explicit retryability predicate, for callers whose
 // retries change what a fault class admits — a hedged read that re-resolves
 // its replica set each attempt passes RetryableElsewhere, making corruption
 // retryable because the retry lands on different nodes.
-func DoWith(p Policy, rng *rand.Rand, retryable func(Fault) bool, op func(attempt int) error) (Outcome, error) {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
+func DoWith(rng *rand.Rand, retryable func(Fault) bool, op func(attempt int) error) (Outcome, error) {
 	out := Outcome{}
 	var err error
-	for attempt := 1; attempt <= p.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		out.Attempts = attempt
 		err = op(attempt)
 		out.Fault = Classify(err)
 		if err == nil || !retryable(out.Fault) {
 			return out, err
 		}
-		if attempt == p.MaxAttempts {
-			break
+		if attempt < maxAttempts {
+			out.Backoff += backoffFor(rng, attempt, out.Fault)
 		}
-		backoff := p.BackoffFor(rng, attempt, out.Fault)
-		if p.LatencyBudget > 0 && out.Backoff+backoff > p.LatencyBudget {
-			return out, fmt.Errorf("resilience: latency budget %v exhausted after %d attempts: %w", p.LatencyBudget, attempt, err)
-		}
-		out.Backoff += backoff
 	}
 	return out, fmt.Errorf("resilience: %d attempts exhausted: %w", out.Attempts, err)
 }

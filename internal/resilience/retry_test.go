@@ -3,6 +3,7 @@ package resilience
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,33 +13,30 @@ import (
 )
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := Policy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Multiplier: 2, JitterFrac: 0.5}
 	a := rand.New(rand.NewSource(7))
 	b := rand.New(rand.NewSource(7))
 	for retry := 1; retry <= 6; retry++ {
-		da := p.Backoff(a, retry)
-		db := p.Backoff(b, retry)
+		da := backoff(a, retry)
+		db := backoff(b, retry)
 		if da != db {
 			t.Fatalf("retry %d: same seed, different backoff (%v vs %v)", retry, da, db)
 		}
-		if da < 0 || da > 120*time.Millisecond {
+		if da < 0 || da > 240*time.Millisecond {
 			t.Fatalf("retry %d: backoff %v outside jittered cap", retry, da)
 		}
 	}
 	// Without jitter the sequence is the pure exponential, capped.
-	p.JitterFrac = 0
-	want := []time.Duration{10, 20, 40, 80, 80}
+	want := []time.Duration{20, 40, 80, 160, 200}
 	for i, w := range want {
-		if got := p.Backoff(nil, i+1); got != w*time.Millisecond {
+		if got := backoff(nil, i+1); got != w*time.Millisecond {
 			t.Fatalf("retry %d: backoff %v, want %v", i+1, got, w*time.Millisecond)
 		}
 	}
 }
 
 func TestDoRetriesTransientUntilSuccess(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, Multiplier: 2}
 	calls := 0
-	out, err := Do(p, rand.New(rand.NewSource(1)), false, func(attempt int) error {
+	out, err := Do(nil, false, func(attempt int) error {
 		calls++
 		if attempt < 3 {
 			return fmt.Errorf("net: %w", simnet.ErrDropped)
@@ -51,8 +49,8 @@ func TestDoRetriesTransientUntilSuccess(t *testing.T) {
 	if calls != 3 || out.Attempts != 3 {
 		t.Fatalf("calls=%d attempts=%d, want 3", calls, out.Attempts)
 	}
-	if out.Backoff != 30*time.Millisecond { // 10 + 20
-		t.Fatalf("backoff %v, want 30ms", out.Backoff)
+	if out.Backoff != 60*time.Millisecond { // 20 + 40
+		t.Fatalf("backoff %v, want 60ms", out.Backoff)
 	}
 	if out.Fault != FaultNone {
 		t.Fatalf("fault %v, want none", out.Fault)
@@ -61,7 +59,7 @@ func TestDoRetriesTransientUntilSuccess(t *testing.T) {
 
 func TestDoStopsOnPermanent(t *testing.T) {
 	calls := 0
-	out, err := Do(DefaultPolicy(), rand.New(rand.NewSource(1)), true, func(int) error {
+	out, err := Do(rand.New(rand.NewSource(1)), true, func(int) error {
 		calls++
 		return overlay.ErrNotFound
 	})
@@ -76,7 +74,7 @@ func TestDoStopsOnPermanent(t *testing.T) {
 func TestDoAckLostRespectsIdempotency(t *testing.T) {
 	ackLost := fmt.Errorf("%w: cause", simnet.ErrReplyLost)
 	calls := 0
-	_, err := Do(Policy{MaxAttempts: 4, BaseDelay: time.Millisecond}, rand.New(rand.NewSource(1)), false, func(int) error {
+	_, err := Do(rand.New(rand.NewSource(1)), false, func(int) error {
 		calls++
 		return ackLost
 	})
@@ -87,11 +85,11 @@ func TestDoAckLostRespectsIdempotency(t *testing.T) {
 		t.Fatalf("err=%v", err)
 	}
 	calls = 0
-	_, err = Do(Policy{MaxAttempts: 4, BaseDelay: time.Millisecond}, rand.New(rand.NewSource(1)), true, func(int) error {
+	_, err = Do(rand.New(rand.NewSource(1)), true, func(int) error {
 		calls++
 		return ackLost
 	})
-	if calls != 4 {
+	if calls != maxAttempts {
 		t.Fatalf("idempotent op not retried after ack loss: %d calls", calls)
 	}
 	if !errors.Is(err, simnet.ErrReplyLost) {
@@ -99,33 +97,32 @@ func TestDoAckLostRespectsIdempotency(t *testing.T) {
 	}
 }
 
-func TestDoAttemptAndLatencyBudgets(t *testing.T) {
-	// Attempt budget.
-	calls := 0
-	out, err := Do(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, rand.New(rand.NewSource(1)), true, func(int) error {
-		calls++
-		return simnet.ErrDropped
-	})
-	if calls != 3 || err == nil || !errors.Is(err, simnet.ErrDropped) {
-		t.Fatalf("calls=%d err=%v", calls, err)
+// TestWorstCaseBackoff pins the most backoff one operation can be charged:
+// the larger of the transient and overload schedules at each of its four
+// retries, 24 + 60 + 180 + 200 = 464ms. Seeded five-attempt failure
+// sequences over both fault classes must all stay under it.
+func TestWorstCaseBackoff(t *testing.T) {
+	var bound time.Duration
+	for retry := 1; retry < maxAttempts; retry++ {
+		transient := time.Duration(math.Round(float64(backoff(nil, retry)) * (1 + jitterFrac)))
+		bound += max(transient, overloadBackoff(nil, retry))
 	}
-	if out.Fault != FaultTransient {
-		t.Fatalf("fault %v", out.Fault)
+	if bound != 464*time.Millisecond {
+		t.Fatalf("worst-case backoff %v, want 464ms", bound)
 	}
-	// Latency budget: second retry (20ms) would exceed 25ms total.
-	calls = 0
-	out, err = Do(Policy{MaxAttempts: 10, BaseDelay: 20 * time.Millisecond, Multiplier: 2, LatencyBudget: 25 * time.Millisecond},
-		rand.New(rand.NewSource(1)), true, func(int) error {
+	faults := []error{simnet.ErrDropped, simnet.ErrOverloaded}
+	for seed := int64(0); seed < 10000; seed++ {
+		pick := rand.New(rand.NewSource(-seed - 1))
+		calls := 0
+		out, err := Do(rand.New(rand.NewSource(seed)), true, func(int) error {
 			calls++
-			return simnet.ErrDropped
+			return faults[pick.Intn(len(faults))]
 		})
-	if calls != 2 {
-		t.Fatalf("latency budget ignored: %d calls", calls)
-	}
-	if err == nil || !errors.Is(err, simnet.ErrDropped) {
-		t.Fatalf("err=%v", err)
-	}
-	if out.Backoff > 25*time.Millisecond {
-		t.Fatalf("charged backoff %v exceeds budget", out.Backoff)
+		if calls != 5 || out.Attempts != 5 || err == nil {
+			t.Fatalf("seed %d: %d calls, %d attempts, err %v; want 5 failed attempts", seed, calls, out.Attempts, err)
+		}
+		if out.Backoff >= bound {
+			t.Fatalf("seed %d: backoff %v, want under %v", seed, out.Backoff, bound)
+		}
 	}
 }

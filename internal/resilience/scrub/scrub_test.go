@@ -176,10 +176,12 @@ func TestScrubRestoresCopiesLostToCrash(t *testing.T) {
 	}
 }
 
-// breakerVerdicts wires s's verdicts into a default breaker, as the stack
-// does.
+// breakerThreshold is the breaker's consecutive-failure threshold.
+const breakerThreshold = 3
+
+// breakerVerdicts wires s's verdicts into a breaker, as the stack does.
 func breakerVerdicts(s *Scrubber) *resilience.Breaker {
-	breaker := resilience.NewBreaker(resilience.DefaultBreakerConfig())
+	breaker := resilience.NewBreaker()
 	s.SetVerdict(func(node string, ok bool) {
 		if ok {
 			breaker.Report(node, true)
@@ -200,8 +202,7 @@ func TestScrubVerdictsQuarantineByzantineReplica(t *testing.T) {
 	breaker := breakerVerdicts(s)
 	// One verdict per node per pass: the liar takes one strike a pass and
 	// reaches the breaker's threshold on the third.
-	threshold := resilience.DefaultBreakerConfig().Threshold
-	for pass := 1; pass <= threshold; pass++ {
+	for pass := 1; pass <= breakerThreshold; pass++ {
 		if breaker.Quarantined(liar) {
 			t.Fatalf("liar quarantined before pass %d", pass)
 		}
@@ -222,7 +223,7 @@ func TestScrubVerdictsQuarantineByzantineReplica(t *testing.T) {
 	}
 	// Only the liar: honest replicas collect no corruption verdicts.
 	if q := breaker.QuarantinedNodes(); len(q) != 1 || q[0] != liar {
-		t.Fatalf("QuarantinedNodes after %d passes = %v, want [%s]", threshold, q, liar)
+		t.Fatalf("QuarantinedNodes after %d passes = %v, want [%s]", breakerThreshold, q, liar)
 	}
 }
 
@@ -242,9 +243,8 @@ func TestRotBurstDoesNotQuarantineHonestHolder(t *testing.T) {
 			rotted++
 		}
 	}
-	threshold := resilience.DefaultBreakerConfig().Threshold
-	if rotted < threshold {
-		t.Fatalf("holder %s held %d keys, want >= %d for the burst to matter", holder, rotted, threshold)
+	if rotted < breakerThreshold {
+		t.Fatalf("holder %s held %d keys, want >= %d for the burst to matter", holder, rotted, breakerThreshold)
 	}
 	s := New(f.d, DefaultConfig(f.client))
 	breaker := breakerVerdicts(s)

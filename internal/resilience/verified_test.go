@@ -18,7 +18,7 @@ var raceEnabled bool
 // verifiedRing stores a sealed record for each of keys on a 48-node DHT and
 // wraps it the way a verified deployment reads: hedged, with scrub.Check as
 // the integrity gate.
-func verifiedRing(tb testing.TB, breaker resilience.BreakerConfig, keys int) (*resilience.KV, *dht.DHT, string, []string) {
+func verifiedRing(tb testing.TB, keys int) (*resilience.KV, *dht.DHT, string, []string) {
 	tb.Helper()
 	net := simnet.New(simnet.DefaultConfig(1))
 	names := make([]simnet.NodeID, 48)
@@ -30,7 +30,6 @@ func verifiedRing(tb testing.TB, breaker resilience.BreakerConfig, keys int) (*r
 		tb.Fatalf("dht.New: %v", err)
 	}
 	cfg := resilience.DefaultConfig(1)
-	cfg.Breaker = breaker
 	cfg.Verify = scrub.Check
 	kv := resilience.Wrap(d, cfg)
 	origin := string(names[0])
@@ -60,25 +59,29 @@ func TestVerifiedLookupAllocations(t *testing.T) {
 	// A verified read on a healthy ring allocates the value the fetch
 	// handler copies out for the reader and nothing else: the replica plan
 	// is the ring view's shared slice, the breaker filter reads it as given,
-	// and Open returns a view into the record.
-	perRead := func(t *testing.T, kv *resilience.KV, origin string, keys []string) float64 {
+	// and Open returns a view into the record. before, when set, runs ahead
+	// of every read and is measured with it.
+	perRead := func(t *testing.T, kv *resilience.KV, origin string, keys []string, before func()) float64 {
 		if raceEnabled {
 			t.Skip("sync.Pool drops frames at random under the race detector")
 		}
 		return testing.AllocsPerRun(50, func() {
 			for _, key := range keys {
+				if before != nil {
+					before()
+				}
 				_, _ = openRead(kv, origin, key)
 			}
 		}) / float64(len(keys))
 	}
 	t.Run("healthy", func(t *testing.T) {
-		kv, _, origin, keys := verifiedRing(t, resilience.DefaultBreakerConfig(), 8)
+		kv, _, origin, keys := verifiedRing(t, 8)
 		for _, key := range keys {
 			if got, err := openRead(kv, origin, key); err != nil || !bytes.Equal(got, payloadOf(key)) {
 				t.Fatalf("read %s = %q, %v", key, got, err)
 			}
 		}
-		if got := perRead(t, kv, origin, keys); got > 1 {
+		if got := perRead(t, kv, origin, keys, nil); got > 1 {
 			t.Errorf("Lookup + scrub.Open: %v allocs per read, want <= 1", got)
 		}
 	})
@@ -86,11 +89,20 @@ func TestVerifiedLookupAllocations(t *testing.T) {
 		// An open circuit on a canonical holder makes the read filter the
 		// plan, which it does into a fresh slice (one more allocation): the
 		// shared plan the DHT hands every other caller is left as it was.
-		kv, d, origin, keys := verifiedRing(t, resilience.BreakerConfig{Threshold: 1, Cooldown: 1 << 30}, 1)
+		// Re-reporting the failure before each read restarts the cooldown, so
+		// no read is the half-open probe.
+		kv, d, origin, keys := verifiedRing(t, 1)
 		key := keys[0]
 		plan := append([]string(nil), d.PlanReplicas(key)...)
-		kv.Breaker().Report(plan[0], false)
+		holdOpen := func() { kv.Breaker().Report(plan[0], false) }
 		for i := 0; i < 3; i++ {
+			holdOpen()
+		}
+		if !kv.Breaker().Open(plan[0]) {
+			t.Fatalf("%s's circuit did not open", plan[0])
+		}
+		for i := 0; i < 3; i++ {
+			holdOpen()
 			if got, err := openRead(kv, origin, key); err != nil || !bytes.Equal(got, payloadOf(key)) {
 				t.Fatalf("read %s with %s's circuit open = %q, %v", key, plan[0], got, err)
 			}
@@ -101,7 +113,7 @@ func TestVerifiedLookupAllocations(t *testing.T) {
 		if got := d.PlanReplicas(key); !reflect.DeepEqual(got, plan) {
 			t.Fatalf("PlanReplicas(%s) = %v after filtered reads, want %v", key, got, plan)
 		}
-		if got := perRead(t, kv, origin, keys); got > 2 {
+		if got := perRead(t, kv, origin, keys, holdOpen); got > 2 {
 			t.Errorf("Lookup + scrub.Open with a circuit open: %v allocs per read, want <= 2", got)
 		}
 	})
@@ -110,7 +122,7 @@ func TestVerifiedLookupAllocations(t *testing.T) {
 // BenchmarkVerifiedLookup is one verified read on a healthy 48-node ring:
 // a hedged Lookup gated by scrub.Check, then scrub.Open.
 func BenchmarkVerifiedLookup(b *testing.B) {
-	kv, _, origin, keys := verifiedRing(b, resilience.DefaultBreakerConfig(), 64)
+	kv, _, origin, keys := verifiedRing(b, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

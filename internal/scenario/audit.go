@@ -96,7 +96,6 @@ func (st *runState) finish(rc RunConfig, reg *telemetry.Registry) *Result {
 	st.auditFinal()
 
 	kv, d, res := st.kv, st.d, st.res
-	res.ClientSheds = kv.Metrics().ClientSheds
 	res.DetectedCorruption = kv.Metrics().CorruptReads
 	res.ServerShedsByNode = d.NodeSheds()
 	res.ServerSheds = d.NodeShedTotal()

@@ -122,11 +122,7 @@ func newRunState(sc *Scenario, rc RunConfig, reg *telemetry.Registry, workers in
 			// Serial batch groups: concurrent groups on a lossy network make
 			// seeded drop assignment scheduling-dependent.
 			FanoutWorkers: 1,
-			NodeGate: load.GateConfig{
-				PerTick:     sc.GatePerTick,
-				QueueDepth:  sc.GateQueue,
-				WaitPerSlot: 10 * time.Millisecond,
-			},
+			NodeGate:      load.GateConfig{PerTick: sc.GatePerTick, QueueDepth: sc.GateQueue},
 		},
 		Resilience: &kcfg,
 		Registry:   reg,

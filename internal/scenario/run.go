@@ -16,7 +16,7 @@ import (
 
 // This file is the scenario runtime: one tick clock driving the full stack.
 // Each tick, in fixed order: windows ending now are reverted, events
-// starting now are applied, the capacity/admission/gate clocks advance, an
+// starting now are applied, the capacity/health/gate clocks advance, an
 // optional heal pass runs, OpsPerTick workload actions execute (writes are
 // scrub-sealed; reads are verified, latency-tracked, and folded into the
 // digest), and the privacy track encrypts one envelope, has a rotating
@@ -49,9 +49,6 @@ type Result struct {
 	Failed        int
 	// WriteFailures counts stores that failed after retries.
 	WriteFailures int
-	// ClientSheds mirrors the resilience admission gate (0 unless a future
-	// scenario wires client admission).
-	ClientSheds int
 	// ServerSheds is the total refusals by the per-node DHT gates;
 	// ServerShedsByNode breaks it down.
 	ServerSheds       int64

@@ -222,7 +222,8 @@ func TestBuildWiresScrubVerdictsIntoTheBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	breaker := st.KV.Breaker()
-	for pass := 1; pass <= rcfg.Breaker.Threshold; pass++ {
+	const threshold = 3 // the breaker's consecutive-failure threshold
+	for pass := 1; pass <= threshold; pass++ {
 		if breaker.Quarantined(liar) {
 			t.Fatalf("liar quarantined before pass %d", pass)
 		}
@@ -235,7 +236,7 @@ func TestBuildWiresScrubVerdictsIntoTheBreaker(t *testing.T) {
 		}
 	}
 	if q := breaker.QuarantinedNodes(); len(q) != 1 || q[0] != liar {
-		t.Fatalf("QuarantinedNodes after %d passes = %v, want [%s]", rcfg.Breaker.Threshold, q, liar)
+		t.Fatalf("QuarantinedNodes after %d passes = %v, want [%s]", threshold, q, liar)
 	}
 }
 

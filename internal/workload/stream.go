@@ -11,11 +11,11 @@ import (
 // materializing that population. The graph generators above build O(N)
 // adjacency state up front — fine for hundreds of users, fatal for a
 // million. A Stream samples actors from a seeded Zipf distribution (the
-// skew LibreSocial reports for P2P OSN traffic) and actions from a Mix,
-// producing each step on demand; the only state it keeps is a bounded
-// window of per-user post counters for the users the workload actually
-// touched, so resident memory scales with the working set (capped by
-// MaxTracked), never with Users.
+// skew LibreSocial reports for P2P OSN traffic) and actions from
+// DefaultMix, producing each step on demand; the only state it keeps is a
+// bounded window of per-user post counters for the users the workload
+// actually touched, so resident memory scales with the working set (capped
+// at maxTracked users), never with Users.
 //
 // Determinism: every sample derives from Config.Seed; two streams with the
 // same config emit byte-identical action sequences. Payload bytes are a
@@ -39,7 +39,19 @@ const (
 	WeightGraph
 )
 
-// StreamConfig parameterizes a streaming workload.
+// streamSkew is the Zipf skew over users under WeightZipf: a skewed but
+// heavy-tailed OSN-like popularity curve.
+const streamSkew = 1.2
+
+// maxTracked bounds the per-user counter window — the stream's only growing
+// state. When a new user would exceed it, the oldest tracked user is
+// forgotten (FIFO, deterministic); a later post by a forgotten user restarts
+// its sequence at 0, overwriting its earliest keys, which a workload
+// tolerates by construction (same key, same payload size).
+const maxTracked = 1 << 20
+
+// StreamConfig parameterizes a streaming workload. Actions follow
+// DefaultMix.
 type StreamConfig struct {
 	// Users is the population size being simulated. Only sampled users
 	// cost memory.
@@ -47,24 +59,11 @@ type StreamConfig struct {
 	// Ops is the number of actions the stream emits before Next reports
 	// exhaustion.
 	Ops int
-	// Skew is the Zipf skew over users (> 1; default 1.2 — a skewed but
-	// heavy-tailed OSN-like popularity curve).
-	Skew float64
-	// Mix is the action distribution (zero value: DefaultMix).
-	Mix Mix
 	// PostBytes is the payload size of generated posts and comments
 	// (default 200).
 	PostBytes int
-	// MaxTracked bounds the per-user counter window — the stream's only
-	// growing state. When a new user would exceed it, the oldest tracked
-	// user is forgotten (FIFO, deterministic); a later post by a forgotten
-	// user restarts its sequence at 0, overwriting its earliest keys,
-	// which a workload tolerates by construction (same key, same payload
-	// size). Default 1 << 20.
-	MaxTracked int
 	// Weighting selects the actor-popularity model (default WeightZipf;
-	// WeightGraph follows BA follower degrees). Skew only applies to
-	// WeightZipf.
+	// WeightGraph follows BA follower degrees).
 	Weighting ActorWeighting
 	// Seed drives every sampling decision.
 	Seed int64
@@ -100,11 +99,12 @@ type Stream struct {
 	zipf     *Zipf
 	rng      *rand.Rand
 	actorRng *rand.Rand // WeightGraph draws (separate stream, like zipf's)
-	total    float64    // mix weight sum
+	total    float64    // DefaultMix weight sum
 
-	users map[int]*userState
-	fifo  []int // tracked users in first-touch order, for bounded eviction
-	seq   int
+	users      map[int]*userState
+	fifo       []int // tracked users in first-touch order, for bounded eviction
+	maxTracked int   // window bound: maxTracked, lowered by tests to exercise eviction
+	seq        int
 }
 
 // NewStream validates the config and builds the samplers.
@@ -112,32 +112,25 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	if cfg.Users < 1 || cfg.Ops < 0 {
 		return nil, fmt.Errorf("%w: NewStream(users=%d, ops=%d)", ErrBadParams, cfg.Users, cfg.Ops)
 	}
-	if cfg.Skew == 0 {
-		cfg.Skew = 1.2
-	}
-	if (cfg.Mix == Mix{}) {
-		cfg.Mix = DefaultMix()
-	}
 	if cfg.PostBytes <= 0 {
 		cfg.PostBytes = 200
-	}
-	if cfg.MaxTracked <= 0 {
-		cfg.MaxTracked = 1 << 20
 	}
 	if cfg.Weighting != WeightZipf && cfg.Weighting != WeightGraph {
 		return nil, fmt.Errorf("%w: NewStream(weighting=%d)", ErrBadParams, cfg.Weighting)
 	}
-	z, err := NewZipf(cfg.Users, cfg.Skew, cfg.Seed)
+	z, err := NewZipf(cfg.Users, streamSkew, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	mix := DefaultMix()
 	return &Stream{
-		cfg:      cfg,
-		zipf:     z,
-		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
-		actorRng: rand.New(rand.NewSource(cfg.Seed + 2)),
-		total:    cfg.Mix.Post + cfg.Mix.Comment + cfg.Mix.Read + cfg.Mix.Search,
-		users:    make(map[int]*userState),
+		cfg:        cfg,
+		zipf:       z,
+		rng:        rand.New(rand.NewSource(cfg.Seed + 1)),
+		actorRng:   rand.New(rand.NewSource(cfg.Seed + 2)),
+		total:      mix.Post + mix.Comment + mix.Read + mix.Search,
+		users:      make(map[int]*userState),
+		maxTracked: maxTracked,
 	}, nil
 }
 
@@ -198,7 +191,7 @@ func SearchKey(user int) string {
 
 // TrackedUsers reports how many distinct users the stream currently keeps
 // state for — the stream's entire growing footprint, bounded by
-// MaxTracked and by the number of ops emitted, never by Users.
+// maxTracked and by the number of ops emitted, never by Users.
 func (s *Stream) TrackedUsers() int { return len(s.users) }
 
 // Remaining reports how many actions the stream will still emit.
@@ -210,7 +203,7 @@ func (s *Stream) touch(u int) *userState {
 	if st, ok := s.users[u]; ok {
 		return st
 	}
-	if len(s.users) >= s.cfg.MaxTracked {
+	if len(s.users) >= s.maxTracked {
 		oldest := s.fifo[0]
 		s.fifo = s.fifo[1:]
 		delete(s.users, oldest)
@@ -244,7 +237,7 @@ func (s *Stream) Next() (Action, bool) {
 	// determinism contract.
 	x := s.rng.Float64() * s.total
 	actor := s.sampleActor()
-	m := s.cfg.Mix
+	m := DefaultMix()
 	var kind ActionKind
 	switch {
 	case x < m.Post:
