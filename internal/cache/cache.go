@@ -166,7 +166,9 @@ func New[V any](cfg Config) *Cache[V] {
 		if i < extra {
 			capi++
 		}
-		c.shards[i] = &shard[V]{entries: make(map[string]*entry[V], capi), cap: capi}
+		// The map grows with demand: a cache sized for a worst case that
+		// holds a few entries costs only those entries.
+		c.shards[i] = &shard[V]{entries: make(map[string]*entry[V]), cap: capi}
 	}
 	return c
 }

@@ -89,7 +89,8 @@ func (k *KV) PutBatch(origin string, keys []string, values [][]byte) ([]error, o
 // was unreachable — falls back to the single-key hedged lookup, which
 // attributes the fault to the serving replica (breaker, health tracker) and
 // steers the retry elsewhere. A clean miss (every replica answered
-// not-found) is definitive and never retried.
+// not-found) is definitive and never retried. Values are read-only and may
+// be shared with the value cache, as Lookup's are.
 func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, overlay.OpStats, error) {
 	if len(keys) == 0 {
 		return nil, overlay.OpStats{}, nil
@@ -121,9 +122,7 @@ func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, over
 	need := uniq[:0:0]
 	for _, key := range uniq {
 		if v, ok := k.values.Get(key); ok {
-			// The cache owns its backing array; hand out one private copy
-			// shared by this key's slots.
-			assign(key, overlay.BatchResult{Value: append([]byte(nil), v...)})
+			assign(key, overlay.BatchResult{Value: v})
 			continue
 		}
 		need = append(need, key)
@@ -145,6 +144,9 @@ func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, over
 			}
 			switch {
 			case r.Err == nil:
+				// A batch value is a view into one backing array per replica
+				// group: the cache takes its own copy, so it never pins a
+				// group's whole array.
 				if k.values != nil {
 					k.values.Put(key, append([]byte(nil), r.Value...))
 				}
@@ -167,9 +169,7 @@ func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, over
 			assign(key, overlay.BatchResult{Err: err})
 			continue
 		}
-		if k.values != nil {
-			k.values.Put(key, append([]byte(nil), v...))
-		}
+		k.values.Put(key, v) // the overlay's copy, cached as is (see LookupSpan)
 		assign(key, overlay.BatchResult{Value: v})
 	}
 	rescued := len(fallback)

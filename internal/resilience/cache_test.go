@@ -75,28 +75,6 @@ func TestValueCacheStoreInvalidates(t *testing.T) {
 	}
 }
 
-func TestValueCacheReturnsDetachedBytes(t *testing.T) {
-	d, _, names := buildDHT(t, 24, 33, 0, 3)
-	kv := Wrap(d, cachedKVConfig(33))
-	client := string(names[0])
-	if _, err := kv.Store(client, "k", []byte("pristine")); err != nil {
-		t.Fatalf("Store: %v", err)
-	}
-	v1, _, err := kv.Lookup(client, "k")
-	if err != nil {
-		t.Fatalf("Lookup: %v", err)
-	}
-	v1[0] ^= 0xFF
-	v2, _, err := kv.Lookup(client, "k")
-	if err != nil || !bytes.Equal(v2, []byte("pristine")) {
-		t.Fatalf("mutating a cached lookup result corrupted the cache: %q, %v", v2, err)
-	}
-	v2[1] ^= 0xFF
-	if v3, _, err := kv.Lookup(client, "k"); err != nil || !bytes.Equal(v3, []byte("pristine")) {
-		t.Fatalf("cache bytes aliased a hit result: %q, %v", v3, err)
-	}
-}
-
 func TestValueCacheNotFoundNeverCached(t *testing.T) {
 	d, _, names := buildDHT(t, 24, 34, 0, 3)
 	kv := Wrap(d, cachedKVConfig(34))

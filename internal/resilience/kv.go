@@ -45,7 +45,8 @@ type Config struct {
 	// already repairs corruption out of band.
 	ReadRepair bool
 	// Cache configures the verified-value cache (cache.go): repeat lookups
-	// of a key are served from memory without re-fetching or re-verifying.
+	// of a key are served from memory without re-fetching or re-verifying,
+	// and hand every reader the cached bytes themselves (see Lookup).
 	// The zero value (Capacity 0) disables it, preserving the exact RPC
 	// and seeded-RNG sequence of an uncached KV. Coherence: Store
 	// invalidates the key, a breaker quarantine bumps the whole cache (and
@@ -413,6 +414,10 @@ func (k *KV) backoffSpan(sp *telemetry.Span, backoff time.Duration) {
 // checked before it is surfaced: corrupt reads are rejected and retried
 // against other replicas (replica-addressing overlays) or failed outright —
 // never returned.
+//
+// The returned value is read-only and may be shared with the value cache
+// and with every other caller that reads the key: copy it before writing
+// to it. The same holds for GetBatch's values.
 func (k *KV) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
 	return k.LookupSpan(nil, origin, key)
 }
@@ -433,14 +438,10 @@ func (k *KV) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overlay
 		return v, total, err
 	}
 	var st overlay.OpStats
+	// The fill caches the fetched value as is: an overlay's Lookup and
+	// LookupFrom hand back the caller's own copy, so nothing else holds it.
 	v, outcome, err := k.values.Do(key, func() ([]byte, error) {
-		vv, err := k.lookupRetry(sp, origin, key, &st)
-		if err != nil {
-			return nil, err
-		}
-		// The cache owns its copy: callers and inner overlays must never
-		// share its backing array.
-		return append([]byte(nil), vv...), nil
+		return k.lookupRetry(sp, origin, key, &st)
 	})
 	csp := sp.Child("cache")
 	csp.End(outcome.String())
@@ -448,7 +449,7 @@ func (k *KV) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overlay
 		// st is the failed fill's real cost.
 		return nil, st, err
 	}
-	return append([]byte(nil), v...), st, nil
+	return v, st, nil
 }
 
 // lookupRetry is the cache-free lookup, charging its cost to total: retries

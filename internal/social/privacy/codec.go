@@ -19,7 +19,7 @@ import (
 //
 // Both directions cost a constant number of allocations per envelope, not
 // one per field: Marshal sizes its output first and writes into one buffer,
-// Unmarshal takes one private copy of its input and hands out views of it.
+// Unmarshal hands out views of its input and copies only the strings.
 
 // codec framing constants.
 const (
@@ -193,11 +193,11 @@ const (
 )
 
 // Unmarshal reverses Marshal. The envelope's WireSize is set to the actual
-// serialized length. The envelope shares no memory with data: Unmarshal
-// takes one private copy, and every field of the result is a view of that
-// copy (see Envelope).
+// serialized length. Unmarshal never writes to data and keeps no copy of
+// it: every byte field of the result is a view of data, which must stay
+// unmodified while the envelope is in use (see Envelope).
 func Unmarshal(data []byte) (Envelope, error) {
-	r := reader{buf: slices.Clone(data)}
+	r := reader{buf: data}
 	r.names.Grow(nameBytes(r.buf))
 	if string(r.take(len(codecMagic))) != codecMagic {
 		return Envelope{}, fmt.Errorf("%w: bad magic", ErrCodec)
@@ -265,9 +265,10 @@ func Unmarshal(data []byte) (Envelope, error) {
 	return env, nil
 }
 
-// reader is a bounds-checked sequential decoder over one private buffer.
-// Byte fields are cap-limited sub-slices of buf; string fields are
-// substrings of names. After the first error every read returns zero values.
+// reader is a bounds-checked sequential decoder that only reads buf. Byte
+// fields are cap-limited sub-slices of buf; string fields are substrings of
+// names, so none aliases buf. After the first error every read returns zero
+// values.
 type reader struct {
 	buf   []byte
 	off   int

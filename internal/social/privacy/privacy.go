@@ -47,12 +47,13 @@ var (
 // the scheme-specific ciphertext structure; Marshal and Unmarshal (codec.go)
 // carry it to and from the bytes that replicas store and serve.
 //
-// Ownership: an envelope returned by Unmarshal owns one private copy of the
-// bytes it was decoded from, and every byte field of its payload is a view
-// of that copy (every string a part of one shared string). It shares no
-// memory with the decoder's input, but its fields are read-only: decrypt
-// them, marshal them, copy them — do not write through them. A field that is
-// empty on the wire decodes as an empty view, not nil.
+// Ownership: every byte field of an envelope returned by Unmarshal is a
+// cap-limited view of the bytes it was decoded from, which must not be
+// modified while the envelope is in use; every string is a part of one
+// string the decoder built, so no string, map key or Group aliases the
+// input. The fields are read-only: decrypt them, marshal them, copy them —
+// do not write through them. A field that is empty on the wire decodes as
+// an empty view, not nil.
 type Envelope struct {
 	// Scheme produced this envelope.
 	Scheme Scheme
