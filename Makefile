@@ -19,7 +19,7 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock smoke
 #   e21        warm caches hit, match the cold arm byte for byte, never serve a revoked reader
 #   cache -race  the sharded cache's concurrent hammers (no fill outlives an Invalidate) and eviction-order determinism
 #   simnet -race  ten callers against every fault injector with exact ledgers; link draws independent of other links' traffic
-#   pubkey -race  ten goroutines on one ECIES Sender (shared and own recipients, Forget, ephemeral replacement) and on one key pair's memoised Decrypt
+#   pubkey -race  ten goroutines on one ECIES Sender (shared and own recipients, two-wrap Multis that outlive an ephemeral replacement, Forget) and on one key pair's memoised Decrypt
 #   e7,e16     placed sealed copies on the DHT match 1-(1-u)^(k+1) within 4 sigma + 0.01, monotone in k and uptime; proxies >= 0.99
 #   e22        load-aware arm >= 99% served at <= 3x baseline p99 while the bare arm degrades
 #   e23        batching saves >= 3x msg/op at digest-identical reads and flat live heap
@@ -134,7 +134,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 33
+BENCH_PR := 34
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json

@@ -166,8 +166,11 @@ type Ciphertext struct {
 	Epoch uint64
 	// Policy is the access structure; it is public, as in CP-ABE.
 	Policy *Policy
-	// Shares maps share index to the ECIES-wrapped Shamir share for the
-	// corresponding policy leaf.
+	// Ephemeral is the encryptor's ephemeral public key, which every share
+	// wrap is under.
+	Ephemeral []byte
+	// Shares maps share index to the wrapped Shamir share (nonce, sealed
+	// share, tag) for the corresponding policy leaf.
 	Shares map[uint32][]byte
 	// Body is the AES-GCM payload under the shared seed-derived key.
 	Body []byte
@@ -176,7 +179,7 @@ type Ciphertext struct {
 // Size returns the total serialized size in bytes of the ciphertext,
 // approximating wire cost for the size experiments (E3).
 func (c *Ciphertext) Size() int {
-	n := 8 + len(c.Body) + len(c.Policy.String())
+	n := 8 + len(c.Body) + len(c.Policy.String()) + len(c.Ephemeral)
 	for _, s := range c.Shares {
 		n += 4 + len(s)
 	}
@@ -187,8 +190,9 @@ const seedContext = "godosn/abe/seed-v1"
 
 // Encrypt encrypts plaintext under the access policy using the public
 // parameters. Any party holding PublicParams can encrypt (standard CP-ABE);
-// the leaf-share wraps go through the encryptor's sender context, so only an
-// attribute parameter it has not wrapped to before costs a key agreement.
+// the leaf-share wraps are one pubkey.Multi of the encryptor's sender
+// context, so only an attribute parameter it has not wrapped to before costs
+// a key agreement, and the ciphertext carries the ephemeral key once.
 func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaintext []byte) (*Ciphertext, error) {
 	if err := policy.Validate(); err != nil {
 		return nil, err
@@ -206,13 +210,18 @@ func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaint
 	seed := new(big.Int).SetBytes(seedKey)
 	seed.Mod(seed, shamir.Prime())
 
+	m, err := sender.NewMulti(int(policy.leafCount()))
+	if err != nil {
+		return nil, fmt.Errorf("abe: wrapping shares: %w", err)
+	}
 	ct := &Ciphertext{
-		Epoch:  params.Epoch,
-		Policy: policy,
-		Shares: make(map[uint32][]byte),
+		Epoch:     params.Epoch,
+		Policy:    policy,
+		Ephemeral: m.Ephemeral(),
+		Shares:    make(map[uint32][]byte),
 	}
 	var nextIdx uint32 = 1
-	if err := shareTree(sender, params, policy, seed, ct, &nextIdx); err != nil {
+	if err := shareTree(&m, params, policy, seed, ct, &nextIdx); err != nil {
 		return nil, err
 	}
 	key, err := seedToKey(seed)
@@ -233,13 +242,13 @@ func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaint
 // reproducible from the public policy, so only leaf wraps are stored. Every
 // share is wrapped as a full field element, so a ciphertext's size depends on
 // its policy and plaintext only, never on the share values.
-func shareTree(sender *pubkey.Sender, params *PublicParams, node *Policy, secret *big.Int, ct *Ciphertext, nextIdx *uint32) error {
+func shareTree(m *pubkey.Multi, params *PublicParams, node *Policy, secret *big.Int, ct *Ciphertext, nextIdx *uint32) error {
 	if node.Kind == GateLeaf {
 		idx := *nextIdx
 		*nextIdx++
 		pk := params.Attrs[node.Attribute]
 		var buf [fieldBytes]byte
-		wrapped, err := sender.Encrypt(pk, secret.FillBytes(buf[:]))
+		wrapped, err := m.WrapTo(nil, pk, secret.FillBytes(buf[:]))
 		if err != nil {
 			return fmt.Errorf("abe: wrapping share for %q: %w", node.Attribute, err)
 		}
@@ -251,7 +260,7 @@ func shareTree(sender *pubkey.Sender, params *PublicParams, node *Policy, secret
 		return fmt.Errorf("abe: sharing at gate: %w", err)
 	}
 	for i, child := range node.Children {
-		if err := shareTree(sender, params, child, shares[i].Y, ct, nextIdx); err != nil {
+		if err := shareTree(m, params, child, shares[i].Y, ct, nextIdx); err != nil {
 			return err
 		}
 	}
@@ -317,7 +326,7 @@ func recoverTree(k *UserKey, node *Policy, ct *Ciphertext, nextIdx *uint32) (*bi
 		if !ok {
 			return nil, fmt.Errorf("%w: missing share %d", ErrBadPolicy, idx)
 		}
-		raw, err := sk.Decrypt(wrapped)
+		raw, err := sk.Open(ct.Ephemeral, wrapped)
 		if err != nil {
 			// A wrap that no longer opens (e.g. the attribute was re-keyed
 			// after a revocation) counts as an unsatisfied leaf, so an OR

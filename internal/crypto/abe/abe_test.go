@@ -300,16 +300,20 @@ func TestShortShareWrapsFullWidth(t *testing.T) {
 		t.Fatalf("ParsePolicy: %v", err)
 	}
 	secret := new(big.Int).Lsh(big.NewInt(1), 247) // below 2^248: one leading zero byte
-	ct := &Ciphertext{Epoch: auth.PublicParams().Epoch, Policy: pol, Shares: make(map[uint32][]byte)}
+	m, err := pubkey.NewSender().NewMulti(1)
+	if err != nil {
+		t.Fatalf("NewMulti: %v", err)
+	}
+	ct := &Ciphertext{Epoch: auth.PublicParams().Epoch, Policy: pol, Ephemeral: m.Ephemeral(), Shares: make(map[uint32][]byte)}
 	var nextIdx uint32 = 1
-	if err := shareTree(pubkey.NewSender(), auth.PublicParams(), pol, secret, ct, &nextIdx); err != nil {
+	if err := shareTree(&m, auth.PublicParams(), pol, secret, ct, &nextIdx); err != nil {
 		t.Fatalf("shareTree: %v", err)
 	}
 	key, err := auth.IssueKey([]string{"relative"})
 	if err != nil {
 		t.Fatalf("IssueKey: %v", err)
 	}
-	raw, err := key.secrets["relative"].Decrypt(ct.Shares[1])
+	raw, err := key.secrets["relative"].Open(ct.Ephemeral, ct.Shares[1])
 	if err != nil {
 		t.Fatalf("unwrapping the share: %v", err)
 	}
@@ -396,7 +400,8 @@ func TestOversizedLeafShareOpens(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	ct := &Ciphertext{Epoch: params.Epoch, Policy: pol, Shares: map[uint32][]byte{1: share}, Body: body}
+	eph, wrap := share[:pubkey.EphemeralSize], share[pubkey.EphemeralSize:]
+	ct := &Ciphertext{Epoch: params.Epoch, Policy: pol, Ephemeral: eph, Shares: map[uint32][]byte{1: wrap}, Body: body}
 	userKey, err := auth.IssueKey([]string{"relative"})
 	if err != nil {
 		t.Fatalf("IssueKey: %v", err)

@@ -73,7 +73,11 @@ type KPCiphertext struct {
 	Epoch uint64
 	// Attributes is the public label set of the ciphertext.
 	Attributes []string
-	// Wraps maps attribute name to the ECIES-wrapped seed share.
+	// Ephemeral is the encryptor's ephemeral public key, which every wrap is
+	// under.
+	Ephemeral []byte
+	// Wraps maps attribute name to the wrapped seed (nonce, sealed seed,
+	// tag).
 	Wraps map[string][]byte
 	// Body is the AES-GCM payload under the seed-derived key.
 	Body []byte
@@ -81,7 +85,7 @@ type KPCiphertext struct {
 
 // Size returns the approximate serialized size in bytes.
 func (c *KPCiphertext) Size() int {
-	n := 8 + len(c.Body)
+	n := 8 + len(c.Body) + len(c.Ephemeral)
 	for attr, w := range c.Wraps {
 		n += len(attr) + len(w)
 	}
@@ -89,7 +93,8 @@ func (c *KPCiphertext) Size() int {
 }
 
 // EncryptKP encrypts plaintext labeled with the given attribute set, wrapping
-// the seed through the encryptor's sender context like Encrypt.
+// the seed as one pubkey.Multi of the encryptor's sender context like
+// Encrypt.
 func EncryptKP(sender *pubkey.Sender, params *PublicParams, attributes []string, plaintext []byte) (*KPCiphertext, error) {
 	if len(attributes) == 0 {
 		return nil, ErrEmptyPolicy
@@ -105,13 +110,17 @@ func EncryptKP(sender *pubkey.Sender, params *PublicParams, attributes []string,
 
 	var buf [fieldBytes]byte
 	seed.FillBytes(buf[:]) // full width, as shareTree wraps shares
+	m, err := sender.NewMulti(len(attrs))
+	if err != nil {
+		return nil, fmt.Errorf("abe: wrapping seed: %w", err)
+	}
 	wraps := make(map[string][]byte, len(attrs))
 	for _, attr := range attrs {
 		pk, ok := params.Attrs[attr]
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownAttr, attr)
 		}
-		wrapped, err := sender.Encrypt(pk, buf[:])
+		wrapped, err := m.WrapTo(nil, pk, buf[:])
 		if err != nil {
 			return nil, fmt.Errorf("abe: wrapping seed for %q: %w", attr, err)
 		}
@@ -126,7 +135,7 @@ func EncryptKP(sender *pubkey.Sender, params *PublicParams, attributes []string,
 	if err != nil {
 		return nil, fmt.Errorf("abe: sealing body: %w", err)
 	}
-	return &KPCiphertext{Epoch: params.Epoch, Attributes: attrs, Wraps: wraps, Body: body}, nil
+	return &KPCiphertext{Epoch: params.Epoch, Attributes: attrs, Ephemeral: m.Ephemeral(), Wraps: wraps, Body: body}, nil
 }
 
 // Decrypt recovers the plaintext when the ciphertext attribute set satisfies
@@ -153,7 +162,7 @@ func (k *KPKey) Decrypt(params *PublicParams, ct *KPCiphertext) ([]byte, error) 
 		if !ok {
 			continue
 		}
-		raw, err := sk.Decrypt(wrapped)
+		raw, err := sk.Open(ct.Ephemeral, wrapped)
 		if err != nil {
 			lastErr = err
 			continue

@@ -17,10 +17,13 @@
 // no interaction with the recipient, preserving the IBE usage model — and
 // issues private keys to authenticated identity owners (Extract). IBBE
 // ciphertexts wrap a session key per recipient through the broadcaster's
-// pubkey.Sender (one key agreement per recipient, then symmetric wraps), so
-// ciphertext size is O(recipients) rather than Delerablée's O(1);
-// EXPERIMENTS.md reports the measured growth and flags the deviation.
-// Recipient *removal* remains free, matching the survey's claim.
+// pubkey.Sender (one key agreement per recipient, then symmetric wraps). The
+// sender's ephemeral key travels once per broadcast, so each recipient adds
+// its identity and a 60-byte wrap (nonce, sealed key, tag): ciphertext size
+// is still O(recipients) rather than Delerablée's O(1), at about half the
+// per-recipient overhead of a full ECIES ciphertext each. EXPERIMENTS.md
+// reports the measured growth and flags the deviation. Recipient *removal*
+// remains free, matching the survey's claim.
 package ibe
 
 import (
@@ -160,8 +163,11 @@ type Broadcast struct {
 	// Recipients is the public recipient list, as in IBBE where the
 	// broadcaster "selects a group of identities".
 	Recipients []string
-	// WrappedKeys holds the per-recipient wrap of the session key, indexed
-	// like Recipients.
+	// Ephemeral is the broadcaster's ephemeral public key, which every wrap
+	// is under.
+	Ephemeral []byte
+	// WrappedKeys holds the per-recipient wrap of the session key (nonce,
+	// sealed key, tag), indexed like Recipients.
 	WrappedKeys [][]byte
 	// Body is the session-key-encrypted payload.
 	Body []byte
@@ -169,7 +175,7 @@ type Broadcast struct {
 
 // Size returns the approximate serialized size in bytes.
 func (b *Broadcast) Size() int {
-	n := len(b.Body)
+	n := len(b.Ephemeral) + len(b.Body)
 	for i, r := range b.Recipients {
 		n += len(r) + len(b.WrappedKeys[i])
 	}
@@ -177,12 +183,14 @@ func (b *Broadcast) Size() int {
 }
 
 // EncryptBroadcast encrypts plaintext to every listed identity. The wraps of
-// the session key go through the broadcaster's sender context, so only an
-// identity the sender has not wrapped to before costs a key agreement; the
-// PKG stays a directory and takes no part in the encryption. All wraps are
-// written into one buffer; each WrappedKeys entry is a view into it whose
-// capacity ends where the wrap does, so appending to one reallocates rather
-// than overwriting the next.
+// the session key are one pubkey.Multi of the broadcaster's sender context,
+// so only an identity the sender has not wrapped to before costs a key
+// agreement, and the ephemeral key is carried once; the PKG stays a directory
+// and takes no part in the encryption. All wraps are written into one
+// buffer; each WrappedKeys entry is a view into it whose capacity ends where
+// the wrap does, so appending to one reallocates rather than overwriting the
+// next. The broadcast keeps recipients as its Recipients, read-only: the
+// caller must not modify the slice afterwards.
 func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plaintext []byte) (*Broadcast, error) {
 	if len(recipients) == 0 {
 		return nil, ErrNoRecipients
@@ -191,7 +199,11 @@ func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plain
 	if err != nil {
 		return nil, fmt.Errorf("ibe: generating session key: %w", err)
 	}
-	buf := make([]byte, 0, len(recipients)*(pubkey.CiphertextOverhead()+len(session)))
+	m, err := sender.NewMulti(len(recipients))
+	if err != nil {
+		return nil, fmt.Errorf("ibe: wrapping session key: %w", err)
+	}
+	buf := make([]byte, 0, len(recipients)*(pubkey.WrapOverhead()+len(session)))
 	wraps := make([][]byte, len(recipients))
 	for i, id := range recipients {
 		pk, err := p.DirectoryLookup(id)
@@ -199,7 +211,7 @@ func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plain
 			return nil, err
 		}
 		start := len(buf)
-		if buf, err = sender.EncryptTo(buf, pk, session); err != nil {
+		if buf, err = m.WrapTo(buf, pk, session); err != nil {
 			return nil, fmt.Errorf("ibe: wrapping session key for %q: %w", id, err)
 		}
 		wraps[i] = buf[start:len(buf):len(buf)]
@@ -209,7 +221,8 @@ func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plain
 		return nil, fmt.Errorf("ibe: sealing broadcast body: %w", err)
 	}
 	return &Broadcast{
-		Recipients:  append([]string(nil), recipients...),
+		Recipients:  recipients,
+		Ephemeral:   m.Ephemeral(),
 		WrappedKeys: wraps,
 		Body:        body,
 	}, nil
@@ -233,7 +246,7 @@ func (k *IdentityKey) UnwrapSession(b *Broadcast) ([]byte, error) {
 	if idx < 0 {
 		return nil, ErrNotRecipient
 	}
-	session, err := k.pair.Decrypt(b.WrappedKeys[idx])
+	session, err := k.pair.Open(b.Ephemeral, b.WrappedKeys[idx])
 	if err != nil {
 		return nil, fmt.Errorf("ibe: unwrapping session key: %w", err)
 	}

@@ -2,6 +2,7 @@ package ibe
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -174,57 +175,110 @@ func TestBroadcastMalformed(t *testing.T) {
 	}
 }
 
-// TestBroadcastWrapsShareOneBuffer pins the wrap layout: one buffer of
-// len(recipients) wraps of CiphertextOverhead()+32 bytes, each WrappedKeys
-// entry a view whose capacity ends with it, so a caller appending to one
-// wrap changes neither the next wrap nor the body. Every member opens, with
-// its key pair's sender memo cold and then warm.
+// TestBroadcastWrapsShareOneBuffer pins the wrap layout at 8 and 64
+// recipients: the ephemeral key once, then one buffer of len(recipients)
+// wraps of WrapOverhead()+32 bytes, each WrappedKeys entry a view whose
+// capacity ends with it, so a caller appending to one wrap (or to the
+// ephemeral) changes neither the next wrap nor the body. Every member opens,
+// with its key pair's sender memo cold and then warm.
 func TestBroadcastWrapsShareOneBuffer(t *testing.T) {
+	for _, n := range []int{8, 64} {
+		pkg := newTestPKG(t)
+		recipients := make([]string, n)
+		for i := range recipients {
+			recipients[i] = fmt.Sprintf("m%d", i)
+		}
+		b, err := pkg.EncryptBroadcast(pubkey.NewSender(), recipients, []byte("many wraps"))
+		if err != nil {
+			t.Fatalf("EncryptBroadcast: %v", err)
+		}
+		if len(b.Ephemeral) != pubkey.EphemeralSize || cap(b.Ephemeral) != pubkey.EphemeralSize {
+			t.Fatalf("n=%d: ephemeral len %d cap %d, want both %d", n, len(b.Ephemeral), cap(b.Ephemeral), pubkey.EphemeralSize)
+		}
+		wrapLen := pubkey.WrapOverhead() + 32
+		size := len(b.Ephemeral) + len(b.Body)
+		for i, w := range b.WrappedKeys {
+			if len(w) != wrapLen || cap(w) != wrapLen {
+				t.Fatalf("n=%d: wrap %d: len %d cap %d, want both %d", n, i, len(w), cap(w), wrapLen)
+			}
+			if i > 0 && uintptr(unsafe.Pointer(unsafe.SliceData(w)))-uintptr(unsafe.Pointer(unsafe.SliceData(b.WrappedKeys[i-1]))) != uintptr(wrapLen) {
+				t.Fatalf("n=%d: wrap %d does not follow wrap %d in one buffer", n, i, i-1)
+			}
+			size += len(recipients[i]) + wrapLen
+		}
+		if b.Size() != size {
+			t.Fatalf("n=%d: Size() = %d, want %d", n, b.Size(), size)
+		}
+
+		snapshot := func() [][]byte {
+			out := [][]byte{bytes.Clone(b.Body), bytes.Clone(b.Ephemeral)}
+			for _, w := range b.WrappedKeys {
+				out = append(out, bytes.Clone(w))
+			}
+			return out
+		}
+		before := snapshot()
+		for _, f := range append([][]byte{b.Ephemeral}, b.WrappedKeys...) {
+			grown := append(f, 0xff, 0xff, 0xff)
+			grown[0] ^= 0xff // the grown copy is the caller's, not the broadcast's
+		}
+		if after := snapshot(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("n=%d: appending to a field changed another wrap or the body", n)
+		}
+
+		for _, phase := range []string{"cold", "warm"} {
+			for _, id := range recipients {
+				key, err := pkg.Extract(id)
+				if err != nil {
+					t.Fatalf("Extract(%s): %v", id, err)
+				}
+				if got, err := key.DecryptBroadcast(b); err != nil || string(got) != "many wraps" {
+					t.Fatalf("n=%d %s: %s read: %q, %v", n, phase, id, got, err)
+				}
+			}
+		}
+	}
+}
+
+// TestSwappedEphemeralFailsEveryWrap moves the ephemeral field from one
+// broadcast to another broadcast's wraps. Both senders' ephemerals are warm
+// in every recipient's memo, so the swap reaches the tag check on the memo-hit
+// path too: every wrap's tag fails.
+func TestSwappedEphemeralFailsEveryWrap(t *testing.T) {
 	pkg := newTestPKG(t)
 	recipients := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
-	b, err := pkg.EncryptBroadcast(pubkey.NewSender(), recipients, []byte("eight wraps"))
+	a, err := pkg.EncryptBroadcast(pubkey.NewSender(), recipients, []byte("from a"))
 	if err != nil {
 		t.Fatalf("EncryptBroadcast: %v", err)
 	}
-	wrapLen := pubkey.CiphertextOverhead() + 32
-	size := len(b.Body)
-	for i, w := range b.WrappedKeys {
-		if len(w) != wrapLen || cap(w) != wrapLen {
-			t.Fatalf("wrap %d: len %d cap %d, want both %d", i, len(w), cap(w), wrapLen)
-		}
-		if i > 0 && uintptr(unsafe.Pointer(unsafe.SliceData(w)))-uintptr(unsafe.Pointer(unsafe.SliceData(b.WrappedKeys[i-1]))) != uintptr(wrapLen) {
-			t.Fatalf("wrap %d does not follow wrap %d in one buffer", i, i-1)
-		}
-		size += len(recipients[i]) + wrapLen
+	b, err := pkg.EncryptBroadcast(pubkey.NewSender(), recipients, []byte("from b"))
+	if err != nil {
+		t.Fatalf("EncryptBroadcast: %v", err)
 	}
-	if b.Size() != size {
-		t.Fatalf("Size() = %d, want %d", b.Size(), size)
+	if bytes.Equal(a.Ephemeral, b.Ephemeral) {
+		t.Fatal("two senders share an ephemeral")
 	}
-
-	snapshot := func() [][]byte {
-		out := [][]byte{bytes.Clone(b.Body)}
-		for _, w := range b.WrappedKeys {
-			out = append(out, bytes.Clone(w))
-		}
-		return out
+	swapped := []*Broadcast{
+		{Recipients: recipients, Ephemeral: b.Ephemeral, WrappedKeys: a.WrappedKeys, Body: a.Body},
+		{Recipients: recipients, Ephemeral: a.Ephemeral, WrappedKeys: b.WrappedKeys, Body: b.Body},
 	}
-	before := snapshot()
-	for i := range b.WrappedKeys {
-		grown := append(b.WrappedKeys[i], 0xff, 0xff, 0xff)
-		grown[0] ^= 0xff // the grown copy is the caller's, not the broadcast's
-	}
-	if after := snapshot(); !reflect.DeepEqual(before, after) {
-		t.Fatal("appending to a wrap changed another wrap or the body")
-	}
-
 	for _, phase := range []string{"cold", "warm"} {
 		for _, id := range recipients {
 			key, err := pkg.Extract(id)
 			if err != nil {
 				t.Fatalf("Extract(%s): %v", id, err)
 			}
-			if got, err := key.DecryptBroadcast(b); err != nil || string(got) != "eight wraps" {
-				t.Fatalf("%s: %s read: %q, %v", phase, id, got, err)
+			for i, sw := range swapped {
+				if _, err := key.UnwrapSession(sw); err == nil {
+					t.Fatalf("%s: %s unwrapped swapped broadcast %d", phase, id, i)
+				}
+			}
+			if phase == "cold" { // warm both ephemerals for the second pass
+				for _, orig := range []*Broadcast{a, b} {
+					if _, err := key.DecryptBroadcast(orig); err != nil {
+						t.Fatalf("%s: %s on an untouched broadcast: %v", phase, id, err)
+					}
+				}
 			}
 		}
 	}

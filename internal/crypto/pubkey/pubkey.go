@@ -101,32 +101,52 @@ func Encrypt(pk *EncryptionPublicKey, plaintext []byte) ([]byte, error) {
 	return NewSender().Encrypt(pk, plaintext)
 }
 
-// ephPubLen is the length of an uncompressed P-256 point encoding.
-const ephPubLen = 65
+// EphemeralSize is the length of the ephemeral public key every ciphertext
+// carries: an uncompressed P-256 point. A multi-recipient ciphertext carries
+// it once for all its wraps.
+const EphemeralSize = 65
 
-// Decrypt reverses Encrypt (one-shot or through a Sender) using the private
-// key. The first ciphertext from a sender ephemeral key pays the ECDH; once
-// it has authenticated, later ones from that key are one AES-GCM open.
+// WrapOverhead is what one wrap adds to its plaintext: the nonce and the
+// tag. A wrap is nonce || sealed payload || tag.
+func WrapOverhead() int { return symmetric.Overhead() }
+
+// CiphertextOverhead is the ciphertext expansion of Encrypt in bytes: the
+// ephemeral public key and one wrap's overhead.
+func CiphertextOverhead() int { return EphemeralSize + WrapOverhead() }
+
+// Decrypt reverses Encrypt (one-shot or through a Sender): Open on the
+// ciphertext's ephemeral public key and the wrap that follows it.
 func (kp *EncryptionKeyPair) Decrypt(ciphertext []byte) ([]byte, error) {
-	if len(ciphertext) < ephPubLen {
+	if len(ciphertext) < EphemeralSize {
 		return nil, ErrCiphertextFormat
 	}
-	ephBytes, sealed := ciphertext[:ephPubLen], ciphertext[ephPubLen:]
-	from := pointOf(ephBytes)
+	return kp.Open(ciphertext[:EphemeralSize], ciphertext[EphemeralSize:])
+}
+
+// Open opens this key pair's wrap under a sender ephemeral public key — one
+// wrap of a multi-recipient ciphertext (Multi), or the two halves of a
+// single-recipient one. The lengths are checked before any key agreement. The
+// first wrap under an ephemeral key pays the ECDH; once it has authenticated,
+// later ones under that key are one AES-GCM open.
+func (kp *EncryptionKeyPair) Open(ephemeral, wrap []byte) ([]byte, error) {
+	if len(ephemeral) != EphemeralSize || len(wrap) < WrapOverhead() {
+		return nil, ErrCiphertextFormat
+	}
+	from := pointOf(ephemeral)
 	kp.mu.Lock()
 	opener, known := kp.memo[from]
 	kp.mu.Unlock()
 	if !known {
-		ephPub, err := ecdh.P256().NewPublicKey(ephBytes)
+		ephPub, err := ecdh.P256().NewPublicKey(ephemeral)
 		if err != nil {
 			return nil, fmt.Errorf("pubkey: parsing ephemeral key: %w", err)
 		}
-		opener, err = agree(kp.private, ephPub, ephBytes, kp.private.PublicKey().Bytes())
+		opener, err = agree(kp.private, ephPub, ephemeral, kp.private.PublicKey().Bytes())
 		if err != nil {
 			return nil, err
 		}
 	}
-	plaintext, err := opener.Open(sealed, ephBytes)
+	plaintext, err := opener.Open(wrap, ephemeral)
 	if err != nil {
 		return nil, fmt.Errorf("pubkey: opening payload: %w", err)
 	}
@@ -142,9 +162,6 @@ func (kp *EncryptionKeyPair) Decrypt(ciphertext []byte) ([]byte, error) {
 	}
 	return plaintext, nil
 }
-
-// CiphertextOverhead is the ciphertext expansion of Encrypt in bytes.
-func CiphertextOverhead() int { return ephPubLen + symmetric.Overhead() }
 
 // SigningKeyPair holds an Ed25519 keypair for digital signatures.
 type SigningKeyPair struct {

@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -40,7 +41,7 @@ func memoLen(kp *EncryptionKeyPair) int {
 func tableLen(s *Sender) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.table)
+	return len(s.cur.table)
 }
 
 // referenceDecrypt opens a ciphertext from the documented wire layout with
@@ -105,43 +106,46 @@ func TestSenderRoundTripAndLayout(t *testing.T) {
 	}
 }
 
-// TestEncryptTo appends a wrap after bytes already in dst, with and without
-// spare capacity: those bytes stay as they were, the appended wrap opens with
-// Decrypt, and Encrypt's own result is exactly one wrap long.
-func TestEncryptTo(t *testing.T) {
+// TestWrapToAppends appends a wrap after bytes already in dst, with and
+// without spare capacity: those bytes stay as they were, the appended wrap
+// opens with Open, and Encrypt's own result is exactly one ciphertext long.
+func TestWrapToAppends(t *testing.T) {
 	kp, s := newTestKeyPair(t), NewSender()
 	pt := []byte("session key")
 	prefix := []byte("already here")
-	for _, spare := range []int{0, CiphertextOverhead() + len(pt), 1000} {
+	for _, spare := range []int{0, WrapOverhead() + len(pt), 1000} {
 		dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
-		out, err := s.EncryptTo(dst, kp.Public(), pt)
+		m, err := s.NewMulti(1)
 		if err != nil {
-			t.Fatalf("spare %d: EncryptTo: %v", spare, err)
+			t.Fatalf("spare %d: NewMulti: %v", spare, err)
+		}
+		out, err := m.WrapTo(dst, kp.Public(), pt)
+		if err != nil {
+			t.Fatalf("spare %d: WrapTo: %v", spare, err)
 		}
 		if !bytes.Equal(dst, prefix) || !bytes.Equal(out[:len(prefix)], prefix) {
-			t.Fatalf("spare %d: EncryptTo changed the bytes already in dst", spare)
+			t.Fatalf("spare %d: WrapTo changed the bytes already in dst", spare)
 		}
-		if len(out) != len(prefix)+CiphertextOverhead()+len(pt) {
-			t.Fatalf("spare %d: appended %d bytes, want %d", spare, len(out)-len(prefix), CiphertextOverhead()+len(pt))
+		if len(out) != len(prefix)+WrapOverhead()+len(pt) {
+			t.Fatalf("spare %d: appended %d bytes, want %d", spare, len(out)-len(prefix), WrapOverhead()+len(pt))
 		}
-		if got, err := kp.Decrypt(out[len(prefix):]); err != nil || !bytes.Equal(got, pt) {
-			t.Fatalf("spare %d: Decrypt = %q, %v", spare, got, err)
+		if got, err := kp.Open(m.Ephemeral(), out[len(prefix):]); err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("spare %d: Open = %q, %v", spare, got, err)
 		}
 	}
 	ct := mustEncrypt(t, s, kp, pt)
 	if want := CiphertextOverhead() + len(pt); len(ct) != want || cap(ct) != want {
 		t.Fatalf("Encrypt: len %d cap %d, want both %d", len(ct), cap(ct), want)
 	}
-	if _, err := s.EncryptTo(nil, nil, pt); err != ErrNilKey {
-		t.Fatalf("EncryptTo to a nil key: %v", err)
+	if _, err := s.Encrypt(nil, pt); err != ErrNilKey {
+		t.Fatalf("Encrypt to a nil key: %v", err)
 	}
-	buf := make([]byte, 0, CiphertextOverhead()+len(pt))
-	if got := testing.AllocsPerRun(100, func() {
-		if _, err := s.EncryptTo(buf[:0], kp.Public(), pt); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Fatalf("warm EncryptTo with room in dst: %v allocs/op, want 0", got)
+	m, err := s.NewMulti(1)
+	if err != nil {
+		t.Fatalf("NewMulti: %v", err)
+	}
+	if _, err := m.WrapTo(nil, nil, pt); err != ErrNilKey {
+		t.Fatalf("WrapTo to a nil key: %v", err)
 	}
 }
 
@@ -344,6 +348,110 @@ func TestSenderForget(t *testing.T) {
 	}
 }
 
+// TestMultiRoundTripAndLayout: a multi-recipient ciphertext carries one
+// 65-byte ephemeral and, per recipient, a wrap of nonce || sealed payload ||
+// tag. Every recipient opens its own wrap through Open, cold and warm; the
+// ephemeral followed by a wrap is exactly a single-recipient ciphertext.
+func TestMultiRoundTripAndLayout(t *testing.T) {
+	for _, n := range []int{1, 8, 64} {
+		s := NewSender()
+		recipients := make([]*EncryptionKeyPair, n)
+		for i := range recipients {
+			recipients[i] = newTestKeyPair(t)
+		}
+		pt := bytes.Repeat([]byte("k"), 32)
+		m, err := s.NewMulti(n)
+		if err != nil {
+			t.Fatalf("NewMulti(%d): %v", n, err)
+		}
+		wraps := make([][]byte, n)
+		for i, r := range recipients {
+			if wraps[i], err = m.WrapTo(nil, r.Public(), pt); err != nil {
+				t.Fatalf("n=%d: WrapTo %d: %v", n, i, err)
+			}
+			if len(wraps[i]) != WrapOverhead()+len(pt) || WrapOverhead() != 12+16 {
+				t.Fatalf("n=%d: wrap %d is %d bytes for %d of plaintext", n, i, len(wraps[i]), len(pt))
+			}
+		}
+		if _, err := m.WrapTo(nil, recipients[0].Public(), pt); err == nil {
+			t.Fatalf("n=%d: a wrap past the reserved count was made", n)
+		}
+		eph := m.Ephemeral()
+		if len(eph) != EphemeralSize || eph[0] != 4 {
+			t.Fatalf("n=%d: ephemeral of %d bytes, lead byte %d", n, len(eph), eph[0])
+		}
+		for _, phase := range []string{"cold", "warm"} {
+			for i, r := range recipients {
+				if got, err := r.Open(eph, wraps[i]); err != nil || !bytes.Equal(got, pt) {
+					t.Fatalf("n=%d %s: recipient %d: %q, %v", n, phase, i, got, err)
+				}
+			}
+		}
+		joined := append(bytes.Clone(eph), wraps[n-1]...)
+		if got := referenceDecrypt(t, recipients[n-1].PrivateBytes(), joined); !bytes.Equal(got, pt) {
+			t.Fatalf("n=%d: reference decrypt of ephemeral || wrap mismatch", n)
+		}
+		if got := s.Agreements(); got != uint64(n) {
+			t.Fatalf("n=%d: %d agreements, want one per recipient", n, got)
+		}
+	}
+	if _, err := NewSender().NewMulti(0); err == nil {
+		t.Fatal("NewMulti(0) reserved a ciphertext of no wraps")
+	}
+}
+
+// TestMultiKeepsOneEphemeralPerCiphertext lowers the seal budget so that
+// per-wrap accounting would replace the ephemeral in the middle of a
+// ciphertext: each ciphertext still has one ephemeral, every wrap opens under
+// it, and the replacements fall between ciphertexts.
+func TestMultiKeepsOneEphemeralPerCiphertext(t *testing.T) {
+	s := NewSender()
+	s.budget = 5
+	recipients := make([]*EncryptionKeyPair, 8)
+	for i := range recipients {
+		recipients[i] = newTestKeyPair(t)
+	}
+	pt := []byte("session key")
+	var ephemerals []string
+	for _, n := range []int{3, 3, 8, 2, 2, 1, 1} {
+		m, err := s.NewMulti(n)
+		if err != nil {
+			t.Fatalf("NewMulti(%d): %v", n, err)
+		}
+		eph := bytes.Clone(m.Ephemeral())
+		for i, r := range recipients[:n] {
+			wrap, err := m.WrapTo(nil, r.Public(), pt)
+			if err != nil {
+				t.Fatalf("%d wraps: WrapTo %d: %v", n, i, err)
+			}
+			if !bytes.Equal(m.Ephemeral(), eph) {
+				t.Fatalf("%d wraps: the ephemeral changed at wrap %d", n, i)
+			}
+			if got, err := r.Open(eph, wrap); err != nil || !bytes.Equal(got, pt) {
+				t.Fatalf("%d wraps: recipient %d: %q, %v", n, i, got, err)
+			}
+		}
+		ephemerals = append(ephemerals, string(eph))
+	}
+	// 3 | 3 (would pass 5) | 8 (over the budget: alone) | 2+2+1 | 1.
+	if got, want := distinct(ephemerals), []int{0, 1, 2, 3, 3, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("ephemerals by ciphertext %v, want %v", got, want)
+	}
+}
+
+// distinct numbers each ephemeral by first appearance.
+func distinct(ephemerals []string) []int {
+	seen := map[string]int{}
+	out := make([]int, len(ephemerals))
+	for i, e := range ephemerals {
+		if _, ok := seen[e]; !ok {
+			seen[e] = len(seen)
+		}
+		out[i] = seen[e]
+	}
+	return out
+}
+
 const hammerGoroutines = 10
 
 // TestSenderHammer drives one Sender from ten goroutines, half wrapping to
@@ -371,6 +479,24 @@ func TestSenderHammer(t *testing.T) {
 				if got, err := kp.Decrypt(ct); err != nil || !bytes.Equal(got, pt) {
 					t.Errorf("g%d: Decrypt = %q, %v", g, got, err)
 					return
+				}
+				// A two-wrap ciphertext, to this goroutine's recipient and the
+				// shared one, may outlive its ephemeral's replacement.
+				m, err := s.NewMulti(2)
+				if err != nil {
+					t.Errorf("g%d: NewMulti: %v", g, err)
+					return
+				}
+				for _, r := range []*EncryptionKeyPair{kp, shared} {
+					wrap, err := m.WrapTo(nil, r.Public(), pt)
+					if err != nil {
+						t.Errorf("g%d: WrapTo: %v", g, err)
+						return
+					}
+					if got, err := r.Open(m.Ephemeral(), wrap); err != nil || !bytes.Equal(got, pt) {
+						t.Errorf("g%d: Open = %q, %v", g, got, err)
+						return
+					}
 				}
 				if g == 0 && i%10 == 0 {
 					s.Forget(shared.Public())
@@ -437,12 +563,29 @@ func FuzzDecrypt(f *testing.F) {
 		f.Fatalf("warming Decrypt: %v", err)
 	}
 	f.Add(warm)
+	f.Add(append([]byte{65}, warm...)) // split form: the same wrap, cut after its ephemeral
+	f.Add(append([]byte{64}, warm...)) // split form: a 64-byte ephemeral
 	f.Add(warm[:65])
 	f.Add(warm[:65+12])
 	f.Add(append(append([]byte(nil), warm[:65]...), bytes.Repeat([]byte{0}, 28)...))
 	f.Add(append([]byte{4}, bytes.Repeat([]byte{0xff}, 100)...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The split form first: the leading byte says where the ephemeral
+		// ends, so Open meets ephemerals and wraps of every length.
+		if len(data) > 0 {
+			cut := min(int(data[0]), len(data)-1)
+			eph, wrap := data[1:1+cut], data[1+cut:]
+			if pt, err := kp.Open(eph, wrap); err == nil {
+				if len(eph) != EphemeralSize {
+					t.Fatalf("Open accepted a %d-byte ephemeral", len(eph))
+				}
+				joined := append(bytes.Clone(eph), wrap...)
+				if ref := referenceDecrypt(t, fuzzPrivate, joined); !bytes.Equal(ref, pt) {
+					t.Fatalf("Open opened %q, reference %q", pt, ref)
+				}
+			}
+		}
 		pt, err := kp.Decrypt(data)
 		if err != nil {
 			return
@@ -477,6 +620,22 @@ func TestWarmPathAllocations(t *testing.T) {
 		}
 	}); got != 1 {
 		t.Fatalf("memo-hit Decrypt: %v allocs/op, want 1", got)
+	}
+	// A multi-recipient ciphertext's wraps with room in dst: none.
+	buf := make([]byte, 0, 2*(WrapOverhead()+len(pt)))
+	if got := testing.AllocsPerRun(200, func() {
+		m, err := s.NewMulti(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := buf[:0]
+		for i := 0; i < 2; i++ {
+			if out, err = m.WrapTo(out, pk, pt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); got != 0 {
+		t.Fatalf("warm Multi of two wraps: %v allocs/op, want 0", got)
 	}
 }
 

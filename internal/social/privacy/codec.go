@@ -9,6 +9,7 @@ import (
 
 	"godosn/internal/crypto/abe"
 	"godosn/internal/crypto/ibe"
+	"godosn/internal/crypto/pubkey"
 )
 
 // This file implements the wire codec for envelopes: what a DOSN actually
@@ -20,11 +21,15 @@ import (
 // Both directions cost a constant number of allocations per envelope, not
 // one per field: Marshal sizes its output first and writes into one buffer,
 // Unmarshal hands out views of its input and copies only the strings.
+//
+// Version 2 writes the sender's ephemeral key once per ABE, KP-ABE and IBBE
+// payload, ahead of wraps that are each nonce, sealed key and tag; version 1
+// repeated it in every wrap and is refused.
 
 // codec framing constants.
 const (
 	codecMagic   = "gdsn"
-	codecVersion = byte(1)
+	codecVersion = byte(2)
 	// headerSize is magic, version, two length prefixes (scheme, group), the
 	// epoch and the payload tag — the fixed part of every envelope.
 	headerSize = len(codecMagic) + 1 + 4 + 4 + 8 + 1
@@ -78,6 +83,7 @@ func Marshal(env Envelope) ([]byte, error) {
 		buf = append(buf, tagABE)
 		buf = binary.BigEndian.AppendUint64(buf, p.Epoch)
 		buf = appendField(buf, policy)
+		buf = appendField(buf, p.Ephemeral)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Shares)))
 		// Policies have a handful of leaves; their indices sort on the stack.
 		var few [16]uint32
@@ -98,10 +104,12 @@ func Marshal(env Envelope) ([]byte, error) {
 		for _, a := range p.Attributes {
 			buf = appendField(buf, a)
 		}
+		buf = appendField(buf, p.Ephemeral)
 		buf = appendWraps(buf, p.Wraps)
 		buf = appendField(buf, p.Body)
 	case *ibe.Broadcast:
 		buf = append(buf, tagIBBE)
+		buf = appendField(buf, p.Ephemeral)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Recipients)))
 		for i, r := range p.Recipients {
 			buf = appendField(buf, r)
@@ -125,13 +133,13 @@ func payloadSize(payload any, policy string) (int, error) {
 	case pkPayload:
 		return wrapsSize(p.wraps) + 4 + len(p.body), nil
 	case *abe.Ciphertext:
-		n := 8 + 4 + len(policy) + 4 + 4 + len(p.Body)
+		n := 8 + 4 + len(policy) + 4 + len(p.Ephemeral) + 4 + 4 + len(p.Body)
 		for _, s := range p.Shares {
 			n += 8 + len(s)
 		}
 		return n, nil
 	case *abe.KPCiphertext:
-		n := 8 + 4 + wrapsSize(p.Wraps) + 4 + len(p.Body)
+		n := 8 + 4 + 4 + len(p.Ephemeral) + wrapsSize(p.Wraps) + 4 + len(p.Body)
 		for _, a := range p.Attributes {
 			n += 4 + len(a)
 		}
@@ -140,7 +148,7 @@ func payloadSize(payload any, policy string) (int, error) {
 		if len(p.Recipients) != len(p.WrappedKeys) {
 			return 0, fmt.Errorf("%w: inconsistent broadcast", ErrCodec)
 		}
-		n := 4 + 4 + len(p.Body)
+		n := 4 + len(p.Ephemeral) + 4 + 4 + len(p.Body)
 		for i, r := range p.Recipients {
 			n += 8 + len(r) + len(p.WrappedKeys[i])
 		}
@@ -224,11 +232,12 @@ func Unmarshal(data []byte) (Envelope, error) {
 			return Envelope{}, fmt.Errorf("%w: policy: %v", ErrCodec, err)
 		}
 		ct.Policy = policy
+		ct.Ephemeral = r.ephemeral()
 		n := r.count(minWrap)
 		ct.Shares = make(map[uint32][]byte, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			idx := r.uint32()
-			ct.Shares[idx] = r.bytes()
+			ct.Shares[idx] = r.wrap()
 		}
 		ct.Body = r.bytes()
 		env.Payload = ct
@@ -239,15 +248,17 @@ func Unmarshal(data []byte) (Envelope, error) {
 		for i := 0; i < n && r.err == nil; i++ {
 			ct.Attributes = append(ct.Attributes, r.str())
 		}
+		ct.Ephemeral = r.ephemeral()
 		ct.Wraps = r.wraps()
 		ct.Body = r.bytes()
 		env.Payload = ct
 	case tagIBBE:
+		eph := r.ephemeral()
 		n := r.count(minWrap)
-		b := &ibe.Broadcast{Recipients: make([]string, 0, n), WrappedKeys: make([][]byte, 0, n)}
+		b := &ibe.Broadcast{Recipients: make([]string, 0, n), Ephemeral: eph, WrappedKeys: make([][]byte, 0, n)}
 		for i := 0; i < n && r.err == nil; i++ {
 			b.Recipients = append(b.Recipients, r.str())
-			b.WrappedKeys = append(b.WrappedKeys, r.bytes())
+			b.WrappedKeys = append(b.WrappedKeys, r.wrap())
 		}
 		b.Body = r.bytes()
 		env.Payload = b
@@ -327,6 +338,26 @@ func (r *reader) count(minElem int) int {
 
 func (r *reader) bytes() []byte { return r.take(r.count(1)) }
 
+// ephemeral reads a sender's ephemeral public key, which must be exactly
+// one P-256 point long: anything else is refused here, before a reader runs
+// a key agreement on it.
+func (r *reader) ephemeral() []byte {
+	b := r.bytes()
+	if r.err == nil && len(b) != pubkey.EphemeralSize {
+		r.err = fmt.Errorf("%w: %d-byte ephemeral key", ErrCodec, len(b))
+	}
+	return b
+}
+
+// wrap reads a wrapped key, which holds at least a nonce and a tag.
+func (r *reader) wrap() []byte {
+	b := r.bytes()
+	if r.err == nil && len(b) < pubkey.WrapOverhead() {
+		r.err = fmt.Errorf("%w: %d-byte wrap", ErrCodec, len(b))
+	}
+	return b
+}
+
 // str copies the next field into the shared builder and returns that part
 // of it. A builder that has to grow leaves earlier strings on its old
 // buffer, which stays valid.
@@ -354,7 +385,7 @@ func (r *reader) wraps() map[string][]byte {
 	m := make(map[string][]byte, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		name := r.str()
-		m[name] = r.bytes()
+		m[name] = r.wrap()
 	}
 	return m
 }
@@ -380,6 +411,9 @@ func nameBytes(buf []byte) int {
 		for n := r.count(minName); n > 0; n-- {
 			total += len(r.bytes())
 		}
+		r.bytes() // ephemeral
+	case tagIBBE:
+		r.bytes() // ephemeral
 	}
 	if tag == tagPK || tag == tagKPABE || tag == tagIBBE {
 		for n := r.count(minWrap); n > 0; n-- {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -224,11 +225,11 @@ func byteFields(env Envelope) [][]byte {
 	case pkPayload:
 		return append(sortedValues(p.wraps), p.body)
 	case *abe.Ciphertext:
-		return append(sortedValues(p.Shares), p.Body)
+		return append(sortedValues(p.Shares), p.Ephemeral, p.Body)
 	case *abe.KPCiphertext:
-		return append(sortedValues(p.Wraps), p.Body)
+		return append(sortedValues(p.Wraps), p.Ephemeral, p.Body)
 	case *ibe.Broadcast:
-		return append(slices.Clone(p.WrappedKeys), p.Body)
+		return append(slices.Clone(p.WrappedKeys), p.Ephemeral, p.Body)
 	}
 	return nil
 }
@@ -383,11 +384,14 @@ func TestUnmarshalOwnership(t *testing.T) {
 }
 
 // hostileHeader is a well-formed envelope up to its payload tag; hostile28 is
-// the 28-byte envelope whose public-key payload declares 2^26 wraps and ends.
+// the 28-byte envelope whose public-key payload declares 2^26 wraps and ends;
+// eph is a well-formed ephemeral-key field.
 const (
-	hostileHeader = codecMagic + "\x01" + "\x00\x00\x00\x01x" + "\x00\x00\x00\x01g" + "\x00\x00\x00\x00\x00\x00\x00\x00"
+	hostileHeader = codecMagic + "\x02" + "\x00\x00\x00\x01x" + "\x00\x00\x00\x01g" + "\x00\x00\x00\x00\x00\x00\x00\x00"
 	hostile28     = hostileHeader + "\x03" + "\x04\x00\x00\x00"
 )
+
+var eph = "\x00\x00\x00\x41" + "\x04" + strings.Repeat("\x01", 64)
 
 // TestUnmarshalHostileCounts feeds every counted list a declared length the
 // remaining bytes cannot hold. Envelope bytes arrive from untrusted replicas,
@@ -397,14 +401,15 @@ func TestUnmarshalHostileCounts(t *testing.T) {
 	cases := map[string]string{
 		"pk wraps 2^26":        hostile28,
 		"pk wraps 2^32-1":      hostileHeader + "\x03" + max,
-		"abe shares":           hostileHeader + "\x04" + epoch + "\x00\x00\x00\x01a" + max,
+		"abe shares":           hostileHeader + "\x04" + epoch + "\x00\x00\x00\x01a" + eph + max,
 		"kpabe attributes":     hostileHeader + "\x05" + epoch + max,
-		"kpabe wraps":          hostileHeader + "\x05" + epoch + "\x00\x00\x00\x00" + max,
-		"ibbe recipients":      hostileHeader + "\x06" + max,
-		"ibbe one short":       hostileHeader + "\x06" + "\x00\x00\x00\x02" + epoch + "\x00\x00\x00\x00",
+		"kpabe wraps":          hostileHeader + "\x05" + epoch + "\x00\x00\x00\x00" + eph + max,
+		"ibbe recipients":      hostileHeader + "\x06" + eph + max,
+		"ibbe one short":       hostileHeader + "\x06" + eph + "\x00\x00\x00\x02" + epoch + "\x00\x00\x00\x00",
+		"ephemeral 2^32-1":     hostileHeader + "\x06" + max,
 		"bytes field 2^32-1":   hostileHeader + "\x01" + max,
-		"group name past end":  codecMagic + "\x01" + "\x00\x00\x00\x00" + "\x7f\xff\xff\xff",
-		"scheme name past end": codecMagic + "\x01" + max,
+		"group name past end":  codecMagic + "\x02" + "\x00\x00\x00\x00" + "\x7f\xff\xff\xff",
+		"scheme name past end": codecMagic + "\x02" + max,
 	}
 	if len(hostile28) != 28 {
 		t.Fatalf("regression input is %d bytes, want 28", len(hostile28))
@@ -423,6 +428,59 @@ func TestUnmarshalHostileCounts(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRefusesMalformedWraps: an ephemeral key that is not exactly
+// one P-256 point, a wrap too short to hold a nonce and a tag, and a
+// version-1 envelope are each ErrCodec at decode, before any reader could
+// run a key agreement on them. The well-formed versions of the same bytes
+// decode.
+func TestUnmarshalRefusesMalformedWraps(t *testing.T) {
+	const epoch = "\x00\x00\x00\x00\x00\x00\x00\x00"
+	field := func(b string) string {
+		return string([]byte{byte(len(b) >> 24), byte(len(b) >> 16), byte(len(b) >> 8), byte(len(b))}) + b
+	}
+	point := "\x04" + strings.Repeat("\x01", 64)
+	wrap := strings.Repeat("\x02", 28) // nonce and tag of an empty payload
+	body := field("body")
+	ibbe := func(eph, w string) string {
+		return hostileHeader + "\x06" + field(eph) + "\x00\x00\x00\x01" + field("alice") + field(w) + body
+	}
+	cpabe := func(eph, w string) string {
+		return hostileHeader + "\x04" + epoch + field("member") + field(eph) + "\x00\x00\x00\x01" + "\x00\x00\x00\x01" + field(w) + body
+	}
+	kpabe := func(eph, w string) string {
+		return hostileHeader + "\x05" + epoch + "\x00\x00\x00\x01" + field("family") + field(eph) + "\x00\x00\x00\x01" + field("family") + field(w) + body
+	}
+	for name, build := range map[string]func(eph, w string) string{"ibbe": ibbe, "cp-abe": cpabe, "kp-abe": kpabe} {
+		if _, err := Unmarshal([]byte(build(point, wrap))); err != nil {
+			t.Fatalf("%s: well-formed payload: %v", name, err)
+		}
+		for bad, data := range map[string]string{
+			"64-byte ephemeral": build(point[:64], wrap),
+			"66-byte ephemeral": build(point+"\x00", wrap),
+			"empty ephemeral":   build("", wrap),
+			"27-byte wrap":      build(point, wrap[:27]),
+			"empty wrap":        build(point, ""),
+		} {
+			if _, err := Unmarshal([]byte(data)); !errors.Is(err, ErrCodec) {
+				t.Errorf("%s, %s: err = %v, want ErrCodec", name, bad, err)
+			}
+		}
+	}
+	for _, env := range hotEnvelopes(t) {
+		wire, err := Marshal(env)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", env.Scheme, err)
+		}
+		if wire[len(codecMagic)] != codecVersion || codecVersion != 2 {
+			t.Fatalf("%s: marshalled as version %d", env.Scheme, wire[len(codecMagic)])
+		}
+		wire[len(codecMagic)] = 1
+		if _, err := Unmarshal(wire); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: version-1 envelope: err = %v, want ErrCodec", env.Scheme, err)
+		}
+	}
+}
+
 func FuzzUnmarshal(f *testing.F) {
 	for _, env := range hotEnvelopes(f) {
 		if wire, err := Marshal(env); err == nil {
@@ -434,6 +492,13 @@ func FuzzUnmarshal(f *testing.F) {
 	env, _ := g.Encrypt([]byte("seed"))
 	if wire, err := Marshal(env); err == nil {
 		f.Add(wire)
+	}
+	kp, _ := newKPFixture(f)
+	kp.Grant("alice", "(family)")
+	if env, err := kp.EncryptLabeled([]string{"family", "photos"}, []byte("kp seed")); err == nil {
+		if wire, err := Marshal(env); err == nil {
+			f.Add(wire)
+		}
 	}
 	f.Add([]byte(codecMagic))
 	f.Add([]byte{})

@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"godosn/internal/crypto/abe"
@@ -146,7 +147,7 @@ func TestIBBERevokedReaderWithWarmContext(t *testing.T) {
 	// Not being listed is backed by the keys: bob's memo is warm for this
 	// sender's ephemeral, and still no listed member's wrap opens for him.
 	for i, id := range b.Recipients {
-		forged := &ibe.Broadcast{Recipients: []string{"bob"}, WrappedKeys: b.WrappedKeys[i : i+1], Body: b.Body}
+		forged := &ibe.Broadcast{Recipients: []string{"bob"}, Ephemeral: b.Ephemeral, WrappedKeys: b.WrappedKeys[i : i+1], Body: b.Body}
 		if _, err := bobKey.DecryptBroadcast(forged); err == nil {
 			t.Fatalf("revoked reader unwrapped %s's session key", id)
 		}
@@ -224,16 +225,17 @@ func TestABERevokedReaderWithWarmContext(t *testing.T) {
 }
 
 // TestContextEncryptAllocations pins what a post costs once the sender
-// context is warm: an IBBE post writes its 8 wraps into one buffer, the
-// payload key derivation allocates only the key, and the ABE group no longer
-// rebuilds the authority's attribute map.
+// context is warm: an IBBE post writes its 8 wraps into one buffer and shares
+// the group's sorted recipient list, the payload key derivation allocates
+// only the key, and the ABE group no longer rebuilds the authority's
+// attribute map.
 func TestContextEncryptAllocations(t *testing.T) {
 	names := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
 	for _, tc := range []struct {
 		g       Group
 		ceiling float64
 	}{
-		{buildIBBE(t), 10}, // session key, wrap buffer and its views, body, broadcast and envelope bookkeeping
+		{buildIBBE(t), 7}, // session key, wrap buffer and its views, body, broadcast and envelope bookkeeping
 		{buildABE(t), 17},
 	} {
 		for _, m := range names {
@@ -283,5 +285,63 @@ func TestABEColdOpenAllocations(t *testing.T) {
 		t.Fatalf("ABE cold open: %v allocs/op, ceiling 11", got)
 	} else {
 		t.Logf("ABE cold open: %v allocs/op", got)
+	}
+}
+
+// TestRevocationReportsPinned pins E2's revocation reports at its quick shape
+// (8 members, 10 prior posts, a join, then the first member's removal) and
+// one KP-ABE revocation. Where the wraps of a ciphertext go and how many
+// ephemeral keys carry them must not change what a removal re-keys,
+// re-encrypts or agrees.
+func TestRevocationReportsPinned(t *testing.T) {
+	names := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8"}
+	f := newFixture(t, names...)
+	for _, tc := range []struct {
+		g    Group
+		want RevocationReport
+	}{
+		{buildHybrid(t, f), RevocationReport{RekeyedMembers: 8, ReencryptedEnvelopes: 10}},
+		{buildABE(t), RevocationReport{RekeyedMembers: 8, ReencryptedEnvelopes: 10, PublicKeyOps: 1}},
+		{buildIBBE(t), RevocationReport{Free: true}},
+	} {
+		for _, m := range names[:8] {
+			if err := tc.g.Add(m); err != nil {
+				t.Fatalf("%s: Add(%s): %v", tc.g.Scheme(), m, err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := tc.g.Encrypt([]byte(fmt.Sprintf("post %d", i))); err != nil {
+				t.Fatalf("%s: Encrypt: %v", tc.g.Scheme(), err)
+			}
+		}
+		if err := tc.g.Add(names[8]); err != nil {
+			t.Fatalf("%s: Add(%s): %v", tc.g.Scheme(), names[8], err)
+		}
+		report, err := tc.g.Remove(names[0])
+		if err != nil {
+			t.Fatalf("%s: Remove: %v", tc.g.Scheme(), err)
+		}
+		if report != tc.want {
+			t.Errorf("%s: report %+v, want %+v", tc.g.Scheme(), report, tc.want)
+		}
+	}
+
+	kp, _ := newKPFixture(t)
+	for m, policy := range map[string]string{"alice": "(family)", "bob": "(family OR work)", "carol": "(work AND urgent)"} {
+		if err := kp.Grant(m, policy); err != nil {
+			t.Fatalf("Grant(%s): %v", m, err)
+		}
+	}
+	for i, labels := range [][]string{{"family"}, {"work", "urgent"}, {"family", "work", "urgent"}} {
+		if _, err := kp.EncryptLabeled(labels, []byte(fmt.Sprintf("post %d", i))); err != nil {
+			t.Fatalf("EncryptLabeled: %v", err)
+		}
+	}
+	report, err := kp.Revoke("bob")
+	if err != nil {
+		t.Fatalf("Revoke(bob): %v", err)
+	}
+	if want := (RevocationReport{RekeyedMembers: 2, ReencryptedEnvelopes: 3, PublicKeyOps: 2}); report != want {
+		t.Errorf("kp-abe: report %+v, want %+v", report, want)
 	}
 }

@@ -26,6 +26,10 @@ type IBBEGroup struct {
 	// the PKG, which stays a public directory.
 	sender  *pubkey.Sender
 	members memberSet
+	// recipients is members in sorted order, rebuilt (never written in
+	// place) by Add and Remove; every broadcast shares it read-only as its
+	// recipient list.
+	recipients []string
 	// keys caches each member's extracted identity key (conceptually held
 	// by the member after authenticating to the PKG).
 	keys    map[string]*ibe.IdentityKey
@@ -66,6 +70,7 @@ func (g *IBBEGroup) Add(member string) error {
 		return fmt.Errorf("privacy: extracting identity key for %q: %w", member, err)
 	}
 	g.keys[member] = key
+	g.recipients = g.members.sorted()
 	return nil
 }
 
@@ -78,6 +83,7 @@ func (g *IBBEGroup) Remove(member string) (RevocationReport, error) {
 		return RevocationReport{}, err
 	}
 	delete(g.keys, member)
+	g.recipients = g.members.sorted()
 	// The revocation itself is free, but the revoked member's memoized
 	// session keys must not survive it.
 	g.keyCache.BumpGeneration()
@@ -94,7 +100,7 @@ func (g *IBBEGroup) Encrypt(plaintext []byte) (Envelope, error) {
 	if g.members.len() == 0 {
 		return Envelope{}, ErrNoMembers
 	}
-	b, err := g.pkg.EncryptBroadcast(g.sender, g.members.sorted(), plaintext)
+	b, err := g.pkg.EncryptBroadcast(g.sender, g.recipients, plaintext)
 	if err != nil {
 		return Envelope{}, fmt.Errorf("privacy: IBBE broadcast for %q: %w", g.name, err)
 	}

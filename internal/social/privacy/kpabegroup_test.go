@@ -7,7 +7,7 @@ import (
 	"godosn/internal/crypto/abe"
 )
 
-func newKPFixture(t *testing.T) (*KPABEGroup, *fixture) {
+func newKPFixture(t testing.TB) (*KPABEGroup, *fixture) {
 	t.Helper()
 	f := newFixture(t, "alice", "bob", "carol", "eve")
 	auth, err := abe.NewAuthority()
