@@ -65,6 +65,10 @@ func main() {
 		if string(got) != invitation {
 			log.Fatalf("%s round trip mismatch", scheme)
 		}
+		wire, err := privacy.Marshal(env)
+		if err != nil {
+			log.Fatalf("%s marshal: %v", scheme, err)
+		}
 
 		// Revoke heidi and describe what it cost.
 		report, err := group.Remove("heidi")
@@ -77,7 +81,7 @@ func main() {
 		}
 		fmt.Printf("%-14s %-12s %-12s %-10d %-22s\n",
 			scheme, encCost.Round(time.Microsecond), decCost.Round(time.Microsecond),
-			env.Size(), revocation)
+			len(wire), revocation)
 	}
 
 	// The substitution scheme's special property: what outsiders see.

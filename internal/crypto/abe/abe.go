@@ -176,16 +176,6 @@ type Ciphertext struct {
 	Body []byte
 }
 
-// Size returns the total serialized size in bytes of the ciphertext,
-// approximating wire cost for the size experiments (E3).
-func (c *Ciphertext) Size() int {
-	n := 8 + len(c.Body) + len(c.Policy.String()) + len(c.Ephemeral)
-	for _, s := range c.Shares {
-		n += 4 + len(s)
-	}
-	return n
-}
-
 const seedContext = "godosn/abe/seed-v1"
 
 // Encrypt encrypts plaintext under the access policy using the public

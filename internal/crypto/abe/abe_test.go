@@ -3,6 +3,7 @@ package abe
 import (
 	"bytes"
 	"crypto/sha256"
+	"maps"
 	"math/big"
 	"testing"
 
@@ -179,25 +180,6 @@ func TestRevokedAttributeORBranchStillWorks(t *testing.T) {
 	}
 }
 
-func TestCiphertextSizeGrowsWithPolicy(t *testing.T) {
-	auth := newTestAuthority(t)
-	params := auth.PublicParams()
-	small, _ := ParsePolicy("relative")
-	big, _ := ParsePolicy("(relative AND doctor AND painter AND friend AND colleague)")
-	pt := []byte("same payload")
-	ctSmall, err := Encrypt(pubkey.NewSender(), params, small, pt)
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
-	ctBig, err := Encrypt(pubkey.NewSender(), params, big, pt)
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
-	if ctBig.Size() <= ctSmall.Size() {
-		t.Fatalf("ciphertext size did not grow with policy: %d vs %d", ctBig.Size(), ctSmall.Size())
-	}
-}
-
 func TestTamperedCiphertextFails(t *testing.T) {
 	auth := newTestAuthority(t)
 	pol, _ := ParsePolicy("relative")
@@ -328,9 +310,10 @@ func TestShortShareWrapsFullWidth(t *testing.T) {
 }
 
 // TestCiphertextSizeIsFixed: one policy and plaintext give one ciphertext
-// size, whatever the sampled seed and shares, in both ABE flavours. Shares
-// are uniform in the field, so about 1 in 256 has a leading zero byte; 200
-// encryptions of four shares each would meet one almost surely.
+// size, whatever the sampled seed and shares, in both ABE flavours: every
+// share and seed wrap has the same length each time. Shares are uniform in
+// the field, so about 1 in 256 has a leading zero byte; 200 encryptions of
+// four shares each would meet one almost surely.
 func TestCiphertextSizeIsFixed(t *testing.T) {
 	auth := newTestAuthority(t)
 	params := auth.PublicParams()
@@ -341,7 +324,8 @@ func TestCiphertextSizeIsFixed(t *testing.T) {
 	sender := pubkey.NewSender()
 	attrs := []string{"relative", "doctor", "painter", "friend"}
 	pt := []byte("same payload")
-	var cpSize, kpSize int
+	var cpLens map[uint32]int
+	var kpLens map[string]int
 	for i := 0; i < 200; i++ {
 		ct, err := Encrypt(sender, params, pol, pt)
 		if err != nil {
@@ -352,12 +336,20 @@ func TestCiphertextSizeIsFixed(t *testing.T) {
 			t.Fatalf("EncryptKP: %v", err)
 		}
 		if i == 0 {
-			cpSize, kpSize = ct.Size(), kct.Size()
+			cpLens, kpLens = wrapLens(ct.Shares), wrapLens(kct.Wraps)
 		}
-		if ct.Size() != cpSize || kct.Size() != kpSize {
-			t.Fatalf("encryption %d: sizes %d/%d, want %d/%d", i, ct.Size(), kct.Size(), cpSize, kpSize)
+		if !maps.Equal(wrapLens(ct.Shares), cpLens) || !maps.Equal(wrapLens(kct.Wraps), kpLens) {
+			t.Fatalf("encryption %d: wrap lengths %v/%v, want %v/%v", i, wrapLens(ct.Shares), wrapLens(kct.Wraps), cpLens, kpLens)
 		}
 	}
+}
+
+func wrapLens[K comparable](wraps map[K][]byte) map[K]int {
+	out := make(map[K]int, len(wraps))
+	for k, w := range wraps {
+		out[k] = len(w)
+	}
+	return out
 }
 
 // TestMinimalBytesMatchesBytes: the encoding seedToKey hashes is byte for

@@ -83,15 +83,6 @@ type KPCiphertext struct {
 	Body []byte
 }
 
-// Size returns the approximate serialized size in bytes.
-func (c *KPCiphertext) Size() int {
-	n := 8 + len(c.Body) + len(c.Ephemeral)
-	for attr, w := range c.Wraps {
-		n += len(attr) + len(w)
-	}
-	return n
-}
-
 // EncryptKP encrypts plaintext labeled with the given attribute set, wrapping
 // the seed as one pubkey.Multi of the encryptor's sender context like
 // Encrypt.

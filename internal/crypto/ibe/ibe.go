@@ -173,15 +173,6 @@ type Broadcast struct {
 	Body []byte
 }
 
-// Size returns the approximate serialized size in bytes.
-func (b *Broadcast) Size() int {
-	n := len(b.Ephemeral) + len(b.Body)
-	for i, r := range b.Recipients {
-		n += len(r) + len(b.WrappedKeys[i])
-	}
-	return n
-}
-
 // EncryptBroadcast encrypts plaintext to every listed identity. The wraps of
 // the session key are one pubkey.Multi of the broadcaster's sender context,
 // so only an identity the sender has not wrapped to before costs a key

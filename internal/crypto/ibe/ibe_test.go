@@ -142,19 +142,6 @@ func TestBroadcastRecipientRemovalIsFree(t *testing.T) {
 	}
 }
 
-func TestBroadcastSizeGrowsWithRecipients(t *testing.T) {
-	pkg := newTestPKG(t)
-	small, _ := pkg.EncryptBroadcast(pubkey.NewSender(), []string{"a"}, []byte("m"))
-	var many []string
-	for i := 0; i < 16; i++ {
-		many = append(many, string(rune('a'+i)))
-	}
-	large, _ := pkg.EncryptBroadcast(pubkey.NewSender(), many, []byte("m"))
-	if large.Size() <= small.Size() {
-		t.Fatal("broadcast size did not grow with recipient count")
-	}
-}
-
 func TestBroadcastEmptyRecipients(t *testing.T) {
 	pkg := newTestPKG(t)
 	if _, err := pkg.EncryptBroadcast(pubkey.NewSender(), nil, []byte("m")); err == nil {
@@ -196,7 +183,6 @@ func TestBroadcastWrapsShareOneBuffer(t *testing.T) {
 			t.Fatalf("n=%d: ephemeral len %d cap %d, want both %d", n, len(b.Ephemeral), cap(b.Ephemeral), pubkey.EphemeralSize)
 		}
 		wrapLen := pubkey.WrapOverhead() + 32
-		size := len(b.Ephemeral) + len(b.Body)
 		for i, w := range b.WrappedKeys {
 			if len(w) != wrapLen || cap(w) != wrapLen {
 				t.Fatalf("n=%d: wrap %d: len %d cap %d, want both %d", n, i, len(w), cap(w), wrapLen)
@@ -204,10 +190,6 @@ func TestBroadcastWrapsShareOneBuffer(t *testing.T) {
 			if i > 0 && uintptr(unsafe.Pointer(unsafe.SliceData(w)))-uintptr(unsafe.Pointer(unsafe.SliceData(b.WrappedKeys[i-1]))) != uintptr(wrapLen) {
 				t.Fatalf("n=%d: wrap %d does not follow wrap %d in one buffer", n, i, i-1)
 			}
-			size += len(recipients[i]) + wrapLen
-		}
-		if b.Size() != size {
-			t.Fatalf("n=%d: Size() = %d, want %d", n, b.Size(), size)
 		}
 
 		snapshot := func() [][]byte {

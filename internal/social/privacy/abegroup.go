@@ -23,24 +23,17 @@ import (
 // members holding them, and re-encrypts the archive. Experiment E2 measures
 // that overhead.
 type ABEGroup struct {
+	core
 	// envelopeKeyCache optionally memoizes each member's recovered payload
 	// key per ciphertext (SetKeyCache); Remove bumps its generation on rekey.
 	envelopeKeyCache
 
-	name string
 	abeEncryptor
-	policy  *abe.Policy
-	members memberSet
+	policy *abe.Policy
 	// attrs records each member's attribute set; keys are the issued
 	// decryption keys (held here in-process; conceptually each member's).
 	attrs map[string][]string
 	keys  map[string]*abe.UserKey
-
-	archive    []Envelope
-	plaintexts [][]byte
-	// workers bounds the rekey/re-encryption fan-out on Remove (0 = all
-	// CPUs, 1 = serial); see SetWorkers.
-	workers int
 }
 
 var _ Group = (*ABEGroup)(nil)
@@ -95,30 +88,16 @@ func NewABEGroup(name string, authority *abe.Authority, policyExpr string) (*ABE
 		}
 	}
 	return &ABEGroup{
-		name:         name,
+		core:         newCore(SchemeABE, name),
 		abeEncryptor: newABEEncryptor(authority),
 		policy:       policy,
-		members:      newMemberSet(),
 		attrs:        make(map[string][]string),
 		keys:         make(map[string]*abe.UserKey),
 	}, nil
 }
 
-// Scheme implements Group.
-func (g *ABEGroup) Scheme() Scheme { return SchemeABE }
-
-// Name implements Group.
-func (g *ABEGroup) Name() string { return g.name }
-
-// Members implements Group.
-func (g *ABEGroup) Members() []string { return g.members.sorted() }
-
 // Policy returns the group's access structure.
 func (g *ABEGroup) Policy() string { return g.policy.String() }
-
-// SetWorkers bounds the worker pool for Remove's key re-issue and archive
-// re-encryption: 0 (the default) uses all CPUs, 1 forces the serial path.
-func (g *ABEGroup) SetWorkers(n int) { g.workers = n }
 
 // Add implements Group: the member is issued a key for the full policy
 // attribute set. Use AddWithAttributes for finer-grained assignment.
@@ -129,7 +108,7 @@ func (g *ABEGroup) Add(member string) error {
 // AddWithAttributes admits a member with a specific attribute set, e.g.
 // assigning only ('relative', 'doctor') to Alice.
 func (g *ABEGroup) AddWithAttributes(member string, attributes ...string) error {
-	if g.members.has(member) {
+	if g.has(member) {
 		return fmt.Errorf("%w: %s", ErrAlreadyMember, member)
 	}
 	for _, a := range attributes {
@@ -141,7 +120,7 @@ func (g *ABEGroup) AddWithAttributes(member string, attributes ...string) error 
 	if err != nil {
 		return fmt.Errorf("privacy: issuing ABE key for %q: %w", member, err)
 	}
-	if err := g.members.add(member); err != nil {
+	if err := g.add(member); err != nil {
 		return err
 	}
 	g.attrs[member] = append([]string(nil), attributes...)
@@ -151,7 +130,7 @@ func (g *ABEGroup) AddWithAttributes(member string, attributes ...string) error 
 
 // Remove implements Group with the full ABE revocation workflow.
 func (g *ABEGroup) Remove(member string) (RevocationReport, error) {
-	if err := g.members.remove(member); err != nil {
+	if err := g.remove(member); err != nil {
 		return RevocationReport{}, err
 	}
 	revokedAttrs := g.attrs[member]
@@ -172,7 +151,7 @@ func (g *ABEGroup) Remove(member string) (RevocationReport, error) {
 		revoked[a] = true
 	}
 	var needsRekey []string
-	for _, m := range g.members.sorted() {
+	for _, m := range g.list() {
 		for _, a := range g.attrs[m] {
 			if revoked[a] {
 				needsRekey = append(needsRekey, m)
@@ -182,7 +161,7 @@ func (g *ABEGroup) Remove(member string) (RevocationReport, error) {
 	}
 	// The authority is safe for concurrent use, so re-issue the affected
 	// members' keys in parallel and merge on this goroutine.
-	keys, err := parallel.Map(g.workers, needsRekey, func(_ int, m string) (*abe.UserKey, error) {
+	keys, err := parallel.Map(0, needsRekey, func(_ int, m string) (*abe.UserKey, error) {
 		key, err := g.authority.IssueKey(g.attrs[m])
 		if err != nil {
 			return nil, fmt.Errorf("privacy: re-issuing key for %q: %w", m, err)
@@ -201,47 +180,30 @@ func (g *ABEGroup) Remove(member string) (RevocationReport, error) {
 	// paper calls "an extra overhead". The first wrap to each re-keyed
 	// parameter is a key agreement, the rest are symmetric.
 	params := g.params()
-	cts, err := parallel.Map(g.workers, g.plaintexts, func(_ int, pt []byte) (*abe.Ciphertext, error) {
-		ct, err := abe.Encrypt(g.sender, params, g.policy, pt)
+	n, err := g.reencrypt(0, func(i int, _ Envelope) (Envelope, error) {
+		ct, err := abe.Encrypt(g.sender, params, g.policy, g.plaintexts[i])
 		if err != nil {
-			return nil, fmt.Errorf("privacy: re-encrypting archive: %w", err)
+			return Envelope{}, fmt.Errorf("privacy: re-encrypting archive: %w", err)
 		}
-		return ct, nil
+		return g.envelope(ct.Epoch, ct), nil
 	})
-	if err != nil {
-		return report, err
-	}
-	for i, ct := range cts {
-		g.archive[i] = g.wrap(ct)
-	}
-	report.ReencryptedEnvelopes = len(cts)
+	report.ReencryptedEnvelopes = n
 	report.PublicKeyOps = int(g.sender.Agreements() - agreed)
-	return report, nil
-}
-
-func (g *ABEGroup) wrap(ct *abe.Ciphertext) Envelope {
-	return Envelope{
-		Scheme:   SchemeABE,
-		Group:    g.name,
-		Epoch:    ct.Epoch,
-		Payload:  ct,
-		WireSize: ct.Size(),
-	}
+	return report, err
 }
 
 // Encrypt implements Group: one ABE encryption regardless of member count
 // ("a single encryption operation to construct a new group").
 func (g *ABEGroup) Encrypt(plaintext []byte) (Envelope, error) {
-	if g.members.len() == 0 {
+	if len(g.members) == 0 {
 		return Envelope{}, ErrNoMembers
 	}
 	ct, err := abe.Encrypt(g.sender, g.params(), g.policy, plaintext)
 	if err != nil {
 		return Envelope{}, fmt.Errorf("privacy: ABE encrypting for %q: %w", g.name, err)
 	}
-	env := g.wrap(ct)
-	g.archive = append(g.archive, env)
-	g.plaintexts = append(g.plaintexts, append([]byte(nil), plaintext...))
+	env := g.envelope(ct.Epoch, ct)
+	g.retain(env, plaintext)
 	return env, nil
 }
 
@@ -251,7 +213,7 @@ func (g *ABEGroup) Encrypt(plaintext []byte) (Envelope, error) {
 // before any cache consult, so a revoked member is denied even with a warm
 // cache.
 func (g *ABEGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
-	if err := checkEnvelope(g, env); err != nil {
+	if err := g.check(env); err != nil {
 		return nil, err
 	}
 	key, ok := g.keys[user.Name]
@@ -277,11 +239,6 @@ func (g *ABEGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
 		return nil, fmt.Errorf("privacy: ABE decrypting for %q: %w", user.Name, err)
 	}
 	return pt, nil
-}
-
-// Archive implements Group.
-func (g *ABEGroup) Archive() []Envelope {
-	return append([]Envelope(nil), g.archive...)
 }
 
 // MemberAttributes returns the attribute set issued to a member.

@@ -200,8 +200,7 @@ const (
 	minWrap = 4 + 4 // a name or share index, plus a length-prefixed wrap
 )
 
-// Unmarshal reverses Marshal. The envelope's WireSize is set to the actual
-// serialized length. Unmarshal never writes to data and keeps no copy of
+// Unmarshal reverses Marshal. It never writes to data and keeps no copy of
 // it: every byte field of the result is a view of data, which must stay
 // unmodified while the envelope is in use (see Envelope).
 func Unmarshal(data []byte) (Envelope, error) {
@@ -213,7 +212,7 @@ func Unmarshal(data []byte) (Envelope, error) {
 	if v := r.takeByte(); v != codecVersion {
 		return Envelope{}, fmt.Errorf("%w: unsupported version %d", ErrCodec, v)
 	}
-	env := Envelope{WireSize: len(data)}
+	var env Envelope
 	env.Scheme = r.scheme()
 	env.Group = r.str()
 	env.Epoch = r.uint64()

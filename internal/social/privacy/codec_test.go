@@ -40,9 +40,6 @@ func TestCodecRoundTripAllSchemes(t *testing.T) {
 			if restored.Scheme != env.Scheme || restored.Group != env.Group || restored.Epoch != env.Epoch {
 				t.Fatalf("metadata drift: %+v", restored)
 			}
-			if restored.WireSize != len(wire) {
-				t.Fatalf("WireSize = %d, want %d", restored.WireSize, len(wire))
-			}
 			pt, err := g.Decrypt(f.users["alice"], restored)
 			if err != nil {
 				t.Fatalf("Decrypt restored: %v", err)
@@ -52,6 +49,71 @@ func TestCodecRoundTripAllSchemes(t *testing.T) {
 			}
 			if _, err := g.Decrypt(f.users["eve"], restored); err == nil {
 				t.Fatal("non-member decrypted restored envelope")
+			}
+		})
+	}
+}
+
+// TestCodecSizeGrowth holds the marshalled length, the only envelope size, to
+// the shapes E3 reports: IBBE grows with its recipients, CP-ABE with its
+// policy, public-key with its members, and symmetric does not depend on its
+// members.
+func TestCodecSizeGrowth(t *testing.T) {
+	f := newFixture(t, hotMembers...)
+	wireSize := func(t *testing.T, g Group, members int) int {
+		t.Helper()
+		for _, m := range hotMembers[:members] {
+			if err := g.Add(m); err != nil {
+				t.Fatalf("Add(%s): %v", m, err)
+			}
+		}
+		env, err := g.Encrypt([]byte("same message"))
+		if err != nil {
+			t.Fatalf("Encrypt: %v", err)
+		}
+		wire, err := Marshal(env)
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		return len(wire)
+	}
+	pkg, err := ibe.NewPKG()
+	if err != nil {
+		t.Fatalf("NewPKG: %v", err)
+	}
+	auth, err := abe.NewAuthority()
+	if err != nil {
+		t.Fatalf("NewAuthority: %v", err)
+	}
+	abeGroup := func(policy string) Group {
+		g, err := NewABEGroup("g", auth, policy)
+		if err != nil {
+			t.Fatalf("NewABEGroup: %v", err)
+		}
+		return g
+	}
+	symGroup := func() Group {
+		g, err := NewSymmetricGroup("g")
+		if err != nil {
+			t.Fatalf("NewSymmetricGroup: %v", err)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		scheme               string
+		small, large         Group
+		smallOnes, largeOnes int
+		grows                bool
+	}{
+		{"ibbe", NewIBBEGroup("g", pkg), NewIBBEGroup("g", pkg), 1, 8, true},
+		{"abe", abeGroup("relative"), abeGroup("(relative AND doctor AND painter AND friend AND colleague)"), 1, 1, true},
+		{"public-key", NewPublicKeyGroup("g", f.registry), NewPublicKeyGroup("g", f.registry), 1, 8, true},
+		{"symmetric", symGroup(), symGroup(), 1, 8, false},
+	} {
+		t.Run(tc.scheme, func(t *testing.T) {
+			small, large := wireSize(t, tc.small, tc.smallOnes), wireSize(t, tc.large, tc.largeOnes)
+			if tc.grows && large <= small || !tc.grows && large != small {
+				t.Fatalf("marshalled %d bytes small, %d large (grows: %v)", small, large, tc.grows)
 			}
 		})
 	}
@@ -503,6 +565,17 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte(codecMagic))
 	f.Add([]byte{})
 	f.Add([]byte(hostile28))
+	fx := newFixture(f, "alice")
+	pk := NewPublicKeyGroup("pk", fx.registry)
+	sub, _ := NewSubstitutionGroup("subst", NewDictionary(), [][]byte{[]byte("John Doe")})
+	for _, g := range []Group{pk, sub} {
+		g.Add("alice")
+		if env, err := g.Encrypt([]byte("seed")); err == nil {
+			if wire, err := Marshal(env); err == nil {
+				f.Add(wire)
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := bytes.Clone(data)
 		env, err := Unmarshal(data)
@@ -523,7 +596,6 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical bytes do not parse: %v", err)
 		}
-		env.WireSize = len(re)
 		if !reflect.DeepEqual(env2, env) {
 			t.Fatalf("canonicalization changed the envelope:\n got %+v\nwant %+v", env2, env)
 		}

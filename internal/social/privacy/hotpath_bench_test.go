@@ -3,7 +3,8 @@ package privacy
 // Microbenchmarks for the hot paths the worker pool (internal/parallel)
 // fans out: per-scheme Encrypt, Add, and Remove. Remove is reported at
 // workers=1 (serial) and workers=0 (all CPUs) so the pool's effect is
-// visible directly in `make bench-hot` output. The private read path —
+// visible directly in `make bench-hot` output; only the hybrid group takes a
+// worker bound, and the other schemes run their fixed fan-out in both arms. The private read path —
 // envelope codec, then Decrypt with the key cache warm or absent — is
 // measured on the harness's shape (hotGroups).
 
@@ -47,7 +48,8 @@ func newBenchEnv(b *testing.B) *benchEnv {
 	return env
 }
 
-// buildGroup constructs one scheme's group with benchMembers members.
+// buildGroup constructs one scheme's group with benchMembers members; workers
+// bounds the hybrid group's re-encryption.
 func (env *benchEnv) buildGroup(b *testing.B, scheme string, workers int) Group {
 	b.Helper()
 	var g Group
@@ -65,9 +67,7 @@ func (env *benchEnv) buildGroup(b *testing.B, scheme string, workers int) Group 
 		}
 		g = sg
 	case "public-key":
-		pg := NewPublicKeyGroup("bench", env.registry)
-		pg.SetWorkers(workers)
-		g = pg
+		g = NewPublicKeyGroup("bench", env.registry)
 	case "abe":
 		auth, err := abe.NewAuthority()
 		if err != nil {
@@ -77,7 +77,6 @@ func (env *benchEnv) buildGroup(b *testing.B, scheme string, workers int) Group 
 		if err != nil {
 			b.Fatal(err)
 		}
-		ag.SetWorkers(workers)
 		g = ag
 	case "ibbe":
 		pkg, err := ibe.NewPKG()

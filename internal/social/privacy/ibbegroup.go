@@ -14,26 +14,20 @@ import (
 // the messages for them", and — the property the paper highlights against
 // ABE — "removing a recipient from the list would then have no extra cost".
 type IBBEGroup struct {
+	core
 	// envelopeKeyCache optionally memoizes each member's unwrapped broadcast
 	// session key per ciphertext (SetKeyCache); Remove bumps its generation.
 	envelopeKeyCache
 
-	name string
-	pkg  *ibe.PKG
+	pkg *ibe.PKG
 	// sender is the broadcaster's ECIES context: one key agreement per
 	// member identity, then every broadcast wraps its session key to that
 	// member with a symmetric seal. It belongs to the group owner, not to
 	// the PKG, which stays a public directory.
-	sender  *pubkey.Sender
-	members memberSet
-	// recipients is members in sorted order, rebuilt (never written in
-	// place) by Add and Remove; every broadcast shares it read-only as its
-	// recipient list.
-	recipients []string
+	sender *pubkey.Sender
 	// keys caches each member's extracted identity key (conceptually held
 	// by the member after authenticating to the PKG).
-	keys    map[string]*ibe.IdentityKey
-	archive []Envelope
+	keys map[string]*ibe.IdentityKey
 }
 
 var _ Group = (*IBBEGroup)(nil)
@@ -41,36 +35,25 @@ var _ Group = (*IBBEGroup)(nil)
 // NewIBBEGroup creates a group broadcasting via the given PKG.
 func NewIBBEGroup(name string, pkg *ibe.PKG) *IBBEGroup {
 	return &IBBEGroup{
-		name:    name,
-		pkg:     pkg,
-		sender:  pubkey.NewSender(),
-		members: newMemberSet(),
-		keys:    make(map[string]*ibe.IdentityKey),
+		core:   newCore(SchemeIBBE, name),
+		pkg:    pkg,
+		sender: pubkey.NewSender(),
+		keys:   make(map[string]*ibe.IdentityKey),
 	}
 }
-
-// Scheme implements Group.
-func (g *IBBEGroup) Scheme() Scheme { return SchemeIBBE }
-
-// Name implements Group.
-func (g *IBBEGroup) Name() string { return g.name }
-
-// Members implements Group.
-func (g *IBBEGroup) Members() []string { return g.members.sorted() }
 
 // Add implements Group: any string identity joins without pre-registered
 // key material — the PKG extracts the member's key on demand.
 func (g *IBBEGroup) Add(member string) error {
-	if err := g.members.add(member); err != nil {
+	if err := g.add(member); err != nil {
 		return err
 	}
 	key, err := g.pkg.Extract(member)
 	if err != nil {
-		g.members.remove(member) //nolint:errcheck // rollback of our own add
+		g.remove(member) //nolint:errcheck // rollback of our own add
 		return fmt.Errorf("privacy: extracting identity key for %q: %w", member, err)
 	}
 	g.keys[member] = key
-	g.recipients = g.members.sorted()
 	return nil
 }
 
@@ -79,11 +62,10 @@ func (g *IBBEGroup) Add(member string) error {
 // untouched (the removed member knows only its own), so nothing is re-keyed;
 // the removed member's is dropped.
 func (g *IBBEGroup) Remove(member string) (RevocationReport, error) {
-	if err := g.members.remove(member); err != nil {
+	if err := g.remove(member); err != nil {
 		return RevocationReport{}, err
 	}
 	delete(g.keys, member)
-	g.recipients = g.members.sorted()
 	// The revocation itself is free, but the revoked member's memoized
 	// session keys must not survive it.
 	g.keyCache.BumpGeneration()
@@ -95,23 +77,18 @@ func (g *IBBEGroup) Remove(member string) (RevocationReport, error) {
 	return RevocationReport{Free: true}, nil
 }
 
-// Encrypt implements Group via an IBBE broadcast to the member identities.
+// Encrypt implements Group via an IBBE broadcast to the member identities,
+// which shares the sorted member list read-only as its recipient list.
 func (g *IBBEGroup) Encrypt(plaintext []byte) (Envelope, error) {
-	if g.members.len() == 0 {
+	if len(g.members) == 0 {
 		return Envelope{}, ErrNoMembers
 	}
-	b, err := g.pkg.EncryptBroadcast(g.sender, g.recipients, plaintext)
+	b, err := g.pkg.EncryptBroadcast(g.sender, g.list(), plaintext)
 	if err != nil {
 		return Envelope{}, fmt.Errorf("privacy: IBBE broadcast for %q: %w", g.name, err)
 	}
-	env := Envelope{
-		Scheme:   SchemeIBBE,
-		Group:    g.name,
-		Epoch:    1,
-		Payload:  b,
-		WireSize: b.Size(),
-	}
-	g.archive = append(g.archive, env)
+	env := g.envelope(1, b)
+	g.record(env)
 	return env, nil
 }
 
@@ -120,7 +97,7 @@ func (g *IBBEGroup) Encrypt(plaintext []byte) (Envelope, error) {
 // ciphertext) when a key cache is set; the membership check runs before any
 // cache consult, so a removed member is denied even with a warm cache.
 func (g *IBBEGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
-	if err := checkEnvelope(g, env); err != nil {
+	if err := g.check(env); err != nil {
 		return nil, err
 	}
 	key, ok := g.keys[user.Name]
@@ -142,9 +119,4 @@ func (g *IBBEGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
 		return nil, fmt.Errorf("privacy: IBBE decrypting for %q: %w", user.Name, err)
 	}
 	return pt, nil
-}
-
-// Archive implements Group.
-func (g *IBBEGroup) Archive() []Envelope {
-	return append([]Envelope(nil), g.archive...)
 }

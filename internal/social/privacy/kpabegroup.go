@@ -19,41 +19,28 @@ import (
 // control over a content taxonomy, which the plain Group interface (one
 // audience per envelope) cannot express — hence the dedicated type.
 type KPABEGroup struct {
-	name string
+	core
 	abeEncryptor
-	members  memberSet
 	policies map[string]string
 	keys     map[string]*abe.KPKey
-	archive  []Envelope
-	// labeled and plain retain each archive entry's labels and plaintext so
-	// revocation can re-encrypt (the group owner knows its own content).
-	labeled [][]string
-	plain   [][]byte
+	// labels retains each archive entry's labels beside its plaintext, so
+	// revocation can re-encrypt.
+	labels [][]string
 }
 
 // NewKPABEGroup creates a KP-ABE group using the given authority.
 func NewKPABEGroup(name string, authority *abe.Authority) *KPABEGroup {
 	return &KPABEGroup{
-		name:         name,
+		core:         newCore(SchemeABE, name),
 		abeEncryptor: newABEEncryptor(authority),
-		members:      newMemberSet(),
 		policies:     make(map[string]string),
 		keys:         make(map[string]*abe.KPKey),
 	}
 }
 
-// Name returns the group identifier.
-func (g *KPABEGroup) Name() string { return g.name }
-
-// Scheme identifies the mechanism.
-func (g *KPABEGroup) Scheme() Scheme { return SchemeABE }
-
-// Members lists members sorted.
-func (g *KPABEGroup) Members() []string { return g.members.sorted() }
-
 // Grant admits a member with a key policy over content labels.
 func (g *KPABEGroup) Grant(member, policyExpr string) error {
-	if g.members.has(member) {
+	if g.has(member) {
 		return fmt.Errorf("%w: %s", ErrAlreadyMember, member)
 	}
 	policy, err := abe.ParsePolicy(policyExpr)
@@ -69,7 +56,7 @@ func (g *KPABEGroup) Grant(member, policyExpr string) error {
 	if err != nil {
 		return fmt.Errorf("privacy: issuing KP key for %q: %w", member, err)
 	}
-	if err := g.members.add(member); err != nil {
+	if err := g.add(member); err != nil {
 		return err
 	}
 	g.policies[member] = policyExpr
@@ -84,7 +71,7 @@ func (g *KPABEGroup) PolicyOf(member string) string { return g.policies[member] 
 // invalidated by authority re-keying of the attributes in their policy, and
 // the archive is re-encrypted.
 func (g *KPABEGroup) Revoke(member string) (RevocationReport, error) {
-	if err := g.members.remove(member); err != nil {
+	if err := g.remove(member); err != nil {
 		return RevocationReport{}, err
 	}
 	policy, err := abe.ParsePolicy(g.policies[member])
@@ -100,7 +87,7 @@ func (g *KPABEGroup) Revoke(member string) (RevocationReport, error) {
 	agreed := g.sender.Agreements()
 	// Re-issue keys to all remaining members (their policies may share the
 	// re-keyed attributes).
-	for _, m := range g.members.sorted() {
+	for _, m := range g.list() {
 		p, err := abe.ParsePolicy(g.policies[m])
 		if err != nil {
 			return report, err
@@ -113,21 +100,21 @@ func (g *KPABEGroup) Revoke(member string) (RevocationReport, error) {
 		report.RekeyedMembers++
 	}
 	params := g.params()
-	for i := range g.archive {
-		env, err := g.encryptStored(params, i)
+	n, err := g.reencrypt(1, func(i int, _ Envelope) (Envelope, error) {
+		ct, err := abe.EncryptKP(g.sender, params, g.labels[i], g.plaintexts[i])
 		if err != nil {
-			return report, err
+			return Envelope{}, fmt.Errorf("privacy: re-encrypting archive: %w", err)
 		}
-		g.archive[i] = env
-		report.ReencryptedEnvelopes++
-	}
+		return g.envelope(ct.Epoch, ct), nil
+	})
+	report.ReencryptedEnvelopes = n
 	report.PublicKeyOps = int(g.sender.Agreements() - agreed)
-	return report, nil
+	return report, err
 }
 
 // EncryptLabeled publishes content tagged with attribute labels.
 func (g *KPABEGroup) EncryptLabeled(labels []string, plaintext []byte) (Envelope, error) {
-	if g.members.len() == 0 {
+	if len(g.members) == 0 {
 		return Envelope{}, ErrNoMembers
 	}
 	for _, l := range labels {
@@ -139,24 +126,17 @@ func (g *KPABEGroup) EncryptLabeled(labels []string, plaintext []byte) (Envelope
 	if err != nil {
 		return Envelope{}, fmt.Errorf("privacy: KP encrypting: %w", err)
 	}
-	env := Envelope{
-		Scheme:   SchemeABE,
-		Group:    g.name,
-		Epoch:    ct.Epoch,
-		Payload:  ct,
-		WireSize: ct.Size(),
-	}
-	g.archive = append(g.archive, env)
-	g.labeled = append(g.labeled, append([]string(nil), labels...))
-	g.plain = append(g.plain, append([]byte(nil), plaintext...))
+	env := g.envelope(ct.Epoch, ct)
+	g.retain(env, plaintext)
+	g.labels = append(g.labels, append([]string(nil), labels...))
 	return env, nil
 }
 
 // Decrypt opens an envelope as the given user: succeeds iff the content
 // labels satisfy the member's key policy.
 func (g *KPABEGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
-	if env.Group != g.name {
-		return nil, fmt.Errorf("%w: got %s, want %s", ErrWrongGroup, env.Group, g.name)
+	if err := g.check(env); err != nil {
+		return nil, err
 	}
 	key, ok := g.keys[user.Name]
 	if !ok {
@@ -171,24 +151,4 @@ func (g *KPABEGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) 
 		return nil, fmt.Errorf("privacy: KP decrypting for %q: %w", user.Name, err)
 	}
 	return pt, nil
-}
-
-// Archive returns the envelope history.
-func (g *KPABEGroup) Archive() []Envelope {
-	return append([]Envelope(nil), g.archive...)
-}
-
-// encryptStored re-encrypts archive entry i from its retained plaintext.
-func (g *KPABEGroup) encryptStored(params *abe.PublicParams, i int) (Envelope, error) {
-	ct, err := abe.EncryptKP(g.sender, params, g.labeled[i], g.plain[i])
-	if err != nil {
-		return Envelope{}, fmt.Errorf("privacy: re-encrypting archive: %w", err)
-	}
-	return Envelope{
-		Scheme:   SchemeABE,
-		Group:    g.name,
-		Epoch:    ct.Epoch,
-		Payload:  ct,
-		WireSize: ct.Size(),
-	}, nil
 }

@@ -128,6 +128,10 @@ func TestKPGroupValidation(t *testing.T) {
 	if _, err := g.Decrypt(f.users["alice"], env); !errors.Is(err, ErrWrongGroup) {
 		t.Fatalf("wrong group: %v", err)
 	}
+	env.Group, env.Scheme = g.Name(), SchemeIBBE
+	if _, err := g.Decrypt(f.users["alice"], env); !errors.Is(err, ErrWrongScheme) {
+		t.Fatalf("wrong scheme: %v", err)
+	}
 	if _, err := g.Revoke("ghost"); !errors.Is(err, ErrNotMember) {
 		t.Fatalf("revoking ghost: %v", err)
 	}

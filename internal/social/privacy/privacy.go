@@ -15,8 +15,9 @@ package privacy
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
+	"godosn/internal/parallel"
 	"godosn/internal/social/identity"
 )
 
@@ -61,15 +62,10 @@ type Envelope struct {
 	Group string
 	// Epoch is the group key epoch at encryption time.
 	Epoch uint64
-	// Payload is the scheme-specific ciphertext.
+	// Payload is the scheme-specific ciphertext. Its size is the length of
+	// Marshal's output.
 	Payload any
-	// WireSize approximates the serialized size in bytes; Unmarshal sets it
-	// to the exact length it decoded.
-	WireSize int
 }
-
-// Size returns the approximate wire size in bytes.
-func (e Envelope) Size() int { return e.WireSize }
 
 // RevocationReport quantifies a membership-removal operation — the cost
 // structure the paper contrasts across schemes (Section III): symmetric and
@@ -116,54 +112,120 @@ type Group interface {
 	Archive() []Envelope
 }
 
-// checkEnvelope validates envelope routing fields against a group.
-func checkEnvelope(g Group, env Envelope) error {
-	if env.Scheme != g.Scheme() {
-		return fmt.Errorf("%w: got %s, want %s", ErrWrongScheme, env.Scheme, g.Scheme())
-	}
-	if env.Group != g.Name() {
-		return fmt.Errorf("%w: got %s, want %s", ErrWrongGroup, env.Group, g.Name())
-	}
-	return nil
-}
-
-// memberSet is the shared membership bookkeeping.
-type memberSet struct {
+// core is the skeleton every Table-I group embeds: the name, the member
+// set and the envelope archive. The six rows differ only in how a group key
+// reaches the members, so each scheme file adds just that.
+type core struct {
+	scheme  Scheme
+	name    string
 	members map[string]struct{}
+	// sorted caches the members in order (see list); nil after a
+	// membership change.
+	sorted  []string
+	archive []Envelope
+	// plaintexts retains each archived envelope's cleartext where revocation
+	// re-encrypts from it; the group owner legitimately knows its own
+	// content.
+	plaintexts [][]byte
 }
 
-func newMemberSet() memberSet {
-	return memberSet{members: make(map[string]struct{})}
+func newCore(scheme Scheme, name string) core {
+	return core{scheme: scheme, name: name, members: make(map[string]struct{})}
 }
 
-func (m *memberSet) add(name string) error {
-	if _, ok := m.members[name]; ok {
-		return fmt.Errorf("%w: %s", ErrAlreadyMember, name)
-	}
-	m.members[name] = struct{}{}
-	return nil
-}
+// Scheme identifies the mechanism.
+func (c *core) Scheme() Scheme { return c.scheme }
 
-func (m *memberSet) remove(name string) error {
-	if _, ok := m.members[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotMember, name)
-	}
-	delete(m.members, name)
-	return nil
-}
+// Name is the group's identifier.
+func (c *core) Name() string { return c.name }
 
-func (m *memberSet) has(name string) bool {
-	_, ok := m.members[name]
+// Members lists the current members, sorted.
+func (c *core) Members() []string { return slices.Clone(c.list()) }
+
+// Archive returns the group's envelope history.
+func (c *core) Archive() []Envelope { return slices.Clone(c.archive) }
+
+func (c *core) has(member string) bool {
+	_, ok := c.members[member]
 	return ok
 }
 
-func (m *memberSet) sorted() []string {
-	out := make([]string, 0, len(m.members))
-	for name := range m.members {
-		out = append(out, name)
+func (c *core) add(member string) error {
+	if c.has(member) {
+		return fmt.Errorf("%w: %s", ErrAlreadyMember, member)
 	}
-	sort.Strings(out)
-	return out
+	c.members[member] = struct{}{}
+	c.sorted = nil
+	return nil
 }
 
-func (m *memberSet) len() int { return len(m.members) }
+func (c *core) remove(member string) error {
+	if !c.has(member) {
+		return fmt.Errorf("%w: %s", ErrNotMember, member)
+	}
+	delete(c.members, member)
+	c.sorted = nil
+	return nil
+}
+
+// list returns the members in sorted order, sorting them only on the first
+// call after add or remove. The slice is never written into once returned,
+// so callers share it read-only: an IBBE broadcast keeps it as its recipient
+// list.
+func (c *core) list() []string {
+	if c.sorted == nil {
+		c.sorted = make([]string, 0, len(c.members))
+		for m := range c.members {
+			c.sorted = append(c.sorted, m)
+		}
+		slices.Sort(c.sorted)
+	}
+	return c.sorted
+}
+
+// check validates an envelope's routing fields against the group.
+func (c *core) check(env Envelope) error {
+	if env.Scheme != c.scheme {
+		return fmt.Errorf("%w: got %s, want %s", ErrWrongScheme, env.Scheme, c.scheme)
+	}
+	if env.Group != c.name {
+		return fmt.Errorf("%w: got %s, want %s", ErrWrongGroup, env.Group, c.name)
+	}
+	return nil
+}
+
+// checkMember refuses a reader outside the member set.
+func (c *core) checkMember(user string) error {
+	if !c.has(user) {
+		return fmt.Errorf("%w: %s", ErrNotMember, user)
+	}
+	return nil
+}
+
+// envelope addresses a payload from this group.
+func (c *core) envelope(epoch uint64, payload any) Envelope {
+	return Envelope{Scheme: c.scheme, Group: c.name, Epoch: epoch, Payload: payload}
+}
+
+// record appends env to the archive.
+func (c *core) record(env Envelope) { c.archive = append(c.archive, env) }
+
+// retain appends env to the archive and keeps a copy of its plaintext for
+// re-encryption.
+func (c *core) retain(env Envelope, plaintext []byte) {
+	c.record(env)
+	c.plaintexts = append(c.plaintexts, append([]byte(nil), plaintext...))
+}
+
+// reencrypt replaces every archived envelope with reseal(i, old), its
+// re-protection under the rotated key, and returns how many it replaced.
+// workers bounds the fan-out as in parallel.Map; 1 keeps the pass serial for
+// a scheme whose reseal is not safe to run concurrently.
+func (c *core) reencrypt(workers int, reseal func(i int, old Envelope) (Envelope, error)) (int, error) {
+	envs, err := parallel.Map(workers, c.archive, reseal)
+	if err != nil {
+		return 0, err
+	}
+	copy(c.archive, envs)
+	return len(envs), nil
+}

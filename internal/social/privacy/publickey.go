@@ -18,14 +18,8 @@ import (
 // key, so the ciphertext grows linearly with the group — the size behaviour
 // experiment E3 measures. Removal is free for future messages.
 type PublicKeyGroup struct {
-	name     string
-	epoch    uint64
+	core
 	registry *identity.Registry
-	members  memberSet
-	archive  []Envelope
-	// workers bounds the per-member wrap fan-out in Encrypt (0 = all
-	// CPUs, 1 = serial); see SetWorkers.
-	workers int
 }
 
 var _ Group = (*PublicKeyGroup)(nil)
@@ -39,35 +33,22 @@ type pkPayload struct {
 
 // NewPublicKeyGroup creates a group resolving member keys via the registry.
 func NewPublicKeyGroup(name string, registry *identity.Registry) *PublicKeyGroup {
-	return &PublicKeyGroup{name: name, epoch: 1, registry: registry, members: newMemberSet()}
+	return &PublicKeyGroup{core: newCore(SchemePublicKey, name), registry: registry}
 }
-
-// Scheme implements Group.
-func (g *PublicKeyGroup) Scheme() Scheme { return SchemePublicKey }
-
-// Name implements Group.
-func (g *PublicKeyGroup) Name() string { return g.name }
-
-// Members implements Group.
-func (g *PublicKeyGroup) Members() []string { return g.members.sorted() }
-
-// SetWorkers bounds the worker pool for Encrypt's per-member session-key
-// wraps: 0 (the default) uses all CPUs, 1 forces the serial path.
-func (g *PublicKeyGroup) SetWorkers(n int) { g.workers = n }
 
 // Add implements Group. The member must be resolvable in the registry.
 func (g *PublicKeyGroup) Add(member string) error {
 	if _, err := g.registry.Lookup(member); err != nil {
 		return err
 	}
-	return g.members.add(member)
+	return g.add(member)
 }
 
 // Remove implements Group: "his public key will be deleted from the list" —
 // no re-keying, no re-encryption; already-delivered ciphertexts remain
 // readable by the removed member (they were addressed to him).
 func (g *PublicKeyGroup) Remove(member string) (RevocationReport, error) {
-	if err := g.members.remove(member); err != nil {
+	if err := g.remove(member); err != nil {
 		return RevocationReport{}, err
 	}
 	return RevocationReport{Free: true}, nil
@@ -75,7 +56,7 @@ func (g *PublicKeyGroup) Remove(member string) (RevocationReport, error) {
 
 // Encrypt implements Group.
 func (g *PublicKeyGroup) Encrypt(plaintext []byte) (Envelope, error) {
-	if g.members.len() == 0 {
+	if len(g.members) == 0 {
 		return Envelope{}, ErrNoMembers
 	}
 	session, err := symmetric.NewKey()
@@ -84,8 +65,8 @@ func (g *PublicKeyGroup) Encrypt(plaintext []byte) (Envelope, error) {
 	}
 	// The per-member wraps are the O(members) cost of this scheme; each is
 	// an independent ECIES operation, so fan them out and merge after.
-	members := g.members.sorted()
-	wraps, err := parallel.Map(g.workers, members, func(_ int, member string) ([]byte, error) {
+	members := g.list()
+	wraps, err := parallel.Map(0, members, func(_ int, member string) ([]byte, error) {
 		wrap, err := g.registry.EncryptTo(member, session)
 		if err != nil {
 			return nil, fmt.Errorf("privacy: wrapping for %q: %w", member, err)
@@ -95,31 +76,21 @@ func (g *PublicKeyGroup) Encrypt(plaintext []byte) (Envelope, error) {
 	if err != nil {
 		return Envelope{}, err
 	}
-	p := pkPayload{wraps: make(map[string][]byte, len(members))}
-	size := 0
+	p := pkPayload{wraps: make(map[string][]byte, len(wraps))}
 	for i, member := range members {
 		p.wraps[member] = wraps[i]
-		size += len(member) + len(wraps[i])
 	}
-	body, err := symmetric.Seal(session, plaintext, []byte(g.name))
-	if err != nil {
+	if p.body, err = symmetric.Seal(session, plaintext, []byte(g.name)); err != nil {
 		return Envelope{}, fmt.Errorf("privacy: sealing body for %q: %w", g.name, err)
 	}
-	p.body = body
-	env := Envelope{
-		Scheme:   SchemePublicKey,
-		Group:    g.name,
-		Epoch:    g.epoch,
-		Payload:  p,
-		WireSize: size + len(body),
-	}
-	g.archive = append(g.archive, env)
+	env := g.envelope(1, p)
+	g.record(env)
 	return env, nil
 }
 
 // Decrypt implements Group: the user unwraps its own session-key copy.
 func (g *PublicKeyGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
-	if err := checkEnvelope(g, env); err != nil {
+	if err := g.check(env); err != nil {
 		return nil, err
 	}
 	p, ok := env.Payload.(pkPayload)
@@ -139,9 +110,4 @@ func (g *PublicKeyGroup) Decrypt(user *identity.User, env Envelope) ([]byte, err
 		return nil, fmt.Errorf("privacy: opening body: %w", err)
 	}
 	return pt, nil
-}
-
-// Archive implements Group.
-func (g *PublicKeyGroup) Archive() []Envelope {
-	return append([]Envelope(nil), g.archive...)
 }

@@ -22,15 +22,13 @@ import (
 // The service provider (or any non-member) sees a well-formed but fake value
 // and an opaque index — it cannot tell substituted data from real data.
 type SubstitutionGroup struct {
-	name    string
+	core
 	epoch   uint64
 	secret  prf.Secret
 	indexes symmetric.Key
 	dict    *Dictionary
 	fakes   [][]byte
 	counter uint64
-	members memberSet
-	archive []Envelope
 	// realAtoms tracks dictionary indices so revocation can re-place atoms.
 	realAtoms []uint64
 }
@@ -92,11 +90,10 @@ func NewSubstitutionGroup(name string, dict *Dictionary, fakePool [][]byte) (*Su
 		return nil, fmt.Errorf("privacy: creating substitution group %q: %w", name, err)
 	}
 	g := &SubstitutionGroup{
-		name:    name,
-		epoch:   1,
-		secret:  secret,
-		dict:    dict,
-		members: newMemberSet(),
+		core:   newCore(SchemeSubstitution, name),
+		epoch:  1,
+		secret: secret,
+		dict:   dict,
 	}
 	for _, f := range fakePool {
 		g.fakes = append(g.fakes, append([]byte(nil), f...))
@@ -116,23 +113,14 @@ func (g *SubstitutionGroup) deriveIndexKey() error {
 	return nil
 }
 
-// Scheme implements Group.
-func (g *SubstitutionGroup) Scheme() Scheme { return SchemeSubstitution }
-
-// Name implements Group.
-func (g *SubstitutionGroup) Name() string { return g.name }
-
-// Members implements Group.
-func (g *SubstitutionGroup) Members() []string { return g.members.sorted() }
-
 // Add implements Group (modeling sharing the tracing secret).
-func (g *SubstitutionGroup) Add(member string) error { return g.members.add(member) }
+func (g *SubstitutionGroup) Add(member string) error { return g.add(member) }
 
 // Remove implements Group: rotate the secret and re-place every atom at a
 // fresh index so the revoked member's retained secret no longer traces the
 // dictionary.
 func (g *SubstitutionGroup) Remove(member string) (RevocationReport, error) {
-	if err := g.members.remove(member); err != nil {
+	if err := g.remove(member); err != nil {
 		return RevocationReport{}, err
 	}
 	secret, err := prf.NewSecret()
@@ -144,25 +132,20 @@ func (g *SubstitutionGroup) Remove(member string) (RevocationReport, error) {
 	if err := g.deriveIndexKey(); err != nil {
 		return RevocationReport{}, err
 	}
-	report := RevocationReport{RekeyedMembers: g.members.len()}
-	for i := range g.archive {
+	// Serial: every re-placement moves an atom in the shared dictionary.
+	n, err := g.reencrypt(1, func(i int, old Envelope) (Envelope, error) {
 		oldIdx := g.realAtoms[i]
 		atom, ok := g.dict.Get(oldIdx)
 		if !ok {
-			return report, fmt.Errorf("privacy: dictionary lost atom %d", oldIdx)
+			return Envelope{}, fmt.Errorf("privacy: dictionary lost atom %d", oldIdx)
 		}
 		g.dict.Delete(oldIdx)
 		newIdx := g.indexFor(uint64(i))
 		g.dict.Put(newIdx, atom)
 		g.realAtoms[i] = newIdx
-		env, err := g.sealIndex(newIdx, g.archive[i].Payload.(subPayload).fake)
-		if err != nil {
-			return report, err
-		}
-		g.archive[i] = env
-		report.ReencryptedEnvelopes++
-	}
-	return report, nil
+		return g.sealIndex(newIdx, old.Payload.(subPayload).fake)
+	})
+	return RevocationReport{RekeyedMembers: len(g.members), ReencryptedEnvelopes: n}, err
 }
 
 // indexFor derives the pseudorandom dictionary index for the i-th atom at
@@ -186,19 +169,13 @@ func (g *SubstitutionGroup) sealIndex(index uint64, fake []byte) (Envelope, erro
 	if err != nil {
 		return Envelope{}, fmt.Errorf("privacy: sealing index: %w", err)
 	}
-	return Envelope{
-		Scheme:   SchemeSubstitution,
-		Group:    g.name,
-		Epoch:    g.epoch,
-		Payload:  subPayload{fake: append([]byte(nil), fake...), sealedIndex: sealed},
-		WireSize: len(fake) + len(sealed),
-	}, nil
+	return g.envelope(g.epoch, subPayload{fake: append([]byte(nil), fake...), sealedIndex: sealed}), nil
 }
 
 // Encrypt implements Group: the real atom goes to the public dictionary at a
 // secret-derived index; the envelope shows a plausible fake.
 func (g *SubstitutionGroup) Encrypt(plaintext []byte) (Envelope, error) {
-	if g.members.len() == 0 {
+	if len(g.members) == 0 {
 		return Envelope{}, ErrNoMembers
 	}
 	i := g.counter
@@ -210,7 +187,7 @@ func (g *SubstitutionGroup) Encrypt(plaintext []byte) (Envelope, error) {
 	if err != nil {
 		return Envelope{}, err
 	}
-	g.archive = append(g.archive, env)
+	g.record(env)
 	g.realAtoms = append(g.realAtoms, idx)
 	return env, nil
 }
@@ -218,11 +195,11 @@ func (g *SubstitutionGroup) Encrypt(plaintext []byte) (Envelope, error) {
 // Decrypt implements Group: members unseal the index and fetch the real atom
 // from the public dictionary; non-members see only the fake via FakeView.
 func (g *SubstitutionGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
-	if err := checkEnvelope(g, env); err != nil {
+	if err := g.check(env); err != nil {
 		return nil, err
 	}
-	if !g.members.has(user.Name) {
-		return nil, fmt.Errorf("%w: %s", ErrNotMember, user.Name)
+	if err := g.checkMember(user.Name); err != nil {
+		return nil, err
 	}
 	p, ok := env.Payload.(subPayload)
 	if !ok {
@@ -251,9 +228,4 @@ func FakeView(env Envelope) ([]byte, error) {
 		return nil, fmt.Errorf("privacy: envelope is not a substitution envelope")
 	}
 	return append([]byte(nil), p.fake...), nil
-}
-
-// Archive implements Group.
-func (g *SubstitutionGroup) Archive() []Envelope {
-	return append([]Envelope(nil), g.archive...)
 }

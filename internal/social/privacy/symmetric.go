@@ -2,10 +2,107 @@ package privacy
 
 import (
 	"fmt"
+	"strconv"
 
 	"godosn/internal/crypto/symmetric"
 	"godosn/internal/social/identity"
 )
+
+// symmetricRow is the data phase of Table I's symmetric row, which the
+// hybrid row reuses unchanged (Section III-F: "symmetric encryption of data
+// by the use of a symmetric key"): one group key per epoch, its prepared
+// AEAD, and associated data binding the scheme label, the group name and the
+// epoch. A rotation rebuilds the AEAD and the associated data, so the
+// per-message path pays neither a key schedule nor a formatting pass. The sealer is
+// safe for a concurrent re-seal fan-out.
+type symmetricRow struct {
+	core
+	// label prefixes the associated data: "sym" or "hybrid".
+	label  string
+	epoch  uint64
+	key    symmetric.Key
+	sealer *symmetric.Sealer
+	adBuf  []byte
+}
+
+// newSymmetricRow returns a group core with the epoch-1 key.
+func newSymmetricRow(scheme Scheme, label, name string) (symmetricRow, error) {
+	r := symmetricRow{core: newCore(scheme, name), label: label}
+	if err := r.rotate(); err != nil {
+		return symmetricRow{}, err
+	}
+	return r, nil
+}
+
+// Epoch returns the current key epoch.
+func (r *symmetricRow) Epoch() uint64 { return r.epoch }
+
+// rotate replaces the key with a fresh one under the next epoch.
+func (r *symmetricRow) rotate() error {
+	key, err := symmetric.NewKey()
+	if err != nil {
+		return fmt.Errorf("privacy: rotating key for %q: %w", r.name, err)
+	}
+	sealer, err := symmetric.NewSealer(key)
+	if err != nil {
+		return fmt.Errorf("privacy: building sealer for %q: %w", r.name, err)
+	}
+	r.epoch++
+	r.key, r.sealer = key, sealer
+	// label/name/epoch, sized for two slashes and any epoch.
+	ad := make([]byte, 0, len(r.label)+len(r.name)+22)
+	ad = append(append(ad, r.label...), '/')
+	ad = append(append(ad, r.name...), '/')
+	r.adBuf = strconv.AppendUint(ad, r.epoch, 10)
+	return nil
+}
+
+// ad returns the current epoch's associated data.
+func (r *symmetricRow) ad() []byte { return r.adBuf }
+
+func (r *symmetricRow) seal(plaintext []byte) (Envelope, error) {
+	ct, err := r.sealer.Seal(plaintext, r.ad())
+	if err != nil {
+		return Envelope{}, fmt.Errorf("privacy: sealing for %q: %w", r.name, err)
+	}
+	return r.envelope(r.epoch, ct), nil
+}
+
+// reseal re-encrypts archive entry i from its retained plaintext.
+func (r *symmetricRow) reseal(i int, _ Envelope) (Envelope, error) { return r.seal(r.plaintexts[i]) }
+
+// Encrypt implements Group: a single symmetric operation per message.
+func (r *symmetricRow) Encrypt(plaintext []byte) (Envelope, error) {
+	if len(r.members) == 0 {
+		return Envelope{}, ErrNoMembers
+	}
+	env, err := r.seal(plaintext)
+	if err != nil {
+		return Envelope{}, err
+	}
+	r.retain(env, plaintext)
+	return env, nil
+}
+
+// ciphertext returns the body of an envelope sealed under the current key.
+func (r *symmetricRow) ciphertext(env Envelope) ([]byte, error) {
+	if env.Epoch != r.epoch {
+		return nil, fmt.Errorf("%w: envelope epoch %d, key epoch %d", ErrStaleEpoch, env.Epoch, r.epoch)
+	}
+	ct, ok := env.Payload.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("privacy: malformed %s payload", r.scheme)
+	}
+	return ct, nil
+}
+
+func (r *symmetricRow) open(ct []byte) ([]byte, error) {
+	pt, err := r.sealer.Open(ct, r.ad())
+	if err != nil {
+		return nil, fmt.Errorf("privacy: opening for %q: %w", r.name, err)
+	}
+	return pt, nil
+}
 
 // SymmetricGroup implements Table I's "symmetric key encryption" row: one
 // shared key per group, used for both encryption and decryption.
@@ -18,148 +115,49 @@ import (
 // also notes, "if someone already decrypted the data and kept a copy, we
 // cannot revoke that" — re-encryption protects the stored copies only.
 type SymmetricGroup struct {
-	name  string
-	epoch uint64
-	key   symmetric.Key
-	// sealer carries the precomputed AEAD for the current key; adBuf the
-	// current epoch's associated data. Both are rebuilt on rotation, so the
-	// per-operation hot path pays neither a key schedule nor a Sprintf.
-	sealer  *symmetric.Sealer
-	adBuf   []byte
-	members memberSet
-	archive []Envelope
-	// plaintexts retains the cleartext alongside the archive so revocation
-	// can re-encrypt without holding decrypted data elsewhere; the group
-	// owner legitimately knows its own content.
-	plaintexts [][]byte
+	symmetricRow
 }
 
 var _ Group = (*SymmetricGroup)(nil)
 
 // NewSymmetricGroup creates a group with a fresh shared key.
 func NewSymmetricGroup(name string) (*SymmetricGroup, error) {
-	key, err := symmetric.NewKey()
+	row, err := newSymmetricRow(SchemeSymmetric, "sym", name)
 	if err != nil {
-		return nil, fmt.Errorf("privacy: creating symmetric group %q: %w", name, err)
-	}
-	g := &SymmetricGroup{name: name, epoch: 1, key: key, members: newMemberSet()}
-	if err := g.rebuildSealer(); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return &SymmetricGroup{row}, nil
 }
-
-// rebuildSealer recomputes the pooled AEAD and the epoch-bound associated
-// data after the key or epoch changed.
-func (g *SymmetricGroup) rebuildSealer() error {
-	sealer, err := symmetric.NewSealer(g.key)
-	if err != nil {
-		return fmt.Errorf("privacy: building sealer for %q: %w", g.name, err)
-	}
-	g.sealer = sealer
-	g.adBuf = []byte(fmt.Sprintf("sym/%s/%d", g.name, g.epoch))
-	return nil
-}
-
-// Scheme implements Group.
-func (g *SymmetricGroup) Scheme() Scheme { return SchemeSymmetric }
-
-// Name implements Group.
-func (g *SymmetricGroup) Name() string { return g.name }
-
-// Members implements Group.
-func (g *SymmetricGroup) Members() []string { return g.members.sorted() }
-
-// Epoch returns the current key epoch.
-func (g *SymmetricGroup) Epoch() uint64 { return g.epoch }
 
 // Add implements Group: "sharing the group key with that user" is modeled by
 // membership (the in-process stand-in for key possession).
-func (g *SymmetricGroup) Add(member string) error {
-	return g.members.add(member)
-}
+func (g *SymmetricGroup) Add(member string) error { return g.add(member) }
 
 // Remove implements Group: rotate the key, bump the epoch, re-encrypt the
 // whole archive under the new key.
 func (g *SymmetricGroup) Remove(member string) (RevocationReport, error) {
-	if err := g.members.remove(member); err != nil {
+	if err := g.remove(member); err != nil {
 		return RevocationReport{}, err
 	}
-	newKey, err := symmetric.NewKey()
-	if err != nil {
-		return RevocationReport{}, fmt.Errorf("privacy: rotating key for %q: %w", g.name, err)
-	}
-	g.key = newKey
-	g.epoch++
-	if err := g.rebuildSealer(); err != nil {
+	if err := g.rotate(); err != nil {
 		return RevocationReport{}, err
 	}
-	report := RevocationReport{RekeyedMembers: g.members.len()}
-	for i, pt := range g.plaintexts {
-		env, err := g.seal(pt)
-		if err != nil {
-			return report, err
-		}
-		g.archive[i] = env
-		report.ReencryptedEnvelopes++
-	}
-	return report, nil
-}
-
-func (g *SymmetricGroup) ad() []byte { return g.adBuf }
-
-func (g *SymmetricGroup) seal(plaintext []byte) (Envelope, error) {
-	ct, err := g.sealer.Seal(plaintext, g.ad())
-	if err != nil {
-		return Envelope{}, fmt.Errorf("privacy: sealing for %q: %w", g.name, err)
-	}
-	return Envelope{
-		Scheme:   SchemeSymmetric,
-		Group:    g.name,
-		Epoch:    g.epoch,
-		Payload:  ct,
-		WireSize: len(ct),
-	}, nil
-}
-
-// Encrypt implements Group.
-func (g *SymmetricGroup) Encrypt(plaintext []byte) (Envelope, error) {
-	if g.members.len() == 0 {
-		return Envelope{}, ErrNoMembers
-	}
-	env, err := g.seal(plaintext)
-	if err != nil {
-		return Envelope{}, err
-	}
-	g.archive = append(g.archive, env)
-	g.plaintexts = append(g.plaintexts, append([]byte(nil), plaintext...))
-	return env, nil
+	n, err := g.reencrypt(1, g.reseal)
+	return RevocationReport{RekeyedMembers: len(g.members), ReencryptedEnvelopes: n}, err
 }
 
 // Decrypt implements Group: possession of the current group key is modeled
 // by current membership plus a matching epoch.
 func (g *SymmetricGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
-	if err := checkEnvelope(g, env); err != nil {
+	if err := g.check(env); err != nil {
 		return nil, err
 	}
-	if !g.members.has(user.Name) {
-		return nil, fmt.Errorf("%w: %s", ErrNotMember, user.Name)
+	if err := g.checkMember(user.Name); err != nil {
+		return nil, err
 	}
-	if env.Epoch != g.epoch {
-		return nil, fmt.Errorf("%w: envelope epoch %d, key epoch %d", ErrStaleEpoch, env.Epoch, g.epoch)
-	}
-	ct, ok := env.Payload.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("privacy: malformed symmetric payload")
-	}
-	pt, err := g.sealer.Open(ct, g.ad())
+	ct, err := g.ciphertext(env)
 	if err != nil {
-		return nil, fmt.Errorf("privacy: opening for %q: %w", g.name, err)
+		return nil, err
 	}
-	return pt, nil
-}
-
-// Archive implements Group.
-func (g *SymmetricGroup) Archive() []Envelope {
-	return append([]Envelope(nil), g.archive...)
+	return g.open(ct)
 }
