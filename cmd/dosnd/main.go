@@ -197,6 +197,23 @@ func run() int {
 	if _, _, err := carol.ReadPost(alice.Name(), 0); err != nil {
 		fmt.Printf("%s can no longer read the archive: OK\n", carol.Name())
 	}
+	// The overlay still holds the old-epoch ciphertext: re-store the
+	// re-encrypted archive as a new signed timeline entry.
+	if _, err := alice.RepublishArchive("friends", []uint64{0}); err != nil {
+		fmt.Fprintf(os.Stderr, "dosnd: republish: %v\n", err)
+		return 1
+	}
+	if _, _, err := carol.ReadPost(alice.Name(), 0); err == nil {
+		fmt.Fprintf(os.Stderr, "dosnd: revoked %s read the republished post\n", carol.Name())
+		return 1
+	}
+	// A social cache that holds the old copy keeps serving it (the hybrid
+	// overlay never invalidates on a re-store), so that read is reported.
+	if body, _, err := bob.ReadPost(alice.Name(), 0); err != nil {
+		fmt.Printf("%s republished post 0: %s cannot read it yet (%v), %s still cannot\n", alice.Name(), bob.Name(), err, carol.Name())
+	} else {
+		fmt.Printf("%s republished post 0: %s reads %q, %s still cannot\n", alice.Name(), bob.Name(), body, carol.Name())
+	}
 	phase("revocation")
 
 	// Trust-ranked friend search.

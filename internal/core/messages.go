@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"godosn/internal/overlay"
+	"godosn/internal/resilience/scrub"
 	"godosn/internal/social/integrity"
 )
 
@@ -24,14 +25,6 @@ type DirectMessage struct {
 	SentAt time.Time
 }
 
-// wireDM is the overlay representation: recipient-encrypted payload.
-type wireDM struct {
-	From       string `json:"from"`
-	To         string `json:"to"`
-	Seq        uint64 `json:"seq"`
-	Ciphertext []byte `json:"ciphertext"`
-}
-
 // dmPlain is what gets encrypted: the signed message in serialized form.
 type dmPlain struct {
 	Content   []byte    `json:"content"`
@@ -40,8 +33,11 @@ type dmPlain struct {
 	Signature []byte    `json:"signature"`
 }
 
+// dmPrefix opens every direct-message key.
+const dmPrefix = "dm/"
+
 func dmKey(from, to string, seq uint64) string {
-	return fmt.Sprintf("dm/%s/%s/%d", to, from, seq)
+	return fmt.Sprintf(dmPrefix+"%s/%s/%d", to, from, seq)
 }
 
 // SendMessage sends an end-to-end encrypted, signed direct message through
@@ -71,11 +67,10 @@ func (nd *Node) SendMessage(to string, body []byte, validity time.Duration) (ove
 	if err != nil {
 		return overlay.OpStats{}, fmt.Errorf("core: encrypting message: %w", err)
 	}
-	blob, err := json.Marshal(wireDM{From: nd.Name(), To: to, Seq: seq, Ciphertext: ct})
-	if err != nil {
-		return overlay.OpStats{}, fmt.Errorf("core: encoding wire message: %w", err)
-	}
-	st, err := nd.net.KV.Store(nd.Name(), dmKey(nd.Name(), to, seq), blob)
+	// The key names sender, recipient and seq; the sealed payload is the
+	// recipient ciphertext alone.
+	key := dmKey(nd.Name(), to, seq)
+	st, err := nd.net.KV.Store(nd.Name(), key, scrub.Seal(key, ct))
 	if err != nil {
 		return st, fmt.Errorf("core: storing message: %w", err)
 	}
@@ -85,15 +80,16 @@ func (nd *Node) SendMessage(to string, body []byte, validity time.Duration) (ove
 // ReceiveMessage fetches, decrypts and integrity-checks one direct message
 // at the given simulated read time (zero time = accept any unexpired).
 func (nd *Node) ReceiveMessage(from string, seq uint64, now time.Time) (*DirectMessage, overlay.OpStats, error) {
-	blob, st, err := nd.net.KV.Lookup(nd.Name(), dmKey(from, nd.Name(), seq))
+	key := dmKey(from, nd.Name(), seq)
+	record, st, err := nd.net.KV.Lookup(nd.Name(), key)
 	if err != nil {
 		return nil, st, fmt.Errorf("core: fetching message: %w", err)
 	}
-	var wire wireDM
-	if err := json.Unmarshal(blob, &wire); err != nil {
-		return nil, st, fmt.Errorf("core: decoding wire message: %w", err)
+	ct, err := nd.net.openRecord(key, record)
+	if err != nil {
+		return nil, st, fmt.Errorf("core: opening message: %w", err)
 	}
-	plain, err := nd.User.Decrypt(wire.Ciphertext)
+	plain, err := nd.User.Decrypt(ct)
 	if err != nil {
 		return nil, st, fmt.Errorf("core: decrypting message: %w", err)
 	}
@@ -102,8 +98,8 @@ func (nd *Node) ReceiveMessage(from string, seq uint64, now time.Time) (*DirectM
 		return nil, st, fmt.Errorf("core: decoding message: %w", err)
 	}
 	signed := &integrity.SignedMessage{
-		From:      wire.From,
-		To:        wire.To,
+		From:      from,
+		To:        nd.Name(),
 		Content:   dm.Content,
 		IssuedAt:  dm.IssuedAt,
 		ExpiresAt: dm.ExpiresAt,
@@ -116,9 +112,9 @@ func (nd *Node) ReceiveMessage(from string, seq uint64, now time.Time) (*DirectM
 		return nil, st, err
 	}
 	return &DirectMessage{
-		From:   wire.From,
-		To:     wire.To,
-		Seq:    wire.Seq,
+		From:   from,
+		To:     nd.Name(),
+		Seq:    seq,
 		Body:   signed.Content,
 		SentAt: dm.IssuedAt,
 	}, st, nil

@@ -89,7 +89,9 @@ type Config struct {
 	// Resilience, when non-nil, wraps the overlay in the recovery layer
 	// (typed-fault retries, hedged replica reads, circuit breaking): all
 	// node traffic then goes through the decorator. Use
-	// resilience.DefaultConfig(seed) as a starting point.
+	// resilience.DefaultConfig(seed) as a starting point. Its Verify is
+	// replaced by the network's record check (checksum, key binding, owner
+	// signature), the same one every post read opens through.
 	Resilience *resilience.Config
 }
 
@@ -202,6 +204,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 		rcfg := *cfg.Resilience
 		if rcfg.Seed == 0 {
 			rcfg.Seed = cfg.Seed
+		}
+		// Every replica read goes through the record check, so a forged
+		// or tampered copy is a FaultCorruption served from another replica.
+		rcfg.Verify = func(key string, record []byte) error {
+			_, err := n.openRecord(key, record)
+			return err
 		}
 		spec.Resilience = &rcfg
 	}

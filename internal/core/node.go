@@ -1,11 +1,15 @@
 package core
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
+	"godosn/internal/crypto/hashchain"
 	"godosn/internal/overlay"
+	"godosn/internal/resilience/scrub"
 	"godosn/internal/social/content"
 	"godosn/internal/social/identity"
 	"godosn/internal/social/integrity"
@@ -117,25 +121,85 @@ func (nd *Node) ShareGroup(name string, with *Node) error {
 	return nil
 }
 
-// wirePost is the serialized post record stored in the overlay: routing
-// metadata plus the full marshaled envelope, so replicas hold real
-// ciphertext bytes ("the replica nodes are indeed another kind of service
-// provider", Section I — they store envelopes they cannot read).
-type wirePost struct {
-	Author   string `json:"author"`
-	Seq      uint64 `json:"seq"`
-	Nano     int64  `json:"nano"`
-	Envelope []byte `json:"envelope"`
-}
-
 // postKey is the overlay key for a user's post.
 func postKey(author string, seq uint64) string {
 	return fmt.Sprintf("post/%s/%d", author, seq)
 }
 
-// Publish encrypts body for the named group, appends it to the node's
-// timeline and wall, and stores a locator in the overlay. It returns the
-// overlay operation stats (experiments aggregate these).
+// postTime is a post's simulated creation time: one second per post.
+func postTime(seq uint64) time.Time {
+	return time.Unix(0, int64(seq)*int64(time.Second))
+}
+
+// signPost appends a post to the node's timeline and returns the signed
+// entry as the bytes its owner signed followed by the signature: the
+// payload of the post's sealed record. The entry's payload is the post seq
+// (8 bytes, big-endian) then the marshaled envelope. That seq, not the
+// entry's own, binds the record to its key, because a republished post is a
+// later entry of the same chain.
+func (nd *Node) signPost(seq uint64, env privacy.Envelope) ([]byte, error) {
+	wire, err := privacy.Marshal(env)
+	if err != nil {
+		return nil, fmt.Errorf("core: marshaling envelope: %w", err)
+	}
+	payload := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(wire)), seq)
+	e, err := nd.Timeline.Publish(append(payload, wire...))
+	if err != nil {
+		return nil, err
+	}
+	return e.Marshal(), nil
+}
+
+// openRecord is the one read check for every key this package writes. It
+// verifies the sealed record's checksum and returns its payload. A direct
+// message stops there: its signature travels inside the recipient's
+// ciphertext. A post must also hold a timeline entry whose author and post
+// seq match the key and whose signature verifies against the author's
+// registered key; its payload is the marshaled envelope. Every failure wraps
+// scrub.ErrRecord, so resilience.ErrCorrupt, and an owner that does not
+// check out also wraps integrity.ErrForgedOwner.
+func (n *Network) openRecord(key string, record []byte) ([]byte, error) {
+	payload, err := scrub.Open(key, record)
+	if err != nil || strings.HasPrefix(key, dmPrefix) {
+		return payload, err
+	}
+	author, seq, ok := parsePostKey(key)
+	if !ok {
+		return nil, fmt.Errorf("%w: key %q is not a post key", scrub.ErrRecord, key)
+	}
+	e, err := hashchain.ParseEntry(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: key %q: %v", scrub.ErrRecord, key, err)
+	}
+	if e.Author != author {
+		return nil, fmt.Errorf("%w: %w: key %q holds an entry by %q", scrub.ErrRecord, integrity.ErrForgedOwner, key, e.Author)
+	}
+	if len(e.Payload) < 8 || binary.BigEndian.Uint64(e.Payload) != seq {
+		return nil, fmt.Errorf("%w: key %q holds another post", scrub.ErrRecord, key)
+	}
+	if err := n.Registry.VerifySignature(author, payload[:len(payload)-len(e.Signature)], e.Signature); err != nil {
+		return nil, fmt.Errorf("%w: %w: key %q: %v", scrub.ErrRecord, integrity.ErrForgedOwner, key, err)
+	}
+	return e.Payload[8:], nil
+}
+
+// parsePostKey inverts postKey.
+func parsePostKey(key string) (author string, seq uint64, ok bool) {
+	rest, ok := strings.CutPrefix(key, "post/")
+	i := strings.LastIndexByte(rest, '/')
+	if !ok || i < 0 {
+		return "", 0, false
+	}
+	seq, err := strconv.ParseUint(rest[i+1:], 10, 64)
+	return rest[:i], seq, err == nil
+}
+
+// Publish encrypts body for the named group, signs it as the next entry of
+// the node's timeline, appends that entry to the wall, and stores it in the
+// overlay as a sealed record. Replicas hold ciphertext they cannot read
+// ("the replica nodes are indeed another kind of service provider",
+// Section I) and cannot forge. It returns the overlay operation stats
+// (experiments aggregate these).
 func (nd *Node) Publish(group string, body []byte) (content.Post, overlay.OpStats, error) {
 	g, err := nd.Group(group)
 	if err != nil {
@@ -147,68 +211,48 @@ func (nd *Node) Publish(group string, body []byte) (content.Post, overlay.OpStat
 	}
 	seq := nd.posts
 	nd.posts++
-	post := content.Post{
-		Author:    nd.Name(),
-		Seq:       seq,
-		CreatedAt: time.Unix(0, int64(seq)*int64(time.Second)),
-		Envelope:  env,
-	}
-	wire, err := privacy.Marshal(env)
+	// Historical integrity: the post is a signed, chained timeline entry.
+	entry, err := nd.signPost(seq, env)
 	if err != nil {
-		return content.Post{}, overlay.OpStats{}, fmt.Errorf("core: marshaling envelope: %w", err)
-	}
-	record := wirePost{
-		Author:   post.Author,
-		Seq:      seq,
-		Nano:     post.CreatedAt.UnixNano(),
-		Envelope: wire,
-	}
-	blob, err := json.Marshal(record)
-	if err != nil {
-		return content.Post{}, overlay.OpStats{}, fmt.Errorf("core: encoding post record: %w", err)
-	}
-	// Historical integrity: chain the locator into the timeline.
-	if _, err := nd.Timeline.Publish(blob); err != nil {
 		return content.Post{}, overlay.OpStats{}, err
 	}
 	// Fork consistency: append to the wall on untrusted storage.
-	if _, err := nd.Wall.Append(blob); err != nil {
+	if _, err := nd.Wall.Append(entry); err != nil {
 		return content.Post{}, overlay.OpStats{}, err
 	}
-	st, err := nd.net.KV.Store(nd.Name(), postKey(post.Author, seq), blob)
+	key := postKey(nd.Name(), seq)
+	st, err := nd.net.KV.Store(nd.Name(), key, scrub.Seal(key, entry))
 	if err != nil {
 		return content.Post{}, st, fmt.Errorf("core: storing post: %w", err)
 	}
-	return post, st, nil
+	return content.Post{Author: nd.Name(), Seq: seq, CreatedAt: postTime(seq), Envelope: env}, st, nil
 }
 
-// FetchPost retrieves another user's post record through the overlay and
-// deserializes the embedded envelope — a replica-stored ciphertext, fully
-// self-contained.
+// FetchPost retrieves another user's post record through the overlay,
+// checks it through the network's one record check (checksum, key binding,
+// owner signature) and decodes the envelope.
 func (nd *Node) FetchPost(author string, seq uint64) (content.Post, overlay.OpStats, error) {
-	blob, st, err := nd.net.KV.Lookup(nd.Name(), postKey(author, seq))
+	key := postKey(author, seq)
+	record, st, err := nd.net.KV.Lookup(nd.Name(), key)
 	if err != nil {
 		return content.Post{}, st, fmt.Errorf("core: fetching post %s/%d: %w", author, seq, err)
 	}
-	var record wirePost
-	if err := json.Unmarshal(blob, &record); err != nil {
-		return content.Post{}, st, fmt.Errorf("core: decoding post record: %w", err)
+	wire, err := nd.net.openRecord(key, record)
+	if err != nil {
+		return content.Post{}, st, fmt.Errorf("core: opening post %s/%d: %w", author, seq, err)
 	}
-	env, err := privacy.Unmarshal(record.Envelope)
+	env, err := privacy.Unmarshal(wire)
 	if err != nil {
 		return content.Post{}, st, fmt.Errorf("core: decoding envelope: %w", err)
 	}
-	return content.Post{
-		Author:    record.Author,
-		Seq:       record.Seq,
-		CreatedAt: time.Unix(0, record.Nano),
-		Envelope:  env,
-	}, st, nil
+	return content.Post{Author: author, Seq: seq, CreatedAt: postTime(seq), Envelope: env}, st, nil
 }
 
 // RepublishArchive re-stores a group's (re-encrypted) archive into the
 // overlay after a revocation — the "previous data ... must be encrypted and
-// stored again" step of Section III-D. It assumes the group's archive order
+// stored again" step of Section III-D. Each re-encrypted post is a new
+// timeline entry stored under the post's old key: rewriting the old entry
+// would fork the owner's own chain. It assumes the group's archive order
 // matches this node's post sequence for that group.
 func (nd *Node) RepublishArchive(group string, seqs []uint64) (overlay.OpStats, error) {
 	g, err := nd.Group(group)
@@ -221,22 +265,13 @@ func (nd *Node) RepublishArchive(group string, seqs []uint64) (overlay.OpStats, 
 		if i >= len(archive) {
 			break
 		}
-		wire, err := privacy.Marshal(archive[i])
+		entry, err := nd.signPost(seq, archive[i])
 		if err != nil {
-			return total, fmt.Errorf("core: marshaling re-encrypted envelope: %w", err)
+			return total, err
 		}
-		record := wirePost{
-			Author:   nd.Name(),
-			Seq:      seq,
-			Nano:     int64(seq) * int64(time.Second),
-			Envelope: wire,
-		}
-		blob, err := json.Marshal(record)
-		if err != nil {
-			return total, fmt.Errorf("core: encoding post record: %w", err)
-		}
-		st, err := nd.net.KV.Store(nd.Name(), postKey(nd.Name(), seq), blob)
-		addStats(&total, st)
+		key := postKey(nd.Name(), seq)
+		st, err := nd.net.KV.Store(nd.Name(), key, scrub.Seal(key, entry))
+		total.Add(&st)
 		if err != nil {
 			return total, fmt.Errorf("core: re-storing post %d: %w", seq, err)
 		}
@@ -273,7 +308,7 @@ func (nd *Node) ReadFeed() ([][]byte, overlay.OpStats, error) {
 		}
 		for seq := uint64(0); seq < friendNode.posts; seq++ {
 			post, st, err := nd.FetchPost(friend, seq)
-			addStats(&total, st)
+			total.Add(&st)
 			if err != nil {
 				continue
 			}
@@ -323,11 +358,4 @@ func (nd *Node) FindUsers() []string {
 		}
 	}
 	return out
-}
-
-func addStats(total *overlay.OpStats, st overlay.OpStats) {
-	total.Hops += st.Hops
-	total.Messages += st.Messages
-	total.Bytes += st.Bytes
-	total.Latency += st.Latency
 }

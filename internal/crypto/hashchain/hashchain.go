@@ -65,28 +65,81 @@ func (e *Entry) Hash() [32]byte {
 	return sha256.Sum256(e.digest())
 }
 
+// entryDomain opens every digest, so an entry's bytes cannot alias another
+// signed format.
+const entryDomain = "godosn/hashchain/entry-v1\x00"
+
+// anchorMin is the smallest encoded anchor: an empty author's terminator,
+// the sequence number and the hash.
+const anchorMin = 1 + 8 + 32
+
+var errMalformed = errors.New("hashchain: malformed entry")
+
 // digest is the byte string that is hashed and signed.
 func (e *Entry) digest() []byte {
-	var buf bytes.Buffer
-	buf.WriteString("godosn/hashchain/entry-v1\x00")
-	buf.WriteString(e.Author)
-	buf.WriteByte(0)
-	var seq [8]byte
-	binary.BigEndian.PutUint64(seq[:], e.Seq)
-	buf.Write(seq[:])
-	buf.Write(e.PrevHash[:])
-	var count [8]byte
-	binary.BigEndian.PutUint64(count[:], uint64(len(e.Anchors)))
-	buf.Write(count[:])
+	b := append(append([]byte(entryDomain), e.Author...), 0)
+	b = binary.BigEndian.AppendUint64(b, e.Seq)
+	b = append(b, e.PrevHash[:]...)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(e.Anchors)))
 	for _, a := range e.Anchors {
-		buf.WriteString(a.Author)
-		buf.WriteByte(0)
-		binary.BigEndian.PutUint64(seq[:], a.Seq)
-		buf.Write(seq[:])
-		buf.Write(a.Hash[:])
+		b = binary.BigEndian.AppendUint64(append(append(b, a.Author...), 0), a.Seq)
+		b = append(b, a.Hash[:]...)
 	}
-	buf.Write(e.Payload)
-	return buf.Bytes()
+	return append(b, e.Payload...)
+}
+
+// Marshal encodes the entry as the bytes its author signed followed by the
+// signature: digest ‖ signature. Authors must not contain a zero byte.
+func (e *Entry) Marshal() []byte {
+	return append(e.digest(), e.Signature...)
+}
+
+// ParseEntry decodes Marshal's encoding. Payload and Signature are views
+// into b, capacity-capped so an append copies. It refuses an anchor count
+// the bytes cannot hold and a signature shorter than pubkey.SignatureSize,
+// but checks no signature: b[:len(b)-pubkey.SignatureSize] is what the
+// author signed.
+func ParseEntry(b []byte) (*Entry, error) {
+	if len(b) < len(entryDomain)+pubkey.SignatureSize || string(b[:len(entryDomain)]) != entryDomain {
+		return nil, fmt.Errorf("%w: bad framing (%d bytes)", errMalformed, len(b))
+	}
+	sig := len(b) - pubkey.SignatureSize
+	e := &Entry{Signature: b[sig:len(b):len(b)]}
+	body := b[len(entryDomain):sig]
+	var ok bool
+	if e.Author, body, ok = cutName(body); !ok || len(body) < 8+32+8 {
+		return nil, fmt.Errorf("%w: short header", errMalformed)
+	}
+	e.Seq = binary.BigEndian.Uint64(body)
+	copy(e.PrevHash[:], body[8:40])
+	n := binary.BigEndian.Uint64(body[40:48])
+	body = body[48:]
+	if n > uint64(len(body)/anchorMin) {
+		return nil, fmt.Errorf("%w: %d anchors in %d bytes", errMalformed, n, len(body))
+	}
+	if n > 0 {
+		e.Anchors = make([]Anchor, n)
+	}
+	for i := range e.Anchors {
+		a := &e.Anchors[i]
+		if a.Author, body, ok = cutName(body); !ok || len(body) < 8+32 {
+			return nil, fmt.Errorf("%w: short anchor %d", errMalformed, i)
+		}
+		a.Seq = binary.BigEndian.Uint64(body)
+		copy(a.Hash[:], body[8:40])
+		body = body[40:]
+	}
+	e.Payload = body[:len(body):len(body)]
+	return e, nil
+}
+
+// cutName splits a zero-terminated name off the front of b.
+func cutName(b []byte) (string, []byte, bool) {
+	i := bytes.IndexByte(b, 0)
+	if i < 0 {
+		return "", nil, false
+	}
+	return string(b[:i]), b[i+1:], true
 }
 
 // Chain is one publisher's append-only signed timeline.

@@ -1,7 +1,11 @@
 package hashchain
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"godosn/internal/crypto/pubkey"
@@ -221,4 +225,132 @@ func TestEntriesCopyIsShallow(t *testing.T) {
 	if e2[0] == nil {
 		t.Fatal("Entries slices share backing array")
 	}
+}
+
+func sameEntry(a, b *Entry) bool {
+	if a.Author != b.Author || a.Seq != b.Seq || a.PrevHash != b.PrevHash ||
+		len(a.Anchors) != len(b.Anchors) || !bytes.Equal(a.Payload, b.Payload) ||
+		!bytes.Equal(a.Signature, b.Signature) {
+		return false
+	}
+	for i := range a.Anchors {
+		if a.Anchors[i] != b.Anchors[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestParseEntryRoundTripsAndVerifies(t *testing.T) {
+	other, _ := newChain(t, "bob")
+	other.Append([]byte("bob's post"))
+	anchor, err := AnchorTo(other)
+	if err != nil {
+		t.Fatalf("AnchorTo: %v", err)
+	}
+	c, vk := newChain(t, "alice")
+	c.Append([]byte("first"))
+	e, _ := c.Append([]byte("second"), anchor)
+	b := e.Marshal()
+	got, err := ParseEntry(b)
+	if err != nil {
+		t.Fatalf("ParseEntry: %v", err)
+	}
+	if !sameEntry(got, e) {
+		t.Fatalf("ParseEntry(Marshal(e)) = %+v, want %+v", got, e)
+	}
+	if &got.Payload[0] != &b[len(b)-pubkey.SignatureSize-len(got.Payload)] || cap(got.Payload) != len(got.Payload) {
+		t.Fatal("Payload is not a capacity-capped view into the bytes")
+	}
+	if _, err := Verify([]*Entry{c.Entries()[0], got}, vk); err != nil {
+		t.Fatalf("parsed entry does not verify in its chain: %v", err)
+	}
+	if err := pubkey.Verify(vk, b[:len(b)-pubkey.SignatureSize], got.Signature); err != nil {
+		t.Fatalf("the bytes before the signature are not what was signed: %v", err)
+	}
+}
+
+func TestParseEntryRefusesHostileBytes(t *testing.T) {
+	c, _ := newChain(t, "alice")
+	e, _ := c.Append([]byte("p"))
+	b := e.Marshal()
+	countAt := len(entryDomain) + len("alice") + 1 + 8 + 32
+	hostile := append([]byte(nil), b...)
+	binary.BigEndian.PutUint64(hostile[countAt:], 1<<62)
+	cases := map[string][]byte{
+		"empty":           nil,
+		"short signature": b[:len(entryDomain)+pubkey.SignatureSize-1],
+		"wrong domain":    append([]byte("godosn/hashchain/entry-v2\x00"), b[len(entryDomain):]...),
+		"no author end":   append([]byte(entryDomain), bytes.Repeat([]byte{'a'}, pubkey.SignatureSize)...),
+		"hostile count":   hostile,
+	}
+	for name, bad := range cases {
+		if _, err := ParseEntry(bad); err == nil {
+			t.Errorf("%s: parsed", name)
+		}
+	}
+}
+
+// flipFails reports whether flipping bit of enc makes it fail to parse or
+// fail its signature check; enc is restored.
+func flipFails(enc []byte, bit int, vk pubkey.VerificationKey) bool {
+	enc[bit/8] ^= 1 << (bit % 8)
+	defer func() { enc[bit/8] ^= 1 << (bit % 8) }()
+	p, err := ParseEntry(enc)
+	return err != nil || pubkey.Verify(vk, p.digest(), p.Signature) != nil
+}
+
+func TestEveryBitFlipFailsTheSignature(t *testing.T) {
+	other, _ := newChain(t, "bob")
+	other.Append([]byte("x"))
+	anchor, _ := AnchorTo(other)
+	c, vk := newChain(t, "alice")
+	c.Append([]byte("first"))
+	e, _ := c.Append([]byte("second"), anchor)
+	enc := e.Marshal()
+	for bit := 0; bit < 8*len(enc); bit++ {
+		if !flipFails(enc, bit, vk) {
+			t.Fatalf("signature check passed with bit %d flipped", bit)
+		}
+	}
+}
+
+// FuzzParseEntry holds the entry codec to three properties: hostile bytes
+// never panic, parse(marshal(e)) equals e, and flipping any one bit of a
+// marshaled entry fails its signature check. The fuzzer picks the bit (one
+// signature check per input); TestEveryBitFlipFailsTheSignature sweeps them
+// all on one entry.
+func FuzzParseEntry(f *testing.F) {
+	kp, err := pubkey.SigningKeyPairFromSeed(bytes.Repeat([]byte{7}, 32))
+	if err != nil {
+		f.Fatal(err)
+	}
+	vk := kp.Verification()
+	seed := New("alice", kp)
+	seed.Append([]byte("p"))
+	f.Add(seed.Head().Marshal(), "alice", uint64(1), "bob", []byte("post"), uint(0))
+	f.Add([]byte(entryDomain), "", uint64(0), "", []byte{}, uint(1000))
+	f.Fuzz(func(t *testing.T, b []byte, author string, seq uint64, anchorAuthor string, payload []byte, bit uint) {
+		if e, err := ParseEntry(b); err == nil && !bytes.Equal(e.Marshal(), b) {
+			t.Fatalf("Marshal(ParseEntry(b)) differs from b")
+		}
+
+		// Names drop zero bytes, their terminator.
+		author = strings.ReplaceAll(author, "\x00", "")
+		anchorAuthor = strings.ReplaceAll(anchorAuthor, "\x00", "")
+		e := &Entry{Author: author, Seq: seq, Payload: payload}
+		e.PrevHash[0] = byte(seq)
+		if anchorAuthor != "" {
+			e.Anchors = []Anchor{{Author: anchorAuthor, Seq: seq >> 1, Hash: sha256.Sum256(payload)}}
+		}
+		e.Signature = kp.Sign(e.digest())
+		enc := e.Marshal()
+		got, err := ParseEntry(enc)
+		if err != nil || !sameEntry(got, e) {
+			t.Fatalf("ParseEntry(Marshal(%+v)) = %+v, %v", e, got, err)
+		}
+		if i := int(bit % uint(8*len(enc))); !flipFails(enc, i, vk) {
+			t.Fatalf("signature check passed with bit %d flipped", i)
+		}
+	})
 }
