@@ -15,14 +15,15 @@ import (
 // This file implements overlay.BatchKV: multi-key Put/Get with route-grouped
 // fan-out. Three amortizations make a batch cheaper than a key-by-key loop:
 //
-//  1. Routing passes are shared. Pending keys are sorted by ring position;
-//     after one iterative lookup resolves kid → root R, every following kid
-//     in (kid, R] is owned by the same successor (Chord ownership is the
-//     half-open interval (pred(R), R]), so it is resolved locally without
-//     another walk. The route cache is consulted first, so hot keys skip
-//     even that, and intervals learned by earlier batches are kept in the
-//     ownership cache (ownership.go) — once every live root has been walked
-//     to, cold keys resolve without routing at all.
+//  1. Routing passes are shared. Keys are sorted by ring position and
+//     resolved in the DHT's one resolution order (routecache.go): learned
+//     ownership interval, route cache, walk. A batch walk resolving kid →
+//     root R teaches the ownership cache (ownership.go) that (kid, R] is
+//     owned by R (Chord ownership is the half-open interval (pred(R), R]),
+//     so every following kid in that span resolves without another walk,
+//     in this batch, in later ones and in single-key operations. Once
+//     every live root has been walked to, cold keys resolve without
+//     routing at all, and the route cache is filled only by walks.
 //  2. Request envelopes are shared. All keys resolving to the same root
 //     travel to each replica in ONE message instead of one per key, so the
 //     message cost of a batch scales with the number of replica groups
@@ -156,7 +157,7 @@ func handleFetchBatch(n *node, req *fetchBatchReq) (simnet.Message, error) {
 }
 
 // batchPlan is a batch's routing and grouping state, kept in the batch's
-// frame: each key's root or routing failure, the walks still to run, and
+// frame: each key's root or routing failure, the keys in ring order, and
 // every routed position sorted by root with each group a sub-slice of it.
 type batchPlan struct {
 	roots   []uint64
@@ -166,8 +167,7 @@ type batchPlan struct {
 	groups  []batchGroup
 }
 
-// pendingKey is a key the route cache did not answer: its batch position
-// and ring id.
+// pendingKey is a key to resolve: its batch position and ring id.
 type pendingKey struct {
 	idx int
 	kid uint64
@@ -201,62 +201,29 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 // batchRoots resolves every key's successor root into f's plan with one
-// amortized pass: route-cache hits are free; misses are sorted by ring
-// position and each iterative lookup's result covers every following key
-// inside the resolved successor's ownership interval. Resolutions are
-// modeled as concurrent pipelines (messages sum, latency charges the
-// slowest walk). Per-key routing failures land in the plan's errs; the
-// corresponding roots entry is invalid.
+// amortized pass: keys are resolved in ring order, so each walk's learned
+// interval answers the keys after it that the walked root owns.
+// Resolutions are modeled as concurrent pipelines (messages sum, latency
+// charges the slowest walk). Per-key routing failures land in the plan's
+// errs; the corresponding roots entry is invalid.
 func (d *DHT) batchRoots(f *opFrame, origin simnet.NodeID, keys []string) (tr simnet.Trace) {
 	p := &f.plan
 	p.roots = zeroed(p.roots, len(keys))
 	p.errs = zeroed(p.errs, len(keys))
 	for i, key := range keys {
-		if root, ok := d.routes.Get(key); ok {
-			p.roots[i] = root
-			continue
-		}
 		p.pending = append(p.pending, pendingKey{idx: i, kid: hashID(key)})
 	}
 	slices.SortFunc(p.pending, func(a, b pendingKey) int { return cmp.Compare(a.kid, b.kid) })
-	var (
-		lastKid, lastRoot uint64
-		haveLast          bool
-		maxLat            time.Duration
-	)
+	var maxLat time.Duration
 	for _, pk := range p.pending {
-		// Ownership shortcut: kid == lastKid is the same point; otherwise a
-		// kid strictly inside (lastKid, lastRoot] shares lastRoot. The
-		// lastKid == lastRoot corner (key hashing exactly onto the root)
-		// would make the interval the whole ring, so only equality applies.
-		if haveLast && (pk.kid == lastKid || (lastKid != lastRoot && inInterval(pk.kid, lastKid, lastRoot))) {
-			p.roots[pk.idx] = lastRoot
-			d.routes.Put(keys[pk.idx], lastRoot)
-			continue
-		}
-		// Cross-batch shortcut: an interval learned by any earlier walk
-		// (this batch or a previous one) resolves the key without routing.
-		if root, ok := d.ownership.lookup(pk.kid); ok {
-			p.roots[pk.idx] = root
-			d.routes.Put(keys[pk.idx], root)
-			lastKid, lastRoot, haveLast = pk.kid, root, true
-			continue
-		}
-		// Every walk of the batch starts on a zero trace.
+		// Every resolution of the batch starts on a zero trace; one a memo
+		// answers leaves it zero.
 		f.tr = simnet.Trace{}
-		root, err := d.findSuccessor(f, origin, pk.kid)
+		p.roots[pk.idx], p.errs[pk.idx] = d.resolveRoot(f, nil, origin, keys[pk.idx], pk.kid, true)
 		tr.Hops += f.tr.Hops
 		tr.Messages += f.tr.Messages
 		tr.Bytes += f.tr.Bytes
 		maxLat = max(maxLat, f.tr.Latency)
-		if err != nil {
-			p.errs[pk.idx] = err
-			continue
-		}
-		p.roots[pk.idx] = root
-		d.routes.Put(keys[pk.idx], root)
-		d.ownership.learn(pk.kid, root)
-		lastKid, lastRoot, haveLast = pk.kid, root, true
 	}
 	tr.Latency = maxLat
 	return tr

@@ -251,7 +251,7 @@ func TestOwnershipCacheUnit(t *testing.T) {
 	}
 	// learn(100, 200): the walk resolved kid 100 itself to root 200, so
 	// both 100 and the interval (100, 200] are known to be owned by 200.
-	c.learn(100, 200)
+	c.learn(100, 200, c.fence())
 	for _, kid := range []uint64{100, 101, 150, 200} {
 		if root, ok := c.lookup(kid); !ok || root != 200 {
 			t.Fatalf("lookup(%d) = %d,%v, want 200,true", kid, root, ok)
@@ -263,17 +263,17 @@ func TestOwnershipCacheUnit(t *testing.T) {
 		}
 	}
 	// A farther-counterclockwise observation widens the interval.
-	c.learn(50, 200)
+	c.learn(50, 200, c.fence())
 	if root, ok := c.lookup(75); !ok || root != 200 {
 		t.Fatalf("widened interval missed: lookup(75) = %d,%v", root, ok)
 	}
 	// A narrower observation must not shrink it.
-	c.learn(150, 200)
+	c.learn(150, 200, c.fence())
 	if _, ok := c.lookup(75); !ok {
 		t.Fatal("narrower observation shrank the learned interval")
 	}
 	// kid == root would claim the whole ring; it must be skipped.
-	c.learn(300, 300)
+	c.learn(300, 300, c.fence())
 	if _, ok := c.lookup(250); ok {
 		t.Fatal("degenerate (root, root] interval claimed the ring")
 	}

@@ -53,9 +53,10 @@ type DHT struct {
 	mu   sync.Mutex               // serialises the writers of ring, and Heal's planning against them
 	ring atomic.Pointer[ringView] // membership, fingers, filter, ranker (ring.go); read lock-free
 
-	routes    *cache.Cache[uint64] // key → successor root (routecache.go); nil = uncached
-	ownership ownershipCache       // learned successor intervals (ownership.go)
-	gates     *nodeGates           // server-side admission (gate.go); nil = admit everything
+	routes    *cache.Cache[uint64]             // key → successor root (routecache.go); nil = uncached
+	ownership ownershipCache                   // learned successor intervals (ownership.go)
+	tel       atomic.Pointer[resolveTelemetry] // resolution counters (routecache.go); nil = off
+	gates     *nodeGates                       // server-side admission (gate.go); nil = admit everything
 }
 
 var _ overlay.KV = (*DHT)(nil)
@@ -70,7 +71,8 @@ type Config struct {
 	// Store/Lookup always contact replicas one after another, and a Lookup
 	// stops at the first hit.
 	FanoutWorkers int
-	// RouteCache memoizes key → successor-root resolution (routecache.go).
+	// RouteCache memoizes key → successor-root resolution (routecache.go),
+	// the step after the learned ownership intervals, which are always on.
 	// The zero value (Capacity 0) disables it, preserving the exact RPC
 	// and seeded-RNG sequence of an uncached DHT. A cache hit skips the
 	// routing walk: fewer messages, and on a lossy network fewer RNG draws
@@ -300,6 +302,9 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 // findSuccessor runs the iterative Chord lookup from the origin node,
 // charging each routing step to the frame's trace.
 func (d *DHT) findSuccessor(f *opFrame, origin simnet.NodeID, key uint64) (uint64, error) {
+	if t := d.tel.Load(); t != nil {
+		t.walks.Inc()
+	}
 	v := d.view()
 	cur := v.names[origin]
 	if cur == nil {
@@ -367,7 +372,7 @@ func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (o
 	defer returnFrame(f)
 	tr := &f.tr
 	route := sp.Child("route")
-	root, err := d.resolveRoot(f, route, simnet.NodeID(origin), key, hashID(key))
+	root, err := d.resolveRoot(f, route, simnet.NodeID(origin), key, hashID(key), false)
 	route.AddLatency(tr.Latency)
 	route.End(spanOutcome(err))
 	if err != nil {
@@ -429,7 +434,7 @@ func (d *DHT) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overla
 	defer returnFrame(f)
 	tr := &f.tr
 	route := sp.Child("route")
-	root, err := d.resolveRoot(f, route, simnet.NodeID(origin), key, hashID(key))
+	root, err := d.resolveRoot(f, route, simnet.NodeID(origin), key, hashID(key), false)
 	route.AddLatency(tr.Latency)
 	route.End(spanOutcome(err))
 	if err != nil {

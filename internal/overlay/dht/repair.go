@@ -54,7 +54,7 @@ func registerCrashHook(net *simnet.Network, n *node) {
 func (d *DHT) ReplicasFor(origin, key string) ([]string, overlay.OpStats, error) {
 	f := borrowFrame()
 	defer returnFrame(f)
-	root, err := d.resolveRoot(f, nil, simnet.NodeID(origin), key, hashID(key))
+	root, err := d.resolveRoot(f, nil, simnet.NodeID(origin), key, hashID(key), false)
 	if err != nil {
 		return nil, f.tr, err
 	}
