@@ -19,6 +19,7 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock smoke
 #   e21        warm caches hit, match the cold arm byte for byte, never serve a revoked reader
 #   cache -race  the sharded cache's concurrent hammers (no fill outlives an Invalidate) and eviction-order determinism
 #   ownership -race  single-key lookups from two goroutines against batch walks that learn intervals and InvalidateRoutes that clear them
+#   batch put -race  workers-8 PutBatch destinations record their envelope outcomes concurrently: stats match workers 1, and offline, ack-lost and unavailable outcomes stay per group
 #   simnet -race  ten callers against every fault injector with exact ledgers; link draws independent of other links' traffic
 #   pubkey -race  ten goroutines on one ECIES Sender (shared and own recipients, two-wrap Multis that outlive an ephemeral replacement, Forget) and on one key pair's memoised Decrypt
 #   e7,e16     placed sealed copies on the DHT match 1-(1-u)^(k+1) within 4 sigma + 0.01, monotone in k and uptime; proxies >= 0.99
@@ -40,6 +41,7 @@ $(BENCH_BIN) -quick -exp e19
 $(BENCH_BIN) -quick -exp e21
 $(GO) test -race -count=1 -run 'TestCacheRaceHammer|TestCacheFillNeverOutlivesInvalidate|TestCacheEvictionOrderShardedWorkers1vs8' ./internal/cache/
 $(GO) test -race -count=1 -run 'TestOwnershipHammer' ./internal/overlay/dht/
+$(GO) test -race -count=1 -run 'TestBatchMatchesSequentialAcrossWorkers|TestPutBatchFaultIsolation' ./internal/overlay/dht/
 $(GO) test -race -count=1 -run 'TestHammerKeepsLedgersExact|TestLinkDrawsIgnoreOtherLinks' ./internal/overlay/simnet/
 $(GO) test -race -count=1 -run 'TestSenderHammer|TestDecryptHammer' ./internal/crypto/pubkey/
 $(BENCH_BIN) -quick -exp e7,e16
@@ -137,7 +139,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 37
+BENCH_PR := 39
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json

@@ -163,7 +163,7 @@ func E23ScaleSweep(quick bool) (*Table, error) {
 		}
 	}
 	t.AddNote("both arms drive the identical streamed action sequence (posts, comments, feed reads, searches) and must produce identical read outcomes — checked by digest")
-	t.AddNote("the batched arm groups keys by successor root: one routing pass and one envelope per replica group instead of per key, plus hot-key dedupe within each batch")
+	t.AddNote("the batched arm groups keys by successor root: one routing pass per root instead of per key, writes in one envelope per destination node, reads in one per replica group, plus hot-key dedupe within each batch")
 	t.AddNote("live heap is measured after GC with the whole stack still referenced; it tracks ops and the touched working set, not the population — the 100x user growth costs no memory because users are streamed, never materialized")
 	if quick {
 		t.AddNote("quick mode sweeps 10k->100k; the full run adds the in-harness 1M-user point (same ops budget — population size only widens the Zipf range)")

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
@@ -24,15 +23,15 @@ import (
 //     in this batch, in later ones and in single-key operations. Once
 //     every live root has been walked to, cold keys resolve without
 //     routing at all, and the route cache is filled only by walks.
-//  2. Request envelopes are shared. All keys resolving to the same root
-//     travel to each replica in ONE message instead of one per key, so the
-//     message cost of a batch scales with the number of replica groups
-//     touched, not the number of keys.
-//  3. Allocations are per batch, not per group or key. A batch borrows one
-//     operation frame (opFrame, dht.go) for its routing walks and its plan —
-//     per-key roots, every routed position sorted by root, each group a
-//     sub-slice — and each group borrows one for its envelopes, its trace
-//     and its replica ids, so concurrent groups never share one. An incoming
+//  2. Request envelopes are shared. A put sends each replica node ONE
+//     message with the keys of every group it holds; a get sends each probed
+//     replica one message per group. Neither cost scales with the keys.
+//  3. Allocations are per batch, not per envelope or key. A batch borrows
+//     one operation frame (opFrame, dht.go) for its routing walks and its
+//     plan — per-key roots, every routed position sorted by root, each group
+//     a sub-slice, a put's destination runs — and each destination node
+//     (put) or group (get) borrows one for its envelope, so concurrent
+//     envelopes never share one. An incoming
 //     envelope's keys and values are copied straight into the node's record
 //     log (store.go); an outgoing reply's values are copied into one fresh
 //     backing array per probe, because they leave the DHT. Lifetime rules
@@ -42,12 +41,12 @@ import (
 //     after return is safe).
 //
 // Cost model (the batch determinism contract): a batch is one logical
-// operation whose per-root groups proceed as independent concurrent
-// pipelines. Messages, bytes, and hops always sum; simulated latency
-// charges the slowest group (and, within a group, the serial chain of
-// replica probes). The model is independent of Config.FanoutWorkers — the
-// worker count changes wall-clock only — so batch stats and results are
-// byte-identical at any parallelism level.
+// operation whose destination envelopes (put) or per-root probe chains
+// (get) proceed as independent concurrent pipelines. Messages, bytes, and
+// hops always sum; simulated latency charges the slowest. The model is
+// independent of Config.FanoutWorkers — the worker count changes
+// wall-clock only — so batch stats and results are byte-identical at any
+// parallelism level.
 //
 // Per-key fault isolation: routing failures, unreachable replica groups,
 // and misses are reported in the affected slots only; a batch never fails
@@ -83,6 +82,26 @@ type fetchBatchReq struct {
 type fetchBatchResp struct {
 	Found  []bool
 	Values [][]byte
+}
+
+// message is the store_batch envelope carrying r, sized as its framing plus
+// each item's key, value and length prefix.
+func (r *storeBatchReq) message() simnet.Message {
+	size := batchEnvelopeOverhead
+	for i, key := range r.Keys {
+		size += len(key) + len(r.Values[i]) + batchItemOverhead
+	}
+	return simnet.Message{Kind: kindStoreBatch, Payload: r, Size: size}
+}
+
+// message is the fetch_batch envelope carrying r, sized as its framing plus
+// each key and its length prefix.
+func (r *fetchBatchReq) message() simnet.Message {
+	size := batchEnvelopeOverhead
+	for _, key := range r.Keys {
+		size += len(key) + batchItemOverhead
+	}
+	return simnet.Message{Kind: kindFetchBatch, Payload: r, Size: size}
 }
 
 // reset empties the request for refilling, keeping its arrays but none of
@@ -157,14 +176,19 @@ func handleFetchBatch(n *node, req *fetchBatchReq) (simnet.Message, error) {
 }
 
 // batchPlan is a batch's routing and grouping state, kept in the batch's
-// frame: each key's root or routing failure, the keys in ring order, and
-// every routed position sorted by root with each group a sub-slice of it.
+// frame: each key's root or routing failure, the keys in ring order, every
+// routed position sorted by root with each group a sub-slice of it, and a
+// put's destination runs (destinations). acks holds a write's per-replica
+// outcomes for writeErr: a put's by slot, a Store's in placement order.
 type batchPlan struct {
 	roots   []uint64
 	errs    []error
 	pending []pendingKey
 	order   []int
 	groups  []batchGroup
+	slots   []destSlot
+	dests   []batchDest
+	acks    []error
 }
 
 // pendingKey is a key to resolve: its batch position and ring id.
@@ -173,15 +197,30 @@ type pendingKey struct {
 	kid uint64
 }
 
-// batchGroup is one per-root work unit and its outcome: the batch positions
-// whose keys resolved to root, in input order; the group's network cost;
-// and, for PutBatch, the error every key of the group shares (the envelope
-// is all-or-nothing per replica).
+// batchGroup is one per-root work unit: the batch positions whose keys
+// resolved to root, in input order, and, for PutBatch, the span of the
+// plan's acks its replicas fill, or, for GetBatch, the group's network cost.
 type batchGroup struct {
 	root uint64
 	idxs []int
+	acks [2]int
 	tr   simnet.Trace
-	err  error
+}
+
+// destSlot is one (group, replica) pair of a put and the index of its
+// envelope's outcome in the plan's acks.
+type destSlot struct {
+	node       uint64
+	group, ack int
+}
+
+// batchDest is one destination node's envelope: its slots, its cost and
+// its delivery outcome.
+type batchDest struct {
+	node  uint64
+	slots []destSlot
+	tr    simnet.Trace
+	err   error
 }
 
 // reset empties the plan for the next batch, keeping its arrays but none of
@@ -189,7 +228,10 @@ type batchGroup struct {
 func (p *batchPlan) reset() {
 	clear(p.errs)
 	clear(p.groups)
+	clear(p.dests)
+	clear(p.acks)
 	p.roots, p.errs, p.pending, p.order, p.groups = p.roots[:0], p.errs[:0], p.pending[:0], p.order[:0], p.groups[:0]
+	p.slots, p.dests, p.acks = p.slots[:0], p.dests[:0], p.acks[:0]
 }
 
 // zeroed returns s resized to n zero elements, reusing its array when it is
@@ -214,18 +256,13 @@ func (d *DHT) batchRoots(f *opFrame, origin simnet.NodeID, keys []string) (tr si
 		p.pending = append(p.pending, pendingKey{idx: i, kid: hashID(key)})
 	}
 	slices.SortFunc(p.pending, func(a, b pendingKey) int { return cmp.Compare(a.kid, b.kid) })
-	var maxLat time.Duration
 	for _, pk := range p.pending {
 		// Every resolution of the batch starts on a zero trace; one a memo
 		// answers leaves it zero.
 		f.tr = simnet.Trace{}
 		p.roots[pk.idx], p.errs[pk.idx] = d.resolveRoot(f, nil, origin, keys[pk.idx], pk.kid, true)
-		tr.Hops += f.tr.Hops
-		tr.Messages += f.tr.Messages
-		tr.Bytes += f.tr.Bytes
-		maxLat = max(maxLat, f.tr.Latency)
+		addBranch(&tr, &f.tr)
 	}
-	tr.Latency = maxLat
 	return tr
 }
 
@@ -252,25 +289,31 @@ func (p *batchPlan) group() {
 	}
 }
 
-// mergeGroups folds the per-group traces into the batch trace under the
-// pipelined cost model: counts sum, latency charges the slowest group.
-func (p *batchPlan) mergeGroups(tr *simnet.Trace) {
-	var maxLat time.Duration
-	for i := range p.groups {
-		g := &p.groups[i].tr
-		tr.Hops += g.Hops
-		tr.Messages += g.Messages
-		tr.Bytes += g.Bytes
-		maxLat = max(maxLat, g.Latency)
+// addBranch charges one concurrent branch of a batch to tr: counts sum,
+// and the latency is the slowest branch's.
+func addBranch(tr, branch *simnet.Trace) {
+	tr.Hops += branch.Hops
+	tr.Messages += branch.Messages
+	tr.Bytes += branch.Bytes
+	tr.Latency = max(tr.Latency, branch.Latency)
+}
+
+// mergeBranches charges a batch's concurrent envelopes to tr after its
+// routing: counts sum, and the slowest envelope's latency adds to tr's.
+func mergeBranches[T any](tr *simnet.Trace, items []T, trace func(*T) *simnet.Trace) {
+	var par simnet.Trace
+	for i := range items {
+		addBranch(&par, trace(&items[i]))
 	}
-	tr.Latency += maxLat
+	tr.Add(&par)
 }
 
 // PutBatch implements overlay.BatchKV. Every key is written to its full
-// replica set; keys sharing a root share one routing pass and one store
-// envelope per replica. A key's slot reports nil when at least one replica
-// acknowledged (matching Store's success rule), an ack-lost wrap when the
-// write may have landed unacked, and the delivery fault otherwise.
+// replica set; keys sharing a root share one routing pass, and each replica
+// node gets one store envelope with the keys of every group it holds. A
+// key's outcome is its group's, under Store's rule (writeErr) over the
+// outcomes of the envelopes the group's replicas were sent, in placement
+// order.
 func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, overlay.OpStats, error) {
 	if len(keys) != len(values) {
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: PutBatch: %d keys but %d values", len(keys), len(values))
@@ -278,8 +321,7 @@ func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, 
 	if len(keys) == 0 {
 		return nil, overlay.OpStats{}, nil
 	}
-	known := d.view().names[simnet.NodeID(origin)] != nil
-	if !known {
+	if d.view().names[simnet.NodeID(origin)] == nil {
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: %w: %s", overlay.ErrUnknownOrigin, origin)
 	}
 	f := borrowFrame()
@@ -287,73 +329,70 @@ func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, 
 	p := &f.plan
 	tr := d.batchRoots(f, simnet.NodeID(origin), keys)
 	p.group()
-	_ = parallel.ForEach(d.fanout, p.groups, func(i int, _ batchGroup) error {
-		d.putGroup(simnet.NodeID(origin), &p.groups[i], keys, values)
+	v := d.view()
+	p.destinations(v, d.replica, &f.ids)
+	_ = parallel.ForEach(d.fanout, p.dests, func(i int, _ batchDest) error {
+		d.putDest(simnet.NodeID(origin), v, p, &p.dests[i], keys, values)
 		return nil
 	})
-	p.mergeGroups(&tr)
+	mergeBranches(&tr, p.dests, func(dst *batchDest) *simnet.Trace { return &dst.tr })
+	for _, dst := range p.dests {
+		for _, s := range dst.slots {
+			p.acks[s.ack] = dst.err
+		}
+	}
 	errs := slices.Clone(p.errs) // the caller's, not the frame's
 	for _, g := range p.groups {
-		if g.err != nil {
+		if err := writeErr("batch store", p.acks[g.acks[0]:g.acks[1]]); err != nil {
 			for _, idx := range g.idxs {
-				errs[idx] = g.err
+				errs[idx] = err
 			}
 		}
 	}
 	return errs, tr, nil
 }
 
-// putGroup writes one root group's keys to the group's replica set: one
-// shared envelope per replica, replicas contacted as concurrent branches
-// (latency charges the slowest). Success and ack-lost semantics mirror
-// Store: one acknowledged replica suffices; with none, a lost ack is
-// surfaced as possibly-applied.
-func (d *DHT) putGroup(origin simnet.NodeID, g *batchGroup, keys []string, values [][]byte) {
+// destinations inverts the groups' placements into one run per node, the
+// runs sorted by node. Every (group, replica) pair is a slot, and a group's
+// slots own its span of acks in placement order; sorting the slots by
+// (node, group) keeps a node's groups in ring order.
+func (p *batchPlan) destinations(v *ringView, k int, ids *replicaIDs) {
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		g.acks[0] = len(p.slots)
+		for _, rid := range v.placementOf(ids[:0], g.root, k) {
+			p.slots = append(p.slots, destSlot{node: rid, group: gi, ack: len(p.slots)})
+		}
+		g.acks[1] = len(p.slots)
+	}
+	p.acks = zeroed(p.acks, len(p.slots))
+	slices.SortFunc(p.slots, func(a, b destSlot) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.group, b.group))
+	})
+	for start := 0; start < len(p.slots); {
+		node := p.slots[start].node
+		end := start + 1
+		for end < len(p.slots) && p.slots[end].node == node {
+			end++
+		}
+		p.dests = append(p.dests, batchDest{node: node, slots: p.slots[start:end:end]})
+		start = end
+	}
+}
+
+// putDest sends one node its envelope: each group's keys in input order, so
+// a key repeated in the batch lands last-write-wins.
+func (d *DHT) putDest(origin simnet.NodeID, v *ringView, p *batchPlan, dst *batchDest, keys []string, values [][]byte) {
 	f := borrowFrame()
 	defer returnFrame(f)
 	req := &f.storeBatch
-	size := batchEnvelopeOverhead
-	for _, idx := range g.idxs {
-		req.Keys = append(req.Keys, keys[idx])
-		req.Values = append(req.Values, values[idx])
-		size += len(keys[idx]) + len(values[idx]) + batchItemOverhead
-	}
-	v := d.view()
-	replicas := v.placementOf(f.ids[:0], g.root, d.replica)
-	msg := simnet.Message{Kind: kindStoreBatch, Payload: req, Size: size}
-	var (
-		stored  int
-		lastErr error
-		ackLost error
-		maxLat  time.Duration
-	)
-	for _, rid := range replicas {
-		f.tr = simnet.Trace{}
-		_, err := d.net.RPC(&f.tr, origin, v.byID[rid].name, msg)
-		g.tr.Hops += f.tr.Hops
-		g.tr.Messages += f.tr.Messages
-		g.tr.Bytes += f.tr.Bytes
-		maxLat = max(maxLat, f.tr.Latency)
-		if err == nil {
-			stored++
-		} else {
-			lastErr = err
-			if ackLost == nil && errors.Is(err, simnet.ErrReplyLost) {
-				ackLost = err
-			}
+	for _, s := range dst.slots {
+		for _, idx := range p.groups[s.group].idxs {
+			req.Keys = append(req.Keys, keys[idx])
+			req.Values = append(req.Values, values[idx])
 		}
 	}
-	g.tr.Latency = maxLat
-	if stored == 0 {
-		switch {
-		case ackLost != nil:
-			g.err = fmt.Errorf("dht: batch store unacked, may have been applied: %w", ackLost)
-		case lastErr != nil:
-			g.err = fmt.Errorf("%w: %w", overlay.ErrUnavailable, lastErr)
-		default:
-			g.err = overlay.ErrUnavailable
-		}
-	}
+	_, dst.err = d.net.RPC(&dst.tr, origin, v.byID[dst.node].name, req.message())
 }
 
 // GetBatch implements overlay.BatchKV. Keys sharing a root share one fetch
@@ -365,8 +404,7 @@ func (d *DHT) GetBatch(origin string, keys []string) ([]overlay.BatchResult, ove
 	if len(keys) == 0 {
 		return nil, overlay.OpStats{}, nil
 	}
-	known := d.view().names[simnet.NodeID(origin)] != nil
-	if !known {
+	if d.view().names[simnet.NodeID(origin)] == nil {
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: %w: %s", overlay.ErrUnknownOrigin, origin)
 	}
 	f := borrowFrame()
@@ -383,7 +421,7 @@ func (d *DHT) GetBatch(origin string, keys []string) ([]overlay.BatchResult, ove
 		d.getGroup(simnet.NodeID(origin), &p.groups[i], keys, results)
 		return nil
 	})
-	p.mergeGroups(&tr)
+	mergeBranches(&tr, p.groups, func(g *batchGroup) *simnet.Trace { return &g.tr })
 	return results, tr, nil
 }
 
@@ -399,7 +437,6 @@ func (d *DHT) getGroup(origin simnet.NodeID, g *batchGroup, keys []string, resul
 	v := d.view()
 	replicas := v.successorsOf(f.ids[:0], g.root, d.replica)
 	req := &f.fetchBatch
-	msg := simnet.Message{Kind: kindFetchBatch, Payload: req}
 	// The group's positions are compacted in place as keys resolve: the
 	// group owns them, and nothing reads them after the group is done.
 	pending := g.idxs
@@ -409,13 +446,11 @@ func (d *DHT) getGroup(origin simnet.NodeID, g *batchGroup, keys []string, resul
 			break
 		}
 		req.reset()
-		msg.Size = batchEnvelopeOverhead
 		for _, idx := range pending {
 			req.Keys = append(req.Keys, keys[idx])
-			msg.Size += len(keys[idx]) + batchItemOverhead
 		}
 		f.tr = simnet.Trace{}
-		reply, err := d.net.RPC(&f.tr, origin, v.byID[rid].name, msg)
+		reply, err := d.net.RPC(&f.tr, origin, v.byID[rid].name, req.message())
 		g.tr.Add(&f.tr)
 		if err != nil {
 			// The whole envelope failed to this replica: every pending key

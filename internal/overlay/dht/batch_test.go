@@ -7,11 +7,14 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"godosn/internal/cache"
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
+	"godosn/internal/telemetry"
 )
 
 func batchKeys(n int) ([]string, [][]byte) {
@@ -104,7 +107,8 @@ func TestBatchMatchesSequentialAcrossWorkers(t *testing.T) {
 }
 
 // Route-grouped envelopes must beat the key-by-key loop by a wide margin:
-// the batch pays per replica group, the loop pays per key.
+// a put batch pays per destination node and a get batch per replica group,
+// the loop pays per key.
 func TestBatchCheaperThanSequential(t *testing.T) {
 	keys, vals := batchKeys(128)
 	seqD, _, seqNames := buildDHT(t, 48, Config{ReplicationFactor: 3})
@@ -243,6 +247,336 @@ func TestBatchOfflineReplicaSetIsolation(t *testing.T) {
 	}
 }
 
+// ringOrder returns the ring's node names in ring order, so that the replica
+// set of a group rooted at ring[j] is ring[j], ring[j+1], ... (wrapping).
+func ringOrder(d *DHT) []simnet.NodeID {
+	out := make([]simnet.NodeID, 0, len(d.view().ring))
+	for _, n := range d.view().members() {
+		out = append(out, n.name)
+	}
+	return out
+}
+
+// putFaultRing is a 48-node k=3 ring for PutBatch fault cases: the victim
+// group is rooted at ring[j], the root of the batch's first key, and the
+// origin sits half the ring away.
+type putFaultRing struct {
+	d      *DHT
+	net    *simnet.Network
+	ring   []simnet.NodeID
+	j      int
+	origin string
+	// afterStore, once set, runs when a node has applied a store_batch and
+	// before its reply leg.
+	afterStore atomic.Pointer[func(node simnet.NodeID)]
+}
+
+func newPutFaultRing(t *testing.T, workers int, keys []string, vals [][]byte) *putFaultRing {
+	d, _, _ := buildDHT(t, 48, Config{ReplicationFactor: 3, FanoutWorkers: workers})
+	r := &putFaultRing{d: d, net: simnet.New(simnet.DefaultConfig(1)), ring: ringOrder(d)}
+	r.j = slices.Index(r.ring, replicaNames(d, keys[0])[0])
+	r.origin = string(r.ring[(r.j+len(r.ring)/2)%len(r.ring)])
+	for _, n := range d.view().members() {
+		inner, name := d.handlerFor(n), n.name
+		h := func(tr *simnet.Trace, from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
+			reply, err := inner(tr, from, msg)
+			if hook := r.afterStore.Load(); hook != nil && msg.Kind == kindStoreBatch {
+				(*hook)(name)
+			}
+			return reply, err
+		}
+		if err := r.net.Register(name, simnet.HandlerFunc(h)); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+	}
+	d.net = r.net
+	r.warm(t, keys, vals)
+	return r
+}
+
+// warm writes the batch on the healthy ring, so that a write under test
+// resolves every key from learned intervals, with no routing walk to cross
+// a faulty node.
+func (r *putFaultRing) warm(t *testing.T, keys []string, vals [][]byte) {
+	t.Helper()
+	errs, _, err := r.d.PutBatch(r.origin, keys, vals)
+	if err != nil {
+		t.Fatalf("warm PutBatch: %v", err)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("warm PutBatch(%s): %v", keys[i], e)
+		}
+	}
+}
+
+// replica returns the victim group's i-th replica.
+func (r *putFaultRing) replica(i int) simnet.NodeID { return r.ring[(r.j+i)%len(r.ring)] }
+
+func (r *putFaultRing) offline(t *testing.T, nodes ...simnet.NodeID) {
+	for _, name := range nodes {
+		if err := r.net.SetOnline(name, false); err != nil {
+			t.Fatalf("SetOnline: %v", err)
+		}
+	}
+}
+
+// rooted reports, per key, whether its group is the victim group.
+func (r *putFaultRing) rooted(keys []string) []bool {
+	out := make([]bool, len(keys))
+	for i, key := range keys {
+		out[i] = replicaNames(r.d, key)[0] == r.replica(0)
+	}
+	return out
+}
+
+// PutBatch sends each destination node one envelope carrying every group
+// it holds, but a key's outcome stays its group's: one acknowledged replica
+// writes it, a group with every replica unreachable fails with
+// ErrUnavailable, and a lost reply is an ack-lost wrap only for a group no
+// other replica acknowledged. A group's outcome comes from the envelopes
+// its replicas were sent, even if the placement filter changes while they
+// are in flight. Each case runs at one worker and at eight, where
+// destinations record their outcomes concurrently.
+func TestPutBatchFaultIsolation(t *testing.T) {
+	keys, vals := batchKeys(256)
+	newVals := make([][]byte, len(vals))
+	for i := range newVals {
+		newVals[i] = []byte(fmt.Sprintf("rewritten-%03d", i))
+	}
+	put := func(t *testing.T, r *putFaultRing) []error {
+		errs, _, err := r.d.PutBatch(r.origin, keys, newVals)
+		if err != nil {
+			t.Fatalf("PutBatch: %v", err)
+		}
+		return errs
+	}
+	// onlyVictimUnavailable requires the victim group's keys, and only
+	// those, to fail with ErrUnavailable: not a miss, not an ack-lost wrap.
+	onlyVictimUnavailable := func(t *testing.T, errs []error, victim []bool) {
+		failed := 0
+		for i, e := range errs {
+			switch {
+			case victim[i]:
+				failed++
+				if !errors.Is(e, overlay.ErrUnavailable) || errors.Is(e, overlay.ErrNotFound) || errors.Is(e, simnet.ErrReplyLost) {
+					t.Fatalf("PutBatch(%s) to an offline replica set: %v, want ErrUnavailable", keys[i], e)
+				}
+			case e != nil:
+				t.Fatalf("PutBatch(%s) with reachable replicas: %v", keys[i], e)
+			}
+		}
+		if failed == 0 || failed == len(keys) {
+			t.Fatalf("%d of %d keys failed: no isolation shown", failed, len(keys))
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			t.Run("one replica offline", func(t *testing.T) {
+				r := newPutFaultRing(t, workers, keys, vals)
+				r.offline(t, r.replica(0))
+				for i, e := range put(t, r) {
+					if e != nil {
+						t.Fatalf("PutBatch(%s) with one replica node offline: %v", keys[i], e)
+					}
+				}
+			})
+			t.Run("whole replica set offline", func(t *testing.T) {
+				r := newPutFaultRing(t, workers, keys, vals)
+				r.offline(t, r.replica(0), r.replica(1), r.replica(2))
+				onlyVictimUnavailable(t, put(t, r), r.rooted(keys))
+			})
+			t.Run("filter flips mid-batch", func(t *testing.T) {
+				// Once the first envelope is applied, the filter vetoes the
+				// victim group's first replica, so the group's placement now
+				// names a reachable node that got no envelope for it. The
+				// group's replicas were all offline: it must still fail.
+				r := newPutFaultRing(t, workers, keys, vals)
+				var flipped atomic.Bool
+				r.d.SetPlacementFilter(func(node string) bool { return !flipped.Load() || node != string(r.replica(0)) })
+				r.warm(t, keys, vals) // the filter cleared the learned intervals
+				r.offline(t, r.replica(0), r.replica(1), r.replica(2))
+				flip := func(simnet.NodeID) { flipped.Store(true) }
+				r.afterStore.Store(&flip)
+				onlyVictimUnavailable(t, put(t, r), r.rooted(keys))
+				if !flipped.Load() {
+					t.Fatal("no store_batch was applied: the filter never flipped")
+				}
+			})
+			t.Run("reply lost", func(t *testing.T) {
+				// The victim group's first replica applies the write and is
+				// then cut off before its reply leg, while the group's other
+				// two replicas are offline: that group alone reports the
+				// ack-lost wrap. The liar's two other groups still have an
+				// acknowledged replica each.
+				r := newPutFaultRing(t, workers, keys, vals)
+				liar := r.replica(0)
+				r.offline(t, r.replica(1), r.replica(2))
+				cut := func(node simnet.NodeID) {
+					if node != liar {
+						return
+					}
+					if err := r.net.SetPartition(liar, 1); err != nil {
+						t.Errorf("SetPartition: %v", err)
+					}
+				}
+				r.afterStore.Store(&cut)
+				victim := r.rooted(keys)
+				lost := 0
+				for i, e := range put(t, r) {
+					switch {
+					case victim[i]:
+						lost++
+						if !errors.Is(e, simnet.ErrReplyLost) || errors.Is(e, overlay.ErrUnavailable) || !strings.Contains(e.Error(), "may have been applied") {
+							t.Fatalf("PutBatch(%s) with only a lost ack: %v, want the ack-lost wrap", keys[i], e)
+						}
+						if got, ok := r.d.StoredCopy(string(liar), keys[i]); !ok || !bytes.Equal(got, newVals[i]) {
+							t.Fatalf("%s's unacked copy of %s = %q, want the applied write", liar, keys[i], got)
+						}
+					case e != nil:
+						t.Fatalf("PutBatch(%s), a group with an acknowledged replica: %v", keys[i], e)
+					}
+				}
+				if lost == 0 {
+					t.Fatal("the victim group holds no key of the batch")
+				}
+			})
+		})
+	}
+}
+
+// A key repeated in one batch keeps last-write-wins on every replica: its
+// positions share a group, and a group's keys ride each envelope in input
+// order.
+func TestPutBatchDuplicateKeyLastWriteWins(t *testing.T) {
+	keys, vals := batchKeys(64)
+	keys = append(keys, keys[7], keys[40])
+	vals = append(vals, []byte("second write of 7"), []byte("second write of 40"))
+	for _, workers := range []int{1, 8} {
+		d, _, names := buildDHT(t, 48, Config{ReplicationFactor: 3, FanoutWorkers: workers})
+		errs, _, err := d.PutBatch(string(names[0]), keys, vals)
+		if err != nil {
+			t.Fatalf("PutBatch: %v", err)
+		}
+		for i, e := range errs {
+			if e != nil {
+				t.Fatalf("PutBatch(%s): %v", keys[i], e)
+			}
+		}
+		for _, i := range []int{64, 65} {
+			for _, holder := range replicaNames(d, keys[i]) {
+				if got, ok := d.StoredCopy(string(holder), keys[i]); !ok || !bytes.Equal(got, vals[i]) {
+					t.Fatalf("workers=%d: %s holds %s = %q, want the last write %q", workers, holder, keys[i], got, vals[i])
+				}
+			}
+		}
+	}
+}
+
+// A batch's envelopes land where a per-key Store loop on a twin ring puts
+// its copies. Without a filter every node holds exactly the keys whose
+// PlanReplicas names it; under a placement veto the vetoed node receives
+// none of the batch.
+func TestPutBatchPlacesLikeStore(t *testing.T) {
+	keys, vals := batchKeys(256)
+	for _, veto := range []bool{false, true} {
+		t.Run(fmt.Sprintf("veto=%v", veto), func(t *testing.T) {
+			batch, _, names := buildDHT(t, 48, Config{ReplicationFactor: 3})
+			perKey, _, _ := buildDHT(t, 48, Config{ReplicationFactor: 3})
+			origin := names[0]
+			var vetoed simnet.NodeID
+			if veto {
+				for _, key := range keys {
+					if r := replicaNames(batch, key); !slices.Contains(r, origin) {
+						vetoed = r[1]
+						break
+					}
+				}
+				allow := func(node string) bool { return node != string(vetoed) }
+				batch.SetPlacementFilter(allow)
+				perKey.SetPlacementFilter(allow)
+			}
+			errs, _, err := batch.PutBatch(string(origin), keys, vals)
+			if err != nil {
+				t.Fatalf("PutBatch: %v", err)
+			}
+			for i, key := range keys {
+				if errs[i] != nil {
+					t.Fatalf("PutBatch(%s): %v", key, errs[i])
+				}
+				if _, err := perKey.Store(string(origin), key, vals[i]); err != nil {
+					t.Fatalf("Store(%s): %v", key, err)
+				}
+			}
+			held := 0
+			for _, key := range keys {
+				plan := batch.PlanReplicas(key)
+				for _, name := range names {
+					got := batch.Holds(string(name), key)
+					if want := perKey.Holds(string(name), key); got != want {
+						t.Fatalf("%s holds %s: %v after PutBatch, %v after per-key Store", name, key, got, want)
+					}
+					if want := slices.Contains(plan, string(name)); !veto && got != want {
+						t.Fatalf("%s holds %s: %v, but PlanReplicas %v", name, key, got, plan)
+					}
+					if got && name == vetoed {
+						t.Fatalf("vetoed node %s received %s", name, key)
+					}
+					if got {
+						held++
+					}
+				}
+			}
+			if held != 3*len(keys) {
+				t.Fatalf("%d copies placed, want %d", held, 3*len(keys))
+			}
+		})
+	}
+}
+
+// The work counter destination envelopes move, on a fixed input: a warm
+// 256-key PutBatch on a 48-node k=3 ring adds exactly one RPC per distinct
+// destination node to simnet_rpcs_total (one per replica of each of its 40
+// groups, 120, before writes were coalesced by destination), and no walk.
+func TestPutBatchRPCsPerDestination(t *testing.T) {
+	d, net, names := buildDHT(t, 48, Config{ReplicationFactor: 3})
+	reg := telemetry.NewRegistry()
+	net.SetTelemetry(reg)
+	d.SetTelemetry(reg)
+	keys, vals := batchKeys(256)
+	put := func() {
+		errs, _, err := d.PutBatch(string(names[0]), keys, vals)
+		if err != nil {
+			t.Fatalf("PutBatch: %v", err)
+		}
+		for i, e := range errs {
+			if e != nil {
+				t.Fatalf("PutBatch(%s): %v", keys[i], e)
+			}
+		}
+	}
+	put() // cold: its walks learn the ring's intervals
+	rpcs, walks := reg.Counter("simnet_rpcs_total"), reg.Counter("dht_resolve_walks_total")
+	rpcsBefore, walksBefore := rpcs.Value(), walks.Value()
+	put()
+	dests := map[uint64]bool{}
+	for _, key := range keys {
+		for _, rid := range d.view().successorsOf(nil, hashID(key), d.replica) {
+			dests[rid] = true
+		}
+	}
+	const destinations = 48
+	if len(dests) != destinations {
+		t.Fatalf("the batch's groups have %d distinct replica nodes, want %d", len(dests), destinations)
+	}
+	if got := rpcs.Value() - rpcsBefore; got != destinations {
+		t.Fatalf("warm PutBatch added %d to simnet_rpcs_total, want %d (one store_batch per destination node)", got, destinations)
+	}
+	if got := walks.Value() - walksBefore; got != 0 {
+		t.Fatalf("warm PutBatch added %d to dht_resolve_walks_total, want 0", got)
+	}
+}
+
 // Direct unit coverage of the learned-ownership interval cache.
 func TestOwnershipCacheUnit(t *testing.T) {
 	var c ownershipCache
@@ -373,9 +707,9 @@ func TestOwnershipInvalidatedOnMembershipChange(t *testing.T) {
 // raceEnabled is set by race_test.go.
 var raceEnabled bool
 
-// A batch borrows one frame for its plan and one per replica group for its
-// envelopes, trace and replica ids, so it allocates per batch, not per group
-// or key. What PutBatch allocates is the caller's error slice, the fan-out's
+// A batch borrows one frame for its plan and one per destination node
+// (PutBatch) or replica group (GetBatch) for its envelopes and replica ids,
+// so it allocates per batch, not per envelope or key. What PutBatch allocates is the caller's error slice, the fan-out's
 // closures and the chunks the replicas' record logs fill as keys are
 // overwritten; GetBatch adds its results and one value arena per probe, since
 // the values leave the DHT.
@@ -386,9 +720,13 @@ func TestBatchOpAllocations(t *testing.T) {
 	d, _, names := buildDHT(t, 48, Config{ReplicationFactor: 3})
 	origin := string(names[0])
 	keys, vals := batchKeys(256)
-	roots := map[uint64]bool{}
+	roots, dests := map[uint64]bool{}, map[uint64]bool{}
 	for _, key := range keys {
-		roots[d.view().successorsOf(nil, hashID(key), 1)[0]] = true
+		replicas := d.view().successorsOf(nil, hashID(key), d.replica)
+		roots[replicas[0]] = true
+		for _, rid := range replicas {
+			dests[rid] = true
+		}
 	}
 	if len(roots) < 32 {
 		t.Fatalf("the batch touches %d groups: too few to tell per-batch from per-group", len(roots))
@@ -398,8 +736,8 @@ func TestBatchOpAllocations(t *testing.T) {
 	if _, _, err := d.PutBatch(origin, keys, vals); err != nil {
 		t.Fatalf("PutBatch: %v", err)
 	}
-	if errs, st, err := d.PutBatch(origin, keys, vals); err != nil || st.Messages != 2*d.replica*len(roots) {
-		t.Fatalf("warm PutBatch: %v, %d messages, want %d (one envelope per replica of %d groups)", err, st.Messages, 2*d.replica*len(roots), len(roots))
+	if errs, st, err := d.PutBatch(origin, keys, vals); err != nil || st.Messages != 2*len(dests) {
+		t.Fatalf("warm PutBatch: %v, %d messages, want %d (one envelope to each of the %d destination nodes of %d groups)", err, st.Messages, 2*len(dests), len(dests), len(roots))
 	} else {
 		for i, e := range errs {
 			if e != nil {

@@ -65,11 +65,11 @@ var _ overlay.KV = (*DHT)(nil)
 type Config struct {
 	// ReplicationFactor is the number of successor replicas per key (>= 1).
 	ReplicationFactor int
-	// FanoutWorkers bounds the replica groups PutBatch/GetBatch contact
-	// concurrently (batch.go); 0 or 1 is serial. It changes wall-clock only:
-	// every OpStats field is identical at any worker count. Single-key
-	// Store/Lookup always contact replicas one after another, and a Lookup
-	// stops at the first hit.
+	// FanoutWorkers bounds the envelopes a batch has in flight (batch.go):
+	// PutBatch's destination nodes, GetBatch's replica groups; 0 or 1 is
+	// serial. It changes wall-clock only: every OpStats field is identical
+	// at any worker count. Single-key Store/Lookup always contact replicas
+	// one after another, and a Lookup stops at the first hit.
 	FanoutWorkers int
 	// RouteCache memoizes key → successor-root resolution (routecache.go),
 	// the step after the learned ownership intervals, which are always on.
@@ -187,9 +187,10 @@ type fetchResp struct {
 // request of each kind (reused for every hop and every replica), and the
 // replica ids it walks; a batch also keeps its plan here (batch.go). A
 // single-key operation borrows a frame for its duration, and so do a batch
-// and each of its replica groups, so the message path allocates nothing of
-// its own. On return the frame is zeroed, except that the batch requests and
-// the plan keep their emptied arrays for the next borrower to append into.
+// and each node or group it sends envelopes to, so the message path
+// allocates nothing of its own. On return the frame is zeroed, except that
+// the batch requests and the plan keep their emptied arrays for the next
+// borrower to append into.
 // A value handed to the caller is the handler's copy, which the frame never
 // references.
 type opFrame struct {
@@ -384,8 +385,7 @@ func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (o
 	// makes the store succeed. Every replica gets the same request.
 	f.store = storeReq{Key: key, Value: value}
 	req := simnet.Message{Kind: kindStore, Payload: &f.store, Size: len(key) + len(value)}
-	stored := 0
-	var lastErr, ackLost error
+	acks := f.plan.acks // the frame's outcome slots, emptied on return
 	for _, rid := range replicas {
 		rn := v.byID[rid]
 		before := tr.Latency
@@ -394,29 +394,34 @@ func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (o
 		_, err := d.net.RPC(tr, simnet.NodeID(origin), rn.name, req)
 		ssp.AddLatency(tr.Latency - before)
 		ssp.End(spanOutcome(err))
+		acks = append(acks, err)
+	}
+	f.plan.acks = acks // keeps a grown array for the next borrower
+	return *tr, writeErr("store", acks)
+}
+
+// writeErr is a replicated write's result from its replicas' outcomes in
+// placement order: one ack suffices. With none, a lost reply means the write
+// may have been applied, so retry logic treats it as possibly landed (stores
+// are idempotent); otherwise the last fault is wrapped in ErrUnavailable. op
+// names the write in the ack-lost error.
+func writeErr(op string, outcomes []error) error {
+	var ackLost error
+	for _, err := range outcomes {
 		if err == nil {
-			stored++
-			continue
+			return nil
 		}
-		lastErr = err
 		if ackLost == nil && errors.Is(err, simnet.ErrReplyLost) {
 			ackLost = err
 		}
 	}
-	if stored == 0 {
-		// No ack at all. If any store's reply was lost the write may still
-		// have been applied — surface that so retry logic treats the
-		// operation as possibly landed (stores are idempotent, so
-		// retrying is safe).
-		if ackLost != nil {
-			return *tr, fmt.Errorf("dht: store unacked, may have been applied: %w", ackLost)
-		}
-		if lastErr != nil {
-			return *tr, fmt.Errorf("%w: %w", overlay.ErrUnavailable, lastErr)
-		}
-		return *tr, overlay.ErrUnavailable
+	switch {
+	case ackLost != nil:
+		return fmt.Errorf("dht: %s unacked, may have been applied: %w", op, ackLost)
+	case len(outcomes) > 0:
+		return fmt.Errorf("%w: %w", overlay.ErrUnavailable, outcomes[len(outcomes)-1])
 	}
-	return *tr, nil
+	return overlay.ErrUnavailable
 }
 
 // Lookup implements overlay.KV: it routes to the key's successor and falls

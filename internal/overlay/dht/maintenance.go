@@ -72,15 +72,7 @@ func (d *DHT) FetchBatchFrom(origin string, keys []string, replica string) ([]ov
 	// Copied, not adopted: the frame clears its own arrays on return.
 	req := &f.fetchBatch
 	req.Keys = append(req.Keys, keys...)
-	size := batchEnvelopeOverhead
-	for _, k := range keys {
-		size += len(k) + batchItemOverhead
-	}
-	reply, err := d.net.RPC(&f.tr, simnet.NodeID(origin), rn.name, simnet.Message{
-		Kind:    kindFetchBatch,
-		Payload: req,
-		Size:    size,
-	})
+	reply, err := d.net.RPC(&f.tr, simnet.NodeID(origin), rn.name, req.message())
 	if err != nil {
 		return nil, f.tr, err
 	}
@@ -116,15 +108,7 @@ func (d *DHT) StoreBatchTo(origin string, keys []string, values [][]byte, replic
 	req := &f.storeBatch
 	req.Keys = append(req.Keys, keys...)
 	req.Values = append(req.Values, values...)
-	size := batchEnvelopeOverhead
-	for i := range keys {
-		size += len(keys[i]) + len(values[i]) + batchItemOverhead
-	}
-	_, err := d.net.RPC(&f.tr, simnet.NodeID(origin), rn.name, simnet.Message{
-		Kind:    kindStoreBatch,
-		Payload: req,
-		Size:    size,
-	})
+	_, err := d.net.RPC(&f.tr, simnet.NodeID(origin), rn.name, req.message())
 	if err != nil {
 		return nil, f.tr, err
 	}

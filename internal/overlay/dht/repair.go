@@ -368,21 +368,15 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 	for _, pk := range pairOrder {
 		pushes := planned[pk]
 		req.reset()
-		size := batchEnvelopeOverhead
 		for _, p := range pushes {
 			req.Keys = append(req.Keys, p.key)
 			req.Values = append(req.Values, p.value)
-			size += len(p.key) + len(p.value) + batchItemOverhead
 		}
 		f.tr = simnet.Trace{}
 		psp := sp.Child("repair")
 		psp.Tag("to", string(pk.dst))
 		psp.Tag("keys", fmt.Sprintf("%d", len(pushes)))
-		_, err := d.net.RPC(&f.tr, pk.src, pk.dst, simnet.Message{
-			Kind:    kindStoreBatch,
-			Payload: req,
-			Size:    size,
-		})
+		_, err := d.net.RPC(&f.tr, pk.src, pk.dst, req.message())
 		tr.Add(&f.tr)
 		psp.AddLatency(f.tr.Latency)
 		psp.End(spanOutcome(err))
