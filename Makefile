@@ -18,7 +18,7 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock smoke
 #   e19        zero surfaced corruption at >= 99% availability under loss + churn + Byzantine replies
 #   e21        warm caches hit, match the cold arm byte for byte, never serve a revoked reader
 #   cache -race  the sharded cache's concurrent hammers (no fill outlives an Invalidate) and eviction-order determinism
-#   ownership -race  single-key lookups from two goroutines against batch walks that learn intervals and InvalidateRoutes that clear them
+#   ownership -race  single-key lookups from two goroutines against batch walks that learn whole segments, InvalidateRoutes that clear them and Join/Leave changing the ring; every learned segment stays exact
 #   batch put -race  workers-8 PutBatch destinations record their envelope outcomes concurrently: stats match workers 1, and offline, ack-lost and unavailable outcomes stay per group
 #   simnet -race  ten callers against every fault injector with exact ledgers; link draws independent of other links' traffic
 #   pubkey -race  ten goroutines on one ECIES Sender (shared and own recipients, two-wrap Multis that outlive an ephemeral replacement, Forget) and on one key pair's memoised Decrypt
@@ -139,7 +139,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 39
+BENCH_PR := 41
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json

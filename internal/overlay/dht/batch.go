@@ -14,15 +14,14 @@ import (
 // This file implements overlay.BatchKV: multi-key Put/Get with route-grouped
 // fan-out. Three amortizations make a batch cheaper than a key-by-key loop:
 //
-//  1. Routing passes are shared. Keys are sorted by ring position and
-//     resolved in the DHT's one resolution order (routecache.go): learned
-//     ownership interval, route cache, walk. A batch walk resolving kid →
-//     root R teaches the ownership cache (ownership.go) that (kid, R] is
-//     owned by R (Chord ownership is the half-open interval (pred(R), R]),
-//     so every following kid in that span resolves without another walk,
-//     in this batch, in later ones and in single-key operations. Once
-//     every live root has been walked to, cold keys resolve without
-//     routing at all, and the route cache is filled only by walks.
+//  1. Routing passes are shared. Keys are resolved learned segment → walk
+//     (routecache.go); batches never touch the route cache. A walk proves
+//     its root R's whole Chord segment (pred(R), R]: the node whose answer
+//     ends it is R's predecessor. It teaches the ownership cache
+//     (ownership.go) that segment, so every other kid R owns resolves
+//     without another walk, in this batch, in later ones and in single-key
+//     operations: one walk per root. Once every live root has been walked
+//     to, cold keys resolve without routing at all.
 //  2. Request envelopes are shared. A put sends each replica node ONE
 //     message with the keys of every group it holds; a get sends each probed
 //     replica one message per group. Neither cost scales with the keys.
@@ -176,25 +175,18 @@ func handleFetchBatch(n *node, req *fetchBatchReq) (simnet.Message, error) {
 }
 
 // batchPlan is a batch's routing and grouping state, kept in the batch's
-// frame: each key's root or routing failure, the keys in ring order, every
-// routed position sorted by root with each group a sub-slice of it, and a
-// put's destination runs (destinations). acks holds a write's per-replica
-// outcomes for writeErr: a put's by slot, a Store's in placement order.
+// frame: each key's root or routing failure, every routed position sorted
+// by root with each group a sub-slice of it, and a put's destination runs
+// (destinations). acks holds a write's per-replica outcomes for writeErr:
+// a put's by slot, a Store's in placement order.
 type batchPlan struct {
-	roots   []uint64
-	errs    []error
-	pending []pendingKey
-	order   []int
-	groups  []batchGroup
-	slots   []destSlot
-	dests   []batchDest
-	acks    []error
-}
-
-// pendingKey is a key to resolve: its batch position and ring id.
-type pendingKey struct {
-	idx int
-	kid uint64
+	roots  []uint64
+	errs   []error
+	order  []int
+	groups []batchGroup
+	slots  []destSlot
+	dests  []batchDest
+	acks   []error
 }
 
 // batchGroup is one per-root work unit: the batch positions whose keys
@@ -230,7 +222,7 @@ func (p *batchPlan) reset() {
 	clear(p.groups)
 	clear(p.dests)
 	clear(p.acks)
-	p.roots, p.errs, p.pending, p.order, p.groups = p.roots[:0], p.errs[:0], p.pending[:0], p.order[:0], p.groups[:0]
+	p.roots, p.errs, p.order, p.groups = p.roots[:0], p.errs[:0], p.order[:0], p.groups[:0]
 	p.slots, p.dests, p.acks = p.slots[:0], p.dests[:0], p.acks[:0]
 }
 
@@ -243,8 +235,8 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 // batchRoots resolves every key's successor root into f's plan with one
-// amortized pass: keys are resolved in ring order, so each walk's learned
-// interval answers the keys after it that the walked root owns.
+// amortized pass: each walk's learned segment answers every other key of
+// the batch that the walked root owns.
 // Resolutions are modeled as concurrent pipelines (messages sum, latency
 // charges the slowest walk). Per-key routing failures land in the plan's
 // errs; the corresponding roots entry is invalid.
@@ -253,14 +245,10 @@ func (d *DHT) batchRoots(f *opFrame, origin simnet.NodeID, keys []string) (tr si
 	p.roots = zeroed(p.roots, len(keys))
 	p.errs = zeroed(p.errs, len(keys))
 	for i, key := range keys {
-		p.pending = append(p.pending, pendingKey{idx: i, kid: hashID(key)})
-	}
-	slices.SortFunc(p.pending, func(a, b pendingKey) int { return cmp.Compare(a.kid, b.kid) })
-	for _, pk := range p.pending {
 		// Every resolution of the batch starts on a zero trace; one a memo
 		// answers leaves it zero.
 		f.tr = simnet.Trace{}
-		p.roots[pk.idx], p.errs[pk.idx] = d.resolveRoot(f, nil, origin, keys[pk.idx], pk.kid, true)
+		p.roots[i], p.errs[i] = d.resolveRoot(f, nil, origin, key, hashID(key), true)
 		addBranch(&tr, &f.tr)
 	}
 	return tr

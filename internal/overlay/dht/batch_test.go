@@ -577,45 +577,44 @@ func TestPutBatchRPCsPerDestination(t *testing.T) {
 	}
 }
 
-// Direct unit coverage of the learned-ownership interval cache.
+// Direct unit coverage of the learned-ownership segment cache.
 func TestOwnershipCacheUnit(t *testing.T) {
 	var c ownershipCache
 	if _, ok := c.lookup(10); ok {
 		t.Fatal("empty cache answered a lookup")
 	}
-	// learn(100, 200): the walk resolved kid 100 itself to root 200, so
-	// both 100 and the interval (100, 200] are known to be owned by 200.
-	c.learn(100, 200, c.fence())
-	for _, kid := range []uint64{100, 101, 150, 200} {
+	// learn(150, 100, 200): a walk for kid 150 ended at root 200 on node
+	// 100's answer, so 200 owns (100, 200] — but not 100 itself.
+	c.learn(150, 100, 200, c.fence())
+	for _, kid := range []uint64{101, 150, 200} {
 		if root, ok := c.lookup(kid); !ok || root != 200 {
 			t.Fatalf("lookup(%d) = %d,%v, want 200,true", kid, root, ok)
 		}
 	}
-	for _, kid := range []uint64{99, 201} {
+	for _, kid := range []uint64{100, 201} {
 		if _, ok := c.lookup(kid); ok {
-			t.Fatalf("lookup(%d) hit outside the learned interval", kid)
+			t.Fatalf("lookup(%d) hit outside the learned segment", kid)
 		}
 	}
-	// A farther-counterclockwise observation widens the interval.
-	c.learn(50, 200, c.fence())
-	if root, ok := c.lookup(75); !ok || root != 200 {
-		t.Fatalf("widened interval missed: lookup(75) = %d,%v", root, ok)
-	}
-	// A narrower observation must not shrink it.
-	c.learn(150, 200, c.fence())
-	if _, ok := c.lookup(75); !ok {
-		t.Fatal("narrower observation shrank the learned interval")
-	}
-	// kid == root would claim the whole ring; it must be skipped.
-	c.learn(300, 300, c.fence())
+	// lo == root would claim the whole ring; it must be skipped.
+	c.learn(250, 300, 300, c.fence())
 	if _, ok := c.lookup(250); ok {
-		t.Fatal("degenerate (root, root] interval claimed the ring")
+		t.Fatal("degenerate (root, root] segment claimed the ring")
 	}
-	// Wrap-around: with only root 200 learned from 50, a kid past every
-	// learned root must try the first root circularly (and miss here, since
-	// 4000 is not in (50, 200]).
+	// Wrap-around: a kid past every learned root tries the first root
+	// circularly, and hits when that root's segment wraps past zero.
 	if _, ok := c.lookup(4000); ok {
-		t.Fatal("wrap-around lookup hit outside the learned interval")
+		t.Fatal("wrap-around lookup hit outside the learned segment")
+	}
+	top := ^uint64(0) - 10
+	c.learn(top+5, top, 50, c.fence())
+	for _, kid := range []uint64{top + 1, ^uint64(0), 0, 50} {
+		if root, ok := c.lookup(kid); !ok || root != 50 {
+			t.Fatalf("wrapping segment: lookup(%d) = %d,%v, want 50,true", kid, root, ok)
+		}
+	}
+	if root, ok := c.lookup(150); !ok || root != 200 {
+		t.Fatalf("second root hid the first: lookup(150) = %d,%v", root, ok)
 	}
 	c.clear()
 	if _, ok := c.lookup(150); ok {

@@ -54,7 +54,7 @@ type DHT struct {
 	ring atomic.Pointer[ringView] // membership, fingers, filter, ranker (ring.go); read lock-free
 
 	routes    *cache.Cache[uint64]             // key → successor root (routecache.go); nil = uncached
-	ownership ownershipCache                   // learned successor intervals (ownership.go)
+	ownership ownershipCache                   // learned successor segments (ownership.go)
 	tel       atomic.Pointer[resolveTelemetry] // resolution counters (routecache.go); nil = off
 	gates     *nodeGates                       // server-side admission (gate.go); nil = admit everything
 }
@@ -71,13 +71,15 @@ type Config struct {
 	// at any worker count. Single-key Store/Lookup always contact replicas
 	// one after another, and a Lookup stops at the first hit.
 	FanoutWorkers int
-	// RouteCache memoizes key → successor-root resolution (routecache.go),
-	// the step after the learned ownership intervals, which are always on.
-	// The zero value (Capacity 0) disables it, preserving the exact RPC
-	// and seeded-RNG sequence of an uncached DHT. A cache hit skips the
-	// routing walk: fewer messages, and on a lossy network fewer RNG draws
-	// — so seeded fault experiments comparing against uncached baselines
-	// must assert invariants, not per-op equality.
+	// RouteCache is the single-key memo of key → successor root
+	// (routecache.go): Store, Lookup and ReplicasFor consult it after the
+	// learned ownership segments, which are always on, and fill it from
+	// their walks; batches never touch it. The zero value (Capacity 0)
+	// disables it, preserving the exact RPC and seeded-RNG sequence of an
+	// uncached DHT. A cache hit skips the routing walk: fewer messages, and
+	// on a lossy network fewer RNG draws — so seeded fault experiments
+	// comparing against uncached baselines must assert invariants, not
+	// per-op equality.
 	RouteCache cache.Config
 	// NodeGate puts a server-side admission gate (gate.go) in front of
 	// every node's data-plane RPCs (store/fetch and batch forms): requests
@@ -301,20 +303,22 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 }
 
 // findSuccessor runs the iterative Chord lookup from the origin node,
-// charging each routing step to the frame's trace.
-func (d *DHT) findSuccessor(f *opFrame, origin simnet.NodeID, key uint64) (uint64, error) {
+// charging each routing step to the frame's trace. It returns the key's
+// successor root and lo, the node whose answer ended the walk: root's ring
+// predecessor, so (lo, root] is root's whole segment (ownership.go).
+func (d *DHT) findSuccessor(f *opFrame, origin simnet.NodeID, key uint64) (root, lo uint64, err error) {
 	if t := d.tel.Load(); t != nil {
 		t.walks.Inc()
 	}
 	v := d.view()
 	cur := v.names[origin]
 	if cur == nil {
-		return 0, fmt.Errorf("dht: %w: %s", overlay.ErrUnknownOrigin, origin)
+		return 0, 0, fmt.Errorf("dht: %w: %s", overlay.ErrUnknownOrigin, origin)
 	}
 	// Local shortcut: origin answers from its own routing state first.
 	succ := v.successorID(cur.id + 1)
 	if inInterval(key, cur.id, succ) {
-		return succ, nil
+		return succ, cur.id, nil
 	}
 	target := v.closestPrecedingFinger(cur.id, key)
 	// One request serves the whole walk.
@@ -326,7 +330,7 @@ func (d *DHT) findSuccessor(f *opFrame, origin simnet.NodeID, key uint64) (uint6
 		v = d.view()
 		targetNode := v.byID[target]
 		if targetNode == nil {
-			return 0, overlay.ErrUnavailable
+			return 0, 0, overlay.ErrUnavailable
 		}
 		reply, err := d.net.RPC(&f.tr, origin, targetNode.name, req)
 		if err != nil {
@@ -334,27 +338,27 @@ func (d *DHT) findSuccessor(f *opFrame, origin simnet.NodeID, key uint64) (uint6
 			// successor, as Chord's failure handling would after a timeout.
 			next := v.successorID(target + 1)
 			if next == target {
-				return 0, overlay.ErrUnavailable
+				return 0, 0, overlay.ErrUnavailable
 			}
 			// If stepping from the dead node to its successor crosses the
 			// key, that successor IS the key's successor — conclude rather
 			// than overshoot and ping-pong around the ring.
 			if inInterval(key, target, next) {
-				return next, nil
+				return next, target, nil
 			}
 			target = next
 			continue
 		}
 		resp, ok := reply.Payload.(*findSuccessorResp)
 		if !ok || resp == nil {
-			return 0, fmt.Errorf("dht: bad find_successor reply")
+			return 0, 0, fmt.Errorf("dht: bad find_successor reply")
 		}
 		if resp.Done {
-			return resp.Node, nil
+			return resp.Node, target, nil
 		}
 		target = resp.Next
 	}
-	return 0, fmt.Errorf("dht: lookup did not converge for key %d", key)
+	return 0, 0, fmt.Errorf("dht: lookup did not converge for key %d", key)
 }
 
 // Store implements overlay.KV: the value is written to the key's successor

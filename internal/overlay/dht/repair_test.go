@@ -432,7 +432,7 @@ func TestReplicaPlanMatchesReference(t *testing.T) {
 						for round := 0; round < 2; round++ {
 							check(what+" PlanReplicas("+key+")", d.PlanReplicas(key), referencePlan(d, hashID(key)))
 							f := borrowFrame()
-							root, err := d.findSuccessor(f, simnet.NodeID(origin), hashID(key))
+							root, _, err := d.findSuccessor(f, simnet.NodeID(origin), hashID(key))
 							returnFrame(f)
 							if err != nil {
 								t.Fatalf("k=%d %s: routing %s: %v", k, what, key, err)

@@ -2,19 +2,22 @@ package dht
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sync"
 	"testing"
 
 	"godosn/internal/cache"
 	"godosn/internal/overlay"
+	"godosn/internal/overlay/simnet"
 	"godosn/internal/telemetry"
 )
 
-// Tests for the one resolution order (routecache.go): learned ownership
-// interval, then route cache, then the walk, on both the single-key and the
-// batch path.
+// Tests for key → root resolution (routecache.go): batches resolve learned
+// segment → walk, single-key operations learned segment → route cache →
+// walk, and a batch walk teaches its root's whole segment (pred(R), R].
 
 // resolveCounts reads the two resolution counters.
 func resolveCounts(reg *telemetry.Registry) (learned, walks int64) {
@@ -27,18 +30,18 @@ func TestOwnershipLearnFencedByInvalidate(t *testing.T) {
 	d, _, _ := buildDHT(t, 8, Config{ReplicationFactor: 2})
 	fence := d.ownership.fence()
 	d.InvalidateRoutes()
-	d.ownership.learn(100, 200, fence)
+	d.ownership.learn(150, 100, 200, fence)
 	if root, ok := d.ownership.lookup(150); ok {
 		t.Fatalf("interval learned across an invalidation answered lookup(150) = %d", root)
 	}
-	d.ownership.learn(100, 200, d.ownership.fence())
+	d.ownership.learn(150, 100, 200, d.ownership.fence())
 	if root, ok := d.ownership.lookup(150); !ok || root != 200 {
 		t.Fatalf("learn after the invalidation: lookup(150) = %d,%v, want 200,true", root, ok)
 	}
 }
 
-// The counters on a fixed input: one 256-key PutBatch walks to learn the
-// ring and answers the rest from the intervals it learns on the way; the
+// The counters on a fixed input: one 256-key PutBatch walks once per root it
+// reaches and answers the rest from the segments it learns on the way; the
 // same keys' single-key Lookups then never walk.
 func TestResolveCountersOnFixedInput(t *testing.T) {
 	d, _, names := buildDHT(t, 48, Config{ReplicationFactor: 3})
@@ -55,7 +58,7 @@ func TestResolveCountersOnFixedInput(t *testing.T) {
 			t.Fatalf("PutBatch key %s: %v", keys[i], err)
 		}
 	}
-	const batchWalks = 41 // 41 of the 48 roots own a key of the batch
+	const batchWalks = 40 // 40 of the 48 roots own a key of the batch
 	if learned, walks := resolveCounts(reg); learned != 256-batchWalks || walks != batchWalks {
 		t.Fatalf("after PutBatch: learned %d, walks %d; want %d, %d", learned, walks, 256-batchWalks, batchWalks)
 	}
@@ -192,9 +195,10 @@ func TestUnlearnedRingKeepsPerKeyTraces(t *testing.T) {
 	}
 }
 
-// A batch answered by learned intervals leaves the route cache alone: only
-// walks fill it, so a cache far smaller than the keys batched never evicts.
-func TestPutBatchLeavesRouteCacheToWalks(t *testing.T) {
+// Batches never read or fill the route cache: it is the single-key memo, so
+// a cache far smaller than the keys batched sees no traffic at all, and
+// the batches walk at most once per root.
+func TestBatchesNeverTouchRouteCache(t *testing.T) {
 	d, names, _ := cachedDHT(t, 48, 256)
 	reg := telemetry.NewRegistry()
 	d.SetTelemetry(reg)
@@ -210,18 +214,125 @@ func TestPutBatchLeavesRouteCacheToWalks(t *testing.T) {
 			t.Fatalf("PutBatch: %v", err)
 		}
 	}
-	st := d.RouteCacheStats()
-	if st.Evictions != 0 {
-		t.Fatalf("1 024 batched keys evicted %d route-cache entries; interval-answered keys must not fill it", st.Evictions)
+	if st := d.RouteCacheStats(); st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 {
+		t.Fatalf("1 024 batched keys moved the route cache: %+v", st)
 	}
-	if _, walks := resolveCounts(reg); st.Hits != 0 || st.Misses != walks {
-		t.Fatalf("route cache saw %+v over %d walks; want one miss per walk and nothing else", st, walks)
+	if _, walks := resolveCounts(reg); walks > 48 {
+		t.Fatalf("4 batches walked %d times on a 48-node ring; a learned segment must answer every root walked to", walks)
+	}
+}
+
+// Each exit of a batch walk teaches exactly its root's segment
+// (pred(R), R], even when the walked key is R itself: the origin's own
+// shortcut, a Done reply, and routing around an offline predecessor.
+func TestBatchWalkLearnsWholeSegment(t *testing.T) {
+	d, net, names := buildDHT(t, 48, Config{ReplicationFactor: 3})
+	v := d.view()
+	origin := names[0]
+	o := v.names[origin].id
+	far := v.successorsOf(nil, o, 25)[24] // half the ring away from the origin
+	for _, tc := range []struct {
+		name    string
+		root    uint64
+		offline bool
+	}{
+		{"origin shortcut", v.successorID(o + 1), false},
+		{"done reply", far, false},
+		{"offline hop", far, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pred := v.predecessorID(tc.root)
+			if tc.offline {
+				net.SetOnline(v.byID[pred].name, false)
+				defer net.SetOnline(v.byID[pred].name, true)
+			}
+			d.InvalidateRoutes()
+			f := borrowFrame()
+			root, err := d.resolveRoot(f, nil, origin, "", tc.root, true)
+			hops := f.tr.Hops
+			returnFrame(f)
+			if err != nil || root != tc.root {
+				t.Fatalf("resolved %d to %d, %v; want %d", tc.root, root, err, tc.root)
+			}
+			if shortcut := tc.root == v.successorID(o+1); (hops == 0) != shortcut {
+				t.Fatalf("walk took %d hops; the origin shortcut takes none, every other exit some", hops)
+			}
+			d.ownership.mu.Lock()
+			learned := maps.Clone(d.ownership.pred)
+			d.ownership.mu.Unlock()
+			if want := map[uint64]uint64{root: pred}; !maps.Equal(learned, want) {
+				t.Fatalf("learned %v, want exactly root %d's segment from %d", learned, root, pred)
+			}
+			for _, kid := range []uint64{pred + 1, root} {
+				if got, ok := d.ownership.lookup(kid); !ok || got != root {
+					t.Fatalf("lookup(%d) = %d,%v inside the learned segment", kid, got, ok)
+				}
+			}
+			if _, ok := d.ownership.lookup(pred); ok {
+				t.Fatalf("lookup(%d) hit: the predecessor is not in its successor's segment", pred)
+			}
+		})
+	}
+	// A walk whose answer does not cover its kid teaches nothing.
+	var c ownershipCache
+	c.learn(50, 100, 200, c.fence())
+	if root, ok := c.lookup(150); ok || len(c.roots) != 0 {
+		t.Fatalf("kid 50 outside (100, 200] taught a segment: lookup(150) = %d,%v", root, ok)
+	}
+}
+
+// The work counter learned segments move, on a fixed input: once batches
+// have walked to every root of a 48-node k=3 ring, 256 single-key Lookups
+// and 256 Stores add nothing to dht_resolve_walks_total, and to
+// simnet_rpcs_total exactly their data RPCs — one fetch per Lookup that
+// hits, three stores per Store.
+func TestOneWalkPerRoot(t *testing.T) {
+	d, net, names := buildDHT(t, 48, Config{ReplicationFactor: 3})
+	reg := telemetry.NewRegistry()
+	net.SetTelemetry(reg)
+	d.SetTelemetry(reg)
+	origin := string(names[0])
+	var keys []string
+	for b := 0; len(d.ownership.roots) < 48; b++ {
+		if b == 8 {
+			t.Fatalf("8 batches learned %d of the 48 roots", len(d.ownership.roots))
+		}
+		batch, vals := batchKeys(256)
+		for i := range batch {
+			batch[i] = fmt.Sprintf("sweep-%d/%s", b, batch[i])
+		}
+		if _, _, err := d.PutBatch(origin, batch, vals); err != nil {
+			t.Fatalf("PutBatch: %v", err)
+		}
+		keys = append(keys, batch...)
+	}
+	rpcs, walks := reg.Counter("simnet_rpcs_total"), reg.Counter("dht_resolve_walks_total")
+	rpcsBefore, walksBefore := rpcs.Value(), walks.Value()
+	for _, key := range keys[:256] {
+		if _, _, err := d.Lookup(origin, key); err != nil {
+			t.Fatalf("Lookup(%s): %v", key, err)
+		}
+	}
+	fresh, vals := batchKeys(256)
+	for i, key := range fresh {
+		if _, err := d.Store(origin, key, vals[i]); err != nil {
+			t.Fatalf("Store(%s): %v", key, err)
+		}
+	}
+	if got := walks.Value() - walksBefore; got != 0 {
+		t.Fatalf("single-key operations added %d to dht_resolve_walks_total, want 0", got)
+	}
+	if got, want := rpcs.Value()-rpcsBefore, int64(256+3*256); got != want {
+		t.Fatalf("single-key operations added %d to simnet_rpcs_total, want %d (their data RPCs only)", got, want)
 	}
 }
 
 // What it guards: the ownership cache's lock and fence under concurrent
-// single-key resolution, batch walks that learn, and invalidations that
-// clear — no race, and every read still finds its value.
+// single-key resolution, batch walks that learn, invalidations that clear,
+// and Join/Leave changing the ring under the walks — no race, every read
+// that routes finds its value, and every segment left learned is its root's whole
+// segment on the final ring (a wrong one would now misroute a whole
+// segment, not a sliver of it).
 func TestOwnershipHammer(t *testing.T) {
 	d, names, _ := cachedDHT(t, 48, 64)
 	keys, vals := batchKeys(512)
@@ -231,7 +342,7 @@ func TestOwnershipHammer(t *testing.T) {
 	}
 	const rounds = 200
 	var wg sync.WaitGroup
-	errc := make(chan error, 4)
+	errc := make(chan error, 5)
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -239,19 +350,25 @@ func TestOwnershipHammer(t *testing.T) {
 			from := string(names[1+r])
 			for i := 0; i < rounds*4; i++ {
 				j := (i*31 + r*17) % len(keys)
+				// A walk that reaches a node Leave just dropped fails with
+				// ErrUnavailable (the resilience layer retries it); any
+				// other failure or a wrong value is a bug.
 				got, _, err := d.Lookup(from, keys[j])
+				if errors.Is(err, overlay.ErrUnavailable) {
+					continue
+				}
 				if err != nil || !bytes.Equal(got, vals[j]) {
 					errc <- fmt.Errorf("reader %d: Lookup(%s) = %q, %v", r, keys[j], got, err)
 					return
 				}
-				if _, _, err := d.ReplicasFor(from, keys[j]); err != nil {
+				if _, _, err := d.ReplicasFor(from, keys[j]); err != nil && !errors.Is(err, overlay.ErrUnavailable) {
 					errc <- fmt.Errorf("reader %d: ReplicasFor(%s): %v", r, keys[j], err)
 					return
 				}
 			}
 		}(r)
 	}
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
@@ -268,19 +385,46 @@ func TestOwnershipHammer(t *testing.T) {
 			d.InvalidateRoutes()
 		}
 	}()
+	// Between two ring changes, every learned segment is exact on the
+	// current ring: a walk fenced after the last change saw only that ring.
+	exact := func() (int, error) {
+		v := d.view()
+		d.ownership.mu.Lock()
+		defer d.ownership.mu.Unlock()
+		for root, pred := range d.ownership.pred {
+			if v.byID[root] == nil || v.predecessorID(root) != pred {
+				return 0, fmt.Errorf("learned (%d, %d] is not a segment of the ring", pred, root)
+			}
+		}
+		return len(d.ownership.pred), nil
+	}
+	go func() {
+		// A node joins and leaves again: it takes over a segment and hands
+		// it back, so every key keeps a holder throughout.
+		defer wg.Done()
+		for i := 0; i < rounds/4; i++ {
+			name := simnet.NodeID(fmt.Sprintf("churn-%d", i))
+			for _, change := range []func(simnet.NodeID) error{d.Join, d.Leave} {
+				if err := change(name); err != nil {
+					errc <- fmt.Errorf("%s: %v", name, err)
+					return
+				}
+				if _, err := exact(); err != nil {
+					errc <- fmt.Errorf("after a ring change: %v", err)
+					return
+				}
+			}
+		}
+	}()
 	wg.Wait()
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
 	}
-	// Whatever survived is true of the ring: each learned bound resolves to
-	// its root.
-	v := d.view()
-	d.ownership.mu.Lock()
-	defer d.ownership.mu.Unlock()
-	for root, m := range d.ownership.minKid {
-		if got := v.successorID(m); got != root {
-			t.Fatalf("learned interval (%d, %d] is wrong: %d resolves to %d", m, root, m, got)
-		}
+	if _, _, err := d.PutBatch(origin, keys, vals); err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+	if n, err := exact(); err != nil || n == 0 {
+		t.Fatalf("a batch on the settled ring learned %d segments: %v", n, err)
 	}
 }

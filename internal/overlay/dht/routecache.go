@@ -7,14 +7,19 @@ import (
 	"godosn/internal/telemetry"
 )
 
-// This file holds the DHT's one resolution order, key → successor root,
-// which Store, Lookup, ReplicasFor and every key of a batch go through:
+// This file holds the DHT's resolution of key → successor root, which
+// Store, Lookup, ReplicasFor and every key of a batch go through. A walk
+// proves its root's whole Chord segment (pred(R), R] (findSuccessor), and
+// the two paths use that in two orders:
 //
-//  1. a learned ownership interval (ownership.go) — free, and it answers
-//     every key hashing into a span an earlier batch walk proved;
-//  2. the route cache — free, for keys a walk resolved before;
-//  3. the iterative O(log n) finger walk, whose result fills the route
-//     cache and, on a batch walk, teaches the ownership cache.
+//   - batches: a learned ownership segment (ownership.go), then the
+//     iterative O(log n) finger walk, which teaches the ownership cache the
+//     segment it proved;
+//   - single-key operations: a learned ownership segment, then the route
+//     cache, then the walk, which fills the route cache and teaches
+//     nothing.
+//
+// So the route cache is a single-key memo: batches never read or fill it.
 //
 // Coherence model: a memoized root can go stale only when the ring or the
 // placement filter changes, so both memos are invalidated together
@@ -30,17 +35,16 @@ var _ overlay.RouteCached = (*DHT)(nil)
 
 // resolveTelemetry is the DHT's own shard of each resolution counter.
 type resolveTelemetry struct {
-	learned *telemetry.Counter // keys an ownership interval answered
+	learned *telemetry.Counter // keys a learned ownership segment answered
 	walks   *telemetry.Counter // findSuccessor walks started
 }
 
-// resolveRoot resolves key's successor root in the resolution order above.
-// An interval or route-cache answer charges nothing to the frame's trace
-// (that is the point); a walk charges every routing step to it. learn
-// marks a batch's walk, which teaches the ownership cache its interval;
-// single-key walks only fill the route cache. When routing happens under a
-// span, a "cache" child records how the resolution was served: "learned",
-// or the route cache's "hit"/"fill".
+// resolveRoot resolves key's successor root in the order above. A learned
+// segment or route-cache answer charges nothing to the frame's trace (that
+// is the point); a walk charges every routing step to it. learn marks a
+// batch's resolution: interval, then a walk that teaches its segment. When
+// single-key routing happens under a span, a "cache" child records how the
+// resolution was served: "learned", or the route cache's "hit"/"fill".
 func (d *DHT) resolveRoot(f *opFrame, route *telemetry.Span, origin simnet.NodeID, key string, kid uint64, learn bool) (uint64, error) {
 	if root, ok := d.ownership.lookup(kid); ok {
 		if t := d.tel.Load(); t != nil {
@@ -49,12 +53,16 @@ func (d *DHT) resolveRoot(f *opFrame, route *telemetry.Span, origin simnet.NodeI
 		route.Child("cache").End("learned")
 		return root, nil
 	}
-	walk := func() (uint64, error) {
+	if learn {
 		fence := d.ownership.fence()
-		root, err := d.findSuccessor(f, origin, kid)
-		if err == nil && learn {
-			d.ownership.learn(kid, root, fence)
+		root, lo, err := d.findSuccessor(f, origin, kid)
+		if err == nil {
+			d.ownership.learn(kid, lo, root, fence)
 		}
+		return root, err
+	}
+	walk := func() (uint64, error) {
+		root, _, err := d.findSuccessor(f, origin, kid)
 		return root, err
 	}
 	if d.routes == nil {
@@ -66,7 +74,7 @@ func (d *DHT) resolveRoot(f *opFrame, route *telemetry.Span, origin simnet.NodeI
 }
 
 // InvalidateRoutes implements overlay.RouteCached: drop every memoized
-// route and learned interval (e.g. after a quarantine changes effective
+// route and learned segment (e.g. after a quarantine changes effective
 // placement).
 func (d *DHT) InvalidateRoutes() {
 	d.bumpRoutes()
@@ -80,7 +88,7 @@ func (d *DHT) RouteCacheStats() cache.Stats {
 
 // SetTelemetry mirrors the route cache's counters into reg under the
 // "dht_route_cache" prefix, counts resolutions into
-// "dht_resolve_learned_total" (keys an ownership interval answered) and
+// "dht_resolve_learned_total" (keys a learned ownership segment answered) and
 // "dht_resolve_walks_total" (findSuccessor walks started, including those
 // the origin answers from its own successor without an RPC), and the
 // server-side gate shed counters under "dht_gate_sheds" (gate.go). The
