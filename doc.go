@@ -6,7 +6,7 @@
 // The framework implements every row of the paper's Table I:
 //
 //   - Data privacy: information substitution, symmetric key encryption,
-//     public key encryption, attribute-based encryption (CP- and KP-ABE),
+//     public key encryption, attribute-based encryption (CP-ABE),
 //     identity-based broadcast encryption, and hybrid encryption — all
 //     behind one Group interface (internal/social/privacy).
 //   - Data integrity: signed messages (owner/content), hash-chained

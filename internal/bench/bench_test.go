@@ -6,6 +6,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"godosn/internal/crypto/hashchain"
+	"godosn/internal/social/identity"
+	"godosn/internal/social/integrity"
 )
 
 func TestAllExperimentsRunQuick(t *testing.T) {
@@ -288,4 +292,36 @@ func TestAnchorsDemo(t *testing.T) {
 	if !ordered {
 		t.Fatal("anchored entries not provably ordered")
 	}
+}
+
+// anchorsDemoEntries publishes a0 on one timeline and b0, anchored to a0, on
+// another, and reports whether HappensBefore proves a0 came first.
+func anchorsDemoEntries() (ordered bool, err error) {
+	a, err := identity.NewUser("a")
+	if err != nil {
+		return false, err
+	}
+	b, err := identity.NewUser("b")
+	if err != nil {
+		return false, err
+	}
+	ta := integrity.NewTimeline(a)
+	tb := integrity.NewTimeline(b)
+	if _, err := ta.Publish([]byte("a0")); err != nil {
+		return false, err
+	}
+	anchor, err := ta.AnchorFor()
+	if err != nil {
+		return false, err
+	}
+	if _, err := tb.Publish([]byte("b0"), anchor); err != nil {
+		return false, err
+	}
+	resolve := func(author string) []*hashchain.Entry {
+		if author == "a" {
+			return ta.Entries()
+		}
+		return tb.Entries()
+	}
+	return hashchain.HappensBefore("a", 0, "b", 0, resolve), nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"godosn/internal/crypto/historytree"
@@ -231,7 +232,7 @@ func TestForkEvidenceSurfaces(t *testing.T) {
 	c2 := &historytree.Commitment{ObjectID: c1.ObjectID, Version: c1.Version, Root: [32]byte{1, 2, 3}}
 	// c2 is unsigned: CheckCommitments must reject it rather than treat it
 	// as fork evidence.
-	if err := historytree.CheckCommitments(c1, c2, n.StorageVerification()); err == nil {
+	if err := historytree.CheckCommitments(c1, c2, n.storageVK); err == nil {
 		t.Fatal("unsigned commitment accepted")
 	} else {
 		var fork *historytree.ForkEvidence
@@ -250,7 +251,7 @@ func TestFindUsersTrustRanked(t *testing.T) {
 	}
 	// All results must be 2-hop candidates, not direct friends.
 	for _, u := range found {
-		if n.Graph.AreFriends("alice", u) {
+		if slices.Contains(n.Graph.Friends("alice"), u) {
 			t.Fatalf("direct friend %s in FoF results", u)
 		}
 	}

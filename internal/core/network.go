@@ -24,7 +24,6 @@ import (
 	"godosn/internal/overlay/federation"
 	"godosn/internal/overlay/gossip"
 	"godosn/internal/overlay/hybrid"
-	"godosn/internal/overlay/loctree"
 	"godosn/internal/overlay/simnet"
 	"godosn/internal/overlay/superpeer"
 	"godosn/internal/resilience"
@@ -128,10 +127,6 @@ type Network struct {
 	wallStorage *historytree.Server
 	storageVK   pubkey.VerificationKey
 	ranker      *trustrank.Ranker
-
-	// presenceOnce/locations lazily build the Vis-à-Vis location tree.
-	presenceOnce sync.Once
-	locations    *loctree.Tree
 }
 
 // NewNetwork builds a deployment from the config: users, keys, social graph,
@@ -299,20 +294,6 @@ func (n *Network) Users() []string { return n.Graph.Users() }
 
 // OverlayKind reports the architecture in use.
 func (n *Network) OverlayKind() OverlayKind { return n.kind }
-
-// StorageVerification returns the untrusted wall-storage signing key, which
-// readers use to verify commitments (not to trust the storage).
-func (n *Network) StorageVerification() pubkey.VerificationKey {
-	return n.storageVK
-}
-
-// Ranker returns the network's trust-based search ranker.
-func (n *Network) Ranker() *trustrank.Ranker { return n.ranker }
-
-// Befriend creates a friendship with the given trust.
-func (n *Network) Befriend(a, b string, trust float64) error {
-	return n.Graph.Befriend(a, b, trust)
-}
 
 // SetOnline injects churn for a user's overlay node. Unknown overlay nodes
 // are rejected (simnet validates registration).

@@ -33,8 +33,6 @@ type Node struct {
 	// reader tracks this node's fork-consistent views of other walls.
 	readers map[string]*integrity.Reader
 	posts   uint64
-	// dmSeq numbers direct messages per recipient.
-	dmSeq map[string]uint64
 }
 
 func newNode(net *Network, u *identity.User) *Node {
@@ -46,7 +44,6 @@ func newNode(net *Network, u *identity.User) *Node {
 		net:      net,
 		groups:   make(map[string]privacy.Group),
 		readers:  make(map[string]*integrity.Reader),
-		dmSeq:    make(map[string]uint64),
 	}
 }
 
@@ -150,18 +147,17 @@ func (nd *Node) signPost(seq uint64, env privacy.Envelope) ([]byte, error) {
 	return e.Marshal(), nil
 }
 
-// openRecord is the one read check for every key this package writes. It
-// verifies the sealed record's checksum and returns its payload. A direct
-// message stops there: its signature travels inside the recipient's
-// ciphertext. A post must also hold a timeline entry whose author and post
-// seq match the key and whose signature verifies against the author's
-// registered key; its payload is the marshaled envelope. Every failure wraps
+// openRecord is the one read check for every key this package writes: a
+// post. It verifies the sealed record's checksum, then that it holds a
+// timeline entry whose author and post seq match the key and whose
+// signature verifies against the author's registered key; the entry's
+// payload is the marshaled envelope. Every failure wraps
 // scrub.ErrRecord, so resilience.ErrCorrupt, and an owner that does not
 // check out also wraps integrity.ErrForgedOwner.
 func (n *Network) openRecord(key string, record []byte) ([]byte, error) {
 	payload, err := scrub.Open(key, record)
-	if err != nil || strings.HasPrefix(key, dmPrefix) {
-		return payload, err
+	if err != nil {
+		return nil, err
 	}
 	author, seq, ok := parsePostKey(key)
 	if !ok {

@@ -169,8 +169,8 @@ func TestResilienceWrapsHybridOverlay(t *testing.T) {
 	if !ok {
 		t.Fatalf("KV is %T, want *resilience.KV", n.KV)
 	}
-	if !rk.CanHeal() {
-		t.Fatal("hybrid overlay (DHT-backed) should expose healing")
+	if _, err := rk.Heal(); err != nil {
+		t.Fatalf("hybrid overlay (DHT-backed) should heal: %v", err)
 	}
 	alice := n.MustNode("alice")
 	bob := n.MustNode("bob")

@@ -23,7 +23,6 @@ type Authority struct {
 	// "usual revocation methods for ABE use frequent re-keying").
 	epoch uint64
 	attrs map[string]*attributeKeys
-	sig   *pubkey.SigningKeyPair
 }
 
 // attributeKeys holds the secret and public half of one attribute parameter.
@@ -35,14 +34,9 @@ type attributeKeys struct {
 // NewAuthority creates an authority managing the given attribute universe.
 // Attributes can be added later with AddAttribute.
 func NewAuthority(universe ...string) (*Authority, error) {
-	sig, err := pubkey.NewSigningKeyPair()
-	if err != nil {
-		return nil, fmt.Errorf("abe: creating authority signer: %w", err)
-	}
 	a := &Authority{
 		epoch: 1,
 		attrs: make(map[string]*attributeKeys),
-		sig:   sig,
 	}
 	for _, attr := range universe {
 		if err := a.AddAttribute(attr); err != nil {
@@ -82,8 +76,6 @@ type PublicParams struct {
 	Epoch uint64
 	// Attrs maps attribute name to its public parameter.
 	Attrs map[string]*pubkey.EncryptionPublicKey
-	// Verification verifies authority-issued key policies (KP-ABE).
-	Verification pubkey.VerificationKey
 }
 
 // Current reports whether a snapshot taken earlier still equals what
@@ -103,7 +95,7 @@ func (a *Authority) PublicParams() *PublicParams {
 	for name, ak := range a.attrs {
 		attrs[name] = ak.public
 	}
-	return &PublicParams{Epoch: a.epoch, Attrs: attrs, Verification: a.sig.Verification()}
+	return &PublicParams{Epoch: a.epoch, Attrs: attrs}
 }
 
 // UserKey is a CP-ABE decryption key: the attribute secrets for the user's

@@ -71,46 +71,6 @@ func randomPolicy(rng *rand.Rand, universe []string, depth int) *Policy {
 	}
 }
 
-// TestQuickKPDecryptIffSatisfied is the dual property for KP-ABE.
-func TestQuickKPDecryptIffSatisfied(t *testing.T) {
-	universe := []string{"a", "b", "c", "d"}
-	auth, err := NewAuthority(universe...)
-	if err != nil {
-		t.Fatalf("NewAuthority: %v", err)
-	}
-	params := auth.PublicParams()
-
-	f := func(policySeed int64, labelMask uint8) bool {
-		rng := rand.New(rand.NewSource(policySeed))
-		policy := randomPolicy(rng, universe, 0)
-		var labels []string
-		for i, a := range universe {
-			if labelMask&(1<<i) != 0 {
-				labels = append(labels, a)
-			}
-		}
-		if len(labels) == 0 {
-			return true
-		}
-		key, err := auth.IssueKPKey(policy)
-		if err != nil {
-			return false
-		}
-		ct, err := EncryptKP(pubkey.NewSender(), params, labels, []byte("payload"))
-		if err != nil {
-			return false
-		}
-		pt, err := key.Decrypt(params, ct)
-		if policy.Satisfied(labels) {
-			return err == nil && string(pt) == "payload"
-		}
-		return err != nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDeepNestedPolicies exercises multi-level trees deterministically.
 func TestDeepNestedPolicies(t *testing.T) {
 	auth, _ := NewAuthority("a", "b", "c", "d", "e", "f")

@@ -206,73 +206,6 @@ func TestAddAttributeIdempotent(t *testing.T) {
 	}
 }
 
-func TestKPABERoundTrip(t *testing.T) {
-	auth := newTestAuthority(t)
-	params := auth.PublicParams()
-	pol, _ := ParsePolicy("(relative AND doctor)")
-	key, err := auth.IssueKPKey(pol)
-	if err != nil {
-		t.Fatalf("IssueKPKey: %v", err)
-	}
-	ct, err := EncryptKP(pubkey.NewSender(), params, []string{"relative", "doctor", "painter"}, []byte("kp message"))
-	if err != nil {
-		t.Fatalf("EncryptKP: %v", err)
-	}
-	got, err := key.Decrypt(params, ct)
-	if err != nil {
-		t.Fatalf("Decrypt: %v", err)
-	}
-	if string(got) != "kp message" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestKPABEPolicyNotSatisfied(t *testing.T) {
-	auth := newTestAuthority(t)
-	params := auth.PublicParams()
-	pol, _ := ParsePolicy("(relative AND doctor)")
-	key, _ := auth.IssueKPKey(pol)
-	ct, err := EncryptKP(pubkey.NewSender(), params, []string{"relative", "painter"}, []byte("x"))
-	if err != nil {
-		t.Fatalf("EncryptKP: %v", err)
-	}
-	if _, err := key.Decrypt(params, ct); err == nil {
-		t.Fatal("KP key decrypted ciphertext not satisfying its policy")
-	}
-}
-
-func TestKPABEForgedPolicyRejected(t *testing.T) {
-	auth := newTestAuthority(t)
-	params := auth.PublicParams()
-	narrow, _ := ParsePolicy("(relative AND doctor)")
-	key, _ := auth.IssueKPKey(narrow)
-	// Attacker widens the certified policy without a matching signature.
-	key.Policy, _ = ParsePolicy("(relative OR doctor)")
-	ct, _ := EncryptKP(pubkey.NewSender(), params, []string{"relative"}, []byte("x"))
-	if _, err := key.Decrypt(params, ct); err == nil {
-		t.Fatal("forged key policy accepted")
-	}
-}
-
-func TestKPABEUnknownAttribute(t *testing.T) {
-	auth := newTestAuthority(t)
-	params := auth.PublicParams()
-	if _, err := EncryptKP(pubkey.NewSender(), params, []string{"martian"}, []byte("x")); err == nil {
-		t.Fatal("encrypted with unknown attribute label")
-	}
-	pol, _ := ParsePolicy("martian")
-	if _, err := auth.IssueKPKey(pol); err == nil {
-		t.Fatal("issued KP key over unknown attribute")
-	}
-}
-
-func TestKPABEEmptyAttributes(t *testing.T) {
-	auth := newTestAuthority(t)
-	if _, err := EncryptKP(pubkey.NewSender(), auth.PublicParams(), nil, []byte("x")); err == nil {
-		t.Fatal("encrypted with empty attribute set")
-	}
-}
-
 // TestShortShareWrapsFullWidth: a share with leading zero bytes is wrapped as
 // a 32-byte field element and still recovers the secret it encodes.
 func TestShortShareWrapsFullWidth(t *testing.T) {
@@ -310,8 +243,8 @@ func TestShortShareWrapsFullWidth(t *testing.T) {
 }
 
 // TestCiphertextSizeIsFixed: one policy and plaintext give one ciphertext
-// size, whatever the sampled seed and shares, in both ABE flavours: every
-// share and seed wrap has the same length each time. Shares are uniform in
+// size, whatever the sampled seed and shares: every share wrap has the same
+// length each time. Shares are uniform in
 // the field, so about 1 in 256 has a leading zero byte; 200 encryptions of
 // four shares each would meet one almost surely.
 func TestCiphertextSizeIsFixed(t *testing.T) {
@@ -322,30 +255,24 @@ func TestCiphertextSizeIsFixed(t *testing.T) {
 		t.Fatalf("ParsePolicy: %v", err)
 	}
 	sender := pubkey.NewSender()
-	attrs := []string{"relative", "doctor", "painter", "friend"}
 	pt := []byte("same payload")
-	var cpLens map[uint32]int
-	var kpLens map[string]int
+	var lens map[uint32]int
 	for i := 0; i < 200; i++ {
 		ct, err := Encrypt(sender, params, pol, pt)
 		if err != nil {
 			t.Fatalf("Encrypt: %v", err)
 		}
-		kct, err := EncryptKP(sender, params, attrs, pt)
-		if err != nil {
-			t.Fatalf("EncryptKP: %v", err)
-		}
 		if i == 0 {
-			cpLens, kpLens = wrapLens(ct.Shares), wrapLens(kct.Wraps)
+			lens = wrapLens(ct.Shares)
 		}
-		if !maps.Equal(wrapLens(ct.Shares), cpLens) || !maps.Equal(wrapLens(kct.Wraps), kpLens) {
-			t.Fatalf("encryption %d: wrap lengths %v/%v, want %v/%v", i, wrapLens(ct.Shares), wrapLens(kct.Wraps), cpLens, kpLens)
+		if !maps.Equal(wrapLens(ct.Shares), lens) {
+			t.Fatalf("encryption %d: wrap lengths %v, want %v", i, wrapLens(ct.Shares), lens)
 		}
 	}
 }
 
-func wrapLens[K comparable](wraps map[K][]byte) map[K]int {
-	out := make(map[K]int, len(wraps))
+func wrapLens(wraps map[uint32][]byte) map[uint32]int {
+	out := make(map[uint32]int, len(wraps))
 	for k, w := range wraps {
 		out[k] = len(w)
 	}

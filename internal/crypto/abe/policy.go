@@ -1,5 +1,5 @@
-// Package abe implements attribute-based encryption (CP-ABE and KP-ABE) over
-// monotone boolean access structures, pairing-free.
+// Package abe implements ciphertext-policy attribute-based encryption
+// (CP-ABE) over monotone boolean access structures, pairing-free.
 //
 // The paper (Section III-D) classifies ABE as the data-privacy mechanism used
 // by Persona and Cachet: a message is encrypted under an access structure
@@ -7,7 +7,7 @@
 // and a user holding a key for a satisfying attribute set decrypts.
 //
 // Construction (documented substitution; see DESIGN.md §2). The pairing-based
-// schemes the paper cites (Bethencourt et al., Goyal et al.) are replaced by:
+// CP-ABE scheme the paper cites (Bethencourt et al.) is replaced by:
 //
 //   - An Authority publishes, per attribute, a P-256 public parameter; it
 //     keeps the matching private scalar as the attribute secret.
@@ -59,12 +59,11 @@ type Policy struct {
 
 // Errors returned by policy handling.
 var (
-	ErrEmptyPolicy   = errors.New("abe: empty policy")
-	ErrBadPolicy     = errors.New("abe: malformed policy")
-	ErrParse         = errors.New("abe: policy parse error")
-	ErrNotSatisfied  = errors.New("abe: key attributes do not satisfy policy")
-	ErrUnknownAttr   = errors.New("abe: unknown attribute")
-	ErrNotAuthorized = errors.New("abe: key policy does not cover ciphertext attributes")
+	ErrEmptyPolicy  = errors.New("abe: empty policy")
+	ErrBadPolicy    = errors.New("abe: malformed policy")
+	ErrParse        = errors.New("abe: policy parse error")
+	ErrNotSatisfied = errors.New("abe: key attributes do not satisfy policy")
+	ErrUnknownAttr  = errors.New("abe: unknown attribute")
 )
 
 // Attr returns a leaf policy requiring the given attribute.

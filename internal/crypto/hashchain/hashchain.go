@@ -154,9 +154,6 @@ func New(author string, signer *pubkey.SigningKeyPair) *Chain {
 	return &Chain{author: author, signer: signer}
 }
 
-// Author returns the chain's publisher identity.
-func (c *Chain) Author() string { return c.author }
-
 // Len returns the number of entries.
 func (c *Chain) Len() int { return len(c.entries) }
 

@@ -172,24 +172,6 @@ func (s *Server) ProveMembership(objectID string, version, index int) ([]byte, *
 	return append([]byte(nil), log.ops[index]...), proof, nil
 }
 
-// Operations returns the ops of an object up to version (for replay/audit).
-func (s *Server) Operations(objectID string, version int) ([][]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	log, ok := s.objects[objectID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchVersion, objectID)
-	}
-	if version < 0 || version > len(log.ops) {
-		return nil, ErrNoSuchVersion
-	}
-	out := make([][]byte, version)
-	for i, op := range log.ops[:version] {
-		out[i] = append([]byte(nil), op...)
-	}
-	return out, nil
-}
-
 // ForkEvidence is cryptographic proof of server equivocation: two validly
 // signed commitments for the same object that are provably inconsistent.
 type ForkEvidence struct {

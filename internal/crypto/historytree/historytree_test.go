@@ -215,17 +215,19 @@ func TestOperationsReplay(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Append("w", []byte(fmt.Sprintf("op%d", i)))
 	}
-	ops, err := s.Operations("w", 3)
-	if err != nil {
-		t.Fatalf("Operations: %v", err)
+	for i := 0; i < 3; i++ {
+		op, _, err := s.ProveMembership("w", 3, i)
+		if err != nil || string(op) != fmt.Sprintf("op%d", i) {
+			t.Fatalf("op %d of version 3 = %q, %v", i, op, err)
+		}
 	}
-	if len(ops) != 3 || string(ops[2]) != "op2" {
-		t.Fatalf("ops = %q", ops)
+	if _, _, err := s.ProveMembership("w", 3, 3); err == nil {
+		t.Fatal("op past version 3 served")
 	}
-	if _, err := s.Operations("missing", 1); err == nil {
+	if _, _, err := s.ProveMembership("missing", 1, 0); err == nil {
 		t.Fatal("operations for unknown object")
 	}
-	if _, err := s.Operations("w", 99); err == nil {
+	if _, _, err := s.ProveMembership("w", 99, 0); err == nil {
 		t.Fatal("operations beyond version")
 	}
 }

@@ -220,9 +220,9 @@ func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plain
 }
 
 // UnwrapSession recovers the broadcast's session key for one of its listed
-// recipients — the public-key phase of DecryptBroadcast, split out so callers
-// can memoize the session key per (recipient, broadcast) and skip the ECIES
-// unwrap on repeat reads.
+// recipients — the public-key phase of a decryption, apart from OpenBroadcast
+// so callers can memoize the session key per (recipient, broadcast) and skip
+// the ECIES unwrap on repeat reads.
 func (k *IdentityKey) UnwrapSession(b *Broadcast) ([]byte, error) {
 	if b == nil || len(b.Recipients) != len(b.WrappedKeys) {
 		return nil, ErrBadCiphertext
@@ -245,7 +245,7 @@ func (k *IdentityKey) UnwrapSession(b *Broadcast) ([]byte, error) {
 }
 
 // OpenBroadcast opens a broadcast body with an already-unwrapped session key
-// — the symmetric phase of DecryptBroadcast.
+// — the symmetric phase of a decryption.
 func OpenBroadcast(session []byte, b *Broadcast) ([]byte, error) {
 	if b == nil {
 		return nil, ErrBadCiphertext
@@ -255,14 +255,4 @@ func OpenBroadcast(session []byte, b *Broadcast) ([]byte, error) {
 		return nil, fmt.Errorf("ibe: opening broadcast body: %w", err)
 	}
 	return plaintext, nil
-}
-
-// DecryptBroadcast decrypts a broadcast for one of its listed recipients:
-// UnwrapSession followed by OpenBroadcast.
-func (k *IdentityKey) DecryptBroadcast(b *Broadcast) ([]byte, error) {
-	session, err := k.UnwrapSession(b)
-	if err != nil {
-		return nil, err
-	}
-	return OpenBroadcast(session, b)
 }

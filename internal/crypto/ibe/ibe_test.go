@@ -10,6 +10,16 @@ import (
 	"godosn/internal/crypto/pubkey"
 )
 
+// decryptBroadcast decrypts a broadcast as a listed recipient does:
+// UnwrapSession followed by OpenBroadcast.
+func decryptBroadcast(k *IdentityKey, b *Broadcast) ([]byte, error) {
+	session, err := k.UnwrapSession(b)
+	if err != nil {
+		return nil, err
+	}
+	return OpenBroadcast(session, b)
+}
+
 func newTestPKG(t *testing.T) *PKG {
 	t.Helper()
 	p, err := NewPKG()
@@ -96,9 +106,9 @@ func TestBroadcastRoundTrip(t *testing.T) {
 	}
 	for _, id := range recipients {
 		key, _ := pkg.Extract(id)
-		got, err := key.DecryptBroadcast(b)
+		got, err := decryptBroadcast(key, b)
 		if err != nil {
-			t.Fatalf("DecryptBroadcast(%s): %v", id, err)
+			t.Fatalf("decryptBroadcast(%s): %v", id, err)
 		}
 		if string(got) != "party on friday" {
 			t.Fatalf("%s got %q", id, got)
@@ -110,7 +120,7 @@ func TestBroadcastNonRecipientFails(t *testing.T) {
 	pkg := newTestPKG(t)
 	b, _ := pkg.EncryptBroadcast(pubkey.NewSender(), []string{"alice", "bob"}, []byte("secret"))
 	eveKey, _ := pkg.Extract("eve")
-	if _, err := eveKey.DecryptBroadcast(b); err == nil {
+	if _, err := decryptBroadcast(eveKey, b); err == nil {
 		t.Fatal("non-recipient decrypted broadcast")
 	}
 }
@@ -128,16 +138,16 @@ func TestBroadcastRecipientRemovalIsFree(t *testing.T) {
 		t.Fatalf("EncryptBroadcast: %v", err)
 	}
 	bobKey, _ := pkg.Extract("bob")
-	if _, err := bobKey.DecryptBroadcast(after); err == nil {
+	if _, err := decryptBroadcast(bobKey, after); err == nil {
 		t.Fatal("removed recipient still decrypts")
 	}
 	aliceKey, _ := pkg.Extract("alice")
-	if got, err := aliceKey.DecryptBroadcast(after); err != nil || string(got) != "v2" {
+	if got, err := decryptBroadcast(aliceKey, after); err != nil || string(got) != "v2" {
 		t.Fatalf("remaining recipient failed: %v", err)
 	}
 	// Old broadcasts stay readable by the removed member, as with any
 	// already-delivered content.
-	if _, err := bobKey.DecryptBroadcast(before); err != nil {
+	if _, err := decryptBroadcast(bobKey, before); err != nil {
 		t.Fatalf("old broadcast unreadable: %v", err)
 	}
 }
@@ -152,12 +162,12 @@ func TestBroadcastEmptyRecipients(t *testing.T) {
 func TestBroadcastMalformed(t *testing.T) {
 	pkg := newTestPKG(t)
 	key, _ := pkg.Extract("alice")
-	if _, err := key.DecryptBroadcast(nil); err == nil {
+	if _, err := decryptBroadcast(key, nil); err == nil {
 		t.Fatal("accepted nil broadcast")
 	}
 	b, _ := pkg.EncryptBroadcast(pubkey.NewSender(), []string{"alice"}, []byte("m"))
 	b.WrappedKeys = nil
-	if _, err := key.DecryptBroadcast(b); err == nil {
+	if _, err := decryptBroadcast(key, b); err == nil {
 		t.Fatal("accepted broadcast with missing wraps")
 	}
 }
@@ -214,7 +224,7 @@ func TestBroadcastWrapsShareOneBuffer(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Extract(%s): %v", id, err)
 				}
-				if got, err := key.DecryptBroadcast(b); err != nil || string(got) != "many wraps" {
+				if got, err := decryptBroadcast(key, b); err != nil || string(got) != "many wraps" {
 					t.Fatalf("n=%d %s: %s read: %q, %v", n, phase, id, got, err)
 				}
 			}
@@ -257,7 +267,7 @@ func TestSwappedEphemeralFailsEveryWrap(t *testing.T) {
 			}
 			if phase == "cold" { // warm both ephemerals for the second pass
 				for _, orig := range []*Broadcast{a, b} {
-					if _, err := key.DecryptBroadcast(orig); err != nil {
+					if _, err := decryptBroadcast(key, orig); err != nil {
 						t.Fatalf("%s: %s on an untouched broadcast: %v", phase, id, err)
 					}
 				}

@@ -69,11 +69,6 @@ func (kp *KeyPair) Public() *PublicKey {
 	return &PublicKey{x: kp.pubX, y: kp.pubY}
 }
 
-// Bytes returns the canonical public key encoding.
-func (pk *PublicKey) Bytes() []byte {
-	return elliptic.Marshal(curve, pk.x, pk.y)
-}
-
 // Ciphertext is a PRE ciphertext. Level distinguishes original (encrypted
 // directly to the delegator) from re-encrypted (transformed for a delegatee);
 // both decrypt the same way with the right secret key.

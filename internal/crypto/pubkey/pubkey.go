@@ -60,7 +60,7 @@ func NewEncryptionKeyPair() (*EncryptionKeyPair, error) {
 }
 
 // EncryptionKeyPairFromPrivateBytes reconstructs a keypair from a 32-byte
-// P-256 private scalar, as produced by PrivateBytes. It is used by the IBE
+// P-256 private scalar. It is used by the IBE
 // private key generator to derive identity keys deterministically.
 func EncryptionKeyPairFromPrivateBytes(data []byte) (*EncryptionKeyPair, error) {
 	priv, err := ecdh.P256().NewPrivateKey(data)
@@ -68,11 +68,6 @@ func EncryptionKeyPairFromPrivateBytes(data []byte) (*EncryptionKeyPair, error) 
 		return nil, fmt.Errorf("pubkey: parsing private key: %w", err)
 	}
 	return &EncryptionKeyPair{private: priv}, nil
-}
-
-// PrivateBytes returns the raw private scalar of the keypair.
-func (kp *EncryptionKeyPair) PrivateBytes() []byte {
-	return kp.private.Bytes()
 }
 
 // Public returns the public key for distribution to other users.
@@ -83,15 +78,6 @@ func (kp *EncryptionKeyPair) Public() *EncryptionPublicKey {
 // Bytes returns the canonical encoding of the public key.
 func (pk *EncryptionPublicKey) Bytes() []byte {
 	return pk.public.Bytes()
-}
-
-// ParseEncryptionPublicKey decodes a public key encoded with Bytes.
-func ParseEncryptionPublicKey(data []byte) (*EncryptionPublicKey, error) {
-	pub, err := ecdh.P256().NewPublicKey(data)
-	if err != nil {
-		return nil, fmt.Errorf("pubkey: parsing public key: %w", err)
-	}
-	return &EncryptionPublicKey{public: pub}, nil
 }
 
 // Encrypt encrypts plaintext to the holder of pk using ephemeral ECDH +

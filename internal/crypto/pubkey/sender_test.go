@@ -94,7 +94,7 @@ func TestSenderRoundTripAndLayout(t *testing.T) {
 		if err != nil || !bytes.Equal(got, pt) {
 			t.Fatalf("wrap %d: Decrypt = %d bytes, %v", i, len(got), err)
 		}
-		if ref := referenceDecrypt(t, kp.PrivateBytes(), ct); !bytes.Equal(ref, pt) {
+		if ref := referenceDecrypt(t, kp.private.Bytes(), ct); !bytes.Equal(ref, pt) {
 			t.Fatalf("wrap %d: reference decrypt mismatch", i)
 		}
 	}
@@ -388,7 +388,7 @@ func TestMultiRoundTripAndLayout(t *testing.T) {
 			}
 		}
 		joined := append(bytes.Clone(eph), wraps[n-1]...)
-		if got := referenceDecrypt(t, recipients[n-1].PrivateBytes(), joined); !bytes.Equal(got, pt) {
+		if got := referenceDecrypt(t, recipients[n-1].private.Bytes(), joined); !bytes.Equal(got, pt) {
 			t.Fatalf("n=%d: reference decrypt of ephemeral || wrap mismatch", n)
 		}
 		if got := s.Agreements(); got != uint64(n) {

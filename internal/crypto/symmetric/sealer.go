@@ -33,7 +33,7 @@ func (s *Sealer) Seal(plaintext, associatedData []byte) ([]byte, error) {
 }
 
 // SealTo is SealTo with the precomputed AEAD: zero allocations when dst has
-// SealedLen(len(plaintext)) spare capacity.
+// len(plaintext)+Overhead() spare capacity.
 func (s *Sealer) SealTo(dst, plaintext, associatedData []byte) ([]byte, error) {
 	return sealTo(s.aead, dst, plaintext, associatedData)
 }

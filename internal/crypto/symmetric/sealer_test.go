@@ -8,7 +8,7 @@ import (
 // A Sealer's output must interoperate with the one-shot functions both
 // ways: same key, same wire format.
 func TestSealerInteroperatesWithOneShot(t *testing.T) {
-	key := MustNewKey()
+	key := testKey(t)
 	s, err := NewSealer(key)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestSealerRejects(t *testing.T) {
 	if _, err := NewSealer(Key("short")); err == nil {
 		t.Fatal("NewSealer accepted a bad key")
 	}
-	s, err := NewSealer(MustNewKey())
+	s, err := NewSealer(testKey(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func BenchmarkSealerSealTo(b *testing.B) {
 		b.Fatal(err)
 	}
 	pt := benchPlaintext()
-	buf := make([]byte, 0, SealedLen(len(pt)))
+	buf := make([]byte, 0, len(pt)+Overhead())
 	b.SetBytes(int64(len(pt)))
 	b.ReportAllocs()
 	b.ResetTimer()

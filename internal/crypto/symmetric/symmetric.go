@@ -42,16 +42,6 @@ func NewKey() (Key, error) {
 	return k, nil
 }
 
-// MustNewKey generates a fresh key and panics on failure. It is intended for
-// tests and examples where entropy failure is fatal anyway.
-func MustNewKey() Key {
-	k, err := NewKey()
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
 // Clone returns an independent copy of the key.
 func (k Key) Clone() Key {
 	out := make(Key, len(k))
@@ -70,7 +60,7 @@ func Seal(key Key, plaintext, associatedData []byte) ([]byte, error) {
 
 // SealTo is Seal appending into dst, for hot paths that reuse a buffer or
 // build a larger message around the ciphertext: when dst has
-// SealedLen(len(plaintext)) spare capacity, SealTo performs no allocation.
+// len(plaintext)+Overhead() spare capacity, SealTo performs no allocation.
 // It returns the extended slice (which may have been reallocated, like
 // append).
 func SealTo(dst []byte, key Key, plaintext, associatedData []byte) ([]byte, error) {
@@ -97,10 +87,6 @@ func sealTo(aead cipher.AEAD, dst, plaintext, associatedData []byte) ([]byte, er
 	dst = dst[:len(dst)+nonceSize]
 	return aead.Seal(dst, nonce, plaintext, associatedData), nil
 }
-
-// SealedLen returns the ciphertext length Seal produces for a plaintext of
-// the given length, for sizing SealTo destination buffers.
-func SealedLen(plaintextLen int) int { return plaintextLen + Overhead() }
 
 // Open authenticates and decrypts a ciphertext produced by Seal.
 func Open(key Key, ciphertext, associatedData []byte) ([]byte, error) {

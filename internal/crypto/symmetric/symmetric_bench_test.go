@@ -39,7 +39,7 @@ func BenchmarkSeal(b *testing.B) {
 
 func BenchmarkSealTo(b *testing.B) {
 	key, pt := benchKey(b), benchPlaintext()
-	buf := make([]byte, 0, SealedLen(len(pt)))
+	buf := make([]byte, 0, len(pt)+Overhead())
 	b.SetBytes(int64(len(pt)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -6,8 +6,18 @@ import (
 	"testing/quick"
 )
 
+// testKey generates a fresh key or fails the test.
+func testKey(tb testing.TB) Key {
+	tb.Helper()
+	k, err := NewKey()
+	if err != nil {
+		tb.Fatalf("NewKey: %v", err)
+	}
+	return k
+}
+
 func TestSealOpenRoundTrip(t *testing.T) {
-	key := MustNewKey()
+	key := testKey(t)
 	tests := []struct {
 		name string
 		pt   []byte
@@ -37,7 +47,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 }
 
 func TestOpenRejectsWrongKey(t *testing.T) {
-	k1, k2 := MustNewKey(), MustNewKey()
+	k1, k2 := testKey(t), testKey(t)
 	ct, err := Seal(k1, []byte("secret"), nil)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
@@ -48,7 +58,7 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 }
 
 func TestOpenRejectsWrongAD(t *testing.T) {
-	key := MustNewKey()
+	key := testKey(t)
 	ct, err := Seal(key, []byte("secret"), []byte("ad1"))
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
@@ -59,7 +69,7 @@ func TestOpenRejectsWrongAD(t *testing.T) {
 }
 
 func TestOpenRejectsTampering(t *testing.T) {
-	key := MustNewKey()
+	key := testKey(t)
 	ct, err := Seal(key, []byte("attack at dawn"), nil)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
@@ -74,7 +84,7 @@ func TestOpenRejectsTampering(t *testing.T) {
 }
 
 func TestOpenRejectsShortCiphertext(t *testing.T) {
-	key := MustNewKey()
+	key := testKey(t)
 	if _, err := Open(key, []byte{1, 2, 3}, nil); err == nil {
 		t.Fatal("Open accepted truncated ciphertext")
 	}
@@ -93,7 +103,7 @@ func TestInvalidKeySizes(t *testing.T) {
 }
 
 func TestKeyClone(t *testing.T) {
-	k := MustNewKey()
+	k := testKey(t)
 	c := k.Clone()
 	if !bytes.Equal(k, c) {
 		t.Fatal("clone differs from original")
@@ -105,7 +115,7 @@ func TestKeyClone(t *testing.T) {
 }
 
 func TestCiphertextOverheadMatches(t *testing.T) {
-	key := MustNewKey()
+	key := testKey(t)
 	for _, n := range []int{0, 1, 100, 4096} {
 		ct, err := Seal(key, make([]byte, n), nil)
 		if err != nil {
@@ -118,7 +128,7 @@ func TestCiphertextOverheadMatches(t *testing.T) {
 }
 
 func TestNonceUniqueness(t *testing.T) {
-	key := MustNewKey()
+	key := testKey(t)
 	seen := make(map[string]bool)
 	for i := 0; i < 256; i++ {
 		ct, err := Seal(key, []byte("same message"), nil)
@@ -134,7 +144,7 @@ func TestNonceUniqueness(t *testing.T) {
 }
 
 func TestQuickRoundTrip(t *testing.T) {
-	key := MustNewKey()
+	key := testKey(t)
 	f := func(pt, ad []byte) bool {
 		ct, err := Seal(key, pt, ad)
 		if err != nil {

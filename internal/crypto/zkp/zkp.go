@@ -1,6 +1,6 @@
 // Package zkp implements Schnorr zero-knowledge proofs of knowledge of a
-// discrete logarithm over P-256, in both interactive (sigma protocol) and
-// non-interactive (Fiat–Shamir) form.
+// discrete logarithm over P-256, made non-interactive by the Fiat–Shamir
+// transform.
 //
 // The paper (Section V-B) describes searcher privacy via "Zero Knowledge
 // Proof alongside using pseudonyms": a user searches under a pseudonym and
@@ -47,19 +47,6 @@ func NewWitness() (*Witness, *Statement, error) {
 	return &Witness{x: x}, &Statement{X: elliptic.Marshal(curve, gx, gy)}, nil
 }
 
-// WitnessFromSeed derives a witness deterministically from seed material,
-// letting a user re-derive the same credential from a stored secret.
-func WitnessFromSeed(seed []byte) (*Witness, *Statement) {
-	h := sha256.Sum256(append([]byte("godosn/zkp/seed-v1"), seed...))
-	x := new(big.Int).SetBytes(h[:])
-	x.Mod(x, curve.Params().N)
-	if x.Sign() == 0 {
-		x.SetInt64(1)
-	}
-	gx, gy := curve.ScalarBaseMult(x.Bytes())
-	return &Witness{x: x}, &Statement{X: elliptic.Marshal(curve, gx, gy)}
-}
-
 // Proof is a non-interactive Schnorr proof (Fiat–Shamir transform).
 type Proof struct {
 	// Commitment is the marshaled point A = g^r.
@@ -104,57 +91,6 @@ func Verify(stmt *Statement, proof *Proof, context []byte) error {
 	// left = g^s
 	lx, ly := curve.ScalarBaseMult(s.Bytes())
 	// right = A + c*X (additive notation)
-	cxx, cxy := curve.ScalarMult(xx, xy, c.Bytes())
-	rx, ry := curve.Add(ax, ay, cxx, cxy)
-	if lx.Cmp(rx) != 0 || ly.Cmp(ry) != 0 {
-		return ErrInvalidProof
-	}
-	return nil
-}
-
-// Interactive sigma protocol, used by tests and by deployments that want a
-// live challenge rather than Fiat–Shamir.
-
-// Commitment is the prover's first message A = g^r plus retained state.
-type Commitment struct {
-	A []byte
-	r *big.Int
-}
-
-// Commit starts an interactive proof.
-func (w *Witness) Commit() (*Commitment, error) {
-	r, err := randScalar()
-	if err != nil {
-		return nil, err
-	}
-	ax, ay := curve.ScalarBaseMult(r.Bytes())
-	return &Commitment{A: elliptic.Marshal(curve, ax, ay), r: r}, nil
-}
-
-// NewChallenge samples a random verifier challenge.
-func NewChallenge() (*big.Int, error) {
-	return randScalar()
-}
-
-// Respond computes the prover's response s = r + c*x mod N.
-func (w *Witness) Respond(com *Commitment, c *big.Int) *big.Int {
-	n := curve.Params().N
-	s := new(big.Int).Mul(c, w.x)
-	s.Add(s, com.r)
-	return s.Mod(s, n)
-}
-
-// VerifyInteractive checks the transcript (A, c, s) against the statement.
-func VerifyInteractive(stmt *Statement, a []byte, c, s *big.Int) error {
-	xx, xy := elliptic.Unmarshal(curve, stmt.X)
-	if xx == nil {
-		return ErrNotOnCurve
-	}
-	ax, ay := elliptic.Unmarshal(curve, a)
-	if ax == nil {
-		return ErrNotOnCurve
-	}
-	lx, ly := curve.ScalarBaseMult(s.Bytes())
 	cxx, cxy := curve.ScalarMult(xx, xy, c.Bytes())
 	rx, ry := curve.Add(ax, ay, cxx, cxy)
 	if lx.Cmp(rx) != 0 || ly.Cmp(ry) != 0 {

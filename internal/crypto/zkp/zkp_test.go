@@ -1,7 +1,6 @@
 package zkp
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -60,53 +59,6 @@ func TestVerifyRejectsNil(t *testing.T) {
 	}
 	if err := Verify(nil, &Proof{}, nil); err == nil {
 		t.Fatal("nil statement verified")
-	}
-}
-
-func TestWitnessFromSeedDeterministic(t *testing.T) {
-	w1, s1 := WitnessFromSeed([]byte("seed"))
-	w2, s2 := WitnessFromSeed([]byte("seed"))
-	if !bytes.Equal(s1.X, s2.X) {
-		t.Fatal("same seed gave different statements")
-	}
-	proof, err := w1.Prove(s2, []byte("ctx"))
-	if err != nil {
-		t.Fatalf("Prove: %v", err)
-	}
-	if err := Verify(s1, proof, []byte("ctx")); err != nil {
-		t.Fatalf("cross-derived proof failed: %v", err)
-	}
-	_ = w2
-	_, s3 := WitnessFromSeed([]byte("other seed"))
-	if bytes.Equal(s1.X, s3.X) {
-		t.Fatal("different seeds gave same statement")
-	}
-}
-
-func TestInteractiveProtocol(t *testing.T) {
-	w, stmt, _ := NewWitness()
-	com, err := w.Commit()
-	if err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	c, err := NewChallenge()
-	if err != nil {
-		t.Fatalf("NewChallenge: %v", err)
-	}
-	s := w.Respond(com, c)
-	if err := VerifyInteractive(stmt, com.A, c, s); err != nil {
-		t.Fatalf("VerifyInteractive: %v", err)
-	}
-}
-
-func TestInteractiveRejectsWrongWitness(t *testing.T) {
-	w, _, _ := NewWitness()
-	_, otherStmt, _ := NewWitness()
-	com, _ := w.Commit()
-	c, _ := NewChallenge()
-	s := w.Respond(com, c)
-	if err := VerifyInteractive(otherStmt, com.A, c, s); err == nil {
-		t.Fatal("interactive proof verified against wrong statement")
 	}
 }
 

@@ -397,20 +397,3 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 	}
 	return report, nil
 }
-
-// LiveCopies reports how many online nodes currently hold key — test and
-// experiment introspection, free of network cost.
-func (d *DHT) LiveCopies(key string) int {
-	count := 0
-	for _, n := range d.view().members() {
-		if !d.net.Online(n.name) {
-			continue
-		}
-		n.mu.Lock()
-		if n.data.has(key) {
-			count++
-		}
-		n.mu.Unlock()
-	}
-	return count
-}

@@ -29,6 +29,17 @@ func replicaNames(d *DHT, key string) []simnet.NodeID {
 	return out
 }
 
+// liveCopies counts the online nodes holding key.
+func liveCopies(d *DHT, key string) int {
+	count := 0
+	for _, n := range d.view().members() {
+		if d.net.Online(n.name) && d.Holds(string(n.name), key) {
+			count++
+		}
+	}
+	return count
+}
+
 func TestStoreIdempotentUnderAckLoss(t *testing.T) {
 	// A store whose ack is lost HAS been applied. Retrying it must be
 	// safe: the same key/value lands again on the same replicas, and the
@@ -118,7 +129,7 @@ func TestHealRestoresReplicationAfterPartitionHeals(t *testing.T) {
 	}
 	underReplicated := 0
 	for _, key := range stored {
-		if d.LiveCopies(key) < 3 {
+		if liveCopies(d, key) < 3 {
 			underReplicated++
 		}
 	}
@@ -139,7 +150,7 @@ func TestHealRestoresReplicationAfterPartitionHeals(t *testing.T) {
 		t.Fatal("heal pass repaired nothing despite under-replicated keys")
 	}
 	for _, key := range stored {
-		if got := d.LiveCopies(key); got < 3 {
+		if got := liveCopies(d, key); got < 3 {
 			t.Fatalf("key %s has %d live copies after heal, want >= 3", key, got)
 		}
 	}
@@ -158,7 +169,7 @@ func TestHealRepairsCrashRestartStateLoss(t *testing.T) {
 	if _, err := d.Store(string(names[0]), "k", []byte("v")); err != nil {
 		t.Fatalf("Store: %v", err)
 	}
-	if got := d.LiveCopies("k"); got != 3 {
+	if got := liveCopies(d, "k"); got != 3 {
 		t.Fatalf("fresh store has %d live copies, want 3", got)
 	}
 	victim := replicaNames(d, "k")[0]
@@ -168,7 +179,7 @@ func TestHealRepairsCrashRestartStateLoss(t *testing.T) {
 	if err := net.SetOnline(victim, true); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if got := d.LiveCopies("k"); got != 2 {
+	if got := liveCopies(d, "k"); got != 2 {
 		t.Fatalf("after crash-restart %d live copies, want 2 (state lost)", got)
 	}
 	report, err := d.Heal()
@@ -178,7 +189,7 @@ func TestHealRepairsCrashRestartStateLoss(t *testing.T) {
 	if report.Repaired < 1 {
 		t.Fatalf("heal repaired %d copies, want >= 1", report.Repaired)
 	}
-	if got := d.LiveCopies("k"); got != 3 {
+	if got := liveCopies(d, "k"); got != 3 {
 		t.Fatalf("after heal %d live copies, want 3", got)
 	}
 	// The restored copy must serve reads from the repaired replica.
@@ -226,7 +237,7 @@ pick:
 	if _, err := d.Heal(); err != nil {
 		t.Fatalf("Heal: %v", err)
 	}
-	if got := d.LiveCopies("k"); got < 3 {
+	if got := liveCopies(d, "k"); got < 3 {
 		t.Fatalf("heal left %d live copies with 2 canonical replicas down, want >= 3", got)
 	}
 	cands, _, err := d.ReplicasFor(string(origin), "k")
@@ -304,7 +315,7 @@ func TestHealFallsBackWhenPlacementVetoesEveryNode(t *testing.T) {
 	if report.Repaired != 1 || !d.Holds(string(succ[0]), "k") {
 		t.Fatalf("heal with every node vetoed: %+v, wiped replica holds k = %v", report, d.Holds(string(succ[0]), "k"))
 	}
-	if got := d.LiveCopies("k"); got != 3 {
+	if got := liveCopies(d, "k"); got != 3 {
 		t.Fatalf("after heal %d live copies, want 3", got)
 	}
 }

@@ -196,12 +196,3 @@ func (f *Federation) Lookup(origin, key string) ([]byte, overlay.OpStats, error)
 	}
 	return resp.Value, *tr, nil
 }
-
-// ServerNames returns the synthetic server node IDs (for churn injection).
-func (f *Federation) ServerNames() []simnet.NodeID {
-	out := make([]simnet.NodeID, len(f.servers))
-	for i, s := range f.servers {
-		out[i] = s.name
-	}
-	return out
-}

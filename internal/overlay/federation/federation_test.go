@@ -119,8 +119,8 @@ func TestUnknownOrigin(t *testing.T) {
 
 func TestServerNames(t *testing.T) {
 	f, _, _ := build(t, 5, Config{Servers: 3})
-	if got := len(f.ServerNames()); got != 3 {
-		t.Fatalf("ServerNames len = %d", got)
+	if got := len(f.servers); got != 3 {
+		t.Fatalf("%d servers, want 3", got)
 	}
 }
 

@@ -8,9 +8,8 @@
 // query for "friends currently in region R" descends only the subtree under
 // R — cost proportional to the matching region, not the network.
 //
-// Regions are slash-separated paths ("/tr/istanbul/kadikoy"); each region is
-// coordinated by one member VIS (the first registrant), and the tree stores
-// only user->region presence, never content.
+// Regions are slash-separated paths ("/tr/istanbul/kadikoy"), and the tree
+// stores only user->region presence, never content.
 package loctree
 
 import (
@@ -21,22 +20,16 @@ import (
 	"sync"
 )
 
-// Errors returned by this package.
-var (
-	ErrBadRegion     = errors.New("loctree: malformed region path")
-	ErrNotRegistered = errors.New("loctree: user not registered")
-)
+// ErrBadRegion reports a malformed region path.
+var ErrBadRegion = errors.New("loctree: malformed region path")
 
 // node is one region of the tree.
 type node struct {
-	path     string
 	children map[string]*node
 	// present holds users registered exactly at this region.
 	present map[string]bool
 	// count aggregates presence over the whole subtree.
 	count int
-	// coordinator is the VIS responsible for this region.
-	coordinator string
 }
 
 // Tree is a distributed location tree. It is safe for concurrent use.
@@ -54,7 +47,7 @@ type Tree struct {
 // New creates an empty location tree.
 func New() *Tree {
 	return &Tree{
-		root:  &node{path: "/", children: make(map[string]*node), present: make(map[string]bool)},
+		root:  &node{children: make(map[string]*node), present: make(map[string]bool)},
 		where: make(map[string]string),
 	}
 }
@@ -98,10 +91,8 @@ func (t *Tree) Register(user, region string) (int, error) {
 		child, ok := cur.children[p]
 		if !ok {
 			child = &node{
-				path:        strings.TrimSuffix(cur.path, "/") + "/" + p,
-				children:    make(map[string]*node),
-				present:     make(map[string]bool),
-				coordinator: user,
+				children: make(map[string]*node),
+				present:  make(map[string]bool),
 			}
 			cur.children[p] = child
 		}
@@ -136,29 +127,6 @@ func (t *Tree) removeLocked(user, region string) int {
 	delete(cur.present, user)
 	delete(t.where, user)
 	return visited
-}
-
-// Deregister removes a user from the tree.
-func (t *Tree) Deregister(user string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	region, ok := t.where[user]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotRegistered, user)
-	}
-	t.removeLocked(user, region)
-	return nil
-}
-
-// WhereIs returns a user's current region.
-func (t *Tree) WhereIs(user string) (string, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	region, ok := t.where[user]
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrNotRegistered, user)
-	}
-	return region, nil
 }
 
 // QueryResult is a region query's outcome plus its cost.
@@ -208,44 +176,4 @@ func collect(n *node, res *QueryResult) {
 		res.NodesVisited++
 		collect(c, res)
 	}
-}
-
-// CountUnder returns the aggregated presence count under a region without
-// enumerating users (constant nodes visited beyond the path).
-func (t *Tree) CountUnder(region string) (int, error) {
-	parts, err := splitRegion(region)
-	if err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := t.root
-	for _, p := range parts {
-		child, ok := cur.children[p]
-		if !ok {
-			return 0, nil
-		}
-		cur = child
-	}
-	return cur.count, nil
-}
-
-// Coordinator returns the VIS responsible for a region ("" for unknown
-// regions or the root).
-func (t *Tree) Coordinator(region string) string {
-	parts, err := splitRegion(region)
-	if err != nil || len(parts) == 0 {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := t.root
-	for _, p := range parts {
-		child, ok := cur.children[p]
-		if !ok {
-			return ""
-		}
-		cur = child
-	}
-	return cur.coordinator
 }

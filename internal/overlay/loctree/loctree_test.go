@@ -69,10 +69,6 @@ func TestMoveUpdatesPresence(t *testing.T) {
 	if len(res.Users) != 1 {
 		t.Fatalf("missing presence after move: %v", res.Users)
 	}
-	where, err := tr.WhereIs("alice")
-	if err != nil || where != "/de/berlin" {
-		t.Fatalf("WhereIs = %q, %v", where, err)
-	}
 }
 
 func TestRegisterIdempotent(t *testing.T) {
@@ -82,25 +78,8 @@ func TestRegisterIdempotent(t *testing.T) {
 	if err != nil || visited != 0 {
 		t.Fatalf("re-register cost %d, %v", visited, err)
 	}
-	if n, _ := tr.CountUnder("/tr"); n != 1 {
-		t.Fatalf("CountUnder = %d", n)
-	}
-}
-
-func TestDeregister(t *testing.T) {
-	tr := New()
-	tr.Register("alice", "/tr/istanbul")
-	if err := tr.Deregister("alice"); err != nil {
-		t.Fatalf("Deregister: %v", err)
-	}
-	if _, err := tr.WhereIs("alice"); !errors.Is(err, ErrNotRegistered) {
-		t.Fatalf("WhereIs after deregister: %v", err)
-	}
-	if err := tr.Deregister("alice"); !errors.Is(err, ErrNotRegistered) {
-		t.Fatalf("double deregister: %v", err)
-	}
-	if n, _ := tr.CountUnder("/"); n != 0 {
-		t.Fatalf("CountUnder(/) = %d", n)
+	if res, _ := tr.Query("/tr"); len(res.Users) != 1 {
+		t.Fatalf("Query(/tr) = %v", res.Users)
 	}
 }
 
@@ -112,8 +91,8 @@ func TestCountUnderAggregation(t *testing.T) {
 	for region, want := range map[string]int{
 		"/tr": 3, "/tr/istanbul": 2, "/tr/ankara": 1, "/de": 0,
 	} {
-		if n, err := tr.CountUnder(region); err != nil || n != want {
-			t.Fatalf("CountUnder(%s) = %d, want %d (%v)", region, n, want, err)
+		if res, err := tr.Query(region); err != nil || len(res.Users) != want {
+			t.Fatalf("Query(%s) = %v, want %d users (%v)", region, res.Users, want, err)
 		}
 	}
 }
@@ -121,7 +100,7 @@ func TestCountUnderAggregation(t *testing.T) {
 func TestEmptySubtreesPruned(t *testing.T) {
 	tr := New()
 	tr.Register("a", "/x/deep/nest/one")
-	tr.Deregister("a")
+	tr.Register("a", "/y") // moving away empties the deep chain
 	tr.Register("b", "/x/shallow")
 	res, _ := tr.Query("/x")
 	// /x + shallow visited; the empty deep/nest/one chain must be pruned
@@ -140,17 +119,5 @@ func TestBadRegions(t *testing.T) {
 		if _, err := tr.Query(region); !errors.Is(err, ErrBadRegion) {
 			t.Errorf("Query(%q): %v", region, err)
 		}
-	}
-}
-
-func TestCoordinator(t *testing.T) {
-	tr := New()
-	tr.Register("alice", "/tr/istanbul")
-	tr.Register("bob", "/tr/istanbul")
-	if c := tr.Coordinator("/tr/istanbul"); c != "alice" {
-		t.Fatalf("Coordinator = %q, want first registrant", c)
-	}
-	if c := tr.Coordinator("/nowhere"); c != "" {
-		t.Fatalf("Coordinator of unknown region = %q", c)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // caller fans out over many destinations, so destination-side ledgers would
 // have concurrent callers writing every node's cache line in lock-step,
 // while initiator-side ledgers give each caller one line of its own. The
-// network-wide views (Totals, RPCCount, CorruptedReplies) sum the accounts.
+// network-wide views (Totals, CorruptedReplies) sum the accounts.
 //
 // Determinism: there is no shared random stream. The n-th message on a
 // link's leg draws mix(seed, initiator, peer, leg, n), so a serial run
@@ -37,12 +37,11 @@ const (
 type account struct {
 	mu        sync.Mutex
 	totals    Trace
-	rpcs      int
 	corrupted int
 	hash      uint64               // the owner's id hash
 	links     map[*nodeState]*link // per peer; nil until the first loss or jitter draw
 	tel       *trafficTelemetry    // nil until SetTelemetry
-	_         [48]byte
+	_         [56]byte
 }
 
 // link is the draw state of one (initiator, peer) pair, per leg.
@@ -147,13 +146,6 @@ func (n *Network) Totals() Trace {
 	return sum
 }
 
-// RPCCount returns the number of RPC invocations since the last reset.
-func (n *Network) RPCCount() int {
-	sum := 0
-	n.accounts(func(a *account) { sum += a.rpcs })
-	return sum
-}
-
 // CorruptedReplies reports how many replies the network has corrupted since
 // the last ResetTotals — the injected-fault count experiments compare
 // against how many corruptions *surfaced* to the application.
@@ -168,7 +160,6 @@ func (n *Network) CorruptedReplies() int {
 func (n *Network) ResetTotals() {
 	n.accounts(func(a *account) {
 		a.totals = Trace{}
-		a.rpcs = 0
 		a.corrupted = 0
 	})
 	for _, s := range n.table() {

@@ -115,17 +115,6 @@ func (n *Network) SetByzantine(id NodeID, cfg ByzantineConfig) error {
 	return nil
 }
 
-// ByzantineMode reports a node's configured corruption mode (ByzNone when
-// unconfigured or unknown).
-func (n *Network) ByzantineMode(id NodeID) ByzMode {
-	if s := n.table()[id]; s != nil {
-		if b := s.byz.Load(); b != nil {
-			return b.cfg.Mode
-		}
-	}
-	return ByzNone
-}
-
 // corrupt applies the responder's Byzantine mode to a reply from node to to
 // caller from, returning the (possibly replaced) message and whether it now
 // lies.

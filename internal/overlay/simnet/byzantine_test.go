@@ -271,15 +271,12 @@ func TestSetByzantineValidation(t *testing.T) {
 	if err := n.SetByzantine("b", ByzantineConfig{Mode: ByzBitFlip, Rate: 1}); err != nil {
 		t.Fatalf("SetByzantine: %v", err)
 	}
-	if n.ByzantineMode("b") != ByzBitFlip {
-		t.Fatalf("mode = %v", n.ByzantineMode("b"))
+	if resp := askBlob(t, n, "a", "b"); string(resp.Value) == "value" {
+		t.Fatal("bit-flip node at rate 1 served an honest reply")
 	}
 	// ByzNone clears; replies are honest again.
 	if err := n.SetByzantine("b", ByzantineConfig{Mode: ByzNone}); err != nil {
 		t.Fatalf("clear: %v", err)
-	}
-	if n.ByzantineMode("b") != ByzNone {
-		t.Fatalf("mode after clear = %v", n.ByzantineMode("b"))
 	}
 	if resp := askBlob(t, n, "a", "b"); string(resp.Value) != "value" {
 		t.Fatalf("cleared node still corrupts: %q", resp.Value)

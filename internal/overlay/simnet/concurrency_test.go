@@ -35,9 +35,6 @@ func checkLedgers(t *testing.T, n *Network, reg *telemetry.Registry, traces []*T
 	if got := n.Totals(); got != want {
 		t.Fatalf("Totals = %+v, callers' traces sum to %+v", got, want)
 	}
-	if got := n.RPCCount(); got != want.Hops {
-		t.Fatalf("RPCCount = %d, callers counted %d hops", got, want.Hops)
-	}
 	for name, v := range map[string]int{
 		"simnet_messages_total": want.Messages,
 		"simnet_bytes_total":    want.Bytes,

@@ -35,7 +35,6 @@ type FaultSchedule struct {
 	online map[NodeID]bool
 	pDown  float64
 	pUp    float64
-	ticks  int
 }
 
 // NewFaultSchedule builds a schedule over the given nodes (all must be
@@ -73,7 +72,6 @@ func NewFaultSchedule(net *Network, nodes []NodeID, cfg ChurnConfig) (*FaultSche
 // Tick advances the schedule by one step, applying up/down transitions. It
 // returns the number of state transitions applied this tick.
 func (s *FaultSchedule) Tick() int {
-	s.ticks++
 	transitions := 0
 	if s.cfg.Uptime < 1 {
 		for _, id := range s.nodes {
@@ -101,18 +99,3 @@ func (s *FaultSchedule) Restore() {
 		s.online[id] = true
 	}
 }
-
-// OnlineCount reports how many scheduled nodes the schedule currently
-// holds online.
-func (s *FaultSchedule) OnlineCount() int {
-	c := 0
-	for _, up := range s.online {
-		if up {
-			c++
-		}
-	}
-	return c
-}
-
-// Ticks reports how many ticks have been applied.
-func (s *FaultSchedule) Ticks() int { return s.ticks }

@@ -124,17 +124,26 @@ func TestFaultScheduleDeterministicAndOnTarget(t *testing.T) {
 		}
 		return n, s, names
 	}
-	_, s1, _ := build()
+	n1, s1, _ := build()
 	n2, s2, names := build()
+	online := func(n *Network) int {
+		c := 0
+		for _, id := range names {
+			if n.Online(id) {
+				c++
+			}
+		}
+		return c
+	}
 	onlineTicks, totalTicks := 0, 0
 	for tick := 0; tick < 400; tick++ {
 		t1 := s1.Tick()
 		t2 := s2.Tick()
-		if t1 != t2 || s1.OnlineCount() != s2.OnlineCount() {
+		if t1 != t2 || online(n1) != online(n2) {
 			t.Fatalf("tick %d: schedules with equal seeds diverged (%d/%d vs %d/%d)",
-				tick, t1, s1.OnlineCount(), t2, s2.OnlineCount())
+				tick, t1, online(n1), t2, online(n2))
 		}
-		onlineTicks += s1.OnlineCount()
+		onlineTicks += online(n1)
 		totalTicks += len(names)
 	}
 	frac := float64(onlineTicks) / float64(totalTicks)

@@ -124,14 +124,6 @@ func (n *Network) OnTick(fn func(tick int)) {
 	n.mu.Unlock()
 }
 
-// Tick returns the tick clock's current position (the number of
-// TickCapacity calls so far).
-func (n *Network) Tick() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.tick
-}
-
 // Overload returns the overload accounting since the last ResetTotals,
 // merged over the nodes that kept it: counts and delay sum, the peak is the
 // deepest any node saw.

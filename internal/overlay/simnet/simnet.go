@@ -177,7 +177,7 @@ type netTelemetry struct {
 // simnet_overload_queue_depth_peak gauge, and the
 // simnet_overload_queue_delay_ms histogram), and a one-way delay histogram
 // (simnet_delay_ms, simulated milliseconds — never wall clock). nil
-// detaches. The pre-existing Totals/RPCCount/CorruptedReplies accessors
+// detaches. The pre-existing Totals/CorruptedReplies accessors
 // keep working; the registry is the shared view other layers report into.
 func (n *Network) SetTelemetry(reg *telemetry.Registry) {
 	n.mu.Lock()
@@ -402,7 +402,6 @@ func (n *Network) carry(tr *Trace, src, dst *nodeState, from, to NodeID, size in
 	if leg == legRequest {
 		tr.Hops++
 		acct.totals.Hops++
-		acct.rpcs++
 	}
 	if t := acct.tel; t != nil {
 		t.messages.Inc()

@@ -190,11 +190,11 @@ func TestTotalsAndReset(t *testing.T) {
 	if tot.Messages != 2 || tot.Bytes != 14 {
 		t.Fatalf("Totals = %+v", tot)
 	}
-	if n.RPCCount() != 1 {
-		t.Fatalf("RPCCount = %d", n.RPCCount())
+	if tot.Hops != 1 {
+		t.Fatalf("Hops = %d", tot.Hops)
 	}
 	n.ResetTotals()
-	if n.Totals().Messages != 0 || n.RPCCount() != 0 {
+	if n.Totals() != (Trace{}) {
 		t.Fatal("reset did not clear totals")
 	}
 }

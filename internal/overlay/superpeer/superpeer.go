@@ -1,7 +1,6 @@
 // Package superpeer implements a semi-structured overlay in the style of
 // SuperNova: a subset of nodes act as super-peers that "are responsible for
-// storing the index and managing other users" (paper Section II-B),
-// including tracking member uptime to pick replica locations.
+// storing the index and managing other users" (paper Section II-B).
 //
 // Regular nodes attach to one super-peer. The global index is partitioned
 // across super-peers by key hash; a lookup asks the local super-peer, which
@@ -15,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
@@ -37,9 +35,6 @@ type superNode struct {
 	mu sync.Mutex
 	// index maps key -> value for this super-peer's partition.
 	index map[string][]byte
-	// uptime tracks member liveness observations (SuperNova's tracking of
-	// "users up-time to find the best places for replication").
-	uptime map[simnet.NodeID]time.Duration
 }
 
 type leafNode struct {
@@ -84,9 +79,8 @@ func New(net *simnet.Network, names []simnet.NodeID, cfg Config) (*Overlay, erro
 	for i, name := range shuffled {
 		if i < nSuper {
 			s := &superNode{
-				name:   name,
-				index:  make(map[string][]byte),
-				uptime: make(map[simnet.NodeID]time.Duration),
+				name:  name,
+				index: make(map[string][]byte),
 			}
 			o.supers = append(o.supers, s)
 			o.byName[name] = s
@@ -124,7 +118,6 @@ const (
 	kindPut     = "superpeer.put"
 	kindGet     = "superpeer.get"
 	kindForward = "superpeer.forward"
-	kindPing    = "superpeer.ping"
 )
 
 type putReq struct {
@@ -139,7 +132,7 @@ type getResp struct {
 
 // superHandler handles index operations at a super-peer.
 func (o *Overlay) superHandler(s *superNode) simnet.HandlerFunc {
-	return func(tr *simnet.Trace, from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
+	return func(tr *simnet.Trace, _ simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
 		switch msg.Kind {
 		case kindPut:
 			req, ok := msg.Payload.(putReq)
@@ -178,12 +171,6 @@ func (o *Overlay) superHandler(s *superNode) simnet.HandlerFunc {
 				return simnet.Message{}, fmt.Errorf("superpeer: misrouted forward for %q", req.Key)
 			}
 			return o.net.RPC(tr, s.name, owner.name, simnet.Message{Kind: kindForward, Payload: req, Size: msg.Size})
-
-		case kindPing:
-			s.mu.Lock()
-			s.uptime[from] += time.Second
-			s.mu.Unlock()
-			return simnet.Message{Kind: kindPing, Size: 4}, nil
 		}
 		return simnet.Message{}, fmt.Errorf("superpeer: unknown message kind %q", msg.Kind)
 	}
@@ -273,35 +260,4 @@ func (o *Overlay) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
 		return nil, *tr, overlay.ErrNotFound
 	}
 	return resp.Value, *tr, nil
-}
-
-// Ping records an uptime observation of origin at its super-peer, feeding
-// the replica-placement signal SuperNova tracks.
-func (o *Overlay) Ping(origin string) (overlay.OpStats, error) {
-	tr := &simnet.Trace{}
-	entry, isSuper, err := o.entrySuper(simnet.NodeID(origin))
-	if err != nil {
-		return overlay.OpStats{}, err
-	}
-	if isSuper {
-		return *tr, nil
-	}
-	if _, err := o.net.RPC(tr, simnet.NodeID(origin), entry, simnet.Message{Kind: kindPing, Size: 4}); err != nil {
-		return *tr, err
-	}
-	return *tr, nil
-}
-
-// UptimeOf reports the uptime observed for a node at its super-peer.
-func (o *Overlay) UptimeOf(name string) time.Duration {
-	o.mu.RLock()
-	leaf, ok := o.leaves[simnet.NodeID(name)]
-	o.mu.RUnlock()
-	if !ok {
-		return 0
-	}
-	s := o.byName[leaf.super]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.uptime[simnet.NodeID(name)]
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
@@ -85,32 +84,6 @@ func TestSuperPeerFailureBreaksPartition(t *testing.T) {
 	}
 	if failures == 0 {
 		t.Fatal("no lookups failed despite owner super-peer being offline")
-	}
-}
-
-func TestUptimeTracking(t *testing.T) {
-	o, _, names := build(t, 20, DefaultConfig())
-	// Find a leaf node.
-	var leaf simnet.NodeID
-	for _, n := range names {
-		o.mu.RLock()
-		_, isLeaf := o.leaves[n]
-		o.mu.RUnlock()
-		if isLeaf {
-			leaf = n
-			break
-		}
-	}
-	if leaf == "" {
-		t.Fatal("no leaf nodes")
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := o.Ping(string(leaf)); err != nil {
-			t.Fatalf("Ping: %v", err)
-		}
-	}
-	if got := o.UptimeOf(string(leaf)); got != 3*time.Second {
-		t.Fatalf("UptimeOf = %v, want 3s", got)
 	}
 }
 

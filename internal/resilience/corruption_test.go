@@ -63,8 +63,8 @@ func TestBreakerCorruptionTaint(t *testing.T) {
 	if got := b.QuarantinedNodes(); len(got) != 1 || got[0] != "liar" {
 		t.Fatalf("QuarantinedNodes = %v", got)
 	}
-	if got := b.OpenNodes(); len(got) != 2 {
-		t.Fatalf("OpenNodes = %v, want both nodes", got)
+	if !b.Open("lossy") || !b.Open("liar") {
+		t.Fatal("want both circuits open")
 	}
 	// A successful probe rehabilitates fully: circuit closed, taint cleared.
 	b.Report("liar", true)

@@ -184,20 +184,6 @@ func (b *Breaker) Open(node string) bool {
 	return s != nil && s.open
 }
 
-// OpenNodes lists the nodes whose circuits are currently open, sorted.
-func (b *Breaker) OpenNodes() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []string
-	for name, s := range b.nodes {
-		if s.open {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // QuarantinedNodes lists the nodes currently excluded from placement
 // (open + tainted), sorted.
 func (b *Breaker) QuarantinedNodes() []string {

@@ -740,21 +740,12 @@ func (k *KV) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 	return k.healer.Heal()
 }
 
-// CanHeal reports whether the wrapped overlay supports repair passes.
-func (k *KV) CanHeal() bool { return k.healer != nil }
-
 // InvalidateValue drops the cached verified value for key (no-op without a
 // value cache). The scrubber calls this, via scrub.SetInvalidator, for
 // every key it found divergent or condemned — a cached value must never
 // outlive a condemnation of its holder group.
 func (k *KV) InvalidateValue(key string) {
 	k.values.Invalidate(key)
-}
-
-// InvalidateValues drops every cached verified value (no-op without a
-// value cache).
-func (k *KV) InvalidateValues() {
-	k.values.BumpGeneration()
 }
 
 // ValueCacheStats returns the verified-value cache's counters (zero Stats

@@ -121,7 +121,10 @@ func runPropertyCase(t *testing.T, g privacy.Group, reader *identity.User, fault
 	// The scheme guards the data key; the network carries the sealed
 	// symmetric ciphertext.
 	plaintext := []byte("group post: " + g.Name() + " under " + fault)
-	dataKey := symmetric.MustNewKey()
+	dataKey, err := symmetric.NewKey()
+	if err != nil {
+		t.Fatalf("NewKey: %v", err)
+	}
 	env, err := g.Encrypt(dataKey)
 	if err != nil {
 		t.Fatalf("Encrypt(dataKey): %v", err)

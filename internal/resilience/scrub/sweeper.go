@@ -79,9 +79,8 @@ type Sweeper struct {
 	seen    map[string]bool
 	cursor  int // next cursor chunk
 
-	prio     []int // priority queue: chunk indices, FIFO
-	queued   map[int]bool
-	lastPlan []map[string]bool // chunk -> replicas seen at last scrub
+	prio   []int // priority queue: chunk indices, FIFO
+	queued map[int]bool
 
 	ticks int
 
@@ -147,7 +146,6 @@ func (s *Sweeper) AddKeys(keys ...string) {
 		last := len(s.chunks) - 1
 		if last < 0 || len(s.chunks[last]) >= s.cfg.ChunkKeys {
 			s.chunks = append(s.chunks, nil)
-			s.lastPlan = append(s.lastPlan, nil)
 			last = len(s.chunks) - 1
 		}
 		s.chunks[last] = append(s.chunks[last], k)
@@ -159,41 +157,11 @@ func (s *Sweeper) AddKeys(keys ...string) {
 func (s *Sweeper) Keys() int   { return len(s.seen) }
 func (s *Sweeper) Chunks() int { return len(s.chunks) }
 
-// Position returns the sweep cursor: the chunk index the next tick starts
-// from. Persist it and hand it to SetPosition to resume a sweep across a
-// restart.
-func (s *Sweeper) Position() int { return s.cursor }
-
-// SetPosition moves the sweep cursor (clamped into the chunk range) — the
-// resume half of Position.
-func (s *Sweeper) SetPosition(pos int) {
-	if len(s.chunks) == 0 {
-		s.cursor = 0
-		return
-	}
-	if pos < 0 {
-		pos = 0
-	}
-	s.cursor = pos % len(s.chunks)
-}
-
 // NoteSuspect enqueues the chunk holding key for early re-scrub — wire bad
 // read verdicts or invalidation signals here.
 func (s *Sweeper) NoteSuspect(key string) {
 	if ci, ok := s.chunkOf[key]; ok {
 		s.enqueue(ci)
-	}
-}
-
-// NoteSuspectNode enqueues every chunk whose last scrubbed plan included
-// the node — wire quarantine events here so the keys a corrupter touched
-// are re-verified early. Chunks not yet swept have no plan and need no
-// priority; the cursor reaches them anyway.
-func (s *Sweeper) NoteSuspectNode(node string) {
-	for ci := range s.chunks {
-		if s.lastPlan[ci] != nil && s.lastPlan[ci][node] {
-			s.enqueue(ci)
-		}
 	}
 }
 
@@ -247,10 +215,9 @@ func (s *Sweeper) consume(ci int, fromPrio bool) {
 // order, the same bucketing Scrub applies after resolution). Zero network
 // cost. Keys whose plan is empty form a headless group that ScrubResolved
 // reports as failed.
-func (s *Sweeper) planChunk(ci int) ([]Group, map[string]bool) {
+func (s *Sweeper) planChunk(ci int) []Group {
 	bySet := make(map[string]*Group)
 	var order []string
-	replicas := make(map[string]bool)
 	for _, key := range s.chunks[ci] {
 		names := s.planner.PlanReplicas(key)
 		sig := strings.Join(names, "\x00")
@@ -261,15 +228,12 @@ func (s *Sweeper) planChunk(ci int) ([]Group, map[string]bool) {
 			order = append(order, sig)
 		}
 		g.Keys = append(g.Keys, key)
-		for _, n := range names {
-			replicas[n] = true
-		}
 	}
 	groups := make([]Group, 0, len(order))
 	for _, sig := range order {
 		groups = append(groups, *bySet[sig])
 	}
-	return groups, replicas
+	return groups
 }
 
 // Tick runs one budgeted sweep step: chunks are taken from the priority
@@ -292,7 +256,7 @@ func (s *Sweeper) Tick() (SweepReport, error) {
 		if !ok {
 			break // every chunk already visited this tick
 		}
-		groups, plan := s.planChunk(ci)
+		groups := s.planChunk(ci)
 		worst := s.sc.WorstCaseMessages(groups)
 		if s.cfg.Budget > 0 {
 			if worst > s.cfg.Budget {
@@ -316,7 +280,6 @@ func (s *Sweeper) Tick() (SweepReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		s.lastPlan[ci] = plan
 		rep.Chunks++
 		rep.Keys += r.KeysScanned
 		rep.Msgs += r.Stats.Messages
@@ -352,10 +315,4 @@ func (s *Sweeper) noteTick(rep *SweepReport) {
 	s.tel.msgs.Add(int64(rep.Msgs))
 	s.tel.priority.Add(int64(rep.Priority))
 	s.tel.starved.Add(int64(rep.Starved))
-}
-
-// PendingPriority returns the queued priority chunks in FIFO order — test
-// and experiment introspection.
-func (s *Sweeper) PendingPriority() []int {
-	return append([]int(nil), s.prio...)
 }

@@ -123,9 +123,9 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepCursorResumesAcrossRestart pins the Position/SetPosition
-// contract: a fresh sweeper resumed at a saved cursor scrubs exactly the
-// chunks the original would have scrubbed next.
+// TestSweepCursorResumesAcrossRestart pins the cursor as all of a sweep's
+// progress: a fresh sweeper given a saved cursor scrubs exactly the chunks
+// the original would have scrubbed next.
 func TestSweepCursorResumesAcrossRestart(t *testing.T) {
 	const ticks = 3
 	cfg := SweepConfig{Budget: 256, ChunkKeys: 8}
@@ -147,12 +147,11 @@ func TestSweepCursorResumesAcrossRestart(t *testing.T) {
 			t.Fatalf("Tick: %v", err)
 		}
 	}
-	saved := sw.Position()
 	resumed := NewSweeper(s, f.d, f.keys, cfg)
-	if resumed.Position() != 0 {
-		t.Fatalf("fresh sweeper starts at %d", resumed.Position())
+	if resumed.cursor != 0 {
+		t.Fatalf("fresh sweeper starts at %d", resumed.cursor)
 	}
-	resumed.SetPosition(saved)
+	resumed.cursor = sw.cursor
 	got, err := resumed.Tick()
 	if err != nil {
 		t.Fatalf("resumed Tick: %v", err)
@@ -177,8 +176,8 @@ func TestSweepPriorityPreemptsCursor(t *testing.T) {
 	sw.NoteSuspect(f.keys[10])
 	sw.NoteSuspect(f.keys[27]) // same chunk as 26: deduplicated
 	sw.NoteSuspect("never-registered")
-	if got := sw.PendingPriority(); !reflect.DeepEqual(got, []int{3, 1}) {
-		t.Fatalf("PendingPriority = %v, want [3 1]", got)
+	if got := sw.prio; !reflect.DeepEqual(got, []int{3, 1}) {
+		t.Fatalf("queue = %v, want [3 1]", got)
 	}
 	rep, err := sw.Tick()
 	if err != nil {
@@ -189,11 +188,11 @@ func TestSweepPriorityPreemptsCursor(t *testing.T) {
 	}
 	if rep.Priority < 2 {
 		// The budget fit only part of the queue: the remainder stays FIFO.
-		if got := sw.PendingPriority(); !reflect.DeepEqual(got, []int{1}) {
-			t.Fatalf("PendingPriority after partial tick = %v, want [1]", got)
+		if got := sw.prio; !reflect.DeepEqual(got, []int{1}) {
+			t.Fatalf("queue after partial tick = %v, want [1]", got)
 		}
-	} else if got := sw.PendingPriority(); len(got) != 0 {
-		t.Fatalf("PendingPriority after tick = %v, want empty", got)
+	} else if got := sw.prio; len(got) != 0 {
+		t.Fatalf("queue after tick = %v, want empty", got)
 	}
 }
 
@@ -215,8 +214,8 @@ func TestSweepBadVerdictRequeuesChunk(t *testing.T) {
 	if rep1.Chunks != 1 || rep1.Divergent != 1 || rep1.Repaired != 1 {
 		t.Fatalf("first tick: %+v, want 1 chunk, 1 divergent, 1 repaired", rep1)
 	}
-	if got := sw.PendingPriority(); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("bad verdict did not requeue chunk 0: PendingPriority = %v", got)
+	if got := sw.prio; !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("bad verdict did not requeue chunk 0: queue = %v", got)
 	}
 	rep2, err := sw.Tick() // re-verifies chunk 0 from the queue
 	if err != nil {
@@ -225,28 +224,8 @@ func TestSweepBadVerdictRequeuesChunk(t *testing.T) {
 	if rep2.Priority != 1 || rep2.Divergent != 0 {
 		t.Fatalf("re-verify tick: %+v, want 1 priority chunk, clean", rep2)
 	}
-	if got := sw.PendingPriority(); len(got) != 0 {
+	if got := sw.prio; len(got) != 0 {
 		t.Fatalf("clean re-verify left the queue non-empty: %v", got)
-	}
-}
-
-// TestSweepSuspectNodeRequeuesItsChunks pins the quarantine hook: flagging
-// a node enqueues every chunk whose last scrub planned across it, and only
-// those.
-func TestSweepSuspectNodeRequeuesItsChunks(t *testing.T) {
-	f, _, sw := sweepFixture(t, 207, 16, SweepConfig{Budget: 0, ChunkKeys: 8}, 1)
-	if _, err := sw.Tick(); err != nil { // chunk 0 scrubbed: its plan is known
-		t.Fatalf("Tick: %v", err)
-	}
-	node := f.replicasOf(t, f.keys[0])[0]
-	sw.NoteSuspectNode(node)
-	got := sw.PendingPriority()
-	if !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("PendingPriority = %v, want [0] (chunk 1 was never swept, has no plan)", got)
-	}
-	sw.NoteSuspectNode("no-such-node")
-	if got := sw.PendingPriority(); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("unknown node changed the queue: %v", got)
 	}
 }
 
@@ -260,8 +239,8 @@ func TestSweepTelemetryAndGrowth(t *testing.T) {
 	if _, err := sw.Tick(); err != nil {
 		t.Fatalf("Tick: %v", err)
 	}
-	if got := reg.Gauge("scrub_sweep_position").Value(); got != float64(sw.Position()) {
-		t.Fatalf("position gauge = %v, cursor = %d", got, sw.Position())
+	if got := reg.Gauge("scrub_sweep_position").Value(); got != float64(sw.cursor) {
+		t.Fatalf("position gauge = %v, cursor = %d", got, sw.cursor)
 	}
 	if reg.Counter("scrub_sweep_ticks_total").Value() != 1 || reg.Counter("scrub_sweep_chunks_total").Value() != 1 {
 		t.Fatal("tick/chunk counters did not accumulate")
@@ -280,7 +259,7 @@ func TestSweepTelemetryAndGrowth(t *testing.T) {
 	}
 	// Existing keys keep their chunks: chunk 0's first key is unmoved.
 	sw.NoteSuspect(f.keys[0])
-	if got := sw.PendingPriority(); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("growth moved existing keys: PendingPriority = %v", got)
+	if got := sw.prio; !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("growth moved existing keys: queue = %v", got)
 	}
 }

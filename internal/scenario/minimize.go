@@ -3,7 +3,6 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // This file is the minimizer: given a failing scenario it produces the
@@ -293,13 +292,4 @@ func Minimize(sc *Scenario, maxRuns int) (*MinimizeResult, error) {
 		OriginalEvents:  len(sc.Events),
 		MinimizedEvents: len(events),
 	}, nil
-}
-
-// Shrunk reports the size reduction as a fraction of events removed, for
-// reporting (0 when the original had no events).
-func (r *MinimizeResult) Shrunk() float64 {
-	if r.OriginalEvents == 0 {
-		return 0
-	}
-	return math.Max(0, float64(r.OriginalEvents-r.MinimizedEvents)/float64(r.OriginalEvents))
 }

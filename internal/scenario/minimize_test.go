@@ -28,8 +28,8 @@ func TestMinimizeConvergesToKnownMinimum(t *testing.T) {
 	if min.Scenario.Ticks >= SeededFailure().Ticks {
 		t.Fatalf("ticks not truncated: %d", min.Scenario.Ticks)
 	}
-	if min.Shrunk() < 0.74 {
-		t.Fatalf("shrunk only %.0f%%", 100*min.Shrunk())
+	if shrunk := 1 - float64(min.MinimizedEvents)/float64(min.OriginalEvents); shrunk < 0.74 {
+		t.Fatalf("shrunk only %.0f%%", 100*shrunk)
 	}
 
 	// The minimal reproduction must itself still fail, and be replayable

@@ -91,7 +91,7 @@ func TestBuiltinLibraryShape(t *testing.T) {
 			covered[k] = true
 		}
 	}
-	for _, k := range EventKinds() {
+	for k := range shapes {
 		if !covered[k] {
 			t.Fatalf("no library scenario exercises kind %s", k)
 		}

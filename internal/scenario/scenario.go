@@ -72,12 +72,6 @@ const (
 	KindRot EventKind = "rot"
 )
 
-// EventKinds lists every kind in canonical order.
-func EventKinds() []EventKind {
-	return []EventKind{KindChurn, KindCrash, KindPartition, KindOverload,
-		KindByzantine, KindLoss, KindRevoke, KindCelebrity, KindRot}
-}
-
 // Event is one scheduled happening. Which fields are meaningful depends on
 // Kind (see the shape table in shapes); unused fields must be zero — the
 // strict format enforces it so every committed file has exactly one spelling.

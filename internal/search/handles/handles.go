@@ -42,18 +42,6 @@ type Item struct {
 type Index struct {
 	mu    sync.RWMutex
 	items map[string]*Item
-	// audit records dereference attempts for leakage analysis.
-	audit []Access
-}
-
-// Access is one dereference attempt.
-type Access struct {
-	// Requester asked.
-	Requester string
-	// Handle requested.
-	Handle string
-	// Granted outcome.
-	Granted bool
 }
 
 // NewIndex creates an empty index.
@@ -87,7 +75,7 @@ func (ix *Index) Search(query string) []string {
 }
 
 // Dereference resolves a handle to its content after the owner-side access
-// check. Every attempt is audited.
+// check.
 func (ix *Index) Dereference(requester, handle string) (string, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -96,16 +84,8 @@ func (ix *Index) Dereference(requester, handle string) (string, error) {
 		return "", fmt.Errorf("%w: %s", ErrUnknownHandle, handle)
 	}
 	granted := item.policy != nil && item.policy(requester)
-	ix.audit = append(ix.audit, Access{Requester: requester, Handle: handle, Granted: granted})
 	if !granted {
 		return "", fmt.Errorf("%w: %s for %s", ErrAccessDenied, handle, requester)
 	}
 	return item.content, nil
-}
-
-// Audit returns the dereference log.
-func (ix *Index) Audit() []Access {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return append([]Access(nil), ix.audit...)
 }

@@ -60,20 +60,3 @@ func TestNilPolicyDeniesAll(t *testing.T) {
 		t.Fatalf("got %v, want ErrAccessDenied", err)
 	}
 }
-
-func TestAuditTrail(t *testing.T) {
-	ix := NewIndex()
-	ix.Publish("alice:birthday", "x", friendsOfAlice("bob"))
-	ix.Dereference("bob", "alice:birthday")
-	ix.Dereference("eve", "alice:birthday")
-	audit := ix.Audit()
-	if len(audit) != 2 {
-		t.Fatalf("audit = %d entries", len(audit))
-	}
-	if !audit[0].Granted || audit[0].Requester != "bob" {
-		t.Fatalf("audit[0] = %+v", audit[0])
-	}
-	if audit[1].Granted || audit[1].Requester != "eve" {
-		t.Fatalf("audit[1] = %+v", audit[1])
-	}
-}

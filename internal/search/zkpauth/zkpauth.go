@@ -47,13 +47,6 @@ func NewCredential() (*Credential, error) {
 	return &Credential{witness: w, statement: s}, nil
 }
 
-// CredentialFromSeed derives a credential deterministically (a user can
-// re-derive it from stored secret material).
-func CredentialFromSeed(seed []byte) *Credential {
-	w, s := zkp.WitnessFromSeed(seed)
-	return &Credential{witness: w, statement: s}
-}
-
 // Statement returns the public image the owner whitelists.
 func (c *Credential) Statement() *zkp.Statement { return c.statement }
 

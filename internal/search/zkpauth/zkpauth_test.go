@@ -117,16 +117,3 @@ func TestPseudonymsUnlinkableByName(t *testing.T) {
 		t.Fatal("expected credential-level linkability in the log")
 	}
 }
-
-func TestCredentialFromSeedDeterministic(t *testing.T) {
-	c1 := CredentialFromSeed([]byte("seed"))
-	c2 := CredentialFromSeed([]byte("seed"))
-	owner := NewOwner()
-	owner.Publish("r", "v")
-	owner.Authorize(c1.Statement())
-	// A re-derived credential must be usable against the same whitelist.
-	req, _ := c2.NewRequest("r")
-	if _, err := owner.Serve(req); err != nil {
-		t.Fatalf("re-derived credential rejected: %v", err)
-	}
-}

@@ -68,22 +68,6 @@ func (g *Graph) Befriend(a, b string, trust float64) error {
 	return nil
 }
 
-// Unfriend removes a friendship (idempotent).
-func (g *Graph) Unfriend(a, b string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.adj[a], b)
-	delete(g.adj[b], a)
-}
-
-// AreFriends reports whether a and b are friends.
-func (g *Graph) AreFriends(a, b string) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	_, ok := g.adj[a][b]
-	return ok
-}
-
 // Trust returns the trust on the friendship (0 when not friends).
 func (g *Graph) Trust(a, b string) float64 {
 	g.mu.RLock()

@@ -28,8 +28,14 @@ type ABEGroup struct {
 	// key per ciphertext (SetKeyCache); Remove bumps its generation on rekey.
 	envelopeKeyCache
 
-	abeEncryptor
-	policy *abe.Policy
+	// authority issues the keys; sender is the owner's ECIES context — one
+	// key agreement per attribute parameter, then symmetric leaf wraps — and
+	// snapshot the public parameters, so a post does not rebuild the
+	// attribute map.
+	authority *abe.Authority
+	sender    *pubkey.Sender
+	snapshot  *abe.PublicParams
+	policy    *abe.Policy
 	// attrs records each member's attribute set; keys are the issued
 	// decryption keys (held here in-process; conceptually each member's).
 	attrs map[string][]string
@@ -38,40 +44,25 @@ type ABEGroup struct {
 
 var _ Group = (*ABEGroup)(nil)
 
-// abeEncryptor is what a group owner keeps to encrypt under an authority's
-// parameters (CP- and KP-ABE alike): its own ECIES sender context — one key
-// agreement per attribute parameter, then symmetric leaf wraps — and a
-// snapshot of the public parameters, so a post does not rebuild the
-// attribute map.
-type abeEncryptor struct {
-	authority *abe.Authority
-	sender    *pubkey.Sender
-	snapshot  *abe.PublicParams
-}
-
-func newABEEncryptor(authority *abe.Authority) abeEncryptor {
-	return abeEncryptor{authority: authority, sender: pubkey.NewSender()}
-}
-
 // params returns the authority's current public parameters, re-reading them
 // only when the epoch or the attribute set moved — which any group sharing
 // the authority may have caused. A parameter the new snapshot replaced was
 // re-keyed by a revocation: its pairwise key leaves the sender context with
 // it.
-func (e *abeEncryptor) params() *abe.PublicParams {
-	stale := e.snapshot
-	if stale != nil && e.authority.Current(stale) {
+func (g *ABEGroup) params() *abe.PublicParams {
+	stale := g.snapshot
+	if stale != nil && g.authority.Current(stale) {
 		return stale
 	}
-	e.snapshot = e.authority.PublicParams()
+	g.snapshot = g.authority.PublicParams()
 	if stale != nil {
 		for attr, old := range stale.Attrs {
-			if e.snapshot.Attrs[attr] != old {
-				e.sender.Forget(old)
+			if g.snapshot.Attrs[attr] != old {
+				g.sender.Forget(old)
 			}
 		}
 	}
-	return e.snapshot
+	return g.snapshot
 }
 
 // NewABEGroup creates a group guarded by the given policy string (e.g.
@@ -88,11 +79,12 @@ func NewABEGroup(name string, authority *abe.Authority, policyExpr string) (*ABE
 		}
 	}
 	return &ABEGroup{
-		core:         newCore(SchemeABE, name),
-		abeEncryptor: newABEEncryptor(authority),
-		policy:       policy,
-		attrs:        make(map[string][]string),
-		keys:         make(map[string]*abe.UserKey),
+		core:      newCore(SchemeABE, name),
+		authority: authority,
+		sender:    pubkey.NewSender(),
+		policy:    policy,
+		attrs:     make(map[string][]string),
+		keys:      make(map[string]*abe.UserKey),
 	}, nil
 }
 

@@ -22,7 +22,7 @@ import (
 // one per field: Marshal sizes its output first and writes into one buffer,
 // Unmarshal hands out views of its input and copies only the strings.
 //
-// Version 2 writes the sender's ephemeral key once per ABE, KP-ABE and IBBE
+// Version 2 writes the sender's ephemeral key once per ABE and IBBE
 // payload, ahead of wraps that are each nonce, sealed key and tag; version 1
 // repeated it in every wrap and is refused.
 
@@ -41,8 +41,8 @@ const (
 	tagSub   = byte(2) // substitution: fake + sealed index
 	tagPK    = byte(3) // public-key: per-member wraps + body
 	tagABE   = byte(4) // CP-ABE ciphertext
-	tagKPABE = byte(5) // KP-ABE ciphertext
 	tagIBBE  = byte(6) // IBBE broadcast
+	// 5 is retired and decodes as an unknown tag; do not reuse it.
 )
 
 // ErrCodec indicates malformed or unsupported envelope bytes.
@@ -97,16 +97,6 @@ func Marshal(env Envelope) ([]byte, error) {
 			buf = appendField(buf, p.Shares[idx])
 		}
 		buf = appendField(buf, p.Body)
-	case *abe.KPCiphertext:
-		buf = append(buf, tagKPABE)
-		buf = binary.BigEndian.AppendUint64(buf, p.Epoch)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Attributes)))
-		for _, a := range p.Attributes {
-			buf = appendField(buf, a)
-		}
-		buf = appendField(buf, p.Ephemeral)
-		buf = appendWraps(buf, p.Wraps)
-		buf = appendField(buf, p.Body)
 	case *ibe.Broadcast:
 		buf = append(buf, tagIBBE)
 		buf = appendField(buf, p.Ephemeral)
@@ -136,12 +126,6 @@ func payloadSize(payload any, policy string) (int, error) {
 		n := 8 + 4 + len(policy) + 4 + len(p.Ephemeral) + 4 + 4 + len(p.Body)
 		for _, s := range p.Shares {
 			n += 8 + len(s)
-		}
-		return n, nil
-	case *abe.KPCiphertext:
-		n := 8 + 4 + 4 + len(p.Ephemeral) + wrapsSize(p.Wraps) + 4 + len(p.Body)
-		for _, a := range p.Attributes {
-			n += 4 + len(a)
 		}
 		return n, nil
 	case *ibe.Broadcast:
@@ -195,10 +179,7 @@ func wrapsSize(wraps map[string][]byte) int {
 // Minimum encoded sizes of one element of each counted list: a declared
 // count is checked against the bytes that remain before anything is sized
 // from it, so a hostile count costs nothing.
-const (
-	minName = 4     // one length-prefixed string
-	minWrap = 4 + 4 // a name or share index, plus a length-prefixed wrap
-)
+const minWrap = 4 + 4 // a name or share index, plus a length-prefixed wrap
 
 // Unmarshal reverses Marshal. It never writes to data and keeps no copy of
 // it: every byte field of the result is a view of data, which must stay
@@ -238,17 +219,6 @@ func Unmarshal(data []byte) (Envelope, error) {
 			idx := r.uint32()
 			ct.Shares[idx] = r.wrap()
 		}
-		ct.Body = r.bytes()
-		env.Payload = ct
-	case tagKPABE:
-		ct := &abe.KPCiphertext{Epoch: r.uint64()}
-		n := r.count(minName)
-		ct.Attributes = make([]string, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			ct.Attributes = append(ct.Attributes, r.str())
-		}
-		ct.Ephemeral = r.ephemeral()
-		ct.Wraps = r.wraps()
 		ct.Body = r.bytes()
 		env.Payload = ct
 	case tagIBBE:
@@ -405,16 +375,10 @@ func nameBytes(buf []byte) int {
 	case tagABE:
 		r.take(8)
 		total += len(r.bytes()) // policy
-	case tagKPABE:
-		r.take(8)
-		for n := r.count(minName); n > 0; n-- {
-			total += len(r.bytes())
-		}
-		r.bytes() // ephemeral
 	case tagIBBE:
 		r.bytes() // ephemeral
 	}
-	if tag == tagPK || tag == tagKPABE || tag == tagIBBE {
+	if tag == tagPK || tag == tagIBBE {
 		for n := r.count(minWrap); n > 0; n-- {
 			total += len(r.bytes())
 			r.bytes()

@@ -119,39 +119,39 @@ func TestCodecSizeGrowth(t *testing.T) {
 	}
 }
 
-func TestCodecKPABE(t *testing.T) {
-	g, f := newKPFixture(t)
-	g.Grant("alice", "(family)")
-	env, err := g.EncryptLabeled([]string{"family", "photos"}, []byte("kp content"))
-	if err != nil {
-		t.Fatalf("EncryptLabeled: %v", err)
-	}
-	wire, err := Marshal(env)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	restored, err := Unmarshal(wire)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	pt, err := g.Decrypt(f.users["alice"], restored)
-	if err != nil || string(pt) != "kp content" {
-		t.Fatalf("Decrypt: %q, %v", pt, err)
-	}
-}
-
 func TestCodecRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("x"),
 		[]byte("nope" + string(make([]byte, 40))),
 		[]byte(codecMagic), // magic only
+		retiredTagWire(t),
 	}
 	for i, data := range cases {
-		if _, err := Unmarshal(data); err == nil {
-			t.Errorf("case %d: garbage unmarshaled", i)
+		if _, err := Unmarshal(data); !errors.Is(err, ErrCodec) {
+			t.Errorf("case %d: err = %v, want ErrCodec", i, err)
 		}
 	}
+}
+
+// retiredTagWire is a well-formed CP-ABE envelope whose payload tag is set
+// to 5, the retired KP-ABE tag.
+func retiredTagWire(t testing.TB) []byte {
+	t.Helper()
+	g := buildABE(t)
+	if err := g.Add("alice"); err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	env, err := g.Encrypt([]byte("tagged"))
+	if err != nil {
+		t.Fatalf("Encrypt: %v", err)
+	}
+	wire, err := Marshal(env)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	wire[headerSize+len(env.Scheme)+len(env.Group)-1] = 5
+	return wire
 }
 
 func TestCodecRejectsTruncationAndTrailing(t *testing.T) {
@@ -288,8 +288,6 @@ func byteFields(env Envelope) [][]byte {
 		return append(sortedValues(p.wraps), p.body)
 	case *abe.Ciphertext:
 		return append(sortedValues(p.Shares), p.Ephemeral, p.Body)
-	case *abe.KPCiphertext:
-		return append(sortedValues(p.Wraps), p.Ephemeral, p.Body)
 	case *ibe.Broadcast:
 		return append(slices.Clone(p.WrappedKeys), p.Ephemeral, p.Body)
 	}
@@ -309,8 +307,7 @@ func sortedValues[K cmp.Ordered](m map[K][]byte) [][]byte {
 	return out
 }
 
-// allWires returns one marshaled envelope per payload type: the six schemes
-// and KP-ABE.
+// allWires returns one marshaled envelope per scheme.
 func allWires(t *testing.T) [][]byte {
 	t.Helper()
 	var wires [][]byte
@@ -329,17 +326,6 @@ func allWires(t *testing.T) [][]byte {
 		}
 		wires = append(wires, wire)
 	}
-	kp, _ := newKPFixture(t)
-	kp.Grant("alice", "(family)")
-	env, err := kp.EncryptLabeled([]string{"family", "photos"}, []byte("kp content"))
-	if err != nil {
-		t.Fatalf("EncryptLabeled: %v", err)
-	}
-	wire, err := Marshal(env)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	wires = append(wires, wire)
 	return wires
 }
 
@@ -353,8 +339,6 @@ func stringFields(env Envelope) []string {
 		wraps = p.wraps
 	case *abe.Ciphertext:
 		out = append(out, p.Policy.String())
-	case *abe.KPCiphertext:
-		out, wraps = append(out, p.Attributes...), p.Wraps
 	case *ibe.Broadcast:
 		out = append(out, p.Recipients...)
 	}
@@ -464,8 +448,6 @@ func TestUnmarshalHostileCounts(t *testing.T) {
 		"pk wraps 2^26":        hostile28,
 		"pk wraps 2^32-1":      hostileHeader + "\x03" + max,
 		"abe shares":           hostileHeader + "\x04" + epoch + "\x00\x00\x00\x01a" + eph + max,
-		"kpabe attributes":     hostileHeader + "\x05" + epoch + max,
-		"kpabe wraps":          hostileHeader + "\x05" + epoch + "\x00\x00\x00\x00" + eph + max,
 		"ibbe recipients":      hostileHeader + "\x06" + eph + max,
 		"ibbe one short":       hostileHeader + "\x06" + eph + "\x00\x00\x00\x02" + epoch + "\x00\x00\x00\x00",
 		"ephemeral 2^32-1":     hostileHeader + "\x06" + max,
@@ -509,10 +491,7 @@ func TestUnmarshalRefusesMalformedWraps(t *testing.T) {
 	cpabe := func(eph, w string) string {
 		return hostileHeader + "\x04" + epoch + field("member") + field(eph) + "\x00\x00\x00\x01" + "\x00\x00\x00\x01" + field(w) + body
 	}
-	kpabe := func(eph, w string) string {
-		return hostileHeader + "\x05" + epoch + "\x00\x00\x00\x01" + field("family") + field(eph) + "\x00\x00\x00\x01" + field("family") + field(w) + body
-	}
-	for name, build := range map[string]func(eph, w string) string{"ibbe": ibbe, "cp-abe": cpabe, "kp-abe": kpabe} {
+	for name, build := range map[string]func(eph, w string) string{"ibbe": ibbe, "cp-abe": cpabe} {
 		if _, err := Unmarshal([]byte(build(point, wrap))); err != nil {
 			t.Fatalf("%s: well-formed payload: %v", name, err)
 		}
@@ -555,13 +534,7 @@ func FuzzUnmarshal(f *testing.F) {
 	if wire, err := Marshal(env); err == nil {
 		f.Add(wire)
 	}
-	kp, _ := newKPFixture(f)
-	kp.Grant("alice", "(family)")
-	if env, err := kp.EncryptLabeled([]string{"family", "photos"}, []byte("kp seed")); err == nil {
-		if wire, err := Marshal(env); err == nil {
-			f.Add(wire)
-		}
-	}
+	f.Add(retiredTagWire(f))
 	f.Add([]byte(codecMagic))
 	f.Add([]byte{})
 	f.Add([]byte(hostile28))

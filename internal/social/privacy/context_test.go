@@ -22,6 +22,16 @@ var contextMembers = []string{"alice", "bob", "carol"}
 
 // warm fills g with contextMembers and has every member read two posts twice,
 // warming each receiver memo and the key cache; it returns the second post.
+// decryptBroadcast decrypts a broadcast as a listed recipient does:
+// UnwrapSession followed by OpenBroadcast.
+func decryptBroadcast(k *ibe.IdentityKey, b *ibe.Broadcast) ([]byte, error) {
+	session, err := k.UnwrapSession(b)
+	if err != nil {
+		return nil, err
+	}
+	return ibe.OpenBroadcast(session, b)
+}
+
 func warm(t *testing.T, f *fixture, g keyCached) (before Envelope) {
 	t.Helper()
 	g.SetKeyCache(keyCacheConfig(91))
@@ -141,19 +151,19 @@ func TestIBBERevokedReaderWithWarmContext(t *testing.T) {
 		t.Fatalf("the context kept bob's pairwise key after his removal (%d agreements, %v)", g.sender.Agreements(), err)
 	}
 	b := after.Payload.(*ibe.Broadcast)
-	if _, err := bobKey.DecryptBroadcast(b); err == nil {
+	if _, err := decryptBroadcast(bobKey, b); err == nil {
 		t.Fatal("revoked identity key opened a post-revocation broadcast")
 	}
 	// Not being listed is backed by the keys: bob's memo is warm for this
 	// sender's ephemeral, and still no listed member's wrap opens for him.
 	for i, id := range b.Recipients {
 		forged := &ibe.Broadcast{Recipients: []string{"bob"}, Ephemeral: b.Ephemeral, WrappedKeys: b.WrappedKeys[i : i+1], Body: b.Body}
-		if _, err := bobKey.DecryptBroadcast(forged); err == nil {
+		if _, err := decryptBroadcast(bobKey, forged); err == nil {
 			t.Fatalf("revoked reader unwrapped %s's session key", id)
 		}
 	}
 	// What was delivered to him stays readable, as with any scheme.
-	if pt, err := bobKey.DecryptBroadcast(before.Payload.(*ibe.Broadcast)); err != nil || string(pt) != "before" {
+	if pt, err := decryptBroadcast(bobKey, before.Payload.(*ibe.Broadcast)); err != nil || string(pt) != "before" {
 		t.Fatalf("pre-revocation broadcast: %q, %v", pt, err)
 	}
 }
@@ -289,8 +299,8 @@ func TestABEColdOpenAllocations(t *testing.T) {
 }
 
 // TestRevocationReportsPinned pins E2's revocation reports at its quick shape
-// (8 members, 10 prior posts, a join, then the first member's removal) and
-// one KP-ABE revocation. Where the wraps of a ciphertext go and how many
+// (8 members, 10 prior posts, a join, then the first member's removal).
+// Where the wraps of a ciphertext go and how many
 // ephemeral keys carry them must not change what a removal re-keys,
 // re-encrypts or agrees.
 func TestRevocationReportsPinned(t *testing.T) {
@@ -324,24 +334,5 @@ func TestRevocationReportsPinned(t *testing.T) {
 		if report != tc.want {
 			t.Errorf("%s: report %+v, want %+v", tc.g.Scheme(), report, tc.want)
 		}
-	}
-
-	kp, _ := newKPFixture(t)
-	for m, policy := range map[string]string{"alice": "(family)", "bob": "(family OR work)", "carol": "(work AND urgent)"} {
-		if err := kp.Grant(m, policy); err != nil {
-			t.Fatalf("Grant(%s): %v", m, err)
-		}
-	}
-	for i, labels := range [][]string{{"family"}, {"work", "urgent"}, {"family", "work", "urgent"}} {
-		if _, err := kp.EncryptLabeled(labels, []byte(fmt.Sprintf("post %d", i))); err != nil {
-			t.Fatalf("EncryptLabeled: %v", err)
-		}
-	}
-	report, err := kp.Revoke("bob")
-	if err != nil {
-		t.Fatalf("Revoke(bob): %v", err)
-	}
-	if want := (RevocationReport{RekeyedMembers: 2, ReencryptedEnvelopes: 3, PublicKeyOps: 2}); report != want {
-		t.Errorf("kp-abe: report %+v, want %+v", report, want)
 	}
 }

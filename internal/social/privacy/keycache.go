@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"godosn/internal/cache"
-	"godosn/internal/telemetry"
 )
 
 // envelopeKeyCache is the optional per-reader envelope-key cache embedded by
@@ -35,12 +34,6 @@ func (c *envelopeKeyCache) SetKeyCache(cfg cache.Config) {
 // KeyCacheStats returns the cache's counters (zero when disabled).
 func (c *envelopeKeyCache) KeyCacheStats() cache.Stats {
 	return c.keyCache.Stats()
-}
-
-// SetKeyCacheTelemetry mirrors the cache's counters into a telemetry
-// registry under the given prefix (e.g. "privacy_hybrid_key_cache").
-func (c *envelopeKeyCache) SetKeyCacheTelemetry(reg *telemetry.Registry, prefix string) {
-	c.keyCache.SetTelemetry(reg, prefix)
 }
 
 // The cache key of a reader's unwrapped key. Each is built in a stack buffer

@@ -248,7 +248,7 @@ func TestKeyCacheTelemetryCounters(t *testing.T) {
 	g := buildHybrid(t, f)
 	g.SetKeyCache(keyCacheConfig(75))
 	reg := telemetry.NewRegistry()
-	g.SetKeyCacheTelemetry(reg, "privacy_hybrid_key_cache")
+	g.keyCache.SetTelemetry(reg, "privacy_hybrid_key_cache")
 	if err := g.Add("alice"); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
@@ -316,7 +316,11 @@ func TestHybridForeignKeyFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.keyWraps["bob"], err = g.sender.Encrypt(id.Encryption, symmetric.MustNewKey()); err != nil {
+	foreign, err := symmetric.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.keyWraps["bob"], err = g.sender.Encrypt(id.Encryption, foreign); err != nil {
 		t.Fatal(err)
 	}
 

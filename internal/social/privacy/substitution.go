@@ -66,12 +66,6 @@ func (d *Dictionary) Delete(index uint64) { delete(d.atoms, index) }
 // Len returns the number of stored atoms.
 func (d *Dictionary) Len() int { return len(d.atoms) }
 
-// Swap exchanges the atoms at two indices — NOYB's atom swapping between
-// users who trust each other.
-func (d *Dictionary) Swap(a, b uint64) {
-	d.atoms[a], d.atoms[b] = d.atoms[b], d.atoms[a]
-}
-
 // subPayload is the envelope payload: the visible fake plus the sealed
 // dictionary index.
 type subPayload struct {

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -133,17 +131,4 @@ func (l *Log) Reset() {
 	l.start = 0
 	l.seq = 0
 	l.counts = make(map[string]int64)
-}
-
-// WriteText renders the retained events one per line:
-//
-//	#12 breaker.open node=node-31 tainted=true
-func (l *Log) WriteText(w io.Writer) {
-	for _, e := range l.Recent() {
-		fmt.Fprintf(w, "#%d %s", e.Seq, e.Name)
-		for _, a := range e.Attrs {
-			fmt.Fprintf(w, " %s=%s", a.Key, a.Value)
-		}
-		io.WriteString(w, "\n")
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"strings"
@@ -102,11 +101,6 @@ type Sink struct {
 	records    int64
 	dropped    int64
 	droppedCtr *Counter
-}
-
-// NewSink returns a sink writing JSON lines to w (tests, in-memory capture).
-func NewSink(w io.Writer) *Sink {
-	return &Sink{t: &fileTransport{w: bufio.NewWriter(w)}}
 }
 
 // NewConnSink returns a sink streaming framed JSON lines over an

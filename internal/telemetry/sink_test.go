@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -36,7 +37,7 @@ type transportCase struct {
 }
 
 var transports = []transportCase{
-	{"file", openFileRig, func(t *testing.T) *Sink { return NewSink(&failingWriter{budget: 8}) }},
+	{"file", openFileRig, func(t *testing.T) *Sink { return writerSink(&failingWriter{budget: 8}) }},
 	{"conn", openConnRig, func(t *testing.T) *Sink {
 		client, server := net.Pipe()
 		server.Close() // every write fails with io.ErrClosedPipe
@@ -45,6 +46,11 @@ var transports = []transportCase{
 }
 
 // eachTransport runs fn as one subtest per transport.
+// writerSink returns a sink writing JSON lines to w.
+func writerSink(w io.Writer) *Sink {
+	return &Sink{t: &fileTransport{w: bufio.NewWriter(w)}}
+}
+
 func eachTransport(t *testing.T, fn func(t *testing.T, tr transportCase)) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) { fn(t, tr) })
@@ -681,7 +687,7 @@ func FuzzSinkEncode(f *testing.F) {
 		}
 		for _, otlp := range []bool{false, true} {
 			var buf bytes.Buffer
-			w := NewSink(&buf)
+			w := writerSink(&buf)
 			c := openConnRig(t, otlp)
 			if otlp {
 				w.otlp = &otlpState{}

@@ -239,9 +239,6 @@ func (h *Histogram) reset() {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.value("").Count }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.value("").Sum }
-
 // LatencyBuckets returns the standard millisecond bucket bounds used for
 // simulated-latency histograms.
 func LatencyBuckets() []float64 {

@@ -170,13 +170,6 @@ func contentKey(prefix string, user int, n uint32) string {
 	return string(strconv.AppendUint(buf, uint64(n), 10))
 }
 
-// UserName renders the canonical name for a user index, matching UserNames
-// without materializing the list.
-func UserName(i int) string {
-	var arr [32]byte
-	return string(appendUserName(arr[:0], "", i))
-}
-
 // PostKey is the content key of a user's n-th post.
 func PostKey(user int, n uint32) string { return contentKey("post/", user, n) }
 
@@ -188,11 +181,6 @@ func SearchKey(user int) string {
 	var arr [32]byte
 	return string(appendUserName(arr[:0], "search/", user))
 }
-
-// TrackedUsers reports how many distinct users the stream currently keeps
-// state for — the stream's entire growing footprint, bounded by
-// maxTracked and by the number of ops emitted, never by Users.
-func (s *Stream) TrackedUsers() int { return len(s.users) }
 
 // Remaining reports how many actions the stream will still emit.
 func (s *Stream) Remaining() int { return s.cfg.Ops - s.seq }

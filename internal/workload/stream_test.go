@@ -76,8 +76,8 @@ func TestStreamTrackingBounded(t *testing.T) {
 			break
 		}
 	}
-	if got := s.TrackedUsers(); got > 3000 {
-		t.Fatalf("TrackedUsers = %d, exceeds ops emitted", got)
+	if got := len(s.users); got > 3000 {
+		t.Fatalf("tracked users = %d, exceeds ops emitted", got)
 	}
 
 	s, err = NewStream(StreamConfig{Users: 1_000_000, Ops: 3000, Seed: 1})
@@ -89,8 +89,8 @@ func TestStreamTrackingBounded(t *testing.T) {
 		if _, ok := s.Next(); !ok {
 			break
 		}
-		if got := s.TrackedUsers(); got > 64 {
-			t.Fatalf("TrackedUsers = %d, exceeds the bound of 64", got)
+		if got := len(s.users); got > 64 {
+			t.Fatalf("tracked users = %d, exceeds the bound of 64", got)
 		}
 	}
 }
@@ -121,8 +121,8 @@ func TestStreamMixProportions(t *testing.T) {
 func TestStreamUserNameMatchesUserNames(t *testing.T) {
 	names := UserNames(50)
 	for i, want := range names {
-		if got := UserName(i); got != want {
-			t.Fatalf("UserName(%d) = %q, want %q", i, got, want)
+		if got := SearchKey(i); got != "search/"+want {
+			t.Fatalf("SearchKey(%d) = %q, want search/%s", i, got, want)
 		}
 	}
 }
@@ -133,9 +133,6 @@ func TestStreamUserNameMatchesUserNames(t *testing.T) {
 func TestKeyHelpersMatchSprintfForms(t *testing.T) {
 	for _, i := range []int{0, 9, 10, 999, 1000, 9999, 10000, 123456, 1<<31 - 1, -1, -12345} {
 		user := fmt.Sprintf("user-%04d", i)
-		if got := UserName(i); got != user {
-			t.Errorf("UserName(%d) = %q, want %q", i, got, user)
-		}
 		if got, want := SearchKey(i), fmt.Sprintf("search/%s", user); got != want {
 			t.Errorf("SearchKey(%d) = %q, want %q", i, got, want)
 		}
@@ -150,7 +147,6 @@ func TestKeyHelpersMatchSprintfForms(t *testing.T) {
 	}
 	user, n := 123456, uint32(789) // variables: a constant argument would fold away
 	for name, build := range map[string]func() string{
-		"UserName":   func() string { return UserName(user) },
 		"SearchKey":  func() string { return SearchKey(user) },
 		"PostKey":    func() string { return PostKey(user, n) },
 		"CommentKey": func() string { return CommentKey(user, n) },

@@ -67,15 +67,6 @@ func (g *Graph) HasEdge(a, b int) bool {
 // Degree returns the number of friends of u.
 func (g *Graph) Degree(u int) int { return len(g.Adj[u]) }
 
-// Edges returns the total edge count.
-func (g *Graph) Edges() int {
-	total := 0
-	for _, adj := range g.Adj {
-		total += len(adj)
-	}
-	return total / 2
-}
-
 // Friends returns a copy of u's friend list.
 func (g *Graph) Friends(u int) []int {
 	return append([]int(nil), g.Adj[u]...)
@@ -274,27 +265,6 @@ type Mix struct {
 
 // DefaultMix is a read-heavy OSN mix.
 func DefaultMix() Mix { return Mix{Post: 0.1, Comment: 0.15, Read: 0.7, Search: 0.05} }
-
-// Actions samples a sequence of n actions from the mix.
-func (m Mix) Actions(n int, seed int64) []ActionKind {
-	rng := rand.New(rand.NewSource(seed))
-	total := m.Post + m.Comment + m.Read + m.Search
-	out := make([]ActionKind, n)
-	for i := range out {
-		x := rng.Float64() * total
-		switch {
-		case x < m.Post:
-			out[i] = ActionPost
-		case x < m.Post+m.Comment:
-			out[i] = ActionComment
-		case x < m.Post+m.Comment+m.Read:
-			out[i] = ActionReadFeed
-		default:
-			out[i] = ActionSearch
-		}
-	}
-	return out
-}
 
 // UserNames renders canonical user names for graph indices.
 func UserNames(n int) []string {
