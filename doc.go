@@ -23,6 +23,6 @@
 // federation — run on a deterministic simulated network
 // (internal/overlay/...). internal/core composes everything into a running
 // DOSN; cmd/dosnd boots one, cmd/dosnbench regenerates the experiment
-// tables (E1–E10, see DESIGN.md and EXPERIMENTS.md), and cmd/dosndemo walks
+// tables (E1–E26, see DESIGN.md and EXPERIMENTS.md), and examples/ walks
 // focused attack scenarios.
 package godosn

@@ -1,11 +1,14 @@
 // Privacy-scheme comparison: the paper's party-invitation scenario run under
 // all six Table-I data-privacy mechanisms, printing cost, ciphertext size,
-// and revocation behaviour side by side.
+// and revocation behaviour side by side. A second part signs the same
+// invitation and runs the Section IV-B integrity checks on it (owner,
+// content, relation, history), genuine and forged.
 //
 //	go run ./examples/privacyschemes
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"godosn/internal/crypto/ibe"
 	"godosn/internal/crypto/pubkey"
 	"godosn/internal/social/identity"
+	"godosn/internal/social/integrity"
 	"godosn/internal/social/privacy"
 )
 
@@ -129,6 +133,48 @@ func main() {
 		} else {
 			fmt.Printf("  %s (%v): can read\n", name, abeGroup.MemberAttributes(name))
 		}
+	}
+
+	checkIntegrity(registry, memberNamed(members, "bob"))
+}
+
+// checkIntegrity signs bob's invitation to alice and verifies it as sent,
+// then under each forgery Section IV-B names; each must get its own
+// rejection.
+func checkIntegrity(registry *identity.Registry, bob *identity.User) {
+	fmt.Println("\ninvitation integrity (owner, content, relation, history):")
+	mallory, err := identity.NewUser("mallory")
+	if err != nil {
+		log.Fatal(err)
+	}
+	now := time.Date(2015, 6, 29, 12, 0, 0, 0, time.UTC)
+	inv := integrity.NewSignedMessage(bob, "alice", []byte(invitation), now, 7*24*time.Hour)
+	forged := integrity.NewSignedMessage(mallory, "alice", []byte(invitation), now, time.Hour)
+	forged.From = "bob"
+	tampered := *inv
+	tampered.Content = []byte("Come to my party held at my home on Saturday")
+	for _, c := range []struct {
+		label string
+		msg   *integrity.SignedMessage
+		to    string
+		at    time.Time
+		want  error
+	}{
+		{"genuine invitation", inv, "alice", now.Add(time.Hour), nil},
+		{"mallory forging bob's name", forged, "alice", now, integrity.ErrForgedOwner},
+		{"content changed to saturday", &tampered, "alice", now, integrity.ErrForgedOwner},
+		{"replayed one month later", inv, "alice", now.Add(31 * 24 * time.Hour), integrity.ErrExpired},
+		{"delivered to carol instead", inv, "carol", now, integrity.ErrWrongRecipient},
+	} {
+		err := integrity.VerifyMessage(registry, c.msg, c.to, c.at)
+		if !errors.Is(err, c.want) {
+			log.Fatalf("%s: got %v, want %v", c.label, err, c.want)
+		}
+		verdict := "ACCEPTED"
+		if err != nil {
+			verdict = "REJECTED: " + err.Error()
+		}
+		fmt.Printf("  %-28s %s\n", c.label, verdict)
 	}
 }
 

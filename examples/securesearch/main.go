@@ -1,8 +1,10 @@
 // Secure social search: Alice wants to find her old friend Carol and read
 // her profile without the relationship being disclosed "to service provider,
 // or in the case of DOSN, to the intermediate nodes participating in the
-// search" (paper Section I). This example drives securesearch.Engine, the
-// one path that composes all four Table-I search mechanisms:
+// search" (paper Section I). A prologue shows why a plain directory query
+// fails that and how far a proxy alias helps (Section V-B). The example then
+// drives securesearch.Engine, the one path that composes all four Table-I
+// search mechanisms:
 //
 //  1. owner privacy      — the index exposes resource handles, not data
 //
@@ -20,12 +22,15 @@ import (
 	"fmt"
 	"log"
 
+	"godosn/internal/search/proxy"
 	"godosn/internal/search/securesearch"
 	"godosn/internal/search/zkpauth"
 	"godosn/internal/social/graph"
 )
 
 func main() {
+	proxiedSearch()
+
 	// Social graph: alice -- {bob, dana} -- {carol, carla, carol2}, with
 	// varying trust; three candidates match the name search "car".
 	g := graph.New()
@@ -93,4 +98,31 @@ func main() {
 		log.Fatalf("unauthorized fetch: got %v, want %v", err, securesearch.ErrNoAccess)
 	}
 	fmt.Printf("\ndana's unauthorized dereference as %q: rejected (%v)\n", denied.Pseudonym, err)
+}
+
+// proxiedSearch is the prologue: the directory logs who asks, a proxy
+// alias hides alice from it, and a colluding proxy gives her away again.
+func proxiedSearch() {
+	dir := proxy.NewDirectory()
+	dir.Add("carol", "carol@node-17")
+	if _, err := dir.Query("alice", "carol"); err != nil {
+		log.Fatalf("direct query: %v", err)
+	}
+	fmt.Printf("direct query: the directory observed searchers %v\n", dir.Observed("carol"))
+
+	p := proxy.NewServer("proxy-a")
+	alias := p.Register("alice")
+	if _, err := p.Search("alice", "carol", dir); err != nil {
+		log.Fatalf("proxied search: %v", err)
+	}
+	seen := dir.Observed("carol")
+	if len(seen) != 2 || seen[1] != alias {
+		log.Fatalf("proxied query: directory observed %v, want [alice %s]", seen, alias)
+	}
+	fmt.Printf("via proxy alias: the directory observed searchers %v\n", seen)
+	exposed := proxy.Collude(dir, "carol", p)
+	if len(exposed) != 1 || exposed[0] != "alice" {
+		log.Fatalf("collusion exposed %v, want [alice]", exposed)
+	}
+	fmt.Printf("collusion with the proxy exposes %v; friend routing below needs no proxy\n\n", exposed)
 }

@@ -121,16 +121,6 @@ func sampleEvents(cfg RecordConfig) []Event {
 	return events
 }
 
-// hasKind reports whether the profile includes kind.
-func hasKind(profile []EventKind, kind EventKind) bool {
-	for _, k := range profile {
-		if k == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // Record captures one scenario: sample a schedule, measure it, calibrate
 // invariants with head-room, pin the expect counters, and prove the result
 // replays cleanly (run-twice and workers 1 vs 8 DeepEqual, all invariants

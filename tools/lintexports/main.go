@@ -1,5 +1,5 @@
-// Command lintexports fails when an exported function or method under a
-// module's internal/ directory has no caller in a non-test file.
+// Command lintexports fails when a function or method under a module's
+// internal/ directory, exported or not, has no caller in a non-test file.
 //
 // It type-checks the non-test files of every package in the given modules
 // (standard library only: go list, go/parser, go/types) and counts a
@@ -11,8 +11,8 @@
 //
 //	<package dir> <Func or Type.Method> <kept|next:<direction>|oracle|table-I>: <why>
 //
-// An allow line that names no exported function, or one that now has a
-// caller, fails the scan too. Run it from the repository root:
+// An allow line that names no function, or one that now has a caller,
+// fails the scan too. Run it from the repository root:
 //
 //	go run ./tools/lintexports -allow tools/lintexports/allow.txt . benchmark
 //
@@ -45,10 +45,10 @@ func main() {
 	if len(modules) == 0 {
 		modules = []string{"."}
 	}
-	uncalled, exported, err := scan(modules)
+	uncalled, declared, err := scan(modules)
 	var problems []string
 	if err == nil {
-		problems, err = check(uncalled, exported, *allow)
+		problems, err = check(uncalled, declared, *allow)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lint-exports:", err)
@@ -58,15 +58,15 @@ func main() {
 		fmt.Println("lint-exports:", p)
 	}
 	if len(problems) > 0 {
-		fmt.Printf("lint-exports: %d problem(s); give each export a non-test caller, delete it, or allow-list it with a reason\n", len(problems))
+		fmt.Printf("lint-exports: %d problem(s); give each function a non-test caller, delete it, or allow-list it with a reason\n", len(problems))
 		os.Exit(1)
 	}
 }
 
-// check returns one line per problem: an uncalled export the allow file
-// does not list, and an allow line that is malformed, names no exported
-// function, or names one that has a caller.
-func check(uncalled map[string]string, exported map[string]bool, allowPath string) ([]string, error) {
+// check returns one line per problem: an uncalled function the allow file
+// does not list, and an allow line that is malformed, names no function, or
+// names one that has a caller.
+func check(uncalled map[string]string, declared map[string]bool, allowPath string) ([]string, error) {
 	allowed := map[string]bool{}
 	var problems []string
 	if allowPath != "" {
@@ -78,8 +78,8 @@ func check(uncalled map[string]string, exported map[string]bool, allowPath strin
 			switch {
 			case l.err != "":
 				problems = append(problems, fmt.Sprintf("%s:%d: %s", allowPath, l.line, l.err))
-			case !exported[l.key]:
-				problems = append(problems, fmt.Sprintf("%s:%d: %s: no such exported function", allowPath, l.line, l.key))
+			case !declared[l.key]:
+				problems = append(problems, fmt.Sprintf("%s:%d: %s: no such function", allowPath, l.line, l.key))
 			case uncalled[l.key] == "":
 				problems = append(problems, fmt.Sprintf("%s:%d: %s: has a non-test caller now; delete the line", allowPath, l.line, l.key))
 			}
@@ -153,9 +153,10 @@ type pkg struct {
 	info  *types.Info
 }
 
-// scan returns the uncalled exported functions of modules[0]'s internal/
-// (key → position) and the set of all its exported function keys. A key
-// is "<package dir relative to the module> <Func|Type.Method>".
+// scan returns the uncalled functions of modules[0]'s internal/ (key →
+// position) and the set of all its function keys. A key is "<package dir
+// relative to the module> <Func|Type.Method>". init functions, which
+// nothing can call, are skipped.
 func scan(modules []string) (map[string]string, map[string]bool, error) {
 	// The source importer reads the standard library with go/build's
 	// defaults; without cgo it needs no C toolchain.
@@ -256,7 +257,7 @@ func scan(modules []string) (map[string]string, map[string]bool, error) {
 	}
 
 	uncalled := map[string]string{}
-	exported := map[string]bool{}
+	declared := map[string]bool{}
 	root := pkgs[order[0]].Module.Dir
 	for _, path := range order {
 		p := pkgs[path]
@@ -267,7 +268,7 @@ func scan(modules []string) (map[string]string, map[string]bool, error) {
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
+				if !ok || fd.Name.Name == "init" {
 					continue
 				}
 				fn := p.info.Defs[fd.Name].(*types.Func)
@@ -275,7 +276,7 @@ func scan(modules []string) (map[string]string, map[string]bool, error) {
 				if recv := receiver(fn); recv != nil {
 					key = filepath.ToSlash(rel) + " " + recv.Obj().Name() + "." + fd.Name.Name
 				}
-				exported[key] = true
+				declared[key] = true
 				if called[fn] || satisfies(fn, ifaces, called, pkgs) {
 					continue
 				}
@@ -283,7 +284,7 @@ func scan(modules []string) (map[string]string, map[string]bool, error) {
 			}
 		}
 	}
-	return uncalled, exported, nil
+	return uncalled, declared, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)

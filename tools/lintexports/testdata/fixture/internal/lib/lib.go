@@ -2,10 +2,17 @@
 package lib
 
 // Called has a caller in a non-test file.
-func Called() int { return 1 }
+func Called() int { return one() }
 
-// TestOnly is called only from lib_test.go: the one finding.
+// one is unexported and called from Called.
+func one() int { return 1 }
+
+// TestOnly is called only from lib_test.go: a finding.
 func TestOnly() int { return 2 }
+
+// testOnly is unexported and called only from lib_test.go: the other
+// finding.
+func testOnly() int { return 3 }
 
 // Speaker is a module interface whose method main calls.
 type Speaker interface{ Speak() string }

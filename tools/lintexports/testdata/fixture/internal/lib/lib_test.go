@@ -6,4 +6,7 @@ func TestTestOnly(t *testing.T) {
 	if TestOnly() != 2 {
 		t.Fatal("TestOnly")
 	}
+	if testOnly() != 3 {
+		t.Fatal("testOnly")
+	}
 }
