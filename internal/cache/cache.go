@@ -242,8 +242,9 @@ func (c *Cache[V]) Len() int {
 
 // shardOf maps a key to its shard: FNV-1a over the key, perturbed by the
 // seed — a pure function of (seed, key), so placement and therefore
-// per-shard eviction order is reproducible across runs.
-func (c *Cache[V]) shardOf(key string) *shard[V] {
+// per-shard eviction order is reproducible across runs. A key's bytes land
+// where its string does.
+func shardOf[V any, K string | []byte](c *Cache[V], key K) *shard[V] {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -263,16 +264,17 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	v, ok, _ := c.lookup(c.shardOf(key), key, c.gen.Load())
+	v, ok, _ := lookup(c, shardOf(c, key), key, c.gen.Load())
 	return v, ok
 }
 
 // lookup is Get on key's shard s under generation gen. It also returns the
-// shard's fence, read under the same lock, for a fill's put to check.
-func (c *Cache[V]) lookup(s *shard[V], key string, gen uint64) (V, bool, uint64) {
+// shard's fence, read under the same lock, for a fill's put to check. A
+// key's bytes find its entry without being copied into a string.
+func lookup[V any, K string | []byte](c *Cache[V], s *shard[V], key K, gen uint64) (V, bool, uint64) {
 	s.mu.Lock()
 	fence := s.fence
-	e, ok := s.entries[key]
+	e, ok := s.entries[string(key)]
 	if ok && e.gen != gen {
 		s.remove(e)
 		ok = false
@@ -296,7 +298,7 @@ func (c *Cache[V]) Put(key string, val V) {
 	if c == nil {
 		return
 	}
-	c.put(c.shardOf(key), key, val, c.gen.Load(), unfenced)
+	c.put(shardOf(c, key), key, val, c.gen.Load(), unfenced)
 }
 
 // put inserts key=val on its shard s tagged with gen, dropping the write
@@ -356,7 +358,7 @@ func (c *Cache[V]) Invalidate(key string) {
 	if c == nil {
 		return
 	}
-	s := c.shardOf(key)
+	s := shardOf(c, key)
 	s.mu.Lock()
 	s.fence++
 	e, ok := s.entries[key]
@@ -388,18 +390,29 @@ func (c *Cache[V]) BumpGeneration() {
 // cached. On a nil cache Do simply invokes fill. The returned Outcome says
 // how this call was served.
 func (c *Cache[V]) Do(key string, fill func() (V, error)) (V, Outcome, error) {
+	return do(c, key, fill)
+}
+
+// DoBytes is Do for a key held as bytes, which it does not retain: a hit
+// builds no string, and only a successful fill copies the key into one to
+// cache it under. The entry is the one Do would use for string(key).
+func (c *Cache[V]) DoBytes(key []byte, fill func() (V, error)) (V, Outcome, error) {
+	return do(c, key, fill)
+}
+
+func do[V any, K string | []byte](c *Cache[V], key K, fill func() (V, error)) (V, Outcome, error) {
 	if c == nil {
 		v, err := fill()
 		return v, Filled, err
 	}
-	gen, s := c.gen.Load(), c.shardOf(key)
-	v, ok, fence := c.lookup(s, key, gen)
+	gen, s := c.gen.Load(), shardOf(c, key)
+	v, ok, fence := lookup(c, s, key, gen)
 	if ok {
 		return v, Hit, nil
 	}
 	v, err := fill()
 	if err == nil {
-		c.put(s, key, v, gen, fence)
+		c.put(s, string(key), v, gen, fence)
 	}
 	return v, Filled, err
 }

@@ -162,6 +162,42 @@ func TestCacheDoErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestCacheDoBytesIsDo: DoBytes serves and fills the entry Do uses for the
+// same key spelled as a string, does not keep the caller's bytes, and a hit
+// allocates nothing.
+func TestCacheDoBytesIsDo(t *testing.T) {
+	c := New[int](Config{Capacity: 64, Seed: 5})
+	key := []byte("reader/42")
+	v, o, err := c.DoBytes(key, func() (int, error) { return 7, nil })
+	if err != nil || v != 7 || o != Filled {
+		t.Fatalf("fill: %d, %v, %v", v, o, err)
+	}
+	copy(key, "XXXXXX") // the cached key is not the caller's buffer
+	if v, ok := c.Get("reader/42"); !ok || v != 7 {
+		t.Fatalf("Get after DoBytes fill = %d, %v", v, ok)
+	}
+	c.Put("other/1", 9)
+	other := []byte("other/1")
+	if v, o, _ := c.DoBytes(other, func() (int, error) { return 0, errors.New("filled") }); v != 9 || o != Hit {
+		t.Fatalf("DoBytes on a Put key = %d, %v", v, o)
+	}
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		if shardOf(c, k) != shardOf(c, []byte(k)) {
+			t.Fatalf("%q: bytes and string land on different shards", k)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		c.DoBytes(other, func() (int, error) { return 0, nil })
+	}); got != 0 {
+		t.Fatalf("DoBytes hit: %v allocs, want 0", got)
+	}
+	c.BumpGeneration()
+	if _, o, _ := c.DoBytes(other, func() (int, error) { return 1, nil }); o != Filled {
+		t.Fatalf("DoBytes after a generation bump: %v, want Filled", o)
+	}
+}
+
 func TestCacheInvalidateDuringFillNotStored(t *testing.T) {
 	c := New[int](Config{Capacity: 8})
 	inFill := make(chan struct{})
@@ -244,7 +280,7 @@ func shardKeys(t *testing.T, shards int, seed int64, per int) [][]string {
 	out := make([][]string, shards)
 	for i := 0; len(outIncomplete(out, per)) > 0 && i < 1_000_000; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		s := probe.shardOf(k)
+		s := shardOf(probe, k)
 		for si, sh := range probe.shards {
 			if sh == s && len(out[si]) < per {
 				out[si] = append(out[si], k)
@@ -473,12 +509,12 @@ func TestCacheSeedChangesShardAssignment(t *testing.T) {
 		k := fmt.Sprintf("key-%d", i)
 		var ai, bi int
 		for si, sh := range a.shards {
-			if a.shardOf(k) == sh {
+			if shardOf(a, k) == sh {
 				ai = si
 			}
 		}
 		for si, sh := range b.shards {
-			if b.shardOf(k) == sh {
+			if shardOf(b, k) == sh {
 				bi = si
 			}
 		}

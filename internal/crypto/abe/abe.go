@@ -1,10 +1,12 @@
 package abe
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 
 	"godosn/internal/crypto/prf"
@@ -156,16 +158,36 @@ func (a *Authority) Revoke(revokedAttributes []string) error {
 type Ciphertext struct {
 	// Epoch records the parameter epoch used at encryption time.
 	Epoch uint64
-	// Policy is the access structure; it is public, as in CP-ABE.
-	Policy *Policy
+	// PolicyText is the access structure in the canonical syntax
+	// Policy.String renders; it is public, as in CP-ABE. The body's AEAD
+	// authenticates it.
+	PolicyText []byte
 	// Ephemeral is the encryptor's ephemeral public key, which every share
 	// wrap is under.
 	Ephemeral []byte
-	// Shares maps share index to the wrapped Shamir share (nonce, sealed
-	// share, tag) for the corresponding policy leaf.
-	Shares map[uint32][]byte
+	// Shares holds the wrapped Shamir share of each policy leaf, in
+	// increasing index order with each index once.
+	Shares []WrappedShare
 	// Body is the AES-GCM payload under the shared seed-derived key.
 	Body []byte
+}
+
+// WrappedShare is the Shamir share of the policy leaf numbered Index,
+// wrapped to its attribute parameter: nonce, sealed share, tag.
+type WrappedShare struct {
+	Index uint32
+	Wrap  []byte
+}
+
+// share returns the wrap of the leaf numbered idx.
+func (ct *Ciphertext) share(idx uint32) ([]byte, bool) {
+	i, ok := slices.BinarySearchFunc(ct.Shares, idx, func(s WrappedShare, idx uint32) int {
+		return cmp.Compare(s.Index, idx)
+	})
+	if !ok {
+		return nil, false
+	}
+	return ct.Shares[i].Wrap, true
 }
 
 const seedContext = "godosn/abe/seed-v1"
@@ -192,15 +214,16 @@ func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaint
 	seed := new(big.Int).SetBytes(seedKey)
 	seed.Mod(seed, shamir.Prime())
 
-	m, err := sender.NewMulti(int(policy.leafCount()))
+	leaves := int(policy.leafCount())
+	m, err := sender.NewMulti(leaves)
 	if err != nil {
 		return nil, fmt.Errorf("abe: wrapping shares: %w", err)
 	}
 	ct := &Ciphertext{
-		Epoch:     params.Epoch,
-		Policy:    policy,
-		Ephemeral: m.Ephemeral(),
-		Shares:    make(map[uint32][]byte),
+		Epoch:      params.Epoch,
+		PolicyText: []byte(policy.String()),
+		Ephemeral:  m.Ephemeral(),
+		Shares:     make([]WrappedShare, 0, leaves),
 	}
 	var nextIdx uint32 = 1
 	if err := shareTree(&m, params, policy, seed, ct, &nextIdx); err != nil {
@@ -210,7 +233,7 @@ func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaint
 	if err != nil {
 		return nil, err
 	}
-	body, err := symmetric.Seal(key, plaintext, []byte(policy.String()))
+	body, err := symmetric.Seal(key, plaintext, ct.PolicyText)
 	if err != nil {
 		return nil, fmt.Errorf("abe: sealing body: %w", err)
 	}
@@ -220,7 +243,7 @@ func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaint
 
 // shareTree recursively Shamir-shares secret down the policy tree, wrapping
 // leaf shares to the leaf attribute parameters. Leaf share indices are
-// assigned depth-first and recorded in ct.Shares; internal structure is
+// assigned depth-first and appended to ct.Shares; internal structure is
 // reproducible from the public policy, so only leaf wraps are stored. Every
 // share is wrapped as a full field element, so a ciphertext's size depends on
 // its policy and plaintext only, never on the share values.
@@ -234,7 +257,7 @@ func shareTree(m *pubkey.Multi, params *PublicParams, node *Policy, secret *big.
 		if err != nil {
 			return fmt.Errorf("abe: wrapping share for %q: %w", node.Attribute, err)
 		}
-		ct.Shares[idx] = wrapped
+		ct.Shares = append(ct.Shares, WrappedShare{Index: idx, Wrap: wrapped})
 		return nil
 	}
 	shares, err := shamir.Split(secret, node.threshold(), len(node.Children))
@@ -253,16 +276,23 @@ func shareTree(m *pubkey.Multi, params *PublicParams, node *Policy, secret *big.
 // share unwrapping, Shamir interpolation, and payload-key derivation — and
 // returns the payload key. It is split out so callers can memoize the key per
 // (reader, ciphertext) and skip the share recovery on repeat reads; OpenBody
-// completes the decryption.
-func (k *UserKey) RecoverKey(ct *Ciphertext) (symmetric.Key, error) {
-	if ct == nil || ct.Policy == nil {
+// completes the decryption. policy is the tree ct.PolicyText parses to, for
+// a caller that holds it already; nil has RecoverKey parse the text.
+func (k *UserKey) RecoverKey(ct *Ciphertext, policy *Policy) (symmetric.Key, error) {
+	if ct == nil || len(ct.PolicyText) == 0 {
 		return nil, ErrBadPolicy
 	}
-	if !ct.Policy.Satisfied(k.Attributes) {
+	if policy == nil {
+		var err error
+		if policy, err = ParsePolicy(string(ct.PolicyText)); err != nil {
+			return nil, err
+		}
+	}
+	if !policy.Satisfied(k.Attributes) {
 		return nil, ErrNotSatisfied
 	}
 	var nextIdx uint32 = 1
-	seed, err := recoverTree(k, ct.Policy, ct, &nextIdx)
+	seed, err := recoverTree(k, policy, ct, &nextIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -272,10 +302,10 @@ func (k *UserKey) RecoverKey(ct *Ciphertext) (symmetric.Key, error) {
 // OpenBody opens the ciphertext body with an already-recovered payload key —
 // the symmetric phase of Decrypt.
 func OpenBody(key symmetric.Key, ct *Ciphertext) ([]byte, error) {
-	if ct == nil || ct.Policy == nil {
+	if ct == nil || len(ct.PolicyText) == 0 {
 		return nil, ErrBadPolicy
 	}
-	plaintext, err := symmetric.Open(key, ct.Body, []byte(ct.Policy.String()))
+	plaintext, err := symmetric.Open(key, ct.Body, ct.PolicyText)
 	if err != nil {
 		return nil, fmt.Errorf("abe: opening body: %w", err)
 	}
@@ -286,7 +316,7 @@ func OpenBody(key symmetric.Key, ct *Ciphertext) ([]byte, error) {
 // ciphertext policy and the key epoch matches the ciphertext epoch:
 // RecoverKey followed by OpenBody.
 func (k *UserKey) Decrypt(ct *Ciphertext) ([]byte, error) {
-	key, err := k.RecoverKey(ct)
+	key, err := k.RecoverKey(ct, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +334,7 @@ func recoverTree(k *UserKey, node *Policy, ct *Ciphertext, nextIdx *uint32) (*bi
 		if !ok {
 			return nil, ErrNotSatisfied
 		}
-		wrapped, ok := ct.Shares[idx]
+		wrapped, ok := ct.share(idx)
 		if !ok {
 			return nil, fmt.Errorf("%w: missing share %d", ErrBadPolicy, idx)
 		}

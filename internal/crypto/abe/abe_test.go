@@ -219,7 +219,7 @@ func TestShortShareWrapsFullWidth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMulti: %v", err)
 	}
-	ct := &Ciphertext{Epoch: auth.PublicParams().Epoch, Policy: pol, Ephemeral: m.Ephemeral(), Shares: make(map[uint32][]byte)}
+	ct := &Ciphertext{Epoch: auth.PublicParams().Epoch, PolicyText: []byte(pol.String()), Ephemeral: m.Ephemeral()}
 	var nextIdx uint32 = 1
 	if err := shareTree(&m, auth.PublicParams(), pol, secret, ct, &nextIdx); err != nil {
 		t.Fatalf("shareTree: %v", err)
@@ -228,7 +228,7 @@ func TestShortShareWrapsFullWidth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IssueKey: %v", err)
 	}
-	raw, err := key.secrets["relative"].Open(ct.Ephemeral, ct.Shares[1])
+	raw, err := key.secrets["relative"].Open(ct.Ephemeral, ct.Shares[0].Wrap)
 	if err != nil {
 		t.Fatalf("unwrapping the share: %v", err)
 	}
@@ -271,10 +271,10 @@ func TestCiphertextSizeIsFixed(t *testing.T) {
 	}
 }
 
-func wrapLens(wraps map[uint32][]byte) map[uint32]int {
-	out := make(map[uint32]int, len(wraps))
-	for k, w := range wraps {
-		out[k] = len(w)
+func wrapLens(shares []WrappedShare) map[uint32]int {
+	out := make(map[uint32]int, len(shares))
+	for _, s := range shares {
+		out[s.Index] = len(s.Wrap)
 	}
 	return out
 }
@@ -320,7 +320,7 @@ func TestOversizedLeafShareOpens(t *testing.T) {
 		t.Fatalf("Seal: %v", err)
 	}
 	eph, wrap := share[:pubkey.EphemeralSize], share[pubkey.EphemeralSize:]
-	ct := &Ciphertext{Epoch: params.Epoch, Policy: pol, Ephemeral: eph, Shares: map[uint32][]byte{1: wrap}, Body: body}
+	ct := &Ciphertext{Epoch: params.Epoch, PolicyText: []byte(pol.String()), Ephemeral: eph, Shares: []WrappedShare{{Index: 1, Wrap: wrap}}, Body: body}
 	userKey, err := auth.IssueKey([]string{"relative"})
 	if err != nil {
 		t.Fatalf("IssueKey: %v", err)

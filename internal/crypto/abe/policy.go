@@ -29,6 +29,7 @@
 package abe
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -86,8 +87,22 @@ func Threshold(k int, children ...*Policy) *Policy {
 	return &Policy{Kind: GateThreshold, K: k, Children: children}
 }
 
-// Validate checks structural well-formedness of the policy tree.
+// maxDepth bounds how deeply gates nest: in a tree Validate accepts and in
+// the text ParsePolicy reads, where every gate's parentheses count, those of
+// a group holding one child too. Every walk over a policy recurses, and a
+// policy reaches a reader from a replica inside a ciphertext; unbounded, a
+// deep enough one ends the process with a stack overflow instead of an
+// error.
+const maxDepth = 64
+
+// Validate checks structural well-formedness of the policy tree, including
+// that no more than 64 gates nest.
 func (p *Policy) Validate() error {
+	return p.validate(0)
+}
+
+// validate is Validate on a node with the given number of gates above it.
+func (p *Policy) validate(above int) error {
 	if p == nil {
 		return ErrEmptyPolicy
 	}
@@ -114,8 +129,11 @@ func (p *Policy) Validate() error {
 	default:
 		return fmt.Errorf("%w: unknown gate kind %d", ErrBadPolicy, p.Kind)
 	}
+	if above == maxDepth {
+		return fmt.Errorf("%w: gates nested deeper than %d", ErrBadPolicy, maxDepth)
+	}
 	for _, c := range p.Children {
-		if err := c.Validate(); err != nil {
+		if err := c.validate(above + 1); err != nil {
 			return err
 		}
 	}
@@ -222,9 +240,54 @@ func joinPolicies(ps []*Policy, sep string) string {
 //	2-of(relative, doctor, painter)
 //
 // AND and OR are case insensitive and may not be mixed within a single
-// parenthesis group without nesting.
+// parenthesis group without nesting. Parentheses nest at most 64 deep.
 func ParsePolicy(s string) (*Policy, error) {
-	p := &policyParser{input: s}
+	p := &policyParser{input: []byte(s), build: true}
+	pol, err := p.parse()
+	if err != nil {
+		return nil, err
+	}
+	if err := pol.Validate(); err != nil {
+		return nil, err
+	}
+	return pol, nil
+}
+
+// CanonicalPolicy checks text as ParsePolicy does and returns the policy in
+// its canonical syntax, the one String renders and Encrypt seals a body
+// under. When text is already canonical it is returned itself, and the check
+// builds no tree and allocates nothing.
+func CanonicalPolicy(text []byte) ([]byte, error) {
+	p := policyParser{input: text}
+	if _, err := p.parse(); err != nil {
+		return nil, err
+	}
+	if p.canon == len(text) {
+		return text, nil
+	}
+	pol, err := ParsePolicy(string(text))
+	if err != nil {
+		return nil, err
+	}
+	out := []byte(pol.String())
+	return out[:len(out):len(out)], nil
+}
+
+type policyParser struct {
+	input []byte
+	pos   int
+	// depth counts the parentheses open at pos.
+	depth int
+	// build makes the parse return the tree; without it every node is nil
+	// and the parse only checks the text.
+	build bool
+	// canon is how much of the input equals String's rendering of what has
+	// been parsed so far, or -1 once it differs.
+	canon int
+}
+
+// parse reads the whole input as one policy.
+func (p *policyParser) parse() (*Policy, error) {
 	pol, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -233,15 +296,26 @@ func ParsePolicy(s string) (*Policy, error) {
 	if p.pos != len(p.input) {
 		return nil, fmt.Errorf("%w: trailing input at %d", ErrParse, p.pos)
 	}
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
 	return pol, nil
 }
 
-type policyParser struct {
-	input string
-	pos   int
+// render follows String: the rendering of what was just parsed continues
+// with s. canon advances past s while the input reads s there too.
+func (p *policyParser) render(s []byte) {
+	if p.canon >= 0 && bytes.HasPrefix(p.input[p.canon:], s) {
+		p.canon += len(s)
+	} else {
+		p.canon = -1
+	}
+}
+
+// open enters a gate's parentheses, refusing to nest past maxDepth.
+func (p *policyParser) open() error {
+	if p.depth == maxDepth {
+		return fmt.Errorf("%w: nested deeper than %d at %d", ErrParse, maxDepth, p.pos)
+	}
+	p.depth++
+	return nil
 }
 
 func (p *policyParser) skipSpace() {
@@ -268,27 +342,44 @@ func (p *policyParser) parseExpr() (*Policy, error) {
 }
 
 func (p *policyParser) tryThreshold() (*Policy, bool, error) {
-	save := p.pos
 	numEnd := p.pos
 	for numEnd < len(p.input) && p.input[numEnd] >= '0' && p.input[numEnd] <= '9' {
 		numEnd++
 	}
-	if numEnd == p.pos || !strings.HasPrefix(p.input[numEnd:], "-of(") {
-		p.pos = save
+	if numEnd == p.pos || !bytes.HasPrefix(p.input[numEnd:], []byte("-of(")) {
 		return nil, false, nil
 	}
+	digits := p.input[p.pos:numEnd]
 	k := 0
-	for _, ch := range p.input[p.pos:numEnd] {
+	for _, ch := range digits {
 		k = k*10 + int(ch-'0')
 	}
+	// String renders k in decimal: digits are that rendering unless they
+	// have a leading zero or overflowed k, and more than 18 never render a
+	// threshold any policy can meet.
+	if digits[0] == '0' || len(digits) > 18 {
+		p.canon = -1
+	}
+	p.render(digits)
+	p.render([]byte("-of("))
 	p.pos = numEnd + len("-of(")
+	if err := p.open(); err != nil {
+		return nil, false, err
+	}
 	var children []*Policy
+	n := 0
 	for {
+		if n > 0 {
+			p.render([]byte(", "))
+		}
 		child, err := p.parseExpr()
 		if err != nil {
 			return nil, false, err
 		}
-		children = append(children, child)
+		if p.build {
+			children = append(children, child)
+		}
+		n++
 		p.skipSpace()
 		if p.pos < len(p.input) && p.input[p.pos] == ',' {
 			p.pos++
@@ -301,17 +392,33 @@ func (p *policyParser) tryThreshold() (*Policy, bool, error) {
 		return nil, false, fmt.Errorf("%w: expected ')' at %d", ErrParse, p.pos)
 	}
 	p.pos++
+	p.depth--
+	p.render([]byte(")"))
+	if k < 1 || k > n { // Validate refuses it
+		p.canon = -1
+	}
+	if !p.build {
+		return nil, true, nil
+	}
 	return Threshold(k, children...), true, nil
 }
 
 func (p *policyParser) parseGroup() (*Policy, error) {
+	p.render([]byte("("))
 	p.pos++ // consume '('
+	if err := p.open(); err != nil {
+		return nil, err
+	}
 	first, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	children := []*Policy{first}
-	var op string
+	var children []*Policy
+	if p.build {
+		children = append(children, first)
+	}
+	n := 1
+	var op GateKind
 	for {
 		p.skipSpace()
 		if p.pos < len(p.input) && p.input[p.pos] == ')' {
@@ -319,32 +426,51 @@ func (p *policyParser) parseGroup() (*Policy, error) {
 			break
 		}
 		word := p.peekWord()
-		upper := strings.ToUpper(word)
-		if upper != "AND" && upper != "OR" {
+		kind := GateAnd
+		switch {
+		case bytes.EqualFold(word, []byte("AND")):
+		case bytes.EqualFold(word, []byte("OR")):
+			kind = GateOr
+		default:
 			return nil, fmt.Errorf("%w: expected AND/OR at %d, got %q", ErrParse, p.pos, word)
 		}
-		if op == "" {
-			op = upper
-		} else if op != upper {
+		if op == 0 {
+			op = kind
+		} else if op != kind {
 			return nil, fmt.Errorf("%w: mixed AND/OR without nesting at %d", ErrParse, p.pos)
+		}
+		if kind == GateAnd {
+			p.render([]byte(" AND "))
+		} else {
+			p.render([]byte(" OR "))
 		}
 		p.pos += len(word)
 		child, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		children = append(children, child)
+		if p.build {
+			children = append(children, child)
+		}
+		n++
 	}
-	if len(children) == 1 {
-		return children[0], nil
+	p.depth--
+	p.render([]byte(")"))
+	if n == 1 {
+		// The group is its child, which String renders without it.
+		p.canon = -1
+		return first, nil
 	}
-	if op == "AND" {
+	if !p.build {
+		return nil, nil
+	}
+	if op == GateAnd {
 		return And(children...), nil
 	}
 	return Or(children...), nil
 }
 
-func (p *policyParser) peekWord() string {
+func (p *policyParser) peekWord() []byte {
 	p.skipSpace()
 	end := p.pos
 	for end < len(p.input) && isWordChar(p.input[end]) {
@@ -355,16 +481,16 @@ func (p *policyParser) peekWord() string {
 
 func (p *policyParser) parseLeaf() (*Policy, error) {
 	p.skipSpace()
-	end := p.pos
-	for end < len(p.input) && isWordChar(p.input[end]) {
-		end++
-	}
-	if end == p.pos {
+	name := p.peekWord()
+	if len(name) == 0 {
 		return nil, fmt.Errorf("%w: expected attribute at %d", ErrParse, p.pos)
 	}
-	name := p.input[p.pos:end]
-	p.pos = end
-	return Attr(name), nil
+	p.render(name)
+	p.pos += len(name)
+	if !p.build {
+		return nil, nil
+	}
+	return Attr(string(name)), nil
 }
 
 func isWordChar(c byte) bool {

@@ -1,7 +1,9 @@
 package abe
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -144,5 +146,113 @@ func TestQuickSatisfiedMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// nestedParens wraps attr in depth groups of one child each.
+func nestedParens(depth int, attr string) string {
+	return strings.Repeat("(", depth) + attr + strings.Repeat(")", depth)
+}
+
+// nestedGates nests depth AND gates, each holding a leaf and the next gate.
+func nestedGates(depth int) (string, *Policy) {
+	text, pol := "z", Attr("z")
+	for i := 0; i < depth; i++ {
+		text, pol = "(a AND "+text+")", And(Attr("a"), pol)
+	}
+	return text, pol
+}
+
+// TestPolicyNestingIsBounded: a policy arrives inside ciphertexts from
+// replicas, and every walk over one recurses. Up to maxDepth parentheses or
+// gates deep it parses and validates; one more is an error, and so is a
+// text nested millions deep, which would otherwise overflow the stack.
+func TestPolicyNestingIsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		text string
+		ok   bool
+	}{
+		{nestedParens(maxDepth, "a"), true},
+		{nestedParens(maxDepth+1, "a"), false},
+		{nestedParens(1000, "a"), false},
+		{nestedParens(3_000_000, "a"), false},
+		{strings.Repeat("1-of(", maxDepth) + "a" + strings.Repeat(")", maxDepth), true},
+		{strings.Repeat("1-of(", maxDepth+1) + "a" + strings.Repeat(")", maxDepth+1), false},
+	} {
+		pol, err := ParsePolicy(tc.text)
+		if tc.ok != (err == nil) {
+			t.Errorf("%d bytes: ParsePolicy err = %v, want ok %v", len(tc.text), err, tc.ok)
+		}
+		if !tc.ok && !errors.Is(err, ErrParse) {
+			t.Errorf("%d bytes: err = %v, want ErrParse", len(tc.text), err)
+		}
+		if err == nil {
+			if err := pol.Validate(); err != nil {
+				t.Errorf("%d bytes: Validate of the parse: %v", len(tc.text), err)
+			}
+		}
+		if _, err := CanonicalPolicy([]byte(tc.text)); tc.ok != (err == nil) {
+			t.Errorf("%d bytes: CanonicalPolicy err = %v, want ok %v", len(tc.text), err, tc.ok)
+		}
+	}
+	for _, depth := range []int{maxDepth, maxDepth + 1, 1000} {
+		text, pol := nestedGates(depth)
+		if err := pol.Validate(); (err == nil) != (depth <= maxDepth) || (err != nil && !errors.Is(err, ErrBadPolicy)) {
+			t.Errorf("%d gates: Validate = %v", depth, err)
+		}
+		if _, err := ParsePolicy(text); (err == nil) != (depth <= maxDepth) {
+			t.Errorf("%d gates: ParsePolicy = %v", depth, err)
+		}
+	}
+}
+
+// TestCanonicalPolicy: a text already in String's syntax comes back as
+// itself without an allocation; any other text ParsePolicy accepts comes back
+// rendered; anything it refuses is an error.
+func TestCanonicalPolicy(t *testing.T) {
+	canonical := []string{
+		"relative",
+		"(relative AND doctor)",
+		"(a OR b OR c)",
+		"2-of(relative, doctor, painter)",
+		"((a AND b) OR 2-of(c, d, (e AND f)))",
+		"1-of(a)",
+		"(AND AND OR)",
+		"2-of-x",
+	}
+	for _, s := range canonical {
+		in := []byte(s)
+		out, err := CanonicalPolicy(in)
+		if err != nil || &out[0] != &in[0] || len(out) != len(in) {
+			t.Errorf("%q: CanonicalPolicy = %q, %v; want the input itself", s, out, err)
+		}
+		if got := testing.AllocsPerRun(20, func() { CanonicalPolicy(in) }); got != 0 {
+			t.Errorf("%q: %v allocations", s, got)
+		}
+	}
+	for s, want := range map[string]string{
+		"(member)":                   "member",
+		" relative":                  "relative",
+		"relative ":                  "relative",
+		"(a and b)":                  "(a AND b)",
+		"(a AND  b)":                 "(a AND b)",
+		"(a AND(b OR c))":            "(a AND (b OR c))",
+		"2-of(a,b, c)":               "2-of(a, b, c)",
+		"2-of(a , b)":                "2-of(a, b)",
+		"02-of(a, b)":                "2-of(a, b)",
+		"((a AND b))":                "(a AND b)",
+		"2-of(a, (b), c)":            "2-of(a, b, c)",
+		"(a\tAND b)":                 "(a AND b)",
+		"18446744073709551617-of(a)": "1-of(a)",
+	} {
+		out, err := CanonicalPolicy([]byte(s))
+		if err != nil || string(out) != want || cap(out) != len(out) {
+			t.Errorf("%q: CanonicalPolicy = %q (cap %d), %v; want %q", s, out, cap(out), err, want)
+		}
+	}
+	for _, s := range []string{"", "(", "(a AND b OR c)", "0-of(a)", "3-of(a, b)", "a b", nestedParens(maxDepth+1, "a")} {
+		if out, err := CanonicalPolicy([]byte(s)); err == nil {
+			t.Errorf("%q: CanonicalPolicy = %q, want an error", s, out)
+		}
 	}
 }

@@ -29,7 +29,7 @@ func TestRecoverKeyOpenBodyCompose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IssueKey: %v", err)
 	}
-	payloadKey, err := key.RecoverKey(ct)
+	payloadKey, err := key.RecoverKey(ct, nil)
 	if err != nil {
 		t.Fatalf("RecoverKey: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestRecoverKeyUnsatisfiedAndRevoked(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IssueKey: %v", err)
 	}
-	if _, err := partial.RecoverKey(ct); !errors.Is(err, ErrNotSatisfied) {
+	if _, err := partial.RecoverKey(ct, nil); !errors.Is(err, ErrNotSatisfied) {
 		t.Fatalf("RecoverKey with partial attributes = %v; want ErrNotSatisfied", err)
 	}
 	// A pre-revocation key cannot recover the payload key of a ciphertext
@@ -78,7 +78,7 @@ func TestRecoverKeyUnsatisfiedAndRevoked(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}
-	if _, err := full.RecoverKey(fresh); !errors.Is(err, ErrNotSatisfied) {
+	if _, err := full.RecoverKey(fresh, nil); !errors.Is(err, ErrNotSatisfied) {
 		t.Fatalf("RecoverKey with stale key = %v; want ErrNotSatisfied", err)
 	}
 }

@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"bytes"
 	"fmt"
 
 	"godosn/internal/crypto/abe"
@@ -36,6 +37,8 @@ type ABEGroup struct {
 	sender    *pubkey.Sender
 	snapshot  *abe.PublicParams
 	policy    *abe.Policy
+	// policyText is policy in canonical syntax, as ciphertexts carry it.
+	policyText []byte
 	// attrs records each member's attribute set; keys are the issued
 	// decryption keys (held here in-process; conceptually each member's).
 	attrs map[string][]string
@@ -79,12 +82,13 @@ func NewABEGroup(name string, authority *abe.Authority, policyExpr string) (*ABE
 		}
 	}
 	return &ABEGroup{
-		core:      newCore(SchemeABE, name),
-		authority: authority,
-		sender:    pubkey.NewSender(),
-		policy:    policy,
-		attrs:     make(map[string][]string),
-		keys:      make(map[string]*abe.UserKey),
+		core:       newCore(SchemeABE, name),
+		authority:  authority,
+		sender:     pubkey.NewSender(),
+		policy:     policy,
+		policyText: []byte(policy.String()),
+		attrs:      make(map[string][]string),
+		keys:       make(map[string]*abe.UserKey),
 	}, nil
 }
 
@@ -216,8 +220,15 @@ func (g *ABEGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("privacy: malformed ABE payload")
 	}
-	sym, _, err := g.keyCache.Do(epochContentKey(user.Name, ct.Epoch, ct.Body), func() ([]byte, error) {
-		k, err := key.RecoverKey(ct)
+	var buf [keyBufSize]byte
+	sym, _, err := g.keyCache.DoBytes(epochContentKey(buf[:0], user.Name, ct.Epoch, ct.Body), func() ([]byte, error) {
+		// A ciphertext carries its policy as text; when that is the group's
+		// own, recover under the group's parsed tree.
+		var policy *abe.Policy
+		if bytes.Equal(ct.PolicyText, g.policyText) {
+			policy = g.policy
+		}
+		k, err := key.RecoverKey(ct, policy)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,7 +21,8 @@ import (
 //
 // Both directions cost a constant number of allocations per envelope, not
 // one per field: Marshal sizes its output first and writes into one buffer,
-// Unmarshal hands out views of its input and copies only the strings.
+// Unmarshal hands out views of its input, copies only the strings and puts
+// an ABE or IBBE payload in one allocation with its list.
 //
 // Version 2 writes the sender's ephemeral key once per ABE and IBBE
 // payload, ahead of wraps that are each nonce, sealed key and tag; version 1
@@ -51,12 +53,7 @@ var ErrCodec = errors.New("privacy: envelope codec error")
 // Marshal serializes an envelope for replication. The result contains only
 // ciphertext and public routing metadata.
 func Marshal(env Envelope) ([]byte, error) {
-	// An ABE policy renders to its surface syntax; do it once for both passes.
-	var policy string
-	if ct, ok := env.Payload.(*abe.Ciphertext); ok {
-		policy = ct.Policy.String()
-	}
-	size, err := payloadSize(env.Payload, policy)
+	size, err := payloadSize(env.Payload)
 	if err != nil {
 		return nil, err
 	}
@@ -82,19 +79,12 @@ func Marshal(env Envelope) ([]byte, error) {
 	case *abe.Ciphertext:
 		buf = append(buf, tagABE)
 		buf = binary.BigEndian.AppendUint64(buf, p.Epoch)
-		buf = appendField(buf, policy)
+		buf = appendField(buf, p.PolicyText)
 		buf = appendField(buf, p.Ephemeral)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Shares)))
-		// Policies have a handful of leaves; their indices sort on the stack.
-		var few [16]uint32
-		idxs := few[:0]
-		for idx := range p.Shares {
-			idxs = append(idxs, idx)
-		}
-		slices.Sort(idxs)
-		for _, idx := range idxs {
-			buf = binary.BigEndian.AppendUint32(buf, idx)
-			buf = appendField(buf, p.Shares[idx])
+		for _, s := range p.Shares {
+			buf = binary.BigEndian.AppendUint32(buf, s.Index)
+			buf = appendField(buf, s.Wrap)
 		}
 		buf = appendField(buf, p.Body)
 	case *ibe.Broadcast:
@@ -114,7 +104,7 @@ func Marshal(env Envelope) ([]byte, error) {
 
 // payloadSize returns the exact encoded size of a payload after its tag, and
 // rejects what Marshal cannot encode.
-func payloadSize(payload any, policy string) (int, error) {
+func payloadSize(payload any) (int, error) {
 	switch p := payload.(type) {
 	case []byte:
 		return 4 + len(p), nil
@@ -123,9 +113,9 @@ func payloadSize(payload any, policy string) (int, error) {
 	case pkPayload:
 		return wrapsSize(p.wraps) + 4 + len(p.body), nil
 	case *abe.Ciphertext:
-		n := 8 + 4 + len(policy) + 4 + len(p.Ephemeral) + 4 + 4 + len(p.Body)
+		n := 8 + 4 + len(p.PolicyText) + 4 + len(p.Ephemeral) + 4 + 4 + len(p.Body)
 		for _, s := range p.Shares {
-			n += 8 + len(s)
+			n += 8 + len(s.Wrap)
 		}
 		return n, nil
 	case *ibe.Broadcast:
@@ -183,7 +173,9 @@ const minWrap = 4 + 4 // a name or share index, plus a length-prefixed wrap
 
 // Unmarshal reverses Marshal. It never writes to data and keeps no copy of
 // it: every byte field of the result is a view of data, which must stay
-// unmodified while the envelope is in use (see Envelope).
+// unmodified while the envelope is in use (see Envelope). The one exception
+// is an ABE policy the sender did not write in canonical syntax, which
+// decodes to its rendering, as Marshal would have written it.
 func Unmarshal(data []byte) (Envelope, error) {
 	r := reader{buf: data}
 	r.names.Grow(nameBytes(r.buf))
@@ -206,25 +198,29 @@ func Unmarshal(data []byte) (Envelope, error) {
 	case tagPK:
 		env.Payload = pkPayload{wraps: r.wraps(), body: r.bytes()}
 	case tagABE:
-		ct := &abe.Ciphertext{Epoch: r.uint64()}
-		policy, err := abe.ParsePolicy(r.str())
-		if err != nil {
-			return Envelope{}, fmt.Errorf("%w: policy: %v", ErrCodec, err)
+		epoch := r.uint64()
+		policy := r.bytes()
+		if r.err == nil {
+			var err error
+			if policy, err = abe.CanonicalPolicy(policy); err != nil {
+				return Envelope{}, fmt.Errorf("%w: policy: %v", ErrCodec, err)
+			}
 		}
-		ct.Policy = policy
-		ct.Ephemeral = r.ephemeral()
+		eph := r.ephemeral()
 		n := r.count(minWrap)
-		ct.Shares = make(map[uint32][]byte, n)
+		ct := newCiphertext(n)
+		ct.Epoch, ct.PolicyText, ct.Ephemeral = epoch, policy, eph
 		for i := 0; i < n && r.err == nil; i++ {
-			idx := r.uint32()
-			ct.Shares[idx] = r.wrap()
+			ct.Shares = append(ct.Shares, abe.WrappedShare{Index: r.uint32(), Wrap: r.wrap()})
 		}
+		ct.Shares = indexOrder(ct.Shares)
 		ct.Body = r.bytes()
 		env.Payload = ct
 	case tagIBBE:
 		eph := r.ephemeral()
 		n := r.count(minWrap)
-		b := &ibe.Broadcast{Recipients: make([]string, 0, n), Ephemeral: eph, WrappedKeys: make([][]byte, 0, n)}
+		b := newBroadcast(n)
+		b.Ephemeral = eph
 		for i := 0; i < n && r.err == nil; i++ {
 			b.Recipients = append(b.Recipients, r.str())
 			b.WrappedKeys = append(b.WrappedKeys, r.wrap())
@@ -371,11 +367,7 @@ func nameBytes(buf []byte) int {
 	total := len(r.bytes())
 	r.take(8)
 	tag := r.takeByte()
-	switch tag {
-	case tagABE:
-		r.take(8)
-		total += len(r.bytes()) // policy
-	case tagIBBE:
+	if tag == tagIBBE {
 		r.bytes() // ephemeral
 	}
 	if tag == tagPK || tag == tagIBBE {
@@ -385,4 +377,57 @@ func nameBytes(buf []byte) int {
 		}
 	}
 	return total
+}
+
+// newCiphertext returns an empty ABE ciphertext whose Shares has room for n
+// shares, in one allocation when n is 1: a single-attribute policy, the one
+// the feed workloads read.
+func newCiphertext(n int) *abe.Ciphertext {
+	if n > 1 {
+		return &abe.Ciphertext{Shares: make([]abe.WrappedShare, 0, n)}
+	}
+	blk := new(struct {
+		ct     abe.Ciphertext
+		shares [1]abe.WrappedShare
+	})
+	blk.ct.Shares = blk.shares[:0:n]
+	return &blk.ct
+}
+
+// indexOrder puts shares decoded in wire order into index order. Marshal
+// writes them that way, so only hand-made bytes need the sort; of two shares
+// with one index the later is kept.
+func indexOrder(shares []abe.WrappedShare) []abe.WrappedShare {
+	sorted := true
+	for i := 1; i < len(shares) && sorted; i++ {
+		sorted = shares[i-1].Index < shares[i].Index
+	}
+	if sorted {
+		return shares
+	}
+	slices.SortStableFunc(shares, func(a, b abe.WrappedShare) int { return cmp.Compare(a.Index, b.Index) })
+	out := shares[:0]
+	for i, s := range shares {
+		if i+1 < len(shares) && shares[i+1].Index == s.Index {
+			continue
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// newBroadcast returns an empty broadcast whose Recipients and WrappedKeys
+// have room for n entries, in one allocation up to 8 recipients: the group
+// size the feed workloads read.
+func newBroadcast(n int) *ibe.Broadcast {
+	if n > 8 {
+		return &ibe.Broadcast{Recipients: make([]string, 0, n), WrappedKeys: make([][]byte, 0, n)}
+	}
+	blk := new(struct {
+		b          ibe.Broadcast
+		recipients [8]string
+		wraps      [8][]byte
+	})
+	blk.b.Recipients, blk.b.WrappedKeys = blk.recipients[:0:n], blk.wraps[:0:n]
+	return &blk.b
 }

@@ -234,11 +234,15 @@ func TestABERevokedReaderWithWarmContext(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
 // TestContextEncryptAllocations pins what a post costs once the sender
 // context is warm: an IBBE post writes its 8 wraps into one buffer and shares
 // the group's sorted recipient list, the payload key derivation allocates
-// only the key, and the ABE group no longer rebuilds the authority's
-// attribute map.
+// only the key, the ABE group no longer rebuilds the authority's attribute
+// map, and an ABE ciphertext's shares are one slice. Under the race detector
+// the ABE post may allocate its pooled payload-key derivation state again.
 func TestContextEncryptAllocations(t *testing.T) {
 	names := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
 	for _, tc := range []struct {
@@ -246,7 +250,7 @@ func TestContextEncryptAllocations(t *testing.T) {
 		ceiling float64
 	}{
 		{buildIBBE(t), 7}, // session key, wrap buffer and its views, body, broadcast and envelope bookkeeping
-		{buildABE(t), 17},
+		{buildABE(t), 14},
 	} {
 		for _, m := range names {
 			if err := tc.g.Add(m); err != nil {
@@ -259,8 +263,12 @@ func TestContextEncryptAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got > tc.ceiling {
-			t.Fatalf("%s Encrypt at %d members: %v allocs/op, ceiling %v", tc.g.Scheme(), len(names), got, tc.ceiling)
+		ceiling := tc.ceiling
+		if raceEnabled && tc.g.Scheme() == SchemeABE {
+			ceiling++
+		}
+		if got > ceiling {
+			t.Fatalf("%s Encrypt at %d members: %v allocs/op, ceiling %v", tc.g.Scheme(), len(names), got, ceiling)
 		}
 		t.Logf("%s Encrypt at %d members: %v allocs/op", tc.g.Scheme(), len(names), got)
 	}
@@ -282,7 +290,7 @@ func TestABEColdOpenAllocations(t *testing.T) {
 	}
 	ct, key := env.Payload.(*abe.Ciphertext), g.keys[hotMembers[3]]
 	open := func() {
-		sym, err := key.RecoverKey(ct)
+		sym, err := key.RecoverKey(ct, g.policy)
 		if err != nil {
 			t.Fatal(err)
 		}

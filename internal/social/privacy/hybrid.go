@@ -162,7 +162,8 @@ func (g *HybridGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	key, _, err := g.keyCache.Do(epochKey(user.Name, g.epoch), func() ([]byte, error) {
+	var buf [keyBufSize]byte
+	key, _, err := g.keyCache.DoBytes(epochKey(buf[:0], user.Name, g.epoch), func() ([]byte, error) {
 		k, err := user.Decrypt(wrap)
 		if err != nil {
 			return nil, fmt.Errorf("privacy: unwrapping data key: %w", err)

@@ -108,7 +108,8 @@ func (g *IBBEGroup) Decrypt(user *identity.User, env Envelope) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("privacy: malformed IBBE payload")
 	}
-	session, _, err := g.keyCache.Do(contentKey(user.Name, b.Body), func() ([]byte, error) {
+	var buf [keyBufSize]byte
+	session, _, err := g.keyCache.DoBytes(contentKey(buf[:0], user.Name, b.Body), func() ([]byte, error) {
 		return key.UnwrapSession(b)
 	})
 	if err != nil {

@@ -36,9 +36,10 @@ func (c *envelopeKeyCache) KeyCacheStats() cache.Stats {
 	return c.keyCache.Stats()
 }
 
-// The cache key of a reader's unwrapped key. Each is built in a stack buffer
-// and converted to a string once; the strings themselves decide the cache's
-// shard placement and eviction order, so their format is fixed:
+// The cache key of a reader's unwrapped key. Each builder appends it to a
+// stack buffer (keyBufSize), which the cache looks up without building a
+// string; only a fill copies it into one. The key's spelling decides the
+// cache's shard placement and eviction order, so its format is fixed:
 //
 //	epochKey         "<reader>/<epoch>"        hybrid: one data key per epoch
 //	contentKey       "<reader>/<tag>"          IBBE: one session key per broadcast
@@ -51,20 +52,17 @@ func (c *envelopeKeyCache) KeyCacheStats() cache.Stats {
 // longer name spills to the heap through append.
 const keyBufSize = 96
 
-func epochKey(reader string, epoch uint64) string {
-	var buf [keyBufSize]byte
-	return string(strconv.AppendUint(appendReader(buf[:0], reader), epoch, 10))
+func epochKey(buf []byte, reader string, epoch uint64) []byte {
+	return strconv.AppendUint(appendReader(buf, reader), epoch, 10)
 }
 
-func contentKey(reader string, body []byte) string {
-	var buf [keyBufSize]byte
-	return string(appendContentTag(appendReader(buf[:0], reader), body))
+func contentKey(buf []byte, reader string, body []byte) []byte {
+	return appendContentTag(appendReader(buf, reader), body)
 }
 
-func epochContentKey(reader string, epoch uint64, body []byte) string {
-	var buf [keyBufSize]byte
-	b := strconv.AppendUint(appendReader(buf[:0], reader), epoch, 10)
-	return string(appendContentTag(append(b, '/'), body))
+func epochContentKey(buf []byte, reader string, epoch uint64, body []byte) []byte {
+	b := strconv.AppendUint(appendReader(buf, reader), epoch, 10)
+	return appendContentTag(append(b, '/'), body)
 }
 
 func appendReader(b []byte, reader string) []byte {

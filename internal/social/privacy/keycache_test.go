@@ -283,17 +283,17 @@ func TestKeyCacheKeyFormat(t *testing.T) {
 	bodies := [][]byte{nil, []byte("body"), bytes.Repeat([]byte{0xEE}, 300)}
 	for _, r := range readers {
 		for _, e := range epochs {
-			if got, want := epochKey(r, e), fmt.Sprintf("%s/%d", r, e); got != want {
+			if got, want := string(epochKey(nil, r, e)), fmt.Sprintf("%s/%d", r, e); got != want {
 				t.Errorf("epochKey = %q, want %q", got, want)
 			}
 			for _, b := range bodies {
-				if got, want := epochContentKey(r, e, b), fmt.Sprintf("%s/%d/%s", r, e, legacyTag(b)); got != want {
+				if got, want := string(epochContentKey(nil, r, e, b)), fmt.Sprintf("%s/%d/%s", r, e, legacyTag(b)); got != want {
 					t.Errorf("epochContentKey = %q, want %q", got, want)
 				}
 			}
 		}
 		for _, b := range bodies {
-			if got, want := contentKey(r, b), r+"/"+legacyTag(b); got != want {
+			if got, want := string(contentKey(nil, r, b)), r+"/"+legacyTag(b); got != want {
 				t.Errorf("contentKey = %q, want %q", got, want)
 			}
 		}
