@@ -13,12 +13,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/quick_tables.golden from this run")
 
-// goldenIDs are the experiments that run on the composed simnet → DHT →
-// resilience → scrub stack (E7 and E16 on its bottom two layers, with
+// goldenIDs are E3 and the experiments that run on the composed simnet →
+// DHT → resilience → scrub stack (E7 and E16 on its bottom two layers, with
 // sealed records). Their quick-mode tables and metrics derive only from
-// seeds and simulated costs, so any change in how the stack is wired shows
-// up as a byte difference here.
-var goldenIDs = []string{"e7", "e16", "e17", "e19", "e20", "e21", "e22", "e23", "e24", "e25", "e26"}
+// seeds, simulated costs and (E3) envelope sizes, so any change in how the
+// stack is wired or a Table-I group is built shows up as a byte difference
+// here.
+var goldenIDs = []string{"e3", "e7", "e16", "e17", "e19", "e20", "e21", "e22", "e23", "e24", "e25", "e26"}
 
 // e23Unstable names E23's measured-memory columns and metrics: live heap is
 // the garbage collector's business and differs run to run.
