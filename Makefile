@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race fuzz-smoke bench-harness bench-gate loc bench bench-quick bench-hot experiments experiments-quick smoke lint-print lint-wallclock lint-exports examples clean
+.PHONY: all ci build vet test race fuzz-smoke bench-harness bench-gate loc reach bench bench-quick bench-hot experiments experiments-quick smoke lint-print lint-wallclock lint-exports examples clean
 
 all: build vet test
 
@@ -148,7 +148,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 44
+BENCH_PR := 45
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -167,6 +167,41 @@ loc:
 		END { printf "%-40s %9s %9s\n", "package", "non-test", "test"; \
 		      for (i = 1; i <= n; i++) printf "%-40s %9d %9d\n", order[i], c[order[i]], t[order[i]]; \
 		      printf "%-40s %9d %9d\n", "total", ct, tt }'
+
+# Which statements the shipped entry points reach (a report, not a gate and
+# not in ci): dosnbench, dosnd and every example are built with coverage into
+# .smoke/reach/, the benchmark module too, and then run with GOCOVERDIR set:
+# dosnbench -quick, the scenario library replayed and re-recorded, dosnd on
+# every overlay bare and resilient under 10% loss, every example and the
+# benchmark's -smoke. Prints per-package statement coverage of internal/ and
+# the statements no entry point reached, and leaves the merged profile in
+# .smoke/reach/coverage.txt (`go tool cover -func` reads it). The -coverpkg
+# pattern must name the main package as well, or no counter files are
+# written.
+REACH := $(CURDIR)/$(SMOKE_OUT)/reach
+reach:
+	rm -rf $(REACH) && mkdir -p $(REACH)/cov
+	$(GO) build -cover -coverpkg=./... -o $(REACH)/dosnbench ./cmd/dosnbench
+	$(GO) build -cover -coverpkg=./... -o $(REACH)/dosnd ./cmd/dosnd
+	@for d in examples/*/; do \
+		$(GO) build -cover -coverpkg=./... -o $(REACH)/example-$$(basename $$d) ./$$d || exit 1; \
+	done
+	cd benchmark && GOWORK=off $(GO) build -cover -coverpkg=godosn/...,godosn/benchmark -o $(REACH)/benchmark .
+	@export GOCOVERDIR=$(REACH)/cov; set -e; \
+	run() { echo "reach: $$*"; "$$@" >$(REACH)/last.log 2>&1 || { cat $(REACH)/last.log; exit 1; }; }; \
+	run $(REACH)/dosnbench -quick; \
+	run $(REACH)/dosnbench -scenario 'scenarios/*.scenario'; \
+	run $(REACH)/dosnbench -scenario-record-library $(REACH)/library; \
+	for o in dht gossip superpeer hybrid federation; do \
+		run $(REACH)/dosnd -overlay $$o; \
+		run $(REACH)/dosnd -overlay $$o -resilient -loss 0.1; \
+	done; \
+	for e in $(REACH)/example-*; do run $$e; done; \
+	run $(REACH)/benchmark -smoke -out $(REACH)/benchmark-out
+	$(GO) tool covdata percent -i=$(REACH)/cov -pkg=godosn/internal/...
+	$(GO) tool covdata textfmt -i=$(REACH)/cov -pkg=godosn/internal/... -o $(REACH)/coverage.txt
+	@awk 'NR > 1 { p = $$1; sub(/\/[^\/]*:.*/, "", p); n[p] += $$2; if ($$3 == 0) z[p] += $$2 } \
+		END { for (p in n) printf "%-40s %6d statements %6d unreached\n", p, n[p], z[p] }' $(REACH)/coverage.txt | sort
 
 # Raw testing.B numbers for every experiment family.
 bench:

@@ -24,9 +24,7 @@ import (
 	"strings"
 	"testing"
 
-	"godosn/internal/crypto/abe"
 	"godosn/internal/crypto/historytree"
-	"godosn/internal/crypto/ibe"
 	"godosn/internal/crypto/pubkey"
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/dht"
@@ -66,36 +64,7 @@ func benchRegistry(b *testing.B, n int) (*identity.Registry, []*identity.User) {
 
 func benchGroup(b *testing.B, scheme privacy.Scheme, reg *identity.Registry, users []*identity.User, k int) privacy.Group {
 	b.Helper()
-	var (
-		g   privacy.Group
-		err error
-	)
-	switch scheme {
-	case privacy.SchemeSubstitution:
-		g, err = privacy.NewSubstitutionGroup("bench", privacy.NewDictionary(), [][]byte{[]byte("fake")})
-	case privacy.SchemeSymmetric:
-		g, err = privacy.NewSymmetricGroup("bench")
-	case privacy.SchemePublicKey:
-		g = privacy.NewPublicKeyGroup("bench", reg)
-	case privacy.SchemeABE:
-		var auth *abe.Authority
-		auth, err = abe.NewAuthority()
-		if err == nil {
-			g, err = privacy.NewABEGroup("bench", auth, "(member)")
-		}
-	case privacy.SchemeIBBE:
-		var pkg *ibe.PKG
-		pkg, err = ibe.NewPKG()
-		if err == nil {
-			g = privacy.NewIBBEGroup("bench", pkg)
-		}
-	case privacy.SchemeHybrid:
-		var owner *pubkey.SigningKeyPair
-		owner, err = pubkey.NewSigningKeyPair()
-		if err == nil {
-			g, err = privacy.NewHybridGroup("bench", reg, owner)
-		}
-	}
+	g, err := privacy.NewGroup(scheme, "bench", reg, users[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,17 +76,12 @@ func benchGroup(b *testing.B, scheme privacy.Scheme, reg *identity.Registry, use
 	return g
 }
 
-var benchSchemes = []privacy.Scheme{
-	privacy.SchemeSubstitution, privacy.SchemeSymmetric, privacy.SchemePublicKey,
-	privacy.SchemeABE, privacy.SchemeIBBE, privacy.SchemeHybrid,
-}
-
 // --- E1: privacy encrypt/decrypt -------------------------------------------
 
 func BenchmarkPrivacyEncrypt(b *testing.B) {
 	reg, users := benchRegistry(b, 32)
 	msg := make([]byte, 4096)
-	for _, scheme := range benchSchemes {
+	for _, scheme := range privacy.Schemes() {
 		for _, k := range []int{8, 32} {
 			b.Run(fmt.Sprintf("%s/group=%d", scheme, k), func(b *testing.B) {
 				g := benchGroup(b, scheme, reg, users, k)
@@ -135,7 +99,7 @@ func BenchmarkPrivacyEncrypt(b *testing.B) {
 func BenchmarkPrivacyDecrypt(b *testing.B) {
 	reg, users := benchRegistry(b, 32)
 	msg := make([]byte, 4096)
-	for _, scheme := range benchSchemes {
+	for _, scheme := range privacy.Schemes() {
 		b.Run(string(scheme), func(b *testing.B) {
 			g := benchGroup(b, scheme, reg, users, 8)
 			env, err := g.Encrypt(msg)
@@ -157,7 +121,7 @@ func BenchmarkPrivacyDecrypt(b *testing.B) {
 
 func BenchmarkMembershipJoin(b *testing.B) {
 	reg, users := benchRegistry(b, 600)
-	for _, scheme := range benchSchemes {
+	for _, scheme := range privacy.Schemes() {
 		b.Run(string(scheme), func(b *testing.B) {
 			g := benchGroup(b, scheme, reg, users, 8)
 			joined := 0
@@ -182,7 +146,7 @@ func BenchmarkMembershipJoin(b *testing.B) {
 func BenchmarkMembershipRevoke(b *testing.B) {
 	reg, users := benchRegistry(b, 64)
 	const priorPosts = 20
-	for _, scheme := range benchSchemes {
+	for _, scheme := range privacy.Schemes() {
 		b.Run(fmt.Sprintf("%s/archive=%d", scheme, priorPosts), func(b *testing.B) {
 			g := benchGroup(b, scheme, reg, users, 16)
 			for p := 0; p < priorPosts; p++ {

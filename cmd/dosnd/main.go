@@ -140,16 +140,22 @@ func run() int {
 
 	alice, bob, carol := net.MustNode(users[0]), net.MustNode(users[1]), net.MustNode(users[2])
 
-	// Group formation under two schemes.
-	friends, err := alice.CreateGroup("friends", privacy.SchemeHybrid, "")
+	// Group formation: one hybrid group holding bob and carol.
+	friends, err := alice.CreateGroup("friends", privacy.SchemeHybrid)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dosnd: %v\n", err)
 		return 1
 	}
-	friends.Add(bob.Name())
-	friends.Add(carol.Name())
-	alice.ShareGroup("friends", bob)
-	alice.ShareGroup("friends", carol)
+	for _, member := range []*core.Node{bob, carol} {
+		if err := friends.Add(member.Name()); err != nil {
+			fmt.Fprintf(os.Stderr, "dosnd: group: %v\n", err)
+			return 1
+		}
+		if err := alice.ShareGroup("friends", member); err != nil {
+			fmt.Fprintf(os.Stderr, "dosnd: group: %v\n", err)
+			return 1
+		}
+	}
 	fmt.Printf("%s created group %q (%s) with members %v\n",
 		alice.Name(), friends.Name(), friends.Scheme(), friends.Members())
 	phase("groups")

@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"godosn/internal/crypto/abe"
-	"godosn/internal/crypto/ibe"
-	"godosn/internal/crypto/pubkey"
 	"godosn/internal/social/identity"
 	"godosn/internal/social/integrity"
 	"godosn/internal/social/privacy"
@@ -40,11 +38,8 @@ func main() {
 	fmt.Println("Bob invites 8 friends to a party, under each Table-I scheme:")
 	fmt.Printf("%-14s %-12s %-12s %-10s %-22s\n", "scheme", "encrypt", "decrypt", "ct bytes", "revoking one member")
 
-	for _, scheme := range []privacy.Scheme{
-		privacy.SchemeSubstitution, privacy.SchemeSymmetric, privacy.SchemePublicKey,
-		privacy.SchemeABE, privacy.SchemeIBBE, privacy.SchemeHybrid,
-	} {
-		group, err := build(scheme, registry)
+	for _, scheme := range privacy.Schemes() {
+		group, err := privacy.NewGroup(scheme, "g", registry, memberNamed(members, "bob"))
 		if err != nil {
 			log.Fatalf("%s: %v", scheme, err)
 		}
@@ -95,7 +90,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sub.Add("alice")
+	if err := sub.Add("alice"); err != nil {
+		log.Fatal(err)
+	}
 	env, err := sub.Encrypt([]byte(invitation))
 	if err != nil {
 		log.Fatal(err)
@@ -176,37 +173,6 @@ func checkIntegrity(registry *identity.Registry, bob *identity.User) {
 		}
 		fmt.Printf("  %-28s %s\n", c.label, verdict)
 	}
-}
-
-func build(scheme privacy.Scheme, registry *identity.Registry) (privacy.Group, error) {
-	switch scheme {
-	case privacy.SchemeSubstitution:
-		return privacy.NewSubstitutionGroup("g", privacy.NewDictionary(),
-			[][]byte{[]byte("Gym session on Tuesday")})
-	case privacy.SchemeSymmetric:
-		return privacy.NewSymmetricGroup("g")
-	case privacy.SchemePublicKey:
-		return privacy.NewPublicKeyGroup("g", registry), nil
-	case privacy.SchemeABE:
-		auth, err := abe.NewAuthority()
-		if err != nil {
-			return nil, err
-		}
-		return privacy.NewABEGroup("g", auth, "(partygoer)")
-	case privacy.SchemeIBBE:
-		pkg, err := ibe.NewPKG()
-		if err != nil {
-			return nil, err
-		}
-		return privacy.NewIBBEGroup("g", pkg), nil
-	case privacy.SchemeHybrid:
-		owner, err := pubkey.NewSigningKeyPair()
-		if err != nil {
-			return nil, err
-		}
-		return privacy.NewHybridGroup("g", registry, owner)
-	}
-	return nil, fmt.Errorf("unknown scheme %q", scheme)
 }
 
 func memberNamed(members []*identity.User, name string) *identity.User {

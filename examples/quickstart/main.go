@@ -42,7 +42,7 @@ func main() {
 
 	// 2. Alice creates a group. Hybrid encryption = fast symmetric data
 	// path + public-key key distribution (the paper's Section III-F).
-	group, err := alice.CreateGroup("close-friends", privacy.SchemeHybrid, "")
+	group, err := alice.CreateGroup("close-friends", privacy.SchemeHybrid)
 	if err != nil {
 		log.Fatalf("creating group: %v", err)
 	}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"godosn/internal/crypto/abe"
-	"godosn/internal/crypto/ibe"
-	"godosn/internal/crypto/pubkey"
 	"godosn/internal/social/identity"
 	"godosn/internal/social/privacy"
 )
@@ -33,41 +30,10 @@ func newPrivacyFixture(n int) (*privacyFixture, error) {
 	return f, nil
 }
 
-// buildGroup constructs a group of the given scheme with k members.
-func (f *privacyFixture) buildGroup(scheme privacy.Scheme, name string, k int) (privacy.Group, error) {
-	var (
-		g   privacy.Group
-		err error
-	)
-	switch scheme {
-	case privacy.SchemeSubstitution:
-		g, err = privacy.NewSubstitutionGroup(name, privacy.NewDictionary(),
-			[][]byte{[]byte("John Doe"), []byte("Springfield")})
-	case privacy.SchemeSymmetric:
-		g, err = privacy.NewSymmetricGroup(name)
-	case privacy.SchemePublicKey:
-		g = privacy.NewPublicKeyGroup(name, f.registry)
-	case privacy.SchemeABE:
-		var auth *abe.Authority
-		auth, err = abe.NewAuthority()
-		if err == nil {
-			g, err = privacy.NewABEGroup(name, auth, "(member)")
-		}
-	case privacy.SchemeIBBE:
-		var pkg *ibe.PKG
-		pkg, err = ibe.NewPKG()
-		if err == nil {
-			g = privacy.NewIBBEGroup(name, pkg)
-		}
-	case privacy.SchemeHybrid:
-		var owner *pubkey.SigningKeyPair
-		owner, err = pubkey.NewSigningKeyPair()
-		if err == nil {
-			g, err = privacy.NewHybridGroup(name, f.registry, owner)
-		}
-	default:
-		err = fmt.Errorf("bench: unknown scheme %q", scheme)
-	}
+// group builds a scheme's group through privacy.NewGroup, owned by the
+// first user, with the first k users as members.
+func (f *privacyFixture) group(scheme privacy.Scheme, name string, k int) (privacy.Group, error) {
+	g, err := privacy.NewGroup(scheme, name, f.registry, f.users[0])
 	if err != nil {
 		return nil, err
 	}
@@ -77,18 +43,6 @@ func (f *privacyFixture) buildGroup(scheme privacy.Scheme, name string, k int) (
 		}
 	}
 	return g, nil
-}
-
-// allPrivacySchemes is the Table-I order.
-func allPrivacySchemes() []privacy.Scheme {
-	return []privacy.Scheme{
-		privacy.SchemeSubstitution,
-		privacy.SchemeSymmetric,
-		privacy.SchemePublicKey,
-		privacy.SchemeABE,
-		privacy.SchemeIBBE,
-		privacy.SchemeHybrid,
-	}
 }
 
 // E1PrivacyCost measures per-message encrypt and decrypt wall time for every
@@ -112,10 +66,10 @@ func E1PrivacyCost(quick bool) (*Table, error) {
 		Title:  "data privacy (Table I): per-message cost by scheme",
 		Header: []string{"scheme", "group", "msg bytes", "encrypt/op", "decrypt/op"},
 	}
-	for _, scheme := range allPrivacySchemes() {
+	for _, scheme := range privacy.Schemes() {
 		for _, k := range groupSizes {
 			for _, sz := range msgSizes {
-				g, err := f.buildGroup(scheme, fmt.Sprintf("e1-%s-%d-%d", scheme, k, sz), k)
+				g, err := f.group(scheme, fmt.Sprintf("e1-%s-%d-%d", scheme, k, sz), k)
 				if err != nil {
 					return nil, err
 				}
@@ -167,8 +121,8 @@ func E2MembershipCost(quick bool) (*Table, error) {
 		Title:  "membership changes: join and revocation cost by scheme",
 		Header: []string{"scheme", "join", "revoke", "reencrypted", "rekeyed", "free?"},
 	}
-	for _, scheme := range allPrivacySchemes() {
-		g, err := f.buildGroup(scheme, "e2-"+string(scheme), groupSize)
+	for _, scheme := range privacy.Schemes() {
+		g, err := f.group(scheme, "e2-"+string(scheme), groupSize)
 		if err != nil {
 			return nil, err
 		}
@@ -215,12 +169,12 @@ func E3CiphertextSize(quick bool) (*Table, error) {
 		Title:  "ciphertext size (bytes) for a 1 KiB message vs group size",
 		Header: append([]string{"scheme"}, sizesHeader(groupSizes)...),
 	}
-	for _, scheme := range allPrivacySchemes() {
+	for _, scheme := range privacy.Schemes() {
 		row := []string{string(scheme)}
 		for _, k := range groupSizes {
 			// A fixed-width name keeps the envelope's framing the same at
 			// every group size, so a flat scheme measures flat.
-			g, err := f.buildGroup(scheme, fmt.Sprintf("e3-%s-%04d", scheme, k), k)
+			g, err := f.group(scheme, fmt.Sprintf("e3-%s-%04d", scheme, k), k)
 			if err != nil {
 				return nil, err
 			}

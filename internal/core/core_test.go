@@ -52,7 +52,7 @@ func TestPublishAndReadAcrossOverlays(t *testing.T) {
 			alice := n.MustNode("alice")
 			bob := n.MustNode("bob")
 
-			g, err := alice.CreateGroup("friends", privacy.SchemeHybrid, "")
+			g, err := alice.CreateGroup("friends", privacy.SchemeHybrid)
 			if err != nil {
 				t.Fatalf("CreateGroup: %v", err)
 			}
@@ -80,7 +80,7 @@ func TestOutsiderCannotReadPost(t *testing.T) {
 	n := smallNetwork(t, OverlayDHT)
 	alice := n.MustNode("alice")
 	eve := n.MustNode("eve")
-	g, _ := alice.CreateGroup("close", privacy.SchemeSymmetric, "")
+	g, _ := alice.CreateGroup("close", privacy.SchemeSymmetric)
 	g.Add("bob")
 	alice.ShareGroup("close", eve) // eve can see the envelope...
 	alice.Publish("close", []byte("secret"))
@@ -95,10 +95,10 @@ func TestFeedAssembly(t *testing.T) {
 	bob := n.MustNode("bob")
 	carol := n.MustNode("carol")
 
-	g, _ := bob.CreateGroup("bobs", privacy.SchemePublicKey, "")
+	g, _ := bob.CreateGroup("bobs", privacy.SchemePublicKey)
 	g.Add("alice")
 	bob.ShareGroup("bobs", alice)
-	g2, _ := carol.CreateGroup("carols", privacy.SchemePublicKey, "")
+	g2, _ := carol.CreateGroup("carols", privacy.SchemePublicKey)
 	g2.Add("alice")
 	carol.ShareGroup("carols", alice)
 
@@ -119,7 +119,7 @@ func TestFeedExcludesInaccessible(t *testing.T) {
 	n := smallNetwork(t, OverlayDHT)
 	bob := n.MustNode("bob")
 	alice := n.MustNode("alice")
-	g, _ := bob.CreateGroup("private", privacy.SchemeSymmetric, "")
+	g, _ := bob.CreateGroup("private", privacy.SchemeSymmetric)
 	_ = g
 	bob.Publish("private", []byte("only bob"))
 	feed, _, err := alice.ReadFeed()
@@ -132,16 +132,12 @@ func TestFeedExcludesInaccessible(t *testing.T) {
 }
 
 func TestAllSchemesThroughNode(t *testing.T) {
-	schemes := []privacy.Scheme{
-		privacy.SchemeSubstitution, privacy.SchemeSymmetric, privacy.SchemePublicKey,
-		privacy.SchemeABE, privacy.SchemeIBBE, privacy.SchemeHybrid,
-	}
 	n := smallNetwork(t, OverlayDHT)
 	alice := n.MustNode("alice")
 	bob := n.MustNode("bob")
-	for i, scheme := range schemes {
+	for i, scheme := range privacy.Schemes() {
 		name := fmt.Sprintf("g-%s", scheme)
-		g, err := alice.CreateGroup(name, scheme, "")
+		g, err := alice.CreateGroup(name, scheme)
 		if err != nil {
 			t.Fatalf("CreateGroup(%s): %v", scheme, err)
 		}
@@ -168,7 +164,7 @@ func TestRevocationThroughNode(t *testing.T) {
 	alice := n.MustNode("alice")
 	bob := n.MustNode("bob")
 	carol := n.MustNode("carol")
-	g, _ := alice.CreateGroup("inner", privacy.SchemeSymmetric, "")
+	g, _ := alice.CreateGroup("inner", privacy.SchemeSymmetric)
 	g.Add("bob")
 	g.Add("carol")
 	alice.ShareGroup("inner", bob)
@@ -197,7 +193,7 @@ func TestWallSyncAndForkDetection(t *testing.T) {
 	alice := n.MustNode("alice")
 	bob := n.MustNode("bob")
 	carol := n.MustNode("carol")
-	g, _ := alice.CreateGroup("f", privacy.SchemeSymmetric, "")
+	g, _ := alice.CreateGroup("f", privacy.SchemeSymmetric)
 	g.Add("bob")
 	g.Add("carol")
 	alice.Publish("f", []byte("p0"))
@@ -269,13 +265,13 @@ func TestUnknownUserAndGroupErrors(t *testing.T) {
 	if _, _, err := alice.Publish("nope", []byte("x")); !errors.Is(err, ErrUnknownGroup) {
 		t.Fatalf("got %v", err)
 	}
-	if _, err := alice.CreateGroup("g", privacy.SchemeSymmetric, ""); err != nil {
+	if _, err := alice.CreateGroup("g", privacy.SchemeSymmetric); err != nil {
 		t.Fatalf("CreateGroup: %v", err)
 	}
-	if _, err := alice.CreateGroup("g", privacy.SchemeSymmetric, ""); !errors.Is(err, ErrDuplicateName) {
+	if _, err := alice.CreateGroup("g", privacy.SchemeSymmetric); !errors.Is(err, ErrDuplicateName) {
 		t.Fatalf("duplicate group: %v", err)
 	}
-	if _, err := alice.CreateGroup("h", privacy.Scheme("bogus"), ""); err == nil {
+	if _, err := alice.CreateGroup("h", privacy.Scheme("bogus")); err == nil {
 		t.Fatal("bogus scheme accepted")
 	}
 }
@@ -284,7 +280,7 @@ func TestChurnBreaksThenReplicasServe(t *testing.T) {
 	n := smallNetwork(t, OverlayDHT)
 	alice := n.MustNode("alice")
 	bob := n.MustNode("bob")
-	g, _ := alice.CreateGroup("f", privacy.SchemeSymmetric, "")
+	g, _ := alice.CreateGroup("f", privacy.SchemeSymmetric)
 	g.Add("bob")
 	alice.ShareGroup("f", bob)
 	alice.Publish("f", []byte("available?"))

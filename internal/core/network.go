@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"sync"
 
-	"godosn/internal/crypto/abe"
 	"godosn/internal/crypto/historytree"
-	"godosn/internal/crypto/ibe"
 	"godosn/internal/crypto/pubkey"
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/dht"
@@ -30,7 +28,6 @@ import (
 	"godosn/internal/search/trustrank"
 	"godosn/internal/social/graph"
 	"godosn/internal/social/identity"
-	"godosn/internal/social/privacy"
 	"godosn/internal/stack"
 	"godosn/internal/telemetry"
 )
@@ -120,10 +117,6 @@ type Network struct {
 	kind  OverlayKind
 	nodes map[string]*Node
 
-	// Shared trusted parties for the schemes that need them.
-	authority   *abe.Authority
-	pkg         *ibe.PKG
-	dictionary  *privacy.Dictionary
 	wallStorage *historytree.Server
 	storageVK   pubkey.VerificationKey
 	ranker      *trustrank.Ranker
@@ -141,14 +134,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if len(cfg.Users) == 0 {
 		return nil, overlay.ErrNoNodes
 	}
-	authority, err := abe.NewAuthority()
-	if err != nil {
-		return nil, fmt.Errorf("core: creating ABE authority: %w", err)
-	}
-	pkg, err := ibe.NewPKG()
-	if err != nil {
-		return nil, fmt.Errorf("core: creating PKG: %w", err)
-	}
 	storageKey, err := pubkey.NewSigningKeyPair()
 	if err != nil {
 		return nil, fmt.Errorf("core: creating storage key: %w", err)
@@ -159,9 +144,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		Telemetry:   telemetry.NewRegistry(),
 		kind:        cfg.Overlay,
 		nodes:       make(map[string]*Node),
-		authority:   authority,
-		pkg:         pkg,
-		dictionary:  privacy.NewDictionary(),
 		wallStorage: historytree.NewServer(storageKey),
 		storageVK:   storageKey.Verification(),
 	}

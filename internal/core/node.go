@@ -50,36 +50,14 @@ func newNode(net *Network, u *identity.User) *Node {
 // Name returns the node's user name.
 func (nd *Node) Name() string { return nd.User.Name }
 
-// CreateGroup creates an access-control group under the given scheme. For
-// SchemeABE, policyExpr is the access structure (e.g. "(relative AND
-// doctor)"); other schemes ignore it. The owner is added as first member.
-func (nd *Node) CreateGroup(name string, scheme privacy.Scheme, policyExpr string) (privacy.Group, error) {
+// CreateGroup creates an access-control group under the given scheme with
+// privacy.NewGroup's defaults, owned by this node, whose user is added as
+// the first member.
+func (nd *Node) CreateGroup(name string, scheme privacy.Scheme) (privacy.Group, error) {
 	if _, exists := nd.groups[name]; exists {
 		return nil, fmt.Errorf("%w: group %s", ErrDuplicateName, name)
 	}
-	var (
-		g   privacy.Group
-		err error
-	)
-	switch scheme {
-	case privacy.SchemeSubstitution:
-		g, err = privacy.NewSubstitutionGroup(name, nd.net.dictionary, defaultFakePool())
-	case privacy.SchemeSymmetric:
-		g, err = privacy.NewSymmetricGroup(name)
-	case privacy.SchemePublicKey:
-		g = privacy.NewPublicKeyGroup(name, nd.net.Registry)
-	case privacy.SchemeABE:
-		if policyExpr == "" {
-			policyExpr = "(member-" + name + ")"
-		}
-		g, err = privacy.NewABEGroup(name, nd.net.authority, policyExpr)
-	case privacy.SchemeIBBE:
-		g = privacy.NewIBBEGroup(name, nd.net.pkg)
-	case privacy.SchemeHybrid:
-		g, err = privacy.NewHybridGroup(name, nd.net.Registry, nd.User.SigningKeyPair())
-	default:
-		return nil, fmt.Errorf("core: unknown privacy scheme %q", scheme)
-	}
+	g, err := privacy.NewGroup(scheme, name, nd.net.Registry, nd.User)
 	if err != nil {
 		return nil, fmt.Errorf("core: creating group %q: %w", name, err)
 	}
@@ -88,14 +66,6 @@ func (nd *Node) CreateGroup(name string, scheme privacy.Scheme, policyExpr strin
 	}
 	nd.groups[name] = g
 	return g, nil
-}
-
-// defaultFakePool supplies plausible fakes for substitution groups.
-func defaultFakePool() [][]byte {
-	return [][]byte{
-		[]byte("John Doe"), []byte("Springfield"), []byte("1 January 1970"),
-		[]byte("+1-555-0100"), []byte("Acme Corp"),
-	}
 }
 
 // Group returns one of the node's groups.

@@ -20,7 +20,7 @@ import (
 func innerGroup(t *testing.T, n *Network) privacy.Group {
 	t.Helper()
 	alice := n.MustNode("alice")
-	g, err := alice.CreateGroup("inner", privacy.SchemeSymmetric, "")
+	g, err := alice.CreateGroup("inner", privacy.SchemeSymmetric)
 	if err != nil {
 		t.Fatalf("CreateGroup: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestTamperedReplicaIsServedAroundOnResilientDHT(t *testing.T) {
 	n := resilientNetwork(t, 12)
 	alice := n.MustNode("user00")
 	bob := n.MustNode("user01")
-	g, err := alice.CreateGroup("friends", privacy.SchemeHybrid, "")
+	g, err := alice.CreateGroup("friends", privacy.SchemeHybrid)
 	if err != nil {
 		t.Fatalf("CreateGroup: %v", err)
 	}

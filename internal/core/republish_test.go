@@ -15,7 +15,7 @@ func TestRepublishArchiveAfterRevocation(t *testing.T) {
 	bob := n.MustNode("bob")
 	carol := n.MustNode("carol")
 
-	g, err := alice.CreateGroup("inner", privacy.SchemeSymmetric, "")
+	g, err := alice.CreateGroup("inner", privacy.SchemeSymmetric)
 	if err != nil {
 		t.Fatalf("CreateGroup: %v", err)
 	}

@@ -50,7 +50,7 @@ func TestResilienceKnobRoutesTrafficThroughDecorator(t *testing.T) {
 
 	alice := n.MustNode("user00")
 	bob := n.MustNode("user01")
-	g, err := alice.CreateGroup("friends", privacy.SchemeHybrid, "")
+	g, err := alice.CreateGroup("friends", privacy.SchemeHybrid)
 	if err != nil {
 		t.Fatalf("CreateGroup: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestResiliencePublishReadSurvivesLoss(t *testing.T) {
 	n := resilientNetwork(t, 12)
 	alice := n.MustNode("user00")
 	bob := n.MustNode("user01")
-	g, _ := alice.CreateGroup("friends", privacy.SchemeHybrid, "")
+	g, _ := alice.CreateGroup("friends", privacy.SchemeHybrid)
 	g.Add("user01")
 	if err := alice.ShareGroup("friends", bob); err != nil {
 		t.Fatalf("ShareGroup: %v", err)
@@ -106,7 +106,7 @@ func TestNetworkHealRestoresReplicasAfterChurn(t *testing.T) {
 	n := resilientNetwork(t, 16)
 	alice := n.MustNode("user00")
 	bob := n.MustNode("user01")
-	g, _ := alice.CreateGroup("friends", privacy.SchemeHybrid, "")
+	g, _ := alice.CreateGroup("friends", privacy.SchemeHybrid)
 	g.Add("user01")
 	if err := alice.ShareGroup("friends", bob); err != nil {
 		t.Fatalf("ShareGroup: %v", err)
@@ -174,7 +174,7 @@ func TestResilienceWrapsHybridOverlay(t *testing.T) {
 	}
 	alice := n.MustNode("alice")
 	bob := n.MustNode("bob")
-	g, _ := alice.CreateGroup("friends", privacy.SchemeHybrid, "")
+	g, _ := alice.CreateGroup("friends", privacy.SchemeHybrid)
 	g.Add("bob")
 	if err := alice.ShareGroup("friends", bob); err != nil {
 		t.Fatalf("ShareGroup: %v", err)

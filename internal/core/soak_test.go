@@ -42,16 +42,13 @@ func TestWorkloadSoak(t *testing.T) {
 			}
 
 			// Every user gets a "friends" group containing their direct
-			// friends, cycling through the privacy schemes.
-			schemes := []privacy.Scheme{
-				privacy.SchemeSymmetric, privacy.SchemePublicKey, privacy.SchemeABE,
-				privacy.SchemeIBBE, privacy.SchemeHybrid,
-			}
+			// friends, cycling through the Table-I schemes.
+			schemes := privacy.Schemes()
 			groups := make(map[string]privacy.Group, nUsers)
 			for i, u := range users {
 				node := net.MustNode(u)
 				gname := "friends-of-" + u
-				g, err := node.CreateGroup(gname, schemes[i%len(schemes)], "(friend-of-"+u+")")
+				g, err := node.CreateGroup(gname, schemes[i%len(schemes)])
 				if err != nil {
 					t.Fatalf("CreateGroup(%s): %v", u, err)
 				}

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"godosn/internal/crypto/abe"
-	"godosn/internal/crypto/ibe"
-	"godosn/internal/crypto/pubkey"
 	"godosn/internal/crypto/symmetric"
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
@@ -31,45 +28,22 @@ import (
 // post sealed as a record. Integrity protection is therefore independent of
 // which scheme guards the data key — exactly the layering the test asserts.
 
-// propertySchemes are the four schemes the sweep covers.
+// propertySchemes are the four schemes the sweep covers, owned by the first
+// member, with every member added.
 func propertySchemes(t *testing.T, reg *identity.Registry, members []*identity.User) map[string]privacy.Group {
 	t.Helper()
 	out := make(map[string]privacy.Group)
-
-	owner, err := pubkey.NewSigningKeyPair()
-	if err != nil {
-		t.Fatalf("NewSigningKeyPair: %v", err)
-	}
-	hybrid, err := privacy.NewHybridGroup("prop-hybrid", reg, owner)
-	if err != nil {
-		t.Fatalf("NewHybridGroup: %v", err)
-	}
-	out["hybrid"] = hybrid
-
-	out["public-key"] = privacy.NewPublicKeyGroup("prop-pk", reg)
-
-	auth, err := abe.NewAuthority()
-	if err != nil {
-		t.Fatalf("abe.NewAuthority: %v", err)
-	}
-	abeGroup, err := privacy.NewABEGroup("prop-abe", auth, "(member)")
-	if err != nil {
-		t.Fatalf("NewABEGroup: %v", err)
-	}
-	out["abe"] = abeGroup
-
-	pkg, err := ibe.NewPKG()
-	if err != nil {
-		t.Fatalf("ibe.NewPKG: %v", err)
-	}
-	out["ibbe"] = privacy.NewIBBEGroup("prop-ibbe", pkg)
-
-	for _, g := range out {
+	for _, s := range []privacy.Scheme{privacy.SchemeHybrid, privacy.SchemePublicKey, privacy.SchemeABE, privacy.SchemeIBBE} {
+		g, err := privacy.NewGroup(s, "prop-"+string(s), reg, members[0])
+		if err != nil {
+			t.Fatalf("NewGroup(%s): %v", s, err)
+		}
 		for _, m := range members {
 			if err := g.Add(m.Name); err != nil {
 				t.Fatalf("Add(%s): %v", m.Name, err)
 			}
 		}
+		out[string(s)] = g
 	}
 	return out
 }

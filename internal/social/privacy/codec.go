@@ -336,7 +336,7 @@ func (r *reader) str() string {
 // scheme reads a Scheme, returning the package constant for a known one.
 func (r *reader) scheme() Scheme {
 	b := r.bytes()
-	for _, s := range [...]Scheme{SchemeSubstitution, SchemeSymmetric, SchemePublicKey, SchemeABE, SchemeIBBE, SchemeHybrid} {
+	for _, s := range tableI {
 		if string(b) == string(s) {
 			return s
 		}

@@ -13,9 +13,6 @@ import (
 	"testing"
 
 	"godosn/internal/cache"
-	"godosn/internal/crypto/abe"
-	"godosn/internal/crypto/ibe"
-	"godosn/internal/crypto/pubkey"
 	"godosn/internal/social/identity"
 )
 
@@ -28,6 +25,7 @@ var benchPlaintext = []byte("the quick brown fox jumps over the lazy dog, repeat
 
 type benchEnv struct {
 	registry *identity.Registry
+	owner    *identity.User
 	names    []string
 }
 
@@ -43,6 +41,9 @@ func newBenchEnv(b *testing.B) *benchEnv {
 		if err := env.registry.Register(u); err != nil {
 			b.Fatal(err)
 		}
+		if i == 0 {
+			env.owner = u
+		}
 		env.names = append(env.names, name)
 	}
 	return env
@@ -50,53 +51,14 @@ func newBenchEnv(b *testing.B) *benchEnv {
 
 // buildGroup constructs one scheme's group with benchMembers members; workers
 // bounds the hybrid group's re-encryption.
-func (env *benchEnv) buildGroup(b *testing.B, scheme string, workers int) Group {
+func (env *benchEnv) buildGroup(b *testing.B, scheme Scheme, workers int) Group {
 	b.Helper()
-	var g Group
-	switch scheme {
-	case "substitution":
-		sg, err := NewSubstitutionGroup("bench", NewDictionary(), [][]byte{[]byte("John Doe"), []byte("Jane Roe")})
-		if err != nil {
-			b.Fatal(err)
-		}
-		g = sg
-	case "symmetric":
-		sg, err := NewSymmetricGroup("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		g = sg
-	case "public-key":
-		g = NewPublicKeyGroup("bench", env.registry)
-	case "abe":
-		auth, err := abe.NewAuthority()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ag, err := NewABEGroup("bench", auth, "(member)")
-		if err != nil {
-			b.Fatal(err)
-		}
-		g = ag
-	case "ibbe":
-		pkg, err := ibe.NewPKG()
-		if err != nil {
-			b.Fatal(err)
-		}
-		g = NewIBBEGroup("bench", pkg)
-	case "hybrid":
-		owner, err := pubkey.NewSigningKeyPair()
-		if err != nil {
-			b.Fatal(err)
-		}
-		hg, err := NewHybridGroup("bench", env.registry, owner)
-		if err != nil {
-			b.Fatal(err)
-		}
+	g, err := NewGroup(scheme, "bench", env.registry, env.owner)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if hg, ok := g.(*HybridGroup); ok {
 		hg.SetWorkers(workers)
-		g = hg
-	default:
-		b.Fatalf("unknown scheme %s", scheme)
 	}
 	for i := 0; i < benchMembers; i++ {
 		if err := g.Add(env.names[i]); err != nil {
@@ -106,11 +68,9 @@ func (env *benchEnv) buildGroup(b *testing.B, scheme string, workers int) Group 
 	return g
 }
 
-var benchSchemes = []string{"substitution", "symmetric", "public-key", "abe", "ibbe", "hybrid"}
-
 func BenchmarkGroupEncrypt(b *testing.B) {
-	for _, scheme := range benchSchemes {
-		b.Run(scheme, func(b *testing.B) {
+	for _, scheme := range Schemes() {
+		b.Run(string(scheme), func(b *testing.B) {
 			env := newBenchEnv(b)
 			g := env.buildGroup(b, scheme, 0)
 			b.ResetTimer()
@@ -124,8 +84,8 @@ func BenchmarkGroupEncrypt(b *testing.B) {
 }
 
 func BenchmarkGroupAdd(b *testing.B) {
-	for _, scheme := range benchSchemes {
-		b.Run(scheme, func(b *testing.B) {
+	for _, scheme := range Schemes() {
+		b.Run(string(scheme), func(b *testing.B) {
 			env := newBenchEnv(b)
 			g := env.buildGroup(b, scheme, 0)
 			spare := env.names[benchMembers]
@@ -150,8 +110,8 @@ func BenchmarkGroupRemove(b *testing.B) {
 		if workers == 0 {
 			label = "pool"
 		}
-		for _, scheme := range benchSchemes {
-			b.Run(scheme+"/"+label, func(b *testing.B) {
+		for _, scheme := range Schemes() {
+			b.Run(string(scheme)+"/"+label, func(b *testing.B) {
 				env := newBenchEnv(b)
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()

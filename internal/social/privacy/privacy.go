@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"slices"
 
+	"godosn/internal/crypto/abe"
+	"godosn/internal/crypto/ibe"
 	"godosn/internal/parallel"
 	"godosn/internal/social/identity"
 )
@@ -33,6 +35,12 @@ const (
 	SchemeIBBE         Scheme = "ibbe"
 	SchemeHybrid       Scheme = "hybrid"
 )
+
+// tableI is the six schemes in Table I's order.
+var tableI = [...]Scheme{SchemeSubstitution, SchemeSymmetric, SchemePublicKey, SchemeABE, SchemeIBBE, SchemeHybrid}
+
+// Schemes lists the six schemes in Table I's order.
+func Schemes() []Scheme { return slices.Clone(tableI[:]) }
 
 // Errors returned by privacy schemes.
 var (
@@ -110,6 +118,49 @@ type Group interface {
 	// Archive returns the group's current envelope history. After a
 	// revocation that re-encrypts, the archive holds the new envelopes.
 	Archive() []Envelope
+}
+
+// NewGroup builds an empty group of the given scheme with the defaults a
+// deployment gets when it names only the scheme. The trusted party a scheme
+// needs is created for this group alone: a substitution dictionary with the
+// fakes "John Doe" and "Springfield", an ABE authority under the policy
+// "(member)" (so Add grants the one attribute), an IBBE PKG. Public-key and
+// hybrid groups wrap to the keys in registry, and the hybrid ACL is signed
+// with owner's signing key; the other schemes ignore owner. A caller that
+// shares a trusted party, sets a policy or bounds workers calls the scheme's
+// own constructor instead.
+func NewGroup(scheme Scheme, name string, registry *identity.Registry, owner *identity.User) (Group, error) {
+	switch scheme {
+	case SchemeSubstitution:
+		return group(NewSubstitutionGroup(name, NewDictionary(), [][]byte{[]byte("John Doe"), []byte("Springfield")}))
+	case SchemeSymmetric:
+		return group(NewSymmetricGroup(name))
+	case SchemePublicKey:
+		return NewPublicKeyGroup(name, registry), nil
+	case SchemeABE:
+		authority, err := abe.NewAuthority()
+		if err != nil {
+			return nil, err
+		}
+		return group(NewABEGroup(name, authority, "(member)"))
+	case SchemeIBBE:
+		pkg, err := ibe.NewPKG()
+		if err != nil {
+			return nil, err
+		}
+		return NewIBBEGroup(name, pkg), nil
+	case SchemeHybrid:
+		return group(NewHybridGroup(name, registry, owner.SigningKeyPair()))
+	}
+	return nil, fmt.Errorf("privacy: unknown scheme %q", scheme)
+}
+
+// group returns a constructor's result as a Group, nil on error.
+func group[G Group](g G, err error) (Group, error) {
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // core is the skeleton every Table-I group embeds: the name, the member

@@ -3,11 +3,9 @@ package privacy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
-	"godosn/internal/crypto/abe"
-	"godosn/internal/crypto/ibe"
-	"godosn/internal/crypto/pubkey"
 	"godosn/internal/social/identity"
 )
 
@@ -43,84 +41,85 @@ type schemeCase struct {
 	// staleAfterRevoke: envelopes from before a revocation no longer open
 	// through the group (epoch-guarded schemes).
 	staleAfterRevoke bool
-	build            func(t *testing.T, f *fixture) Group
+}
+
+// build constructs the case's group through NewGroup, owned by a user
+// outside the fixture.
+func (sc schemeCase) build(t *testing.T, f *fixture) Group {
+	t.Helper()
+	owner, err := identity.NewUser("owner")
+	if err != nil {
+		t.Fatalf("NewUser: %v", err)
+	}
+	g, err := NewGroup(Scheme(sc.name), sc.name, f.registry, owner)
+	if err != nil {
+		t.Fatalf("NewGroup(%s): %v", sc.name, err)
+	}
+	return g
 }
 
 func allSchemes() []schemeCase {
 	return []schemeCase{
-		{
-			name:                 "substitution",
-			revocationReencrypts: true,
-			staleAfterRevoke:     true,
-			build: func(t *testing.T, f *fixture) Group {
-				g, err := NewSubstitutionGroup("subst", NewDictionary(), [][]byte{[]byte("John Doe"), []byte("Jane Roe")})
-				if err != nil {
-					t.Fatalf("NewSubstitutionGroup: %v", err)
+		{name: "substitution", revocationReencrypts: true, staleAfterRevoke: true},
+		{name: "symmetric", revocationReencrypts: true, staleAfterRevoke: true},
+		{name: "public-key", revocationFree: true},
+		{name: "abe", revocationReencrypts: true},
+		{name: "ibbe", revocationFree: true},
+		{name: "hybrid", revocationReencrypts: true, staleAfterRevoke: true},
+	}
+}
+
+// TestNewGroup holds the one constructor to Table I: Schemes lists the six
+// schemes once each in the table's order, NewGroup builds each into a group
+// of that scheme whose envelopes survive the wire for a member and refuse a
+// non-member, and an unknown scheme gets an error and no group.
+func TestNewGroup(t *testing.T) {
+	want := []Scheme{SchemeSubstitution, SchemeSymmetric, SchemePublicKey, SchemeABE, SchemeIBBE, SchemeHybrid}
+	got := Schemes()
+	if !slices.Equal(got, want) {
+		t.Fatalf("Schemes() = %v, want %v", got, want)
+	}
+	got[0] = SchemeHybrid
+	if Schemes()[0] != SchemeSubstitution {
+		t.Fatal("writing into Schemes()'s result changed the list")
+	}
+	f := newFixture(t, "alice", "bob", "eve")
+	for _, s := range Schemes() {
+		t.Run(string(s), func(t *testing.T) {
+			g, err := NewGroup(s, "g-"+string(s), f.registry, f.users["alice"])
+			if err != nil {
+				t.Fatalf("NewGroup: %v", err)
+			}
+			if g.Scheme() != s {
+				t.Fatalf("Scheme() = %s", g.Scheme())
+			}
+			for _, m := range []string{"alice", "bob"} {
+				if err := g.Add(m); err != nil {
+					t.Fatalf("Add(%s): %v", m, err)
 				}
-				return g
-			},
-		},
-		{
-			name:                 "symmetric",
-			revocationReencrypts: true,
-			staleAfterRevoke:     true,
-			build: func(t *testing.T, f *fixture) Group {
-				g, err := NewSymmetricGroup("sym")
-				if err != nil {
-					t.Fatalf("NewSymmetricGroup: %v", err)
-				}
-				return g
-			},
-		},
-		{
-			name:           "public-key",
-			revocationFree: true,
-			build: func(t *testing.T, f *fixture) Group {
-				return NewPublicKeyGroup("pk", f.registry)
-			},
-		},
-		{
-			name:                 "abe",
-			revocationReencrypts: true,
-			build: func(t *testing.T, f *fixture) Group {
-				auth, err := abe.NewAuthority()
-				if err != nil {
-					t.Fatalf("NewAuthority: %v", err)
-				}
-				g, err := NewABEGroup("abe", auth, "(member)")
-				if err != nil {
-					t.Fatalf("NewABEGroup: %v", err)
-				}
-				return g
-			},
-		},
-		{
-			name:           "ibbe",
-			revocationFree: true,
-			build: func(t *testing.T, f *fixture) Group {
-				pkg, err := ibe.NewPKG()
-				if err != nil {
-					t.Fatalf("NewPKG: %v", err)
-				}
-				return NewIBBEGroup("ibbe", pkg)
-			},
-		},
-		{
-			name:                 "hybrid",
-			revocationReencrypts: true,
-			staleAfterRevoke:     true,
-			build: func(t *testing.T, f *fixture) Group {
-				owner, err := pubkey.NewSigningKeyPair()
-				if err != nil {
-					t.Fatalf("NewSigningKeyPair: %v", err)
-				}
-				g, err := NewHybridGroup("hyb", f.registry, owner)
-				if err != nil {
-					t.Fatalf("NewHybridGroup: %v", err)
-				}
-				return g
-			},
-		},
+			}
+			env, err := g.Encrypt([]byte("one constructor"))
+			if err != nil {
+				t.Fatalf("Encrypt: %v", err)
+			}
+			wire, err := Marshal(env)
+			if err != nil {
+				t.Fatalf("Marshal: %v", err)
+			}
+			restored, err := Unmarshal(wire)
+			if err != nil {
+				t.Fatalf("Unmarshal: %v", err)
+			}
+			if pt, err := g.Decrypt(f.users["bob"], restored); err != nil || string(pt) != "one constructor" {
+				t.Fatalf("member Decrypt = %q, %v", pt, err)
+			}
+			if _, err := g.Decrypt(f.users["eve"], restored); err == nil {
+				t.Fatal("non-member decrypted")
+			}
+		})
+	}
+	if g, err := NewGroup("bogus", "g", f.registry, f.users["alice"]); err == nil || g != nil {
+		t.Fatalf("unknown scheme: got %v, %v; want nil group and an error", g, err)
 	}
 }
 
