@@ -97,7 +97,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fake, _ := privacy.FakeView(env)
+	fake, err := privacy.FakeView(env)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  the service provider sees: %q\n", fake)
 	got, err := sub.Decrypt(memberNamed(members, "alice"), env)
 	if err != nil {
@@ -115,9 +118,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	abeGroup.AddWithAttributes("alice", "relative")
-	abeGroup.AddWithAttributes("bob", "friend", "doctor")
-	abeGroup.AddWithAttributes("carol", "friend")
+	for _, m := range []struct {
+		name  string
+		attrs []string
+	}{
+		{"alice", []string{"relative"}},
+		{"bob", []string{"friend", "doctor"}},
+		{"carol", []string{"friend"}},
+	} {
+		if err := abeGroup.AddWithAttributes(m.name, m.attrs...); err != nil {
+			log.Fatal(err)
+		}
+	}
 	env2, err := abeGroup.Encrypt([]byte(invitation))
 	if err != nil {
 		log.Fatal(err)

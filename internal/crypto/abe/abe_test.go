@@ -3,9 +3,12 @@ package abe
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"maps"
 	"math/big"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"godosn/internal/crypto/prf"
 	"godosn/internal/crypto/pubkey"
@@ -95,9 +98,12 @@ func TestCPABEUnsatisfiedFails(t *testing.T) {
 func TestCPABEUnknownAttributeRejected(t *testing.T) {
 	auth := newTestAuthority(t)
 	params := auth.PublicParams()
-	pol, _ := ParsePolicy("martian")
-	if _, err := Encrypt(pubkey.NewSender(), params, pol, []byte("x")); err == nil {
-		t.Fatal("encrypted under unknown attribute")
+	for _, text := range []string{"martian", "(relative OR (doctor AND martian))"} {
+		pol, _ := ParsePolicy(text)
+		_, err := Encrypt(pubkey.NewSender(), params, pol, []byte("x"))
+		if !errors.Is(err, ErrUnknownAttr) || !strings.Contains(err.Error(), `"martian"`) {
+			t.Fatalf("%s: Encrypt = %v, want the unknown attribute named", text, err)
+		}
 	}
 	if _, err := auth.IssueKey([]string{"martian"}); err == nil {
 		t.Fatal("issued key for unknown attribute")
@@ -219,9 +225,9 @@ func TestShortShareWrapsFullWidth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMulti: %v", err)
 	}
-	ct := &Ciphertext{Epoch: auth.PublicParams().Epoch, PolicyText: []byte(pol.String()), Ephemeral: m.Ephemeral()}
-	var nextIdx uint32 = 1
-	if err := shareTree(&m, auth.PublicParams(), pol, secret, ct, &nextIdx); err != nil {
+	ct := NewCiphertext(1)
+	ct.Epoch, ct.PolicyText, ct.Ephemeral = auth.PublicParams().Epoch, []byte(pol.String()), m.Ephemeral()
+	if err := shareTree(&m, auth.PublicParams(), pol, secret, ct, make([]byte, wrapSize())); err != nil {
 		t.Fatalf("shareTree: %v", err)
 	}
 	key, err := auth.IssueKey([]string{"relative"})
@@ -235,7 +241,7 @@ func TestShortShareWrapsFullWidth(t *testing.T) {
 	if len(raw) != fieldBytes {
 		t.Fatalf("share wrapped as %d bytes, want %d", len(raw), fieldBytes)
 	}
-	nextIdx = 1
+	var nextIdx uint32 = 1
 	got, err := recoverTree(key, pol, ct, &nextIdx)
 	if err != nil || got.Cmp(secret) != 0 {
 		t.Fatalf("recovered %v, %v; want %v", got, err, secret)
@@ -279,10 +285,48 @@ func wrapLens(shares []WrappedShare) map[uint32]int {
 	return out
 }
 
+// TestCiphertextIsOneBuffer: Encrypt writes the policy text, the share wraps
+// in index order and the body into one buffer that the body ends, and a key
+// holding every attribute, which opens every share, the ones sealed in place
+// included, decrypts.
+func TestCiphertextIsOneBuffer(t *testing.T) {
+	auth := newTestAuthority(t)
+	for _, text := range []string{"relative", "(relative AND doctor)", "2-of(relative, doctor, painter)", "(relative OR (friend AND doctor))"} {
+		pol, err := ParsePolicy(text)
+		if err != nil {
+			t.Fatalf("ParsePolicy(%s): %v", text, err)
+		}
+		ct, err := Encrypt(pubkey.NewSender(), auth.PublicParams(), pol, []byte("one buffer"))
+		if err != nil {
+			t.Fatalf("%s: Encrypt: %v", text, err)
+		}
+		fields := [][]byte{ct.PolicyText}
+		for _, s := range ct.Shares {
+			fields = append(fields, s.Wrap)
+		}
+		fields = append(fields, ct.Body)
+		for i := 1; i < len(fields); i++ {
+			if got, prev := unsafe.SliceData(fields[i]), unsafe.SliceData(fields[i-1]); uintptr(unsafe.Pointer(got))-uintptr(unsafe.Pointer(prev)) != uintptr(len(fields[i-1])) {
+				t.Fatalf("%s: field %d does not follow field %d in one buffer", text, i, i-1)
+			}
+		}
+		if cap(ct.Body) != len(ct.Body) {
+			t.Fatalf("%s: body len %d cap %d", text, len(ct.Body), cap(ct.Body))
+		}
+		key, err := auth.IssueKey([]string{"relative", "doctor", "painter", "friend"})
+		if err != nil {
+			t.Fatalf("IssueKey: %v", err)
+		}
+		if pt, err := key.Decrypt(ct); err != nil || string(pt) != "one buffer" {
+			t.Fatalf("%s: Decrypt = %q, %v", text, pt, err)
+		}
+	}
+}
+
 // TestMinimalBytesMatchesBytes: the encoding seedToKey hashes is byte for
 // byte what big.Int.Bytes returns, across the field and past it.
 func TestMinimalBytesMatchesBytes(t *testing.T) {
-	top := new(big.Int).Sub(shamir.Prime(), big.NewInt(1))
+	top := shamir.Reduce(big.NewInt(-1)) // the field's largest element
 	for _, v := range []*big.Int{
 		big.NewInt(0), big.NewInt(1), big.NewInt(255), big.NewInt(256),
 		new(big.Int).Lsh(big.NewInt(1), 248), new(big.Int).Lsh(big.NewInt(1), 255), top,

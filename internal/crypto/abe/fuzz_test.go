@@ -55,5 +55,8 @@ func FuzzParsePolicy(f *testing.F) {
 		if again.String() != p.String() {
 			t.Fatalf("round trip drift: %q -> %q", p.String(), again.String())
 		}
+		if p.String() != referenceString(p) || p.textLen() != len(p.String()) {
+			t.Fatalf("%q renders %q (%d bytes sized); the reference renders %q", input, p.String(), p.textLen(), referenceString(p))
+		}
 	})
 }

@@ -33,7 +33,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
+
+	"godosn/internal/crypto/pubkey"
 )
 
 // GateKind distinguishes the node types of a policy tree.
@@ -207,29 +209,86 @@ func (p *Policy) collectAttrs(set map[string]struct{}) {
 
 // String renders the policy in the surface syntax accepted by ParsePolicy.
 func (p *Policy) String() string {
+	return string(p.appendText(make([]byte, 0, p.textLen())))
+}
+
+// appendText appends String's rendering of the policy to dst.
+func (p *Policy) appendText(dst []byte) []byte {
 	if p == nil {
-		return ""
+		return dst
 	}
 	switch p.Kind {
 	case GateLeaf:
-		return p.Attribute
+		return append(dst, p.Attribute...)
 	case GateAnd:
-		return "(" + joinPolicies(p.Children, " AND ") + ")"
+		return append(appendChildren(append(dst, '('), p.Children, " AND "), ')')
 	case GateOr:
-		return "(" + joinPolicies(p.Children, " OR ") + ")"
+		return append(appendChildren(append(dst, '('), p.Children, " OR "), ')')
 	case GateThreshold:
-		return fmt.Sprintf("%d-of(%s)", p.K, joinPolicies(p.Children, ", "))
+		dst = append(strconv.AppendInt(dst, int64(p.K), 10), "-of("...)
+		return append(appendChildren(dst, p.Children, ", "), ')')
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
 }
 
-func joinPolicies(ps []*Policy, sep string) string {
-	parts := make([]string, len(ps))
+// appendChildren appends the children's renderings, sep between each two.
+func appendChildren(dst []byte, ps []*Policy, sep string) []byte {
 	for i, c := range ps {
-		parts[i] = c.String()
+		if i > 0 {
+			dst = append(dst, sep...)
+		}
+		dst = c.appendText(dst)
 	}
-	return strings.Join(parts, sep)
+	return dst
+}
+
+// textLen returns the length of String's rendering, so Encrypt can size the
+// ciphertext's buffer before writing the policy text into it.
+func (p *Policy) textLen() int {
+	if p == nil {
+		return 0
+	}
+	switch p.Kind {
+	case GateLeaf:
+		return len(p.Attribute)
+	case GateAnd:
+		return len("()") + childrenLen(p.Children, " AND ")
+	case GateOr:
+		return len("()") + childrenLen(p.Children, " OR ")
+	case GateThreshold:
+		var digits [20]byte
+		return len(strconv.AppendInt(digits[:0], int64(p.K), 10)) + len("-of()") + childrenLen(p.Children, ", ")
+	default:
+		return len("<invalid>")
+	}
+}
+
+// childrenLen is the length appendChildren appends.
+func childrenLen(ps []*Policy, sep string) int {
+	n := 0
+	for i, c := range ps {
+		if i > 0 {
+			n += len(sep)
+		}
+		n += c.textLen()
+	}
+	return n
+}
+
+// unknownAttr returns the first leaf attribute, depth first, that attrs has
+// no parameter for.
+func (p *Policy) unknownAttr(attrs map[string]*pubkey.EncryptionPublicKey) (string, bool) {
+	if p.Kind == GateLeaf {
+		_, ok := attrs[p.Attribute]
+		return p.Attribute, !ok
+	}
+	for _, c := range p.Children {
+		if attr, unknown := c.unknownAttr(attrs); unknown {
+			return attr, true
+		}
+	}
+	return "", false
 }
 
 // ParsePolicy parses the textual policy syntax used throughout the examples:

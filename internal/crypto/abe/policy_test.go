@@ -2,6 +2,7 @@ package abe
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,6 +61,62 @@ func TestPolicyRoundTripThroughString(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, p) {
 			t.Fatalf("round trip %q: got %s", p.String(), got)
+		}
+	}
+}
+
+// referenceString is String as it was written before Encrypt came to write
+// the policy text into the ciphertext's buffer: Sprintf and Join.
+func referenceString(p *Policy) string {
+	if p == nil {
+		return ""
+	}
+	join := func(sep string) string {
+		parts := make([]string, len(p.Children))
+		for i, c := range p.Children {
+			parts[i] = referenceString(c)
+		}
+		return strings.Join(parts, sep)
+	}
+	switch p.Kind {
+	case GateLeaf:
+		return p.Attribute
+	case GateAnd:
+		return "(" + join(" AND ") + ")"
+	case GateOr:
+		return "(" + join(" OR ") + ")"
+	case GateThreshold:
+		return fmt.Sprintf("%d-of(%s)", p.K, join(", "))
+	default:
+		return "<invalid>"
+	}
+}
+
+// TestPolicyTextMatchesReference: String, and the length Encrypt sizes its
+// buffer by, agree with the reference rendering on well-formed trees and on
+// the malformed ones Validate refuses.
+func TestPolicyTextMatchesReference(t *testing.T) {
+	for _, p := range []*Policy{
+		nil,
+		Attr("a"),
+		And(Attr("a"), Attr("b")),
+		Or(And(Attr("a"), Attr("b")), Attr("c")),
+		Threshold(2, Attr("a"), Attr("b"), Attr("c")),
+		Threshold(12345, Attr("a")),
+		Threshold(-7, Attr("a"), Or(Attr("b"), Threshold(1, Attr("c")))),
+		{Kind: GateLeaf},
+		{Kind: GateAnd},
+		{Kind: GateOr},
+		{Kind: GateThreshold},
+		{Kind: GateKind(99), Children: []*Policy{Attr("a")}},
+		And(Attr("a"), &Policy{Kind: GateKind(0)}),
+	} {
+		want := referenceString(p)
+		if got := p.String(); got != want {
+			t.Fatalf("String = %q, want %q", got, want)
+		}
+		if got := p.textLen(); got != len(want) {
+			t.Fatalf("%q: textLen = %d, want %d", want, got, len(want))
 		}
 	}
 }

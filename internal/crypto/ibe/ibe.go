@@ -177,11 +177,11 @@ type Broadcast struct {
 // the session key are one pubkey.Multi of the broadcaster's sender context,
 // so only an identity the sender has not wrapped to before costs a key
 // agreement, and the ephemeral key is carried once; the PKG stays a directory
-// and takes no part in the encryption. All wraps are written into one
-// buffer; each WrappedKeys entry is a view into it whose capacity ends where
-// the wrap does, so appending to one reallocates rather than overwriting the
-// next. The broadcast keeps recipients as its Recipients, read-only: the
-// caller must not modify the slice afterwards.
+// and takes no part in the encryption. All wraps and the body are written
+// into one buffer; each WrappedKeys entry is a view into it whose capacity
+// ends where the wrap does, so appending to one reallocates rather than
+// overwriting the next. The broadcast keeps recipients as its Recipients,
+// read-only: the caller must not modify the slice afterwards.
 func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plaintext []byte) (*Broadcast, error) {
 	if len(recipients) == 0 {
 		return nil, ErrNoRecipients
@@ -194,9 +194,10 @@ func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plain
 	if err != nil {
 		return nil, fmt.Errorf("ibe: wrapping session key: %w", err)
 	}
-	buf := make([]byte, 0, len(recipients)*(pubkey.WrapOverhead()+len(session)))
-	wraps := make([][]byte, len(recipients))
-	for i, id := range recipients {
+	bodyStart := len(recipients) * (pubkey.WrapOverhead() + len(session))
+	buf := make([]byte, 0, bodyStart+symmetric.Overhead()+len(plaintext))
+	b := newBroadcast(len(recipients))
+	for _, id := range recipients {
 		pk, err := p.DirectoryLookup(id)
 		if err != nil {
 			return nil, err
@@ -205,18 +206,29 @@ func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plain
 		if buf, err = m.WrapTo(buf, pk, session); err != nil {
 			return nil, fmt.Errorf("ibe: wrapping session key for %q: %w", id, err)
 		}
-		wraps[i] = buf[start:len(buf):len(buf)]
+		b.WrappedKeys = append(b.WrappedKeys, buf[start:len(buf):len(buf)])
 	}
-	body, err := symmetric.Seal(session, plaintext, nil)
-	if err != nil {
+	if buf, err = symmetric.SealTo(buf, session, plaintext, nil); err != nil {
 		return nil, fmt.Errorf("ibe: sealing broadcast body: %w", err)
 	}
-	return &Broadcast{
-		Recipients:  recipients,
-		Ephemeral:   m.Ephemeral(),
-		WrappedKeys: wraps,
-		Body:        body,
-	}, nil
+	b.Recipients, b.Ephemeral, b.Body = recipients, m.Ephemeral(), buf[bodyStart:]
+	return b, nil
+}
+
+// newBroadcast returns an empty broadcast whose WrappedKeys has room for n
+// wraps, in one allocation up to 8 recipients: the group size the feed
+// workloads post to. It holds no recipient array, since EncryptBroadcast
+// adopts the caller's list.
+func newBroadcast(n int) *Broadcast {
+	if n > 8 {
+		return &Broadcast{WrappedKeys: make([][]byte, 0, n)}
+	}
+	blk := new(struct {
+		b     Broadcast
+		wraps [8][]byte
+	})
+	blk.b.WrappedKeys = blk.wraps[:0:n]
+	return &blk.b
 }
 
 // UnwrapSession recovers the broadcast's session key for one of its listed

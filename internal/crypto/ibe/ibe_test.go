@@ -174,10 +174,10 @@ func TestBroadcastMalformed(t *testing.T) {
 
 // TestBroadcastWrapsShareOneBuffer pins the wrap layout at 8 and 64
 // recipients: the ephemeral key once, then one buffer of len(recipients)
-// wraps of WrapOverhead()+32 bytes, each WrappedKeys entry a view whose
-// capacity ends with it, so a caller appending to one wrap (or to the
-// ephemeral) changes neither the next wrap nor the body. Every member opens,
-// with its key pair's sender memo cold and then warm.
+// wraps of WrapOverhead()+32 bytes followed by the body, each WrappedKeys
+// entry a view whose capacity ends with it, so a caller appending to one
+// wrap (or to the ephemeral) changes neither the next wrap nor the body.
+// Every member opens, with its key pair's sender memo cold and then warm.
 func TestBroadcastWrapsShareOneBuffer(t *testing.T) {
 	for _, n := range []int{8, 64} {
 		pkg := newTestPKG(t)
@@ -197,9 +197,12 @@ func TestBroadcastWrapsShareOneBuffer(t *testing.T) {
 			if len(w) != wrapLen || cap(w) != wrapLen {
 				t.Fatalf("n=%d: wrap %d: len %d cap %d, want both %d", n, i, len(w), cap(w), wrapLen)
 			}
-			if i > 0 && uintptr(unsafe.Pointer(unsafe.SliceData(w)))-uintptr(unsafe.Pointer(unsafe.SliceData(b.WrappedKeys[i-1]))) != uintptr(wrapLen) {
+			if i > 0 && !follows(b.WrappedKeys[i-1], w) {
 				t.Fatalf("n=%d: wrap %d does not follow wrap %d in one buffer", n, i, i-1)
 			}
+		}
+		if !follows(b.WrappedKeys[n-1], b.Body) || cap(b.Body) != len(b.Body) {
+			t.Fatalf("n=%d: the body does not end the wraps' buffer", n)
 		}
 
 		snapshot := func() [][]byte {
@@ -230,6 +233,11 @@ func TestBroadcastWrapsShareOneBuffer(t *testing.T) {
 			}
 		}
 	}
+}
+
+// follows reports whether next starts where prev ends in memory.
+func follows(prev, next []byte) bool {
+	return uintptr(unsafe.Pointer(unsafe.SliceData(next)))-uintptr(unsafe.Pointer(unsafe.SliceData(prev))) == uintptr(len(prev))
 }
 
 // TestSwappedEphemeralFailsEveryWrap moves the ephemeral field from one

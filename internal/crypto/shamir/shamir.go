@@ -18,14 +18,14 @@ import (
 var prime, _ = new(big.Int).SetString(
 	"115792089237316195423570985008687907853269984665640564039457584007913129639747", 10)
 
-// Prime returns the field modulus used by this package.
-func Prime() *big.Int { return new(big.Int).Set(prime) }
+// Reduce reduces v modulo the field prime in place and returns it.
+func Reduce(v *big.Int) *big.Int { return v.Mod(v, prime) }
 
 // Share is one point (X, Y) on the sharing polynomial.
 type Share struct {
 	// X is the evaluation point; it must be non-zero and unique per share.
 	X uint32
-	// Y is the polynomial value at X, reduced mod Prime().
+	// Y is the polynomial value at X, reduced mod the field prime.
 	Y *big.Int
 }
 
@@ -44,7 +44,7 @@ var (
 )
 
 // Split shares secret into n shares such that any k reconstruct it.
-// The secret must lie in [0, Prime()).
+// The secret must lie in [0, p), p the field prime.
 func Split(secret *big.Int, k, n int) ([]Share, error) {
 	if k < 1 || n < k {
 		return nil, ErrBadThreshold

@@ -88,7 +88,7 @@ func TestSplitValidation(t *testing.T) {
 	if _, err := Split(big.NewInt(-1), 1, 1); err == nil {
 		t.Fatal("accepted negative secret")
 	}
-	if _, err := Split(Prime(), 1, 1); err == nil {
+	if _, err := Split(prime, 1, 1); err == nil {
 		t.Fatal("accepted secret >= prime")
 	}
 }
@@ -116,8 +116,26 @@ func TestShareClone(t *testing.T) {
 }
 
 func TestPrimeIsPrime(t *testing.T) {
-	if !Prime().ProbablyPrime(64) {
+	if !prime.ProbablyPrime(64) {
 		t.Fatal("field modulus is not prime")
+	}
+}
+
+// TestReduceInPlace: Reduce writes the residue into its argument, in
+// [0, p) from either side of the field.
+func TestReduceInPlace(t *testing.T) {
+	top := new(big.Int).Sub(prime, big.NewInt(1))
+	for _, tc := range []struct{ v, want *big.Int }{
+		{big.NewInt(5), big.NewInt(5)},
+		{new(big.Int).Set(top), top},
+		{new(big.Int).Set(prime), big.NewInt(0)},
+		{new(big.Int).Add(prime, big.NewInt(5)), big.NewInt(5)},
+		{big.NewInt(-1), top},
+	} {
+		v := tc.v
+		if got := Reduce(v); got != v || v.Cmp(tc.want) != 0 {
+			t.Fatalf("Reduce = %v (same value: %v), want %v in place", got, got == v, tc.want)
+		}
 	}
 }
 

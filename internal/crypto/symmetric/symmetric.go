@@ -21,8 +21,8 @@ import (
 // KeySize is the size in bytes of symmetric keys (AES-256).
 const KeySize = 32
 
-// nonceSize is the standard GCM nonce size in bytes.
-const nonceSize = 12
+// NonceSize is the standard GCM nonce size in bytes.
+const NonceSize = 12
 
 // ErrInvalidKeySize indicates a key of the wrong length was supplied.
 var ErrInvalidKeySize = errors.New("symmetric: invalid key size")
@@ -62,7 +62,9 @@ func Seal(key Key, plaintext, associatedData []byte) ([]byte, error) {
 // build a larger message around the ciphertext: when dst has
 // len(plaintext)+Overhead() spare capacity, SealTo performs no allocation.
 // It returns the extended slice (which may have been reallocated, like
-// append).
+// append). plaintext may lie in that spare capacity exactly where its
+// sealed bytes go, NonceSize bytes past len(dst): the seal is then in place,
+// the exact overlap GCM permits.
 func SealTo(dst []byte, key Key, plaintext, associatedData []byte) ([]byte, error) {
 	aead, err := newAEAD(key)
 	if err != nil {
@@ -73,18 +75,18 @@ func SealTo(dst []byte, key Key, plaintext, associatedData []byte) ([]byte, erro
 
 // sealTo is the AEAD-level seal body shared by the one-shot path and Sealer.
 func sealTo(aead cipher.AEAD, dst, plaintext, associatedData []byte) ([]byte, error) {
-	need := nonceSize + len(plaintext) + aead.Overhead()
+	need := NonceSize + len(plaintext) + aead.Overhead()
 	if free := cap(dst) - len(dst); free < need {
 		grown := make([]byte, len(dst), len(dst)+need)
 		copy(grown, dst)
 		dst = grown
 	}
 	// Write the nonce directly into the output to avoid a separate buffer.
-	nonce := dst[len(dst) : len(dst)+nonceSize]
+	nonce := dst[len(dst) : len(dst)+NonceSize]
 	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return nil, fmt.Errorf("symmetric: generating nonce: %w", err)
 	}
-	dst = dst[:len(dst)+nonceSize]
+	dst = dst[:len(dst)+NonceSize]
 	return aead.Seal(dst, nonce, plaintext, associatedData), nil
 }
 
@@ -105,10 +107,10 @@ func OpenTo(dst []byte, key Key, ciphertext, associatedData []byte) ([]byte, err
 
 // openTo is the AEAD-level open body shared by the one-shot path and Sealer.
 func openTo(aead cipher.AEAD, dst, ciphertext, associatedData []byte) ([]byte, error) {
-	if len(ciphertext) < nonceSize {
+	if len(ciphertext) < NonceSize {
 		return nil, ErrCiphertextTooShort
 	}
-	nonce, body := ciphertext[:nonceSize], ciphertext[nonceSize:]
+	nonce, body := ciphertext[:NonceSize], ciphertext[NonceSize:]
 	plaintext, err := aead.Open(dst, nonce, body, associatedData)
 	if err != nil {
 		return nil, fmt.Errorf("symmetric: opening ciphertext: %w", err)
@@ -117,7 +119,7 @@ func openTo(aead cipher.AEAD, dst, ciphertext, associatedData []byte) ([]byte, e
 }
 
 // Overhead is the total ciphertext expansion of Seal in bytes.
-func Overhead() int { return nonceSize + 16 }
+func Overhead() int { return NonceSize + 16 }
 
 func newAEAD(key Key) (cipher.AEAD, error) {
 	if !key.Valid() {

@@ -208,7 +208,7 @@ func Unmarshal(data []byte) (Envelope, error) {
 		}
 		eph := r.ephemeral()
 		n := r.count(minWrap)
-		ct := newCiphertext(n)
+		ct := abe.NewCiphertext(n)
 		ct.Epoch, ct.PolicyText, ct.Ephemeral = epoch, policy, eph
 		for i := 0; i < n && r.err == nil; i++ {
 			ct.Shares = append(ct.Shares, abe.WrappedShare{Index: r.uint32(), Wrap: r.wrap()})
@@ -377,21 +377,6 @@ func nameBytes(buf []byte) int {
 		}
 	}
 	return total
-}
-
-// newCiphertext returns an empty ABE ciphertext whose Shares has room for n
-// shares, in one allocation when n is 1: a single-attribute policy, the one
-// the feed workloads read.
-func newCiphertext(n int) *abe.Ciphertext {
-	if n > 1 {
-		return &abe.Ciphertext{Shares: make([]abe.WrappedShare, 0, n)}
-	}
-	blk := new(struct {
-		ct     abe.Ciphertext
-		shares [1]abe.WrappedShare
-	})
-	blk.ct.Shares = blk.shares[:0:n]
-	return &blk.ct
 }
 
 // indexOrder puts shares decoded in wire order into index order. Marshal

@@ -49,9 +49,10 @@ func newBenchEnv(b *testing.B) *benchEnv {
 	return env
 }
 
-// buildGroup constructs one scheme's group with benchMembers members; workers
-// bounds the hybrid group's re-encryption.
-func (env *benchEnv) buildGroup(b *testing.B, scheme Scheme, workers int) Group {
+// buildGroup constructs one scheme's group of the environment's first
+// members users (at most benchMembers); workers bounds the hybrid group's
+// re-encryption.
+func (env *benchEnv) buildGroup(b *testing.B, scheme Scheme, workers, members int) Group {
 	b.Helper()
 	g, err := NewGroup(scheme, "bench", env.registry, env.owner)
 	if err != nil {
@@ -60,7 +61,7 @@ func (env *benchEnv) buildGroup(b *testing.B, scheme Scheme, workers int) Group 
 	if hg, ok := g.(*HybridGroup); ok {
 		hg.SetWorkers(workers)
 	}
-	for i := 0; i < benchMembers; i++ {
+	for i := 0; i < members; i++ {
 		if err := g.Add(env.names[i]); err != nil {
 			b.Fatal(err)
 		}
@@ -68,18 +69,24 @@ func (env *benchEnv) buildGroup(b *testing.B, scheme Scheme, workers int) Group 
 	return g
 }
 
+// BenchmarkGroupEncrypt posts at 8 members, the benchmark harness's group
+// size and the one TestContextEncryptAllocations pins, and at 16, past the
+// 8 wraps an IBBE broadcast holds in its own allocation.
 func BenchmarkGroupEncrypt(b *testing.B) {
-	for _, scheme := range Schemes() {
-		b.Run(string(scheme), func(b *testing.B) {
-			env := newBenchEnv(b)
-			g := env.buildGroup(b, scheme, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.Encrypt(benchPlaintext); err != nil {
-					b.Fatal(err)
+	for _, members := range []int{8, benchMembers} {
+		for _, scheme := range Schemes() {
+			b.Run(fmt.Sprintf("%s/members=%d", scheme, members), func(b *testing.B) {
+				env := newBenchEnv(b)
+				g := env.buildGroup(b, scheme, 0, members)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := g.Encrypt(benchPlaintext); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -87,7 +94,7 @@ func BenchmarkGroupAdd(b *testing.B) {
 	for _, scheme := range Schemes() {
 		b.Run(string(scheme), func(b *testing.B) {
 			env := newBenchEnv(b)
-			g := env.buildGroup(b, scheme, 0)
+			g := env.buildGroup(b, scheme, 0, benchMembers)
 			spare := env.names[benchMembers]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -115,7 +122,7 @@ func BenchmarkGroupRemove(b *testing.B) {
 				env := newBenchEnv(b)
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					g := env.buildGroup(b, scheme, workers)
+					g := env.buildGroup(b, scheme, workers, benchMembers)
 					for p := 0; p < benchArchive; p++ {
 						if _, err := g.Encrypt(benchPlaintext); err != nil {
 							b.Fatal(err)
