@@ -33,7 +33,7 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock lint-
 #   e20 -json  the instrumented report round-trips the strict v2 validator (telemetry section included)
 #   e3,e18 -json  the plain report does too
 #   dosnd -resilient  the resilient DHT session completes under 10% loss and prints its metrics
-#   dosnd hybrid  a session on the hybrid overlay completes end to end
+#   dosnd hybrid  a session on the hybrid overlay completes end to end, and a member whose social cache held a post reads it once it is republished after a revocation
 # The attack walkthroughs are the examples, run by `make examples`.
 SMOKE_OUT := .smoke
 BENCH_BIN := $(SMOKE_OUT)/dosnbench
@@ -148,7 +148,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 46
+BENCH_PR := 47
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json

@@ -213,13 +213,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "dosnd: revoked %s read the republished post\n", carol.Name())
 		return 1
 	}
-	// A social cache that holds the old copy keeps serving it (the hybrid
-	// overlay never invalidates on a re-store), so that read is reported.
-	if body, _, err := bob.ReadPost(alice.Name(), 0); err != nil {
-		fmt.Printf("%s republished post 0: %s cannot read it yet (%v), %s still cannot\n", alice.Name(), bob.Name(), err, carol.Name())
-	} else {
-		fmt.Printf("%s republished post 0: %s reads %q, %s still cannot\n", alice.Name(), bob.Name(), body, carol.Name())
+	body, _, err = bob.ReadPost(alice.Name(), 0)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dosnd: %s cannot read the republished post: %v\n", bob.Name(), err)
+		return 1
 	}
+	fmt.Printf("%s republished post 0: %s reads %q, %s still cannot\n", alice.Name(), bob.Name(), body, carol.Name())
 	phase("revocation")
 
 	// Trust-ranked friend search.

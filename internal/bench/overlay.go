@@ -39,7 +39,7 @@ func buildKV(kind string, n int, seed int64) (overlay.KV, *simnet.Network, []sim
 				names[(i+1)%n], names[(i+2)%n], names[(i+n-1)%n],
 			}
 		}
-		kv, err = hybrid.New(net, names, friends, hybrid.DefaultConfig())
+		kv, err = hybrid.New(net, names, friends, dht.Config{ReplicationFactor: 2})
 	case "federation":
 		kv, err = federation.New(net, names, federation.DefaultConfig())
 	default:

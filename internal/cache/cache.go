@@ -8,10 +8,13 @@
 // OSN deployment; DECENT identifies object-read latency as the dominant
 // cost of decentralized enforcement), and the paper motivates hybrid
 // encryption precisely because asymmetric operations are too expensive to
-// pay per read. Three instances of this cache thread through the stack: the
+// pay per read. Four instances of this cache thread through the stack: the
 // DHT route cache (key → successor resolution), the resilient KV's
-// verified-value cache, and the privacy layer's envelope-key cache.
-// Experiment E21 measures what they buy.
+// verified-value cache, the privacy layer's envelope-key cache, and the
+// hybrid overlay's per-node social caches. Experiment E21 measures what the
+// first three buy. The two that hold stored values, the verified-value and
+// social caches, share one coherence rule: a store invalidates its key in
+// every copy, so no cache serves a superseded value as current.
 //
 // Determinism contract: shard assignment is a pure function of (seed, key),
 // and each shard's eviction order is a pure function of the sequence of

@@ -116,6 +116,9 @@ type Network struct {
 	mu    sync.RWMutex
 	kind  OverlayKind
 	nodes map[string]*Node
+	// heads maps each post key to the chain position (hashchain.Entry.Seq)
+	// of the newest entry stored under it: openRecord refuses an older one.
+	heads map[string]uint64
 
 	wallStorage *historytree.Server
 	storageVK   pubkey.VerificationKey
@@ -144,6 +147,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		Telemetry:   telemetry.NewRegistry(),
 		kind:        cfg.Overlay,
 		nodes:       make(map[string]*Node),
+		heads:       make(map[string]uint64),
 		wallStorage: historytree.NewServer(storageKey),
 		storageVK:   storageKey.Verification(),
 	}
@@ -221,9 +225,7 @@ func (n *Network) buildOverlay(cfg Config, net *simnet.Network, names []simnet.N
 				friends[name] = append(friends[name], simnet.NodeID(f))
 			}
 		}
-		hcfg := hybrid.DefaultConfig()
-		hcfg.DHT.ReplicationFactor = cfg.ReplicationFactor
-		return hybrid.New(net, names, friends, hcfg)
+		return hybrid.New(net, names, friends, dht.Config{ReplicationFactor: cfg.ReplicationFactor})
 	case OverlayFederation:
 		return federation.New(net, names, federation.DefaultConfig())
 	default:

@@ -180,3 +180,48 @@ func TestTamperedReplicaIsServedAroundOnResilientDHT(t *testing.T) {
 		t.Fatalf("CorruptReads = %d, want the tampered copy counted", m.CorruptReads)
 	}
 }
+
+// TestSupersededRecordIsRefused: once alice re-stores post 0 as a later
+// entry of her chain, the record sealed from the earlier entry is still
+// checksummed, key-bound and owner-signed, and openRecord refuses it as
+// superseded. A forgery under the same key is still reported as one.
+func TestSupersededRecordIsRefused(t *testing.T) {
+	n := smallNetwork(t, OverlayDHT)
+	innerGroup(t, n)
+	alice := n.MustNode("alice")
+	key := postKey("alice", 0)
+	old, _, err := n.KV.Lookup("bob", key)
+	if err != nil {
+		t.Fatalf("Lookup: %v", err)
+	}
+	if _, err := alice.RepublishArchive("inner", []uint64{0}); err != nil {
+		t.Fatalf("RepublishArchive: %v", err)
+	}
+	current, _, err := n.KV.Lookup("bob", key)
+	if err != nil {
+		t.Fatalf("Lookup: %v", err)
+	}
+	if _, err := n.openRecord(key, current); err != nil {
+		t.Fatalf("the republished record: %v", err)
+	}
+	_, err = n.openRecord(key, old)
+	if !errors.Is(err, scrub.ErrRecord) || errors.Is(err, integrity.ErrForgedOwner) {
+		t.Fatalf("the superseded record: %v, want ErrRecord and not ErrForgedOwner", err)
+	}
+
+	wire, err := scrub.Open(key, old)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	e, err := hashchain.ParseEntry(wire)
+	if err != nil {
+		t.Fatalf("ParseEntry: %v", err)
+	}
+	forged, err := hashchain.New("alice", n.MustNode("bob").User.SigningKeyPair()).Append(e.Payload)
+	if err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if _, err := n.openRecord(key, scrub.Seal(key, forged.Marshal())); !errors.Is(err, integrity.ErrForgedOwner) {
+		t.Fatalf("an old entry forged by bob: %v, want ErrForgedOwner", err)
+	}
+}

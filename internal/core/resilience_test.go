@@ -189,3 +189,49 @@ func TestResilienceWrapsHybridOverlay(t *testing.T) {
 		t.Fatalf("Heal: %v", err)
 	}
 }
+
+// TestReplayedPostIsReadAround: every node replays the last reply it sent
+// for each RPC kind, so after a republish a replica serves the owner-signed
+// record the owner has since superseded. The record check refuses it as
+// corrupt and the resilient read takes the current post from a replica.
+func TestReplayedPostIsReadAround(t *testing.T) {
+	n := resilientNetwork(t, 12)
+	for _, u := range n.Users() {
+		if err := n.Sim.SetByzantine(simnet.NodeID(u), simnet.ByzantineConfig{Mode: simnet.ByzReplay, Rate: 1}); err != nil {
+			t.Fatalf("SetByzantine %s: %v", u, err)
+		}
+	}
+	alice := n.MustNode("user00")
+	bob := n.MustNode("user01")
+	g, err := alice.CreateGroup("friends", privacy.SchemeHybrid)
+	if err != nil {
+		t.Fatalf("CreateGroup: %v", err)
+	}
+	for _, m := range []string{"user01", "user02"} {
+		if err := g.Add(m); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+	}
+	if err := alice.ShareGroup("friends", bob); err != nil {
+		t.Fatalf("ShareGroup: %v", err)
+	}
+	if _, _, err := alice.Publish("friends", []byte("current")); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	if got, _, err := bob.ReadPost("user00", 0); err != nil || string(got) != "current" {
+		t.Fatalf("first read: %q, %v", got, err)
+	}
+	if _, err := g.Remove("user02"); err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	if _, err := alice.RepublishArchive("friends", []uint64{0}); err != nil {
+		t.Fatalf("RepublishArchive: %v", err)
+	}
+	before, _ := n.ResilienceMetrics()
+	if got, _, err := bob.ReadPost("user00", 0); err != nil || string(got) != "current" {
+		t.Fatalf("read after the republish: %q, %v", got, err)
+	}
+	if m, _ := n.ResilienceMetrics(); m.CorruptReads <= before.CorruptReads {
+		t.Fatalf("CorruptReads %d -> %d, want the replayed copy counted", before.CorruptReads, m.CorruptReads)
+	}
+}

@@ -7,65 +7,58 @@
 // gossip-based caching to achieve high performance." A lookup first probes
 // the node's own cache and its social neighbors' caches (one hop), falling
 // back to the DHT; hits then populate the local cache, so popular content
-// gets cheaper over time — the behaviour experiment E6/E7 measures.
+// gets cheaper over time — the behaviour experiment E6/E7 measures. A Store
+// drops every node's cached copy of its key, so a re-stored value is never
+// answered with the one it replaced.
 package hybrid
 
 import (
+	"bytes"
 	"fmt"
-	"sync"
 
+	"godosn/internal/cache"
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
 )
 
-// Config parameterizes the hybrid overlay.
-type Config struct {
-	// DHT configures the structured base layer.
-	DHT dht.Config
-	// CacheSize bounds each node's cache entries (0 = unbounded).
-	CacheSize int
-	// Fanout is how many social neighbors are probed before the DHT.
-	Fanout int
-}
-
-// DefaultConfig uses a replication factor of 2 and probes 3 friends.
-func DefaultConfig() Config {
-	return Config{DHT: dht.Config{ReplicationFactor: 2}, CacheSize: 256, Fanout: 3}
-}
+const (
+	// cacheSize bounds each node's social cache (entries).
+	cacheSize = 256
+	// fanout is how many social neighbors a lookup probes before the DHT.
+	fanout = 3
+)
 
 type cacheNode struct {
 	name    simnet.NodeID
 	friends []simnet.NodeID
-
-	mu    sync.Mutex
-	cache map[string][]byte
-	order []string // FIFO eviction order
+	cache   *cache.Cache[[]byte]
 }
 
 // Overlay is the hybrid DHT + social-cache overlay.
 type Overlay struct {
-	net *simnet.Network
-	cfg Config
-	dht *dht.DHT
-
-	mu    sync.RWMutex
+	net   *simnet.Network
+	dht   *dht.DHT
 	nodes map[simnet.NodeID]*cacheNode
 }
 
 var _ overlay.KV = (*Overlay)(nil)
 
-// New builds the hybrid overlay. The friends map supplies the social edges
-// used for cache gossip; nodes absent from the map simply have no cache
-// neighbors.
-func New(net *simnet.Network, names []simnet.NodeID, friends map[simnet.NodeID][]simnet.NodeID, cfg Config) (*Overlay, error) {
-	base, err := dht.New(net, names, cfg.DHT)
+// New builds the hybrid overlay over a DHT base layer configured by cfg.
+// The friends map supplies the social edges used for cache gossip; nodes
+// absent from the map simply have no cache neighbors.
+func New(net *simnet.Network, names []simnet.NodeID, friends map[simnet.NodeID][]simnet.NodeID, cfg dht.Config) (*Overlay, error) {
+	base, err := dht.New(net, names, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: building DHT layer: %w", err)
 	}
-	o := &Overlay{net: net, cfg: cfg, dht: base, nodes: make(map[simnet.NodeID]*cacheNode, len(names))}
+	o := &Overlay{net: net, dht: base, nodes: make(map[simnet.NodeID]*cacheNode, len(names))}
 	for _, name := range names {
-		n := &cacheNode{name: name, friends: friends[name], cache: make(map[string][]byte)}
+		n := &cacheNode{
+			name:    name,
+			friends: friends[name],
+			cache:   cache.New[[]byte](cache.Config{Capacity: cacheSize, Shards: 1}),
+		}
 		o.nodes[name] = n
 		// The cache protocol piggybacks on a distinct simnet identity so it
 		// can coexist with the DHT handler for the same logical node.
@@ -105,74 +98,55 @@ func (o *Overlay) cacheHandler(n *cacheNode) simnet.HandlerFunc {
 		if !ok {
 			return simnet.Message{}, fmt.Errorf("hybrid: bad payload")
 		}
-		n.mu.Lock()
-		v, found := n.cache[req.Key]
-		n.mu.Unlock()
-		resp := probeResp{Found: found}
-		if found {
-			resp.Value = append([]byte(nil), v...)
-		}
+		v, found := n.cache.Get(req.Key)
+		resp := probeResp{Found: found, Value: bytes.Clone(v)}
 		return simnet.Message{Kind: kindCacheProbe, Payload: resp, Size: 8 + len(resp.Value)}, nil
 	}
 }
 
-// cachePut inserts into a node's bounded cache.
-func (o *Overlay) cachePut(n *cacheNode, key string, value []byte) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, exists := n.cache[key]; !exists {
-		n.order = append(n.order, key)
-		if o.cfg.CacheSize > 0 && len(n.order) > o.cfg.CacheSize {
-			evict := n.order[0]
-			n.order = n.order[1:]
-			delete(n.cache, evict)
-		}
-	}
-	n.cache[key] = append([]byte(nil), value...)
-}
-
-// Store implements overlay.KV: store through the DHT and seed the origin's
-// cache.
+// Store implements overlay.KV: store through the DHT, drop every node's
+// cached copy of the key and seed the origin's cache. A re-store supersedes
+// the old value everywhere, so no cache serves it as current; the drop is
+// unconditional because even a failed Store may have landed on a replica.
 func (o *Overlay) Store(origin, key string, value []byte) (overlay.OpStats, error) {
 	st, err := o.dht.Store(origin, key, value)
+	for _, n := range o.nodes {
+		n.cache.Invalidate(key)
+	}
 	if err != nil {
 		return st, err
 	}
-	o.mu.RLock()
-	n := o.nodes[simnet.NodeID(origin)]
-	o.mu.RUnlock()
-	if n != nil {
-		o.cachePut(n, key, value)
+	if n := o.nodes[simnet.NodeID(origin)]; n != nil {
+		n.cache.Put(key, bytes.Clone(value))
 	}
 	return st, nil
 }
 
 // Lookup implements overlay.KV: local cache, then friends' caches, then the
-// DHT; hits backfill the local cache.
+// DHT; hits backfill the local cache. The caller gets its own copy.
 func (o *Overlay) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
-	o.mu.RLock()
 	n := o.nodes[simnet.NodeID(origin)]
-	o.mu.RUnlock()
 	if n == nil {
 		return nil, overlay.OpStats{}, fmt.Errorf("hybrid: %w: %s", overlay.ErrUnknownOrigin, origin)
 	}
-	// Local cache.
-	n.mu.Lock()
-	if v, ok := n.cache[key]; ok {
-		value := append([]byte(nil), v...)
-		n.mu.Unlock()
-		return value, overlay.OpStats{}, nil
+	var st overlay.OpStats
+	value, _, err := n.cache.Do(key, func() (v []byte, err error) {
+		v, st, err = o.fetch(n, key)
+		return v, err
+	})
+	if err != nil {
+		return nil, st, err
 	}
-	n.mu.Unlock()
+	return bytes.Clone(value), st, nil
+}
 
-	// Social cache probes.
+// fetch is a local-cache miss: the friends' caches, then the DHT.
+func (o *Overlay) fetch(n *cacheNode, key string) ([]byte, overlay.OpStats, error) {
 	tr := &simnet.Trace{}
-	probed := 0
-	for _, friend := range n.friends {
-		if probed >= o.cfg.Fanout {
+	for i, friend := range n.friends {
+		if i == fanout {
 			break
 		}
-		probed++
 		reply, err := o.net.RPC(tr, CacheIdentity(n.name), CacheIdentity(friend), simnet.Message{
 			Kind:    kindCacheProbe,
 			Payload: probeReq{Key: key},
@@ -182,23 +156,16 @@ func (o *Overlay) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
 			continue
 		}
 		if resp, ok := reply.Payload.(probeResp); ok && resp.Found {
-			o.cachePut(n, key, resp.Value)
 			return resp.Value, *tr, nil
 		}
 	}
-
-	// DHT fallback.
-	value, dhtStats, err := o.dht.Lookup(origin, key)
+	value, dhtStats, err := o.dht.Lookup(string(n.name), key)
 	total := *tr
 	total.Hops += dhtStats.Hops
 	total.Messages += dhtStats.Messages
 	total.Bytes += dhtStats.Bytes
 	total.Latency += dhtStats.Latency
-	if err != nil {
-		return nil, total, err
-	}
-	o.cachePut(n, key, value)
-	return value, total, nil
+	return value, total, err
 }
 
 // ReplicasFor implements overlay.ReplicaKV by delegating to the DHT base
