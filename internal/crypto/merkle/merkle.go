@@ -26,24 +26,29 @@ const (
 	nodePrefix = byte(0x01)
 )
 
-// LeafHash hashes application data into a leaf digest.
-func LeafHash(data []byte) [32]byte {
+// LeafHash hashes application data into a leaf digest. The data may come
+// in parts, hashed as their concatenation without joining them first. The
+// state and the sum live on the stack: it allocates nothing.
+func LeafHash(parts ...[]byte) [32]byte {
 	h := sha256.New()
 	h.Write([]byte{leafPrefix})
-	h.Write(data)
+	for _, p := range parts {
+		h.Write(p)
+	}
 	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
-// NodeHash combines two child digests into a parent digest.
+// NodeHash combines two child digests into a parent digest, allocating
+// nothing.
 func NodeHash(left, right [32]byte) [32]byte {
 	h := sha256.New()
 	h.Write([]byte{nodePrefix})
 	h.Write(left[:])
 	h.Write(right[:])
 	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
@@ -67,25 +72,24 @@ func (t *Tree) Append(data []byte) int {
 	return len(t.leaves) - 1
 }
 
-// AppendLeafHash adds a precomputed leaf digest.
-func (t *Tree) AppendLeafHash(leaf [32]byte) int {
-	t.leaves = append(t.leaves, leaf)
-	return len(t.leaves) - 1
-}
-
 // Len returns the number of leaves.
 func (t *Tree) Len() int { return len(t.leaves) }
 
 // Root returns the root digest. An empty tree has the digest of nothing.
-func (t *Tree) Root() [32]byte {
-	if len(t.leaves) == 0 {
+func (t *Tree) Root() [32]byte { return RootOf(t.leaves) }
+
+// RootOf returns the root digest of a tree over the given leaf digests,
+// without building the tree: a caller that knows its leaf count fills one
+// slice of that size and folds it here. No leaves digest as the empty tree.
+func RootOf(leaves [][32]byte) [32]byte {
+	if len(leaves) == 0 {
 		return sha256.Sum256([]byte("godosn/merkle/empty-v1"))
 	}
-	return rootOf(t.leaves)
+	return rootOf(leaves)
 }
 
-// rootOf computes the RFC-6962-style root of a leaf range: the split point is
-// the largest power of two strictly less than the range size.
+// rootOf computes the RFC-6962-style root of a non-empty leaf range: the
+// split point is the largest power of two strictly less than the range size.
 func rootOf(leaves [][32]byte) [32]byte {
 	n := len(leaves)
 	if n == 1 {

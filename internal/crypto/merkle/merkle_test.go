@@ -1,6 +1,8 @@
 package merkle
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -47,6 +49,38 @@ func TestRootDeterministic(t *testing.T) {
 	if a.Root() == c.Root() {
 		t.Fatal("order-insensitive root")
 	}
+}
+
+// TestHashesOnFixedInput pins LeafHash and NodeHash to SHA-256 over their
+// domain byte and input — a leaf given in parts hashes as the same leaf
+// given whole — and pins both, and RootOf over a filled slice, to no
+// allocation.
+func TestHashesOnFixedInput(t *testing.T) {
+	data := bytes.Repeat([]byte("payload "), 40)
+	want := sha256.Sum256(append([]byte{leafPrefix}, data...))
+	if got := LeafHash(data); got != want {
+		t.Fatalf("LeafHash = %x, want %x", got, want)
+	}
+	if got := LeafHash(data[:7], nil, data[7:]); got != want {
+		t.Fatalf("LeafHash in parts = %x, want %x", got, want)
+	}
+	l, r := LeafHash([]byte("l")), LeafHash([]byte("r"))
+	if got, want := NodeHash(l, r), sha256.Sum256(append(append([]byte{nodePrefix}, l[:]...), r[:]...)); got != want {
+		t.Fatalf("NodeHash = %x, want %x", got, want)
+	}
+	if RootOf(nil) != New().Root() || RootOf(buildTree(13).leaves) != buildTree(13).Root() {
+		t.Fatal("RootOf differs from the tree's root")
+	}
+	leaves := buildTree(13).leaves
+	var sink [32]byte
+	if n := testing.AllocsPerRun(100, func() {
+		sink = LeafHash(data)
+		sink = NodeHash(sink, l)
+		sink = RootOf(leaves)
+	}); n != 0 {
+		t.Fatalf("LeafHash, NodeHash and RootOf allocate %v times, want 0", n)
+	}
+	_ = sink
 }
 
 func TestLeafInteriorDomainSeparation(t *testing.T) {

@@ -324,15 +324,17 @@ func TestFetchCopiesWhileStoreBatchAppends(t *testing.T) {
 	n := d.view().names[names[1]]
 	handle := d.handlerFor(n)
 	version := func(b byte) []byte { return bytes.Repeat([]byte{b}, 3000) }
-	n.data.put("hot", version(0))
+	n.data.put("hot", keyTop("hot"), version(0))
 
 	const writes = 400
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 1; i <= writes; i++ {
+			cold := fmt.Sprintf("cold-%d", i%7)
 			req := &storeBatchReq{
-				Keys:   []string{"hot", fmt.Sprintf("cold-%d", i%7)},
+				Keys:   []string{"hot", cold},
+				Tops:   []uint32{keyTop("hot"), keyTop(cold)},
 				Values: [][]byte{version(byte(i)), version(byte(i))},
 			}
 			if _, err := handle(&simnet.Trace{}, names[0], simnet.Message{Kind: kindStoreBatch, Payload: req}); err != nil {

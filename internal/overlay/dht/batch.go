@@ -63,9 +63,11 @@ const (
 // single-key ones (dht.go).
 
 // storeBatchReq carries every key the destination replica holds for this
-// batch, in one envelope.
+// batch, in one envelope, each with its ring-id top bits (Tops[i], as in
+// storeReq: not counted in the envelope's size).
 type storeBatchReq struct {
 	Keys   []string
+	Tops   []uint32
 	Values [][]byte
 }
 
@@ -108,7 +110,7 @@ func (r *fetchBatchReq) message() simnet.Message {
 func (r *storeBatchReq) reset() {
 	clear(r.Keys)
 	clear(r.Values)
-	r.Keys, r.Values = r.Keys[:0], r.Values[:0]
+	r.Keys, r.Tops, r.Values = r.Keys[:0], r.Tops[:0], r.Values[:0]
 }
 
 // reset empties the request and its reply slot for refilling, keeping their
@@ -133,12 +135,12 @@ const (
 // copies each key and value into the node's log, so the envelope's slices
 // stay the sender's.
 func handleStoreBatch(n *node, req *storeBatchReq) (simnet.Message, error) {
-	if len(req.Keys) != len(req.Values) {
-		return simnet.Message{}, fmt.Errorf("dht: store_batch: %d keys, %d values", len(req.Keys), len(req.Values))
+	if len(req.Keys) != len(req.Values) || len(req.Keys) != len(req.Tops) {
+		return simnet.Message{}, fmt.Errorf("dht: store_batch: %d keys, %d ring ids, %d values", len(req.Keys), len(req.Tops), len(req.Values))
 	}
 	n.mu.Lock()
 	for i, key := range req.Keys {
-		n.data.put(key, req.Values[i])
+		n.data.put(key, req.Tops[i], req.Values[i])
 	}
 	n.mu.Unlock()
 	return simnet.Message{Kind: kindStoreBatch, Size: batchEnvelopeOverhead}, nil
@@ -175,11 +177,13 @@ func handleFetchBatch(n *node, req *fetchBatchReq) (simnet.Message, error) {
 }
 
 // batchPlan is a batch's routing and grouping state, kept in the batch's
-// frame: each key's root or routing failure, every routed position sorted
-// by root with each group a sub-slice of it, and a put's destination runs
-// (destinations). acks holds a write's per-replica outcomes for writeErr:
-// a put's by slot, a Store's in placement order.
+// frame: each key's ring-id top bits (which a put's envelopes carry), root
+// or routing failure, every routed position sorted by root with each group
+// a sub-slice of it, and a put's destination runs (destinations). acks
+// holds a write's per-replica outcomes for writeErr: a put's by slot, a
+// Store's in placement order.
 type batchPlan struct {
+	tops   []uint32
 	roots  []uint64
 	errs   []error
 	order  []int
@@ -222,7 +226,7 @@ func (p *batchPlan) reset() {
 	clear(p.groups)
 	clear(p.dests)
 	clear(p.acks)
-	p.roots, p.errs, p.order, p.groups = p.roots[:0], p.errs[:0], p.order[:0], p.groups[:0]
+	p.tops, p.roots, p.errs, p.order, p.groups = p.tops[:0], p.roots[:0], p.errs[:0], p.order[:0], p.groups[:0]
 	p.slots, p.dests, p.acks = p.slots[:0], p.dests[:0], p.acks[:0]
 }
 
@@ -242,13 +246,16 @@ func zeroed[T any](s []T, n int) []T {
 // errs; the corresponding roots entry is invalid.
 func (d *DHT) batchRoots(f *opFrame, origin simnet.NodeID, keys []string) (tr simnet.Trace) {
 	p := &f.plan
+	p.tops = zeroed(p.tops, len(keys))
 	p.roots = zeroed(p.roots, len(keys))
 	p.errs = zeroed(p.errs, len(keys))
 	for i, key := range keys {
 		// Every resolution of the batch starts on a zero trace; one a memo
 		// answers leaves it zero.
 		f.tr = simnet.Trace{}
-		p.roots[i], p.errs[i] = d.resolveRoot(f, nil, origin, key, hashID(key), true)
+		kid := d.keyID(key)
+		p.tops[i] = idTop(kid)
+		p.roots[i], p.errs[i] = d.resolveRoot(f, nil, origin, key, kid, true)
 		addBranch(&tr, &f.tr)
 	}
 	return tr
@@ -377,6 +384,7 @@ func (d *DHT) putDest(origin simnet.NodeID, v *ringView, p *batchPlan, dst *batc
 	for _, s := range dst.slots {
 		for _, idx := range p.groups[s.group].idxs {
 			req.Keys = append(req.Keys, keys[idx])
+			req.Tops = append(req.Tops, p.tops[idx])
 			req.Values = append(req.Values, values[idx])
 		}
 	}

@@ -16,7 +16,7 @@ import (
 func TestEveryReplyWithAPayloadIsCorruptible(t *testing.T) {
 	d, _, names := buildDHT(t, 4, Config{ReplicationFactor: 1})
 	n := d.view().names[names[1]]
-	n.data.put("k", []byte("stored value"))
+	n.data.put("k", keyTop("k"), []byte("stored value"))
 	handle := d.handlerFor(n)
 	invert := func(b []byte) []byte {
 		c := append([]byte(nil), b...)
@@ -28,12 +28,12 @@ func TestEveryReplyWithAPayloadIsCorruptible(t *testing.T) {
 	for _, req := range []simnet.Message{
 		{Kind: kindFindSuccessor, Payload: &findSuccessorReq{Key: n.id + 1}},
 		{Kind: kindFindSuccessor, Payload: &findSuccessorReq{Key: n.id - 1}},
-		{Kind: kindStore, Payload: &storeReq{Key: "k2", Value: []byte("v")}},
+		{Kind: kindStore, Payload: &storeReq{Key: "k2", Top: keyTop("k2"), Value: []byte("v")}},
 		{Kind: kindFetch, Payload: &fetchReq{Key: "k"}},
 		{Kind: kindFetch, Payload: &fetchReq{Key: "absent"}},
 		{Kind: kindDigest, Payload: digestReq{Keys: []string{"k", "absent"}, Nonce: 7}},
 		{Kind: kindDigestBatch, Payload: digestBatchReq{Groups: [][]string{{"k"}, {"absent"}}, Nonce: 7}},
-		{Kind: kindStoreBatch, Payload: &storeBatchReq{Keys: []string{"k3"}, Values: [][]byte{[]byte("v")}}},
+		{Kind: kindStoreBatch, Payload: &storeBatchReq{Keys: []string{"k3"}, Tops: []uint32{keyTop("k3")}, Values: [][]byte{[]byte("v")}}},
 		{Kind: kindFetchBatch, Payload: &fetchBatchReq{Keys: []string{"k", "absent"}}},
 	} {
 		reply, err := handle(&simnet.Trace{}, names[0], req)

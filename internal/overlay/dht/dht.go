@@ -33,6 +33,15 @@ func hashID(s string) uint64 {
 	return binary.BigEndian.Uint64(h[:8])
 }
 
+// keyID is a key's ring id: hashID, counted in dht_key_hashes_total when
+// telemetry is on. Every key hash goes through it; node ids do not.
+func (d *DHT) keyID(key string) uint64 {
+	if t := d.tel.Load(); t != nil {
+		t.keyHashes.Inc()
+	}
+	return hashID(key)
+}
+
 // node is one DHT participant. Its routing state lives in the ringView.
 type node struct {
 	id   uint64
@@ -172,8 +181,14 @@ type findSuccessorResp struct {
 	Node uint64
 	Next uint64
 }
+
+// storeReq's Top is the top 32 bits of the key's ring id, which the node
+// files the record under (store.go). The writer has the id already, from
+// routing or from the copy it pushes; it is a function of Key, so it adds
+// nothing to the message's declared Size.
 type storeReq struct {
 	Key   string
+	Top   uint32
 	Value []byte
 }
 type fetchReq struct {
@@ -252,7 +267,7 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
 			n.mu.Lock()
-			n.data.put(req.Key, req.Value)
+			n.data.put(req.Key, req.Top, req.Value)
 			n.mu.Unlock()
 			return simnet.Message{Kind: msg.Kind, Size: 8}, nil
 
@@ -275,7 +290,7 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 			if !ok {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
-			return simnet.Message{Kind: msg.Kind, Payload: localDigest(n, req.Keys, req.Nonce), Size: 64}, nil
+			return simnet.Message{Kind: msg.Kind, Payload: digestReply(n, req.Keys, req.Nonce), Size: 64}, nil
 
 		case kindDigestBatch:
 			req, ok := msg.Payload.(digestBatchReq)
@@ -377,7 +392,8 @@ func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (o
 	defer returnFrame(f)
 	tr := &f.tr
 	route := sp.Child("route")
-	root, err := d.resolveRoot(f, route, simnet.NodeID(origin), key, hashID(key), false)
+	kid := d.keyID(key)
+	root, err := d.resolveRoot(f, route, simnet.NodeID(origin), key, kid, false)
 	route.AddLatency(tr.Latency)
 	route.End(spanOutcome(err))
 	if err != nil {
@@ -387,7 +403,7 @@ func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (o
 	replicas := v.placementOf(f.ids[:0], root, d.replica)
 	// Write the replica set in placement order, one store RPC each; any ack
 	// makes the store succeed. Every replica gets the same request.
-	f.store = storeReq{Key: key, Value: value}
+	f.store = storeReq{Key: key, Top: idTop(kid), Value: value}
 	req := simnet.Message{Kind: kindStore, Payload: &f.store, Size: len(key) + len(value)}
 	acks := f.plan.acks // the frame's outcome slots, emptied on return
 	for _, rid := range replicas {
@@ -443,7 +459,7 @@ func (d *DHT) LookupSpan(sp *telemetry.Span, origin, key string) ([]byte, overla
 	defer returnFrame(f)
 	tr := &f.tr
 	route := sp.Child("route")
-	root, err := d.resolveRoot(f, route, simnet.NodeID(origin), key, hashID(key), false)
+	root, err := d.resolveRoot(f, route, simnet.NodeID(origin), key, d.keyID(key), false)
 	route.AddLatency(tr.Latency)
 	route.End(spanOutcome(err))
 	if err != nil {

@@ -126,8 +126,9 @@ func healRing(tb testing.TB, keys int) (*DHT, []simnet.NodeID) {
 	}
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("k%d", i)
-		for _, rid := range d.view().successorsOf(nil, hashID(key), d.replica) {
-			d.view().byID[rid].data.put(key, []byte("benchmark value payload"))
+		kid := hashID(key)
+		for _, rid := range d.view().successorsOf(nil, kid, d.replica) {
+			d.view().byID[rid].data.put(key, idTop(kid), []byte("benchmark value payload"))
 		}
 	}
 	return d, names
@@ -155,7 +156,7 @@ func BenchmarkHeal(b *testing.B) {
 			missed := make([][]string, len(returning))
 			for i, n := range returning {
 				held := make([]string, 0, n.data.len())
-				n.data.each(func(key string, _ []byte) { held = append(held, key) })
+				n.data.each(func(key string, _ uint32, _ []byte) { held = append(held, key) })
 				sort.Strings(held)
 				for j := 0; j < len(held); j += 6 {
 					missed[i] = append(missed[i], held[j])

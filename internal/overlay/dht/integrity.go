@@ -48,7 +48,7 @@ func (d *DHT) StoreTo(origin, key string, value []byte, replica string) (overlay
 	}
 	f := borrowFrame()
 	defer returnFrame(f)
-	f.store = storeReq{Key: key, Value: value}
+	f.store = storeReq{Key: key, Top: idTop(d.keyID(key)), Value: value}
 	_, err := d.net.RPC(&f.tr, simnet.NodeID(origin), rn.name, simnet.Message{
 		Kind:    kindStore,
 		Payload: &f.store,
@@ -89,18 +89,28 @@ func (d *DHT) DigestFrom(origin string, keys []string, nonce uint64, replica str
 }
 
 // localDigest computes a node's digests over its copies of keys —
-// node-local handler logic, free of network cost.
-func localDigest(n *node, keys []string, nonce uint64) digestResp {
-	leaves := make([][32]byte, 0, len(keys))
+// node-local handler logic, free of network cost — into roots[:32] (Fresh)
+// and roots[32:64] (State). leaves, at least 1+len(keys) long, holds the
+// nonce leaf and then the copy leaves, and both roots fold it in place.
+func localDigest(n *node, keys []string, nonce uint64, leaves [][32]byte, roots []byte) {
+	leaves = leaves[:1+len(keys)]
+	leaves[0] = overlay.NonceLeaf(nonce)
 	n.mu.Lock()
-	for _, key := range keys {
+	for i, key := range keys {
 		v, ok := n.data.get(key)
-		leaves = append(leaves, overlay.CopyLeaf(key, v, ok))
+		leaves[1+i] = overlay.CopyLeaf(key, v, ok)
 	}
 	n.mu.Unlock()
-	fresh := overlay.NoncedDigestOf(nonce, leaves)
-	state := overlay.DigestOf(leaves)
-	return digestResp{Fresh: fresh[:], State: state[:]}
+	fresh, state := overlay.DigestOf(leaves), overlay.DigestOf(leaves[1:])
+	copy(roots[:32], fresh[:])
+	copy(roots[32:64], state[:])
+}
+
+// digestReply is the digest reply for keys: both roots in one 64-byte array.
+func digestReply(n *node, keys []string, nonce uint64) digestResp {
+	roots := make([]byte, 64)
+	localDigest(n, keys, nonce, make([][32]byte, 1+len(keys)), roots)
+	return digestResp{Fresh: roots[:32:32], State: roots[32:64:64]}
 }
 
 // SetPlacementFilter implements overlay.PlacementFilterable: allow vetoes
@@ -156,10 +166,10 @@ func (d *DHT) CorruptStored(name, key string, mutate func([]byte) []byte) bool {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	v, ok := n.data.get(key)
+	v, top, ok := n.data.getTop(key)
 	if !ok {
 		return false
 	}
-	n.data.put(key, mutate(append([]byte(nil), v...)))
+	n.data.put(key, top, mutate(append([]byte(nil), v...)))
 	return true
 }

@@ -44,16 +44,24 @@ type digestBatchResp struct {
 }
 
 // handleDigestBatch computes the replica-side multi-group digest —
-// node-local, free of network cost beyond the one reply.
+// node-local, free of network cost beyond the one reply. The groups share
+// one leaf slice sized for the largest, and every group's two roots are
+// views of one array, so the reply allocates per batch, not per group.
 func handleDigestBatch(n *node, req digestBatchReq) (simnet.Message, error) {
 	resp := digestBatchResp{
-		Fresh: make([][]byte, 0, len(req.Groups)),
-		State: make([][]byte, 0, len(req.Groups)),
+		Fresh: make([][]byte, len(req.Groups)),
+		State: make([][]byte, len(req.Groups)),
 	}
+	most := 0
 	for _, keys := range req.Groups {
-		dg := localDigest(n, keys, req.Nonce)
-		resp.Fresh = append(resp.Fresh, dg.Fresh)
-		resp.State = append(resp.State, dg.State)
+		most = max(most, len(keys))
+	}
+	leaves := make([][32]byte, 1+most)
+	roots := make([]byte, 64*len(req.Groups))
+	for i, keys := range req.Groups {
+		r := roots[64*i : 64*i+64]
+		localDigest(n, keys, req.Nonce, leaves, r)
+		resp.Fresh[i], resp.State[i] = r[:32:32], r[32:64:64]
 	}
 	return simnet.Message{Kind: kindDigestBatch, Payload: resp, Size: batchEnvelopeOverhead + 64*len(req.Groups)}, nil
 }
@@ -104,10 +112,14 @@ func (d *DHT) StoreBatchTo(origin string, keys []string, values [][]byte, replic
 	}
 	f := borrowFrame()
 	defer returnFrame(f)
-	// Copied, not adopted: the frame clears its own arrays on return.
+	// Copied, not adopted: the frame clears its own arrays on return. No
+	// routing named these keys' ring ids, so each is hashed here.
 	req := &f.storeBatch
 	req.Keys = append(req.Keys, keys...)
 	req.Values = append(req.Values, values...)
+	for _, key := range keys {
+		req.Tops = append(req.Tops, idTop(d.keyID(key)))
+	}
 	_, err := d.net.RPC(&f.tr, simnet.NodeID(origin), rn.name, req.message())
 	if err != nil {
 		return nil, f.tr, err
@@ -164,5 +176,5 @@ func (d *DHT) DigestBatchFrom(origin string, groups [][]string, nonce uint64, re
 // drill-downs, never to a false clean. Like ReplicasFor's, the slice may be
 // shared and must not be written.
 func (d *DHT) PlanReplicas(key string) []string {
-	return d.replicaPlan(hashID(key))
+	return d.replicaPlan(d.keyID(key))
 }

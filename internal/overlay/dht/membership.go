@@ -40,9 +40,9 @@ func (d *DHT) Join(name simnet.NodeID) error {
 		// the successor after it; put copies, so the two stores never share
 		// a backing array.
 		var moved []string
-		succ.data.each(func(key string, value []byte) {
-			if inInterval(hashID(key), pred, n.id) {
-				n.data.put(key, value)
+		succ.data.each(func(key string, top uint32, value []byte) {
+			if inInterval(d.keyID(key), pred, n.id) {
+				n.data.put(key, top, value)
 				moved = append(moved, key)
 			}
 		})

@@ -2,7 +2,10 @@ package dht
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strconv"
+	"strings"
 
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
@@ -54,7 +57,7 @@ func registerCrashHook(net *simnet.Network, n *node) {
 func (d *DHT) ReplicasFor(origin, key string) ([]string, overlay.OpStats, error) {
 	f := borrowFrame()
 	defer returnFrame(f)
-	root, err := d.resolveRoot(f, nil, simnet.NodeID(origin), key, hashID(key), false)
+	root, err := d.resolveRoot(f, nil, simnet.NodeID(origin), key, d.keyID(key), false)
 	if err != nil {
 		return nil, f.tr, err
 	}
@@ -141,22 +144,15 @@ func (d *DHT) Heal() (overlay.HealReport, error) {
 	return d.HealSpan(nil)
 }
 
-// healPush is one planned re-replication copy.
-type healPush struct {
-	key   string
-	value []byte
-	src   simnet.NodeID
-	dst   simnet.NodeID
-}
-
 // healView is the frozen world one heal pass plans against: the ring, who
 // is online, and each ring segment's live target set — the first k online
 // successors of the segment's root that placement allows, walking past
 // offline and quarantined canonical replicas, which is where Heal
-// replicates to and ReplicasFor extends into. Every key hashing into
-// segment i (ring[i-1], ring[i]] shares targets[i], so the sets are
+// replicates to and ReplicasFor extends into. Every key whose ring id falls
+// into segment i (ring[i-1], ring[i]] shares targets[i], so the sets are
 // computed once per pass instead of once per key.
 type healView struct {
+	d       *DHT
 	ring    []uint64
 	online  []*node   // online nodes in ring order
 	targets [][]*node // per ring segment
@@ -168,7 +164,7 @@ type healView struct {
 func (d *DHT) healViewLocked() *healView {
 	rv := d.view()
 	ring, nodes := rv.ring, rv.members()
-	v := &healView{ring: ring, targets: make([][]*node, len(ring))}
+	v := &healView{d: d, ring: ring, targets: make([][]*node, len(ring))}
 	up := make([]bool, len(ring))
 	target := make([]bool, len(ring)) // online and allowed by placement
 	k := 0
@@ -199,49 +195,85 @@ func (d *DHT) healViewLocked() *healView {
 	return v
 }
 
-// targetsOf returns the live target set of key's ring segment.
-func (v *healView) targetsOf(key string) []*node {
-	kid := hashID(key)
-	i := sort.Search(len(v.ring), func(i int) bool { return v.ring[i] >= kid })
+// targetsOf returns the live target set of the segment of the key whose
+// ring id has the top bits top (its record keeps them): the segment of the
+// first ring id at or after the key's. The top bits decide it unless a ring
+// id shares them, and only then is the key hashed — on a ring of n nodes, a
+// share of about n/2^32 of the copies.
+func (v *healView) targetsOf(key string, top uint32) []*node {
+	i, _ := slices.BinarySearch(v.ring, uint64(top)<<32)
+	if i < len(v.ring) && idTop(v.ring[i]) == top {
+		i, _ = slices.BinarySearch(v.ring, v.d.keyID(key))
+	}
 	if i == len(v.ring) {
 		i = 0
 	}
 	return v.targets[i]
 }
 
-// healScan is one node's share of a heal pass.
+// healScan is one node's share of a heal pass: the keys it checks, and
+// marks over its records (in each's order) for the keys it reports.
 type healScan struct {
-	checked   int      // keys this node is the checker of
-	deficient []string // of those, the ones some target lacks
-	orphans   []string // keys this non-target node holds and no target does
+	checked   int   // keys this node is the checker of
+	deficient marks // of those, the ones some target lacks
+	orphans   marks // keys this non-target node holds and no target does
+}
+
+// marks is a set of record numbers of one store: a bitmap, allocated at the
+// first mark, so a node with nothing to report allocates nothing and one
+// with something allocates one bit per record, never per key reported.
+type marks struct {
+	bits []uint64
+	n    int
+}
+
+func (m *marks) set(i, records int) {
+	if m.bits == nil {
+		m.bits = make([]uint64, (records+63)/64)
+	}
+	m.bits[i/64] |= 1 << (i % 64)
+	m.n++
+}
+
+// each calls fn for every marked record number, in increasing order.
+func (m *marks) each(fn func(i int)) {
+	for w, word := range m.bits {
+		for ; word != 0; word &= word - 1 {
+			fn(64*w + bits.TrailingZeros64(word))
+		}
+	}
 }
 
 // scan walks n's store against the view. A key's checker is the first of
 // its targets that holds it: it alone counts the key, and reports it when
 // any target (earlier, so n is not first, or later) lacks a copy. Every
 // other holder stops at the first earlier target it finds holding the key,
-// so a fully replicated key costs k hashes and k+1 store probes across its
-// holders and allocates nothing. A holder outside the target set reports
-// the key only when no target holds it (several may: merged by the caller).
-// Stores are read without locks: planHeal holds every online node's.
+// so a fully replicated key costs one segment lookup per copy and k+1 store
+// probes across its holders, hashes nothing and allocates nothing. A holder
+// outside the target set reports the key only when no target holds it
+// (several may: merged by the caller). Stores are read without locks:
+// planHeal holds every online node's.
 func (v *healView) scan(n *node) healScan {
 	var out healScan
-	n.data.each(func(key string, _ []byte) {
-		targets := v.targetsOf(key)
+	records := n.data.len()
+next:
+	for i := 0; i < records; i++ {
+		key, top := n.data.record(i)
+		targets := v.targetsOf(key, top)
 		for j, t := range targets {
 			if t == n {
 				out.checked++
 				if j > 0 || !heldByAll(targets[j+1:], key) {
-					out.deficient = append(out.deficient, key)
+					out.deficient.set(i, records)
 				}
-				return
+				continue next
 			}
 			if t.data.has(key) {
-				return
+				continue next
 			}
 		}
-		out.orphans = append(out.orphans, key)
-	})
+		out.orphans.set(i, records)
+	}
 	return out
 }
 
@@ -255,11 +287,43 @@ func heldByAll(nodes []*node, key string) bool {
 	return true
 }
 
+// healPlan is one heal pass's plan, built once and sized before it is
+// filled: the under-replicated keys, every copy to push in key-major order
+// (the per-key execution order), and the same pushes' keys laid out pair by
+// pair, the pairs in the order they first appear key-major (the batched
+// execution order).
+type healPlan struct {
+	scanned int        // distinct keys online nodes hold
+	keys    []healKey  // in key order
+	pushes  []healPush // key-major
+	pairs   []healPair // first-appearance order
+	byPair  []int32    // key indices; pairs[p] owns byPair[lo:hi]
+}
+
+// healKey is one under-replicated key and its source: the lowest-ring-id
+// online holder's copy (the log's own bytes: immutable, and the target's
+// put copies) and the ring-id top bits that copy is filed under.
+type healKey struct {
+	key   string
+	top   uint32
+	value []byte
+	src   *node
+}
+
+// healPush is one copy to make: a key index and a pair index.
+type healPush struct{ key, pair int32 }
+
+// healPair is one (holder, target) pair and its run of byPair.
+type healPair struct {
+	src, dst *node
+	lo, hi   int
+}
+
 // planHeal finds every under-replicated key and plans its pushes, in key
 // order: the lowest-ring-id online holder pushes to each online target
-// missing a copy, in target order. Node-local, free of network cost. It
-// returns the number of distinct keys online nodes hold and the plan.
-func (d *DHT) planHeal() (int, []healPush) {
+// missing a copy, in target order. Node-local, free of network cost. Its
+// allocations are per node and per pair, never per key.
+func (d *DHT) planHeal() healPlan {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	v := d.healViewLocked()
@@ -277,74 +341,123 @@ func (d *DHT) planHeal() (int, []healPush) {
 	scans, _ := parallel.Map(0, v.online, func(_ int, n *node) (healScan, error) {
 		return v.scan(n), nil
 	})
-	scanned := 0
-	var keys, orphans []string
+	var p healPlan
+	marked := 0
 	for _, s := range scans {
-		scanned += s.checked
-		keys = append(keys, s.deficient...)
-		orphans = append(orphans, s.orphans...)
+		p.scanned += s.checked
+		marked += s.deficient.n + s.orphans.n
 	}
-	sort.Strings(orphans)
-	for i, key := range orphans {
-		if i == 0 || key != orphans[i-1] {
-			scanned++
-			keys = append(keys, key)
-		}
+	if marked == 0 {
+		return p
 	}
-	sort.Strings(keys) // deterministic pass order
 
-	var plan []healPush
-	for _, key := range keys {
-		var src *node
-		var value []byte
+	// The reported keys: each deficient key once (its checker's), then the
+	// orphans, deduplicated (several strays may hold one), then all sorted
+	// for a deterministic pass order.
+	keys := make([]healKey, 0, marked)
+	collect := func(i int, m *marks) {
+		m.each(func(r int) {
+			key, _ := v.online[i].data.record(r)
+			keys = append(keys, healKey{key: key})
+		})
+	}
+	for i := range scans {
+		collect(i, &scans[i].deficient)
+	}
+	deficient := len(keys)
+	for i := range scans {
+		collect(i, &scans[i].orphans)
+	}
+	byKey := func(a, b healKey) int { return strings.Compare(a.key, b.key) }
+	orphans := keys[deficient:]
+	slices.SortFunc(orphans, byKey)
+	orphans = slices.CompactFunc(orphans, func(a, b healKey) bool { return a.key == b.key })
+	p.scanned += len(orphans)
+	p.keys = keys[:deficient+len(orphans)]
+	slices.SortFunc(p.keys, byKey)
+	for i := range p.keys {
+		k := &p.keys[i]
 		for _, n := range v.online {
-			if stored, held := n.data.get(key); held {
-				// The log's own bytes: immutable, and the target's put copies.
-				src, value = n, stored
+			if stored, top, held := n.data.getTop(k.key); held {
+				k.src, k.value, k.top = n, stored, top
 				break
 			}
 		}
-		for _, target := range v.targetsOf(key) {
-			if !target.data.has(key) {
-				plan = append(plan, healPush{key: key, value: value, src: src.name, dst: target.name})
+	}
+
+	// Count every push per pair, numbering the pairs as they first appear;
+	// then lay the pushes out, key-major and pair by pair.
+	type pairCount struct{ idx, n int }
+	pairOf := make(map[[2]*node]pairCount)
+	missing := func(fn func(ki int, pk [2]*node)) {
+		for ki := range p.keys {
+			k := &p.keys[ki]
+			for _, t := range v.targetsOf(k.key, k.top) {
+				if !t.data.has(k.key) {
+					fn(ki, [2]*node{k.src, t})
+				}
 			}
 		}
 	}
-	return scanned, plan
+	missing(func(_ int, pk [2]*node) {
+		c, seen := pairOf[pk]
+		if !seen {
+			c.idx = len(pairOf)
+		}
+		c.n++
+		pairOf[pk] = c
+	})
+	p.pairs = make([]healPair, len(pairOf))
+	for pk, c := range pairOf {
+		p.pairs[c.idx] = healPair{src: pk[0], dst: pk[1], hi: c.n}
+	}
+	total := 0
+	for i := range p.pairs {
+		n := p.pairs[i].hi
+		p.pairs[i].lo, p.pairs[i].hi = total, total // hi is now the fill cursor
+		total += n
+	}
+	p.pushes = make([]healPush, 0, total)
+	p.byPair = make([]int32, total)
+	missing(func(ki int, pk [2]*node) {
+		pi := pairOf[pk].idx
+		p.pushes = append(p.pushes, healPush{key: int32(ki), pair: int32(pi)})
+		pair := &p.pairs[pi]
+		p.byPair[pair.hi] = int32(ki)
+		pair.hi++
+	})
+	return p
 }
 
 // HealSpan implements overlay.SpanHealer: Heal with each re-replication
 // push attributed to a "repair" child span of sp (nil sp: identical
 // untraced pass).
 func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
-	scanned, flat := d.planHeal() // key-major plan order (the per-key baseline order)
+	p := d.planHeal()
 	tr := &simnet.Trace{}
-	report := overlay.HealReport{KeysScanned: scanned}
+	report := overlay.HealReport{KeysScanned: p.scanned}
+	failed := make([]bool, len(p.keys)) // a key some push of failed
 
 	// The plan is either executed per key (PerKeyHeal: one store RPC per
-	// push, the measured baseline) or coalesced per (holder, target) pair
-	// into store_batch envelopes — one message pair moves every key that
-	// pair shares.
-	type healPair struct{ src, dst simnet.NodeID }
-	var pairOrder []healPair
-	planned := make(map[healPair][]healPush)
-	failed := make(map[string]bool)
-	// One frame carries every push of the pass, one RPC at a time.
+	// push, the measured baseline) or per (holder, target) pair as one
+	// store_batch envelope — one message pair moves every key that pair
+	// shares. A dropped push or envelope leaves its keys for the next pass
+	// rather than failing the whole heal. One frame carries every push of
+	// the pass, one RPC at a time.
 	f := borrowFrame()
 	defer returnFrame(f)
 	if d.perKeyHeal {
-		// One store RPC per copy, in key-major order; a drop leaves the
-		// key for the next pass rather than failing the whole heal.
-		for _, p := range flat {
+		for _, push := range p.pushes {
+			k, pair := &p.keys[push.key], &p.pairs[push.pair]
 			f.tr = simnet.Trace{}
-			f.store = storeReq{Key: p.key, Value: p.value}
+			f.store = storeReq{Key: k.key, Top: k.top, Value: k.value}
 			psp := sp.Child("repair")
-			psp.Tag("key", p.key)
-			psp.Tag("to", string(p.dst))
-			_, err := d.net.RPC(&f.tr, p.src, p.dst, simnet.Message{
+			psp.Tag("key", k.key)
+			psp.Tag("to", string(pair.dst.name))
+			_, err := d.net.RPC(&f.tr, pair.src.name, pair.dst.name, simnet.Message{
 				Kind:    kindStore,
 				Payload: &f.store,
-				Size:    len(p.key) + len(p.value),
+				Size:    len(k.key) + len(k.value),
 			})
 			tr.Add(&f.tr)
 			psp.AddLatency(f.tr.Latency)
@@ -352,44 +465,44 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 			if err == nil {
 				report.Repaired++
 			} else {
-				failed[p.key] = true
+				failed[push.key] = true
 			}
 		}
 	} else {
-		for _, p := range flat {
-			pk := healPair{src: p.src, dst: p.dst}
-			if _, ok := planned[pk]; !ok {
-				pairOrder = append(pairOrder, pk)
+		req := &f.storeBatch
+		for _, pair := range p.pairs {
+			run := p.byPair[pair.lo:pair.hi]
+			req.reset()
+			for _, ki := range run {
+				k := &p.keys[ki]
+				req.Keys = append(req.Keys, k.key)
+				req.Tops = append(req.Tops, k.top)
+				req.Values = append(req.Values, k.value)
 			}
-			planned[pk] = append(planned[pk], p)
-		}
-	}
-	req := &f.storeBatch
-	for _, pk := range pairOrder {
-		pushes := planned[pk]
-		req.reset()
-		for _, p := range pushes {
-			req.Keys = append(req.Keys, p.key)
-			req.Values = append(req.Values, p.value)
-		}
-		f.tr = simnet.Trace{}
-		psp := sp.Child("repair")
-		psp.Tag("to", string(pk.dst))
-		psp.Tag("keys", fmt.Sprintf("%d", len(pushes)))
-		_, err := d.net.RPC(&f.tr, pk.src, pk.dst, req.message())
-		tr.Add(&f.tr)
-		psp.AddLatency(f.tr.Latency)
-		psp.End(spanOutcome(err))
-		if err == nil {
-			report.Repaired += len(pushes)
-		} else {
-			// A dropped envelope leaves its keys for the next pass.
-			for _, p := range pushes {
-				failed[p.key] = true
+			f.tr = simnet.Trace{}
+			psp := sp.Child("repair")
+			if psp != nil {
+				psp.Tag("to", string(pair.dst.name))
+				psp.Tag("keys", strconv.Itoa(len(run)))
+			}
+			_, err := d.net.RPC(&f.tr, pair.src.name, pair.dst.name, req.message())
+			tr.Add(&f.tr)
+			psp.AddLatency(f.tr.Latency)
+			psp.End(spanOutcome(err))
+			if err == nil {
+				report.Repaired += len(run)
+			} else {
+				for _, ki := range run {
+					failed[ki] = true
+				}
 			}
 		}
 	}
-	report.Unrepairable = len(failed)
+	for _, bad := range failed {
+		if bad {
+			report.Unrepairable++
+		}
+	}
 	report.Stats = *tr
 	if report.Repaired > 0 {
 		// Copies moved: memoized routes may predate the repaired layout.

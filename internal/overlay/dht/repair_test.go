@@ -556,7 +556,7 @@ func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
 			continue
 		}
 		n.mu.Lock()
-		n.data.each(func(key string, _ []byte) { holders[key] = append(holders[key], n) })
+		n.data.each(func(key string, _ uint32, _ []byte) { holders[key] = append(holders[key], n) })
 		n.mu.Unlock()
 	}
 
@@ -624,7 +624,7 @@ func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
 			psp.Tag("to", string(p.dst))
 			_, err := d.net.RPC(ptr, p.src, p.dst, simnet.Message{
 				Kind:    kindStore,
-				Payload: &storeReq{Key: p.key, Value: p.value},
+				Payload: &storeReq{Key: p.key, Top: keyTop(p.key), Value: p.value},
 				Size:    len(p.key) + len(p.value),
 			})
 			tr.Add(ptr)
@@ -642,11 +642,13 @@ func referenceHeal(d *DHT, sp *telemetry.Span) (overlay.HealReport, error) {
 		pushes := planned[pk]
 		req := &storeBatchReq{
 			Keys:   make([]string, len(pushes)),
+			Tops:   make([]uint32, len(pushes)),
 			Values: make([][]byte, len(pushes)),
 		}
 		size := batchEnvelopeOverhead
 		for i, p := range pushes {
 			req.Keys[i] = p.key
+			req.Tops[i] = keyTop(p.key)
 			req.Values[i] = p.value
 			size += len(p.key) + len(p.value) + batchItemOverhead
 		}
@@ -691,11 +693,37 @@ type healOutcome struct {
 	stores  map[simnet.NodeID]map[string]string
 }
 
+// checkStoredTops fails unless every record on the ring is filed under its
+// key's ring-id top bits. tops memoises keyTop across a schedule.
+func checkStoredTops(t *testing.T, what string, d *DHT, tops map[string]uint32) {
+	t.Helper()
+	for name, n := range d.view().names {
+		n.mu.Lock()
+		n.data.each(func(key string, top uint32, _ []byte) {
+			want, ok := tops[key]
+			if !ok {
+				want = keyTop(key)
+				tops[key] = want
+			}
+			if top != want {
+				t.Errorf("%s: %s files %s under ring-id top %#x, want %#x", what, name, key, top, want)
+			}
+		})
+		n.mu.Unlock()
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
 // runHealSchedule builds a ring from seed, drives a seeded random schedule
 // of faults and writes over it, and runs heal at the schedule's heal points.
 // Every choice comes from the schedule's own RNG and the names it tracks,
 // never from the world's state, so two runs with different heal functions
-// see the same schedule for as long as they behave the same.
+// see the same schedule for as long as they behave the same. After every
+// step each record must still carry its key's ring-id top bits, through
+// writes, overwrites, deletes, crash resets, Join and Leave transfers and
+// heal pushes.
 func runHealSchedule(t *testing.T, seed int64, heal func(*DHT) (overlay.HealReport, error)) healOutcome {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -725,11 +753,12 @@ func runHealSchedule(t *testing.T, seed int64, heal func(*DHT) (overlay.HealRepo
 		if v == nil {
 			n.data.del(key)
 		} else {
-			n.data.put(key, v)
+			n.data.put(key, keyTop(key), v)
 		}
 		n.mu.Unlock()
 	}
 	joined := 0
+	tops := make(map[string]uint32)
 	for step, steps := 0, 40+rng.Intn(40); step < steps; step++ {
 		// Errors from faulted operations are part of the schedule: a store
 		// through an offline origin fails the same way in both runs.
@@ -796,18 +825,20 @@ func runHealSchedule(t *testing.T, seed int64, heal func(*DHT) (overlay.HealRepo
 			}
 			out.reports = append(out.reports, report)
 		}
+		checkStoredTops(t, fmt.Sprintf("seed %d step %d", seed, step), d, tops)
 	}
 	report, err := heal(d)
 	if err != nil {
 		t.Fatalf("seed %d: heal: %v", seed, err)
 	}
+	checkStoredTops(t, fmt.Sprintf("seed %d last heal", seed), d, tops)
 	out.reports = append(out.reports, report)
 	out.totals = net.Totals()
 	out.stores = make(map[simnet.NodeID]map[string]string)
 	for name, n := range d.view().names {
 		n.mu.Lock()
 		out.stores[name] = make(map[string]string, n.data.len())
-		n.data.each(func(k string, v []byte) { out.stores[name][k] = string(v) })
+		n.data.each(func(k string, _ uint32, v []byte) { out.stores[name][k] = string(v) })
 		n.mu.Unlock()
 	}
 	return out
@@ -853,6 +884,69 @@ func TestHealWithNothingToRepairAllocatesPerRingNotPerKey(t *testing.T) {
 	}
 	if allocs[0] != allocs[1] || allocs[0] > 32 {
 		t.Fatalf("healthy heal allocates %v at 500 keys and %v at 4000, want equal and <= 32", allocs[0], allocs[1])
+	}
+}
+
+// returningRing is healRing with BenchmarkHeal's returning=3 shape: three
+// nodes each miss every sixth key they should hold. Here the sixths are
+// taken per ring segment, starting at each segment's first key, so every
+// segment a returning node serves misses a key at any ring size: the pass
+// has the same holders, checkers and (holder, target) pairs at 10 000 keys
+// as at 100 000. It returns the returning nodes and the copies they miss.
+func returningRing(tb testing.TB, keys int) (*DHT, []simnet.NodeID, int) {
+	tb.Helper()
+	d, names := healRing(tb, keys)
+	v := d.view()
+	returning := []simnet.NodeID{names[7], names[19], names[31]}
+	missed := 0
+	for _, name := range returning {
+		n := v.names[name]
+		bySegment := make(map[int][]string)
+		n.data.each(func(key string, _ uint32, _ []byte) {
+			seg := v.segmentOf(hashID(key))
+			bySegment[seg] = append(bySegment[seg], key)
+		})
+		for _, held := range bySegment {
+			sort.Strings(held)
+			for j := 0; j < len(held); j += 6 {
+				n.data.del(held[j])
+				missed++
+			}
+		}
+	}
+	return d, returning, missed
+}
+
+func TestHealWithReturningNodesAllocatesPerRingNotPerKey(t *testing.T) {
+	// A pass that plans and sends repairs allocates per node and per
+	// (holder, target) pair, never per key: its marks, plan and envelopes
+	// are sized before they are filled. The returning nodes sit behind a
+	// partition, so every envelope is planned, filled and sent but none
+	// lands, and each run repeats the same pass: what is counted is the
+	// heal's own work, not the receiving logs' growth by the bytes they
+	// would take in.
+	if raceEnabled {
+		t.Skip("sync.Pool drops frames at random under the race detector")
+	}
+	var allocs [2]float64
+	for i, keys := range []int{10_000, 100_000} {
+		d, returning, missed := returningRing(t, keys)
+		for _, name := range returning {
+			if err := d.net.SetPartition(name, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Collect the set-up's garbage first: a collection during the runs
+		// would empty the frame pool and charge a fresh frame to the pass.
+		runtime.GC()
+		allocs[i] = testing.AllocsPerRun(5, func() {
+			if report, err := d.Heal(); err != nil || report.KeysScanned != keys || report.Unrepairable != missed {
+				t.Fatalf("heal over %d keys, %d copies missing: %+v %v", keys, missed, report, err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("returning=3 heal allocates %v at 10 000 keys and %v at 100 000, want equal", allocs[0], allocs[1])
 	}
 }
 

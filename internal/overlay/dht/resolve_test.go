@@ -81,6 +81,43 @@ func TestResolveCountersOnFixedInput(t *testing.T) {
 	}
 }
 
+// The key-hash counter on a fixed input: an operation that routes keys
+// hashes each once, and a heal pass hashes none — it files every copy on
+// the ring by the top bits its record keeps, healthy or repairing.
+func TestKeyHashesOnFixedInput(t *testing.T) {
+	hashes := func(reg *telemetry.Registry) int64 { return reg.Counter("dht_key_hashes_total").Value() }
+	d, _, names := buildDHT(t, 48, Config{ReplicationFactor: 3})
+	reg := telemetry.NewRegistry()
+	d.SetTelemetry(reg)
+	origin := string(names[0])
+	if _, err := d.Store(origin, "one-key", []byte("v")); err != nil || hashes(reg) != 1 {
+		t.Fatalf("Store: %d key hashes, %v; want 1", hashes(reg), err)
+	}
+	if _, _, err := d.Lookup(origin, "one-key"); err != nil || hashes(reg) != 2 {
+		t.Fatalf("Lookup: %d key hashes in all, %v; want 2", hashes(reg), err)
+	}
+	keys, vals := batchKeys(256)
+	if _, _, err := d.PutBatch(origin, keys, vals); err != nil || hashes(reg) != 2+256 {
+		t.Fatalf("256-key PutBatch: %d key hashes in all, %v; want %d", hashes(reg), err, 2+256)
+	}
+
+	for _, ring := range []struct {
+		name  string
+		build func() (*DHT, int)
+	}{
+		{"healthy 4000 keys", func() (*DHT, int) { d, _ := healRing(t, 4000); return d, 0 }},
+		{"returning=3", func() (*DHT, int) { d, _, missed := returningRing(t, 10_000); return d, missed }},
+	} {
+		d, missed := ring.build()
+		reg := telemetry.NewRegistry()
+		d.SetTelemetry(reg)
+		report, err := d.Heal()
+		if err != nil || report.Repaired != missed || hashes(reg) != 0 {
+			t.Fatalf("%s: heal repaired %d of %d with %d key hashes, %v; want none hashed", ring.name, report.Repaired, missed, hashes(reg), err)
+		}
+	}
+}
+
 // A key inside a learned interval is resolved for Store, Lookup and
 // ReplicasFor without a find_successor RPC: each operation's hops are its
 // replica RPCs only, and a learned Store still allocates nothing.

@@ -35,8 +35,9 @@ var _ overlay.RouteCached = (*DHT)(nil)
 
 // resolveTelemetry is the DHT's own shard of each resolution counter.
 type resolveTelemetry struct {
-	learned *telemetry.Counter // keys a learned ownership segment answered
-	walks   *telemetry.Counter // findSuccessor walks started
+	learned   *telemetry.Counter // keys a learned ownership segment answered
+	walks     *telemetry.Counter // findSuccessor walks started
+	keyHashes *telemetry.Counter // key → ring id SHA-256s (DHT.keyID)
 }
 
 // resolveRoot resolves key's successor root in the order above. A learned
@@ -90,10 +91,12 @@ func (d *DHT) RouteCacheStats() cache.Stats {
 // "dht_route_cache" prefix, counts resolutions into
 // "dht_resolve_learned_total" (keys a learned ownership segment answered) and
 // "dht_resolve_walks_total" (findSuccessor walks started, including those
-// the origin answers from its own successor without an RPC), and the
+// the origin answers from its own successor without an RPC), key hashes
+// into "dht_key_hashes_total" (one SHA-256 per key an operation routes or a
+// direct write files; none per copy a heal pass scans), and the
 // server-side gate shed counters under "dht_gate_sheds" (gate.go). The
-// resolution counters are off until this is called; nil reg turns them
-// off again. Safe to call with the route cache or the gates disabled.
+// resolution and hash counters are off until this is called; nil reg turns
+// them off again. Safe to call with the route cache or the gates disabled.
 func (d *DHT) SetTelemetry(reg *telemetry.Registry) {
 	d.routes.SetTelemetry(reg, "dht_route_cache")
 	d.gates.setTelemetry(reg)
@@ -102,7 +105,8 @@ func (d *DHT) SetTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	d.tel.Store(&resolveTelemetry{
-		learned: reg.Counter("dht_resolve_learned_total").Shard(),
-		walks:   reg.Counter("dht_resolve_walks_total").Shard(),
+		learned:   reg.Counter("dht_resolve_learned_total").Shard(),
+		walks:     reg.Counter("dht_resolve_walks_total").Shard(),
+		keyHashes: reg.Counter("dht_key_hashes_total").Shard(),
 	})
 }

@@ -15,7 +15,9 @@ import (
 //     returned, or a key string each handed out, stays valid and unchanged
 //     for as long as someone holds it, with or without the node lock;
 //   - refs: one 16-byte record reference per live key, dense, in insertion
-//     order, swap-removed on delete;
+//     order, swap-removed on delete. Besides the record's place it keeps the
+//     top 32 bits of the key's ring id, which the write carried in, so heal
+//     files a copy on the ring without hashing its key;
 //   - slots: an open-addressing, linear-probe index of 8-byte slots, each the
 //     low 32 bits of the key's hash and the record's reference number plus
 //     one (zero is the empty slot). Growing re-seats slots from the hash bits
@@ -23,7 +25,9 @@ import (
 //
 // put copies key and value into the log, so callers hand over their own
 // slices without copying first; whatever leaves a node is copied by the
-// handler that sends it. All methods run under the owning node's mutex.
+// handler that sends it. Every put names the key's ring-id top bits
+// (idTop(hashID(key))), which the store keeps and never checks. All methods
+// run under the owning node's mutex.
 type store struct {
 	chunks [][]byte
 	refs   []recRef
@@ -33,11 +37,22 @@ type store struct {
 	spare  int // the closed chunk with the most room left, as far as room saw
 }
 
-// recRef locates one record: chunks[chunk][off:off+klen] is the key, the
-// vlen bytes after it the value.
+// recRef locates one record and files it on the ring: with chunk and off
+// packed into loc, chunks[chunk][off:off+klen] is the key and the vlen bytes
+// after it the value; top is the top 32 bits of the key's ring id. An
+// offset fits offBits: a record starts inside its chunk, and every chunk is
+// at most chunkMax bytes except one holding a single larger record, which
+// starts at 0 (an empty record reads nothing and is placed at 0 too). The
+// chunk number takes the other 32−offBits bits: a log of 4 GiB.
 type recRef struct {
-	chunk, off, klen, vlen uint32
+	loc, top, klen, vlen uint32
 }
+
+func (r recRef) chunk() uint32 { return r.loc >> offBits }
+func (r recRef) off() uint32   { return r.loc & (1<<offBits - 1) }
+
+// idTop is the part of a ring id a record keeps.
+func idTop(kid uint64) uint32 { return uint32(kid >> 32) }
 
 // Layout constants: fixed, not tunable. CHANGES.md (PR 20) has the
 // BenchmarkNodeStore rows (20 k keys of 300 B) and the feed-private heap
@@ -53,9 +68,11 @@ type recRef struct {
 //     size (+26 B per put-fresh) for a get-miss 8 ns faster and an equal
 //     get-hit.
 const (
-	chunkMin       = 1 << 10
+	chunkMinBits   = 10
 	chunkDoublings = 5
+	chunkMin       = 1 << chunkMinBits
 	chunkMax       = chunkMin << chunkDoublings
+	offBits        = chunkMinBits + chunkDoublings // chunkMax == 1<<offBits
 	slotsMin       = 16
 )
 
@@ -73,12 +90,21 @@ func (s *store) len() int { return len(s.refs) }
 func (s *store) reset() { *s = store{} }
 
 func (s *store) keyBytes(r recRef) []byte {
-	return s.chunks[r.chunk][r.off : r.off+r.klen]
+	off := r.off()
+	return s.chunks[r.chunk()][off : off+r.klen]
 }
 
 func (s *store) value(r recRef) []byte {
-	lo, hi := r.off+r.klen, r.off+r.klen+r.vlen
-	return s.chunks[r.chunk][lo:hi:hi]
+	lo, hi := r.off()+r.klen, r.off()+r.klen+r.vlen
+	return s.chunks[r.chunk()][lo:hi:hi]
+}
+
+// record returns record i, in each's order: its key (a string over the log
+// bytes, as each hands it out) and its ring-id top bits.
+func (s *store) record(i int) (key string, top uint32) {
+	r := s.refs[i]
+	k := s.keyBytes(r)
+	return unsafe.String(unsafe.SliceData(k), len(k)), r.top
 }
 
 // find returns the slot and the reference number of key's record, or -1, -1.
@@ -105,11 +131,17 @@ func (s *store) find(key string, h uint32) (slot, ref int) {
 // them after releasing the node lock, and must copy before handing them to
 // anyone who might write.
 func (s *store) get(key string) ([]byte, bool) {
+	val, _, ok := s.getTop(key)
+	return val, ok
+}
+
+// getTop is get that also returns the record's ring-id top bits.
+func (s *store) getTop(key string) ([]byte, uint32, bool) {
 	_, n := s.find(key, hashKey(key))
 	if n < 0 {
-		return nil, false
+		return nil, 0, false
 	}
-	return s.value(s.refs[n]), true
+	return s.value(s.refs[n]), s.refs[n].top, true
 }
 
 func (s *store) has(key string) bool {
@@ -117,14 +149,15 @@ func (s *store) has(key string) bool {
 	return n >= 0
 }
 
-// put stores a copy of val under a copy of key.
-func (s *store) put(key string, val []byte) {
+// put stores a copy of val under a copy of key, filed under top, the top
+// bits of key's ring id.
+func (s *store) put(key string, top uint32, val []byte) {
 	h := hashKey(key)
 	_, n := s.find(key, h)
 	need := len(key) + len(val)
-	ci := s.room(need)
+	ci, loc := s.place(need)
 	c := s.chunks[ci]
-	r := recRef{chunk: uint32(ci), off: uint32(len(c)), klen: uint32(len(key)), vlen: uint32(len(val))}
+	r := recRef{loc: loc, top: top, klen: uint32(len(key)), vlen: uint32(len(val))}
 	s.chunks[ci] = append(append(c, key...), val...)
 	s.live += need
 	s.logged += need
@@ -181,12 +214,27 @@ func (s *store) del(key string) bool {
 // sorts what it keeps. The key is a string over the log bytes themselves
 // (no allocation per key): sound because those bytes are never written
 // again, and the string keeps its chunk reachable if it outlives the walk.
+// top is the record's ring-id top bits, so fn may be another store's put.
 // fn must not modify the store.
-func (s *store) each(fn func(key string, val []byte)) {
-	for _, r := range s.refs {
-		k := s.keyBytes(r)
-		fn(unsafe.String(unsafe.SliceData(k), len(k)), s.value(r))
+func (s *store) each(fn func(key string, top uint32, val []byte)) {
+	for i, r := range s.refs {
+		key, top := s.record(i)
+		fn(key, top, s.value(r))
 	}
+}
+
+// place returns the chunk the next need bytes go into (room) and the packed
+// location they start at (recRef).
+func (s *store) place(need int) (ci int, loc uint32) {
+	ci = s.room(need)
+	if ci >= 1<<(32-offBits) {
+		panic("dht: node store log over 4 GiB")
+	}
+	off := len(s.chunks[ci])
+	if need == 0 {
+		off = 0
+	}
+	return ci, uint32(ci)<<offBits | uint32(off)
 }
 
 // room returns the number of the chunk the next need bytes go into: the
@@ -227,11 +275,10 @@ func (s *store) compactIfMostlyDead() {
 	old := s.chunks
 	s.chunks, s.spare = nil, 0
 	for i, r := range s.refs {
-		rec := old[r.chunk][r.off : r.off+r.klen+r.vlen]
-		ci := s.room(len(rec))
-		c := s.chunks[ci]
-		s.refs[i].chunk, s.refs[i].off = uint32(ci), uint32(len(c))
-		s.chunks[ci] = append(c, rec...)
+		rec := old[r.chunk()][r.off() : r.off()+r.klen+r.vlen]
+		ci, loc := s.place(len(rec))
+		s.refs[i].loc = loc
+		s.chunks[ci] = append(s.chunks[ci], rec...)
 	}
 	s.logged = s.live
 }

@@ -8,10 +8,15 @@ import (
 	"testing"
 )
 
+// keyTop is the ring-id top bits every write of key files its record under.
+func keyTop(key string) uint32 { return idTop(hashID(key)) }
+
 // storeModel drives a store and the map[string][]byte it replaced through
 // the same operations and fails on the first difference. It also holds on to
 // slices get returned earlier and checks they never change (the log's
-// immutability rule), and checks the log bound at every step.
+// immutability rule), checks the log bound at every step, and checks that
+// every record keeps its key's ring-id top bits through overwrites,
+// swap-removes, compactions and resets.
 type storeModel struct {
 	t           testing.TB
 	s           store
@@ -66,7 +71,7 @@ func (c *storeModel) after(op string, dead int) {
 func (c *storeModel) put(key string, val []byte) {
 	c.t.Helper()
 	dead := c.s.logged - c.s.live
-	c.s.put(key, val)
+	c.s.put(key, keyTop(key), val)
 	c.m[key] = append([]byte(nil), val...)
 	c.after("put "+key, dead)
 }
@@ -84,10 +89,13 @@ func (c *storeModel) del(key string) {
 
 func (c *storeModel) get(key string) {
 	c.t.Helper()
-	got, ok := c.s.get(key)
+	got, top, ok := c.s.getTop(key)
 	want, wantOK := c.m[key]
 	if ok != wantOK || !bytes.Equal(got, want) || c.s.has(key) != wantOK {
 		c.t.Fatalf("get %s: %d bytes found=%v, model %d bytes found=%v", key, len(got), ok, len(want), wantOK)
+	}
+	if ok && top != keyTop(key) {
+		c.t.Fatalf("get %s: record filed under ring-id top %#x, want %#x", key, top, keyTop(key))
 	}
 	if ok {
 		if cap(got) != len(got) {
@@ -103,10 +111,13 @@ func (c *storeModel) get(key string) {
 func (c *storeModel) sweep() {
 	c.t.Helper()
 	seen := make(map[string]bool, len(c.m))
-	c.s.each(func(key string, val []byte) {
+	c.s.each(func(key string, top uint32, val []byte) {
 		want, ok := c.m[key]
 		if !ok || seen[key] || !bytes.Equal(val, want) {
 			c.t.Fatalf("each: key %s (in model %v, seen before %v) carries %d bytes, model %d", key, ok, seen[key], len(val), len(want))
+		}
+		if top != keyTop(key) {
+			c.t.Fatalf("each: key %s filed under ring-id top %#x, want %#x", key, top, keyTop(key))
 		}
 		seen[key] = true
 	})
@@ -172,12 +183,46 @@ func TestStoreMatchesMapModel(t *testing.T) {
 	c.sweep()
 }
 
+// TestRecordPackingLimits round-trips a record at each end of what the
+// packed location holds: one starting at offset chunkMax−1, the last byte
+// an offset may name, and one larger than chunkMax, which gets a chunk of
+// its own and starts at 0.
+func TestRecordPackingLimits(t *testing.T) {
+	c := newStoreModel(t)
+	// Fill records up to the first chunkMax-sized chunk, then that chunk up
+	// to its last byte.
+	for i := 0; len(c.s.chunks) < chunkDoublings+1 || len(c.s.chunks[chunkDoublings]) < chunkMax-200; i++ {
+		c.put(fmt.Sprintf("fill-%d", i), make([]byte, 60))
+	}
+	// Key "f" and a value that leave one byte: key "e", no value.
+	c.put("f", make([]byte, chunkMax-len(c.s.chunks[chunkDoublings])-2))
+	if got := len(c.s.chunks[chunkDoublings]); got != chunkMax-1 {
+		t.Fatalf("set-up left chunk %d at %d bytes, want %d", chunkDoublings, got, chunkMax-1)
+	}
+	c.put("e", nil)
+	_, n := c.s.find("e", hashKey("e"))
+	if r := c.s.refs[n]; r.chunk() != chunkDoublings || r.off() != chunkMax-1 {
+		t.Fatalf("record e at chunk %d offset %d, want chunk %d offset %d", r.chunk(), r.off(), chunkDoublings, chunkMax-1)
+	}
+	big := bytes.Repeat([]byte{7}, 2*chunkMax)
+	c.put("big", big)
+	_, n = c.s.find("big", hashKey("big"))
+	if r := c.s.refs[n]; r.off() != 0 || cap(c.s.chunks[r.chunk()]) != len("big")+len(big) {
+		t.Fatalf("record big at offset %d in a chunk of %d bytes, want 0 in one of its own", r.off(), cap(c.s.chunks[r.chunk()]))
+	}
+	c.put("after-big", []byte("v"))
+	for _, key := range []string{"e", "big", "after-big", "f"} {
+		c.get(key)
+	}
+	c.sweep()
+}
+
 func TestStoreChunksStartSmall(t *testing.T) {
 	// A lightly loaded node must not carry a full-size chunk: 200 keys of
 	// 100 B sit in chunks that double from chunkMin, never over twice the bytes.
 	var s store
 	for i := 0; i < 200; i++ {
-		s.put(fmt.Sprintf("key-%03d", i), make([]byte, 100))
+		s.put(fmt.Sprintf("key-%03d", i), 0, make([]byte, 100))
 	}
 	allocated := 0
 	for _, chunk := range s.chunks {
@@ -263,7 +308,7 @@ func BenchmarkNodeStore(b *testing.B) {
 	fullStore := func() *store {
 		s := &store{}
 		for _, k := range present {
-			s.put(k, val)
+			s.put(k, 0, val)
 		}
 		return s
 	}
@@ -281,7 +326,7 @@ func BenchmarkNodeStore(b *testing.B) {
 			if i%keys == 0 {
 				s = &store{}
 			}
-			s.put(present[i%keys], val)
+			s.put(present[i%keys], 0, val)
 		}
 	})
 	b.Run("put-fresh/map", func(b *testing.B) {
@@ -299,7 +344,7 @@ func BenchmarkNodeStore(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.put(present[i%keys], val)
+			s.put(present[i%keys], 0, val)
 		}
 	})
 	b.Run("put-overwrite/map", func(b *testing.B) {
@@ -337,7 +382,7 @@ func BenchmarkNodeStore(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.each(func(key string, val []byte) { storeSink += len(key) + len(val) })
+			s.each(func(key string, _ uint32, val []byte) { storeSink += len(key) + len(val) })
 		}
 	})
 	b.Run("each/map", func(b *testing.B) {

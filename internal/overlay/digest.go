@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"encoding/binary"
+	"unsafe"
 
 	"godosn/internal/crypto/merkle"
 )
@@ -26,44 +27,35 @@ const (
 
 // CopyLeaf hashes one replica's copy of key for digest comparison. present
 // distinguishes a held (possibly empty) value from a missing key; the key is
-// bound into the leaf so a value cannot stand in for another key's copy.
+// bound into the leaf so a value cannot stand in for another key's copy. The
+// leaf's parts are hashed in place, with no buffer joining them.
 func CopyLeaf(key string, value []byte, present bool) [32]byte {
+	// A read-only view of the key's bytes: the hash only reads them.
+	k := unsafe.Slice(unsafe.StringData(key), len(key))
 	if !present {
-		return merkle.LeafHash([]byte(copyAbsent + key))
+		return merkle.LeafHash([]byte(copyAbsent), k)
 	}
-	buf := make([]byte, 0, len(copyPresent)+len(key)+1+len(value))
-	buf = append(buf, copyPresent...)
-	buf = append(buf, key...)
-	buf = append(buf, 0)
-	buf = append(buf, value...)
-	return merkle.LeafHash(buf)
+	return merkle.LeafHash([]byte(copyPresent), k, []byte{0}, value)
 }
 
-// DigestOf folds copy leaves, in caller-fixed key order, into one Merkle
-// root. Order matters: both sides must walk the same sorted key list.
-func DigestOf(leaves [][32]byte) [32]byte {
-	t := &merkle.Tree{}
-	for _, l := range leaves {
-		t.AppendLeafHash(l)
-	}
-	return t.Root()
-}
-
-// NoncedDigestOf is DigestOf with the scrub pass's freshness nonce bound in
-// as the first leaf. The nonce forces a replica to commit per pass: a
-// Byzantine node replaying an old-but-matching digest reply answers for a
-// stale nonce, so its root diverges from the honest replicas' and the
-// scrubber drills down within the same pass instead of one round late.
-func NoncedDigestOf(nonce uint64, leaves [][32]byte) [32]byte {
-	t := &merkle.Tree{}
+// NonceLeaf is the leaf that binds a digest to one scrub pass: the nonce-bound
+// root (Digest.Fresh) is DigestOf this leaf followed by the copy leaves. The
+// nonce forces a replica to commit per pass: a Byzantine node replaying an
+// old-but-matching digest reply answers for a stale nonce, so its root
+// diverges from the honest replicas' and the scrubber drills down within the
+// same pass instead of one round late.
+func NonceLeaf(nonce uint64) [32]byte {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], nonce)
-	t.AppendLeafHash(merkle.LeafHash(append([]byte(nonceDomain), buf[:]...)))
-	for _, l := range leaves {
-		t.AppendLeafHash(l)
-	}
-	return t.Root()
+	return merkle.LeafHash([]byte(nonceDomain), buf[:])
 }
+
+// DigestOf folds leaves, in caller-fixed key order, into one Merkle root.
+// Order matters: both sides must walk the same sorted key list. It reads the
+// slice in place, so a caller sizes it once and fills it: a replica puts the
+// nonce leaf in slot 0 and its copy leaves after it, and folds the whole
+// slice for Fresh and the slice from 1 for State.
+func DigestOf(leaves [][32]byte) [32]byte { return merkle.RootOf(leaves) }
 
 // RepairKV is implemented by overlays that can write a value directly onto
 // one named replica, bypassing placement. The integrity scrubber uses it to
@@ -75,9 +67,9 @@ type RepairKV interface {
 }
 
 // Digest is one replica's summary of its copies of a key set. Fresh is the
-// nonce-bound root (NoncedDigestOf) — the root compared across replicas, so
-// a reply recorded under an earlier nonce cannot be replayed as fresh.
-// State is the nonce-free root (DigestOf) over the same copies: once Fresh
+// nonce-bound root (DigestOf the NonceLeaf, then the copy leaves) — the
+// root compared across replicas, so a reply recorded under an earlier nonce
+// cannot be replayed as fresh. State is the nonce-free root (DigestOf) over the same copies: once Fresh
 // equality has established that every replica answered this pass, State is
 // a stable fingerprint of the agreed replica state, identical across passes
 // over unchanged data.
@@ -87,8 +79,7 @@ type Digest struct {
 }
 
 // DigestKV is implemented by overlays whose replicas can summarize their
-// local copies of a key set as Merkle roots (CopyLeaf/DigestOf/
-// NoncedDigestOf). Digest replies travel over the same faulty network as
+// local copies of a key set as Merkle roots (CopyLeaf/NonceLeaf/DigestOf). Digest replies travel over the same faulty network as
 // everything else: a corrupted or lying digest causes a drill-down to full
 // value comparison, never a false "clean".
 type DigestKV interface {

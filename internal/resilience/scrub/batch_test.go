@@ -3,6 +3,7 @@ package scrub
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"godosn/internal/overlay"
@@ -68,6 +69,46 @@ func TestScrubBatchedMatchesPerKeyReports(t *testing.T) {
 	}
 	if !reflect.DeepEqual(vb, vp) {
 		t.Fatalf("verdict streams diverge:\nbatched: %v\nper-key: %v", vb, vp)
+	}
+}
+
+// TestCleanBatchedPassAllocatesPerGroupNotPerKey: a batched pass over a
+// clean ring exchanges one digest batch per replica and drills no group, so
+// it allocates per group and per replica — its digest leaves, roots and
+// fingerprint are sized before they are filled — and eight times the keys
+// in the same groups cost the same count.
+func TestCleanBatchedPassAllocatesPerGroupNotPerKey(t *testing.T) {
+	var allocs [2]float64
+	var groupCounts [2]int
+	for i, keys := range []int{500, 4000} {
+		f := newFixture(t, 7, 16, keys)
+		index := make(map[string]int)
+		var groups []Group
+		for _, key := range f.keys {
+			plan := f.d.PlanReplicas(key)
+			sig := strings.Join(plan, "\x00")
+			gi, ok := index[sig]
+			if !ok {
+				gi = len(groups)
+				index[sig] = gi
+				groups = append(groups, Group{Replicas: plan})
+			}
+			groups[gi].Keys = append(groups[gi].Keys, key)
+		}
+		groupCounts[i] = len(groups)
+		s := New(f.d, DefaultConfig(f.client))
+		allocs[i] = testing.AllocsPerRun(5, func() {
+			rep, err := s.ScrubResolved(groups)
+			if err != nil || rep.KeysScanned != keys || rep.DigestClean != len(groups) || rep.KeysCompared != 0 {
+				t.Fatalf("clean pass over %d keys: %+v %v", keys, rep, err)
+			}
+		})
+	}
+	if groupCounts[0] != groupCounts[1] {
+		t.Fatalf("set-up formed %d groups at 500 keys and %d at 4000", groupCounts[0], groupCounts[1])
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("clean batched pass allocates %v at 500 keys and %v at 4000, want equal", allocs[0], allocs[1])
 	}
 }
 

@@ -3,9 +3,9 @@ package scrub
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"godosn/internal/crypto/merkle"
@@ -240,6 +240,7 @@ const (
 	copyCondemned                    // failed verify or diverged, survived recheck
 	copyMissing                      // replica answered not-found
 	copyUnreachable                  // delivery failure; liveness is the healer's job
+	copyHeld                         // fetched, not yet judged by the election
 )
 
 // keyOutcome is the drilled-down result for one key.
@@ -247,9 +248,32 @@ type keyOutcome struct {
 	key       string
 	canonical []byte
 	found     bool
-	best      [32]byte             // winning copy leaf of the election
-	states    map[string]copyState // replica -> state
+	best      [32]byte    // winning copy leaf of the election
+	states    []copyState // by replica index, aligned with the group's replicas
 	failed    bool
+}
+
+// drillScratch is one drill-down's per-key working state, laid out by
+// replica index in arrays sized once per group: the key's copy states, the
+// copies fetched and their leaves.
+type drillScratch struct {
+	states []copyState
+	values [][]byte
+	leaves [][32]byte
+}
+
+func newDrillScratch(keys, replicas int) drillScratch {
+	return drillScratch{
+		states: make([]copyState, keys*replicas),
+		values: make([][]byte, replicas),
+		leaves: make([][32]byte, replicas),
+	}
+}
+
+// outcome starts key ki's outcome over its slice of the states.
+func (d *drillScratch) outcome(ki int, key string) keyOutcome {
+	n := len(d.values)
+	return keyOutcome{key: key, states: d.states[ki*n : (ki+1)*n : (ki+1)*n]}
 }
 
 // repairPush records one repair write for deterministic event emission.
@@ -310,28 +334,31 @@ func (s *Scrubber) ScrubSpan(sp *telemetry.Span, keys []string) (Report, error) 
 		names, st, err := s.kv.ReplicasFor(s.cfg.Origin, key)
 		return resolved{key: key, replicas: names, stats: st, err: err}, nil
 	})
-	bySet := make(map[string]*group)
-	var setOrder []string
+	// A replica set's signature is built in one reused buffer and only a
+	// new set's is kept as a string: the lookup allocates nothing per key.
+	bySet := make(map[string]int)
+	var groups []group
+	var sig []byte
 	for _, r := range res {
 		report.Stats.Add(&r.stats)
 		if r.err != nil || len(r.replicas) == 0 {
 			report.Failed++
 			continue
 		}
-		sig := strings.Join(r.replicas, "\x00")
-		g, ok := bySet[sig]
-		if !ok {
-			g = &group{replicas: r.replicas}
-			bySet[sig] = g
-			setOrder = append(setOrder, sig)
+		sig = sig[:0]
+		for _, name := range r.replicas {
+			sig = append(append(sig, name...), 0)
 		}
-		g.keys = append(g.keys, r.key)
+		gi, ok := bySet[string(sig)]
+		if !ok {
+			gi = len(groups)
+			bySet[string(sig)] = gi
+			groups = append(groups, group{replicas: r.replicas})
+		}
+		groups[gi].keys = append(groups[gi].keys, r.key)
 	}
-	groups := make([]group, 0, len(setOrder))
-	for _, sig := range setOrder {
-		g := bySet[sig]
+	for _, g := range groups {
 		sort.Strings(g.keys)
-		groups = append(groups, *g)
 	}
 	report.Groups = len(groups)
 	s.run(sp, &report, groups)
@@ -352,7 +379,11 @@ func (s *Scrubber) ScrubResolvedSpan(sp *telemetry.Span, groups []Group) (Report
 	report := Report{}
 	gs := make([]group, 0, len(groups))
 	for _, g := range groups {
-		keys := dedupe(g.Keys)
+		// Sorted, then deduplicated in place: the set dedupe keeps, in the
+		// order the group walks it, with one allocation per group.
+		keys := slices.Clone(g.Keys)
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
 		report.KeysScanned += len(keys)
 		if len(keys) == 0 {
 			continue
@@ -361,8 +392,7 @@ func (s *Scrubber) ScrubResolvedSpan(sp *telemetry.Span, groups []Group) (Report
 			report.Failed += len(keys)
 			continue
 		}
-		sort.Strings(keys)
-		gs = append(gs, group{replicas: append([]string(nil), g.Replicas...), keys: keys})
+		gs = append(gs, group{replicas: slices.Clone(g.Replicas), keys: keys})
 	}
 	report.Groups = len(gs)
 	if len(gs) == 0 {
@@ -394,10 +424,18 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 
 	// Merge deterministically in group order: verdicts, counters, events,
 	// spans, and the pass fingerprint all follow group formation order
-	// (sorted keys within a group), independent of Workers.
-	fp := &merkle.Tree{}
-	clean := make(map[string]bool) // node -> served only canonical copies
-	var judged []string            // nodes with a verdict, first appearance first
+	// (sorted keys within a group), independent of Workers. The
+	// fingerprint has at most one leaf per key, in a slice sized for all.
+	nkeys := 0
+	for _, g := range groups {
+		nkeys += len(g.keys)
+	}
+	fp := make([][32]byte, 0, nkeys)
+	var clean map[string]bool // node -> served only canonical copies
+	var judged []string       // nodes with a verdict, first appearance first
+	if s.verdict != nil {
+		clean = make(map[string]bool)
+	}
 	for _, r := range results {
 		sp.Adopt(r.span)
 		report.Stats.Add(&r.stats)
@@ -407,14 +445,16 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 		report.BatchMsgs += r.batchMsgs
 		report.RepairBatches += r.repairBatches
 		report.CoalescedPushes += r.coalesced
-		for _, p := range r.pushes {
-			s.emit("scrub.repair", telemetry.A("key", p.key),
-				telemetry.A("to", p.to), telemetry.A("ok", strconv.FormatBool(p.ok)))
+		if s.tel != nil { // events only when a registry is attached
+			for _, p := range r.pushes {
+				s.tel.events.Emit("scrub.repair", telemetry.A("key", p.key),
+					telemetry.A("to", p.to), telemetry.A("ok", strconv.FormatBool(p.ok)))
+			}
 		}
 		if r.digestClean {
 			report.DigestClean++
 			for _, key := range r.g.keys {
-				fp.AppendLeafHash(merkle.NodeHash(merkle.LeafHash([]byte(key)), r.digestRoot))
+				fp = append(fp, merkle.NodeHash(merkle.LeafHash([]byte(key)), r.digestRoot))
 			}
 			continue
 		}
@@ -433,12 +473,14 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 				continue
 			}
 			divergent := false
-			for _, name := range r.g.replicas {
-				switch o.states[name] {
+			for ri, name := range r.g.replicas {
+				switch o.states[ri] {
 				case copyCondemned:
 					report.CorruptCopies++
 					divergent = true
-					s.emit("scrub.condemned", telemetry.A("key", o.key), telemetry.A("node", name))
+					if s.tel != nil {
+						s.tel.events.Emit("scrub.condemned", telemetry.A("key", o.key), telemetry.A("node", name))
+					}
 				case copyMissing:
 					report.MissingCopies++
 					divergent = true
@@ -456,11 +498,11 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 			} else {
 				report.CleanKeys++
 			}
-			fp.AppendLeafHash(merkle.NodeHash(merkle.LeafHash([]byte(o.key)),
+			fp = append(fp, merkle.NodeHash(merkle.LeafHash([]byte(o.key)),
 				overlay.CopyLeaf(o.key, o.canonical, o.found)))
 		}
 	}
-	report.Digest = fp.Root()
+	report.Digest = merkle.RootOf(fp)
 	s.notePass(report)
 	for _, name := range judged { // one verdict per node per pass (SetVerdict)
 		s.verdict(name, clean[name])
@@ -473,9 +515,9 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 // corrupt, one that served only canonical copies clean; missing and
 // unreachable copies, and keys the pass could not elect, judge nobody.
 func judge(clean map[string]bool, order []string, r *groupResult) []string {
-	for _, name := range r.g.replicas {
+	for ri, name := range r.g.replicas {
 		for _, o := range r.outcomes {
-			st := o.states[name]
+			st := o.states[ri]
 			if o.failed || (st != copyCanonical && st != copyCondemned) {
 				continue
 			}
@@ -665,13 +707,6 @@ func (s *Scrubber) notePass(r *Report) {
 	t.coalesced.Add(int64(r.CoalescedPushes))
 }
 
-// emit sends one event to the registry's log, if telemetry is wired.
-func (s *Scrubber) emit(name string, attrs ...telemetry.Attr) {
-	if s.tel != nil {
-		s.tel.events.Emit(name, attrs...)
-	}
-}
-
 // scrubGroup processes one replica set: digest comparison first, full value
 // comparison and repair only for groups whose digests diverge (or whose
 // overlay cannot digest). The pass nonce binds every digest to this pass.
@@ -752,49 +787,56 @@ func (s *Scrubber) scrubGroup(gsp *telemetry.Span, nonce uint64, g group, dg *gr
 // verified copies vote by copy leaf, the largest set wins, ties broken by
 // smallest leaf hash so the election is deterministic. Pure local
 // computation shared by the per-key and batched drill-downs — both paths
-// must elect identically for their reports to agree. Pre-set missing and
-// unreachable states in o.states are left untouched; verified-or-condemned
-// states are filled in here.
-func (s *Scrubber) electKey(o *keyOutcome, replicas []string, values map[string][]byte) {
-	votes := make(map[[32]byte]int)
-	for _, name := range replicas {
-		v, held := values[name]
-		if !held {
+// must elect identically for their reports to agree. values and leaves are
+// replica-indexed: a copyHeld state says values holds that replica's copy,
+// and leaves is scratch for its leaf. Missing and unreachable states are
+// left untouched; every held copy ends canonical or condemned.
+func (s *Scrubber) electKey(o *keyOutcome, values [][]byte, leaves [][32]byte) {
+	for ri, st := range o.states {
+		if st != copyHeld {
 			continue
 		}
-		if s.cfg.Verify(o.key, v) != nil {
-			o.states[name] = copyCondemned
+		if s.cfg.Verify(o.key, values[ri]) != nil {
+			o.states[ri] = copyCondemned
 			continue
 		}
-		votes[overlay.CopyLeaf(o.key, v, true)]++
+		leaves[ri] = overlay.CopyLeaf(o.key, values[ri], true)
 	}
-	for leaf, n := range votes {
-		if !o.found || n > votes[o.best] || (n == votes[o.best] && bytes.Compare(leaf[:], o.best[:]) < 0) {
-			o.best = leaf
-			o.found = true
+	votes := 0 // the winning leaf's
+	for ri, st := range o.states {
+		if st != copyHeld {
+			continue
+		}
+		n := 0
+		for rj, other := range o.states {
+			if other == copyHeld && leaves[rj] == leaves[ri] {
+				n++
+			}
+		}
+		if !o.found || n > votes || (n == votes && bytes.Compare(leaves[ri][:], o.best[:]) < 0) {
+			o.best, votes, o.found = leaves[ri], n, true
 		}
 	}
 	if !o.found {
 		// Nothing verified: there is no trusted value to compare against
 		// or repair from. Detect-or-fail still holds (the read path rejects
 		// these copies); the key is reported failed, not silently skipped.
-		o.failed = len(values) > 0 || len(o.states) > 0
+		o.failed = true
 		return
 	}
-	for _, name := range replicas {
-		v, held := values[name]
-		if !held || o.states[name] == copyCondemned {
+	for ri, st := range o.states {
+		if st != copyHeld {
 			continue
 		}
-		if overlay.CopyLeaf(o.key, v, true) == o.best {
-			o.states[name] = copyCanonical
+		if leaves[ri] == o.best {
+			o.states[ri] = copyCanonical
 			if o.canonical == nil {
-				o.canonical = v
+				o.canonical = values[ri]
 			}
 		} else {
 			// Verified but divergent: a valid record carrying different
 			// bytes — the stale-replay shape. The majority copy wins.
-			o.states[name] = copyCondemned
+			o.states[ri] = copyCondemned
 		}
 	}
 }
@@ -806,15 +848,19 @@ func (s *Scrubber) electKey(o *keyOutcome, replicas []string, values map[string]
 // StoreBatchTo per destination replica. Per-key fault isolation holds
 // end to end: a failed envelope marks only that replica unreachable, a
 // per-key slot error affects only that key, and a failed repair push never
-// fails its envelope siblings.
+// fails its envelope siblings. Every key's copy states share one array
+// sized for the group (drillScratch), so the drill allocates per group and
+// per envelope, not per key.
 func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResult) {
 	// Phase 1: column fetch — one envelope per replica. A nil column means
 	// the whole envelope failed.
 	cols := make([][]overlay.BatchResult, len(g.replicas))
 	for ri, name := range g.replicas {
 		fsp := gsp.Child("fetch")
-		fsp.Tag("replica", name)
-		fsp.Tag("keys", strconv.Itoa(len(g.keys)))
+		if fsp != nil {
+			fsp.Tag("replica", name)
+			fsp.Tag("keys", strconv.Itoa(len(g.keys)))
+		}
 		res, st, err := s.brepair.FetchBatchFrom(s.cfg.Origin, g.keys, name)
 		r.stats.Add(&st)
 		r.batchRPCs++
@@ -832,25 +878,25 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 	// Slots classify exactly as the per-key path classifies a LookupFrom:
 	// not-found is a missing copy, any other error leaves the copy's state
 	// unknown (unreachable, never repaired over).
+	sc := newDrillScratch(len(g.keys), len(g.replicas))
 	outs := make([]keyOutcome, len(g.keys))
 	for ki, key := range g.keys {
-		o := keyOutcome{key: key, states: make(map[string]copyState, len(g.replicas))}
-		values := make(map[string][]byte, len(g.replicas))
-		for ri, name := range g.replicas {
+		o := sc.outcome(ki, key)
+		for ri := range g.replicas {
 			switch {
 			case cols[ri] == nil:
-				o.states[name] = copyUnreachable
+				o.states[ri] = copyUnreachable
 			case cols[ri][ki].Err == nil:
-				values[name] = cols[ri][ki].Value
+				o.states[ri], sc.values[ri] = copyHeld, cols[ri][ki].Value
 			case errors.Is(cols[ri][ki].Err, overlay.ErrNotFound):
-				o.states[name] = copyMissing
+				o.states[ri] = copyMissing
 			default:
-				o.states[name] = copyUnreachable
+				o.states[ri] = copyUnreachable
 			}
 		}
 		vsp := gsp.Child("verify")
 		vsp.Tag("key", key)
-		s.electKey(&o, g.replicas, values)
+		s.electKey(&o, sc.values, sc.leaves)
 		switch {
 		case !o.found:
 			vsp.End("failed")
@@ -865,10 +911,10 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 	// Phase 3: coalesced recheck — one refetch envelope per replica over
 	// its condemned keys, so a one-off wire corruption is not blamed on
 	// the node (same contract as the per-key recheck).
-	for _, name := range g.replicas {
+	for ri, name := range g.replicas {
 		var cidx []int
 		for ki := range g.keys {
-			if outs[ki].found && outs[ki].states[name] == copyCondemned {
+			if outs[ki].found && outs[ki].states[ri] == copyCondemned {
 				cidx = append(cidx, ki)
 			}
 		}
@@ -880,8 +926,10 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 			rkeys[j] = g.keys[ki]
 		}
 		rsp := gsp.Child("recheck")
-		rsp.Tag("replica", name)
-		rsp.Tag("keys", strconv.Itoa(len(cidx)))
+		if rsp != nil {
+			rsp.Tag("replica", name)
+			rsp.Tag("keys", strconv.Itoa(len(cidx)))
+		}
 		res, st, err := s.brepair.FetchBatchFrom(s.cfg.Origin, rkeys, name)
 		r.stats.Add(&st)
 		r.batchRPCs++
@@ -896,7 +944,7 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 			o := &outs[ki]
 			if res[j].Err == nil && s.cfg.Verify(o.key, res[j].Value) == nil &&
 				overlay.CopyLeaf(o.key, res[j].Value, true) == o.best {
-				o.states[name] = copyCanonical
+				o.states[ri] = copyCanonical
 			}
 		}
 	}
@@ -917,7 +965,7 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 			if !o.found {
 				continue
 			}
-			if st := o.states[name]; st == copyCondemned || st == copyMissing {
+			if st := o.states[ri]; st == copyCondemned || st == copyMissing {
 				kis = append(kis, ki)
 			}
 		}
@@ -931,8 +979,10 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 			rvals[j] = outs[ki].canonical
 		}
 		psp := gsp.Child("repair")
-		psp.Tag("to", name)
-		psp.Tag("keys", strconv.Itoa(len(kis)))
+		if psp != nil {
+			psp.Tag("to", name)
+			psp.Tag("keys", strconv.Itoa(len(kis)))
+		}
 		errs, st, err := s.brepair.StoreBatchTo(s.cfg.Origin, rkeys, rvals, name)
 		r.stats.Add(&st)
 		r.batchRPCs++
@@ -985,25 +1035,25 @@ func anyDivergent(o *keyOutcome) bool {
 // elects the canonical value (electKey). Condemnations are
 // recheck-confirmed.
 func (s *Scrubber) scrubKey(gsp *telemetry.Span, key string, replicas []string, stats *overlay.OpStats) keyOutcome {
-	o := keyOutcome{key: key, states: make(map[string]copyState, len(replicas))}
+	sc := newDrillScratch(1, len(replicas))
+	o := sc.outcome(0, key)
 	vsp := gsp.Child("verify")
 	vsp.Tag("key", key)
-	values := make(map[string][]byte, len(replicas))
-	for _, name := range replicas {
+	for ri, name := range replicas {
 		v, st, err := s.kv.LookupFrom(s.cfg.Origin, key, name)
 		stats.Add(&st)
 		vsp.AddLatency(st.Latency)
 		switch {
 		case err == nil:
-			values[name] = v
+			o.states[ri], sc.values[ri] = copyHeld, v
 		case errors.Is(err, overlay.ErrNotFound):
-			o.states[name] = copyMissing
+			o.states[ri] = copyMissing
 		default:
-			o.states[name] = copyUnreachable
+			o.states[ri] = copyUnreachable
 		}
 	}
 
-	s.electKey(&o, replicas, values)
+	s.electKey(&o, sc.values, sc.leaves)
 	if !o.found {
 		vsp.End("failed")
 		return o
@@ -1011,15 +1061,15 @@ func (s *Scrubber) scrubKey(gsp *telemetry.Span, key string, replicas []string, 
 
 	// Recheck: condemned copies are re-fetched once before the verdict
 	// stands, so a one-off wire corruption is not blamed on the node.
-	for _, name := range replicas {
-		if o.states[name] != copyCondemned {
+	for ri, name := range replicas {
+		if o.states[ri] != copyCondemned {
 			continue
 		}
 		v, st, err := s.kv.LookupFrom(s.cfg.Origin, key, name)
 		stats.Add(&st)
 		vsp.AddLatency(st.Latency)
 		if err == nil && s.cfg.Verify(key, v) == nil && overlay.CopyLeaf(key, v, true) == o.best {
-			o.states[name] = copyCanonical
+			o.states[ri] = copyCanonical
 		}
 	}
 	if anyDivergent(&o) {
@@ -1035,8 +1085,8 @@ func (s *Scrubber) repairKey(gsp *telemetry.Span, o *keyOutcome, replicas []stri
 	if s.repair == nil {
 		return
 	}
-	for _, name := range replicas {
-		st := o.states[name]
+	for ri, name := range replicas {
+		st := o.states[ri]
 		if st != copyCondemned && st != copyMissing {
 			continue
 		}
