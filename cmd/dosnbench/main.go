@@ -277,6 +277,8 @@ func runScenarios(arg, traceOut string, windowReport bool) int {
 		}
 		if windowReport {
 			scenario.WriteWindowBreakdown(os.Stdout, res)
+			fmt.Printf("end of run: %d written keys under-replicated, %d corrupt copies\n",
+				res.FinalUnderReplicated, res.FinalCorruptCopies)
 		}
 		if traceOut != "" {
 			if code := writeScenarioTrace(sc, traceOut); code != 0 {

@@ -308,7 +308,8 @@ func mergeBranches[T any](tr *simnet.Trace, items []T, trace func(*T) *simnet.Tr
 // node gets one store envelope with the keys of every group it holds. A
 // key's outcome is its group's, under Store's rule (writeErr) over the
 // outcomes of the envelopes the group's replicas were sent, in placement
-// order.
+// order; a group acked short names its keys to the short-write hook from
+// the same outcomes.
 func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, overlay.OpStats, error) {
 	if len(keys) != len(values) {
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: PutBatch: %d keys but %d values", len(keys), len(values))
@@ -338,9 +339,15 @@ func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, 
 	}
 	errs := slices.Clone(p.errs) // the caller's, not the frame's
 	for _, g := range p.groups {
-		if err := writeErr("batch store", p.acks[g.acks[0]:g.acks[1]]); err != nil {
-			for _, idx := range g.idxs {
+		acks := p.acks[g.acks[0]:g.acks[1]]
+		err := writeErr("batch store", acks)
+		short := err == nil && d.short != nil && missedAny(acks)
+		for _, idx := range g.idxs {
+			switch {
+			case err != nil:
 				errs[idx] = err
+			case short:
+				d.short(keys[idx])
 			}
 		}
 	}

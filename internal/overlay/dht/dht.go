@@ -66,6 +66,7 @@ type DHT struct {
 	ownership ownershipCache                   // learned successor segments (ownership.go)
 	tel       atomic.Pointer[resolveTelemetry] // resolution counters (routecache.go); nil = off
 	gates     *nodeGates                       // server-side admission (gate.go); nil = admit everything
+	short     func(key string)                 // SetShortWriteHook; nil = no hints
 }
 
 var _ overlay.KV = (*DHT)(nil)
@@ -417,7 +418,29 @@ func (d *DHT) StoreSpan(sp *telemetry.Span, origin, key string, value []byte) (o
 		acks = append(acks, err)
 	}
 	f.plan.acks = acks // keeps a grown array for the next borrower
-	return *tr, writeErr("store", acks)
+	err = writeErr("store", acks)
+	if d.short != nil && err == nil && missedAny(acks) {
+		d.short(key)
+	}
+	return *tr, err
+}
+
+// SetShortWriteHook installs fn to receive every key whose write was acked
+// short: by at least one of the replicas it was sent to, so the caller was
+// told it succeeded, but not by all of them. Store names its key and
+// PutBatch every key of such a group, in group order, after the outcome
+// fold. fn runs on the writer's goroutine. Install it before the DHT serves
+// writes; nil (the default) removes it, and then a write does no extra work.
+func (d *DHT) SetShortWriteHook(fn func(key string)) { d.short = fn }
+
+// missedAny reports whether some replica did not ack a write.
+func missedAny(outcomes []error) bool {
+	for _, err := range outcomes {
+		if err != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // writeErr is a replicated write's result from its replicas' outcomes in

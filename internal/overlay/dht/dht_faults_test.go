@@ -3,6 +3,7 @@ package dht
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -173,5 +174,87 @@ func TestHandlerRejectsPayloadsThatAreNotRequestPointers(t *testing.T) {
 				t.Errorf("%s with a %T payload: %v, want the bad-payload error", kind, payload, err)
 			}
 		}
+	}
+}
+
+// TestShortWriteHook pins which writes the hook names: a Store or a PutBatch
+// group acked by some but not all of the replicas it was sent to. A write
+// every replica acked, and one no replica acked (the caller sees the
+// failure), name nothing. PutBatch names its keys after the outcome fold, in
+// group order, so the sequence is the same at any FanoutWorkers.
+func TestShortWriteHook(t *testing.T) {
+	keys, vals := batchKeys(96)
+	var prev []string
+	for wi, workers := range []int{1, 8} {
+		d, net, names := buildDHT(t, 24, Config{ReplicationFactor: 3, FanoutWorkers: workers})
+		client := string(names[0])
+		// Three ring neighbours go offline: groups rooted at the first lose
+		// every replica, groups rooted just before it lose one or two.
+		v := d.view()
+		offline := map[uint64]bool{}
+		for i := 5; len(offline) < 3; i++ {
+			if n := v.byID[v.ring[i%len(v.ring)]]; string(n.name) != client {
+				offline[n.id] = true
+				if err := net.SetOnline(n.name, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		missed := func(key string) int {
+			m := 0
+			for _, rid := range v.successorsOf(nil, hashID(key), d.replica) {
+				if offline[rid] {
+					m++
+				}
+			}
+			return m
+		}
+		var hinted []string
+		d.SetShortWriteHook(func(key string) { hinted = append(hinted, key) })
+
+		want := map[string]bool{}
+		shown := [4]int{}
+		for i, key := range keys {
+			m := missed(key)
+			shown[m]++
+			if m > 0 && m < d.replica {
+				want[key] = true
+			}
+			if i < 32 {
+				hinted = hinted[:0]
+				_, err := d.Store(client, key, vals[i])
+				if (err != nil) != (m == d.replica) {
+					t.Fatalf("Store(%s) with %d of %d replicas offline: %v", key, m, d.replica, err)
+				}
+				if got := len(hinted) == 1 && hinted[0] == key; got != want[key] {
+					t.Fatalf("Store(%s) with %d of %d replicas offline hinted %v", key, m, d.replica, hinted)
+				}
+			}
+		}
+		if shown[0] == 0 || shown[1]+shown[2] == 0 || shown[3] == 0 {
+			t.Fatalf("keys by replicas offline = %v: every case needs a key", shown)
+		}
+
+		hinted = nil
+		errs, _, err := d.PutBatch(client, keys, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, key := range hinted {
+			if !want[key] || seen[key] {
+				t.Fatalf("PutBatch hinted %s (%d replicas offline, hinted before: %v)", key, missed(key), seen[key])
+			}
+			seen[key] = true
+		}
+		for i, key := range keys {
+			if want[key] && (!seen[key] || errs[i] != nil) {
+				t.Fatalf("PutBatch(%s) acked short: err %v, hinted %v", key, errs[i], seen[key])
+			}
+		}
+		if wi > 0 && !reflect.DeepEqual(hinted, prev) {
+			t.Fatalf("hints differ across FanoutWorkers:\n%v\nvs\n%v", hinted, prev)
+		}
+		prev = hinted
 	}
 }

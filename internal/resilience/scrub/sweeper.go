@@ -2,6 +2,7 @@ package scrub
 
 import (
 	"strings"
+	"sync"
 
 	"godosn/internal/telemetry"
 )
@@ -10,8 +11,10 @@ import (
 // scrub scheduler. Instead of the on-demand full key-list walk (Scrub over
 // everything, whenever someone remembers to call it), the Sweeper
 // round-robins the keyspace in fixed chunks under a hard per-tick message
-// budget, and re-scrubs chunks early — through a priority queue — when a
-// bad verdict, a divergent pass, or a quarantine event implicates them.
+// budget, and re-scrubs chunks early — through a priority queue, the one
+// repair queue — when a bad verdict or a suspect key implicates them: a
+// divergent pass re-enqueues its chunk, and NoteSuspect takes the keys of
+// writes acked short of their replicas.
 //
 // The budget is enforced by pre-charging, not by measuring after the fact:
 // replica sets are planned from local overlay state (Planner, zero network
@@ -67,8 +70,9 @@ type SweepReport struct {
 	Reports []Report
 }
 
-// Sweeper schedules continuous scrubbing over a registered keyspace. Not
-// safe for concurrent use; drive it from the simulation tick loop.
+// Sweeper schedules continuous scrubbing over a registered keyspace. Drive
+// it from one goroutine (the simulation tick loop); only NoteSuspect may be
+// called from others.
 type Sweeper struct {
 	sc      *Scrubber
 	planner Planner
@@ -81,6 +85,11 @@ type Sweeper struct {
 
 	prio   []int // priority queue: chunk indices, FIFO
 	queued map[int]bool
+
+	// intake holds NoteSuspect's keys, in arrival order, until the tick
+	// goroutine moves their chunks to the queue (admit).
+	intakeMu sync.Mutex
+	intake   []string
 
 	ticks int
 
@@ -151,18 +160,39 @@ func (s *Sweeper) AddKeys(keys ...string) {
 		s.chunks[last] = append(s.chunks[last], k)
 		s.chunkOf[k] = last
 	}
+	s.admit()
 }
 
 // Keys reports the registered keyspace size; Chunks the chunk count.
 func (s *Sweeper) Keys() int   { return len(s.seen) }
 func (s *Sweeper) Chunks() int { return len(s.chunks) }
 
-// NoteSuspect enqueues the chunk holding key for early re-scrub — wire bad
-// read verdicts or invalidation signals here.
+// NoteSuspect marks key's chunk for early re-scrub, ahead of the cursor: a
+// write acked short of its replicas (the DHT's short-write hook) lands here.
+// It is safe to call from any goroutine, also during Tick. The key waits in
+// the intake, and its chunk joins the priority queue at the next AddKeys or
+// Tick; a key not registered yet waits for the AddKeys that registers it.
 func (s *Sweeper) NoteSuspect(key string) {
-	if ci, ok := s.chunkOf[key]; ok {
-		s.enqueue(ci)
+	s.intakeMu.Lock()
+	s.intake = append(s.intake, key)
+	s.intakeMu.Unlock()
+}
+
+// admit enqueues the chunks of the intake's registered keys, in arrival
+// order, and keeps the unregistered keys for a later AddKeys.
+func (s *Sweeper) admit() {
+	s.intakeMu.Lock()
+	defer s.intakeMu.Unlock()
+	held := s.intake[:0]
+	for _, key := range s.intake {
+		if ci, ok := s.chunkOf[key]; ok {
+			s.enqueue(ci)
+		} else {
+			held = append(held, key)
+		}
 	}
+	clear(s.intake[len(held):])
+	s.intake = held
 }
 
 // enqueue adds a chunk to the priority queue once.
@@ -246,6 +276,7 @@ func (s *Sweeper) Tick() (SweepReport, error) {
 	if s.tel != nil {
 		s.tel.ticks.Inc()
 	}
+	s.admit()
 	if len(s.chunks) == 0 {
 		s.noteTick(&rep)
 		return rep, nil
@@ -291,9 +322,11 @@ func (s *Sweeper) Tick() (SweepReport, error) {
 			rep.Priority++
 		}
 		rep.Reports = append(rep.Reports, r)
-		if r.DivergentKeys > 0 || r.Failed > 0 {
+		if r.DivergentKeys > 0 || r.Failed > 0 || fromPrio && r.UnreachableHolders > 0 {
 			// Bad verdict: this chunk re-scrubs early — next tick, through
-			// the priority queue.
+			// the priority queue. So does a suspect chunk whose pass could
+			// not reach every holder: the copy a short write missed may be
+			// on the holder it could not reach.
 			s.enqueue(ci)
 		}
 		if s.cfg.Budget <= 0 {

@@ -1,6 +1,7 @@
 package scrub
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -176,6 +177,7 @@ func TestSweepPriorityPreemptsCursor(t *testing.T) {
 	sw.NoteSuspect(f.keys[10])
 	sw.NoteSuspect(f.keys[27]) // same chunk as 26: deduplicated
 	sw.NoteSuspect("never-registered")
+	sw.admit() // what the next AddKeys or Tick does first
 	if got := sw.prio; !reflect.DeepEqual(got, []int{3, 1}) {
 		t.Fatalf("queue = %v, want [3 1]", got)
 	}
@@ -259,7 +261,157 @@ func TestSweepTelemetryAndGrowth(t *testing.T) {
 	}
 	// Existing keys keep their chunks: chunk 0's first key is unmoved.
 	sw.NoteSuspect(f.keys[0])
+	sw.admit()
 	if got := sw.prio; !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("growth moved existing keys: queue = %v", got)
+	}
+}
+
+// TestSweepHintBeforeRegistrationIsHeld pins the intake's hold: a key hinted
+// before the sweeper registers it is not dropped, and its chunk joins the
+// priority queue at the AddKeys that registers it, without reordering chunk
+// formation.
+func TestSweepHintBeforeRegistrationIsHeld(t *testing.T) {
+	f, _, sw := sweepFixture(t, 209, 16, SweepConfig{Budget: 0, ChunkKeys: 8}, 1)
+	sw.NoteSuspect("late-1")
+	if _, err := sw.Tick(); err != nil { // the cursor's chunk 0; the hint waits
+		t.Fatalf("Tick: %v", err)
+	}
+	if len(sw.prio) != 0 || !reflect.DeepEqual(sw.intake, []string{"late-1"}) {
+		t.Fatalf("unregistered hint: queue %v, intake %v; want it held", sw.prio, sw.intake)
+	}
+	for _, key := range []string{"late-0", "late-1"} {
+		if _, err := f.d.Store(f.client, key, Seal(key, []byte(key))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw.AddKeys("late-0", "late-1")
+	if sw.chunkOf["late-0"] != 2 || sw.chunkOf["late-1"] != 2 || sw.Chunks() != 3 {
+		t.Fatalf("late keys formed chunks %d and %d of %d, want both in chunk 2 of 3",
+			sw.chunkOf["late-0"], sw.chunkOf["late-1"], sw.Chunks())
+	}
+	if !reflect.DeepEqual(sw.prio, []int{2}) || len(sw.intake) != 0 {
+		t.Fatalf("after registration: queue %v, intake %v; want [2] and empty", sw.prio, sw.intake)
+	}
+	rep, err := sw.Tick()
+	if err != nil {
+		t.Fatalf("Tick: %v", err)
+	}
+	if rep.Priority != 1 || rep.Keys != 2 || sw.cursor != 1 {
+		t.Fatalf("hinted tick: %+v, cursor %d; want the 2-key chunk 2 from the queue, cursor still 1", rep, sw.cursor)
+	}
+}
+
+// TestSweepHintAndBadVerdictScrubOnce: a chunk queued by a bad verdict and
+// hinted again before the next tick is scrubbed once, not twice.
+func TestSweepHintAndBadVerdictScrubOnce(t *testing.T) {
+	f, _, sw := sweepFixture(t, 210, 16, SweepConfig{Budget: 1 << 20, ChunkKeys: 8}, 1)
+	key := f.keys[3] // chunk 0
+	f.d.CorruptStored(f.replicasOf(t, key)[1], key, func(b []byte) []byte {
+		b[0] ^= 0x08
+		return b
+	})
+	rep, err := sw.Tick()
+	if err != nil {
+		t.Fatalf("Tick: %v", err)
+	}
+	if rep.Divergent != 1 || !reflect.DeepEqual(sw.prio, []int{0}) {
+		t.Fatalf("first tick: %+v, queue %v; want chunk 0 divergent and re-queued", rep, sw.prio)
+	}
+	sw.NoteSuspect(key)
+	sw.NoteSuspect(f.keys[5])
+	rep, err = sw.Tick()
+	if err != nil {
+		t.Fatalf("Tick: %v", err)
+	}
+	if rep.Chunks != 2 || rep.Priority != 1 {
+		t.Fatalf("re-verify tick: %+v; want chunk 0 once from the queue and chunk 1 from the cursor", rep)
+	}
+	for _, r := range rep.Reports {
+		if r.KeysScanned != 8 {
+			t.Fatalf("a chunk scrubbed %d keys, want 8", r.KeysScanned)
+		}
+	}
+}
+
+// TestSweepHintsRespectBudget: hinting every chunk never lets a tick spend
+// past its budget; the queue drains over several ticks, FIFO.
+func TestSweepHintsRespectBudget(t *testing.T) {
+	const budget = 256
+	f, _, sw := sweepFixture(t, 211, 64, SweepConfig{Budget: budget, ChunkKeys: 8}, 1)
+	for i := len(f.keys) - 1; i >= 0; i-- {
+		sw.NoteSuspect(f.keys[i])
+	}
+	scrubbed, ticks := 0, 0
+	for ; ticks < 16 && scrubbed < sw.Chunks(); ticks++ {
+		rep, err := sw.Tick()
+		if err != nil {
+			t.Fatalf("Tick: %v", err)
+		}
+		if rep.Msgs > budget {
+			t.Fatalf("tick %d spent %d messages past budget %d", ticks, rep.Msgs, budget)
+		}
+		if rep.Chunks > rep.Priority && len(sw.prio) > 0 {
+			t.Fatalf("tick %d took %d cursor chunks while %d were queued", ticks, rep.Chunks-rep.Priority, len(sw.prio))
+		}
+		scrubbed += rep.Priority
+	}
+	if scrubbed != sw.Chunks() || len(sw.prio) != 0 || ticks < 2 {
+		t.Fatalf("%d hinted chunks: %d scrubbed over %d ticks, queue %v; want all, over more than one tick", sw.Chunks(), scrubbed, ticks, sw.prio)
+	}
+}
+
+// TestSweepStarvedHintIsCountedNotWedged: a hinted chunk that can never fit
+// the budget leaves the queue as starved, and the sweep moves on.
+func TestSweepStarvedHintIsCountedNotWedged(t *testing.T) {
+	f, _, sw := sweepFixture(t, 212, 32, SweepConfig{Budget: 5, ChunkKeys: 8}, 1)
+	sw.NoteSuspect(f.keys[20]) // chunk 2
+	rep, err := sw.Tick()
+	if err != nil {
+		t.Fatalf("Tick: %v", err)
+	}
+	if rep.Chunks != 0 || rep.Starved != sw.Chunks() || len(sw.prio) != 0 {
+		t.Fatalf("tick: %+v, queue %v; want every chunk starved (the hinted one included) and the queue empty", rep, sw.prio)
+	}
+	if rep, err = sw.Tick(); err != nil || rep.Starved != sw.Chunks() {
+		t.Fatalf("second tick: %+v, %v; want the sweep still turning", rep, err)
+	}
+}
+
+// TestSweepIntakeUnderConcurrentHints runs a writer goroutine hinting keys
+// while the tick loop sweeps and registers more: the intake is the only
+// state they share (run under -race), and every hinted chunk is scrubbed
+// from the queue once the writer stops.
+func TestSweepIntakeUnderConcurrentHints(t *testing.T) {
+	f, _, sw := sweepFixture(t, 213, 32, SweepConfig{Budget: 512, ChunkKeys: 8}, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 400; i++ {
+			sw.NoteSuspect(f.keys[i%len(f.keys)])
+			sw.NoteSuspect(fmt.Sprintf("late-%d", i%4))
+		}
+	}()
+	for tick := 0; tick < 6; tick++ {
+		if tick == 3 {
+			sw.AddKeys("late-0", "late-1", "late-2", "late-3")
+		}
+		if _, err := sw.Tick(); err != nil {
+			t.Fatalf("Tick: %v", err)
+		}
+	}
+	<-done
+	sw.admit()
+	for len(sw.prio) > 0 {
+		rep, err := sw.Tick()
+		if err != nil {
+			t.Fatalf("Tick: %v", err)
+		}
+		if rep.Priority == 0 {
+			t.Fatalf("queue %v did not drain", sw.prio)
+		}
+	}
+	if len(sw.intake) != 0 {
+		t.Fatalf("intake kept %v after every key was registered", sw.intake)
 	}
 }

@@ -77,9 +77,11 @@ func (st *runState) closeWindow(toTick int) {
 	st.snapBase()
 }
 
-// auditFinal counts stored copies of written keys that fail the integrity
-// check after the last tick — the detect-or-repair witness. Network-free:
-// it inspects node-local state directly.
+// auditFinal counts, after the last tick, stored copies of written keys
+// that fail the integrity check (the detect-or-repair witness) and written
+// keys that some holder of their replica plan does not hold (the
+// replication witness). Network-free: it inspects node-local state
+// directly.
 func (st *runState) auditFinal() {
 	for _, key := range st.writtenOrder {
 		for _, id := range st.names {
@@ -87,14 +89,20 @@ func (st *runState) auditFinal() {
 				st.res.FinalCorruptCopies++
 			}
 		}
+		for _, name := range st.d.PlanReplicas(key) {
+			if !st.d.Holds(name, key) {
+				st.res.FinalUnderReplicated++
+				break
+			}
+		}
 	}
 }
 
-// finish runs the end-of-run audit, folds the layers' final counters into
-// the Result, closes the time-series, and flushes the trace sink.
+// finish folds the layers' final counters into the Result, closes the
+// time-series, runs the end-of-run audit, and flushes the trace sink. The
+// audit runs after the registry snapshot: its replica plans hash keys, and
+// that is the runtime's work, not the stack's.
 func (st *runState) finish(rc RunConfig, reg *telemetry.Registry) *Result {
-	st.auditFinal()
-
 	kv, d, res := st.kv, st.d, st.res
 	res.DetectedCorruption = kv.Metrics().CorruptReads
 	res.ServerShedsByNode = d.NodeSheds()
@@ -102,6 +110,7 @@ func (st *runState) finish(rc RunConfig, reg *telemetry.Registry) *Result {
 	st.win.CloseFinal()
 	res.Windows = st.win.Snapshot()
 	res.Telemetry = reg.Snapshot()
+	st.auditFinal()
 	if rc.Trace != nil {
 		rc.Trace.Windows(res.Windows)
 		rc.Trace.Snapshot(res.Telemetry)
@@ -202,6 +211,11 @@ func Evaluate(sc *Scenario, res *Result) []Violation {
 			if res.SweepMaxTickMsgs > int(inv.Value) {
 				add(inv.Kind, "worst sweep tick spent %d msgs > budget %d",
 					res.SweepMaxTickMsgs, int(inv.Value))
+			}
+		case InvFinalUnderReplicatedMax:
+			if res.FinalUnderReplicated > int(inv.Value) {
+				add(inv.Kind, "final audit found %d written keys missing from a holder of their replica plan > cap %d",
+					res.FinalUnderReplicated, int(inv.Value))
 			}
 		}
 	}

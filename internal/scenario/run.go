@@ -95,6 +95,10 @@ type Result struct {
 	// keys, on any node, that fail the integrity check after the last tick.
 	// Detect-or-repair means injected rot must not outlive the run.
 	FinalCorruptCopies int
+	// FinalUnderReplicated is the end-of-run replication audit: written
+	// keys that some holder of their replica plan (dht PlanReplicas) does
+	// not hold after the last tick.
+	FinalUnderReplicated int
 	// WindowStats is the per-window workload breakdown (RunConfig
 	// .WindowTicks wide), each window annotated with the fault events
 	// active in it — the data guilty-window localization searches.

@@ -138,6 +138,10 @@ const (
 	// InvSweepBudgetMsgsMax caps the messages any single sweep tick spent —
 	// the budget-enforcement witness (normally set to the sweep budget).
 	InvSweepBudgetMsgsMax InvariantKind = "sweep-budget-msgs-max"
+	// InvFinalUnderReplicatedMax caps the written keys that some holder of
+	// their replica plan still misses at run end (an acked write must end
+	// up on its whole replica set).
+	InvFinalUnderReplicatedMax InvariantKind = "final-under-replicated-max"
 )
 
 // Invariant is one replay check; Value is meaningful only for the valued
@@ -151,7 +155,7 @@ type Invariant struct {
 func valuedInvariant(k InvariantKind) bool {
 	switch k {
 	case InvLookupSuccessMin, InvP99MaxMS, InvMaxSurfacedCorruption, InvServerShedsMin,
-		InvScrubRepairedMin, InvFinalCorruptMax, InvSweepBudgetMsgsMax:
+		InvScrubRepairedMin, InvFinalCorruptMax, InvSweepBudgetMsgsMax, InvFinalUnderReplicatedMax:
 		return true
 	}
 	return false
@@ -162,7 +166,7 @@ func knownInvariant(k InvariantKind) bool {
 	switch k {
 	case InvLookupSuccessMin, InvP99MaxMS, InvMaxSurfacedCorruption,
 		InvServerShedsMin, InvNoRevokedOpens, InvNoMemberOpenFailures,
-		InvScrubRepairedMin, InvFinalCorruptMax, InvSweepBudgetMsgsMax:
+		InvScrubRepairedMin, InvFinalCorruptMax, InvSweepBudgetMsgsMax, InvFinalUnderReplicatedMax:
 		return true
 	}
 	return false
@@ -388,7 +392,7 @@ func (s *Scenario) Validate() error {
 			if s.SweepChunk == 0 {
 				return fail("%s requires sweep", inv.Kind)
 			}
-		case InvFinalCorruptMax:
+		case InvFinalCorruptMax, InvFinalUnderReplicatedMax:
 			if inv.Value < 0 || inv.Value != float64(int(inv.Value)) {
 				return fail("%s value %g must be a non-negative integer", inv.Kind, inv.Value)
 			}

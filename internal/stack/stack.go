@@ -83,7 +83,9 @@ func NodeNames(format string, n int) []simnet.NodeID {
 // ranker on the overlay it is handed, and when a scrubber and a decorator
 // coexist the scrubber's invalidator and verdict hooks close over the
 // decorator, so one breaker decides quarantine for reads, scrub passes,
-// writes and heal alike.
+// writes and heal alike. With a sweeper over the DHT, the DHT's short-write
+// hook feeds the sweeper's queue, the one repair queue for a write acked
+// short of its replicas; without one, Heal's scan finds such a key.
 func Build(spec Spec) (*Stack, error) {
 	if len(spec.Names) == 0 {
 		return nil, overlay.ErrNoNodes
@@ -149,6 +151,12 @@ func Build(spec Spec) (*Stack, error) {
 		}
 		s.Sweep = scrub.NewSweeper(s.Scrub, planner, nil, *spec.Sweep)
 		s.Sweep.SetTelemetry(reg)
+		if s.DHT != nil {
+			// A write acked short of its replicas queues its key's chunk
+			// for the next tick, ahead of the cursor; the pass pushes the
+			// missing copies.
+			s.DHT.SetShortWriteHook(s.Sweep.NoteSuspect)
+		}
 	}
 	return s, nil
 }

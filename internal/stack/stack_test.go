@@ -322,3 +322,80 @@ func TestBuildRegistersEveryLayer(t *testing.T) {
 		t.Error("repeat lookups recorded no route-cache hits in the registry")
 	}
 }
+
+// TestShortWriteIsRepairedByTheNextSweep is the one-repair-queue contract: a
+// write acked while one of its placement replicas is offline is finished by
+// the sweeper's next tick once the replica returns, even with the cursor on
+// another chunk, because the DHT hands the key to the sweeper's queue. Both
+// write paths: a Store and a PutBatch group.
+func TestShortWriteIsRepairedByTheNextSweep(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch bool
+	}{{"store", false}, {"put-batch", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			scfg := scrub.DefaultConfig("")
+			s, err := Build(Spec{
+				Names: NodeNames("node-%d", 16),
+				Net:   simnet.DefaultConfig(testSeed),
+				DHT:   dht.Config{ReplicationFactor: 3},
+				Scrub: &scfg,
+				// Unbudgeted: every tick scrubs exactly one chunk.
+				Sweep: &scrub.SweepConfig{ChunkKeys: 4},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]string, 13)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("k%d", i)
+			}
+			for _, key := range keys[:12] {
+				if _, err := s.DHT.Store(s.Client, key, scrub.Seal(key, []byte(key))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Sweep.AddKeys(keys...) // chunks 0-2 hold k0..k11, chunk 3 the target
+			if _, err := s.Sweep.Tick(); err != nil {
+				t.Fatal(err)
+			}
+
+			target := keys[12]
+			plan := append([]string(nil), s.DHT.PlanReplicas(target)...)
+			away := simnet.NodeID(plan[1])
+			if string(away) == s.Client {
+				away = simnet.NodeID(plan[2])
+			}
+			if err := s.Net.SetOnline(away, false); err != nil {
+				t.Fatal(err)
+			}
+			sealed := scrub.Seal(target, []byte("written short"))
+			if tc.batch {
+				errs, _, err := s.DHT.PutBatch(s.Client, []string{target}, [][]byte{sealed})
+				if err == nil {
+					err = errs[0]
+				}
+				if err != nil {
+					t.Fatalf("PutBatch with %s offline: %v", away, err)
+				}
+			} else if _, err := s.DHT.Store(s.Client, target, sealed); err != nil {
+				t.Fatalf("Store with %s offline: %v", away, err)
+			}
+			if err := s.Net.SetOnline(away, true); err != nil {
+				t.Fatal(err)
+			}
+			if s.DHT.Holds(string(away), target) {
+				t.Fatalf("%s holds %s although it was offline for the write", away, target)
+			}
+
+			if _, err := s.Sweep.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range s.DHT.PlanReplicas(target) {
+				if !s.DHT.Holds(name, target) {
+					t.Fatalf("after the next sweep tick %s still misses %s (plan %v)", name, target, plan)
+				}
+			}
+		})
+	}
+}
