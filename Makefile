@@ -148,7 +148,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 48
+BENCH_PR := 49
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -171,10 +171,13 @@ loc:
 # Which statements the shipped entry points reach (a report, not a gate and
 # not in ci): dosnbench, dosnd and every example are built with coverage into
 # .smoke/reach/, the benchmark module too, and then run with GOCOVERDIR set:
-# dosnbench -quick, the scenario library replayed and re-recorded, dosnd on
-# every overlay bare and resilient under 10% loss, every example and the
-# benchmark's -smoke. Prints per-package statement coverage of internal/ and
-# the statements no entry point reached, and leaves the merged profile in
+# dosnbench -quick with its -json report validated, two experiments at
+# -parallel 8, the scenario library replayed and re-recorded, one scenario
+# with -scenario-report and traced to a file and to an OTLP-shaped file,
+# dosnd on every overlay bare and resilient under 10% loss and once with
+# -metrics and -trace-out, every example and the benchmark's -smoke. Prints
+# per-package statement coverage of internal/ and the statements no entry
+# point reached, and leaves the merged profile in
 # .smoke/reach/coverage.txt (`go tool cover -func` reads it). The -coverpkg
 # pattern must name the main package as well, or no counter files are
 # written.
@@ -189,13 +192,19 @@ reach:
 	cd benchmark && GOWORK=off $(GO) build -cover -coverpkg=godosn/...,godosn/benchmark -o $(REACH)/benchmark .
 	@export GOCOVERDIR=$(REACH)/cov; set -e; \
 	run() { echo "reach: $$*"; "$$@" >$(REACH)/last.log 2>&1 || { cat $(REACH)/last.log; exit 1; }; }; \
-	run $(REACH)/dosnbench -quick; \
+	run $(REACH)/dosnbench -quick -json $(REACH)/report.json; \
+	run $(REACH)/dosnbench -validate $(REACH)/report.json; \
+	run $(REACH)/dosnbench -quick -exp e3,e18 -parallel 8; \
 	run $(REACH)/dosnbench -scenario 'scenarios/*.scenario'; \
+	run $(REACH)/dosnbench -scenario scenarios/flash-crowd.scenario -scenario-report; \
+	run $(REACH)/dosnbench -scenario scenarios/flash-crowd.scenario -trace-out $(REACH)/trace.jsonl; \
+	run $(REACH)/dosnbench -scenario scenarios/flash-crowd.scenario -trace-out otlp+file://$(REACH)/otlp.jsonl; \
 	run $(REACH)/dosnbench -scenario-record-library $(REACH)/library; \
 	for o in dht gossip superpeer hybrid federation; do \
 		run $(REACH)/dosnd -overlay $$o; \
 		run $(REACH)/dosnd -overlay $$o -resilient -loss 0.1; \
 	done; \
+	run $(REACH)/dosnd -resilient -loss 0.1 -metrics -trace-out $(REACH)/dosnd-trace.jsonl; \
 	for e in $(REACH)/example-*; do run $$e; done; \
 	run $(REACH)/benchmark -smoke -out $(REACH)/benchmark-out
 	$(GO) tool covdata percent -i=$(REACH)/cov -pkg=godosn/internal/...
