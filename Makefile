@@ -129,6 +129,7 @@ define FUZZ_TARGETS
 ./internal/scenario/ FuzzParse
 ./internal/resilience/scrub/ FuzzOpen
 ./internal/crypto/hashchain/ FuzzParseEntry
+./internal/crypto/symmetric/ FuzzSealOpen
 endef
 export FUZZ_TARGETS
 
@@ -148,7 +149,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 49
+BENCH_PR := 50
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json

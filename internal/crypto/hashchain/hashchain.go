@@ -75,9 +75,24 @@ const anchorMin = 1 + 8 + 32
 
 var errMalformed = errors.New("hashchain: malformed entry")
 
-// digest is the byte string that is hashed and signed.
+// digest is the byte string that is hashed and signed, built in one buffer
+// of its exact size.
 func (e *Entry) digest() []byte {
-	b := append(append([]byte(entryDomain), e.Author...), 0)
+	return e.appendDigest(make([]byte, 0, e.digestSize()))
+}
+
+// digestSize is len(e.digest()).
+func (e *Entry) digestSize() int {
+	n := len(entryDomain) + len(e.Author) + 1 + 8 + 32 + 8 + len(e.Payload)
+	for _, a := range e.Anchors {
+		n += len(a.Author) + anchorMin
+	}
+	return n
+}
+
+// appendDigest appends the digest to b.
+func (e *Entry) appendDigest(b []byte) []byte {
+	b = append(append(append(b, entryDomain...), e.Author...), 0)
 	b = binary.BigEndian.AppendUint64(b, e.Seq)
 	b = append(b, e.PrevHash[:]...)
 	b = binary.BigEndian.AppendUint64(b, uint64(len(e.Anchors)))
@@ -91,7 +106,8 @@ func (e *Entry) digest() []byte {
 // Marshal encodes the entry as the bytes its author signed followed by the
 // signature: digest ‖ signature. Authors must not contain a zero byte.
 func (e *Entry) Marshal() []byte {
-	return append(e.digest(), e.Signature...)
+	b := e.appendDigest(make([]byte, 0, e.digestSize()+len(e.Signature)))
+	return append(b, e.Signature...)
 }
 
 // ParseEntry decodes Marshal's encoding. Payload and Signature are views

@@ -354,3 +354,43 @@ func FuzzParseEntry(f *testing.F) {
 		}
 	})
 }
+
+// TestEncodingAllocations pins the entry codec to one exact-size buffer:
+// digest, Hash and Marshal allocate once each, with and without anchors,
+// and the digest buffer has no spare capacity.
+func TestEncodingAllocations(t *testing.T) {
+	a, _ := newChain(t, "alice")
+	b, _ := newChain(t, "bob")
+	if _, err := b.Append([]byte("bob's post")); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	anchor, err := AnchorTo(b)
+	if err != nil {
+		t.Fatalf("AnchorTo: %v", err)
+	}
+	payload := bytes.Repeat([]byte("p"), 300)
+	if _, err := a.Append(payload); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	for _, anchors := range [][]Anchor{nil, {anchor}} {
+		e, err := a.Append(payload, anchors...)
+		if err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		if d := e.digest(); cap(d) != len(d) {
+			t.Errorf("%d anchors: digest has len %d, cap %d", len(anchors), len(d), cap(d))
+		}
+		for _, c := range []struct {
+			name string
+			f    func()
+		}{
+			{"digest", func() { _ = e.digest() }},
+			{"Hash", func() { _ = e.Hash() }},
+			{"Marshal", func() { _ = e.Marshal() }},
+		} {
+			if got := testing.AllocsPerRun(100, c.f); got != 1 {
+				t.Errorf("%d anchors: %s allocates %v, want 1", len(anchors), c.name, got)
+			}
+		}
+	}
+}

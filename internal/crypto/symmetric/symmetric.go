@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // KeySize is the size in bytes of symmetric keys (AES-256).
@@ -87,7 +88,13 @@ func sealTo(aead cipher.AEAD, dst, plaintext, associatedData []byte) ([]byte, er
 		return nil, fmt.Errorf("symmetric: generating nonce: %w", err)
 	}
 	dst = dst[:len(dst)+NonceSize]
-	return aead.Seal(dst, nonce, plaintext, associatedData), nil
+	if len(associatedData) == 0 {
+		return aead.Seal(dst, nonce, plaintext, nil), nil
+	}
+	ad := borrowAD(associatedData)
+	dst = aead.Seal(dst, nonce, plaintext, *ad)
+	returnAD(ad)
+	return dst, nil
 }
 
 // Open authenticates and decrypts a ciphertext produced by Seal.
@@ -111,11 +118,70 @@ func openTo(aead cipher.AEAD, dst, ciphertext, associatedData []byte) ([]byte, e
 		return nil, ErrCiphertextTooShort
 	}
 	nonce, body := ciphertext[:NonceSize], ciphertext[NonceSize:]
-	plaintext, err := aead.Open(dst, nonce, body, associatedData)
+	var (
+		plaintext []byte
+		err       error
+	)
+	if len(associatedData) == 0 {
+		plaintext, err = aead.Open(dst, nonce, body, nil)
+	} else {
+		ad := borrowAD(associatedData)
+		plaintext, err = aead.Open(dst, nonce, body, *ad)
+		returnAD(ad)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("symmetric: opening ciphertext: %w", err)
 	}
 	return plaintext, nil
+}
+
+// cipher.AEAD is an interface, so the compiler must assume it keeps the
+// associated data it is handed, and every caller's associated data would
+// escape: a caller binding a string key as []byte(key) would pay a heap
+// copy per seal and per open. sealTo and openTo instead hand the AEAD a
+// copy held in adSlots, a free list of adSlotCount buffers taken and put
+// back with compare-and-swap, so the caller's bytes stay on its stack. A
+// slot is lent to one caller at a time; a caller that finds every slot
+// empty allocates a buffer and keeps it if a slot has come free by the
+// time it is done. A buffer that grew past maxKeptAD is dropped, so one
+// large binding does not pin memory. Fixed slots rather than a sync.Pool:
+// the race detector makes a pool drop items at random, and the allocation
+// pins built on this path must hold under -race too.
+const (
+	adSlotCount = 4
+	maxKeptAD   = 1 << 10
+)
+
+var adSlots [adSlotCount]atomic.Pointer[[]byte]
+
+// borrowAD returns a buffer holding a copy of ad, from a slot when one is
+// full.
+func borrowAD(ad []byte) *[]byte {
+	var buf *[]byte
+	for i := range adSlots {
+		if p := adSlots[i].Load(); p != nil && adSlots[i].CompareAndSwap(p, nil) {
+			buf = p
+			break
+		}
+	}
+	if buf == nil {
+		buf = new([]byte)
+	}
+	*buf = append((*buf)[:0], ad...)
+	return buf
+}
+
+// returnAD puts buf back into an empty slot, unless it grew past maxKeptAD
+// or every slot is full.
+func returnAD(buf *[]byte) {
+	if cap(*buf) > maxKeptAD {
+		return
+	}
+	for i := range adSlots {
+		if adSlots[i].CompareAndSwap(nil, buf) {
+			return
+		}
+	}
 }
 
 // Overhead is the total ciphertext expansion of Seal in bytes.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"godosn/internal/crypto/symmetric"
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
 	"godosn/internal/resilience"
@@ -117,6 +118,74 @@ func TestVerifiedLookupAllocations(t *testing.T) {
 			t.Errorf("Lookup + scrub.Open with a circuit open: %v allocs per read, want <= 2", got)
 		}
 	})
+}
+
+// TestSealedStreamAllocations composes one sealed stream write and read the
+// way the benchmark harness does: the write is Sealer.Seal bound to the key
+// as associated data, scrub.Seal and Store; the read is Lookup, scrub.Open
+// and Sealer.Open. Each allocates what it hands on and nothing for the
+// key's []byte conversion: the write the ciphertext and the record (plus a
+// fraction from the store's log growing under rewrites of the same keys),
+// the read the fetched value and the plaintext.
+func TestSealedStreamAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops frames at random under the race detector")
+	}
+	kv, _, origin, keys := verifiedRing(t, 8)
+	key, err := symmetric.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealer, err := symmetric.NewSealer(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([][]byte, len(keys))
+	for i, key := range keys {
+		payloads[i] = payloadOf(key)
+	}
+	write := func(i int) error {
+		ct, err := sealer.Seal(payloads[i], []byte(keys[i]))
+		if err != nil {
+			return err
+		}
+		_, err = kv.Store(origin, keys[i], scrub.Seal(keys[i], ct))
+		return err
+	}
+	read := func(i int) ([]byte, error) {
+		ct, err := openRead(kv, origin, keys[i])
+		if err != nil {
+			return nil, err
+		}
+		return sealer.Open(ct, []byte(keys[i]))
+	}
+	for i := range keys {
+		if err := write(i); err != nil {
+			t.Fatalf("write %s: %v", keys[i], err)
+		}
+		if got, err := read(i); err != nil || !bytes.Equal(got, payloads[i]) {
+			t.Fatalf("read %s = %q, %v", keys[i], got, err)
+		}
+	}
+	perOp := func(op func(i int) error) float64 {
+		return testing.AllocsPerRun(50, func() {
+			for i := range keys {
+				if err := op(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / float64(len(keys))
+	}
+	if got := perOp(write); got > 2.25 {
+		t.Errorf("sealed write: %v allocs per write, want <= 2.25", got)
+	} else {
+		t.Logf("sealed write: %v allocs per write", got)
+	}
+	if got := perOp(func(i int) error { _, err := read(i); return err }); got > 2 {
+		t.Errorf("sealed read: %v allocs per read, want <= 2", got)
+	} else {
+		t.Logf("sealed read: %v allocs per read", got)
+	}
 }
 
 // BenchmarkVerifiedLookup is one verified read on a healthy 48-node ring:

@@ -283,6 +283,52 @@ func TestContextEncryptAllocations(t *testing.T) {
 	}
 }
 
+// TestNameBoundAllocations pins the two groups that bind their name as the
+// body's associated data ([]byte(g.name)): the conversion stays on the
+// caller's stack, so neither Encrypt nor Decrypt pays for it. One member
+// keeps the public-key wraps serial, so the count does not depend on
+// GOMAXPROCS. The Encrypt rows skip under -race, where the pooled ECIES and
+// PRF states are dropped at random.
+func TestNameBoundAllocations(t *testing.T) {
+	f := newFixture(t, "m0")
+	sub, err := NewSubstitutionGroup("substitution-group", NewDictionary(), [][]byte{[]byte("fake")})
+	if err != nil {
+		t.Fatalf("NewSubstitutionGroup: %v", err)
+	}
+	post := bytes.Repeat([]byte("p"), 200)
+	for _, tc := range []struct {
+		g                Group
+		encrypt, decrypt float64
+	}{
+		{NewPublicKeyGroup("public-key-group", f.registry), 29, 4},
+		{sub, 8, 4},
+	} {
+		if err := tc.g.Add("m0"); err != nil {
+			t.Fatalf("%s: Add: %v", tc.g.Scheme(), err)
+		}
+		env, err := tc.g.Encrypt(post)
+		if err != nil {
+			t.Fatalf("%s: Encrypt: %v", tc.g.Scheme(), err)
+		}
+		if !raceEnabled {
+			if got := testing.AllocsPerRun(100, func() {
+				if _, err := tc.g.Encrypt(post); err != nil {
+					t.Fatal(err)
+				}
+			}); got > tc.encrypt {
+				t.Errorf("%s Encrypt: %v allocs/op, ceiling %v", tc.g.Scheme(), got, tc.encrypt)
+			}
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			if pt, err := tc.g.Decrypt(f.users["m0"], env); err != nil || !bytes.Equal(pt, post) {
+				t.Fatalf("%s Decrypt = %d bytes, %v", tc.g.Scheme(), len(pt), err)
+			}
+		}); got > tc.decrypt {
+			t.Errorf("%s Decrypt: %v allocs/op, ceiling %v", tc.g.Scheme(), got, tc.decrypt)
+		}
+	}
+}
+
 // TestABEColdOpenAllocations pins a reader's open without a key cache once
 // its attribute secret's memo is warm: the share unwrap, the payload key
 // derivation and the body open.
