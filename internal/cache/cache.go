@@ -8,13 +8,15 @@
 // OSN deployment; DECENT identifies object-read latency as the dominant
 // cost of decentralized enforcement), and the paper motivates hybrid
 // encryption precisely because asymmetric operations are too expensive to
-// pay per read. Four instances of this cache thread through the stack: the
-// DHT route cache (key → successor resolution), the resilient KV's
-// verified-value cache, the privacy layer's envelope-key cache, and the
-// hybrid overlay's per-node social caches. Experiment E21 measures what the
-// first three buy. The two that hold stored values, the verified-value and
-// social caches, share one coherence rule: a store invalidates its key in
-// every copy, so no cache serves a superseded value as current.
+// pay per read. Three instances of this cache thread through the stack: the
+// resilient KV's verified-value cache, the privacy layer's envelope-key
+// cache, and the hybrid overlay's per-node social caches. Experiment E21
+// measures what the first two buy, beside the DHT's route memo, which takes
+// a Config and reports Stats but is not a Cache (overlay/dht/routecache.go):
+// it is never invalidated per key, so it keys an exact LRU by ring id. The
+// two instances that hold stored values, the verified-value and social
+// caches, share one coherence rule: a store invalidates its key in every
+// copy, so no cache serves a superseded value as current.
 //
 // Determinism contract: shard assignment is a pure function of (seed, key),
 // and each shard's eviction order is a pure function of the sequence of
@@ -127,7 +129,7 @@ const unfenced = ^uint64(0)
 // concurrent use and safe on a nil receiver (disabled cache).
 type Cache[V any] struct {
 	shards []*shard[V]
-	seed   uint64
+	seed   int64
 	gen    atomic.Uint64
 
 	hits          atomic.Int64
@@ -160,7 +162,7 @@ func New[V any](cfg Config) *Cache[V] {
 	}
 	c := &Cache[V]{
 		shards: make([]*shard[V], cfg.Shards),
-		seed:   uint64(cfg.Seed),
+		seed:   cfg.Seed,
 	}
 	per := cfg.Capacity / cfg.Shards
 	extra := cfg.Capacity % cfg.Shards
@@ -243,21 +245,28 @@ func (c *Cache[V]) Len() int {
 	return n
 }
 
-// shardOf maps a key to its shard: FNV-1a over the key, perturbed by the
-// seed — a pure function of (seed, key), so placement and therefore
-// per-shard eviction order is reproducible across runs. A key's bytes land
-// where its string does.
+// shardOf maps a key to its shard (ShardIndex). A key's bytes land where
+// its string does.
 func shardOf[V any, K string | []byte](c *Cache[V], key K) *shard[V] {
+	return c.shards[ShardIndex(c.seed, key, len(c.shards))]
+}
+
+// ShardIndex maps a key to one of n shards: FNV-1a over the key, perturbed
+// by the seed — a pure function of (seed, key), so placement and therefore
+// per-shard eviction order is reproducible across runs. It is the shard
+// function of every Cache and of the DHT's route memo, which keeps a
+// Config's shard layout without being a Cache.
+func ShardIndex[K string | []byte](seed int64, key K, n int) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	h := uint64(offset64) ^ c.seed
+	h := uint64(offset64) ^ uint64(seed)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	return c.shards[h%uint64(len(c.shards))]
+	return int(h % uint64(n))
 }
 
 // Get returns the cached value for key. Entries from an older generation

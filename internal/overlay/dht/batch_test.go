@@ -670,9 +670,7 @@ func TestOwnershipInvalidatedOnMembershipChange(t *testing.T) {
 	if _, _, err := d.PutBatch(client, keys, vals); err != nil {
 		t.Fatalf("PutBatch: %v", err)
 	}
-	d.ownership.mu.Lock()
-	learned := len(d.ownership.roots)
-	d.ownership.mu.Unlock()
+	learned := len(learnedSegments(&d.ownership))
 	if learned == 0 {
 		t.Fatal("batch routing learned no intervals")
 	}
@@ -683,9 +681,7 @@ func TestOwnershipInvalidatedOnMembershipChange(t *testing.T) {
 	if err := d.Leave(leaver); err != nil {
 		t.Fatalf("Leave: %v", err)
 	}
-	d.ownership.mu.Lock()
-	learned = len(d.ownership.roots)
-	d.ownership.mu.Unlock()
+	learned = len(learnedSegments(&d.ownership))
 	if learned != 0 {
 		t.Fatalf("%d learned intervals survived a ring change", learned)
 	}

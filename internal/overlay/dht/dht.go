@@ -62,7 +62,7 @@ type DHT struct {
 	mu   sync.Mutex               // serialises the writers of ring, and Heal's planning against them
 	ring atomic.Pointer[ringView] // membership, fingers, filter, ranker (ring.go); read lock-free
 
-	routes    *cache.Cache[uint64]             // key → successor root (routecache.go); nil = uncached
+	routes    *routeMemo                       // ring id → successor root (routecache.go); nil = uncached
 	ownership ownershipCache                   // learned successor segments (ownership.go)
 	tel       atomic.Pointer[resolveTelemetry] // resolution counters (routecache.go); nil = off
 	gates     *nodeGates                       // server-side admission (gate.go); nil = admit everything
@@ -122,7 +122,7 @@ func New(net *simnet.Network, nodes []simnet.NodeID, cfg Config) (*DHT, error) {
 		replica:    cfg.ReplicationFactor,
 		fanout:     cfg.FanoutWorkers,
 		perKeyHeal: cfg.PerKeyHeal,
-		routes:     cache.New[uint64](cfg.RouteCache),
+		routes:     newRouteMemo(cfg.RouteCache),
 		gates:      newNodeGates(cfg.NodeGate, nodes),
 	}
 	members := make([]*node, 0, len(nodes))

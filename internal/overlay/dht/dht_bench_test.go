@@ -7,6 +7,7 @@ package dht
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"godosn/internal/cache"
@@ -107,6 +108,70 @@ func BenchmarkSingleKeyLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := d.Lookup(client, keys[i%len(keys)]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkResolveRoot times one single-key resolution (resolveRoot) in
+// the benchmark harness's shape: 48 nodes, one 4096-entry route-cache
+// shard, callers at different origins. "hit" resolves keys the memo holds;
+// "evicting-miss" cycles 100 k keys, so every call walks the ring and
+// displaces the least-recently-used route. With 2 goroutines both share
+// the one shard.
+func BenchmarkResolveRoot(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		keys int
+	}{{"hit", 1024}, {"evicting-miss", 100_000}} {
+		for _, goroutines := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/goroutines=%d", tc.name, goroutines), func(b *testing.B) {
+				net := simnet.New(simnet.DefaultConfig(4242))
+				names := make([]simnet.NodeID, 48)
+				for i := range names {
+					names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
+				}
+				d, err := New(net, names, Config{
+					ReplicationFactor: benchReplicas,
+					RouteCache:        cache.Config{Capacity: 4096, Shards: 1, Seed: 4242},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				keys := make([]string, tc.keys)
+				kids := make([]uint64, tc.keys)
+				for i := range keys {
+					keys[i] = fmt.Sprintf("k%d", i)
+					kids[i] = hashID(keys[i])
+				}
+				// Each caller keeps one frame and clears only its trace, so
+				// the frame pool's cost stays out of the numbers.
+				resolve := func(f *opFrame, origin simnet.NodeID, i int) {
+					f.tr = simnet.Trace{}
+					if _, err := d.resolveRoot(f, nil, origin, keys[i], kids[i], false); err != nil {
+						b.Error(err)
+					}
+				}
+				f := borrowFrame()
+				for i := range keys[:min(len(keys), 4096)] {
+					resolve(f, names[0], i)
+				}
+				returnFrame(f)
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						f := borrowFrame()
+						defer returnFrame(f)
+						for i := g; i < b.N; i += goroutines {
+							resolve(f, names[g], (i*7919)%len(keys))
+						}
+					}(g)
+				}
+				wg.Wait()
+			})
 		}
 	}
 }

@@ -1,7 +1,8 @@
 package dht
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -23,11 +24,21 @@ import (
 // InvalidateRoutes). And like the route cache's fenced fill, a walk reads
 // the clear count before it starts and learn drops its segment if a clear
 // landed meanwhile: a walk over the old ring never teaches the new one.
+//
+// The learned segments are an immutable snapshot behind an atomic pointer,
+// so lookup, which every single-key operation and batch key runs first,
+// takes no lock. learn copies the snapshot with its segment added under the
+// writer mutex — at most once per root between clears, so the copies are
+// bounded by the ring's size — and clear stores nil.
 type ownershipCache struct {
-	mu     sync.Mutex
-	clears atomic.Uint64     // clear() calls so far; written under mu
-	pred   map[uint64]uint64 // root → its ring predecessor: root owns (pred, root]
-	roots  []uint64          // learned roots, sorted ascending
+	mu     sync.Mutex                // serialises learn and clear
+	clears atomic.Uint64             // clear() calls so far; written under mu
+	segs   atomic.Pointer[[]segment] // learned segments sorted by root; nil = none
+}
+
+// segment is a learned root's whole Chord segment (pred, root].
+type segment struct {
+	pred, root uint64
 }
 
 // fence returns the clear count for a walk to pass to learn.
@@ -45,43 +56,44 @@ func (c *ownershipCache) learn(kid, lo, root, fence uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.pred[root]; ok || c.clears.Load() != fence {
+	var old []segment
+	if p := c.segs.Load(); p != nil {
+		old = *p
+	}
+	i, known := slices.BinarySearchFunc(old, root, bySegmentRoot)
+	if known || c.clears.Load() != fence {
 		return
 	}
-	if c.pred == nil {
-		c.pred = make(map[uint64]uint64)
-	}
-	c.pred[root] = lo
-	i := sort.Search(len(c.roots), func(i int) bool { return c.roots[i] >= root })
-	c.roots = append(c.roots, 0)
-	copy(c.roots[i+1:], c.roots[i:])
-	c.roots[i] = root
+	next := make([]segment, 0, len(old)+1)
+	next = append(append(append(next, old[:i]...), segment{pred: lo, root: root}), old[i:]...)
+	c.segs.Store(&next)
 }
 
 // lookup resolves kid against the learned segments. Only kid's circular
 // successor among the learned roots can own it, so one binary search
 // decides.
 func (c *ownershipCache) lookup(kid uint64) (uint64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.roots) == 0 {
+	p := c.segs.Load()
+	if p == nil {
 		return 0, false
 	}
-	i := sort.Search(len(c.roots), func(i int) bool { return c.roots[i] >= kid })
-	root := c.roots[i%len(c.roots)] // wrap: past the last root, the first one succeeds kid
-	if inInterval(kid, c.pred[root], root) {
-		return root, true
+	segs := *p
+	i, _ := slices.BinarySearchFunc(segs, kid, bySegmentRoot)
+	s := segs[i%len(segs)] // wrap: past the last root, the first one succeeds kid
+	if inInterval(kid, s.pred, s.root) {
+		return s.root, true
 	}
 	return 0, false
 }
+
+func bySegmentRoot(s segment, id uint64) int { return cmp.Compare(s.root, id) }
 
 // clear forgets every learned segment and fences every walk in flight.
 func (c *ownershipCache) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clears.Add(1)
-	c.pred = nil
-	c.roots = nil
+	c.segs.Store(nil)
 }
 
 // bumpRoutes invalidates both routing memoizations together: the per-key
@@ -89,6 +101,6 @@ func (c *ownershipCache) clear() {
 // ring or placement mutation must go through here — a stale segment is
 // exactly as wrong as a stale cached route.
 func (d *DHT) bumpRoutes() {
-	d.routes.BumpGeneration()
+	d.routes.bump()
 	d.ownership.clear()
 }

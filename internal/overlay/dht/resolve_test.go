@@ -24,6 +24,17 @@ func resolveCounts(reg *telemetry.Registry) (learned, walks int64) {
 	return reg.Counter("dht_resolve_learned_total").Value(), reg.Counter("dht_resolve_walks_total").Value()
 }
 
+// learnedSegments reads c's current snapshot as root → its predecessor.
+func learnedSegments(c *ownershipCache) map[uint64]uint64 {
+	out := map[uint64]uint64{}
+	if p := c.segs.Load(); p != nil {
+		for _, s := range *p {
+			out[s.root] = s.pred
+		}
+	}
+	return out
+}
+
 // A walk that started before an invalidation must not teach the ownership
 // cache, exactly as the route cache's fenced fill drops its result.
 func TestOwnershipLearnFencedByInvalidate(t *testing.T) {
@@ -294,9 +305,7 @@ func TestBatchWalkLearnsWholeSegment(t *testing.T) {
 			if shortcut := tc.root == v.successorID(o+1); (hops == 0) != shortcut {
 				t.Fatalf("walk took %d hops; the origin shortcut takes none, every other exit some", hops)
 			}
-			d.ownership.mu.Lock()
-			learned := maps.Clone(d.ownership.pred)
-			d.ownership.mu.Unlock()
+			learned := learnedSegments(&d.ownership)
 			if want := map[uint64]uint64{root: pred}; !maps.Equal(learned, want) {
 				t.Fatalf("learned %v, want exactly root %d's segment from %d", learned, root, pred)
 			}
@@ -313,7 +322,7 @@ func TestBatchWalkLearnsWholeSegment(t *testing.T) {
 	// A walk whose answer does not cover its kid teaches nothing.
 	var c ownershipCache
 	c.learn(50, 100, 200, c.fence())
-	if root, ok := c.lookup(150); ok || len(c.roots) != 0 {
+	if root, ok := c.lookup(150); ok || len(learnedSegments(&c)) != 0 {
 		t.Fatalf("kid 50 outside (100, 200] taught a segment: lookup(150) = %d,%v", root, ok)
 	}
 }
@@ -330,9 +339,9 @@ func TestOneWalkPerRoot(t *testing.T) {
 	d.SetTelemetry(reg)
 	origin := string(names[0])
 	var keys []string
-	for b := 0; len(d.ownership.roots) < 48; b++ {
+	for b := 0; len(learnedSegments(&d.ownership)) < 48; b++ {
 		if b == 8 {
-			t.Fatalf("8 batches learned %d of the 48 roots", len(d.ownership.roots))
+			t.Fatalf("8 batches learned %d of the 48 roots", len(learnedSegments(&d.ownership)))
 		}
 		batch, vals := batchKeys(256)
 		for i := range batch {
@@ -426,14 +435,13 @@ func TestOwnershipHammer(t *testing.T) {
 	// current ring: a walk fenced after the last change saw only that ring.
 	exact := func() (int, error) {
 		v := d.view()
-		d.ownership.mu.Lock()
-		defer d.ownership.mu.Unlock()
-		for root, pred := range d.ownership.pred {
+		learned := learnedSegments(&d.ownership)
+		for root, pred := range learned {
 			if v.byID[root] == nil || v.predecessorID(root) != pred {
 				return 0, fmt.Errorf("learned (%d, %d] is not a segment of the ring", pred, root)
 			}
 		}
-		return len(d.ownership.pred), nil
+		return len(learned), nil
 	}
 	go func() {
 		// A node joins and leaves again: it takes over a segment and hands

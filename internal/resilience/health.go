@@ -3,6 +3,7 @@ package resilience
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"godosn/internal/telemetry"
 )
@@ -24,6 +25,11 @@ type Breaker struct {
 	nodes      map[string]*breakerState
 	events     *telemetry.Log    // nil until SetEvents
 	quarantine func(node string) // nil until SetQuarantineHook
+	// quarantined counts the nodes that are open and tainted. Every
+	// transition keeps it under mu, so Quarantined, the placement filter on
+	// every replica of every write and plan, answers without the lock while
+	// no node is quarantined.
+	quarantined atomic.Int32
 }
 
 // SetQuarantineHook installs a callback fired (outside the breaker's lock)
@@ -49,6 +55,29 @@ type breakerState struct {
 	open    bool // circuit open: node presumed down
 	skips   int  // Allow refusals remaining before a probe
 	tainted bool // a failure was a corruption verdict, not mere loss
+}
+
+func (s *breakerState) isQuarantined() bool { return s.open && s.tainted }
+
+// state returns node's state, creating a closed one. Call with mu held.
+func (b *Breaker) state(node string) *breakerState {
+	s := b.nodes[node]
+	if s == nil {
+		s = &breakerState{}
+		b.nodes[node] = s
+	}
+	return s
+}
+
+// tally keeps the quarantine count across one transition of s; was is
+// whether s was quarantined before it. Call with mu held.
+func (b *Breaker) tally(was bool, s *breakerState) {
+	switch now := s.isQuarantined(); {
+	case now && !was:
+		b.quarantined.Add(1)
+	case was && !now:
+		b.quarantined.Add(-1)
+	}
 }
 
 // NewBreaker creates a breaker with every circuit closed.
@@ -79,11 +108,8 @@ func (b *Breaker) Allow(node string) bool {
 func (b *Breaker) Report(node string, ok bool) {
 	var quarantined func(string)
 	b.mu.Lock()
-	s := b.nodes[node]
-	if s == nil {
-		s = &breakerState{}
-		b.nodes[node] = s
-	}
+	s := b.state(node)
+	was := s.isQuarantined()
 	if ok {
 		if s.open {
 			b.events.Emit("breaker.close", telemetry.A("node", node))
@@ -92,6 +118,7 @@ func (b *Breaker) Report(node string, ok bool) {
 		s.open = false
 		s.skips = 0
 		s.tainted = false
+		b.tally(was, s)
 		b.mu.Unlock()
 		return
 	}
@@ -107,6 +134,7 @@ func (b *Breaker) Report(node string, ok bool) {
 		s.open = true
 		s.skips = breakerCooldown
 	}
+	b.tally(was, s)
 	b.mu.Unlock()
 	if quarantined != nil {
 		quarantined(node)
@@ -122,11 +150,8 @@ func (b *Breaker) Report(node string, ok bool) {
 func (b *Breaker) ReportCorrupt(node string) {
 	var quarantined func(string)
 	b.mu.Lock()
-	s := b.nodes[node]
-	if s == nil {
-		s = &breakerState{}
-		b.nodes[node] = s
-	}
+	s := b.state(node)
+	was := s.isQuarantined()
 	if !s.tainted && s.open {
 		// Already open for loss; the corruption verdict upgrades it to
 		// quarantine without a fresh open transition.
@@ -134,6 +159,7 @@ func (b *Breaker) ReportCorrupt(node string) {
 		quarantined = b.quarantine
 	}
 	s.tainted = true
+	b.tally(was, s)
 	b.mu.Unlock()
 	if quarantined != nil {
 		quarantined(node)
@@ -142,12 +168,15 @@ func (b *Breaker) ReportCorrupt(node string) {
 }
 
 // Quarantined reports whether the node is excluded from replica placement:
-// circuit-open and corruption-tainted.
+// circuit-open and corruption-tainted. While no node is, it takes no lock.
 func (b *Breaker) Quarantined(node string) bool {
+	if b.quarantined.Load() == 0 {
+		return false
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := b.nodes[node]
-	return s != nil && s.open && s.tainted
+	return s != nil && s.isQuarantined()
 }
 
 // Unquarantine is the operator override for a false or stale corruption
@@ -163,10 +192,12 @@ func (b *Breaker) Unquarantine(node string) bool {
 		b.mu.Unlock()
 		return false
 	}
+	was := s.isQuarantined()
 	s.tainted = false
 	s.open = false
 	s.fails = 0
 	s.skips = 0
+	b.tally(was, s)
 	b.events.Emit("breaker.unquarantine", telemetry.A("node", node))
 	hook := b.quarantine
 	b.mu.Unlock()
@@ -191,7 +222,7 @@ func (b *Breaker) QuarantinedNodes() []string {
 	defer b.mu.Unlock()
 	var out []string
 	for name, s := range b.nodes {
-		if s.open && s.tainted {
+		if s.isQuarantined() {
 			out = append(out, name)
 		}
 	}
@@ -204,4 +235,5 @@ func (b *Breaker) Reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.nodes = make(map[string]*breakerState)
+	b.quarantined.Store(0)
 }

@@ -103,3 +103,105 @@ func TestBreakerReset(t *testing.T) {
 		t.Fatal("reset did not clear state")
 	}
 }
+
+// The quarantine count behind Quarantined's lock-free answer follows every
+// transition: after each step, Quarantined agrees with the locked state for
+// every node and the count with QuarantinedNodes.
+func TestQuarantineCountTracksTransitions(t *testing.T) {
+	b := NewBreaker()
+	nodes := []string{"a", "b", "c"}
+	check := func(step string) {
+		t.Helper()
+		for _, n := range nodes {
+			b.mu.Lock()
+			s := b.nodes[n]
+			want := s != nil && s.open && s.tainted
+			b.mu.Unlock()
+			if got := b.Quarantined(n); got != want {
+				t.Fatalf("%s: Quarantined(%s) = %v, locked state says %v", step, n, got, want)
+			}
+		}
+		if got, want := int(b.quarantined.Load()), len(b.QuarantinedNodes()); got != want {
+			t.Fatalf("%s: count %d, %d nodes quarantined", step, got, want)
+		}
+	}
+	check("fresh")
+	b.ReportCorrupt("a") // closed node: tainted, one failure short of opening
+	check("corrupt on closed a")
+	for i := 1; i < breakerThreshold; i++ {
+		b.Report("a", false)
+	}
+	check("a opens at the threshold")
+	if !b.Quarantined("a") {
+		t.Fatal("a tainted and open but not quarantined")
+	}
+	openCircuit(b, "b")
+	check("b open for loss")
+	b.ReportCorrupt("b") // already open: upgraded without a fresh open
+	check("corrupt on open b")
+	b.ReportCorrupt("b")
+	check("corrupt on quarantined b")
+	if n := b.quarantined.Load(); n != 2 {
+		t.Fatalf("count %d with a and b quarantined", n)
+	}
+	b.Report("a", true)
+	check("success closes a")
+	openCircuit(b, "c")
+	check("c open for loss")
+	if !b.Unquarantine("b") || b.Unquarantine("c") {
+		t.Fatal("Unquarantine: b was tainted, c was not")
+	}
+	check("unquarantine b")
+	b.ReportCorrupt("c")
+	check("corrupt on open c")
+	b.Reset()
+	check("reset")
+	if b.quarantined.Load() != 0 {
+		t.Fatal("reset left a quarantine count")
+	}
+}
+
+// Eight goroutines mix reports, corruption verdicts, overrides and the
+// lock-free check; afterwards the count still matches the nodes' states.
+// Clean under -race.
+func TestBreakerHammer(t *testing.T) {
+	b := NewBreaker()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				node := fmt.Sprintf("n%d", (g+i)%6)
+				switch i % 7 {
+				case 0:
+					b.ReportCorrupt(node)
+				case 1, 2:
+					b.Report(node, false)
+				case 3:
+					b.Report(node, i%3 == 0)
+				case 4:
+					if i%50 == 4 {
+						b.Unquarantine(node)
+					}
+				default:
+					b.Quarantined(node)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := int(b.quarantined.Load()), len(b.QuarantinedNodes()); got != want {
+		t.Fatalf("count %d, %d nodes quarantined", got, want)
+	}
+	for i := 0; i < 6; i++ {
+		node := fmt.Sprintf("n%d", i)
+		b.Report(node, true)
+		if b.Quarantined(node) {
+			t.Fatalf("%s quarantined after a success", node)
+		}
+	}
+	if b.quarantined.Load() != 0 {
+		t.Fatalf("count %d after every node closed", b.quarantined.Load())
+	}
+}
