@@ -227,11 +227,21 @@ var framePool = sync.Pool{New: func() any { return new(opFrame) }}
 func borrowFrame() *opFrame { return framePool.Get().(*opFrame) }
 
 func returnFrame(f *opFrame) {
+	f.reset()
+	framePool.Put(f)
+}
+
+// reset zeroes the frame in place: the per-operation fields field by
+// field, the batch requests and the plan down to their emptied arrays.
+func (f *opFrame) reset() {
+	f.tr = simnet.Trace{}
+	f.find = findSuccessorReq{}
+	f.store = storeReq{}
+	f.fetch = fetchReq{}
+	f.ids = replicaIDs{}
 	f.storeBatch.reset()
 	f.fetchBatch.reset()
 	f.plan.reset()
-	*f = opFrame{storeBatch: f.storeBatch, fetchBatch: f.fetchBatch, plan: f.plan}
-	framePool.Put(f)
 }
 
 // handlerFor builds the simnet handler executing node-local RPC logic.

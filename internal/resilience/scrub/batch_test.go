@@ -120,6 +120,7 @@ type stubBatchKV struct {
 	data     map[string]map[string][]byte // replica -> key -> record
 	badKeys  map[string]bool              // per-slot StoreBatchTo failures
 	lost     map[string]bool              // replicas whose FetchBatchFrom slots all error
+	garbled  map[string]int               // replica -> reads still to serve with a flipped last byte
 	stores   int                          // StoreBatchTo envelopes sent
 }
 
@@ -146,8 +147,9 @@ func (s *stubBatchKV) ReplicasFor(origin, key string) ([]string, overlay.OpStats
 }
 
 func (s *stubBatchKV) LookupFrom(origin, key, replica string) ([]byte, overlay.OpStats, error) {
+	garble := s.garble(replica)
 	if v, ok := s.data[replica][key]; ok {
-		return v, overlay.OpStats{Messages: 2}, nil
+		return garble(v), overlay.OpStats{Messages: 2}, nil
 	}
 	return nil, overlay.OpStats{Messages: 2}, overlay.ErrNotFound
 }
@@ -159,16 +161,31 @@ func (s *stubBatchKV) StoreTo(origin, key string, value []byte, replica string) 
 
 func (s *stubBatchKV) FetchBatchFrom(origin string, keys []string, replica string) ([]overlay.BatchResult, overlay.OpStats, error) {
 	out := make([]overlay.BatchResult, len(keys))
+	garble := s.garble(replica)
 	for i, k := range keys {
 		if s.lost[replica] {
 			out[i].Err = fmt.Errorf("stub: slot read failed for %s", k)
 		} else if v, ok := s.data[replica][k]; ok {
-			out[i].Value = v
+			out[i].Value = garble(v)
 		} else {
 			out[i].Err = overlay.ErrNotFound
 		}
 	}
 	return out, overlay.OpStats{Messages: 2}, nil
+}
+
+// garble counts one read from replica and returns what it does to the
+// copies served: flip their last byte while garbled reads remain.
+func (s *stubBatchKV) garble(replica string) func([]byte) []byte {
+	if s.garbled[replica] == 0 {
+		return func(v []byte) []byte { return v }
+	}
+	s.garbled[replica]--
+	return func(v []byte) []byte {
+		out := append([]byte(nil), v...)
+		out[len(out)-1] ^= 0x01
+		return out
+	}
 }
 
 func (s *stubBatchKV) StoreBatchTo(origin string, keys []string, values [][]byte, replica string) ([]error, overlay.OpStats, error) {

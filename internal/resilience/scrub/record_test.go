@@ -2,6 +2,7 @@ package scrub
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -98,12 +99,62 @@ func TestCheckDoesNotCopy(t *testing.T) {
 	}
 }
 
-// FuzzOpen drives arbitrary records, keys and payloads through the record
-// codec: nothing panics, Open succeeds exactly when Check does, every
-// payload round-trips, and flipping any one bit of a sealed record fails
-// Check. Seeds: testdata/fuzz/FuzzOpen.
+// TestSealBytesFrozen pins the version-0 record byte for byte: Seal's
+// output is what the benchmark harness seals, and SealVersion at version 0
+// must be the same record.
+func TestSealBytesFrozen(t *testing.T) {
+	const golden = "4744534e52454331b276419d7297a182dbffa157c4e3ec109478d3b573dae079cc77482531bf68b776"
+	if got := hex.EncodeToString(Seal("k", []byte("v"))); got != golden {
+		t.Fatalf("Seal(\"k\", \"v\") = %s, want %s", got, golden)
+	}
+	if !bytes.Equal(SealVersion("k", 0, []byte("v")), Seal("k", []byte("v"))) {
+		t.Fatal("SealVersion at version 0 differs from Seal")
+	}
+}
+
+// TestSealVersionRoundTrip: a versioned record opens to its payload and
+// version, every header fault is refused, and version 0 has one form only.
+func TestSealVersionRoundTrip(t *testing.T) {
+	const version = 0x0102030405060708
+	rec := SealVersion("key-1", version, []byte("payload"))
+	if !bytes.HasPrefix(rec, versionMagic) {
+		t.Fatalf("versioned record starts %q, want %q", rec[:len(versionMagic)], versionMagic)
+	}
+	payload, v, err := parse("key-1", rec)
+	if err != nil || v != version || string(payload) != "payload" {
+		t.Fatalf("parse = %q, %#x, %v", payload, v, err)
+	}
+	if got, err := Open("key-1", rec); err != nil || string(got) != "payload" {
+		t.Fatalf("Open = %q, %v", got, err)
+	}
+	// A version-0 record under the second magic, correctly checksummed, is
+	// still refused: Seal's form is the only version-0 record.
+	zero := append([]byte(nil), versionMagic...)
+	zero = append(zero, make([]byte, versionLen)...)
+	sum := checksum(zero, "key-1", []byte("payload"))
+	zero = append(append(zero, sum[:]...), "payload"...)
+	cases := map[string][]byte{
+		"version byte flipped":   flip(rec, len(versionMagic)+versionLen-1),
+		"cut inside the version": rec[:len(versionMagic)+3],
+		"cut inside the sum":     rec[:len(versionMagic)+versionLen+31],
+		"version-1 magic":        append(append([]byte(nil), recordMagic...), rec[len(versionMagic):]...),
+		"version 0 under REC2":   zero,
+		"another key":            SealVersion("key-2", version, []byte("payload")),
+	}
+	for name, bad := range cases {
+		if err := Check("key-1", bad); !errors.Is(err, ErrRecord) {
+			t.Fatalf("%s: got %v, want ErrRecord", name, err)
+		}
+	}
+}
+
+// FuzzOpen drives arbitrary records, keys, payloads and versions through
+// the record codec: nothing panics, Open succeeds exactly when Check does,
+// every payload and version round-trips, flipping any one bit of a sealed
+// record fails Check, and so does swapping its magic for the other form's.
+// Seeds: testdata/fuzz/FuzzOpen.
 func FuzzOpen(f *testing.F) {
-	f.Fuzz(func(t *testing.T, key string, record, payload []byte) {
+	f.Fuzz(func(t *testing.T, key string, record, payload []byte, version uint64) {
 		_, err := Open(key, record)
 		if cerr := Check(key, record); (err == nil) != (cerr == nil) {
 			t.Fatalf("Open err=%v but Check err=%v", err, cerr)
@@ -115,9 +166,12 @@ func FuzzOpen(f *testing.F) {
 		if len(payload) > 128 {
 			payload = payload[:128] // bounds the bit-flip sweep below
 		}
-		sealed := Seal(key, payload)
+		sealed := SealVersion(key, version, payload)
 		if got, err := Open(key, sealed); err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("Open(Seal(%q)) = %q, %v", payload, got, err)
+			t.Fatalf("Open(SealVersion(%d, %q)) = %q, %v", version, payload, got, err)
+		}
+		if got, v, err := parse(key, sealed); err != nil || v != version || !bytes.Equal(got, payload) {
+			t.Fatalf("parse(SealVersion(%d, %q)) = %q, %d, %v", version, payload, got, v, err)
 		}
 		for bit := 0; bit < 8*len(sealed); bit++ {
 			sealed[bit/8] ^= 1 << (bit % 8)
@@ -125,6 +179,15 @@ func FuzzOpen(f *testing.F) {
 				t.Fatalf("Check accepted a record with bit %d flipped", bit)
 			}
 			sealed[bit/8] ^= 1 << (bit % 8)
+		}
+		swapped := append([]byte(nil), sealed...)
+		if version == 0 {
+			copy(swapped, versionMagic)
+		} else {
+			copy(swapped, recordMagic)
+		}
+		if err := Check(key, swapped); err == nil {
+			t.Fatalf("Check accepted a version-%d record under the other magic", version)
 		}
 	})
 }

@@ -11,7 +11,6 @@ import (
 	"godosn/internal/crypto/merkle"
 	"godosn/internal/overlay"
 	"godosn/internal/parallel"
-	"godosn/internal/resilience"
 	"godosn/internal/telemetry"
 )
 
@@ -19,9 +18,6 @@ import (
 type Config struct {
 	// Origin is the node the scrubber's reads and repairs originate at.
 	Origin string
-	// Verify condemns a copy (defaults to Check — sealed-record
-	// verification). Swap in a signed-chain verifier to scrub timelines.
-	Verify resilience.VerifyFunc
 	// Workers bounds concurrent replica-set groups in flight (<= 1 serial).
 	// On a lossy network, worker counts > 1 make the assignment of seeded
 	// drops to individual messages scheduling-dependent; seeded experiments
@@ -35,9 +31,9 @@ type Config struct {
 	PerKey bool
 }
 
-// DefaultConfig scrubs serially from origin with record verification.
+// DefaultConfig scrubs serially from origin.
 func DefaultConfig(origin string) Config {
-	return Config{Origin: origin, Verify: Check, Workers: 1}
+	return Config{Origin: origin, Workers: 1}
 }
 
 // Report summarizes one scrub pass.
@@ -169,9 +165,6 @@ func (s *Scrubber) SetTelemetry(reg *telemetry.Registry) {
 // paths activate when it also implements overlay.BatchDigestKV /
 // overlay.BatchRepairKV (Config.PerKey forces the per-key paths back on).
 func New(kv overlay.ReplicaKV, cfg Config) *Scrubber {
-	if cfg.Verify == nil {
-		cfg.Verify = Check
-	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -237,8 +230,8 @@ type copyState int
 
 const (
 	copyCanonical   copyState = iota // verified, matches canonical
-	copyCondemned                    // failed verify or diverged, survived recheck
-	copyMissing                      // replica answered not-found
+	copyCondemned                    // failed verify or diverged at the winning version, survived recheck
+	copyMissing                      // replica answered not-found, or holds an older verified version
 	copyUnreachable                  // delivery failure; liveness is the healer's job
 	copyHeld                         // fetched, not yet judged by the election
 )
@@ -248,6 +241,7 @@ type keyOutcome struct {
 	key       string
 	canonical []byte
 	found     bool
+	version   uint64      // winning record version of the election
 	best      [32]byte    // winning copy leaf of the election
 	states    []copyState // by replica index, aligned with the group's replicas
 	failed    bool
@@ -255,18 +249,24 @@ type keyOutcome struct {
 
 // drillScratch is one drill-down's per-key working state, laid out by
 // replica index in arrays sized once per group: the key's copy states, the
-// copies fetched and their leaves.
+// copies fetched and what the election read from them.
 type drillScratch struct {
 	states []copyState
 	values [][]byte
-	leaves [][32]byte
+	held   []heldCopy
+}
+
+// heldCopy is what the election reads from one verified copy.
+type heldCopy struct {
+	leaf    [32]byte
+	version uint64
 }
 
 func newDrillScratch(keys, replicas int) drillScratch {
 	return drillScratch{
 		states: make([]copyState, keys*replicas),
 		values: make([][]byte, replicas),
-		leaves: make([][32]byte, replicas),
+		held:   make([]heldCopy, replicas),
 	}
 }
 
@@ -783,38 +783,51 @@ func (s *Scrubber) scrubGroup(gsp *telemetry.Span, nonce uint64, g group, dg *gr
 	return r
 }
 
-// electKey runs the canonical-value election over one key's fetched copies:
-// verified copies vote by copy leaf, the largest set wins, ties broken by
-// smallest leaf hash so the election is deterministic. Pure local
-// computation shared by the per-key and batched drill-downs — both paths
-// must elect identically for their reports to agree. values and leaves are
-// replica-indexed: a copyHeld state says values holds that replica's copy,
-// and leaves is scratch for its leaf. Missing and unreachable states are
-// left untouched; every held copy ends canonical or condemned.
-func (s *Scrubber) electKey(o *keyOutcome, values [][]byte, leaves [][32]byte) {
+// electKey runs the canonical-value election over one key's fetched copies.
+// One freshness rule: the highest verified record version wins; among the
+// copies of that version, the largest set of equal copy leaves wins, ties
+// broken by smallest leaf hash so the election is deterministic. A verified
+// copy of an older version is a write its holder missed, not corruption: it
+// becomes missing, is repaired from the winner and judges no node. Pure
+// local computation shared by the per-key and batched drill-downs — both
+// paths must elect identically for their reports to agree. values and held
+// are replica-indexed: a copyHeld state says values holds that replica's
+// copy, and held is scratch for what its parse yields. Missing and
+// unreachable states are left untouched; every held copy ends canonical,
+// condemned or missing.
+func electKey(o *keyOutcome, values [][]byte, held []heldCopy) {
+	verified := false
 	for ri, st := range o.states {
 		if st != copyHeld {
 			continue
 		}
-		if s.cfg.Verify(o.key, values[ri]) != nil {
+		_, version, err := parse(o.key, values[ri])
+		if err != nil {
 			o.states[ri] = copyCondemned
 			continue
 		}
-		leaves[ri] = overlay.CopyLeaf(o.key, values[ri], true)
+		held[ri] = heldCopy{leaf: overlay.CopyLeaf(o.key, values[ri], true), version: version}
+		if !verified || version > o.version {
+			o.version, verified = version, true
+		}
 	}
 	votes := 0 // the winning leaf's
 	for ri, st := range o.states {
 		if st != copyHeld {
 			continue
 		}
+		if held[ri].version < o.version {
+			o.states[ri] = copyMissing
+			continue
+		}
 		n := 0
 		for rj, other := range o.states {
-			if other == copyHeld && leaves[rj] == leaves[ri] {
+			if other == copyHeld && held[rj] == held[ri] {
 				n++
 			}
 		}
-		if !o.found || n > votes || (n == votes && bytes.Compare(leaves[ri][:], o.best[:]) < 0) {
-			o.best, votes, o.found = leaves[ri], n, true
+		if !o.found || n > votes || (n == votes && bytes.Compare(held[ri].leaf[:], o.best[:]) < 0) {
+			o.best, votes, o.found = held[ri].leaf, n, true
 		}
 	}
 	if !o.found {
@@ -828,16 +841,36 @@ func (s *Scrubber) electKey(o *keyOutcome, values [][]byte, leaves [][32]byte) {
 		if st != copyHeld {
 			continue
 		}
-		if leaves[ri] == o.best {
+		if held[ri].leaf == o.best {
 			o.states[ri] = copyCanonical
 			if o.canonical == nil {
 				o.canonical = values[ri]
 			}
 		} else {
-			// Verified but divergent: a valid record carrying different
-			// bytes — the stale-replay shape. The majority copy wins.
+			// Verified but divergent at the winning version: a valid record
+			// carrying different bytes — the stale-replay shape. The
+			// majority copy wins.
 			o.states[ri] = copyCondemned
 		}
+	}
+}
+
+// recheck judges condemned copy ri again from its refetch v, so a one-off
+// wire corruption is not blamed on the node: a refetch that verifies as the
+// winning copy is canonical, one that verifies at an older version is
+// missing, anything else stays condemned. A refetch newer than the winner
+// is a write that landed during the pass: its state is unknown to this
+// election, so the pass neither judges nor repairs it.
+func (o *keyOutcome) recheck(ri int, v []byte) {
+	_, version, err := parse(o.key, v)
+	switch {
+	case err != nil:
+	case version > o.version:
+		o.states[ri] = copyUnreachable
+	case version < o.version:
+		o.states[ri] = copyMissing
+	case overlay.CopyLeaf(o.key, v, true) == o.best:
+		o.states[ri] = copyCanonical
 	}
 }
 
@@ -896,7 +929,7 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 		}
 		vsp := gsp.Child("verify")
 		vsp.Tag("key", key)
-		s.electKey(&o, sc.values, sc.leaves)
+		electKey(&o, sc.values, sc.held)
 		switch {
 		case !o.found:
 			vsp.End("failed")
@@ -941,10 +974,8 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 		}
 		rsp.End("ok")
 		for j, ki := range cidx {
-			o := &outs[ki]
-			if res[j].Err == nil && s.cfg.Verify(o.key, res[j].Value) == nil &&
-				overlay.CopyLeaf(o.key, res[j].Value, true) == o.best {
-				o.states[ri] = copyCanonical
+			if res[j].Err == nil {
+				outs[ki].recheck(ri, res[j].Value)
 			}
 		}
 	}
@@ -1053,7 +1084,7 @@ func (s *Scrubber) scrubKey(gsp *telemetry.Span, key string, replicas []string, 
 		}
 	}
 
-	s.electKey(&o, sc.values, sc.leaves)
+	electKey(&o, sc.values, sc.held)
 	if !o.found {
 		vsp.End("failed")
 		return o
@@ -1068,8 +1099,8 @@ func (s *Scrubber) scrubKey(gsp *telemetry.Span, key string, replicas []string, 
 		v, st, err := s.kv.LookupFrom(s.cfg.Origin, key, name)
 		stats.Add(&st)
 		vsp.AddLatency(st.Latency)
-		if err == nil && s.cfg.Verify(key, v) == nil && overlay.CopyLeaf(key, v, true) == o.best {
-			o.states[ri] = copyCanonical
+		if err == nil {
+			o.recheck(ri, v)
 		}
 	}
 	if anyDivergent(&o) {

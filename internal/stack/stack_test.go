@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -328,18 +329,36 @@ func TestBuildRegistersEveryLayer(t *testing.T) {
 // the sweeper's next tick once the replica returns, even with the cursor on
 // another chunk, because the DHT hands the key to the sweeper's queue. Both
 // write paths: a Store and a PutBatch group.
+//
+// The overwrite arms are the freshness rule: v1 at version 1 on all three
+// replicas, two non-client replicas offline, v2 at version 2 acked by the
+// third. The next tick leaves every replica at v2 and condemns nobody, and
+// two more ticks roll nothing back, on the batched and the per-key drill.
 func TestShortWriteIsRepairedByTheNextSweep(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		batch bool
-	}{{"store", false}, {"put-batch", true}} {
+		name      string
+		batch     bool
+		overwrite bool
+		perKey    bool
+	}{
+		{name: "store"},
+		{name: "put-batch", batch: true},
+		{name: "store-overwrite", overwrite: true},
+		{name: "store-overwrite-perkey", overwrite: true, perKey: true},
+		{name: "put-batch-overwrite", batch: true, overwrite: true},
+		{name: "put-batch-overwrite-perkey", batch: true, overwrite: true, perKey: true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
+			rcfg := resilience.DefaultConfig(testSeed)
+			rcfg.Verify = scrub.Check
 			scfg := scrub.DefaultConfig("")
+			scfg.PerKey = tc.perKey
 			s, err := Build(Spec{
-				Names: NodeNames("node-%d", 16),
-				Net:   simnet.DefaultConfig(testSeed),
-				DHT:   dht.Config{ReplicationFactor: 3},
-				Scrub: &scfg,
+				Names:      NodeNames("node-%d", 16),
+				Net:        simnet.DefaultConfig(testSeed),
+				DHT:        dht.Config{ReplicationFactor: 3},
+				Resilience: &rcfg,
+				Scrub:      &scfg,
 				// Unbudgeted: every tick scrubs exactly one chunk.
 				Sweep: &scrub.SweepConfig{ChunkKeys: 4},
 			})
@@ -355,45 +374,74 @@ func TestShortWriteIsRepairedByTheNextSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			target := keys[12]
+			old := scrub.SealVersion(target, 1, []byte("v1"))
+			if tc.overwrite {
+				if _, err := s.DHT.Store(s.Client, target, old); err != nil {
+					t.Fatal(err)
+				}
+			}
 			s.Sweep.AddKeys(keys...) // chunks 0-2 hold k0..k11, chunk 3 the target
 			if _, err := s.Sweep.Tick(); err != nil {
 				t.Fatal(err)
 			}
 
-			target := keys[12]
 			plan := append([]string(nil), s.DHT.PlanReplicas(target)...)
-			away := simnet.NodeID(plan[1])
-			if string(away) == s.Client {
-				away = simnet.NodeID(plan[2])
+			var away []simnet.NodeID
+			for _, name := range append(append([]string(nil), plan[1:]...), plan[0]) {
+				if name != s.Client {
+					away = append(away, simnet.NodeID(name))
+				}
 			}
-			if err := s.Net.SetOnline(away, false); err != nil {
-				t.Fatal(err)
-			}
+			away = away[:1]
 			sealed := scrub.Seal(target, []byte("written short"))
+			if tc.overwrite {
+				away = away[:2]
+				sealed = scrub.SealVersion(target, 2, []byte("v2"))
+			}
+			for _, n := range away {
+				if err := s.Net.SetOnline(n, false); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if tc.batch {
 				errs, _, err := s.DHT.PutBatch(s.Client, []string{target}, [][]byte{sealed})
 				if err == nil {
 					err = errs[0]
 				}
 				if err != nil {
-					t.Fatalf("PutBatch with %s offline: %v", away, err)
+					t.Fatalf("PutBatch with %v offline: %v", away, err)
 				}
 			} else if _, err := s.DHT.Store(s.Client, target, sealed); err != nil {
-				t.Fatalf("Store with %s offline: %v", away, err)
+				t.Fatalf("Store with %v offline: %v", away, err)
 			}
-			if err := s.Net.SetOnline(away, true); err != nil {
-				t.Fatal(err)
-			}
-			if s.DHT.Holds(string(away), target) {
-				t.Fatalf("%s holds %s although it was offline for the write", away, target)
+			for _, n := range away {
+				if err := s.Net.SetOnline(n, true); err != nil {
+					t.Fatal(err)
+				}
+				got, held := s.DHT.StoredCopy(string(n), target)
+				if held != tc.overwrite || (held && !bytes.Equal(got, old)) {
+					t.Fatalf("%s holds %q (%v) of %s after being offline for the write", n, got, held, target)
+				}
 			}
 
-			if _, err := s.Sweep.Tick(); err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range s.DHT.PlanReplicas(target) {
-				if !s.DHT.Holds(name, target) {
-					t.Fatalf("after the next sweep tick %s still misses %s (plan %v)", name, target, plan)
+			for tick := 1; tick <= 3; tick++ {
+				rep, err := s.Sweep.Tick()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range rep.Reports {
+					if r.CorruptCopies != 0 {
+						t.Fatalf("tick %d condemned %d copies: %+v", tick, r.CorruptCopies, r)
+					}
+				}
+				for _, name := range s.DHT.PlanReplicas(target) {
+					if got, ok := s.DHT.StoredCopy(name, target); !ok || !bytes.Equal(got, sealed) {
+						t.Fatalf("after sweep tick %d %s holds %q (%v) of %s, want the acked write (plan %v)", tick, name, got, ok, target, plan)
+					}
+				}
+				if q := s.KV.Breaker().QuarantinedNodes(); len(q) != 0 {
+					t.Fatalf("after sweep tick %d the breaker quarantines %v", tick, q)
 				}
 			}
 		})
