@@ -23,6 +23,7 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock lint-
 #   breaker -race  eight goroutines mixing reports, overrides and the lock-free quarantine check; the quarantine count still matches the nodes
 #   ownership -race  single-key lookups from two goroutines against batch walks that learn whole segments, InvalidateRoutes that clear them and Join/Leave changing the ring; every learned segment stays exact
 #   batch put -race  workers-8 PutBatch destinations record their envelope outcomes concurrently: stats match workers 1, and offline, ack-lost and unavailable outcomes stay per group
+#   heal memo -race  skipped copies plan what a full pass plans, with writers running
 #   simnet -race  ten callers against every fault injector with exact ledgers; link draws independent of other links' traffic
 #   pubkey -race  ten goroutines on one ECIES Sender (shared and own recipients, two-wrap Multis that outlive an ephemeral replacement, Forget) and on one key pair's memoised Decrypt
 #   e7,e16     placed sealed copies on the DHT match 1-(1-u)^(k+1) within 4 sigma + 0.01, monotone in k and uptime; proxies >= 0.99
@@ -49,6 +50,7 @@ $(GO) test -race -count=1 -run 'TestRouteMemoMatchesCache' ./internal/overlay/dh
 $(GO) test -race -count=10 -run 'TestBreakerHammer' ./internal/resilience/
 $(GO) test -race -count=1 -run 'TestOwnershipHammer' ./internal/overlay/dht/
 $(GO) test -race -count=1 -run 'TestBatchMatchesSequentialAcrossWorkers|TestPutBatchFaultIsolation' ./internal/overlay/dht/
+$(GO) test -race -count=5 -run 'TestHealConcurrentWithStores|TestHealMatchesReferenceModel' ./internal/overlay/dht/
 $(GO) test -race -count=1 -run 'TestHammerKeepsLedgersExact|TestLinkDrawsIgnoreOtherLinks' ./internal/overlay/simnet/
 $(GO) test -race -count=1 -run 'TestSenderHammer|TestDecryptHammer' ./internal/crypto/pubkey/
 $(BENCH_BIN) -quick -exp e7,e16
@@ -155,7 +157,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 52
+BENCH_PR := 54
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json

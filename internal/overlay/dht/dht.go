@@ -67,6 +67,7 @@ type DHT struct {
 	tel       atomic.Pointer[resolveTelemetry] // resolution counters (routecache.go); nil = off
 	gates     *nodeGates                       // server-side admission (gate.go); nil = admit everything
 	short     func(key string)                 // SetShortWriteHook; nil = no hints
+	healMemo  *healView                        // the last clean heal pass's proof (repair.go); nil = none; under mu
 }
 
 var _ overlay.KV = (*DHT)(nil)

@@ -200,21 +200,36 @@ func healRing(tb testing.TB, keys int) (*DHT, []simnet.NodeID) {
 }
 
 // BenchmarkHeal measures one anti-entropy pass over a 48-node ring: with
-// nothing to repair (the scan alone), and with three nodes that each
-// missed every sixth key they should hold — about 3 % of all keys short of
-// one copy, the shape of a heal after three offline nodes return.
+// nothing to repair, as a full scan (the memo forgotten before every pass)
+// and as a pass over a ring unchanged since the last clean one; and with
+// three nodes that each missed every sixth key they should hold — about 3 %
+// of all keys short of one copy, the shape of a heal after three offline
+// nodes return. Those removals move the stores' generations, so every
+// returning pass is a full one.
 func BenchmarkHeal(b *testing.B) {
 	for _, keys := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("keys=%d/healthy", keys), func(b *testing.B) {
-			d, _ := healRing(b, keys)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if report, err := d.Heal(); err != nil || report.Repaired != 0 {
-					b.Fatalf("heal: %+v %v", report, err)
-				}
+		for _, forget := range []bool{true, false} {
+			name := "full"
+			if !forget {
+				name = "unchanged"
 			}
-		})
+			b.Run(fmt.Sprintf("keys=%d/%s", keys, name), func(b *testing.B) {
+				d, _ := healRing(b, keys)
+				if _, err := d.Heal(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if forget {
+						forgetHealMemo(d)
+					}
+					if report, err := d.Heal(); err != nil || report.Repaired != 0 {
+						b.Fatalf("heal: %+v %v", report, err)
+					}
+				}
+			})
+		}
 		b.Run(fmt.Sprintf("keys=%d/returning=3", keys), func(b *testing.B) {
 			d, names := healRing(b, keys)
 			returning := []*node{d.view().names[names[7]], d.view().names[names[19]], d.view().names[names[31]]}

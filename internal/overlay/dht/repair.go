@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -139,7 +140,10 @@ func (d *DHT) LookupFrom(origin, key, replica string) ([]byte, overlay.OpStats, 
 // node's local store is scanned (a node-local operation, free of network
 // cost); each key whose live replica set is incomplete is pushed, by an
 // online holder, to the online successors missing it. Re-replication RPCs
-// are charged to the report's stats.
+// are charged to the report's stats. A copy the last clean pass proved and
+// nothing has disturbed since is not probed again (healMemo): the plan and
+// the report are exactly a full pass's, and the copies a pass did probe are
+// counted in dht_heal_copies_checked_total.
 func (d *DHT) Heal() (overlay.HealReport, error) {
 	return d.HealSpan(nil)
 }
@@ -150,12 +154,32 @@ func (d *DHT) Heal() (overlay.HealReport, error) {
 // offline and quarantined canonical replicas, which is where Heal
 // replicates to and ReplicasFor extends into. Every key whose ring id falls
 // into segment i (ring[i-1], ring[i]] shares targets[i], so the sets are
-// computed once per pass instead of once per key.
+// computed once per pass instead of once per key. A node's row is its index
+// in online; targets name nodes by row.
+//
+// Once the pass's pushes have all landed, the view is the DHT's heal memo:
+// with proofs filled in, it is what that pass proved (healProof).
 type healView struct {
 	d       *DHT
 	ring    []uint64
-	online  []*node   // online nodes in ring order
-	targets [][]*node // per ring segment
+	online  []*node     // online nodes in ring order
+	targets [][]int32   // per ring segment, the rows of its live targets
+	proofs  []healProof // per row, filled by planHeal
+}
+
+// healProof is what a clean pass proved of one node online when it planned.
+// The node's records numbered below records (its mark, its record count
+// then) are copies of keys that every live target of their segment held once
+// the pass's pushes landed, and first of them are copies of keys whose
+// segment's first target the node is. gen is the node's store generation
+// then: while no online node's generation has moved, no store has lost a
+// record, so record numbers below the mark still name the same keys and
+// every target still holds them.
+type healProof struct {
+	n       *node
+	records int
+	gen     uint64
+	first   int
 }
 
 // healViewLocked snapshots ring and liveness; call with d.mu held, so the
@@ -164,12 +188,14 @@ type healView struct {
 func (d *DHT) healViewLocked() *healView {
 	rv := d.view()
 	ring, nodes := rv.ring, rv.members()
-	v := &healView{d: d, ring: ring, targets: make([][]*node, len(ring))}
-	up := make([]bool, len(ring))
+	v := &healView{d: d, ring: ring, targets: make([][]int32, len(ring))}
+	row := make([]int32, len(ring))   // ring position → row, -1 offline
 	target := make([]bool, len(ring)) // online and allowed by placement
 	k := 0
 	for i := range ring {
-		if up[i] = d.net.Online(nodes[i].name); up[i] {
+		row[i] = -1
+		if d.net.Online(nodes[i].name) {
+			row[i] = int32(len(v.online))
 			v.online = append(v.online, nodes[i])
 			if target[i] = rv.placementAllowed(nodes[i].name); target[i] {
 				k++
@@ -177,17 +203,20 @@ func (d *DHT) healViewLocked() *healView {
 		}
 	}
 	if k == 0 {
-		target, k = up, len(v.online)
+		for i := range target {
+			target[i] = row[i] >= 0
+		}
+		k = len(v.online)
 	}
 	if k > d.replica {
 		k = d.replica
 	}
-	flat := make([]*node, 0, k*len(ring))
+	flat := make([]int32, 0, k*len(ring))
 	for i := range ring {
 		start := len(flat)
 		for j := i; len(flat)-start < k; j = (j + 1) % len(ring) {
 			if target[j] {
-				flat = append(flat, nodes[j])
+				flat = append(flat, row[j])
 			}
 		}
 		v.targets[i] = flat[start:len(flat):len(flat)]
@@ -195,12 +224,12 @@ func (d *DHT) healViewLocked() *healView {
 	return v
 }
 
-// targetsOf returns the live target set of the segment of the key whose
-// ring id has the top bits top (its record keeps them): the segment of the
-// first ring id at or after the key's. The top bits decide it unless a ring
-// id shares them, and only then is the key hashed — on a ring of n nodes, a
-// share of about n/2^32 of the copies.
-func (v *healView) targetsOf(key string, top uint32) []*node {
+// segment returns the ring segment of the key whose ring id has the top
+// bits top (its record keeps them): the segment of the first ring id at or
+// after the key's. The top bits decide it unless a ring id shares them, and
+// only then is the key hashed — on a ring of n nodes, a share of about
+// n/2^32 of the copies.
+func (v *healView) segment(key string, top uint32) int {
 	i, _ := slices.BinarySearch(v.ring, uint64(top)<<32)
 	if i < len(v.ring) && idTop(v.ring[i]) == top {
 		i, _ = slices.BinarySearch(v.ring, v.d.keyID(key))
@@ -208,14 +237,60 @@ func (v *healView) targetsOf(key string, top uint32) []*node {
 	if i == len(v.ring) {
 		i = 0
 	}
-	return v.targets[i]
+	return i
+}
+
+// proofOf returns the memo's proof of n, or a zero proof (nothing proved,
+// mark 0) when n was not online at the memo's pass.
+func (v *healView) proofOf(n *node) healProof {
+	i, found := slices.BinarySearchFunc(v.proofs, n.id, func(m healProof, id uint64) int {
+		return cmp.Compare(m.n.id, id)
+	})
+	if !found || v.proofs[i].n != n {
+		return healProof{}
+	}
+	return v.proofs[i]
+}
+
+// reuse decides what this pass may take on memo's word (nil: no memo). It
+// takes nothing when the ring moved or an online node's store lost a record
+// since the memo's pass; else it returns the memo and the segments whose
+// live targets are not the memo's, in order (nil when none moved: the scans
+// then start at the marks and never walk an older record). A node offline
+// at the memo's pass has no mark, so all its copies are probed.
+func (v *healView) reuse(memo *healView) (*healView, []bool) {
+	if memo == nil || !slices.Equal(memo.ring, v.ring) {
+		return nil, nil
+	}
+	for _, n := range v.online {
+		if m := memo.proofOf(n); m.n != nil && m.gen != n.data.gen {
+			return nil, nil
+		}
+	}
+	var changed []bool
+	for i, ts := range v.targets {
+		was := memo.targets[i]
+		same := len(ts) == len(was)
+		for j := 0; same && j < len(ts); j++ {
+			same = v.online[ts[j]] == memo.online[was[j]]
+		}
+		if !same {
+			if changed == nil {
+				changed = make([]bool, len(v.targets))
+			}
+			changed[i] = true
+		}
+	}
+	return memo, changed
 }
 
 // healScan is one node's share of a heal pass: the keys it checks, and
 // marks over its records (in each's order) for the keys it reports.
 type healScan struct {
 	checked   int   // keys this node is the checker of
-	deficient marks // of those, the ones some target lacks
+	probed    int   // copies probed: not skipped on the memo's word
+	first     int   // records whose segment's first target this node is
+	deficient marks // of the checked keys, the ones some target lacks
 	orphans   marks // keys this non-target node holds and no target does
 }
 
@@ -244,31 +319,62 @@ func (m *marks) each(fn func(i int)) {
 	}
 }
 
-// scan walks n's store against the view. A key's checker is the first of
-// its targets that holds it: it alone counts the key, and reports it when
-// any target (earlier, so n is not first, or later) lacks a copy. Every
-// other holder stops at the first earlier target it finds holding the key,
-// so a fully replicated key costs one segment lookup per copy and k+1 store
-// probes across its holders, hashes nothing and allocates nothing. A holder
-// outside the target set reports the key only when no target holds it
-// (several may: merged by the caller). Stores are read without locks:
-// planHeal holds every online node's.
-func (v *healView) scan(n *node) healScan {
+// scan walks the store of the node in row r against the view. A key's
+// checker is the first of its targets that holds it: it alone counts the
+// key, and reports it when any target (earlier, so the node is not first,
+// or later) lacks a copy. Every other holder stops at the first earlier
+// target it finds holding the key, so a fully replicated key costs one
+// segment lookup per copy and k+1 store probes across its holders (one
+// index hash per probing copy, shared by its probes), computes no ring id
+// and allocates nothing. A holder outside the target set reports the key
+// only when no target holds it (several may: merged by the caller).
+//
+// A copy below the node's mark in memo (nil: none) whose segment is not in
+// changed is skipped: the memo proved every target holds its key, so it is
+// counted as checked only where the node is the segment's first target, the
+// key's checker. With changed nil every such copy is skipped, and the walk
+// starts at the mark. Stores are read without locks: planHeal holds every
+// online node's.
+func (v *healView) scan(r int, memo *healView, changed []bool) healScan {
 	var out healScan
+	n := v.online[r]
 	records := n.data.len()
+	mark, start := 0, 0
+	if memo != nil {
+		m := memo.proofOf(n)
+		mark = m.records
+		if changed == nil {
+			start = mark
+			out.checked, out.first = m.first, m.first
+		}
+	}
+	me, online := int32(r), v.online
 next:
-	for i := 0; i < records; i++ {
+	for i := start; i < records; i++ {
 		key, top := n.data.record(i)
-		targets := v.targetsOf(key, top)
-		for j, t := range targets {
-			if t == n {
+		s := v.segment(key, top)
+		targets := v.targets[s]
+		first := targets[0] == me
+		if first {
+			out.first++
+		}
+		if i < mark && !changed[s] {
+			if first {
 				out.checked++
-				if j > 0 || !heldByAll(targets[j+1:], key) {
+			}
+			continue
+		}
+		out.probed++
+		h := hashKey(key)
+		for j, t := range targets {
+			if t == me {
+				out.checked++
+				if j > 0 || !heldByAll(online, targets[j+1:], key, h) {
 					out.deficient.set(i, records)
 				}
 				continue next
 			}
-			if t.data.has(key) {
+			if _, ref := online[t].data.find(key, h); ref >= 0 {
 				continue next
 			}
 		}
@@ -277,22 +383,48 @@ next:
 	return out
 }
 
-// heldByAll reports whether every node holds key (node locks held).
-func heldByAll(nodes []*node, key string) bool {
-	for _, n := range nodes {
-		if !n.data.has(key) {
+// heldByAll reports whether every node of rows holds key, whose index hash
+// is h (node locks held).
+func heldByAll(online []*node, rows []int32, key string, h uint32) bool {
+	for _, t := range rows {
+		if _, ref := online[t].data.find(key, h); ref < 0 {
 			return false
 		}
 	}
 	return true
 }
 
+// sweep finds every online holder of each key in one pass per node: each
+// key's index hash is computed once, then the online nodes, in parallel,
+// answer all the keys, node r into row r of the returned bit matrix (words
+// words per row; bit i is keys[i]). Stores are read without locks: planHeal
+// holds every online node's.
+func (v *healView) sweep(keys []healKey) (held []uint64, words int) {
+	for i := range keys {
+		keys[i].h = hashKey(keys[i].key)
+	}
+	words = (len(keys) + 63) / 64
+	held = make([]uint64, words*len(v.online))
+	_, _ = parallel.Map(0, v.online, func(r int, n *node) (struct{}, error) {
+		row := held[r*words : (r+1)*words]
+		for i := range keys {
+			if _, ref := n.data.find(keys[i].key, keys[i].h); ref >= 0 {
+				row[i/64] |= 1 << (i % 64)
+			}
+		}
+		return struct{}{}, nil
+	})
+	return held, words
+}
+
 // healPlan is one heal pass's plan, built once and sized before it is
 // filled: the under-replicated keys, every copy to push in key-major order
 // (the per-key execution order), and the same pushes' keys laid out pair by
 // pair, the pairs in the order they first appear key-major (the batched
-// execution order).
+// execution order). view, its proofs filled in, becomes the DHT's heal memo
+// if every push lands.
 type healPlan struct {
+	view    *healView
 	scanned int        // distinct keys online nodes hold
 	keys    []healKey  // in key order
 	pushes  []healPush // key-major
@@ -302,10 +434,13 @@ type healPlan struct {
 
 // healKey is one under-replicated key and its source: the lowest-ring-id
 // online holder's copy (the log's own bytes: immutable, and the target's
-// put copies) and the ring-id top bits that copy is filed under.
+// put copies), the ring-id top bits that copy is filed under, and the
+// key's index hash (hashKey) and ring segment.
 type healKey struct {
 	key   string
 	top   uint32
+	h     uint32
+	seg   int
 	value []byte
 	src   *node
 }
@@ -329,7 +464,8 @@ func (d *DHT) planHeal() healPlan {
 	v := d.healViewLocked()
 	// Freeze the online stores for the pass (ring order; every other path
 	// takes one node lock at a time, or holds d.mu as this one does), so the
-	// per-node scans below are independent lock-free reads.
+	// per-node scans below are independent lock-free reads. Nothing reads a
+	// store before its lock is held, the memo's generations included.
 	for _, n := range v.online {
 		n.mu.Lock()
 	}
@@ -338,14 +474,22 @@ func (d *DHT) planHeal() healPlan {
 			n.mu.Unlock()
 		}
 	}()
-	scans, _ := parallel.Map(0, v.online, func(_ int, n *node) (healScan, error) {
-		return v.scan(n), nil
+	memo, changed := v.reuse(d.healMemo)
+	scans, _ := parallel.Map(0, v.online, func(r int, _ *node) (healScan, error) {
+		return v.scan(r, memo, changed), nil
 	})
-	var p healPlan
-	marked := 0
-	for _, s := range scans {
+	p := healPlan{view: v}
+	v.proofs = make([]healProof, len(v.online))
+	marked, probed := 0, 0
+	for r, s := range scans {
+		n := v.online[r]
+		v.proofs[r] = healProof{n: n, records: n.data.len(), gen: n.data.gen, first: s.first}
 		p.scanned += s.checked
+		probed += s.probed
 		marked += s.deficient.n + s.orphans.n
+	}
+	if t := d.tel.Load(); t != nil {
+		t.healCopies.Add(int64(probed))
 	}
 	if marked == 0 {
 		return p
@@ -375,14 +519,18 @@ func (d *DHT) planHeal() healPlan {
 	p.scanned += len(orphans)
 	p.keys = keys[:deficient+len(orphans)]
 	slices.SortFunc(p.keys, byKey)
-	for i := range p.keys {
-		k := &p.keys[i]
-		for _, n := range v.online {
-			if stored, top, held := n.data.getTop(k.key); held {
-				k.src, k.value, k.top = n, stored, top
+	held, words := v.sweep(p.keys)
+	has := func(r int32, ki int) bool { return held[int(r)*words+ki/64]&(1<<(ki%64)) != 0 }
+	for ki := range p.keys {
+		k := &p.keys[ki]
+		for r, n := range v.online {
+			if has(int32(r), ki) {
+				k.src = n
+				k.value, k.top, _ = n.data.lookup(k.key, k.h)
 				break
 			}
 		}
+		k.seg = v.segment(k.key, k.top)
 	}
 
 	// Count every push per pair, numbering the pairs as they first appear;
@@ -392,9 +540,9 @@ func (d *DHT) planHeal() healPlan {
 	missing := func(fn func(ki int, pk [2]*node)) {
 		for ki := range p.keys {
 			k := &p.keys[ki]
-			for _, t := range v.targetsOf(k.key, k.top) {
-				if !t.data.has(k.key) {
-					fn(ki, [2]*node{k.src, t})
+			for _, t := range v.targets[k.seg] {
+				if !has(t, ki) {
+					fn(ki, [2]*node{k.src, v.online[t]})
 				}
 			}
 		}
@@ -508,5 +656,14 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 		// Copies moved: memoized routes may predate the repaired layout.
 		d.bumpRoutes()
 	}
+	// Only a pass whose every push landed proved its keys fully replicated;
+	// after any other, the next pass probes every copy.
+	d.mu.Lock()
+	if report.Unrepairable == 0 {
+		d.healMemo = p.view
+	} else {
+		d.healMemo = nil
+	}
+	d.mu.Unlock()
 	return report, nil
 }

@@ -870,21 +870,42 @@ func TestHealMatchesReferenceModel(t *testing.T) {
 }
 
 func TestHealWithNothingToRepairAllocatesPerRingNotPerKey(t *testing.T) {
-	// A pass that finds every key fully replicated builds the ring view
-	// and the per-node scan results and nothing else: no global map, no
-	// key list, no per-key set.
-	var allocs [2]float64
-	for i, keys := range []int{500, 4000} {
-		d, _ := healRing(t, keys)
-		allocs[i] = testing.AllocsPerRun(5, func() {
-			if report, err := d.Heal(); err != nil || report.KeysScanned != keys || report.Repaired != 0 {
-				t.Fatalf("heal over %d healthy keys: %+v %v", keys, report, err)
+	// A pass that finds every key fully replicated builds the ring view,
+	// the per-node scan results and its memo and nothing else: no global
+	// map, no key list, no per-key set. The full arm forgets the memo
+	// first, so every copy is probed; the unchanged arm keeps it, so none
+	// is. Both allocate the same, at any key count.
+	for _, arm := range []struct {
+		name   string
+		forget bool
+	}{{"full", true}, {"unchanged", false}} {
+		var allocs [2]float64
+		for i, keys := range []int{500, 4000} {
+			d, _ := healRing(t, keys)
+			if _, err := d.Heal(); err != nil {
+				t.Fatal(err)
 			}
-		})
+			allocs[i] = testing.AllocsPerRun(5, func() {
+				if arm.forget {
+					forgetHealMemo(d)
+				}
+				if report, err := d.Heal(); err != nil || report.KeysScanned != keys || report.Repaired != 0 {
+					t.Fatalf("%s heal over %d healthy keys: %+v %v", arm.name, keys, report, err)
+				}
+			})
+		}
+		if allocs[0] != allocs[1] || allocs[0] > 32 {
+			t.Fatalf("%s healthy heal allocates %v at 500 keys and %v at 4000, want equal and <= 32", arm.name, allocs[0], allocs[1])
+		}
+		t.Logf("%s: %v allocations", arm.name, allocs[0])
 	}
-	if allocs[0] != allocs[1] || allocs[0] > 32 {
-		t.Fatalf("healthy heal allocates %v at 500 keys and %v at 4000, want equal and <= 32", allocs[0], allocs[1])
-	}
+}
+
+// forgetHealMemo drops d's heal memo, so the next pass probes every copy.
+func forgetHealMemo(d *DHT) {
+	d.mu.Lock()
+	d.healMemo = nil
+	d.mu.Unlock()
 }
 
 // returningRing is healRing with BenchmarkHeal's returning=3 shape: three
@@ -953,6 +974,10 @@ func TestHealWithReturningNodesAllocatesPerRingNotPerKey(t *testing.T) {
 func TestHealConcurrentWithStores(t *testing.T) {
 	// Heal freezes the online stores while other goroutines write through
 	// the same nodes: the pass must neither race nor deadlock with them.
+	// Every other round crashes a node first, so passes alternate between
+	// full scans and scans that skip on the last clean pass's word; once
+	// the writers stop and the ring is whole, a pass on the memo's word
+	// reports what a full one does.
 	d, net, names := buildDHT(t, 12, Config{ReplicationFactor: 3})
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -971,10 +996,12 @@ func TestHealConcurrentWithStores(t *testing.T) {
 			}
 		}(w)
 	}
-	for round := 0; round < 20; round++ {
-		victim := names[2+round%10]
-		_ = net.Crash(victim)
-		_ = net.SetOnline(victim, true)
+	for round := 0; round < 40; round++ {
+		if round%2 == 0 {
+			victim := names[2+round/2%10]
+			_ = net.Crash(victim)
+			_ = net.SetOnline(victim, true)
+		}
 		if _, err := d.Heal(); err != nil {
 			t.Errorf("Heal: %v", err)
 		}
@@ -982,4 +1009,16 @@ func TestHealConcurrentWithStores(t *testing.T) {
 	close(stop)
 	<-done
 	<-done
+	if _, err := d.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	memo, err := d.Heal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgetHealMemo(d)
+	full, err := d.Heal()
+	if err != nil || memo != full || full.Repaired != 0 {
+		t.Fatalf("after the writers: memo pass %+v, full pass %+v (%v); want equal, nothing repaired", memo, full, err)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -127,6 +128,77 @@ func TestKeyHashesOnFixedInput(t *testing.T) {
 			t.Fatalf("%s: heal repaired %d of %d with %d key hashes, %v; want none hashed", ring.name, report.Repaired, missed, hashes(reg), err)
 		}
 	}
+}
+
+// The heal copy counter on a fixed input: a pass probes the copies written
+// since the last clean pass and the copies of the segments whose live
+// targets moved, and skips every other copy on that pass's word. Its report
+// is a full pass's either way (TestHealMatchesReferenceModel).
+func TestHealChecksOnlyWhatChanged(t *testing.T) {
+	checked := func(reg *telemetry.Registry) int64 { return reg.Counter("dht_heal_copies_checked_total").Value() }
+	d, names := healRing(t, 4000)
+	reg := telemetry.NewRegistry()
+	d.SetTelemetry(reg)
+	pass := func(what string, copies, keys, repaired int) {
+		t.Helper()
+		before := checked(reg)
+		report, err := d.Heal()
+		if got := checked(reg) - before; err != nil || got != int64(copies) || report.KeysScanned != keys || report.Repaired != repaired || report.Unrepairable != 0 {
+			t.Fatalf("%s: heal checked %d copies, report %+v, %v; want %d copies checked, %d keys scanned, %d repaired", what, got, report, err, copies, keys, repaired)
+		}
+	}
+	pass("first pass", 12_000, 4000, 0)
+	pass("second pass", 0, 4000, 0)
+
+	origin := string(names[0])
+	for i := 0; i < 100; i++ {
+		if _, err := d.Store(origin, fmt.Sprintf("new-%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass("after 100 stores", 300, 4100, 0)
+	pass("the pass after", 0, 4100, 0)
+
+	// A crash-restart is a removal: the next pass probes every copy, then
+	// the one after it the copies that pass pushed back.
+	victim := names[5]
+	lost := d.view().names[victim].data.len()
+	if err := d.net.Crash(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.net.SetOnline(victim, true); err != nil {
+		t.Fatal(err)
+	}
+	pass("after a crash-restart", 12_300-lost, 4100, lost)
+	pass("the pass after", lost, 4100, 0)
+	pass("the pass after that", 0, 4100, 0)
+
+	// A placement veto moves the live targets of the segments the vetoed
+	// node served: the next pass probes the copies of those segments' keys
+	// and pushes each key to the node its targets now reach.
+	v := d.view()
+	before := make([][]*node, len(v.ring))
+	for i, id := range v.ring {
+		before[i] = d.liveTargets(id, d.replica)
+	}
+	vetoed := string(names[11])
+	d.SetPlacementFilter(func(node string) bool { return node != vetoed })
+	moved := make(map[string]bool)
+	copies := 0
+	for _, n := range v.members() {
+		n.data.each(func(key string, _ uint32, _ []byte) {
+			i := v.segmentOf(hashID(key))
+			if !slices.Equal(before[i], d.liveTargets(v.ring[i], d.replica)) {
+				moved[key] = true
+				copies++
+			}
+		})
+	}
+	if len(moved) == 0 || copies != 3*len(moved) {
+		t.Fatalf("veto of %s moves %d keys with %d copies; want some keys, three copies each", vetoed, len(moved), copies)
+	}
+	pass("after a placement-filter change", copies, 4100, len(moved))
+	pass("the pass after", len(moved), 4100, 0)
 }
 
 // A key inside a learned interval is resolved for Store, Lookup and

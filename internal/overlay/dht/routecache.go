@@ -38,9 +38,10 @@ var _ overlay.RouteCached = (*DHT)(nil)
 
 // resolveTelemetry is the DHT's own shard of each resolution counter.
 type resolveTelemetry struct {
-	learned   *telemetry.Counter // keys a learned ownership segment answered
-	walks     *telemetry.Counter // findSuccessor walks started
-	keyHashes *telemetry.Counter // key → ring id SHA-256s (DHT.keyID)
+	learned    *telemetry.Counter // keys a learned ownership segment answered
+	walks      *telemetry.Counter // findSuccessor walks started
+	keyHashes  *telemetry.Counter // key → ring id SHA-256s (DHT.keyID)
+	healCopies *telemetry.Counter // copies a heal pass probed (repair.go)
 }
 
 // resolveRoot resolves key's successor root in the order above. A learned
@@ -415,10 +416,12 @@ func (d *DHT) RouteCacheStats() cache.Stats {
 // "dht_resolve_walks_total" (findSuccessor walks started, including those
 // the origin answers from its own successor without an RPC), key hashes
 // into "dht_key_hashes_total" (one SHA-256 per key an operation routes or a
-// direct write files; none per copy a heal pass scans), and the
-// server-side gate shed counters under "dht_gate_sheds" (gate.go). The
-// resolution and hash counters are off until this is called; nil reg turns
-// them off again. Safe to call with the route cache or the gates disabled.
+// direct write files; none per copy a heal pass scans), the copies heal
+// passes probed into "dht_heal_copies_checked_total" (a copy a pass skips on
+// its memo's word is not counted: a second pass over an undisturbed ring
+// counts 0), and the server-side gate shed counters under "dht_gate_sheds"
+// (gate.go). The resolution, hash and heal counters are off until this is
+// called; nil reg turns them off again. Safe to call with the route cache or the gates disabled.
 func (d *DHT) SetTelemetry(reg *telemetry.Registry) {
 	d.routes.setTelemetry(reg, "dht_route_cache")
 	d.gates.setTelemetry(reg)
@@ -427,8 +430,9 @@ func (d *DHT) SetTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	d.tel.Store(&resolveTelemetry{
-		learned:   reg.Counter("dht_resolve_learned_total").Shard(),
-		walks:     reg.Counter("dht_resolve_walks_total").Shard(),
-		keyHashes: reg.Counter("dht_key_hashes_total").Shard(),
+		learned:    reg.Counter("dht_resolve_learned_total").Shard(),
+		walks:      reg.Counter("dht_resolve_walks_total").Shard(),
+		keyHashes:  reg.Counter("dht_key_hashes_total").Shard(),
+		healCopies: reg.Counter("dht_heal_copies_checked_total").Shard(),
 	})
 }

@@ -23,6 +23,11 @@ import (
 //     one (zero is the empty slot). Growing re-seats slots from the hash bits
 //     they carry and never touches a key.
 //
+// Records are numbered in refs order. Only a removal renumbers one (del's
+// swap-remove, reset), and gen counts removals, so while gen stands a record
+// number keeps naming the same key: a put either appends a new number or
+// rewrites an existing number's record in place.
+//
 // put copies key and value into the log, so callers hand over their own
 // slices without copying first; whatever leaves a node is copied by the
 // handler that sends it. Every put names the key's ring-id top bits
@@ -32,9 +37,10 @@ type store struct {
 	chunks [][]byte
 	refs   []recRef
 	slots  []uint64
-	live   int // bytes of the records refs points at
-	logged int // bytes written into chunks: live plus dead
-	spare  int // the closed chunk with the most room left, as far as room saw
+	live   int    // bytes of the records refs points at
+	logged int    // bytes written into chunks: live plus dead
+	spare  int    // the closed chunk with the most room left, as far as room saw
+	gen    uint64 // removals: del and reset each add one (heal's memo reads it)
 }
 
 // recRef locates one record and files it on the ring: with chunk and off
@@ -85,9 +91,9 @@ func hashKey(key string) uint32 { return uint32(maphash.String(storeSeed, key)) 
 
 func (s *store) len() int { return len(s.refs) }
 
-// reset drops every record. The chunks are released, not reused: bytes
-// handed out earlier stay intact.
-func (s *store) reset() { *s = store{} }
+// reset drops every record, and counts as a removal. The chunks are
+// released, not reused: bytes handed out earlier stay intact.
+func (s *store) reset() { *s = store{gen: s.gen + 1} }
 
 func (s *store) keyBytes(r recRef) []byte {
 	off := r.off()
@@ -137,7 +143,13 @@ func (s *store) get(key string) ([]byte, bool) {
 
 // getTop is get that also returns the record's ring-id top bits.
 func (s *store) getTop(key string) ([]byte, uint32, bool) {
-	_, n := s.find(key, hashKey(key))
+	return s.lookup(key, hashKey(key))
+}
+
+// lookup is getTop for a caller that has the key's index hash h
+// (hashKey(key)) already.
+func (s *store) lookup(key string, h uint32) ([]byte, uint32, bool) {
+	_, n := s.find(key, h)
 	if n < 0 {
 		return nil, 0, false
 	}
@@ -189,6 +201,7 @@ func (s *store) del(key string) bool {
 		return false
 	}
 	s.unseat(uint32(slot))
+	s.gen++
 	s.live -= int(s.refs[n].klen + s.refs[n].vlen)
 	// Swap-remove: the last reference takes the freed number, and the slot
 	// that named it is renumbered (found through its key's hash).

@@ -57,7 +57,10 @@ type ReplicaKV interface {
 
 // HealReport summarizes one anti-entropy repair pass.
 type HealReport struct {
-	// KeysScanned is the number of distinct keys examined.
+	// KeysScanned is the number of distinct keys online nodes hold: every
+	// one is accounted for, whether the pass probed its copies or an
+	// earlier pass's proof vouched for them, so it counts keys held, not
+	// keys probed.
 	KeysScanned int
 	// Repaired is the number of replica copies re-created.
 	Repaired int
