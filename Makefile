@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race fuzz-smoke bench-harness bench-gate loc reach bench bench-quick bench-hot experiments experiments-quick smoke lint-print lint-wallclock lint-exports examples clean
+.PHONY: all ci build vet test race fuzz-smoke bench-harness bench-gate loc reach reach-check bench bench-quick bench-hot experiments experiments-quick smoke lint-print lint-wallclock lint-exports examples clean
 
 all: build vet test
 
 # Full verification gate: compile, vet, tests, the race detector, a short
 # fuzz of every Fuzz* target, the benchmark harness's own vet + tests, the
 # three hygiene lints (lint-exports: every internal/ function has a shipped
-# caller), every example, and the smoke list below.
-ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock lint-exports examples smoke
+# caller), every example, the smoke list below, and the reach ratchet
+# (reach-check: no package leaves more statements unreached than committed).
+ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock lint-exports examples smoke reach-check
 
 # One smoke gate: dosnbench and dosnd are built once (into .smoke/, ignored), then every command in SMOKE runs
 # in order; the first failure prints that command's output and stops. Each
@@ -157,7 +158,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 54
+BENCH_PR := 55
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -177,9 +178,10 @@ loc:
 		      for (i = 1; i <= n; i++) printf "%-40s %9d %9d\n", order[i], c[order[i]], t[order[i]]; \
 		      printf "%-40s %9d %9d\n", "total", ct, tt }'
 
-# Which statements the shipped entry points reach (a report, not a gate and
-# not in ci): dosnbench, dosnd and every example are built with coverage into
-# .smoke/reach/, the benchmark module too, and then run with GOCOVERDIR set:
+# Which statements the shipped entry points reach (a report; reach-check
+# below is the gate): dosnbench, dosnd and every example are built with
+# coverage into .smoke/reach/, the benchmark module too, and then run with
+# GOCOVERDIR set:
 # dosnbench -quick with its -json report validated, two experiments at
 # -parallel 8, the scenario library replayed and re-recorded, one scenario
 # with -scenario-report and traced to a file and to an OTLP-shaped file,
@@ -187,7 +189,8 @@ loc:
 # -metrics and -trace-out, every example and the benchmark's -smoke. Prints
 # per-package statement coverage of internal/ and the statements no entry
 # point reached, and leaves the merged profile in
-# .smoke/reach/coverage.txt (`go tool cover -func` reads it). The -coverpkg
+# .smoke/reach/coverage.txt (`go tool cover -func` reads it) and the
+# per-package table in .smoke/reach/unreached.txt. The -coverpkg
 # pattern must name the main package as well, or no counter files are
 # written.
 REACH := $(CURDIR)/$(SMOKE_OUT)/reach
@@ -219,7 +222,23 @@ reach:
 	$(GO) tool covdata percent -i=$(REACH)/cov -pkg=godosn/internal/...
 	$(GO) tool covdata textfmt -i=$(REACH)/cov -pkg=godosn/internal/... -o $(REACH)/coverage.txt
 	@awk 'NR > 1 { p = $$1; sub(/\/[^\/]*:.*/, "", p); n[p] += $$2; if ($$3 == 0) z[p] += $$2 } \
-		END { for (p in n) printf "%-40s %6d statements %6d unreached\n", p, n[p], z[p] }' $(REACH)/coverage.txt | sort
+		END { for (p in n) printf "%-40s %6d statements %6d unreached\n", p, n[p], z[p] }' $(REACH)/coverage.txt | sort | tee $(REACH)/unreached.txt
+
+# The reach ratchet: after `make reach`, fails when any internal/ package
+# leaves more statements unreached than REACH_COUNTS commits for it (a
+# package missing there counts as 0), and names every package whose count
+# fell so the file can be lowered to match. Lines starting with # are
+# comments.
+REACH_COUNTS := tools/reach/unreached.txt
+reach-check: reach
+	@awk 'FNR == 1 { f++ } /^#/ || NF == 0 { next } \
+		f == 1 { base[$$1] = $$2; next } \
+		{ now[$$1] = $$4 } \
+		END { for (p in base) if (!(p in now)) now[p] = 0; \
+		      for (p in now) { b = (p in base) ? base[p] : 0; \
+		        if (now[p] > b) { printf "reach-check: %s leaves %d statements unreached, %d committed\n", p, now[p], b | "sort"; bad = 1 } \
+		        else if (now[p] < b) printf "reach-check: %s fell to %d unreached from %d committed; lower $(REACH_COUNTS)\n", p, now[p], b | "sort" } \
+		      close("sort"); if (bad) { print "reach-check: FAILED"; exit 1 } }' $(REACH_COUNTS) $(REACH)/unreached.txt
 
 # Raw testing.B numbers for every experiment family.
 bench:

@@ -657,13 +657,11 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 		d.bumpRoutes()
 	}
 	// Only a pass whose every push landed proved its keys fully replicated;
-	// after any other, the next pass probes every copy.
-	d.mu.Lock()
+	// a failed one only added copies, so the previous memo still holds.
 	if report.Unrepairable == 0 {
+		d.mu.Lock()
 		d.healMemo = p.view
-	} else {
-		d.healMemo = nil
+		d.mu.Unlock()
 	}
-	d.mu.Unlock()
 	return report, nil
 }

@@ -199,6 +199,34 @@ func TestHealChecksOnlyWhatChanged(t *testing.T) {
 	}
 	pass("after a placement-filter change", copies, 4100, len(moved))
 	pass("the pass after", len(moved), 4100, 0)
+
+	// A failed pass keeps the clean pass's proof: a key stored while one of
+	// its targets was away is short once that target returns, the pass
+	// that finds it loses its push, and the lossless pass after probes
+	// only the two copies written since the clean pass, not every copy.
+	const key = "written-while-away"
+	away := d.liveTargets(v.ring[v.segmentOf(hashID(key))], d.replica)[0].name
+	if away == names[0] || string(away) == vetoed {
+		t.Fatalf("%s's first target %s is the origin or the vetoed node; pick another key", key, away)
+	}
+	if err := d.net.SetOnline(away, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Store(origin, key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.net.SetOnline(away, true); err != nil {
+		t.Fatal(err)
+	}
+	d.net.SetLossRate(1)
+	lossy := checked(reg)
+	report, err := d.Heal()
+	if got := checked(reg) - lossy; err != nil || got != 2 || report.Repaired != 0 || report.Unrepairable != 1 {
+		t.Fatalf("pass at loss 1: heal checked %d copies, report %+v, %v; want 2 copies checked and the one push lost", got, report, err)
+	}
+	d.net.SetLossRate(0)
+	pass("the lossless pass after a failed one", 2, 4101, 1)
+	pass("the pass after", 1, 4101, 0)
 }
 
 // A key inside a learned interval is resolved for Store, Lookup and

@@ -12,10 +12,8 @@ import (
 func TestTrackerIdleDecayCurve(t *testing.T) {
 	const halfLife = 10
 	cfg := TrackerConfig{
-		Alpha:        1, // each observation sets the EWMA exactly
-		ErrorPenalty: 4,
-		ShedPenalty:  8,
-		HalfLife:     halfLife,
+		Alpha:    1, // each observation sets the EWMA exactly
+		HalfLife: halfLife,
 	}
 
 	cases := []struct {

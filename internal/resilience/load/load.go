@@ -129,14 +129,6 @@ type TrackerConfig struct {
 	// Alpha is the EWMA smoothing factor in (0, 1]: the weight of the
 	// newest observation. <= 0 disables the tracker.
 	Alpha float64
-	// ErrorPenalty scales how strongly the failure EWMA inflates a node's
-	// score (default 4: a node failing every observation scores 1+4 = 5x
-	// its latency).
-	ErrorPenalty float64
-	// ShedPenalty scales the shed EWMA's contribution (default 8: backing
-	// away from a node that says "stop" matters more than routing around
-	// one that merely drops).
-	ShedPenalty float64
 	// HalfLife rehabilitates idle nodes: every Tick multiplies each node's
 	// failure and shed EWMAs by 0.5^(1/HalfLife) and relaxes its latency
 	// EWMA toward baseLatencyMS by the same factor, so a demoted node's score
@@ -151,8 +143,17 @@ type TrackerConfig struct {
 // DefaultTrackerConfig returns the standard health-tracking parameters:
 // EWMA smoothing 0.3 with a 50-tick rehabilitation half-life.
 func DefaultTrackerConfig() TrackerConfig {
-	return TrackerConfig{Alpha: 0.3, ErrorPenalty: 4, ShedPenalty: 8, HalfLife: 50}
+	return TrackerConfig{Alpha: 0.3, HalfLife: 50}
 }
+
+// The score's penalty weights (scoreLocked), one rule for every stack: a
+// node failing every observation scores 1+errorPenalty = 5x its latency,
+// and a shed weighs double an error, because backing away from a node that
+// says "stop" matters more than routing around one that merely drops.
+const (
+	errorPenalty = 4.0
+	shedPenalty  = 8.0
+)
 
 // baseLatencyMS seeds an unseen node's latency estimate, in milliseconds,
 // so never-tried nodes compete on equal terms with proven-fast ones.
@@ -187,12 +188,6 @@ func NewTracker(cfg TrackerConfig) *Tracker {
 	}
 	if cfg.Alpha > 1 {
 		cfg.Alpha = 1
-	}
-	if cfg.ErrorPenalty < 0 {
-		cfg.ErrorPenalty = 0
-	}
-	if cfg.ShedPenalty < 0 {
-		cfg.ShedPenalty = 0
 	}
 	decay := 1.0
 	if cfg.HalfLife > 0 {
@@ -283,7 +278,7 @@ func (t *Tracker) Observe(node string, latency time.Duration, outcome Outcome) {
 // scoreLocked computes a node's health score: its latency estimate inflated
 // by its failure and shed EWMAs. Lower is healthier.
 func (t *Tracker) scoreLocked(h *nodeHealth) float64 {
-	return h.latencyMS * (1 + t.cfg.ErrorPenalty*h.failRate + t.cfg.ShedPenalty*h.shedRate)
+	return h.latencyMS * (1 + errorPenalty*h.failRate + shedPenalty*h.shedRate)
 }
 
 // Score returns a node's current health score (the unseen-node prior when

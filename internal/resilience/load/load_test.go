@@ -110,6 +110,22 @@ func TestTrackerErrorsInflateScore(t *testing.T) {
 	}
 }
 
+// Every tracker weighs errors and sheds by the same rule, whatever else its
+// config sets: built in the scenario runtime's shape (half-life 8), with
+// α = 1 so one observation sets each EWMA exactly, a node that shed once
+// scores 10 × (1 + 8) and one that failed once at 10 ms scores 10 × (1 + 4).
+func TestTrackerWeighsErrorsAndShedsInEveryConfig(t *testing.T) {
+	tr := NewTracker(TrackerConfig{Alpha: 1, HalfLife: 8})
+	tr.Observe("shedder", 0, OutcomeShed)
+	tr.Observe("failer", 10*time.Millisecond, OutcomeError)
+	if got := tr.Score("shedder"); got != 90 {
+		t.Fatalf("node that shed once scores %v, want 90", got)
+	}
+	if got := tr.Score("failer"); got != 50 {
+		t.Fatalf("node that errored once at 10ms scores %v, want 50", got)
+	}
+}
+
 func TestTrackerRecovers(t *testing.T) {
 	tr := NewTracker(DefaultTrackerConfig())
 	for i := 0; i < 8; i++ {

@@ -257,6 +257,8 @@ func BuiltinLibrary() []RecordConfig {
 			Name: "flash-crowd", Seed: 303, Ticks: 80, Nodes: 24, Replication: 3,
 			Users: 300, OpsPerTick: 10, GatePerTick: 2, GateQueue: 1, Intensity: 1.4,
 			Profile: []EventKind{KindCelebrity, KindOverload},
+			// Calibrated before replica ranking weighed errors and sheds.
+			Calibrated: []Invariant{{Kind: InvP99MaxMS, Value: 850}},
 		},
 		{
 			// Byzantine window: a fraction of replicas corrupt replies;
@@ -275,6 +277,8 @@ func BuiltinLibrary() []RecordConfig {
 			Name: "revocation-storm", Seed: 505, Ticks: 80, Nodes: 24, Replication: 3,
 			Users: 300, OpsPerTick: 6, Readers: 9,
 			Profile: []EventKind{KindRevoke, KindChurn},
+			// Calibrated before replica ranking weighed errors and sheds.
+			Calibrated: []Invariant{{Kind: InvP99MaxMS, Value: 210}},
 		},
 		{
 			// Correlated crash: nodes crash (state loss) together; the
