@@ -16,19 +16,18 @@ import (
 // operation's simulated time went. Lookup covers routing, replica fetches,
 // hedging, and retry backoff; verify covers integrity work (digest
 // exchanges, drill-down value comparison, read-path verification); repair
-// covers every push of a known-good copy (heal, scrub repair, read-repair).
+// covers every push of a known-good copy (heal and scrub repair).
 var e20Phases = map[string]string{
-	"route":       "lookup",
-	"resolve":     "lookup",
-	"fetch":       "lookup",
-	"hedge":       "lookup",
-	"attempt":     "lookup",
-	"backoff":     "lookup",
-	"store":       "lookup",
-	"digest":      "verify",
-	"verify":      "verify",
-	"repair":      "repair",
-	"read-repair": "repair",
+	"route":   "lookup",
+	"resolve": "lookup",
+	"fetch":   "lookup",
+	"hedge":   "lookup",
+	"attempt": "lookup",
+	"backoff": "lookup",
+	"store":   "lookup",
+	"digest":  "verify",
+	"verify":  "verify",
+	"repair":  "repair",
 }
 
 // e20Arm is one soak's per-phase accounting.
@@ -111,7 +110,7 @@ func E20PhaseBreakdown(quick bool) (*Table, error) {
 			)
 		}
 	}
-	t.AddNote("lookup = routing + replica fetches + hedges + retry backoff; verify = digest exchanges + drill-down comparison + read verification; repair = heal, scrub, and read-repair pushes")
+	t.AddNote("lookup = routing + replica fetches + hedges + retry backoff; verify = digest exchanges + drill-down comparison + read verification; repair = heal and scrub pushes")
 	t.AddNote("every lookup, heal, and scrub pass runs with a span tree attached; phases sum exclusive span latencies in simulated time (deterministic under the seeded simnet)")
 	t.AddNote("the registry snapshot for both arms (counters, latency histograms, breaker/scrub events) is exported in the -json report's telemetry section")
 	for _, arm := range []struct {
@@ -129,8 +128,9 @@ func E20PhaseBreakdown(quick bool) (*Table, error) {
 }
 
 // runE20Arm soaks one fault scenario with tracing on. The byz arm layers
-// E19's Byzantine responders, stored bit rot, read verification,
-// read-repair, and the periodic scrub pass on top of E17's loss + churn.
+// E19's Byzantine responders, stored bit rot, read verification and the
+// periodic scrub pass on top of E17's loss + churn; repair = heal and scrub
+// pushes.
 func runE20Arm(name string, byz bool, reg *telemetry.Registry, peers, keys, ops, scrubEvery, rotEvery int) (*e20Arm, error) {
 	const seed = int64(2020)
 	arm := &e20Arm{name: name, ops: ops, latency: make(map[string]time.Duration), spans: make(map[string]int)}
@@ -148,7 +148,6 @@ func runE20Arm(name string, byz bool, reg *telemetry.Registry, peers, keys, ops,
 	}
 	if byz {
 		rcfg.Verify = scrub.Check
-		rcfg.ReadRepair = true
 		scfg := scrub.DefaultConfig("")
 		spec.Scrub = &scfg
 		run.byz = e19Byzantine

@@ -1,22 +1,24 @@
-package resilience
+package resilience_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
+	"godosn/internal/resilience"
+	"godosn/internal/resilience/scrub"
 	"godosn/internal/telemetry"
 )
 
-// TestTracedLookupShowsRecoveryPhases is the tentpole's end-to-end trace
-// check: one traced Get against a corrupt primary replica must yield a span
-// tree walking through attempt → fetch (verify: corruption) → hedge
-// (verify: ok) → read-repair, each phase carrying its outcome tag and the
-// fetches carrying simulated latency.
+// TestTracedLookupShowsRecoveryPhases is the end-to-end trace check: one
+// traced Get against a corrupt primary replica must yield a span tree
+// walking through attempt → fetch (verify: corruption) → hedge (verify: ok),
+// each phase carrying its outcome tag and the fetches carrying simulated
+// latency. The read pushes nothing: the rotten copy stays until a scrub
+// pass over the key repairs it.
 func TestTracedLookupShowsRecoveryPhases(t *testing.T) {
 	const seed = 117
 	net := simnet.New(simnet.Config{Seed: seed, BaseLatency: 10 * time.Millisecond})
@@ -30,33 +32,27 @@ func TestTracedLookupShowsRecoveryPhases(t *testing.T) {
 	}
 	client := string(names[0])
 	const key = "post-1"
-	payload := []byte("signed-bytes")
-	if _, err := d.Store(client, key, payload); err != nil {
+	record := scrub.Seal(key, []byte("signed-bytes"))
+	if _, err := d.Store(client, key, record); err != nil {
 		t.Fatalf("Store: %v", err)
 	}
 	// Rot the primary's copy: the lookup's first fetch serves bytes that
-	// fail verification, forcing the hedge wave and then read-repair.
+	// fail verification, forcing the hedge wave.
 	replicas, _, err := d.ReplicasFor(client, key)
 	if err != nil {
 		t.Fatalf("ReplicasFor: %v", err)
 	}
 	primary := replicas[0]
 	if !d.CorruptStored(primary, key, func(b []byte) []byte {
-		b[0] ^= 0x80
+		b[len(b)-1] ^= 0x80
 		return b
 	}) {
 		t.Fatalf("primary %s does not hold %s", primary, key)
 	}
 
-	cfg := DefaultConfig(seed)
-	cfg.Verify = func(_ string, v []byte) error {
-		if !bytes.Equal(v, payload) {
-			return errors.New("payload mismatch")
-		}
-		return nil
-	}
-	cfg.ReadRepair = true
-	kv := Wrap(d, cfg)
+	cfg := resilience.DefaultConfig(seed)
+	cfg.Verify = scrub.Check
+	kv := resilience.Wrap(d, cfg)
 	reg := telemetry.NewRegistry()
 	kv.SetTelemetry(reg)
 
@@ -65,15 +61,17 @@ func TestTracedLookupShowsRecoveryPhases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LookupSpan: %v", err)
 	}
-	if !bytes.Equal(v, payload) {
-		t.Fatalf("lookup returned %q, want %q", v, payload)
+	if !bytes.Equal(v, record) {
+		t.Fatalf("lookup returned %q, want %q", v, record)
 	}
 
+	var buf bytes.Buffer
+	sp.Render(&buf)
+	t.Logf("trace:\n%s", buf.String())
 	var (
 		counts        = map[string]int{}
 		corruptVerify bool
 		cleanVerify   bool
-		repairOK      bool
 		fetchLatency  time.Duration
 	)
 	sp.Walk(func(_ int, s *telemetry.Span) {
@@ -86,26 +84,24 @@ func TestTracedLookupShowsRecoveryPhases(t *testing.T) {
 			if s.Outcome == "ok" {
 				cleanVerify = true
 			}
-		case "read-repair":
-			if s.Outcome == "ok" {
-				repairOK = true
-			}
 		case "fetch", "hedge":
 			fetchLatency += s.Latency
 		}
 	})
-	for _, name := range []string{"attempt", "resolve", "fetch", "hedge", "verify", "read-repair"} {
+	for _, name := range []string{"attempt", "resolve", "fetch", "hedge", "verify"} {
 		if counts[name] == 0 {
-			var buf bytes.Buffer
-			sp.Render(&buf)
 			t.Fatalf("trace has no %q span:\n%s", name, buf.String())
+		}
+	}
+	for name := range counts {
+		switch name {
+		case "get", "attempt", "resolve", "fetch", "hedge", "verify":
+		default:
+			t.Errorf("trace has a %q span; a read pushes nothing:\n%s", name, buf.String())
 		}
 	}
 	if !corruptVerify || !cleanVerify {
 		t.Errorf("verify outcomes: corruption=%v ok=%v, want both", corruptVerify, cleanVerify)
-	}
-	if !repairOK {
-		t.Error("read-repair span did not succeed")
 	}
 	if fetchLatency == 0 {
 		t.Error("fetch/hedge spans carry no simulated latency")
@@ -115,7 +111,6 @@ func TestTracedLookupShowsRecoveryPhases(t *testing.T) {
 	for name, want := range map[string]int64{
 		"resilience_corrupt_reads_total": 1,
 		"resilience_hedges_total":        1,
-		"resilience_read_repairs_total":  1,
 		"resilience_ops_total":           1,
 	} {
 		if got := reg.Counter(name).Value(); got < want {
@@ -123,18 +118,21 @@ func TestTracedLookupShowsRecoveryPhases(t *testing.T) {
 		}
 	}
 
-	// Read-repair actually fixed the rotten copy.
-	fixed, _, err := d.LookupFrom(client, key, primary)
-	if err != nil || !bytes.Equal(fixed, payload) {
-		t.Fatalf("primary copy not repaired: %v %q", err, fixed)
+	// The lookup left the rotten copy where it was.
+	if rotten, _, err := d.LookupFrom(client, key, primary); err != nil || scrub.Check(key, rotten) == nil {
+		t.Fatalf("primary copy changed by a read: %v %q", err, rotten)
 	}
 
-	// The rendered tree names all four recovery phases (README example).
-	var buf bytes.Buffer
-	sp.Render(&buf)
-	for _, phase := range []string{"attempt", "hedge", "verify", "read-repair"} {
-		if !bytes.Contains(buf.Bytes(), []byte(phase)) {
-			t.Errorf("rendered trace missing %q:\n%s", phase, buf.String())
-		}
+	// One scrub pass over the key repairs it.
+	rep, err := scrub.New(d, scrub.DefaultConfig(client)).Scrub([]string{key})
+	if err != nil {
+		t.Fatalf("Scrub: %v", err)
+	}
+	if rep.CorruptCopies != 1 || rep.RepairedWrites != 1 {
+		t.Errorf("scrub pass: %d corrupt, %d repaired; want 1 and 1", rep.CorruptCopies, rep.RepairedWrites)
+	}
+	fixed, _, err := d.LookupFrom(client, key, primary)
+	if err != nil || !bytes.Equal(fixed, record) {
+		t.Fatalf("primary copy not repaired by the scrub pass: %v %q", err, fixed)
 	}
 }
