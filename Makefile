@@ -34,7 +34,7 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock lint-
 #   e25 + -scenario-report + window/sink tests  guilty-window localisation, the per-window table, the sink contract on both transports
 #   TestSweep + e26  sweeper budget/starvation/priority/cursor; batched anti-entropy >= 3x cheaper, same repairs
 #   quarantine tests  one scrub verdict per node per pass (rot burst spares an honest holder, a liar needs Threshold passes); heal targets obey the placement veto
-#   freshness  a short overwrite survives the sweeper, and an older copy judges nobody (the election's highest-verified-version rule, batched and per-key)
+#   freshness  a short overwrite survives the sweeper and a garbled read, and an older copy judges nobody (the election's highest-verified-version rule, batched and per-key)
 #   e20 -json  the instrumented report round-trips the strict v2 validator (telemetry section included)
 #   e3,e18 -json  the plain report does too
 #   dosnd -resilient  the resilient DHT session completes under 10% loss and prints its metrics
@@ -63,7 +63,7 @@ $(BENCH_BIN) -scenario scenarios/flash-crowd.scenario -scenario-report
 $(GO) test -count=1 -run 'TestWindows|TestSink|TestSocketSink|TestFileSink|TestOpenSink|TestWindowStats|TestWindowedSeries|TestLocalize|TestReplayLocalizes|TestTraceSink' ./internal/telemetry/ ./internal/scenario/
 $(GO) test -count=1 -run 'TestSweep' ./internal/resilience/scrub/
 $(GO) test -count=1 -run 'TestRotBurst|TestScrubVerdicts|TestHeal' ./internal/resilience/scrub/ ./internal/overlay/dht/
-$(GO) test -count=1 -run 'TestShortWriteIsRepairedByTheNextSweep|TestElectKey|TestRecheck|TestOlderVersionJudgesNobody' ./internal/stack/ ./internal/resilience/scrub/
+$(GO) test -count=1 -run 'TestShortWriteIsRepairedByTheNextSweep|TestGarbledReadDoesNotRollBackAnOverwrite|TestElectKey|TestRecheck|TestOlderVersionJudgesNobody' ./internal/stack/ ./internal/resilience/scrub/
 $(BENCH_BIN) -quick -exp e26
 $(BENCH_BIN) -quick -exp e20 -json $(SMOKE_OUT)/telemetry.json
 $(BENCH_BIN) -validate $(SMOKE_OUT)/telemetry.json
@@ -158,7 +158,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 55
+BENCH_PR := 56
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json

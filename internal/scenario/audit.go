@@ -227,25 +227,38 @@ func (s *Scenario) CheckExpect(res *Result) []Violation {
 	if s.Expect == nil {
 		return nil
 	}
-	e := s.Expect
+	e, got := s.Expect, res.expect()
 	var out []Violation
-	mismatch := func(format string, args ...any) {
-		out = append(out, Violation{Kind: "expect", Detail: fmt.Sprintf(format, args...)})
+	if got.Digest != e.Digest {
+		out = append(out, Violation{Kind: "expect", Detail: fmt.Sprintf("digest %016x != recorded %016x", got.Digest, e.Digest)})
 	}
-	if res.Digest != e.Digest {
-		mismatch("digest %016x != recorded %016x", res.Digest, e.Digest)
-	}
-	if res.Writes != e.Writes {
-		mismatch("writes %d != recorded %d", res.Writes, e.Writes)
-	}
-	if res.Reads != e.Reads {
-		mismatch("reads %d != recorded %d", res.Reads, e.Reads)
-	}
-	if res.NotFound != e.NotFound {
-		mismatch("not-found %d != recorded %d", res.NotFound, e.NotFound)
-	}
-	if res.Failed != e.Failed {
-		mismatch("failed %d != recorded %d", res.Failed, e.Failed)
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"writes", got.Writes, e.Writes},
+		{"reads", got.Reads, e.Reads},
+		{"not-found", got.NotFound, e.NotFound},
+		{"failed", got.Failed, e.Failed},
+		{"detected", got.Detected, e.Detected},
+		{"repaired", got.Repaired, e.Repaired},
+	} {
+		if c.got != c.want {
+			out = append(out, Violation{Kind: "expect", Detail: fmt.Sprintf("%s %d != recorded %d", c.name, c.got, c.want)})
+		}
 	}
 	return out
+}
+
+// expect pins the run's counters as a scenario's expect line.
+func (r *Result) expect() *Expect {
+	return &Expect{
+		Digest:   r.Digest,
+		Writes:   r.Writes,
+		Reads:    r.Reads,
+		NotFound: r.NotFound,
+		Failed:   r.Failed,
+		Detected: r.DetectedCorruption,
+		Repaired: r.HealRepaired + r.SweepRepaired,
+	}
 }

@@ -32,7 +32,7 @@ import (
 //	weighting graph          (only when graph-weighted)
 //	event <tick> <kind> k=v ...   (params in fixed per-kind order)
 //	invariant <kind> [value]
-//	expect digest=<16-hex> writes=<n> reads=<n> not-found=<n> failed=<n>
+//	expect digest=<16-hex> writes=<n> reads=<n> not-found=<n> failed=<n> detected=<n> repaired=<n>
 
 // header is the mandatory first non-blank line.
 const header = "# godosn scenario v1"
@@ -98,9 +98,7 @@ func (s *Scenario) Format() []byte {
 		}
 	}
 	if c.Expect != nil {
-		e := c.Expect
-		fmt.Fprintf(&b, "expect digest=%016x writes=%d reads=%d not-found=%d failed=%d\n",
-			e.Digest, e.Writes, e.Reads, e.NotFound, e.Failed)
+		b.WriteString(c.Expect.line())
 	}
 	return b.Bytes()
 }
@@ -396,7 +394,13 @@ func (p *parser) invariant(args []string) error {
 	return nil
 }
 
-// expect parses the pinned-counter line; exactly the five known keys.
+// line renders the expect directive, newline included.
+func (e *Expect) line() string {
+	return fmt.Sprintf("expect digest=%016x writes=%d reads=%d not-found=%d failed=%d detected=%d repaired=%d\n",
+		e.Digest, e.Writes, e.Reads, e.NotFound, e.Failed, e.Detected, e.Repaired)
+}
+
+// expect parses the pinned-counter line; exactly the seven known keys.
 func (p *parser) expect(args []string) error {
 	e := &Expect{}
 	seen := make(map[string]bool)
@@ -416,7 +420,7 @@ func (p *parser) expect(args []string) error {
 				return p.pfail("bad expect digest %q", v)
 			}
 			e.Digest = d
-		case "writes", "reads", "not-found", "failed":
+		case "writes", "reads", "not-found", "failed", "detected", "repaired":
 			n, err := strconv.Atoi(v)
 			if err != nil {
 				return p.pfail("bad expect %s %q", k, v)
@@ -430,12 +434,16 @@ func (p *parser) expect(args []string) error {
 				e.NotFound = n
 			case "failed":
 				e.Failed = n
+			case "detected":
+				e.Detected = n
+			case "repaired":
+				e.Repaired = n
 			}
 		default:
 			return p.pfail("unknown expect field %q", k)
 		}
 	}
-	for _, req := range []string{"digest", "writes", "reads", "not-found", "failed"} {
+	for _, req := range []string{"digest", "writes", "reads", "not-found", "failed", "detected", "repaired"} {
 		if !seen[req] {
 			return p.pfail("expect missing field %q", req)
 		}

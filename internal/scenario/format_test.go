@@ -10,7 +10,7 @@ import (
 
 func TestFormatParseRoundTrip(t *testing.T) {
 	s := validScenario()
-	s.Expect = &Expect{Digest: 0xdeadbeefcafe, Writes: 10, Reads: 20, NotFound: 3, Failed: 1}
+	s.Expect = &Expect{Digest: 0xdeadbeefcafe, Writes: 10, Reads: 20, NotFound: 3, Failed: 1, Detected: 7, Repaired: 12}
 	s.GraphWeighted = true
 	first := s.Format()
 	parsed, err := Parse(first)
@@ -57,8 +57,14 @@ func TestParseStrictErrors(t *testing.T) {
 		{"unknown invariant", valid + "invariant no-such-check\n", "unknown invariant"},
 		{"invariant missing value", strings.Replace(valid, "invariant p99-max-ms 500", "invariant p99-max-ms", 1), "wants a value"},
 		{"flag invariant with value", strings.Replace(valid, "invariant no-revoked-opens", "invariant no-revoked-opens 1", 1), "takes no value"},
-		{"bad expect", valid + "expect digest=zz writes=1 reads=1 not-found=0 failed=0\n", "bad expect digest"},
-		{"expect missing field", valid + "expect digest=00 writes=1 reads=1 failed=0\n", "expect missing field"},
+		{"bad expect", valid + "expect digest=zz writes=1 reads=1 not-found=0 failed=0 detected=0 repaired=0\n", "bad expect digest"},
+		{"expect missing field", valid + "expect digest=00 writes=1 reads=1 failed=0 detected=0 repaired=0\n", "expect missing field"},
+		{"expect missing detected", valid + "expect digest=00 writes=1 reads=1 not-found=0 failed=0 repaired=0\n", `expect missing field "detected"`},
+		{"expect missing repaired", valid + "expect digest=00 writes=1 reads=1 not-found=0 failed=0 detected=0\n", `expect missing field "repaired"`},
+		{"bad expect detected", valid + "expect digest=00 writes=1 reads=1 not-found=0 failed=0 detected=x repaired=0\n", "bad expect detected"},
+		{"bad expect repaired", valid + "expect digest=00 writes=1 reads=1 not-found=0 failed=0 detected=0 repaired=-\n", "bad expect repaired"},
+		{"negative expect detected", valid + "expect digest=00 writes=1 reads=1 not-found=0 failed=0 detected=-1 repaired=0\n", ">= 0"},
+		{"duplicate expect repaired", valid + "expect digest=00 writes=1 reads=1 not-found=0 failed=0 detected=0 repaired=1 repaired=1\n", "duplicate expect field"},
 		{"weighting value", strings.Replace(valid, "ops-per-tick 4", "ops-per-tick 4\nweighting zipf", 1), "weighting"},
 	}
 	for _, tc := range cases {

@@ -206,13 +206,7 @@ func Record(cfg RecordConfig) (*Scenario, *ReplayReport, error) {
 			}
 		}
 	}
-	sc.Expect = &Expect{
-		Digest:   res.Digest,
-		Writes:   res.Writes,
-		Reads:    res.Reads,
-		NotFound: res.NotFound,
-		Failed:   res.Failed,
-	}
+	sc.Expect = res.expect()
 	sc.Normalize()
 
 	// Prove the recorded file replays: determinism arms plus every

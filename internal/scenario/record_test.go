@@ -2,10 +2,14 @@ package scenario
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+var updateExpect = flag.Bool("update", false, "rewrite the expect line of each hand-written scenarios/ file from its run")
 
 func TestRecordProducesReplayableScenario(t *testing.T) {
 	cfg := RecordConfig{
@@ -122,6 +126,65 @@ func TestCommittedLibraryMatchesBuiltins(t *testing.T) {
 			if !bytes.Equal(committed, sc.Format()) {
 				t.Fatalf("%s drifted from its builtin config; regenerate with dosnbench -scenario-record-library scenarios\ncommitted:\n%s\nrecorded:\n%s",
 					path, committed, sc.Format())
+			}
+		})
+	}
+}
+
+// TestHandWrittenScenariosPinTheirRun holds each hand-written scenarios/
+// file (one no BuiltinLibrary config records) to its run: its expect line
+// must be the one Record would pin. `go test ./internal/scenario -run
+// TestHandWrittenScenariosPinTheirRun -update` rewrites that line in place
+// and leaves the rest of the file, comments included, as written.
+func TestHandWrittenScenariosPinTheirRun(t *testing.T) {
+	dir := filepath.Join("..", "..", "scenarios")
+	paths, err := filepath.Glob(filepath.Join(dir, "*.scenario"))
+	if err != nil || len(paths) == 0 {
+		t.Skipf("no committed library at %s", dir)
+	}
+	builtin := make(map[string]bool)
+	for _, cfg := range BuiltinLibrary() {
+		builtin[cfg.Name+".scenario"] = true
+	}
+	for _, path := range paths {
+		if builtin[filepath.Base(path)] {
+			continue
+		}
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(string(data), "\n")
+			at := -1
+			for i, l := range lines {
+				if strings.HasPrefix(l, "expect ") {
+					at = i
+				}
+			}
+			if at < 0 {
+				t.Fatalf("%s has no expect line", path)
+			}
+			// The run does not read the expect line, so an outdated one is
+			// left out of the parse rather than refused by it.
+			sc, err := Parse([]byte(strings.Join(append(lines[:at:at], lines[at+1:]...), "")))
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			res, err := Run(sc, RunConfig{Workers: 1})
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			want := res.expect().line()
+			if lines[at] == want {
+				return
+			}
+			if !*updateExpect {
+				t.Fatalf("%s pins\n%sbut its run pins\n%srewrite it with -update", path, lines[at], want)
+			}
+			lines[at] = want
+			if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

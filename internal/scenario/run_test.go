@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"godosn/internal/stack"
@@ -87,8 +88,10 @@ func TestReplayPassesAndChecksExpect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	sc.Expect = &Expect{Digest: res.Digest, Writes: res.Writes, Reads: res.Reads,
-		NotFound: res.NotFound, Failed: res.Failed}
+	sc.Expect = res.expect()
+	if sc.Expect.Detected == 0 || sc.Expect.Repaired == 0 {
+		t.Fatalf("chaos capture detected %d and repaired %d; want both > 0", sc.Expect.Detected, sc.Expect.Repaired)
+	}
 	report, err := Replay(sc)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
@@ -105,6 +108,23 @@ func TestReplayPassesAndChecksExpect(t *testing.T) {
 	}
 	if !report.Failed() {
 		t.Fatalf("tampered expect digest not detected")
+	}
+	sc.Expect.Digest ^= 1
+
+	// So must a run that served the same bytes but read a liar or
+	// repaired a copy once more or less often.
+	for _, field := range []string{"detected", "repaired"} {
+		e := *sc.Expect
+		if field == "detected" {
+			e.Detected++
+		} else {
+			e.Repaired--
+		}
+		tampered := &Scenario{Expect: &e}
+		vs := tampered.CheckExpect(report.Result)
+		if len(vs) != 1 || !strings.HasPrefix(vs[0].Detail, field+" ") {
+			t.Errorf("tampered expect %s: violations %v, want one naming it", field, vs)
+		}
 	}
 }
 

@@ -184,6 +184,13 @@ type Expect struct {
 	Reads    int
 	NotFound int
 	Failed   int
+	// Detected is the corrupt replica reads the verify layer rejected
+	// (Result.DetectedCorruption); Repaired is the copies heal and sweep
+	// pushes repaired (Result.HealRepaired + SweepRepaired). A run can
+	// serve the same bytes while reading liars or repairing rot more or
+	// less often; these two pin that.
+	Detected int
+	Repaired int
 }
 
 // Scenario is one complete, self-contained chaos schedule.
@@ -411,7 +418,7 @@ func (s *Scenario) Validate() error {
 	}
 	if s.Expect != nil {
 		e := s.Expect
-		if e.Writes < 0 || e.Reads < 0 || e.NotFound < 0 || e.Failed < 0 {
+		if e.Writes < 0 || e.Reads < 0 || e.NotFound < 0 || e.Failed < 0 || e.Detected < 0 || e.Repaired < 0 {
 			return fail("expect counters must be >= 0")
 		}
 	}
