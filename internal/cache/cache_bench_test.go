@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -62,4 +63,28 @@ func BenchmarkCacheShardedContention(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkCacheFill measures fills in the shape of feed-private's
+// envelope-key caches: DoBytes on a fresh "<reader>/<epoch>/<tag>" key into
+// a growing cache that never evicts (a new cache every 4096 fills, half its
+// capacity), so slab blocks, index and key-log chunks grow as they do there.
+func BenchmarkCacheFill(b *testing.B) {
+	const fills = 4096
+	val := []byte("session key")
+	fill := func() ([]byte, error) { return val, nil }
+	var c *Cache[[]byte]
+	key := make([]byte, 0, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%fills == 0 {
+			c = New[[]byte](Config{Capacity: 2 * fills, Seed: 1})
+		}
+		key = append(key[:0], "g07-m3/"...)
+		key = strconv.AppendInt(key, int64(i), 10)
+		key = append(key, "/9f86d081884c7d65"...)
+		if _, o, _ := c.DoBytes(key, fill); o != Filled {
+			b.Fatal("fresh key hit")
+		}
+	}
 }

@@ -1,10 +1,14 @@
 package cache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +18,7 @@ import (
 func TestCacheGetPutLRU(t *testing.T) {
 	c := New[string](Config{Capacity: 2, Shards: 1, Seed: 1})
 	var evicted []string
-	c.SetOnEvict(func(k string) { evicted = append(evicted, k) })
+	setOnEvict(c, func(k string) { evicted = append(evicted, k) })
 
 	c.Put("a", "1")
 	c.Put("b", "2")
@@ -183,7 +187,7 @@ func TestCacheDoBytesIsDo(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if shardOf(c, k) != shardOf(c, []byte(k)) {
+		if shardFor(c, k) != shardFor(c, []byte(k)) {
 			t.Fatalf("%q: bytes and string land on different shards", k)
 		}
 	}
@@ -259,7 +263,6 @@ func TestNilCacheIsSafeAndDisabled(t *testing.T) {
 	c.Invalidate("a")
 	c.BumpGeneration()
 	c.SetTelemetry(nil, "x")
-	c.SetOnEvict(nil)
 	if c.Len() != 0 {
 		t.Fatalf("nil Len = %d", c.Len())
 	}
@@ -280,7 +283,7 @@ func shardKeys(t *testing.T, shards int, seed int64, per int) [][]string {
 	out := make([][]string, shards)
 	for i := 0; len(outIncomplete(out, per)) > 0 && i < 1_000_000; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		s := shardOf(probe, k)
+		s := shardFor(probe, k)
 		for si, sh := range probe.shards {
 			if sh == s && len(out[si]) < per {
 				out[si] = append(out[si], k)
@@ -312,7 +315,7 @@ func TestCacheEvictionOrderDeterministicAcrossRuns(t *testing.T) {
 	run := func() []string {
 		c := New[int](Config{Capacity: 16, Shards: 4, Seed: 21})
 		var log []string
-		c.SetOnEvict(func(k string) { log = append(log, k) })
+		setOnEvict(c, func(k string) { log = append(log, k) })
 		for i := 0; i < 400; i++ {
 			c.Put(fmt.Sprintf("key-%d", i%60), i)
 			if i%3 == 0 {
@@ -353,7 +356,7 @@ func TestCacheEvictionOrderShardedWorkers1vs8(t *testing.T) {
 				shardIdx[k] = si
 			}
 		}
-		c.SetOnEvict(func(k string) {
+		setOnEvict(c, func(k string) {
 			mu.Lock()
 			si := shardIdx[k]
 			logs[si] = append(logs[si], k)
@@ -402,7 +405,7 @@ func TestCacheEvictionOrderShardedWorkers1vs8(t *testing.T) {
 // under -race it is the CI cache race check.
 func TestCacheRaceHammer(t *testing.T) {
 	c := New[int](Config{Capacity: 64, Shards: 8, Seed: 3})
-	c.SetOnEvict(func(string) {})
+	setOnEvict(c, func(string) {})
 	workers := runtime.GOMAXPROCS(0) * 2
 	if workers < 4 {
 		workers = 4
@@ -509,12 +512,12 @@ func TestCacheSeedChangesShardAssignment(t *testing.T) {
 		k := fmt.Sprintf("key-%d", i)
 		var ai, bi int
 		for si, sh := range a.shards {
-			if shardOf(a, k) == sh {
+			if shardFor(a, k) == sh {
 				ai = si
 			}
 		}
 		for si, sh := range b.shards {
-			if shardOf(b, k) == sh {
+			if shardFor(b, k) == sh {
 				bi = si
 			}
 		}
@@ -544,3 +547,368 @@ func TestHitRate(t *testing.T) {
 		t.Fatalf("HitRate = %v; want 0.75", got)
 	}
 }
+
+// shardFor is the shard a key lands on.
+func shardFor[V any, K string | []byte](c *Cache[V], key K) *shard[V] {
+	s, _ := shardOf(c, key)
+	return s
+}
+
+// referenceCache is the map-and-list LRU this package shipped before its
+// shards moved onto slabs and key logs, kept as the oracle
+// TestCacheMatchesReference replays random operations against: the same
+// shard function, capacity split, generation tags, shard fences and Stats,
+// one heap node and one map entry per resident key. It is serial (no locks
+// or atomics): the oracle drives it from one goroutine.
+type referenceCache[V any] struct {
+	shards        []*refShard[V]
+	seed          int64
+	gen           uint64
+	evicted       []string
+	hits, misses  int64
+	evictions     int64
+	invalidations int64
+}
+
+type refEntry[V any] struct {
+	key        string
+	val        V
+	gen        uint64
+	prev, next *refEntry[V]
+}
+
+type refShard[V any] struct {
+	entries    map[string]*refEntry[V]
+	head, tail *refEntry[V]
+	cap        int
+	fence      uint64
+}
+
+func newReference[V any](cfg Config) *referenceCache[V] {
+	if cfg.Shards < 1 {
+		cfg.Shards = DefaultShards
+	}
+	cfg.Shards = min(cfg.Shards, cfg.Capacity)
+	c := &referenceCache[V]{shards: make([]*refShard[V], cfg.Shards), seed: cfg.Seed}
+	per, extra := cfg.Capacity/cfg.Shards, cfg.Capacity%cfg.Shards
+	for i := range c.shards {
+		capi := per
+		if i < extra {
+			capi++
+		}
+		c.shards[i] = &refShard[V]{entries: make(map[string]*refEntry[V]), cap: capi}
+	}
+	return c
+}
+
+func (c *referenceCache[V]) shardOf(key string) *refShard[V] {
+	return c.shards[ShardIndex(c.seed, key, len(c.shards))]
+}
+
+func (c *referenceCache[V]) Stats() Stats {
+	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Invalidations: c.invalidations}
+}
+
+func (c *referenceCache[V]) Len() int {
+	n := 0
+	for _, s := range c.shards {
+		n += len(s.entries)
+	}
+	return n
+}
+
+func (c *referenceCache[V]) Get(key string) (V, bool) {
+	v, ok, _ := c.lookup(c.shardOf(key), key, c.gen)
+	return v, ok
+}
+
+func (c *referenceCache[V]) lookup(s *refShard[V], key string, gen uint64) (V, bool, uint64) {
+	e, ok := s.entries[key]
+	if ok && e.gen != gen {
+		s.remove(e)
+		ok = false
+	}
+	if !ok {
+		c.misses++
+		var zero V
+		return zero, false, s.fence
+	}
+	s.moveToFront(e)
+	c.hits++
+	return e.val, true, s.fence
+}
+
+func (c *referenceCache[V]) Put(key string, val V) {
+	c.put(c.shardOf(key), key, val, c.gen, unfenced)
+}
+
+func (c *referenceCache[V]) put(s *refShard[V], key string, val V, gen, fence uint64) {
+	if c.gen != gen || s.fence > fence {
+		return
+	}
+	if e, ok := s.entries[key]; ok {
+		e.val, e.gen = val, gen
+		s.moveToFront(e)
+		return
+	}
+	if len(s.entries) >= s.cap {
+		c.evicted = append(c.evicted, s.tail.key)
+		c.evictions++
+		s.remove(s.tail)
+	}
+	e := &refEntry[V]{key: key, val: val, gen: gen}
+	s.entries[key] = e
+	s.pushFront(e)
+}
+
+func (c *referenceCache[V]) Invalidate(key string) {
+	s := c.shardOf(key)
+	s.fence++
+	if e, ok := s.entries[key]; ok {
+		s.remove(e)
+		c.invalidations++
+	}
+}
+
+func (c *referenceCache[V]) BumpGeneration() {
+	c.gen++
+	c.invalidations++
+}
+
+func (c *referenceCache[V]) Do(key string, fill func() (V, error)) (V, Outcome, error) {
+	gen, s := c.gen, c.shardOf(key)
+	v, ok, fence := c.lookup(s, key, gen)
+	if ok {
+		return v, Hit, nil
+	}
+	v, err := fill()
+	if err == nil {
+		c.put(s, key, v, gen, fence)
+	}
+	return v, Filled, err
+}
+
+// order lists each shard's resident keys from most to least recently used.
+func (c *referenceCache[V]) order() [][]string {
+	out := make([][]string, len(c.shards))
+	for si, s := range c.shards {
+		for e := s.head; e != nil; e = e.next {
+			out[si] = append(out[si], e.key)
+		}
+	}
+	return out
+}
+
+func (s *refShard[V]) pushFront(e *refEntry[V]) {
+	e.prev, e.next = nil, s.head
+	if s.head != nil {
+		s.head.prev = e
+	}
+	s.head = e
+	if s.tail == nil {
+		s.tail = e
+	}
+}
+
+func (s *refShard[V]) unlink(e *refEntry[V]) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+func (s *refShard[V]) remove(e *refEntry[V]) {
+	s.unlink(e)
+	delete(s.entries, e.key)
+}
+
+func (s *refShard[V]) moveToFront(e *refEntry[V]) {
+	if s.head != e {
+		s.unlink(e)
+		s.pushFront(e)
+	}
+}
+
+// order lists each shard's resident keys from most to least recently used.
+func (c *Cache[V]) order() [][]string {
+	out := make([][]string, len(c.shards))
+	for si, s := range c.shards {
+		s.mu.Lock()
+		for i := s.head; i != noEntry; i = s.at(i).next {
+			out[si] = append(out[si], string(s.keyBytes(i)))
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
+// logged sums the bytes the shards' key logs hold, live and dead: it drops
+// only when a log is compacted.
+func (c *Cache[V]) logged() int {
+	n := 0
+	for _, s := range c.shards {
+		n += s.keys.logged
+	}
+	return n
+}
+
+// TestCacheMatchesReference replays seeded random sequences of Get, Put, Do,
+// DoBytes, Invalidate and BumpGeneration through the cache and the
+// reference LRU: fills that fail, fills overtaken by an Invalidate of their
+// shard or a generation bump, empty keys and keys longer than a key-log
+// chunk. Every value, outcome, error, Stats snapshot, Len, per-shard LRU
+// order and the eviction log must agree, and the key logs must compact.
+func TestCacheMatchesReference(t *testing.T) {
+	long := string(bytes.Repeat([]byte("L"), keyChunkMax+100))
+	compactions := 0
+	for _, cfg := range []Config{
+		{Capacity: 1, Shards: 1, Seed: 1},
+		{Capacity: 7, Shards: 1, Seed: 2},
+		{Capacity: 24, Shards: 3, Seed: 3},
+		{Capacity: 64, Shards: 8, Seed: 4},
+		{Capacity: 200, Shards: 2, Seed: 5},
+		{Capacity: 1000, Seed: 6},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("cap%d-shards%d-seed%d", cfg.Capacity, cfg.Shards, seed)
+			rng := rand.New(rand.NewSource(seed))
+			c, ref := New[int](cfg), newReference[int](cfg)
+			var evicted []string
+			setOnEvict(c, func(k string) { evicted = append(evicted, k) })
+			keys := make([]string, 2*cfg.Capacity+20)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("%s/%d", strings.Repeat("k", rng.Intn(40)), i)
+			}
+			keys[0], keys[1] = "", long+"/1"
+			pick := func() string { return keys[rng.Intn(len(keys))] }
+			errFill := errors.New("fill failed")
+			// overtake returns a fill for key that, a third of the time,
+			// first runs an invalidation on the same cache as the one
+			// filling: the fill is then overtaken by it.
+			overtake := func(inv func(string), bump func(), key string, v int, fail bool) func() (int, error) {
+				mode := rng.Intn(6)
+				other := pick()
+				return func() (int, error) {
+					switch mode {
+					case 0:
+						inv(key)
+					case 1:
+						inv(other)
+					case 2:
+						bump()
+					}
+					if fail {
+						return 0, errFill
+					}
+					return v, nil
+				}
+			}
+			lastLogged := 0
+			for step := 0; step < 6000; step++ {
+				key, v := pick(), rng.Intn(1000)
+				var got, want [3]any
+				switch op := rng.Intn(20); {
+				case op < 6:
+					gv, gok := c.Get(key)
+					wv, wok := ref.Get(key)
+					got, want = [3]any{gv, gok}, [3]any{wv, wok}
+				case op < 9:
+					c.Put(key, v)
+					ref.Put(key, v)
+				case op < 15:
+					fail := rng.Intn(8) == 0
+					seedFill := rng.Int63()
+					rng.Seed(seedFill)
+					cf := overtake(c.Invalidate, c.BumpGeneration, key, v, fail)
+					rng.Seed(seedFill)
+					rf := overtake(ref.Invalidate, ref.BumpGeneration, key, v, fail)
+					var gv, wv int
+					var gout, wout Outcome
+					var gerr, werr error
+					if op < 12 {
+						gv, gout, gerr = c.Do(key, cf)
+					} else {
+						gv, gout, gerr = c.DoBytes([]byte(key), cf)
+					}
+					wv, wout, werr = ref.Do(key, rf)
+					got, want = [3]any{gv, gout, gerr}, [3]any{wv, wout, werr}
+				case op < 19:
+					c.Invalidate(key)
+					ref.Invalidate(key)
+				default:
+					c.BumpGeneration()
+					ref.BumpGeneration()
+				}
+				if got != want {
+					t.Fatalf("%s step %d key %q: got %v, reference %v", name, step, key, got, want)
+				}
+				if c.Stats() != ref.Stats() || c.Len() != ref.Len() {
+					t.Fatalf("%s step %d: Stats %+v Len %d, reference %+v Len %d", name, step, c.Stats(), c.Len(), ref.Stats(), ref.Len())
+				}
+				if l := c.logged(); l < lastLogged {
+					compactions++
+				}
+				lastLogged = c.logged()
+				if step%97 == 0 && !reflect.DeepEqual(c.order(), ref.order()) {
+					t.Fatalf("%s step %d: LRU order\n%v\nreference\n%v", name, step, c.order(), ref.order())
+				}
+			}
+			if !reflect.DeepEqual(c.order(), ref.order()) {
+				t.Fatalf("%s: final LRU order\n%v\nreference\n%v", name, c.order(), ref.order())
+			}
+			if !reflect.DeepEqual(evicted, ref.evicted) {
+				t.Fatalf("%s: eviction order\n%q\nreference\n%q", name, evicted, ref.evicted)
+			}
+		}
+	}
+	if compactions == 0 {
+		t.Fatalf("no key log compacted; lengthen the sequences")
+	}
+}
+
+// TestCacheFillAllocatesNothing pins the fill path: a Do and a DoBytes fill
+// into a warm shard — one whose slab has a free entry — allocate nothing,
+// and so does an evicting fill into a full shard. The key log's chunk
+// growth and compactions are amortised over many fills, below one
+// allocation a fill (AllocsPerRun's average); what the pin rules out is
+// anything per fill, as an entry node or a key string was. No sync.Pool is
+// involved, so the pin holds under -race too.
+func TestCacheFillAllocatesNothing(t *testing.T) {
+	c := New[[]byte](Config{Capacity: 64, Shards: 1, Seed: 9})
+	val := []byte("value")
+	fill := func() ([]byte, error) { return val, nil }
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("reader-%02d/epoch", i)
+		c.Put(keys[i], val)
+	}
+	key := []byte(keys[0])
+	for name, fillOnce := range map[string]func(){
+		"Do":      func() { c.Do(keys[0], fill) },
+		"DoBytes": func() { c.DoBytes(key, fill) },
+	} {
+		if got := testing.AllocsPerRun(100, func() {
+			c.Invalidate(keys[0])
+			fillOnce()
+		}); got != 0 {
+			t.Errorf("%s fill into a warm shard: %v allocs, want 0", name, got)
+		}
+	}
+	i := 0
+	if got := testing.AllocsPerRun(500, func() {
+		i++
+		c.DoBytes(strconv.AppendInt(append(key[:0], "fresh-"...), int64(i), 10), fill)
+	}); got != 0 {
+		t.Errorf("evicting DoBytes fill: %v allocs, want 0", got)
+	}
+}
+
+// setOnEvict installs fn as c's eviction hook.
+func setOnEvict[V any](c *Cache[V], fn func(key string)) { c.onEvict.Store(&fn) }
