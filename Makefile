@@ -158,7 +158,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 57
+BENCH_PR := 58
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json

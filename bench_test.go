@@ -474,9 +474,9 @@ func BenchmarkHummingbirdFilter(b *testing.B) {
 // benchScrub measures one anti-entropy pass over a DHT keyspace with 10%
 // of keys carrying one silently corrupted copy, at either maintenance-RPC
 // granularity. Corruption is re-injected off the clock before every pass,
-// so each iteration scrubs (and repairs) the same damage. The custom
-// msgs/key metric is the number E26 pins: batched must come in >= 3x under
-// per-key.
+// so each iteration scrubs (and repairs) the same damage; allocs/op counts
+// the pass alone. The custom msgs/key metric is the number E26 pins:
+// batched must come in >= 3x under per-key.
 func benchScrub(b *testing.B, keys int, perKey bool) {
 	const peers = 40
 	net := simnet.New(simnet.DefaultConfig(2602))
@@ -517,6 +517,7 @@ func benchScrub(b *testing.B, keys int, perKey bool) {
 	scr := scrub.New(d, cfg)
 
 	totalMsgs := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

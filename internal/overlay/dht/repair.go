@@ -89,22 +89,45 @@ func (d *DHT) replicaPlan(root uint64) []string {
 	if online == len(canon) && v.rankRepl == nil {
 		return canon
 	}
-	// Extend past the canonical set until d.replica online candidates are
-	// found (or the ring is exhausted), mirroring where Heal re-replicates.
-	names := append(make([]string, 0, 2*d.replica), canon...)
-	for j := len(canon); j < len(v.ring) && online < d.replica && len(names) < 2*d.replica; j++ {
+	return d.extendedPlan(v, i, online)
+}
+
+// extendedPlan is replicaPlan past a canonical set with online of its
+// holders online and allowed: it extends the set until d.replica online
+// candidates are found, the plan holds 2× the replication factor, or the
+// ring is exhausted, mirroring where Heal re-replicates. The walk runs into
+// an array on the stack (a walk past eight names spills by append). Without
+// a ranker the plan is shared too: the segment's memo (ringView.plans) when
+// it holds the names this walk found, else a plan built and published as
+// the new memo, so a read allocates a plan only when a holder changed state
+// since the segment's last one. A ranker gets a fresh list per call.
+func (d *DHT) extendedPlan(v *ringView, i, online int) []string {
+	canon := v.canonicalNames(i)
+	var room [8]string
+	ext := room[:0]
+	for j := len(canon); j < len(v.ring) && online < d.replica && len(canon)+len(ext) < 2*d.replica; j++ {
 		n := v.byID[v.ring[(i+j)%len(v.ring)]]
 		if d.net.Online(n.name) {
-			names = append(names, string(n.name))
+			ext = append(ext, string(n.name))
 			if v.placementAllowed(n.name) {
 				online++
 			}
 		}
 	}
 	if v.rankRepl != nil {
-		names = v.rankRepl(names)
+		return v.rankRepl(joinPlan(canon, ext))
 	}
-	return names
+	if memo := v.plans[i].Load(); memo != nil && slices.Equal((*memo)[len(canon):], ext) {
+		return *memo
+	}
+	plan := joinPlan(canon, ext)
+	v.plans[i].Store(&plan)
+	return plan
+}
+
+// joinPlan returns a fresh, capacity-capped plan: canon, then ext.
+func joinPlan(canon, ext []string) []string {
+	return append(append(make([]string, 0, len(canon)+len(ext)), canon...), ext...)
 }
 
 // LookupFrom implements overlay.ReplicaKV: a single direct fetch from one

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"godosn/internal/overlay/simnet"
 )
@@ -14,6 +15,10 @@ import (
 // atomic pointer; readers load it without a lock and never see a
 // half-updated ring or a finger table under rewrite. The two setters copy
 // the view and so share its tables, which only a membership change rebuilds.
+// The one part of a view written after it is published is plans, each
+// segment's last extended replica plan: a plan is published whole by atomic
+// pointer and never written after, and replicaPlan hands it out only when
+// its own walk found the same names, so views sharing the memos stay exact.
 // A node's stored keys are not part of the view — they stay behind node.mu.
 type ringView struct {
 	ring       []uint64 // sorted node ids
@@ -24,6 +29,7 @@ type ringView struct {
 	k          int                           // canonical replica set size: min(replication factor, members)
 	allowPlace func(node string) bool        // placement veto (integrity.go); nil = canonical
 	rankRepl   func(names []string) []string // replica-selection order (repair.go); nil = ring order
+	plans      []atomic.Pointer[[]string]    // per ring segment, its last extended replica plan (replicaPlan)
 }
 
 // newRingView builds the view of a ring with exactly these members and
@@ -36,6 +42,7 @@ func newRingView(nodes []*node, replica int, allowPlace func(string) bool, rankR
 		byID:       make(map[uint64]*node, len(nodes)),
 		names:      make(map[simnet.NodeID]*node, len(nodes)),
 		fingers:    make(map[uint64][]uint64, len(nodes)),
+		plans:      make([]atomic.Pointer[[]string], len(nodes)),
 		k:          min(replica, len(nodes)),
 		allowPlace: allowPlace,
 		rankRepl:   rankRepl,

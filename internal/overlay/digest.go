@@ -93,7 +93,9 @@ type DigestKV interface {
 // many keys to or from one named replica in a single message pair. The
 // scrubber and healer use it to fetch a whole scrub group as one batched
 // column per replica and to coalesce repair pushes per destination — the
-// maintenance-plane counterpart of BatchKV's data-plane batching.
+// maintenance-plane counterpart of BatchKV's data-plane batching. Neither
+// call keeps keys or values past its return: the scrubber refills one list
+// per envelope.
 type BatchRepairKV interface {
 	RepairKV
 	// FetchBatchFrom reads keys from the named replica only, in one RPC.

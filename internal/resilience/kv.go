@@ -508,9 +508,28 @@ func (k *KV) verifyValue(key string, value []byte) error {
 			k.tel.corruptReads.Inc()
 		}
 		k.mu.Unlock()
-		return fmt.Errorf("%w: key %q: %v", ErrCorrupt, key, verr)
+		return &corruptReadError{unwrapper: corruptWrap, key: key, cause: verr}
 	}
 	return nil
+}
+
+// corruptReadError is a copy the integrity check refused: one value,
+// formatted only when read, since a read that hedges past the copy drops
+// it. It embeds corruptWrap, a wrapper of ErrCorrupt, for its Unwrap, so
+// errors.Is finds ErrCorrupt; the check's verdict is text only.
+type corruptReadError struct {
+	unwrapper
+	key   string
+	cause error
+}
+
+type unwrapper interface{ Unwrap() error }
+
+var corruptWrap = fmt.Errorf("%w", ErrCorrupt).(unwrapper)
+
+// Error reads as fmt.Errorf("%w: key %q: %v", ErrCorrupt, key, cause) would.
+func (e *corruptReadError) Error() string {
+	return fmt.Sprintf("%v: key %q: %v", ErrCorrupt, e.key, e.cause)
 }
 
 // fetchFrom reads key from one named replica and verifies the bytes,
@@ -575,14 +594,17 @@ func (k *KV) hedgedLookup(sp *telemetry.Span, origin, key string, total *overlay
 		return nil, 0, 0, err
 	}
 	// names is read-only (overlay.ReplicaKV): it is read as given until the
-	// breaker skips a name, and only then filtered into a fresh slice.
+	// breaker skips a name, and only then filtered into room on the stack:
+	// a plan of up to eight names (the DHT's 2× a replication factor of up
+	// to four) costs no allocation, and a longer one spills by append.
+	var room [8]string
 	allowed := names
 	skips := 0
 	for i, name := range names {
 		switch {
 		case !k.breaker.Allow(name):
 			if skips == 0 {
-				allowed = append(make([]string, 0, len(names)-1), names[:i]...)
+				allowed = append(room[:0], names[:i]...)
 			}
 			skips++
 		case skips > 0:

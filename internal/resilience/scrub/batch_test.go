@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"godosn/internal/overlay"
+	"godosn/internal/telemetry"
 )
 
 // TestScrubBatchedMatchesPerKeyReports is the equivalence half of the
@@ -120,6 +121,64 @@ func TestCleanBatchedPassAllocatesPerGroupNotPerKey(t *testing.T) {
 	if allocs[0] != allocs[1] {
 		t.Fatalf("clean batched pass allocates %v at 500 keys and %v at 4000, want equal", allocs[0], allocs[1])
 	}
+}
+
+// TestDirtyBatchedPassAllocatesPerGroupNotPerKey: a batched pass that finds
+// one corrupt copy of every key elects, rechecks, repairs and reports it
+// allocating per group and per envelope, not per key: the election and the
+// recheck judge copies without building an error, each envelope's key list
+// is sized once per group, and the scrub.repair and scrub.condemned events
+// reuse the event ring's slots. The repairs are acknowledged and dropped,
+// so every counted pass meets the same corruption. The collector stays off
+// while the passes are counted, as in the clean pin.
+func TestDirtyBatchedPassAllocatesPerGroupNotPerKey(t *testing.T) {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	names := []string{"r0", "r1", "r2", "r3", "r4", "r5"}
+	var allocs [2]float64
+	for i, keys := range []int{500, 4000} {
+		kv := &stubBatchKV{data: map[string]map[string][]byte{}}
+		for _, name := range names {
+			kv.data[name] = map[string][]byte{}
+		}
+		groups := make([]Group, 4)
+		for gi := range groups {
+			groups[gi].Replicas = names[gi : gi+3]
+		}
+		for ki := 0; ki < keys; ki++ {
+			key := fmt.Sprintf("k%d", ki)
+			g := &groups[ki%len(groups)]
+			g.Keys = append(g.Keys, key)
+			rec := Seal(key, []byte("payload-"+key))
+			for ri, name := range g.Replicas {
+				kv.data[name][key] = rec
+				if ri == ki%len(g.Replicas) {
+					rotten := append([]byte(nil), rec...)
+					rotten[len(rotten)-1] ^= 0x01
+					kv.data[name][key] = rotten
+				}
+			}
+		}
+		s := New(droppedRepairs{kv}, DefaultConfig("c"))
+		s.SetVerdict(func(string, bool) {})
+		s.SetTelemetry(telemetry.NewRegistry())
+		allocs[i] = testing.AllocsPerRun(5, func() {
+			rep, err := s.ScrubResolved(groups)
+			if err != nil || rep.KeysCompared != keys || rep.CorruptCopies != keys || rep.RepairedWrites != keys {
+				t.Fatalf("dirty pass over %d keys: %+v %v", keys, rep, err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("dirty batched pass allocates %v at 500 keys and %v at 4000, want equal", allocs[0], allocs[1])
+	}
+}
+
+// droppedRepairs acknowledges every repair push and stores none.
+type droppedRepairs struct{ *stubBatchKV }
+
+func (droppedRepairs) StoreBatchTo(origin string, keys []string, values [][]byte, replica string) ([]error, overlay.OpStats, error) {
+	return make([]error, len(keys)), overlay.OpStats{Messages: 2}, nil
 }
 
 // stubBatchKV is a minimal overlay.RepairKV + BatchRepairKV whose

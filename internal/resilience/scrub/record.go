@@ -129,10 +129,50 @@ func Check(key string, record []byte) error {
 	return err
 }
 
-// parse is the one record check behind Open, Check and the scrubber's
-// election: it verifies record against key and returns its payload (a
-// capacity-capped view into record) and its version.
+// parse is Open's and Check's form of the one record check: it verifies
+// record against key and returns its payload (a capacity-capped view into
+// record) and its version, or an ErrRecord naming the fault.
 func parse(key string, record []byte) (payload []byte, version uint64, err error) {
+	payload, version, fault := readRecord(key, record)
+	if fault != "" {
+		return nil, 0, &recordError{unwrapper: recordWrap, key: key, fault: fault, size: len(record)}
+	}
+	return payload, version, nil
+}
+
+// The faults readRecord reports, as recordError words them: a format whose
+// only verb may be %[3]d, the record's length.
+var (
+	faultFraming     = "bad framing (%[3]d bytes)"
+	faultZeroVersion = "version 0 under " + string(versionMagic)
+	faultChecksum    = "checksum mismatch"
+)
+
+// recordError is the ErrRecord parse returns: one value, formatted only when
+// read. It embeds recordWrap, a wrapper of ErrRecord, for its Unwrap, so
+// errors.Is finds ErrRecord, and through it resilience.ErrCorrupt.
+type recordError struct {
+	unwrapper
+	key, fault string
+	size       int
+}
+
+type unwrapper interface{ Unwrap() error }
+
+var recordWrap = fmt.Errorf("%w", ErrRecord).(unwrapper)
+
+// Error reads as fmt.Errorf("%w: key %q: <fault>", ErrRecord, key) would;
+// the explicit index lets a fault that does not report the record's length
+// leave it unused.
+func (e *recordError) Error() string {
+	return fmt.Sprintf("%v: key %[2]q: "+e.fault, ErrRecord, e.key, e.size)
+}
+
+// readRecord is the one record check behind parse and the scrubber's
+// election, in a form that allocates nothing: it verifies record against
+// key and returns its payload (a capacity-capped view into record) and its
+// version, or the fault that refuses it ("" when there is none).
+func readRecord(key string, record []byte) (payload []byte, version uint64, fault string) {
 	n := len(recordMagic)
 	switch {
 	case len(record) >= n+sha256.Size && bytes.Equal(record[:n], recordMagic):
@@ -140,10 +180,10 @@ func parse(key string, record []byte) (payload []byte, version uint64, err error
 		version = binary.BigEndian.Uint64(record[n:])
 		n += versionLen
 		if version == 0 {
-			return nil, 0, fmt.Errorf("%w: key %q: version 0 under %s", ErrRecord, key, versionMagic)
+			return nil, 0, faultZeroVersion
 		}
 	default:
-		return nil, 0, fmt.Errorf("%w: key %q: bad framing (%d bytes)", ErrRecord, key, len(record))
+		return nil, 0, faultFraming
 	}
 	var sum [32]byte
 	copy(sum[:], record[n:])
@@ -151,7 +191,7 @@ func parse(key string, record []byte) (payload []byte, version uint64, err error
 	// into whatever follows the record in its backing array.
 	payload = record[n+sha256.Size : len(record) : len(record)]
 	if checksum(record[:n], key, payload) != sum {
-		return nil, 0, fmt.Errorf("%w: key %q: checksum mismatch", ErrRecord, key)
+		return nil, 0, faultChecksum
 	}
-	return payload, version, nil
+	return payload, version, ""
 }

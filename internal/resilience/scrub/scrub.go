@@ -801,8 +801,8 @@ func electKey(o *keyOutcome, values [][]byte, held []heldCopy) {
 		if st != copyHeld {
 			continue
 		}
-		_, version, err := parse(o.key, values[ri])
-		if err != nil {
+		_, version, fault := readRecord(o.key, values[ri])
+		if fault != "" {
 			o.states[ri] = copyCondemned
 			continue
 		}
@@ -862,9 +862,9 @@ func electKey(o *keyOutcome, values [][]byte, held []heldCopy) {
 // is a write that landed during the pass: its state is unknown to this
 // election, so the pass neither judges nor repairs it.
 func (o *keyOutcome) recheck(ri int, v []byte) {
-	_, version, err := parse(o.key, v)
+	_, version, fault := readRecord(o.key, v)
 	switch {
-	case err != nil:
+	case fault != "":
 	case version > o.version:
 		o.states[ri] = copyUnreachable
 	case version < o.version:
@@ -882,8 +882,9 @@ func (o *keyOutcome) recheck(ri int, v []byte) {
 // end to end: a failed envelope marks only that replica unreachable, a
 // per-key slot error affects only that key, and a failed repair push never
 // fails its envelope siblings. Every key's copy states share one array
-// sized for the group (drillScratch), so the drill allocates per group and
-// per envelope, not per key.
+// sized for the group (drillScratch), and so do the envelopes' key lists
+// and the pushes' outcomes, so the drill allocates per group and per
+// envelope, not per key.
 func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResult) {
 	// Phase 1: column fetch — one envelope per replica. A nil column means
 	// the whole envelope failed.
@@ -941,27 +942,30 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 		outs[ki] = o
 	}
 
+	// One envelope's keys at a time, by group index and by name, and a
+	// repair envelope's values: the lists are sized once for the group and
+	// refilled replica after replica (no batch call keeps them).
+	idx := make([]int, 0, len(g.keys))
+	rkeys := make([]string, 0, len(g.keys))
+	rvals := make([][]byte, 0, len(g.keys))
+
 	// Phase 3: coalesced recheck — one refetch envelope per replica over
 	// its condemned keys, so a one-off wire corruption is not blamed on
 	// the node (same contract as the per-key recheck).
 	for ri, name := range g.replicas {
-		var cidx []int
-		for ki := range g.keys {
+		idx, rkeys = idx[:0], rkeys[:0]
+		for ki, key := range g.keys {
 			if outs[ki].found && outs[ki].states[ri] == copyCondemned {
-				cidx = append(cidx, ki)
+				idx, rkeys = append(idx, ki), append(rkeys, key)
 			}
 		}
-		if len(cidx) == 0 {
+		if len(idx) == 0 {
 			continue
-		}
-		rkeys := make([]string, len(cidx))
-		for j, ki := range cidx {
-			rkeys[j] = g.keys[ki]
 		}
 		rsp := gsp.Child("recheck")
 		if rsp != nil {
 			rsp.Tag("replica", name)
-			rsp.Tag("keys", strconv.Itoa(len(cidx)))
+			rsp.Tag("keys", strconv.Itoa(len(idx)))
 		}
 		res, st, err := s.brepair.FetchBatchFrom(s.cfg.Origin, rkeys, name)
 		r.stats.Add(&st)
@@ -973,7 +977,7 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 			continue
 		}
 		rsp.End("ok")
-		for j, ki := range cidx {
+		for j, ki := range idx {
 			if res[j].Err == nil {
 				outs[ki].recheck(ri, res[j].Value)
 			}
@@ -982,45 +986,37 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 
 	// Phase 4: coalesced repair — one StoreBatchTo per destination replica
 	// carrying every condemned or missing copy it needs, instead of one
-	// StoreTo per copy. Push outcomes are recorded per key and re-sorted
-	// into (key, replica) order so event emission matches the per-key path.
-	type pushRec struct {
-		ki, ri int
-		ok     bool
-	}
-	var recs []pushRec
+	// StoreTo per copy. Each push's outcome is marked by (key, replica) in
+	// landed, which then lists the pushes in the order the per-key path
+	// emits them.
+	landed := make([]bool, len(sc.states))
+	pushes := 0
 	for ri, name := range g.replicas {
-		var kis []int
-		for ki := range g.keys {
+		idx, rkeys, rvals = idx[:0], rkeys[:0], rvals[:0]
+		for ki, key := range g.keys {
 			o := &outs[ki]
 			if !o.found {
 				continue
 			}
 			if st := o.states[ri]; st == copyCondemned || st == copyMissing {
-				kis = append(kis, ki)
+				idx, rkeys, rvals = append(idx, ki), append(rkeys, key), append(rvals, o.canonical)
 			}
 		}
-		if len(kis) == 0 {
+		if len(idx) == 0 {
 			continue
-		}
-		rkeys := make([]string, len(kis))
-		rvals := make([][]byte, len(kis))
-		for j, ki := range kis {
-			rkeys[j] = g.keys[ki]
-			rvals[j] = outs[ki].canonical
 		}
 		psp := gsp.Child("repair")
 		if psp != nil {
 			psp.Tag("to", name)
-			psp.Tag("keys", strconv.Itoa(len(kis)))
+			psp.Tag("keys", strconv.Itoa(len(idx)))
 		}
 		errs, st, err := s.brepair.StoreBatchTo(s.cfg.Origin, rkeys, rvals, name)
 		r.stats.Add(&st)
 		r.batchRPCs++
 		r.batchMsgs += st.Messages
 		r.repairBatches++
-		if len(kis) > 1 {
-			r.coalesced += len(kis)
+		if len(idx) > 1 {
+			r.coalesced += len(idx)
 		}
 		psp.AddLatency(st.Latency)
 		if err != nil {
@@ -1028,26 +1024,29 @@ func (s *Scrubber) drillGroupBatched(gsp *telemetry.Span, g group, r *groupResul
 		} else {
 			psp.End("ok")
 		}
-		for j, ki := range kis {
+		for j, ki := range idx {
 			ok := err == nil && errs[j] == nil
 			if ok {
 				r.repaired++
 			} else {
 				r.unrepair++
 			}
-			recs = append(recs, pushRec{ki: ki, ri: ri, ok: ok})
+			landed[ki*len(g.replicas)+ri] = ok
 		}
+		pushes += len(idx)
 	}
-	sort.Slice(recs, func(a, b int) bool {
-		if recs[a].ki != recs[b].ki {
-			return recs[a].ki < recs[b].ki
+	if pushes > 0 {
+		r.pushes = make([]repairPush, 0, pushes)
+		for ki := range outs {
+			o := &outs[ki]
+			for ri, st := range o.states {
+				if o.found && (st == copyCondemned || st == copyMissing) {
+					r.pushes = append(r.pushes, repairPush{
+						key: g.keys[ki], to: g.replicas[ri], ok: landed[ki*len(g.replicas)+ri],
+					})
+				}
+			}
 		}
-		return recs[a].ri < recs[b].ri
-	})
-	for _, rec := range recs {
-		r.pushes = append(r.pushes, repairPush{
-			key: g.keys[rec.ki], to: g.replicas[rec.ri], ok: rec.ok,
-		})
 	}
 	r.outcomes = outs
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -63,7 +64,8 @@ func NewLog(capacity int) *Log {
 
 // SetSink installs a function invoked for every emitted event, in emission
 // order (nil removes it). The sink runs under the log's lock: keep it
-// cheap and never emit from inside it.
+// cheap and never emit from inside it. The event's Attrs are the log's own
+// storage, valid only during the call: a sink that keeps them copies them.
 func (l *Log) SetSink(fn func(Event)) {
 	l.mu.Lock()
 	l.sink = fn
@@ -71,7 +73,11 @@ func (l *Log) SetSink(fn func(Event)) {
 }
 
 // Emit appends an event. Nil-safe: emitting on a nil log is a no-op, so
-// layers can hold an optional *Log without guarding every call.
+// layers can hold an optional *Log without guarding every call. The
+// attributes are copied into the ring slot's own array, which the next event
+// written to that slot reuses, so the caller's argument list does not
+// escape and, once the ring is full, an event of up to slotAttrs attributes
+// allocates nothing.
 func (l *Log) Emit(name string, attrs ...Attr) {
 	if l == nil {
 		return
@@ -79,18 +85,24 @@ func (l *Log) Emit(name string, attrs ...Attr) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
-	e := Event{Seq: l.seq, Name: name, Attrs: attrs}
+	var e *Event
 	if len(l.ring) < l.cap {
-		l.ring = append(l.ring, e)
+		l.ring = append(l.ring, Event{Attrs: make([]Attr, 0, max(slotAttrs, len(attrs)))})
+		e = &l.ring[len(l.ring)-1]
 	} else {
-		l.ring[l.start] = e
+		e = &l.ring[l.start]
 		l.start = (l.start + 1) % l.cap
 	}
+	*e = Event{Seq: l.seq, Name: name, Attrs: append(e.Attrs[:0], attrs...)}
 	l.counts[name]++
 	if l.sink != nil {
-		l.sink(e)
+		l.sink(*e)
 	}
 }
+
+// slotAttrs is the attribute room each ring slot starts with: the most any
+// shipped event carries (scrub.repair's key, to and ok).
+const slotAttrs = 3
 
 // Total returns how many events were emitted since the last reset
 // (including ones the ring has since evicted).
@@ -104,9 +116,9 @@ func (l *Log) Total() uint64 {
 func (l *Log) Recent() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.ring))
-	for i := 0; i < len(l.ring); i++ {
-		out = append(out, l.ring[(l.start+i)%len(l.ring)])
+	out := slices.Concat(l.ring[l.start:], l.ring[:l.start])
+	for i := range out {
+		out[i].Attrs = slices.Clone(out[i].Attrs) // the slot's array is reused by later events
 	}
 	return out
 }
