@@ -20,7 +20,6 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock lint-
 #   e19        zero surfaced corruption at >= 99% availability under loss + churn + Byzantine replies
 #   e21        warm caches hit, match the cold arm byte for byte, never serve a revoked reader
 #   cache -race  the sharded cache's concurrent hammers (no fill outlives an Invalidate) and eviction-order determinism
-#   route memo -race  the DHT's ring-id route memo returns every value, outcome and counter a cache.Cache would, at 1/3/8 shards (E21's eviction order)
 #   breaker -race  eight goroutines mixing reports, overrides and the lock-free quarantine check; the quarantine count still matches the nodes
 #   ownership -race  single-key lookups from two goroutines against batch walks that learn whole segments, InvalidateRoutes that clear them and Join/Leave changing the ring; every learned segment stays exact
 #   batch put -race  workers-8 PutBatch destinations record their envelope outcomes concurrently: stats match workers 1, and offline, ack-lost and unavailable outcomes stay per group
@@ -47,7 +46,6 @@ define SMOKE
 $(BENCH_BIN) -quick -exp e19
 $(BENCH_BIN) -quick -exp e21
 $(GO) test -race -count=1 -run 'TestCacheRaceHammer|TestCacheFillNeverOutlivesInvalidate|TestCacheEvictionOrderShardedWorkers1vs8' ./internal/cache/
-$(GO) test -race -count=1 -run 'TestRouteMemoMatchesCache' ./internal/overlay/dht/
 $(GO) test -race -count=10 -run 'TestBreakerHammer' ./internal/resilience/
 $(GO) test -race -count=1 -run 'TestOwnershipHammer' ./internal/overlay/dht/
 $(GO) test -race -count=1 -run 'TestBatchMatchesSequentialAcrossWorkers|TestPutBatchFaultIsolation' ./internal/overlay/dht/
@@ -158,7 +156,7 @@ bench-harness:
 # at seed 11, keep its result at the repository root as BENCH_<pr>.json, and
 # compare it against the newest earlier BENCH_*.json (benchmark/baseline.json
 # before the first one exists). -compare exits non-zero on any `worse` row.
-BENCH_PR := 58
+BENCH_PR := 59
 bench-gate:
 	bash benchmark/run.sh -all -seed 11
 	cp benchmark/out/results.json BENCH_$(BENCH_PR).json
@@ -249,7 +247,7 @@ bench-quick:
 
 # Hot-path microbenchmarks: per-scheme group Encrypt/Add/Remove (serial vs
 # pool), DHT Put/Get/Heal, the single-key Store/Lookup under a missing
-# route cache and one key's resolution (a route-memo hit and an evicting
+# route cache and one key's resolution (a route-cache hit and an evicting
 # miss, from 1 and 2 goroutines), symmetric seal/open alloc deltas, ECIES
 # Sender.Encrypt first-contact vs warm and Decrypt memo miss vs hit, one
 # pooled HKDF-Expand (prf.Derive),

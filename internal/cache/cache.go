@@ -8,15 +8,15 @@
 // OSN deployment; DECENT identifies object-read latency as the dominant
 // cost of decentralized enforcement), and the paper motivates hybrid
 // encryption precisely because asymmetric operations are too expensive to
-// pay per read. Three instances of this cache thread through the stack: the
+// pay per read. Four instances of this cache thread through the stack: the
+// DHT's route cache (key → successor root, overlay/dht/routecache.go), the
 // resilient KV's verified-value cache, the privacy layer's envelope-key
 // cache, and the hybrid overlay's per-node social caches. Experiment E21
-// measures what the first two buy, beside the DHT's route memo, which takes
-// a Config and reports Stats but is not a Cache (overlay/dht/routecache.go):
-// it is never invalidated per key, so it keys an exact LRU by ring id. The
-// two instances that hold stored values, the verified-value and social
-// caches, share one coherence rule: a store invalidates its key in every
-// copy, so no cache serves a superseded value as current.
+// measures what the first three buy. The route cache is only ever bumped
+// whole, on a ring or placement change; the two instances that hold stored
+// values, the verified-value and social caches, share one coherence rule: a
+// store invalidates its key in every copy, so no cache serves a superseded
+// value as current.
 //
 // Layout: a hit and a fill allocate nothing once a shard has grown. Each
 // shard keeps its entries in a slab, linked by int32 slab numbers into the
@@ -68,8 +68,8 @@ type Config struct {
 // Enabled reports whether this configuration describes a live cache.
 func (c Config) Enabled() bool { return c.Capacity > 0 }
 
-// DefaultShards is used when Config.Shards is unset.
-const DefaultShards = 8
+// defaultShards is used when Config.Shards is unset.
+const defaultShards = 8
 
 // Stats is a point-in-time snapshot of a cache's counters.
 type Stats struct {
@@ -199,7 +199,7 @@ func New[V any](cfg Config) *Cache[V] {
 		return nil
 	}
 	if cfg.Shards < 1 {
-		cfg.Shards = DefaultShards
+		cfg.Shards = defaultShards
 	}
 	if cfg.Shards > cfg.Capacity {
 		cfg.Shards = cfg.Capacity
@@ -275,8 +275,10 @@ func (c *Cache[V]) Len() int {
 	return n
 }
 
-// keyHash is FNV-1a over the key, perturbed by the seed: ShardIndex's hash,
-// which also files the key in its shard's index.
+// keyHash is FNV-1a over the key, perturbed by the seed — a pure function
+// of (seed, key), so shard placement and therefore per-shard eviction order
+// is reproducible across runs. It picks the key's shard (shardOf) and files
+// the key in that shard's index.
 func keyHash[K string | []byte](seed int64, key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -290,20 +292,11 @@ func keyHash[K string | []byte](seed int64, key K) uint64 {
 	return h
 }
 
-// shardOf maps a key to its shard (ShardIndex) and returns the key's hash
-// too. A key's bytes land where its string does.
+// shardOf returns key's shard and its hash. A key's bytes land where its
+// string does.
 func shardOf[V any, K string | []byte](c *Cache[V], key K) (*shard[V], uint64) {
 	h := keyHash(c.seed, key)
 	return c.shards[h%uint64(len(c.shards))], h
-}
-
-// ShardIndex maps a key to one of n shards: FNV-1a over the key, perturbed
-// by the seed — a pure function of (seed, key), so placement and therefore
-// per-shard eviction order is reproducible across runs. It is the shard
-// function of every Cache and of the DHT's route memo, which keeps a
-// Config's shard layout without being a Cache.
-func ShardIndex[K string | []byte](seed int64, key K, n int) int {
-	return int(keyHash(seed, key) % uint64(n))
 }
 
 // Get returns the cached value for key. Entries from an older generation

@@ -586,7 +586,7 @@ type refShard[V any] struct {
 
 func newReference[V any](cfg Config) *referenceCache[V] {
 	if cfg.Shards < 1 {
-		cfg.Shards = DefaultShards
+		cfg.Shards = defaultShards
 	}
 	cfg.Shards = min(cfg.Shards, cfg.Capacity)
 	c := &referenceCache[V]{shards: make([]*refShard[V], cfg.Shards), seed: cfg.Seed}
@@ -602,7 +602,7 @@ func newReference[V any](cfg Config) *referenceCache[V] {
 }
 
 func (c *referenceCache[V]) shardOf(key string) *refShard[V] {
-	return c.shards[ShardIndex(c.seed, key, len(c.shards))]
+	return c.shards[keyHash(c.seed, key)%uint64(len(c.shards))]
 }
 
 func (c *referenceCache[V]) Stats() Stats {

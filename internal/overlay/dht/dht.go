@@ -62,7 +62,7 @@ type DHT struct {
 	mu   sync.Mutex               // serialises the writers of ring, and Heal's planning against them
 	ring atomic.Pointer[ringView] // membership, fingers, filter, ranker (ring.go); read lock-free
 
-	routes    *routeMemo                       // ring id → successor root (routecache.go); nil = uncached
+	routes    *cache.Cache[uint64]             // key → successor root (routecache.go); nil = uncached
 	ownership ownershipCache                   // learned successor segments (ownership.go)
 	tel       atomic.Pointer[resolveTelemetry] // resolution counters (routecache.go); nil = off
 	gates     *nodeGates                       // server-side admission (gate.go); nil = admit everything
@@ -82,15 +82,15 @@ type Config struct {
 	// at any worker count. Single-key Store/Lookup always contact replicas
 	// one after another, and a Lookup stops at the first hit.
 	FanoutWorkers int
-	// RouteCache is the single-key memo of key → successor root
-	// (routecache.go): Store, Lookup and ReplicasFor consult it after the
-	// learned ownership segments, which are always on, and fill it from
-	// their walks; batches never touch it. The zero value (Capacity 0)
-	// disables it, preserving the exact RPC and seeded-RNG sequence of an
-	// uncached DHT. A cache hit skips the routing walk: fewer messages, and
-	// on a lossy network fewer RNG draws — so seeded fault experiments
-	// comparing against uncached baselines must assert invariants, not
-	// per-op equality.
+	// RouteCache configures the single-key memo of key → successor root, a
+	// cache.Cache keyed by the key string (routecache.go): Store, Lookup
+	// and ReplicasFor consult it after the learned ownership segments,
+	// which are always on, and fill it from their walks; batches never
+	// touch it. The zero value (Capacity 0) disables it, preserving the
+	// exact RPC and seeded-RNG sequence of an uncached DHT. A cache hit
+	// skips the routing walk: fewer messages, and on a lossy network fewer
+	// RNG draws — so seeded fault experiments comparing against uncached
+	// baselines must assert invariants, not per-op equality.
 	RouteCache cache.Config
 	// NodeGate puts a server-side admission gate (gate.go) in front of
 	// every node's data-plane RPCs (store/fetch and batch forms): requests
@@ -123,7 +123,7 @@ func New(net *simnet.Network, nodes []simnet.NodeID, cfg Config) (*DHT, error) {
 		replica:    cfg.ReplicationFactor,
 		fanout:     cfg.FanoutWorkers,
 		perKeyHeal: cfg.PerKeyHeal,
-		routes:     newRouteMemo(cfg.RouteCache),
+		routes:     cache.New[uint64](cfg.RouteCache),
 		gates:      newNodeGates(cfg.NodeGate, nodes),
 	}
 	members := make([]*node, 0, len(nodes))

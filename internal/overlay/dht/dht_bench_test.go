@@ -114,7 +114,7 @@ func BenchmarkSingleKeyLookup(b *testing.B) {
 
 // BenchmarkResolveRoot times one single-key resolution (resolveRoot) in
 // the benchmark harness's shape: 48 nodes, one 4096-entry route-cache
-// shard, callers at different origins. "hit" resolves keys the memo holds;
+// shard, callers at different origins. "hit" resolves keys the cache holds;
 // "evicting-miss" cycles 100 k keys, so every call walks the ring and
 // displaces the least-recently-used route. With 2 goroutines both share
 // the one shard.

@@ -101,6 +101,6 @@ func (c *ownershipCache) clear() {
 // ring or placement mutation must go through here — a stale segment is
 // exactly as wrong as a stale cached route.
 func (d *DHT) bumpRoutes() {
-	d.routes.bump()
+	d.routes.BumpGeneration()
 	d.ownership.clear()
 }
