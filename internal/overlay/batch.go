@@ -35,7 +35,8 @@ type BatchResult struct {
 type BatchKV interface {
 	KV
 	// PutBatch stores values[i] under keys[i], originating at node origin.
-	// The returned slice holds one error (or nil) per key.
+	// The returned slice holds one error (or nil) per key and belongs to the
+	// caller, who may write through it: the overlay keeps no reference.
 	PutBatch(origin string, keys []string, values [][]byte) ([]error, OpStats, error)
 	// GetBatch resolves every key, originating at node origin.
 	GetBatch(origin string, keys []string) ([]BatchResult, OpStats, error)

@@ -8,7 +8,8 @@ import (
 
 // Every DHT reply that carries a payload names the bytes a Byzantine
 // responder may rewrite (simnet.Corruptible), in field-declaration order, and
-// hands back a private copy: never the pointer into its operation frame.
+// hands back a private copy, never the pointer into its operation frame,
+// whenever the mutation ran or none was given (a replayer's copy).
 
 var (
 	_ simnet.Corruptible = (*findSuccessorResp)(nil)
@@ -19,9 +20,12 @@ var (
 )
 
 // Corrupt implements simnet.Corruptible. A routing reply has no bytes to lie
-// through, but it is still copied, so a replayer never records a pointer into
-// a pooled frame.
-func (r *findSuccessorResp) Corrupt(func([]byte) []byte) (any, bool) {
+// through, so only a replayer's plain copy copies it: a replayer never
+// records a pointer into a pooled frame, and a bit-flipper costs nothing.
+func (r *findSuccessorResp) Corrupt(mut func([]byte) []byte) (any, bool) {
+	if mut != nil {
+		return r, false
+	}
 	c := *r
 	return &c, false
 }
@@ -55,10 +59,15 @@ func (r digestBatchResp) Corrupt(mut func([]byte) []byte) (any, bool) {
 	return r, fresh || state
 }
 
-// corrupt replaces a non-empty *b with mut(*b) and reports whether it did;
-// mut returns fresh memory, so the replacement shares none with the sender.
+// corrupt replaces a non-empty *b with mut(*b), or with a copy when mut is
+// nil, and reports whether mut ran; mut returns fresh memory, so the
+// replacement shares none with the sender.
 func corrupt(b *[]byte, mut func([]byte) []byte) bool {
-	if len(*b) == 0 {
+	switch {
+	case len(*b) == 0:
+		return false
+	case mut == nil:
+		*b = slices.Clone(*b)
 		return false
 	}
 	*b = mut(*b)

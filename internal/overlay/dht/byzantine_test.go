@@ -10,9 +10,10 @@ import (
 
 // TestEveryReplyWithAPayloadIsCorruptible drives each handler kind and
 // requires every reply that carries a payload to be simnet.Corruptible, so a
-// new reply type cannot silently turn a Byzantine node honest. Corrupt must
-// also hand back a copy: equal under the identity mutation, never the
-// handler's pointer, and untouched by a mutation of the copy.
+// new reply type cannot silently turn a Byzantine node honest. Corrupt(nil)
+// must hand back a copy, equal to the reply and never the handler's pointer;
+// a mutation that ran must hand back a copy too, equal under the identity
+// mutation and leaving the reply untouched when the copy is mutated.
 func TestEveryReplyWithAPayloadIsCorruptible(t *testing.T) {
 	d, _, names := buildDHT(t, 4, Config{ReplicationFactor: 1})
 	n := d.view().names[names[1]]
@@ -48,12 +49,23 @@ func TestEveryReplyWithAPayloadIsCorruptible(t *testing.T) {
 			t.Errorf("%s replies with a %T, which is not simnet.Corruptible: a Byzantine node would answer it honestly", req.Kind, reply.Payload)
 			continue
 		}
-		snap, ran := c.Corrupt(func(b []byte) []byte { return append([]byte(nil), b...) })
-		if !reflect.DeepEqual(snap, reply.Payload) {
-			t.Errorf("%s: the identity mutation changed the reply: %+v -> %+v", req.Kind, reply.Payload, snap)
+		own := func(p any) bool {
+			v := reflect.ValueOf(p)
+			return v.Kind() == reflect.Pointer && v.Pointer() == reflect.ValueOf(reply.Payload).Pointer()
 		}
-		if v := reflect.ValueOf(snap); v.Kind() == reflect.Pointer && v.Pointer() == reflect.ValueOf(reply.Payload).Pointer() {
-			t.Errorf("%s: Corrupt handed back the handler's own pointer", req.Kind)
+		snap, copied := c.Corrupt(nil)
+		if copied || !reflect.DeepEqual(snap, reply.Payload) {
+			t.Errorf("%s: the plain copy reported a lie (%v) or differs: %+v -> %+v", req.Kind, copied, reply.Payload, snap)
+		}
+		if own(snap) {
+			t.Errorf("%s: Corrupt(nil) handed back the handler's own pointer", req.Kind)
+		}
+		same, ran := c.Corrupt(func(b []byte) []byte { return append([]byte(nil), b...) })
+		if !reflect.DeepEqual(same, reply.Payload) {
+			t.Errorf("%s: the identity mutation changed the reply: %+v -> %+v", req.Kind, reply.Payload, same)
+		}
+		if ran && own(same) {
+			t.Errorf("%s: Corrupt ran the mutation over the handler's own pointer", req.Kind)
 		}
 		lie, lied := c.Corrupt(invert)
 		if lied != ran || lied == reflect.DeepEqual(lie, reply.Payload) {
@@ -62,6 +74,38 @@ func TestEveryReplyWithAPayloadIsCorruptible(t *testing.T) {
 		if !reflect.DeepEqual(snap, reply.Payload) {
 			t.Errorf("%s: corrupting a copy changed the handler's reply", req.Kind)
 		}
+	}
+}
+
+// TestByzantineBitFlipOnRoutingReplyAllocatesNothing: a routing reply has no
+// bytes to lie through, so a bit-flipping responder delivers the honest reply
+// itself, the pointer into the caller's frame, without copying it, and no lie
+// is counted.
+func TestByzantineBitFlipOnRoutingReplyAllocatesNothing(t *testing.T) {
+	d, net, names := buildDHT(t, 16, Config{ReplicationFactor: 1})
+	liar := d.view().names[names[3]]
+	if err := net.SetByzantine(liar.name, simnet.ByzantineConfig{Mode: simnet.ByzBitFlip, Rate: 1}); err != nil {
+		t.Fatalf("SetByzantine: %v", err)
+	}
+	f := borrowFrame()
+	defer returnFrame(f)
+	f.find.Key = liar.id + 1
+	req := simnet.Message{Kind: kindFindSuccessor, Payload: &f.find, Size: 16}
+	rpc := func() {
+		f.tr = simnet.Trace{}
+		reply, err := net.RPC(&f.tr, names[0], liar.name, req)
+		if err != nil {
+			t.Fatalf("RPC: %v", err)
+		}
+		if got := reply.Payload.(*findSuccessorResp); got != &f.find.reply {
+			t.Fatalf("reply %p is not the caller's slot %p", got, &f.find.reply)
+		}
+	}
+	if got := testing.AllocsPerRun(50, rpc); got != 0 {
+		t.Errorf("a routing reply through a bit-flipping node: %v allocs, want 0", got)
+	}
+	if got := net.CorruptedReplies(); got != 0 {
+		t.Errorf("CorruptedReplies = %d, want 0: a routing reply cannot lie", got)
 	}
 }
 

@@ -15,9 +15,13 @@ import (
 //     returned, or a key string each handed out, stays valid and unchanged
 //     for as long as someone holds it, with or without the node lock;
 //   - refs: one 16-byte record reference per live key, dense, in insertion
-//     order, swap-removed on delete. Besides the record's place it keeps the
-//     top 32 bits of the key's ring id, which the write carried in, so heal
-//     files a copy on the ring without hashing its key;
+//     order, swap-removed on delete, kept in blocks of refBlock references
+//     (the first nrefs slots are live). The first block doubles up to
+//     refBlock; every later one is allocated full once and never moved, and
+//     a block emptied by deletes is kept for the next insert. Besides the
+//     record's place a reference keeps the top 32 bits of the key's ring id,
+//     which the write carried in, so heal files a copy on the ring without
+//     hashing its key;
 //   - slots: an open-addressing, linear-probe index of 8-byte slots, each the
 //     low 32 bits of the key's hash and the record's reference number plus
 //     one (zero is the empty slot). Growing re-seats slots from the hash bits
@@ -35,7 +39,8 @@ import (
 // run under the owning node's mutex.
 type store struct {
 	chunks [][]byte
-	refs   []recRef
+	refs   [][]recRef // blocks; reference i is refs[i/refBlock][i%refBlock]
+	nrefs  int        // live references
 	slots  []uint64
 	live   int    // bytes of the records refs points at
 	logged int    // bytes written into chunks: live plus dead
@@ -56,6 +61,7 @@ type recRef struct {
 
 func (r recRef) chunk() uint32 { return r.loc >> offBits }
 func (r recRef) off() uint32   { return r.loc & (1<<offBits - 1) }
+func (r recRef) size() int     { return int(r.klen + r.vlen) }
 
 // idTop is the part of a ring id a record keeps.
 func idTop(kid uint64) uint32 { return uint32(kid >> 32) }
@@ -73,6 +79,12 @@ func idTop(kid uint64) uint32 { return uint32(kid >> 32) }
 //   - The index doubles at 3/4 full. At 1/2 the 20 k-key table is twice the
 //     size (+26 B per put-fresh) for a get-miss 8 ns faster and an equal
 //     get-hit.
+//   - References sit in 16 KiB blocks (refBlock of them, a small size
+//     class): past the first block none is ever copied, and a node under
+//     refBlock keys holds at most twice the references it uses. A slice
+//     doubled by copying allocates every reference again at each doubling
+//     and leaves the old array to the collector; 32 KiB blocks cost as many
+//     allocations and slightly more bytes.
 const (
 	chunkMinBits   = 10
 	chunkDoublings = 5
@@ -80,6 +92,8 @@ const (
 	chunkMax       = chunkMin << chunkDoublings
 	offBits        = chunkMinBits + chunkDoublings // chunkMax == 1<<offBits
 	slotsMin       = 16
+	refBlockBits   = 10
+	refBlock       = 1 << refBlockBits
 )
 
 // storeSeed keys the index hash. It differs between processes, which moves
@@ -89,7 +103,31 @@ var storeSeed = maphash.MakeSeed()
 
 func hashKey(key string) uint32 { return uint32(maphash.String(storeSeed, key)) }
 
-func (s *store) len() int { return len(s.refs) }
+func (s *store) len() int { return s.nrefs }
+
+// ref returns reference i (i < len()).
+func (s *store) ref(i int) *recRef { return &s.refs[i>>refBlockBits][i&(refBlock-1)] }
+
+// pushRef appends r as reference number len(). Only the first block grows
+// by copying (doubling from slotsMin); a later block is made full-size when
+// the references first reach it and reused after deletes empty it.
+func (s *store) pushRef(r recRef) {
+	b, i := s.nrefs>>refBlockBits, s.nrefs&(refBlock-1)
+	if b == len(s.refs) {
+		size := refBlock
+		if b == 0 {
+			size = slotsMin
+		}
+		s.refs = append(s.refs, make([]recRef, size))
+	}
+	if i == len(s.refs[b]) { // only the first block is ever short
+		grown := make([]recRef, 2*i)
+		copy(grown, s.refs[b])
+		s.refs[b] = grown
+	}
+	s.refs[b][i] = r
+	s.nrefs++
+}
 
 // reset drops every record, and counts as a removal. The chunks are
 // released, not reused: bytes handed out earlier stay intact.
@@ -108,7 +146,7 @@ func (s *store) value(r recRef) []byte {
 // record returns record i, in each's order: its key (a string over the log
 // bytes, as each hands it out) and its ring-id top bits.
 func (s *store) record(i int) (key string, top uint32) {
-	r := s.refs[i]
+	r := *s.ref(i)
 	k := s.keyBytes(r)
 	return unsafe.String(unsafe.SliceData(k), len(k)), r.top
 }
@@ -126,7 +164,7 @@ func (s *store) find(key string, h uint32) (slot, ref int) {
 		}
 		if uint32(sl>>32) == h {
 			n := int(uint32(sl)) - 1
-			if string(s.keyBytes(s.refs[n])) == key {
+			if string(s.keyBytes(*s.ref(n))) == key {
 				return int(i), n
 			}
 		}
@@ -153,7 +191,8 @@ func (s *store) lookup(key string, h uint32) ([]byte, uint32, bool) {
 	if n < 0 {
 		return nil, 0, false
 	}
-	return s.value(s.refs[n]), s.refs[n].top, true
+	r := *s.ref(n)
+	return s.value(r), r.top, true
 }
 
 func (s *store) has(key string) bool {
@@ -174,24 +213,16 @@ func (s *store) put(key string, top uint32, val []byte) {
 	s.live += need
 	s.logged += need
 	if n >= 0 {
-		s.live -= int(s.refs[n].klen + s.refs[n].vlen)
-		s.refs[n] = r
+		s.live -= s.ref(n).size()
+		*s.ref(n) = r
 		s.compactIfMostlyDead()
 		return
 	}
-	if len(s.refs) == cap(s.refs) {
-		// Doubling by hand (from the smallest index's size): append's 1.25×
-		// steps would reallocate a large node's references five times over
-		// instead of twice.
-		grown := make([]recRef, len(s.refs), max(2*len(s.refs), slotsMin))
-		copy(grown, s.refs)
-		s.refs = grown
-	}
-	s.refs = append(s.refs, r)
-	if 4*len(s.refs) > 3*len(s.slots) {
+	s.pushRef(r)
+	if 4*s.nrefs > 3*len(s.slots) {
 		s.growIndex()
 	}
-	s.seat(uint64(h)<<32 | uint64(len(s.refs)))
+	s.seat(uint64(h)<<32 | uint64(s.nrefs))
 }
 
 // del removes key and reports whether it was present.
@@ -202,12 +233,12 @@ func (s *store) del(key string) bool {
 	}
 	s.unseat(uint32(slot))
 	s.gen++
-	s.live -= int(s.refs[n].klen + s.refs[n].vlen)
+	s.live -= s.ref(n).size()
 	// Swap-remove: the last reference takes the freed number, and the slot
 	// that named it is renumbered (found through its key's hash).
-	last := len(s.refs) - 1
+	last := s.nrefs - 1
 	if n != last {
-		moved := s.refs[last]
+		moved := *s.ref(last)
 		h := uint32(maphash.Bytes(storeSeed, s.keyBytes(moved)))
 		mask := uint32(len(s.slots) - 1)
 		i := h & mask
@@ -215,9 +246,9 @@ func (s *store) del(key string) bool {
 			i = (i + 1) & mask
 		}
 		s.slots[i] = uint64(h)<<32 | uint64(n+1)
-		s.refs[n] = moved
+		*s.ref(n) = moved
 	}
-	s.refs = s.refs[:last]
+	s.nrefs = last // the slot stays in its block for the next put
 	s.compactIfMostlyDead()
 	return true
 }
@@ -230,9 +261,9 @@ func (s *store) del(key string) bool {
 // top is the record's ring-id top bits, so fn may be another store's put.
 // fn must not modify the store.
 func (s *store) each(fn func(key string, top uint32, val []byte)) {
-	for i, r := range s.refs {
+	for i := range s.nrefs {
 		key, top := s.record(i)
-		fn(key, top, s.value(r))
+		fn(key, top, s.value(*s.ref(i)))
 	}
 }
 
@@ -287,11 +318,11 @@ func (s *store) compactIfMostlyDead() {
 	}
 	old := s.chunks
 	s.chunks, s.spare = nil, 0
-	for i, r := range s.refs {
-		rec := old[r.chunk()][r.off() : r.off()+r.klen+r.vlen]
-		ci, loc := s.place(len(rec))
-		s.refs[i].loc = loc
-		s.chunks[ci] = append(s.chunks[ci], rec...)
+	for i := range s.nrefs {
+		r := s.ref(i)
+		ci, loc := s.place(r.size())
+		s.chunks[ci] = append(s.chunks[ci], old[r.chunk()][r.off():int(r.off())+r.size()]...)
+		r.loc = loc
 	}
 	s.logged = s.live
 }

@@ -18,10 +18,14 @@ import (
 // other payload passes every mode untouched.
 
 // Corruptible is a reply payload a Byzantine responder can lie through.
-// Corrupt returns a private copy of the payload, sharing no memory with it (a
-// handler's state or a frame its sender will reuse), with mut applied to each
-// non-empty byte field in a fixed order, and reports whether mut ran. The
-// seeded mutation stream draws in that order. mut returns a fresh slice.
+// Corrupt applies mut to each non-empty byte field in a fixed order (the
+// seeded mutation stream draws in that order; mut returns a fresh slice) and
+// reports whether mut ran. When it ran, the returned payload is a private
+// copy, sharing no memory with the original (a handler's state or a frame its
+// sender will reuse); when it did not, the caller keeps the original and the
+// returned payload may be the original itself. Corrupt(nil) returns a private
+// copy with every byte field copied and reports false: what a replayer
+// records and serves.
 type Corruptible interface {
 	Corrupt(mut func([]byte) []byte) (any, bool)
 }
@@ -177,18 +181,18 @@ func truncateBytes(rng *rand.Rand, b []byte) []byte {
 	return append([]byte(nil), b[:rng.Intn(len(b))]...)
 }
 
-// copyBytes is the identity mutation: replay records and serves copies.
-func copyBytes(b []byte) []byte { return append([]byte(nil), b...) }
-
 // mutatePayload applies mut through msg's Corruptible payload, reporting
-// whether it ran. Any other payload comes back untouched.
+// whether it ran. A payload mut did not run over, and any payload that is not
+// Corruptible, comes back untouched.
 func mutatePayload(msg Message, mut func([]byte) []byte) (Message, bool) {
 	c, ok := msg.Payload.(Corruptible)
 	if !ok {
 		return msg, false
 	}
-	var mutated bool
-	msg.Payload, mutated = c.Corrupt(mut)
+	lie, mutated := c.Corrupt(mut)
+	if mutated {
+		msg.Payload = lie
+	}
 	return msg, mutated
 }
 
@@ -196,7 +200,7 @@ func mutatePayload(msg Message, mut func([]byte) []byte) (Message, bool) {
 // when that is not Corruptible: a replayer keeps nothing it cannot copy.
 func privateCopy(msg Message) Message {
 	if c, ok := msg.Payload.(Corruptible); ok {
-		msg.Payload, _ = c.Corrupt(copyBytes)
+		msg.Payload, _ = c.Corrupt(nil)
 	} else {
 		msg.Payload = nil
 	}

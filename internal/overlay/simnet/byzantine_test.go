@@ -16,7 +16,11 @@ type blobResp struct {
 
 // Corrupt implements Corruptible over Value.
 func (r blobResp) Corrupt(mut func([]byte) []byte) (any, bool) {
-	if len(r.Value) == 0 {
+	switch {
+	case len(r.Value) == 0:
+		return r, false
+	case mut == nil:
+		r.Value = bytes.Clone(r.Value)
 		return r, false
 	}
 	r.Value = mut(r.Value)

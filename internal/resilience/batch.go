@@ -51,25 +51,23 @@ func (k *KV) PutBatch(origin string, keys []string, values [][]byte) ([]error, o
 		return nil, overlay.OpStats{}, nil
 	}
 	var total overlay.OpStats
-	errs := make([]error, len(keys))
+	var errs []error
 	if k.batch != nil {
 		berrs, st, err := k.batch.PutBatch(origin, keys, values)
 		total.Add(&st)
 		if err != nil {
 			return nil, total, err
 		}
-		copy(errs, berrs)
+		errs = berrs // ours (overlay.BatchKV): rescued in place, handed up
 	} else {
-		for i := range keys {
-			errs[i] = overlay.ErrUnavailable // rescued below, key by key
-		}
+		errs = make([]error, len(keys)) // every key is stored below, one by one
 	}
 	for _, key := range keys {
 		k.values.Invalidate(key)
 	}
 	fallbacks := 0
 	for i, err := range errs {
-		if err == nil {
+		if err == nil && k.batch != nil {
 			continue
 		}
 		fallbacks++

@@ -180,12 +180,16 @@ func TestBatchFaultIsolationCorruptAndOverloaded(t *testing.T) {
 // Wrapping a plain KV (no BatchKV) must still satisfy the batch contract:
 // every key takes the single-key path and nothing counts as a rescue.
 func TestBatchOverPlainKV(t *testing.T) {
-	kv := Wrap(&fakeKV{}, DefaultConfig(3))
+	inner := &fakeKV{}
+	kv := Wrap(inner, DefaultConfig(3))
 	keys := []string{"a", "b", "c"}
 	vals := [][]byte{[]byte("1"), []byte("2"), []byte("3")}
 	errs, _, err := kv.PutBatch("o", keys, vals)
 	if err != nil {
 		t.Fatalf("PutBatch: %v", err)
+	}
+	if inner.stores != len(keys) {
+		t.Fatalf("PutBatch stored %d of %d keys through the plain KV", inner.stores, len(keys))
 	}
 	for i, e := range errs {
 		if e != nil {

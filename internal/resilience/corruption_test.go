@@ -41,6 +41,38 @@ func TestClassifyCorruption(t *testing.T) {
 	}
 }
 
+// TestLazyReadErrorsReadAsErrorf: the errors a read builds without
+// formatting keep the text and the errors.Is/As chain of the fmt.Errorf
+// they replace.
+func TestLazyReadErrorsReadAsErrorf(t *testing.T) {
+	delivery := fmt.Errorf("dht: %w: node-3", overlay.ErrUnavailable)
+	corruptRead := &corruptReadError{unwrapper: corruptWrap, key: "k1", cause: errors.New("bad tag")}
+	for _, c := range []struct {
+		got, want error
+	}{
+		{corruptRead, fmt.Errorf("%w: key %q: %v", ErrCorrupt, "k1", errors.New("bad tag"))},
+		{&hedgedReadError{cause: delivery}, fmt.Errorf("resilience: hedged read failed: %w", delivery)},
+		{&hedgedReadError{cause: corruptRead}, fmt.Errorf("resilience: hedged read failed: %w", corruptRead)},
+		{errHedgedUnavailable, fmt.Errorf("resilience: hedged read failed: %w", overlay.ErrUnavailable)},
+	} {
+		if c.got.Error() != c.want.Error() {
+			t.Errorf("text %q, want %q", c.got, c.want)
+		}
+		for _, target := range []error{ErrCorrupt, overlay.ErrUnavailable, overlay.ErrNotFound, delivery} {
+			if errors.Is(c.got, target) != errors.Is(c.want, target) {
+				t.Errorf("%q: errors.Is(%v) = %v, fmt.Errorf's %v", c.got, target, errors.Is(c.got, target), errors.Is(c.want, target))
+			}
+		}
+		var got, want *corruptReadError
+		if errors.As(c.want, &want) && (!errors.As(c.got, &got) || got != want) {
+			t.Errorf("%q: errors.As finds %v, fmt.Errorf's %v", c.got, got, want)
+		}
+		if Classify(c.got) != Classify(c.want) {
+			t.Errorf("%q: Classify = %v, fmt.Errorf's %v", c.got, Classify(c.got), Classify(c.want))
+		}
+	}
+}
+
 func TestBreakerCorruptionTaint(t *testing.T) {
 	b := NewBreaker()
 	// Loss-driven failures open the circuit but never quarantine.

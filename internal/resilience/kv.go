@@ -680,13 +680,25 @@ func (k *KV) hedgedLookup(sp *telemetry.Span, origin, key string, total *overlay
 	// breaker failure steers the retry away from it); only a unanimous
 	// miss is a definitive not-found.
 	if anyRetryable {
-		return nil, len(wave), skips, fmt.Errorf("resilience: hedged read failed: %w", lastErr)
+		return nil, len(wave), skips, &hedgedReadError{cause: lastErr}
 	}
 	if anyNotFound {
 		return nil, len(wave), skips, overlay.ErrNotFound
 	}
-	return nil, len(wave), skips, fmt.Errorf("resilience: hedged read failed: %w", overlay.ErrUnavailable)
+	return nil, len(wave), skips, errHedgedUnavailable
 }
+
+// hedgedReadError is an attempt whose every read failed: one value,
+// formatted only when read, since DoWith retries and drops most of them.
+type hedgedReadError struct{ cause error }
+
+var errHedgedUnavailable error = &hedgedReadError{cause: overlay.ErrUnavailable}
+
+// Error reads as fmt.Errorf("resilience: hedged read failed: %w", cause)
+// would.
+func (e *hedgedReadError) Error() string { return "resilience: hedged read failed: " + e.cause.Error() }
+
+func (e *hedgedReadError) Unwrap() error { return e.cause }
 
 // replicaHealthy interprets a per-replica fetch outcome for the breaker: a
 // replica that answered honestly — even with "not found" — is healthy; a

@@ -210,10 +210,11 @@ func TestHealPassthrough(t *testing.T) {
 }
 
 // fakeKV is a minimal overlay.KV without replica addressing or healing.
-type fakeKV struct{ fails int }
+type fakeKV struct{ fails, stores int }
 
 func (f *fakeKV) Name() string { return "fake" }
 func (f *fakeKV) Store(origin, key string, value []byte) (overlay.OpStats, error) {
+	f.stores++
 	return overlay.OpStats{}, nil
 }
 func (f *fakeKV) Lookup(origin, key string) ([]byte, overlay.OpStats, error) {
