@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race fuzz-smoke bench-harness bench-gate loc reach reach-check bench bench-quick bench-hot experiments experiments-quick smoke lint-print lint-wallclock lint-exports examples clean
+.PHONY: all ci build vet test race fuzz-smoke bench-harness bench-gate pairs loc reach reach-check bench bench-quick bench-hot experiments experiments-quick smoke lint-print lint-wallclock lint-exports examples clean
 
 all: build vet test
 
@@ -159,7 +159,7 @@ bench-harness:
 # The harness stamps HEAD's commit; when the work tree the run was built from
 # differs from HEAD (the ledger file aside), the stamp reads <sha>+wt, since
 # the numbers are then the uncommitted change's. No measured value changes.
-BENCH_PR := 60
+BENCH_PR := 61
 bench-gate:
 	@wt=$$(git status --porcelain -- . ':(exclude)BENCH_$(BENCH_PR).json' 2>/dev/null); \
 	echo "bash benchmark/run.sh -all -seed 11"; \
@@ -170,6 +170,21 @@ bench-gate:
 	if [ -n "$$prev" ]; then prev=BENCH_$$prev.json; else prev=benchmark/baseline.json; fi; \
 	echo "bench-gate: $$prev -> BENCH_$(BENCH_PR).json"; \
 	bash benchmark/run.sh -compare $$prev BENCH_$(BENCH_PR).json
+
+# Alternating pairs (tools/pairs): time revision A against revision B (a
+# revision, or "worktree" for the working tree) on workload W, N pairs at
+# seed SEED, each side built by its own benchmark/run.sh from a checkout
+# under .pairs/ (ignored). Prints each end-to-end metric's medians and
+# quartiles, "B better in k of N" and a verdict: a count must repeat
+# exactly, a time needs its bound or nine of ten pairs past A's quartile
+# spread. Refuses GOGC, GOMAXPROCS and GOMEMLIMIT, as the benchmark does.
+A ?= HEAD
+B ?= worktree
+W ?= stream-batched
+N ?= 10
+SEED ?= 11
+pairs:
+	$(GO) run ./tools/pairs -a $(A) -b $(B) -w $(W) -n $(N) -seed $(SEED)
 
 # Go line counts per internal/ package, non-test and test, with a total —
 # the before/after number simplicity PRs report.

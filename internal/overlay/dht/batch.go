@@ -25,19 +25,24 @@ import (
 //  2. Request envelopes are shared. A put sends each replica node ONE
 //     message with the keys of every group it holds; a get sends each probed
 //     replica one message per group. Neither cost scales with the keys.
-//  3. Allocations are per batch, not per envelope or key. A batch borrows
-//     one operation frame (opFrame, dht.go) for its routing walks and its
-//     plan — per-key roots, every routed position sorted by root, each group
-//     a sub-slice, a put's destination runs — and each destination node
-//     (put) or group (get) borrows one for its envelope, so concurrent
-//     envelopes never share one. An incoming
-//     envelope's keys and values are copied straight into the node's record
-//     log (store.go); an outgoing reply's values are copied into one fresh
-//     backing array per probe, because they leave the DHT. Lifetime rules
-//     are in DESIGN.md §10: log bytes are immutable once written, whatever
-//     leaves a node is a copy, and a pooled frame never outlives the
-//     operation that borrowed it (simnet RPCs are synchronous, so reuse
-//     after return is safe).
+//  3. Allocations are per batch, not per envelope or key, and the plan is
+//     built in linear time. A batch borrows one operation frame (opFrame,
+//     dht.go) for its routing walks and its plan — per-key roots, every
+//     routed position bucketed by its root's ring index in one stable
+//     counting pass, each group a sub-slice, a put's destination runs
+//     bucketed the same way by node — and each destination node (put) or
+//     group (get) borrows one for its envelope, so concurrent envelopes
+//     never share one. An incoming envelope's keys and values are copied
+//     straight into the node's record log (store.go), and its keys are
+//     probed in blocks of up to 32: the handler hashes a block and loads
+//     each key's home index slot before it puts or looks up any, so the
+//     block's cache misses on an index far larger than the cache overlap
+//     instead of being taken one after another. An outgoing reply's values
+//     are copied into one fresh backing array per probe, because they leave
+//     the DHT. Lifetime rules are in DESIGN.md §10: log bytes are immutable
+//     once written, whatever leaves a node is a copy, and a pooled frame
+//     never outlives the operation that borrowed it (simnet RPCs are
+//     synchronous, so reuse after return is safe).
 //
 // Cost model (the batch determinism contract): a batch is one logical
 // operation whose destination envelopes (put) or per-root probe chains
@@ -131,38 +136,35 @@ const (
 	batchItemOverhead     = 4
 )
 
-// handleStoreBatch executes the replica-side batch write: the store's put
-// copies each key and value into the node's log, so the envelope's slices
-// stay the sender's.
+// handleStoreBatch executes the replica-side batch write: the store's
+// putEach copies each key and value into the node's log, probing the index a
+// block of keys ahead, so the envelope's slices stay the sender's.
 func handleStoreBatch(n *node, req *storeBatchReq) (simnet.Message, error) {
 	if len(req.Keys) != len(req.Values) || len(req.Keys) != len(req.Tops) {
 		return simnet.Message{}, fmt.Errorf("dht: store_batch: %d keys, %d ring ids, %d values", len(req.Keys), len(req.Tops), len(req.Values))
 	}
 	n.mu.Lock()
-	for i, key := range req.Keys {
-		n.data.put(key, req.Tops[i], req.Values[i])
-	}
+	n.data.putEach(req.Keys, req.Tops, req.Values)
 	n.mu.Unlock()
 	return simnet.Message{Kind: kindStoreBatch, Size: batchEnvelopeOverhead}, nil
 }
 
 // handleFetchBatch executes the replica-side batch read into the request's
-// slot, answered positionally. Each key is resolved once, under the lock;
-// the found values are then copied out of the log into one arena allocation
-// after it is released (log bytes never change).
+// slot, answered positionally. Each key is resolved once, under the lock,
+// with the index probed a block of keys ahead (getEach); the found values
+// are then copied out of the log into one arena allocation after it is
+// released (log bytes never change).
 func handleFetchBatch(n *node, req *fetchBatchReq) (simnet.Message, error) {
 	resp := &req.reply
 	resp.Found = slices.Grow(resp.Found[:0], len(req.Keys))
 	resp.Values = slices.Grow(resp.Values[:0], len(req.Keys))
-	total := 0
 	n.mu.Lock()
-	for _, key := range req.Keys {
-		v, found := n.data.get(key)
-		resp.Found = append(resp.Found, found)
-		resp.Values = append(resp.Values, v)
+	resp.Found, resp.Values = n.data.getEach(req.Keys, resp.Found, resp.Values)
+	n.mu.Unlock()
+	total := 0
+	for _, v := range resp.Values {
 		total += len(v)
 	}
-	n.mu.Unlock()
 	arena := make([]byte, 0, total)
 	for i, v := range resp.Values {
 		if resp.Found[i] {
@@ -178,7 +180,7 @@ func handleFetchBatch(n *node, req *fetchBatchReq) (simnet.Message, error) {
 
 // batchPlan is a batch's routing and grouping state, kept in the batch's
 // frame: each key's ring-id top bits (which a put's envelopes carry), root
-// or routing failure, every routed position sorted by root with each group
+// or routing failure, every routed position in root order with each group
 // a sub-slice of it, and a put's destination runs (destinations). acks
 // holds a write's per-replica outcomes for writeErr: a put's by slot, a
 // Store's in placement order.
@@ -188,9 +190,12 @@ type batchPlan struct {
 	errs   []error
 	order  []int
 	groups []batchGroup
+	placed []destSlot // a put's slots in group order, before destinations buckets them
 	slots  []destSlot
 	dests  []batchDest
 	acks   []error
+	bucket []int // per position (group) or placed slot (destinations), its ring bucket
+	counts []int // per ring bucket, its count, then its start
 }
 
 // batchGroup is one per-root work unit: the batch positions whose keys
@@ -227,7 +232,8 @@ func (p *batchPlan) reset() {
 	clear(p.dests)
 	clear(p.acks)
 	p.tops, p.roots, p.errs, p.order, p.groups = p.tops[:0], p.roots[:0], p.errs[:0], p.order[:0], p.groups[:0]
-	p.slots, p.dests, p.acks = p.slots[:0], p.dests[:0], p.acks[:0]
+	p.placed, p.slots, p.dests, p.acks = p.placed[:0], p.slots[:0], p.dests[:0], p.acks[:0]
+	p.bucket, p.counts = p.bucket[:0], p.counts[:0]
 }
 
 // zeroed returns s resized to n zero elements, reusing its array when it is
@@ -261,18 +267,42 @@ func (d *DHT) batchRoots(f *opFrame, origin simnet.NodeID, keys []string) (tr si
 	return tr
 }
 
-// group buckets the successfully routed positions by root: one sort of the
-// positions by (root, position), groups as sub-slices of it, ordered by ring
-// position — a deterministic work list for the group fan-out.
-func (p *batchPlan) group() {
+// group buckets the successfully routed positions by root into groups in
+// ring order, each group's positions in input order: the plan a sort by
+// (root, position) builds, made in one stable counting pass. A position's
+// bucket is the ring index its root searches to in ring (bucket b holds the
+// roots in (ring[b-1], ring[b]], bucket len(ring) those past the last
+// member), so a ring member's bucket holds its own positions only. A root
+// that is no member (it left the ring under the batch) may share a bucket
+// with another, so each bucket is then sorted stably by root: on one
+// root's bucket, the only kind a live ring yields, that is one comparison
+// per position and moves nothing.
+func (p *batchPlan) group(ring []uint64) {
+	p.bucket = zeroed(p.bucket, len(p.roots))
+	starts := zeroed(p.counts, len(ring)+2) // the last bucket stays empty: the end
 	for i, err := range p.errs {
 		if err == nil {
-			p.order = append(p.order, i)
+			b, _ := slices.BinarySearch(ring, p.roots[i])
+			p.bucket[i] = b
+			starts[b]++
 		}
 	}
-	slices.SortFunc(p.order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(p.roots[a], p.roots[b]), cmp.Compare(a, b))
-	})
+	bucketEnds(starts)
+	p.order = zeroed(p.order, starts[len(starts)-1])
+	for i := len(p.errs) - 1; i >= 0; i-- { // back to front: stable
+		if p.errs[i] == nil {
+			b := p.bucket[i]
+			starts[b]--
+			p.order[starts[b]] = i
+		}
+	}
+	byRoot := func(x, y int) int { return cmp.Compare(p.roots[x], p.roots[y]) }
+	for b := 0; b+1 < len(starts); b++ {
+		if run := p.order[starts[b]:starts[b+1]]; len(run) > 1 {
+			slices.SortStableFunc(run, byRoot)
+		}
+	}
+	p.counts = starts
 	for start := 0; start < len(p.order); {
 		root := p.roots[p.order[start]]
 		end := start + 1
@@ -281,6 +311,18 @@ func (p *batchPlan) group() {
 		}
 		p.groups = append(p.groups, batchGroup{root: root, idxs: p.order[start:end:end]})
 		start = end
+	}
+}
+
+// bucketEnds turns per-bucket counts into each bucket's end offset (running
+// sums). Placing items back to front, each at its bucket's decremented end,
+// then sorts them stably and leaves each bucket's start offset behind; with
+// one empty bucket last, bucket b ends where b+1 starts.
+func bucketEnds(counts []int) {
+	sum := 0
+	for b, c := range counts {
+		sum += c
+		counts[b] = sum
 	}
 }
 
@@ -324,8 +366,8 @@ func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, 
 	defer returnFrame(f)
 	p := &f.plan
 	tr := d.batchRoots(f, simnet.NodeID(origin), keys)
-	p.group()
 	v := d.view()
+	p.group(v.ring)
 	p.destinations(v, d.replica, &f.ids)
 	_ = parallel.ForEach(d.fanout, p.dests, func(i int, _ batchDest) error {
 		d.putDest(simnet.NodeID(origin), v, p, &p.dests[i], keys, values)
@@ -355,30 +397,38 @@ func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, 
 }
 
 // destinations inverts the groups' placements into one run per node, the
-// runs sorted by node. Every (group, replica) pair is a slot, and a group's
-// slots own its span of acks in placement order; sorting the slots by
-// (node, group) keeps a node's groups in ring order.
+// runs in ring order. Every (group, replica) pair is a slot, and a group's
+// slots own its span of acks in placement order. The slots are bucketed by
+// their node's ring index in one stable counting pass, which keeps a node's
+// groups in ring order: the order a sort by (node, group) gives. Placement
+// names each ring member at most once per group, so a bucket is one node's.
 func (p *batchPlan) destinations(v *ringView, k int, ids *replicaIDs) {
+	p.bucket = p.bucket[:0]
+	starts := zeroed(p.counts, len(v.ring)+1) // the last bucket stays empty: the end
 	for gi := range p.groups {
 		g := &p.groups[gi]
-		g.acks[0] = len(p.slots)
+		g.acks[0] = len(p.placed)
 		for _, rid := range v.placementOf(ids[:0], g.root, k) {
-			p.slots = append(p.slots, destSlot{node: rid, group: gi, ack: len(p.slots)})
+			b, _ := slices.BinarySearch(v.ring, rid)
+			p.placed = append(p.placed, destSlot{node: rid, group: gi, ack: len(p.placed)})
+			p.bucket = append(p.bucket, b)
+			starts[b]++
 		}
-		g.acks[1] = len(p.slots)
+		g.acks[1] = len(p.placed)
 	}
-	p.acks = zeroed(p.acks, len(p.slots))
-	slices.SortFunc(p.slots, func(a, b destSlot) int {
-		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.group, b.group))
-	})
-	for start := 0; start < len(p.slots); {
-		node := p.slots[start].node
-		end := start + 1
-		for end < len(p.slots) && p.slots[end].node == node {
-			end++
+	p.acks = zeroed(p.acks, len(p.placed))
+	p.slots = zeroed(p.slots, len(p.placed))
+	bucketEnds(starts)
+	for i := len(p.placed) - 1; i >= 0; i-- {
+		b := p.bucket[i]
+		starts[b]--
+		p.slots[starts[b]] = p.placed[i]
+	}
+	p.counts = starts
+	for b := 0; b+1 < len(starts); b++ {
+		if start, end := starts[b], starts[b+1]; start < end {
+			p.dests = append(p.dests, batchDest{node: v.ring[b], slots: p.slots[start:end:end]})
 		}
-		p.dests = append(p.dests, batchDest{node: node, slots: p.slots[start:end:end]})
-		start = end
 	}
 }
 
@@ -418,7 +468,7 @@ func (d *DHT) GetBatch(origin string, keys []string) ([]overlay.BatchResult, ove
 	for i, err := range p.errs {
 		results[i].Err = err
 	}
-	p.group()
+	p.group(d.view().ring)
 	// Groups own disjoint positions, so each writes its results in place.
 	_ = parallel.ForEach(d.fanout, p.groups, func(i int, _ batchGroup) error {
 		d.getGroup(simnet.NodeID(origin), &p.groups[i], keys, results)

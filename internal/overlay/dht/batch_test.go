@@ -2,8 +2,10 @@ package dht
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
@@ -534,6 +536,143 @@ func TestPutBatchPlacesLikeStore(t *testing.T) {
 	}
 }
 
+// referenceGroup and referenceDestinations are the plan builders the
+// counting passes replaced, kept as oracles: one comparison sort of the
+// routed positions by (root, position) and one of the slots by (node,
+// group).
+func referenceGroup(p *batchPlan) {
+	for i, err := range p.errs {
+		if err == nil {
+			p.order = append(p.order, i)
+		}
+	}
+	slices.SortFunc(p.order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(p.roots[a], p.roots[b]), cmp.Compare(a, b))
+	})
+	for start := 0; start < len(p.order); {
+		root := p.roots[p.order[start]]
+		end := start + 1
+		for end < len(p.order) && p.roots[p.order[end]] == root {
+			end++
+		}
+		p.groups = append(p.groups, batchGroup{root: root, idxs: p.order[start:end:end]})
+		start = end
+	}
+}
+
+func referenceDestinations(p *batchPlan, v *ringView, k int) {
+	var ids replicaIDs
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		g.acks[0] = len(p.slots)
+		for _, rid := range v.placementOf(ids[:0], g.root, k) {
+			p.slots = append(p.slots, destSlot{node: rid, group: gi, ack: len(p.slots)})
+		}
+		g.acks[1] = len(p.slots)
+	}
+	p.acks = make([]error, len(p.slots))
+	slices.SortFunc(p.slots, func(a, b destSlot) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.group, b.group))
+	})
+	for start := 0; start < len(p.slots); {
+		node := p.slots[start].node
+		end := start + 1
+		for end < len(p.slots) && p.slots[end].node == node {
+			end++
+		}
+		p.dests = append(p.dests, batchDest{node: node, slots: p.slots[start:end:end]})
+		start = end
+	}
+}
+
+// The counting passes build exactly the plan the comparison sorts built, on
+// seeded random rings and batches: failed positions, empty batches, batches
+// where every key failed, placement vetoes, and roots that are no ring
+// member (a root that left the ring under the batch), which share a ring
+// bucket with a member's root or with each other. One plan is reused across
+// every trial, as a pooled frame's is.
+func TestBatchGroupingMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	unroutable := errors.New("unroutable")
+	var got batchPlan
+	var ids replicaIDs
+	var empty, allFailed, mixed int
+	for trial := range 3000 {
+		nodes := make([]*node, 1+rng.Intn(10))
+		taken := make(map[uint64]*node)
+		for i := range nodes {
+			nodes[i] = &node{id: freeID(rng.Uint64(), taken), name: simnet.NodeID(fmt.Sprintf("node-%d", i))}
+			taken[nodes[i].id] = nodes[i]
+		}
+		var allow func(string) bool
+		if rng.Intn(3) == 0 {
+			vetoed := fmt.Sprintf("node-%d", rng.Intn(len(nodes)))
+			allow = func(name string) bool { return name != vetoed }
+		}
+		v := newRingView(nodes, 3, allow, nil)
+		strays := make([]uint64, 1+rng.Intn(3))
+		for i := range strays {
+			strays[i] = rng.Uint64()
+		}
+		n := rng.Intn(40)
+		failShare := []int{0, 20, 100}[rng.Intn(3)]
+		want := batchPlan{}
+		got.reset()
+		for range n {
+			root := v.ring[rng.Intn(len(v.ring))]
+			if rng.Intn(4) == 0 {
+				root = strays[rng.Intn(len(strays))]
+			}
+			var err error
+			if rng.Intn(100) < failShare {
+				err = unroutable
+			}
+			for _, p := range []*batchPlan{&got, &want} {
+				p.roots, p.errs = append(p.roots, root), append(p.errs, err)
+			}
+		}
+		got.group(v.ring)
+		referenceGroup(&want)
+		sameGroups := func() bool {
+			return slices.EqualFunc(got.groups, want.groups, func(a, b batchGroup) bool { return reflect.DeepEqual(a, b) })
+		}
+		if !slices.Equal(got.order, want.order) || !sameGroups() {
+			t.Fatalf("trial %d: grouped %v into %+v, the sort %v into %+v", trial, got.order, got.groups, want.order, want.groups)
+		}
+		got.destinations(v, 3, &ids)
+		referenceDestinations(&want, v, 3)
+		if !sameGroups() || !slices.Equal(got.slots, want.slots) || len(got.acks) != len(want.acks) {
+			t.Fatalf("trial %d: slots %v (groups %+v), the sort %v (groups %+v)", trial, got.slots, got.groups, want.slots, want.groups)
+		}
+		if len(got.dests) != len(want.dests) {
+			t.Fatalf("trial %d: %d destinations, the sort %d", trial, len(got.dests), len(want.dests))
+		}
+		for i := range want.dests {
+			if g, w := got.dests[i], want.dests[i]; g.node != w.node || !slices.Equal(g.slots, w.slots) {
+				t.Fatalf("trial %d: destination %d is %x %v, the sort's %x %v", trial, i, g.node, g.slots, w.node, w.slots)
+			}
+		}
+		switch {
+		case n == 0:
+			empty++
+		case len(want.order) == 0:
+			allFailed++
+		}
+		for i := 1; i < len(want.groups); i++ {
+			a, _ := slices.BinarySearch(v.ring, want.groups[i-1].root)
+			b, _ := slices.BinarySearch(v.ring, want.groups[i].root)
+			if a == b {
+				mixed++
+				break
+			}
+		}
+	}
+	if empty < 20 || allFailed < 200 || mixed < 200 {
+		t.Fatalf("%d empty batches, %d with every key failed, %d with a bucket of two roots: the trials prove too little", empty, allFailed, mixed)
+	}
+	t.Logf("%d empty batches, %d with every key failed, %d with a bucket of two roots", empty, allFailed, mixed)
+}
+
 // The work counter destination envelopes move, on a fixed input: a warm
 // 256-key PutBatch on a 48-node k=3 ring adds exactly one RPC per distinct
 // destination node to simnet_rpcs_total (one per replica of each of its 40
@@ -866,10 +1005,10 @@ func TestBatchFrameReuseNeverReachesStoredOrReturnedBytes(t *testing.T) {
 
 const benchBatch = 256
 
-func newBatchBenchDHT(b *testing.B) (*DHT, string) {
+func newBatchBenchDHT(b *testing.B, nodes int) (*DHT, string) {
 	b.Helper()
 	net := simnet.New(simnet.DefaultConfig(4242))
-	names := make([]simnet.NodeID, benchNodes)
+	names := make([]simnet.NodeID, nodes)
 	for i := range names {
 		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
 	}
@@ -883,13 +1022,24 @@ func newBatchBenchDHT(b *testing.B) (*DHT, string) {
 	return d, string(names[0])
 }
 
+// freshPrefill is how many keys the fresh arm of BenchmarkPutBatch writes
+// before it starts the clock: stream-batched's population on its 48 nodes.
+// At k=3 that is about 65 000 records a store, whose indexes (1 MiB each),
+// references and logs, some 200 MB in all, lie far past a core's L2 and
+// past what the last-level cache keeps of any one store between batches.
+const freshPrefill = 1 << 20
+
 // One iteration moves benchBatch keys, so ns/op and allocs/op compare the
 // batched envelope path against the equivalent single-key loop directly.
-// Both arms run behind a warm route cache: the delta is pure transport.
+// The sequential and batched arms rewrite the same keys into stores that
+// stay cache-resident, behind a warm route cache: the delta is pure
+// transport. The fresh arm writes new keys into stores pre-filled with
+// freshPrefill keys, stream-batched's regime, where each insert's index
+// probe misses the cache.
 func BenchmarkPutBatch(b *testing.B) {
 	keys, vals := batchKeys(benchBatch)
 	b.Run("sequential", func(b *testing.B) {
-		d, client := newBatchBenchDHT(b)
+		d, client := newBatchBenchDHT(b, benchNodes)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -901,11 +1051,41 @@ func BenchmarkPutBatch(b *testing.B) {
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
-		d, client := newBatchBenchDHT(b)
+		d, client := newBatchBenchDHT(b, benchNodes)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := d.PutBatch(client, keys, vals); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	var fresh *DHT // filled once, shared by every round of the fresh arm
+	var client string
+	next, fkeys := 0, make([]string, benchBatch)
+	freshKeys := func() []string {
+		for j := range fkeys {
+			fkeys[j] = fmt.Sprintf("fresh-key-%08d", next)
+			next++
+		}
+		return fkeys
+	}
+	b.Run("fresh", func(b *testing.B) {
+		if fresh == nil {
+			fresh, client = newBatchBenchDHT(b, 48)
+			for next < freshPrefill {
+				if _, _, err := fresh.PutBatch(client, freshKeys(), vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			freshKeys()
+			b.StartTimer()
+			if _, _, err := fresh.PutBatch(client, fkeys, vals); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -915,7 +1095,7 @@ func BenchmarkPutBatch(b *testing.B) {
 func BenchmarkGetBatch(b *testing.B) {
 	keys, vals := batchKeys(benchBatch)
 	b.Run("sequential", func(b *testing.B) {
-		d, client := newBatchBenchDHT(b)
+		d, client := newBatchBenchDHT(b, benchNodes)
 		if _, _, err := d.PutBatch(client, keys, vals); err != nil {
 			b.Fatal(err)
 		}
@@ -930,7 +1110,7 @@ func BenchmarkGetBatch(b *testing.B) {
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
-		d, client := newBatchBenchDHT(b)
+		d, client := newBatchBenchDHT(b, benchNodes)
 		if _, _, err := d.PutBatch(client, keys, vals); err != nil {
 			b.Fatal(err)
 		}

@@ -98,6 +98,42 @@ func (c *storeModel) put(key string, val []byte) {
 	c.after("put "+key, dead)
 }
 
+// putEach is put for each key in order, through the store's block path.
+// Dead bytes are not tracked across it: one envelope may compact the log and
+// then overwrite a key, so only the bounds every mutation keeps are checked.
+func (c *storeModel) putEach(keys []string, vals [][]byte) {
+	c.t.Helper()
+	tops := make([]uint32, len(keys))
+	for i, key := range keys {
+		tops[i] = keyTop(key)
+	}
+	c.s.putEach(keys, tops, vals)
+	for i, key := range keys {
+		if _, ok := c.m[key]; !ok {
+			c.pos[key] = len(c.order)
+			c.order = append(c.order, key)
+		}
+		c.m[key] = append([]byte(nil), vals[i]...)
+	}
+	c.after(fmt.Sprintf("putEach of %d keys", len(keys)), 0)
+}
+
+// getEach is get for each key, through the store's block path, appending
+// after one entry already there.
+func (c *storeModel) getEach(keys []string) {
+	c.t.Helper()
+	found, vals := c.s.getEach(keys, []bool{true}, [][]byte{nil})
+	if len(found) != 1+len(keys) || len(vals) != 1+len(keys) {
+		c.t.Fatalf("getEach of %d keys: %d found flags, %d values after one entry", len(keys), len(found), len(vals))
+	}
+	for i, key := range keys {
+		want, ok := c.m[key]
+		if found[1+i] != ok || !bytes.Equal(vals[1+i], want) {
+			c.t.Fatalf("getEach %s: %d bytes found=%v, model %d bytes found=%v", key, len(vals[1+i]), found[1+i], len(want), ok)
+		}
+	}
+}
+
 func (c *storeModel) del(key string) {
 	c.t.Helper()
 	dead := c.s.logged - c.s.live
@@ -232,6 +268,47 @@ func TestStoreMatchesMapModel(t *testing.T) {
 				c.maxLen, c.crossSwaps, c.emptied)
 		}
 		t.Logf("at most %d keys; %d deletes swapped across blocks; %d emptied a block", c.maxLen, c.crossSwaps, c.emptied)
+	})
+	t.Run("envelopes", func(t *testing.T) {
+		steps := 40_000
+		if testing.Short() {
+			steps = 8_000
+		}
+		rng := rand.New(rand.NewSource(61))
+		c := newStoreModel(t)
+		// Envelopes of up to three probe blocks and a bit, from a key space
+		// that breathes between 2 000 keys and 40: keys repeat inside an
+		// envelope, the index grows in the middle of a block, and deletes
+		// between envelopes move references and empty the store.
+		for step := range steps {
+			space := 2_000
+			if step/4_000%2 == 1 {
+				space = 40
+			}
+			keys := make([]string, rng.Intn(3*probeBlock+3))
+			for i := range keys {
+				keys[i] = fmt.Sprintf("key-%d", rng.Intn(space))
+			}
+			switch op := rng.Intn(100); {
+			case op < 45:
+				vals := make([][]byte, len(keys))
+				for i := range vals {
+					vals[i] = make([]byte, rng.Intn(300))
+					rng.Read(vals[i])
+				}
+				c.putEach(keys, vals)
+			case op < 75:
+				c.getEach(keys)
+			default:
+				for _, key := range keys[:min(len(keys), 16)] {
+					c.del(key)
+				}
+			}
+			if step%97 == 0 {
+				c.sweep()
+			}
+		}
+		c.sweep()
 	})
 }
 
