@@ -1,6 +1,7 @@
 package abe
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/rand"
 	"crypto/sha256"
@@ -216,7 +217,8 @@ func NewCiphertext(n int) *Ciphertext {
 // a key agreement, and the ciphertext carries the ephemeral key once. The
 // policy text, the wraps and the body are views of one buffer, each with a
 // capacity that ends with it, so appending to one reallocates rather than
-// overwriting the next.
+// overwriting the next. The payload key stays in this call's frame and is
+// cleared once the body is sealed.
 func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaintext []byte) (*Ciphertext, error) {
 	if err := policy.Validate(); err != nil {
 		return nil, err
@@ -224,14 +226,6 @@ func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaint
 	if attr, unknown := policy.unknownAttr(params.Attrs); unknown {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownAttr, attr)
 	}
-	// Fresh seed in the Shamir field.
-	var seedBytes [fieldBytes]byte
-	if _, err := rand.Read(seedBytes[:]); err != nil {
-		return nil, fmt.Errorf("abe: sampling seed: %w", err)
-	}
-	var seed big.Int
-	shamir.Reduce(seed.SetBytes(seedBytes[:]))
-
 	leaves := int(policy.leafCount())
 	m, err := sender.NewMulti(leaves)
 	if err != nil {
@@ -242,15 +236,16 @@ func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaint
 	buf := policy.appendText(make([]byte, 0, bodyStart+symmetric.Overhead()+len(plaintext)))
 	ct := NewCiphertext(leaves)
 	ct.Epoch, ct.PolicyText, ct.Ephemeral = params.Epoch, buf[:textLen:textLen], m.Ephemeral()
-	if err := shareTree(&m, params, policy, &seed, ct, buf[textLen:bodyStart]); err != nil {
-		return nil, err
+	var key [symmetric.KeySize]byte
+	err = shareSeed(&m, params, policy, ct, buf[textLen:bodyStart], &key)
+	if err == nil {
+		if buf, err = symmetric.SealTo(buf[:bodyStart], key[:], plaintext, ct.PolicyText); err != nil {
+			err = fmt.Errorf("abe: sealing body: %w", err)
+		}
 	}
-	key, err := seedToKey(&seed)
+	clear(key[:])
 	if err != nil {
 		return nil, err
-	}
-	if buf, err = symmetric.SealTo(buf[:bodyStart], key, plaintext, ct.PolicyText); err != nil {
-		return nil, fmt.Errorf("abe: sealing body: %w", err)
 	}
 	ct.Body = buf[bodyStart:]
 	return ct, nil
@@ -259,25 +254,56 @@ func Encrypt(sender *pubkey.Sender, params *PublicParams, policy *Policy, plaint
 // wrapSize is the length of every share wrap: a full field element sealed.
 func wrapSize() int { return pubkey.WrapOverhead() + fieldBytes }
 
+// fieldMax is the Shamir field's largest element, p-1, in fieldBytes
+// big-endian bytes: a drawn seed above it is not in the field.
+var fieldMax = shamir.Reduce(big.NewInt(-1)).FillBytes(make([]byte, fieldBytes))
+
+// toField reduces a drawn fieldBytes seed into the Shamir field in place. A
+// seed below p, all but about 2^-248 of them, is left as drawn and builds no
+// big.Int.
+func toField(seed []byte) {
+	if bytes.Compare(seed, fieldMax) > 0 {
+		shamir.Reduce(new(big.Int).SetBytes(seed)).FillBytes(seed)
+	}
+}
+
+// shareSeed draws a fresh seed in the Shamir field as bytes (toField),
+// derives the payload key from it into key, and shares it into wraps. A leaf
+// root's share is the seed itself: it is drawn straight into its wrap's slot
+// and sealed over in place, so no field element is built. A gate root's seed
+// is drawn on the stack and shared as a big.Int by shareTree.
+func shareSeed(m *pubkey.Multi, params *PublicParams, policy *Policy, ct *Ciphertext, wraps []byte, key *[symmetric.KeySize]byte) error {
+	var drawn [fieldBytes]byte
+	slot, seed := []byte(nil), drawn[:]
+	if policy.Kind == GateLeaf {
+		slot = leafSlot(ct, wraps)
+		seed = slotShare(slot)
+	}
+	if _, err := rand.Read(seed); err != nil {
+		return fmt.Errorf("abe: sampling seed: %w", err)
+	}
+	toField(seed)
+	deriveKey(key, bytes.TrimLeft(seed, "\x00"))
+	if policy.Kind == GateLeaf {
+		return wrapLeaf(m, params, policy, ct, slot)
+	}
+	var secret big.Int
+	secret.SetBytes(seed)
+	clear(drawn[:])
+	return shareTree(m, params, policy, &secret, ct, wraps)
+}
+
 // shareTree recursively Shamir-shares secret down the policy tree, wrapping
 // leaf shares to the leaf attribute parameters. Leaf share indices are
 // assigned depth-first and appended to ct.Shares; internal structure is
 // reproducible from the public policy, so only leaf wraps are stored. Every
 // share is wrapped as a full field element, so a ciphertext's size depends on
-// its policy and plaintext only, never on the share values. The wrap of the
-// leaf numbered i+1 fills the i-th wrapSize slot of wraps: its share is
-// written where the sealed bytes go and sealed in place.
+// its policy and plaintext only, never on the share values.
 func shareTree(m *pubkey.Multi, params *PublicParams, node *Policy, secret *big.Int, ct *Ciphertext, wraps []byte) error {
 	if node.Kind == GateLeaf {
-		i, n := len(ct.Shares), wrapSize()
-		slot := wraps[i*n : (i+1)*n : (i+1)*n]
-		share := secret.FillBytes(slot[symmetric.NonceSize : symmetric.NonceSize+fieldBytes])
-		wrap, err := m.WrapTo(slot[:0], params.Attrs[node.Attribute], share)
-		if err != nil {
-			return fmt.Errorf("abe: wrapping share for %q: %w", node.Attribute, err)
-		}
-		ct.Shares = append(ct.Shares, WrappedShare{Index: uint32(i + 1), Wrap: wrap})
-		return nil
+		slot := leafSlot(ct, wraps)
+		secret.FillBytes(slotShare(slot))
+		return wrapLeaf(m, params, node, ct, slot)
 	}
 	shares, err := shamir.Split(secret, node.threshold(), len(node.Children))
 	if err != nil {
@@ -288,6 +314,30 @@ func shareTree(m *pubkey.Multi, params *PublicParams, node *Policy, secret *big.
 			return err
 		}
 	}
+	return nil
+}
+
+// leafSlot returns the next leaf's wrap slot: the wrap of the leaf numbered
+// i+1 fills the i-th wrapSize slot of wraps.
+func leafSlot(ct *Ciphertext, wraps []byte) []byte {
+	i, n := len(ct.Shares), wrapSize()
+	return wraps[i*n : (i+1)*n : (i+1)*n]
+}
+
+// slotShare is the field element of a wrap slot where the leaf's share is
+// written and then sealed in place.
+func slotShare(slot []byte) []byte {
+	return slot[symmetric.NonceSize : symmetric.NonceSize+fieldBytes]
+}
+
+// wrapLeaf seals the share written in slot to the leaf's attribute parameter,
+// over itself, and records the wrap as the next share.
+func wrapLeaf(m *pubkey.Multi, params *PublicParams, node *Policy, ct *Ciphertext, slot []byte) error {
+	wrap, err := m.WrapTo(slot[:0], params.Attrs[node.Attribute], slotShare(slot))
+	if err != nil {
+		return fmt.Errorf("abe: wrapping share for %q: %w", node.Attribute, err)
+	}
+	ct.Shares = append(ct.Shares, WrappedShare{Index: uint32(len(ct.Shares) + 1), Wrap: wrap})
 	return nil
 }
 
@@ -310,12 +360,26 @@ func (k *UserKey) RecoverKey(ct *Ciphertext, policy *Policy) (symmetric.Key, err
 	if !policy.Satisfied(k.Attributes) {
 		return nil, ErrNotSatisfied
 	}
+	if policy.Kind == GateLeaf {
+		// A leaf root's share is the seed: its minimal big-endian bytes
+		// are what the key derives from, so no field element is built.
+		share, err := k.openLeaf(policy, ct, 1)
+		if err != nil {
+			return nil, err
+		}
+		key := seedToKey(bytes.TrimLeft(share, "\x00"))
+		clear(share)
+		return key, nil
+	}
 	var nextIdx uint32 = 1
 	seed, err := recoverTree(k, policy, ct, &nextIdx)
 	if err != nil {
 		return nil, err
 	}
-	return seedToKey(seed)
+	var buf [fieldBytes]byte
+	key := seedToKey(minimalBytes(seed, &buf))
+	clear(buf[:])
+	return key, nil
 }
 
 // OpenBody opens the ciphertext body with an already-recovered payload key —
@@ -349,22 +413,13 @@ func recoverTree(k *UserKey, node *Policy, ct *Ciphertext, nextIdx *uint32) (*bi
 	if node.Kind == GateLeaf {
 		idx := *nextIdx
 		*nextIdx++
-		sk, ok := k.secrets[node.Attribute]
-		if !ok {
-			return nil, ErrNotSatisfied
-		}
-		wrapped, ok := ct.share(idx)
-		if !ok {
-			return nil, fmt.Errorf("%w: missing share %d", ErrBadPolicy, idx)
-		}
-		raw, err := sk.Open(ct.Ephemeral, wrapped)
+		share, err := k.openLeaf(node, ct, idx)
 		if err != nil {
-			// A wrap that no longer opens (e.g. the attribute was re-keyed
-			// after a revocation) counts as an unsatisfied leaf, so an OR
-			// branch over a still-valid attribute can proceed.
-			return nil, ErrNotSatisfied
+			return nil, err
 		}
-		return new(big.Int).SetBytes(raw), nil
+		v := new(big.Int).SetBytes(share)
+		clear(share)
+		return v, nil
 	}
 	need := node.threshold()
 	recovered := make([]shamir.Share, 0, need)
@@ -395,6 +450,27 @@ func recoverTree(k *UserKey, node *Policy, ct *Ciphertext, nextIdx *uint32) (*bi
 	return secret, nil
 }
 
+// openLeaf opens the share of the leaf numbered idx with the key's secret for
+// its attribute. The share is a fresh slice the caller clears after use.
+func (k *UserKey) openLeaf(node *Policy, ct *Ciphertext, idx uint32) ([]byte, error) {
+	sk, ok := k.secrets[node.Attribute]
+	if !ok {
+		return nil, ErrNotSatisfied
+	}
+	wrapped, ok := ct.share(idx)
+	if !ok {
+		return nil, fmt.Errorf("%w: missing share %d", ErrBadPolicy, idx)
+	}
+	share, err := sk.Open(ct.Ephemeral, wrapped)
+	if err != nil {
+		// A wrap that no longer opens (e.g. the attribute was re-keyed
+		// after a revocation) counts as an unsatisfied leaf, so an OR
+		// branch over a still-valid attribute can proceed.
+		return nil, ErrNotSatisfied
+	}
+	return share, nil
+}
+
 func isUnsatisfied(err error) bool {
 	return errors.Is(err, ErrNotSatisfied)
 }
@@ -416,9 +492,9 @@ func (p *Policy) leafCount() uint32 {
 const fieldBytes = 32
 
 // minimalBytes writes v into buf and returns the bytes v.Bytes() would
-// allocate: big-endian, no leading zeros; seedToKey hashes it, so it defines
-// the keys. Only a value outside the field is longer — a share someone wrapped
-// by hand to a public attribute parameter — and it takes Bytes' allocation.
+// allocate: big-endian, no leading zeros; the payload key derives from them,
+// so they define the keys. Only a value outside the field is longer, and it
+// takes Bytes' allocation.
 func minimalBytes(v *big.Int, buf *[fieldBytes]byte) []byte {
 	n := (v.BitLen() + 7) / 8
 	if n > fieldBytes {
@@ -427,13 +503,20 @@ func minimalBytes(v *big.Int, buf *[fieldBytes]byte) []byte {
 	return v.FillBytes(buf[:n])
 }
 
-// seedToKey derives the payload AES key from the shared seed.
-func seedToKey(seed *big.Int) (symmetric.Key, error) {
-	var buf [fieldBytes]byte
-	h := sha256.Sum256(minimalBytes(seed, &buf))
-	key, err := prf.Derive(h[:], seedContext, symmetric.KeySize)
-	if err != nil {
-		return nil, fmt.Errorf("abe: deriving payload key: %w", err)
-	}
-	return key, nil
+// seedToKey returns the payload key derived from the seed's minimal
+// big-endian bytes, in an array of its own: RecoverKey's caller may keep it.
+func seedToKey(seed []byte) symmetric.Key {
+	key := new([symmetric.KeySize]byte)
+	deriveKey(key, seed)
+	return key[:]
+}
+
+// deriveKey writes the payload key derived from the seed's minimal
+// big-endian bytes into dst, allocating nothing. prf.DeriveTo fails only on
+// an empty seed or a length out of range; both lengths here are fixed by
+// their types, a SHA-256 digest and a key array, so it cannot fail.
+func deriveKey(dst *[symmetric.KeySize]byte, seed []byte) {
+	h := sha256.Sum256(seed)
+	_ = prf.DeriveTo(dst[:], h[:], seedContext)
+	clear(h[:])
 }

@@ -373,3 +373,144 @@ func TestOversizedLeafShareOpens(t *testing.T) {
 		t.Fatalf("Decrypt = %q, %v", got, err)
 	}
 }
+
+// referenceKey is the payload key as it was derived through big.Int: the
+// seed's value, its Bytes, their digest, then prf.Derive.
+func referenceKey(t *testing.T, seed *big.Int) symmetric.Key {
+	t.Helper()
+	h := sha256.Sum256(seed.Bytes())
+	key, err := prf.Derive(h[:], seedContext, symmetric.KeySize)
+	if err != nil {
+		t.Fatalf("Derive: %v", err)
+	}
+	return key
+}
+
+// handWrapped seals a ciphertext of one leaf share, raw, under the policy
+// text, as anyone holding the public parameters can; its body is sealed
+// under the given key.
+func handWrapped(t *testing.T, params *PublicParams, text string, raw []byte, key symmetric.Key) *Ciphertext {
+	t.Helper()
+	pol, err := ParsePolicy(text)
+	if err != nil {
+		t.Fatalf("ParsePolicy(%q): %v", text, err)
+	}
+	share, err := pubkey.Encrypt(params.Attrs["relative"], raw)
+	if err != nil {
+		t.Fatalf("wrapping the share: %v", err)
+	}
+	body, err := symmetric.Seal(key, []byte("by hand"), []byte(pol.String()))
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	eph, wrap := share[:pubkey.EphemeralSize], share[pubkey.EphemeralSize:]
+	return &Ciphertext{Epoch: params.Epoch, PolicyText: []byte(pol.String()), Ephemeral: eph, Shares: []WrappedShare{{Index: 1, Wrap: wrap}}, Body: body}
+}
+
+// TestLeafRootRecoverKeyMatchesBigIntReference: a leaf root derives its key
+// from the opened share's bytes without building a big.Int, and gets the key
+// the big.Int path got, on shares with leading zero bytes, the zero share,
+// short shares and TestOversizedLeafShareOpens's share outside the field.
+// An in-field share under a 1-of-2 gate, which goes through the same leaf
+// path and then the interpolation, yields the same key.
+func TestLeafRootRecoverKeyMatchesBigIntReference(t *testing.T) {
+	auth := newTestAuthority(t)
+	params := auth.PublicParams()
+	userKey, err := auth.IssueKey([]string{"relative"})
+	if err != nil {
+		t.Fatalf("IssueKey: %v", err)
+	}
+	leading := func(zeros, n int) []byte {
+		b := bytes.Repeat([]byte{0xa5}, n)
+		clear(b[:zeros])
+		return b
+	}
+	for _, raw := range [][]byte{
+		leading(0, fieldBytes), leading(1, fieldBytes), leading(2, fieldBytes),
+		leading(31, fieldBytes), leading(fieldBytes, fieldBytes),
+		{0x07}, {0x00, 0x07}, leading(3, 17),
+		bytes.Repeat([]byte{0xff}, 40), leading(8, 40),
+	} {
+		v := new(big.Int).SetBytes(raw)
+		want := referenceKey(t, v)
+		ct := handWrapped(t, params, "relative", raw, want)
+		for _, pol := range []*Policy{nil, mustParse(t, "relative")} {
+			got, err := userKey.RecoverKey(ct, pol)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("share %x: RecoverKey = %x, %v; want %x", raw, got, err, want)
+			}
+		}
+		if pt, err := userKey.Decrypt(ct); err != nil || string(pt) != "by hand" {
+			t.Fatalf("share %x: Decrypt = %q, %v", raw, pt, err)
+		}
+		if len(raw) > fieldBytes {
+			continue
+		}
+		gated := handWrapped(t, params, "(relative OR doctor)", raw, want)
+		if got, err := userKey.RecoverKey(gated, nil); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("share %x under a 1-of-2 gate: RecoverKey = %x, %v; want %x", raw, got, err, want)
+		}
+	}
+}
+
+func mustParse(t *testing.T, text string) *Policy {
+	t.Helper()
+	pol, err := ParsePolicy(text)
+	if err != nil {
+		t.Fatalf("ParsePolicy(%q): %v", text, err)
+	}
+	return pol
+}
+
+// TestLeafRootEncryptMatchesBigIntReference opens leaf-root ciphertexts by
+// hand: each share is a full field element below p, the wrap does not carry
+// it in the clear (it was sealed over in place), and the key the big.Int
+// path derives from it opens the body.
+func TestLeafRootEncryptMatchesBigIntReference(t *testing.T) {
+	auth := newTestAuthority(t)
+	params := auth.PublicParams()
+	userKey, err := auth.IssueKey([]string{"relative"})
+	if err != nil {
+		t.Fatalf("IssueKey: %v", err)
+	}
+	p := new(big.Int).Add(new(big.Int).SetBytes(fieldMax), big.NewInt(1))
+	pol, sender := mustParse(t, "relative"), pubkey.NewSender()
+	for i := 0; i < 200; i++ {
+		ct, err := Encrypt(sender, params, pol, []byte("drawn in place"))
+		if err != nil {
+			t.Fatalf("Encrypt: %v", err)
+		}
+		wrap := ct.Shares[0].Wrap
+		share, err := userKey.secrets["relative"].Open(ct.Ephemeral, wrap)
+		if err != nil || len(share) != fieldBytes {
+			t.Fatalf("opening the share: %d bytes, %v", len(share), err)
+		}
+		if bytes.Contains(wrap, share) {
+			t.Fatalf("the wrap carries its share %x in the clear", share)
+		}
+		v := new(big.Int).SetBytes(share)
+		if v.Cmp(p) >= 0 {
+			t.Fatalf("share %x is not below p", share)
+		}
+		if pt, err := symmetric.Open(referenceKey(t, v), ct.Body, ct.PolicyText); err != nil || string(pt) != "drawn in place" {
+			t.Fatalf("body under the reference key: %q, %v", pt, err)
+		}
+	}
+}
+
+// TestToFieldMatchesReduce holds the in-place seed reduction to
+// shamir.Reduce on both sides of p, where a random draw never lands.
+func TestToFieldMatchesReduce(t *testing.T) {
+	p := new(big.Int).Add(new(big.Int).SetBytes(fieldMax), big.NewInt(1))
+	for _, v := range []*big.Int{
+		big.NewInt(0), big.NewInt(1), new(big.Int).Sub(p, big.NewInt(1)), p,
+		new(big.Int).Add(p, big.NewInt(1)), new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1)),
+	} {
+		seed := v.FillBytes(make([]byte, fieldBytes))
+		toField(seed)
+		want := shamir.Reduce(new(big.Int).Set(v)).FillBytes(make([]byte, fieldBytes))
+		if !bytes.Equal(seed, want) {
+			t.Fatalf("toField(%x) = %x, want %x", v, seed, want)
+		}
+	}
+}

@@ -180,33 +180,48 @@ type Broadcast struct {
 // and takes no part in the encryption. All wraps and the body are written
 // into one buffer; each WrappedKeys entry is a view into it whose capacity
 // ends where the wrap does, so appending to one reallocates rather than
-// overwriting the next. The broadcast keeps recipients as its Recipients,
-// read-only: the caller must not modify the slice afterwards.
+// overwriting the next. The session key stays in this call's frame and is
+// cleared once the body is sealed. The broadcast keeps recipients as its
+// Recipients, read-only: the caller must not modify the slice afterwards.
 func (p *PKG) EncryptBroadcast(sender *pubkey.Sender, recipients []string, plaintext []byte) (*Broadcast, error) {
 	if len(recipients) == 0 {
 		return nil, ErrNoRecipients
 	}
-	session, err := symmetric.NewKey()
-	if err != nil {
+	var session [symmetric.KeySize]byte
+	if _, err := rand.Read(session[:]); err != nil {
 		return nil, fmt.Errorf("ibe: generating session key: %w", err)
 	}
+	b, err := p.sealBroadcast(sender, recipients, plaintext, session[:])
+	clear(session[:])
+	return b, err
+}
+
+// sealBroadcast is EncryptBroadcast under a drawn session key. The wrap of
+// the i-th recipient fills the i-th slot of the buffer: the session key is
+// copied where its sealed bytes go and sealed in place, as abe.Encrypt seals
+// its shares.
+func (p *PKG) sealBroadcast(sender *pubkey.Sender, recipients []string, plaintext, session []byte) (*Broadcast, error) {
 	m, err := sender.NewMulti(len(recipients))
 	if err != nil {
 		return nil, fmt.Errorf("ibe: wrapping session key: %w", err)
 	}
-	bodyStart := len(recipients) * (pubkey.WrapOverhead() + len(session))
-	buf := make([]byte, 0, bodyStart+symmetric.Overhead()+len(plaintext))
+	n := pubkey.WrapOverhead() + len(session)
+	bodyStart := len(recipients) * n
+	buf := make([]byte, bodyStart, bodyStart+symmetric.Overhead()+len(plaintext))
 	b := newBroadcast(len(recipients))
-	for _, id := range recipients {
+	for i, id := range recipients {
 		pk, err := p.DirectoryLookup(id)
 		if err != nil {
 			return nil, err
 		}
-		start := len(buf)
-		if buf, err = m.WrapTo(buf, pk, session); err != nil {
+		slot := buf[i*n : (i+1)*n : (i+1)*n]
+		key := slot[symmetric.NonceSize : symmetric.NonceSize+len(session)]
+		copy(key, session)
+		wrap, err := m.WrapTo(slot[:0], pk, key)
+		if err != nil {
 			return nil, fmt.Errorf("ibe: wrapping session key for %q: %w", id, err)
 		}
-		b.WrappedKeys = append(b.WrappedKeys, buf[start:len(buf):len(buf)])
+		b.WrappedKeys = append(b.WrappedKeys, wrap)
 	}
 	if buf, err = symmetric.SealTo(buf, session, plaintext, nil); err != nil {
 		return nil, fmt.Errorf("ibe: sealing broadcast body: %w", err)

@@ -235,6 +235,43 @@ func TestBroadcastWrapsShareOneBuffer(t *testing.T) {
 	}
 }
 
+// TestBroadcastWrapsSealTheSessionInPlace: every wrap is sealed over the
+// session key copied into its slot: every recipient of 1, 8 and 64 unwraps
+// the same session key, no wrap carries it in the clear, and the body opens
+// under it.
+func TestBroadcastWrapsSealTheSessionInPlace(t *testing.T) {
+	pkg := newTestPKG(t)
+	for _, n := range []int{1, 8, 64} {
+		recipients := make([]string, n)
+		for i := range recipients {
+			recipients[i] = fmt.Sprintf("m%d", i)
+		}
+		b, err := pkg.EncryptBroadcast(pubkey.NewSender(), recipients, []byte("sealed in place"))
+		if err != nil {
+			t.Fatalf("EncryptBroadcast: %v", err)
+		}
+		var session []byte
+		for _, id := range recipients {
+			key, err := pkg.Extract(id)
+			if err != nil {
+				t.Fatalf("Extract(%s): %v", id, err)
+			}
+			got, err := key.UnwrapSession(b)
+			if err != nil || len(got) != 32 || (session != nil && !bytes.Equal(got, session)) {
+				t.Fatalf("n=%d: %s unwraps %x, %v; first recipient %x", n, id, got, err, session)
+			}
+			session = got
+		}
+		wraps := unsafe.Slice(unsafe.SliceData(b.WrappedKeys[0]), n*len(b.WrappedKeys[0]))
+		if bytes.Contains(wraps, session) {
+			t.Fatalf("n=%d: the wraps carry the session key in the clear", n)
+		}
+		if pt, err := OpenBroadcast(session, b); err != nil || string(pt) != "sealed in place" {
+			t.Fatalf("n=%d: OpenBroadcast = %q, %v", n, pt, err)
+		}
+	}
+}
+
 // follows reports whether next starts where prev ends in memory.
 func follows(prev, next []byte) bool {
 	return uintptr(unsafe.Pointer(unsafe.SliceData(next)))-uintptr(unsafe.Pointer(unsafe.SliceData(prev))) == uintptr(len(prev))

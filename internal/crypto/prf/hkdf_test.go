@@ -76,21 +76,26 @@ func TestDeriveConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzDerive checks Derive against hkdf.Expand for arbitrary seeds, contexts
-// and lengths, the out-of-range ones included. Its seeds are the committed
-// corpus in testdata/fuzz/FuzzDerive.
+// FuzzDerive checks Derive against hkdf.Expand, and DeriveTo against Derive,
+// for arbitrary seeds, contexts and lengths, the out-of-range ones included.
+// Its seeds are the committed corpus in testdata/fuzz/FuzzDerive.
 func FuzzDerive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed []byte, context string, length uint16) {
 		n := int(length)
 		got, err := Derive(seed, context, n)
+		to := make([]byte, n)
+		errTo := DeriveTo(to, seed, context)
 		if len(seed) == 0 || n == 0 || n > 255*OutputSize {
-			if err == nil {
-				t.Fatalf("Derive accepted seed %d B, length %d", len(seed), n)
+			if err == nil || errTo == nil {
+				t.Fatalf("seed %d B, length %d accepted: Derive %v, DeriveTo %v", len(seed), n, err, errTo)
 			}
 			return
 		}
-		if err != nil {
-			t.Fatalf("Derive: %v", err)
+		if err != nil || errTo != nil {
+			t.Fatalf("Derive: %v, DeriveTo: %v", err, errTo)
+		}
+		if !bytes.Equal(to, got) {
+			t.Fatalf("DeriveTo(%x, %q, %d) differs from Derive", seed, context, n)
 		}
 		want, err := hkdf.Expand(sha256.New, seed, context, n)
 		if err != nil {

@@ -54,17 +54,44 @@ func Eval(s Secret, x []byte) ([]byte, error) {
 }
 
 // Derive expands a seed into length bytes of key material bound to the given
-// context label, using the HKDF-Expand construction over HMAC-SHA256.
+// context label, using the HKDF-Expand construction over HMAC-SHA256. It is
+// DeriveTo into a fresh slice of that length.
 func Derive(seed []byte, context string, length int) ([]byte, error) {
+	var out []byte
+	err := checkDerive(seed, length)
+	if err == nil {
+		out = make([]byte, length)
+		expand(out, seed, context)
+	}
+	return out, err
+}
+
+// DeriveTo fills dst with Derive(seed, context, len(dst)) and allocates
+// nothing, so a caller that consumes the key material itself can keep it in
+// its own stack frame and clear it after use.
+func DeriveTo(dst, seed []byte, context string) error {
+	err := checkDerive(seed, len(dst))
+	if err == nil {
+		expand(dst, seed, context)
+	}
+	return err
+}
+
+// checkDerive rejects an empty seed and a length HKDF-Expand cannot produce.
+func checkDerive(seed []byte, length int) error {
 	if len(seed) == 0 {
-		return nil, ErrEmptySecret
+		return ErrEmptySecret
 	}
 	if length <= 0 || length > 255*OutputSize {
-		return nil, fmt.Errorf("prf: invalid derive length %d", length)
+		return fmt.Errorf("prf: invalid derive length %d", length)
 	}
-	out := make([]byte, length)
+	return nil
+}
+
+// expand writes HKDF-Expand(seed, context) over all of out.
+func expand(out, seed []byte, context string) {
 	st := acquire(seed)
-	for counter, off := byte(1), 0; off < length; counter++ {
+	for counter, off := byte(1), 0; off < len(out); counter++ {
 		// T(i) = HMAC(seed, T(i-1) || context || i), T(0) empty.
 		st.msg = st.msg[:0]
 		if counter > 1 {
@@ -76,14 +103,13 @@ func Derive(seed []byte, context string, length int) ([]byte, error) {
 		off += copy(out[off:], st.sum[:])
 	}
 	st.release()
-	return out, nil
 }
 
 // state is the scratch of one HMAC-SHA256 computation (RFC 2104): the two
 // digests, the key XORed into the inner and outer pad blocks, the last MAC,
 // and the message being MACed. States are pooled, so a Derive or Eval
-// allocates only the output it returns; every key-derived byte is zeroed
-// before a state goes back to the pool.
+// allocates only the output it returns and a DeriveTo nothing; every
+// key-derived byte is zeroed before a state goes back to the pool.
 type state struct {
 	inner, outer hash.Hash
 	ipad, opad   [sha256.BlockSize]byte

@@ -76,6 +76,36 @@ func TestDeriveInvalidLength(t *testing.T) {
 	}
 }
 
+// TestDeriveToMatchesDerive: DeriveTo fills dst with exactly the bytes
+// Derive returns, at every length up to three outputs and one byte, for
+// seeds on both sides of the 64-byte block, and rejects what Derive rejects.
+func TestDeriveToMatchesDerive(t *testing.T) {
+	for _, seed := range [][]byte{pattern(1, 1), pattern(32, 2), pattern(100, 3)} {
+		for n := 1; n <= 3*OutputSize+1; n++ {
+			want, err := Derive(seed, "ctx", n)
+			if err != nil {
+				t.Fatalf("Derive(%d): %v", n, err)
+			}
+			got := pattern(n, 9) // DeriveTo overwrites what dst held
+			if err := DeriveTo(got, seed, "ctx"); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("DeriveTo(seed %d B, %d) = %x, %v; Derive = %x", len(seed), n, got, err, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		seed []byte
+		n    int
+	}{
+		{nil, 32}, {[]byte{}, 32}, {[]byte("s"), 0}, {[]byte("s"), 255*OutputSize + 1}, {nil, 0},
+	} {
+		_, want := Derive(tc.seed, "ctx", tc.n)
+		got := DeriveTo(make([]byte, tc.n), tc.seed, "ctx")
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Fatalf("seed %d B, length %d: DeriveTo error %v, Derive error %v", len(tc.seed), tc.n, got, want)
+		}
+	}
+}
+
 func TestDeriveContextSeparation(t *testing.T) {
 	seed := []byte("seed")
 	a, _ := Derive(seed, "ctx-a", 32)
@@ -153,6 +183,14 @@ func TestDeriveAllocations(t *testing.T) {
 		}
 	}); got > 1 {
 		t.Fatalf("Derive: %v allocs/op, want at most 1 (the output)", got)
+	}
+	var key [32]byte
+	if got := testing.AllocsPerRun(200, func() {
+		if err := DeriveTo(key[:], seed, "godosn/abe/seed-v1"); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("DeriveTo: %v allocs/op, want 0", got)
 	}
 	if got := testing.AllocsPerRun(200, func() {
 		if _, err := Eval(seed, seed); err != nil {

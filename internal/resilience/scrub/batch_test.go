@@ -85,12 +85,15 @@ func TestScrubBatchedMatchesPerKeyReports(t *testing.T) {
 // during a pass lets the runtime's own background work (such as the unique
 // package's map cleanup) allocate, and the process-wide count charges that
 // to the pass. Over 1 000 passes at 500 keys that was +2 to +6 on 3 % of them,
-// with or without -race, and 283 on every pass with the collector off.
+// with or without -race, and 283 on every pass with the collector off. When
+// the two sizes still differ, the failure logs the stacks of the extra
+// allocations (extraAllocations).
 func TestCleanBatchedPassAllocatesPerGroupNotPerKey(t *testing.T) {
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var allocs [2]float64
 	var groupCounts [2]int
+	var passes [2]func()
 	for i, keys := range []int{500, 4000} {
 		f := newFixture(t, 7, 16, keys)
 		index := make(map[string]int)
@@ -108,17 +111,25 @@ func TestCleanBatchedPassAllocatesPerGroupNotPerKey(t *testing.T) {
 		}
 		groupCounts[i] = len(groups)
 		s := New(f.d, DefaultConfig(f.client))
-		allocs[i] = testing.AllocsPerRun(5, func() {
+		passes[i] = func() {
 			rep, err := s.ScrubResolved(groups)
 			if err != nil || rep.KeysScanned != keys || rep.DigestClean != len(groups) || rep.KeysCompared != 0 {
 				t.Fatalf("clean pass over %d keys: %+v %v", keys, rep, err)
 			}
-		})
+		}
+		allocs[i] = testing.AllocsPerRun(5, passes[i])
 	}
 	if groupCounts[0] != groupCounts[1] {
 		t.Fatalf("set-up formed %d groups at 500 keys and %d at 4000", groupCounts[0], groupCounts[1])
 	}
 	if allocs[0] != allocs[1] {
+		// Name what allocated: re-run the size that counted more once with
+		// every allocation recorded, against the other as the baseline.
+		more := 0
+		if allocs[1] > allocs[0] {
+			more = 1
+		}
+		t.Log(extraAllocations(passes[more], passes[1-more]))
 		t.Fatalf("clean batched pass allocates %v at 500 keys and %v at 4000, want equal", allocs[0], allocs[1])
 	}
 }

@@ -241,16 +241,20 @@ var raceEnabled bool
 // sender context is warm. What is left:
 //   - hybrid (3): the sealed body, the slice header boxed into the
 //     envelope's Payload, and the retained plaintext;
-//   - IBBE (5): the session key, the broadcast with its wrap list, the one
-//     buffer holding every wrap and the body, and the body's AES-GCM (2);
-//     the recipients are the group's shared sorted list;
-//   - ABE (7): the ciphertext with its share, the seed's digits, the one
-//     buffer holding the policy text, the share wrap and the body, the
-//     payload key, the body's AES-GCM (2) and the retained plaintext.
+//   - IBBE (4): the broadcast with its wrap list, the one buffer holding
+//     every wrap and the body, and the body's AES-GCM (2); the session key
+//     stays on the stack and the recipients are the group's shared sorted
+//     list;
+//   - ABE (5): the ciphertext with its share, the one buffer holding the
+//     policy text, the share wrap and the body, the body's AES-GCM (2) and
+//     the retained plaintext; the seed is drawn into its wrap's slot and the
+//     payload key stays on the stack.
 //
-// Under the race detector the ABE post may allocate two more: its pooled
-// payload-key derivation state again, and the seed's stack array, which the
-// race build of crypto/rand moves to the heap.
+// Under the race detector, which makes sync.Pool drop what is put back, the
+// ABE post may allocate its pooled payload-key derivation state again (about
+// one allocation a post on average, two allowed); the IBBE post allocates
+// its session key's stack array, which the race build of crypto/rand moves
+// to the heap.
 func TestContextEncryptAllocations(t *testing.T) {
 	names := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
 	for _, tc := range []struct {
@@ -258,8 +262,8 @@ func TestContextEncryptAllocations(t *testing.T) {
 		ceiling float64
 	}{
 		{buildHybrid(t, newFixture(t, names...)), 3},
-		{buildIBBE(t), 5},
-		{buildABE(t), 7},
+		{buildIBBE(t), 4},
+		{buildABE(t), 5},
 	} {
 		for _, m := range names {
 			if err := tc.g.Add(m); err != nil {
@@ -273,8 +277,13 @@ func TestContextEncryptAllocations(t *testing.T) {
 			}
 		})
 		ceiling := tc.ceiling
-		if raceEnabled && tc.g.Scheme() == SchemeABE {
-			ceiling += 2
+		if raceEnabled {
+			switch tc.g.Scheme() {
+			case SchemeABE:
+				ceiling += 2
+			case SchemeIBBE:
+				ceiling++
+			}
 		}
 		if got > ceiling {
 			t.Fatalf("%s Encrypt at %d members: %v allocs/op, ceiling %v", tc.g.Scheme(), len(names), got, ceiling)
@@ -330,8 +339,11 @@ func TestNameBoundAllocations(t *testing.T) {
 }
 
 // TestABEColdOpenAllocations pins a reader's open without a key cache once
-// its attribute secret's memo is warm: the share unwrap, the payload key
-// derivation and the body open.
+// its attribute secret's memo is warm (5): the opened share, the payload key
+// RecoverKey returns, and the body open (AES-GCM 2 and the plaintext). A
+// single-leaf policy's share is the seed, so no field element is built.
+// Under the race detector the pooled derivation state may be allocated again
+// (two allowed).
 func TestABEColdOpenAllocations(t *testing.T) {
 	g := buildABE(t)
 	for _, m := range hotMembers {
@@ -354,8 +366,12 @@ func TestABEColdOpenAllocations(t *testing.T) {
 		}
 	}
 	open() // the attribute secret authenticates the group's sender once
-	if got := testing.AllocsPerRun(100, open); got > 11 {
-		t.Fatalf("ABE cold open: %v allocs/op, ceiling 11", got)
+	ceiling := 5.0
+	if raceEnabled {
+		ceiling += 2
+	}
+	if got := testing.AllocsPerRun(100, open); got > ceiling {
+		t.Fatalf("ABE cold open: %v allocs/op, ceiling %v", got, ceiling)
 	} else {
 		t.Logf("ABE cold open: %v allocs/op", got)
 	}
