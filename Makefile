@@ -159,7 +159,7 @@ bench-harness:
 # The harness stamps HEAD's commit; when the work tree the run was built from
 # differs from HEAD (the ledger file aside), the stamp reads <sha>+wt, since
 # the numbers are then the uncommitted change's. No measured value changes.
-BENCH_PR := 62
+BENCH_PR := 63
 bench-gate:
 	@wt=$$(git status --porcelain -- . ':(exclude)BENCH_$(BENCH_PR).json' 2>/dev/null); \
 	echo "bash benchmark/run.sh -all -seed 11"; \

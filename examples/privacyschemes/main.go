@@ -114,7 +114,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	abeGroup, err := privacy.NewABEGroup("policy-group", auth, "(relative OR (friend AND doctor))")
+	// The AND comes first: alice's read falls through its unmet gate to
+	// relative, and bob's stops at the OR's threshold without opening
+	// relative's wrap.
+	abeGroup, err := privacy.NewABEGroup("policy-group", auth, "((friend AND doctor) OR relative)")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -196,8 +196,8 @@ const seedContext = "godosn/abe/seed-v1"
 
 // NewCiphertext returns an empty ciphertext whose Shares has room for n
 // shares, in one allocation when n is 1: a single-attribute policy, the one
-// the feed workloads post and read. Encrypt and the envelope codec build
-// every ciphertext with it.
+// the feed workloads post. Encrypt builds every ciphertext with it; the
+// envelope codec decodes into a block of its own that also holds names.
 func NewCiphertext(n int) *Ciphertext {
 	if n > 1 {
 		return &Ciphertext{Shares: make([]WrappedShare, 0, n)}
@@ -407,7 +407,8 @@ func (k *UserKey) Decrypt(ct *Ciphertext) ([]byte, error) {
 }
 
 // recoverTree walks the policy tree, decrypting leaf shares the key can open
-// and interpolating gate secrets bottom-up. It returns nil secret with
+// and interpolating gate secrets bottom-up; a gate stops opening children
+// once it holds its threshold of shares. It returns nil secret with
 // ErrNotSatisfied when a needed subtree cannot be recovered.
 func recoverTree(k *UserKey, node *Policy, ct *Ciphertext, nextIdx *uint32) (*big.Int, error) {
 	if node.Kind == GateLeaf {
@@ -427,6 +428,11 @@ func recoverTree(k *UserKey, node *Policy, ct *Ciphertext, nextIdx *uint32) (*bi
 		// Every child consumes its leaf index range whether or not we can
 		// open it, so indices stay aligned with shareTree's assignment.
 		before := *nextIdx
+		if len(recovered) == need {
+			// The gate has its threshold: the rest stay sealed.
+			*nextIdx = before + child.leafCount()
+			continue
+		}
 		sec, err := recoverTree(k, child, ct, nextIdx)
 		if err != nil {
 			// Structural errors abort; unsatisfied subtrees are skipped.
@@ -436,14 +442,12 @@ func recoverTree(k *UserKey, node *Policy, ct *Ciphertext, nextIdx *uint32) (*bi
 			*nextIdx = before + child.leafCount()
 			continue
 		}
-		if len(recovered) < need {
-			recovered = append(recovered, shamir.Share{X: uint32(i + 1), Y: sec})
-		}
+		recovered = append(recovered, shamir.Share{X: uint32(i + 1), Y: sec})
 	}
 	if len(recovered) < need {
 		return nil, ErrNotSatisfied
 	}
-	secret, err := shamir.Combine(recovered[:need])
+	secret, err := shamir.Combine(recovered)
 	if err != nil {
 		return nil, fmt.Errorf("abe: combining at gate: %w", err)
 	}

@@ -514,3 +514,64 @@ func TestToFieldMatchesReduce(t *testing.T) {
 		}
 	}
 }
+
+// TestGateStopsAtItsThreshold: a gate opens children only until it holds
+// its threshold of shares, and a skipped child still consumes its leaf
+// indices. A reader holding both attributes of (relative OR doctor) opens
+// one wrap: a ciphertext that lost the second leaf's share still opens for
+// them, and a warm RecoverKey costs them what it costs a reader holding
+// relative alone. Under ((relative OR doctor) AND painter) the painter leaf
+// after the skipped doctor leaf still opens at its own index.
+func TestGateStopsAtItsThreshold(t *testing.T) {
+	auth := newTestAuthority(t)
+	both, err := auth.IssueKey([]string{"relative", "doctor", "painter"})
+	if err != nil {
+		t.Fatalf("IssueKey: %v", err)
+	}
+	one, err := auth.IssueKey([]string{"relative"})
+	if err != nil {
+		t.Fatalf("IssueKey: %v", err)
+	}
+	encrypt := func(policy string) (*Policy, *Ciphertext) {
+		pol, err := ParsePolicy(policy)
+		if err != nil {
+			t.Fatalf("ParsePolicy: %v", err)
+		}
+		ct, err := Encrypt(pubkey.NewSender(), auth.PublicParams(), pol, []byte("one wrap will do"))
+		if err != nil {
+			t.Fatalf("Encrypt: %v", err)
+		}
+		return pol, ct
+	}
+
+	pol, ct := encrypt("(relative OR doctor)")
+	want, err := one.RecoverKey(ct, pol)
+	if err != nil {
+		t.Fatalf("RecoverKey(relative): %v", err)
+	}
+	lost := *ct
+	lost.Shares = ct.Shares[:1]
+	if got, err := both.RecoverKey(&lost, pol); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("without the doctor share: RecoverKey = %x, %v; want %x (the gate opened the second child)", got, err, want)
+	}
+	warm := func(k *UserKey) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := k.RecoverKey(ct, pol); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	b, o := warm(both), warm(one)
+	if b > o {
+		t.Errorf("warm RecoverKey: %v allocations holding both attributes, %v holding one", b, o)
+	}
+	t.Logf("warm RecoverKey under (relative OR doctor): %v allocations holding both attributes, %v holding one", b, o)
+
+	pol, ct = encrypt("((relative OR doctor) AND painter)")
+	if pt, err := both.Decrypt(ct); err != nil || string(pt) != "one wrap will do" {
+		t.Errorf("((relative OR doctor) AND painter): Decrypt = %q, %v", pt, err)
+	}
+	if _, err := one.RecoverKey(ct, pol); !errors.Is(err, ErrNotSatisfied) {
+		t.Errorf("relative alone under ((relative OR doctor) AND painter): err = %v, want ErrNotSatisfied", err)
+	}
+}

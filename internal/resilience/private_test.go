@@ -192,15 +192,14 @@ func TestValueCacheSharesCachedBytes(t *testing.T) {
 // TestPrivateReadAllocations pins a warm private read per scheme: a
 // value-cache hit, scrub.Open, Unmarshal and an envelope-key-cache hit in
 // Decrypt. The lookup, the open and the key-cache lookup allocate nothing;
-// what is left is the decoder's strings and its one payload allocation (for
-// hybrid, the body's slice header), the one-shot AES-GCM of an ABE or IBBE
-// body and the plaintext.
+// what is left is the decoder's one block (payload, list and names), the
+// one-shot AES-GCM of an ABE or IBBE body and the plaintext.
 func TestPrivateReadAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	kv, origin, posts := privateRing(t)
-	budget := map[string]float64{"hybrid": 3, "abe": 5, "ibbe": 5}
+	budget := map[string]float64{"hybrid": 2, "abe": 4, "ibbe": 4}
 	for _, p := range posts {
 		for i := 0; i < 2; i++ { // fill both caches
 			if pt, err := privateRead(kv, origin, p); err != nil || !bytes.Equal(pt, p.plain) {

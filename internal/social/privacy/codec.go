@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
+	"unsafe"
 
 	"godosn/internal/crypto/abe"
 	"godosn/internal/crypto/ibe"
@@ -20,9 +20,10 @@ import (
 // cover every scheme's payload with a tagged, length-prefixed binary format.
 //
 // Both directions cost a constant number of allocations per envelope, not
-// one per field: Marshal sizes its output first and writes into one buffer,
-// Unmarshal hands out views of its input, copies only the strings and puts
-// an ABE or IBBE payload in one allocation with its list.
+// one per field: Marshal sizes its output first and writes into one buffer;
+// Unmarshal hands out views of its input and makes one allocation for a
+// symmetric, hybrid, ABE or IBBE payload, a block that holds the payload,
+// its list and a room the names are copied into.
 //
 // Version 2 writes the sender's ephemeral key once per ABE and IBBE
 // payload, ahead of wraps that are each nonce, sealed key and tag; version 1
@@ -65,9 +66,9 @@ func Marshal(env Envelope) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, env.Epoch)
 
 	switch p := env.Payload.(type) {
-	case []byte:
+	case *symPayload:
 		buf = append(buf, tagBytes)
-		buf = appendField(buf, p)
+		buf = appendField(buf, p.ct)
 	case subPayload:
 		buf = append(buf, tagSub)
 		buf = appendField(buf, p.fake)
@@ -106,8 +107,8 @@ func Marshal(env Envelope) ([]byte, error) {
 // rejects what Marshal cannot encode.
 func payloadSize(payload any) (int, error) {
 	switch p := payload.(type) {
-	case []byte:
-		return 4 + len(p), nil
+	case *symPayload:
+		return 4 + len(p.ct), nil
 	case subPayload:
 		return 8 + len(p.fake) + len(p.sealedIndex), nil
 	case pkPayload:
@@ -177,8 +178,8 @@ const minWrap = 4 + 4 // a name or share index, plus a length-prefixed wrap
 // is an ABE policy the sender did not write in canonical syntax, which
 // decodes to its rendering, as Marshal would have written it.
 func Unmarshal(data []byte) (Envelope, error) {
+	names, tag, n := layout(data)
 	r := reader{buf: data}
-	r.names.Grow(nameBytes(r.buf))
 	if string(r.take(len(codecMagic))) != codecMagic {
 		return Envelope{}, fmt.Errorf("%w: bad magic", ErrCodec)
 	}
@@ -187,46 +188,44 @@ func Unmarshal(data []byte) (Envelope, error) {
 	}
 	var env Envelope
 	env.Scheme = r.scheme()
+	var room []byte
+	env.Payload, room = newPayload(tag, n)
+	r.names = slices.Grow(room, names)
 	env.Group = r.str()
 	env.Epoch = r.uint64()
+	r.takeByte() // the tag layout read
 
-	switch tag := r.takeByte(); tag {
+	switch tag {
 	case tagBytes:
-		env.Payload = r.bytes()
+		env.Payload.(*symPayload).ct = r.bytes()
 	case tagSub:
 		env.Payload = subPayload{fake: r.bytes(), sealedIndex: r.bytes()}
 	case tagPK:
 		env.Payload = pkPayload{wraps: r.wraps(), body: r.bytes()}
 	case tagABE:
-		epoch := r.uint64()
+		ct := env.Payload.(*abe.Ciphertext)
+		ct.Epoch = r.uint64()
 		policy := r.bytes()
 		if r.err == nil {
 			var err error
-			if policy, err = abe.CanonicalPolicy(policy); err != nil {
+			if ct.PolicyText, err = abe.CanonicalPolicy(policy); err != nil {
 				return Envelope{}, fmt.Errorf("%w: policy: %v", ErrCodec, err)
 			}
 		}
-		eph := r.ephemeral()
-		n := r.count(minWrap)
-		ct := abe.NewCiphertext(n)
-		ct.Epoch, ct.PolicyText, ct.Ephemeral = epoch, policy, eph
-		for i := 0; i < n && r.err == nil; i++ {
+		ct.Ephemeral = r.ephemeral()
+		for i := r.count(minWrap); i > 0 && r.err == nil; i-- {
 			ct.Shares = append(ct.Shares, abe.WrappedShare{Index: r.uint32(), Wrap: r.wrap()})
 		}
 		ct.Shares = indexOrder(ct.Shares)
 		ct.Body = r.bytes()
-		env.Payload = ct
 	case tagIBBE:
-		eph := r.ephemeral()
-		n := r.count(minWrap)
-		b := newBroadcast(n)
-		b.Ephemeral = eph
-		for i := 0; i < n && r.err == nil; i++ {
+		b := env.Payload.(*ibe.Broadcast)
+		b.Ephemeral = r.ephemeral()
+		for i := r.count(minWrap); i > 0 && r.err == nil; i-- {
 			b.Recipients = append(b.Recipients, r.str())
 			b.WrappedKeys = append(b.WrappedKeys, r.wrap())
 		}
 		b.Body = r.bytes()
-		env.Payload = b
 	default:
 		if r.err == nil {
 			r.err = fmt.Errorf("%w: unknown payload tag %d", ErrCodec, tag)
@@ -242,13 +241,13 @@ func Unmarshal(data []byte) (Envelope, error) {
 }
 
 // reader is a bounds-checked sequential decoder that only reads buf. Byte
-// fields are cap-limited sub-slices of buf; string fields are substrings of
+// fields are cap-limited sub-slices of buf; string fields are copies in
 // names, so none aliases buf. After the first error every read returns zero
 // values.
 type reader struct {
 	buf   []byte
 	off   int
-	names strings.Builder
+	names []byte
 	err   error
 }
 
@@ -323,14 +322,15 @@ func (r *reader) wrap() []byte {
 	return b
 }
 
-// str copies the next field into the shared builder and returns that part
-// of it. A builder that has to grow leaves earlier strings on its old
-// buffer, which stays valid.
+// str copies the next field to the end of names and returns a string over
+// the copy. Room bytes are written once and never again, which makes the
+// string immutable, as dht's store.record does with its log; names that
+// outgrow the room leave earlier strings on its old array, which stays valid.
 func (r *reader) str() string {
 	b := r.bytes()
-	start := r.names.Len()
-	r.names.Write(b)
-	return r.names.String()[start:]
+	start := len(r.names)
+	r.names = append(r.names, b...)
+	return unsafe.String(unsafe.SliceData(r.names[start:]), len(b))
 }
 
 // scheme reads a Scheme, returning the package constant for a known one.
@@ -355,28 +355,36 @@ func (r *reader) wraps() map[string][]byte {
 	return m
 }
 
-// nameBytes walks a well-formed envelope's layout and returns the total
-// length of its string fields other than the scheme, so that one builder
-// allocation holds them all. It is a sizing hint only: on a malformed
-// envelope it returns some number no larger than len(buf), and the decoding
-// pass reports the error.
-func nameBytes(buf []byte) int {
+// layout walks a well-formed envelope's framing and returns the total
+// length of its string fields other than the scheme, its payload tag and
+// the length of its wrap or share list, so that Unmarshal allocates the
+// block for that tag, with room for those names, before it reads the group
+// name. The figures are sizing hints only: on a malformed envelope they are
+// some numbers no larger than len(buf), and the decoding pass reports the
+// error.
+func layout(buf []byte) (names int, tag byte, n int) {
 	r := reader{buf: buf}
 	r.take(len(codecMagic) + 1)
-	r.bytes() // scheme: interned, not built
-	total := len(r.bytes())
+	r.bytes() // scheme: interned, not copied
+	names = len(r.bytes())
 	r.take(8)
-	tag := r.takeByte()
-	if tag == tagIBBE {
+	switch tag = r.takeByte(); tag {
+	case tagABE:
+		r.take(8) // epoch
+		r.bytes() // policy
 		r.bytes() // ephemeral
-	}
-	if tag == tagPK || tag == tagIBBE {
-		for n := r.count(minWrap); n > 0; n-- {
-			total += len(r.bytes())
+		n = r.count(minWrap)
+	case tagIBBE:
+		r.bytes() // ephemeral
+		fallthrough
+	case tagPK:
+		n = r.count(minWrap)
+		for i := 0; i < n; i++ {
+			names += len(r.bytes())
 			r.bytes()
 		}
 	}
-	return total
+	return names, tag, n
 }
 
 // indexOrder puts shares decoded in wire order into index order. Marshal
@@ -401,18 +409,72 @@ func indexOrder(shares []abe.WrappedShare) []abe.WrappedShare {
 	return out
 }
 
-// newBroadcast returns an empty broadcast whose Recipients and WrappedKeys
-// have room for n entries, in one allocation up to 8 recipients: the group
-// size the feed workloads read.
-func newBroadcast(n int) *ibe.Broadcast {
-	if n > 8 {
-		return &ibe.Broadcast{Recipients: make([]string, 0, n), WrappedKeys: make([][]byte, 0, n)}
+// Name rooms. A symmetric, hybrid, ABE or IBBE payload decodes into one
+// block that holds the payload, its list and a room for the envelope's
+// names; names that do not fit take one allocation of their own. Each room
+// fills its block to the end of the Go size class the allocator rounds the
+// block up to, so no byte of the block goes unused.
+const (
+	// groupRoom holds the group name of a symmetric, hybrid or ABE
+	// envelope: 24 bytes bring symBlock to 48 bytes and abeBlock to 160.
+	groupRoom = 24
+	// broadcastRoom holds an IBBE envelope's group and recipient names,
+	// eight 10-byte names and a 16-byte group name: 96 bytes bring
+	// broadcastBlock to 512.
+	broadcastRoom = 96
+	// broadcastList is the recipient count broadcastBlock holds: the group
+	// size the feed workloads read. A longer list takes allocations of
+	// its own.
+	broadcastList = 8
+)
+
+// symPayload is a symmetric or hybrid payload: the AEAD ciphertext. It is a
+// pointer in an envelope so that a decoded one shares the block of its
+// names.
+type symPayload struct{ ct []byte }
+
+// symBlock is a decoded symmetric or hybrid payload with its room.
+type symBlock struct {
+	p    symPayload
+	room [groupRoom]byte
+}
+
+// abeBlock is a decoded ABE ciphertext with a one-share list, the
+// single-attribute policy the feed workloads read; more shares take a list
+// of their own.
+type abeBlock struct {
+	ct     abe.Ciphertext
+	shares [1]abe.WrappedShare
+	room   [groupRoom]byte
+}
+
+// broadcastBlock is a decoded IBBE broadcast with a list of up to
+// broadcastList recipients and its room.
+type broadcastBlock struct {
+	b          ibe.Broadcast
+	recipients [broadcastList]string
+	wraps      [broadcastList][]byte
+	room       [broadcastRoom]byte
+}
+
+// newPayload allocates what a payload with tag and n list entries decodes
+// into and returns the room its names go to. Public-key and substitution
+// payloads are values built as they decode, and have no room: their names
+// take the allocation a room would have saved.
+func newPayload(tag byte, n int) (any, []byte) {
+	switch tag {
+	case tagBytes:
+		blk := new(symBlock)
+		return &blk.p, blk.room[:0]
+	case tagABE:
+		blk := new(abeBlock)
+		blk.ct.Shares = slices.Grow(blk.shares[:0], n)[:0:n]
+		return &blk.ct, blk.room[:0]
+	case tagIBBE:
+		blk := new(broadcastBlock)
+		blk.b.Recipients = slices.Grow(blk.recipients[:0], n)[:0:n]
+		blk.b.WrappedKeys = slices.Grow(blk.wraps[:0], n)[:0:n]
+		return &blk.b, blk.room[:0]
 	}
-	blk := new(struct {
-		b          ibe.Broadcast
-		recipients [8]string
-		wraps      [8][]byte
-	})
-	blk.b.Recipients, blk.b.WrappedKeys = blk.recipients[:0:n], blk.wraps[:0:n]
-	return &blk.b
+	return nil, nil
 }

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"godosn/internal/crypto/abe"
 	"godosn/internal/crypto/ibe"
@@ -242,18 +244,20 @@ func hotEnvelopes(t testing.TB) map[Scheme]Envelope {
 }
 
 // TestCodecAllocationBudget pins the codec at a constant number of
-// allocations per envelope: the output buffer one way; the string builder
-// and one payload allocation the other — a hybrid body's slice header, or an
-// ABE ciphertext or IBBE broadcast together with its list.
+// allocations per envelope: the output buffer one way; the other, one block
+// holding the payload, its list and its names — a hybrid body's slice
+// header, an ABE ciphertext or an IBBE broadcast. At the edges of the block
+// each thing that does not fit costs one allocation more, and the envelope
+// still decodes to the same fields and re-marshals to the same bytes.
 func TestCodecAllocationBudget(t *testing.T) {
 	envs := hotEnvelopes(t)
 	for _, tc := range []struct {
 		scheme             Scheme
 		marshal, unmarshal float64
 	}{
-		{SchemeHybrid, 1, 2},
-		{SchemeABE, 1, 2},
-		{SchemeIBBE, 1, 2},
+		{SchemeHybrid, 1, 1},
+		{SchemeABE, 1, 1},
+		{SchemeIBBE, 1, 1},
 	} {
 		env := envs[tc.scheme]
 		wire, err := Marshal(env)
@@ -278,14 +282,123 @@ func TestCodecAllocationBudget(t *testing.T) {
 		}
 		t.Logf("%s: %d bytes, Marshal %v allocs, Unmarshal %v allocs", tc.scheme, len(wire), m, u)
 	}
+	for _, tc := range roomCases(t) {
+		wire, err := Marshal(tc.env)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", tc.name, err)
+		}
+		got, err := Unmarshal(wire)
+		if err != nil {
+			t.Fatalf("%s: Unmarshal: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, tc.env) {
+			t.Errorf("%s: decoded %+v, encrypted %+v", tc.name, got, tc.env)
+		}
+		if re, err := Marshal(got); err != nil || !bytes.Equal(re, wire) {
+			t.Errorf("%s: re-marshal differs from the wire (err %v)", tc.name, err)
+		}
+		u := testing.AllocsPerRun(100, func() {
+			if _, err := Unmarshal(wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if u != tc.allocs && !raceEnabled {
+			t.Errorf("%s: Unmarshal %v allocs, want %v", tc.name, u, tc.allocs)
+		}
+	}
+}
+
+// roomCase is an envelope at an edge of Unmarshal's decode blocks, and the
+// allocations its decode makes.
+type roomCase struct {
+	name   string
+	env    Envelope
+	allocs float64
+}
+
+// roomCases returns envelopes whose names fill their block's room exactly
+// or overflow it by one byte, and IBBE broadcasts on either side of the
+// block's eight-recipient list, with short and with long names.
+func roomCases(t testing.TB) []roomCase {
+	t.Helper()
+	seal := func(g Group, err error, members ...string) Envelope {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("building a group: %v", err)
+		}
+		for _, m := range members {
+			if err := g.Add(m); err != nil {
+				t.Fatalf("Add(%s): %v", m, err)
+			}
+		}
+		env, err := g.Encrypt([]byte("at the edge of the room"))
+		if err != nil {
+			t.Fatalf("%s: Encrypt: %v", g.Scheme(), err)
+		}
+		return env
+	}
+	sym := func(group string) Envelope {
+		g, err := NewSymmetricGroup(group)
+		return seal(g, err, "alice")
+	}
+	cpabe := func(group string) Envelope {
+		auth, err := abe.NewAuthority()
+		if err != nil {
+			t.Fatalf("NewAuthority: %v", err)
+		}
+		g, err := NewABEGroup(group, auth, "(member)")
+		return seal(g, err, "alice")
+	}
+	ibbe := func(group string, n, nameLen int) Envelope {
+		pkg, err := ibe.NewPKG()
+		if err != nil {
+			t.Fatalf("NewPKG: %v", err)
+		}
+		members := make([]string, n)
+		for i := range members {
+			members[i] = fmt.Sprintf("r%0*d", nameLen-1, i)
+		}
+		return seal(NewIBBEGroup(group, pkg), nil, members...)
+	}
+	name := func(n int) string { return strings.Repeat("g", n) }
+	return []roomCase{
+		{"symmetric, group name fills the room", sym(name(groupRoom)), 1},
+		{"symmetric, group name one byte over", sym(name(groupRoom + 1)), 2},
+		{"abe, group name fills the room", cpabe(name(groupRoom)), 1},
+		{"abe, group name one byte over", cpabe(name(groupRoom + 1)), 2},
+		{"ibbe, 8 names fill the room", ibbe(name(broadcastRoom-8*11), 8, 11), 1},
+		{"ibbe, 8 names one byte over", ibbe(name(broadcastRoom-8*11+1), 8, 11), 2},
+		{"ibbe, 9 short names", ibbe("g", 9, 3), 3}, // the block and two lists
+		{"ibbe, 9 long names", ibbe("g", 9, 24), 4}, // and the names
+	}
+}
+
+// TestDecodeBlocksFillTheirSizeClass pins the block sizes the room
+// constants are chosen for: each block ends on a Go allocator size class.
+func TestDecodeBlocksFillTheirSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the sizes are a 64-bit platform's")
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"symBlock", unsafe.Sizeof(symBlock{}), 48},
+		{"abeBlock", unsafe.Sizeof(abeBlock{}), 160},
+		{"broadcastBlock", unsafe.Sizeof(broadcastBlock{}), 512},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s is %d bytes, want %d", tc.name, tc.got, tc.want)
+		}
+	}
 }
 
 // byteFields returns every []byte an unmarshaled envelope hands out, tables
 // in key order.
 func byteFields(env Envelope) [][]byte {
 	switch p := env.Payload.(type) {
-	case []byte:
-		return [][]byte{p}
+	case *symPayload:
+		return [][]byte{p.ct}
 	case subPayload:
 		return [][]byte{p.fake, p.sealedIndex}
 	case pkPayload:
@@ -354,22 +467,34 @@ func stringFields(env Envelope) []string {
 	return out
 }
 
-// TestNameBytesIsExact holds the builder's sizing walk to the decoding pass:
-// for every payload type it returns exactly the string bytes Unmarshal builds,
-// so the builder never regrows. A layout change made in one and not the other
-// shows here rather than as a slow drift in allocation counts.
-func TestNameBytesIsExact(t *testing.T) {
+// TestLayoutIsExact holds the sizing walk to the decoding pass: for every
+// payload type it returns exactly the string bytes Unmarshal copies, the tag
+// it decodes and the length of its list, so no room or list regrows. A
+// layout change made in one and not the other shows here rather than as a
+// slow drift in allocation counts.
+func TestLayoutIsExact(t *testing.T) {
 	for _, wire := range allWires(t) {
 		env, err := Unmarshal(wire)
 		if err != nil {
 			t.Fatalf("Unmarshal: %v", err)
 		}
-		want := 0
+		wantNames, wantList := 0, 0
 		for _, s := range stringFields(env) {
-			want += len(s)
+			wantNames += len(s)
 		}
-		if got := nameBytes(wire); got != want {
-			t.Errorf("%s: nameBytes = %d, the envelope's strings take %d", env.Scheme, got, want)
+		switch p := env.Payload.(type) {
+		case pkPayload:
+			wantList = len(p.wraps)
+		case *abe.Ciphertext:
+			wantList = len(p.Shares)
+		case *ibe.Broadcast:
+			wantList = len(p.Recipients)
+		}
+		wantTag := wire[headerSize-1+len(env.Scheme)+len(env.Group)]
+		names, tag, n := layout(wire)
+		if names != wantNames || tag != wantTag || n != wantList {
+			t.Errorf("%s: layout = %d name bytes, tag %d, %d entries; the envelope has %d, %d, %d",
+				env.Scheme, names, tag, n, wantNames, wantTag, wantList)
 		}
 	}
 }
@@ -384,9 +509,18 @@ func sortedStrings(env Envelope) []string {
 
 // TestUnmarshalOwnership checks the envelope's view rule: every byte field
 // aliases the input, no field reaches a sibling or the input past its own end
-// through append, and no string aliases the input.
+// through append, and no string aliases the input, whether its names fit
+// their room or overflow it.
 func TestUnmarshalOwnership(t *testing.T) {
-	for _, wire := range allWires(t) {
+	wires := allWires(t)
+	for _, tc := range roomCases(t) {
+		wire, err := Marshal(tc.env)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", tc.name, err)
+		}
+		wires = append(wires, wire)
+	}
+	for _, wire := range wires {
 		pristine, err := Unmarshal(bytes.Clone(wire))
 		if err != nil {
 			t.Fatalf("Unmarshal: %v", err)
@@ -546,6 +680,23 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(wire)
 	}
 	f.Add(retiredTagWire(f))
+	// The edges of the decode blocks: names that fill a room and one byte
+	// more, and 8 against 9 IBBE recipients. Marshal wrote these, so they
+	// must come back byte for byte.
+	for _, tc := range roomCases(f) {
+		wire, err := Marshal(tc.env)
+		if err != nil {
+			f.Fatalf("%s: Marshal: %v", tc.name, err)
+		}
+		env, err := Unmarshal(wire)
+		if err != nil {
+			f.Fatalf("%s: Unmarshal: %v", tc.name, err)
+		}
+		if re, err := Marshal(env); err != nil || !bytes.Equal(re, wire) {
+			f.Fatalf("%s: Marshal(Unmarshal(x)) != x (err %v)", tc.name, err)
+		}
+		f.Add(wire)
+	}
 	f.Add([]byte(codecMagic))
 	f.Add([]byte{})
 	f.Add([]byte(hostile28))

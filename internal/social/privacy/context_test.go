@@ -121,7 +121,7 @@ func TestHybridRevokedReaderWithWarmContext(t *testing.T) {
 			t.Fatalf("revoked reader unwrapped %s's copy of the new data key", m)
 		}
 	}
-	if _, err := symmetric.Open(oldKey, after.Payload.([]byte), g.ad()); err == nil {
+	if _, err := symmetric.Open(oldKey, after.Payload.(*symPayload).ct, g.ad()); err == nil {
 		t.Fatal("the data key bob kept opens post-revocation content")
 	}
 }

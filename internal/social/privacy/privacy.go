@@ -58,11 +58,11 @@ var (
 //
 // Ownership: every byte field of an envelope returned by Unmarshal is a
 // cap-limited view of the bytes it was decoded from, which must not be
-// modified while the envelope is in use; every string is a part of one
-// string the decoder built, so no string, map key or Group aliases the
-// input. The fields are read-only: decrypt them, marshal them, copy them —
-// do not write through them. A field that is empty on the wire decodes as
-// an empty view, not nil.
+// modified while the envelope is in use; every string is a copy the decoder
+// made in its own memory, so no string, map key or Group aliases the input.
+// The fields are read-only: decrypt them, marshal them, copy them — do not
+// write through them. A field that is empty on the wire decodes as an empty
+// view, not nil.
 type Envelope struct {
 	// Scheme produced this envelope.
 	Scheme Scheme

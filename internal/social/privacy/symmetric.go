@@ -65,7 +65,7 @@ func (r *symmetricRow) seal(plaintext []byte) (Envelope, error) {
 	if err != nil {
 		return Envelope{}, fmt.Errorf("privacy: sealing for %q: %w", r.name, err)
 	}
-	return r.envelope(r.epoch, ct), nil
+	return r.envelope(r.epoch, &symPayload{ct: ct}), nil
 }
 
 // reseal re-encrypts archive entry i from its retained plaintext.
@@ -89,11 +89,11 @@ func (r *symmetricRow) ciphertext(env Envelope) ([]byte, error) {
 	if env.Epoch != r.epoch {
 		return nil, fmt.Errorf("%w: envelope epoch %d, key epoch %d", ErrStaleEpoch, env.Epoch, r.epoch)
 	}
-	ct, ok := env.Payload.([]byte)
+	p, ok := env.Payload.(*symPayload)
 	if !ok {
 		return nil, fmt.Errorf("privacy: malformed %s payload", r.scheme)
 	}
-	return ct, nil
+	return p.ct, nil
 }
 
 func (r *symmetricRow) open(ct []byte) ([]byte, error) {
