@@ -30,7 +30,7 @@ ci: build vet test race fuzz-smoke bench-harness lint-print lint-wallclock lint-
 #   e22        load-aware arm >= 99% served at <= 3x baseline p99 while the bare arm degrades
 #   e23        batching saves >= 3x msg/op at digest-identical reads and flat live heap
 #   scenarios  every committed scenario: run-twice + workers 1v8 DeepEqual, invariants, pinned digest
-#   e25 + -scenario-report + window/sink tests  guilty-window localisation, the per-window table, the sink contract on both transports
+#   e25 + -scenario-report + window/sink tests  guilty-window localisation, the per-window table, the sink contract on a file and on a FIFO reader
 #   TestSweep + e26  sweeper budget/starvation/priority/cursor; batched anti-entropy >= 3x cheaper, same repairs
 #   quarantine tests  one scrub verdict per node per pass (rot burst spares an honest holder, a liar needs Threshold passes); heal targets obey the placement veto
 #   freshness  a short overwrite survives the sweeper and a garbled read, and an older copy judges nobody (the election's highest-verified-version rule, batched and per-key)
@@ -159,7 +159,7 @@ bench-harness:
 # The harness stamps HEAD's commit; when the work tree the run was built from
 # differs from HEAD (the ledger file aside), the stamp reads <sha>+wt, since
 # the numbers are then the uncommitted change's. No measured value changes.
-BENCH_PR := 63
+BENCH_PR := 64
 bench-gate:
 	@wt=$$(git status --porcelain -- . ':(exclude)BENCH_$(BENCH_PR).json' 2>/dev/null); \
 	echo "bash benchmark/run.sh -all -seed 11"; \

@@ -17,14 +17,14 @@
 //
 //	dosnbench -scenario 'scenarios/*.scenario'   # replay files (globs/commas), enforce invariants
 //	dosnbench -scenario f.scenario -trace-out t.jsonl  # also leave a JSONL trace artifact
-//	dosnbench -scenario f.scenario -trace-out tcp://localhost:4318  # stream it instead
+//	dosnbench -scenario f.scenario -trace-out /dev/stdout | reader  # stream it instead
 //	dosnbench -scenario f.scenario -scenario-report  # print the per-window breakdown
 //	dosnbench -scenario-record-library scenarios # (re)record the builtin library into a directory
 //	dosnbench -scenario-minimize failing.scenario # shrink a failing scenario, write .min.scenario
 //
-// -trace-out accepts a file path, file://path, tcp://host:port, or
-// unix:///path; an otlp+ prefix (e.g. otlp+tcp://host:port) switches the
-// stream to OTLP-shaped JSON. A failing replay always prints its
+// -trace-out accepts a file path or file://path, and the file may be a
+// pipe such as /dev/stdout; an otlp+ prefix (e.g. otlp+file://t.jsonl)
+// switches the stream to OTLP-shaped JSON. A failing replay always prints its
 // guilty-window localization; -scenario-report adds the full per-window
 // table whether or not the scenario failed.
 //
@@ -66,7 +66,7 @@ func run() (code int) {
 		scenarioFlag      = flag.String("scenario", "", "replay .scenario files (comma-separated paths/globs) and enforce their invariants")
 		recordLibraryFlag = flag.String("scenario-record-library", "", "record the builtin scenario library into this directory")
 		minimizeFlag      = flag.String("scenario-minimize", "", "minimize a failing .scenario file, writing <name>.min.scenario next to it")
-		traceOutFlag      = flag.String("trace-out", "", "emit a telemetry trace of a single -scenario replay: file path, tcp://host:port, unix:///path, optional otlp+ prefix")
+		traceOutFlag      = flag.String("trace-out", "", "emit a telemetry trace of a single -scenario replay: file path or file://path (a pipe such as /dev/stdout too), optional otlp+ prefix")
 		scenarioRptFlag   = flag.Bool("scenario-report", false, "with -scenario: print each replay's per-window time-series breakdown")
 
 		cpuProfileFlag = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -295,10 +295,10 @@ func runScenarios(arg, traceOut string, windowReport bool) int {
 }
 
 // writeScenarioTrace runs the scenario once more with a telemetry sink
-// attached — file, socket, or OTLP-shaped per the spec — and reports the
+// attached — native or OTLP-shaped per the spec — and reports the
 // artifact. The traced run is identical to the replay runs (tracing is
-// nil-safe annotation on the same code path, and socket sinks drop rather
-// than block).
+// nil-safe annotation on the same code path, and the sink never feeds back
+// into the run).
 func writeScenarioTrace(sc *scenario.Scenario, spec string) int {
 	sink, err := telemetry.OpenSink(spec)
 	if err != nil {

@@ -10,7 +10,7 @@
 //	dosnd -users 20 -resilient -loss 0.15 -metrics
 //	dosnd -users 20 -resilient -pprof localhost:6060
 //	dosnd -users 20 -trace-out session.jsonl        # JSONL trace of the session
-//	dosnd -users 20 -trace-out otlp+tcp://host:4318 # stream OTLP-shaped JSON
+//	dosnd -users 20 -trace-out otlp+/dev/stdout | reader # stream OTLP-shaped JSON
 //
 // The session advances the deployment's tick clock once per phase (boot,
 // groups, publish, wall-sync, revocation, search), so -metrics can also
@@ -44,7 +44,7 @@ func run() int {
 		lossFlag    = flag.Float64("loss", 0, "message loss rate injected after boot (0..1)")
 		metricsFlag = flag.Bool("metrics", false, "dump the deployment's telemetry registry (plain-text /metrics style) after the session")
 		pprofFlag   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) and keep the process alive after the session")
-		traceFlag   = flag.String("trace-out", "", "emit the session's telemetry: file path, tcp://host:port, unix:///path, optional otlp+ prefix")
+		traceFlag   = flag.String("trace-out", "", "emit the session's telemetry: file path or file://path (a pipe such as /dev/stdout too), optional otlp+ prefix")
 	)
 	flag.Parse()
 	if *lossFlag < 0 || *lossFlag >= 1 {

@@ -132,7 +132,8 @@ func TestHammerKeepsLedgersExact(t *testing.T) {
 		_ = n.SetCapacity(id, CapacityConfig{})
 	}
 	n.ResetTotals()
-	reg.Reset()
+	reg = telemetry.NewRegistry()
+	n.SetTelemetry(reg)
 	const quiet = 2_000
 	traces = hammer(quiet)
 	checkLedgers(t, n, reg, traces)

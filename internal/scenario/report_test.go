@@ -2,7 +2,7 @@ package scenario
 
 import (
 	"bytes"
-	"net"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -245,22 +245,34 @@ func TestTraceSinkBackpressureDoesNotPerturbRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
-	// Traced run against a stalled reader: a 1-deep queue with nothing
-	// draining it, so nearly every record drops.
-	client, server := net.Pipe()
-	sink := telemetry.NewConnSink(client, 1)
-	traced, err := Run(chaosScenario(), RunConfig{Workers: 1, Trace: sink})
-	server.Close() // unblock the writer goroutine
-	_ = sink.Close()
-	if err != nil {
-		t.Fatalf("traced run: %v", err)
-	}
-	if sink.Dropped() == 0 {
-		t.Fatal("stalled reader produced no drops — backpressure path untested")
-	}
-	// Every Result field — digest, latencies, telemetry snapshot, window
-	// series — is identical: the sink never blocks and never feeds back.
-	if !reflect.DeepEqual(plain, traced) {
-		t.Fatalf("trace sink perturbed the run:\n%+v\nvs\n%+v", plain, traced)
+	// Traced runs: one into a file that takes every record, one into
+	// /dev/full, where every record after the first 4 KiB buffer drops.
+	for _, tc := range []struct {
+		name, path string
+		drops      bool
+	}{
+		{"file", filepath.Join(t.TempDir(), "trace.jsonl"), false},
+		{"full", "/dev/full", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink, err := telemetry.OpenSink(tc.path)
+			if err != nil {
+				t.Skipf("no %s here: %v", tc.path, err)
+			}
+			traced, err := Run(chaosScenario(), RunConfig{Workers: 1, Trace: sink})
+			cerr := sink.Close()
+			if err != nil {
+				t.Fatalf("traced run: %v", err)
+			}
+			if (cerr != nil) != tc.drops || (sink.Dropped() > 0) != tc.drops || sink.Records() == 0 {
+				t.Fatalf("records=%d dropped=%d close=%v, want drops=%v after some records",
+					sink.Records(), sink.Dropped(), cerr, tc.drops)
+			}
+			// Every Result field — digest, latencies, telemetry snapshot,
+			// window series — is identical: the sink never feeds back.
+			if !reflect.DeepEqual(plain, traced) {
+				t.Fatalf("trace sink perturbed the run:\n%+v\nvs\n%+v", plain, traced)
+			}
+		})
 	}
 }

@@ -57,15 +57,6 @@ func TestShardsRenderLikeOneInstrument(t *testing.T) {
 	if h.Count() != 5000 || sharded.Counter("msgs_total").Value() == 0 {
 		t.Fatalf("parent accessors do not fold shards: count=%d", h.Count())
 	}
-
-	sharded.Reset()
-	empty := NewRegistry()
-	empty.Counter("msgs_total")
-	empty.Histogram("delay_ms", "ms", LatencyBuckets())
-	wantJSON, _ = render(t, empty)
-	if gotJSON, _ = render(t, sharded); gotJSON != wantJSON {
-		t.Fatalf("Registry.Reset left shard state behind: %s", gotJSON)
-	}
 }
 
 func TestShardsSitOnTheirOwnCacheLines(t *testing.T) {

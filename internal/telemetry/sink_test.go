@@ -3,27 +3,28 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// One Sink, two transports: every shared behaviour below runs against both
-// through the transports table. Test names that say File or Socket predate
-// the merge of the two sink types (the test floor pins them); what they name
-// now is the behaviour, not a type.
+// One Sink over two kinds of file: every shared behaviour below runs
+// against both through the transports table. The file arm writes a regular
+// file, which Close fsyncs; the conn arm is a live reader at the far end of
+// a FIFO, which is what -trace-out /dev/stdout feeds. Test names that say
+// Socket or conn predate the FIFO; what they name now is the behaviour, not
+// a type.
 
 // rig is a sink plus the way to read back what it delivered.
 type rig struct {
 	*Sink
 	// lines returns the delivered payloads, trailing '\n' stripped. Call it
-	// after Close; the conn rig has checked each frame's length prefix.
+	// after Close.
 	lines func() []string
 }
 
@@ -38,28 +39,38 @@ type transportCase struct {
 
 var transports = []transportCase{
 	{"file", openFileRig, func(t *testing.T) *Sink { return writerSink(&failingWriter{budget: 8}) }},
-	{"conn", openConnRig, func(t *testing.T) *Sink {
-		client, server := net.Pipe()
-		server.Close() // every write fails with io.ErrClosedPipe
-		return NewConnSink(client, 0)
+	{"conn", openFIFORig, func(t *testing.T) *Sink {
+		// The reader hangs up before the first write, so every write that
+		// reaches the FIFO fails with EPIPE.
+		path := makeFIFO(t)
+		hungUp := make(chan struct{})
+		go func() {
+			defer close(hungUp)
+			if f, err := os.Open(path); err == nil {
+				f.Close()
+			}
+		}()
+		s := openSpec(t, path, false)
+		<-hungUp
+		return s
 	}},
 }
 
-// eachTransport runs fn as one subtest per transport.
 // writerSink returns a sink writing JSON lines to w.
 func writerSink(w io.Writer) *Sink {
-	return &Sink{t: &fileTransport{w: bufio.NewWriter(w)}}
+	return &Sink{w: bufio.NewWriter(w)}
 }
 
+// eachTransport runs fn as one subtest per transport.
 func eachTransport(t *testing.T, fn func(t *testing.T, tr transportCase)) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) { fn(t, tr) })
 	}
 }
 
-func openFileRig(t *testing.T, otlp bool) rig {
+// openSpec opens a sink on path, OTLP-encoding when otlp is set.
+func openSpec(t *testing.T, path string, otlp bool) *Sink {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	spec := path
 	if otlp {
 		spec = "otlp+file://" + path
@@ -68,7 +79,13 @@ func openFileRig(t *testing.T, otlp bool) rig {
 	if err != nil {
 		t.Fatalf("OpenSink(%q): %v", spec, err)
 	}
-	return rig{s, fileLines(t, path)}
+	return s
+}
+
+func openFileRig(t *testing.T, otlp bool) rig {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	return rig{openSpec(t, path, otlp), fileLines(t, path)}
 }
 
 // fileLines returns a reader of the JSON-lines artifact at path.
@@ -83,14 +100,43 @@ func fileLines(t *testing.T, path string) func() []string {
 	}
 }
 
-func openConnRig(t *testing.T, otlp bool) rig {
+// makeFIFO makes a FIFO under t.TempDir, skipping where FIFOs do not exist.
+func makeFIFO(t *testing.T) string {
 	t.Helper()
-	client, server := net.Pipe()
-	s := NewConnSink(client, 0)
-	if otlp {
-		s.otlp = &otlpState{}
+	path := filepath.Join(t.TempDir(), "trace.fifo")
+	if err := mkfifo(path); err != nil {
+		t.Skipf("no FIFOs here: %v", err)
 	}
-	return rig{s, collectFrames(t, server)}
+	return path
+}
+
+// openFIFORig opens a sink on a fresh FIFO that a goroutine drains until
+// the sink closes its end.
+func openFIFORig(t *testing.T, otlp bool) rig {
+	t.Helper()
+	path := makeFIFO(t)
+	var data []byte
+	var rerr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f, err := os.Open(path) // waits for the sink to open its end
+		if err != nil {
+			rerr = err
+			return
+		}
+		defer f.Close()
+		data, rerr = io.ReadAll(f)
+	}()
+	s := openSpec(t, path, otlp)
+	return rig{s, func() []string {
+		t.Helper()
+		<-done
+		if rerr != nil {
+			t.Fatalf("FIFO reader: %v", rerr)
+		}
+		return splitLines(t, data)
+	}}
 }
 
 // splitLines splits a JSON-lines artifact, insisting on the final newline.
@@ -103,34 +149,6 @@ func splitLines(t *testing.T, data []byte) []string {
 		t.Fatalf("artifact does not end in a newline: %q", data)
 	}
 	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-}
-
-// collectFrames decodes frames (4-byte big-endian length, then a payload
-// ending in '\n') from r in the background until EOF; the returned function
-// waits for that and yields the payloads without their newline.
-func collectFrames(t *testing.T, r io.Reader) func() []string {
-	var out []string
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			var frame [4]byte
-			if _, err := io.ReadFull(r, frame[:]); err != nil {
-				return // EOF / closed pipe ends the stream
-			}
-			payload := make([]byte, binary.BigEndian.Uint32(frame[:]))
-			if _, err := io.ReadFull(r, payload); err != nil {
-				t.Errorf("frame prefix promised %d bytes: %v", len(payload), err)
-				return
-			}
-			if len(payload) == 0 || payload[len(payload)-1] != '\n' {
-				t.Errorf("frame payload does not end in a newline: %q", payload)
-				return
-			}
-			out = append(out, string(payload[:len(payload)-1]))
-		}
-	}()
-	return func() []string { <-done; return out }
 }
 
 // decode parses one delivered line.
@@ -269,7 +287,7 @@ func TestFileSinkEmitsWindowsRecord(t *testing.T) {
 func TestFileSinkAttachLogRoutesEvents(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transportCase) {
 		s := tr.open(t, false)
-		l := NewLog(8)
+		l := NewLog()
 		AttachLog(l, s.Sink)
 		l.Emit("gate.shed", A("node", "n3"))
 		l.Emit("gate.shed", A("node", "n4"))
@@ -298,8 +316,8 @@ func TestFileSinkNilReceiverSafe(t *testing.T) {
 	s.Snapshot(Snapshot{})
 	s.Windows(WindowsSnapshot{})
 	s.SetTelemetry(NewRegistry())
-	AttachLog(NewLog(1), s)
-	if s.Records() != 0 || s.Dropped() != 0 || s.Err() != nil || s.Close() != nil {
+	AttachLog(NewLog(), s)
+	if s.Records() != 0 || s.Dropped() != 0 || s.Close() != nil {
 		t.Fatal("nil sink not inert")
 	}
 }
@@ -327,19 +345,15 @@ func TestFileSinkSurfacesWriteErrorViaErr(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			s.Note("some-note-long-enough-to-overflow-the-buffer")
 		}
-		cerr := s.Close()
-		if cerr == nil {
+		first := s.Close()
+		if first == nil {
 			t.Fatal("close should report the write error")
-		}
-		first := s.Err()
-		if first != cerr {
-			t.Fatalf("Err() = %v, Close() = %v: want the same first error", first, cerr)
 		}
 		// The first error is sticky: later emissions and a second Close
 		// neither panic nor replace it.
 		s.Note("after-error")
-		if err := s.Close(); err != first || s.Err() != first {
-			t.Fatalf("error not sticky: Close() = %v, Err() = %v, first = %v", err, s.Err(), first)
+		if err := s.Close(); err != first {
+			t.Fatalf("error not sticky: second Close() = %v, first = %v", err, first)
 		}
 	})
 }
@@ -433,44 +447,11 @@ func TestSocketSinkAfterCloseDropsQuietly(t *testing.T) {
 	})
 }
 
-func TestSocketSinkBackpressureDropsInsteadOfBlocking(t *testing.T) {
-	// A reader that never reads: the writer goroutine blocks on the pipe,
-	// the bounded queue fills, and further records must drop immediately
-	// rather than stall the emitting run.
-	client, server := net.Pipe()
-	s := NewConnSink(client, 2)
-	reg := NewRegistry()
-	s.SetTelemetry(reg)
-
-	const emitted = 50
-	for i := 0; i < emitted; i++ {
-		s.Note("tick") // returns immediately even though nothing drains
-	}
-	if s.Dropped() == 0 {
-		t.Fatal("expected drops with a stalled reader and a 2-deep queue")
-	}
-	if s.Err() != nil {
-		t.Fatalf("a full queue is not an error: %v", s.Err())
-	}
-	// The drop counter is mirrored into the opted-in registry.
-	if mirrored := mirroredDrops(reg); mirrored != s.Dropped() {
-		t.Fatalf("registry mirror = %d, sink dropped = %d", mirrored, s.Dropped())
-	}
-
-	// Unblock the writer by killing the read side, then Close must drain
-	// and count everything without hanging.
-	server.Close()
-	_ = s.Close()
-	if s.Records()+s.Dropped() != emitted {
-		t.Fatalf("records %d + dropped %d != emitted %d", s.Records(), s.Dropped(), emitted)
-	}
-}
-
-// Four goroutines export span trees through one OTLP connection sink. The
+// Four goroutines export span trees through one OTLP file sink. The
 // encoder's id sequence has one writer (the sink's lock), so the run is
 // race-clean and no span or trace id repeats.
 func TestSinkOTLPConcurrentSpansGetDistinctIDs(t *testing.T) {
-	s := openConnRig(t, true)
+	s := openFileRig(t, true)
 	const emitters, each = 4, 50
 	var wg sync.WaitGroup
 	for g := 0; g < emitters; g++ {
@@ -565,33 +546,34 @@ func TestFileSinkCloseFlushes(t *testing.T) {
 	if !strings.Contains(string(data), "only-record") {
 		t.Fatalf("closed artifact missing the record: %q", data)
 	}
-	if _, err := s.t.(*fileTransport).file.Write(nil); err == nil {
+	if _, err := s.file.Write(nil); err == nil {
 		t.Fatal("Close left the file open")
 	}
 }
 
-// listenFrames accepts one connection on a fresh listener and decodes its
-// frames; it returns the address to dial and the collected payloads.
-func listenFrames(t *testing.T, network, addr string) (string, func() []string) {
-	t.Helper()
-	ln, err := net.Listen(network, addr)
-	if err != nil {
-		t.Skipf("%s sockets unavailable: %v", network, err)
+// TestSinkOnFIFODeliversEveryLine is the live-reader case, as in
+// dosnd -trace-out /dev/stdout | reader: the records cross several buffer
+// flushes, the reader gets every line in order, and Close succeeds although
+// a FIFO cannot be fsynced.
+func TestSinkOnFIFODeliversEveryLine(t *testing.T) {
+	s := openFIFORig(t, false)
+	const n = 500 // several times the 4 KiB write buffer
+	for i := 0; i < n; i++ {
+		s.Note("tick", A("i", strconv.Itoa(i)))
 	}
-	t.Cleanup(func() { ln.Close() })
-	var frames func() []string
-	accepted := make(chan struct{})
-	go func() {
-		defer close(accepted)
-		conn, err := ln.Accept()
-		if err != nil {
-			t.Errorf("accept: %v", err)
-			frames = func() []string { return nil }
-			return
+	if err := s.Close(); err != nil {
+		t.Fatalf("close on a FIFO: %v", err)
+	}
+	lines := s.lines()
+	if len(lines) != n || s.Records() != n {
+		t.Fatalf("reader got %d lines, Records() = %d, want %d", len(lines), s.Records(), n)
+	}
+	for i, line := range lines {
+		attrs := decode(t, line)["attrs"].([]any)
+		if got := attrs[0].(map[string]any)["value"]; got != strconv.Itoa(i) {
+			t.Fatalf("line %d carries note %v", i, got)
 		}
-		frames = collectFrames(t, conn)
-	}()
-	return ln.Addr().String(), func() []string { <-accepted; return frames() }
+	}
 }
 
 // roundTrip sends one note through OpenSink(spec) and checks that exactly
@@ -616,42 +598,35 @@ func roundTrip(t *testing.T, spec string, delivered func() []string, wantKey str
 	}
 }
 
-func TestDialSocketSinkTCPRoundTrip(t *testing.T) {
-	// In-process TCP listener: the same path dosnbench -trace-out
-	// tcp://addr exercises.
-	addr, frames := listenFrames(t, "tcp", "127.0.0.1:0")
-	roundTrip(t, "tcp://"+addr, frames, "type")
-}
-
-func TestSocketSinkRoundTrip(t *testing.T) {
-	addr, frames := listenFrames(t, "unix", filepath.Join(t.TempDir(), "t.sock"))
-	roundTrip(t, "unix://"+addr, frames, "type")
-}
-
 func TestOpenSinkSpecs(t *testing.T) {
 	dir := t.TempDir()
-	// Each spec form, plain and with the otlp+ prefix, delivers one note in
-	// the encoding it names over the transport it names.
-	for _, tc := range []struct{ name, scheme string }{
-		{"bare-path", ""}, {"file", "file://"}, {"tcp", "tcp://"}, {"unix", "unix://"},
-	} {
-		for _, enc := range []struct{ prefix, wantKey string }{{"", "type"}, {"otlp+", "resourceLogs"}} {
+	encodings := []struct{ prefix, wantKey string }{{"", "type"}, {"otlp+", "resourceLogs"}}
+	// A bare path and file://path, plain and with the otlp+ prefix, each
+	// deliver one note in the encoding they name.
+	for _, tc := range []struct{ name, scheme string }{{"bare-path", ""}, {"file", "file://"}} {
+		for _, enc := range encodings {
 			t.Run(enc.prefix+tc.name, func(t *testing.T) {
-				target := filepath.Join(dir, enc.prefix+tc.name+".jsonl")
-				delivered := fileLines(t, target)
-				switch tc.name {
-				case "tcp":
-					target, delivered = listenFrames(t, "tcp", "127.0.0.1:0")
-				case "unix":
-					target, delivered = listenFrames(t, "unix", filepath.Join(dir, enc.prefix+"t.sock"))
+				path := filepath.Join(dir, enc.prefix+tc.name+".jsonl")
+				roundTrip(t, enc.prefix+tc.scheme+path, fileLines(t, path), enc.wantKey)
+			})
+		}
+	}
+	// Socket schemes are not served: they fail at open, naming the forms
+	// that are, rather than becoming a file path such as tcp:/host:port.
+	for _, tc := range []struct{ name, addr string }{{"tcp", "tcp://127.0.0.1:1"}, {"unix", "unix:///x.sock"}} {
+		for _, enc := range encodings {
+			t.Run(enc.prefix+tc.name, func(t *testing.T) {
+				spec := enc.prefix + tc.addr
+				if s, err := OpenSink(spec); err == nil || s != nil || !strings.Contains(err.Error(), "file://") {
+					t.Fatalf("OpenSink(%q) = %v, %v; want an error naming the accepted forms", spec, s, err)
 				}
-				roundTrip(t, enc.prefix+tc.scheme+target, delivered, enc.wantKey)
 			})
 		}
 	}
 
-	// Malformed or unreachable specs fail at open time.
-	for _, spec := range []string{"", "otlp+", "tcp://127.0.0.1:1", filepath.Join(dir, "no-such-dir", "t.jsonl")} {
+	// Malformed, unserved or uncreatable specs fail at open time.
+	for _, spec := range []string{"", "otlp+", "http://127.0.0.1:4318/v1/logs", "otlp+http://127.0.0.1:4318",
+		filepath.Join(dir, "no-such-dir", "t.jsonl")} {
 		if s, err := OpenSink(spec); err == nil || s != nil {
 			t.Fatalf("OpenSink(%q) = %v, %v; want an error", spec, s, err)
 		}
@@ -659,10 +634,9 @@ func TestOpenSinkSpecs(t *testing.T) {
 }
 
 // FuzzSinkEncode drives arbitrary names, attributes, tag strings (invalid
-// UTF-8 included) and span-tree shapes through both encodings and both
-// transports: every delivered payload is one valid JSON value ending in
-// exactly one '\n' (collectFrames checks each frame's prefix equals its
-// payload length), and nothing panics. Seeds: testdata/fuzz/FuzzSinkEncode.
+// UTF-8 included) and span-tree shapes through both encodings: every
+// delivered payload is one valid JSON value ending in exactly one '\n',
+// and nothing panics. Seeds: testdata/fuzz/FuzzSinkEncode.
 func FuzzSinkEncode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name, key, value string, shape []byte) {
 		if len(shape) > 64 {
@@ -687,30 +661,26 @@ func FuzzSinkEncode(f *testing.F) {
 		}
 		for _, otlp := range []bool{false, true} {
 			var buf bytes.Buffer
-			w := writerSink(&buf)
-			c := openConnRig(t, otlp)
+			s := writerSink(&buf)
 			if otlp {
-				w.otlp = &otlpState{}
+				s.otlp = &otlpState{}
 			}
-			for _, s := range []*Sink{w, c.Sink} {
-				s.Note(name, A(key, value), A(value, key))
-				s.Event(Event{Seq: uint64(len(shape)), Name: name, Attrs: []Attr{A(key, value)}})
-				s.Span(root)
-				if err := s.Close(); err != nil {
-					t.Fatalf("otlp=%v close: %v", otlp, err)
-				}
-				if s.Records() != 3 || s.Dropped() != 0 {
-					t.Fatalf("otlp=%v records=%d dropped=%d, want 3/0", otlp, s.Records(), s.Dropped())
-				}
+			s.Note(name, A(key, value), A(value, key))
+			s.Event(Event{Seq: uint64(len(shape)), Name: name, Attrs: []Attr{A(key, value)}})
+			s.Span(root)
+			if err := s.Close(); err != nil {
+				t.Fatalf("otlp=%v close: %v", otlp, err)
 			}
-			for _, lines := range [][]string{splitLines(t, buf.Bytes()), c.lines()} {
-				if len(lines) != 3 {
-					t.Fatalf("otlp=%v delivered %d records, want 3", otlp, len(lines))
-				}
-				for _, line := range lines {
-					if !json.Valid([]byte(line)) || strings.Contains(line, "\n") {
-						t.Fatalf("otlp=%v payload is not one JSON line: %q", otlp, line)
-					}
+			if s.Records() != 3 || s.Dropped() != 0 {
+				t.Fatalf("otlp=%v records=%d dropped=%d, want 3/0", otlp, s.Records(), s.Dropped())
+			}
+			lines := splitLines(t, buf.Bytes())
+			if len(lines) != 3 {
+				t.Fatalf("otlp=%v delivered %d records, want 3", otlp, len(lines))
+			}
+			for _, line := range lines {
+				if !json.Valid([]byte(line)) || strings.Contains(line, "\n") {
+					t.Fatalf("otlp=%v payload is not one JSON line: %q", otlp, line)
 				}
 			}
 		}

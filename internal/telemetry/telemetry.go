@@ -1,7 +1,7 @@
 // Package telemetry is the framework's observability layer: a metrics
 // registry (counters, gauges, fixed-bucket latency histograms), lightweight
-// request tracing (span trees, span.go), and a structured event log (ring
-// buffer plus optional sink, events.go).
+// request tracing (span trees, span.go), and a structured event log
+// (per-name counts plus an optional sink, events.go).
 //
 // LibreSocial ships its monitoring plugin as a first-class framework
 // component, and DECENT's evaluation hinges on per-operation latency
@@ -39,7 +39,7 @@ import (
 // lines.
 const cacheLine = 64
 
-// Counter is a monotonically increasing (resettable) integer metric.
+// Counter is a monotonically increasing integer metric.
 type Counter struct {
 	v atomic.Int64
 
@@ -55,9 +55,9 @@ type counterShard struct {
 }
 
 // Shard returns a child counter on a cache line of its own. A writer that
-// owns its shard never contends with the owners of the others; Value and
-// Reset on the parent fold the children in, so the metric reads the same as
-// if every increment had landed on the parent.
+// owns its shard never contends with the owners of the others; Value on
+// the parent folds the children in, so the metric reads the same as if
+// every increment had landed on the parent.
 func (c *Counter) Shard() *Counter {
 	s := &new(counterShard).Counter
 	c.mu.Lock()
@@ -90,14 +90,6 @@ func (c *Counter) Value() int64 {
 		sum += s.Value()
 	}
 	return sum
-}
-
-// Reset zeroes the counter and its shards (between experiment phases).
-func (c *Counter) Reset() {
-	c.v.Store(0)
-	for _, s := range c.children() {
-		s.Reset()
-	}
 }
 
 // Gauge is a last-value-wins float metric (e.g. nodes currently
@@ -158,9 +150,9 @@ func newHistogram(h *Histogram, unit string, bounds []float64, pad bool) *Histog
 }
 
 // Shard returns a child histogram with the same unit and bounds, behind a
-// lock and on cache lines of its own. Count, Sum, Snapshot and Reset on the
-// parent fold the children in, in creation order, so the metric reads the
-// same as if every observation had landed on the parent.
+// lock and on cache lines of its own. Count and Snapshot on the parent fold
+// the children in, in creation order, so the metric reads the same as if
+// every observation had landed on the parent.
 func (h *Histogram) Shard() *Histogram {
 	s := newHistogram(&new(histogramShard).Histogram, h.unit, h.bounds, true)
 	h.mu.Lock()
@@ -222,20 +214,6 @@ func (h *Histogram) addTo(hv *HistogramValue) {
 	}
 }
 
-// reset zeroes the histogram and its shards.
-func (h *Histogram) reset() {
-	h.mu.Lock()
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.overflow, h.count, h.sum, h.max = 0, 0, 0, 0
-	shards := h.shards
-	h.mu.Unlock()
-	for _, s := range shards {
-		s.reset()
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.value("").Count }
 
@@ -256,13 +234,13 @@ type Registry struct {
 	events   *Log
 }
 
-// NewRegistry creates an empty registry with a default-capacity event log.
+// NewRegistry creates an empty registry with an empty event log.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		events:   NewLog(DefaultLogCapacity),
+		events:   NewLog(),
 	}
 }
 
@@ -306,23 +284,6 @@ func (r *Registry) Histogram(name, unit string, bounds []float64) *Histogram {
 
 // Events returns the registry's structured event log.
 func (r *Registry) Events() *Log { return r.events }
-
-// Reset zeroes every registered metric and clears the event log, keeping
-// the handles callers hold valid (between experiment phases).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.Reset()
-	}
-	for _, g := range r.gauges {
-		g.Set(0)
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-	r.events.Reset()
-}
 
 // CounterValue is one counter in a snapshot.
 type CounterValue struct {
@@ -385,7 +346,7 @@ type Snapshot struct {
 	// empty).
 	Histograms []HistogramValue `json:"histograms,omitempty"`
 	// Events are per-event-name emission counts, sorted by name (omitted
-	// when empty). The raw ring buffer stays process-local.
+	// when empty). The events themselves reach only a sink.
 	Events []EventCount `json:"events,omitempty"`
 }
 
